@@ -1,0 +1,131 @@
+"""Operator-assembly parity between two checkouts of this repository.
+
+The batched setup path must reproduce what the per-face loops assembled:
+every array of ``Discretization.operator_arrays()`` and the element
+``locate_point`` picks for every source and receiver.  Because two versions
+of ``repro`` cannot live in one interpreter, the check is two invocations::
+
+    PYTHONPATH=<parent checkout>/src python benchmarks/operator_parity.py --dump parent.npz
+    PYTHONPATH=src python benchmarks/operator_parity.py --compare parent.npz
+
+``--compare`` requires ``np.array_equal`` for every array.  The one stated
+exception: where the reference stored several neighbouring flux matrices for
+one face class (its rounded-value dedup split round-off twins), the gathered
+per-face matrices must agree within 1e-13 and fewer matrices must be stored.
+
+Cases: the benchmark workloads' meshes (``loh3-m-lts``, ``basin-s-lts``, the
+small LOH.3 of the sweep/CLI workloads, ``loh3-l-setup`` in original and
+reordered element order), the golden-fixture configurations and every
+registered scenario at its defaults; each with the spec's own flux and
+mechanism count plus the other flux and m = 0 / m = 3.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).parent / "e2e"))
+
+import workloads  # noqa: E402  (benchmarks/e2e: the workload generators)
+
+from repro.kernels import Discretization  # noqa: E402
+from repro.scenarios import ScenarioSpec, get_scenario, make_runner, scenario_names  # noqa: E402
+from repro.scenarios.runner import build_setup  # noqa: E402
+from repro.source import locate_point  # noqa: E402
+from repro.verification.golden import GOLDEN_SCENARIOS, golden_spec  # noqa: E402
+
+NEIGHBOR_KEYS = ("neighbor_flux_matrices", "neighbor_flux_index")
+
+
+def _specs() -> dict:
+    specs = {}
+    for name in ("loh3-m-lts", "basin-s-lts", "cli-s-run", "loh3-l-setup"):
+        specs[name] = ScenarioSpec.from_dict(workloads.generate(name, seed=0)["spec"])
+    for name in GOLDEN_SCENARIOS:
+        specs[f"golden-{name}"] = golden_spec(name)
+    for name in scenario_names():
+        specs[f"scenario-{name}"] = get_scenario(name)
+    return specs
+
+
+def collect() -> dict:
+    """``{"<case>/<array>": array}`` for every case of this checkout."""
+    out = {}
+    for case, spec in _specs().items():
+        reordered = spec.preprocessing.active
+        setup = build_setup(spec.with_overrides(n_partitions=1, reorder=False))
+        disc = setup.disc
+        variants = {"spec": disc}
+        for flux in ("rusanov", "godunov"):
+            for m in (0, 3):
+                if (flux, m) != (disc.flux, disc.n_mechanisms):
+                    variants[f"{flux}-m{m}"] = Discretization(
+                        setup.mesh, setup.materials, order=disc.order, n_mechanisms=m, flux=flux
+                    )
+        if reordered:
+            variants["reordered"] = make_runner(spec).setup.disc
+        for variant, d in variants.items():
+            for key, array in d.operator_arrays().items():
+                out[f"{case}/{variant}/{key}"] = array
+        points = dict(setup.receiver_locations)
+        if spec.source is not None:
+            points["source"] = spec.source.location
+        out[f"{case}/located"] = np.array(
+            [locate_point(setup.mesh, np.asarray(p, dtype=np.float64)) for p in points.values()]
+        )
+        print(f"{case}: {setup.mesh.n_elements} elements, {len(variants)} operator sets, "
+              f"{len(points)} points", file=sys.stderr)
+    return out
+
+
+def compare(ours: dict, reference: dict) -> list[str]:
+    problems = [f"missing in one side: {k}" for k in sorted(set(ours) ^ set(reference))]
+    relaxed = set()
+    for key in sorted(set(ours) & set(reference)):
+        a, b = ours[key], reference[key]
+        if np.array_equal(a, b):
+            continue
+        prefix, _, name = key.rpartition("/")
+        if name not in NEIGHBOR_KEYS:
+            problems.append(f"{key}: differs")
+        elif prefix not in relaxed:
+            relaxed.add(prefix)
+            mats, index = (ours[f"{prefix}/{k}"] for k in NEIGHBOR_KEYS)
+            ref_mats, ref_index = (reference[f"{prefix}/{k}"] for k in NEIGHBOR_KEYS)
+            interior = index >= 0
+            if not np.array_equal(interior, ref_index >= 0):
+                problems.append(f"{prefix}: interior faces differ")
+                continue
+            err = np.abs(mats[index[interior]] - ref_mats[ref_index[interior]]).max()
+            if err > 1e-13 or len(mats) >= len(ref_mats):
+                problems.append(f"{prefix}: {len(mats)} vs {len(ref_mats)} matrices, err {err:.2e}")
+            else:
+                print(f"{prefix}: {len(ref_mats)} -> {len(mats)} stored matrices, "
+                      f"per-face difference {err:.2e}")
+    return problems
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    group = parser.add_mutually_exclusive_group(required=True)
+    group.add_argument("--dump", metavar="NPZ", help="write this checkout's arrays")
+    group.add_argument("--compare", metavar="NPZ", help="compare this checkout against a dump")
+    args = parser.parse_args()
+    arrays = collect()
+    if args.dump:
+        np.savez(args.dump, **arrays)
+        return 0
+    with np.load(args.compare) as data:
+        problems = compare(arrays, {k: data[k] for k in data.files})
+    for problem in problems:
+        print(problem)
+    print(f"{len(arrays)} arrays compared, {len(problems)} problems")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

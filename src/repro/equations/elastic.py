@@ -24,85 +24,52 @@ STRESS_INDICES = (0, 1, 2, 3, 4, 5)
 VELOCITY_INDICES = (6, 7, 8)
 
 
-def elastic_jacobians(lam: float, mu: float, rho: float) -> np.ndarray:
-    """The three elastic Jacobians ``(A_e, B_e, C_e)`` as an array ``(3, 9, 9)``."""
-    if rho <= 0:
+def elastic_jacobians(lam, mu, rho) -> np.ndarray:
+    """The three elastic Jacobians ``(A_e, B_e, C_e)``, shape ``(..., 3, 9, 9)``.
+
+    ``lam``, ``mu`` and ``rho`` broadcast against each other; their common
+    shape becomes the leading batch dimensions (scalars give ``(3, 9, 9)``).
+    """
+    lam, mu, rho = np.broadcast_arrays(
+        np.asarray(lam, dtype=np.float64),
+        np.asarray(mu, dtype=np.float64),
+        np.asarray(rho, dtype=np.float64),
+    )
+    if np.any(rho <= 0):
         raise ValueError("density must be positive")
-    a = np.zeros((9, 9))
-    b = np.zeros((9, 9))
-    c = np.zeros((9, 9))
+    jac = np.zeros(lam.shape + (3, 9, 9))
     lam2mu = lam + 2.0 * mu
     inv_rho = 1.0 / rho
 
     # x-direction
-    a[0, 6] = -lam2mu
-    a[1, 6] = -lam
-    a[2, 6] = -lam
-    a[3, 7] = -mu
-    a[5, 8] = -mu
-    a[6, 0] = -inv_rho
-    a[7, 3] = -inv_rho
-    a[8, 5] = -inv_rho
+    jac[..., 0, 0, 6] = -lam2mu
+    jac[..., 0, 1, 6] = -lam
+    jac[..., 0, 2, 6] = -lam
+    jac[..., 0, 3, 7] = -mu
+    jac[..., 0, 5, 8] = -mu
+    jac[..., 0, 6, 0] = -inv_rho
+    jac[..., 0, 7, 3] = -inv_rho
+    jac[..., 0, 8, 5] = -inv_rho
 
     # y-direction
-    b[0, 7] = -lam
-    b[1, 7] = -lam2mu
-    b[2, 7] = -lam
-    b[3, 6] = -mu
-    b[4, 8] = -mu
-    b[6, 3] = -inv_rho
-    b[7, 1] = -inv_rho
-    b[8, 4] = -inv_rho
+    jac[..., 1, 0, 7] = -lam
+    jac[..., 1, 1, 7] = -lam2mu
+    jac[..., 1, 2, 7] = -lam
+    jac[..., 1, 3, 6] = -mu
+    jac[..., 1, 4, 8] = -mu
+    jac[..., 1, 6, 3] = -inv_rho
+    jac[..., 1, 7, 1] = -inv_rho
+    jac[..., 1, 8, 4] = -inv_rho
 
     # z-direction
-    c[0, 8] = -lam
-    c[1, 8] = -lam
-    c[2, 8] = -lam2mu
-    c[4, 7] = -mu
-    c[5, 6] = -mu
-    c[6, 5] = -inv_rho
-    c[7, 4] = -inv_rho
-    c[8, 2] = -inv_rho
-
-    return np.stack([a, b, c])
-
-
-def elastic_jacobians_batch(lam: np.ndarray, mu: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Vectorised Jacobians for per-element materials, shape ``(K, 3, 9, 9)``."""
-    lam = np.asarray(lam, dtype=np.float64)
-    mu = np.asarray(mu, dtype=np.float64)
-    rho = np.asarray(rho, dtype=np.float64)
-    n = len(lam)
-    jac = np.zeros((n, 3, 9, 9))
-    lam2mu = lam + 2.0 * mu
-    inv_rho = 1.0 / rho
-
-    jac[:, 0, 0, 6] = -lam2mu
-    jac[:, 0, 1, 6] = -lam
-    jac[:, 0, 2, 6] = -lam
-    jac[:, 0, 3, 7] = -mu
-    jac[:, 0, 5, 8] = -mu
-    jac[:, 0, 6, 0] = -inv_rho
-    jac[:, 0, 7, 3] = -inv_rho
-    jac[:, 0, 8, 5] = -inv_rho
-
-    jac[:, 1, 0, 7] = -lam
-    jac[:, 1, 1, 7] = -lam2mu
-    jac[:, 1, 2, 7] = -lam
-    jac[:, 1, 3, 6] = -mu
-    jac[:, 1, 4, 8] = -mu
-    jac[:, 1, 6, 3] = -inv_rho
-    jac[:, 1, 7, 1] = -inv_rho
-    jac[:, 1, 8, 4] = -inv_rho
-
-    jac[:, 2, 0, 8] = -lam
-    jac[:, 2, 1, 8] = -lam
-    jac[:, 2, 2, 8] = -lam2mu
-    jac[:, 2, 4, 7] = -mu
-    jac[:, 2, 5, 6] = -mu
-    jac[:, 2, 6, 5] = -inv_rho
-    jac[:, 2, 7, 4] = -inv_rho
-    jac[:, 2, 8, 2] = -inv_rho
+    jac[..., 2, 0, 8] = -lam
+    jac[..., 2, 1, 8] = -lam
+    jac[..., 2, 2, 8] = -lam2mu
+    jac[..., 2, 4, 7] = -mu
+    jac[..., 2, 5, 6] = -mu
+    jac[..., 2, 6, 5] = -inv_rho
+    jac[..., 2, 7, 4] = -inv_rho
+    jac[..., 2, 8, 2] = -inv_rho
     return jac
 
 
@@ -115,7 +82,7 @@ def elastic_star_matrices(
     with the element's inverse affine map so that the kernels can operate in
     reference coordinates.  Returns shape ``(K, 3, 9, 9)``.
     """
-    jac = elastic_jacobians_batch(lam, mu, rho)  # (K, 3, 9, 9)
+    jac = elastic_jacobians(lam, mu, rho)  # (K, 3, 9, 9)
     inverse_jacobians = np.asarray(inverse_jacobians, dtype=np.float64)
     return np.einsum("kcd,kdij->kcij", inverse_jacobians, jac)
 

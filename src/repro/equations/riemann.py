@@ -2,9 +2,16 @@
 
 The surface kernel (eqs. 10-13) applies element-local "flux solver" matrices
 ``A~-_{k,i}`` (acting on the element's own trace) and ``A~+_{k,i}`` (acting
-on the face-neighbour's trace).  This module provides the single-face
-building blocks; :mod:`repro.kernels.discretization` assembles the per-mesh
-arrays and folds in the ``|S_i| / |J_k|`` geometry scaling.
+on the face-neighbour's trace).  This module provides the per-face building
+blocks; :mod:`repro.kernels.discretization` assembles the per-mesh arrays
+and folds in the ``|S_i| / |J_k|`` geometry scaling.
+
+Every builder takes leading batch dimensions: materials ``(...)`` and unit
+normals ``(..., 3)`` broadcast against each other and the matrices come back
+as ``(..., 9, 9)`` (``(..., 6, 9)`` for the anelastic rows).  A single face
+is the batch of one, and each face of a batch gets bit-for-bit the matrix
+the single-face call gives -- the assembly therefore passes whole
+``(K, 4)`` blocks of faces, never one face at a time.
 
 Two flux choices are implemented:
 
@@ -111,11 +118,15 @@ def elastic_rotation_matrix(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 # ----------------------------------------------------------------------
 # normal Jacobians
 # ----------------------------------------------------------------------
-def elastic_normal_jacobian(lam: float, mu: float, rho: float, normal: np.ndarray) -> np.ndarray:
-    """``A n_x + B n_y + C n_z`` for a single material and unit normal."""
+def elastic_normal_jacobian(lam, mu, rho, normal: np.ndarray) -> np.ndarray:
+    """``A n_x + B n_y + C n_z``, shape ``(..., 9, 9)``.
+
+    The materials ``(...)`` and the unit normals ``(..., 3)`` broadcast over
+    their leading batch dimensions.
+    """
     jac = elastic_jacobians(lam, mu, rho)
     normal = np.asarray(normal, dtype=np.float64)
-    return np.einsum("d,dij->ij", normal, jac)
+    return np.einsum("...d,...dij->...ij", normal, jac)
 
 
 def anelastic_normal_jacobian(normal: np.ndarray) -> np.ndarray:
@@ -131,35 +142,36 @@ def anelastic_normal_jacobian(normal: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 # upwind splitting
 # ----------------------------------------------------------------------
-def elastic_upwind_split(lam: float, mu: float, rho: float) -> tuple[np.ndarray, np.ndarray]:
+def elastic_upwind_split(lam, mu, rho) -> tuple[np.ndarray, np.ndarray]:
     """Positive/negative parts of the 1-D (x-direction) elastic Jacobian.
 
     ``A = A_plus + A_minus`` with ``A_plus`` having the non-negative and
     ``A_minus`` the non-positive wave speeds.  Computed via the numerical
     eigendecomposition of the 9x9 Jacobian (its eigenvalues are
     ``+-v_p, +-v_s (x2)`` and ``0 (x3)``; the matrix is diagonalisable).
+    The materials broadcast to the leading batch dimensions of the
+    ``(..., 9, 9)`` results; each distinct ``(lam, mu, rho)`` is decomposed
+    once.
     """
-    a = elastic_jacobians(lam, mu, rho)[0]
+    materials = np.stack(np.broadcast_arrays(lam, mu, rho), axis=-1).astype(np.float64)
+    distinct, inverse = np.unique(materials.reshape(-1, 3), axis=0, return_inverse=True)
+    a = elastic_jacobians(*distinct.T)[:, 0]
     eigvals, eigvecs = np.linalg.eig(a)
-    eigvals = np.real(eigvals)
+    eigvals = np.real(eigvals)[:, None, :]
     eigvecs = np.real(eigvecs)
     inv_vecs = np.linalg.inv(eigvecs)
-    plus = eigvecs @ np.diag(np.maximum(eigvals, 0.0)) @ inv_vecs
-    minus = eigvecs @ np.diag(np.minimum(eigvals, 0.0)) @ inv_vecs
-    return plus, minus
+    plus = (eigvecs * np.maximum(eigvals, 0.0)) @ inv_vecs
+    minus = (eigvecs * np.minimum(eigvals, 0.0)) @ inv_vecs
+    shape = materials.shape[:-1] + (9, 9)
+    inverse = inverse.ravel()  # numpy 2.0 returns it as a column
+    return plus[inverse].reshape(shape), minus[inverse].reshape(shape)
 
 
 # ----------------------------------------------------------------------
-# flux solver matrices for a single face
+# flux solver matrices; all arguments share leading batch dimensions
 # ----------------------------------------------------------------------
 def rusanov_flux_matrices(
-    lam_local: float,
-    mu_local: float,
-    rho_local: float,
-    lam_neigh: float,
-    mu_neigh: float,
-    rho_neigh: float,
-    normal: np.ndarray,
+    lam_local, mu_local, rho_local, lam_neigh, mu_neigh, rho_neigh, normal: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Local Lax-Friedrichs flux matrices ``(G_local, G_neigh)``.
 
@@ -171,19 +183,12 @@ def rusanov_flux_matrices(
     an_neigh = elastic_normal_jacobian(lam_neigh, mu_neigh, rho_neigh, normal)
     vp_local = np.sqrt((lam_local + 2.0 * mu_local) / rho_local)
     vp_neigh = np.sqrt((lam_neigh + 2.0 * mu_neigh) / rho_neigh)
-    s = max(vp_local, vp_neigh)
-    eye = np.eye(9)
-    return 0.5 * (an_local + s * eye), 0.5 * (an_neigh - s * eye)
+    s_eye = np.maximum(vp_local, vp_neigh)[..., None, None] * np.eye(9)
+    return 0.5 * (an_local + s_eye), 0.5 * (an_neigh - s_eye)
 
 
 def godunov_flux_matrices(
-    lam_local: float,
-    mu_local: float,
-    rho_local: float,
-    lam_neigh: float,
-    mu_neigh: float,
-    rho_neigh: float,
-    normal: np.ndarray,
+    lam_local, mu_local, rho_local, lam_neigh, mu_neigh, rho_neigh, normal: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Face-aligned upwind flux matrices ``(G_local, G_neigh)``.
 
@@ -191,26 +196,25 @@ def godunov_flux_matrices(
     incoming characteristics the neighbour material's negative split
     (Dumbser & Kaeser style upwinding).
     """
-    t_mat, t_inv = elastic_rotation_matrix(np.asarray(normal, dtype=np.float64))
+    t_mat, t_inv = elastic_rotation_matrix(normal)
     plus_local, _ = elastic_upwind_split(lam_local, mu_local, rho_local)
     _, minus_neigh = elastic_upwind_split(lam_neigh, mu_neigh, rho_neigh)
-    g_local = t_mat @ plus_local @ t_inv
-    g_neigh = t_mat @ minus_neigh @ t_inv
-    return g_local, g_neigh
+    return t_mat @ plus_local @ t_inv, t_mat @ minus_neigh @ t_inv
 
 
 # ----------------------------------------------------------------------
 # boundary ghost operators
 # ----------------------------------------------------------------------
 def free_surface_ghost_operator(normal: np.ndarray) -> np.ndarray:
-    """Ghost-state operator of a traction-free surface.
+    """Ghost-state operator of a traction-free surface, ``(..., 9, 9)`` for
+    unit normals ``(..., 3)``.
 
     The ghost trace equals the interior trace with the three traction
     components (``sigma'_nn, sigma'_ns, sigma'_nt`` in the face-aligned
     frame) negated; particle velocities are kept.  The flux solver applied to
     this ghost state then enforces (approximately) zero traction at the face.
     """
-    t_mat, t_inv = elastic_rotation_matrix(np.asarray(normal, dtype=np.float64))
+    t_mat, t_inv = elastic_rotation_matrix(normal)
     mirror = np.diag([-1.0, 1.0, 1.0, -1.0, 1.0, -1.0, 1.0, 1.0, 1.0])
     return t_mat @ mirror @ t_inv
 

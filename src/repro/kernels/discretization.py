@@ -10,9 +10,15 @@ EDGE's per-partition annotation data written by the preprocessing pipeline:
 * element-local flux solver matrices ``A~+-_{k,i}`` with the geometry factor
   ``2 |S_i| / |J_k|`` folded in (boundary faces additionally fold in their
   ghost-state operator),
-* the neighbouring flux matrices ``F_bar``, deduplicated into the small
-  unique set the paper exploits (Sec. III, ref. [31]), and
+* the neighbouring flux matrices ``F_bar``, one per class of how two
+  tetrahedra share a face -- the small unique set the paper exploits
+  (Sec. III, ref. [31]), and
 * per-element CFL time steps.
+
+Assembly is batched over elements (quail's ``ElemOperators`` idiom): the
+flux solvers are filled a chunk of ``(K, 4)`` faces per call into the
+Riemann builders, and ``F_bar`` is evaluated for one representative face
+per class instead of every interior face.
 """
 
 from __future__ import annotations
@@ -38,11 +44,7 @@ from ..equations.riemann import (
     rusanov_flux_matrices,
 )
 from ..mesh.geometry import cfl_time_steps
-from ..mesh.tet_mesh import (
-    BOUNDARY_ANALYTIC,
-    BOUNDARY_FREE_SURFACE,
-    TetMesh,
-)
+from ..mesh.tet_mesh import BOUNDARY_FREE_SURFACE, TetMesh
 
 __all__ = ["Discretization", "N_ELASTIC", "PRECISIONS"]
 
@@ -53,6 +55,10 @@ N_ELASTIC = 9
 PRECISIONS = ("f64", "f32")
 
 _PRECISION_DTYPES = {"f64": np.float64, "f32": np.float32}
+
+#: elements per batched flux-solver pass: bounds the assembly temporaries
+#: (about 25 kB per element) well below the run-phase memory high-water mark
+_ASSEMBLY_CHUNK = 512
 
 
 class Discretization:
@@ -222,124 +228,104 @@ class Discretization:
     # flux solvers
     # ------------------------------------------------------------------
     def _assemble_flux_solvers(self) -> None:
-        mesh, materials = self.mesh, self.materials
-        geometry = mesh.geometry
+        """Fill the ``(K, 4, ...)`` flux solver arrays, a chunk of elements
+        (all four faces) per call into the Riemann builders."""
+        mesh, geometry = self.mesh, self.mesh.geometry
         n_elements = mesh.n_elements
-        lam, mu, rho = materials.lam, materials.mu, materials.rho
-        neighbors = mesh.neighbors
-
+        lam, mu, rho = self.materials.lam, self.materials.mu, self.materials.rho
         flux_builder = rusanov_flux_matrices if self.flux == "rusanov" else godunov_flux_matrices
 
-        flux_local_e = np.empty((n_elements, 4, 9, 9))
-        flux_neigh_e = np.empty((n_elements, 4, 9, 9))
-        flux_local_a = np.empty((n_elements, 4, 6, 9))
-        flux_neigh_a = np.empty((n_elements, 4, 6, 9))
+        boundary = mesh.neighbors < 0
+        # a boundary face sees the element's own material on the ghost side
+        other = np.where(boundary, np.arange(n_elements)[:, None], mesh.neighbors)
+        # absorbing and analytic faces keep the unmodified flux solver: their
+        # ghost state equals the interior trace, or is injected by the solver
+        # at run time
+        free_surface = boundary & (mesh.boundary_tags == BOUNDARY_FREE_SURFACE)
+        # weak-form sign and geometry scaling: -2 |S_i| / |J_k|
+        scale = (-2.0 * geometry.face_areas / geometry.determinants[:, None])[..., None, None]
 
-        for k in range(n_elements):
-            for i in range(4):
-                normal = geometry.face_normals[k, i]
-                neighbor = neighbors[k, i]
-                if neighbor >= 0:
-                    mat_n = (lam[neighbor], mu[neighbor], rho[neighbor])
-                else:
-                    mat_n = (lam[k], mu[k], rho[k])
-                g_local, g_neigh = flux_builder(lam[k], mu[k], rho[k], *mat_n, normal)
-
-                an_a = anelastic_normal_jacobian(normal)
-                ga_local = 0.5 * an_a
-                ga_neigh = 0.5 * an_a
-
-                if neighbor < 0:
-                    ghost = self._ghost_operator(k, i, normal)
-                    g_neigh = g_neigh @ ghost
-                    ga_neigh = ga_neigh @ ghost
-
-                # weak-form sign and geometry scaling: -2 |S_i| / |J_k|
-                scale = -2.0 * geometry.face_areas[k, i] / geometry.determinants[k]
-                flux_local_e[k, i] = scale * g_local
-                flux_neigh_e[k, i] = scale * g_neigh
-                flux_local_a[k, i] = scale * ga_local
-                flux_neigh_a[k, i] = scale * ga_neigh
-
-        self.flux_local_elastic = flux_local_e
-        self.flux_neigh_elastic = flux_neigh_e
-        self.flux_local_anelastic = flux_local_a
-        self.flux_neigh_anelastic = flux_neigh_a
-
-    def _ghost_operator(self, element: int, face: int, normal: np.ndarray) -> np.ndarray:
-        tag = self.mesh.boundary_tags[element, face]
-        if tag == BOUNDARY_FREE_SURFACE:
-            return free_surface_ghost_operator(normal)
-        if tag == BOUNDARY_ANALYTIC:
-            # analytic (Dirichlet) ghost states are injected by the solver at
-            # run time; the flux solver matrix stays unmodified.
-            return np.eye(9)
-        return np.eye(9)  # absorbing: ghost state equals the interior trace
+        self.flux_local_elastic = np.empty((n_elements, 4, 9, 9))
+        self.flux_neigh_elastic = np.empty((n_elements, 4, 9, 9))
+        self.flux_local_anelastic = np.empty((n_elements, 4, 6, 9))
+        self.flux_neigh_anelastic = np.empty((n_elements, 4, 6, 9))
+        for start in range(0, n_elements, _ASSEMBLY_CHUNK):
+            chunk = slice(start, start + _ASSEMBLY_CHUNK)
+            normals = geometry.face_normals[chunk]
+            neigh = other[chunk]
+            g_local, g_neigh = flux_builder(
+                lam[chunk, None], mu[chunk, None], rho[chunk, None],
+                lam[neigh], mu[neigh], rho[neigh], normals,
+            )
+            ga_local = 0.5 * anelastic_normal_jacobian(normals)
+            ga_neigh = ga_local.copy()
+            ghosted = free_surface[chunk]
+            if ghosted.any():
+                ghost = free_surface_ghost_operator(normals[ghosted])
+                g_neigh[ghosted] = g_neigh[ghosted] @ ghost
+                ga_neigh[ghosted] = ga_neigh[ghosted] @ ghost
+            np.multiply(scale[chunk], g_local, out=self.flux_local_elastic[chunk])
+            np.multiply(scale[chunk], g_neigh, out=self.flux_neigh_elastic[chunk])
+            np.multiply(scale[chunk], ga_local, out=self.flux_local_anelastic[chunk])
+            np.multiply(scale[chunk], ga_neigh, out=self.flux_neigh_anelastic[chunk])
 
     # ------------------------------------------------------------------
     # neighbouring flux matrices
     # ------------------------------------------------------------------
     def _assemble_neighbor_flux_matrices(self) -> None:
         """Build the matrices projecting a neighbour's modal trace onto the
-        local face basis, and deduplicate them.
+        local face basis, one per way two tetrahedra can share a face.
 
         For conforming affine meshes the composite map (local face
         parametrisation -> physical space -> neighbour reference element)
-        only depends on which local face of the neighbour is shared and on
-        the vertex correspondence; the set of distinct matrices is therefore
-        tiny (the paper's 12 unique ``F_bar_{j,h}`` under EDGE's canonical
-        vertex ordering; at most 24 for arbitrary orderings).
+        only depends on the local face and on where its three vertices sit
+        in the neighbour's vertex tuple -- the exact integer class of
+        :attr:`TetMesh.neighbor_face_classes`.  The physical roundtrip is
+        therefore evaluated for the first face of each class only (at most
+        96; the paper's 12 unique ``F_bar_{j,h}`` under EDGE's canonical
+        vertex ordering), value-equal representatives share one stored
+        matrix, and every other face looks its class up.
         """
-        mesh = self.mesh
-        ref = self.ref
-        n_elements = mesh.n_elements
+        mesh, ref = self.mesh, self.ref
         quad = ref.face_quadrature
-        w = quad.weights
-        chi = ref.face_basis_at_quad  # (nqf, F)
-        neighbors = mesh.neighbors
-        verts = mesh.vertices[mesh.elements]  # (K, 4, 3)
-        v0 = verts[:, 0]
+        # interior faces, local-face-major: the order unique matrices are numbered in
+        face, element = np.nonzero(mesh.neighbors.T >= 0)
+        _, first, class_of_face = np.unique(
+            mesh.neighbor_face_classes[element, face], return_index=True, return_inverse=True
+        )
+        face_r, element_r = face[first], element[first]
+        neigh_r = mesh.neighbors[element_r, face_r]
+
+        v0 = mesh.vertices[mesh.elements[:, 0]]
         jac = mesh.geometry.jacobians
         inv_jac = mesh.geometry.inverse_jacobians
+        # physical positions of the local face quadrature points ...
+        phys = v0[element_r, None, :] + np.einsum(
+            "kdr,kqr->kqd", jac[element_r], ref.face_quad_points[face_r]
+        )
+        # ... pulled back into the neighbours' reference elements
+        xi_neigh = np.einsum("krd,kqd->kqr", inv_jac[neigh_r], phys - v0[neigh_r, None, :])
+        psi = ref.basis.evaluate(xi_neigh.reshape(-1, 3)).reshape(
+            len(first), quad.n_points, ref.n_basis
+        )
+        fbar = np.einsum("q,kqb,qf->kbf", quad.weights, psi, ref.face_basis_at_quad)
 
-        unique: list[np.ndarray] = []
-        unique_lookup: dict[bytes, int] = {}
-        index = np.full((n_elements, 4), -1, dtype=np.int64)
+        # number the classes in encounter order; classes whose matrices agree
+        # to 1e-9 share the first one's full-precision matrix
+        rounded = np.round(fbar, 9) + 0.0  # + 0.0 turns -0.0 into 0.0
+        stored: list[int] = []  # the class whose matrix is kept, per stored matrix
+        lookup: dict[bytes, int] = {}
+        stored_of_class = np.empty(len(first), dtype=np.int64)
+        for c in np.argsort(first):
+            key = rounded[c].tobytes()
+            if key not in lookup:
+                lookup[key] = len(stored)
+                stored.append(c)
+            stored_of_class[c] = lookup[key]
 
-        for i in range(4):
-            interior = np.where(neighbors[:, i] >= 0)[0]
-            if len(interior) == 0:
-                continue
-            neigh = neighbors[interior, i]
-            # physical positions of the local face quadrature points
-            ref_pts = ref.face_quad_points[i]  # (nqf, 3)
-            phys = v0[interior, None, :] + np.einsum("kdr,qr->kqd", jac[interior], ref_pts)
-            # pull back into the neighbours' reference elements
-            rel = phys - v0[neigh][:, None, :]
-            xi_neigh = np.einsum("krd,kqd->kqr", inv_jac[neigh], rel)
-            psi = ref.basis.evaluate(xi_neigh.reshape(-1, 3)).reshape(
-                len(interior), quad.n_points, ref.n_basis
-            )
-            fbar = np.einsum("q,kqb,qf->kbf", w, psi, chi)
-
-            # deduplicate by a rounded key but keep the full-precision matrices
-            rounded = np.round(fbar, 9).reshape(len(interior), -1)
-            # round-to-zero avoids -0.0 / +0.0 hash mismatches
-            rounded[rounded == 0.0] = 0.0
-            for row, k in enumerate(interior):
-                key = rounded[row].tobytes()
-                match = unique_lookup.get(key)
-                if match is None:
-                    unique.append(fbar[row])
-                    match = len(unique) - 1
-                    unique_lookup[key] = match
-                index[k, i] = match
-
-        if unique:
-            self.neighbor_flux_matrices = np.stack(unique)
-        else:
-            self.neighbor_flux_matrices = np.zeros((0, ref.n_basis, ref.n_face_basis))
-        self.neighbor_flux_index = index
+        self.neighbor_flux_matrices = fbar[stored]
+        self.neighbor_flux_index = np.full((mesh.n_elements, 4), -1, dtype=np.int64)
+        self.neighbor_flux_index[element, face] = stored_of_class[class_of_face]
 
     # ------------------------------------------------------------------
     # convenience accessors

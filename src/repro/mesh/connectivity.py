@@ -13,7 +13,7 @@ import numpy as np
 
 from ..basis.reference_element import FACE_VERTEX_IDS
 
-__all__ = ["build_face_connectivity", "element_face_vertices"]
+__all__ = ["build_face_connectivity", "element_face_vertices", "neighbor_face_classes"]
 
 
 def element_face_vertices(elements: np.ndarray) -> np.ndarray:
@@ -78,3 +78,25 @@ def build_face_connectivity(elements: np.ndarray) -> tuple[np.ndarray, np.ndarra
     neighbor_faces[second] = face_first
 
     return neighbors.reshape(n_elements, 4), neighbor_faces.reshape(n_elements, 4)
+
+
+def neighbor_face_classes(elements: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
+    """Integer class of how each interior face meets its neighbour, ``(K, 4)``.
+
+    The class packs the local face id and the positions of the face's three
+    vertices (in ``FACE_VERTEX_IDS`` order) within the neighbour's vertex
+    tuple -- which also fixes the neighbour's local face -- into
+    ``((face * 4 + p0) * 4 + p1) * 4 + p2``.  Two faces of one class share
+    the affine map from the local face parametrisation into the neighbour's
+    reference element.  Boundary faces get ``-1``.
+    """
+    elements = np.asarray(elements, dtype=np.int64)
+    face_vertices = element_face_vertices(elements)  # (K, 4, 3)
+    neighbor_vertices = elements[np.maximum(neighbors, 0)]  # (K, 4, 4)
+    position = np.argmax(
+        face_vertices[..., :, None] == neighbor_vertices[..., None, :], axis=-1
+    )  # (K, 4, 3)
+    classes = np.arange(4)[None, :]
+    for corner in range(3):
+        classes = classes * 4 + position[..., corner]
+    return np.where(neighbors >= 0, classes, -1)

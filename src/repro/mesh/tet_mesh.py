@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .connectivity import build_face_connectivity
+from .connectivity import build_face_connectivity, neighbor_face_classes
 from .geometry import GeometryCache, compute_geometry
 
 __all__ = [
@@ -131,6 +131,12 @@ class TetMesh:
         """``(K, 4)`` local face id of the neighbour across each face (or -1)."""
         self._ensure_connectivity()
         return self._connectivity[1]
+
+    @property
+    def neighbor_face_classes(self) -> np.ndarray:
+        """``(K, 4)`` class of how each face meets its neighbour (or -1); see
+        :func:`repro.mesh.connectivity.neighbor_face_classes`."""
+        return neighbor_face_classes(self.elements, self.neighbors)
 
     @property
     def is_boundary_face(self) -> np.ndarray:

@@ -47,6 +47,7 @@ __all__ = [
     "result_content_hash",
     "stage_key_fields",
     "stage_key",
+    "needed_stage_keys",
     "PreprocessingCache",
     "diff_stats",
     "warm_preprocessing",
@@ -55,7 +56,7 @@ __all__ = [
 #: bumped whenever a stage's serialised layout (or anything influencing its
 #: artifact bytes) changes; part of every stage key, so stale cache
 #: directories miss instead of poisoning new runs
-CACHE_FORMAT_VERSION = 1
+CACHE_FORMAT_VERSION = 2
 
 #: the cacheable pipeline stages, in dependency order
 STAGES = ("mesh", "materials", "operators", "clustering", "partition")
@@ -156,6 +157,22 @@ def stage_key(spec, stage: str, *, layout: str = "original") -> str:
     )
 
 
+def needed_stage_keys(spec) -> list[tuple[str, str]]:
+    """``(stage, key)`` of every artifact a run of ``spec`` loads or stores.
+
+    One operator set per run: a reordering run assembles (and caches) its
+    operators in solver element order only.
+    """
+    reordered = spec.preprocessing.active
+    keys = [(stage, stage_key(spec, stage)) for stage in ("mesh", "materials", "clustering")]
+    keys.append(
+        ("operators", stage_key(spec, "operators", layout="reordered" if reordered else "original"))
+    )
+    if reordered:
+        keys.append(("partition", stage_key(spec, "partition")))
+    return keys
+
+
 # ---------------------------------------------------------------------------
 # the cache
 # ---------------------------------------------------------------------------
@@ -207,16 +224,7 @@ class PreprocessingCache:
 
     def is_warm(self, spec) -> bool:
         """Whether every stage artifact the spec needs already exists on disk."""
-        keys = [
-            ("mesh", stage_key(spec, "mesh")),
-            ("materials", stage_key(spec, "materials")),
-            ("operators", stage_key(spec, "operators")),
-            ("clustering", stage_key(spec, "clustering")),
-        ]
-        if spec.preprocessing.active:
-            keys.append(("partition", stage_key(spec, "partition")))
-            keys.append(("operators", stage_key(spec, "operators", layout="reordered")))
-        return all(self._path(stage, key).exists() for stage, key in keys)
+        return all(self._path(stage, key).exists() for stage, key in needed_stage_keys(spec))
 
     # -- stages ----------------------------------------------------------
     def mesh(self, spec, build) -> TetMesh:

@@ -30,6 +30,7 @@ from ..core.lts_solver import ClusteredLtsSolver
 from ..equations.material import MaterialTable
 from ..kernels.discretization import Discretization
 from ..mesh.generation import layered_box_mesh
+from ..mesh.geometry import cfl_time_steps
 from ..mesh.refinement import elements_per_wavelength_rule
 from ..mesh.tet_mesh import TetMesh
 from ..observability import (
@@ -206,7 +207,7 @@ class ScenarioSetup:
     velocity_model: object
     mesh: TetMesh
     materials: MaterialTable
-    disc: Discretization
+    disc: Discretization | None
     time_steps: np.ndarray
     source: object | None
     receiver_locations: dict
@@ -267,7 +268,9 @@ def _build_discretization(
 
 def build_setup(spec: ScenarioSpec, *, cache=None) -> ScenarioSetup:
     """Materialise a spec: velocity model, mesh, materials, discretization,
-    source, receivers and initial condition (no partitioning/reordering).
+    source, receivers and initial condition (no partitioning/reordering; a
+    spec with ``preprocessing.active`` gets ``disc=None`` here and its
+    discretization from the runner, in solver element order).
 
     With ``cache`` set, the mesh, material table and assembled operators are
     loaded from the content-addressed preprocessing cache when present (and
@@ -301,14 +304,23 @@ def build_setup(spec: ScenarioSpec, *, cache=None) -> ScenarioSetup:
     materials = (
         cache.materials(spec, _build_materials) if cache is not None else _build_materials()
     )
-    disc = _build_discretization(spec, mesh, materials, cache=cache)
+    # a reordering run assembles its one operator set in solver element
+    # order (ScenarioRunner._apply_preprocessing); until then only the
+    # per-element CFL steps are needed
+    disc = (
+        None
+        if spec.preprocessing.active
+        else _build_discretization(spec, mesh, materials, cache=cache)
+    )
     return ScenarioSetup(
         spec=spec,
         velocity_model=model,
         mesh=mesh,
         materials=materials,
         disc=disc,
-        time_steps=disc.time_steps,
+        time_steps=cfl_time_steps(
+            mesh.insphere_radii, materials.max_wave_speed, spec.order, spec.solver.cfl
+        ),
         source=spec.source.build() if spec.source is not None else None,
         receiver_locations=spec.receiver_locations,
         initial_condition=_initial_condition(spec, materials),

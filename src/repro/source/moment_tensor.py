@@ -26,18 +26,13 @@ __all__ = ["MomentTensorSource", "PointForceSource", "DiscretePointSource", "loc
 
 
 def locate_point(mesh, point: np.ndarray) -> int:
-    """Find the element containing ``point`` (smallest max barycentric excess)."""
-    point = np.asarray(point, dtype=np.float64)
-    best_element, best_excess = -1, np.inf
-    for k in range(mesh.n_elements):
-        xi = map_physical_to_reference(mesh.vertices, mesh.elements, k, point)[0]
-        excess = max(-xi.min(), xi.sum() - 1.0)
-        if excess < best_excess:
-            best_excess = excess
-            best_element = k
-        if excess <= 1e-12:
-            break
-    return best_element
+    """Find the element containing ``point``: the first one whose barycentric
+    excess is within round-off of zero, else the first of smallest excess."""
+    offset = np.asarray(point, dtype=np.float64) - mesh.vertices[mesh.elements[:, 0]]
+    xi = np.linalg.solve(mesh.geometry.jacobians, offset[..., None])[..., 0]  # (K, 3)
+    excess = np.maximum(-xi.min(axis=1), xi.sum(axis=1) - 1.0)
+    inside = np.flatnonzero(excess <= 1e-12)
+    return int(inside[0] if len(inside) else np.argmin(excess))
 
 
 @dataclass(frozen=True)

@@ -49,8 +49,8 @@ from ..observability.events import spec_content_hash
 from ..preprocessing.cache import (
     PreprocessingCache,
     diff_stats,
+    needed_stage_keys,
     result_content_hash,
-    stage_key,
     warm_preprocessing,
 )
 from ..scenarios.outputs import write_outputs
@@ -80,11 +80,7 @@ def preprocessing_signature(spec: ScenarioSpec) -> str:
     Two members share a signature exactly when they share *all* cached
     preprocessing artifacts, so warming one representative warms them all.
     """
-    keys = [stage_key(spec, stage) for stage in
-            ("mesh", "materials", "operators", "clustering")]
-    if spec.preprocessing.active:
-        keys.append(stage_key(spec, "partition"))
-        keys.append(stage_key(spec, "operators", layout="reordered"))
+    keys = [key for _, key in needed_stage_keys(spec)]
     return hashlib.sha256("".join(keys).encode()).hexdigest()[:16]
 
 

@@ -160,3 +160,96 @@ class TestGhostOperators:
         q = np.zeros(9)
         q[6:] = [1.0, 2.0, 3.0]
         np.testing.assert_allclose((g @ q)[6:], [1.0, 2.0, 3.0], atol=1e-12)
+
+
+def _random_materials(n, seed):
+    """``(lam, mu, rho)`` arrays of plausible rock, a few values repeated."""
+    rng = np.random.default_rng(seed)
+    rho = rng.uniform(1800.0, 3200.0, size=n)
+    vs = rng.uniform(500.0, 4000.0, size=n)
+    vp = vs * rng.uniform(1.5, 2.0, size=n)
+    mu = rho * vs**2
+    lam = rho * vp**2 - 2.0 * mu
+    repeat = rng.integers(0, n, size=n // 3)
+    for array in (lam, mu, rho):
+        array[repeat] = array[0]
+    return lam, mu, rho
+
+
+class TestBatchInvariance:
+    """Every builder takes leading batch dimensions, and a batched call is
+    bit-identical to the per-face loop of scalar calls it replaced."""
+
+    @staticmethod
+    def _assert_flux_batch_equals_loop(builder, local, neigh, normals):
+        g_local, g_neigh = builder(*local, *neigh, normals)
+        assert g_local.shape == g_neigh.shape == normals.shape[:-1] + (9, 9)
+        for f in np.ndindex(normals.shape[:-1]):
+            one_local, one_neigh = builder(
+                *(a[f] for a in local), *(a[f] for a in neigh), normals[f]
+            )
+            assert one_local.shape == (9, 9)
+            assert np.array_equal(g_local[f], one_local), f
+            assert np.array_equal(g_neigh[f], one_neigh), f
+
+    @pytest.mark.parametrize("builder", [rusanov_flux_matrices, godunov_flux_matrices])
+    def test_flux_matrices_flat_batch(self, builder):
+        normals = _random_unit_vectors(40, seed=11)
+        self._assert_flux_batch_equals_loop(
+            builder, _random_materials(40, 12), _random_materials(40, 13), normals
+        )
+
+    @pytest.mark.parametrize("builder", [rusanov_flux_matrices, godunov_flux_matrices])
+    def test_flux_matrices_element_face_batch_with_broadcast_local(self, builder):
+        """The assembly's call shape: ``(K, 1)`` own materials against
+        ``(K, 4)`` neighbour materials and ``(K, 4, 3)`` normals."""
+        normals = _random_unit_vectors(24, seed=14).reshape(6, 4, 3)
+        local = tuple(a[:, None] for a in _random_materials(6, 15))
+        neigh = tuple(a.reshape(6, 4) for a in _random_materials(24, 16))
+        g_local, g_neigh = builder(*local, *neigh, normals)
+        for k in range(6):
+            for i in range(4):
+                one_local, one_neigh = builder(
+                    *(a[k, 0] for a in local), *(a[k, i] for a in neigh), normals[k, i]
+                )
+                assert np.array_equal(g_local[k, i], one_local)
+                assert np.array_equal(g_neigh[k, i], one_neigh)
+
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 12))
+    @settings(max_examples=25, deadline=None)
+    def test_flux_matrices_random_normals_and_materials(self, seed, n):
+        normals = _random_unit_vectors(n, seed=seed)
+        local, neigh = _random_materials(n, seed + 1), _random_materials(n, seed + 2)
+        for builder in (rusanov_flux_matrices, godunov_flux_matrices):
+            self._assert_flux_batch_equals_loop(builder, local, neigh, normals)
+
+    def test_jacobians_and_upwind_split(self):
+        lam, mu, rho = _random_materials(15, 17)
+        normals = _random_unit_vectors(15, seed=18)
+        jac = elastic_jacobians(lam, mu, rho)
+        an = elastic_normal_jacobian(lam, mu, rho, normals)
+        an_a = anelastic_normal_jacobian(normals)
+        plus, minus = elastic_upwind_split(lam, mu, rho)
+        for f in range(15):
+            assert np.array_equal(jac[f], elastic_jacobians(lam[f], mu[f], rho[f]))
+            assert np.array_equal(an[f], elastic_normal_jacobian(lam[f], mu[f], rho[f], normals[f]))
+            assert np.array_equal(an_a[f], anelastic_normal_jacobian(normals[f]))
+            one_plus, one_minus = elastic_upwind_split(lam[f], mu[f], rho[f])
+            assert np.array_equal(plus[f], one_plus)
+            assert np.array_equal(minus[f], one_minus)
+
+    def test_upwind_split_decomposes_each_distinct_material_once(self, monkeypatch):
+        decomposed = []
+        eig = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda a: decomposed.append(len(a)) or eig(a))
+        lam, mu, rho = (np.array([v, v * 2, v, v, v * 2]) for v in (LAM, MU, RHO))
+        plus, _ = elastic_upwind_split(lam, mu, rho)
+        assert decomposed == [2]
+        assert np.array_equal(plus[0], plus[2]) and np.array_equal(plus[1], plus[4])
+
+    def test_free_surface_ghost_operator(self):
+        normals = _random_unit_vectors(12, seed=19).reshape(3, 4, 3)
+        ghost = free_surface_ghost_operator(normals)
+        assert ghost.shape == (3, 4, 9, 9)
+        for f in np.ndindex(3, 4):
+            assert np.array_equal(ghost[f], free_surface_ghost_operator(normals[f]))

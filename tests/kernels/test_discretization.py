@@ -3,9 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.basis.functions import TetBasis
+from repro.equations import riemann
 from repro.equations.material import ElasticMaterial, MaterialTable
+from repro.kernels import discretization
 from repro.kernels.discretization import Discretization
 from repro.mesh.generation import box_mesh
+from repro.mesh.tet_mesh import BOUNDARY_ABSORBING, BOUNDARY_ANALYTIC, BOUNDARY_FREE_SURFACE
+from repro.scenarios import build_setup, get_scenario
 
 from .conftest import small_mesh
 
@@ -97,6 +102,168 @@ class TestFluxSolverScaling:
         scale = -2.0 * mesh.geometry.face_areas[k, i] / mesh.geometry.determinants[k]
         combined = disc.flux_local_elastic[k, i] + disc.flux_neigh_elastic[k, i]
         np.testing.assert_allclose(combined, scale * an, rtol=1e-9, atol=1e-6)
+
+
+def _layered_materials(mesh):
+    """Three materials by depth, so faces see unequal sides."""
+    z = mesh.centroids[:, 2]
+    third = np.digitize(z, np.quantile(z, [1 / 3, 2 / 3]))
+    return MaterialTable(
+        rho=np.array([2600.0, 2700.0, 2800.0])[third],
+        vp=np.array([4000.0, 6000.0, 6900.0])[third],
+        vs=np.array([2000.0, 3464.0, 3900.0])[third],
+        qp=np.array([120.0, 155.9, 200.0])[third],
+        qs=np.array([40.0, 69.3, 90.0])[third],
+    )
+
+
+def _per_face_flux_solvers(disc):
+    """The per-face loop of scalar builder calls the batched assembly replaced."""
+    mesh, mat, geometry = disc.mesh, disc.materials, disc.mesh.geometry
+    builder = getattr(riemann, f"{disc.flux}_flux_matrices")
+    shapes = {"elastic": (9, 9), "anelastic": (6, 9)}
+    out = {
+        f"flux_{side}_{part}": np.empty((mesh.n_elements, 4) + shape)
+        for side in ("local", "neigh") for part, shape in shapes.items()
+    }
+    for k in range(mesh.n_elements):
+        for i in range(4):
+            normal = geometry.face_normals[k, i]
+            n = mesh.neighbors[k, i] if mesh.neighbors[k, i] >= 0 else k
+            g_local, g_neigh = builder(
+                mat.lam[k], mat.mu[k], mat.rho[k], mat.lam[n], mat.mu[n], mat.rho[n], normal
+            )
+            ga_local = ga_neigh = 0.5 * riemann.anelastic_normal_jacobian(normal)
+            if mesh.neighbors[k, i] < 0 and mesh.boundary_tags[k, i] == BOUNDARY_FREE_SURFACE:
+                ghost = riemann.free_surface_ghost_operator(normal)
+                g_neigh, ga_neigh = g_neigh @ ghost, ga_neigh @ ghost
+            scale = -2.0 * geometry.face_areas[k, i] / geometry.determinants[k]
+            out["flux_local_elastic"][k, i] = scale * g_local
+            out["flux_neigh_elastic"][k, i] = scale * g_neigh
+            out["flux_local_anelastic"][k, i] = scale * ga_local
+            out["flux_neigh_anelastic"][k, i] = scale * ga_neigh
+    return out
+
+
+class TestBatchedFluxSolvers:
+    @pytest.fixture(scope="class")
+    def tagged_mesh(self):
+        """Free-surface top, analytic bottom, absorbing sides."""
+        mesh = small_mesh(n=3, jitter=0.15, seed=3)
+        boundary = mesh.neighbors < 0
+        face_z = mesh.geometry.face_centroids[..., 2]
+        mesh.boundary_tags[boundary & np.isclose(face_z, face_z.max())] = BOUNDARY_FREE_SURFACE
+        mesh.boundary_tags[boundary & np.isclose(face_z, face_z.min())] = BOUNDARY_ANALYTIC
+        tags = set(mesh.boundary_tags[boundary].tolist())
+        assert tags == {BOUNDARY_FREE_SURFACE, BOUNDARY_ABSORBING, BOUNDARY_ANALYTIC}
+        return mesh
+
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    @pytest.mark.parametrize("n_mechanisms", [0, 3])
+    @pytest.mark.parametrize("flux", ["rusanov", "godunov"])
+    def test_equals_per_face_loop(self, tagged_mesh, flux, n_mechanisms, precision, monkeypatch):
+        # several chunks, the last one ragged
+        monkeypatch.setattr(discretization, "_ASSEMBLY_CHUNK", 50)
+        disc = Discretization(
+            tagged_mesh, _layered_materials(tagged_mesh), order=2, flux=flux,
+            n_mechanisms=n_mechanisms, precision=precision,
+        )
+        for name, expected in _per_face_flux_solvers(disc).items():
+            assert np.array_equal(getattr(disc, name), expected.astype(disc.dtype)), name
+
+    def test_init_calls_builders_per_chunk_not_per_element(self, monkeypatch):
+        """A deterministic stand-in for a wall-clock guard: assembly enters
+        the Riemann builders O(1) times and evaluates the tet basis for one
+        face per neighbour class."""
+        coords = np.linspace(0.0, 8000.0, 9)
+        mesh = box_mesh(coords, coords, coords, jitter=0.1)
+        assert mesh.n_elements >= 3000
+        calls = {}
+
+        def counted(namespace, name):
+            original = getattr(namespace, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(namespace, name, wrapper)
+
+        for name in ("rusanov_flux_matrices", "godunov_flux_matrices",
+                     "anelastic_normal_jacobian", "free_surface_ghost_operator"):
+            counted(discretization, name)
+        for name in ("elastic_normal_jacobian", "elastic_upwind_split", "elastic_rotation_matrix"):
+            counted(riemann, name)
+        basis_rows = []
+        evaluate = TetBasis.evaluate
+        monkeypatch.setattr(
+            TetBasis, "evaluate", lambda self, xi: basis_rows.append(len(xi)) or evaluate(self, xi)
+        )
+
+        for flux in ("rusanov", "godunov"):
+            disc = Discretization(mesh, _layered_materials(mesh), order=3, flux=flux)
+        n_chunks = -(-mesh.n_elements // discretization._ASSEMBLY_CHUNK)
+        assert n_chunks <= 8
+        assert all(count <= 6 * n_chunks for count in calls.values()), calls
+        assert calls["rusanov_flux_matrices"] == calls["godunov_flux_matrices"] == n_chunks
+        face_rows = [rows // disc.ref.face_quadrature.n_points for rows in basis_rows]
+        assert len(face_rows) == 2 and max(face_rows) <= 96, face_rows
+
+
+def _all_faces_fbar(disc):
+    """Brute force: the physical-roundtrip ``F_bar`` of every interior face,
+    ``(n_interior, B, F)`` in ``np.nonzero(mesh.neighbors >= 0)`` order."""
+    mesh, ref = disc.mesh, disc.ref
+    element, face = np.nonzero(mesh.neighbors >= 0)
+    neigh = mesh.neighbors[element, face]
+    v0 = mesh.vertices[mesh.elements[:, 0]]
+    phys = v0[element, None] + np.einsum(
+        "kdr,kqr->kqd", mesh.geometry.jacobians[element], ref.face_quad_points[face]
+    )
+    xi = np.einsum("krd,kqd->kqr", mesh.geometry.inverse_jacobians[neigh], phys - v0[neigh, None])
+    psi = ref.basis.evaluate(xi.reshape(-1, 3)).reshape(len(element), -1, ref.n_basis)
+    return np.einsum("q,kqb,qf->kbf", ref.face_quadrature.weights, psi, ref.face_basis_at_quad)
+
+
+class TestNeighborClasses:
+    @pytest.fixture(scope="class", params=["loh3-l", "jittered"])
+    def case(self, request):
+        """``(disc, brute-force F_bar of every interior face)``."""
+        if request.param == "loh3-l":
+            # the 7200-element LOH.3 mesh of the benchmark's loh3-l-setup
+            disc = build_setup(get_scenario("loh3", characteristic_length=800.0)).disc
+        else:
+            mesh = small_mesh(n=4, jitter=0.25, seed=5)
+            table = MaterialTable.homogeneous(
+                ElasticMaterial(2700.0, 6000.0, 3464.0), mesh.n_elements
+            )
+            disc = Discretization(mesh, table, order=3)
+        return disc, _all_faces_fbar(disc)
+
+    def test_stored_matrices_match_all_faces_brute_force(self, case):
+        disc, brute_force = case
+        interior = disc.mesh.neighbors >= 0
+        stored = disc.neighbor_flux_matrices[disc.neighbor_flux_index[interior]]
+        assert np.abs(stored - brute_force).max() <= 1e-13
+
+    def test_one_matrix_per_value_distinct_class(self, case):
+        """Round-off twins inside a class (<= 1.1e-14 apart on the LOH.3 L
+        mesh, where rounded-value dedup stored 8 matrices for 6 classes)
+        must not be stored as separate matrices."""
+        disc, brute_force = case
+        interior = disc.mesh.neighbors >= 0
+        classes = disc.mesh.neighbor_face_classes[interior]
+        index = disc.neighbor_flux_index[interior]
+        names, first = np.unique(classes, return_index=True)
+        assert len(names) <= 96
+        for name in names:
+            assert len(set(index[classes == name].tolist())) == 1, name
+        representatives = np.round(brute_force[first], 9) + 0.0
+        distinct = {matrix.tobytes() for matrix in representatives}
+        assert disc.n_unique_neighbor_matrices == len(distinct)
+        assert set(index.tolist()) == set(range(len(distinct)))
+        if disc.n_elements == 7200:
+            assert len(distinct) == 6
 
 
 class TestDofHelpers:

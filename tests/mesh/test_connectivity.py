@@ -77,3 +77,33 @@ class TestBuildFaceConnectivity:
         elements = np.array([[0, 1, 2, 3], [0, 1, 2, 4], [0, 1, 2, 5]])
         with pytest.raises(ValueError, match="non-manifold"):
             build_face_connectivity(elements)
+
+
+class TestNeighborFaceClasses:
+    def test_class_decodes_to_the_shared_vertices(self):
+        """The packed digits are the local face and the positions of its
+        vertices in the neighbour's tuple; they imply ``neighbor_faces``."""
+        coords = np.linspace(0, 1, 4)
+        mesh = box_mesh(coords, coords, coords)
+        classes = mesh.neighbor_face_classes
+        assert classes.shape == (mesh.n_elements, 4)
+        assert np.array_equal(classes < 0, mesh.neighbors < 0)
+        for k, i in np.argwhere(mesh.neighbors >= 0):
+            digits = [(classes[k, i] >> shift) & 3 for shift in (6, 4, 2, 0)]
+            assert digits[0] == i
+            neighbor = mesh.elements[mesh.neighbors[k, i]]
+            face = mesh.elements[k, list(FACE_VERTEX_IDS[i])]
+            np.testing.assert_array_equal(neighbor[digits[1:]], face)
+            neighbor_face = FACE_VERTEX_IDS[mesh.neighbor_faces[k, i]]
+            assert set(digits[1:]) == set(neighbor_face)
+
+    def test_invariant_under_vertex_motion_and_element_permutation(self):
+        coords = np.linspace(0, 1, 3)
+        mesh = box_mesh(coords, coords, coords)
+        jittered = box_mesh(coords, coords, coords, jitter=0.2, seed=1)
+        assert np.array_equal(mesh.neighbor_face_classes, jittered.neighbor_face_classes)
+        permutation = np.random.default_rng(0).permutation(mesh.n_elements)
+        assert np.array_equal(
+            mesh.permuted(permutation).neighbor_face_classes,
+            mesh.neighbor_face_classes[permutation],
+        )

@@ -188,13 +188,41 @@ class TestCacheBitIdentity:
         )
         assert np.array_equal(plain.preprocessed.partitions, warm.preprocessed.partitions)
 
+    def test_reordered_run_assembles_and_caches_one_operator_set(self, tmp_path, monkeypatch):
+        """The original-layout operators were only ever read for
+        ``time_steps``; a reordering run builds the solver-order set alone."""
+        from repro.kernels.discretization import Discretization
+
+        built = []
+        init = Discretization.__init__
+        monkeypatch.setattr(
+            Discretization, "__init__",
+            lambda self, *a, **kw: built.append(kw.get("operators") is None) or init(self, *a, **kw),
+        )
+        spec = tiny_loh3().with_overrides(n_partitions=2, reorder=True)
+        cache = PreprocessingCache(tmp_path)
+        cold = make_runner(spec, cache=cache)
+        assert built == [True]
+        assert cache.stats["operators"] == {"hits": 0, "misses": 1}
+        assert len(list((tmp_path / "operators").iterdir())) == 1
+
+        setup = build_setup(spec)
+        assert setup.disc is None
+        permutation = cold.cache.partition(spec)["permutation"]
+        assert np.array_equal(setup.time_steps[permutation], cold.setup.disc.time_steps)
+
+        warm_cache = PreprocessingCache(tmp_path)
+        make_runner(spec, cache=warm_cache)
+        assert warm_cache.stats["operators"] == {"hits": 1, "misses": 0}
+        assert built == [True, False]
+
     def test_is_warm_tracks_every_needed_stage(self, tmp_path):
         spec = tiny_loh3()
         cache = PreprocessingCache(tmp_path)
         assert not cache.is_warm(spec)
         warm_preprocessing(spec, cache)
         assert cache.is_warm(spec)
-        # the reordered variant needs two more artifacts
+        # the reordered variant needs its own operator set and the partition
         reordered = spec.with_overrides(n_partitions=2, reorder=True)
         assert not cache.is_warm(reordered)
         warm_preprocessing(reordered, cache)

@@ -64,6 +64,40 @@ class TestPointSources:
         verts = disc.mesh.vertices[disc.mesh.elements[element]]
         assert verts[:, 0].min() <= 500.0 <= verts[:, 0].max() + 1e-9
 
+    @staticmethod
+    def _locate_by_scan(mesh, point):
+        """The element-at-a-time scan the stacked solve replaced."""
+        from repro.mesh.geometry import map_physical_to_reference
+
+        best_element, best_excess = -1, np.inf
+        for k in range(mesh.n_elements):
+            xi = map_physical_to_reference(mesh.vertices, mesh.elements, k, point)[0]
+            excess = max(-xi.min(), xi.sum() - 1.0)
+            if excess < best_excess:
+                best_element, best_excess = k, excess
+            if excess <= 1e-12:
+                break
+        return best_element
+
+    def test_locate_point_matches_scan(self):
+        coords = np.linspace(0.0, 3000.0, 4)
+        mesh = box_mesh(coords, coords, coords, jitter=0.2, seed=7)
+        rng = np.random.default_rng(8)
+        interior = rng.uniform(50.0, 2950.0, size=(40, 3))
+        shared = mesh.geometry.face_centroids[mesh.neighbors >= 0][::17]
+        on_vertices = mesh.vertices[::9]
+        outside = np.array([[-500.0, 1000.0, 1000.0], [4000.0, 4000.0, 4000.0], [1500.0, 1500.0, 3001.0]])
+        for point in np.concatenate([interior, shared, on_vertices, outside]):
+            assert locate_point(mesh, point) == self._locate_by_scan(mesh, point), point
+
+    def test_locate_point_first_hit_on_shared_face(self):
+        """A point on a shared face belongs to the lower-numbered element."""
+        coords = np.linspace(0.0, 2000.0, 3)
+        mesh = box_mesh(coords, coords, coords)
+        k, i = np.argwhere(mesh.neighbors >= 0)[5]
+        point = mesh.geometry.face_centroids[k, i]
+        assert locate_point(mesh, point) == min(k, mesh.neighbors[k, i])
+
     def test_moment_tensor_validation(self):
         with pytest.raises(ValueError):
             MomentTensorSource(np.zeros(3), np.ones((3, 2)), RickerWavelet(1.0, 0.0))
