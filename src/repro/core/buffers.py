@@ -31,12 +31,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..kernels.backend import ReferenceBackend
 from ..kernels.discretization import Discretization, N_ELASTIC
 
 __all__ = ["LtsBuffers"]
-
-_REFERENCE = ReferenceBackend()
 
 #: relation codes of a face neighbour's cluster w.r.t. the element's cluster
 SAME, SMALLER, LARGER, BOUNDARY = 0, -1, 1, -2
@@ -113,64 +110,39 @@ class LtsBuffers:
     def fill(
         self,
         elements: np.ndarray,
-        derivatives: list[np.ndarray],
-        dt: float,
+        elastic_integral: np.ndarray,
+        elastic_half: np.ndarray | None,
         step_index: int,
-        needs_half: bool = True,
-        backend=None,
-        ws=None,
-        elastic_integral: np.ndarray | None = None,
     ) -> None:
         """Fill the buffers of ``elements`` after their time prediction (eq. 17).
 
         Parameters
         ----------
-        derivatives:
-            CK time derivatives of the batch (elastic part is used).
-        dt:
-            The elements' (cluster) time step.
+        elastic_integral:
+            The elastic ``(E, 9, B[, f])`` rows of the prediction's
+            time-integrated DOFs over the elements' full step -- the second
+            value of a backend's ``local_update``.
+        elastic_half:
+            The same over the first half of the step (``local_update``'s
+            third value with ``needs_half``), or ``None`` to leave ``B2``
+            untouched (only a smaller-step neighbour reads it).  The array
+            is consumed: it is overwritten with the second-half integral.
         step_index:
             The elements' local step counter ``n_k`` (before the step), which
             controls the even/odd accumulation of ``B3``.
-        needs_half:
-            Whether ``B2`` is required (only if a smaller-step neighbour
-            exists); computing it unconditionally is allowed but wasteful.
-        backend / ws:
-            Optional kernel backend (and its scratch workspace): a
-            workspace-backed backend integrates into reused scratch arrays
-            instead of allocating per fill (the default is the reference
-            backend, i.e. exactly the pre-backend behaviour).
-        elastic_integral:
-            Optionally the already-computed elastic full-interval integral
-            (the ``[:, :9]`` slice of the prediction's time-integrated DOFs).
-            Taylor integration is elementwise, so reusing it is bit-identical
-            to re-integrating the elastic derivative slices; only the
-            half-interval ``B2`` then needs a fresh integration.
         """
-        backend = backend or _REFERENCE
-        elastic_derivatives = [d[:, :N_ELASTIC] for d in derivatives]
-        if elastic_integral is not None:
-            full = elastic_integral
-        else:
-            full = backend.time_integrate(
-                elastic_derivatives, 0.0, dt, ws=ws, key="b_full"
-            )
-        if needs_half:
-            half = backend.time_integrate(
-                elastic_derivatives, 0.0, 0.5 * dt, ws=ws, key="b_half"
-            )
-            self._store[_B2, elements] = half
+        if elastic_half is not None:
+            self._store[_B2, elements] = elastic_half
             # the second-half integral a smaller-step neighbour's odd
             # sub-step reads; ``full - half`` here equals the read-time
-            # ``b1 - b2`` bitwise (same stored operands, same subtraction);
-            # ``half`` is integration scratch, safe to overwrite in place
-            np.subtract(full, half, out=half)
-            self._store[_B1M2, elements] = half
-        self._store[_B1, elements] = full
+            # ``b1 - b2`` bitwise (same stored operands, same subtraction)
+            np.subtract(elastic_integral, elastic_half, out=elastic_half)
+            self._store[_B1M2, elements] = elastic_half
+        self._store[_B1, elements] = elastic_integral
         if step_index % 2 == 0:
-            self._store[_B3, elements] = full
+            self._store[_B3, elements] = elastic_integral
         else:
-            self._store[_B3, elements] += full
+            self._store[_B3, elements] += elastic_integral
 
     def neighbor_data(
         self,

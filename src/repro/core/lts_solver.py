@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..kernels.backend import make_backend
-from ..kernels.discretization import Discretization, N_ELASTIC
+from ..kernels.discretization import Discretization
 from ..observability import NULL_TELEMETRY
 from ..source.moment_tensor import DiscretePointSource, MomentTensorSource, PointForceSource
 from ..source.receivers import ReceiverSet
@@ -157,22 +157,12 @@ class ClusteredLtsSolver:
         per-element results.  Returns
         ``(local_delta, elastic_time_integral, local_traces)``.
         """
-        backend = self.backend
-        ws = cluster.workspace
-        delta, time_integrated, derivatives, local_traces = backend.local_update(
-            self.disc, self.dofs, cluster.dt, elements, ws=ws
+        delta, elastic_integral, elastic_half, local_traces = self.backend.local_update(
+            self.disc, self.dofs, cluster.dt, elements,
+            ws=cluster.workspace, needs_half=True,
         )
-        self.buffers.fill(
-            elements,
-            derivatives,
-            cluster.dt,
-            cluster.step_index,
-            needs_half=True,
-            backend=backend,
-            ws=ws,
-            elastic_integral=time_integrated[:, :N_ELASTIC],
-        )
-        return delta, time_integrated[:, :N_ELASTIC], local_traces
+        self.buffers.fill(elements, elastic_integral, elastic_half, cluster.step_index)
+        return delta, elastic_integral, local_traces
 
     def _neighbor_coefficients(self, cluster: _ClusterData) -> np.ndarray:
         """Face-basis coefficients of the neighbours' traces for a correction.

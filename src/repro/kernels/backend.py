@@ -9,10 +9,10 @@ clustered LTS, distributed rank steppers) runs through one of:
 
 * :class:`ReferenceBackend` -- delegates to the reference kernel functions
   and preserves their bit-exact behaviour (and their per-call temporaries),
-* :class:`OptimizedBackend` -- the same math restructured for speed,
-* :class:`FastBackend` -- the optimized structure with the f64 bit-identity
-  pin dropped: every contraction may reassociate (BLAS dispatch), so results
-  are *tolerance-equal* instead of bit-identical.
+* :class:`OptimizedBackend` -- the same operations restructured for speed,
+  bit-identical to the reference at f64,
+* :class:`FastBackend` -- stacked operators on cache-sized element blocks,
+  *tolerance-equal* to the reference.
 
 ``OptimizedBackend`` restructures as follows:
 
@@ -29,31 +29,28 @@ clustered LTS, distributed rank steppers) runs through one of:
   3. every kernel writes into a preallocated :class:`KernelWorkspace`
      (derivative stacks, time integrals, deltas, traces) that is reused
      across micro steps instead of ``np.zeros_like`` per call, and
-  4. ``np.einsum_path`` contraction plans are precomputed and cached per
-     (operator, shape) pair.
+  4. ``np.einsum_path`` contraction plans are cached per (operator, shape)
+     pair -- applied in f32 mode only, because a plan may dispatch to BLAS,
+     which reassociates the reductions.
 
-Bit-exactness contract
-----------------------
-At f64 the optimized backend is **bit-identical** to the reference backend
-(asserted by the test suite on GTS, clustered-LTS and distributed runs).
-The restructurings in (1)-(3) are chosen so that every output element is
-produced by the same sequence of floating-point operations as the reference
-loops: batching only adds outer (non-contracted) dimensions, relayouting
-only changes strides, slicing only drops terms that are exactly zero, and
-accumulations keep the reference order.  The cached einsum plans of (4) may
-dispatch contractions to BLAS, which reassociates the reductions; they are
-therefore only applied in f32 mode, where results are compared against f64
-within a tolerance anyway and the reassociation buys the largest speedup.
+Every output element is therefore produced by the reference loops' sequence
+of floating-point operations (batching only adds outer dimensions,
+relayouting only changes strides, slicing only drops exactly-zero terms,
+accumulations keep the reference order): at f64 the optimized backend is
+**bit-identical** to the reference, asserted by the test suite on GTS,
+clustered-LTS and distributed runs.
 
-Tolerance-equality contract (fast mode)
----------------------------------------
-:class:`FastBackend` deliberately breaks the f64 pin: the einsum-plan cache
-engages at every precision, the batched per-element matrix applications are
-lowered to ``np.matmul`` (batched BLAS GEMMs), and the per-dimension /
-per-face / per-mechanism accumulation loops are fused into single
-contractions.  Every output is still assembled from the same exactly-zero-
-sliced operands, so the result differs from the reference only by floating-
-point reassociation.  "Close enough" is not left to ad-hoc ``allclose``
+``FastBackend`` drops that pin for the time/volume half of an update (and
+the surface kernels' accumulation order).  Its element kernels are a handful
+of batched ``np.matmul`` GEMMs over *stacked* operators: the three
+directional stiffness matrices side by side, the (variable, direction) pair
+of the star matrices merged into one contraction axis, the mechanisms'
+coupling blocks side by side.  With three mechanisms the reactive terms keep
+every CK derivative at full degree, so there is no shrinking block to
+exploit; what is static is that a stiffness product only populates (time) or
+reads (volume) the leading ``n_basis(O - 1)`` columns.  ``local_update`` runs
+the whole local pipeline one L2-sized element block at a time and returns
+only what callers read.  "Close enough" is not left to ad-hoc ``allclose``
 calls: :mod:`repro.verification` pins the contract with convergence-order
 checks against analytic solutions and committed golden-trace regressions
 under an explicit per-scenario tolerance ladder.
@@ -104,43 +101,55 @@ def make_backend(kind=None):
         return kind
     if kind is None:
         kind = os.environ.get(_ENV_VAR) or "ref"
-    if kind == "ref":
-        return ReferenceBackend()
-    if kind == "opt":
-        return OptimizedBackend()
-    if kind == "fast":
-        return FastBackend()
-    raise ValueError(f"kernel backend must be one of {KERNEL_KINDS}, got {kind!r}")
+    backends = {"ref": ReferenceBackend, "opt": OptimizedBackend, "fast": FastBackend}
+    if kind not in backends:
+        raise ValueError(f"kernel backend must be one of {KERNEL_KINDS}, got {kind!r}")
+    return backends[kind]()
 
 
 class KernelWorkspace:
-    """Preallocated scratch (and cached static data), keyed by name + shape.
+    """Preallocated scratch (and cached static data) of one batch producer
+    (one per LTS cluster, one per GTS solver).
 
-    One workspace is owned per batch producer (one per LTS cluster, one per
-    GTS solver); keeping the shape in the scratch key lets the distributed
-    steppers alternate between their boundary- and interior-row batch sizes
-    without reallocating either.  :meth:`cached` additionally memoizes
-    batch-static data (operator gathers, receive plans) under an explicit
-    token, so per-cluster element gathers happen once instead of per call.
+    Scratch is pooled per *name*: every shape requested under a name is a
+    leading view of that name's one buffer, so the last partial element
+    block, a one-element batch and the distributed steppers'
+    boundary/interior alternation share the pages the largest request
+    faulted in (a name is therefore live for one array at a time).
+    :meth:`cached` memoizes batch-static data (operator gathers, block
+    plans) under an explicit token.
     """
 
-    __slots__ = ("_arrays", "_cache", "_tokens")
+    __slots__ = ("_pools", "_views", "_cache", "_tokens")
 
     def __init__(self):
-        self._arrays: dict = {}
+        #: (name, dtype) -> flat buffer, grown to the largest request
+        self._pools: dict = {}
+        #: (name, shape, dtype) -> leading view of the pool buffer
+        self._views: dict = {}
         self._cache: dict = {}
         #: id(elements) -> (elements, token): memoized batch identities; the
         #: stored reference keeps the array alive so the id stays valid
         self._tokens: dict = {}
 
-    def scratch(self, name: str, shape: tuple, dtype) -> np.ndarray:
-        """An uninitialised scratch array of the requested shape/dtype."""
-        key = (name, shape, np.dtype(dtype))
-        array = self._arrays.get(key)
-        if array is None:
-            array = np.empty(shape, dtype=dtype)
-            self._arrays[key] = array
-        return array
+    def scratch(self, name, shape: tuple, dtype) -> np.ndarray:
+        """A scratch array of the requested shape/dtype with undefined
+        contents -- except that a buffer is zero-filled when (re)allocated,
+        so under a name that pins one trailing layout, entries no caller
+        ever writes stay zero."""
+        dtype = np.dtype(dtype)
+        key = (name, shape, dtype)
+        view = self._views.get(key)
+        if view is None:
+            size = math.prod(shape)
+            pool = self._pools.get((name, dtype))
+            if pool is None or pool.size < size:
+                pool = self._pools[name, dtype] = np.zeros(size, dtype=dtype)
+                # views of the outgrown buffer would pin it: drop them
+                for stale in [k for k in self._views if k[0] == name and k[2] == dtype]:
+                    del self._views[stale]
+            view = self._views[key] = pool[:size].reshape(shape)
+        return view
 
     def cached(self, name: str, token, builder):
         """Memoize ``builder()`` under ``(name, token)``."""
@@ -158,9 +167,8 @@ class ReferenceBackend:
     name = "ref"
 
     #: per-solver telemetry lane; the owning solver overwrites this with its
-    #: own instance, so kernel-kind timings land in the right rank's lane.
-    #: The class default is the shared no-op, keeping direct backend use
-    #: (tests, benchmarks) unmeasured and overhead-free.
+    #: own instance, so kernel-kind timings land in the right rank's lane
+    #: (the class default is the shared no-op: direct use stays unmeasured)
     telemetry = NULL_TELEMETRY
 
     def make_workspace(self) -> KernelWorkspace | None:
@@ -191,32 +199,42 @@ class ReferenceBackend:
         return surface_kernel_neighbor(disc, coeffs, elements)
 
     # -- fused local update (time + volume + local surface) -------------
-    def local_update(self, disc, dofs, dt, elements, ws=None):
-        """``(delta, time_integrated, derivatives, local_traces)``.
+    @staticmethod
+    def _elastic_rows(derivatives):
+        return [d[:, :N_ELASTIC] for d in derivatives]
+
+    def local_update(self, disc, dofs, dt, elements, ws=None, needs_half=False):
+        """``(delta, elastic_integral, elastic_half_integral, local_traces)``.
 
         The one canonical local-step pipeline: the GTS step, the clustered
         LTS prediction and the distributed rank steppers all run through
-        this method (on either backend), so the bit-exactness-critical
-        kernel sequence exists exactly once per backend.
+        this method (on every backend), so the bit-exactness-critical
+        kernel sequence exists exactly once.  Callers only ever need the
+        elastic ``[:, :9]`` rows of the full-interval time integral (``B1``,
+        the neighbours' traces) and, with ``needs_half``, of the
+        ``[0, dt/2]`` integral (``B2``; ``None`` otherwise) -- the derivative
+        stack and the 27-variable integral stay internal.
         """
         telemetry = self.telemetry
         with telemetry.region("kernel.ck"):
             derivatives = self.compute_time_derivatives(disc, dofs, elements, ws=ws)
         with telemetry.region("kernel.integrate"):
-            time_integrated = self.time_integrate(
-                derivatives, 0.0, dt, ws=ws, key="local_ti"
-            )
+            time_integrated = self.time_integrate(derivatives, 0.0, dt, ws=ws, key="local_ti")
+            elastic = time_integrated[:, :N_ELASTIC]
+            half = None
+            if needs_half:
+                half = self.time_integrate(
+                    self._elastic_rows(derivatives), 0.0, 0.5 * dt, ws=ws, key="local_half"
+                )
         with telemetry.region("kernel.trace"):
-            local_traces = self.project_local_traces(
-                disc, time_integrated[:, :N_ELASTIC], elements, ws=ws
-            )
+            local_traces = self.project_local_traces(disc, elastic, elements, ws=ws)
         with telemetry.region("kernel.volume"):
             delta = self.volume_kernel(disc, time_integrated, elements, ws=ws)
         with telemetry.region("kernel.surface_local"):
             delta += self.surface_kernel_local(
                 disc, time_integrated, elements, local_traces, ws=ws
             )
-        return delta, time_integrated, derivatives, local_traces
+        return delta, elastic, half, local_traces
 
 
 class _DiscData:
@@ -232,7 +250,7 @@ class _DiscData:
 
     __slots__ = ("star_e_blocks", "star_a_velocity", "coupling_stress",
                  "flux_a_velocity", "ftilde_flat", "k_time_rows", "k_time_sliced",
-                 "k_time_cat_t", "k_vol_cat_t", "fhat_flat")
+                 "kcat_time", "kcat_vol", "fhat_flat", "_relaxation")
 
     def __init__(self, disc):
         star_e = disc.star_elastic
@@ -263,21 +281,38 @@ class _DiscData:
             else:
                 self.k_time_rows.append(None)
                 self.k_time_sliced.append(disc.k_time[c])
-        # concatenated-and-transposed stiffness operators of the fast fused
-        # path: one (3 B, B) GEMM per CK/volume iteration instead of three
-        # B x B applications -- triples the GEMM rows per batch item, which
-        # amortizes the per-item dispatch cost the narrow fused column
-        # counts otherwise expose
-        self.k_time_cat_t = np.ascontiguousarray(
-            np.concatenate([disc.k_time[c].T for c in range(3)], axis=0)
-        )
-        self.k_vol_cat_t = np.ascontiguousarray(
-            np.concatenate([disc.k_vol[c].T for c in range(3)], axis=0)
-        )
-        # (4 F, B) flattened back-projection of the fast fused surface path
+        # side-by-side stiffness operators of the fast path, cut to the
+        # columns ``x @ k_time[c]`` populates / the rows ``k_vol[c]`` reads
+        # (assembly leaves O(1e-15) roundoff in those structural zeros, which
+        # only the tolerance tier drops).  ``kcat_time`` carries the CK minus
+        # sign, so a derivative and a volume call differ by this operand only
+        n_out = _leading_extent(disc.k_time, axis=2)
+        n_in = _leading_extent(disc.k_vol, axis=1)
+        self.kcat_time = -np.concatenate([k[:, :n_out] for k in disc.k_time], axis=1)
+        self.kcat_vol = np.concatenate([k[:n_in] for k in disc.k_vol], axis=1)
+        # (4 F, B) flattened back-projection of the fast surface path
         self.fhat_flat = np.ascontiguousarray(
             disc.fhat.reshape(-1, disc.fhat.shape[2])
         )
+        #: per-row factors of the reactive self-term: zero on the elastic
+        #: rows, ``-omega_l`` on mechanism ``l``'s six rows
+        factors = np.concatenate([np.zeros(N_ELASTIC), np.repeat(-disc.omegas, 6)])
+        self._relaxation = {1: factors.astype(disc.omegas.dtype)[:, None]}
+
+    def relaxation(self, width):
+        """The reactive row factors as a full ``(N_q, width)`` table, so the
+        multiply runs over whole contiguous slabs (cached per width)."""
+        table = self._relaxation.get(width)
+        if table is None:
+            table = self._relaxation[width] = np.repeat(self._relaxation[1], width, axis=1)
+        return table
+
+
+def _leading_extent(matrices, axis):
+    """How far along ``axis`` the ``(3, B, B)`` operators exceed roundoff."""
+    magnitude = np.abs(matrices).max(axis=tuple(a for a in range(3) if a != axis))
+    significant = np.flatnonzero(magnitude > 1e-12 * magnitude.max())
+    return int(significant[-1]) + 1 if len(significant) else 1
 
 
 def _elements_token(elements, ws=None):
@@ -309,11 +344,6 @@ class OptimizedBackend(ReferenceBackend):
 
     name = "opt"
 
-    #: whether f64 contractions run through the einsum-plan cache too; the
-    #: optimized backend keeps f64 on the bit-exact c_einsum kernel, the
-    #: fast backend flips this and plans every dtype
-    _plan_f64 = False
-
     def __init__(self):
         #: cached np.einsum_path plans, keyed by (subscripts, operand shapes)
         self._plans: dict = {}
@@ -337,12 +367,12 @@ class OptimizedBackend(ReferenceBackend):
     def _einsum(self, subscripts: str, *operands, out=None):
         """Einsum through the contraction-plan cache.
 
-        Unless ``_plan_f64`` is set, f64 operands stay on numpy's
-        sum-of-products kernel (``optimize=False``) so the result is
-        bit-identical to the reference loops; everything else applies the
-        cached ``np.einsum_path`` plan, which may dispatch to BLAS.
+        f64 operands stay on numpy's sum-of-products kernel
+        (``optimize=False``) so the result is bit-identical to the reference
+        loops; everything else applies the cached ``np.einsum_path`` plan,
+        which may dispatch to BLAS.
         """
-        if not self._plan_f64 and operands[0].dtype == np.float64:
+        if operands[0].dtype == np.float64:
             return np.einsum(subscripts, *operands, out=out)
         key = (subscripts,) + tuple(op.shape for op in operands)
         plan = self._plans.get(key)
@@ -356,18 +386,15 @@ class OptimizedBackend(ReferenceBackend):
 
         The shared right-multiply-by-an-operator pattern behind the
         stiffness applications, the trace projection and the neighbour
-        flux back-projection; any fused trailing axis rides along.  The
-        optimized backend keeps the generic einsum (f64 stays on the
-        bit-exact unplanned kernel); the fast backend overrides this with
-        a GEMM that *folds* the fused axis into the matmul columns instead
-        of broadcasting over it.
+        flux back-projection; any fused trailing axis rides along (the
+        fast backend overrides this with a GEMM).
         """
         return self._einsum("evb...,bd->evd...", x, matrix, out=out)
 
     @staticmethod
     def _scratch(ws, name, shape, dtype):
         if ws is None:
-            return np.empty(shape, dtype=dtype)
+            return np.zeros(shape, dtype=dtype)
         return ws.scratch(name, shape, dtype)
 
     @staticmethod
@@ -471,20 +498,15 @@ class OptimizedBackend(ReferenceBackend):
             an_common = self._scratch(ws, "ck_an_common", (E, 6, n_basis) + fused, dtype)
             neg_omegas = (-omegas).reshape((n_mech, 1, 1) + (1,) * len(fused))
 
-        # the zero-row slicing pays on scalar batches (fewer FLOPs, bit-safe)
-        # but on fused batches the fancy-index row gather of a strided
-        # (E, 9, rows, F) block costs more than the dropped zero products;
-        # the fast backend contracts the full matrices there instead
-        slice_rows = not (fused and self._plan_f64)
         for d in range(1, order):
             current = stack[d - 1]
             nxt = stack[d]
             elastic_prev = current[:, :N_ELASTIC]
             for c in range(3):
-                rows = data.k_time_rows[c] if slice_rows else None
+                rows = data.k_time_rows[c]
                 self._basis_apply(
                     elastic_prev if rows is None else elastic_prev[:, :, rows],
-                    data.k_time_sliced[c] if slice_rows else disc.k_time[c],
+                    data.k_time_sliced[c],
                     out=tmp[c],
                 )
             self._star_elastic_apply(data, ops, tmp, nxt, ws, sign=-1.0)
@@ -733,294 +755,269 @@ class OptimizedBackend(ReferenceBackend):
         return self._surface_kernel(disc, data, ops, coeffs, ws, "surf_neigh")
 
 
+#: bytes of CK derivative stack per ``FastBackend.local_update`` element
+#: block: three quarters of this host class's 2 MiB per-core L2, leaving the
+#: rest to the block's operators.  Measured, not a setting -- at order 4 a
+#: macro cycle is flat from 0.5 to 2 MiB (30-120 elements) and a third
+#: slower unblocked
+_BLOCK_STACK_BYTES = 3 << 19
+
+
 class FastBackend(OptimizedBackend):
-    """Tolerance-equal f64 execution: the bit-identity pin dropped.
+    """Tolerance-equal execution: stacked operators on cache-sized blocks.
 
-    Reuses the optimized backend's batching, cached operator gathers,
-    zero-block slicing and scratch workspaces, but relaxes the contraction
-    order for speed:
+    Reuses the optimized backend's operator gathers, zero-block checks and
+    workspaces, but drops the reference operation order: the time and
+    volume kernels are one :meth:`_space_operator` (five batched GEMMs and
+    two slab passes on the half of the columns the degree-lowering
+    stiffness matrices populate or read), the Taylor integral is a GEMV per
+    element, a surface kernel is one flux-solve GEMM plus one ``fhat`` GEMM,
+    any fused axis rides as GEMM columns so scalar and fused batches run the
+    same lines, and :meth:`local_update` walks a batch in L2-sized element
+    blocks.  Every contraction stays per element, so an element's result
+    does not depend on the batch (or block) around it.
 
-    * every einsum runs through the cached ``np.einsum_path`` plan at every
-      dtype, so the tensordot-shaped contractions (stiffness applications,
-      trace projections, ``F_bar``/``fhat`` multiplies) dispatch to BLAS,
-    * the batched per-element matrix applications (star, coupling, flux
-      solves) are lowered to ``np.matmul`` -- batched GEMMs over folded
-      basis/fused trailing axes,
-    * the four per-face surface contributions are accumulated by one fused
-      ``(face, face_basis)`` contraction instead of a reference-ordered loop,
-      and the per-mechanism anelastic surface terms reuse one common
-      face-summed contribution.
-
-    Results are NOT bit-identical to the reference at any precision; the
-    accuracy contract (convergence order, golden-trace tolerances) is owned
-    by :mod:`repro.verification`.
+    Results are NOT bit-identical to the reference at any precision (and
+    the O(1e-15) assembly roundoff in the stiffness matrices' structural
+    zeros is dropped); the accuracy contract (convergence order,
+    golden-trace tolerances) is owned by :mod:`repro.verification`.
     """
 
     name = "fast"
-    _plan_f64 = True  # the whole point: plans (and BLAS) at f64 too
 
     @staticmethod
     def _bmm(matrices, operand, out):
-        """Batched ``matrices @ operand`` with trailing fused axes folded.
-
-        ``matrices`` is ``(..., i, j)``, ``operand`` ``(..., j, B[, f])`` and
-        ``out`` ``(..., i, B[, f])``.  Any fused trailing axes are folded
-        into the GEMM column axis.  Both folds merge only the two innermost
-        axes, which stay contiguous through every call site's middle-axis
-        slicing, so they are views and ``np.matmul`` writes in place; an
-        exotic non-contiguous *operand* would fold through a copy (still
-        correct -- only ``out`` must remain a view, and it is always
-        freshly-allocated contiguous workspace scratch).
-        """
+        """Batched ``matrices @ operand`` with trailing fused axes folded
+        into the GEMM columns: ``(..., i, j) @ (..., j, B[, f])``.  The fold
+        merges the two innermost axes, contiguous at every call site, so
+        ``out`` stays a view and ``np.matmul`` writes in place."""
         batch = matrices.ndim - 1
         if operand.ndim > matrices.ndim:
             operand = operand.reshape(operand.shape[:batch] + (-1,))
             out = out.reshape(out.shape[:batch] + (-1,))
-        n = operand.shape[-1]
-        if n > 128:
-            # wide folded column counts fall off a serial-GEMM performance
-            # cliff (measured ~2.5x per column beyond ~128 columns for the
-            # small star/flux blocks); chunking the column axis keeps each
-            # GEMM on the fast path and is bitwise free -- every output
-            # column's accumulation over j is untouched
-            n_chunks = -(n // -128)
-            step = -(n // -n_chunks)
-            for start in range(0, n, step):
-                np.matmul(
-                    matrices,
-                    operand[..., start : start + step],
-                    out=out[..., start : start + step],
-                )
-            return
         np.matmul(matrices, operand, out=out)
 
     def _basis_apply(self, x, matrix, out=None):
-        """Right-multiply by an operator as a GEMM with the fused axis folded.
+        """Right-multiply by an operator with the fused axis as GEMM columns.
 
         Scalar batches run ``x @ matrix`` (a ``(V, B) @ (B, D)`` GEMM per
-        element).  Fused batches run ``matrix.T @ x``: broadcasting maps
-        ``(D, B) @ (E, V, B, F) -> (E, V, D, F)``, i.e. the fused axis
-        becomes the GEMM column axis -- one operator read shared by all F
-        fused runs per ``(e, v)`` batch, instead of the planned einsum's
-        broadcast (which re-reads the operator per slot and measures several
-        times slower at F >= 2).
+        element); fused ones ``matrix.T @ x``, which broadcasts to
+        ``(D, B) @ (E, V, B, F) -> (E, V, D, F)``.
         """
         if x.ndim == 3:
             return np.matmul(x, matrix, out=out)
         return np.matmul(matrix.T, x, out=out)
 
-    def _star_elastic_apply(self, data, ops, tmp, out, ws, sign):
-        """Fused ``out[:, :9] = sign * sum_c star[c] @ tmp[c]``."""
-        dtype = tmp.dtype
-        if data.star_e_blocks:
-            stress = self._scratch(ws, "star_stress_out", (3,) + out[:, :6].shape, dtype)
-            veloc = self._scratch(ws, "star_veloc_out", (3,) + out[:, 6:N_ELASTIC].shape, dtype)
-            self._bmm(ops["star_stress"], tmp[:, :, 6:N_ELASTIC], stress)
-            self._bmm(ops["star_veloc"], tmp[:, :, :6], veloc)
-            targets = ((out[:, :6], stress), (out[:, 6:N_ELASTIC], veloc))
-        else:  # dense fallback
-            full = self._scratch(ws, "star_full_out", (3,) + out[:, :N_ELASTIC].shape, dtype)
-            self._bmm(ops["star_full"], tmp, full)
-            targets = ((out[:, :N_ELASTIC], full),)
-        for target, parts in targets:
-            np.add(parts[0], parts[1], out=target)
-            target += parts[2]
-            if sign < 0:
-                np.negative(target, out=target)
+    # ------------------------------------------------------------------
+    # time + volume kernels: one stacked space operator
+    # ------------------------------------------------------------------
+    def _stacked_ops(self, disc, elements, ws):
+        """Stacked star/coupling operators of a batch (cached per batch).
 
-    def _star_anelastic_apply(self, data, ops, tmp, an_parts, an_common):
-        if data.star_a_velocity:
-            self._bmm(ops["star_a"], tmp[:, :, 6:N_ELASTIC], an_parts)
-        else:
-            self._bmm(ops["star_a"], tmp, an_parts)
-        np.add(an_parts[0], an_parts[1], out=an_common)
-        an_common += an_parts[2]
-
-    def _coupling_apply(self, data, ops, mem, out, ws):
-        coupling = ops["coupling"]
-        n_mech = coupling.shape[1]
-        rows = coupling.shape[2]
-        contrib = self._scratch(
-            ws, "coup_out", (out.shape[0], n_mech, rows) + out.shape[2:], mem.dtype
-        )
-        self._bmm(coupling, mem, contrib)
-        target = out[:, :rows]
-        for l in range(n_mech):
-            target += contrib[:, l]
-
-    def _stiffness_cat(self, cat_t, x, tmp_cat):
-        """All three directional stiffness applications as one wide GEMM.
-
-        ``cat_t`` is the ``(3 B, B)`` concatenation of the transposed
-        stiffness operators; the result lands in ``tmp_cat`` with layout
-        ``(E, 9, 3 B, F)`` and is returned as the ``(3, E, 9, B, F)`` view
-        the star/anelastic applications consume -- the view keeps the
-        ``(B, F)`` block of every batch item contiguous, so the downstream
-        folded GEMMs still run copy-free.
+        ``stages`` lists ``(matrix, variables, rows)`` GEMMs: ``matrix``
+        contracts the stiffness products ``tmp[e, variable, direction]`` of
+        ``variables`` -- (variable, direction) merged into one contraction
+        axis -- into output ``rows``.  With the zero blocks verified those
+        are the stress rows of ``star_elastic`` and the per-mechanism
+        ``omega_l * star_anelastic`` rows, both reading the velocities, and
+        the velocity rows reading the stresses; otherwise it is one dense
+        ``(N_q, 27)`` operator through the same lines.  ``ccat`` holds the
+        mechanisms' coupling blocks side by side.
         """
-        np.matmul(cat_t, x, out=tmp_cat)
-        E, n_vars, three_b = tmp_cat.shape[:3]
-        split = tmp_cat.reshape((E, n_vars, 3, three_b // 3) + tmp_cat.shape[3:])
-        return split.transpose((2, 0, 1, 3) + tuple(range(4, split.ndim)))
+        data = self._disc_data(disc)
+        stress, veloc, elastic = slice(0, 6), slice(6, N_ELASTIC), slice(0, N_ELASTIC)
+
+        def merged(star, rows, columns):
+            block = star[:, :, rows, columns].transpose(0, 2, 3, 1)  # (E, i, j, direction)
+            return np.ascontiguousarray(block).reshape(block.shape[:2] + (-1,))
+
+        def build():
+            star_e = disc.star_elastic[elements]
+            # the anelastic star rows once per mechanism, scaled by omega_l
+            star_a = (
+                disc.star_anelastic[elements][:, :, None] * disc.omegas[:, None, None]
+            ).reshape(len(star_e), 3, 6 * disc.n_mechanisms, N_ELASTIC)
+            if data.star_e_blocks and data.star_a_velocity:
+                stages = [
+                    (merged(star_e, stress, veloc), veloc, stress),
+                    (merged(star_e, veloc, stress), stress, veloc),
+                ]
+                if disc.n_mechanisms:
+                    memory = slice(N_ELASTIC, disc.n_vars)
+                    stages.append((merged(star_a, slice(None), veloc), veloc, memory))
+            else:  # dense fallback
+                dense = np.concatenate([star_e, star_a], axis=2)
+                stages = [(merged(dense, slice(None), elastic), elastic, slice(None))]
+            ops = {"stages": stages}
+            if disc.n_mechanisms:
+                coupling = disc.coupling[elements]  # (E, m, 9, 6)
+                if data.coupling_stress:
+                    coupling = coupling[:, :, :6]
+                ops["ccat"] = np.ascontiguousarray(coupling.transpose(0, 2, 1, 3)).reshape(
+                    coupling.shape[0], coupling.shape[2], -1
+                )
+            return ops
+
+        return data, self._cached(ws, "stacked_ops", elements, build)
+
+    def _space_operator(self, disc, kcat, x, y, elements, ws):
+        """``y = L(x)``: the spatial operator behind both element kernels.
+
+        With ``tmp_c = x_e @ K_c`` for the three blocks of ``kcat``::
+
+            y_e = sum_c star_e[c] @ tmp_c + sum_l coupling_l @ x_l
+            y_l = omega_l * (sum_c star_a[c] @ tmp_c - x_l)
+
+        which is the volume kernel for ``K = k_vol`` and one CK derivative
+        for ``K = -k_time``.  ``kcat`` is ``(n_in, 3 n_out)``: only the
+        leading ``n_in`` basis columns of ``x_e`` are read and only the
+        leading ``n_out`` columns of the star products are populated.
+        ``x``/``y`` are ``(E, N_q, B[, f])``; everything after the stiffness
+        GEMM runs on the folded ``(E, N_q, B f)`` layout.  Elementwise work
+        is two passes over whole contiguous slabs: short strided row runs
+        measured several times a GEMM's share of the stage.
+        """
+        data, ops = self._stacked_ops(disc, elements, ws)
+        E, n_vars, n_basis = x.shape[:3]
+        n_in, n_out = kcat.shape[0], kcat.shape[1] // 3
+        width = math.prod(x.shape[2:])
+        ncols = width // n_basis * n_out
+        dtype = x.dtype
+
+        tmp = self._scratch(ws, "op_tmp", (E, N_ELASTIC, 3 * n_out) + x.shape[3:], dtype)
+        self._basis_apply(x[:, :N_ELASTIC, :n_in], kcat, out=tmp)
+        tmp = tmp.reshape(E, N_ELASTIC, 3, ncols)
+        # the star products land in the leading columns of a slab laid out
+        # like ``y`` whose tail columns are never written, i.e. stay zero
+        # from allocation (the scratch name pins the layout)
+        star = self._scratch(ws, ("op_star", n_vars, width, ncols), (E, n_vars, width), dtype)
+        for matrix, variables, rows in ops["stages"]:
+            self._bmm(matrix, tmp[:, variables].reshape(E, -1, ncols), star[:, rows, :ncols])
+
+        x = x.reshape(E, n_vars, width)
+        y = y.reshape(E, n_vars, width)
+        # reactive part: -omega_l * x_l on the memory rows (zero on the
+        # elastic ones), then the coupling GEMM over the rows it feeds
+        np.multiply(x, data.relaxation(width), out=y)
+        if n_vars > N_ELASTIC:
+            ccat = ops["ccat"]
+            self._bmm(ccat, x[:, N_ELASTIC:], y[:, : ccat.shape[1]])
+        y += star
 
     def compute_time_derivatives(self, disc, dofs, elements, ws=None):
-        """Fused batches run the CK loop on concatenated stiffness GEMMs."""
+        """CK derivatives as one contiguous ``(O, E, N_q, B[, f])`` stack
+        (indexable per derivative like the reference's list)."""
         if isinstance(elements, slice):
-            batch_shape = dofs[elements].shape
+            batch = dofs[elements]
+            stack = self._scratch(ws, "ck_stack", (disc.order,) + batch.shape, dofs.dtype)
+            stack[0] = batch
         else:
-            batch_shape = (len(elements),) + dofs.shape[1:]
-        fused = batch_shape[3:]
-        if not fused:
-            return super().compute_time_derivatives(disc, dofs, elements, ws)
-        order = disc.order
-        stack = self._scratch(ws, "derivs", (order,) + batch_shape, dofs.dtype)
-        stack[0] = dofs[elements]
-        derivatives = [stack[d] for d in range(order)]
-        if order == 1:
-            return derivatives
+            shape = (disc.order, len(elements)) + dofs.shape[1:]
+            stack = self._scratch(ws, "ck_stack", shape, dofs.dtype)
+            np.take(dofs, elements, axis=0, out=stack[0], mode="clip")
+        kcat = self._disc_data(disc).kcat_time
+        for d in range(1, disc.order):
+            self._space_operator(disc, kcat, stack[d - 1], stack[d], elements, ws)
+        return stack
 
-        data, ops = self._volume_ops(disc, elements, ws)
-        n_mech = disc.n_mechanisms
+    @staticmethod
+    def _elastic_rows(derivatives):
+        return derivatives[:, :, :N_ELASTIC]
 
-        E = batch_shape[0]
-        n_basis = disc.n_basis
-        dtype = dofs.dtype
-        tmp_cat = self._scratch(
-            ws, "ck_tmp_cat", (E, N_ELASTIC, 3 * n_basis) + fused, dtype
+    def time_integrate(self, derivatives, t_start, t_end, ws=None, key="ti"):
+        """Taylor integration over ``[t_start, t_end]``: one ``weights @
+        derivatives`` product per element, so row-sliced stacks need no copy."""
+        if t_end < t_start:
+            raise ValueError("t_end must be >= t_start")
+        stack = derivatives if isinstance(derivatives, np.ndarray) else np.stack(derivatives)
+        order, E = stack.shape[:2]
+        weights = np.array(
+            [(t_end ** (d + 1) - t_start ** (d + 1)) / math.factorial(d + 1) for d in range(order)],
+            dtype=stack.dtype,
         )
-        if n_mech:
-            an_parts = self._scratch(ws, "ck_an", (3, E, 6, n_basis) + fused, dtype)
-            an_common = self._scratch(ws, "ck_an_common", (E, 6, n_basis) + fused, dtype)
-            neg_omegas = (-disc.omegas).reshape((n_mech, 1, 1) + (1,) * len(fused))
-
-        for d in range(1, order):
-            current = stack[d - 1]
-            nxt = stack[d]
-            tmp = self._stiffness_cat(
-                data.k_time_cat_t, current[:, :N_ELASTIC], tmp_cat
-            )
-            self._star_elastic_apply(data, ops, tmp, nxt, ws, sign=-1.0)
-            if n_mech:
-                self._star_anelastic_apply(data, ops, tmp, an_parts, an_common)
-                mem_prev = current[:, N_ELASTIC:].reshape(
-                    (E, n_mech, 6, n_basis) + fused
-                )
-                self._coupling_apply(data, ops, mem_prev, nxt, ws)
-                mem_next = nxt[:, N_ELASTIC:].reshape((E, n_mech, 6, n_basis) + fused)
-                np.add(an_common[:, None], mem_prev, out=mem_next)
-                mem_next *= neg_omegas
-        return derivatives
+        result = self._scratch(ws, key, stack.shape[1:], stack.dtype)
+        np.matmul(weights, stack.swapaxes(0, 1).reshape(E, order, -1), out=result.reshape(E, -1))
+        return result
 
     def volume_kernel(self, disc, time_integrated, elements, ws=None):
-        """Fused batches run the volume kernel on a concatenated GEMM too."""
-        fused = time_integrated.shape[3:]
-        if not fused:
-            return super().volume_kernel(disc, time_integrated, elements, ws)
-        data, ops = self._volume_ops(disc, elements, ws)
-        omegas = disc.omegas
-        n_mech = disc.n_mechanisms
-
-        te = time_integrated[:, :N_ELASTIC]
-        E = time_integrated.shape[0]
-        n_basis = time_integrated.shape[2]
-        dtype = time_integrated.dtype
-        out = self._scratch(ws, "vol_out", time_integrated.shape, dtype)
-
-        tmp_cat = self._scratch(
-            ws, "ck_tmp_cat", (E, N_ELASTIC, 3 * n_basis) + fused, dtype
-        )
-        tmp = self._stiffness_cat(data.k_vol_cat_t, te, tmp_cat)
-        self._star_elastic_apply(data, ops, tmp, out, ws, sign=1.0)
-        if n_mech:
-            an_parts = self._scratch(ws, "ck_an", (3, E, 6, n_basis) + fused, dtype)
-            an_common = self._scratch(ws, "ck_an_common", (E, 6, n_basis) + fused, dtype)
-            self._star_anelastic_apply(data, ops, tmp, an_parts, an_common)
-            mem_te = time_integrated[:, N_ELASTIC:].reshape((E, n_mech, 6, n_basis) + fused)
-            self._coupling_apply(data, ops, mem_te, out, ws)
-            mem_out = out[:, N_ELASTIC:].reshape((E, n_mech, 6, n_basis) + fused)
-            np.subtract(an_common[:, None], mem_te, out=mem_out)
-            mem_out *= omegas.reshape((n_mech, 1, 1) + (1,) * len(fused))
-        else:
-            out[:, N_ELASTIC:] = 0.0
+        out = self._scratch(ws, "vol_out", time_integrated.shape, time_integrated.dtype)
+        kcat = self._disc_data(disc).kcat_vol
+        self._space_operator(disc, kcat, time_integrated, out, elements, ws)
         return out
 
-    def _surface_kernel(self, disc, data, ops, face_coeffs, ws, prefix):
-        """Surface kernels with fused per-face accumulation.
+    # ------------------------------------------------------------------
+    # cache-blocked local update
+    # ------------------------------------------------------------------
+    def _block_plan(self, disc, dofs, elements, ws):
+        """``(n, [(rows, block_elements), ...])``: the batch cut into
+        contiguous blocks whose derivative stack fits ``_BLOCK_STACK_BYTES``
+        (cached per batch, so every block keeps one array identity and with
+        it its operator-gather cache entries)."""
+        per_element = disc.order * math.prod(dofs.shape[1:]) * dofs.itemsize
+        size = max(1, _BLOCK_STACK_BYTES // per_element)
 
-        The four flux solves run as one ``(E, 4)``-batched GEMM and the four
-        ``fhat`` back-projections collapse into a single contraction over
-        ``(face, face_basis)``; the anelastic mechanisms share one common
-        face-summed contribution scaled per ``omega_l``.
-        """
-        fhat = disc.fhat  # (4, F, B)
-        omegas = disc.omegas
-        n_mech = disc.n_mechanisms
+        def build():
+            batch = np.arange(len(dofs))[elements] if isinstance(elements, slice) else elements
+            bounds = [(i, min(i + size, len(batch))) for i in range(0, len(batch), size)]
+            return len(batch), [(slice(i, j), batch[i:j]) for i, j in bounds]
+
+        return self._cached(ws, f"block_plan{size}", elements, build)
+
+    def local_update(self, disc, dofs, dt, elements, ws=None, needs_half=False):
+        """The shared pipeline, one L2-sized element block at a time: each
+        block runs the public stage methods on block-sized scratch (no
+        cluster-sized derivative stack or 27-variable integral exists) and
+        only the four arrays callers read land in cluster-sized scratch."""
+        n, blocks = self._block_plan(disc, dofs, elements, ws)
+        dtype = dofs.dtype
+        elastic_shape = (n, N_ELASTIC) + dofs.shape[2:]
+        delta = self._scratch(ws, "lu_delta", (n,) + dofs.shape[1:], dtype)
+        integral = self._scratch(ws, "lu_integral", elastic_shape, dtype)
+        half = self._scratch(ws, "lu_half", elastic_shape, dtype) if needs_half else None
+        traces_shape = (n, 4, N_ELASTIC, disc.n_face_basis) + dofs.shape[3:]
+        traces = self._scratch(ws, "lu_traces", traces_shape, dtype)
+        for rows, block in blocks:
+            delta[rows], integral[rows], block_half, traces[rows] = super().local_update(
+                disc, dofs, dt, block, ws=ws, needs_half=needs_half
+            )
+            if needs_half:
+                half[rows] = block_half
+        return delta, integral, half, traces
+
+    # ------------------------------------------------------------------
+    # surface kernels
+    # ------------------------------------------------------------------
+    def _surface_kernel(self, disc, data, ops, face_coeffs, ws, prefix):
+        """Surface kernels with fused per-face accumulation: the anelastic
+        mechanisms share one face-summed contribution scaled per ``omega_l``."""
         E = face_coeffs.shape[0]
         fused = face_coeffs.shape[4:]
-        n_basis = disc.n_basis
         dtype = face_coeffs.dtype
-
-        out = self._scratch(
-            ws, prefix + "_out", (E, disc.n_vars, n_basis) + fused, dtype
+        out = self._scratch(ws, prefix + "_out", (E, disc.n_vars, disc.n_basis) + fused, dtype)
+        self._flux_project(
+            data, ops["flux_e"], face_coeffs, out[:, :N_ELASTIC], ws, prefix + "_fsolved"
         )
-        solved = self._scratch(
-            ws, prefix + "_fsolved", (E, 4, N_ELASTIC) + face_coeffs.shape[3:], dtype
-        )
-        self._bmm(ops["flux_e"], face_coeffs, solved)
-        self._fhat_project(data, fhat, solved, out[:, :N_ELASTIC], ws, prefix)
-
-        if n_mech:
-            flux_a = ops["flux_a"]
-            coeffs_a = (
-                face_coeffs[:, :, 6:N_ELASTIC] if data.flux_a_velocity else face_coeffs
-            )
-            solved_a = self._scratch(
-                ws, prefix + "_fsolved_a", (E, 4, 6) + face_coeffs.shape[3:], dtype
-            )
-            self._bmm(flux_a, coeffs_a, solved_a)
-            common = self._scratch(
-                ws, prefix + "_fcommon", (E, 6, n_basis) + fused, dtype
-            )
-            self._fhat_project(data, fhat, solved_a, common, ws, prefix + "_a")
-            for l in range(n_mech):
+        if disc.n_mechanisms:
+            coeffs_a = face_coeffs[:, :, 6:N_ELASTIC] if data.flux_a_velocity else face_coeffs
+            common = self._scratch(ws, prefix + "_fcommon", (E, 6, disc.n_basis) + fused, dtype)
+            self._flux_project(data, ops["flux_a"], coeffs_a, common, ws, prefix + "_fsolved_a")
+            for l, omega in enumerate(disc.omegas):
                 target = out[:, N_ELASTIC + 6 * l : N_ELASTIC + 6 * (l + 1)]
-                np.multiply(common, omegas[l], out=target)
-        else:
-            out[:, N_ELASTIC:] = 0.0
+                np.multiply(common, omega, out=target)
         return out
 
-    def _fhat_project(self, data, fhat, solved, out, ws, prefix):
-        """``out[e, v] = sum_{i, f} solved[e, i, v, f] @ fhat[i, f]``.
+    def _flux_project(self, data, flux, face_coeffs, out, ws, name):
+        """``out[e, v] = sum_i (flux[e, i] @ face_coeffs[e, i])[v] @ fhat[i]``.
 
-        Scalar batches keep the fused ``(face, face_basis)`` einsum
-        contraction.  Fused batches regroup ``solved`` so the contraction
-        axes are innermost and run ONE flat ``(E V F, 4 f) @ (4 f, B)``
-        GEMM -- the planned einsum broadcasts the fused axis into many
-        narrow GEMMs plus internal transpose copies, which dominated the
-        fused surface kernels.
+        The four flux solves are one ``(E, 4)``-batched GEMM written through
+        a transposed view into ``(E, V, 4, F[, f])``-ordered scratch, so the
+        contraction axes ``(face, face_basis)`` are adjacent and the four
+        back-projections are one ``(4 F, B)`` operator application.
         """
-        if solved.ndim == 4:  # no fused axis
-            self._einsum("eivf,ifb->evb", solved, fhat, out=out)
-            return
-        E, _, n_vars, n_face_basis, n_fused = solved.shape
-        n_basis = out.shape[2]
-        regrouped = self._scratch(
-            ws,
-            prefix + "_fhat_in",
-            (E, n_vars, n_fused, 4 * n_face_basis),
-            solved.dtype,
+        E, _, n_rows = flux.shape[:3]
+        tail = face_coeffs.shape[3:]  # (F[, f])
+        solved = self._scratch(ws, name, (E, n_rows, 4) + tail, face_coeffs.dtype)
+        self._bmm(flux, face_coeffs, solved.swapaxes(1, 2))
+        self._basis_apply(
+            solved.reshape((E, n_rows, 4 * tail[0]) + tail[1:]), data.fhat_flat, out=out
         )
-        np.copyto(
-            regrouped.reshape(E, n_vars, n_fused, 4, n_face_basis),
-            solved.transpose(0, 2, 4, 1, 3),
-        )
-        projected = self._scratch(
-            ws, prefix + "_fhat_out", (E, n_vars, n_fused, n_basis), solved.dtype
-        )
-        np.matmul(
-            regrouped.reshape(-1, 4 * n_face_basis),
-            data.fhat_flat,
-            out=projected.reshape(-1, n_basis),
-        )
-        out[...] = projected.transpose(0, 1, 3, 2)
-

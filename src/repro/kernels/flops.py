@@ -7,6 +7,16 @@ sparsity, i.e. 59.8 % of the single-simulation operations are zero-operations
 (Sec. VII-B).  This module derives the analogous counts for this
 implementation's operator set, both for dense (block-sparse) and fully sparse
 execution, so the sparsity benchmark can reproduce the ratio.
+
+The dense count is this operator set's *work unit*, not what a backend
+executes: ``kernels.flop_per_update`` of the end-to-end benchmark (290 100 at
+order 4 with three mechanisms) is one of the exact counts two result sets
+must agree on, so it stays the count of the reference formulation.  The
+``fast`` backend executes fewer FLOPs per update -- its stacked stiffness
+operands only span the ``n_basis(O - 1)`` columns a degree-lowering product
+populates (time kernel) or reads (volume kernel), and the star blocks' exact
+zeros are sliced away -- so GFLOP/s figures derived from this count overstate
+its arithmetic rate by that margin.
 """
 
 from __future__ import annotations

@@ -29,20 +29,21 @@ def local_update(
     elements: np.ndarray | slice = slice(None),
     backend=None,
     ws=None,
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Local part of an element update over ``[t, t + dt]``.
 
-    Returns ``(delta, time_integrated, derivatives)``: the local update
-    increment (volume + local surface), the time-integrated DOFs used for it,
-    and the CK time derivatives (needed by the LTS buffers).  ``backend``
-    selects the kernel-execution strategy (reference kernels by default);
-    with a workspace-backed backend the returned arrays are scratch views
-    valid until the backend's next call on the same workspace.
+    Returns ``(delta, elastic_time_integral, local_traces)``: the local
+    update increment (volume + local surface), the elastic ``(E, 9, B)``
+    rows of the time-integrated DOFs (what face neighbours read) and their
+    projected face traces.  ``backend`` selects the kernel-execution
+    strategy (reference kernels by default); with a workspace-backed
+    backend the returned arrays are scratch views valid until the backend's
+    next call on the same workspace.
     """
-    delta, time_integrated, derivatives, _ = (backend or _REFERENCE).local_update(
+    delta, elastic_integral, _, local_traces = (backend or _REFERENCE).local_update(
         disc, dofs, dt, elements, ws=ws
     )
-    return delta, time_integrated, derivatives
+    return delta, elastic_integral, local_traces
 
 
 def neighbor_update(
@@ -59,7 +60,8 @@ def neighbor_update(
     ``neighbor_time_integrated_elastic`` has shape ``(E, 4, 9, B[, n_fused])``
     and contains, per face, the neighbour's elastic time-integrated DOFs over
     the element's time interval.  ``own_traces`` optionally reuses the local
-    step's projected traces (recomputing them yields identical values).
+    step's projected traces (recomputing them from the elastic rows of
+    ``own_time_integrated`` yields identical values).
     """
     backend = backend or _REFERENCE
     if own_traces is None:
@@ -87,12 +89,9 @@ def gts_step(
         all_elements = ws.cached("gts_elements", disc.n_elements, lambda: np.arange(disc.n_elements))
     else:
         all_elements = np.arange(disc.n_elements)
-    delta, time_integrated, _, local_traces = backend.local_update(
-        disc, dofs, dt, all_elements, ws=ws
-    )
+    delta, te, _, local_traces = backend.local_update(disc, dofs, dt, all_elements, ws=ws)
 
     # gather the neighbours' time-integrated elastic DOFs per face
-    te = time_integrated[:, :N_ELASTIC]
     neighbors = disc.mesh.neighbors
     safe_neighbors = np.where(neighbors >= 0, neighbors, 0)
     neighbor_te = te[safe_neighbors]  # (K, 4, 9, B[, n_fused])
@@ -100,7 +99,7 @@ def gts_step(
     # the local step's traces are reused for the ghost faces of the
     # neighbouring update (recomputing them yields identical values)
     delta += neighbor_update(
-        disc, neighbor_te, time_integrated, all_elements, backend, ws,
+        disc, neighbor_te, te, all_elements, backend, ws,
         own_traces=local_traces,
     )
     return dofs + delta

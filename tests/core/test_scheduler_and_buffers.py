@@ -63,16 +63,20 @@ class TestBufferAlgebra:
 
         derivatives = compute_time_derivatives(disc, dofs, elements)
         elastic = [d[:, :9] for d in derivatives]
-        buffers.fill(elements, derivatives, dt, step_index=0)
+        buffers.fill(
+            elements, time_integrate(elastic, 0, dt), time_integrate(elastic, 0, dt / 2), 0
+        )
         np.testing.assert_allclose(buffers.b1[elements], time_integrate(elastic, 0, dt))
         np.testing.assert_allclose(buffers.b2[elements], time_integrate(elastic, 0, dt / 2))
         np.testing.assert_allclose(buffers.b3[elements], time_integrate(elastic, 0, dt))
 
-        # second (odd) step: B3 accumulates, B1/B2 are overwritten
+        # second (odd) step: B3 accumulates, B1 is overwritten
         dofs2 = rng.normal(size=dofs.shape)
         derivatives2 = compute_time_derivatives(disc, dofs2, elements)
         elastic2 = [d[:, :9] for d in derivatives2]
-        buffers.fill(elements, derivatives2, dt, step_index=1)
+        buffers.fill(elements, time_integrate(elastic2, 0, dt), None, step_index=1)
+        # without a half integral B2 keeps the previous step's value
+        np.testing.assert_allclose(buffers.b2[elements], time_integrate(elastic, 0, dt / 2))
         np.testing.assert_allclose(buffers.b1[elements], time_integrate(elastic2, 0, dt))
         np.testing.assert_allclose(
             buffers.b3[elements],

@@ -24,6 +24,7 @@ from repro.kernels.backend import (
     ReferenceBackend,
     make_backend,
 )
+from repro.kernels.ader import compute_time_derivatives, time_integrate
 from repro.kernels.discretization import Discretization, N_ELASTIC
 from repro.kernels.update import gts_step
 
@@ -73,13 +74,33 @@ class TestKernelParity:
         dofs = _random_dofs(disc, n_fused)
         elements = np.arange(disc.n_elements)
         dt = float(disc.time_steps.min())
-        delta_r, ti_r, derivs_r, traces_r = ref.local_update(disc, dofs, dt, elements)
-        delta_o, ti_o, derivs_o, traces_o = opt.local_update(disc, dofs, dt, elements, ws=ws)
-        assert np.array_equal(ti_o, ti_r)
-        assert np.array_equal(delta_o, delta_r)
-        assert np.array_equal(traces_o, traces_r)
+        derivs_r = ref.compute_time_derivatives(disc, dofs, elements)
+        derivs_o = opt.compute_time_derivatives(disc, dofs, elements, ws=ws)
         for d_r, d_o in zip(derivs_r, derivs_o):
             assert np.array_equal(d_o, d_r)
+        result_r = ref.local_update(disc, dofs, dt, elements, needs_half=True)
+        result_o = opt.local_update(disc, dofs, dt, elements, ws=ws, needs_half=True)
+        for name, r, o in zip(("delta", "integral", "half", "traces"), result_r, result_o):
+            assert np.array_equal(o, r), name
+        assert result_r[1].shape[1] == N_ELASTIC  # only the elastic rows leave
+        assert ref.local_update(disc, dofs, dt, elements)[2] is None
+
+    @pytest.mark.parametrize("kind", ["ref", "opt"])
+    def test_half_integral_is_the_buffer_fill_integration(self, disc, kind):
+        """``needs_half`` returns exactly what ``LtsBuffers.fill`` used to
+        integrate itself: the elastic derivative slices over [0, dt / 2]."""
+        backend = make_backend(kind)
+        dofs = _random_dofs(disc, seed=4)
+        elements = np.arange(disc.n_elements)
+        dt = float(disc.time_steps.min())
+        derivatives = compute_time_derivatives(disc, dofs, elements)
+        expected = time_integrate([d[:, :N_ELASTIC] for d in derivatives], 0.0, 0.5 * dt)
+        _, integral, half, _ = backend.local_update(
+            disc, dofs, dt, elements, ws=backend.make_workspace(), needs_half=True
+        )
+        assert np.array_equal(half, expected)
+        full = time_integrate(derivatives, 0.0, dt)[:, :N_ELASTIC]
+        assert np.array_equal(integral, full)
 
     def test_batch_subsets_match_full_batch(self, disc):
         """Splitting a batch (the distributed boundary/interior split) is
@@ -102,8 +123,7 @@ class TestKernelParity:
         dofs = _random_dofs(disc, seed=3)
         elements = np.arange(disc.n_elements)
         dt = float(disc.time_steps.min())
-        _, ti, _, _ = ref.local_update(disc, dofs, dt, elements)
-        te = ti[:, :N_ELASTIC]
+        _, te, _, _ = ref.local_update(disc, dofs, dt, elements)
         neighbor_te = te[np.maximum(disc.mesh.neighbors, 0)]
         traces_r = ref.project_local_traces(disc, te, elements)
         traces_o = opt.project_local_traces(disc, te, elements, ws=ws)
