@@ -39,6 +39,12 @@ class _ClusterData:
         ids = np.where(clustering.cluster_ids == cluster)[0]
         self.cluster_id = cluster
         self.elements = ids
+        #: what indexes the cluster's rows of every per-element array: a
+        #: ``slice`` when the ids are one contiguous run (a reordered mesh, a
+        #: rank-local subdomain, a single cluster), so DOF updates, buffer
+        #: fills and operator gathers are views instead of fancy-index copies
+        contiguous = len(ids) > 0 and ids[-1] - ids[0] + 1 == len(ids)
+        self.batch = slice(int(ids[0]), int(ids[-1]) + 1) if contiguous else ids
         self.dt = float(clustering.cluster_time_steps[cluster])
         neighbors = disc.mesh.neighbors[ids]
         self.neighbors = neighbors
@@ -138,6 +144,8 @@ class ClusteredLtsSolver:
             cluster.pending_local_delta = None
             return
         with self.telemetry.region("predict"):
+            # the id array, not ``cluster.batch``: whoever wraps the backend
+            # to trace it sizes a ``local_update`` call by ``len(elements)``
             delta, time_integrated_elastic, local_traces = self._predict_elements(
                 cluster, cluster.elements
             )
@@ -146,8 +154,8 @@ class ClusteredLtsSolver:
         cluster.pending_traces = local_traces
 
     def _predict_elements(
-        self, cluster: _ClusterData, elements: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
+        self, cluster: _ClusterData, elements: np.ndarray | slice
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The element-local prediction body for a batch of the cluster's
         elements: CK time kernel, buffer fill, volume + local surface update.
 
@@ -174,15 +182,15 @@ class ClusteredLtsSolver:
         disc = self.disc
         backend = self.backend
         neighbor_te = self.buffers.neighbor_data(
-            cluster.elements, cluster.neighbors, cluster.relations, cluster.step_index
+            cluster.batch, cluster.neighbors, cluster.relations, cluster.step_index
         )
         own_traces = cluster.pending_traces
         if own_traces is None:
             own_traces = backend.project_local_traces(
-                disc, cluster.pending_te, cluster.elements, ws=cluster.workspace
+                disc, cluster.pending_te, cluster.batch, ws=cluster.workspace
             )
         return backend.neighbor_face_coefficients(
-            disc, neighbor_te, own_traces, cluster.elements, ws=cluster.workspace
+            disc, neighbor_te, own_traces, cluster.batch, ws=cluster.workspace
         )
 
     def _correct(self, cluster: _ClusterData, cluster_start_time: float) -> None:
@@ -196,9 +204,9 @@ class ClusteredLtsSolver:
             delta = cluster.pending_local_delta
             with self.telemetry.region("kernel.surface_neighbor"):
                 delta += self.backend.surface_kernel_neighbor(
-                    disc, coeffs, cluster.elements, ws=cluster.workspace
+                    disc, coeffs, cluster.batch, ws=cluster.workspace
                 )
-            self.dofs[cluster.elements] += delta
+            self.dofs[cluster.batch] += delta
         cluster.pending_local_delta = None
         cluster.pending_te = None
         cluster.pending_traces = None

@@ -34,6 +34,7 @@ from __future__ import annotations
 import glob
 import multiprocessing
 import os
+import threading
 import time
 import traceback
 from multiprocessing.shared_memory import SharedMemory
@@ -62,9 +63,9 @@ __all__ = ["ProcessLtsEngine", "COMM_KINDS"]
 #: shared-memory ring buffers and ships only tokens
 COMM_KINDS = ("queue", "shm")
 
-#: how often an idle worker interrupts its command wait to check whether it
-#: has been orphaned (parent SIGKILLed and the worker reparented)
-_ORPHAN_POLL_S = 5.0
+#: how often a worker's watchdog checks whether the worker has been orphaned
+#: (parent SIGKILLed and the worker reparented)
+_ORPHAN_POLL_S = 1.0
 
 
 def _pid_alive(pid: int) -> bool:
@@ -75,6 +76,25 @@ def _pid_alive(pid: int) -> bool:
     except PermissionError:
         return True
     return True
+
+
+def _exit_when_orphaned(parent_pid: int) -> None:
+    """Watchdog thread of a rank worker: end the process once the parent is gone.
+
+    A SIGKILLed parent can neither send ``exit`` nor close the command pipe
+    (under fork every worker inherits the parent ends of its *peers'* pipes,
+    so there is no EOF), and the worker may sit anywhere when it happens:
+    in the command wait, mid-cycle, or in a halo receive whose sender has
+    already left.  Checks inside the stepping loop cannot cover the last
+    case and race with the peers' checks (the rank that notices first exits
+    and strands the others in a receive until the halo timeout), so every
+    worker watches for the reparenting on its own thread.  ``os._exit``:
+    nothing is left to report to, and the ring segments belong to the
+    parent's resource tracker / the next engine's reaper, not to the worker.
+    """
+    while os.getppid() == parent_pid:
+        time.sleep(_ORPHAN_POLL_S)
+    os._exit(1)
 
 
 def _reap_stale_segments() -> list[str]:
@@ -169,8 +189,17 @@ def _rank_worker(
     comm_timeout: float,
     telemetry_config: TelemetryConfig,
     telemetry_epoch: float,
+    parent_pid: int,
 ) -> None:
-    """One rank's event loop: build the local solver, serve parent commands."""
+    """One rank's event loop: build the local solver, serve parent commands.
+
+    ``parent_pid`` comes from the parent: read here, ``os.getppid()`` would
+    already name the adoptive parent if the real one was SIGKILLed while
+    this worker was starting, and the orphan watchdog could never fire.
+    """
+    if os.getppid() != parent_pid:
+        return  # orphaned during spawn: do not even build the solver
+    threading.Thread(target=_exit_when_orphaned, args=(parent_pid,), daemon=True).start()
     comm = None
     try:
         comm = _build_communicator(
@@ -202,18 +231,8 @@ def _rank_worker(
         #: replies carry only the increment, so the per-cycle IPC volume
         #: stays constant over the run instead of growing with its length
         reported: dict[str, int] = {}
-        parent_pid = os.getppid()
         while True:
-            # never block on ctrl.recv() without a timeout: under the fork
-            # start method every worker also inherits the parent ends of its
-            # *peers'* ctrl pipes, so a SIGKILLed parent produces no EOF and
-            # a plain recv() would orphan the workers forever.  Poll, and
-            # treat reparenting as the shutdown signal.
-            if not ctrl.poll(_ORPHAN_POLL_S):
-                if os.getppid() != parent_pid:
-                    break
-                continue
-            command, payload = ctrl.recv()
+            command, payload = ctrl.recv()  # the watchdog ends an orphaned wait
             if command == "cycles":
                 for _ in range(payload):
                     for entry in schedule_cycle(n_clusters):
@@ -512,6 +531,7 @@ class ProcessLtsEngine:
                     self.comm_timeout,
                     self.telemetry_config,
                     self._telemetry_epoch,
+                    os.getpid(),
                 ),
                 daemon=True,
             )

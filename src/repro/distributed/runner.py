@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.lts_scheduler import updates_per_cycle
 from ..kernels.discretization import Discretization
 from ..parallel.partition import element_weights, partition_dual_graph
 from ..scenarios.runner import ScenarioRunner
@@ -124,15 +125,20 @@ class DistributedRunner(ScenarioRunner):
         cycles = self.engine.cycles_stepped
         out["n_ranks"] = self.engine.n_ranks
         out["backend"] = self.spec.solver.backend
+        n_halo_faces = int(self.engine.halo.n_faces)
+        n_boundary = sum(sub.n_boundary_elements for sub in self.engine.subdomains)
         out["comm"] = {
             "transport": getattr(self.engine, "comm_kind", "simulated"),
             "cycles_measured": cycles,
-            "n_halo_faces": int(self.engine.halo.n_faces),
+            "n_halo_faces": n_halo_faces,
+            # every cut face is a halo face of both its sides
+            "cut_faces": n_halo_faces // 2,
             # how much of the mesh sits on partition boundaries -- the work
             # that cannot be hidden behind the overlap
-            "n_boundary_elements": int(
-                sum(sub.n_boundary_elements for sub in self.engine.subdomains)
-            ),
+            "n_boundary_elements": n_boundary,
+            "boundary_element_fraction": n_boundary / len(self.engine.partitions),
+            "halo_bytes_per_element_update": model["total_bytes"]
+            / updates_per_cycle(self.clustering.counts),
             "n_messages": stats.n_messages,
             "n_bytes": stats.n_bytes,
             "per_pair": {k: dict(v) for k, v in stats.per_pair.items()},

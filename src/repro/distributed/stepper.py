@@ -6,7 +6,8 @@ local DOFs, local LTS buffers, local element-ids everywhere.  Three things
 are added on top of the shared driver logic:
 
 * the prediction of a cluster is split along the subdomain's
-  boundary/interior partition: :meth:`predict_boundary` runs the time
+  boundary/interior partition (two adjacent slices of the cluster's run of
+  local ids): :meth:`predict_boundary` runs the time
   kernel, buffer fill and local update for the halo-adjacent rows only, so
   the due sends can be posted immediately, and :meth:`predict_interior`
   computes the remaining rows afterwards -- with a process-backed
@@ -31,15 +32,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.clustering import Clustering
 from ..core.lts_solver import ClusteredLtsSolver, _ClusterData
+from ..kernels.discretization import N_ELASTIC
 from .subdomain import RankSubdomain
 
 __all__ = ["RankSolver"]
 
 
 class RankSolver(ClusteredLtsSolver):
-    """Clustered LTS on one rank's subdomain with halo communication."""
+    """Clustered LTS on one rank's subdomain with halo communication.
+
+    Relies on the subdomain's local element order: a cluster is one run of
+    local ids (``cluster.batch`` is a slice) whose leading rows are the
+    boundary rows, so both halves of a split prediction address DOFs,
+    buffers and operators through slices, and what a prediction hands to
+    its correction lives in the cluster's kernel workspace.
+    """
 
     def __init__(
         self,
@@ -48,7 +56,6 @@ class RankSolver(ClusteredLtsSolver):
         sources: list | None = None,
         receivers=None,
         n_fused: int = 0,
-        clustering: Clustering | None = None,
         kernels=None,
         telemetry=None,
     ):
@@ -57,23 +64,13 @@ class RankSolver(ClusteredLtsSolver):
         self.rank = subdomain.rank
         super().__init__(
             subdomain.view,
-            clustering if clustering is not None else subdomain.clustering,
+            subdomain.clustering,
             sources=sources,
             receivers=receivers,
             n_fused=n_fused,
             kernels=kernels,
             telemetry=telemetry,
         )
-        #: per-cluster (boundary, interior) element-id arrays, materialised
-        #: once: a stable array identity per batch keeps the workspace's
-        #: operator-gather/token caches warm (and bounded) across micro steps
-        self._split_elements = [
-            (
-                cluster.elements[subdomain.boundary_rows[cluster.cluster_id]],
-                cluster.elements[subdomain.interior_rows[cluster.cluster_id]],
-            )
-            for cluster in self.clusters
-        ]
 
     # ------------------------------------------------------------------
     # split prediction (overlap structure)
@@ -81,40 +78,53 @@ class RankSolver(ClusteredLtsSolver):
     def predict_boundary(self, cluster: _ClusterData) -> None:
         """Predict the halo-adjacent rows of a cluster and stage the batch.
 
-        Allocates the full-batch pending arrays and fills the boundary rows,
-        so the buffers every due send reads from are fresh before
+        Binds the full-batch pending arrays and fills the boundary rows, so
+        the buffers every due send reads from are fresh before
         :meth:`send_due` runs.
         """
-        if len(cluster.elements) == 0:
+        n = len(cluster.elements)
+        if n == 0:
             cluster.pending_local_delta = None
             cluster.pending_te = None
             cluster.pending_traces = None
             return
-        cluster.pending_local_delta = np.empty_like(self.dofs[cluster.elements])
-        cluster.pending_te = np.empty_like(
-            self.buffers.b1[cluster.elements]
-        )
-        disc = self.disc
-        cluster.pending_traces = np.empty(
-            (len(cluster.elements), 4, cluster.pending_te.shape[1], disc.n_face_basis)
-            + cluster.pending_te.shape[3:],
-            dtype=cluster.pending_te.dtype,
-        )
-        self._predict_rows(
-            cluster,
-            self.subdomain.boundary_rows[cluster.cluster_id],
-            self._split_elements[cluster.cluster_id][0],
-        )
+        dofs, disc = self.dofs, self.disc
+        elastic = (n, N_ELASTIC) + dofs.shape[2:]
+        traces = (n, 4, N_ELASTIC, disc.n_face_basis) + dofs.shape[3:]
+        cluster.pending_local_delta = self._pending(cluster, "pending_delta", (n,) + dofs.shape[1:])
+        cluster.pending_te = self._pending(cluster, "pending_integral", elastic)
+        cluster.pending_traces = self._pending(cluster, "pending_traces", traces)
+        self._predict_rows(cluster, self.subdomain.boundary_rows[cluster.cluster_id])
 
     def predict_interior(self, cluster: _ClusterData) -> None:
         """Predict the purely local rows (overlaps in-flight halo messages)."""
         if len(cluster.elements) == 0:
             return
-        self._predict_rows(
-            cluster,
-            self.subdomain.interior_rows[cluster.cluster_id],
-            self._split_elements[cluster.cluster_id][1],
+        self._predict_rows(cluster, self.subdomain.interior_rows[cluster.cluster_id])
+
+    def _pending(self, cluster: _ClusterData, name: str, shape: tuple) -> np.ndarray:
+        """Cluster-sized storage that outlives the two ``local_update`` calls
+        of a split prediction (whose own outputs share one scratch): kept in
+        the cluster's workspace, so a micro step allocates nothing."""
+        if cluster.workspace is None:  # the reference kernels keep no scratch
+            return np.empty(shape, dtype=self.dofs.dtype)
+        return cluster.workspace.scratch(name, shape, self.dofs.dtype)
+
+    def _predict_rows(self, cluster: _ClusterData, rows: slice) -> None:
+        """The shared prediction body on one row range of the cluster batch.
+
+        The subdomain's local order makes a cluster one run of local ids,
+        so the rows' elements are a slice as well.
+        """
+        if rows.start == rows.stop:
+            return
+        first = cluster.batch.start
+        delta, time_integrated_elastic, local_traces = self._predict_elements(
+            cluster, slice(first + rows.start, first + rows.stop)
         )
+        cluster.pending_local_delta[rows] = delta
+        cluster.pending_te[rows] = time_integrated_elastic
+        cluster.pending_traces[rows] = local_traces
 
     # ------------------------------------------------------------------
     # the shared micro-step walk (used by the serial engine, which
@@ -144,22 +154,6 @@ class RankSolver(ClusteredLtsSolver):
             cluster = self.clusters[l]
             start = self.time + (entry["micro_step"] + 1) * dt0 - cluster.dt
             self._correct(cluster, start)
-
-    def _predict_rows(
-        self, cluster: _ClusterData, rows: np.ndarray, elements: np.ndarray
-    ) -> None:
-        """The shared prediction body of ``_predict``, on a batch subset.
-
-        ``elements`` is the precomputed ``cluster.elements[rows]`` array.
-        """
-        if len(rows) == 0:
-            return
-        delta, time_integrated_elastic, local_traces = self._predict_elements(
-            cluster, elements
-        )
-        cluster.pending_local_delta[rows] = delta
-        cluster.pending_te[rows] = time_integrated_elastic
-        cluster.pending_traces[rows] = local_traces
 
     # ------------------------------------------------------------------
     def send_due(self, micro_step: int) -> None:

@@ -7,6 +7,15 @@ partition: DOFs, LTS buffers and every element-local operator live in
 and the only remote data a rank ever touches are the face-local compressed
 halo payloads received through the communicator.
 
+The local order is the paper's (time cluster, communication role) order
+(Sec. VI): a rank's elements are sorted by cluster, within a cluster the
+halo-adjacent (*boundary*) elements come before the purely local
+(*interior*) ones, ties by global id.  Every cluster is therefore one
+contiguous run of local ids and its boundary and interior rows are two
+contiguous ranges, so the rank stepper addresses DOFs, buffers and operators
+through slices.  It is a property of the local numbering only -- the global
+mesh is not permuted, and gather/restore go through :attr:`RankSubdomain.owned`.
+
 All halo bookkeeping is precomputed here once at setup:
 
 * the *send schedule* lists, per micro step of a macro cycle, which owned
@@ -16,8 +25,8 @@ All halo bookkeeping is precomputed here once at setup:
 * the *receive plans* list, per cluster, where incoming payloads land in the
   cluster's neighbour-coefficient array (plus how many messages each face
   must wait for, so a receiver can block deterministically), and
-* the per-cluster *boundary/interior split*: rows of the cluster batch that
-  own at least one halo face versus purely local rows.  The steppers predict
+* the per-cluster *boundary/interior split*: the leading rows of the cluster
+  batch own at least one halo face, the rest are purely local.  The steppers predict
   the boundary rows first, post the halo sends, and only then compute the
   interior rows -- which is what lets a process-backed run hide the message
   latency behind interior work.
@@ -141,7 +150,15 @@ class RecvPlan:
 
 
 class RankSubdomain:
-    """Everything one rank needs: local operators, maps and halo plans."""
+    """Everything one rank needs: local operators, maps and halo plans.
+
+    ``owned[local_id] = global_id`` lists the partition's elements in
+    (cluster, boundary-before-interior, global id) order and
+    ``local_of_global`` is its inverse (``-1`` for foreign elements); every
+    plan below is expressed in these local ids.  ``boundary_rows[c]`` /
+    ``interior_rows[c]`` are the two row ranges (slices) of cluster ``c``'s
+    batch.
+    """
 
     def __init__(
         self,
@@ -156,14 +173,18 @@ class RankSubdomain:
         self.rank = int(rank)
         self.n_ranks = int(partitions.max()) + 1
 
-        self.owned = np.where(partitions == rank)[0]
-        self.local_of_global = np.full(n_global, -1, dtype=np.int64)
-        self.local_of_global[self.owned] = np.arange(len(self.owned))
-
-        own_neighbors = neighbors[self.owned]  # (E, 4) global ids
+        members = np.where(partitions == rank)[0]
+        own_neighbors = neighbors[members]  # (E, 4) global ids
         same_rank = (own_neighbors >= 0) & (
             partitions[np.maximum(own_neighbors, 0)] == rank
         )
+        is_interior = ~((own_neighbors >= 0) & ~same_rank).any(axis=1)
+        order = np.lexsort((members, is_interior, clustering.cluster_ids[members]))
+        self.owned = members[order]
+        own_neighbors, same_rank = own_neighbors[order], same_rank[order]
+        self.local_of_global = np.full(n_global, -1, dtype=np.int64)
+        self.local_of_global[self.owned] = np.arange(len(self.owned))
+
         local_neighbors = np.where(
             same_rank, self.local_of_global[np.maximum(own_neighbors, 0)], -1
         )
@@ -275,24 +296,22 @@ class RankSubdomain:
         self.recv_plans = plans
 
     def _split_boundary_interior(self, clustering: Clustering, ghost: np.ndarray) -> None:
-        """Per-cluster boundary/interior rows of the cluster element batch.
+        """Per-cluster boundary/interior row ranges of the cluster batch.
 
         A *boundary* row owns at least one halo face: its freshly filled
         buffers feed a send of the current micro step, so it must be
         predicted before the sends are posted.  All remaining rows are
         *interior* and can be predicted while the messages are in flight.
-        Rows index the cluster batch in the same ascending-local-id order
-        the per-cluster driver uses.
+        The local order puts a cluster's boundary rows first, so both are
+        slices of the cluster batch.
         """
-        is_boundary = ghost.any(axis=1)
         local_cluster_ids = self.clustering.cluster_ids
-        self.boundary_rows: list[np.ndarray] = []
-        self.interior_rows: list[np.ndarray] = []
-        for cluster in range(clustering.n_clusters):
-            batch = np.where(local_cluster_ids == cluster)[0]
-            mask = is_boundary[batch]
-            self.boundary_rows.append(np.where(mask)[0])
-            self.interior_rows.append(np.where(~mask)[0])
+        n_rows = np.bincount(local_cluster_ids, minlength=clustering.n_clusters)
+        n_boundary = np.bincount(
+            local_cluster_ids[ghost.any(axis=1)], minlength=clustering.n_clusters
+        )
+        self.boundary_rows = [slice(0, int(b)) for b in n_boundary]
+        self.interior_rows = [slice(int(b), int(n)) for b, n in zip(n_boundary, n_rows)]
 
     # ------------------------------------------------------------------
     @property
@@ -301,4 +320,4 @@ class RankSubdomain:
 
     @property
     def n_boundary_elements(self) -> int:
-        return int(sum(len(rows) for rows in self.boundary_rows))
+        return sum(rows.stop for rows in self.boundary_rows)

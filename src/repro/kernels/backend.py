@@ -957,8 +957,13 @@ class FastBackend(OptimizedBackend):
         size = max(1, _BLOCK_STACK_BYTES // per_element)
 
         def build():
-            batch = np.arange(len(dofs))[elements] if isinstance(elements, slice) else elements
+            batch = range(len(dofs))[elements] if isinstance(elements, slice) else elements
             bounds = [(i, min(i + size, len(batch))) for i in range(0, len(batch), size)]
+            if isinstance(batch, range) and batch.step == 1:
+                # a contiguous run blocks into slices: views, not gathers
+                first = batch.start
+                return len(batch), [(slice(i, j), slice(first + i, first + j)) for i, j in bounds]
+            batch = np.asarray(batch)
             return len(batch), [(slice(i, j), batch[i:j]) for i, j in bounds]
 
         return self._cached(ws, f"block_plan{size}", elements, build)

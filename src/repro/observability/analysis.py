@@ -4,6 +4,10 @@ PR 6's instrumentation records *raw* quantities -- per-rank region timings,
 counters, Chrome traces, and (with this layer) the per-cycle run ledger.
 The numbers the paper actually argues about are *derived* from those:
 
+* **halo compactness** (Sec. V-C): the share of elements on a partition
+  boundary, the cut faces and the halo bytes per element update -- with a
+  warning when more than half the mesh is boundary, because the overlap
+  below then has no interior work to hide anything behind.
 * **overlap efficiency** (Sec. V-C): how much of each rank's communication
   wait is hidden behind interior compute.  The exposed wait is the measured
   ``correct/recv_wait`` region; the hiding capacity is the
@@ -36,6 +40,8 @@ from .events import read_ledger, validate_run_ledger
 __all__ = [
     "expand_report_paths",
     "load_run",
+    "halo_block",
+    "render_halo",
     "overlap_block",
     "imbalance_block",
     "speedup_block",
@@ -195,6 +201,38 @@ def overlap_block(summary: dict) -> dict | None:
         "exposed_wait_s": exposed,
         "efficiency": interior / (interior + exposed) if interior + exposed > 0 else 1.0,
     }
+
+
+#: share of elements on a partition boundary above which the boundary-first
+#: prediction leaves too little interior work to hide the halo transfer
+HALO_BOUNDARY_LIMIT = 0.5
+
+
+def halo_block(summary: dict) -> dict | None:
+    """How thin the partition's halo is (None for single-rank runs)."""
+    comm = summary.get("comm") or {}
+    if "boundary_element_fraction" not in comm:
+        return None
+    return {
+        "boundary_element_fraction": comm["boundary_element_fraction"],
+        "cut_faces": comm["cut_faces"],
+        "halo_bytes_per_element_update": comm["halo_bytes_per_element_update"],
+        "compact": comm["boundary_element_fraction"] <= HALO_BOUNDARY_LIMIT,
+    }
+
+
+def render_halo(halo: dict) -> list[str]:
+    """The halo block as text (shared by ``repro run``'s banner and the report)."""
+    lines = [
+        f"Halo: {halo['boundary_element_fraction']:.1%} of the elements on a partition "
+        f"boundary, {halo['cut_faces']} cut faces, "
+        f"{halo['halo_bytes_per_element_update']:.3g} halo B per element update"
+    ]
+    if not halo["compact"]:
+        lines.append(
+            "  WARNING: partition is not compact: overlap has nothing to hide behind"
+        )
+    return lines
 
 
 def imbalance_block(summary: dict) -> dict | None:
@@ -386,6 +424,7 @@ def analyze_run(run: dict, gts_summary: dict | None = None) -> dict:
     """All derived blocks of one loaded run (absent blocks are None)."""
     summary = run.get("summary")
     blocks = {
+        "halo": halo_block(summary) if summary else None,
         "overlap": overlap_block(summary) if summary else None,
         "imbalance": imbalance_block(summary) if summary else None,
         "lts_speedup": speedup_block(summary, gts_summary) if summary else None,
@@ -474,6 +513,10 @@ def _render_run(entry: dict) -> list[str]:
                 "  measured wall-clock speedup           - (add a GTS run of the "
                 "same scenario to the report)"
             )
+
+    halo = blocks.get("halo")
+    if halo:
+        lines.extend(render_halo(halo))
 
     overlap = blocks.get("overlap")
     if overlap:

@@ -55,8 +55,10 @@ __all__ = [
 
 #: bumped whenever a stage's serialised layout (or anything influencing its
 #: artifact bytes) changes; part of every stage key, so stale cache
-#: directories miss instead of poisoning new runs
-CACHE_FORMAT_VERSION = 2
+#: directories miss instead of poisoning new runs (3: the partition stage's
+#: content changed under an unchanged key -- recursive bisection replaced the
+#: index-range split)
+CACHE_FORMAT_VERSION = 3
 
 #: the cacheable pipeline stages, in dependency order
 STAGES = ("mesh", "materials", "operators", "clustering", "partition")

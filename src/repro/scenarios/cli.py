@@ -393,6 +393,11 @@ def _finish(
         if trace_path:
             banner += f", trace -> {trace_path}"
         print(banner, file=sys.stderr)
+        if "comm" in summary:
+            from ..observability.analysis import halo_block, render_halo
+
+            for line in render_halo(halo_block(summary)):
+                print(f"[{summary['scenario']}] {line}", file=sys.stderr)
     return 0
 
 

@@ -16,11 +16,15 @@ The central claims:
 """
 
 import json
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
 from repro.distributed import DistributedRunner, ProcessLtsEngine
+from repro.distributed.process_engine import _rank_worker
+from repro.observability import TelemetryConfig
 from repro.scenarios import ScenarioRunner, ScenarioSpec, get_scenario, make_runner
 from repro.scenarios.cli import main as cli_main
 
@@ -69,8 +73,9 @@ class TestOverlapStructure:
                 batch = np.where(sub.clustering.cluster_ids == cluster)[0]
                 boundary = sub.boundary_rows[cluster]
                 interior = sub.interior_rows[cluster]
-                merged = np.sort(np.concatenate([boundary, interior]))
-                np.testing.assert_array_equal(merged, np.arange(len(batch)))
+                # two adjacent row ranges: boundary first, interior after
+                assert (boundary.start, boundary.stop) == (0, interior.start)
+                assert interior.stop == len(batch)
                 # every sending element of this cluster is a boundary row
                 sending = ghost_elements & set(batch.tolist())
                 assert sending == set(batch[boundary].tolist())
@@ -196,6 +201,21 @@ class TestEngineLifecycle:
         # the dynamic state died with the worker: no silent zero-state respawn
         with pytest.raises(RuntimeError, match="lost its workers"):
             runner.step_cycle()
+
+
+    def test_worker_orphaned_during_spawn_exits_before_building_a_solver(self):
+        """A parent SIGKILLed while its workers start is only noticed if the
+        worker compares against the pid the *parent* handed it: by the time
+        the worker runs, ``os.getppid()`` already names the adoptive parent."""
+        parent_end, child_end = multiprocessing.Pipe()
+        dead_parent = os.getppid() + 1  # anything but this process's parent
+        # subdomain=None: touching it (building a communicator or solver)
+        # would raise and report an error on the pipe
+        _rank_worker(
+            0, None, [], [], 0, "ref", np.array([1.0]), None, {}, child_end,
+            "queue", None, 1.0, TelemetryConfig(), 0.0, dead_parent,
+        )
+        assert not parent_end.poll(0)
 
 
 class TestSpecAndCli:

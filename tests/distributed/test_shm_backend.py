@@ -39,9 +39,15 @@ from .test_process_backend import tiny_loh3, single_run, serial_run  # noqa: F40
 pytestmark = pytest.mark.distributed
 
 
-def _repro_segments() -> list[str]:
-    """Names of this repo's shm segments currently backing files in /dev/shm."""
-    return sorted(glob.glob("/dev/shm/repro-*"))
+def _repro_segments(owner_pid: int | None = None) -> list[str]:
+    """The shm rings in /dev/shm created by one process (default: this one).
+
+    Ring names embed the creating pid, so the leak assertions only see the
+    segments of the engine under test -- an orphan of an earlier (failed)
+    test or of a concurrent session cannot fail the next one.
+    """
+    pid = os.getpid() if owner_pid is None else owner_pid
+    return sorted(glob.glob(f"/dev/shm/repro-{pid}-*"))
 
 
 class TestBitIdentity:
@@ -151,11 +157,10 @@ class TestSegmentLifecycle:
         try:
             reaped = _reap_stale_segments()
             assert f"repro-{dead_pid}-feed-0to1" in reaped
-            survivors = _repro_segments()
             # a live owner's ring and names without an embedded pid survive
-            assert f"/dev/shm/repro-{os.getpid()}-cafe-0to1" in survivors
-            assert "/dev/shm/repro-test-suite-0to1" in survivors
-            assert f"/dev/shm/repro-{dead_pid}-feed-0to1" not in survivors
+            assert f"/dev/shm/repro-{os.getpid()}-cafe-0to1" in _repro_segments()
+            assert os.path.exists("/dev/shm/repro-test-suite-0to1")
+            assert _repro_segments(dead_pid) == []
         finally:
             for segment in (alive, unparseable):
                 segment.close()
@@ -163,8 +168,9 @@ class TestSegmentLifecycle:
 
     def test_workers_self_exit_after_parent_sigkill(self, tmp_path):
         # fork-inherited peer pipe fds mean a SIGKILLed parent produces no
-        # EOF on ctrl.recv(); the workers' orphan poll must notice the
-        # reparenting and exit instead of lingering forever
+        # EOF on ctrl.recv(); the workers' orphan watchdog must notice the
+        # reparenting and exit instead of lingering forever -- wherever the
+        # kill finds them (here: during start-up or the first cycles)
         proc = subprocess.Popen(
             [
                 sys.executable, "-m", "repro", "run", "loh3",
@@ -204,7 +210,8 @@ class TestSegmentLifecycle:
         proc.send_signal(signal.SIGKILL)
         proc.wait(timeout=60)
 
-        orphan_deadline = time.monotonic() + 6 * _ORPHAN_POLL_S
+        # far below the 120 s halo-receive timeout a stranded rank would sit out
+        orphan_deadline = time.monotonic() + 15 * _ORPHAN_POLL_S
 
         def pids_alive(pids) -> list[int]:
             live = []
@@ -222,11 +229,11 @@ class TestSegmentLifecycle:
         # with parent and workers gone the resource tracker (or the next
         # engine start's reaper) reclaims the rings
         tracker_deadline = time.monotonic() + 30.0
-        while time.monotonic() < tracker_deadline and _repro_segments():
+        while time.monotonic() < tracker_deadline and _repro_segments(proc.pid):
             time.sleep(0.5)
-        if _repro_segments():
+        if _repro_segments(proc.pid):
             _reap_stale_segments()
-        assert _repro_segments() == []
+        assert _repro_segments(proc.pid) == []
 
     def test_checkpoint_resumes_across_transports(
         self, tiny_loh3, serial_run, tmp_path  # noqa: F811

@@ -21,7 +21,9 @@ from repro.observability.analysis import (
     imbalance_block,
     kernel_stage_block,
     ledger_block,
+    halo_block,
     overlap_block,
+    render_halo,
     speedup_block,
 )
 
@@ -85,6 +87,34 @@ class TestOverlapBlock:
     def test_none_without_rank_lanes(self):
         assert overlap_block(_summary([_lane("main", {"predict.interior": 1.0})])) is None
         assert overlap_block(_summary([])) is None
+
+
+class TestHaloBlock:
+    @staticmethod
+    def _comm(fraction):
+        return {
+            "comm": {
+                "boundary_element_fraction": fraction,
+                "cut_faces": 249,
+                "halo_bytes_per_element_update": 164.0,
+            }
+        }
+
+    def test_compact_partition_renders_one_line(self):
+        block = halo_block(_summary([], **self._comm(0.08)))
+        assert block["compact"] is True
+        (line,) = render_halo(block)
+        assert "8.0% of the elements" in line and "249 cut faces" in line
+
+    def test_interleaved_partition_warns(self):
+        block = halo_block(_summary([], **self._comm(0.995)))
+        assert block["compact"] is False
+        assert "partition is not compact: overlap has nothing to hide behind" in (
+            render_halo(block)[-1]
+        )
+
+    def test_none_for_single_rank_runs(self):
+        assert halo_block(_summary([])) is None
 
 
 class TestImbalanceBlock:

@@ -5,18 +5,26 @@ import multiprocessing
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.clustering import derive_clustering
 from repro.mesh.generation import box_mesh
 from repro.parallel.communicator import MessageStats, SimulatedCommunicator
 from repro.parallel.process_comm import ProcessCommunicator
-from repro.parallel.exchange import build_halo, exchange_face_data, exchange_volumes_per_cycle
+from repro.parallel.exchange import (
+    HaloIndex,
+    build_halo,
+    exchange_face_data,
+    exchange_volumes_per_cycle,
+)
 from repro.parallel.machine_model import FRONTERA_NODE, strong_scaling_study
 from repro.parallel.partition import (
     element_weights,
     face_weights,
     partition_dual_graph,
 )
+from repro.scenarios import get_scenario, make_runner
 
 
 @pytest.fixture(scope="module")
@@ -59,8 +67,10 @@ class TestPartitioning:
     def test_unbalanced_element_counts_with_lts_weights(self, mesh):
         """Partitions rich in large-time-step elements hold more elements --
         the effect shown in Fig. 7."""
-        # half the mesh gets cluster 0, the other half cluster 2
-        ids = np.where(np.arange(mesh.n_elements) < mesh.n_elements // 2, 0, 2)
+        # the shallow half of the mesh gets cluster 0, the deep half cluster
+        # 2 (by centroid: element ids are not a spatial order)
+        depth = mesh.centroids[:, 2]
+        ids = np.where(depth > np.median(depth), 0, 2)
         weights = element_weights(ids, 3)
         result = partition_dual_graph(mesh.neighbors, weights, 4)
         assert result.element_count_spread() > 1.5
@@ -76,9 +86,90 @@ class TestPartitioning:
         with pytest.raises(ValueError):
             partition_dual_graph(mesh.neighbors, -np.ones(mesh.n_elements), 2)
 
-    def test_cut_edges_reported(self, mesh):
-        result = partition_dual_graph(mesh.neighbors, np.ones(mesh.n_elements), 2)
-        assert 0 < result.cut_edges(mesh.neighbors) < mesh.n_elements * 2
+    def test_cut_edges_match_the_face_loop(self, mesh):
+        result = partition_dual_graph(mesh.neighbors, np.ones(mesh.n_elements), 3)
+        expected = 0
+        for k, neighbors in enumerate(mesh.neighbors):
+            for n in neighbors:
+                if n > k and result.partitions[n] != result.partitions[k]:
+                    expected += 1
+        assert expected > 0
+        assert result.cut_edges(mesh.neighbors) == expected
+        # ragged adjacency lists (boundary faces dropped) count the same
+        ragged = [row[row >= 0] for row in mesh.neighbors]
+        assert result.cut_edges(ragged) == expected
+
+    def test_repeated_calls_agree(self, mesh, clustering):
+        weights = element_weights(clustering.cluster_ids, clustering.n_clusters)
+        first = partition_dual_graph(mesh.neighbors, weights, 4).partitions
+        second = partition_dual_graph(mesh.neighbors, weights, 4).partitions
+        np.testing.assert_array_equal(first, second)
+
+    def test_bisection_of_a_box_gives_two_connected_parts(self, mesh):
+        partitions = partition_dual_graph(mesh.neighbors, np.ones(mesh.n_elements), 2).partitions
+        for part in (0, 1):
+            members = np.flatnonzero(partitions == part)
+            reached = {int(members[0])}
+            frontier = [int(members[0])]
+            while frontier:
+                k = frontier.pop()
+                for n in mesh.neighbors[k]:
+                    if n >= 0 and partitions[n] == part and int(n) not in reached:
+                        reached.add(int(n))
+                        frontier.append(int(n))
+            assert len(reached) == len(members)
+
+    @given(
+        cells=st.tuples(st.integers(2, 4), st.integers(2, 4), st.integers(1, 3)),
+        n_parts=st.integers(2, 6),
+        seed=st.integers(0, 1000),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_random_boxes_are_fully_and_evenly_assigned(self, cells, n_parts, seed):
+        axes = [np.linspace(0.0, 1.0, n + 1) for n in cells]
+        neighbors = box_mesh(*axes, jitter=0.0).neighbors
+        weights = 2.0 ** np.random.default_rng(seed).integers(0, 3, len(neighbors))
+        result = partition_dual_graph(neighbors, weights, n_parts)
+        assert result.partitions.min() >= 0 and result.partitions.max() < n_parts
+        assert result.element_counts.min() > 0
+        # every bisection lands within one element of its weight target
+        assert result.weighted_loads.max() <= weights.sum() / n_parts + 2 * weights.max()
+
+
+class TestPartitionQuality:
+    """The halo is a thin surface: bars on the benchmark's own meshes.
+
+    An index-range split of the tet-type-major box meshes put 6354 directed
+    faces (and every element) on the 2-part boundary of the LOH.3-M mesh.
+    """
+
+    @pytest.fixture(scope="class")
+    def loh3_m(self):
+        runner = make_runner(
+            get_scenario("loh3", characteristic_length=1000.0, n_clusters=3, lam=1.0)
+        )
+        clustering = runner.clustering
+        weights = element_weights(clustering.cluster_ids, clustering.n_clusters)
+        return runner.setup.mesh.neighbors, weights
+
+    @pytest.mark.parametrize("n_parts, max_cut, max_imbalance", [(2, 650, 1.01), (4, 1500, 1.25), (8, None, 1.25)])
+    def test_loh3_m_cut_and_balance(self, loh3_m, n_parts, max_cut, max_imbalance):
+        neighbors, weights = loh3_m
+        assert len(weights) == 3456
+        result = partition_dual_graph(neighbors, weights, n_parts)
+        assert result.element_counts.min() > 0
+        assert result.load_imbalance() <= max_imbalance
+        if max_cut is not None:
+            assert HaloIndex.from_partitions(neighbors, result.partitions).n_faces <= max_cut
+
+    def test_la_habra_bisection_cut(self):
+        runner = make_runner(get_scenario("la_habra"))
+        clustering = runner.clustering
+        weights = element_weights(clustering.cluster_ids, clustering.n_clusters)
+        neighbors = runner.setup.mesh.neighbors
+        result = partition_dual_graph(neighbors, weights, 2)
+        assert HaloIndex.from_partitions(neighbors, result.partitions).n_faces <= 160
+        assert result.load_imbalance() <= 1.01
 
 
 class TestCommunicator:

@@ -188,6 +188,25 @@ class TestCacheBitIdentity:
         )
         assert np.array_equal(plain.preprocessed.partitions, warm.preprocessed.partitions)
 
+    def test_cache_written_at_an_older_format_version_is_a_miss(self, tmp_path, monkeypatch):
+        """Version 2 stored the index-range (interleaved) partition under the
+        key fields version 3 still uses: it must miss, not replay."""
+        from repro.preprocessing import cache as cache_module
+
+        spec = tiny_loh3().with_overrides(n_partitions=2, reorder=True)
+        assert cache_module.CACHE_FORMAT_VERSION == 3
+        monkeypatch.setattr(cache_module, "CACHE_FORMAT_VERSION", 2)
+        old_keys = all_stage_keys(spec)
+        warm_preprocessing(spec, PreprocessingCache(tmp_path))
+        assert PreprocessingCache(tmp_path).is_warm(spec)
+        monkeypatch.undo()
+
+        assert all(all_stage_keys(spec)[stage] != old_keys[stage] for stage in STAGES)
+        cache = PreprocessingCache(tmp_path)
+        assert not cache.is_warm(spec)
+        make_runner(spec, cache=cache)
+        assert cache.stats["partition"] == {"hits": 0, "misses": 1}
+
     def test_reordered_run_assembles_and_caches_one_operator_set(self, tmp_path, monkeypatch):
         """The original-layout operators were only ever read for
         ``time_steps``; a reordering run builds the solver-order set alone."""

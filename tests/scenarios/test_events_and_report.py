@@ -176,6 +176,8 @@ class TestReportCli:
         out = capsys.readouterr().out
         assert "LTS speedup:" in out
         assert "measured wall-clock speedup" in out  # the GTS reference was used
+        assert "Halo: " in out and "cut faces" in out
+        assert "partition is not compact" not in out
         assert "Overlap efficiency" in out
         assert "rank 0:" in out and "rank 1:" in out
         assert "Load imbalance across ranks:" in out
@@ -190,6 +192,7 @@ class TestReportCli:
         lts_entry = payload["runs"][0]
         blocks = lts_entry["blocks"]
         assert blocks["overlap"] is not None and len(blocks["overlap"]["ranks"]) == 2
+        assert blocks["halo"]["compact"] is True
         assert blocks["imbalance"] is not None
         assert blocks["lts_speedup"]["measured"] is not None
         assert blocks["ledger"]["complete"] is True
