@@ -15,6 +15,10 @@ The package mirrors the structure of the EDGE solver the paper describes:
 * :mod:`repro.scenarios`       -- declarative scenario specs, registry, runner and CLI
 """
 
+import time as _time
+
+_import_start = _time.perf_counter()  # before any other import: see ``import_s``
+
 from .core import (
     ClusteredLtsSolver,
     Clustering,
@@ -33,6 +37,10 @@ from .scenarios import (
 )
 
 __version__ = "1.0.0"
+
+#: wall seconds this process spent importing the package (numpy included when
+#: it was not loaded yet) -- ``startup.import_s`` of every run summary
+import_s = _time.perf_counter() - _import_start
 
 __all__ = [
     "__version__",

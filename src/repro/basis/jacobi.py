@@ -7,7 +7,8 @@ provides
 
 * evaluation of Jacobi polynomials via the three-term recurrence,
 * their first derivatives via the standard derivative identity, and
-* Gauss--Legendre and Gauss--Jacobi quadrature rules on ``[-1, 1]``.
+* Gauss--Legendre and Gauss--Jacobi quadrature rules on ``[-1, 1]``
+  (Golub--Welsch on numpy alone: ``import repro`` must not pay for scipy).
 
 Everything is vectorised over the evaluation points and uses float64
 throughout; the recurrences are numerically benign for the small orders
@@ -16,8 +17,9 @@ throughout; the recurrences are numerically benign for the small orders
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
 __all__ = [
     "jacobi",
@@ -80,10 +82,7 @@ def jacobi_derivative(n: int, alpha: float, beta: float, x: np.ndarray) -> np.nd
 
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss--Legendre nodes and weights on ``[-1, 1]`` (exact for degree ``2n-1``)."""
-    if n < 1:
-        raise ValueError("quadrature rule needs at least one point")
-    x, w = roots_legendre(n)
-    return np.asarray(x, dtype=np.float64), np.asarray(w, dtype=np.float64)
+    return gauss_jacobi(n, 0.0, 0.0)
 
 
 def gauss_jacobi(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -91,10 +90,33 @@ def gauss_jacobi(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndar
 
     The weights integrate ``f(x) * (1-x)^alpha * (1+x)^beta`` exactly for
     polynomials ``f`` of degree up to ``2n - 1``.
+
+    Golub--Welsch, the algorithm behind ``scipy.special.roots_jacobi``: the
+    nodes are the eigenvalues of the symmetric tridiagonal matrix of the
+    three-term recurrence, polished by one Newton step on ``P_n``; the
+    weights are ``1 / (P_{n-1} P_n')`` normalised to the weight function's
+    mass.
     """
     if n < 1:
         raise ValueError("quadrature rule needs at least one point")
-    if alpha == 0.0 and beta == 0.0:
-        return gauss_legendre(n)
-    x, w = roots_jacobi(n, alpha, beta)
-    return np.asarray(x, dtype=np.float64), np.asarray(w, dtype=np.float64)
+    ab = alpha + beta
+    k = np.arange(n, dtype=np.float64)
+    c = 2.0 * k + ab
+    diagonal = np.zeros(n)
+    # k = 0 separately: the general term is 0/0 there when alpha + beta == 0
+    diagonal[0] = (beta - alpha) / (ab + 2.0)
+    diagonal[1:] = (beta * beta - alpha * alpha) / (c[1:] * (c[1:] + 2.0))
+    k, c = k[1:], c[1:]
+    off = 2.0 / c * np.sqrt((k + alpha) * (k + beta) / (c + 1.0))
+    off[1:] *= np.sqrt(k[1:] * (k[1:] + ab) / (c[1:] - 1.0))
+    x = np.linalg.eigvalsh(np.diag(diagonal) + np.diag(off, 1) + np.diag(off, -1))
+
+    slope = jacobi_derivative(n, alpha, beta, x)
+    x -= jacobi(n, alpha, beta, x) / slope
+    w = 1.0 / (jacobi(n - 1, alpha, beta, x) * slope)
+    if alpha == beta:  # the rule is symmetric: remove the rounding asymmetry
+        x = 0.5 * (x - x[::-1])
+        w = 0.5 * (w + w[::-1])
+    mass = 2.0 ** (ab + 1.0) * math.gamma(alpha + 1.0) * math.gamma(beta + 1.0) / math.gamma(ab + 2.0)
+    w *= mass / w.sum()
+    return x, w

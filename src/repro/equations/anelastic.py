@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 __all__ = [
     "RelaxationSpectrum",
@@ -102,9 +101,37 @@ def fit_constant_q(
         np.log10(f_min), np.log10(f_max), max(n_sample_frequencies, 2 * n_mechanisms)
     )
     design = (omegas[None, :] * sample[:, None]) / (omegas[None, :] ** 2 + sample[:, None] ** 2)
-    target = np.ones(len(sample))
-    y_unit, _residual = nnls(design, target)
+    y_unit = _nnls(design, np.ones(len(sample)))
     return RelaxationSpectrum(omegas=omegas, y_unit=y_unit)
+
+
+def _nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``argmin ||a x - b||_2`` subject to ``x >= 0`` (Lawson & Hanson's
+    active-set method, as ``scipy.optimize.nnls`` -- which costs 0.2 s to
+    import for this handful of unknowns)."""
+    n = a.shape[1]
+    x = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    tolerance = 10.0 * np.finfo(np.float64).eps * np.abs(a).sum(axis=0).max() * max(a.shape)
+    for _ in range(3 * n):
+        gradient = a.T @ (b - a @ x)
+        if passive.all() or gradient[~passive].max() <= tolerance:
+            return x
+        passive[np.argmax(np.where(passive, -np.inf, gradient))] = True
+        while True:
+            trial = np.zeros(n)
+            trial[passive] = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
+            blocking = passive & (trial <= 0.0)
+            if not blocking.any():
+                break
+            # walk towards the unconstrained solution until the first
+            # passive coefficient reaches zero, and make that one active
+            step = np.min(x[blocking] / (x[blocking] - trial[blocking]))
+            x += step * (trial - x)
+            passive &= x > tolerance
+            x[~passive] = 0.0
+        x = trial
+    raise RuntimeError("non-negative least squares did not converge")
 
 
 def quality_factor_of_spectrum(

@@ -89,18 +89,10 @@ class Discretization:
         DOF/buffer allocations, so a single-precision run stays single
         precision end to end.  Setup (geometry, quadrature, operator
         assembly, clustering) always computes in float64 and casts once.
-    operators:
-        Optional dict of precomputed operator arrays as returned by
-        :meth:`operator_arrays` (the content-addressed preprocessing
-        cache's ``operators`` stage).  When given, the expensive
-        per-element assembly (star matrices, flux solvers, neighbour flux
-        matrices) is skipped and the stored arrays are used verbatim, so a
-        cached discretization is bit-identical to a freshly assembled one.
     """
 
     #: the array attributes that make up the assembled-operator state (the
-    #: payload of :meth:`operator_arrays`; everything else is cheap to
-    #: recompute from mesh + materials)
+    #: payload of :meth:`operator_arrays`)
     OPERATOR_ARRAY_KEYS = (
         "star_elastic",
         "star_anelastic",
@@ -124,7 +116,6 @@ class Discretization:
         flux: str = "rusanov",
         cfl: float = 0.5,
         precision: str = "f64",
-        operators: dict | None = None,
     ):
         if materials.n_elements != mesh.n_elements:
             raise ValueError("material table size does not match the mesh")
@@ -154,49 +145,35 @@ class Discretization:
             geometry.insphere_radii, materials.max_wave_speed, order, cfl
         )
 
-        # the relaxation spectrum is a tiny deterministic fit, so it is
-        # recomputed even when the assembled operators come from the cache
         self.spectrum: RelaxationSpectrum | None = (
             fit_constant_q(frequency_band, n_mechanisms) if n_mechanisms > 0 else None
         )
 
-        if operators is not None:
-            missing = [k for k in self.OPERATOR_ARRAY_KEYS if k not in operators]
-            if missing:
-                raise ValueError(f"precomputed operators lack arrays: {missing}")
-            for key in self.OPERATOR_ARRAY_KEYS:
-                setattr(self, key, np.asarray(operators[key]))
-        else:
-            # -- volume operators ------------------------------------------
-            lam, mu, rho = materials.lam, materials.mu, materials.rho
-            self.star_elastic = elastic_star_matrices(
-                geometry.inverse_jacobians, lam, mu, rho
+        # -- volume operators ----------------------------------------------
+        lam, mu, rho = materials.lam, materials.mu, materials.rho
+        self.star_elastic = elastic_star_matrices(
+            geometry.inverse_jacobians, lam, mu, rho
+        )
+        if n_mechanisms > 0:
+            self.omegas = self.spectrum.omegas
+            lam_a, mu_a = anelastic_lame_parameters(
+                lam, mu, materials.qp, materials.qs, self.spectrum
             )
-            if n_mechanisms > 0:
-                self.omegas = self.spectrum.omegas
-                lam_a, mu_a = anelastic_lame_parameters(
-                    lam, mu, materials.qp, materials.qs, self.spectrum
-                )
-                self.coupling = coupling_matrices(lam_a, mu_a)  # (K, m, 9, 6)
-                self.star_anelastic = anelastic_star_matrices(geometry.inverse_jacobians)
-            else:
-                self.omegas = np.zeros(0)
-                self.coupling = np.zeros((mesh.n_elements, 0, 9, 6))
-                self.star_anelastic = np.zeros((mesh.n_elements, 3, 6, 9))
+            self.coupling = coupling_matrices(lam_a, mu_a)  # (K, m, 9, 6)
+            self.star_anelastic = anelastic_star_matrices(geometry.inverse_jacobians)
+        else:
+            self.omegas = np.zeros(0)
+            self.coupling = np.zeros((mesh.n_elements, 0, 9, 6))
+            self.star_anelastic = np.zeros((mesh.n_elements, 3, 6, 9))
 
-            # -- flux solvers and neighbour flux matrices -------------------
-            self._assemble_flux_solvers()
-            self._assemble_neighbor_flux_matrices()
+        # -- flux solvers and neighbour flux matrices -----------------------
+        self._assemble_flux_solvers()
+        self._assemble_neighbor_flux_matrices()
         self._cast_operators()
 
     def operator_arrays(self) -> dict:
-        """The assembled operator arrays, keyed for :class:`Discretization`'s
-        ``operators`` parameter (and the preprocessing cache's npz payload).
-
-        Arrays are returned in the discretization's run precision; cache
-        keys therefore include the precision, so an f32 entry is never fed
-        to an f64 run.
-        """
+        """The assembled operator arrays by name, in the run precision (what
+        assembly-parity checks compare between two builds)."""
         return {key: getattr(self, key) for key in self.OPERATOR_ARRAY_KEYS}
 
     def _cast_operators(self) -> None:

@@ -9,13 +9,6 @@ Disabled by default with a near-zero no-op path; enabled per run via
 the CLI.
 """
 
-from .analysis import (
-    analyze_run,
-    build_report,
-    expand_report_paths,
-    load_run,
-    render_report,
-)
 from .events import (
     Heartbeat,
     RunLedger,
@@ -30,6 +23,17 @@ from .events import (
 from .metrics import Histogram, MetricsRegistry, merge_metrics
 from .timers import NULL_TELEMETRY, Telemetry, TelemetryConfig, merge_snapshots
 from .trace import build_chrome_trace, validate_chrome_trace, write_chrome_trace
+
+
+def __getattr__(name: str):
+    # the ``repro report`` engine loads on first access: a plain run never
+    # analyses anything
+    if name in ("analyze_run", "build_report", "expand_report_paths", "load_run", "render_report"):
+        from . import analysis
+
+        return getattr(analysis, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Histogram",

@@ -24,6 +24,9 @@ The numbers the paper actually argues about are *derived* from those:
   against the measured kernel region times.
 * **multi-run comparison**: wall-clock speedups of N runs of the same
   scenario (e.g. ref vs opt vs fast), normalised per simulated second.
+* **startup split**: the summary's ``startup`` block (package import, runner
+  construction, first cycle, checkpoint writes) on one line, so a short
+  invocation's wall is attributable beside its stepping wall.
 
 Everything consumes the JSON artefacts a finished (or killed) run leaves
 behind -- ``run_summary.json``, the ``--events`` JSONL ledger, optionally a
@@ -430,6 +433,7 @@ def analyze_run(run: dict, gts_summary: dict | None = None) -> dict:
         "lts_speedup": speedup_block(summary, gts_summary) if summary else None,
         "kernel_stages": kernel_stage_block(summary) if summary else None,
         "ledger": ledger_block(run.get("ledger") or []),
+        "startup": summary.get("startup") if summary else None,
     }
     info = {"label": run["label"], "path": run["path"]}
     if summary is not None:
@@ -491,6 +495,16 @@ def _render_run(entry: dict) -> list[str]:
         )
     lines = ["== run " + " ".join(parts) + " =="]
     blocks = entry["blocks"]
+
+    startup = blocks.get("startup")
+    if startup:
+        lines.append(
+            f"Startup: import {_fmt(startup.get('import_s'))} s, "
+            f"setup {_fmt(startup.get('setup_s'))} s, "
+            f"first cycle {_fmt(startup.get('first_cycle_s'))} s, "
+            f"checkpoints {_fmt(startup.get('checkpoint_s'))} s"
+            f"  (stepping wall {_fmt(entry.get('wall_s'))} s)"
+        )
 
     speedup = blocks.get("lts_speedup")
     if speedup:

@@ -1,4 +1,9 @@
-"""Distributed-memory substrate: partitioning, communication accounting, scaling model."""
+"""Distributed-memory substrate: partitioning, communication accounting, scaling model.
+
+The shared-memory ring transport is not re-exported here: import it from
+:mod:`repro.parallel.shm_comm` (it loads ``multiprocessing.shared_memory``,
+which only a ``--comm shm`` run needs).
+"""
 
 from .communicator import MessageStats, SimulatedCommunicator, pair_key
 from .exchange import (
@@ -12,7 +17,6 @@ from .exchange import (
 from .machine_model import FRONTERA_NODE, MachineNode, ScalingPoint, strong_scaling_study
 from .partition import PartitionResult, element_weights, face_weights, partition_dual_graph
 from .process_comm import ProcessCommunicator
-from .shm_comm import ShmCommunicator, ShmRing, ring_capacity
 
 __all__ = [
     "PartitionResult",
@@ -21,9 +25,6 @@ __all__ = [
     "partition_dual_graph",
     "SimulatedCommunicator",
     "ProcessCommunicator",
-    "ShmCommunicator",
-    "ShmRing",
-    "ring_capacity",
     "MessageStats",
     "pair_key",
     "HaloFace",

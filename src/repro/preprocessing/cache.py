@@ -3,13 +3,15 @@
 The paper's fused-simulation and clustered-LTS arguments are amortization
 arguments: many related runs should share setup cost.  This module makes
 that sharing concrete for the preprocessing pipeline: each stage -- mesh,
-materials, assembled kernel operators, LTS clustering, weighted partition /
-reordering -- is keyed by a SHA-256 over *only the spec fields that
-determine its result* and persisted as an ``.npz`` under a cache directory.
-A 1000-member source ensemble on a shared mesh therefore pays mesh,
-operator-assembly and clustering cost once: the source location is not part
-of any stage key, so every member after the first loads bit-identical
-arrays from disk.
+materials, LTS clustering, weighted partition / reordering -- is keyed by a
+SHA-256 over *only the spec fields that determine its result* and persisted
+as an ``.npz`` under a cache directory.  A 1000-member source ensemble on a
+shared mesh therefore pays mesh, lambda-search and partition cost once: the
+source location is not part of any stage key, so every member after the
+first loads bit-identical arrays from disk.  The assembled kernel operators
+are deliberately *not* a stage: since the batched assembly they are built
+faster than their ~13 kB per element load from disk (README, "The
+preprocessing cache").
 
 Stage keys deliberately do NOT reuse
 :func:`repro.observability.events.spec_content_hash`, which hashes the
@@ -25,7 +27,9 @@ representation and defaulted-vs-explicit values cannot split the cache.
 
 All writes are atomic (tmp file + ``os.replace``), so concurrent sweep
 workers can share one cache directory: the worst race is building the same
-artifact twice, never reading a torn file.
+artifact twice, never reading a torn file.  An artifact that does not load
+anyway (truncated by a full disk, bit rot) is renamed aside, counted and
+rebuilt -- one bad file must not crash every run that hits its key.
 """
 
 from __future__ import annotations
@@ -33,6 +37,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import zipfile
+from contextlib import suppress
 from pathlib import Path
 
 import numpy as np
@@ -57,11 +63,11 @@ __all__ = [
 #: artifact bytes) changes; part of every stage key, so stale cache
 #: directories miss instead of poisoning new runs (3: the partition stage's
 #: content changed under an unchanged key -- recursive bisection replaced the
-#: index-range split)
-CACHE_FORMAT_VERSION = 3
+#: index-range split; 4: the ``operators`` stage is gone)
+CACHE_FORMAT_VERSION = 4
 
 #: the cacheable pipeline stages, in dependency order
-STAGES = ("mesh", "materials", "operators", "clustering", "partition")
+STAGES = ("mesh", "materials", "clustering", "partition")
 
 
 def _canonical_hash(payload: dict) -> str:
@@ -87,7 +93,7 @@ def result_content_hash(spec) -> str:
 # ---------------------------------------------------------------------------
 
 
-def stage_key_fields(spec, stage: str, *, layout: str = "original") -> dict:
+def stage_key_fields(spec, stage: str) -> dict:
     """The result-determining spec fields of one pipeline stage.
 
     * ``mesh``: the domain and mesh blocks; in ``wavelength`` mode also the
@@ -96,13 +102,6 @@ def stage_key_fields(spec, stage: str, *, layout: str = "original") -> dict:
       excluded -- a source ensemble shares one mesh.
     * ``materials``: the mesh fields plus the velocity model and the
       ``anelastic`` switch (which strips the quality factors).
-    * ``operators``: the materials fields plus everything the operator
-      assembly reads -- order, mechanisms, constant-Q band, flux, CFL and
-      the run precision (operators are stored post-cast).  ``layout``
-      discriminates the element order the arrays were assembled in:
-      ``"original"`` (mesh order) vs ``"reordered"`` (solver order after the
-      partition/reordering pass, whose key then also covers the
-      preprocessing and clustering policy that shaped the permutation).
     * ``clustering``: the materials fields plus order, CFL and the
       clustering policy (the per-element CFL steps feed the lambda search);
       derived in original element order, so reordered and plain runs share
@@ -112,8 +111,6 @@ def stage_key_fields(spec, stage: str, *, layout: str = "original") -> dict:
     """
     if stage not in STAGES:
         raise ValueError(f"stage must be one of {STAGES}, got {stage!r}")
-    if layout not in ("original", "reordered"):
-        raise ValueError(f"layout must be 'original' or 'reordered', got {layout!r}")
     d = spec.to_dict()
     fields: dict = {"domain": d["domain"], "mesh": d["mesh"]}
     if stage == "mesh":
@@ -125,20 +122,6 @@ def stage_key_fields(spec, stage: str, *, layout: str = "original") -> dict:
     fields["anelastic"] = d["material"]["anelastic"]
     if stage == "materials":
         return fields
-    if stage == "operators":
-        fields["order"] = d["order"]
-        fields["material"] = d["material"]
-        fields["flux"] = d["solver"]["flux"]
-        fields["cfl"] = d["solver"]["cfl"]
-        fields["precision"] = d["solver"]["precision"]
-        fields["layout"] = layout
-        if layout == "reordered":
-            # the reordering permutation (and hence the element order the
-            # arrays are stored in) depends on the partition count and the
-            # clustering policy
-            fields["preprocessing"] = d["preprocessing"]
-            fields["clustering"] = d["clustering"]
-        return fields
     fields["order"] = d["order"]
     fields["cfl"] = d["solver"]["cfl"]
     fields["clustering"] = d["clustering"]
@@ -148,31 +131,18 @@ def stage_key_fields(spec, stage: str, *, layout: str = "original") -> dict:
     return fields
 
 
-def stage_key(spec, stage: str, *, layout: str = "original") -> str:
+def stage_key(spec, stage: str) -> str:
     """The content-address of one stage: SHA-256 over its key fields."""
     return _canonical_hash(
-        {
-            "stage": stage,
-            "format": CACHE_FORMAT_VERSION,
-            **stage_key_fields(spec, stage, layout=layout),
-        }
+        {"stage": stage, "format": CACHE_FORMAT_VERSION, **stage_key_fields(spec, stage)}
     )
 
 
 def needed_stage_keys(spec) -> list[tuple[str, str]]:
-    """``(stage, key)`` of every artifact a run of ``spec`` loads or stores.
-
-    One operator set per run: a reordering run assembles (and caches) its
-    operators in solver element order only.
-    """
-    reordered = spec.preprocessing.active
-    keys = [(stage, stage_key(spec, stage)) for stage in ("mesh", "materials", "clustering")]
-    keys.append(
-        ("operators", stage_key(spec, "operators", layout="reordered" if reordered else "original"))
-    )
-    if reordered:
-        keys.append(("partition", stage_key(spec, "partition")))
-    return keys
+    """``(stage, key)`` of every artifact a run of ``spec`` loads or stores
+    (``partition``, the last stage, only when the run reorders)."""
+    stages = STAGES if spec.preprocessing.active else STAGES[:-1]
+    return [(stage, stage_key(spec, stage)) for stage in stages]
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +154,9 @@ class PreprocessingCache:
     """Content-addressed, on-disk store of preprocessing stage artifacts.
 
     Layout: ``<root>/<stage>/<key>.npz``, one file per artifact.  Loads and
-    stores are counted per stage in :attr:`stats`; sweep workers report the
+    stores are counted per stage in :attr:`stats` (``corrupt`` counts the
+    artifacts that failed to load and were quarantined as
+    ``<key>.corrupt.<pid>``; each is also a miss); sweep workers report the
     per-member delta (:meth:`snapshot` / :func:`diff_stats`) into the sweep
     manifest, which is how "preprocessing was paid exactly once" becomes a
     checkable claim rather than a hope.
@@ -193,12 +165,12 @@ class PreprocessingCache:
     def __init__(self, root):
         self.root = Path(root)
         self.stats: dict[str, dict[str, int]] = {
-            stage: {"hits": 0, "misses": 0} for stage in STAGES
+            stage: {"hits": 0, "misses": 0, "corrupt": 0} for stage in STAGES
         }
 
     # -- bookkeeping -----------------------------------------------------
     def snapshot(self) -> dict:
-        """A deep copy of the hit/miss counters (for delta accounting)."""
+        """A deep copy of the counters (for delta accounting)."""
         return {stage: dict(counts) for stage, counts in self.stats.items()}
 
     def _count(self, stage: str, hit: bool) -> None:
@@ -219,110 +191,72 @@ class PreprocessingCache:
 
     def _load(self, stage: str, key: str) -> dict | None:
         path = self._path(stage, key)
-        if not path.exists():
+        try:
+            with np.load(path) as data:
+                return {name: data[name] for name in data.files}
+        except FileNotFoundError:
             return None
-        with np.load(path) as data:
-            return {name: data[name].copy() for name in data.files}
+        except (OSError, ValueError, EOFError, zipfile.BadZipFile):
+            # quarantine and report a miss: the caller rebuilds and
+            # re-stores (a concurrent worker may have moved it already)
+            with suppress(FileNotFoundError):
+                os.replace(path, path.with_suffix(f".corrupt.{os.getpid()}"))
+            self.stats[stage]["corrupt"] += 1
+            return None
 
     def is_warm(self, spec) -> bool:
         """Whether every stage artifact the spec needs already exists on disk."""
         return all(self._path(stage, key).exists() for stage, key in needed_stage_keys(spec))
 
     # -- stages ----------------------------------------------------------
+    def _load_or_build(self, stage: str, spec, build, pack, unpack):
+        """``unpack`` the stored arrays of a stage, or ``build()`` the object
+        and persist what ``pack`` makes of it."""
+        key = stage_key(spec, stage)
+        stored = self._load(stage, key)
+        self._count(stage, hit=stored is not None)
+        if stored is not None:
+            return unpack(stored)
+        built = build()
+        self._store(stage, key, pack(built))
+        return built
+
     def mesh(self, spec, build) -> TetMesh:
         """Load the mesh stage, or ``build()`` and persist it."""
-        key = stage_key(spec, "mesh")
-        stored = self._load("mesh", key)
-        if stored is not None:
-            self._count("mesh", hit=True)
-            return TetMesh(
-                vertices=stored["vertices"],
-                elements=stored["elements"],
-                boundary_tags=stored["boundary_tags"],
-            )
-        self._count("mesh", hit=False)
-        mesh = build()
-        self._store(
-            "mesh",
-            key,
-            {
-                "vertices": mesh.vertices,
-                "elements": mesh.elements,
-                "boundary_tags": mesh.boundary_tags,
-            },
+        fields = ("vertices", "elements", "boundary_tags")
+        return self._load_or_build(
+            "mesh", spec, build,
+            lambda mesh: {name: getattr(mesh, name) for name in fields},
+            lambda stored: TetMesh(**stored),
         )
-        return mesh
 
     def materials(self, spec, build) -> MaterialTable:
         """Load the materials stage, or ``build()`` and persist it."""
-        key = stage_key(spec, "materials")
-        stored = self._load("materials", key)
-        if stored is not None:
-            self._count("materials", hit=True)
-            return MaterialTable(
-                rho=stored["rho"], vp=stored["vp"], vs=stored["vs"],
-                qp=stored["qp"], qs=stored["qs"],
-            )
-        self._count("materials", hit=False)
-        materials = build()
-        self._store(
-            "materials",
-            key,
-            {
-                "rho": materials.rho, "vp": materials.vp, "vs": materials.vs,
-                "qp": materials.qp, "qs": materials.qs,
-            },
+        fields = ("rho", "vp", "vs", "qp", "qs")
+        return self._load_or_build(
+            "materials", spec, build,
+            lambda table: {name: getattr(table, name) for name in fields},
+            lambda stored: MaterialTable(**stored),
         )
-        return materials
 
-    def discretization(self, spec, mesh, materials, kwargs: dict,
-                       *, layout: str = "original"):
-        """Build a :class:`~repro.kernels.discretization.Discretization`,
-        reusing the cached ``operators`` stage when present.
+    def discretization(self, mesh, materials, **kwargs):
+        """Assemble the :class:`~repro.kernels.discretization.Discretization`
+        of a cached run.
 
-        ``kwargs`` are the non-(mesh, materials) constructor arguments; only
-        the expensive assembled arrays travel through the cache -- geometry
-        and the reference element are recomputed (cheap, deterministic).
-        ``layout`` must name the element order of ``mesh``/``materials``
-        (see :func:`stage_key_fields`).
+        Not a cached stage: the operators are assembled faster than they
+        load (see the module docstring).  The method stays as the named
+        boundary between the cached stages and operator assembly, which
+        setup tracers substitute by name.
         """
         from ..kernels.discretization import Discretization
 
-        key = stage_key(spec, "operators", layout=layout)
-        stored = self._load("operators", key)
-        if stored is not None:
-            self._count("operators", hit=True)
-            return Discretization(mesh, materials, operators=stored, **kwargs)
-        self._count("operators", hit=False)
-        disc = Discretization(mesh, materials, **kwargs)
-        self._store("operators", key, disc.operator_arrays())
-        return disc
+        return Discretization(mesh, materials, **kwargs)
 
     def clustering(self, spec, derive) -> Clustering:
         """Load the clustering stage, or ``derive()`` and persist it."""
-        key = stage_key(spec, "clustering")
-        stored = self._load("clustering", key)
-        if stored is not None:
-            self._count("clustering", hit=True)
-            return Clustering(
-                cluster_ids=stored["cluster_ids"],
-                cluster_time_steps=stored["cluster_time_steps"],
-                lam=float(stored["lam"]),
-                dt_min=float(stored["dt_min"]),
-            )
-        self._count("clustering", hit=False)
-        clustering = derive()
-        self._store(
-            "clustering",
-            key,
-            {
-                "cluster_ids": clustering.cluster_ids,
-                "cluster_time_steps": clustering.cluster_time_steps,
-                "lam": np.float64(clustering.lam),
-                "dt_min": np.float64(clustering.dt_min),
-            },
+        return self._load_or_build(
+            "clustering", spec, derive, _clustering_arrays, _clustering_from
         )
-        return clustering
 
     def partition(self, spec) -> dict | None:
         """The cached partition/reordering stage, or ``None`` on a miss.
@@ -332,20 +266,14 @@ class PreprocessingCache:
         reordered mesh/materials by applying the permutation (cheap).
         """
         stored = self._load("partition", stage_key(spec, "partition"))
+        self._count("partition", hit=stored is not None)
         if stored is None:
-            self._count("partition", hit=False)
             return None
-        self._count("partition", hit=True)
         return {
             "permutation": stored["permutation"],
             "partitions": stored["partitions"],
             "time_steps": stored["time_steps"],
-            "clustering": Clustering(
-                cluster_ids=stored["cluster_ids"],
-                cluster_time_steps=stored["cluster_time_steps"],
-                lam=float(stored["lam"]),
-                dt_min=float(stored["dt_min"]),
-            ),
+            "clustering": _clustering_from(stored),
         }
 
     def store_partition(self, spec, *, permutation, partitions, time_steps,
@@ -358,16 +286,31 @@ class PreprocessingCache:
                 "permutation": np.asarray(permutation, dtype=np.int64),
                 "partitions": np.asarray(partitions, dtype=np.int64),
                 "time_steps": np.asarray(time_steps),
-                "cluster_ids": clustering.cluster_ids,
-                "cluster_time_steps": clustering.cluster_time_steps,
-                "lam": np.float64(clustering.lam),
-                "dt_min": np.float64(clustering.dt_min),
+                **_clustering_arrays(clustering),
             },
         )
 
 
+def _clustering_arrays(clustering: Clustering) -> dict:
+    return {
+        "cluster_ids": clustering.cluster_ids,
+        "cluster_time_steps": clustering.cluster_time_steps,
+        "lam": np.float64(clustering.lam),
+        "dt_min": np.float64(clustering.dt_min),
+    }
+
+
+def _clustering_from(stored: dict) -> Clustering:
+    return Clustering(
+        cluster_ids=stored["cluster_ids"],
+        cluster_time_steps=stored["cluster_time_steps"],
+        lam=float(stored["lam"]),
+        dt_min=float(stored["dt_min"]),
+    )
+
+
 def diff_stats(before: dict, after: dict) -> dict:
-    """Per-stage hit/miss delta between two :meth:`snapshot` results,
+    """Per-stage counter delta between two :meth:`snapshot` results,
     dropping stages that saw no traffic (keeps manifest rows small)."""
     delta = {}
     for stage, counts in after.items():
@@ -384,18 +327,16 @@ def warm_preprocessing(spec, cache: PreprocessingCache) -> dict:
 
     The sweep orchestrator calls this once per unique preprocessing
     signature *before* starting its workers, so a shared-mesh ensemble pays
-    mesh/operator/clustering cost exactly once -- in the parent -- and every
+    mesh/clustering/partition cost exactly once -- in the parent -- and every
     member run is a pure cache hit regardless of worker count.  Only the
     preprocessing stages run; no solver is constructed.
     """
-    from ..scenarios.runner import _build_discretization, build_setup, preprocess_setup
+    from ..scenarios.runner import build_setup, preprocess_setup
 
     before = cache.snapshot()
     setup = build_setup(spec, cache=cache)
     if spec.preprocessing.active:
-        model = preprocess_setup(spec, setup, cache=cache)
-        _build_discretization(spec, model.mesh, model.materials,
-                              cache=cache, layout="reordered")
+        preprocess_setup(spec, setup, cache=cache)
     else:
         cache.clustering(spec, setup.clustering)
     return diff_stats(before, cache.snapshot())

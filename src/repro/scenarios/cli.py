@@ -573,7 +573,7 @@ def _cmd_resume(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    from ..observability import build_report, render_report
+    from ..observability.analysis import build_report, render_report
 
     try:
         report = build_report(args.runs)

@@ -131,7 +131,7 @@ def write_outputs(runner, directory, summary: dict | None = None) -> dict:
     if summary.get("telemetry"):
         # instrumented runs also get their derived analytics precomputed
         # (the same payload `repro report <directory>` would produce)
-        from ..observability import analyze_run
+        from ..observability.analysis import analyze_run
 
         report_path = directory / "report.json"
         report = analyze_run(

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import os
 import time as _time
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,9 +55,15 @@ __all__ = [
     "runner_class_for",
     "measure_update_cost",
     "CHECKPOINT_FORMAT_VERSION",
+    "CorruptCheckpointError",
 ]
 
 CHECKPOINT_FORMAT_VERSION = 1
+
+
+class CorruptCheckpointError(ValueError):
+    """The checkpoint file is truncated, bit-rotted or not a checkpoint."""
+
 
 #: top-level region names that make up the stepping phase breakdown of the
 #: ``telemetry`` summary block (preprocessing/checkpoint regions run outside
@@ -233,16 +240,10 @@ def _build_discretization(
     materials: MaterialTable,
     *,
     cache=None,
-    layout: str = "original",
 ):
     """Discretization per the spec's material/solver options (shared between
-    the plain build and the reordered preprocessing path).
-
-    With a :class:`~repro.preprocessing.cache.PreprocessingCache`, the
-    expensive assembled operator arrays are loaded from (or stored to) the
-    cache's ``operators`` stage; ``layout`` names the element order of
-    ``mesh``/``materials`` so original-order and reordered entries never
-    collide.
+    the plain build and the reordered preprocessing path).  The operators
+    are assembled every time, cache or not: that is faster than loading them.
     """
     n_mechanisms = (
         spec.material.n_mechanisms
@@ -253,7 +254,10 @@ def _build_discretization(
         spec.mesh.max_frequency / 20.0,
         2.0 * spec.mesh.max_frequency,
     )
-    kwargs = dict(
+    build = Discretization if cache is None else cache.discretization
+    return build(
+        mesh,
+        materials,
         order=spec.order,
         n_mechanisms=n_mechanisms,
         frequency_band=band,
@@ -261,9 +265,6 @@ def _build_discretization(
         cfl=spec.solver.cfl,
         precision=spec.solver.precision,
     )
-    if cache is not None:
-        return cache.discretization(spec, mesh, materials, kwargs, layout=layout)
-    return Discretization(mesh, materials, **kwargs)
 
 
 def build_setup(spec: ScenarioSpec, *, cache=None) -> ScenarioSetup:
@@ -272,10 +273,9 @@ def build_setup(spec: ScenarioSpec, *, cache=None) -> ScenarioSetup:
     spec with ``preprocessing.active`` gets ``disc=None`` here and its
     discretization from the runner, in solver element order).
 
-    With ``cache`` set, the mesh, material table and assembled operators are
-    loaded from the content-addressed preprocessing cache when present (and
-    stored after building otherwise); the returned setup is bit-identical
-    either way.
+    With ``cache`` set, the mesh and material table are loaded from the
+    content-addressed preprocessing cache when present (and stored after
+    building otherwise); the returned setup is bit-identical either way.
     """
     model = build_velocity_model(spec)
     rule, horizontal = _edge_rules(spec, model)
@@ -407,12 +407,12 @@ class ScenarioRunner:
         clustering: Clustering | None = None,
         cache=None,
     ):
+        setup_start = _time.perf_counter()
         self.spec = spec
         #: optional content-addressed preprocessing cache
-        #: (:class:`~repro.preprocessing.cache.PreprocessingCache`); every
-        #: expensive preprocessing stage -- mesh, materials, operator
-        #: assembly, clustering, partition/reordering -- is loaded from it
-        #: when present, with bit-identical results either way
+        #: (:class:`~repro.preprocessing.cache.PreprocessingCache`): the
+        #: mesh, materials, clustering and partition/reordering stages are
+        #: loaded from it when present, with bit-identical results either way
         self.cache = cache
         self.telemetry_config = TelemetryConfig(
             enabled=spec.output.telemetry, trace=spec.output.trace
@@ -456,6 +456,12 @@ class ScenarioRunner:
             self.solver.set_initial_condition(self.setup.initial_condition)
         self.cycles_done = 0
         self.wall_s = 0.0
+        #: the ``startup`` block of the summary: constructor wall, the first
+        #: stepped cycle (it pays the lazy workspace warm-up) and the
+        #: checkpoint writes -- what a short run spends outside steady cycles
+        self.setup_s = _time.perf_counter() - setup_start
+        self.first_cycle_s: float | None = None
+        self.checkpoint_s = 0.0
 
     def _build_solver(self, disc: Discretization, sources: list):
         """Construct the execution engine (overridden by the distributed runner)."""
@@ -490,9 +496,7 @@ class ScenarioRunner:
         model = preprocess_setup(
             spec, self.setup, cache=self.cache, telemetry=self.telemetry
         )
-        disc = _build_discretization(
-            spec, model.mesh, model.materials, cache=self.cache, layout="reordered"
-        )
+        disc = _build_discretization(spec, model.mesh, model.materials, cache=self.cache)
         self.preprocessed = model
         self.setup = ScenarioSetup(
             spec=spec,
@@ -569,6 +573,8 @@ class ScenarioRunner:
                 self.step_cycle()
                 cycle_wall_s = _time.perf_counter() - start
                 self.wall_s += cycle_wall_s
+                if self.first_cycle_s is None:
+                    self.first_cycle_s = cycle_wall_s
                 if ledger is not None or heartbeat is not None:
                     record = self._cycle_record(cycle_wall_s)
                     if ledger is not None:
@@ -683,6 +689,14 @@ class ScenarioRunner:
         out["provenance"] = provenance_block(spec)
         if spec.output.events:
             out["events"] = spec.output.events
+        from .. import import_s  # the package finishes importing after this module
+
+        out["startup"] = {
+            "import_s": import_s,
+            "setup_s": self.setup_s,
+            "first_cycle_s": self.first_cycle_s,
+            "checkpoint_s": self.checkpoint_s,
+        }
         out["memory"] = peak_memory()
         if self.telemetry_config.enabled:
             out["telemetry"] = self.telemetry_block()
@@ -806,6 +820,7 @@ class ScenarioRunner:
     # -- checkpoint / restart -------------------------------------------
     def save_checkpoint(self, path) -> None:
         """Serialise the complete dynamic state at a macro-cycle boundary."""
+        start = _time.perf_counter()
         solver = self.solver
         meta = {
             "format_version": CHECKPOINT_FORMAT_VERSION,
@@ -837,15 +852,17 @@ class ScenarioRunner:
         # write through an explicit handle: savez would otherwise append
         # '.npz' to suffix-less paths, breaking `repro resume <given path>`;
         # write-then-rename keeps the previous checkpoint intact if the run
-        # is killed mid-write
+        # is killed mid-write.  Uncompressed: deflate squeezes f64 wave
+        # fields by ~5 % and costs more than every other byte of the write
         tmp_path = f"{path}.tmp"
         with self.telemetry.region("checkpoint.write"):
             with open(tmp_path, "wb") as handle:
-                np.savez_compressed(handle, meta=json.dumps(meta), **arrays)
+                np.savez(handle, meta=json.dumps(meta), **arrays)
             os.replace(tmp_path, path)
         if self.telemetry.enabled:
             self.telemetry.inc("checkpoint/writes")
             self.telemetry.inc("checkpoint/bytes", os.path.getsize(path))
+        self.checkpoint_s += _time.perf_counter() - start
 
     def _solver_state_arrays(self) -> dict:
         """The solver-kind-specific dynamic arrays of the checkpoint.
@@ -896,68 +913,67 @@ class ScenarioRunner:
         continuation guarantee honest.  A checkpoint written under
         ``"fast"`` resumes under ``"fast"`` without any override.
         """
-        with np.load(path) as data:
-            meta = json.loads(str(data["meta"]))
-            if meta["format_version"] != CHECKPOINT_FORMAT_VERSION:
-                raise ValueError(
-                    f"unsupported checkpoint format {meta['format_version']}"
-                )
-            spec = ScenarioSpec.from_dict(meta["spec"])
-            if backend is not None:
-                # a shm-transport checkpoint resumed onto the serial backend
-                # drops back to the (backend-agnostic) queue default rather
-                # than tripping the shm-requires-process validation
-                if backend != "process" and comm is None and spec.solver.comm != "queue":
-                    spec = spec.with_overrides(backend=backend, comm="queue")
-                else:
-                    spec = spec.with_overrides(backend=backend)
-            if comm is not None:
-                # the halo transport is bit-identical either way, so it can
-                # change freely across a resume (like the backend)
-                spec = spec.with_overrides(comm=comm)
-            if kernels is not None and kernels != spec.solver.kernels:
-                if spec.solver.precision == "f32":
-                    raise ValueError(
-                        "the kernel backend cannot change when resuming an "
-                        "f32 checkpoint: f32 kernel backends are not "
-                        "bit-identical, so the continuation would diverge "
-                        "from the uninterrupted run"
-                    )
-                if "fast" in (kernels, spec.solver.kernels):
-                    raise ValueError(
-                        "the kernel backend cannot change between 'fast' and "
-                        "a bit-exact backend on resume: 'fast' reassociates "
-                        "contractions, so the continuation would diverge from "
-                        "the uninterrupted run (resume a 'fast' checkpoint "
-                        "without --kernels to continue in fast mode)"
-                    )
-                spec = spec.with_overrides(kernels=kernels)
-            if any(v is not None for v in (telemetry, trace, events, progress)):
-                # observability is orthogonal to the numerical state, so the
-                # resumed segment can be instrumented (or not) freely; a
-                # resumed --events ledger appends a new segment header
-                spec = spec.with_overrides(
-                    telemetry=telemetry,
-                    trace=trace,
-                    events=events,
-                    progress=progress,
-                )
-            runner_cls = runner_class_for(spec)
-            restored = Clustering(
-                cluster_ids=data["cluster_ids"].copy(),
-                cluster_time_steps=data["cluster_time_steps"].copy(),
-                lam=float(meta["clustering"]["lam"]),
-                dt_min=float(meta["clustering"]["dt_min"]),
+        data, meta = _read_checkpoint(path)
+        if meta["format_version"] != CHECKPOINT_FORMAT_VERSION:
+            raise ValueError(
+                f"unsupported checkpoint format {meta['format_version']}"
             )
-            # preprocessing-active specs must re-derive the clustering through
-            # the pipeline (the constructor rejects an explicit one); plain
-            # specs restore the exact checkpointed clustering so runners built
-            # with a non-spec clustering also resume bit-identically
-            if spec.preprocessing.active:
-                runner = runner_cls(spec)
+        spec = ScenarioSpec.from_dict(meta["spec"])
+        if backend is not None:
+            # a shm-transport checkpoint resumed onto the serial backend
+            # drops back to the (backend-agnostic) queue default rather
+            # than tripping the shm-requires-process validation
+            if backend != "process" and comm is None and spec.solver.comm != "queue":
+                spec = spec.with_overrides(backend=backend, comm="queue")
             else:
-                runner = runner_cls(spec, clustering=restored)
-            runner._load_state(data, meta)
+                spec = spec.with_overrides(backend=backend)
+        if comm is not None:
+            # the halo transport is bit-identical either way, so it can
+            # change freely across a resume (like the backend)
+            spec = spec.with_overrides(comm=comm)
+        if kernels is not None and kernels != spec.solver.kernels:
+            if spec.solver.precision == "f32":
+                raise ValueError(
+                    "the kernel backend cannot change when resuming an "
+                    "f32 checkpoint: f32 kernel backends are not "
+                    "bit-identical, so the continuation would diverge "
+                    "from the uninterrupted run"
+                )
+            if "fast" in (kernels, spec.solver.kernels):
+                raise ValueError(
+                    "the kernel backend cannot change between 'fast' and "
+                    "a bit-exact backend on resume: 'fast' reassociates "
+                    "contractions, so the continuation would diverge from "
+                    "the uninterrupted run (resume a 'fast' checkpoint "
+                    "without --kernels to continue in fast mode)"
+                )
+            spec = spec.with_overrides(kernels=kernels)
+        if any(v is not None for v in (telemetry, trace, events, progress)):
+            # observability is orthogonal to the numerical state, so the
+            # resumed segment can be instrumented (or not) freely; a
+            # resumed --events ledger appends a new segment header
+            spec = spec.with_overrides(
+                telemetry=telemetry,
+                trace=trace,
+                events=events,
+                progress=progress,
+            )
+        runner_cls = runner_class_for(spec)
+        restored = Clustering(
+            cluster_ids=data["cluster_ids"],
+            cluster_time_steps=data["cluster_time_steps"],
+            lam=float(meta["clustering"]["lam"]),
+            dt_min=float(meta["clustering"]["dt_min"]),
+        )
+        # preprocessing-active specs must re-derive the clustering through
+        # the pipeline (the constructor rejects an explicit one); plain
+        # specs restore the exact checkpointed clustering so runners built
+        # with a non-spec clustering also resume bit-identically
+        if spec.preprocessing.active:
+            runner = runner_cls(spec)
+        else:
+            runner = runner_cls(spec, clustering=restored)
+        runner._load_state(data, meta)
         return runner
 
     def _load_state(self, data, meta: dict) -> None:
@@ -996,18 +1012,34 @@ class ScenarioRunner:
         """Restore the solver-kind-specific dynamic state (see
         :meth:`_solver_state_arrays`)."""
         solver = self.solver
-        solver.dofs = data["dofs"].copy()
+        solver.dofs = data["dofs"]
         solver.time = float(meta["time"])
         solver.n_element_updates = int(meta["n_element_updates"])
         if isinstance(solver, ClusteredLtsSolver):
             for cluster, step_index in zip(solver.clusters, data["step_index"]):
                 cluster.step_index = int(step_index)
-            solver.buffers.b1 = data["b1"].copy()
-            solver.buffers.b2 = data["b2"].copy()
-            solver.buffers.b3 = data["b3"].copy()
+            solver.buffers.b1 = data["b1"]
+            solver.buffers.b2 = data["b2"]
+            solver.buffers.b3 = data["b3"]
 
     def _after_restore(self) -> None:
         """Hook for subclasses that derive state from the restored arrays."""
+
+
+def _read_checkpoint(path) -> tuple[dict, dict]:
+    """``(arrays, meta)`` of a checkpoint file, every array read (and its
+    zip CRC checked) up front so damage surfaces here as one named error
+    instead of as a traceback from wherever the array is first touched."""
+    try:
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files}
+        meta = json.loads(str(arrays.pop("meta")))
+    except FileNotFoundError:
+        raise
+    except (OSError, ValueError, EOFError, KeyError, TypeError, zipfile.BadZipFile) as error:
+        # TypeError: a bare .npy loads as an ndarray, which is no context manager
+        raise CorruptCheckpointError(f"corrupt checkpoint: {path}: {error}") from error
+    return arrays, meta
 
 
 def runner_class_for(spec: ScenarioSpec) -> type:

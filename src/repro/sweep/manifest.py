@@ -11,7 +11,7 @@ the rest.
 
 ``done`` rows carry the member's summary path, wall time and the per-stage
 preprocessing-cache hit/miss delta its run observed -- the counters that
-*prove* a shared-mesh ensemble paid mesh/operator/clustering cost once
+*prove* a shared-mesh ensemble paid mesh/clustering/partition cost once
 (prewarm records show the misses; member rows show pure hits).
 
 A ``--fuse`` sweep keeps one row per *member* even when several members ran

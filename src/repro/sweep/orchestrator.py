@@ -8,7 +8,7 @@ is shared by everyone:
 
 1. **Prewarm** -- the parent builds every missing stage artifact once per
    unique preprocessing signature *before* the pool starts, so a
-   shared-mesh ensemble pays mesh/operator/clustering cost exactly once no
+   shared-mesh ensemble pays mesh/clustering/partition cost exactly once no
    matter how many workers run.  The prewarm's cache misses and each
    member's pure-hit counters land in the manifest as proof.
 2. **Shard** -- workers pull members off a task queue, run them through

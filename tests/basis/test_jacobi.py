@@ -98,3 +98,34 @@ class TestQuadrature:
             gauss_legendre(0)
         with pytest.raises(ValueError):
             gauss_jacobi(0, 1.0, 0.0)
+
+
+class TestQuadratureAgainstScipy:
+    """The numpy-only Golub--Welsch rules against the scipy routines they
+    replaced (``import repro`` no longer loads scipy; the tests may)."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0])
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_nodes_and_weights_match_scipy(self, n, alpha):
+        from scipy.special import roots_jacobi, roots_legendre
+
+        x_ref, w_ref = roots_legendre(n) if alpha == 0.0 else roots_jacobi(n, alpha, 0.0)
+        x, w = gauss_jacobi(n, alpha, 0.0)
+        np.testing.assert_allclose(x, x_ref, rtol=0.0, atol=4e-16)
+        np.testing.assert_allclose(w, w_ref, rtol=5e-14, atol=0.0)
+
+    @pytest.mark.parametrize("alpha", [0, 1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_exact_on_degree_2n_minus_1(self, n, alpha):
+        # int_{-1}^{1} (1-x)^alpha x^d dx through the substitution u = 1 - x,
+        # summed in rationals (the alternating sum cancels badly in floats)
+        from fractions import Fraction
+        from math import comb
+
+        x, w = gauss_jacobi(n, float(alpha), 0.0)
+        for degree in range(2 * n):
+            exact = sum(
+                Fraction(comb(degree, j) * (-1) ** j * 2 ** (alpha + j + 1), alpha + j + 1)
+                for j in range(degree + 1)
+            )
+            np.testing.assert_allclose(np.sum(w * x**degree), float(exact), rtol=1e-13, atol=1e-14)

@@ -60,6 +60,28 @@ class TestConstantQFit:
         assert errors[2] < errors[0]
 
 
+class TestConstantQFitAgainstScipy:
+    """The in-tree Lawson--Hanson solve against ``scipy.optimize.nnls``
+    (which ``import repro`` no longer loads; the test may)."""
+
+    @pytest.mark.parametrize("band", [(0.05, 2.0), (0.1, 10.0), (1.0, 1.5)])
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_coefficients_match_scipy_nnls(self, band, m):
+        from scipy.optimize import nnls
+
+        spectrum = fit_constant_q(band, m)
+        sample = 2.0 * np.pi * np.logspace(np.log10(band[0]), np.log10(band[1]), 24)
+        omegas = spectrum.omegas
+        design = omegas[None, :] * sample[:, None] / (omegas[None, :] ** 2 + sample[:, None] ** 2)
+        reference, _ = nnls(design, np.ones(len(sample)))
+        assert np.all(spectrum.y_unit >= 0.0)
+        # the narrow band pins coefficients to the constraint: same active set
+        assert np.array_equal(spectrum.y_unit == 0.0, reference == 0.0)
+        np.testing.assert_allclose(
+            spectrum.y_unit, reference, rtol=0.0, atol=1e-14 * np.abs(reference).max()
+        )
+
+
 class TestAnelasticModuli:
     def test_shapes(self):
         spectrum = fit_constant_q((0.1, 10.0), n_mechanisms=3)

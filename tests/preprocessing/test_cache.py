@@ -5,7 +5,9 @@ that differ only in source location share every preprocessing artifact,
 observability knobs never split the cache, and changing the mesh h or the
 material options misses exactly the stages whose result they determine.
 The bit-identity tests assert that cached runs are indistinguishable from
-uncached ones -- DOFs and all.
+uncached ones -- DOFs and all.  The assembled operators are not a stage:
+a cached run assembles them exactly once and stores nothing for them.  A
+damaged artifact is quarantined, counted and rebuilt.
 """
 
 import numpy as np
@@ -14,6 +16,7 @@ import pytest
 from repro.preprocessing.cache import (
     PreprocessingCache,
     STAGES,
+    needed_stage_keys,
     result_content_hash,
     stage_key,
     warm_preprocessing,
@@ -43,6 +46,10 @@ def moved_source(spec, location=(500.0, 250.0, -1500.0)):
 
 def all_stage_keys(spec):
     return {stage: stage_key(spec, stage) for stage in STAGES}
+
+
+HIT = {"hits": 1, "misses": 0, "corrupt": 0}
+MISS = {"hits": 0, "misses": 1, "corrupt": 0}
 
 
 class TestStageKeys:
@@ -79,13 +86,9 @@ class TestStageKeys:
 
     def test_material_fields_miss_only_downstream_stages(self):
         a, spec = all_stage_keys(tiny_loh3()), tiny_loh3()
-        # n_mechanisms shapes the assembled operators but not the mesh,
-        # the sampled material table or the CFL clustering
-        b = all_stage_keys(tiny_loh3(n_mechanisms=2))
-        assert b["mesh"] == a["mesh"]
-        assert b["materials"] == a["materials"]
-        assert b["clustering"] == a["clustering"]
-        assert b["operators"] != a["operators"]
+        # n_mechanisms shapes the assembled operators only -- which are not
+        # a stage -- so no artifact is split by it
+        assert all_stage_keys(tiny_loh3(n_mechanisms=2)) == a
         # the anelastic switch strips the sampled table itself
         c = all_stage_keys(
             ScenarioSpec.from_dict(
@@ -95,28 +98,30 @@ class TestStageKeys:
         )
         assert c["mesh"] == a["mesh"]
         assert c["materials"] != a["materials"]
-        assert c["operators"] != a["operators"]
+        assert c["clustering"] != a["clustering"]
 
-    def test_precision_misses_only_operators(self):
+    def test_operator_only_fields_share_every_stage(self):
+        """Precision and flux are read by operator assembly alone."""
         a = all_stage_keys(tiny_loh3())
-        b = all_stage_keys(tiny_loh3().with_overrides(precision="f32"))
-        assert b["mesh"] == a["mesh"]
-        assert b["materials"] == a["materials"]
-        assert b["clustering"] == a["clustering"]
-        assert b["operators"] != a["operators"]
+        assert all_stage_keys(tiny_loh3().with_overrides(precision="f32")) == a
+        data = tiny_loh3().to_dict()
+        data["solver"]["flux"] = "godunov"
+        assert all_stage_keys(ScenarioSpec.from_dict(data)) == a
 
-    def test_reordered_layout_gets_its_own_operator_entry(self):
-        spec = tiny_loh3().with_overrides(n_partitions=2, reorder=True)
-        assert stage_key(spec, "operators") != stage_key(
-            spec, "operators", layout="reordered"
-        )
-
-    def test_unknown_stage_and_layout_raise(self):
+    def test_stages_and_needed_keys(self):
+        assert STAGES == ("mesh", "materials", "clustering", "partition")
         spec = tiny_loh3()
+        assert [stage for stage, _ in needed_stage_keys(spec)] == [
+            "mesh", "materials", "clustering"
+        ]
+        reordered = spec.with_overrides(n_partitions=2, reorder=True)
+        assert needed_stage_keys(reordered) == [
+            (stage, stage_key(reordered, stage)) for stage in STAGES
+        ]
+
+    def test_unknown_stage_raises(self):
         with pytest.raises(ValueError, match="stage"):
-            stage_key(spec, "nope")
-        with pytest.raises(ValueError, match="layout"):
-            stage_key(spec, "operators", layout="sideways")
+            stage_key(tiny_loh3(), "operators")
 
 
 class TestCacheBitIdentity:
@@ -129,8 +134,8 @@ class TestCacheBitIdentity:
 
         cache_b = PreprocessingCache(tmp_path)
         setup_b = build_setup(spec_b, cache=cache_b)
-        for stage in ("mesh", "materials", "operators"):
-            assert cache_b.stats[stage] == {"hits": 1, "misses": 0}, stage
+        for stage in ("mesh", "materials"):
+            assert cache_b.stats[stage] == HIT, stage
         assert np.array_equal(setup_a.mesh.vertices, setup_b.mesh.vertices)
         assert np.array_equal(setup_a.mesh.elements, setup_b.mesh.elements)
         assert np.array_equal(setup_a.materials.rho, setup_b.materials.rho)
@@ -139,7 +144,7 @@ class TestCacheBitIdentity:
 
         clustering_a = cache_a.clustering(spec_a, setup_a.clustering)
         clustering_b = cache_b.clustering(spec_b, setup_b.clustering)
-        assert cache_b.stats["clustering"] == {"hits": 1, "misses": 0}
+        assert cache_b.stats["clustering"] == HIT
         assert np.array_equal(clustering_a.cluster_ids, clustering_b.cluster_ids)
         assert np.array_equal(
             clustering_a.cluster_time_steps, clustering_b.cluster_time_steps
@@ -150,7 +155,7 @@ class TestCacheBitIdentity:
         warm_preprocessing(tiny_loh3(), cache)
         other = PreprocessingCache(tmp_path)
         build_setup(tiny_loh3(characteristic_length=1000.0), cache=other)
-        for stage in ("mesh", "materials", "operators"):
+        for stage in ("mesh", "materials"):
             assert other.stats[stage]["misses"] == 1, stage
 
     def test_cached_run_is_bit_identical_to_uncached(self, tmp_path):
@@ -189,13 +194,13 @@ class TestCacheBitIdentity:
         assert np.array_equal(plain.preprocessed.partitions, warm.preprocessed.partitions)
 
     def test_cache_written_at_an_older_format_version_is_a_miss(self, tmp_path, monkeypatch):
-        """Version 2 stored the index-range (interleaved) partition under the
-        key fields version 3 still uses: it must miss, not replay."""
+        """Format 3 directories (which also hold an ``operators/`` stage this
+        tree no longer reads) must miss, not replay."""
         from repro.preprocessing import cache as cache_module
 
         spec = tiny_loh3().with_overrides(n_partitions=2, reorder=True)
-        assert cache_module.CACHE_FORMAT_VERSION == 3
-        monkeypatch.setattr(cache_module, "CACHE_FORMAT_VERSION", 2)
+        assert cache_module.CACHE_FORMAT_VERSION == 4
+        monkeypatch.setattr(cache_module, "CACHE_FORMAT_VERSION", 3)
         old_keys = all_stage_keys(spec)
         warm_preprocessing(spec, PreprocessingCache(tmp_path))
         assert PreprocessingCache(tmp_path).is_warm(spec)
@@ -205,44 +210,121 @@ class TestCacheBitIdentity:
         cache = PreprocessingCache(tmp_path)
         assert not cache.is_warm(spec)
         make_runner(spec, cache=cache)
-        assert cache.stats["partition"] == {"hits": 0, "misses": 1}
+        assert all(cache.stats[stage] == MISS for stage in STAGES)
 
-    def test_reordered_run_assembles_and_caches_one_operator_set(self, tmp_path, monkeypatch):
-        """The original-layout operators were only ever read for
-        ``time_steps``; a reordering run builds the solver-order set alone."""
+    @pytest.mark.parametrize("reorder", [False, True])
+    def test_operators_are_assembled_once_and_never_stored(self, tmp_path, monkeypatch, reorder):
+        spec = tiny_loh3()
+        if reorder:
+            spec = spec.with_overrides(n_partitions=2, reorder=True)
+        plain = make_runner(spec)
+
         from repro.kernels.discretization import Discretization
 
         built = []
         init = Discretization.__init__
         monkeypatch.setattr(
             Discretization, "__init__",
-            lambda self, *a, **kw: built.append(kw.get("operators") is None) or init(self, *a, **kw),
+            lambda self, *a, **kw: built.append(self) or init(self, *a, **kw),
         )
-        spec = tiny_loh3().with_overrides(n_partitions=2, reorder=True)
-        cache = PreprocessingCache(tmp_path)
-        cold = make_runner(spec, cache=cache)
-        assert built == [True]
-        assert cache.stats["operators"] == {"hits": 0, "misses": 1}
-        assert len(list((tmp_path / "operators").iterdir())) == 1
+        cold = make_runner(spec, cache=PreprocessingCache(tmp_path))
+        warm_cache = PreprocessingCache(tmp_path)
+        warm = make_runner(spec, cache=warm_cache)
+        assert len(built) == 2  # one per runner, cold or warm
+        assert built[1] is warm.setup.disc
+        assert not (tmp_path / "operators").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            stage for stage, _ in needed_stage_keys(spec)
+        )
+        assert all(c["misses"] == 0 for c in warm_cache.stats.values())
+        for name, array in plain.setup.disc.operator_arrays().items():
+            assert np.array_equal(array, cold.setup.disc.operator_arrays()[name]), name
+            assert np.array_equal(array, warm.setup.disc.operator_arrays()[name]), name
 
+    def test_reordered_setup_defers_its_discretization(self, tmp_path):
+        """``build_setup`` of a reordering spec assembles nothing: the runner
+        builds the one operator set in solver element order."""
+        spec = tiny_loh3().with_overrides(n_partitions=2, reorder=True)
+        runner = make_runner(spec, cache=PreprocessingCache(tmp_path))
         setup = build_setup(spec)
         assert setup.disc is None
-        permutation = cold.cache.partition(spec)["permutation"]
-        assert np.array_equal(setup.time_steps[permutation], cold.setup.disc.time_steps)
+        permutation = runner.cache.partition(spec)["permutation"]
+        assert np.array_equal(setup.time_steps[permutation], runner.setup.disc.time_steps)
 
-        warm_cache = PreprocessingCache(tmp_path)
-        make_runner(spec, cache=warm_cache)
-        assert warm_cache.stats["operators"] == {"hits": 1, "misses": 0}
-        assert built == [True, False]
+    def test_is_warm_and_the_sweep_signature_follow_the_needed_stages(self, tmp_path):
+        from repro.sweep.orchestrator import preprocessing_signature
 
-    def test_is_warm_tracks_every_needed_stage(self, tmp_path):
         spec = tiny_loh3()
         cache = PreprocessingCache(tmp_path)
         assert not cache.is_warm(spec)
         warm_preprocessing(spec, cache)
         assert cache.is_warm(spec)
-        # the reordered variant needs its own operator set and the partition
+        # operator-only fields need no artifact of their own ...
+        f32 = spec.with_overrides(precision="f32")
+        assert cache.is_warm(f32)
+        assert preprocessing_signature(f32) == preprocessing_signature(spec)
+        # ... the reordered variant needs the partition stage on top
         reordered = spec.with_overrides(n_partitions=2, reorder=True)
+        assert preprocessing_signature(reordered) != preprocessing_signature(spec)
         assert not cache.is_warm(reordered)
-        warm_preprocessing(reordered, cache)
+        stats = warm_preprocessing(reordered, cache)
+        assert stats == {
+            "mesh": HIT, "materials": HIT, "clustering": HIT, "partition": MISS,
+        }
         assert cache.is_warm(reordered)
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+def _garbage(path):
+    path.write_bytes(b"not an npz archive at all\n" * 7)
+
+
+class TestCorruptArtifacts:
+    """One bad file must cost one rebuild, not every run that hits its key."""
+
+    @pytest.mark.parametrize("damage", [_truncate, _garbage])
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_corrupt_artifact_is_quarantined_rebuilt_and_restored(self, tmp_path, stage, damage):
+        spec = tiny_loh3()
+        if stage == "partition":  # only a reordering run reads (or writes) it
+            spec = spec.with_overrides(n_partitions=2, reorder=True)
+        reference = make_runner(spec, cache=PreprocessingCache(tmp_path))
+        artifact = tmp_path / stage / f"{stage_key(spec, stage)}.npz"
+        with np.load(artifact) as data:
+            good = {name: data[name] for name in data.files}
+        damage(artifact)
+
+        cache = PreprocessingCache(tmp_path)
+        rebuilt = make_runner(spec, cache=cache)
+        assert cache.stats[stage] == {"hits": 0, "misses": 1, "corrupt": 1}
+        assert sum(c["corrupt"] for c in cache.stats.values()) == 1
+        quarantined = [p for p in artifact.parent.iterdir() if ".corrupt." in p.name]
+        assert [p.name.rpartition(".")[0] for p in quarantined] == [artifact.stem + ".corrupt"]
+        with np.load(artifact) as data:  # re-stored, bit for bit
+            assert sorted(data.files) == sorted(good)
+            assert all(np.array_equal(data[name], good[name]) for name in good)
+        assert np.array_equal(reference.setup.mesh.elements, rebuilt.setup.mesh.elements)
+        assert np.array_equal(reference.setup.materials.vs, rebuilt.setup.materials.vs)
+        assert np.array_equal(reference.clustering.cluster_ids, rebuilt.clustering.cluster_ids)
+
+        clean = PreprocessingCache(tmp_path)
+        make_runner(spec, cache=clean)
+        assert clean.stats[stage] == HIT
+        assert all(c["misses"] == 0 and c["corrupt"] == 0 for c in clean.stats.values())
+
+    def test_corrupt_counts_travel_in_the_stats_delta(self, tmp_path):
+        from repro.preprocessing.cache import diff_stats
+
+        spec = tiny_loh3()
+        warm_preprocessing(spec, PreprocessingCache(tmp_path))
+        _garbage(tmp_path / "mesh" / f"{stage_key(spec, 'mesh')}.npz")
+        cache = PreprocessingCache(tmp_path)
+        before = cache.snapshot()
+        build_setup(spec, cache=cache)
+        assert diff_stats(before, cache.snapshot()) == {
+            "mesh": {"hits": 0, "misses": 1, "corrupt": 1},
+            "materials": HIT,
+        }

@@ -220,6 +220,74 @@ class TestCheckpointRestart:
             ScenarioRunner.resume(path)
 
 
+    def test_checkpoint_is_an_uncompressed_archive(self, tiny_loh3, tmp_path):
+        import zipfile
+
+        path = tmp_path / "run.ckpt.npz"
+        runner = ScenarioRunner(tiny_loh3)
+        runner.step_cycle()
+        runner.save_checkpoint(path)
+        with zipfile.ZipFile(path) as archive:
+            assert {info.compress_type for info in archive.infolist()} == {zipfile.ZIP_STORED}
+        assert runner.checkpoint_s > 0.0
+
+    def test_compressed_checkpoint_of_older_trees_resumes_bit_identically(
+        self, tiny_loh3, tmp_path
+    ):
+        """Trees before the uncompressed writer used ``np.savez_compressed``
+        under the same format version: those files must keep resuming."""
+        path, old = tmp_path / "run.ckpt.npz", tmp_path / "old.ckpt.npz"
+        full = ScenarioRunner(tiny_loh3)
+        full.run()
+        interrupted = ScenarioRunner(tiny_loh3)
+        while interrupted.cycles_done < 2:
+            interrupted.step_cycle()
+        interrupted.save_checkpoint(path)
+        with np.load(path) as data, open(old, "wb") as handle:
+            np.savez_compressed(handle, **{name: data[name] for name in data.files})
+        assert old.stat().st_size < path.stat().st_size
+
+        resumed = ScenarioRunner.resume(old)
+        assert resumed.cycles_done == 2
+        resumed.run()
+        np.testing.assert_array_equal(resumed.solver.dofs, full.solver.dofs)
+        assert resumed.solver.time == full.solver.time
+        for name in ("receiver_9", "epicentre"):
+            np.testing.assert_array_equal(
+                resumed.receivers[name].seismogram()[1], full.receivers[name].seismogram()[1]
+            )
+
+    @pytest.mark.parametrize("damage", ["truncated", "garbage", "bare_npy", "no_meta"])
+    def test_corrupt_checkpoint_is_one_named_error(self, tiny_plane_wave, tmp_path, damage, capsys):
+        from repro.scenarios.runner import CorruptCheckpointError
+
+        path = tmp_path / "run.ckpt.npz"
+        runner = ScenarioRunner(tiny_plane_wave)
+        runner.step_cycle()
+        runner.save_checkpoint(path)
+        if damage == "truncated":
+            path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        elif damage == "garbage":
+            path.write_bytes(b"\x00not a checkpoint\n" * 9)
+        elif damage == "bare_npy":
+            with open(path, "wb") as handle:
+                np.save(handle, np.zeros(3))
+        else:
+            with open(path, "wb") as handle:
+                np.savez(handle, dofs=np.zeros(3))
+        with pytest.raises(CorruptCheckpointError, match="^corrupt checkpoint: .*run.ckpt.npz: ."):
+            ScenarioRunner.resume(path)
+        # the CLI reports the same line and a non-zero status, no traceback
+        assert cli_main(["resume", str(path), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro: error: corrupt checkpoint: {path}: ")
+        assert "Traceback" not in err
+
+    def test_missing_checkpoint_is_not_reported_as_corrupt(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            ScenarioRunner.resume(tmp_path / "nope.ckpt.npz")
+
+
 class TestOutputs:
     def test_seismograms_of_an_unrun_scenario_are_empty_csvs(self, tiny_plane_wave, tmp_path):
         from repro.scenarios import write_outputs
@@ -263,6 +331,25 @@ class TestCli:
         lines = csv.read_text().strip().splitlines()
         assert lines[0] == "time,vx,vy,vz"
         assert len(lines) == 1 + 2  # header + one sample per cycle (single cluster)
+
+    def test_run_summary_and_report_carry_the_startup_split(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        args = [
+            "run", "plane_wave", "--set", "extent_m=1500.0",
+            "--set", "characteristic_length=750.0", "--order", "2", "--cycles", "3",
+            "--output-dir", str(out_dir), "--checkpoint", str(tmp_path / "c.npz"), "--quiet",
+        ]
+        assert cli_main(args) == 0
+        summary = json.loads((out_dir / "run_summary.json").read_text())
+        startup = summary["startup"]
+        assert set(startup) == {"import_s", "setup_s", "first_cycle_s", "checkpoint_s"}
+        assert all(value > 0.0 for value in startup.values())
+        assert startup["first_cycle_s"] <= summary["wall_s"]
+        capsys.readouterr()
+        assert cli_main(["report", str(out_dir)]) == 0
+        line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("Startup:"))
+        for word in ("import", "setup", "first cycle", "checkpoints"):
+            assert word in line
 
     def test_run_spec_file_round_trip(self, tmp_path):
         spec = get_scenario(
