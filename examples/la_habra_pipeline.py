@@ -19,10 +19,10 @@ from repro.kernels.flops import count_flops_per_element_update
 from repro.parallel.machine_model import strong_scaling_study
 from repro.parallel.partition import element_weights, partition_dual_graph
 from repro.preprocessing import PreprocessingPipeline, LaHabraBasinModel, write_partitions
+from repro.scenarios import build_setup, get_scenario
 from repro.workloads.la_habra import (
     PAPER_LAMBDA,
     PAPER_SPEEDUP,
-    la_habra_setup,
     la_habra_time_step_distribution,
 )
 
@@ -60,7 +60,9 @@ def main() -> None:
           f"theoretical speedup {clustering.speedup():.2f}x (paper: {PAPER_SPEEDUP}x)")
 
     # -- 3. modelled strong scaling (Fig. 10 analogue) -----------------------
-    setup = la_habra_setup(extent_m=12000.0, depth_m=8000.0, max_frequency=0.3, order=4)
+    setup = build_setup(
+        get_scenario("la_habra", extent_m=12000.0, depth_m=8000.0, max_frequency=0.3, order=4)
+    )
     weights = element_weights(clustering.cluster_ids[: setup.mesh.n_elements] % 5, 5)
     flops = count_flops_per_element_update(setup.disc).total
     points = strong_scaling_study(
@@ -80,7 +82,7 @@ def main() -> None:
     # -- 4. partition imbalance (Fig. 7 analogue) ----------------------------
     partition = partition_dual_graph(setup.mesh.neighbors, np.ones(setup.mesh.n_elements), 8)
     print(f"\nunweighted partitioning element spread: {partition.element_count_spread():.2f}x; "
-          "with LTS weights the spread grows (see benchmarks/bench_fig7_partition_imbalance.py)")
+          "with LTS weights the spread grows (see tests/parallel/test_partition_and_comm.py)")
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ The package mirrors the structure of the EDGE solver the paper describes:
 * :mod:`repro.source`          -- seismic sources, receivers, misfits
 * :mod:`repro.parallel`        -- partitioning, communication accounting, scaling model
 * :mod:`repro.preprocessing`   -- velocity models and the end-to-end preprocessing pipeline
-* :mod:`repro.workloads`       -- LOH.3 and the (scaled) La Habra workloads
+* :mod:`repro.workloads`       -- the La Habra Fig. 5 time-step calibration
 * :mod:`repro.scenarios`       -- declarative scenario specs, registry, runner and CLI
 """
 

@@ -23,8 +23,8 @@ __all__ = ["GlobalTimeSteppingSolver"]
 class GlobalTimeSteppingSolver:
     """ADER-DG solver advancing every element at the global minimum time step.
 
-    ``kernels`` selects the kernel-execution backend (``"ref"``/``"opt"`` or
-    a backend instance); the optimized backend reuses one solver-wide scratch
+    ``kernels`` selects the kernel-execution backend (``"ref"``/``"fast"`` or
+    a backend instance); the fast backend reuses one solver-wide scratch
     workspace across steps.
     """
 

@@ -9,7 +9,6 @@ from .ader import (
 from .backend import (
     KERNEL_KINDS,
     KernelWorkspace,
-    OptimizedBackend,
     ReferenceBackend,
     make_backend,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "KERNEL_KINDS",
     "KernelWorkspace",
     "ReferenceBackend",
-    "OptimizedBackend",
     "make_backend",
     "compute_time_derivatives",
     "time_integrate",

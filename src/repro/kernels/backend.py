@@ -9,48 +9,25 @@ clustered LTS, distributed rank steppers) runs through one of:
 
 * :class:`ReferenceBackend` -- delegates to the reference kernel functions
   and preserves their bit-exact behaviour (and their per-call temporaries),
-* :class:`OptimizedBackend` -- the same operations restructured for speed,
-  bit-identical to the reference at f64,
 * :class:`FastBackend` -- stacked operators on cache-sized element blocks,
   *tolerance-equal* to the reference.
 
-``OptimizedBackend`` restructures as follows:
-
-  1. the per-dimension ``c = 0..2`` star/stiffness applications and the
-     per-face/per-mechanism loops are stacked into batched einsums over
-     operator layouts chosen for contiguous inner loops (the element-local
-     star/flux gathers are built once per cluster and cached),
-  2. the *exact-zero* block structure of the element operators is exploited:
-     the elastic star matrices are block-off-diagonal (stress rows only read
-     velocity columns and vice versa), the anelastic star and flux matrices
-     only read the velocity columns, and the coupling matrices only write
-     stress rows -- the structure is verified once per discretization and
-     the backend falls back to dense contractions if it does not hold,
-  3. every kernel writes into a preallocated :class:`KernelWorkspace`
-     (derivative stacks, time integrals, deltas, traces) that is reused
-     across micro steps instead of ``np.zeros_like`` per call, and
-  4. ``np.einsum_path`` contraction plans are cached per (operator, shape)
-     pair -- applied in f32 mode only, because a plan may dispatch to BLAS,
-     which reassociates the reductions.
-
-Every output element is therefore produced by the reference loops' sequence
-of floating-point operations (batching only adds outer dimensions,
-relayouting only changes strides, slicing only drops exactly-zero terms,
-accumulations keep the reference order): at f64 the optimized backend is
-**bit-identical** to the reference, asserted by the test suite on GTS,
-clustered-LTS and distributed runs.
-
-``FastBackend`` drops that pin for the time/volume half of an update (and
-the surface kernels' accumulation order).  Its element kernels are a handful
-of batched ``np.matmul`` GEMMs over *stacked* operators: the three
-directional stiffness matrices side by side, the (variable, direction) pair
-of the star matrices merged into one contraction axis, the mechanisms'
-coupling blocks side by side.  With three mechanisms the reactive terms keep
-every CK derivative at full degree, so there is no shrinking block to
-exploit; what is static is that a stiffness product only populates (time) or
-reads (volume) the leading ``n_basis(O - 1)`` columns.  ``local_update`` runs
-the whole local pipeline one L2-sized element block at a time and returns
-only what callers read.  "Close enough" is not left to ad-hoc ``allclose``
+``FastBackend`` drops the reference operation order.  Its element kernels
+are a handful of batched ``np.matmul`` GEMMs over *stacked* operators: the
+three directional stiffness matrices side by side, the (variable, direction)
+pair of the star matrices merged into one contraction axis, the mechanisms'
+coupling blocks side by side.  The *exact-zero* block structure of the
+element operators is exploited -- the elastic star matrices are
+block-off-diagonal, the anelastic star and flux matrices only read the
+velocity columns, the coupling matrices only write stress rows -- verified
+once per discretization, with a dense fallback if it does not hold.  With
+three mechanisms the reactive terms keep every CK derivative at full degree,
+so there is no shrinking block to exploit; what is static is that a
+stiffness product only populates (time) or reads (volume) the leading
+``n_basis(O - 1)`` columns.  Every kernel writes into a reused
+:class:`KernelWorkspace`, and ``local_update`` runs the whole local pipeline
+one L2-sized element block at a time and returns only what callers read.
+"Close enough" is not left to ad-hoc ``allclose``
 calls: :mod:`repro.verification` pins the contract with convergence-order
 checks against analytic solutions and committed golden-trace regressions
 under an explicit per-scenario tolerance ladder.
@@ -78,16 +55,15 @@ __all__ = [
     "KERNEL_KINDS",
     "KernelWorkspace",
     "ReferenceBackend",
-    "OptimizedBackend",
     "FastBackend",
     "make_backend",
 ]
 
-KERNEL_KINDS = ("ref", "opt", "fast")
+KERNEL_KINDS = ("ref", "fast")
 
 #: environment override for the default backend of directly constructed
 #: solvers (scenario specs name their backend explicitly and win) -- this is
-#: what lets CI soak the whole tier-1 suite under the optimized kernels
+#: what lets CI soak the whole tier-1 suite under the fast kernels
 _ENV_VAR = "REPRO_KERNELS"
 
 
@@ -97,11 +73,11 @@ def make_backend(kind=None):
     ``None`` falls back to the ``REPRO_KERNELS`` environment variable and
     then to ``"ref"``.
     """
-    if isinstance(kind, ReferenceBackend):  # Optimized/FastBackend subclass it
+    if isinstance(kind, ReferenceBackend):  # FastBackend subclasses it
         return kind
     if kind is None:
         kind = os.environ.get(_ENV_VAR) or "ref"
-    backends = {"ref": ReferenceBackend, "opt": OptimizedBackend, "fast": FastBackend}
+    backends = {"ref": ReferenceBackend, "fast": FastBackend}
     if kind not in backends:
         raise ValueError(f"kernel backend must be one of {KERNEL_KINDS}, got {kind!r}")
     return backends[kind]()
@@ -238,9 +214,9 @@ class ReferenceBackend:
 
 
 class _DiscData:
-    """Per-discretization derived data of the optimized backend.
+    """Per-discretization derived data of the fast backend.
 
-    ``*_zero`` flags record the exact-zero structure of the element
+    The boolean flags record the exact-zero structure of the element
     operators (verified once -- the arrays are assembled analytically, so
     the zeros are exact by construction for the elastic/anelastic wave
     equations; a variant that breaks an assumption falls back to the dense
@@ -249,8 +225,8 @@ class _DiscData:
     """
 
     __slots__ = ("star_e_blocks", "star_a_velocity", "coupling_stress",
-                 "flux_a_velocity", "ftilde_flat", "k_time_rows", "k_time_sliced",
-                 "kcat_time", "kcat_vol", "fhat_flat", "_relaxation")
+                 "flux_a_velocity", "ftilde_flat", "kcat_time", "kcat_vol",
+                 "fhat_flat", "_relaxation")
 
     def __init__(self, disc):
         star_e = disc.star_elastic
@@ -268,20 +244,7 @@ class _DiscData:
         self.ftilde_flat = np.ascontiguousarray(disc.ftilde.transpose(1, 0, 2)).reshape(
             disc.ftilde.shape[1], -1
         )
-        # the time stiffness matrices lower the polynomial degree, so whole
-        # input rows are exactly zero; contracting only the non-zero rows
-        # drops exactly-zero terms (bit-safe) and their FLOPs
-        self.k_time_rows = []
-        self.k_time_sliced = []
-        for c in range(3):
-            rows = np.where(~(disc.k_time[c] == 0.0).all(axis=1))[0]
-            if len(rows) < disc.k_time.shape[1]:
-                self.k_time_rows.append(rows)
-                self.k_time_sliced.append(np.ascontiguousarray(disc.k_time[c][rows]))
-            else:
-                self.k_time_rows.append(None)
-                self.k_time_sliced.append(disc.k_time[c])
-        # side-by-side stiffness operators of the fast path, cut to the
+        # side-by-side stiffness operators, cut to the
         # columns ``x @ k_time[c]`` populates / the rows ``k_vol[c]`` reads
         # (assembly leaves O(1e-15) roundoff in those structural zeros, which
         # only the tolerance tier drops).  ``kcat_time`` carries the CK minus
@@ -290,7 +253,7 @@ class _DiscData:
         n_in = _leading_extent(disc.k_vol, axis=1)
         self.kcat_time = -np.concatenate([k[:, :n_out] for k in disc.k_time], axis=1)
         self.kcat_vol = np.concatenate([k[:n_in] for k in disc.k_vol], axis=1)
-        # (4 F, B) flattened back-projection of the fast surface path
+        # (4 F, B) flattened back-projection of the surface kernels
         self.fhat_flat = np.ascontiguousarray(
             disc.fhat.reshape(-1, disc.fhat.shape[2])
         )
@@ -334,427 +297,6 @@ def _elements_token(elements, ws=None):
     return elements.tobytes()
 
 
-class OptimizedBackend(ReferenceBackend):
-    """Batched, structure-exploiting, workspace-backed kernel execution.
-
-    Every kernel method is overridden; the composite ``local_update``
-    pipeline is inherited, so the bit-exactness-critical kernel sequence
-    exists exactly once and dispatches to whichever backend runs it.
-    """
-
-    name = "opt"
-
-    def __init__(self):
-        #: cached np.einsum_path plans, keyed by (subscripts, operand shapes)
-        self._plans: dict = {}
-
-    def make_workspace(self) -> KernelWorkspace:
-        return KernelWorkspace()
-
-    # ------------------------------------------------------------------
-    # helpers
-    # ------------------------------------------------------------------
-    def _disc_data(self, disc) -> _DiscData:
-        cached = getattr(disc, "_opt_kernel_data", None)
-        if cached is None:
-            cached = _DiscData(disc)
-            try:
-                disc._opt_kernel_data = cached
-            except AttributeError:  # pragma: no cover - exotic disc objects
-                pass
-        return cached
-
-    def _einsum(self, subscripts: str, *operands, out=None):
-        """Einsum through the contraction-plan cache.
-
-        f64 operands stay on numpy's sum-of-products kernel
-        (``optimize=False``) so the result is bit-identical to the reference
-        loops; everything else applies the cached ``np.einsum_path`` plan,
-        which may dispatch to BLAS.
-        """
-        if operands[0].dtype == np.float64:
-            return np.einsum(subscripts, *operands, out=out)
-        key = (subscripts,) + tuple(op.shape for op in operands)
-        plan = self._plans.get(key)
-        if plan is None:
-            plan = np.einsum_path(subscripts, *operands, optimize="optimal")[0]
-            self._plans[key] = plan
-        return np.einsum(subscripts, *operands, out=out, optimize=plan)
-
-    def _basis_apply(self, x, matrix, out=None):
-        """``out[e, v, :, ...] = sum_b x[e, v, b, ...] @ matrix[b, :]``.
-
-        The shared right-multiply-by-an-operator pattern behind the
-        stiffness applications, the trace projection and the neighbour
-        flux back-projection; any fused trailing axis rides along (the
-        fast backend overrides this with a GEMM).
-        """
-        return self._einsum("evb...,bd->evd...", x, matrix, out=out)
-
-    @staticmethod
-    def _scratch(ws, name, shape, dtype):
-        if ws is None:
-            return np.zeros(shape, dtype=dtype)
-        return ws.scratch(name, shape, dtype)
-
-    @staticmethod
-    def _cached(ws, name, elements, builder):
-        """Memoize a batch-static build on the workspace (build-through when
-        no workspace is kept -- the batch token is only computed when it is
-        actually used as a cache key)."""
-        if ws is None:
-            return builder()
-        return ws.cached(name, _elements_token(elements, ws), builder)
-
-    def _volume_ops(self, disc, elements, ws):
-        """Gathered + relayouted star/coupling operators of a batch (cached).
-
-        The sliced star blocks are stored c-major (``(3, E, rows, cols)``)
-        so the batched application iterates contiguously; the coupling
-        matrices stay element-major (measured faster for their shape).
-        """
-        data = self._disc_data(disc)
-
-        def build():
-            star_e = disc.star_elastic[elements]
-            star_a = disc.star_anelastic[elements]
-            coupling = disc.coupling[elements]
-            ops = {}
-            if data.star_e_blocks:
-                ops["star_stress"] = np.ascontiguousarray(
-                    star_e[:, :, :6, 6:N_ELASTIC].transpose(1, 0, 2, 3)
-                )
-                ops["star_veloc"] = np.ascontiguousarray(
-                    star_e[:, :, 6:N_ELASTIC, :6].transpose(1, 0, 2, 3)
-                )
-            else:
-                ops["star_full"] = np.ascontiguousarray(star_e.transpose(1, 0, 2, 3))
-            if disc.n_mechanisms:
-                if data.star_a_velocity:
-                    ops["star_a"] = np.ascontiguousarray(
-                        star_a[:, :, :, 6:N_ELASTIC].transpose(1, 0, 2, 3)
-                    )
-                else:
-                    ops["star_a"] = np.ascontiguousarray(star_a.transpose(1, 0, 2, 3))
-                ops["coupling"] = (
-                    np.ascontiguousarray(coupling[:, :, :6])
-                    if data.coupling_stress
-                    else coupling
-                )
-            return ops
-
-        return data, self._cached(ws, "volume_ops", elements, build)
-
-    def _surface_ops(self, disc, elements, ws, neighbor: bool):
-        """Gathered flux-solver operators of a batch (cached)."""
-        data = self._disc_data(disc)
-        name = "surf_neigh_ops" if neighbor else "surf_local_ops"
-
-        def build():
-            if neighbor:
-                flux_e = disc.flux_neigh_elastic[elements]
-                flux_a = disc.flux_neigh_anelastic[elements]
-            else:
-                flux_e = disc.flux_local_elastic[elements]
-                flux_a = disc.flux_local_anelastic[elements]
-            ops = {"flux_e": flux_e}
-            if disc.n_mechanisms:
-                ops["flux_a"] = (
-                    np.ascontiguousarray(flux_a[..., 6:N_ELASTIC])
-                    if data.flux_a_velocity
-                    else flux_a
-                )
-            return ops
-
-        return data, self._cached(ws, name, elements, build)
-
-    # ------------------------------------------------------------------
-    # time kernel
-    # ------------------------------------------------------------------
-    def compute_time_derivatives(self, disc, dofs, elements, ws=None):
-        """CK time derivatives into a reused ``(O, E, N_q, B[, f])`` stack."""
-        if isinstance(elements, slice):
-            batch_shape = dofs[elements].shape
-        else:
-            batch_shape = (len(elements),) + dofs.shape[1:]
-        order = disc.order
-        stack = self._scratch(ws, "derivs", (order,) + batch_shape, dofs.dtype)
-        stack[0] = dofs[elements]
-        derivatives = [stack[d] for d in range(order)]
-        if order == 1:
-            return derivatives
-
-        data, ops = self._volume_ops(disc, elements, ws)
-        omegas = disc.omegas
-        n_mech = disc.n_mechanisms
-
-        E = batch_shape[0]
-        n_basis = disc.n_basis
-        fused = batch_shape[3:]
-        dtype = dofs.dtype
-        tmp = self._scratch(ws, "ck_tmp", (3, E, N_ELASTIC, n_basis) + fused, dtype)
-        if n_mech:
-            an_parts = self._scratch(ws, "ck_an", (3, E, 6, n_basis) + fused, dtype)
-            an_common = self._scratch(ws, "ck_an_common", (E, 6, n_basis) + fused, dtype)
-            neg_omegas = (-omegas).reshape((n_mech, 1, 1) + (1,) * len(fused))
-
-        for d in range(1, order):
-            current = stack[d - 1]
-            nxt = stack[d]
-            elastic_prev = current[:, :N_ELASTIC]
-            for c in range(3):
-                rows = data.k_time_rows[c]
-                self._basis_apply(
-                    elastic_prev if rows is None else elastic_prev[:, :, rows],
-                    data.k_time_sliced[c],
-                    out=tmp[c],
-                )
-            self._star_elastic_apply(data, ops, tmp, nxt, ws, sign=-1.0)
-            if n_mech:
-                self._star_anelastic_apply(data, ops, tmp, an_parts, an_common)
-                mem_prev = current[:, N_ELASTIC:].reshape(
-                    (E, n_mech, 6, n_basis) + fused
-                )
-                self._coupling_apply(data, ops, mem_prev, nxt, ws)
-                # relaxation: memory variables driven by the anelastic terms
-                mem_next = nxt[:, N_ELASTIC:].reshape((E, n_mech, 6, n_basis) + fused)
-                np.add(an_common[:, None], mem_prev, out=mem_next)
-                mem_next *= neg_omegas
-        return derivatives
-
-    def _star_elastic_apply(self, data, ops, tmp, out, ws, sign):
-        """Apply the three elastic star contractions to ``out[:, :9]``.
-
-        Starts from zero exactly like the reference's ``zeros_like``
-        initialisation (``-1.0 * x`` == ``0 - x`` and ``1.0 * x`` == ``0 + x``
-        bitwise, modulo signed zeros); ``sign`` is -1 for the time kernel
-        and +1 for the volume kernel.
-        """
-        dtype = tmp.dtype
-        if data.star_e_blocks:
-            # stress rows read only velocity columns, and vice versa
-            stress = self._scratch(ws, "star_stress_out", (3,) + out[:, :6].shape, dtype)
-            veloc = self._scratch(ws, "star_veloc_out", (3,) + out[:, 6:N_ELASTIC].shape, dtype)
-            self._einsum("ceij,cejb...->ceib...", ops["star_stress"],
-                         tmp[:, :, 6:N_ELASTIC], out=stress)
-            self._einsum("ceij,cejb...->ceib...", ops["star_veloc"],
-                         tmp[:, :, :6], out=veloc)
-            targets = ((out[:, :6], stress), (out[:, 6:N_ELASTIC], veloc))
-        else:  # dense fallback
-            full = self._scratch(ws, "star_full_out", (3,) + out[:, :N_ELASTIC].shape, dtype)
-            self._einsum("ceij,cejb...->ceib...", ops["star_full"], tmp, out=full)
-            targets = ((out[:, :N_ELASTIC], full),)
-        for target, parts in targets:
-            np.multiply(parts[0], sign, out=target)
-            for c in (1, 2):
-                if sign < 0:
-                    target -= parts[c]
-                else:
-                    target += parts[c]
-
-    def _star_anelastic_apply(self, data, ops, tmp, an_parts, an_common):
-        """``an_common = sum_c star_a[:, c] @ tmp[c]`` in reference order."""
-        if data.star_a_velocity:
-            self._einsum("ceij,cejb...->ceib...", ops["star_a"],
-                         tmp[:, :, 6:N_ELASTIC], out=an_parts)
-        else:
-            self._einsum("ceij,cejb...->ceib...", ops["star_a"], tmp, out=an_parts)
-        np.add(an_parts[0], an_parts[1], out=an_common)
-        an_common += an_parts[2]
-
-    def _coupling_apply(self, data, ops, mem, out, ws):
-        """``out[:, :9] += sum_l coupling[:, l] @ mem[:, l]`` (reference order)."""
-        coupling = ops["coupling"]
-        n_mech = coupling.shape[1]
-        dtype = mem.dtype
-        rows = coupling.shape[2]
-        contrib = self._scratch(
-            ws, "coup_out", (out.shape[0], n_mech, rows) + out.shape[2:], dtype
-        )
-        self._einsum("elij,eljb...->elib...", coupling, mem, out=contrib)
-        target = out[:, :rows]
-        for l in range(n_mech):
-            target += contrib[:, l]
-
-    # ------------------------------------------------------------------
-    # time integration
-    # ------------------------------------------------------------------
-    def time_integrate(self, derivatives, t_start, t_end, ws=None, key="ti"):
-        """Taylor integration over ``[t_start, t_end]`` into workspace arrays."""
-        if t_end < t_start:
-            raise ValueError("t_end must be >= t_start")
-        first = derivatives[0]
-        result = self._scratch(ws, key, first.shape, first.dtype)
-        term = self._scratch(ws, "ti_term", first.shape, first.dtype)
-        for d, deriv in enumerate(derivatives):
-            factor = (t_end ** (d + 1) - t_start ** (d + 1)) / math.factorial(d + 1)
-            if d == 0:
-                np.multiply(deriv, factor, out=result)
-            else:
-                np.multiply(deriv, factor, out=term)
-                result += term
-        return result
-
-    # ------------------------------------------------------------------
-    # space kernels
-    # ------------------------------------------------------------------
-    def project_local_traces(self, disc, time_integrated_elastic, elements, ws=None):
-        """Trace projection as one grouped ``(B, 4 F)`` contraction."""
-        data = self._disc_data(disc)
-        te = time_integrated_elastic
-        E = te.shape[0]
-        n_face_basis = disc.n_face_basis
-        fused = te.shape[3:]
-        grouped = self._scratch(
-            ws, "traces_grouped", (E, N_ELASTIC, 4 * n_face_basis) + fused, te.dtype
-        )
-        self._basis_apply(te, data.ftilde_flat, out=grouped)
-        out = self._scratch(
-            ws, "traces", (E, 4, N_ELASTIC, n_face_basis) + fused, te.dtype
-        )
-        # regroup (E, 9, (i, F)) -> (E, 4, 9, F): one contiguous copy so the
-        # surface kernels (and the halo payload path) see the public layout
-        split = grouped.reshape((E, N_ELASTIC, 4, n_face_basis) + fused)
-        np.copyto(out, np.moveaxis(split, 2, 1))
-        return out
-
-    def volume_kernel(self, disc, time_integrated, elements, ws=None):
-        data, ops = self._volume_ops(disc, elements, ws)
-        omegas = disc.omegas
-        n_mech = disc.n_mechanisms
-        k_vol = disc.k_vol
-
-        te = time_integrated[:, :N_ELASTIC]
-        E = time_integrated.shape[0]
-        n_basis = time_integrated.shape[2]
-        fused = time_integrated.shape[3:]
-        dtype = time_integrated.dtype
-        out = self._scratch(ws, "vol_out", time_integrated.shape, dtype)
-
-        tmp = self._scratch(ws, "ck_tmp", (3, E, N_ELASTIC, n_basis) + fused, dtype)
-        for c in range(3):
-            self._basis_apply(te, k_vol[c], out=tmp[c])
-        self._star_elastic_apply(data, ops, tmp, out, ws, sign=1.0)
-        if n_mech:
-            an_parts = self._scratch(ws, "ck_an", (3, E, 6, n_basis) + fused, dtype)
-            an_common = self._scratch(ws, "ck_an_common", (E, 6, n_basis) + fused, dtype)
-            self._star_anelastic_apply(data, ops, tmp, an_parts, an_common)
-            mem_te = time_integrated[:, N_ELASTIC:].reshape((E, n_mech, 6, n_basis) + fused)
-            self._coupling_apply(data, ops, mem_te, out, ws)
-            mem_out = out[:, N_ELASTIC:].reshape((E, n_mech, 6, n_basis) + fused)
-            np.subtract(an_common[:, None], mem_te, out=mem_out)
-            mem_out *= omegas.reshape((n_mech, 1, 1) + (1,) * len(fused))
-        else:
-            out[:, N_ELASTIC:] = 0.0
-        return out
-
-    def _surface_kernel(self, disc, data, ops, face_coeffs, ws, prefix):
-        """Shared body of the local and neighbouring surface kernels.
-
-        ``face_coeffs`` is ``(E, 4, 9, F[, f])`` -- the projected traces
-        (local part) or the neighbour face coefficients (neighbouring part).
-        """
-        fhat = disc.fhat  # (4, F, B)
-        omegas = disc.omegas
-        n_mech = disc.n_mechanisms
-        E = face_coeffs.shape[0]
-        fused = face_coeffs.shape[4:]
-        n_basis = disc.n_basis
-        dtype = face_coeffs.dtype
-        flux_e = ops["flux_e"]
-
-        out = self._scratch(
-            ws, prefix + "_out", (E, disc.n_vars, n_basis) + fused, dtype
-        )
-        # per-face pipeline into face-major scratch: each contraction reads
-        # and writes contiguous (E, ...) blocks, which measures faster than
-        # both the flattened and the doubly batched forms
-        solved = self._scratch(
-            ws, prefix + "_solved", (4, E, N_ELASTIC) + face_coeffs.shape[3:], dtype
-        )
-        contrib = self._scratch(
-            ws, prefix + "_contrib", (4, E, N_ELASTIC, n_basis) + fused, dtype
-        )
-        for i in range(4):
-            self._einsum("evw,ewf...->evf...", flux_e[:, i], face_coeffs[:, i], out=solved[i])
-            self._basis_apply(solved[i], fhat[i], out=contrib[i])
-        elastic = out[:, :N_ELASTIC]
-        elastic[...] = contrib[0]
-        for i in (1, 2, 3):
-            elastic += contrib[i]
-
-        if n_mech:
-            flux_a = ops["flux_a"]
-            coeffs_a = (
-                face_coeffs[:, :, 6:N_ELASTIC] if data.flux_a_velocity else face_coeffs
-            )
-            solved_a = self._scratch(
-                ws, prefix + "_solved_a", (4, E, 6) + face_coeffs.shape[3:], dtype
-            )
-            contrib_a = self._scratch(
-                ws, prefix + "_contrib_a", (4, E, 6, n_basis) + fused, dtype
-            )
-            for i in range(4):
-                self._einsum("evw,ewf...->evf...", flux_a[:, i], coeffs_a[:, i], out=solved_a[i])
-                self._basis_apply(solved_a[i], fhat[i], out=contrib_a[i])
-            scaled = self._scratch(ws, prefix + "_scaled", (E, 6, n_basis) + fused, dtype)
-            for i in range(4):
-                for l in range(n_mech):
-                    target = out[:, N_ELASTIC + 6 * l : N_ELASTIC + 6 * (l + 1)]
-                    np.multiply(contrib_a[i], omegas[l], out=scaled)
-                    if i == 0:
-                        target[...] = scaled
-                    else:
-                        target += scaled
-        else:
-            out[:, N_ELASTIC:] = 0.0
-        return out
-
-    def surface_kernel_local(self, disc, time_integrated, elements, local_traces, ws=None):
-        if local_traces is None:
-            local_traces = self.project_local_traces(
-                disc, time_integrated[:, :N_ELASTIC], elements, ws=ws
-            )
-        data, ops = self._surface_ops(disc, elements, ws, neighbor=False)
-        return self._surface_kernel(disc, data, ops, local_traces, ws, "surf_local")
-
-    def neighbor_face_coefficients(self, disc, neighbor_te, own_traces, elements, ws=None):
-        """Neighbour trace coefficients, grouped by unique ``F_bar`` matrix.
-
-        The mesh only has a handful of distinct neighbouring flux matrices
-        (Sec. III), so instead of gathering one ``B x F`` matrix per face the
-        faces are grouped per unique matrix and contracted against it
-        directly.  The per-face grouping is static and cached per batch.
-        """
-        fbar = disc.neighbor_flux_matrices
-
-        def build():
-            index = disc.neighbor_flux_index[elements]  # (E, 4)
-            plan = []
-            for i in range(4):
-                column = index[:, i]
-                boundary = np.where(column < 0)[0]
-                groups = [
-                    (int(u), np.where(column == u)[0])
-                    for u in np.unique(column[column >= 0])
-                ]
-                plan.append((boundary, groups))
-            return plan
-
-        plan = self._cached(ws, "nfc_plan", elements, build)
-        out = self._scratch(ws, "nfc_out", own_traces.shape, own_traces.dtype)
-        for i, (boundary, groups) in enumerate(plan):
-            for u, rows in groups:
-                out[rows, i] = self._basis_apply(neighbor_te[rows, i], fbar[u])
-            if len(boundary):
-                out[boundary, i] = own_traces[boundary, i]
-        return out
-
-    def surface_kernel_neighbor(self, disc, coeffs, elements, ws=None):
-        data, ops = self._surface_ops(disc, elements, ws, neighbor=True)
-        return self._surface_kernel(disc, data, ops, coeffs, ws, "surf_neigh")
-
-
 #: bytes of CK derivative stack per ``FastBackend.local_update`` element
 #: block: three quarters of this host class's 2 MiB per-core L2, leaving the
 #: rest to the block's operators.  Measured, not a setting -- at order 4 a
@@ -763,12 +305,12 @@ class OptimizedBackend(ReferenceBackend):
 _BLOCK_STACK_BYTES = 3 << 19
 
 
-class FastBackend(OptimizedBackend):
+class FastBackend(ReferenceBackend):
     """Tolerance-equal execution: stacked operators on cache-sized blocks.
 
-    Reuses the optimized backend's operator gathers, zero-block checks and
-    workspaces, but drops the reference operation order: the time and
-    volume kernels are one :meth:`_space_operator` (five batched GEMMs and
+    Keeps the reference's composite ``local_update`` pipeline (run once per
+    element block) but drops its operation order: the time and volume
+    kernels are one :meth:`_space_operator` (five batched GEMMs and
     two slab passes on the half of the columns the degree-lowering
     stiffness matrices populate or read), the Taylor integral is a GEMV per
     element, a surface kernel is one flux-solve GEMM plus one ``fhat`` GEMM,
@@ -784,6 +326,37 @@ class FastBackend(OptimizedBackend):
     """
 
     name = "fast"
+
+    def make_workspace(self) -> KernelWorkspace:
+        return KernelWorkspace()
+
+    # ------------------------------------------------------------------
+    # helpers
+    # ------------------------------------------------------------------
+    def _disc_data(self, disc) -> _DiscData:
+        cached = getattr(disc, "_fast_kernel_data", None)
+        if cached is None:
+            cached = _DiscData(disc)
+            try:
+                disc._fast_kernel_data = cached
+            except AttributeError:  # pragma: no cover - exotic disc objects
+                pass
+        return cached
+
+    @staticmethod
+    def _scratch(ws, name, shape, dtype):
+        if ws is None:
+            return np.zeros(shape, dtype=dtype)
+        return ws.scratch(name, shape, dtype)
+
+    @staticmethod
+    def _cached(ws, name, elements, builder):
+        """Memoize a batch-static build on the workspace (build-through when
+        no workspace is kept -- the batch token is only computed when it is
+        actually used as a cache key)."""
+        if ws is None:
+            return builder()
+        return ws.cached(name, _elements_token(elements, ws), builder)
 
     @staticmethod
     def _bmm(matrices, operand, out):
@@ -807,6 +380,29 @@ class FastBackend(OptimizedBackend):
         if x.ndim == 3:
             return np.matmul(x, matrix, out=out)
         return np.matmul(matrix.T, x, out=out)
+
+    def _surface_ops(self, disc, elements, ws, neighbor: bool):
+        """Gathered flux-solver operators of a batch (cached)."""
+        data = self._disc_data(disc)
+        name = "surf_neigh_ops" if neighbor else "surf_local_ops"
+
+        def build():
+            if neighbor:
+                flux_e = disc.flux_neigh_elastic[elements]
+                flux_a = disc.flux_neigh_anelastic[elements]
+            else:
+                flux_e = disc.flux_local_elastic[elements]
+                flux_a = disc.flux_local_anelastic[elements]
+            ops = {"flux_e": flux_e}
+            if disc.n_mechanisms:
+                ops["flux_a"] = (
+                    np.ascontiguousarray(flux_a[..., 6:N_ELASTIC])
+                    if data.flux_a_velocity
+                    else flux_a
+                )
+            return ops
+
+        return data, self._cached(ws, name, elements, build)
 
     # ------------------------------------------------------------------
     # time + volume kernels: one stacked space operator
@@ -992,6 +588,70 @@ class FastBackend(OptimizedBackend):
     # ------------------------------------------------------------------
     # surface kernels
     # ------------------------------------------------------------------
+    def project_local_traces(self, disc, time_integrated_elastic, elements, ws=None):
+        """Trace projection as one grouped ``(B, 4 F)`` contraction."""
+        data = self._disc_data(disc)
+        te = time_integrated_elastic
+        E = te.shape[0]
+        n_face_basis = disc.n_face_basis
+        fused = te.shape[3:]
+        grouped = self._scratch(
+            ws, "traces_grouped", (E, N_ELASTIC, 4 * n_face_basis) + fused, te.dtype
+        )
+        self._basis_apply(te, data.ftilde_flat, out=grouped)
+        out = self._scratch(
+            ws, "traces", (E, 4, N_ELASTIC, n_face_basis) + fused, te.dtype
+        )
+        # regroup (E, 9, (i, F)) -> (E, 4, 9, F): one contiguous copy so the
+        # surface kernels (and the halo payload path) see the public layout
+        split = grouped.reshape((E, N_ELASTIC, 4, n_face_basis) + fused)
+        np.copyto(out, np.moveaxis(split, 2, 1))
+        return out
+
+    def surface_kernel_local(self, disc, time_integrated, elements, local_traces, ws=None):
+        if local_traces is None:
+            local_traces = self.project_local_traces(
+                disc, time_integrated[:, :N_ELASTIC], elements, ws=ws
+            )
+        data, ops = self._surface_ops(disc, elements, ws, neighbor=False)
+        return self._surface_kernel(disc, data, ops, local_traces, ws, "surf_local")
+
+    def neighbor_face_coefficients(self, disc, neighbor_te, own_traces, elements, ws=None):
+        """Neighbour trace coefficients, grouped by unique ``F_bar`` matrix.
+
+        The mesh only has a handful of distinct neighbouring flux matrices
+        (Sec. III), so instead of gathering one ``B x F`` matrix per face the
+        faces are grouped per unique matrix and contracted against it
+        directly.  The per-face grouping is static and cached per batch.
+        """
+        fbar = disc.neighbor_flux_matrices
+
+        def build():
+            index = disc.neighbor_flux_index[elements]  # (E, 4)
+            plan = []
+            for i in range(4):
+                column = index[:, i]
+                boundary = np.where(column < 0)[0]
+                groups = [
+                    (int(u), np.where(column == u)[0])
+                    for u in np.unique(column[column >= 0])
+                ]
+                plan.append((boundary, groups))
+            return plan
+
+        plan = self._cached(ws, "nfc_plan", elements, build)
+        out = self._scratch(ws, "nfc_out", own_traces.shape, own_traces.dtype)
+        for i, (boundary, groups) in enumerate(plan):
+            for u, rows in groups:
+                out[rows, i] = self._basis_apply(neighbor_te[rows, i], fbar[u])
+            if len(boundary):
+                out[boundary, i] = own_traces[boundary, i]
+        return out
+
+    def surface_kernel_neighbor(self, disc, coeffs, elements, ws=None):
+        data, ops = self._surface_ops(disc, elements, ws, neighbor=True)
+        return self._surface_kernel(disc, data, ops, coeffs, ws, "surf_neigh")
+
     def _surface_kernel(self, disc, data, ops, face_coeffs, ws, prefix):
         """Surface kernels with fused per-face accumulation: the anelastic
         mechanisms share one face-summed contribution scaled per ``omega_l``."""

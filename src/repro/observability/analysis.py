@@ -23,7 +23,7 @@ The numbers the paper actually argues about are *derived* from those:
 * **per-kernel-stage GFLOP/s**: the existing FLOP model's per-stage counts
   against the measured kernel region times.
 * **multi-run comparison**: wall-clock speedups of N runs of the same
-  scenario (e.g. ref vs opt vs fast), normalised per simulated second.
+  scenario (e.g. ref vs fast), normalised per simulated second.
 * **startup split**: the summary's ``startup`` block (package import, runner
   construction, first cycle, checkpoint writes) on one line, so a short
   invocation's wall is attributable beside its stepping wall.

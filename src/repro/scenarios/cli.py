@@ -22,7 +22,7 @@
     python -m repro sweep loh3 --smoke --out sweeps/fused --fuse \
         --axis 'source.time_function.params.t0=[0.3,0.4,0.5,0.6]'
     python -m repro report out/ gts_out/
-    python -m repro report ref_out/ opt_out/ fast_out/ --json
+    python -m repro report ref_out/ fast_out/ --json
     python -m repro report sweeps/loh3/manifest.jsonl
     python -m repro report sweeps/loh3/members/
     python -m repro verify --kernels fast
@@ -42,7 +42,7 @@ import sys
 from .outputs import write_outputs
 from .registry import describe_scenario, get_scenario, scenario_names
 from .runner import ScenarioRunner, make_runner
-from .spec import ScenarioSpec
+from .spec import SOLVER_KERNELS, SOLVER_KINDS, SOLVER_PRECISIONS, ScenarioSpec
 
 __all__ = ["main", "build_parser"]
 
@@ -117,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="fixed lambda in (0.5, 1]; omit for the grid-search optimum")
     run.add_argument("--order", type=int, help="order of convergence")
     run.add_argument("--fused", type=int, help="number of fused simulations")
-    run.add_argument("--solver", choices=("gts", "lts", "legacy-lts"), help="solver kind")
+    run.add_argument("--solver", choices=SOLVER_KINDS, help="solver kind")
     run.add_argument("--cycles", type=int, help="number of macro cycles to run")
     run.add_argument("--t-end", type=float, help="target simulated time [s]")
     run.add_argument("--seed", type=int, help="mesh jitter seed")
@@ -136,13 +136,12 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--comm-timeout", type=float, metavar="S",
                      help="abort a blocked halo receive after S seconds "
                           "(default 120, or REPRO_HALO_TIMEOUT_S)")
-    run.add_argument("--kernels", choices=("ref", "opt", "fast"),
+    run.add_argument("--kernels", choices=SOLVER_KERNELS,
                      help="kernel-execution backend: 'ref' runs the plain reference "
-                          "kernels, 'opt' runs the batched/planned kernels with "
-                          "reusable scratch workspaces (bit-identical at f64), "
-                          "'fast' additionally reassociates contractions through "
-                          "BLAS (tolerance-equal; see 'repro verify')")
-    run.add_argument("--precision", choices=("f64", "f32"),
+                          "kernels, 'fast' runs stacked-operator GEMMs on "
+                          "cache-sized element blocks with reusable scratch "
+                          "workspaces (tolerance-equal; see 'repro verify')")
+    run.add_argument("--precision", choices=SOLVER_PRECISIONS,
                      help="state/operator precision of the run (default f64)")
     run.add_argument("--partitions", type=int, help="partition count (enables reordering)")
     run.add_argument("--reorder", action="store_true",
@@ -181,9 +180,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="scenario to verify: a golden scenario (loh3, la_habra) "
                              "or 'plane_wave' for the convergence ladder; "
                              "default: the full suite")
-    verify.add_argument("--kernels", choices=("ref", "opt", "fast"), default="ref",
+    verify.add_argument("--kernels", choices=SOLVER_KERNELS, default="ref",
                         help="kernel-execution backend to verify (default ref)")
-    verify.add_argument("--precision", choices=("f64", "f32"), default="f64",
+    verify.add_argument("--precision", choices=SOLVER_PRECISIONS, default="f64",
                         help="precision to verify (default f64)")
     verify.add_argument("--ranks", type=int, default=1,
                         help="verify a distributed run with this many ranks")
@@ -259,13 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     resume.add_argument("--comm", choices=("queue", "shm"),
                         help="override the checkpointed process-backend halo "
                              "transport (transports are bit-identical)")
-    resume.add_argument("--kernels", choices=("ref", "opt", "fast"),
-                        help="override the checkpointed kernel-execution backend "
-                             "(only between the bit-identical f64 pair ref/opt; "
-                             "rejected for f32 checkpoints and for any override "
-                             "involving 'fast', whose continuation would diverge "
-                             "from the uninterrupted run; the checkpointed "
-                             "precision itself cannot change)")
     resume.add_argument("--checkpoint-every", type=int, metavar="N",
                         help="new checkpoint cadence in macro cycles "
                              "(0 disables; default: the checkpointed spec's cadence)")
@@ -296,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "JSONL ledger, a sweep manifest.jsonl (expands "
                              "to every completed member), or a directory of "
                              "summaries (e.g. a sweep's members/ tree); pass "
-                             "several runs (e.g. ref/opt/fast, or an LTS run "
+                             "several runs (e.g. ref/fast, or an LTS run "
                              "plus a GTS reference of the same scenario) for "
                              "the comparison table")
     report.add_argument("--json", action="store_true",
@@ -551,7 +543,6 @@ def _cmd_resume(args) -> int:
             args.checkpoint,
             backend=args.backend,
             comm=args.comm,
-            kernels=args.kernels,
             telemetry=True if (args.metrics or args.trace or args.events) else None,
             trace=True if args.trace else None,
             events=args.events,

@@ -6,11 +6,10 @@ the :func:`register` decorator makes them addressable by name from the CLI
 factory accepts keyword overrides so a registered scenario doubles as a
 parameterised family (e.g. ``get_scenario("bimaterial_slab", contrast=3.0)``).
 
-The LOH.3 and La Habra built-ins are the declarative form of the setups that
-used to be hand-wired in :mod:`repro.workloads`; those modules now delegate
-here.  Four further canned scenarios grow the workload diversity: a
-homogeneous halfspace, a bimaterial slab with tunable contrast, a
-graded-velocity basin and a plane-wave convergence case.
+The LOH.3 and La Habra built-ins are the paper's workloads (Sec. VII-B/C)
+in declarative form.  Four further canned scenarios grow the workload
+diversity: a homogeneous halfspace, a bimaterial slab with tunable contrast,
+a graded-velocity basin and a plane-wave convergence case.
 """
 
 from __future__ import annotations

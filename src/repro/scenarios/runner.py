@@ -26,7 +26,6 @@ import numpy as np
 
 from ..core.clustering import Clustering, derive_clustering, optimize_lambda
 from ..core.gts_solver import GlobalTimeSteppingSolver
-from ..core.legacy_lts import communication_volumes
 from ..core.lts_solver import ClusteredLtsSolver
 from ..equations.material import MaterialTable
 from ..kernels.discretization import Discretization
@@ -476,7 +475,6 @@ class ScenarioRunner:
                 kernels=spec.solver.kernels,
                 telemetry=self.telemetry,
             )
-        # "lts" and "legacy-lts" share the clustered driver
         return ClusteredLtsSolver(
             disc,
             self.clustering,
@@ -703,14 +701,6 @@ class ScenarioRunner:
         accuracy = self.accuracy()
         if accuracy is not None:
             out["accuracy"] = accuracy
-        if spec.solver.kind == "legacy-lts":
-            volumes = communication_volumes(spec.order, spec.material.n_mechanisms)
-            out["legacy_comm"] = {
-                "derivative_scheme_anelastic": volumes.derivative_scheme_anelastic,
-                "buffer_scheme": volumes.buffer_scheme,
-                "reduction_vs_derivatives": volumes.reduction_vs_derivatives(),
-                "reduction_face_local": volumes.reduction_face_local(),
-            }
         return out
 
     # -- telemetry ------------------------------------------------------
@@ -890,7 +880,6 @@ class ScenarioRunner:
         *,
         backend: str | None = None,
         comm: str | None = None,
-        kernels: str | None = None,
         telemetry: bool | None = None,
         trace: bool | None = None,
         events: str | None = None,
@@ -903,15 +892,8 @@ class ScenarioRunner:
         ``solver.n_ranks > 1`` resumes as a distributed run (and vice versa),
         regardless of which class this is called on.  ``backend`` overrides
         the checkpointed execution backend (``"serial"``/``"process"``) and
-        ``kernels`` the kernel-execution backend -- but only between
-        backends that are bit-identical to each other, i.e. the f64
-        ``"ref"``/``"opt"`` pair.  The checkpointed *precision* is part of
-        the serialised state and cannot be overridden; at f32 the kernel
-        backends are only tolerance-equal (the optimized backend's planned
-        contractions reassociate), and the ``"fast"`` backend reassociates
-        at every precision, so those overrides are rejected to keep the
-        continuation guarantee honest.  A checkpoint written under
-        ``"fast"`` resumes under ``"fast"`` without any override.
+        ``comm`` its halo transport, both bit-identical.  The kernel backend
+        and precision are part of the checkpointed state and cannot change.
         """
         data, meta = _read_checkpoint(path)
         if meta["format_version"] != CHECKPOINT_FORMAT_VERSION:
@@ -931,23 +913,6 @@ class ScenarioRunner:
             # the halo transport is bit-identical either way, so it can
             # change freely across a resume (like the backend)
             spec = spec.with_overrides(comm=comm)
-        if kernels is not None and kernels != spec.solver.kernels:
-            if spec.solver.precision == "f32":
-                raise ValueError(
-                    "the kernel backend cannot change when resuming an "
-                    "f32 checkpoint: f32 kernel backends are not "
-                    "bit-identical, so the continuation would diverge "
-                    "from the uninterrupted run"
-                )
-            if "fast" in (kernels, spec.solver.kernels):
-                raise ValueError(
-                    "the kernel backend cannot change between 'fast' and "
-                    "a bit-exact backend on resume: 'fast' reassociates "
-                    "contractions, so the continuation would diverge from "
-                    "the uninterrupted run (resume a 'fast' checkpoint "
-                    "without --kernels to continue in fast mode)"
-                )
-            spec = spec.with_overrides(kernels=kernels)
         if any(v is not None for v in (telemetry, trace, events, progress)):
             # observability is orthogonal to the numerical state, so the
             # resumed segment can be instrumented (or not) freely; a

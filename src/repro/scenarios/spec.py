@@ -13,8 +13,8 @@ a validated, serialisable value object:
 * the seismic source and its source time function, the receivers, and an
   optional analytic initial condition,
 * the LTS clustering policy (number of clusters, lambda or grid search),
-* the solver configuration (GTS / clustered LTS / legacy-LTS accounting,
-  number of fused simulations, flux, CFL factor), and
+* the solver configuration (GTS / clustered LTS, number of fused
+  simulations, flux, CFL factor), and
 * the run duration and checkpoint cadence.
 
 Specs round-trip losslessly through ``to_dict``/``from_dict`` and JSON,
@@ -56,13 +56,11 @@ __all__ = [
     "TOPOGRAPHY_KINDS",
 ]
 
-SOLVER_KINDS = ("gts", "lts", "legacy-lts")
+SOLVER_KINDS = ("gts", "lts")
 SOLVER_BACKENDS = ("serial", "process")
 # kept in sync with repro.distributed.process_engine.COMM_KINDS
 SOLVER_COMMS = ("queue", "shm")
-# kept in sync with repro.kernels.backend.KERNEL_KINDS and
-# repro.kernels.discretization.PRECISIONS (spec stays import-light)
-SOLVER_KERNELS = ("ref", "opt", "fast")
+SOLVER_KERNELS = ("ref", "fast")
 SOLVER_PRECISIONS = ("f64", "f32")
 VELOCITY_MODEL_KINDS = ("loh3", "la_habra_basin", "homogeneous", "layered")
 TIME_FUNCTION_KINDS = ("ricker", "gaussian_derivative", "smoothed_step")
@@ -448,10 +446,9 @@ class ClusteringSpec:
 class SolverSpec:
     """Solver kind and kernel options.
 
-    ``legacy-lts`` runs the same clustered driver but reports the legacy
-    (derivative-communicating) scheme's communication volume in the run
-    summary, for the Sec. IV comparison.  ``n_ranks > 1`` executes the run
-    through the distributed multi-rank engine (weighted partitioning plus
+    ``kind`` is ``"gts"`` (global time stepping) or ``"lts"`` (clustered
+    local time stepping).  ``n_ranks > 1`` executes the run through the
+    distributed multi-rank engine (weighted partitioning plus
     face-local compressed halo exchange, Sec. V-C); the result is
     bit-identical to the single-rank run.  ``backend`` selects how the ranks
     execute: ``"serial"`` steps them in-process through the simulated
@@ -465,15 +462,13 @@ class SolverSpec:
     ``comm_timeout`` bounds a blocked halo receive in seconds (``None``
     defers to the engine default / ``REPRO_HALO_TIMEOUT_S``).
     ``kernels`` selects the kernel-execution backend: ``"ref"`` (the plain
-    reference kernels), ``"opt"`` (precompiled contraction plans, batched
-    structure-exploiting einsums and reusable scratch workspaces; at f64
-    bit-identical to ``"ref"``) or ``"fast"`` (the optimized structure with
-    the bit-identity pin dropped -- BLAS-reassociated contractions and fused
-    accumulations, *tolerance-equal* under the :mod:`repro.verification`
-    contract).  The default follows the ``REPRO_KERNELS`` environment
-    variable (falling back to ``"ref"``) and is resolved at construction
-    time, so one CI leg can soak every spec-driven test under a non-default
-    kernel backend while serialised specs stay explicit.
+    reference kernels, the oracle) or ``"fast"`` (stacked-operator GEMMs on
+    cache-sized element blocks with reusable scratch workspaces,
+    *tolerance-equal* under the :mod:`repro.verification` contract).  The
+    default follows the ``REPRO_KERNELS`` environment variable (falling back
+    to ``"ref"``) and is resolved at construction time, so one CI leg can
+    soak every spec-driven test under a non-default kernel backend while
+    serialised specs stay explicit.
     ``precision`` runs the solver state and operators in ``"f64"`` or
     ``"f32"`` end to end (halo payloads included).
     """
@@ -505,7 +500,7 @@ class SolverSpec:
         if self.n_ranks < 1:
             raise ValueError("need at least one rank")
         if self.n_ranks > 1 and self.kind == "gts":
-            raise ValueError("distributed execution requires a clustered solver (lts/legacy-lts)")
+            raise ValueError("distributed execution requires the clustered solver (lts)")
         if self.backend not in SOLVER_BACKENDS:
             raise ValueError(f"solver backend must be one of {SOLVER_BACKENDS}")
         if self.backend == "process" and self.n_ranks < 2:

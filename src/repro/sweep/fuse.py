@@ -10,8 +10,8 @@ one member per slot; afterwards the demux step slices slot ``f`` back out
 into member ``f``'s own artefact directory.
 
 The collapse is only sound because of the slot-wise bit-identity contract
-(see :mod:`repro.source.moment_tensor`): on the ``ref`` and ``opt``
-backends at f64, slot ``f`` of the fused state is bit-identical to the
+(see :mod:`repro.source.moment_tensor`): on the ``ref`` backend at
+f64, slot ``f`` of the fused state is bit-identical to the
 standalone run of slot ``f``'s source, and the demuxed seismogram CSVs are
 routed through the scalar formatting path so they come out *byte*-identical
 to the CSVs an unfused sweep would have written.  Manifest rows, resume

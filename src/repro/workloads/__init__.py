@@ -1,20 +1,17 @@
-"""Workload definitions: LOH.3 and the (scaled / synthetic) La Habra setting."""
+"""Paper workload calibration: the La Habra Fig. 5 time-step distribution.
+
+The executable LOH.3 and La Habra setups are scenarios of
+:mod:`repro.scenarios.registry`.
+"""
 
 from .la_habra import (
     PAPER_CLUSTER_COUNTS,
     PAPER_LAMBDA,
     PAPER_SPEEDUP,
-    LaHabraSetup,
-    la_habra_setup,
     la_habra_time_step_distribution,
 )
-from .loh3 import Loh3Setup, loh3_setup
 
 __all__ = [
-    "Loh3Setup",
-    "loh3_setup",
-    "LaHabraSetup",
-    "la_habra_setup",
     "la_habra_time_step_distribution",
     "PAPER_CLUSTER_COUNTS",
     "PAPER_LAMBDA",

@@ -5,43 +5,28 @@ mesh with topography, N_c = 5 clusters and lambda = 0.81, giving a 5.38x
 theoretical LTS speedup; the mesh itself cannot be rebuilt offline (the CVM
 and the DEM are external data and the size is out of reach for Python).
 
-Two complementary stand-ins are provided:
+:func:`la_habra_time_step_distribution` draws a synthetic per-element
+CFL-time-step sample whose *density* is calibrated to the published Fig. 5
+clustering (counts per cluster for N_c = 5, lambda = 0.81).  The clustering,
+lambda optimisation and partitioning studies (Figs. 5, 7, 10) operate on
+exactly this information -- per-element time steps and the dual graph -- so
+their behaviour is preserved at full fidelity.
 
-* :func:`la_habra_time_step_distribution` draws a synthetic per-element
-  CFL-time-step sample whose *density* is calibrated to the published
-  Fig. 5 clustering (counts per cluster for N_c = 5, lambda = 0.81).  The
-  clustering, lambda optimisation and partitioning studies (Figs. 5, 7, 10)
-  operate on exactly this information -- per-element time steps and the dual
-  graph -- so their behaviour is preserved at full fidelity.
-* :func:`la_habra_setup` builds a small executable basin model (synthetic
-  CVM + optional topography) for end-to-end runs of the solver.
-
-The declarative definition of the executable setup lives in the scenario
-registry (:func:`repro.scenarios.registry.la_habra_scenario`); this module
-is the backwards-compatible imperative wrapper around it.
+A small executable basin model (synthetic CVM + optional topography) is the
+``la_habra`` scenario of the registry
+(:func:`repro.scenarios.registry.la_habra_scenario`); build it with
+``build_setup(get_scenario("la_habra", ...))``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from ..core.clustering import Clustering, derive_clustering, optimize_lambda
-from ..equations.material import MaterialTable
-from ..kernels.discretization import Discretization
-from ..mesh.tet_mesh import TetMesh
-from ..scenarios.registry import la_habra_scenario
-from ..scenarios.runner import build_setup
-from ..source.moment_tensor import MomentTensorSource
 
 __all__ = [
     "PAPER_CLUSTER_COUNTS",
     "PAPER_LAMBDA",
     "PAPER_SPEEDUP",
     "la_habra_time_step_distribution",
-    "LaHabraSetup",
-    "la_habra_setup",
 ]
 
 #: element counts per cluster (C1..C5) of the published Fig. 5 (N_c = 5,
@@ -88,51 +73,3 @@ def la_habra_time_step_distribution(
     dts[np.argmin(dts)] = 1.0
     return dts * dt_min
 
-
-@dataclass
-class LaHabraSetup:
-    """A small executable La-Habra-like basin configuration."""
-
-    mesh: TetMesh
-    materials: MaterialTable
-    disc: Discretization
-    source: MomentTensorSource
-    receiver_locations: dict[str, np.ndarray]
-    time_steps: np.ndarray
-
-    def clustering(self, n_clusters: int = 5, lam: float | None = None) -> Clustering:
-        if lam is None:
-            return optimize_lambda(self.time_steps, n_clusters, self.mesh.neighbors)
-        return derive_clustering(self.time_steps, n_clusters, lam, self.mesh.neighbors)
-
-
-def la_habra_setup(
-    extent_m: float = 12000.0,
-    depth_m: float = 8000.0,
-    max_frequency: float = 0.5,
-    order: int = 4,
-    n_mechanisms: int = 3,
-    with_topography: bool = True,
-    min_vs: float = 500.0,
-    seed: int = 0,
-) -> LaHabraSetup:
-    """Build a scaled, executable La-Habra-like setup (basin + topography)."""
-    spec = la_habra_scenario(
-        extent_m=extent_m,
-        depth_m=depth_m,
-        max_frequency=max_frequency,
-        order=order,
-        n_mechanisms=n_mechanisms,
-        with_topography=with_topography,
-        min_vs=min_vs,
-        seed=seed,
-    )
-    setup = build_setup(spec)
-    return LaHabraSetup(
-        mesh=setup.mesh,
-        materials=setup.materials,
-        disc=setup.disc,
-        source=setup.source,
-        receiver_locations=setup.receiver_locations,
-        time_steps=setup.time_steps,
-    )

@@ -2,14 +2,17 @@
 
 The contract of the backend layer:
 
-* ``OptimizedBackend`` at f64 is **bit-identical** to ``ReferenceBackend``
-  -- per kernel, per GTS step, over clustered-LTS cycles (workspaces reused
-  across micro steps), in fused mode, and through the scenario runner;
+* exactly two kinds exist, ``ref`` (the oracle) and ``fast`` (see
+  ``test_fast_backend.py``); anything else is rejected by name;
+* every ``ReferenceBackend`` stage method is its kernel function, bit for
+  bit, and the ``local_update`` pipeline returns only the elastic rows of
+  the time integrals, its ``[0, dt/2]`` integral being exactly the one the
+  LTS buffers used to compute themselves;
+* on both kinds, every stage a solver runs is looked up on the backend
+  instance, so a wrapper installed there by name sees every call;
 * an f32 discretization runs in single precision end to end (DOFs, buffers,
-  seismograms) and matches the f64 result within a documented tolerance;
-* the optimized backend's structure assumptions are verified per
-  discretization (dense fallback otherwise), and its einsum-plan cache only
-  engages where bit-exactness is not contractual (f32).
+  seismograms) and matches the f64 result within a documented tolerance
+  under both kernel kinds.
 """
 
 import numpy as np
@@ -18,18 +21,31 @@ import pytest
 from repro.core.clustering import derive_clustering
 from repro.core.gts_solver import GlobalTimeSteppingSolver
 from repro.core.lts_solver import ClusteredLtsSolver
-from repro.kernels.backend import (
-    KernelWorkspace,
-    OptimizedBackend,
-    ReferenceBackend,
-    make_backend,
-)
+from repro.kernels.backend import KERNEL_KINDS, FastBackend, ReferenceBackend, make_backend
 from repro.kernels.ader import compute_time_derivatives, time_integrate
 from repro.kernels.discretization import Discretization, N_ELASTIC
-from repro.kernels.update import gts_step
+from repro.kernels.surface import (
+    neighbor_face_coefficients,
+    project_local_traces,
+    surface_kernel_local,
+    surface_kernel_neighbor,
+)
+from repro.kernels.volume import volume_kernel
 
 from .conftest import small_mesh
 from repro.equations.material import MaterialTable, ViscoelasticMaterial
+
+#: the public stage methods of a backend, in pipeline order
+STAGES = (
+    "local_update",
+    "compute_time_derivatives",
+    "time_integrate",
+    "project_local_traces",
+    "volume_kernel",
+    "surface_kernel_local",
+    "neighbor_face_coefficients",
+    "surface_kernel_neighbor",
+)
 
 
 def _random_dofs(disc, n_fused=0, seed=0):
@@ -42,9 +58,10 @@ def _random_dofs(disc, n_fused=0, seed=0):
 
 class TestMakeBackend:
     def test_resolution(self):
+        assert KERNEL_KINDS == ("ref", "fast")
         assert isinstance(make_backend("ref"), ReferenceBackend)
-        assert isinstance(make_backend("opt"), OptimizedBackend)
-        backend = OptimizedBackend()
+        assert isinstance(make_backend("fast"), FastBackend)
+        backend = FastBackend()
         assert make_backend(backend) is backend
         with pytest.raises(ValueError):
             make_backend("vectorized")
@@ -52,13 +69,13 @@ class TestMakeBackend:
     def test_env_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_KERNELS", raising=False)
         assert make_backend(None).name == "ref"
-        monkeypatch.setenv("REPRO_KERNELS", "opt")
-        assert make_backend(None).name == "opt"
+
+    def test_opt_is_rejected_naming_the_two_kinds(self):
+        with pytest.raises(ValueError, match=r"\('ref', 'fast'\)"):
+            make_backend("opt")
 
 
-class TestKernelParity:
-    """Per-kernel bitwise parity of the optimized backend at f64."""
-
+class TestReferencePipeline:
     @pytest.fixture(scope="class", params=["elastic", "viscoelastic"])
     def disc(self, request):
         mesh = small_mesh(n=2, jitter=0.1)
@@ -67,29 +84,10 @@ class TestKernelParity:
         n_mechanisms = 3 if request.param == "viscoelastic" else 0
         return Discretization(mesh, table, order=4, n_mechanisms=n_mechanisms)
 
-    @pytest.mark.parametrize("n_fused", [0, 2])
-    def test_local_update_bitwise(self, disc, n_fused):
-        ref, opt = ReferenceBackend(), OptimizedBackend()
-        ws = opt.make_workspace()
-        dofs = _random_dofs(disc, n_fused)
-        elements = np.arange(disc.n_elements)
-        dt = float(disc.time_steps.min())
-        derivs_r = ref.compute_time_derivatives(disc, dofs, elements)
-        derivs_o = opt.compute_time_derivatives(disc, dofs, elements, ws=ws)
-        for d_r, d_o in zip(derivs_r, derivs_o):
-            assert np.array_equal(d_o, d_r)
-        result_r = ref.local_update(disc, dofs, dt, elements, needs_half=True)
-        result_o = opt.local_update(disc, dofs, dt, elements, ws=ws, needs_half=True)
-        for name, r, o in zip(("delta", "integral", "half", "traces"), result_r, result_o):
-            assert np.array_equal(o, r), name
-        assert result_r[1].shape[1] == N_ELASTIC  # only the elastic rows leave
-        assert ref.local_update(disc, dofs, dt, elements)[2] is None
-
-    @pytest.mark.parametrize("kind", ["ref", "opt"])
-    def test_half_integral_is_the_buffer_fill_integration(self, disc, kind):
+    def test_half_integral_is_the_buffer_fill_integration(self, disc):
         """``needs_half`` returns exactly what ``LtsBuffers.fill`` used to
         integrate itself: the elastic derivative slices over [0, dt / 2]."""
-        backend = make_backend(kind)
+        backend = ReferenceBackend()
         dofs = _random_dofs(disc, seed=4)
         elements = np.arange(disc.n_elements)
         dt = float(disc.time_steps.min())
@@ -101,125 +99,88 @@ class TestKernelParity:
         assert np.array_equal(half, expected)
         full = time_integrate(derivatives, 0.0, dt)[:, :N_ELASTIC]
         assert np.array_equal(integral, full)
+        assert integral.shape[1] == N_ELASTIC  # only the elastic rows leave
+        assert backend.local_update(disc, dofs, dt, elements)[2] is None
 
-    def test_batch_subsets_match_full_batch(self, disc):
-        """Splitting a batch (the distributed boundary/interior split) is
-        bit-identical per element, including reused workspace scratch."""
-        opt = OptimizedBackend()
-        ws = opt.make_workspace()
-        dofs = _random_dofs(disc)
-        dt = float(disc.time_steps.min())
-        full = np.arange(disc.n_elements)
-        delta_full, _, _, _ = opt.local_update(disc, dofs, dt, full, ws=ws)
-        delta_full = delta_full.copy()
-        halves = (full[: disc.n_elements // 2], full[disc.n_elements // 2 :])
-        for subset in halves:
-            delta_sub, _, _, _ = opt.local_update(disc, dofs, dt, subset, ws=ws)
-            assert np.array_equal(delta_sub, delta_full[subset])
-
-    def test_neighbor_path_bitwise(self, disc):
-        ref, opt = ReferenceBackend(), OptimizedBackend()
-        ws = opt.make_workspace()
-        dofs = _random_dofs(disc, seed=3)
+    @pytest.mark.parametrize("n_fused", [0, 2])
+    def test_stage_methods_are_the_reference_kernels(self, disc, n_fused):
+        """The oracle adds nothing to the kernel functions: every stage,
+        scalar or fused, and the pipeline composed of them are bitwise."""
+        backend = ReferenceBackend()
+        dofs = _random_dofs(disc, n_fused, seed=1)
         elements = np.arange(disc.n_elements)
         dt = float(disc.time_steps.min())
-        _, te, _, _ = ref.local_update(disc, dofs, dt, elements)
-        neighbor_te = te[np.maximum(disc.mesh.neighbors, 0)]
-        traces_r = ref.project_local_traces(disc, te, elements)
-        traces_o = opt.project_local_traces(disc, te, elements, ws=ws)
-        assert np.array_equal(traces_o, traces_r)
-        coeffs_r = ref.neighbor_face_coefficients(disc, neighbor_te, traces_r, elements)
-        coeffs_o = opt.neighbor_face_coefficients(disc, neighbor_te, traces_o, elements, ws=ws)
-        assert np.array_equal(coeffs_o, coeffs_r)
-        out_r = ref.surface_kernel_neighbor(disc, coeffs_r, elements)
-        out_o = opt.surface_kernel_neighbor(disc, coeffs_o, elements, ws=ws)
-        assert np.array_equal(out_o, out_r)
-
-    def test_gts_step_bitwise(self, disc):
-        dofs = _random_dofs(disc, seed=1)
-        dt = float(disc.time_steps.min())
-        stepped_ref = gts_step(disc, dofs, dt)
-        ws = KernelWorkspace()
-        opt = OptimizedBackend()
-        stepped_opt = gts_step(disc, dofs, dt, backend=opt, ws=ws)
-        assert np.array_equal(stepped_opt, stepped_ref)
-        # repeat on the same workspace: scratch reuse must not leak state
-        assert np.array_equal(gts_step(disc, dofs, dt, backend=opt, ws=ws), stepped_ref)
-
-    def test_structure_verified_per_discretization(self, disc):
-        opt = OptimizedBackend()
-        data = opt._disc_data(disc)
-        assert data.star_e_blocks  # elastic star matrices are block-off-diagonal
-        if disc.n_mechanisms:
-            assert data.star_a_velocity and data.coupling_stress and data.flux_a_velocity
-
-    def test_dense_fallback_when_structure_absent(self, disc):
-        """A (hypothetical) operator set violating the zero-block assumptions
-        must route through the dense contractions and still match."""
-        mesh = small_mesh(n=1, jitter=0.05)
-        material = ViscoelasticMaterial(rho=2600.0, vp=4000.0, vs=2000.0, qp=120.0, qs=40.0)
-        table = MaterialTable.homogeneous(material, mesh.n_elements)
-        dense = Discretization(mesh, table, order=3, n_mechanisms=3)
-        rng = np.random.default_rng(7)
-        dense.star_elastic = dense.star_elastic + 1e-3 * rng.standard_normal(
-            dense.star_elastic.shape
+        derivatives = compute_time_derivatives(disc, dofs, elements)
+        for d_b, d_f in zip(backend.compute_time_derivatives(disc, dofs, elements), derivatives):
+            assert np.array_equal(d_b, d_f)
+        ti = time_integrate(derivatives, 0.0, dt)
+        assert np.array_equal(backend.time_integrate(derivatives, 0.0, dt), ti)
+        elastic = ti[:, :N_ELASTIC]
+        traces = project_local_traces(disc, elastic, elements)
+        assert np.array_equal(backend.project_local_traces(disc, elastic, elements), traces)
+        volume = volume_kernel(disc, ti, elements)
+        assert np.array_equal(backend.volume_kernel(disc, ti, elements), volume)
+        local = surface_kernel_local(disc, ti, elements, local_traces=traces)
+        assert np.array_equal(backend.surface_kernel_local(disc, ti, elements, traces), local)
+        neighbor_te = elastic[np.maximum(disc.mesh.neighbors, 0)]
+        coeffs = neighbor_face_coefficients(disc, neighbor_te, traces, elements)
+        assert np.array_equal(
+            backend.neighbor_face_coefficients(disc, neighbor_te, traces, elements), coeffs
         )
-        dense.star_anelastic = dense.star_anelastic + 1e-3 * rng.standard_normal(
-            dense.star_anelastic.shape
+        assert np.array_equal(
+            backend.surface_kernel_neighbor(disc, coeffs, elements),
+            surface_kernel_neighbor(disc, coeffs, elements),
         )
-        opt = OptimizedBackend()
-        assert not opt._disc_data(dense).star_e_blocks
-        dofs = _random_dofs(dense, seed=5)
-        elements = np.arange(dense.n_elements)
-        dt = float(dense.time_steps.min())
-        delta_r, ti_r, _, _ = ReferenceBackend().local_update(dense, dofs, dt, elements)
-        delta_o, ti_o, _, _ = opt.local_update(dense, dofs, dt, elements, ws=opt.make_workspace())
-        assert np.array_equal(ti_o, ti_r)
-        assert np.array_equal(delta_o, delta_r)
+        delta, integral, _, local_traces = backend.local_update(disc, dofs, dt, elements)
+        assert np.array_equal(delta, volume + local)
+        assert np.array_equal(integral, elastic)
+        assert np.array_equal(local_traces, traces)
 
 
-class TestSolverParity:
-    """Bitwise parity over full solver runs (workspaces reused across steps)."""
+class TestStageDispatch:
+    """Solvers reach every stage through their backend instance, on both
+    kinds: a wrapper installed on it by name (what a profiler does) sees
+    calls and changes no bit of the step."""
 
     @pytest.fixture(scope="class")
     def graded(self):
-        mesh = small_mesh(n=3, jitter=0.25, seed=2)
+        mesh = small_mesh(n=2, jitter=0.25, seed=2)
         material = ViscoelasticMaterial(rho=2600.0, vp=4000.0, vs=2000.0, qp=120.0, qs=40.0)
         table = MaterialTable.homogeneous(material, mesh.n_elements)
-        disc = Discretization(mesh, table, order=3, n_mechanisms=3)
+        disc = Discretization(mesh, table, order=2, n_mechanisms=1)
         clustering = derive_clustering(disc.time_steps, 2, 1.0, disc.mesh.neighbors)
         return disc, clustering
 
-    def test_clustered_lts_cycles_bitwise(self, graded):
+    @staticmethod
+    def _stepped(graded, solver_kind, kind, stage=None):
         disc, clustering = graded
-        ic = lambda points: np.exp(
-            -np.sum((points - points.mean(axis=0)) ** 2, axis=1, keepdims=True)
-            / (2 * 500.0**2)
-        ) * np.ones((1, 9))
-        solvers = {}
-        for kind in ("ref", "opt"):
-            solver = ClusteredLtsSolver(disc, clustering, kernels=kind)
-            solver.set_initial_condition(ic)
-            for _ in range(3):
-                solver.step_cycle()
-            solvers[kind] = solver
-        assert np.array_equal(solvers["opt"].dofs, solvers["ref"].dofs)
-        for name in ("b1", "b2", "b3"):
-            assert np.array_equal(
-                getattr(solvers["opt"].buffers, name), getattr(solvers["ref"].buffers, name)
-            )
-
-    def test_gts_solver_bitwise(self, graded):
-        disc, _ = graded
-        ic = lambda points: np.ones((len(points), 9)) * np.sin(points[:, :1] / 300.0)
-        solvers = {}
-        for kind in ("ref", "opt"):
+        if solver_kind == "gts":
             solver = GlobalTimeSteppingSolver(disc, kernels=kind)
-            solver.set_initial_condition(ic)
-            for _ in range(3):
-                solver.step()
-            solvers[kind] = solver
-        assert np.array_equal(solvers["opt"].dofs, solvers["ref"].dofs)
+        else:
+            solver = ClusteredLtsSolver(disc, clustering, kernels=kind)
+        solver.set_initial_condition(
+            lambda points: np.ones((len(points), 9)) * np.sin(points[:, :1] / 300.0)
+        )
+        calls = []
+        if stage is not None:
+            method = getattr(solver.backend, stage)
+
+            def wrapper(*args, **kwargs):
+                calls.append(stage)
+                return method(*args, **kwargs)
+
+            setattr(solver.backend, stage, wrapper)
+        solver.step() if solver_kind == "gts" else solver.step_cycle()
+        return solver, calls
+
+    @pytest.mark.parametrize("solver_kind", ["gts", "lts"])
+    @pytest.mark.parametrize("stage", STAGES)
+    @pytest.mark.parametrize("kind", KERNEL_KINDS)
+    def test_wrapped_stage_sees_the_step(self, graded, kind, stage, solver_kind):
+        plain, _ = self._stepped(graded, solver_kind, kind)
+        traced, calls = self._stepped(graded, solver_kind, kind, stage)
+        assert calls, f"{kind} {solver_kind} step bypassed backend.{stage}"
+        assert np.array_equal(traced.dofs, plain.dofs)
 
 
 class TestPrecision:
@@ -259,7 +220,7 @@ class TestPrecision:
         with pytest.raises(ValueError, match="precision"):
             Discretization(mesh, table, order=2, precision="f16")
 
-    @pytest.mark.parametrize("kind", ["ref", "opt"])
+    @pytest.mark.parametrize("kind", ["ref", "fast"])
     def test_f32_solver_tracks_f64_within_tolerance(self, kind):
         mesh = small_mesh(n=2, jitter=0.1)
         material = ViscoelasticMaterial(rho=2600.0, vp=4000.0, vs=2000.0, qp=120.0, qs=40.0)
@@ -280,11 +241,3 @@ class TestPrecision:
         err = np.abs(results["f32"].astype(np.float64) - results["f64"]).max()
         # a handful of LTS cycles at order 3 accumulates O(100) f32 roundings
         assert err <= 1e-4 * scale
-
-    def test_plan_cache_engages_only_for_f32(self):
-        opt = OptimizedBackend()
-        a64, b64 = np.ones((4, 5)), np.ones((5, 3))
-        opt._einsum("ij,jk->ik", a64, b64)
-        assert not opt._plans  # f64 stays on the bit-exact kernel
-        opt._einsum("ij,jk->ik", a64.astype(np.float32), b64.astype(np.float32))
-        assert len(opt._plans) == 1

@@ -234,14 +234,14 @@ class TestComparisonAndReport:
     def test_comparison_speedup_vs_first(self):
         runs = [
             {"label": "ref", "path": "ref", "summary": _summary([], wall_s=8.0)},
-            {"label": "opt", "path": "opt", "summary": _summary([], wall_s=4.0)},
+            {"label": "fast", "path": "fast", "summary": _summary([], wall_s=4.0)},
             {"label": "other", "path": "other",
              "summary": _summary([], wall_s=2.0, scenario="la_habra")},
         ]
         block = comparison_block(runs)
         assert block["baseline"] == "ref"
         rows = {row["label"]: row for row in block["rows"]}
-        assert rows["opt"]["speedup_vs_first"] == pytest.approx(2.0)
+        assert rows["fast"]["speedup_vs_first"] == pytest.approx(2.0)
         assert rows["other"]["speedup_vs_first"] is None
         assert not rows["other"]["comparable"]
 

@@ -25,6 +25,7 @@ from repro.parallel.partition import (
     partition_dual_graph,
 )
 from repro.scenarios import get_scenario, make_runner
+from repro.workloads.la_habra import PAPER_LAMBDA, la_habra_time_step_distribution
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +76,23 @@ class TestPartitioning:
         result = partition_dual_graph(mesh.neighbors, weights, 4)
         assert result.element_count_spread() > 1.5
         assert result.load_imbalance() < 1.3
+
+    def test_element_count_spread_grows_with_partition_count(self):
+        """Fig. 7's trend (2.2x at 48 partitions, 4.12x at 2048) on the La
+        Habra time-step density, the smallest steps gathered in a surface
+        "basin" as on the production mesh."""
+        coords = np.linspace(0.0, 1.0, 9)
+        mesh = box_mesh(coords, coords, coords, free_surface_top=False)
+        dts = la_habra_time_step_distribution(n_elements=mesh.n_elements, seed=2)
+        distance = np.linalg.norm(mesh.centroids - np.array([0.5, 0.5, 1.0]), axis=1)
+        dts = np.sort(dts)[np.argsort(np.argsort(distance))]
+        clustering = derive_clustering(dts, 5, PAPER_LAMBDA, mesh.neighbors)
+        weights = element_weights(clustering.cluster_ids, clustering.n_clusters)
+        few, many = (partition_dual_graph(mesh.neighbors, weights, n) for n in (4, 16))
+        for result in (few, many):
+            assert result.load_imbalance() < 1.3
+            assert result.element_count_spread() > 1.05
+        assert many.element_count_spread() > max(1.3, few.element_count_spread())
 
     def test_single_partition(self, mesh):
         result = partition_dual_graph(mesh.neighbors, np.ones(mesh.n_elements), 1)

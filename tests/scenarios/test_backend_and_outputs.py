@@ -1,13 +1,13 @@
 """Scenario-layer coverage of the kernel-backend/precision options plus the
-seismogram-output header logic and the benchmark host-metadata stamp."""
+seismogram-output header logic."""
 
-import importlib.util
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.kernels.backend import KERNEL_KINDS
+from repro.kernels.discretization import PRECISIONS
 from repro.scenarios import ScenarioRunner, get_scenario
 from repro.scenarios.cli import build_parser, main as cli_main
 from repro.scenarios.outputs import (
@@ -15,7 +15,7 @@ from repro.scenarios.outputs import (
     write_fused_slot_seismograms,
     write_seismograms,
 )
-from repro.scenarios.spec import ScenarioSpec, SolverSpec
+from repro.scenarios.spec import SOLVER_KERNELS, SOLVER_PRECISIONS, ScenarioSpec, SolverSpec
 from repro.source.receivers import Receiver
 
 
@@ -37,12 +37,12 @@ class TestSpecOptions:
     def test_defaults_and_round_trip(self, tiny_loh3):
         import os
 
-        # the default follows REPRO_KERNELS (the CI opt leg soaks every
+        # the default follows REPRO_KERNELS (the CI fast leg soaks every
         # spec-driven test through it), falling back to the reference kernels
         assert tiny_loh3.solver.kernels == (os.environ.get("REPRO_KERNELS") or "ref")
         assert tiny_loh3.solver.precision == "f64"
-        spec = tiny_loh3.with_overrides(kernels="opt", precision="f32")
-        assert spec.solver.kernels == "opt" and spec.solver.precision == "f32"
+        spec = tiny_loh3.with_overrides(kernels="fast", precision="f32")
+        assert spec.solver.kernels == "fast" and spec.solver.precision == "f32"
         again = ScenarioSpec.from_json(spec.to_json())
         assert again == spec
 
@@ -54,32 +54,41 @@ class TestSpecOptions:
         # "fast" is a real kernel mode (tolerance-equal, see repro.verification)
         assert SolverSpec(kernels="fast").kernels == "fast"
 
+    def test_spec_choices_match_the_kernel_layer(self):
+        # the spec stays import-light, so it restates these tuples
+        assert SOLVER_KERNELS == KERNEL_KINDS
+        assert SOLVER_PRECISIONS == PRECISIONS
+
+    def test_opt_kernels_rejected_naming_the_two_kinds(self, tiny_loh3, tmp_path, capsys):
+        with pytest.raises(ValueError, match=r"\('ref', 'fast'\)"):
+            SolverSpec(kernels="opt")
+        # a serialised spec naming the removed kind fails the same validation
+        payload = tiny_loh3.to_dict()
+        payload["solver"]["kernels"] = "opt"
+        with pytest.raises(ValueError, match=r"\('ref', 'fast'\)"):
+            ScenarioSpec.from_dict(payload)
+        path = tmp_path / "opt.json"
+        path.write_text(json.dumps(payload))
+        assert cli_main(["run", "--spec", str(path), "--quiet"]) == 2
+        assert "('ref', 'fast')" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["run", "loh3", "--kernels", "opt"])
+        assert exit_info.value.code == 2
+        assert "'ref', 'fast'" in capsys.readouterr().err
+
     def test_cli_flags_parse(self):
         args = build_parser().parse_args(
-            ["run", "loh3", "--kernels", "opt", "--precision", "f32"]
+            ["run", "loh3", "--kernels", "fast", "--precision", "f32"]
         )
-        assert args.kernels == "opt" and args.precision == "f32"
-        resume = build_parser().parse_args(["resume", "x.npz", "--kernels", "opt"])
-        assert resume.kernels == "opt"
+        assert args.kernels == "fast" and args.precision == "f32"
 
 
 class TestRunnerBackendOptions:
     def test_summary_reports_kernels_and_precision(self, tiny_loh3):
-        runner = ScenarioRunner(tiny_loh3.with_overrides(kernels="opt"))
+        runner = ScenarioRunner(tiny_loh3.with_overrides(kernels="fast"))
         summary = runner.run()
-        assert summary["kernels"] == "opt"
+        assert summary["kernels"] == "fast"
         assert summary["precision"] == "f64"
-
-    def test_opt_run_bit_identical_via_runner(self, tiny_loh3):
-        ref = ScenarioRunner(tiny_loh3.with_overrides(kernels="ref"))
-        ref.run()
-        opt = ScenarioRunner(tiny_loh3.with_overrides(kernels="opt"))
-        opt.run()
-        assert np.array_equal(opt.solver.dofs, ref.solver.dofs)
-        for receiver in ref.receivers.receivers:
-            ts, vs = receiver.seismogram()
-            to, vo = opt.receivers[receiver.name].seismogram()
-            assert np.array_equal(ts, to) and np.array_equal(vs, vo)
 
     def test_f32_seismograms_match_f64_within_tolerance(self, tiny_loh3):
         """The documented f32 accuracy contract: LOH.3-style seismograms at
@@ -87,7 +96,7 @@ class TestRunnerBackendOptions:
         hundred single-precision roundings over the run)."""
         f64 = ScenarioRunner(tiny_loh3)
         f64.run()
-        for kernels in ("ref", "opt"):
+        for kernels in ("ref", "fast"):
             f32 = ScenarioRunner(
                 tiny_loh3.with_overrides(precision="f32", kernels=kernels)
             )
@@ -100,45 +109,17 @@ class TestRunnerBackendOptions:
                 scale = np.abs(v64).max()
                 assert np.abs(v32.astype(np.float64) - v64).max() <= 5e-4 * scale
 
-    def test_resume_kernels_override(self, tiny_loh3, tmp_path):
-        path = tmp_path / "ckpt.npz"
-        spec = tiny_loh3.with_overrides(kernels="ref")
-        full = ScenarioRunner(spec)
-        full.run()
-        half = ScenarioRunner(spec)
-        for _ in range(2):
-            half.step_cycle()
-        half.save_checkpoint(path)
-        resumed = ScenarioRunner.resume(path, kernels="opt")
-        assert resumed.spec.solver.kernels == "opt"
-        resumed.run()
-        assert np.array_equal(resumed.solver.dofs, full.solver.dofs)
-
-    def test_resume_kernels_override_rejected_for_f32(self, tiny_loh3, tmp_path):
-        """f32 kernel backends are only tolerance-equal, so switching them on
-        resume would break the bit-identical-continuation guarantee."""
-        path = tmp_path / "f32.ckpt.npz"
-        runner = ScenarioRunner(
-            tiny_loh3.with_overrides(precision="f32", kernels="ref", n_cycles=1)
-        )
-        runner.step_cycle()
-        runner.save_checkpoint(path)
-        with pytest.raises(ValueError, match="f32"):
-            ScenarioRunner.resume(path, kernels="opt")
-        # a no-op override (same backend) stays allowed
-        assert ScenarioRunner.resume(path, kernels="ref").spec.solver.kernels == "ref"
-
     def test_cli_run_with_kernels_flag(self, tmp_path, capsys):
         out = tmp_path / "out"
         code = cli_main(
             [
-                "run", "plane_wave", "--smoke", "--kernels", "opt",
+                "run", "plane_wave", "--smoke", "--kernels", "fast",
                 "--precision", "f32", "--output-dir", str(out), "--quiet",
             ]
         )
         assert code == 0
         summary = json.loads((out / "run_summary.json").read_text())
-        assert summary["kernels"] == "opt" and summary["precision"] == "f32"
+        assert summary["kernels"] == "fast" and summary["precision"] == "f32"
 
 
 class TestSeismogramHeaders:
@@ -265,20 +246,3 @@ class TestFusedSlotDemux:
         with pytest.raises(ValueError, match="nothing to demux"):
             write_fused_slot_seismograms(scalar, tmp_path, slot=0)
 
-
-class TestBenchHostMetadata:
-    def test_record_bench_stamps_host_metadata(self, tmp_path, monkeypatch):
-        spec = importlib.util.spec_from_file_location(
-            "bench_conftest", Path(__file__).parents[2] / "benchmarks" / "conftest.py"
-        )
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        monkeypatch.setattr(module, "RESULTS_DIR", tmp_path)
-        module.record_bench("unit_test_point", wall_s=1.25, kernels="opt", precision="f32")
-        payload = json.loads((tmp_path / "BENCH_unit_test_point.json").read_text())
-        assert payload["wall_s"] == 1.25
-        assert payload["kernels"] == "opt" and payload["precision"] == "f32"
-        host = payload["host"]
-        assert host["cpu_count"] >= 1
-        assert host["numpy"] == np.__version__
-        assert "python" in host and "platform" in host

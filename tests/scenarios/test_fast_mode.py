@@ -1,9 +1,8 @@
 """Fast kernel mode through the scenario layer: CLI, checkpoints, verify.
 
-The fast backend is spec-addressable (``--kernels fast``), deterministic
-(checkpoint resume continues bit-identically *within* fast mode), and
-fenced (resume refuses to silently switch between fast and a bit-exact
-backend mid-run).  The ``repro verify`` subcommand is the shipping bar.
+The fast backend is spec-addressable (``--kernels fast``) and deterministic
+(a fast checkpoint resumes in fast mode and continues bit-identically).  The
+``repro verify`` subcommand is the shipping bar.
 """
 
 import numpy as np
@@ -51,26 +50,36 @@ class TestFastThroughRunner:
         # fast is deterministic: the continuation replays the same GEMMs
         assert np.array_equal(resumed.solver.dofs, full.solver.dofs)
 
-    @pytest.mark.parametrize(
-        "checkpointed,override", [("ref", "fast"), ("fast", "ref"), ("fast", "opt")]
-    )
-    def test_resume_refuses_crossing_the_bit_identity_fence(
-        self, tiny_plane_wave, tmp_path, checkpointed, override
+    @pytest.mark.parametrize("kernels,precision", [("ref", "f64"), ("ref", "f32"), ("fast", "f32")])
+    def test_checkpoint_resumes_in_its_own_kernels_and_precision(
+        self, tiny_plane_wave, tmp_path, kernels, precision
     ):
+        """Kernel kind and precision are checkpointed state: the resumed
+        run keeps both and continues bit-identically."""
+        spec = tiny_plane_wave.with_overrides(kernels=kernels, precision=precision)
         path = tmp_path / "x.ckpt.npz"
-        runner = ScenarioRunner(tiny_plane_wave.with_overrides(kernels=checkpointed))
-        runner.step_cycle()
-        runner.save_checkpoint(path)
-        with pytest.raises(ValueError, match="fast"):
-            ScenarioRunner.resume(path, kernels=override)
+        full = ScenarioRunner(spec)
+        full.run()
+        half = ScenarioRunner(spec)
+        half.step_cycle()
+        half.save_checkpoint(path)
+        resumed = ScenarioRunner.resume(path)
+        assert resumed.spec.solver.kernels == kernels
+        assert resumed.spec.solver.precision == precision
+        resumed.run()
+        assert resumed.solver.dofs.dtype == full.solver.dofs.dtype
+        assert np.array_equal(resumed.solver.dofs, full.solver.dofs)
 
-    def test_resume_still_allows_ref_opt_swap(self, tiny_plane_wave, tmp_path):
+    def test_resume_offers_no_kernel_override(self, tiny_plane_wave, tmp_path, capsys):
         path = tmp_path / "r.ckpt.npz"
         runner = ScenarioRunner(tiny_plane_wave.with_overrides(kernels="ref"))
         runner.step_cycle()
         runner.save_checkpoint(path)
-        resumed = ScenarioRunner.resume(path, kernels="opt")
-        assert resumed.spec.solver.kernels == "opt"
+        with pytest.raises(TypeError):
+            ScenarioRunner.resume(path, kernels="fast")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["resume", str(path), "--kernels", "fast"])
+        assert exit_info.value.code == 2
 
 
 class TestVerifyCli:

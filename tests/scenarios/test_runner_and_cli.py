@@ -15,6 +15,7 @@ import pytest
 
 from repro.scenarios import ScenarioRunner, get_scenario
 from repro.scenarios.cli import main as cli_main
+from repro.scenarios.spec import SOLVER_KINDS, ScenarioSpec
 from repro.core.lts_solver import ClusteredLtsSolver
 
 
@@ -60,10 +61,18 @@ class TestRunnerEquivalence:
         assert summary["wall_s"] > 0.0
         assert summary["t_end"] == pytest.approx(summary["cycles"] * summary["macro_dt"])
 
-    def test_legacy_lts_reports_communication_volumes(self, tiny_plane_wave):
-        spec = tiny_plane_wave.with_overrides(solver="legacy-lts", n_cycles=1)
-        summary = ScenarioRunner(spec).run()
-        assert summary["legacy_comm"]["reduction_vs_derivatives"] >= 1.0
+    def test_solver_kinds_are_gts_and_lts(self, tiny_plane_wave, capsys):
+        assert SOLVER_KINDS == ("gts", "lts")
+        with pytest.raises(ValueError, match=r"\('gts', 'lts'\)"):
+            tiny_plane_wave.with_overrides(solver="legacy-lts")
+        payload = tiny_plane_wave.to_dict()
+        payload["solver"]["kind"] = "legacy-lts"
+        with pytest.raises(ValueError, match=r"\('gts', 'lts'\)"):
+            ScenarioSpec.from_dict(payload)
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["run", "plane_wave", "--solver", "legacy-lts"])
+        assert exit_info.value.code == 2
+        assert "'gts', 'lts'" in capsys.readouterr().err
 
     def test_preprocessing_reorder_keeps_physics(self, tiny_loh3):
         plain = ScenarioRunner(tiny_loh3)

@@ -61,7 +61,7 @@ class TestRandomSolverSpecs:
     def test_sampled_lattice_round_trips_or_rejects(self):
         rng = np.random.default_rng(20260730)
         n_valid = n_invalid = 0
-        for _ in range(300):
+        for _ in range(400):
             kwargs = _sample_solver_kwargs(rng)
             if _is_valid_solver(kwargs):
                 solver = SolverSpec(**kwargs)

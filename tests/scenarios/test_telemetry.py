@@ -19,6 +19,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.kernels.backend import KERNEL_KINDS
 from repro.observability import validate_chrome_trace
 from repro.scenarios import ScenarioRunner, get_scenario, make_runner
 from repro.scenarios.cli import main as cli_main
@@ -44,6 +45,13 @@ def single_rank_telemetry(tiny_loh3):
     runner = ScenarioRunner(tiny_loh3.with_overrides(telemetry=True))
     summary = runner.run()
     return runner, summary
+
+
+@pytest.fixture(scope="module", params=KERNEL_KINDS)
+def kernel_regions(request, tiny_loh3):
+    """Telemetry regions of one run per kernel kind."""
+    runner = ScenarioRunner(tiny_loh3.with_overrides(telemetry=True, kernels=request.param))
+    return runner.run()["telemetry"]["regions"]
 
 
 class TestSummaryTelemetryBlock:
@@ -81,6 +89,22 @@ class TestSummaryTelemetryBlock:
         kernel_regions = {name for name in regions if "kernel." in name}
         assert any(name.endswith("kernel.ck") for name in kernel_regions)
         assert any(name.endswith("kernel.surface_neighbor") for name in kernel_regions)
+
+    @pytest.mark.parametrize(
+        "region",
+        [
+            "predict/kernel.ck",
+            "predict/kernel.integrate",
+            "predict/kernel.trace",
+            "predict/kernel.volume",
+            "predict/kernel.surface_local",
+            "correct/kernel.surface_neighbor",
+        ],
+    )
+    def test_every_kernel_stage_is_timed(self, kernel_regions, region):
+        """Both kernel kinds time each stage of the cycle under its region."""
+        assert kernel_regions[region]["count"] > 0
+        assert kernel_regions[region]["total_s"] > 0.0
 
     def test_derived_rates(self, single_rank_telemetry):
         _, summary = single_rank_telemetry

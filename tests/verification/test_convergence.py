@@ -18,17 +18,15 @@ class TestPlaneWaveConvergence:
     def test_order3_ladder_all_kernels(self):
         """The full suite ladder at order 3, for every kernel backend.
 
-        ref / opt / fast must all reach the formal order; ref and opt are
-        bit-identical so their studies must agree exactly, fast only within
-        the fit's own resolution.
+        ref and fast must both reach the formal order and agree within the
+        fit's own resolution.
         """
         studies = {
             kind: plane_wave_convergence(order=3, kernels=kind)
-            for kind in ("ref", "opt", "fast")
+            for kind in ("ref", "fast")
         }
         for kind, study in studies.items():
             assert study.passes(), (kind, study.estimated_order, study.errors)
-        assert studies["ref"].errors == studies["opt"].errors  # bit-identical
         assert studies["fast"].estimated_order == pytest.approx(
             studies["ref"].estimated_order, abs=0.05
         )

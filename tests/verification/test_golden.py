@@ -59,34 +59,33 @@ class TestFixtures:
 
 class TestToleranceLadder:
     def test_ladder_is_ordered(self):
-        """Bit-exact backends get the floor, fast sits between, f32 on top."""
+        """The bit-exact reference gets the floor, fast sits between, f32 on top."""
         for scenario in GOLDEN_SCENARIOS:
             ref = seismogram_tolerance(scenario, "ref", "f64")
-            opt = seismogram_tolerance(scenario, "opt", "f64")
             fast = seismogram_tolerance(scenario, "fast", "f64")
             f32 = seismogram_tolerance(scenario, "fast", "f32")
-            assert ref == opt < fast < f32
+            assert ref < fast < f32
 
-    def test_unknown_combination_rejected(self):
+    @pytest.mark.parametrize("kernels", ["native", "opt"])
+    def test_unknown_combination_rejected(self, kernels):
         with pytest.raises(ValueError, match="tolerance"):
-            seismogram_tolerance("loh3", "native", "f64")
+            seismogram_tolerance("loh3", kernels, "f64")
 
 
 class TestGoldenRegression:
-    @pytest.mark.parametrize("kernels", ["ref", "opt", "fast"])
+    @pytest.mark.parametrize("kernels", ["ref", "fast"])
     @pytest.mark.parametrize("name", sorted(GOLDEN_SCENARIOS))
     def test_f64_backends_match_golden(self, name, kernels):
-        """All f64 backends pass their ladder rung.  ref/opt are only held
-        to the 1e-12 floor, not to bitwise zero: the committed fixture may
-        come from a different numpy build, and same-process opt-vs-ref
-        bit-identity is already asserted by tests/kernels/test_backend.py."""
+        """Both f64 backends pass their ladder rung.  ref is only held to
+        the 1e-12 floor, not to bitwise zero: the committed fixture may
+        come from a different numpy build."""
         report = compare_to_golden(name, kernels=kernels)
         assert report["passed"], report
 
     @pytest.mark.slow
     @pytest.mark.parametrize("name", sorted(GOLDEN_SCENARIOS))
     def test_f32_matches_golden_within_ladder(self, name):
-        for kernels in ("opt", "fast"):
+        for kernels in ("ref", "fast"):
             report = compare_to_golden(name, kernels=kernels, precision="f32")
             assert report["passed"], report
             # and the ladder is meaningfully engaged, not trivially zero
@@ -111,5 +110,5 @@ class TestGoldenDistributed:
 
     @pytest.mark.slow
     def test_2rank_bit_exact_backend_stays_on_the_floor(self):
-        report = compare_to_golden("loh3", kernels="opt", n_ranks=2)
+        report = compare_to_golden("loh3", kernels="ref", n_ranks=2)
         assert report["passed"] and report["tolerance"] == 1e-12, report
