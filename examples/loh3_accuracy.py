@@ -18,9 +18,9 @@ from repro.source.receivers import resample_seismogram
 N_CYCLES = 10  # 10 macro cycles = 40 steps of cluster 0
 
 
-def run_config(setup, clustering, solver, label):
+def run_config(setup, solver, label):
     spec = setup.spec.with_overrides(solver=solver, n_cycles=N_CYCLES)
-    runner = ScenarioRunner(spec, setup=setup, clustering=clustering)
+    runner = ScenarioRunner(spec, setup=setup)
     summary = runner.run()
     print(f"  {label:<22s} wall {summary['wall_s']:8.2f} s   "
           f"element updates {summary['element_updates']:>9d}")
@@ -30,19 +30,21 @@ def run_config(setup, clustering, solver, label):
 def main() -> None:
     print("=== LOH.3 accuracy & algorithmic efficiency (scaled) ===\n")
     spec = get_scenario("loh3", extent_m=8000.0, characteristic_length=2000.0, order=4)
-    setup = build_setup(spec)
+    # one setup per clustering: an LTS setup is built in its clustering's order
+    setup = build_setup(spec.with_overrides(n_clusters=3, lam=1.0))
+    setup_opt = build_setup(spec.with_overrides(n_clusters=3, lam=None))
     print(f"mesh: {setup.mesh.n_elements} tetrahedra (paper: 743,066), order 4, 3 mechanisms\n")
 
-    clustering_1 = setup.clustering(n_clusters=3, lam=1.0)
-    clustering_opt = setup.clustering(n_clusters=3, lam=None)
+    clustering_1 = setup.clustering
+    clustering_opt = setup_opt.clustering
     print(f"clustering lambda=1.00: counts {clustering_1.counts.tolist()}, "
           f"theoretical speedup {clustering_1.speedup():.2f}x (paper: 2.28x)")
     print(f"clustering lambda={clustering_opt.lam:.2f}: counts {clustering_opt.counts.tolist()}, "
           f"theoretical speedup {clustering_opt.speedup():.2f}x (paper: 2.67x at lambda=0.80)\n")
 
-    gts, s_gts = run_config(setup, clustering_1, "gts", "GTS")
-    lts1, s_1 = run_config(setup, clustering_1, "lts", "LTS lambda=1.00")
-    ltso, s_o = run_config(setup, clustering_opt, "lts", f"LTS lambda={clustering_opt.lam:.2f}")
+    gts, s_gts = run_config(setup, "gts", "GTS")
+    lts1, s_1 = run_config(setup, "lts", "LTS lambda=1.00")
+    ltso, s_o = run_config(setup_opt, "lts", f"LTS lambda={clustering_opt.lam:.2f}")
 
     t_g, v_g = gts.receivers["receiver_9"].seismogram()
     print("\nseismogram misfits E against the GTS reference (paper: ~1e-3):")

@@ -109,7 +109,7 @@ class LtsBuffers:
     # ------------------------------------------------------------------
     def fill(
         self,
-        elements: np.ndarray,
+        elements: slice,
         elastic_integral: np.ndarray,
         elastic_half: np.ndarray | None,
         step_index: int,
@@ -118,6 +118,9 @@ class LtsBuffers:
 
         Parameters
         ----------
+        elements:
+            The run of element ids that predicted (a cluster, or a row range
+            of one): the buffer rows are written through slice views.
         elastic_integral:
             The elastic ``(E, 9, B[, f])`` rows of the prediction's
             time-integrated DOFs over the elements' full step -- the second
@@ -146,7 +149,6 @@ class LtsBuffers:
 
     def neighbor_data(
         self,
-        elements: np.ndarray,
         neighbors: np.ndarray,
         relations: np.ndarray,
         step_index: int,
@@ -155,10 +157,9 @@ class LtsBuffers:
 
         Parameters
         ----------
-        elements:
-            Element ids of the batch (cluster ``l``) that completes a step.
         neighbors:
-            ``(E, 4)`` face-neighbour ids of the batch.
+            ``(E, 4)`` face-neighbour ids of the batch (cluster ``l``) that
+            completes a step.
         relations:
             ``(E, 4)`` cluster relation per face: ``SAME``, ``SMALLER``
             (neighbour advances with half the step), ``LARGER`` (double the
@@ -175,7 +176,6 @@ class LtsBuffers:
             over the batch's time interval; boundary faces are zero-filled
             (they are replaced by ghost data downstream).
         """
-        del elements  # the gather works purely on the neighbour ids
         # relation -> store row: SAME reads B1, SMALLER reads B3 (the two
         # accumulated sub-steps), LARGER reads B2 on an even local step and
         # the precomputed B1 - B2 on an odd one; boundary faces read the

@@ -66,6 +66,16 @@ class Clustering:
         """The actual (clustered) time step each element advances with."""
         return self.cluster_time_steps[self.cluster_ids]
 
+    def permuted(self, permutation: np.ndarray) -> "Clustering":
+        """The same clustering on a mesh permuted by ``permutation``
+        (``permutation[new_id] = old_id``, as :meth:`TetMesh.permuted`)."""
+        return Clustering(
+            cluster_ids=self.cluster_ids[permutation],
+            cluster_time_steps=self.cluster_time_steps,
+            lam=self.lam,
+            dt_min=self.dt_min,
+        )
+
 
 def assign_clusters(time_steps: np.ndarray, n_clusters: int, lam: float) -> np.ndarray:
     """Assign each element to its rate-2 cluster (eq. 16), without normalisation."""

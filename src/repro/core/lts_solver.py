@@ -22,31 +22,28 @@ import numpy as np
 
 from ..kernels.backend import make_backend
 from ..kernels.discretization import Discretization
+from ..mesh.reorder import cluster_ranges
 from ..observability import NULL_TELEMETRY
 from ..source.moment_tensor import DiscretePointSource, MomentTensorSource, PointForceSource
 from ..source.receivers import ReceiverSet
 from .buffers import BOUNDARY, LARGER, SAME, SMALLER, LtsBuffers
 from .clustering import Clustering
-from .lts_scheduler import micro_steps_per_cycle, schedule_cycle
+from .lts_scheduler import schedule_cycle
 
 __all__ = ["ClusteredLtsSolver"]
 
 
 class _ClusterData:
-    """Static per-cluster data of the LTS driver."""
+    """Static per-cluster data of the LTS driver: the cluster's run of the
+    cluster-ordered mesh as a ``range`` (what a backend's ``local_update`` is
+    handed) and as the equal ``slice`` (a view of every per-element array)."""
 
-    def __init__(self, disc: Discretization, clustering: Clustering, cluster: int):
-        ids = np.where(clustering.cluster_ids == cluster)[0]
+    def __init__(self, disc: Discretization, clustering: Clustering, cluster: int, run: range):
         self.cluster_id = cluster
-        self.elements = ids
-        #: what indexes the cluster's rows of every per-element array: a
-        #: ``slice`` when the ids are one contiguous run (a reordered mesh, a
-        #: rank-local subdomain, a single cluster), so DOF updates, buffer
-        #: fills and operator gathers are views instead of fancy-index copies
-        contiguous = len(ids) > 0 and ids[-1] - ids[0] + 1 == len(ids)
-        self.batch = slice(int(ids[0]), int(ids[-1]) + 1) if contiguous else ids
+        self.elements = run
+        self.batch = slice(run.start, run.stop)
         self.dt = float(clustering.cluster_time_steps[cluster])
-        neighbors = disc.mesh.neighbors[ids]
+        neighbors = disc.mesh.neighbors[self.batch]
         self.neighbors = neighbors
         neighbor_clusters = np.where(
             neighbors >= 0, clustering.cluster_ids[np.maximum(neighbors, 0)], -1
@@ -61,10 +58,6 @@ class _ClusterData:
                 "clustering is not normalised: face neighbours differ by more than one cluster"
             )
         self.relations = relations
-        self.has_smaller_neighbor = bool(np.any(relations == SMALLER))
-        #: source elements of this cluster (filled by the solver once the
-        #: sources are bound; avoids a set intersection per correction step)
-        self.source_elements = np.zeros(0, dtype=np.int64)
         #: per-cluster kernel scratch workspace (attached by the solver;
         #: ``None`` for the reference backend, which allocates per call)
         self.workspace = None
@@ -78,7 +71,12 @@ class _ClusterData:
 
 
 class ClusteredLtsSolver:
-    """Clustered rate-2 local time stepping ADER-DG solver."""
+    """Clustered rate-2 local time stepping ADER-DG solver.
+
+    The discretization must be assembled in cluster order (Sec. VI,
+    :func:`~repro.mesh.reorder.reorder_elements`); an unsorted clustering
+    raises :class:`~repro.mesh.reorder.ClusterOrderError`.
+    """
 
     def __init__(
         self,
@@ -92,6 +90,7 @@ class ClusteredLtsSolver:
     ):
         if len(clustering.cluster_ids) != disc.n_elements:
             raise ValueError("clustering does not match the discretization")
+        ranges = cluster_ranges(clustering.cluster_ids, clustering.n_clusters)
         if np.any(clustering.cluster_time_steps[clustering.cluster_ids] > disc.time_steps + 1e-12):
             raise ValueError("clustered time steps exceed the CFL limit of some elements")
         self.disc = disc
@@ -101,7 +100,7 @@ class ClusteredLtsSolver:
         self.sources = [self._bind_source(s) for s in (sources or [])]
         self._sources_by_element = {}
         for source in self.sources:
-            self._sources_by_element.setdefault(source.element, []).append(source)
+            self._sources_by_element.setdefault(int(source.element), []).append(source)
 
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self.backend = make_backend(kernels)
@@ -109,13 +108,11 @@ class ClusteredLtsSolver:
         self.dofs = disc.allocate_dofs(n_fused=n_fused)
         self.buffers = LtsBuffers(disc, n_fused=n_fused)
         self.clusters = [
-            _ClusterData(disc, clustering, l) for l in range(clustering.n_clusters)
+            _ClusterData(disc, clustering, l, range(start, stop))
+            for l, (start, stop) in enumerate(ranges)
         ]
         for cluster in self.clusters:
             cluster.workspace = self.backend.make_workspace()
-        source_ids = np.array(sorted(self._sources_by_element), dtype=np.int64)
-        for cluster in self.clusters:
-            cluster.source_elements = np.intersect1d(cluster.elements, source_ids)
         self.time = 0.0
         self.n_element_updates = 0
 
@@ -144,8 +141,6 @@ class ClusteredLtsSolver:
             cluster.pending_local_delta = None
             return
         with self.telemetry.region("predict"):
-            # the id array, not ``cluster.batch``: whoever wraps the backend
-            # to trace it sizes a ``local_update`` call by ``len(elements)``
             delta, time_integrated_elastic, local_traces = self._predict_elements(
                 cluster, cluster.elements
             )
@@ -154,9 +149,9 @@ class ClusteredLtsSolver:
         cluster.pending_traces = local_traces
 
     def _predict_elements(
-        self, cluster: _ClusterData, elements: np.ndarray | slice
+        self, cluster: _ClusterData, elements: range
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The element-local prediction body for a batch of the cluster's
+        """The element-local prediction body for a run of the cluster's
         elements: CK time kernel, buffer fill, volume + local surface update.
 
         Shared between the full-cluster ``_predict`` and the distributed
@@ -169,7 +164,10 @@ class ClusteredLtsSolver:
             self.disc, self.dofs, cluster.dt, elements,
             ws=cluster.workspace, needs_half=True,
         )
-        self.buffers.fill(elements, elastic_integral, elastic_half, cluster.step_index)
+        self.buffers.fill(
+            slice(elements.start, elements.stop), elastic_integral, elastic_half,
+            cluster.step_index,
+        )
         return delta, elastic_integral, local_traces
 
     def _neighbor_coefficients(self, cluster: _ClusterData) -> np.ndarray:
@@ -182,7 +180,7 @@ class ClusteredLtsSolver:
         disc = self.disc
         backend = self.backend
         neighbor_te = self.buffers.neighbor_data(
-            cluster.batch, cluster.neighbors, cluster.relations, cluster.step_index
+            cluster.neighbors, cluster.relations, cluster.step_index
         )
         own_traces = cluster.pending_traces
         if own_traces is None:
@@ -212,9 +210,10 @@ class ClusteredLtsSolver:
         cluster.pending_traces = None
 
         t_new = cluster_start_time + cluster.dt
-        for element in cluster.source_elements:
-            for source in self._sources_by_element[int(element)]:
-                source.inject(self.dofs, cluster_start_time, t_new)
+        for element, sources in self._sources_by_element.items():
+            if element in cluster.elements:
+                for source in sources:
+                    source.inject(self.dofs, cluster_start_time, t_new)
         if self.receivers is not None:
             self.receivers.record_elements(cluster.elements, t_new, self.dofs)
 

@@ -118,9 +118,9 @@ class RankSolver(ClusteredLtsSolver):
         """
         if rows.start == rows.stop:
             return
-        first = cluster.batch.start
+        first = cluster.elements.start
         delta, time_integrated_elastic, local_traces = self._predict_elements(
-            cluster, slice(first + rows.start, first + rows.stop)
+            cluster, range(first + rows.start, first + rows.stop)
         )
         cluster.pending_local_delta[rows] = delta
         cluster.pending_te[rows] = time_integrated_elastic

@@ -43,6 +43,7 @@ import numpy as np
 from ..core.clustering import Clustering
 from ..core.lts_scheduler import micro_steps_per_cycle
 from ..kernels.discretization import Discretization
+from ..mesh.reorder import reorder_elements
 
 __all__ = ["SubdomainDisc", "RankSubdomain", "SendBatch", "RecvPlan"]
 
@@ -179,7 +180,7 @@ class RankSubdomain:
             partitions[np.maximum(own_neighbors, 0)] == rank
         )
         is_interior = ~((own_neighbors >= 0) & ~same_rank).any(axis=1)
-        order = np.lexsort((members, is_interior, clustering.cluster_ids[members]))
+        order = reorder_elements(clustering.cluster_ids[members], communication_role=is_interior)
         self.owned = members[order]
         own_neighbors, same_rank = own_neighbors[order], same_rank[order]
         self.local_of_global = np.full(n_global, -1, dtype=np.int64)

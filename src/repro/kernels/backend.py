@@ -92,11 +92,11 @@ class KernelWorkspace:
     block, a one-element batch and the distributed steppers'
     boundary/interior alternation share the pages the largest request
     faulted in (a name is therefore live for one array at a time).
-    :meth:`cached` memoizes batch-static data (operator gathers, block
+    :meth:`cached` memoizes batch-static data (stacked operators, flux
     plans) under an explicit token.
     """
 
-    __slots__ = ("_pools", "_views", "_cache", "_tokens")
+    __slots__ = ("_pools", "_views", "_cache")
 
     def __init__(self):
         #: (name, dtype) -> flat buffer, grown to the largest request
@@ -104,9 +104,6 @@ class KernelWorkspace:
         #: (name, shape, dtype) -> leading view of the pool buffer
         self._views: dict = {}
         self._cache: dict = {}
-        #: id(elements) -> (elements, token): memoized batch identities; the
-        #: stored reference keeps the array alive so the id stays valid
-        self._tokens: dict = {}
 
     def scratch(self, name, shape: tuple, dtype) -> np.ndarray:
         """A scratch array of the requested shape/dtype with undefined
@@ -278,23 +275,23 @@ def _leading_extent(matrices, axis):
     return int(significant[-1]) + 1 if len(significant) else 1
 
 
-def _elements_token(elements, ws=None):
-    """A hashable identity for an element batch (operator-gather cache key).
+def _contiguous_run(elements, n_elements: int) -> range:
+    """An element batch as the unit-step ``range`` of ids it covers.
 
-    Serialising the id array is O(E); batches are long-lived (per-cluster
-    element lists, per-solver GTS ranges), so the token is memoized on the
-    workspace by object identity and computed once per distinct array.
+    Every batch a solver hands a backend is one run of the cluster-ordered
+    mesh: a ``slice`` or ``range`` of step 1, or an id array that counts up
+    by one (such as ``np.array([0])``).  Anything else raises ``ValueError``.
     """
     if isinstance(elements, slice):
-        return (elements.start, elements.stop, elements.step)
-    if ws is not None:
-        entry = ws._tokens.get(id(elements))
-        if entry is not None and entry[0] is elements:
-            return entry[1]
-        token = elements.tobytes()
-        ws._tokens[id(elements)] = (elements, token)
-        return token
-    return elements.tobytes()
+        elements = range(n_elements)[elements]
+    elif not isinstance(elements, range):
+        ids = np.asarray(elements)
+        start = int(ids.flat[0]) if ids.size else 0
+        if np.array_equal(ids, range(start, start + ids.size)):
+            elements = range(start, start + ids.size)
+    if not (isinstance(elements, range) and elements.step == 1):
+        raise ValueError("an element batch must be one contiguous run of element ids")
+    return elements
 
 
 #: bytes of CK derivative stack per ``FastBackend.local_update`` element
@@ -350,13 +347,12 @@ class FastBackend(ReferenceBackend):
         return ws.scratch(name, shape, dtype)
 
     @staticmethod
-    def _cached(ws, name, elements, builder):
-        """Memoize a batch-static build on the workspace (build-through when
-        no workspace is kept -- the batch token is only computed when it is
-        actually used as a cache key)."""
+    def _cached(ws, name, elements: slice, builder):
+        """Memoize a batch-static build on the workspace, keyed by the
+        batch's run (build-through when no workspace is kept)."""
         if ws is None:
             return builder()
-        return ws.cached(name, _elements_token(elements, ws), builder)
+        return ws.cached(name, (elements.start, elements.stop), builder)
 
     @staticmethod
     def _bmm(matrices, operand, out):
@@ -503,14 +499,9 @@ class FastBackend(ReferenceBackend):
     def compute_time_derivatives(self, disc, dofs, elements, ws=None):
         """CK derivatives as one contiguous ``(O, E, N_q, B[, f])`` stack
         (indexable per derivative like the reference's list)."""
-        if isinstance(elements, slice):
-            batch = dofs[elements]
-            stack = self._scratch(ws, "ck_stack", (disc.order,) + batch.shape, dofs.dtype)
-            stack[0] = batch
-        else:
-            shape = (disc.order, len(elements)) + dofs.shape[1:]
-            stack = self._scratch(ws, "ck_stack", shape, dofs.dtype)
-            np.take(dofs, elements, axis=0, out=stack[0], mode="clip")
+        batch = dofs[elements]
+        stack = self._scratch(ws, "ck_stack", (disc.order,) + batch.shape, dofs.dtype)
+        stack[0] = batch
         kcat = self._disc_data(disc).kcat_time
         for d in range(1, disc.order):
             self._space_operator(disc, kcat, stack[d - 1], stack[d], elements, ws)
@@ -544,32 +535,29 @@ class FastBackend(ReferenceBackend):
     # ------------------------------------------------------------------
     # cache-blocked local update
     # ------------------------------------------------------------------
-    def _block_plan(self, disc, dofs, elements, ws):
-        """``(n, [(rows, block_elements), ...])``: the batch cut into
-        contiguous blocks whose derivative stack fits ``_BLOCK_STACK_BYTES``
-        (cached per batch, so every block keeps one array identity and with
-        it its operator-gather cache entries)."""
+    @staticmethod
+    def _block_plan(disc, dofs, batch: range) -> list[tuple[slice, slice]]:
+        """``[(rows, block_elements), ...]``: the run cut into slices whose
+        derivative stack fits ``_BLOCK_STACK_BYTES``."""
         per_element = disc.order * math.prod(dofs.shape[1:]) * dofs.itemsize
         size = max(1, _BLOCK_STACK_BYTES // per_element)
-
-        def build():
-            batch = range(len(dofs))[elements] if isinstance(elements, slice) else elements
-            bounds = [(i, min(i + size, len(batch))) for i in range(0, len(batch), size)]
-            if isinstance(batch, range) and batch.step == 1:
-                # a contiguous run blocks into slices: views, not gathers
-                first = batch.start
-                return len(batch), [(slice(i, j), slice(first + i, first + j)) for i, j in bounds]
-            batch = np.asarray(batch)
-            return len(batch), [(slice(i, j), batch[i:j]) for i, j in bounds]
-
-        return self._cached(ws, f"block_plan{size}", elements, build)
+        first, n = batch.start, len(batch)
+        return [
+            (slice(i, min(i + size, n)), slice(first + i, first + min(i + size, n)))
+            for i in range(0, n, size)
+        ]
 
     def local_update(self, disc, dofs, dt, elements, ws=None, needs_half=False):
         """The shared pipeline, one L2-sized element block at a time: each
         block runs the public stage methods on block-sized scratch (no
         cluster-sized derivative stack or 27-variable integral exists) and
-        only the four arrays callers read land in cluster-sized scratch."""
-        n, blocks = self._block_plan(disc, dofs, elements, ws)
+        only the four arrays callers read land in cluster-sized scratch.
+
+        ``elements`` is normalised once (:func:`_contiguous_run`), so every
+        stage sees slices: DOF and operator rows are views, never gathers.
+        """
+        batch = _contiguous_run(elements, len(dofs))
+        n, blocks = len(batch), self._block_plan(disc, dofs, batch)
         dtype = dofs.dtype
         elastic_shape = (n, N_ELASTIC) + dofs.shape[2:]
         delta = self._scratch(ws, "lu_delta", (n,) + dofs.shape[1:], dtype)

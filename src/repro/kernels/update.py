@@ -83,13 +83,10 @@ def gts_step(
     LTS correctness tests; it returns the new DOF array.
     """
     backend = backend or _REFERENCE
-    if ws is not None:
-        # a stable array identity keeps the workspace's operator-gather and
-        # batch-token caches warm across steps
-        all_elements = ws.cached("gts_elements", disc.n_elements, lambda: np.arange(disc.n_elements))
-    else:
-        all_elements = np.arange(disc.n_elements)
-    delta, te, _, local_traces = backend.local_update(disc, dofs, dt, all_elements, ws=ws)
+    all_elements = slice(0, disc.n_elements)
+    delta, te, _, local_traces = backend.local_update(
+        disc, dofs, dt, range(disc.n_elements), ws=ws
+    )
 
     # gather the neighbours' time-integrated elastic DOFs per face
     neighbors = disc.mesh.neighbors

@@ -20,7 +20,7 @@ from .refinement import (
     edge_length_profile_from_velocity,
     elements_per_wavelength_rule,
 )
-from .reorder import ReorderResult, cluster_ranges, reorder_elements
+from .reorder import ClusterOrderError, cluster_ranges, reorder_elements
 from .tet_mesh import (
     BOUNDARY_ABSORBING,
     BOUNDARY_ANALYTIC,
@@ -50,7 +50,7 @@ __all__ = [
     "elements_per_wavelength_rule",
     "edge_length_profile_from_velocity",
     "characteristic_lengths",
-    "ReorderResult",
+    "ClusterOrderError",
     "reorder_elements",
     "cluster_ranges",
 ]

@@ -22,6 +22,7 @@ Faces without a neighbour carry an integer tag.  The solver interprets
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,6 +69,9 @@ class TetMesh:
         default=None, init=False, repr=False
     )
     _geometry: GeometryCache | None = field(default=None, init=False, repr=False)
+    #: ``(K,)`` id each element had in the mesh as generated (the identity
+    #: unless the mesh is a :meth:`permuted` one)
+    original_ids: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.vertices = np.asarray(self.vertices, dtype=np.float64)
@@ -79,6 +83,7 @@ class TetMesh:
         if self.elements.size and self.elements.max() >= len(self.vertices):
             raise ValueError("element refers to a vertex that does not exist")
         self._fix_orientation()
+        self.original_ids = np.arange(self.n_elements)
         if self.boundary_tags is None:
             self.boundary_tags = np.full(self.elements.shape, BOUNDARY_ABSORBING, dtype=np.int32)
         else:
@@ -182,15 +187,42 @@ class TetMesh:
         """Return a new mesh with elements re-ordered by ``permutation``.
 
         ``permutation[i]`` is the old element id that becomes new element ``i``.
+        Geometry and face connectivity already computed on this mesh are
+        carried over as row gathers (connectivity remapped to the new ids)
+        instead of being recomputed: both are per element, so the result is
+        equal to a recomputation.
         """
         permutation = np.asarray(permutation, dtype=np.int64)
-        if sorted(permutation.tolist()) != list(range(self.n_elements)):
+        n = self.n_elements
+        if not (
+            permutation.shape == (n,)
+            and (n == 0 or (permutation.min() >= 0 and permutation.max() < n))
+            and np.all(np.bincount(permutation, minlength=n) == 1)
+        ):
             raise ValueError("permutation must be a bijection over the elements")
-        return TetMesh(
-            vertices=self.vertices.copy(),
-            elements=self.elements[permutation].copy(),
-            boundary_tags=self.boundary_tags[permutation].copy(),
-        )
+        # a shallow copy skips the constructor: these rows were validated
+        # and oriented when this mesh was built
+        mesh = copy.copy(self)
+        mesh.elements = self.elements[permutation]
+        mesh.boundary_tags = self.boundary_tags[permutation]
+        mesh.original_ids = self.original_ids[permutation]
+        mesh._geometry = mesh._connectivity = None
+        if self._geometry is not None:
+            mesh._geometry = GeometryCache(
+                **{
+                    name: getattr(self._geometry, name)[permutation]
+                    for name in GeometryCache.__dataclass_fields__
+                }
+            )
+        if self._connectivity is not None:
+            neighbors, neighbor_faces = self._connectivity
+            # new id of every old id, plus a trailing -1 that boundary
+            # entries (-1) index
+            new_ids = np.empty(n + 1, dtype=np.int64)
+            new_ids[permutation] = np.arange(n)
+            new_ids[n] = -1
+            mesh._connectivity = (new_ids[neighbors[permutation]], neighbor_faces[permutation])
+        return mesh
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"TetMesh(n_vertices={self.n_vertices}, n_elements={self.n_elements})"

@@ -63,8 +63,10 @@ __all__ = [
 #: artifact bytes) changes; part of every stage key, so stale cache
 #: directories miss instead of poisoning new runs (3: the partition stage's
 #: content changed under an unchanged key -- recursive bisection replaced the
-#: index-range split; 4: the ``operators`` stage is gone)
-CACHE_FORMAT_VERSION = 4
+#: index-range split; 4: the ``operators`` stage is gone; 5: the partition
+#: stage holds only the partitions and the -- now cluster-major, (cluster,
+#: partition, role, id) -- permutation)
+CACHE_FORMAT_VERSION = 5
 
 #: the cacheable pipeline stages, in dependency order
 STAGES = ("mesh", "materials", "clustering", "partition")
@@ -261,32 +263,22 @@ class PreprocessingCache:
     def partition(self, spec) -> dict | None:
         """The cached partition/reordering stage, or ``None`` on a miss.
 
-        Returns ``{"permutation", "partitions", "time_steps", clustering}``
-        in *solver (reordered) element order*; the caller derives the
-        reordered mesh/materials by applying the permutation (cheap).
+        Returns ``{"partitions", "permutation"}`` in *original* element
+        order; the caller derives the reordered model by applying the
+        permutation (cheap).
         """
         stored = self._load("partition", stage_key(spec, "partition"))
         self._count("partition", hit=stored is not None)
-        if stored is None:
-            return None
-        return {
-            "permutation": stored["permutation"],
-            "partitions": stored["partitions"],
-            "time_steps": stored["time_steps"],
-            "clustering": _clustering_from(stored),
-        }
+        return stored
 
-    def store_partition(self, spec, *, permutation, partitions, time_steps,
-                        clustering: Clustering) -> None:
-        """Persist the partition/reordering stage (post-permutation arrays)."""
+    def store_partition(self, spec, *, partitions, permutation) -> None:
+        """Persist the partition/reordering stage."""
         self._store(
             "partition",
             stage_key(spec, "partition"),
             {
-                "permutation": np.asarray(permutation, dtype=np.int64),
                 "partitions": np.asarray(partitions, dtype=np.int64),
-                "time_steps": np.asarray(time_steps),
-                **_clustering_arrays(clustering),
+                "permutation": np.asarray(permutation, dtype=np.int64),
             },
         )
 
@@ -329,14 +321,13 @@ def warm_preprocessing(spec, cache: PreprocessingCache) -> dict:
     signature *before* starting its workers, so a shared-mesh ensemble pays
     mesh/clustering/partition cost exactly once -- in the parent -- and every
     member run is a pure cache hit regardless of worker count.  Only the
-    preprocessing stages run; no solver is constructed.
+    preprocessing stages run: no operators are assembled and no solver is
+    constructed.
     """
-    from ..scenarios.runner import build_setup, preprocess_setup
+    from ..scenarios.runner import preprocess_setup, staged_setup
 
     before = cache.snapshot()
-    setup = build_setup(spec, cache=cache)
+    setup = staged_setup(spec, cache=cache)
     if spec.preprocessing.active:
         preprocess_setup(spec, setup, cache=cache)
-    else:
-        cache.clustering(spec, setup.clustering)
     return diff_stats(before, cache.snapshot())

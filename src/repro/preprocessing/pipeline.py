@@ -7,7 +7,8 @@ everything the core solver needs, in the paper's order:
 2. per-element material sampling,
 3. derivation of the LTS clusters and the optimal lambda,
 4. element/face weights and weighted partitioning,
-5. reordering by (partition, time cluster, communication role), and
+5. reordering by (time cluster, partition, communication role) -- cluster
+   first, so every cluster is one contiguous block of the global order, and
 6. writing per-partition files (mesh chunk + annotation data) that the solver
    can read back without any startup communication.
 """
@@ -42,7 +43,6 @@ class PreprocessedModel:
     partitions: np.ndarray
     order: int
     n_mechanisms: int
-    frequency_band: tuple[float, float]
 
     @property
     def n_elements(self) -> int:
@@ -124,7 +124,11 @@ class PreprocessingPipeline:
             materials = MaterialTable.from_velocity_model(
                 self.velocity_model, mesh.centroids
             )
-        return self.preprocess(mesh, materials)
+        time_steps = self.derive_time_steps(mesh, materials)
+        clustering = self.derive_clustering(mesh, time_steps)
+        partitions = self.derive_partition(mesh, clustering).partitions
+        permutation = self.derive_permutation(mesh, clustering, partitions)
+        return self.assemble(mesh, materials, time_steps, clustering, partitions, permutation)
 
     # -- explicit stages (the preprocessing cache's unit of storage) ----
     def derive_time_steps(self, mesh: TetMesh, materials: MaterialTable) -> np.ndarray:
@@ -161,7 +165,7 @@ class PreprocessingPipeline:
     def derive_permutation(
         self, mesh: TetMesh, clustering: Clustering, partitions: np.ndarray
     ) -> np.ndarray:
-        """Step 5: the (partition, cluster, communication-role) reordering
+        """Step 5: the (cluster, partition, communication-role) reordering
         permutation (Sec. VI), original -> solver element order."""
         with self.telemetry.region("preprocess.reorder"):
             send_role = np.any(
@@ -172,9 +176,7 @@ class PreprocessingPipeline:
                 ),
                 axis=1,
             ).astype(np.int64)
-            return reorder_elements(
-                partitions, clustering.cluster_ids, send_role
-            ).permutation
+            return reorder_elements(clustering.cluster_ids, partitions, send_role)
 
     def assemble(
         self,
@@ -188,43 +190,15 @@ class PreprocessingPipeline:
         """Apply the reordering permutation and package the model.
 
         Pure array shuffling -- cheap and deterministic, so the cache stores
-        the permutation (plus the post-permutation clustering/partitions)
-        and replays this step rather than persisting whole reordered meshes.
+        the partitions and the permutation and replays this step rather than
+        persisting whole reordered meshes.
         """
         return PreprocessedModel(
             mesh=mesh.permuted(permutation),
             materials=materials.subset(permutation),
             time_steps=time_steps[permutation],
-            clustering=Clustering(
-                cluster_ids=clustering.cluster_ids[permutation],
-                cluster_time_steps=clustering.cluster_time_steps,
-                lam=clustering.lam,
-                dt_min=clustering.dt_min,
-            ),
+            clustering=clustering.permuted(permutation),
             partitions=partitions[permutation],
             order=self.order,
             n_mechanisms=self.n_mechanisms,
-            frequency_band=(self.max_frequency / 50.0, self.max_frequency),
-        )
-
-    def preprocess(
-        self,
-        mesh: TetMesh,
-        materials: MaterialTable,
-        clustering: Clustering | None = None,
-    ) -> PreprocessedModel:
-        """Steps 3-6 of the pipeline on a prebuilt mesh + material table.
-
-        The scenario runner uses this entry point to route spec-built meshes
-        through clustering, weighted partitioning and reordering.  A prebuilt
-        ``clustering`` (e.g. the preprocessing cache's clustering stage, in
-        original element order) skips the clustering stage.
-        """
-        time_steps = self.derive_time_steps(mesh, materials)
-        if clustering is None:
-            clustering = self.derive_clustering(mesh, time_steps)
-        partition = self.derive_partition(mesh, clustering)
-        permutation = self.derive_permutation(mesh, clustering, partition.partitions)
-        return self.assemble(
-            mesh, materials, time_steps, clustering, partition.partitions, permutation
         )

@@ -11,7 +11,9 @@ and element-update accounting.
 Checkpoint/restart serialises the complete dynamic state of a run -- DOFs,
 simulation time, per-cluster ``step_index``, the three LTS time buffers and
 the receiver recordings -- at macro-cycle boundaries (where no prediction is
-pending), so a resumed run is bit-identical to an uninterrupted one.
+pending), so a resumed run is bit-identical to an uninterrupted one.  The
+per-element arrays are stored in solver element order (cluster order for
+LTS); the rebuilt setup derives the same order from the stored spec.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import json
 import os
 import time as _time
 import zipfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,6 +34,7 @@ from ..kernels.discretization import Discretization
 from ..mesh.generation import layered_box_mesh
 from ..mesh.geometry import cfl_time_steps
 from ..mesh.refinement import elements_per_wavelength_rule
+from ..mesh.reorder import reorder_elements
 from ..mesh.tet_mesh import TetMesh
 from ..observability import (
     Heartbeat,
@@ -49,6 +52,7 @@ __all__ = [
     "ScenarioSetup",
     "ScenarioRunner",
     "build_setup",
+    "staged_setup",
     "preprocess_setup",
     "make_runner",
     "runner_class_for",
@@ -57,7 +61,10 @@ __all__ = [
     "CorruptCheckpointError",
 ]
 
-CHECKPOINT_FORMAT_VERSION = 1
+#: 2: DOFs, buffers and ``cluster_ids`` are stored in solver element order
+#: (cluster order for LTS), no longer in generation order, with the
+#: ``element_order`` (generation id per row) they were written in
+CHECKPOINT_FORMAT_VERSION = 2
 
 
 class CorruptCheckpointError(ValueError):
@@ -207,7 +214,12 @@ def _initial_condition(spec: ScenarioSpec, materials: MaterialTable):
 
 @dataclass
 class ScenarioSetup:
-    """Executable objects materialised from a :class:`ScenarioSpec`."""
+    """Executable objects materialised from a :class:`ScenarioSpec`.
+
+    ``mesh``, ``materials``, ``time_steps``, ``clustering`` and ``disc`` share
+    one element order: generation order for GTS, cluster order for LTS (see
+    :func:`build_setup`), the pipeline's order after preprocessing.
+    """
 
     spec: ScenarioSpec
     velocity_model: object
@@ -215,22 +227,11 @@ class ScenarioSetup:
     materials: MaterialTable
     disc: Discretization | None
     time_steps: np.ndarray
+    #: the spec policy's clustering, derived once from ``time_steps``
+    clustering: Clustering
     source: object | None
     receiver_locations: dict
     initial_condition: object | None
-
-    def clustering(
-        self, n_clusters: int | None = None, lam: float | None | str = "spec"
-    ) -> Clustering:
-        """Clustering per the spec's policy (or explicit overrides)."""
-        policy = self.spec.clustering
-        n_clusters = policy.n_clusters if n_clusters is None else n_clusters
-        lam = policy.lam if lam == "spec" else lam
-        if lam is None:
-            return optimize_lambda(
-                self.time_steps, n_clusters, self.mesh.neighbors, policy.increment
-            )
-        return derive_clustering(self.time_steps, n_clusters, lam, self.mesh.neighbors)
 
 
 def _build_discretization(
@@ -266,15 +267,14 @@ def _build_discretization(
     )
 
 
-def build_setup(spec: ScenarioSpec, *, cache=None) -> ScenarioSetup:
-    """Materialise a spec: velocity model, mesh, materials, discretization,
-    source, receivers and initial condition (no partitioning/reordering; a
-    spec with ``preprocessing.active`` gets ``disc=None`` here and its
-    discretization from the runner, in solver element order).
+def staged_setup(spec: ScenarioSpec, *, cache=None) -> ScenarioSetup:
+    """The preprocessing stages of a spec -- velocity model, mesh,
+    materials, CFL steps and the clustering -- in generation order, with no
+    operators assembled (``disc`` is ``None``).
 
-    With ``cache`` set, the mesh and material table are loaded from the
-    content-addressed preprocessing cache when present (and stored after
-    building otherwise); the returned setup is bit-identical either way.
+    With ``cache`` set, the mesh, material table and clustering are loaded
+    from the content-addressed preprocessing cache when present (and stored
+    after building otherwise); the returned setup is bit-identical either way.
     """
     model = build_velocity_model(spec)
     rule, horizontal = _edge_rules(spec, model)
@@ -303,91 +303,102 @@ def build_setup(spec: ScenarioSpec, *, cache=None) -> ScenarioSetup:
     materials = (
         cache.materials(spec, _build_materials) if cache is not None else _build_materials()
     )
-    # a reordering run assembles its one operator set in solver element
-    # order (ScenarioRunner._apply_preprocessing); until then only the
-    # per-element CFL steps are needed
-    disc = (
-        None
-        if spec.preprocessing.active
-        else _build_discretization(spec, mesh, materials, cache=cache)
+    time_steps = cfl_time_steps(
+        mesh.insphere_radii, materials.max_wave_speed, spec.order, spec.solver.cfl
+    )
+    policy = spec.clustering
+
+    def _derive_clustering() -> Clustering:
+        if policy.lam is None:
+            return optimize_lambda(
+                time_steps, policy.n_clusters, mesh.neighbors, policy.increment
+            )
+        return derive_clustering(time_steps, policy.n_clusters, policy.lam, mesh.neighbors)
+
+    clustering = (
+        cache.clustering(spec, _derive_clustering)
+        if cache is not None
+        else _derive_clustering()
     )
     return ScenarioSetup(
         spec=spec,
         velocity_model=model,
         mesh=mesh,
         materials=materials,
-        disc=disc,
-        time_steps=cfl_time_steps(
-            mesh.insphere_radii, materials.max_wave_speed, spec.order, spec.solver.cfl
-        ),
+        disc=None,
+        time_steps=time_steps,
+        clustering=clustering,
         source=spec.source.build() if spec.source is not None else None,
         receiver_locations=spec.receiver_locations,
         initial_condition=_initial_condition(spec, materials),
     )
 
 
+def build_setup(spec: ScenarioSpec, *, cache=None) -> ScenarioSetup:
+    """Materialise a spec: the :func:`staged_setup` plus the assembled
+    discretization.
+
+    An LTS setup is built in cluster order: the clustering is derived from
+    the CFL steps first, mesh, materials and steps are permuted into
+    (cluster, id) order (:func:`~repro.mesh.reorder.reorder_elements`) and
+    only then are the operators assembled, so every cluster is one
+    contiguous slice of every per-element array.  GTS steps all elements as
+    one batch and keeps generation order.  A spec with
+    ``preprocessing.active`` gets ``disc=None`` here and its discretization
+    from the runner, in the pipeline's element order.
+    """
+    setup = staged_setup(spec, cache=cache)
+    if spec.preprocessing.active:
+        return setup
+    ids = setup.clustering.cluster_ids
+    if spec.solver.kind == "lts" and np.any(np.diff(ids) < 0):
+        order = reorder_elements(ids)
+        setup = replace(
+            setup,
+            mesh=setup.mesh.permuted(order),
+            materials=setup.materials.subset(order),
+            time_steps=setup.time_steps[order],
+            clustering=setup.clustering.permuted(order),
+        )
+    setup.disc = _build_discretization(spec, setup.mesh, setup.materials, cache=cache)
+    return setup
+
+
 def preprocess_setup(spec: ScenarioSpec, setup: ScenarioSetup, *, cache=None,
                      telemetry=None):
     """Route a setup's mesh + materials through the weighted-partitioning /
-    reordering stages (Fig. 8, steps 3-5); returns the
-    :class:`~repro.preprocessing.pipeline.PreprocessedModel`.
+    reordering stages (Fig. 8, steps 4-5) with the setup's clustering;
+    returns the :class:`~repro.preprocessing.pipeline.PreprocessedModel`.
 
-    With ``cache`` set, the clustering stage and the partition/reordering
-    stage (stored as the permutation plus the post-permutation clustering,
-    partitions and time steps -- the cheap :meth:`assemble` replay applies
-    the permutation) are loaded from the preprocessing cache when present.
+    With ``cache`` set, the partition/reordering stage (the partitions and
+    the permutation; the cheap :meth:`assemble` replay applies it) is loaded
+    from the preprocessing cache when present.
     """
-    from ..preprocessing.pipeline import PreprocessedModel, PreprocessingPipeline
+    from ..preprocessing.pipeline import PreprocessingPipeline
 
+    # only the partition, permutation and assembly stages run here: the
+    # setup already holds the mesh, materials, time steps and clustering
     pipeline = PreprocessingPipeline(
         velocity_model=setup.velocity_model,
         extent=spec.domain.extent,
         max_frequency=spec.mesh.max_frequency,
-        elements_per_wavelength=spec.mesh.elements_per_wavelength,
         order=spec.order,
         n_mechanisms=spec.material.n_mechanisms,
-        n_clusters=spec.clustering.n_clusters,
         n_partitions=spec.preprocessing.n_partitions,
-        cfl=spec.solver.cfl,
-        jitter=spec.mesh.jitter,
-        optimize_lambda_increment=spec.clustering.increment,
-        lam=spec.clustering.lam,
-        seed=spec.mesh.seed,
         telemetry=telemetry,
     )
-    mesh, materials = setup.mesh, setup.materials
-    if cache is None:
-        return pipeline.preprocess(mesh, materials)
-    stored = cache.partition(spec)
-    if stored is not None:
-        permutation = stored["permutation"]
-        return PreprocessedModel(
-            mesh=mesh.permuted(permutation),
-            materials=materials.subset(permutation),
-            time_steps=stored["time_steps"],
-            clustering=stored["clustering"],
-            partitions=stored["partitions"],
-            order=spec.order,
-            n_mechanisms=spec.material.n_mechanisms,
-            frequency_band=(spec.mesh.max_frequency / 50.0, spec.mesh.max_frequency),
-        )
-    time_steps = pipeline.derive_time_steps(mesh, materials)
-    clustering = cache.clustering(
-        spec, lambda: pipeline.derive_clustering(mesh, time_steps)
+    mesh, clustering = setup.mesh, setup.clustering
+    stored = cache.partition(spec) if cache is not None else None
+    if stored is None:
+        partitions = pipeline.derive_partition(mesh, clustering).partitions
+        permutation = pipeline.derive_permutation(mesh, clustering, partitions)
+        if cache is not None:
+            cache.store_partition(spec, partitions=partitions, permutation=permutation)
+    else:
+        partitions, permutation = stored["partitions"], stored["permutation"]
+    return pipeline.assemble(
+        mesh, setup.materials, setup.time_steps, clustering, partitions, permutation
     )
-    partition = pipeline.derive_partition(mesh, clustering)
-    permutation = pipeline.derive_permutation(mesh, clustering, partition.partitions)
-    model = pipeline.assemble(
-        mesh, materials, time_steps, clustering, partition.partitions, permutation
-    )
-    cache.store_partition(
-        spec,
-        permutation=permutation,
-        partitions=model.partitions,
-        time_steps=model.time_steps,
-        clustering=model.clustering,
-    )
-    return model
 
 
 # ---------------------------------------------------------------------------
@@ -434,14 +445,10 @@ class ScenarioRunner:
                     "preprocessing reordering: the permutation would invalidate "
                     "its element indices (let the pipeline derive the clustering)"
                 )
-            clustering = self._apply_preprocessing()
-        if clustering is None:
-            clustering = (
-                self.cache.clustering(spec, self.setup.clustering)
-                if self.cache is not None
-                else self.setup.clustering()
-            )
-        self.clustering = clustering
+            self._apply_preprocessing()
+        #: an explicit clustering must be in the setup's element order (an
+        #: LTS solver rejects one whose clusters are not contiguous in it)
+        self.clustering = clustering if clustering is not None else self.setup.clustering
 
         disc = self.setup.disc
         self.receivers = (
@@ -486,28 +493,24 @@ class ScenarioRunner:
         )
 
     # -- preprocessing --------------------------------------------------
-    def _apply_preprocessing(self) -> Clustering:
+    def _apply_preprocessing(self) -> None:
         """Route mesh + materials through the weighted-partitioning /
-        reordering stages of the preprocessing pipeline (Fig. 8, steps 3-5)
-        and rebuild the discretization in solver element order."""
+        reordering stages of the preprocessing pipeline (Fig. 8, steps 4-5)
+        and assemble the discretization in solver element order."""
         spec = self.spec
         model = preprocess_setup(
             spec, self.setup, cache=self.cache, telemetry=self.telemetry
         )
         disc = _build_discretization(spec, model.mesh, model.materials, cache=self.cache)
         self.preprocessed = model
-        self.setup = ScenarioSetup(
-            spec=spec,
-            velocity_model=self.setup.velocity_model,
+        self.setup = replace(
+            self.setup,
             mesh=model.mesh,
             materials=model.materials,
             disc=disc,
             time_steps=disc.time_steps,
-            source=self.setup.source,
-            receiver_locations=self.setup.receiver_locations,
-            initial_condition=self.setup.initial_condition,
+            clustering=model.clustering,
         )
-        return model.clustering
 
     # -- cycle loop -----------------------------------------------------
     @property
@@ -830,6 +833,8 @@ class ScenarioRunner:
         }
         arrays = {
             "dofs": solver.dofs,
+            # generation id of every row: the rebuilt setup must match it
+            "element_order": self.setup.mesh.original_ids,
             "cluster_ids": self.clustering.cluster_ids,
             "cluster_time_steps": self.clustering.cluster_time_steps,
         }
@@ -959,6 +964,11 @@ class ScenarioRunner:
                 "checkpoint clustering does not match the rebuilt scenario; "
                 "was the spec edited?"
             )
+        if not np.array_equal(self.setup.mesh.original_ids, data["element_order"]):
+            raise ValueError(
+                "checkpoint element order does not match the rebuilt scenario; "
+                "was the run built on the setup of another spec?"
+            )
         self._restore_solver_state(data, meta)
         self.cycles_done = int(meta["cycles_done"])
         self.wall_s = float(meta.get("wall_s", 0.0))
@@ -1029,6 +1039,7 @@ def measure_update_cost(setup: ScenarioSetup, n_cycles: int = 10) -> float:
     ``n_cycles`` steps, so the ratio of two probes isolates the kernel cost.
     """
     spec = setup.spec.with_overrides(solver="gts", n_clusters=1, lam=1.0, n_cycles=n_cycles)
-    runner = ScenarioRunner(spec, setup=setup, clustering=setup.clustering(1, lam=1.0))
+    clustering = derive_clustering(setup.time_steps, 1, 1.0)
+    runner = ScenarioRunner(spec, setup=setup, clustering=clustering)
     summary = runner.run()
     return summary["wall_s"] / summary["element_updates"]

@@ -27,12 +27,19 @@ __all__ = ["MomentTensorSource", "PointForceSource", "DiscretePointSource", "loc
 
 def locate_point(mesh, point: np.ndarray) -> int:
     """Find the element containing ``point``: the first one whose barycentric
-    excess is within round-off of zero, else the first of smallest excess."""
+    excess is within round-off of zero, else the first of smallest excess.
+
+    "First" is in generation order (:attr:`TetMesh.original_ids`), so a
+    point on a face shared by two elements lands in the same element
+    whichever order the mesh was permuted into.
+    """
     offset = np.asarray(point, dtype=np.float64) - mesh.vertices[mesh.elements[:, 0]]
     xi = np.linalg.solve(mesh.geometry.jacobians, offset[..., None])[..., 0]  # (K, 3)
     excess = np.maximum(-xi.min(axis=1), xi.sum(axis=1) - 1.0)
-    inside = np.flatnonzero(excess <= 1e-12)
-    return int(inside[0] if len(inside) else np.argmin(excess))
+    candidates = np.flatnonzero(excess <= 1e-12)
+    if len(candidates) == 0:
+        candidates = np.flatnonzero(excess == excess.min())
+    return int(candidates[np.argmin(mesh.original_ids[candidates])])
 
 
 @dataclass(frozen=True)

@@ -112,11 +112,16 @@ class ReceiverSet:
         """Element ids containing at least one receiver."""
         return np.array(sorted(self._by_element), dtype=np.int64)
 
-    def record_elements(self, element_ids: np.ndarray, time: float, dofs: np.ndarray) -> None:
-        """Record all receivers whose element is in ``element_ids`` at ``time``."""
-        for k in np.intersect1d(element_ids, self.elements, assume_unique=False):
-            for receiver in self._by_element[int(k)]:
-                receiver.record(time, dofs)
+    def record_elements(self, element_ids, time: float, dofs: np.ndarray) -> None:
+        """Record all receivers whose element is in ``element_ids`` at ``time``.
+
+        ``element_ids`` is any container of ids -- typically a cluster's
+        ``range``, whose membership test is O(1).
+        """
+        for k in sorted(self._by_element):
+            if k in element_ids:
+                for receiver in self._by_element[k]:
+                    receiver.record(time, dofs)
 
     def record_all(self, time: float, dofs: np.ndarray) -> None:
         for receiver in self.receivers:

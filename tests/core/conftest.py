@@ -7,13 +7,17 @@ from repro.equations.material import ElasticMaterial, MaterialTable, Viscoelasti
 from repro.kernels.discretization import Discretization
 from repro.mesh.generation import box_mesh, layered_box_mesh
 
+#: the build options of the two fixtures (``cluster_ordered`` repeats them)
+ELASTIC_ASSEMBLY = dict(order=3, flux="rusanov")
+GRADED_ASSEMBLY = dict(order=3, n_mechanisms=3, frequency_band=(0.05, 5.0), flux="rusanov")
+
 
 @pytest.fixture(scope="module")
 def elastic_disc():
     coords = np.linspace(0.0, 2000.0, 3)
     mesh = box_mesh(coords, coords, coords, jitter=0.1, free_surface_top=False)
     table = MaterialTable.homogeneous(ElasticMaterial(2700.0, 6000.0, 3464.0), mesh.n_elements)
-    return Discretization(mesh, table, order=3, flux="rusanov")
+    return Discretization(mesh, table, **ELASTIC_ASSEMBLY)
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +39,4 @@ def graded_disc():
         qp=np.where(layer, 120.0, 155.9),
         qs=np.where(layer, 40.0, 69.3),
     )
-    return Discretization(
-        mesh, table, order=3, n_mechanisms=3, frequency_band=(0.05, 5.0), flux="rusanov"
-    )
+    return Discretization(mesh, table, **GRADED_ASSEMBLY)

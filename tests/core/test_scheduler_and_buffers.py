@@ -58,7 +58,7 @@ class TestBufferAlgebra:
         rng = np.random.default_rng(0)
         dofs = rng.normal(size=disc.allocate_dofs().shape)
         buffers = LtsBuffers(disc)
-        elements = np.arange(disc.n_elements)
+        elements = slice(0, disc.n_elements)
         dt = 0.01
 
         derivatives = compute_time_derivatives(disc, dofs, elements)
@@ -92,17 +92,16 @@ class TestBufferAlgebra:
         buffers.b2 = rng.normal(size=buffers.b2.shape)
         buffers.b3 = rng.normal(size=buffers.b3.shape)
 
-        elements = np.array([0])
         neighbors = np.array([[1, 2, 3, -1]])
         relations = np.array([[SAME, SMALLER, LARGER, -2]])
 
-        even = buffers.neighbor_data(elements, neighbors, relations, step_index=0)
+        even = buffers.neighbor_data(neighbors, relations, step_index=0)
         np.testing.assert_array_equal(even[0, 0], buffers.b1[1])
         np.testing.assert_array_equal(even[0, 1], buffers.b3[2])
         np.testing.assert_array_equal(even[0, 2], buffers.b2[3])
         np.testing.assert_array_equal(even[0, 3], 0.0)
 
-        odd = buffers.neighbor_data(elements, neighbors, relations, step_index=1)
+        odd = buffers.neighbor_data(neighbors, relations, step_index=1)
         np.testing.assert_array_equal(odd[0, 2], buffers.b1[3] - buffers.b2[3])
 
     def test_views_are_read_only(self, elastic_disc):
@@ -125,7 +124,7 @@ class TestBufferAlgebra:
         buffers.b2 = b2
         neighbors = np.array([[1, -1, -1, -1]])
         relations = np.array([[LARGER, -2, -2, -2]])
-        odd = buffers.neighbor_data(np.array([0]), neighbors, relations, step_index=1)
+        odd = buffers.neighbor_data(neighbors, relations, step_index=1)
         np.testing.assert_array_equal(odd[0, 0], b1[1] - b2[1])
         np.testing.assert_array_equal(odd[0, 1], 0.0)  # boundary ghost row
 

@@ -18,6 +18,9 @@ from repro.source.moment_tensor import MomentTensorSource
 from repro.source.receivers import ReceiverSet
 from repro.source.time_functions import RickerWavelet
 
+from ..lts_setup import cluster_ordered
+from .conftest import ELASTIC_ASSEMBLY, GRADED_ASSEMBLY
+
 
 def _gaussian_ic(length=2000.0, width=400.0):
     center = np.array([length / 2, length / 2, length / 2])
@@ -59,8 +62,11 @@ class TestMultiClusterAccuracy:
     def test_lts_matches_gts_solution(self, graded_disc):
         """Multi-cluster LTS vs GTS at dt_min: both approximate the same PDE,
         so their difference must be small compared to the signal itself."""
-        disc = graded_disc
-        clustering = derive_clustering(disc.time_steps, 3, 1.0, disc.mesh.neighbors)
+        disc, clustering = cluster_ordered(
+            graded_disc,
+            derive_clustering(graded_disc.time_steps, 3, 1.0, graded_disc.mesh.neighbors),
+            **GRADED_ASSEMBLY,
+        )
         assert clustering.n_clusters == 3
         assert clustering.counts.min() >= 0 and clustering.counts.sum() == disc.n_elements
         # the graded mesh must genuinely use more than one cluster
@@ -92,8 +98,11 @@ class TestMultiClusterAccuracy:
     def test_algorithmic_efficiency_matches_speedup_model(self, graded_disc):
         """The measured ratio of element updates (GTS / LTS) equals the
         theoretical speedup of the clustering when both run the same time."""
-        disc = graded_disc
-        clustering = optimize_lambda(disc.time_steps, 3, disc.mesh.neighbors, increment=0.05)
+        disc, clustering = cluster_ordered(
+            graded_disc,
+            optimize_lambda(graded_disc.time_steps, 3, graded_disc.mesh.neighbors, increment=0.05),
+            **GRADED_ASSEMBLY,
+        )
         lts = ClusteredLtsSolver(disc, clustering)
         n_cycles = 2
         macro = lts.macro_dt
@@ -124,14 +133,17 @@ class TestSourcesAndReceivers:
         assert np.max(np.abs(values)) > 0.0
 
     def test_lts_and_gts_seismograms_agree(self, graded_disc):
-        disc = graded_disc
+        disc, clustering = cluster_ordered(
+            graded_disc,
+            derive_clustering(graded_disc.time_steps, 3, 1.0, graded_disc.mesh.neighbors),
+            **GRADED_ASSEMBLY,
+        )
         source = MomentTensorSource(
             location=np.array([2000.0, 2000.0, -1500.0]),
             moment_tensor=1e12 * np.eye(3),
             time_function=RickerWavelet(f0=5.0, t0=0.15),
         )
         station = {"st": np.array([2600.0, 2600.0, -200.0])}
-        clustering = derive_clustering(disc.time_steps, 3, 1.0, disc.mesh.neighbors)
 
         rec_gts = ReceiverSet(disc, station)
         gts = GlobalTimeSteppingSolver(
@@ -161,8 +173,11 @@ class TestSourcesAndReceivers:
 
 class TestFusedRuns:
     def test_fused_lts_matches_single_runs(self, elastic_disc):
-        disc = elastic_disc
-        clustering = derive_clustering(disc.time_steps, 2, 1.0, disc.mesh.neighbors)
+        disc, clustering = cluster_ordered(
+            elastic_disc,
+            derive_clustering(elastic_disc.time_steps, 2, 1.0, elastic_disc.mesh.neighbors),
+            **ELASTIC_ASSEMBLY,
+        )
         lts_fused = ClusteredLtsSolver(disc, clustering, n_fused=2)
         lts_single = ClusteredLtsSolver(disc, clustering)
         lts_fused.set_initial_condition(_gaussian_ic())
@@ -188,10 +203,18 @@ class TestValidation:
             ClusteredLtsSolver(elastic_disc, clustering)
 
     def test_unnormalized_clustering_raises(self, graded_disc):
-        disc = graded_disc
         from repro.core.clustering import Clustering, assign_clusters
 
-        raw = assign_clusters(disc.time_steps, 4, 1.0)
+        from repro.kernels.discretization import Discretization
+        from repro.mesh.reorder import reorder_elements
+
+        raw = assign_clusters(graded_disc.time_steps, 4, 1.0)
+        order = reorder_elements(raw)
+        disc = Discretization(
+            graded_disc.mesh.permuted(order), graded_disc.materials.subset(order),
+            **GRADED_ASSEMBLY,
+        )
+        raw = raw[order]
         # only fails if the raw assignment actually violates the +-1 rule
         violation = False
         for k in range(disc.n_elements):

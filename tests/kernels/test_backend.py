@@ -21,6 +21,7 @@ import pytest
 from repro.core.clustering import derive_clustering
 from repro.core.gts_solver import GlobalTimeSteppingSolver
 from repro.core.lts_solver import ClusteredLtsSolver
+from repro.equations.material import MaterialTable, ViscoelasticMaterial
 from repro.kernels.backend import KERNEL_KINDS, FastBackend, ReferenceBackend, make_backend
 from repro.kernels.ader import compute_time_derivatives, time_integrate
 from repro.kernels.discretization import Discretization, N_ELASTIC
@@ -32,8 +33,8 @@ from repro.kernels.surface import (
 )
 from repro.kernels.volume import volume_kernel
 
+from ..lts_setup import cluster_ordered
 from .conftest import small_mesh
-from repro.equations.material import MaterialTable, ViscoelasticMaterial
 
 #: the public stage methods of a backend, in pipeline order
 STAGES = (
@@ -149,7 +150,7 @@ class TestStageDispatch:
         table = MaterialTable.homogeneous(material, mesh.n_elements)
         disc = Discretization(mesh, table, order=2, n_mechanisms=1)
         clustering = derive_clustering(disc.time_steps, 2, 1.0, disc.mesh.neighbors)
-        return disc, clustering
+        return cluster_ordered(disc, clustering, order=2, n_mechanisms=1)
 
     @staticmethod
     def _stepped(graded, solver_kind, kind, stage=None):
@@ -225,11 +226,14 @@ class TestPrecision:
         mesh = small_mesh(n=2, jitter=0.1)
         material = ViscoelasticMaterial(rho=2600.0, vp=4000.0, vs=2000.0, qp=120.0, qs=40.0)
         table = MaterialTable.homogeneous(material, mesh.n_elements)
+        base = Discretization(mesh, table, order=3, n_mechanisms=3)
+        clustering = derive_clustering(base.time_steps, 2, 1.0, base.mesh.neighbors)
         results = {}
         for precision in ("f64", "f32"):
-            disc = Discretization(mesh, table, order=3, n_mechanisms=3, precision=precision)
-            clustering = derive_clustering(disc.time_steps, 2, 1.0, disc.mesh.neighbors)
-            solver = ClusteredLtsSolver(disc, clustering, kernels=kind)
+            disc, ordered = cluster_ordered(
+                base, clustering, order=3, n_mechanisms=3, precision=precision
+            )
+            solver = ClusteredLtsSolver(disc, ordered, kernels=kind)
             solver.set_initial_condition(
                 lambda points: np.ones((len(points), 9)) * np.cos(points[:, :1] / 400.0)
             )

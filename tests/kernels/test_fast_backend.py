@@ -28,6 +28,7 @@ from repro.kernels.discretization import Discretization, N_ELASTIC
 from repro.kernels.volume import volume_kernel
 from repro.scenarios import get_scenario, make_runner
 
+from ..lts_setup import cluster_ordered
 from .conftest import small_mesh
 
 
@@ -97,7 +98,7 @@ class TestKernelToleranceParity:
     @pytest.mark.parametrize("n_fused", [0, 2, 8])
     def test_local_update(self, disc, n_fused):
         dofs = _random_dofs(disc, n_fused)
-        elements = np.arange(disc.n_elements)
+        elements = slice(0, disc.n_elements)
         expected = _local_update_copy(ReferenceBackend(), disc, dofs, elements)
         actual = _local_update_copy(FastBackend(), disc, dofs, elements)
         for name, a, e in zip(("delta", "integral", "half", "traces"), actual, expected):
@@ -109,7 +110,7 @@ class TestKernelToleranceParity:
         ref, fast = ReferenceBackend(), FastBackend()
         ws = fast.make_workspace()
         dofs = _random_dofs(disc, seed=2)
-        elements = np.arange(disc.n_elements)
+        elements = slice(0, disc.n_elements)
         dt = float(disc.time_steps.min())
         derivs_r = ref.compute_time_derivatives(disc, dofs, elements)
         derivs_f = fast.compute_time_derivatives(disc, dofs, elements, ws=ws)
@@ -133,7 +134,7 @@ class TestKernelToleranceParity:
         ref, fast = ReferenceBackend(), FastBackend()
         ws = fast.make_workspace()
         dofs = _random_dofs(disc, seed=4)
-        elements = np.arange(disc.n_elements)
+        elements = slice(0, disc.n_elements)
         dt = float(disc.time_steps.min())
         ti = ref.time_integrate(ref.compute_time_derivatives(disc, dofs, elements), 0.0, dt)
         traces = ref.project_local_traces(disc, ti[:, :N_ELASTIC], elements)
@@ -152,7 +153,7 @@ class TestKernelToleranceParity:
         ref, fast = ReferenceBackend(), FastBackend()
         ws = fast.make_workspace()
         dofs = _random_dofs(disc, seed=3)
-        elements = np.arange(disc.n_elements)
+        elements = slice(0, disc.n_elements)
         dt = float(disc.time_steps.min())
         _, te, _, _ = ref.local_update(disc, dofs, dt, elements)
         neighbor_te = te[np.maximum(disc.mesh.neighbors, 0)]
@@ -173,7 +174,7 @@ class TestOtherTiers:
         """The f32 tier: one call stays within single-precision roundoff."""
         disc64, disc32 = _disc(order=3), _disc(order=3, precision="f32")
         dofs = _random_dofs(disc64, n_fused, seed=6)
-        elements = np.arange(disc64.n_elements)
+        elements = slice(0, disc64.n_elements)
         expected = _local_update_copy(ReferenceBackend(), disc64, dofs, elements)
         actual = _local_update_copy(FastBackend(), disc32, dofs.astype(np.float32), elements)
         for name, a, e in zip(("delta", "integral", "half", "traces"), actual, expected):
@@ -192,7 +193,7 @@ class TestOtherTiers:
         data = fast._disc_data(dense)
         assert not (data.star_e_blocks and data.star_a_velocity and data.coupling_stress)
         dofs = _random_dofs(dense, seed=5)
-        elements = np.arange(dense.n_elements)
+        elements = slice(0, dense.n_elements)
         expected = _local_update_copy(ReferenceBackend(), dense, dofs, elements)
         actual = _local_update_copy(fast, dense, dofs, elements)
         for name, a, e in zip(("delta", "integral", "half", "traces"), actual, expected):
@@ -247,7 +248,7 @@ class TestStackedOperators:
         fast = FastBackend()
         data = fast._disc_data(disc)
         x = _random_dofs(disc, n_fused, seed=13)
-        elements = np.arange(disc.n_elements)
+        elements = slice(0, disc.n_elements)
         y = np.empty_like(x)
         fast._space_operator(disc, data.kcat_vol, x, y, elements, None)
         _assert_close(y, volume_kernel(disc, x, elements), name="volume")
@@ -275,7 +276,7 @@ class TestStackedOperators:
         fast = FastBackend()
         ws = fast.make_workspace()
         dofs = _random_dofs(disc, n_fused=4, seed=15)
-        elements = np.arange(disc.n_elements)
+        elements = slice(0, disc.n_elements)
         dt = float(disc.time_steps.min())
         delta_fused, ti_fused, _, _ = fast.local_update(disc, dofs, dt, elements, ws=ws)
         # the scalar calls below reuse (and overwrite) the same named scratch
@@ -299,44 +300,57 @@ class TestCacheBlocking:
 
     @pytest.mark.parametrize("n_fused", [0, 1, 2, 16])
     @pytest.mark.parametrize("n_elements", [1, 3, 5, 13], ids=lambda n: f"E{n}")
-    @pytest.mark.parametrize("kind", ["slice", "index"])
+    @pytest.mark.parametrize("kind", ["slice", "range", "index"])
     def test_blocked_equals_unblocked_bitwise(self, monkeypatch, disc, n_fused, n_elements, kind):
         """E = 1, E < block, E == block and E = 2 blocks + 3."""
         dofs = _random_dofs(disc, n_fused, seed=21)
-        if kind == "slice":
-            elements = slice(2, 2 + n_elements)
-        else:
-            elements = np.random.default_rng(n_elements).permutation(disc.n_elements)[:n_elements]
+        run = range(2, 2 + n_elements)
+        elements = {"slice": slice(run.start, run.stop), "range": run, "index": np.array(run)}[kind]
         _set_block_elements(monkeypatch, disc, dofs, disc.n_elements)
         unblocked = _local_update_copy(FastBackend(), disc, dofs, elements)
         _set_block_elements(monkeypatch, disc, dofs, self.BLOCK)
         fast = FastBackend()
-        n, blocks = fast._block_plan(disc, dofs, elements, None)
-        assert n == n_elements and len(blocks) == -(-n_elements // self.BLOCK)
+        blocks = fast._block_plan(disc, dofs, run)
+        assert len(blocks) == -(-n_elements // self.BLOCK)
+        assert blocks[0][1].start == run.start and blocks[-1][1].stop == run.stop
         blocked = _local_update_copy(fast, disc, dofs, elements)
         for name, b, u in zip(("delta", "integral", "half", "traces"), blocked, unblocked):
             assert np.array_equal(b, u), name
 
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
-    def test_any_subset_matches_the_full_batch_bitwise(self, disc, data):
-        """Unlike the parent's whole-batch GEMMs, an element's update does
-        not depend on which batch (or block) it is computed in -- the
-        distributed boundary/interior split is exact on ``fast`` too."""
-        subset = np.array(
-            data.draw(
-                st.lists(
-                    st.integers(0, disc.n_elements - 1), min_size=1, max_size=17, unique=True
-                )
-            )
-        )
+    def test_any_run_matches_the_full_batch_bitwise(self, disc, data):
+        """An element's update does not depend on which run (or block) of
+        the mesh it is computed in -- a cluster, a rank's boundary/interior
+        split or the whole mesh: the split is exact on ``fast`` too."""
+        start = data.draw(st.integers(0, disc.n_elements - 1))
+        stop = data.draw(st.integers(start + 1, min(disc.n_elements, start + 17)))
         dofs = _random_dofs(disc, seed=22)
         with pytest.MonkeyPatch.context() as patch:  # per example, not per test
             _set_block_elements(patch, disc, dofs, self.BLOCK)
-            full = _local_update_copy(FastBackend(), disc, dofs, np.arange(disc.n_elements))
-            part = _local_update_copy(FastBackend(), disc, dofs, subset)
+            full = _local_update_copy(FastBackend(), disc, dofs, range(disc.n_elements))
+            part = _local_update_copy(FastBackend(), disc, dofs, range(start, stop))
         for name, p, f in zip(("delta", "integral", "half", "traces"), part, full):
-            assert np.array_equal(p, f[subset]), name
+            assert np.array_equal(p, f[start:stop]), name
+
+    @pytest.mark.parametrize(
+        "elements", [range(3, 7), slice(3, 7), np.array([0]), np.arange(3, 7)],
+        ids=["range", "slice", "one-id", "id-run"],
+    )
+    def test_local_update_takes_any_contiguous_batch(self, disc, elements):
+        dofs = _random_dofs(disc, seed=25)
+        result = _local_update_copy(FastBackend(), disc, dofs, elements)
+        rows = range(disc.n_elements)[elements] if isinstance(elements, slice) else elements
+        assert result[0].shape[0] == len(rows)
+
+    @pytest.mark.parametrize(
+        "elements", [np.array([0, 2]), np.array([3, 2]), range(0, 6, 2), slice(0, 6, 2)],
+        ids=["gap", "descending", "strided-range", "strided-slice"],
+    )
+    def test_local_update_rejects_a_scattered_batch(self, disc, elements):
+        dofs = _random_dofs(disc, seed=26)
+        with pytest.raises(ValueError, match="contiguous run"):
+            FastBackend().local_update(disc, dofs, 1e-3, elements)
 
     def test_partial_block_shares_the_block_scratch(self, monkeypatch, disc):
         """2 blocks + 3 elements: every block-level scratch array is
@@ -382,7 +396,7 @@ class TestCacheBlocking:
         fast = FastBackend()
         ws = fast.make_workspace()
         dofs = _random_dofs(disc, seed=24)
-        elements = np.arange(disc.n_elements)
+        elements = slice(0, disc.n_elements)
         fast.compute_time_derivatives(disc, dofs, elements, ws=ws)  # warm caches + scratch
         calls = []
         matmul = np.matmul
@@ -425,7 +439,7 @@ class TestSolverToleranceParity:
         table = MaterialTable.homogeneous(material, mesh.n_elements)
         disc = Discretization(mesh, table, order=3, n_mechanisms=3)
         clustering = derive_clustering(disc.time_steps, 2, 1.0, disc.mesh.neighbors)
-        return disc, clustering
+        return cluster_ordered(disc, clustering, order=3, n_mechanisms=3)
 
     def test_clustered_lts_cycles(self, graded):
         disc, clustering = graded

@@ -58,7 +58,7 @@ def test_halo_payloads_match_neighbor_buffer_reads(solver_setup):
             cluster = solver.clusters[l]
             # the direct neighbour-buffer reads of the single-rank solver
             neighbor_te = solver.buffers.neighbor_data(
-                cluster.elements, cluster.neighbors, cluster.relations, cluster.step_index
+                cluster.neighbors, cluster.relations, cluster.step_index
             )
             rows = {int(e): i for i, e in enumerate(cluster.elements)}
             for face in halo:

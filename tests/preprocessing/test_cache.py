@@ -142,12 +142,10 @@ class TestCacheBitIdentity:
         for name, array in setup_a.disc.operator_arrays().items():
             assert np.array_equal(array, setup_b.disc.operator_arrays()[name]), name
 
-        clustering_a = cache_a.clustering(spec_a, setup_a.clustering)
-        clustering_b = cache_b.clustering(spec_b, setup_b.clustering)
         assert cache_b.stats["clustering"] == HIT
-        assert np.array_equal(clustering_a.cluster_ids, clustering_b.cluster_ids)
+        assert np.array_equal(setup_a.clustering.cluster_ids, setup_b.clustering.cluster_ids)
         assert np.array_equal(
-            clustering_a.cluster_time_steps, clustering_b.cluster_time_steps
+            setup_a.clustering.cluster_time_steps, setup_b.clustering.cluster_time_steps
         )
 
     def test_differing_mesh_h_misses_on_disk(self, tmp_path):
@@ -194,13 +192,13 @@ class TestCacheBitIdentity:
         assert np.array_equal(plain.preprocessed.partitions, warm.preprocessed.partitions)
 
     def test_cache_written_at_an_older_format_version_is_a_miss(self, tmp_path, monkeypatch):
-        """Format 3 directories (which also hold an ``operators/`` stage this
-        tree no longer reads) must miss, not replay."""
+        """Format 4 directories (whose partition stage holds a
+        partition-major permutation) must miss, not replay."""
         from repro.preprocessing import cache as cache_module
 
         spec = tiny_loh3().with_overrides(n_partitions=2, reorder=True)
-        assert cache_module.CACHE_FORMAT_VERSION == 4
-        monkeypatch.setattr(cache_module, "CACHE_FORMAT_VERSION", 3)
+        assert cache_module.CACHE_FORMAT_VERSION == 5
+        monkeypatch.setattr(cache_module, "CACHE_FORMAT_VERSION", 4)
         old_keys = all_stage_keys(spec)
         warm_preprocessing(spec, PreprocessingCache(tmp_path))
         assert PreprocessingCache(tmp_path).is_warm(spec)
@@ -240,6 +238,27 @@ class TestCacheBitIdentity:
         for name, array in plain.setup.disc.operator_arrays().items():
             assert np.array_equal(array, cold.setup.disc.operator_arrays()[name]), name
             assert np.array_equal(array, warm.setup.disc.operator_arrays()[name]), name
+
+    @pytest.mark.parametrize("reorder", [False, True])
+    def test_prewarm_assembles_no_operators(self, tmp_path, monkeypatch, reorder):
+        """The sweep prewarm fills the cached stages only: every member run
+        assembles its own operators, so a prewarm that built a
+        Discretization would pay for one nobody uses."""
+        from repro.kernels.discretization import Discretization
+
+        spec = tiny_loh3()
+        if reorder:
+            spec = spec.with_overrides(n_partitions=2, reorder=True)
+        built = []
+        init = Discretization.__init__
+        monkeypatch.setattr(
+            Discretization, "__init__",
+            lambda self, *a, **kw: built.append(self) or init(self, *a, **kw),
+        )
+        delta = warm_preprocessing(spec, PreprocessingCache(tmp_path))
+        assert built == []
+        assert sorted(delta) == sorted(stage for stage, _ in needed_stage_keys(spec))
+        assert PreprocessingCache(tmp_path).is_warm(spec)
 
     def test_reordered_setup_defers_its_discretization(self, tmp_path):
         """``build_setup`` of a reordering spec assembles nothing: the runner
@@ -327,4 +346,5 @@ class TestCorruptArtifacts:
         assert diff_stats(before, cache.snapshot()) == {
             "mesh": {"hits": 0, "misses": 1, "corrupt": 1},
             "materials": HIT,
+            "clustering": HIT,
         }

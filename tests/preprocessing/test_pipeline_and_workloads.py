@@ -79,13 +79,13 @@ class TestPreprocessingPipeline:
         assert summary["theoretical_speedup"] >= 1.0
         assert summary["n_partitions"] == 4
 
-    def test_reordering_sorts_by_partition_then_cluster(self, model):
+    def test_reordering_sorts_by_cluster_then_partition(self, model):
         partitions = model.partitions
         clusters = model.clustering.cluster_ids
-        assert np.all(np.diff(partitions) >= 0)
-        for p in np.unique(partitions):
-            mask = partitions == p
-            assert np.all(np.diff(clusters[mask]) >= 0)
+        assert np.all(np.diff(clusters) >= 0)
+        for c in np.unique(clusters):
+            mask = clusters == c
+            assert np.all(np.diff(partitions[mask]) >= 0)
 
     def test_partition_io_roundtrip(self, model, tmp_path):
         paths = write_partitions(model, tmp_path)
@@ -113,14 +113,14 @@ class TestLoh3Workload:
         np.testing.assert_allclose(np.unique(setup.materials.vs[~layer]), [3464.0])
         # Fig. 4: the layer's smaller time steps populate at least 2 clusters
         # and LTS clearly beats GTS
-        clustering = setup.clustering(n_clusters=3, lam=1.0)
+        clustering = derive_clustering(setup.time_steps, 3, 1.0, setup.mesh.neighbors)
         assert np.count_nonzero(clustering.counts) >= 2
         assert clustering.speedup() > 1.3
 
     def test_lambda_optimisation_does_not_hurt(self):
         setup = _loh3()
-        fixed = setup.clustering(n_clusters=3, lam=1.0)
-        best = setup.clustering(n_clusters=3, lam=None)
+        fixed = derive_clustering(setup.time_steps, 3, 1.0, setup.mesh.neighbors)
+        best = optimize_lambda(setup.time_steps, 3, setup.mesh.neighbors)
         assert best.speedup() >= fixed.speedup() - 1e-12
 
     def test_elastic_variant_has_no_memory_variables(self):

@@ -16,6 +16,7 @@ import pytest
 from repro.scenarios import ScenarioRunner, get_scenario
 from repro.scenarios.cli import main as cli_main
 from repro.scenarios.spec import SOLVER_KINDS, ScenarioSpec
+from repro.core.clustering import derive_clustering
 from repro.core.lts_solver import ClusteredLtsSolver
 
 
@@ -84,9 +85,12 @@ class TestRunnerEquivalence:
         # same element updates; the reordered run is a permutation of the same mesh
         assert plain.solver.n_element_updates == reordered.solver.n_element_updates
         assert reordered.setup.mesh.n_elements == plain.setup.mesh.n_elements
-        # elements are sorted by (partition, cluster)
+        # elements are sorted by (cluster, partition)
+        clusters = reordered.clustering.cluster_ids
         parts = reordered.preprocessed.partitions
-        assert np.all(np.diff(parts) >= 0)
+        assert np.all(np.diff(clusters) >= 0)
+        for cluster in np.unique(clusters):
+            assert np.all(np.diff(parts[clusters == cluster]) >= 0)
 
     def test_explicit_clustering_with_reorder_rejected(self, tiny_loh3):
         from repro.scenarios import build_setup
@@ -96,7 +100,7 @@ class TestRunnerEquivalence:
             ScenarioRunner(
                 tiny_loh3.with_overrides(n_partitions=2, reorder=True),
                 setup=setup,
-                clustering=setup.clustering(),
+                clustering=setup.clustering,
             )
 
 
@@ -148,7 +152,7 @@ class TestCheckpointRestart:
 
         path = tmp_path / "explicit.ckpt.npz"
         setup = build_setup(tiny_loh3)
-        clustering = setup.clustering(1, lam=1.0)  # spec says 2 clusters
+        clustering = derive_clustering(setup.time_steps, 1, 1.0)  # spec says 2 clusters
         spec = tiny_loh3.with_overrides(solver="gts")
 
         full = ScenarioRunner(spec, setup=setup, clustering=clustering)
@@ -265,6 +269,76 @@ class TestCheckpointRestart:
             np.testing.assert_array_equal(
                 resumed.receivers[name].seismogram()[1], full.receivers[name].seismogram()[1]
             )
+
+    @pytest.mark.parametrize("kernels", ["ref", "fast"])
+    def test_checkpoint_holds_solver_order_and_resumes_bitwise(self, tmp_path, kernels):
+        """Format 2: DOFs, buffers and cluster ids in the setup's cluster
+        order, which the resumed run rebuilds from the stored spec (La Habra:
+        its generation order is not cluster order)."""
+        spec = get_scenario("la_habra").smoke().with_overrides(
+            n_clusters=3, n_cycles=3, kernels=kernels
+        )
+        path = tmp_path / "run.ckpt.npz"
+        full = ScenarioRunner(spec)
+        full.run()
+        interrupted = ScenarioRunner(spec)
+        n_elements = interrupted.setup.mesh.n_elements
+        assert not np.array_equal(interrupted.setup.mesh.original_ids, np.arange(n_elements))
+        while interrupted.cycles_done < 2:
+            interrupted.step_cycle()
+        interrupted.save_checkpoint(path)
+        with np.load(path) as data:
+            assert json.loads(str(data["meta"]))["format_version"] == 2
+            assert np.all(np.diff(data["cluster_ids"]) >= 0)
+            np.testing.assert_array_equal(data["dofs"], interrupted.solver.dofs)
+            np.testing.assert_array_equal(data["b3"], interrupted.solver.buffers.b3)
+
+        resumed = ScenarioRunner.resume(path)
+        resumed.run()
+        np.testing.assert_array_equal(resumed.solver.dofs, full.solver.dofs)
+        for receiver in full.receivers.receivers:
+            np.testing.assert_array_equal(
+                resumed.receivers[receiver.name].seismogram()[1], receiver.seismogram()[1]
+            )
+
+    def test_checkpoint_in_another_element_order_is_refused(self, tmp_path):
+        """A GTS run stepped on an LTS (cluster-ordered) setup writes rows in
+        that order; its spec rebuilds generation order, so the resume must
+        refuse instead of loading permuted DOFs under a matching clustering."""
+        from repro.scenarios import build_setup
+
+        path = tmp_path / "foreign.ckpt.npz"
+        spec = get_scenario("la_habra").smoke().with_overrides(n_clusters=3)
+        setup = build_setup(spec)
+        runner = ScenarioRunner(
+            spec.with_overrides(solver="gts"),
+            setup=setup,
+            clustering=derive_clustering(setup.time_steps, 1, 1.0),
+        )
+        runner.step_cycle()
+        runner.save_checkpoint(path)
+        with pytest.raises(ValueError, match="element order does not match"):
+            ScenarioRunner.resume(path)
+
+    def test_format_1_checkpoint_is_refused(self, tiny_loh3, tmp_path, capsys):
+        """Format 1 stored generation order: it cannot resume into a cluster-
+        ordered setup and is refused like any unknown format."""
+        path = tmp_path / "run.ckpt.npz"
+        runner = ScenarioRunner(tiny_loh3)
+        runner.step_cycle()
+        runner.save_checkpoint(path)
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files}
+        meta = json.loads(str(arrays.pop("meta")))
+        meta["format_version"] = 1
+        with open(path, "wb") as handle:
+            np.savez(handle, meta=json.dumps(meta), **arrays)
+        with pytest.raises(ValueError, match="^unsupported checkpoint format 1$"):
+            ScenarioRunner.resume(path)
+        assert cli_main(["resume", str(path), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: unsupported checkpoint format 1")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("damage", ["truncated", "garbage", "bare_npy", "no_meta"])
     def test_corrupt_checkpoint_is_one_named_error(self, tiny_plane_wave, tmp_path, damage, capsys):

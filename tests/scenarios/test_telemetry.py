@@ -119,14 +119,14 @@ class TestSummaryTelemetryBlock:
         )
 
     def test_preprocessing_stages_timed(self, tiny_loh3):
-        # the runner routes its spec-built mesh through steps 3-6 of the
-        # pipeline; meshing/material sampling are timed by the full pipeline
-        # (covered below)
+        # the runner routes its spec-built mesh and clustering through steps
+        # 4-5 of the pipeline; meshing/material sampling are timed by the
+        # full pipeline (covered below)
         runner = ScenarioRunner(
             tiny_loh3.with_overrides(telemetry=True, n_partitions=2, reorder=True)
         )
         regions = runner.telemetry.regions()
-        for stage in ("time_steps", "clustering", "partition", "reorder"):
+        for stage in ("partition", "reorder"):
             assert f"preprocess.{stage}" in regions
 
     def test_full_pipeline_times_meshing_and_materials(self):
