@@ -8,13 +8,12 @@ the byte-counting communicator -- bit-identical to the single-rank solver.
 """
 
 from .engine import DistributedLtsEngine
-from .process_engine import COMM_KINDS, ProcessLtsEngine
+from .process_engine import ProcessLtsEngine
 from .runner import DistributedRunner
 from .stepper import RankSolver
 from .subdomain import RankSubdomain, SubdomainDisc
 
 __all__ = [
-    "COMM_KINDS",
     "DistributedLtsEngine",
     "ProcessLtsEngine",
     "DistributedRunner",

@@ -31,13 +31,11 @@ Orchestration notes:
 
 from __future__ import annotations
 
-import glob
 import multiprocessing
 import os
 import threading
 import time
 import traceback
-from multiprocessing.shared_memory import SharedMemory
 
 import numpy as np
 
@@ -46,36 +44,25 @@ from ..core.lts_scheduler import schedule_cycle
 from ..kernels.backend import make_backend
 from ..kernels.discretization import Discretization
 from ..observability import TelemetryConfig, merge_snapshots, peak_rss_mb
-from ..parallel.communicator import MessageStats, pair_key
+from ..parallel.communicator import MessageStats
 from ..parallel.exchange import HaloIndex
 from ..parallel.process_comm import ProcessCommunicator
-from ..parallel.shm_comm import ShmCommunicator, ShmRing, create_ring_segment, ring_capacity
 from ..source.moment_tensor import DiscretePointSource
 from ..source.receivers import Receiver, ReceiverSet
 from .engine import modelled_exchange_per_cycle, remap_local_sources
 from .stepper import RankSolver
 from .subdomain import RankSubdomain
 
-__all__ = ["ProcessLtsEngine", "COMM_KINDS"]
+__all__ = ["ProcessLtsEngine"]
 
-#: halo transports of the process backend: ``queue`` ships payloads through
-#: multiprocessing queues (pickled), ``shm`` writes them in place into
-#: shared-memory ring buffers and ships only tokens
-COMM_KINDS = ("queue", "shm")
+#: seconds a blocked halo receive waits before the run aborts (a healthy peer
+#: on a big mesh can legitimately compute for a while; ``solver.comm_timeout``
+#: overrides it)
+DEFAULT_COMM_TIMEOUT_S = 120.0
 
 #: how often a worker's watchdog checks whether the worker has been orphaned
 #: (parent SIGKILLed and the worker reparented)
 _ORPHAN_POLL_S = 1.0
-
-
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:
-        return True
-    return True
 
 
 def _exit_when_orphaned(parent_pid: int) -> None:
@@ -89,76 +76,11 @@ def _exit_when_orphaned(parent_pid: int) -> None:
     case and race with the peers' checks (the rank that notices first exits
     and strands the others in a receive until the halo timeout), so every
     worker watches for the reparenting on its own thread.  ``os._exit``:
-    nothing is left to report to, and the ring segments belong to the
-    parent's resource tracker / the next engine's reaper, not to the worker.
+    nothing is left to report to.
     """
     while os.getppid() == parent_pid:
         time.sleep(_ORPHAN_POLL_S)
     os._exit(1)
-
-
-def _reap_stale_segments() -> list[str]:
-    """Unlink ring segments whose creating process no longer exists.
-
-    A SIGKILL delivered to the *whole process group* takes out the parent,
-    the workers and the multiprocessing resource tracker in one shot, so no
-    process survives to unlink the rings.  Ring names embed the creating
-    pid (``repro-<pid>-<token>-<src>to<dst>``), so the next engine start
-    reclaims anything whose owner is dead.  Returns the reaped names.
-    """
-    reaped: list[str] = []
-    for path in glob.glob("/dev/shm/repro-*"):
-        name = os.path.basename(path)
-        try:
-            pid = int(name.split("-")[1])
-        except (IndexError, ValueError):
-            continue  # not a ring name this engine generates
-        if pid == os.getpid() or _pid_alive(pid):
-            continue
-        try:
-            segment = SharedMemory(name=name)
-        except (FileNotFoundError, OSError):
-            continue  # lost a race with another reaper
-        segment.close()
-        try:
-            segment.unlink()
-        except (FileNotFoundError, OSError):
-            pass
-        reaped.append(name)
-    return reaped
-
-
-def _build_communicator(
-    comm_kind: str,
-    rank: int,
-    n_ranks: int,
-    inbound,
-    outbound: dict,
-    ring_names: dict | None,
-    timeout: float,
-):
-    """Worker-side communicator construction for either transport.
-
-    For ``shm`` the worker only *attaches* to the parent-created segments
-    (and never unlinks: segment lifetime belongs to the parent, and the
-    resource tracker shared across the fork tree keeps the SIGKILL
-    safety net armed).
-    """
-    if comm_kind == "queue":
-        return ProcessCommunicator(rank, n_ranks, inbound, outbound, timeout=timeout)
-    tx = {
-        dst: ShmRing.attach(name)
-        for (src, dst), name in ring_names.items()
-        if src == rank
-    }
-    rx = {
-        src: ShmRing.attach(name)
-        for (src, dst), name in ring_names.items()
-        if dst == rank
-    }
-    return ShmCommunicator(
-        rank, n_ranks, inbound, outbound, tx=tx, rx=rx, timeout=timeout
-    )
 
 
 def _shim_receiver_set(shims: list[Receiver]) -> ReceiverSet | None:
@@ -184,8 +106,6 @@ def _rank_worker(
     inbound,
     outbound: dict,
     ctrl,
-    comm_kind: str,
-    ring_names: dict | None,
     comm_timeout: float,
     telemetry_config: TelemetryConfig,
     telemetry_epoch: float,
@@ -200,16 +120,9 @@ def _rank_worker(
     if os.getppid() != parent_pid:
         return  # orphaned during spawn: do not even build the solver
     threading.Thread(target=_exit_when_orphaned, args=(parent_pid,), daemon=True).start()
-    comm = None
     try:
-        comm = _build_communicator(
-            comm_kind,
-            rank,
-            subdomain.n_ranks,
-            inbound,
-            outbound,
-            ring_names,
-            comm_timeout,
+        comm = ProcessCommunicator(
+            rank, subdomain.n_ranks, inbound, outbound, timeout=comm_timeout
         )
         receivers = _shim_receiver_set(shims)
         # the lane uses the parent's trace epoch: perf_counter is the
@@ -316,14 +229,6 @@ def _rank_worker(
             ctrl.send(("error", traceback.format_exc()))
         except Exception:
             pass
-    finally:
-        # detach from the shm segments (queue transport: no-op); unlinking
-        # stays with the parent
-        if comm is not None:
-            try:
-                comm.close()
-            except Exception:
-                pass
 
 
 def _new_records(receivers: ReceiverSet | None, reported: dict[str, int]) -> list:
@@ -356,7 +261,6 @@ class ProcessLtsEngine:
         receivers: ReceiverSet | None = None,
         n_fused: int = 0,
         kernels=None,
-        comm: str = "queue",
         comm_timeout: float | None = None,
         telemetry: TelemetryConfig | None = None,
         telemetry_epoch: float | None = None,
@@ -375,15 +279,9 @@ class ProcessLtsEngine:
         # per-process caches, so the instance itself is never shipped)
         self.kernels = make_backend(kernels).name
         self.receiver_set = receivers
-        # a blocked halo receive aborts after this many seconds (a healthy
-        # peer on a big mesh can legitimately compute for a while, so the
-        # limit is tunable: constructor arg, else REPRO_HALO_TIMEOUT_S)
-        if comm_timeout is None:
-            comm_timeout = float(os.environ.get("REPRO_HALO_TIMEOUT_S", "120"))
-        self.comm_timeout = float(comm_timeout)
-        if comm not in COMM_KINDS:
-            raise ValueError(f"unknown comm transport {comm!r} (choose from {COMM_KINDS})")
-        self.comm_kind = comm
+        self.comm_timeout = float(
+            DEFAULT_COMM_TIMEOUT_S if comm_timeout is None else comm_timeout
+        )
 
         self._global_sources = [
             s if isinstance(s, DiscretePointSource) else DiscretePointSource(disc, s)
@@ -421,11 +319,6 @@ class ProcessLtsEngine:
         self._cache: dict | None = None
         self._procs: list = []
         self._ctrls: list = []
-        #: parent-owned shm segment handles of the current worker generation
-        #: (shm transport only) -- created in ``_spawn``, unlinked in
-        #: ``_terminate`` so neither close/respawn cycles nor crash paths
-        #: leave segments behind
-        self._shm_segments: list = []
         self._alive = False
         self._failed = False
         # fork shares the already-built subdomains with the workers for free;
@@ -466,49 +359,9 @@ class ProcessLtsEngine:
     # ------------------------------------------------------------------
     # worker lifecycle
     # ------------------------------------------------------------------
-    def _create_rings(self) -> dict[tuple[int, int], str]:
-        """Create one ring segment per directed pair the exchange model names.
-
-        Sized from the model (several cycles deep, see ``ring_capacity``) --
-        measured traffic must equal the model exactly, so pairs outside it
-        never communicate and get no segment.  The parent keeps the handles:
-        it is the sole owner of segment lifetime (workers only attach), and
-        on a parent SIGKILL the surviving resource tracker unlinks whatever
-        is still registered.  Rings orphaned by a whole-group SIGKILL (which
-        kills the tracker too) are reclaimed here, at the next engine start.
-        """
-        _reap_stale_segments()
-        per_pair = self.modelled_exchange_per_cycle()["per_pair"]
-        token = os.urandom(4).hex()
-        names: dict[tuple[int, int], str] = {}
-        for src in range(self.n_ranks):
-            for dst in range(self.n_ranks):
-                pair_bytes = per_pair.get(pair_key(src, dst), 0)
-                if src == dst or not pair_bytes:
-                    continue
-                name = f"repro-{os.getpid()}-{token}-{src}to{dst}"
-                self._shm_segments.append(
-                    create_ring_segment(name, ring_capacity(pair_bytes))
-                )
-                names[(src, dst)] = name
-        return names
-
-    def _unlink_segments(self) -> None:
-        for shm in self._shm_segments:
-            try:
-                shm.close()
-            except (BufferError, OSError):  # pragma: no cover - shutdown safety
-                pass
-            try:
-                shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - already unlinked
-                pass
-        self._shm_segments = []
-
     def _spawn(self) -> None:
         ctx = self._ctx
         inbound = [ctx.Queue() for _ in range(self.n_ranks)]
-        ring_names = self._create_rings() if self.comm_kind == "shm" else None
         self._procs, self._ctrls = [], []
         for r in range(self.n_ranks):
             parent_end, child_end = ctx.Pipe()
@@ -526,8 +379,6 @@ class ProcessLtsEngine:
                     inbound[r],
                     outbound,
                     child_end,
-                    self.comm_kind,
-                    ring_names,
                     self.comm_timeout,
                     self.telemetry_config,
                     self._telemetry_epoch,
@@ -627,9 +478,6 @@ class ProcessLtsEngine:
                 process.terminate()
         for process in self._procs:
             process.join(timeout=5)
-        # workers are gone (or being reaped): safe to unlink the ring
-        # segments; a respawn creates a fresh generation
-        self._unlink_segments()
         self._alive = False
 
     def close(self) -> None:

@@ -51,9 +51,8 @@ class DistributedRunner(ScenarioRunner):
         self.telemetry.lane = "driver"
         engine_kwargs = {}
         if spec.solver.backend == "process":
-            # comm transport and recv timeout only exist on the process
-            # engine; the serial engine's simulated communicator has neither
-            engine_kwargs["comm"] = spec.solver.comm
+            # the recv timeout only exists on the process engine; the serial
+            # engine's simulated communicator never blocks
             if spec.solver.comm_timeout is not None:
                 engine_kwargs["comm_timeout"] = spec.solver.comm_timeout
         self.engine = engine_cls(
@@ -128,7 +127,7 @@ class DistributedRunner(ScenarioRunner):
         n_halo_faces = int(self.engine.halo.n_faces)
         n_boundary = sum(sub.n_boundary_elements for sub in self.engine.subdomains)
         out["comm"] = {
-            "transport": getattr(self.engine, "comm_kind", "simulated"),
+            "transport": "queue" if self.spec.solver.backend == "process" else "simulated",
             "cycles_measured": cycles,
             "n_halo_faces": n_halo_faces,
             # every cut face is a halo face of both its sides

@@ -1,8 +1,8 @@
 """Distributed-memory substrate: partitioning, communication accounting, scaling model.
 
-The shared-memory ring transport is not re-exported here: import it from
-:mod:`repro.parallel.shm_comm` (it loads ``multiprocessing.shared_memory``,
-which only a ``--comm shm`` run needs).
+Two communicators share one ``send``/``recv``/``all_delivered``/``stats`` contract:
+:class:`SimulatedCommunicator` (in-process mailboxes, the serial oracle) and
+:class:`ProcessCommunicator` (the process backend's one halo transport).
 """
 
 from .communicator import MessageStats, SimulatedCommunicator, pair_key

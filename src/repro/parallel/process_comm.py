@@ -150,8 +150,3 @@ class ProcessCommunicator:
         return all(len(staged) == 0 for staged in self._staged.values()) and all(
             len(mailbox) == 0 for mailbox in self._mailboxes.values()
         )
-
-    def close(self) -> None:
-        """No-op: the queue transport holds no resources of its own (queues
-        belong to the engine).  Exists so workers can close any communicator
-        uniformly -- the shm transport must detach its ring segments."""

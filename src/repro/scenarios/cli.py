@@ -9,7 +9,7 @@
     python -m repro run la_habra --smoke
     python -m repro run loh3 --smoke --ranks 2
     python -m repro run loh3 --smoke --ranks 2 --backend process
-    python -m repro run loh3 --smoke --ranks 2 --backend process --comm shm
+    python -m repro run loh3 --smoke --ranks 2 --backend process --comm-timeout 30
     python -m repro run loh3 --checkpoint run.ckpt.npz --checkpoint-every 1
     python -m repro run loh3 --metrics --events out/run.jsonl --progress
     python -m repro resume run.ckpt.npz
@@ -127,15 +127,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="distributed execution backend: 'serial' steps the ranks "
                           "in-process, 'process' runs one worker process per rank "
                           "with overlapped halo exchange (default serial)")
-    run.add_argument("--comm", choices=("queue", "shm"),
-                     help="process-backend halo transport: 'queue' pickles "
-                          "payload batches through multiprocessing queues, "
-                          "'shm' writes payloads in place into shared-memory "
-                          "ring buffers (queues carry only tokens; "
-                          "bit-identical results, default queue)")
     run.add_argument("--comm-timeout", type=float, metavar="S",
-                     help="abort a blocked halo receive after S seconds "
-                          "(default 120, or REPRO_HALO_TIMEOUT_S)")
+                     help="process backend: abort a blocked halo receive "
+                          "after S seconds (default 120)")
     run.add_argument("--kernels", choices=SOLVER_KERNELS,
                      help="kernel-execution backend: 'ref' runs the plain reference "
                           "kernels, 'fast' runs stacked-operator GEMMs on "
@@ -255,9 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     resume.add_argument("--backend", choices=("serial", "process"),
                         help="override the checkpointed execution backend "
                              "(backends are bit-identical)")
-    resume.add_argument("--comm", choices=("queue", "shm"),
-                        help="override the checkpointed process-backend halo "
-                             "transport (transports are bit-identical)")
     resume.add_argument("--checkpoint-every", type=int, metavar="N",
                         help="new checkpoint cadence in macro cycles "
                              "(0 disables; default: the checkpointed spec's cadence)")
@@ -337,7 +328,6 @@ def _resolve_spec(args) -> ScenarioSpec:
         n_fused=args.fused,
         n_ranks=args.ranks,
         backend=args.backend,
-        comm=args.comm,
         comm_timeout=args.comm_timeout if args.comm_timeout is not None else "keep",
         kernels=args.kernels,
         precision=args.precision,
@@ -542,7 +532,6 @@ def _cmd_resume(args) -> int:
         runner = ScenarioRunner.resume(
             args.checkpoint,
             backend=args.backend,
-            comm=args.comm,
             telemetry=True if (args.metrics or args.trace or args.events) else None,
             trace=True if args.trace else None,
             events=args.events,

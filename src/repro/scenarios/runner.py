@@ -884,7 +884,6 @@ class ScenarioRunner:
         path,
         *,
         backend: str | None = None,
-        comm: str | None = None,
         telemetry: bool | None = None,
         trace: bool | None = None,
         events: str | None = None,
@@ -896,8 +895,8 @@ class ScenarioRunner:
         The runner class follows the checkpointed spec: a spec with
         ``solver.n_ranks > 1`` resumes as a distributed run (and vice versa),
         regardless of which class this is called on.  ``backend`` overrides
-        the checkpointed execution backend (``"serial"``/``"process"``) and
-        ``comm`` its halo transport, both bit-identical.  The kernel backend
+        the checkpointed execution backend (``"serial"``/``"process"``),
+        which is bit-identical either way.  The kernel backend
         and precision are part of the checkpointed state and cannot change.
         """
         data, meta = _read_checkpoint(path)
@@ -907,17 +906,7 @@ class ScenarioRunner:
             )
         spec = ScenarioSpec.from_dict(meta["spec"])
         if backend is not None:
-            # a shm-transport checkpoint resumed onto the serial backend
-            # drops back to the (backend-agnostic) queue default rather
-            # than tripping the shm-requires-process validation
-            if backend != "process" and comm is None and spec.solver.comm != "queue":
-                spec = spec.with_overrides(backend=backend, comm="queue")
-            else:
-                spec = spec.with_overrides(backend=backend)
-        if comm is not None:
-            # the halo transport is bit-identical either way, so it can
-            # change freely across a resume (like the backend)
-            spec = spec.with_overrides(comm=comm)
+            spec = spec.with_overrides(backend=backend)
         if any(v is not None for v in (telemetry, trace, events, progress)):
             # observability is orthogonal to the numerical state, so the
             # resumed segment can be instrumented (or not) freely; a

@@ -45,7 +45,6 @@ __all__ = [
     "ScenarioSpec",
     "SOLVER_KINDS",
     "SOLVER_BACKENDS",
-    "SOLVER_COMMS",
     "SOLVER_KERNELS",
     "SOLVER_PRECISIONS",
     "VELOCITY_MODEL_KINDS",
@@ -58,8 +57,6 @@ __all__ = [
 
 SOLVER_KINDS = ("gts", "lts")
 SOLVER_BACKENDS = ("serial", "process")
-# kept in sync with repro.distributed.process_engine.COMM_KINDS
-SOLVER_COMMS = ("queue", "shm")
 SOLVER_KERNELS = ("ref", "fast")
 SOLVER_PRECISIONS = ("f64", "f32")
 VELOCITY_MODEL_KINDS = ("loh3", "la_habra_basin", "homogeneous", "layered")
@@ -442,6 +439,27 @@ class ClusteringSpec:
             raise ValueError("lambda increment must lie in (0, 0.5]")
 
 
+def _without_legacy_comm(solver: dict) -> dict:
+    """The solver block minus the ``comm`` key of older serialisations.
+
+    Goldens, ledgers and checkpoints written while the process backend had a
+    choice of halo transports carry ``"comm": "queue"``, which is the one
+    transport left, so it is dropped; any other value names the removed
+    shared-memory ring transport and must not silently run as ``queue``.
+    """
+    if "comm" not in solver:
+        return solver
+    solver = dict(solver)
+    comm = solver.pop("comm")
+    if comm != "queue":
+        raise ValueError(
+            f"solver comm {comm!r} is no longer supported: the shared-memory "
+            "ring transport was removed and the process backend's one halo "
+            "transport is multiprocessing queues; delete the 'comm' key"
+        )
+    return solver
+
+
 @dataclass(frozen=True)
 class SolverSpec:
     """Solver kind and kernel options.
@@ -453,14 +471,10 @@ class SolverSpec:
     bit-identical to the single-rank run.  ``backend`` selects how the ranks
     execute: ``"serial"`` steps them in-process through the simulated
     communicator, ``"process"`` runs one worker process per rank with real
-    overlapped halo exchange -- results are bit-identical either way.
-    ``comm`` picks the process backend's halo transport: ``"queue"`` ships
-    pickled payload batches through multiprocessing queues, ``"shm"`` writes
-    payloads in place into per-rank-pair shared-memory ring buffers (the
-    queues carry only tokens) -- bit-identical results and identical byte
-    accounting; ``"shm"`` is only valid with ``backend="process"``.
-    ``comm_timeout`` bounds a blocked halo receive in seconds (``None``
-    defers to the engine default / ``REPRO_HALO_TIMEOUT_S``).
+    overlapped halo exchange (pickled payload batches through
+    multiprocessing queues) -- results are bit-identical either way.
+    ``comm_timeout`` bounds a blocked halo receive of the process backend in
+    seconds (``None``: the engine's 120 s default).
     ``kernels`` selects the kernel-execution backend: ``"ref"`` (the plain
     reference kernels, the oracle) or ``"fast"`` (stacked-operator GEMMs on
     cache-sized element blocks with reusable scratch workspaces,
@@ -479,7 +493,6 @@ class SolverSpec:
     cfl: float = 0.5
     n_ranks: int = 1
     backend: str = "serial"
-    comm: str = "queue"
     comm_timeout: float | None = None
     kernels: str | None = None
     precision: str = "f64"
@@ -505,13 +518,6 @@ class SolverSpec:
             raise ValueError(f"solver backend must be one of {SOLVER_BACKENDS}")
         if self.backend == "process" and self.n_ranks < 2:
             raise ValueError("the process backend requires n_ranks >= 2 (pass --ranks)")
-        if self.comm not in SOLVER_COMMS:
-            raise ValueError(f"solver comm must be one of {SOLVER_COMMS}")
-        if self.comm != "queue" and self.backend != "process":
-            raise ValueError(
-                f"comm={self.comm!r} requires backend='process' (shared-memory "
-                "rings only exist between rank worker processes)"
-            )
         if self.comm_timeout is not None:
             object.__setattr__(self, "comm_timeout", float(self.comm_timeout))
             if self.comm_timeout <= 0:
@@ -672,7 +678,7 @@ class ScenarioSpec:
             data["initial_condition"] = InitialConditionSpec(**data["initial_condition"])
         data["receivers"] = tuple((name, tuple(loc)) for name, loc in data.get("receivers", ()))
         data["clustering"] = ClusteringSpec(**data["clustering"])
-        data["solver"] = SolverSpec(**data["solver"])
+        data["solver"] = SolverSpec(**_without_legacy_comm(data["solver"]))
         data["preprocessing"] = PreprocessingSpec(**data.get("preprocessing", {}))
         data["run"] = RunSpec(**data["run"])
         # absent in specs serialised before the observability subsystem
@@ -695,7 +701,6 @@ class ScenarioSpec:
         flux: str | None = None,
         n_ranks: int | None = None,
         backend: str | None = None,
-        comm: str | None = None,
         comm_timeout: float | None | str = "keep",
         kernels: str | None = None,
         precision: str | None = None,
@@ -732,8 +737,6 @@ class ScenarioSpec:
             solver_updates["n_ranks"] = n_ranks
         if backend is not None:
             solver_updates["backend"] = backend
-        if comm is not None:
-            solver_updates["comm"] = comm
         if comm_timeout != "keep":
             solver_updates["comm_timeout"] = comm_timeout
         if kernels is not None:

@@ -10,20 +10,28 @@ The central claims:
   measured traffic bit-identical to the serial backend and the single-rank
   runner, for 2 and 4 ranks,
 * checkpoints are interchangeable across backends: write under ``serial``,
-  resume under ``process`` (and vice versa), bit-identically, and
+  resume under ``process`` (and vice versa), bit-identically,
 * the engine survives its worker lifecycle: state reads after ``close()``
-  are served from the cache and stepping again respawns the workers.
+  are served from the cache, stepping again respawns the workers, and
+  workers of a SIGKILLed parent exit on their own, and
+* specs written while ``solver.comm`` still existed stay readable: a
+  ``"queue"`` value is dropped, any other value fails loudly.
 """
 
 import json
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.distributed import DistributedRunner, ProcessLtsEngine
-from repro.distributed.process_engine import _rank_worker
+from repro.distributed.process_engine import _ORPHAN_POLL_S, _rank_worker
 from repro.observability import TelemetryConfig
 from repro.scenarios import ScenarioRunner, ScenarioSpec, get_scenario, make_runner
 from repro.scenarios.cli import main as cli_main
@@ -31,6 +39,8 @@ from repro.scenarios.cli import main as cli_main
 from .conftest import assert_cross_rank_equal
 
 pytestmark = pytest.mark.distributed
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -213,9 +223,70 @@ class TestEngineLifecycle:
         # would raise and report an error on the pipe
         _rank_worker(
             0, None, [], [], 0, "ref", np.array([1.0]), None, {}, child_end,
-            "queue", None, 1.0, TelemetryConfig(), 0.0, dead_parent,
+            1.0, TelemetryConfig(), 0.0, dead_parent,
         )
         assert not parent_end.poll(0)
+
+    def test_workers_self_exit_after_parent_sigkill(self, tmp_path):
+        # fork-inherited peer pipe fds mean a SIGKILLed parent produces no
+        # EOF on ctrl.recv(); the workers' orphan watchdog must notice the
+        # reparenting and exit instead of lingering forever -- wherever the
+        # kill finds them (here: during start-up or the first cycles)
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "run", "loh3",
+                "--set", "extent_m=4000.0",
+                "--set", "characteristic_length=2000.0",
+                "--set", "n_mechanisms=1",
+                "--order", "2", "--clusters", "2", "--lambda", "0.8",
+                "--cycles", "500", "--ranks", "2", "--backend", "process",
+                "--output-dir", str(tmp_path / "orphan"), "--quiet",
+            ],
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+                filter(None, (str(SRC), os.environ.get("PYTHONPATH")))
+            )),
+        )
+
+        def workers() -> list[int]:
+            found = []
+            for entry in os.listdir("/proc"):
+                if not entry.isdigit():
+                    continue
+                try:
+                    stat = open(f"/proc/{entry}/stat").read()
+                except OSError:
+                    continue
+                if int(stat.rsplit(")", 1)[1].split()[1]) == proc.pid:
+                    found.append(int(entry))
+            return found
+
+        deadline = time.monotonic() + 120.0
+        while time.monotonic() < deadline and len(workers()) < 2:
+            assert proc.poll() is None, f"run exited early rc {proc.returncode}"
+            time.sleep(0.1)
+        # capture the pids while the parent lives: once it dies the workers
+        # reparent and the ppid scan can no longer find them
+        worker_pids = workers()
+        assert len(worker_pids) >= 2, "workers never appeared"
+        proc.send_signal(signal.SIGKILL)
+        proc.wait(timeout=60)
+
+        # far below the 120 s halo-receive timeout a stranded rank would sit out
+        orphan_deadline = time.monotonic() + 15 * _ORPHAN_POLL_S
+
+        def pids_alive(pids) -> list[int]:
+            live = []
+            for pid in pids:
+                try:
+                    os.kill(pid, 0)
+                except ProcessLookupError:
+                    continue
+                live.append(pid)
+            return live
+
+        while time.monotonic() < orphan_deadline and pids_alive(worker_pids):
+            time.sleep(0.5)
+        assert pids_alive(worker_pids) == [], "orphaned workers never exited"
 
 
 class TestSpecAndCli:
@@ -231,6 +302,57 @@ class TestSpecAndCli:
     def test_unknown_backend_rejected(self, tiny_loh3):
         with pytest.raises(ValueError, match="backend"):
             tiny_loh3.with_overrides(n_ranks=2, backend="threads")
+
+    def test_comm_timeout_round_trips_through_json(self, tiny_loh3):
+        spec = tiny_loh3.with_overrides(n_ranks=2, backend="process", comm_timeout=30.0)
+        assert ScenarioSpec.from_json(spec.to_json()) == spec
+        assert spec.solver.comm_timeout == 30.0
+
+    def test_bad_comm_timeout_rejected(self, tiny_loh3):
+        with pytest.raises(ValueError, match="comm_timeout"):
+            tiny_loh3.with_overrides(n_ranks=2, backend="process", comm_timeout=0.0)
+
+    def test_comm_timeout_reaches_the_engine(self, tiny_loh3):
+        runner = make_runner(
+            tiny_loh3.with_overrides(n_ranks=2, backend="process", comm_timeout=33.0)
+        )
+        assert runner.engine.comm_timeout == 33.0
+        runner.engine.close()
+
+    def test_legacy_queue_comm_is_dropped(self, tiny_loh3):
+        spec = tiny_loh3.with_overrides(n_ranks=2, backend="process")
+        payload = spec.to_dict()
+        assert "comm" not in payload["solver"]
+        payload["solver"]["comm"] = "queue"
+        assert ScenarioSpec.from_dict(payload) == spec
+
+    def test_legacy_shm_comm_fails_naming_the_removed_transport(self, tiny_loh3, tmp_path):
+        payload = tiny_loh3.with_overrides(n_ranks=2, backend="process").to_dict()
+        payload["solver"]["comm"] = "shm"
+        with pytest.raises(ValueError, match="'shm' is no longer supported.*shared-memory"):
+            ScenarioSpec.from_dict(payload)
+        path = tmp_path / "shm.json"
+        path.write_text(json.dumps(payload))
+        assert cli_main(["run", "--spec", str(path), "--quiet"]) == 2
+
+    def test_checkpoint_with_legacy_queue_comm_resumes(self, tiny_loh3, serial_run, tmp_path):
+        path = tmp_path / "legacy.ckpt.npz"
+        interrupted = make_runner(tiny_loh3.with_overrides(n_ranks=2))
+        while interrupted.cycles_done < 2:
+            interrupted.step_cycle()
+        interrupted.save_checkpoint(path)
+        del interrupted
+        # the spec block as checkpoints wrote it while the knob existed
+        data = dict(np.load(path))
+        meta = json.loads(str(data["meta"]))
+        meta["spec"]["solver"]["comm"] = "queue"
+        data["meta"] = json.dumps(meta)
+        np.savez(path, **data)
+
+        resumed = ScenarioRunner.resume(path, backend="process")
+        assert isinstance(resumed.engine, ProcessLtsEngine)
+        resumed.run()
+        np.testing.assert_array_equal(resumed.solver.dofs, serial_run.solver.dofs)
 
     def test_cli_run_with_process_backend(self, tmp_path):
         out_dir = tmp_path / "out"

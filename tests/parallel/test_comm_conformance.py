@@ -1,13 +1,14 @@
-"""One behavioural contract, three communicators.
+"""One behavioural contract, two communicators.
 
 The distributed steppers only ever see the communicator interface --
 ``send``/``flush``/``recv``/``pending``/``stats``/``all_delivered`` -- so
-every implementation (in-process simulated, multiprocessing queues,
-shared-memory rings) must satisfy the same observable semantics: FIFO order
-per ``(src, tag)`` channel, statically-counted receives, excess-message
-detection through ``all_delivered``, and send-side byte accounting that
-matches the payloads exactly.  This suite runs the contract against all
-three, wired up in-process (the engine tests cover the cross-process path).
+both implementations (the in-process simulated oracle and the
+multiprocessing-queue transport) must satisfy the same observable
+semantics: FIFO order per ``(src, tag)`` channel, statically-counted
+receives, excess-message detection through ``all_delivered``, and send-side
+byte accounting that matches the payloads exactly.  This suite runs the
+contract against both, wired up in-process (the engine tests cover the
+cross-process path).
 """
 
 import multiprocessing
@@ -18,18 +19,16 @@ import pytest
 
 from repro.parallel.communicator import SimulatedCommunicator, pair_key
 from repro.parallel.process_comm import ProcessCommunicator
-from repro.parallel.shm_comm import ShmCommunicator, ShmRing, create_ring_segment
 
 N_RANKS = 2
-KINDS = ("simulated", "process", "shm")
+KINDS = ("simulated", "process")
 
 
 class _Fabric:
-    """All ranks' endpoints of one communicator kind, plus their cleanup."""
+    """All ranks' endpoints of one communicator kind."""
 
-    def __init__(self, kind: str, timeout: float = 10.0, capacity: int = 1 << 16):
+    def __init__(self, kind: str, timeout: float = 10.0):
         self.kind = kind
-        self._segments = []
         if kind == "simulated":
             shared = SimulatedCommunicator(N_RANKS)
             self.comms = [shared] * N_RANKS
@@ -40,32 +39,8 @@ class _Fabric:
             {dst: inbound[dst] for dst in range(N_RANKS) if dst != rank}
             for rank in range(N_RANKS)
         ]
-        if kind == "process":
-            self.comms = [
-                ProcessCommunicator(
-                    rank, N_RANKS, inbound[rank], outbound[rank], timeout=timeout
-                )
-                for rank in range(N_RANKS)
-            ]
-            return
-        names = {}
-        for src in range(N_RANKS):
-            for dst in range(N_RANKS):
-                if src == dst:
-                    continue
-                name = f"repro-test-{id(self)}-{src}to{dst}"
-                self._segments.append(create_ring_segment(name, capacity))
-                names[(src, dst)] = name
         self.comms = [
-            ShmCommunicator(
-                rank,
-                N_RANKS,
-                inbound[rank],
-                outbound[rank],
-                tx={d: ShmRing.attach(names[(rank, d)]) for d in range(N_RANKS) if d != rank},
-                rx={s: ShmRing.attach(names[(s, rank)]) for s in range(N_RANKS) if s != rank},
-                timeout=timeout,
-            )
+            ProcessCommunicator(rank, N_RANKS, inbound[rank], outbound[rank], timeout=timeout)
             for rank in range(N_RANKS)
         ]
 
@@ -76,7 +51,7 @@ class _Fabric:
 
     def wait_pending(self, src: int, dst: int, tag: int, count: int) -> int:
         """Poll until ``pending`` reports at least ``count`` arrivals (the
-        async transports ship through a feeder thread)."""
+        queue transport ships through a feeder thread)."""
         deadline = time.monotonic() + 10.0
         while time.monotonic() < deadline:
             n = self.comms[dst].pending(src, dst, tag)
@@ -85,21 +60,10 @@ class _Fabric:
             time.sleep(0.005)
         return self.comms[dst].pending(src, dst, tag)
 
-    def close(self) -> None:
-        for comm in self.comms:
-            close = getattr(comm, "close", None)
-            if close is not None:
-                close()
-        for shm in self._segments:
-            shm.close()
-            shm.unlink()
-
 
 @pytest.fixture(params=KINDS)
 def fabric(request):
-    fab = _Fabric(request.param)
-    yield fab
-    fab.close()
+    return _Fabric(request.param)
 
 
 class TestConformance:

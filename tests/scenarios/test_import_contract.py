@@ -1,8 +1,8 @@
 """What a plain invocation is allowed to import.
 
 ``import repro`` and a single-rank ``repro run`` must not load scipy (0.4 s
-for two small routines that now live on numpy), the shared-memory transport,
-the sweep service or the distributed engine.  Each check runs in a fresh
+for two small routines that now live on numpy), the sweep service or the
+distributed engine.  Each check runs in a fresh
 interpreter: this test process has long since imported all of them.
 """
 
@@ -14,7 +14,7 @@ from pathlib import Path
 from repro.scenarios import get_scenario
 
 SRC = Path(__file__).resolve().parents[2] / "src"
-FORBIDDEN = ("scipy", "multiprocessing.shared_memory", "repro.sweep", "repro.distributed")
+FORBIDDEN = ("scipy", "repro.sweep", "repro.distributed")
 
 
 def loaded_after(statements: str) -> list[str]:

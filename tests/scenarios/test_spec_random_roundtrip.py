@@ -16,7 +16,6 @@ import pytest
 from repro.scenarios.registry import scenario_names, get_scenario
 from repro.scenarios.spec import (
     SOLVER_BACKENDS,
-    SOLVER_COMMS,
     SOLVER_KERNELS,
     SOLVER_KINDS,
     SOLVER_PRECISIONS,
@@ -38,7 +37,6 @@ def _sample_solver_kwargs(rng):
         cfl=float(rng.uniform(0.05, 1.0)),
         n_ranks=n_ranks,
         backend=str(rng.choice(SOLVER_BACKENDS)),
-        comm=str(rng.choice(SOLVER_COMMS)),
         comm_timeout=(
             None if rng.random() < 0.5 else float(rng.uniform(0.1, 600.0))
         ),
@@ -51,8 +49,6 @@ def _is_valid_solver(kwargs) -> bool:
     if kwargs["n_ranks"] > 1 and kwargs["kind"] == "gts":
         return False
     if kwargs["backend"] == "process" and kwargs["n_ranks"] < 2:
-        return False
-    if kwargs["comm"] != "queue" and kwargs["backend"] != "process":
         return False
     return True
 
@@ -80,8 +76,6 @@ class TestRandomSolverSpecs:
         [
             dict(kind="gts", n_ranks=2),
             dict(backend="process", n_ranks=1),
-            dict(comm="shm"),
-            dict(comm="mpi", backend="process", n_ranks=2),
             dict(comm_timeout=-1.0),
             dict(kernels="native"),
             dict(precision="f16"),
