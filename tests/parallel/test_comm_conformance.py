@@ -169,3 +169,87 @@ class TestConformance:
     def test_rank_validation(self, fabric):
         with pytest.raises(ValueError):
             fabric.comms[0].send(np.zeros(1), src=0, dst=N_RANKS + 3)
+
+    def test_recv_rank_validation(self, fabric):
+        with pytest.raises(ValueError):
+            fabric.comms[0].recv(src=1, dst=N_RANKS + 3)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.complex128, np.int64])
+    def test_roundtrip_of_each_dtype(self, fabric, dtype):
+        # f32 precision runs ship f32 halos; the transport must not upcast
+        payload = (np.arange(18).reshape(9, 2) + 0.5).astype(dtype)
+        fabric.comms[0].send(payload, src=0, dst=1, tag=2)
+        fabric.flush(0)
+        received = fabric.comms[1].recv(0, 1, tag=2)
+        assert received.dtype == np.dtype(dtype)
+        np.testing.assert_array_equal(received, payload)
+
+    def test_non_contiguous_payload_roundtrips(self, fabric):
+        base = np.arange(48, dtype=np.float64).reshape(6, 8)
+        payload = base[:, ::2].T
+        assert not payload.flags.c_contiguous
+        fabric.comms[0].send(payload, src=0, dst=1, tag=0)
+        fabric.flush(0)
+        received = fabric.comms[1].recv(0, 1, tag=0)
+        np.testing.assert_array_equal(received, payload)
+        assert received.shape == (4, 6)
+
+    def test_sender_may_reuse_its_buffer_after_flush(self, fabric):
+        # the steppers overwrite their staging buffers on the next micro step
+        buffer = np.full((9, 2), 1.0)
+        fabric.comms[0].send(buffer, src=0, dst=1, tag=0)
+        fabric.flush(0)
+        buffer[:] = -1.0
+        fabric.comms[0].send(buffer, src=0, dst=1, tag=0)
+        fabric.flush(0)
+        assert np.all(fabric.comms[1].recv(0, 1, tag=0) == 1.0)
+        assert np.all(fabric.comms[1].recv(0, 1, tag=0) == -1.0)
+
+    def test_received_arrays_are_independent_copies(self, fabric):
+        for value in (1.0, 2.0):
+            fabric.comms[0].send(np.full((9, 2), value), src=0, dst=1, tag=0)
+        fabric.flush(0)
+        first = fabric.comms[1].recv(0, 1, tag=0)
+        second = fabric.comms[1].recv(0, 1, tag=0)
+        assert first.flags.owndata and second.flags.owndata
+        first[:] = 7.0
+        assert np.all(second == 2.0)
+
+    def test_channels_stay_fifo_over_many_flushes(self, fabric):
+        n_rounds = 200
+        for i in range(n_rounds):
+            fabric.comms[0].send(np.full(3, float(i)), src=0, dst=1, tag=i % 3)
+            fabric.flush(0)
+        recv = fabric.comms[1].recv
+        for tag in range(3):
+            values = [recv(0, 1, tag=tag)[0] for _ in range(tag, n_rounds, 3)]
+            assert values == [float(i) for i in range(tag, n_rounds, 3)]
+        assert fabric.comms[1].all_delivered()
+
+    def test_pending_counts_only_the_requested_channel(self, fabric):
+        send = fabric.comms[0].send
+        send(np.ones(2), src=0, dst=1, tag=0)
+        send(np.ones(2), src=0, dst=1, tag=0)
+        send(np.ones(2), src=0, dst=1, tag=1)
+        fabric.flush(0)
+        assert fabric.wait_pending(0, 1, 0, 2) == 2
+        assert fabric.wait_pending(0, 1, 1, 1) == 1
+        assert fabric.comms[1].pending(0, 1, tag=2) == 0
+
+    def test_empty_payload_is_one_message_of_zero_bytes(self, fabric):
+        payload = np.zeros((0, 9))
+        fabric.comms[0].send(payload, src=0, dst=1, tag=0)
+        fabric.flush(0)
+        received = fabric.comms[1].recv(0, 1, tag=0)
+        assert received.shape == (0, 9)
+        assert fabric.comms[0].stats.per_pair[pair_key(0, 1)] == {"messages": 1, "bytes": 0}
+        assert fabric.comms[1].all_delivered()
+
+    def test_traffic_is_accounted_at_send_before_any_receive(self, fabric):
+        payload = np.zeros((9, 3))
+        fabric.comms[0].send(payload, src=0, dst=1, tag=0)
+        stats = fabric.comms[0].stats
+        assert stats.n_messages == 1 and stats.n_bytes == payload.nbytes
+        fabric.flush(0)
+        fabric.comms[1].recv(0, 1, tag=0)
+        assert stats.n_messages == 1 and stats.n_bytes == payload.nbytes

@@ -89,6 +89,14 @@ class TestRandomSolverSpecs:
         with pytest.raises(ValueError):
             SolverSpec(**kwargs)
 
+    @pytest.mark.parametrize("comm", ["shm", "mpi", "Queue"])
+    def test_legacy_comm_other_than_queue_rejected(self, comm):
+        # serialisations from before the single process transport
+        payload = get_scenario("plane_wave").to_dict()
+        payload["solver"]["comm"] = comm
+        with pytest.raises(ValueError, match=f"solver comm {comm!r} is no longer supported"):
+            ScenarioSpec.from_dict(payload)
+
 
 class TestRandomScenarioSpecs:
     def test_registry_scenarios_with_random_solver_options_round_trip(self):
@@ -117,6 +125,10 @@ class TestRandomScenarioSpecs:
                 )
                 again = ScenarioSpec.from_json(spec.to_json())
                 assert again == spec
+                # a legacy "comm": "queue" key reads back as the same spec
+                legacy = spec.to_dict()
+                legacy["solver"]["comm"] = "queue"
+                assert ScenarioSpec.from_dict(legacy) == spec
                 # and a second round trip is a fixed point
                 assert ScenarioSpec.from_json(again.to_json()) == again
                 checked += 1
