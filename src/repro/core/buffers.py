@@ -17,14 +17,14 @@ zero blocks.
 
 Storage layout: the buffers live in one ``(4, n_elements + 1, 9, B[, f])``
 block -- ``B1``, ``B2``, ``B3`` plus the precomputed second-half integral
-``B1 - B2`` -- with a trailing all-zero ghost row per buffer.  A correction's
-neighbour gather then reduces to a single fancy-index read (relation code and
-neighbour id combine into one flat row index, boundary faces hit the ghost
-row), instead of a zero-fill plus three boolean-masked scatter passes; with a
-fused trailing axis the gathered rows are F times wider and the scatter
-passes dominated the correction phase.  The second-half buffer is filled from
-the same ``full``/``half`` integrals a reader would subtract, so the gathered
-values are bit-identical to the three-buffer formulation.
+``B1 - B2`` -- with a trailing all-zero ghost row per buffer.  Relation code
+and neighbour id combine into one flat row index per face (boundary faces hit
+the ghost row), so a correction reads its neighbours straight from the flat
+store: the rows are static per cluster and step parity (:meth:`face_rows`),
+and a kernel backend gathers them per element block.  The second-half
+buffer is filled from the same ``full``/``half`` integrals a reader would
+subtract, so the gathered values are bit-identical to the three-buffer
+formulation.
 """
 
 from __future__ import annotations
@@ -94,6 +94,19 @@ class LtsBuffers:
     def b3(self, value) -> None:
         self._store[_B3, : self._n_elements] = value
 
+    @property
+    def b1_minus_b2(self) -> np.ndarray:
+        """The stored second-half integral, bitwise ``b1 - b2``."""
+        return self._view(_B1M2)
+
+    @property
+    def store(self) -> np.ndarray:
+        """The flat ``(4 (n_elements + 1), 9, B[, f])`` row store that
+        :meth:`face_rows` indexes (read-only)."""
+        view = self._flat.view()
+        view.flags.writeable = False
+        return view
+
     def _refresh_second_half(self) -> None:
         """Re-establish ``store[B1M2] == b1 - b2`` after a bulk assignment.
 
@@ -147,13 +160,14 @@ class LtsBuffers:
         else:
             self._store[_B3, elements] += elastic_integral
 
-    def neighbor_data(
+    def face_rows(
         self,
         neighbors: np.ndarray,
         relations: np.ndarray,
         step_index: int,
     ) -> np.ndarray:
-        """Gather the neighbour time-integrated data for a batch's correction.
+        """``(E, 4)`` rows of :attr:`store` holding each face neighbour's
+        elastic time-integrated DOFs over the batch's time interval.
 
         Parameters
         ----------
@@ -166,15 +180,9 @@ class LtsBuffers:
             step) or ``BOUNDARY``.
         step_index:
             The batch's local step counter ``n_k`` (before the step); for a
-            ``LARGER`` neighbour it decides whether the element's interval is
-            the first (even) or second (odd) half of the neighbour's step.
-
-        Returns
-        -------
-        numpy.ndarray
-            ``(E, 4, 9, B[, n_fused])`` neighbour elastic time-integrated DOFs
-            over the batch's time interval; boundary faces are zero-filled
-            (they are replaced by ghost data downstream).
+            ``LARGER`` neighbour only its parity matters: it decides whether
+            the element's interval is the first (even) or second (odd) half
+            of the neighbour's step.
         """
         # relation -> store row: SAME reads B1, SMALLER reads B3 (the two
         # accumulated sub-steps), LARGER reads B2 on an even local step and
@@ -184,6 +192,22 @@ class LtsBuffers:
         sel = np.where(relations == SMALLER, _B3, _B1)
         sel = np.where(relations == LARGER, larger_row, sel)
         ids = np.where(relations == BOUNDARY, self._n_elements, neighbors)
-        rows = (sel * (self._n_elements + 1) + ids).ravel()
-        gathered = self._flat[rows]
-        return gathered.reshape(neighbors.shape[:2] + gathered.shape[1:])
+        return sel * (self._n_elements + 1) + ids
+
+    def neighbor_data(
+        self,
+        neighbors: np.ndarray,
+        relations: np.ndarray,
+        step_index: int,
+    ) -> np.ndarray:
+        """Gather the neighbour time-integrated data for a batch's correction
+        (arguments as for :meth:`face_rows`).
+
+        Returns
+        -------
+        numpy.ndarray
+            ``(E, 4, 9, B[, n_fused])`` neighbour elastic time-integrated DOFs
+            over the batch's time interval; boundary faces are zero-filled
+            (they are replaced by ghost data downstream).
+        """
+        return self._flat[self.face_rows(neighbors, relations, step_index)]

@@ -3,14 +3,16 @@
 The driver advances the mesh cluster by cluster following the rate-2
 schedule of :mod:`repro.core.lts_scheduler`:
 
-* when a cluster starts one of its intervals it *predicts*: the Cauchy-
-  Kowalevski time kernel is evaluated, the three buffers ``B1/B2/B3`` are
-  filled (eq. 17) and the element-local part of the update (volume + local
-  surface kernels) is computed and stored;
-* when the interval ends the cluster *corrects*: the neighbouring surface
-  kernel is evaluated from the face-neighbours' buffers (same step: ``B1``,
-  smaller step: ``B3``, larger step: ``B2`` or ``B1 - B2`` depending on the
-  sub-step parity -- exactly the walkthrough of Fig. 6) and the DOFs advance.
+* when a cluster starts one of its intervals it *predicts* (time +
+  integrate + traces + volume): the Cauchy-Kowalevski time kernel is
+  evaluated, the three buffers ``B1/B2/B3`` are filled (eq. 17), and the
+  volume increment and the projected own traces are stored;
+* when the interval ends the cluster *corrects* (gather + both surface
+  halves): the face-neighbours' data is gathered from the buffers (same
+  step: ``B1``, smaller step: ``B3``, larger step: ``B2`` or ``B1 - B2``
+  depending on the sub-step parity -- exactly the walkthrough of Fig. 6;
+  the rows are static per cluster and parity), the local and neighbouring
+  surface kernels run and the DOFs advance.
 
 With a single cluster the scheme degenerates to GTS and reproduces the GTS
 solver bit-for-bit, which the test suite asserts.
@@ -61,11 +63,12 @@ class _ClusterData:
         #: per-cluster kernel scratch workspace (attached by the solver;
         #: ``None`` for the reference backend, which allocates per call)
         self.workspace = None
-        # prediction storage
+        #: the backend's correction gather plans into the buffer store, per
+        #: step parity (attached by the solver)
+        self.neighbor_plans: tuple = ()
+        # prediction storage: the volume increment and the projected own
+        # traces the correction's surface kernels read
         self.pending_local_delta: np.ndarray | None = None
-        self.pending_te: np.ndarray | None = None
-        #: the prediction's projected local traces, reused by the correction
-        #: (recomputing them from ``pending_te`` yields identical values)
         self.pending_traces: np.ndarray | None = None
         self.step_index = 0
 
@@ -113,6 +116,13 @@ class ClusteredLtsSolver:
         ]
         for cluster in self.clusters:
             cluster.workspace = self.backend.make_workspace()
+            cluster.neighbor_plans = tuple(
+                self.backend.neighbor_plan(
+                    disc, self.dofs, cluster.elements,
+                    self.buffers.face_rows(cluster.neighbors, cluster.relations, parity),
+                )
+                for parity in (0, 1)
+            )
         self.time = 0.0
         self.n_element_updates = 0
 
@@ -136,29 +146,25 @@ class ClusteredLtsSolver:
 
     # ------------------------------------------------------------------
     def _predict(self, cluster: _ClusterData) -> None:
-        """Time kernel, buffer fill and local update of one cluster."""
+        """Time kernel, buffer fill and volume update of one cluster."""
         if len(cluster.elements) == 0:
             cluster.pending_local_delta = None
             return
         with self.telemetry.region("predict"):
-            delta, time_integrated_elastic, local_traces = self._predict_elements(
-                cluster, cluster.elements
-            )
+            delta, local_traces = self._predict_elements(cluster, cluster.elements)
         cluster.pending_local_delta = delta
-        cluster.pending_te = time_integrated_elastic
         cluster.pending_traces = local_traces
 
     def _predict_elements(
         self, cluster: _ClusterData, elements: range
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """The element-local prediction body for a run of the cluster's
-        elements: CK time kernel, buffer fill, volume + local surface update.
+        elements: CK time kernel, buffer fill, volume update.
 
         Shared between the full-cluster ``_predict`` and the distributed
         rank stepper's boundary/interior split -- every contraction is
         element-local, so any partition of the batch produces bit-identical
-        per-element results.  Returns
-        ``(local_delta, elastic_time_integral, local_traces)``.
+        per-element results.  Returns ``(volume_delta, local_traces)``.
         """
         delta, elastic_integral, elastic_half, local_traces = self.backend.local_update(
             self.disc, self.dofs, cluster.dt, elements,
@@ -168,45 +174,28 @@ class ClusteredLtsSolver:
             slice(elements.start, elements.stop), elastic_integral, elastic_half,
             cluster.step_index,
         )
-        return delta, elastic_integral, local_traces
+        return delta, local_traces
 
-    def _neighbor_coefficients(self, cluster: _ClusterData) -> np.ndarray:
-        """Face-basis coefficients of the neighbours' traces for a correction.
-
-        Split out as a hook: the distributed rank stepper overlays the
-        coefficients of partition-boundary faces with the face-local
-        compressed payloads received through the communicator.
-        """
-        disc = self.disc
-        backend = self.backend
-        neighbor_te = self.buffers.neighbor_data(
-            cluster.neighbors, cluster.relations, cluster.step_index
-        )
-        own_traces = cluster.pending_traces
-        if own_traces is None:
-            own_traces = backend.project_local_traces(
-                disc, cluster.pending_te, cluster.batch, ws=cluster.workspace
-            )
-        return backend.neighbor_face_coefficients(
-            disc, neighbor_te, own_traces, cluster.batch, ws=cluster.workspace
-        )
+    def _halo(self, cluster: _ClusterData):
+        """Received neighbour coefficients of a correction (a hook: the
+        distributed rank stepper returns ``(faces, payloads)``)."""
+        return None
 
     def _correct(self, cluster: _ClusterData, cluster_start_time: float) -> None:
-        """Neighbouring update and DOF advance of one cluster."""
+        """Both surface halves and the DOF advance of one cluster: the
+        backend gathers the neighbours straight from the buffer store."""
         if len(cluster.elements) == 0:
             cluster.step_index += 1
             return
-        disc = self.disc
         with self.telemetry.region("correct"):
-            coeffs = self._neighbor_coefficients(cluster)
-            delta = cluster.pending_local_delta
-            with self.telemetry.region("kernel.surface_neighbor"):
-                delta += self.backend.surface_kernel_neighbor(
-                    disc, coeffs, cluster.batch, ws=cluster.workspace
-                )
-            self.dofs[cluster.batch] += delta
+            halo = self._halo(cluster)
+            self.backend.correct(
+                self.disc, self.dofs, cluster.elements, cluster.pending_local_delta,
+                cluster.pending_traces, self.buffers.store,
+                cluster.neighbor_plans[cluster.step_index % 2],
+                ws=cluster.workspace, halo=halo,
+            )
         cluster.pending_local_delta = None
-        cluster.pending_te = None
         cluster.pending_traces = None
 
         t_new = cluster_start_time + cluster.dt

@@ -15,11 +15,13 @@ are added on top of the shared driver logic:
 * :meth:`send_due` ships the face-local compressed halo payloads of the
   current micro step (``9 x F`` values per face -- the buffer data already
   multiplied with the *receiver's* neighbouring flux matrix ``F_bar``), and
-* the :meth:`_neighbor_coefficients` hook overlays the coefficients of
-  partition-boundary faces with the freshest received payload before the
-  neighbouring surface kernel runs.  Each face consumes exactly the
-  statically known number of due messages (:attr:`RecvPlan.counts`), so the
-  receive is deterministic and blocks correctly on asynchronous channels.
+* the :meth:`_halo` hook receives a correcting cluster's due payloads
+  first and hands them to the backend's correction as ``(flat face ids,
+  payloads)``, which writes them into the neighbour coefficients of the
+  partition-boundary faces before the flux solve.  Each face consumes
+  exactly the statically known number of due messages
+  (:attr:`RecvPlan.counts`), so the receive is deterministic and blocks
+  correctly on asynchronous channels.
 
 Because every kernel contraction is element-local, splitting a cluster batch
 into two sub-batches produces bit-identical per-element results, and because
@@ -71,6 +73,9 @@ class RankSolver(ClusteredLtsSolver):
             kernels=kernels,
             telemetry=telemetry,
         )
+        #: per cluster: the ascending flat face ids ``4 row + face`` of its
+        #: received halo faces (np.nonzero order: by row, then face)
+        self._halo_faces = [plan.rows * 4 + plan.faces for plan in subdomain.recv_plans]
 
     # ------------------------------------------------------------------
     # split prediction (overlap structure)
@@ -85,14 +90,11 @@ class RankSolver(ClusteredLtsSolver):
         n = len(cluster.elements)
         if n == 0:
             cluster.pending_local_delta = None
-            cluster.pending_te = None
             cluster.pending_traces = None
             return
         dofs, disc = self.dofs, self.disc
-        elastic = (n, N_ELASTIC) + dofs.shape[2:]
         traces = (n, 4, N_ELASTIC, disc.n_face_basis) + dofs.shape[3:]
         cluster.pending_local_delta = self._pending(cluster, "pending_delta", (n,) + dofs.shape[1:])
-        cluster.pending_te = self._pending(cluster, "pending_integral", elastic)
         cluster.pending_traces = self._pending(cluster, "pending_traces", traces)
         self._predict_rows(cluster, self.subdomain.boundary_rows[cluster.cluster_id])
 
@@ -119,11 +121,10 @@ class RankSolver(ClusteredLtsSolver):
         if rows.start == rows.stop:
             return
         first = cluster.elements.start
-        delta, time_integrated_elastic, local_traces = self._predict_elements(
+        delta, local_traces = self._predict_elements(
             cluster, range(first + rows.start, first + rows.stop)
         )
         cluster.pending_local_delta[rows] = delta
-        cluster.pending_te[rows] = time_integrated_elastic
         cluster.pending_traces[rows] = local_traces
 
     # ------------------------------------------------------------------
@@ -167,7 +168,7 @@ class RankSolver(ClusteredLtsSolver):
             elif batch.kind == "b2":
                 data = self.buffers.b2[elements]
             else:  # "b1_minus_b2": the second sub-step of a faster receiver
-                data = self.buffers.b1[elements] - self.buffers.b2[elements]
+                data = self.buffers.b1_minus_b2[elements]
             mats = self.disc.neighbor_flux_matrices[batch.fbar_indices]
             payloads = np.einsum("nvb...,nbf->nvf...", data, mats)
             for n in range(len(batch.tags)):
@@ -178,16 +179,19 @@ class RankSolver(ClusteredLtsSolver):
                     tag=int(batch.tags[n]),
                 )
 
-    def _neighbor_coefficients(self, cluster: _ClusterData) -> np.ndarray:
-        """Local coefficients plus the received halo payloads."""
-        coeffs = super()._neighbor_coefficients(cluster)
+    def _halo(self, cluster: _ClusterData):
+        """Receive the cluster's due halo payloads: ``(faces, payloads)``
+        for the backend's correction, or ``None`` without halo faces."""
         plan = self.subdomain.recv_plans[cluster.cluster_id]
         if len(plan.rows) == 0:
-            return coeffs
+            return None
+        disc = self.disc
+        payloads = self._pending(
+            cluster, "halo_payloads",
+            (len(plan.rows), N_ELASTIC, disc.n_face_basis) + self.dofs.shape[3:],
+        )
         with self.telemetry.region("recv_wait"):
-            for row, face, src, tag, count in zip(
-                plan.rows, plan.faces, plan.src_ranks, plan.tags, plan.counts
-            ):
+            for n, (src, tag, count) in enumerate(zip(plan.src_ranks, plan.tags, plan.counts)):
                 # consume the statically known number of due messages and keep
                 # the freshest payload: a faster sender refreshes its
                 # accumulated B3 twice per receiver step.  The count (not a
@@ -195,5 +199,5 @@ class RankSolver(ClusteredLtsSolver):
                 # blocking channels.
                 for _ in range(count):
                     payload = self.comm.recv(int(src), self.rank, int(tag))
-                coeffs[row, face] = payload
-        return coeffs
+                payloads[n] = payload
+        return self._halo_faces[cluster.cluster_id], payloads

@@ -12,25 +12,22 @@ clustered LTS, distributed rank steppers) runs through one of:
 * :class:`FastBackend` -- stacked operators on cache-sized element blocks,
   *tolerance-equal* to the reference.
 
-``FastBackend`` drops the reference operation order.  Its element kernels
-are a handful of batched ``np.matmul`` GEMMs over *stacked* operators: the
-three directional stiffness matrices side by side, the (variable, direction)
-pair of the star matrices merged into one contraction axis, the mechanisms'
-coupling blocks side by side.  The *exact-zero* block structure of the
-element operators is exploited -- the elastic star matrices are
-block-off-diagonal, the anelastic star and flux matrices only read the
-velocity columns, the coupling matrices only write stress rows -- verified
-once per discretization, with a dense fallback if it does not hold.  With
-three mechanisms the reactive terms keep every CK derivative at full degree,
-so there is no shrinking block to exploit; what is static is that a
-stiffness product only populates (time) or reads (volume) the leading
-``n_basis(O - 1)`` columns.  Every kernel writes into a reused
-:class:`KernelWorkspace`, and ``local_update`` runs the whole local pipeline
-one L2-sized element block at a time and returns only what callers read.
-"Close enough" is not left to ad-hoc ``allclose``
-calls: :mod:`repro.verification` pins the contract with convergence-order
-checks against analytic solutions and committed golden-trace regressions
-under an explicit per-scenario tolerance ladder.
+Both split an element update alike: ``local_update`` is the prediction (time
++ integrate + traces + volume), ``correct`` the correction (gather + both
+surface halves + the DOF advance).  ``FastBackend`` drops the reference
+operation order: its element kernels are a handful of batched GEMMs over
+*stacked* operators (stiffness matrices side by side, star matrices with the
+(variable, direction) pair merged into one contraction axis, coupling blocks
+side by side) that exploit the exact-zero block structure of the element
+operators, verified once per discretization with a dense fallback; its
+correction is one pass per element block -- one GEMM per ``F_bar`` face
+class straight from the neighbour rows, one flux solve of the local and
+neighbouring flux solvers side by side, one back-projection.  Both halves
+walk a batch in the same L2-sized blocks on a reused :class:`KernelWorkspace`.
+"Close enough" is not left to ad-hoc ``allclose`` calls:
+:mod:`repro.verification` pins the contract with convergence-order checks
+against analytic solutions and committed golden-trace regressions under an
+explicit per-scenario tolerance ladder.
 """
 
 from __future__ import annotations
@@ -92,7 +89,7 @@ class KernelWorkspace:
     block, a one-element batch and the distributed steppers'
     boundary/interior alternation share the pages the largest request
     faulted in (a name is therefore live for one array at a time).
-    :meth:`cached` memoizes batch-static data (stacked operators, flux
+    :meth:`cached` memoizes batch-static data (stacked operators, gather
     plans) under an explicit token.
     """
 
@@ -171,7 +168,7 @@ class ReferenceBackend:
     def surface_kernel_neighbor(self, disc, coeffs, elements, ws=None):
         return surface_kernel_neighbor(disc, coeffs, elements)
 
-    # -- fused local update (time + volume + local surface) -------------
+    # -- prediction (time + integrate + traces + volume) ----------------
     @staticmethod
     def _elastic_rows(derivatives):
         return [d[:, :N_ELASTIC] for d in derivatives]
@@ -179,14 +176,12 @@ class ReferenceBackend:
     def local_update(self, disc, dofs, dt, elements, ws=None, needs_half=False):
         """``(delta, elastic_integral, elastic_half_integral, local_traces)``.
 
-        The one canonical local-step pipeline: the GTS step, the clustered
-        LTS prediction and the distributed rank steppers all run through
-        this method (on every backend), so the bit-exactness-critical
-        kernel sequence exists exactly once.  Callers only ever need the
-        elastic ``[:, :9]`` rows of the full-interval time integral (``B1``,
-        the neighbours' traces) and, with ``needs_half``, of the
-        ``[0, dt/2]`` integral (``B2``; ``None`` otherwise) -- the derivative
-        stack and the 27-variable integral stay internal.
+        The one prediction pipeline every solver runs (on every backend):
+        the volume increment, the elastic ``[:, :9]`` rows of the full-step
+        time integral (``B1``, the neighbours' data), with ``needs_half``
+        those of the ``[0, dt/2]`` integral (``B2``; ``None`` otherwise) and
+        the projected own traces.  The derivative stack and the 27-variable
+        integral stay internal.
         """
         telemetry = self.telemetry
         with telemetry.region("kernel.ck"):
@@ -203,11 +198,37 @@ class ReferenceBackend:
             local_traces = self.project_local_traces(disc, elastic, elements, ws=ws)
         with telemetry.region("kernel.volume"):
             delta = self.volume_kernel(disc, time_integrated, elements, ws=ws)
-        with telemetry.region("kernel.surface_local"):
-            delta += self.surface_kernel_local(
-                disc, time_integrated, elements, local_traces, ws=ws
-            )
         return delta, elastic, half, local_traces
+
+    # -- correction (both surface halves + DOF advance) -----------------
+    def neighbor_plan(self, disc, dofs, elements, rows):
+        """The static gather plan of a batch's corrections (built once per
+        batch and source layout): ``rows[e, i]`` is the ``source`` row of
+        face ``(e, i)``'s neighbour (boundary faces: any row, never read)."""
+        return rows
+
+    def correct(self, disc, dofs, elements, delta, traces, source, plan, ws=None, halo=None):
+        """Both surface halves of a batch, then ``dofs[elements] += delta``.
+
+        ``delta`` (the prediction's volume increment, consumed) gains the
+        local, then the neighbouring surface kernel.  ``traces`` are the
+        batch's own traces, ``source`` the flat ``(R, 9, B[, f])`` neighbour
+        data ``plan`` indexes (the LTS buffer store, the GTS time integral);
+        ``halo`` is ``None`` or ``(faces, payloads)``: ascending face ids
+        ``4 e + i`` whose neighbour coefficients are received payloads.
+        """
+        batch = _contiguous_run(elements, len(dofs))
+        rows = slice(batch.start, batch.stop)
+        with self.telemetry.region("kernel.surface_local"):
+            # given traces, the kernel only reads its time integral's shape
+            delta += self.surface_kernel_local(disc, delta, batch, traces, ws=ws)
+        with self.telemetry.region("kernel.surface_neighbor"):
+            coeffs = self.neighbor_face_coefficients(disc, source[plan], traces, rows, ws=ws)
+            if halo is not None:
+                faces, payloads = halo
+                coeffs[faces // 4, faces % 4] = payloads
+            delta += self.surface_kernel_neighbor(disc, coeffs, rows, ws=ws)
+        dofs[rows] += delta
 
 
 class _DiscData:
@@ -222,7 +243,7 @@ class _DiscData:
     """
 
     __slots__ = ("star_e_blocks", "star_a_velocity", "coupling_stress",
-                 "flux_a_velocity", "ftilde_flat", "kcat_time", "kcat_vol",
+                 "flux", "ftilde_flat", "kcat_time", "kcat_vol",
                  "fhat_flat", "_relaxation")
 
     def __init__(self, disc):
@@ -234,13 +255,16 @@ class _DiscData:
         self.coupling_stress = bool(
             disc.coupling.shape[1] == 0 or np.all(disc.coupling[:, :, 6:, :] == 0.0)
         )
-        self.flux_a_velocity = bool(
-            np.all(disc.flux_local_anelastic[..., :6] == 0.0)
-            and np.all(disc.flux_neigh_anelastic[..., :6] == 0.0)
-        )
-        self.ftilde_flat = np.ascontiguousarray(disc.ftilde.transpose(1, 0, 2)).reshape(
-            disc.ftilde.shape[1], -1
-        )
+        # (E, 4, Q, 18) flux solvers [local | neigh] side by side: elastic
+        # rows plus (Q = 15) the anelastic rows all mechanisms share.  Once
+        # per discretization: a per-block copy cost a tenth of a cycle
+        n = 1 + (disc.n_mechanisms > 0)
+        self.flux = np.concatenate([
+            np.concatenate([disc.flux_local_elastic, disc.flux_local_anelastic][:n], axis=2),
+            np.concatenate([disc.flux_neigh_elastic, disc.flux_neigh_anelastic][:n], axis=2),
+        ], axis=3)
+        ftilde = np.ascontiguousarray(disc.ftilde.transpose(1, 0, 2))
+        self.ftilde_flat = ftilde.reshape(ftilde.shape[0], -1)
         # side-by-side stiffness operators, cut to the
         # columns ``x @ k_time[c]`` populates / the rows ``k_vol[c]`` reads
         # (assembly leaves O(1e-15) roundoff in those structural zeros, which
@@ -251,9 +275,7 @@ class _DiscData:
         self.kcat_time = -np.concatenate([k[:, :n_out] for k in disc.k_time], axis=1)
         self.kcat_vol = np.concatenate([k[:n_in] for k in disc.k_vol], axis=1)
         # (4 F, B) flattened back-projection of the surface kernels
-        self.fhat_flat = np.ascontiguousarray(
-            disc.fhat.reshape(-1, disc.fhat.shape[2])
-        )
+        self.fhat_flat = np.ascontiguousarray(disc.fhat.reshape(-1, disc.fhat.shape[2]))
         #: per-row factors of the reactive self-term: zero on the elastic
         #: rows, ``-omega_l`` on mechanism ``l``'s six rows
         factors = np.concatenate([np.zeros(N_ELASTIC), np.repeat(-disc.omegas, 6)])
@@ -310,10 +332,10 @@ class FastBackend(ReferenceBackend):
     kernels are one :meth:`_space_operator` (five batched GEMMs and
     two slab passes on the half of the columns the degree-lowering
     stiffness matrices populate or read), the Taylor integral is a GEMV per
-    element, a surface kernel is one flux-solve GEMM plus one ``fhat`` GEMM,
-    any fused axis rides as GEMM columns so scalar and fused batches run the
-    same lines, and :meth:`local_update` walks a batch in L2-sized element
-    blocks.  Every contraction stays per element, so an element's result
+    element, the correction is :meth:`correct`'s fused pass, any fused axis
+    rides as GEMM columns so scalar and fused batches run the same lines,
+    and both halves walk a batch in L2-sized element blocks.  Every
+    prediction contraction stays per element, so an element's prediction
     does not depend on the batch (or block) around it.
 
     Results are NOT bit-identical to the reference at any precision (and
@@ -347,14 +369,6 @@ class FastBackend(ReferenceBackend):
         return ws.scratch(name, shape, dtype)
 
     @staticmethod
-    def _cached(ws, name, elements: slice, builder):
-        """Memoize a batch-static build on the workspace, keyed by the
-        batch's run (build-through when no workspace is kept)."""
-        if ws is None:
-            return builder()
-        return ws.cached(name, (elements.start, elements.stop), builder)
-
-    @staticmethod
     def _bmm(matrices, operand, out):
         """Batched ``matrices @ operand`` with trailing fused axes folded
         into the GEMM columns: ``(..., i, j) @ (..., j, B[, f])``.  The fold
@@ -377,34 +391,11 @@ class FastBackend(ReferenceBackend):
             return np.matmul(x, matrix, out=out)
         return np.matmul(matrix.T, x, out=out)
 
-    def _surface_ops(self, disc, elements, ws, neighbor: bool):
-        """Gathered flux-solver operators of a batch (cached)."""
-        data = self._disc_data(disc)
-        name = "surf_neigh_ops" if neighbor else "surf_local_ops"
-
-        def build():
-            if neighbor:
-                flux_e = disc.flux_neigh_elastic[elements]
-                flux_a = disc.flux_neigh_anelastic[elements]
-            else:
-                flux_e = disc.flux_local_elastic[elements]
-                flux_a = disc.flux_local_anelastic[elements]
-            ops = {"flux_e": flux_e}
-            if disc.n_mechanisms:
-                ops["flux_a"] = (
-                    np.ascontiguousarray(flux_a[..., 6:N_ELASTIC])
-                    if data.flux_a_velocity
-                    else flux_a
-                )
-            return ops
-
-        return data, self._cached(ws, name, elements, build)
-
     # ------------------------------------------------------------------
     # time + volume kernels: one stacked space operator
     # ------------------------------------------------------------------
     def _stacked_ops(self, disc, elements, ws):
-        """Stacked star/coupling operators of a batch (cached per batch).
+        """Stacked star/coupling operators of a batch (cached per batch run).
 
         ``stages`` lists ``(matrix, variables, rows)`` GEMMs: ``matrix``
         contracts the stiffness products ``tmp[e, variable, direction]`` of
@@ -450,7 +441,9 @@ class FastBackend(ReferenceBackend):
                 )
             return ops
 
-        return data, self._cached(ws, "stacked_ops", elements, build)
+        if ws is None:  # build-through when no workspace is kept
+            return data, build()
+        return data, ws.cached("stacked_ops", (elements.start, elements.stop), build)
 
     def _space_operator(self, disc, kcat, x, y, elements, ws):
         """``y = L(x)``: the spatial operator behind both element kernels.
@@ -574,7 +567,7 @@ class FastBackend(ReferenceBackend):
         return delta, integral, half, traces
 
     # ------------------------------------------------------------------
-    # surface kernels
+    # surface half: own traces (prediction) and the fused correction
     # ------------------------------------------------------------------
     def project_local_traces(self, disc, time_integrated_elastic, elements, ws=None):
         """Trace projection as one grouped ``(B, 4 F)`` contraction."""
@@ -583,81 +576,88 @@ class FastBackend(ReferenceBackend):
         E = te.shape[0]
         n_face_basis = disc.n_face_basis
         fused = te.shape[3:]
-        grouped = self._scratch(
-            ws, "traces_grouped", (E, N_ELASTIC, 4 * n_face_basis) + fused, te.dtype
-        )
+        grouped = self._scratch(ws, "traces_grouped", (E, N_ELASTIC, 4 * n_face_basis) + fused,
+                                te.dtype)
         self._basis_apply(te, data.ftilde_flat, out=grouped)
-        out = self._scratch(
-            ws, "traces", (E, 4, N_ELASTIC, n_face_basis) + fused, te.dtype
-        )
+        out = self._scratch(ws, "traces", (E, 4, N_ELASTIC, n_face_basis) + fused, te.dtype)
         # regroup (E, 9, (i, F)) -> (E, 4, 9, F): one contiguous copy so the
-        # surface kernels (and the halo payload path) see the public layout
+        # correction (and the halo payload path) sees the public layout
         split = grouped.reshape((E, N_ELASTIC, 4, n_face_basis) + fused)
         np.copyto(out, np.moveaxis(split, 2, 1))
         return out
 
-    def surface_kernel_local(self, disc, time_integrated, elements, local_traces, ws=None):
-        if local_traces is None:
-            local_traces = self.project_local_traces(
-                disc, time_integrated[:, :N_ELASTIC], elements, ws=ws
-            )
-        data, ops = self._surface_ops(disc, elements, ws, neighbor=False)
-        return self._surface_kernel(disc, data, ops, local_traces, ws, "surf_local")
+    def neighbor_plan(self, disc, dofs, elements, rows):
+        """``[(rows, block, source_rows, segments, operand_rows), ...]`` per
+        ``_block_plan`` block: the interior faces' source rows grouped by
+        ``F_bar`` class, the ``(class, start, stop)`` runs of that grouping,
+        and each face's two rows of the merged operand (own trace, neighbour
+        coefficients) in ``[grouped projections | own traces]`` -- a boundary
+        face's neighbour half is its own trace (the ghost state is folded into
+        the flux solver)."""
+        batch = _contiguous_run(elements, len(dofs))
+        classes = disc.neighbor_flux_index[batch.start : batch.stop]
+        plan = []
+        for block_rows, block in self._block_plan(disc, dofs, batch):
+            face_class = classes[block_rows].ravel()
+            interior = np.flatnonzero(face_class >= 0)
+            interior = interior[np.argsort(face_class[interior], kind="stable")]
+            u, first, count = np.unique(face_class[interior], return_index=True, return_counts=True)
+            operand_rows = np.repeat(len(interior) + np.arange(len(face_class)), 2).reshape(-1, 2)
+            operand_rows[interior, 1] = np.arange(len(interior))
+            plan.append((
+                block_rows, block, np.ascontiguousarray(rows[block_rows].ravel()[interior]),
+                [(int(c), int(a), int(a + n)) for c, a, n in zip(u, first, count)],
+                operand_rows.ravel(),
+            ))
+        return plan
 
-    def neighbor_face_coefficients(self, disc, neighbor_te, own_traces, elements, ws=None):
-        """Neighbour trace coefficients, grouped by unique ``F_bar`` matrix.
-
-        The mesh only has a handful of distinct neighbouring flux matrices
-        (Sec. III), so instead of gathering one ``B x F`` matrix per face the
-        faces are grouped per unique matrix and contracted against it
-        directly.  The per-face grouping is static and cached per batch.
-        """
+    def correct(self, disc, dofs, elements, delta, traces, source, plan, ws=None, halo=None):
+        """The fused correction, one block of ``plan`` at a time, on
+        block-sized scratch: one GEMM per face class from the source rows
+        (halo payloads overlaid), one flux solve of ``[flux_local |
+        flux_neigh]`` against ``[own traces | neighbour coefficients]``, one
+        back-projection and omega scaling, accumulated into ``delta`` and
+        ``dofs``."""
+        data = self._disc_data(disc)
         fbar = disc.neighbor_flux_matrices
-
-        def build():
-            index = disc.neighbor_flux_index[elements]  # (E, 4)
-            plan = []
-            for i in range(4):
-                column = index[:, i]
-                boundary = np.where(column < 0)[0]
-                groups = [
-                    (int(u), np.where(column == u)[0])
-                    for u in np.unique(column[column >= 0])
-                ]
-                plan.append((boundary, groups))
-            return plan
-
-        plan = self._cached(ws, "nfc_plan", elements, build)
-        out = self._scratch(ws, "nfc_out", own_traces.shape, own_traces.dtype)
-        for i, (boundary, groups) in enumerate(plan):
-            for u, rows in groups:
-                out[rows, i] = self._basis_apply(neighbor_te[rows, i], fbar[u])
-            if len(boundary):
-                out[boundary, i] = own_traces[boundary, i]
-        return out
-
-    def surface_kernel_neighbor(self, disc, coeffs, elements, ws=None):
-        data, ops = self._surface_ops(disc, elements, ws, neighbor=True)
-        return self._surface_kernel(disc, data, ops, coeffs, ws, "surf_neigh")
-
-    def _surface_kernel(self, disc, data, ops, face_coeffs, ws, prefix):
-        """Surface kernels with fused per-face accumulation: the anelastic
-        mechanisms share one face-summed contribution scaled per ``omega_l``."""
-        E = face_coeffs.shape[0]
-        fused = face_coeffs.shape[4:]
-        dtype = face_coeffs.dtype
-        out = self._scratch(ws, prefix + "_out", (E, disc.n_vars, disc.n_basis) + fused, dtype)
-        self._flux_project(
-            data, ops["flux_e"], face_coeffs, out[:, :N_ELASTIC], ws, prefix + "_fsolved"
-        )
-        if disc.n_mechanisms:
-            coeffs_a = face_coeffs[:, :, 6:N_ELASTIC] if data.flux_a_velocity else face_coeffs
-            common = self._scratch(ws, prefix + "_fcommon", (E, 6, disc.n_basis) + fused, dtype)
-            self._flux_project(data, ops["flux_a"], coeffs_a, common, ws, prefix + "_fsolved_a")
-            for l, omega in enumerate(disc.omegas):
-                target = out[:, N_ELASTIC + 6 * l : N_ELASTIC + 6 * (l + 1)]
-                np.multiply(common, omega, out=target)
-        return out
+        n_basis, n_face_basis, fused = disc.n_basis, disc.n_face_basis, dofs.shape[3:]
+        n_rows, face = data.flux.shape[2], (N_ELASTIC, n_face_basis) + fused
+        scratch = lambda name, shape: self._scratch(ws, name, shape + fused, dofs.dtype)
+        with self.telemetry.region("kernel.surface_neighbor"):
+            for rows, block, source_rows, segments, operand_rows in plan:
+                E, n_int = rows.stop - rows.start, len(source_rows)
+                # ``take`` in clip mode: the rows are valid by construction,
+                # and "raise" mode buffers the output
+                gathered = scratch("corr_gather", (n_int, N_ELASTIC, n_basis))
+                np.take(source, source_rows, axis=0, out=gathered, mode="clip")
+                proj = scratch("corr_proj", (n_int + 4 * E,) + face[:2])
+                for u, a, b in segments:
+                    if fused:
+                        self._basis_apply(gathered[a:b], fbar[u], out=proj[a:b])
+                    else:  # one (n_u 9, B) @ (B, F) GEMM
+                        np.matmul(gathered[a:b].reshape(-1, n_basis), fbar[u],
+                                  out=proj[a:b].reshape(-1, n_face_basis))
+                proj[n_int:] = traces[rows].reshape((4 * E,) + face)
+                operand = scratch("corr_operand", (E, 4, 2 * N_ELASTIC, n_face_basis))
+                np.take(proj, operand_rows, axis=0, out=operand.reshape((8 * E,) + face),
+                        mode="clip")
+                if halo is not None:  # the block's run of the ascending face ids
+                    faces, payloads = halo
+                    lo, hi = np.searchsorted(faces, (4 * rows.start, 4 * rows.stop))
+                    target = operand.reshape((4 * E, 2 * N_ELASTIC) + face[1:])
+                    target[faces[lo:hi] - 4 * rows.start, N_ELASTIC:] = payloads[lo:hi]
+                surface = scratch("corr_surface", (E, disc.n_vars, n_basis))
+                self._flux_project(
+                    data, data.flux[block], operand, surface[:, :n_rows], ws, "corr_solved"
+                )
+                # mechanism l's rows: omega_l times the shared anelastic rows,
+                # which sit in mechanism 0's (scaled last, in place)
+                common = surface[:, N_ELASTIC:n_rows]
+                for l in range(disc.n_mechanisms - 1, -1, -1):
+                    np.multiply(common, disc.omegas[l], out=surface[:, N_ELASTIC + 6 * l :][:, :6])
+                increment = delta[rows]
+                increment += surface
+                dofs[block] += increment
 
     def _flux_project(self, data, flux, face_coeffs, out, ws, name):
         """``out[e, v] = sum_i (flux[e, i] @ face_coeffs[e, i])[v] @ fhat[i]``.

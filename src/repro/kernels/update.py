@@ -1,11 +1,13 @@
 """Element update scheme (eq. 14) and the reference one-step GTS update.
 
-The update of an element is split into a *local* step (time kernel, volume
-kernel, local surface kernel -- requires only the element's own data) and a
-*neighbouring* step (neighbouring surface kernel -- requires the
+The update of an element is split into a *local* step (time kernel and
+volume kernel -- requires only the element's own data) and a *correction*
+(the local and the neighbouring surface kernel -- the latter requires the
 face-neighbours' time-integrated data).  The split is what allows EDGE to
 hide communication behind computation and is preserved here because the
-local/neighbouring split is also the backbone of the LTS scheme.
+split is also the backbone of the LTS scheme: the local surface kernel runs
+with the neighbouring one, so both share one flux solve and one
+back-projection on the fast backend.
 """
 
 from __future__ import annotations
@@ -32,10 +34,10 @@ def local_update(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Local part of an element update over ``[t, t + dt]``.
 
-    Returns ``(delta, elastic_time_integral, local_traces)``: the local
-    update increment (volume + local surface), the elastic ``(E, 9, B)``
-    rows of the time-integrated DOFs (what face neighbours read) and their
-    projected face traces.  ``backend`` selects the kernel-execution
+    Returns ``(delta, elastic_time_integral, local_traces)``: the volume
+    increment, the elastic ``(E, 9, B)`` rows of the time-integrated DOFs
+    (what face neighbours read) and their projected face traces (what both
+    surface kernels read).  ``backend`` selects the kernel-execution
     strategy (reference kernels by default); with a workspace-backed
     backend the returned arrays are scratch views valid until the backend's
     next call on the same workspace.
@@ -55,23 +57,28 @@ def neighbor_update(
     ws=None,
     own_traces: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Neighbouring part of an element update.
+    """Surface part of an element update: the local plus the neighbouring
+    surface kernel, composed from the backend's stage methods.
 
     ``neighbor_time_integrated_elastic`` has shape ``(E, 4, 9, B[, n_fused])``
     and contains, per face, the neighbour's elastic time-integrated DOFs over
     the element's time interval.  ``own_traces`` optionally reuses the local
     step's projected traces (recomputing them from the elastic rows of
-    ``own_time_integrated`` yields identical values).
+    ``own_time_integrated`` yields identical values).  ``local_update``'s
+    delta plus this increment is one element update.
     """
     backend = backend or _REFERENCE
     if own_traces is None:
         own_traces = backend.project_local_traces(
             disc, own_time_integrated[:, :N_ELASTIC], elements, ws=ws
         )
+    surface = backend.surface_kernel_local(
+        disc, own_time_integrated, elements, own_traces, ws=ws
+    )
     coeffs = backend.neighbor_face_coefficients(
         disc, neighbor_time_integrated_elastic, own_traces, elements, ws=ws
     )
-    return backend.surface_kernel_neighbor(disc, coeffs, elements, ws=ws)
+    return surface + backend.surface_kernel_neighbor(disc, coeffs, elements, ws=ws)
 
 
 def gts_step(
@@ -80,23 +87,18 @@ def gts_step(
     """One global time step over all elements (the classic ADER-DG update).
 
     This is the reference implementation used by the GTS solver and by the
-    LTS correctness tests; it returns the new DOF array.
+    LTS correctness tests; it returns the new DOF array.  The correction
+    gathers the neighbours straight from the step's time integral; a
+    workspace-backed backend keeps the gather plan in ``ws``.
     """
     backend = backend or _REFERENCE
-    all_elements = slice(0, disc.n_elements)
-    delta, te, _, local_traces = backend.local_update(
-        disc, dofs, dt, range(disc.n_elements), ws=ws
-    )
-
-    # gather the neighbours' time-integrated elastic DOFs per face
+    elements = range(disc.n_elements)
+    delta, te, _, local_traces = backend.local_update(disc, dofs, dt, elements, ws=ws)
     neighbors = disc.mesh.neighbors
-    safe_neighbors = np.where(neighbors >= 0, neighbors, 0)
-    neighbor_te = te[safe_neighbors]  # (K, 4, 9, B[, n_fused])
-
-    # the local step's traces are reused for the ghost faces of the
-    # neighbouring update (recomputing them yields identical values)
-    delta += neighbor_update(
-        disc, neighbor_te, te, all_elements, backend, ws,
-        own_traces=local_traces,
+    build = lambda: backend.neighbor_plan(
+        disc, dofs, elements, np.where(neighbors >= 0, neighbors, 0)
     )
-    return dofs + delta
+    plan = build() if ws is None else ws.cached("gts_plan", dofs.shape, build)
+    stepped = dofs.copy()
+    backend.correct(disc, stepped, elements, delta, local_traces, te, plan, ws=ws)
+    return stepped

@@ -60,12 +60,16 @@ __all__ = [
 BUSY_REGIONS = ("predict", "predict.boundary", "send", "predict.interior",
                 "correct", "update")
 
-#: kernel stage -> (FLOP-model field, region leaf names that implement it)
+#: kernel stage -> (FLOP-model fields, region leaf names that implement it);
+#: the two surface halves are one stage: the fast backend runs them as one
+#: fused pass, timed under ``kernel.surface_neighbor``
 KERNEL_STAGES = {
-    "time": ("time_kernel", ("kernel.ck", "kernel.integrate")),
-    "volume": ("volume_kernel", ("kernel.volume",)),
-    "surface_local": ("surface_local", ("kernel.trace", "kernel.surface_local")),
-    "surface_neighbor": ("surface_neighbor", ("kernel.surface_neighbor",)),
+    "time": (("time_kernel",), ("kernel.ck", "kernel.integrate")),
+    "volume": (("volume_kernel",), ("kernel.volume",)),
+    "surface": (
+        ("surface_local", "surface_neighbor"),
+        ("kernel.trace", "kernel.surface_local", "kernel.surface_neighbor"),
+    ),
 }
 
 
@@ -330,13 +334,13 @@ def kernel_stage_block(summary: dict) -> dict | None:
         return None
     updates = int(summary.get("element_updates", 0))
     stages = {}
-    for stage, (flop_key, leaves) in KERNEL_STAGES.items():
+    for stage, (flop_keys, leaves) in KERNEL_STAGES.items():
         seconds = sum(
             float(entry["total_s"])
             for name, entry in regions.items()
             if name.rsplit("/", 1)[-1] in leaves
         )
-        flops = updates * int(per_stage.get(flop_key, 0))
+        flops = updates * sum(int(per_stage.get(key, 0)) for key in flop_keys)
         if seconds <= 0.0 or flops <= 0:
             continue
         stages[stage] = {

@@ -10,10 +10,21 @@ both ``__call__`` and ``integral``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 __all__ = ["RickerWavelet", "GaussianDerivative", "SmoothedStep"]
+
+
+@lru_cache(maxsize=None)
+def _gauss_legendre(n_quad: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights: every source injection of
+    a correction integrates over its interval, and the nodes are an
+    eigenproblem that cost more than the injection itself."""
+    x, w = np.polynomial.legendre.leggauss(n_quad)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 @dataclass(frozen=True)
@@ -35,7 +46,7 @@ class RickerWavelet:
 
     def integral(self, t_start: float, t_end: float, n_quad: int = 16) -> float:
         """Integral of the wavelet over ``[t_start, t_end]`` (Gauss-Legendre)."""
-        x, w = np.polynomial.legendre.leggauss(n_quad)
+        x, w = _gauss_legendre(n_quad)
         half = 0.5 * (t_end - t_start)
         mid = 0.5 * (t_end + t_start)
         return float(half * np.sum(w * self(mid + half * x)))
@@ -88,7 +99,7 @@ class SmoothedStep:
         return self.amplitude * 0.5 * (1.0 + erf(2.0 * (tau - 1.0)))
 
     def integral(self, t_start: float, t_end: float, n_quad: int = 16) -> float:
-        x, w = np.polynomial.legendre.leggauss(n_quad)
+        x, w = _gauss_legendre(n_quad)
         half = 0.5 * (t_end - t_start)
         mid = 0.5 * (t_end + t_start)
         return float(half * np.sum(w * self(mid + half * x)))

@@ -109,9 +109,42 @@ class TestBufferAlgebra:
         the precomputed second-half row; mutation goes through fill() or
         whole-buffer assignment (the checkpoint/exchange path)."""
         buffers = LtsBuffers(elastic_disc)
-        for name in ("b1", "b2", "b3"):
+        for name in ("b1", "b2", "b3", "b1_minus_b2", "store"):
             with pytest.raises(ValueError):
                 getattr(buffers, name)[0] = 1.0
+
+    def test_second_half_row_is_the_read_time_difference(self, elastic_disc):
+        """What a halo send of a faster receiver's second sub-step reads:
+        the stored row, bitwise ``b1 - b2`` after a fill and after a bulk
+        assignment."""
+        disc = elastic_disc
+        buffers = LtsBuffers(disc)
+        rng = np.random.default_rng(3)
+        full = rng.normal(size=buffers.b1.shape)
+        half = rng.normal(size=buffers.b2.shape)
+        buffers.fill(slice(0, disc.n_elements), full, half.copy(), step_index=0)
+        elements = np.array([4, 0, 7, 7])
+        np.testing.assert_array_equal(
+            buffers.b1_minus_b2[elements], buffers.b1[elements] - buffers.b2[elements]
+        )
+        buffers.b2 = rng.normal(size=buffers.b2.shape)
+        np.testing.assert_array_equal(buffers.b1_minus_b2, buffers.b1 - buffers.b2)
+
+    def test_face_rows_index_the_flat_store(self, elastic_disc):
+        """``store[face_rows(...)]`` is the neighbour gather, per parity."""
+        buffers = LtsBuffers(elastic_disc)
+        rng = np.random.default_rng(4)
+        buffers.b1 = rng.normal(size=buffers.b1.shape)
+        buffers.b2 = rng.normal(size=buffers.b2.shape)
+        buffers.b3 = rng.normal(size=buffers.b3.shape)
+        neighbors = np.array([[1, 2, 3, -1], [0, 0, 5, 6]])
+        relations = np.array([[SAME, SMALLER, LARGER, -2], [LARGER, SAME, SMALLER, LARGER]])
+        for step_index in (0, 1, 2, 3):
+            rows = buffers.face_rows(neighbors, relations, step_index)
+            assert rows.shape == neighbors.shape
+            np.testing.assert_array_equal(
+                buffers.store[rows], buffers.neighbor_data(neighbors, relations, step_index)
+            )
 
     def test_bulk_assignment_refreshes_second_half(self, elastic_disc):
         """The restore path (``buffers.b1 = ...``) must re-establish the

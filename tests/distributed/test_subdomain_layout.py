@@ -122,6 +122,38 @@ class TestSlicePrediction:
         assert peak - before < cluster_dofs_bytes
 
 
+class _RecordingComm:
+    def __init__(self):
+        self.sent = {}
+
+    def send(self, payload, src, dst, tag):
+        self.sent[tag] = np.array(payload, copy=True)
+
+
+class TestHaloSends:
+    def test_second_half_sends_read_the_stored_row(self, loh3_m_2rank, monkeypatch):
+        """A faster receiver's second sub-step gets ``B1 - B2`` from the
+        buffers' stored row: bitwise the read-time difference it replaced."""
+        n_sent = 0
+        for rank in loh3_m_2rank.engine.ranks:
+            comm = _RecordingComm()
+            monkeypatch.setattr(rank, "comm", comm)
+            schedule = rank.subdomain.send_schedule
+            for micro_step in range(len(schedule)):
+                rank.send_due(micro_step)
+                for batch in schedule[micro_step]:
+                    if batch.kind != "b1_minus_b2":
+                        continue
+                    elements = batch.local_elements
+                    data = rank.buffers.b1[elements] - rank.buffers.b2[elements]
+                    mats = rank.disc.neighbor_flux_matrices[batch.fbar_indices]
+                    expected = np.einsum("nvb...,nbf->nvf...", data, mats)
+                    for n, tag in enumerate(batch.tags):
+                        np.testing.assert_array_equal(comm.sent[int(tag)], expected[n])
+                        n_sent += 1
+        assert n_sent > 0
+
+
 class TestCompactness:
     def test_summary_reports_a_thin_halo(self, loh3_m_2rank):
         comm = loh3_m_2rank.summary()["comm"]

@@ -9,7 +9,9 @@ The contract of the backend layer:
   the time integrals, its ``[0, dt/2]`` integral being exactly the one the
   LTS buffers used to compute themselves;
 * on both kinds, every stage a solver runs is looked up on the backend
-  instance, so a wrapper installed there by name sees every call;
+  instance, so a wrapper installed there by name sees every call -- the
+  correction composes the three surface stages on ``ref`` and is one fused
+  pass on ``fast``, whose inherited stage methods a step no longer reaches;
 * an f32 discretization runs in single precision end to end (DOFs, buffers,
   seismograms) and matches the f64 result within a documented tolerance
   under both kernel kinds.
@@ -46,7 +48,11 @@ STAGES = (
     "surface_kernel_local",
     "neighbor_face_coefficients",
     "surface_kernel_neighbor",
+    "correct",
 )
+
+#: the reference stages ``FastBackend.correct`` fuses (still callable)
+FUSED_ON_FAST = ("surface_kernel_local", "neighbor_face_coefficients", "surface_kernel_neighbor")
 
 
 def _random_dofs(disc, n_fused=0, seed=0):
@@ -133,9 +139,14 @@ class TestReferencePipeline:
             surface_kernel_neighbor(disc, coeffs, elements),
         )
         delta, integral, _, local_traces = backend.local_update(disc, dofs, dt, elements)
-        assert np.array_equal(delta, volume + local)
+        assert np.array_equal(delta, volume)
         assert np.array_equal(integral, elastic)
         assert np.array_equal(local_traces, traces)
+        # the correction: (volume + local) + neighbouring, then the advance
+        expected = dofs + (volume + local + surface_kernel_neighbor(disc, coeffs, elements))
+        plan = backend.neighbor_plan(disc, dofs, elements, np.maximum(disc.mesh.neighbors, 0))
+        backend.correct(disc, dofs, range(disc.n_elements), delta, traces, elastic, plan)
+        assert np.array_equal(dofs, expected)
 
 
 class TestStageDispatch:
@@ -180,7 +191,10 @@ class TestStageDispatch:
     def test_wrapped_stage_sees_the_step(self, graded, kind, stage, solver_kind):
         plain, _ = self._stepped(graded, solver_kind, kind)
         traced, calls = self._stepped(graded, solver_kind, kind, stage)
-        assert calls, f"{kind} {solver_kind} step bypassed backend.{stage}"
+        if kind == "fast" and stage in FUSED_ON_FAST:
+            assert not calls, f"fast {solver_kind} correction left the fused pass"
+        else:
+            assert calls, f"{kind} {solver_kind} step bypassed backend.{stage}"
         assert np.array_equal(traced.dofs, plain.dofs)
 
 

@@ -5,9 +5,11 @@ reassociation.  Results must track the reference within a few ULPs per
 kernel call (the per-kernel checks below) and within the verification
 tolerance ladder over whole runs (tests/verification/).  Bit-identity with
 the reference is explicitly NOT promised.  What *is* bitwise is the backend
-against itself: every contraction is per element, so how ``local_update``
-cuts a batch into cache-sized blocks (or which batch an element is part of)
-does not change a single bit.
+against itself: every prediction contraction is per element, so how
+``local_update`` cuts a batch into cache-sized blocks (or which batch an
+element is part of) does not change a single bit.  The fused correction
+(``correct``) is held to the reference composition ``neighbor_data`` ->
+``neighbor_face_coefficients`` -> both surface kernels, on every block cut.
 """
 
 import tracemalloc
@@ -17,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.buffers import BOUNDARY, LARGER, SAME, SMALLER, LtsBuffers
 from repro.core.clustering import derive_clustering
 from repro.core.gts_solver import GlobalTimeSteppingSolver
 from repro.core.lts_solver import ClusteredLtsSolver
@@ -26,6 +29,8 @@ from repro.kernels.ader import compute_time_derivatives
 from repro.kernels.backend import FastBackend, ReferenceBackend, make_backend
 from repro.kernels.discretization import Discretization, N_ELASTIC
 from repro.kernels.volume import volume_kernel
+from repro.mesh import BOUNDARY_ABSORBING, BOUNDARY_FREE_SURFACE
+from repro.mesh.generation import box_mesh
 from repro.scenarios import get_scenario, make_runner
 
 from ..lts_setup import cluster_ordered
@@ -59,6 +64,29 @@ def _set_block_elements(monkeypatch, disc, dofs, n_elements):
     """Make ``FastBackend.local_update`` cut blocks of ``n_elements``."""
     per_element = disc.order * int(np.prod(dofs.shape[1:])) * dofs.itemsize
     monkeypatch.setattr(backend_module, "_BLOCK_STACK_BYTES", n_elements * per_element)
+
+
+def _reference_correction(disc, batch, delta, traces, neighbor_te, halo=None):
+    """The increment of a correction as the reference composes it:
+    coefficients (halo payloads overlaid), then ``(delta + S_local) +
+    S_neigh``."""
+    ref, rows = ReferenceBackend(), slice(batch.start, batch.stop)
+    coeffs = ref.neighbor_face_coefficients(disc, neighbor_te, traces, rows)
+    if halo is not None:
+        faces, payloads = halo
+        coeffs[faces // 4, faces % 4] = payloads
+    increment = delta + ref.surface_kernel_local(disc, delta, batch, traces)
+    return increment + ref.surface_kernel_neighbor(disc, coeffs, rows)
+
+
+def _fused_correction(disc, batch, delta, traces, source, rows, halo=None, fast=None):
+    """The increment ``FastBackend.correct`` adds (onto zero DOFs)."""
+    fast = fast or FastBackend()
+    dofs = np.zeros((disc.n_elements,) + delta.shape[1:], dtype=delta.dtype)
+    plan = fast.neighbor_plan(disc, dofs, batch, rows)
+    fast.correct(disc, dofs, batch, delta.copy(), traces, source, plan,
+                 ws=fast.make_workspace(), halo=halo)
+    return dofs[batch.start : batch.stop]
 
 
 def _local_update_copy(backend, disc, dofs, elements, needs_half=True):
@@ -131,41 +159,128 @@ class TestKernelToleranceParity:
         )
 
     def test_surface_kernel_local(self, disc):
-        ref, fast = ReferenceBackend(), FastBackend()
-        ws = fast.make_workspace()
+        """Both surface halves of a GTS step (neighbours read from the
+        step's own integral): the fused pass against the reference."""
+        ref = ReferenceBackend()
         dofs = _random_dofs(disc, seed=4)
-        elements = slice(0, disc.n_elements)
-        dt = float(disc.time_steps.min())
-        ti = ref.time_integrate(ref.compute_time_derivatives(disc, dofs, elements), 0.0, dt)
-        traces = ref.project_local_traces(disc, ti[:, :N_ELASTIC], elements)
-        expected = ref.surface_kernel_local(disc, ti, elements, traces)
+        batch = range(disc.n_elements)
+        delta, te, _, traces = ref.local_update(disc, dofs, float(disc.time_steps.min()), batch)
+        rows = np.maximum(disc.mesh.neighbors, 0)
+        expected = _reference_correction(disc, batch, delta, traces, te[rows])
         _assert_close(
-            fast.surface_kernel_local(disc, ti, elements, traces, ws=ws), expected, name="local"
-        )
-        # without traces the kernel projects them itself
-        _assert_close(
-            fast.surface_kernel_local(disc, ti, elements, None, ws=ws),
-            expected,
-            name="local, own traces",
+            _fused_correction(disc, batch, delta, traces, te, rows), expected, name="surface"
         )
 
     def test_neighbor_path(self, disc):
+        """Traces, then the fused correction gathering any rows of a flat
+        source (boundary faces read their own trace, whatever their row)."""
         ref, fast = ReferenceBackend(), FastBackend()
-        ws = fast.make_workspace()
         dofs = _random_dofs(disc, seed=3)
-        elements = slice(0, disc.n_elements)
-        dt = float(disc.time_steps.min())
-        _, te, _, _ = ref.local_update(disc, dofs, dt, elements)
-        neighbor_te = te[np.maximum(disc.mesh.neighbors, 0)]
-        traces_r = ref.project_local_traces(disc, te, elements)
-        traces_f = fast.project_local_traces(disc, te, elements, ws=ws)
+        batch = range(disc.n_elements)
+        delta, te, _, _ = ref.local_update(disc, dofs, float(disc.time_steps.min()), batch)
+        traces_r = ref.project_local_traces(disc, te, batch)
+        traces_f = fast.project_local_traces(disc, te, batch, ws=fast.make_workspace())
         _assert_close(traces_f, traces_r, name="traces")
-        coeffs_r = ref.neighbor_face_coefficients(disc, neighbor_te, traces_r, elements)
-        coeffs_f = fast.neighbor_face_coefficients(disc, neighbor_te, traces_r, elements, ws=ws)
-        _assert_close(coeffs_f, coeffs_r, name="coefficients")
-        out_r = ref.surface_kernel_neighbor(disc, coeffs_r, elements)
-        out_f = fast.surface_kernel_neighbor(disc, coeffs_r, elements, ws=ws)
-        _assert_close(out_f, out_r, name="neighbor surface")
+        rng = np.random.default_rng(3)
+        source = rng.standard_normal((3 * disc.n_elements, N_ELASTIC, disc.n_basis))
+        rows = rng.integers(0, len(source), size=(disc.n_elements, 4))
+        expected = _reference_correction(disc, batch, delta, traces_r, source[rows])
+        _assert_close(
+            _fused_correction(disc, batch, delta, traces_r, source, rows), expected,
+            name="neighbor path",
+        )
+
+
+class TestFusedCorrection:
+    """``FastBackend.correct`` against the reference composition on LTS
+    buffer reads: every relation and step parity, free-surface and
+    absorbing faces, scalar and fused, both precisions, every block cut."""
+
+    BLOCK = 5
+    START = 80  # an inner run of the mesh reaching the free surface
+
+    @pytest.fixture(scope="class", params=["f64", "f32"])
+    def disc(self, request):
+        coords = np.linspace(0.0, 3000.0, 4)
+        mesh = box_mesh(coords, coords, coords, jitter=0.2, seed=3, free_surface_top=True)
+        material = ViscoelasticMaterial(rho=2600.0, vp=4000.0, vs=2000.0, qp=120.0, qs=40.0)
+        table = MaterialTable.homogeneous(material, mesh.n_elements)
+        return Discretization(mesh, table, order=3, n_mechanisms=3, precision=request.param)
+
+    def _inputs(self, disc, n_fused, seed=0):
+        rng = np.random.default_rng(seed)
+        buffers = LtsBuffers(disc, n_fused=n_fused)
+        for name in ("b1", "b2", "b3"):
+            setattr(buffers, name, rng.standard_normal(getattr(buffers, name).shape))
+        neighbors = disc.mesh.neighbors
+        relations = np.where(
+            neighbors < 0, BOUNDARY, rng.choice([SAME, SMALLER, LARGER], size=neighbors.shape)
+        )
+        fused = (n_fused,) if n_fused else ()
+        shape = (disc.n_elements, disc.n_vars, disc.n_basis) + fused
+        delta = rng.standard_normal(shape).astype(disc.dtype)
+        traces = rng.standard_normal(
+            (disc.n_elements, 4, N_ELASTIC, disc.n_face_basis) + fused
+        ).astype(disc.dtype)
+        return buffers, neighbors, relations, delta, traces
+
+    def _check(self, disc, n_fused, batch, parity, halo=None, seed=0):
+        buffers, neighbors, relations, delta, traces = self._inputs(disc, n_fused, seed)
+        rows = slice(batch.start, batch.stop)
+        args = (neighbors[rows], relations[rows], parity)
+        expected = _reference_correction(
+            disc, batch, delta[rows], traces[rows], buffers.neighbor_data(*args), halo
+        )
+        actual = _fused_correction(
+            disc, batch, delta[rows], traces[rows], buffers.store, buffers.face_rows(*args), halo
+        )
+        assert actual.dtype == disc.dtype
+        _assert_close(actual, expected, rtol=1e-12 if disc.precision == "f64" else 1e-5)
+        return actual
+
+    def test_the_run_covers_every_face_kind(self, disc):
+        """The 3-block run sees all four relations and both boundary kinds."""
+        _, _, relations, _, _ = self._inputs(disc, 0)
+        rows = slice(self.START, self.START + 3 * self.BLOCK)
+        assert {SAME, SMALLER, LARGER, BOUNDARY} <= set(np.unique(relations[rows]))
+        tags = disc.mesh.boundary_tags[rows][disc.mesh.neighbors[rows] < 0]
+        assert {BOUNDARY_FREE_SURFACE, BOUNDARY_ABSORBING} <= set(np.unique(tags))
+
+    def _set_block(self, monkeypatch, disc, n_fused):
+        fused = (n_fused,) if n_fused else ()
+        dofs = np.zeros((1, disc.n_vars, disc.n_basis) + fused, disc.dtype)
+        _set_block_elements(monkeypatch, disc, dofs, self.BLOCK)
+
+    @pytest.mark.parametrize("parity", [0, 1])
+    @pytest.mark.parametrize("n_fused", [0, 2])
+    @pytest.mark.parametrize("n_elements", [1, 4, 5, 6, 15], ids=lambda n: f"E{n}")
+    def test_matches_the_reference_composition(
+        self, monkeypatch, disc, n_elements, n_fused, parity
+    ):
+        """E = 1, block - 1, block, block + 1 and 3 blocks."""
+        self._set_block(monkeypatch, disc, n_fused)
+        self._check(disc, n_fused, range(self.START, self.START + n_elements), parity)
+
+    @pytest.mark.parametrize("n_fused", [0, 2])
+    def test_halo_payloads_land_in_any_block(self, monkeypatch, disc, n_fused):
+        """Received payloads replace the neighbour coefficients of their
+        faces before the flux solve, in the second and third block too."""
+        fused = (n_fused,) if n_fused else ()
+        self._set_block(monkeypatch, disc, n_fused)
+        batch = range(self.START, self.START + 3 * self.BLOCK)
+        interior = disc.mesh.neighbors[self.START : batch.stop] >= 0
+        faces = np.flatnonzero(interior.ravel())
+        faces = faces[faces >= 4 * self.BLOCK][::3]  # second and third block
+        assert faces.min() < 8 * self.BLOCK <= faces.max()
+        rng = np.random.default_rng(9)
+        payloads = rng.standard_normal((len(faces), N_ELASTIC, disc.n_face_basis) + fused)
+        halo = (faces, payloads.astype(disc.dtype))
+        with_halo = self._check(disc, n_fused, batch, 1, halo)
+        changed = with_halo != self._check(disc, n_fused, batch, 1)
+        # exactly the receiving elements move
+        np.testing.assert_array_equal(
+            np.flatnonzero(changed.reshape(len(changed), -1).any(axis=1)), np.unique(faces // 4)
+        )
 
 
 class TestOtherTiers:
@@ -212,7 +327,7 @@ class TestStackedOperators:
         data = FastBackend()._disc_data(_disc(order=3, n_mechanisms=n_mechanisms, n=1))
         assert data.star_e_blocks  # elastic star matrices are block-off-diagonal
         if n_mechanisms:
-            assert data.star_a_velocity and data.coupling_stress and data.flux_a_velocity
+            assert data.star_a_velocity and data.coupling_stress
 
     def test_bmm_folds_fused_axis(self):
         rng = np.random.default_rng(11)
@@ -415,11 +530,13 @@ class TestCacheBlocking:
 
 def test_first_cycle_memory_stays_block_sized():
     """The first macro cycle of the 3456-element LOH.3 LTS run faults in
-    ~134 MiB (operator gathers, cluster-sized outputs, correction scratch)
-    where the unblocked workspaces took ~300 MiB."""
+    ~85 MiB (stacked and merged operators, the prediction's cluster-sized
+    outputs) where the unblocked workspaces took ~300 MiB; every correction
+    scratch pool is block-sized."""
     spec = get_scenario("loh3", characteristic_length=1000.0, n_clusters=3, lam=1.0)
     runner = make_runner(spec.with_overrides(kernels="fast"))
-    assert runner.solver.disc.n_elements > 3000
+    solver = runner.solver
+    assert solver.disc.n_elements > 3000
     tracemalloc.start()
     try:
         runner.step_cycle()
@@ -427,6 +544,19 @@ def test_first_cycle_memory_stays_block_sized():
     finally:
         tracemalloc.stop()
     assert peak < 180 * 2**20, f"first cycle traced {peak / 2**20:.0f} MiB"
+    disc, dofs = solver.disc, solver.dofs
+    # the widest per-element correction scratch: 8 face rows of 9 x B
+    per_element = 8 * N_ELASTIC * max(disc.n_basis, disc.n_face_basis)
+    for cluster in solver.clusters:
+        blocks = FastBackend._block_plan(disc, dofs, cluster.elements)
+        if len(blocks) < 2:
+            continue
+        block = blocks[0][0].stop
+        pools = {name: pool.size for (name, _), pool in cluster.workspace._pools.items()
+                 if str(name).startswith("corr_")}
+        assert len(pools) >= 5, pools
+        assert all(size <= block * per_element for size in pools.values()), (block, pools)
+        assert block * per_element < len(cluster.elements) * N_ELASTIC * disc.n_basis
 
 
 class TestSolverToleranceParity:

@@ -188,7 +188,25 @@ class TestKernelStageBlock:
         assert block["time"]["gflop"] == pytest.approx(0.6)
         assert block["time"]["gflop_per_s"] == pytest.approx(0.2)
         assert block["volume"]["gflop_per_s"] == pytest.approx(0.3)
-        assert "surface_local" not in block  # no timed region -> no rate
+        assert "surface" not in block  # no timed region -> no rate
+
+    def test_surface_halves_are_one_stage(self):
+        """Both surface halves' FLOPs over every surface region: on ``fast``
+        they are one fused pass timed as ``kernel.surface_neighbor``."""
+        summary = _summary([])
+        summary["telemetry"] = {
+            "lanes": [],
+            "regions": {
+                "predict/kernel.trace": {"count": 1, "total_s": 0.5},
+                "correct/kernel.surface_neighbor": {"count": 1, "total_s": 1.5},
+            },
+            "derived": {
+                "flops_per_stage": {"surface_local": 1_000_000, "surface_neighbor": 1_000_000}
+            },
+        }
+        block = kernel_stage_block(summary)
+        assert block["surface"]["gflop"] == pytest.approx(1.2)
+        assert block["surface"]["gflop_per_s"] == pytest.approx(0.6)
 
     def test_none_without_flop_stamp(self):
         assert kernel_stage_block(_summary([])) is None

@@ -49,9 +49,9 @@ def single_rank_telemetry(tiny_loh3):
 
 @pytest.fixture(scope="module", params=KERNEL_KINDS)
 def kernel_regions(request, tiny_loh3):
-    """Telemetry regions of one run per kernel kind."""
+    """``(kind, telemetry regions)`` of one run per kernel kind."""
     runner = ScenarioRunner(tiny_loh3.with_overrides(telemetry=True, kernels=request.param))
-    return runner.run()["telemetry"]["regions"]
+    return request.param, runner.run()["telemetry"]["regions"]
 
 
 class TestSummaryTelemetryBlock:
@@ -97,14 +97,20 @@ class TestSummaryTelemetryBlock:
             "predict/kernel.integrate",
             "predict/kernel.trace",
             "predict/kernel.volume",
-            "predict/kernel.surface_local",
+            "correct/kernel.surface_local",
             "correct/kernel.surface_neighbor",
         ],
     )
     def test_every_kernel_stage_is_timed(self, kernel_regions, region):
-        """Both kernel kinds time each stage of the cycle under its region."""
-        assert kernel_regions[region]["count"] > 0
-        assert kernel_regions[region]["total_s"] > 0.0
+        """Both kernel kinds time each stage of the cycle under its region;
+        ``fast`` runs both surface halves as one pass, timed as the
+        neighbouring one."""
+        kind, regions = kernel_regions
+        if kind == "fast" and region == "correct/kernel.surface_local":
+            assert not any(name.endswith("kernel.surface_local") for name in regions)
+            return
+        assert regions[region]["count"] > 0
+        assert regions[region]["total_s"] > 0.0
 
     def test_derived_rates(self, single_rank_telemetry):
         _, summary = single_rank_telemetry
