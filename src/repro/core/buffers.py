@@ -33,13 +33,32 @@ import numpy as np
 
 from ..kernels.discretization import Discretization, N_ELASTIC
 
-__all__ = ["LtsBuffers"]
+__all__ = ["LtsBuffers", "store_rows"]
 
 #: relation codes of a face neighbour's cluster w.r.t. the element's cluster
 SAME, SMALLER, LARGER, BOUNDARY = 0, -1, 1, -2
 
 #: store rows: B1, B2, B3 and the precomputed second-half integral B1 - B2
 _B1, _B2, _B3, _B1M2 = 0, 1, 2, 3
+
+
+def store_rows(n_elements: int, neighbors, relations, step_index) -> np.ndarray:
+    """Rows of the flat buffer store of an ``n_elements`` mesh that hold
+    each face neighbour's elastic time-integrated DOFs over the reading
+    element's time interval (see :meth:`LtsBuffers.face_rows`).
+
+    ``step_index`` is the reading element's local step counter, a scalar or
+    an array broadcasting against ``relations``.
+    """
+    # relation -> store row: SAME reads B1, SMALLER reads B3 (the two
+    # accumulated sub-steps), LARGER reads B2 on an even local step and
+    # the precomputed B1 - B2 on an odd one; boundary faces read the
+    # all-zero ghost row (any store row works, B1 is used)
+    larger_row = np.where(np.asarray(step_index) % 2 == 0, _B2, _B1M2)
+    sel = np.where(relations == SMALLER, _B3, _B1)
+    sel = np.where(relations == LARGER, larger_row, sel)
+    ids = np.where(relations == BOUNDARY, n_elements, neighbors)
+    return sel * (n_elements + 1) + ids
 
 
 class LtsBuffers:
@@ -136,13 +155,12 @@ class LtsBuffers:
             of one): the buffer rows are written through slice views.
         elastic_integral:
             The elastic ``(E, 9, B[, f])`` rows of the prediction's
-            time-integrated DOFs over the elements' full step -- the second
-            value of a backend's ``local_update``.
+            time-integrated DOFs over the elements' full step -- what a
+            backend's ``local_update`` hands its ``fill`` per element block.
         elastic_half:
-            The same over the first half of the step (``local_update``'s
-            third value with ``needs_half``), or ``None`` to leave ``B2``
-            untouched (only a smaller-step neighbour reads it).  The array
-            is consumed: it is overwritten with the second-half integral.
+            The same over the first half of the step (with ``needs_half``),
+            or ``None`` to leave ``B2`` untouched (only a smaller-step
+            neighbour reads it).
         step_index:
             The elements' local step counter ``n_k`` (before the step), which
             controls the even/odd accumulation of ``B3``.
@@ -152,8 +170,7 @@ class LtsBuffers:
             # the second-half integral a smaller-step neighbour's odd
             # sub-step reads; ``full - half`` here equals the read-time
             # ``b1 - b2`` bitwise (same stored operands, same subtraction)
-            np.subtract(elastic_integral, elastic_half, out=elastic_half)
-            self._store[_B1M2, elements] = elastic_half
+            np.subtract(elastic_integral, elastic_half, out=self._store[_B1M2, elements])
         self._store[_B1, elements] = elastic_integral
         if step_index % 2 == 0:
             self._store[_B3, elements] = elastic_integral
@@ -184,15 +201,7 @@ class LtsBuffers:
             the element's interval is the first (even) or second (odd) half
             of the neighbour's step.
         """
-        # relation -> store row: SAME reads B1, SMALLER reads B3 (the two
-        # accumulated sub-steps), LARGER reads B2 on an even local step and
-        # the precomputed B1 - B2 on an odd one; boundary faces read the
-        # all-zero ghost row (any store row works, B1 is used)
-        larger_row = _B2 if step_index % 2 == 0 else _B1M2
-        sel = np.where(relations == SMALLER, _B3, _B1)
-        sel = np.where(relations == LARGER, larger_row, sel)
-        ids = np.where(relations == BOUNDARY, self._n_elements, neighbors)
-        return sel * (self._n_elements + 1) + ids
+        return store_rows(self._n_elements, neighbors, relations, step_index)
 
     def neighbor_data(
         self,

@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..kernels.backend import make_backend
-from ..kernels.discretization import Discretization
+from ..kernels.discretization import N_ELASTIC, Discretization
 from ..mesh.reorder import cluster_ranges
 from ..observability import NULL_TELEMETRY
 from ..source.moment_tensor import DiscretePointSource, MomentTensorSource, PointForceSource
@@ -147,34 +147,64 @@ class ClusteredLtsSolver:
     # ------------------------------------------------------------------
     def _predict(self, cluster: _ClusterData) -> None:
         """Time kernel, buffer fill and volume update of one cluster."""
-        if len(cluster.elements) == 0:
-            cluster.pending_local_delta = None
-            return
-        with self.telemetry.region("predict"):
-            delta, local_traces = self._predict_elements(cluster, cluster.elements)
-        cluster.pending_local_delta = delta
-        cluster.pending_traces = local_traces
+        if cluster.workspace is not None:
+            self._bind_pending(cluster)
+        else:  # the reference kernels' fresh results are adopted, not copied
+            cluster.pending_local_delta = cluster.pending_traces = None
+        if len(cluster.elements):
+            with self.telemetry.region("predict"):
+                self._predict_elements(cluster, slice(0, len(cluster.elements)))
 
-    def _predict_elements(
-        self, cluster: _ClusterData, elements: range
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The element-local prediction body for a run of the cluster's
-        elements: CK time kernel, buffer fill, volume update.
+    def _bind_pending(self, cluster: _ClusterData) -> bool:
+        """Bind the cluster's prediction storage (``False``: empty cluster).
+
+        The volume increment and the own traces outlive the prediction
+        until the correction reads them, so they live in the cluster's
+        workspace under names of their own: a micro step allocates nothing.
+        """
+        n = len(cluster.elements)
+        if n == 0:
+            cluster.pending_local_delta = cluster.pending_traces = None
+            return False
+        shape = (n,) + self.dofs.shape[1:]
+        traces = (n, 4, N_ELASTIC, self.disc.n_face_basis) + self.dofs.shape[3:]
+        cluster.pending_local_delta = self._pending(cluster, "pending_delta", shape)
+        cluster.pending_traces = self._pending(cluster, "pending_traces", traces)
+        return True
+
+    def _pending(self, cluster: _ClusterData, name: str, shape: tuple) -> np.ndarray:
+        if cluster.workspace is None:  # the reference kernels keep no scratch
+            return np.empty(shape, dtype=self.dofs.dtype)
+        return cluster.workspace.scratch(name, shape, self.dofs.dtype)
+
+    def _predict_elements(self, cluster: _ClusterData, rows: slice) -> None:
+        """The element-local prediction of a row range of the cluster batch:
+        CK time kernel, buffer fill, volume update.
 
         Shared between the full-cluster ``_predict`` and the distributed
         rank stepper's boundary/interior split -- every contraction is
         element-local, so any partition of the batch produces bit-identical
-        per-element results.  Returns ``(volume_delta, local_traces)``.
+        per-element results.  The increment and the traces are written into
+        the cluster's bound pending rows (unbound: the whole cluster's
+        results are adopted), and the buffers are filled per element block
+        while its integrals are in cache.
         """
-        delta, elastic_integral, elastic_half, local_traces = self.backend.local_update(
-            self.disc, self.dofs, cluster.dt, elements,
-            ws=cluster.workspace, needs_half=True,
+        if rows.start == rows.stop:
+            return
+        first, step_index = cluster.elements.start, cluster.step_index
+
+        def fill(block: slice, integral: np.ndarray, half: np.ndarray) -> None:
+            self.buffers.fill(block, integral, half, step_index)
+
+        out = None
+        if cluster.pending_local_delta is not None:
+            out = (cluster.pending_local_delta[rows], cluster.pending_traces[rows])
+        delta, _, _, traces = self.backend.local_update(
+            self.disc, self.dofs, cluster.dt, range(first + rows.start, first + rows.stop),
+            ws=cluster.workspace, needs_half=True, out=out, fill=fill,
         )
-        self.buffers.fill(
-            slice(elements.start, elements.stop), elastic_integral, elastic_half,
-            cluster.step_index,
-        )
-        return delta, local_traces
+        if out is None:
+            cluster.pending_local_delta, cluster.pending_traces = delta, traces
 
     def _halo(self, cluster: _ClusterData):
         """Received neighbour coefficients of a correction (a hook: the

@@ -12,16 +12,18 @@ are added on top of the shared driver logic:
   the due sends can be posted immediately, and :meth:`predict_interior`
   computes the remaining rows afterwards -- with a process-backed
   communicator the interior work overlaps the message transfer,
-* :meth:`send_due` ships the face-local compressed halo payloads of the
-  current micro step (``9 x F`` values per face -- the buffer data already
-  multiplied with the *receiver's* neighbouring flux matrix ``F_bar``), and
-* the :meth:`_halo` hook receives a correcting cluster's due payloads
-  first and hands them to the backend's correction as ``(flat face ids,
-  payloads)``, which writes them into the neighbour coefficients of the
-  partition-boundary faces before the flux solve.  Each face consumes
-  exactly the statically known number of due messages
-  (:attr:`RecvPlan.counts`), so the receive is deterministic and blocks
-  correctly on asynchronous channels.
+* :meth:`send_due` ships one pack per destination rank and micro step: the
+  face-local compressed payloads (``9 x F`` values per face -- the buffer
+  data already multiplied with the *receiver's* neighbouring flux matrix
+  ``F_bar``) of every face due to that rank, projected by the backend in
+  one pass over the step's send plan, and
+* the :meth:`_halo` hook drains, at the first correction of a micro step,
+  every incoming pack due up to that step (in step order, a later payload
+  overwriting an earlier one: a faster sender refreshes its accumulated
+  ``B3`` twice per receiver step) into the rank's halo store, and hands the
+  correcting cluster's run of it to the backend's correction as ``(flat
+  face ids, payloads)``.  The receive plans are static, so the receive is
+  deterministic and blocks correctly on asynchronous channels.
 
 Because every kernel contraction is element-local, splitting a cluster batch
 into two sub-batches produces bit-identical per-element results, and because
@@ -76,6 +78,20 @@ class RankSolver(ClusteredLtsSolver):
         #: per cluster: the ascending flat face ids ``4 row + face`` of its
         #: received halo faces (np.nonzero order: by row, then face)
         self._halo_faces = [plan.rows * 4 + plan.faces for plan in subdomain.recv_plans]
+        #: the rank-level halo store: the latest received payload of every
+        #: halo face, cluster-major (a cluster's faces are one run of rows)
+        self.halo_store = np.zeros(
+            (subdomain.n_halo_faces, N_ELASTIC, self.disc.n_face_basis) + self.dofs.shape[3:],
+            dtype=self.dofs.dtype,
+        )
+        #: the backend's projection plan of every micro step's sends
+        self._projections = [
+            self.backend.face_plan(plan.rows, plan.classes) for plan in subdomain.send_plans
+        ]
+        self._send_workspace = self.backend.make_workspace()
+        #: the micro step being corrected, and the first one not yet drained
+        self._micro_step = 0
+        self._next_drain = 0
 
     # ------------------------------------------------------------------
     # split prediction (overlap structure)
@@ -87,45 +103,13 @@ class RankSolver(ClusteredLtsSolver):
         the buffers every due send reads from are fresh before
         :meth:`send_due` runs.
         """
-        n = len(cluster.elements)
-        if n == 0:
-            cluster.pending_local_delta = None
-            cluster.pending_traces = None
-            return
-        dofs, disc = self.dofs, self.disc
-        traces = (n, 4, N_ELASTIC, disc.n_face_basis) + dofs.shape[3:]
-        cluster.pending_local_delta = self._pending(cluster, "pending_delta", (n,) + dofs.shape[1:])
-        cluster.pending_traces = self._pending(cluster, "pending_traces", traces)
-        self._predict_rows(cluster, self.subdomain.boundary_rows[cluster.cluster_id])
+        if self._bind_pending(cluster):
+            self._predict_elements(cluster, self.subdomain.boundary_rows[cluster.cluster_id])
 
     def predict_interior(self, cluster: _ClusterData) -> None:
         """Predict the purely local rows (overlaps in-flight halo messages)."""
-        if len(cluster.elements) == 0:
-            return
-        self._predict_rows(cluster, self.subdomain.interior_rows[cluster.cluster_id])
-
-    def _pending(self, cluster: _ClusterData, name: str, shape: tuple) -> np.ndarray:
-        """Cluster-sized storage that outlives the two ``local_update`` calls
-        of a split prediction (whose own outputs share one scratch): kept in
-        the cluster's workspace, so a micro step allocates nothing."""
-        if cluster.workspace is None:  # the reference kernels keep no scratch
-            return np.empty(shape, dtype=self.dofs.dtype)
-        return cluster.workspace.scratch(name, shape, self.dofs.dtype)
-
-    def _predict_rows(self, cluster: _ClusterData, rows: slice) -> None:
-        """The shared prediction body on one row range of the cluster batch.
-
-        The subdomain's local order makes a cluster one run of local ids,
-        so the rows' elements are a slice as well.
-        """
-        if rows.start == rows.stop:
-            return
-        first = cluster.elements.start
-        delta, local_traces = self._predict_elements(
-            cluster, range(first + rows.start, first + rows.stop)
-        )
-        cluster.pending_local_delta[rows] = delta
-        cluster.pending_traces[rows] = local_traces
+        if len(cluster.elements):
+            self._predict_elements(cluster, self.subdomain.interior_rows[cluster.cluster_id])
 
     # ------------------------------------------------------------------
     # the shared micro-step walk (used by the serial engine, which
@@ -151,6 +135,9 @@ class RankSolver(ClusteredLtsSolver):
 
     def finish_micro_step(self, entry: dict, dt0: float) -> None:
         """Corrections of the clusters whose interval ends after this step."""
+        self._micro_step = entry["micro_step"]
+        if self._micro_step == 0:
+            self._next_drain = 0
         for l in entry["correct"]:
             cluster = self.clusters[l]
             start = self.time + (entry["micro_step"] + 1) * dt0 - cluster.dt
@@ -158,46 +145,33 @@ class RankSolver(ClusteredLtsSolver):
 
     # ------------------------------------------------------------------
     def send_due(self, micro_step: int) -> None:
-        """Send every halo payload due at this micro step of the cycle."""
-        for batch in self.subdomain.send_schedule[micro_step]:
-            elements = batch.local_elements
-            if batch.kind == "b1":
-                data = self.buffers.b1[elements]
-            elif batch.kind == "b3":
-                data = self.buffers.b3[elements]
-            elif batch.kind == "b2":
-                data = self.buffers.b2[elements]
-            else:  # "b1_minus_b2": the second sub-step of a faster receiver
-                data = self.buffers.b1_minus_b2[elements]
-            mats = self.disc.neighbor_flux_matrices[batch.fbar_indices]
-            payloads = np.einsum("nvb...,nbf->nvf...", data, mats)
-            for n in range(len(batch.tags)):
-                self.comm.send(
-                    payloads[n],
-                    src=self.rank,
-                    dst=int(batch.dst_ranks[n]),
-                    tag=int(batch.tags[n]),
-                )
+        """Send this micro step's halo packs, one message per destination."""
+        plan = self.subdomain.send_plans[micro_step]
+        if not plan.packs:
+            return
+        payloads = self.backend.project_faces(
+            self.disc, self.buffers.store, self._projections[micro_step], ws=self._send_workspace
+        )
+        for dst, run in plan.packs:
+            self.comm.send(payloads[run], src=self.rank, dst=dst, tag=micro_step)
+
+    def _drain(self) -> None:
+        """Unpack every incoming pack due up to the current micro step into
+        the halo store, in step order (a later payload overwrites an earlier
+        one of the same face)."""
+        while self._next_drain <= self._micro_step:
+            step = self._next_drain
+            for pack in self.subdomain.recv_packs[step]:
+                self.halo_store[pack.rows] = self.comm.recv(pack.src, self.rank, step)
+            self._next_drain = step + 1
 
     def _halo(self, cluster: _ClusterData):
-        """Receive the cluster's due halo payloads: ``(faces, payloads)``
+        """Receive the due halo packs; the cluster's ``(faces, payloads)``
         for the backend's correction, or ``None`` without halo faces."""
+        if self._next_drain <= self._micro_step:  # the step's first correction
+            with self.telemetry.region("recv_wait"):
+                self._drain()
         plan = self.subdomain.recv_plans[cluster.cluster_id]
         if len(plan.rows) == 0:
             return None
-        disc = self.disc
-        payloads = self._pending(
-            cluster, "halo_payloads",
-            (len(plan.rows), N_ELASTIC, disc.n_face_basis) + self.dofs.shape[3:],
-        )
-        with self.telemetry.region("recv_wait"):
-            for n, (src, tag, count) in enumerate(zip(plan.src_ranks, plan.tags, plan.counts)):
-                # consume the statically known number of due messages and keep
-                # the freshest payload: a faster sender refreshes its
-                # accumulated B3 twice per receiver step.  The count (not a
-                # "pending" poll) is what makes the receive correct on
-                # blocking channels.
-                for _ in range(count):
-                    payload = self.comm.recv(int(src), self.rank, int(tag))
-                payloads[n] = payload
-        return self._halo_faces[cluster.cluster_id], payloads
+        return self._halo_faces[cluster.cluster_id], self.halo_store[plan.store]

@@ -16,15 +16,21 @@ contiguous ranges, so the rank stepper addresses DOFs, buffers and operators
 through slices.  It is a property of the local numbering only -- the global
 mesh is not permuted, and gather/restore go through :attr:`RankSubdomain.owned`.
 
-All halo bookkeeping is precomputed here once at setup:
+All halo bookkeeping is precomputed here once at setup, vectorised over the
+halo faces.  A halo message is one *pack* per (source rank, destination
+rank, micro step): the face-local payloads of every face due between the
+pair at that step, in ascending sender tag (``4 * global element + face``)
+order, so both sides agree on the layout without exchanging metadata.
 
-* the *send schedule* lists, per micro step of a macro cycle, which owned
-  boundary faces must ship which buffer (``B1``, ``B3``, ``B2`` or
-  ``B1 - B2`` following the sub-step parity rules of Fig. 6) to which rank,
-  already grouped into vectorised batches, and
-* the *receive plans* list, per cluster, where incoming payloads land in the
-  cluster's neighbour-coefficient array (plus how many messages each face
-  must wait for, so a receiver can block deterministically), and
+* the *send plans* list, per micro step of a macro cycle, each due owned
+  face's row in the flat LTS buffer store (``B1``, ``B3``, ``B2`` or
+  ``B1 - B2`` following the sub-step parity rules of Fig. 6), the
+  receiver's ``F_bar`` class and one run of faces per destination rank,
+* the *halo store* is one rank-level array of received payloads, one row
+  per halo face, cluster-major; the *receive plans* list, per cluster, its
+  run of store rows and where they land in the cluster batch, and the
+  *receive packs* list, per micro step, the store rows of each incoming
+  message, and
 * the per-cluster *boundary/interior split*: the leading rows of the cluster
   batch own at least one halo face, the rest are purely local.  The steppers predict
   the boundary rows first, post the halo sends, and only then compute the
@@ -40,12 +46,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.buffers import LARGER, SAME, SMALLER, store_rows
 from ..core.clustering import Clustering
 from ..core.lts_scheduler import micro_steps_per_cycle
 from ..kernels.discretization import Discretization
 from ..mesh.reorder import reorder_elements
 
-__all__ = ["SubdomainDisc", "RankSubdomain", "SendBatch", "RecvPlan"]
+__all__ = ["SubdomainDisc", "RankSubdomain", "SendPlan", "RecvPack", "RecvPlan"]
 
 
 class _LocalMesh:
@@ -114,40 +121,42 @@ class SubdomainDisc:
 
 
 @dataclass(frozen=True)
-class SendBatch:
-    """One vectorised batch of halo sends due at a micro step.
+class SendPlan:
+    """The halo packs one rank ships at one micro step.
 
-    ``kind`` names the buffer representation the receivers need at this
-    point of the schedule: ``b1`` (same-step neighbours), ``b3`` (the owner
-    is in the smaller cluster; partial then accumulated), ``b2`` /
-    ``b1_minus_b2`` (the owner is in the larger cluster; first/second
-    sub-step of the receiver).
+    The arrays run over the step's due faces in (destination rank, sender
+    tag) order; ``packs`` names each destination's run of them, which
+    travels as one message.  ``rows`` index the flat
+    :attr:`~repro.core.buffers.LtsBuffers.store`: the buffer the receiver
+    reads at this point of the schedule (``B1`` for a same-step neighbour,
+    ``B3`` when the owner is the faster side, ``B2`` / ``B1 - B2`` on the
+    faster receiver's first / second sub-step).
     """
 
-    kind: str
-    local_elements: np.ndarray  #: (n,) local ids of the owning elements
-    fbar_indices: np.ndarray  #: (n,) receiver-side F_bar matrix per face
-    dst_ranks: np.ndarray  #: (n,)
-    tags: np.ndarray  #: (n,) message tag (global element * 4 + face)
+    rows: np.ndarray  #: (n,) buffer-store row the face's payload is projected from
+    classes: np.ndarray  #: (n,) the receiver's F_bar class of the face
+    tags: np.ndarray  #: (n,) sender tag 4 * global element + face
+    packs: tuple[tuple[int, slice], ...]  #: (dst, run) per destination rank
+
+
+@dataclass(frozen=True)
+class RecvPack:
+    """One incoming message of a micro step: the halo-store rows its
+    payloads land in, in the sender's tag order."""
+
+    src: int
+    rows: np.ndarray  #: (n,) halo-store rows
+    tags: np.ndarray  #: (n,) sender tags of the payloads (ascending)
 
 
 @dataclass(frozen=True)
 class RecvPlan:
-    """Where one cluster's incoming halo payloads land during a correction.
-
-    ``counts`` is the number of messages due on each face's channel per
-    correction of this cluster (2 when the sender sits in the smaller /
-    faster cluster and refreshes its accumulated ``B3`` twice, 1 otherwise);
-    the receiver consumes exactly that many and keeps the freshest, which
-    works both with the instant in-process mailboxes and with blocking
-    process-backed channels where "pending" cannot be observed race-free.
-    """
+    """One cluster's halo faces: its run of halo-store rows and where the
+    payloads land in the cluster's neighbour coefficients."""
 
     rows: np.ndarray  #: (n,) row within the cluster's element batch
     faces: np.ndarray  #: (n,) local face id of the receiving element
-    src_ranks: np.ndarray  #: (n,)
-    tags: np.ndarray  #: (n,) tag of the matching send
-    counts: np.ndarray  #: (n,) messages due per correction on this channel
+    store: slice  #: the cluster's rows of the halo store
 
 
 class RankSubdomain:
@@ -200,12 +209,11 @@ class RankSubdomain:
 
         ghost = (own_neighbors >= 0) & ~same_rank
         self.n_halo_faces = int(ghost.sum())
-        self._build_send_schedule(disc, clustering, partitions, own_neighbors, ghost)
-        self._build_recv_plans(disc, clustering, partitions, own_neighbors, ghost)
+        self._build_halo_plans(disc, clustering, partitions, own_neighbors, ghost)
         self._split_boundary_interior(clustering, ghost)
 
     # ------------------------------------------------------------------
-    def _build_send_schedule(
+    def _build_halo_plans(
         self,
         disc: Discretization,
         clustering: Clustering,
@@ -213,88 +221,64 @@ class RankSubdomain:
         own_neighbors: np.ndarray,
         ghost: np.ndarray,
     ) -> None:
-        """Per-micro-step batches of due halo sends (one macro cycle).
+        """Send plans, receive packs and receive plans of one macro cycle.
 
-        An owned boundary face sends at the *faster* side's frequency: when
-        the owner is in the same or a smaller cluster it ships its freshly
-        filled ``B1``/``B3`` after every own prediction; when the owner is in
-        the larger cluster it ships ``B2`` or ``B1 - B2`` at every prediction
-        of the (faster) receiver, following the receiver's sub-step parity.
-        The parity pattern repeats every macro cycle, so the schedule is
-        static.
+        A halo face travels at the *faster* side's frequency, every
+        ``2**min(c_own, c_remote)`` micro steps: an owner in the same or the
+        smaller cluster ships its freshly filled ``B1``/``B3`` after each own
+        prediction, an owner in the larger cluster ships ``B2`` or ``B1 -
+        B2`` at each prediction of the (faster) receiver, following the
+        receiver's sub-step parity.  The rule is symmetric, so a face is due
+        in both directions at the same steps, and the pattern repeats every
+        macro cycle, so every plan is static.
+
+        The halo faces are taken in ``np.nonzero`` order (local id, then
+        face), which is cluster-major: halo face ``h`` is row ``h`` of the
+        halo store and every cluster's faces are one run of it.
         """
-        neighbor_faces = disc.mesh.neighbor_faces[self.owned]
-        rows, faces = np.nonzero(ghost)
-        local_elements = rows  # row into owned order IS the local element id
-        global_neighbors = own_neighbors[rows, faces]
-        c_own = clustering.cluster_ids[self.owned[rows]]
-        c_neigh = clustering.cluster_ids[global_neighbors]
-        fbar_indices = disc.neighbor_flux_index[
-            global_neighbors, neighbor_faces[rows, faces]
-        ]
-        if np.any(fbar_indices < 0):
+        rows, faces = np.nonzero(ghost)  # a row of owned order IS the local id
+        remote = own_neighbors[rows, faces]
+        remote_faces = disc.mesh.neighbor_faces[self.owned[rows], faces]
+        classes = disc.neighbor_flux_index[remote, remote_faces]
+        if np.any(classes < 0):
             raise RuntimeError("halo face without a neighbouring flux matrix")
-        dst_ranks = partitions[global_neighbors]
-        tags = self.owned[rows] * 4 + faces
+        peers = partitions[remote]
+        send_tags = self.owned[rows] * 4 + faces
+        recv_tags = remote * 4 + remote_faces
+        c_own = self.clustering.cluster_ids[rows]
+        c_remote = clustering.cluster_ids[remote]
+
+        steps = np.arange(micro_steps_per_cycle(clustering.n_clusters))[:, None]
+        due = steps % 2 ** np.minimum(c_own, c_remote) == 0  # (steps, faces)
+        # what the receiver reads of this side: its relation code and, from
+        # a larger owner, its own sub-step parity
+        relations = np.select([c_own < c_remote, c_own > c_remote], [SMALLER, LARGER], SAME)
+        parity = steps // 2**c_remote % 2
+        buffer_rows = store_rows(self.n_owned, rows, relations, parity)
+
+        send_order = np.lexsort((send_tags, peers))
+        recv_order = np.lexsort((recv_tags, peers))
+        self.send_plans: list[SendPlan] = []
+        self.recv_packs: list[tuple[RecvPack, ...]] = []
+        for s in range(len(steps)):
+            sent = send_order[due[s, send_order]]
+            self.send_plans.append(SendPlan(
+                rows=buffer_rows[s, sent], classes=classes[sent], tags=send_tags[sent],
+                packs=_runs(peers[sent]),
+            ))
+            received = recv_order[due[s, recv_order]]
+            self.recv_packs.append(tuple(
+                RecvPack(src=src, rows=received[run], tags=recv_tags[received[run]])
+                for src, run in _runs(peers[received])
+            ))
 
         n_clusters = clustering.n_clusters
-        schedule: list[list[SendBatch]] = []
-        for s in range(micro_steps_per_cycle(n_clusters)):
-            owner_predicts = s % (2**c_own) == 0
-            receiver_predicts = s % (2**c_neigh) == 0
-            receiver_parity = (s // np.maximum(2**c_neigh, 1)) % 2
-            masks = (
-                ("b1", (c_own == c_neigh) & owner_predicts),
-                ("b3", (c_own < c_neigh) & owner_predicts),
-                ("b2", (c_own > c_neigh) & receiver_predicts & (receiver_parity == 0)),
-                ("b1_minus_b2", (c_own > c_neigh) & receiver_predicts & (receiver_parity == 1)),
-            )
-            batches = [
-                SendBatch(
-                    kind=kind,
-                    local_elements=local_elements[mask],
-                    fbar_indices=fbar_indices[mask],
-                    dst_ranks=dst_ranks[mask],
-                    tags=tags[mask],
-                )
-                for kind, mask in masks
-                if np.any(mask)
-            ]
-            schedule.append(batches)
-        self.send_schedule = schedule
-
-    def _build_recv_plans(
-        self,
-        disc: Discretization,
-        clustering: Clustering,
-        partitions: np.ndarray,
-        own_neighbors: np.ndarray,
-        ghost: np.ndarray,
-    ) -> None:
-        """Per-cluster landing sites of incoming halo payloads.
-
-        Rows index into the cluster's element batch in the same (ascending
-        local id) order the per-cluster driver uses, so a received payload
-        can be written straight into the neighbour-coefficient array.
-        """
-        neighbor_faces = disc.mesh.neighbor_faces[self.owned]
-        local_cluster_ids = self.clustering.cluster_ids
-        plans: list[RecvPlan] = []
-        for cluster in range(clustering.n_clusters):
-            batch = np.where(local_cluster_ids == cluster)[0]
-            batch_ghost = ghost[batch]
-            rows, faces = np.nonzero(batch_ghost)
-            senders = own_neighbors[batch[rows], faces]
-            plans.append(
-                RecvPlan(
-                    rows=rows,
-                    faces=faces,
-                    src_ranks=partitions[senders],
-                    tags=senders * 4 + neighbor_faces[batch[rows], faces],
-                    counts=2 ** np.maximum(0, cluster - clustering.cluster_ids[senders]),
-                )
-            )
-        self.recv_plans = plans
+        bounds = np.searchsorted(c_own, np.arange(n_clusters + 1))
+        first = np.searchsorted(self.clustering.cluster_ids, np.arange(n_clusters))
+        self.recv_plans = [
+            RecvPlan(rows=rows[a:b] - first[c], faces=faces[a:b], store=slice(int(a), int(b)))
+            for c, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]))
+        ]
 
     def _split_boundary_interior(self, clustering: Clustering, ghost: np.ndarray) -> None:
         """Per-cluster boundary/interior row ranges of the cluster batch.
@@ -322,3 +306,9 @@ class RankSubdomain:
     @property
     def n_boundary_elements(self) -> int:
         return sum(rows.stop for rows in self.boundary_rows)
+
+
+def _runs(sorted_ranks: np.ndarray) -> tuple[tuple[int, slice], ...]:
+    """``((rank, slice), ...)``: the runs of an ascending rank array."""
+    ranks, first, count = np.unique(sorted_ranks, return_index=True, return_counts=True)
+    return tuple((int(r), slice(int(a), int(a + n))) for r, a, n in zip(ranks, first, count))

@@ -152,12 +152,12 @@ class ReferenceBackend:
     def time_integrate(self, derivatives, t_start, t_end, ws=None, key="ti"):
         return time_integrate(derivatives, t_start, t_end)
 
-    # -- space kernels --------------------------------------------------
-    def project_local_traces(self, disc, time_integrated_elastic, elements, ws=None):
-        return project_local_traces(disc, time_integrated_elastic, elements)
+    # -- space kernels (``out``: the array the result is written into) ---
+    def project_local_traces(self, disc, time_integrated_elastic, elements, ws=None, out=None):
+        return _into(out, project_local_traces(disc, time_integrated_elastic, elements))
 
-    def volume_kernel(self, disc, time_integrated, elements, ws=None):
-        return volume_kernel(disc, time_integrated, elements)
+    def volume_kernel(self, disc, time_integrated, elements, ws=None, out=None):
+        return _into(out, volume_kernel(disc, time_integrated, elements))
 
     def surface_kernel_local(self, disc, time_integrated, elements, local_traces, ws=None):
         return surface_kernel_local(disc, time_integrated, elements, local_traces=local_traces)
@@ -173,7 +173,9 @@ class ReferenceBackend:
     def _elastic_rows(derivatives):
         return [d[:, :N_ELASTIC] for d in derivatives]
 
-    def local_update(self, disc, dofs, dt, elements, ws=None, needs_half=False):
+    def local_update(
+        self, disc, dofs, dt, elements, ws=None, needs_half=False, out=None, fill=None
+    ):
         """``(delta, elastic_integral, elastic_half_integral, local_traces)``.
 
         The one prediction pipeline every solver runs (on every backend):
@@ -182,7 +184,14 @@ class ReferenceBackend:
         those of the ``[0, dt/2]`` integral (``B2``; ``None`` otherwise) and
         the projected own traces.  The derivative stack and the 27-variable
         integral stay internal.
+
+        ``out = (delta, traces)`` are caller arrays of the batch's rows the
+        increment and the traces are written into (and returned).  With
+        ``fill``, each element block's integrals go to ``fill(block,
+        integral, half)`` (``block`` a slice of element ids) while they are
+        in cache -- the LTS buffer fill -- and are returned as ``None``.
         """
+        out_delta, out_traces = (None, None) if out is None else out
         telemetry = self.telemetry
         with telemetry.region("kernel.ck"):
             derivatives = self.compute_time_derivatives(disc, dofs, elements, ws=ws)
@@ -195,9 +204,13 @@ class ReferenceBackend:
                     self._elastic_rows(derivatives), 0.0, 0.5 * dt, ws=ws, key="local_half"
                 )
         with telemetry.region("kernel.trace"):
-            local_traces = self.project_local_traces(disc, elastic, elements, ws=ws)
+            local_traces = self.project_local_traces(disc, elastic, elements, ws=ws, out=out_traces)
         with telemetry.region("kernel.volume"):
-            delta = self.volume_kernel(disc, time_integrated, elements, ws=ws)
+            delta = self.volume_kernel(disc, time_integrated, elements, ws=ws, out=out_delta)
+        if fill is not None:
+            batch = _contiguous_run(elements, len(dofs))
+            fill(slice(batch.start, batch.stop), elastic, half)
+            elastic = half = None
         return delta, elastic, half, local_traces
 
     # -- correction (both surface halves + DOF advance) -----------------
@@ -206,6 +219,21 @@ class ReferenceBackend:
         batch and source layout): ``rows[e, i]`` is the ``source`` row of
         face ``(e, i)``'s neighbour (boundary faces: any row, never read)."""
         return rows
+
+    def face_plan(self, rows, classes):
+        """The static plan of :meth:`project_faces` (built once per plan):
+        face ``n`` reads ``source`` row ``rows[n]`` and projects it with
+        ``F_bar[classes[n]]``."""
+        return rows, classes
+
+    def project_faces(self, disc, source, plan, ws=None):
+        """``(n, 9, F[, f])`` face-local payloads ``source[rows[n]] @
+        F_bar[classes[n]]`` in plan order: the neighbour coefficients the
+        receiving element would compute from the same rows (the halo
+        sender's compression, Sec. V-C)."""
+        rows, classes = plan
+        mats = disc.neighbor_flux_matrices[classes]
+        return np.einsum("nvb...,nbf->nvf...", source[rows], mats)
 
     def correct(self, disc, dofs, elements, delta, traces, source, plan, ws=None, halo=None):
         """Both surface halves of a batch, then ``dofs[elements] += delta``.
@@ -314,6 +342,20 @@ def _contiguous_run(elements, n_elements: int) -> range:
     if not (isinstance(elements, range) and elements.step == 1):
         raise ValueError("an element batch must be one contiguous run of element ids")
     return elements
+
+
+def _into(out, result):
+    """``result``, copied into ``out`` when the caller names one."""
+    if out is None:
+        return result
+    out[...] = result
+    return out
+
+
+def _class_segments(sorted_classes: np.ndarray) -> list[tuple[int, int, int]]:
+    """The ``(class, start, stop)`` runs of an ascending class array."""
+    u, first, count = np.unique(sorted_classes, return_index=True, return_counts=True)
+    return [(int(c), int(a), int(a + n)) for c, a, n in zip(u, first, count)]
 
 
 #: bytes of CK derivative stack per ``FastBackend.local_update`` element
@@ -519,11 +561,14 @@ class FastBackend(ReferenceBackend):
         np.matmul(weights, stack.swapaxes(0, 1).reshape(E, order, -1), out=result.reshape(E, -1))
         return result
 
-    def volume_kernel(self, disc, time_integrated, elements, ws=None):
-        out = self._scratch(ws, "vol_out", time_integrated.shape, time_integrated.dtype)
+    def volume_kernel(self, disc, time_integrated, elements, ws=None, out=None):
         kcat = self._disc_data(disc).kcat_vol
-        self._space_operator(disc, kcat, time_integrated, out, elements, ws)
-        return out
+        if out is not None and out.flags.c_contiguous:  # the operator reshapes ``out``
+            self._space_operator(disc, kcat, time_integrated, out, elements, ws)
+            return out
+        y = self._scratch(ws, "vol_out", time_integrated.shape, time_integrated.dtype)
+        self._space_operator(disc, kcat, time_integrated, y, elements, ws)
+        return _into(out, y)
 
     # ------------------------------------------------------------------
     # cache-blocked local update
@@ -540,11 +585,15 @@ class FastBackend(ReferenceBackend):
             for i in range(0, n, size)
         ]
 
-    def local_update(self, disc, dofs, dt, elements, ws=None, needs_half=False):
+    def local_update(
+        self, disc, dofs, dt, elements, ws=None, needs_half=False, out=None, fill=None
+    ):
         """The shared pipeline, one L2-sized element block at a time: each
         block runs the public stage methods on block-sized scratch (no
         cluster-sized derivative stack or 27-variable integral exists) and
-        only the four arrays callers read land in cluster-sized scratch.
+        only the arrays callers read land in batch-sized storage -- the
+        caller's ``out`` rows, and the integrals only without ``fill`` (with
+        it, each block's integrals fill the buffers straight from cache).
 
         ``elements`` is normalised once (:func:`_contiguous_run`), so every
         stage sees slices: DOF and operator rows are views, never gathers.
@@ -552,24 +601,30 @@ class FastBackend(ReferenceBackend):
         batch = _contiguous_run(elements, len(dofs))
         n, blocks = len(batch), self._block_plan(disc, dofs, batch)
         dtype = dofs.dtype
-        elastic_shape = (n, N_ELASTIC) + dofs.shape[2:]
-        delta = self._scratch(ws, "lu_delta", (n,) + dofs.shape[1:], dtype)
-        integral = self._scratch(ws, "lu_integral", elastic_shape, dtype)
-        half = self._scratch(ws, "lu_half", elastic_shape, dtype) if needs_half else None
-        traces_shape = (n, 4, N_ELASTIC, disc.n_face_basis) + dofs.shape[3:]
-        traces = self._scratch(ws, "lu_traces", traces_shape, dtype)
+        if out is None:
+            delta = self._scratch(ws, "lu_delta", (n,) + dofs.shape[1:], dtype)
+            traces_shape = (n, 4, N_ELASTIC, disc.n_face_basis) + dofs.shape[3:]
+            out = (delta, self._scratch(ws, "lu_traces", traces_shape, dtype))
+        integral = half = None
+        if fill is None:  # the caller reads the integrals: keep them batch-sized
+            elastic_shape = (n, N_ELASTIC) + dofs.shape[2:]
+            integral = self._scratch(ws, "lu_integral", elastic_shape, dtype)
+            half = self._scratch(ws, "lu_half", elastic_shape, dtype) if needs_half else None
         for rows, block in blocks:
-            delta[rows], integral[rows], block_half, traces[rows] = super().local_update(
-                disc, dofs, dt, block, ws=ws, needs_half=needs_half
+            _, block_integral, block_half, _ = super().local_update(
+                disc, dofs, dt, block, ws=ws, needs_half=needs_half,
+                out=(out[0][rows], out[1][rows]), fill=fill,
             )
-            if needs_half:
-                half[rows] = block_half
-        return delta, integral, half, traces
+            if fill is None:
+                integral[rows] = block_integral
+                if needs_half:
+                    half[rows] = block_half
+        return out[0], integral, half, out[1]
 
     # ------------------------------------------------------------------
     # surface half: own traces (prediction) and the fused correction
     # ------------------------------------------------------------------
-    def project_local_traces(self, disc, time_integrated_elastic, elements, ws=None):
+    def project_local_traces(self, disc, time_integrated_elastic, elements, ws=None, out=None):
         """Trace projection as one grouped ``(B, 4 F)`` contraction."""
         data = self._disc_data(disc)
         te = time_integrated_elastic
@@ -579,7 +634,8 @@ class FastBackend(ReferenceBackend):
         grouped = self._scratch(ws, "traces_grouped", (E, N_ELASTIC, 4 * n_face_basis) + fused,
                                 te.dtype)
         self._basis_apply(te, data.ftilde_flat, out=grouped)
-        out = self._scratch(ws, "traces", (E, 4, N_ELASTIC, n_face_basis) + fused, te.dtype)
+        if out is None:
+            out = self._scratch(ws, "traces", (E, 4, N_ELASTIC, n_face_basis) + fused, te.dtype)
         # regroup (E, 9, (i, F)) -> (E, 4, 9, F): one contiguous copy so the
         # correction (and the halo payload path) sees the public layout
         split = grouped.reshape((E, N_ELASTIC, 4, n_face_basis) + fused)
@@ -601,15 +657,49 @@ class FastBackend(ReferenceBackend):
             face_class = classes[block_rows].ravel()
             interior = np.flatnonzero(face_class >= 0)
             interior = interior[np.argsort(face_class[interior], kind="stable")]
-            u, first, count = np.unique(face_class[interior], return_index=True, return_counts=True)
             operand_rows = np.repeat(len(interior) + np.arange(len(face_class)), 2).reshape(-1, 2)
             operand_rows[interior, 1] = np.arange(len(interior))
             plan.append((
                 block_rows, block, np.ascontiguousarray(rows[block_rows].ravel()[interior]),
-                [(int(c), int(a), int(a + n)) for c, a, n in zip(u, first, count)],
-                operand_rows.ravel(),
+                _class_segments(face_class[interior]), operand_rows.ravel(),
             ))
         return plan
+
+    def face_plan(self, rows, classes):
+        """``(rows, segments, inverse)``: the rows grouped by ``F_bar``
+        class, the ``(class, start, stop)`` runs of that grouping, and where
+        each face of the requested order sits in it."""
+        order = np.argsort(classes, kind="stable")
+        return (
+            np.ascontiguousarray(rows[order]), _class_segments(classes[order]),
+            np.argsort(order),
+        )
+
+    def project_faces(self, disc, source, plan, ws=None):
+        """One GEMM per face class, then one reordering copy."""
+        rows, segments, inverse = plan
+        shape = (len(rows), N_ELASTIC, disc.n_face_basis) + source.shape[3:]
+        grouped = self._scratch(ws, "face_grouped", shape, source.dtype)
+        self._project_classes(disc, source, rows, segments, grouped, ws, "face_gather")
+        out = self._scratch(ws, "face_payloads", shape, source.dtype)
+        np.take(grouped, inverse, axis=0, out=out, mode="clip")
+        return out
+
+    def _project_classes(self, disc, source, rows, segments, out, ws, name):
+        """``out[a:b] = source[rows[a:b]] @ F_bar[u]`` for every class run
+        ``(u, a, b)``: a gather into ``name`` scratch, then one ``(n_u 9, B)
+        @ (B, F)`` GEMM per class (the fused axis as GEMM columns)."""
+        fbar = disc.neighbor_flux_matrices
+        gathered = self._scratch(ws, name, (len(rows),) + source.shape[1:], source.dtype)
+        # ``take`` in clip mode: the rows are valid by construction, and
+        # "raise" mode buffers the output
+        np.take(source, rows, axis=0, out=gathered, mode="clip")
+        for u, a, b in segments:
+            if gathered.ndim > 3:
+                self._basis_apply(gathered[a:b], fbar[u], out=out[a:b])
+            else:
+                np.matmul(gathered[a:b].reshape(-1, disc.n_basis), fbar[u],
+                          out=out[a:b].reshape(-1, disc.n_face_basis))
 
     def correct(self, disc, dofs, elements, delta, traces, source, plan, ws=None, halo=None):
         """The fused correction, one block of ``plan`` at a time, on
@@ -619,24 +709,14 @@ class FastBackend(ReferenceBackend):
         back-projection and omega scaling, accumulated into ``delta`` and
         ``dofs``."""
         data = self._disc_data(disc)
-        fbar = disc.neighbor_flux_matrices
         n_basis, n_face_basis, fused = disc.n_basis, disc.n_face_basis, dofs.shape[3:]
         n_rows, face = data.flux.shape[2], (N_ELASTIC, n_face_basis) + fused
         scratch = lambda name, shape: self._scratch(ws, name, shape + fused, dofs.dtype)
         with self.telemetry.region("kernel.surface_neighbor"):
             for rows, block, source_rows, segments, operand_rows in plan:
                 E, n_int = rows.stop - rows.start, len(source_rows)
-                # ``take`` in clip mode: the rows are valid by construction,
-                # and "raise" mode buffers the output
-                gathered = scratch("corr_gather", (n_int, N_ELASTIC, n_basis))
-                np.take(source, source_rows, axis=0, out=gathered, mode="clip")
                 proj = scratch("corr_proj", (n_int + 4 * E,) + face[:2])
-                for u, a, b in segments:
-                    if fused:
-                        self._basis_apply(gathered[a:b], fbar[u], out=proj[a:b])
-                    else:  # one (n_u 9, B) @ (B, F) GEMM
-                        np.matmul(gathered[a:b].reshape(-1, n_basis), fbar[u],
-                                  out=proj[a:b].reshape(-1, n_face_basis))
+                self._project_classes(disc, source, source_rows, segments, proj, ws, "corr_gather")
                 proj[n_int:] = traces[rows].reshape((4 * E,) + face)
                 operand = scratch("corr_operand", (E, 4, 2 * N_ELASTIC, n_face_basis))
                 np.take(proj, operand_rows, axis=0, out=operand.reshape((8 * E,) + face),

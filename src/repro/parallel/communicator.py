@@ -4,7 +4,8 @@ No MPI implementation is available in this environment, so the distributed-
 memory behaviour of the solver is exercised through an in-process simulated
 communicator: ranks are plain indices, sends and receives move NumPy arrays
 between per-rank mailboxes, and every transfer is accounted (message count
-and payload bytes).  The strong-scaling model and the communication-scheme
+and payload bytes).  The distributed steppers send one halo pack per
+destination rank and micro step, tagged with the micro step.  The strong-scaling model and the communication-scheme
 benchmarks consume these counters; the interface mirrors the small subset of
 MPI the real solver needs (point-to-point send/recv and barriers).
 """
@@ -28,18 +29,21 @@ def unflushed_note(staged: dict[int, list]) -> str:
     """Diagnostic suffix for a recv-timeout error: which staged sends never
     left this rank.
 
-    A timeout with a non-empty stage almost always means a ``flush()`` call
-    was skipped somewhere in the schedule -- the peers are starving on
-    payloads that were posted but never shipped -- which is a very different
-    bug from a dead peer, so the error message must distinguish the two.
+    ``staged`` maps a destination rank to its ``(tag, payload)`` stage; the
+    distributed steppers tag a halo pack with its micro step.  A timeout
+    with a non-empty stage almost always means a ``flush()`` call was
+    skipped somewhere in the schedule -- the peers are starving on packs
+    that were posted but never shipped -- which is a very different bug
+    from a dead peer, so the error message must distinguish the two.
     """
-    counts = {dst: len(items) for dst, items in staged.items() if items}
-    if not counts:
+    dsts = sorted(dst for dst, items in staged.items() if items)
+    if not dsts:
         return ""
-    total = sum(counts.values())
+    total = sum(len(staged[dst]) for dst in dsts)
+    steps = sorted({int(tag) for dst in dsts for tag, _ in staged[dst]})
     return (
-        f"; {total} staged payload(s) for rank(s) {sorted(counts)} were never "
-        "flushed and did NOT travel (staged sends only ship on flush())"
+        f"; {total} staged pack(s) of micro step(s) {steps} for rank(s) {dsts} "
+        "were never flushed and did NOT travel (staged sends only ship on flush())"
     )
 
 
@@ -116,7 +120,9 @@ class SimulatedCommunicator:
         self._check_rank(dst)
         queue = self._mailboxes[(src, dst, tag)]
         if not queue:
-            raise RuntimeError(f"no pending message from rank {src} to rank {dst} (tag {tag})")
+            raise RuntimeError(
+                f"no pending message from rank {src} to rank {dst} (micro step {tag})"
+            )
         return queue.popleft()
 
     def pending(self, src: int, dst: int, tag: int = 0) -> int:

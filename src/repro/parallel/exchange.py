@@ -4,13 +4,15 @@ Across the distributed-memory boundary EDGE does not send the full
 ``9 x B`` time buffers: the buffer data is first multiplied with the
 neighbouring flux matrix ``F_bar`` (a ``B -> F`` reduction), so that only
 ``9 x F`` values per face travel through MPI -- the receiving element would
-have performed exactly this multiplication anyway.  This module implements
-the per-partition-boundary accounting and the exchange of face-local data
-through the simulated communicator.
+have performed exactly this multiplication anyway.  A message is one buffer
+per neighbouring rank: the payloads of every face due between a rank pair,
+packed in ascending tag order.  This module implements the
+per-partition-boundary accounting (bytes and packs per macro cycle) and the
+exchange of face-local data through the simulated communicator.
 
 :class:`HaloIndex` precomputes the per-face index arrays (owning element,
-face, neighbour, ranks, message tags) once, so that repeated exchanges and
-the per-cycle accounting are vectorised instead of re-deriving them with
+face, neighbour, ranks, tags) once, so that repeated exchanges and the
+per-cycle accounting are vectorised instead of re-deriving them with
 Python-level lookups on every call.
 """
 
@@ -52,8 +54,8 @@ class HaloIndex:
 
     Computed once at setup; every array has one entry per directed halo face
     (each cut face appears twice, once from each side).  ``tags`` is the
-    unique message tag ``element * 4 + face`` of the owning side, which is
-    what pairs a send with the matching receive.
+    unique tag ``element * 4 + face`` of the owning side, which orders the
+    payloads inside a pack identically on both sides.
     """
 
     elements: np.ndarray  #: (H,) owning element per halo face
@@ -61,7 +63,7 @@ class HaloIndex:
     neighbor_elements: np.ndarray  #: (H,) element on the other side
     owner_ranks: np.ndarray  #: (H,)
     neighbor_ranks: np.ndarray  #: (H,)
-    tags: np.ndarray  #: (H,) message tag of the owning side
+    tags: np.ndarray  #: (H,) payload tag of the owning side
 
     @property
     def n_faces(self) -> int:
@@ -131,11 +133,15 @@ def exchange_volumes_per_cycle(
     face_local: bool = True,
     bytes_per_value: int = 4,
 ) -> dict:
-    """Bytes exchanged per LTS macro cycle over all partition boundaries.
+    """Bytes and messages per LTS macro cycle over all partition boundaries.
 
     ``face_local = True`` uses the compressed ``9 x F`` representation,
-    ``False`` the full ``9 x B`` buffers.  Data travels at the faster side's
-    update frequency (the buffers have to be refreshed that often).
+    ``False`` the full ``9 x B`` buffers.  A face's payload travels at the
+    faster side's update frequency (the buffers have to be refreshed that
+    often), every ``2**min(c_own, c_neighbor)`` micro steps.  A message is
+    one pack per (src, dst, micro step) with at least one due face, so a
+    rank pair sends at its fastest face's frequency: ``n_messages``;
+    ``n_payloads`` counts the face payloads those packs carry.
 
     The returned dict is JSON-native; ``per_pair`` maps the directed rank
     pair ``"src->dst"`` to its modelled bytes per cycle, so a distributed
@@ -144,19 +150,24 @@ def exchange_volumes_per_cycle(
     index = build_halo_index(halo)
     cluster_ids = np.asarray(cluster_ids, dtype=np.int64)
     values = N_ELASTIC * (face_basis_size(order) if face_local else basis_size(order))
-    frequencies = 2 ** (
-        n_clusters
-        - 1
-        - np.minimum(cluster_ids[index.elements], cluster_ids[index.neighbor_elements])
-    ).astype(np.int64)
+    fastest = np.minimum(cluster_ids[index.elements], cluster_ids[index.neighbor_elements])
+    frequencies = 2 ** (n_clusters - 1 - fastest).astype(np.int64)
     face_bytes = values * bytes_per_value * frequencies
-    per_pair: dict[str, float] = {}
-    for src, dst, n_bytes in zip(index.owner_ranks, index.neighbor_ranks, face_bytes):
-        key = pair_key(int(src), int(dst))
-        per_pair[key] = per_pair.get(key, 0.0) + float(n_bytes)
+    pairs, pair_of_face = np.unique(
+        np.stack([index.owner_ranks, index.neighbor_ranks], axis=1), axis=0, return_inverse=True
+    )
+    pair_of_face = pair_of_face.reshape(-1)
+    pair_bytes = np.bincount(pair_of_face, weights=face_bytes, minlength=len(pairs))
+    pair_fastest = np.full(len(pairs), n_clusters - 1, dtype=np.int64)
+    np.minimum.at(pair_fastest, pair_of_face, fastest)
+    per_pair = {
+        pair_key(int(src), int(dst)): float(n_bytes)
+        for (src, dst), n_bytes in zip(pairs, pair_bytes)
+    }
     return {
         "total_bytes": float(face_bytes.sum()),
-        "n_messages": int(frequencies.sum()),
+        "n_messages": int((2 ** (n_clusters - 1 - pair_fastest)).sum()),
+        "n_payloads": int(frequencies.sum()),
         "n_halo_faces": float(index.n_faces),
         "values_per_face": float(values),
         "max_pair_bytes": max(per_pair.values()) if per_pair else 0.0,
@@ -169,33 +180,37 @@ def exchange_face_data(
     halo: list[HaloFace] | HaloIndex,
     face_data: dict[tuple[int, int], np.ndarray],
 ) -> dict[tuple[int, int], np.ndarray]:
-    """Exchange per-face payloads across partition boundaries.
+    """Exchange per-face payloads across partition boundaries, one pack
+    per directed rank pair.
 
     ``face_data`` maps ``(element, face)`` of the *owning* side to the
-    (already face-local compressed) payload to send; the returned dict maps
-    ``(neighbor_element, element)`` -- the receiving element plus the sending
-    element, which identifies the shared face uniquely (two conforming
-    tetrahedra share at most one face).  The function verifies that every
-    send is matched by a receive (no lost messages).
+    (already face-local compressed) payload to send; each (owner rank,
+    neighbour rank) pair ships its faces' payloads stacked in ascending tag
+    order as one message, and the receiver splits the pack in the same
+    order.  The returned dict maps ``(neighbor_element, element)`` -- the
+    receiving element plus the sending element, which identifies the shared
+    face uniquely (two conforming tetrahedra share at most one face).  The
+    function verifies that every send is matched by a receive (no lost
+    messages).
     """
     index = build_halo_index(halo)
-    received: dict[tuple[int, int], np.ndarray] = {}
-    for h in range(index.n_faces):
-        payload = face_data[(int(index.elements[h]), int(index.faces[h]))]
+    order = np.lexsort((index.tags, index.neighbor_ranks, index.owner_ranks))
+    pairs = np.stack([index.owner_ranks[order], index.neighbor_ranks[order]], axis=1)
+    _, first = np.unique(pairs, axis=0, return_index=True)
+    runs = np.split(order, first[1:])
+    for run in runs:
+        pack = np.stack([face_data[(int(index.elements[h]), int(index.faces[h]))] for h in run])
         communicator.send(
-            payload,
-            src=int(index.owner_ranks[h]),
-            dst=int(index.neighbor_ranks[h]),
-            tag=int(index.tags[h]),
+            pack, src=int(index.owner_ranks[run[0]]), dst=int(index.neighbor_ranks[run[0]])
         )
-    for h in range(index.n_faces):
-        # the mirror entry: the neighbour element receives data sent by this face
-        payload = communicator.recv(
-            src=int(index.owner_ranks[h]),
-            dst=int(index.neighbor_ranks[h]),
-            tag=int(index.tags[h]),
+    received: dict[tuple[int, int], np.ndarray] = {}
+    for run in runs:
+        pack = communicator.recv(
+            src=int(index.owner_ranks[run[0]]), dst=int(index.neighbor_ranks[run[0]])
         )
-        received[(int(index.neighbor_elements[h]), int(index.elements[h]))] = payload
+        for payload, h in zip(pack, run):
+            # the mirror entry: the neighbour element receives data sent by this face
+            received[(int(index.neighbor_elements[h]), int(index.elements[h]))] = payload
     if len(received) != index.n_faces:
         raise RuntimeError("halo exchange dropped payloads (duplicate face keys)")
     if not communicator.all_delivered():

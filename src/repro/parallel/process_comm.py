@@ -9,18 +9,20 @@ blocks, so posting a halo send returns immediately and the transfer proceeds
 in the background while the sender computes interior work) and holds
 references to every peer's inbound queue for sending.
 
-Sends are *staged*: ``send`` appends to a per-destination buffer (and
-accounts the logical message), and :meth:`flush` ships each destination's
-buffer as a single queue item with the payloads stacked into one array --
-one pickle and one lock round per rank pair per micro step instead of per
-face, exactly the aggregation a real MPI halo exchange performs.  The
-stepper flushes right after posting a micro step's sends.  On the receiving
-side batches are unpacked into per-``(src, tag)`` mailboxes; per-channel
-FIFO order is preserved (each producer feeds a queue from a single thread).
-``recv`` blocks until the requested channel has a message, which is why the
-distributed steppers consume the *statically known* number of due messages
-per correction instead of polling ``pending`` (the in-flight state of an
-asynchronous channel cannot be observed race-free).
+The distributed steppers send one message per (destination rank, micro
+step): the pack of every face-local payload due to that rank, tagged with
+the micro step.  Sends are *staged*: ``send`` appends to a per-destination
+buffer (and accounts the logical message), and :meth:`flush` ships each
+destination's stage as one queue item -- one pickle and one lock round per
+rank pair per micro step.  The stepper flushes right after posting a micro
+step's sends.  On the receiving side items are unpacked into per-``(src,
+tag)`` mailboxes; per-channel FIFO order is preserved (each producer feeds a
+queue from a single thread), so a peer running ahead into the next cycle
+never overtakes the current one.  ``recv`` blocks until the requested
+channel has a message, which is why the distributed steppers drain the
+*statically planned* packs of each micro step instead of polling
+``pending`` (the in-flight state of an asynchronous channel cannot be
+observed race-free).
 
 Every transfer is accounted on the send side with the exact payload byte
 count, so a process-backed run reports the same measured traffic as the
@@ -77,8 +79,8 @@ class ProcessCommunicator:
     def flush(self) -> None:
         """Ship every staged batch, one queue item per destination rank.
 
-        The payloads of a batch usually share one shape (halo payloads are
-        ``9 x F`` face-local blocks), so they travel stacked in a single
+        The payloads of a stage usually share one shape (a halo pack per
+        destination and micro step), so they travel stacked in a single
         array: one pickle per rank pair per micro step.  Mixed-shape stages
         (e.g. mixed-width fused groups) ship as one item per *contiguous
         run* of equal shape and dtype -- runs, not a shape-keyed
@@ -106,7 +108,7 @@ class ProcessCommunicator:
                 self._ingest(self._inbound.get(timeout=self.timeout))
             except _queue.Empty:
                 raise RuntimeError(
-                    f"rank {self.rank}: no halo payload from rank {src} (tag {tag}) "
+                    f"rank {self.rank}: no halo pack from rank {src} for micro step {tag} "
                     f"within {self.timeout:.0f} s -- peer died or schedule mismatch"
                     f"{unflushed_note(self._staged)}"
                 ) from None
@@ -114,7 +116,7 @@ class ProcessCommunicator:
 
     def pending(self, src: int, dst: int, tag: int = 0) -> int:
         """Messages already *arrived* on a channel (in-flight ones are not
-        observable; the steppers therefore consume by static count)."""
+        observable; the steppers therefore drain statically planned packs)."""
         if dst != self.rank:
             raise ValueError(f"rank {self.rank} cannot poll for rank {dst}")
         self._drain()
@@ -141,9 +143,9 @@ class ProcessCommunicator:
         reached this rank has been consumed.
 
         Drains the inbound queue first so arrived-but-unread excess messages
-        are visible: after a macro cycle in which every correction consumed
-        its full static message count, a non-empty mailbox (or unflushed
-        stage) means a schedule mismatch.  Messages still in flight on the
+        are visible: after a macro cycle whose corrections drained every
+        planned pack, a non-empty mailbox (or unflushed stage) means a
+        schedule mismatch.  Messages still in flight on the
         wire are inherently unobservable.
         """
         self._drain()

@@ -193,17 +193,16 @@ class TestSubdomains:
                 sub.view.star_elastic, runner.setup.disc.star_elastic[sub.owned]
             )
 
-    def test_send_schedule_covers_the_model_message_count(self, tiny_loh3):
+    def test_send_packs_cover_the_model_message_count(self, tiny_loh3):
+        """One message per (src, dst, micro step); the packs carry every
+        modelled face payload."""
         runner = make_runner(tiny_loh3.with_overrides(n_ranks=2))
         engine = runner.engine
         model = engine.modelled_exchange_per_cycle()
-        planned = sum(
-            len(batch.tags)
-            for sub in engine.subdomains
-            for batches in sub.send_schedule
-            for batch in batches
-        )
-        assert planned == model["n_messages"]
+        plans = [plan for sub in engine.subdomains for plan in sub.send_plans]
+        assert sum(len(plan.packs) for plan in plans) == model["n_messages"]
+        assert sum(len(plan.rows) for plan in plans) == model["n_payloads"]
+        assert model["n_messages"] < model["n_payloads"]
 
 
 class TestCheckpointRestart:

@@ -3,8 +3,8 @@
 The central claims:
 
 * the per-cluster boundary/interior split is a true partition, every halo
-  send reads from a boundary element, and the receive plans' static message
-  counts account for exactly the modelled per-cycle traffic,
+  send reads from a boundary element, and the receive packs account for
+  exactly the modelled per-cycle messages and payloads,
 * a ``--backend process`` run (one worker process per rank, overlapped halo
   exchange) produces DOFs, seismograms, element-update counts and per-pair
   measured traffic bit-identical to the serial backend and the single-rank
@@ -76,9 +76,9 @@ class TestOverlapStructure:
     def test_boundary_interior_rows_partition_each_cluster(self, serial_run):
         for sub in serial_run.engine.subdomains:
             ghost_elements = set()
-            for batches in sub.send_schedule:
-                for batch in batches:
-                    ghost_elements.update(batch.local_elements.tolist())
+            for plan in sub.send_plans:
+                # a buffer-store row is ``buffer * (n_owned + 1) + local id``
+                ghost_elements.update((plan.rows % (sub.n_owned + 1)).tolist())
             for cluster in range(serial_run.clustering.n_clusters):
                 batch = np.where(sub.clustering.cluster_ids == cluster)[0]
                 boundary = sub.boundary_rows[cluster]
@@ -90,16 +90,13 @@ class TestOverlapStructure:
                 sending = ghost_elements & set(batch.tolist())
                 assert sending == set(batch[boundary].tolist())
 
-    def test_recv_counts_cover_the_model_message_count(self, serial_run):
+    def test_recv_packs_cover_the_model_message_count(self, serial_run):
+        """The receivers drain exactly the modelled messages and payloads."""
         engine = serial_run.engine
-        n_clusters = serial_run.clustering.n_clusters
         model = engine.modelled_exchange_per_cycle()
-        expected = 0
-        for sub in engine.subdomains:
-            for cluster, plan in enumerate(sub.recv_plans):
-                corrections_per_cycle = 2 ** (n_clusters - 1 - cluster)
-                expected += corrections_per_cycle * int(plan.counts.sum())
-        assert expected == model["n_messages"]
+        packs = [pack for sub in engine.subdomains for step in sub.recv_packs for pack in step]
+        assert len(packs) == model["n_messages"]
+        assert sum(len(pack.rows) for pack in packs) == model["n_payloads"]
 
 
 class TestBitIdentity:

@@ -5,12 +5,16 @@
   of local ids, its boundary rows lead, and gather/restore still round-trip
   through ``owned``,
 * a warm ``RankSolver`` predicts a cluster through slices: no fancy-index
-  read of its DOFs and no cluster-sized allocation per micro step, and
+  read of its DOFs and no cluster-sized allocation per micro step,
+* the halo plans ship one pack per (src, dst, micro step) that both sides
+  lay out alike, at the faster side's frequency, and every halo-store row
+  is received before a correction reads it, and
 * the 2-rank LOH.3-M partition is compact enough for the overlap to have
   interior work to hide the halo behind.
 """
 
 import tracemalloc
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -127,31 +131,127 @@ class _RecordingComm:
         self.sent = {}
 
     def send(self, payload, src, dst, tag):
-        self.sent[tag] = np.array(payload, copy=True)
+        self.sent[dst, tag] = np.array(payload, copy=True)
 
 
 class TestHaloSends:
     def test_second_half_sends_read_the_stored_row(self, loh3_m_2rank, monkeypatch):
         """A faster receiver's second sub-step gets ``B1 - B2`` from the
-        buffers' stored row: bitwise the read-time difference it replaced."""
+        buffers' stored row: the read-time difference it replaced, projected
+        with the receiver's ``F_bar``."""
         n_sent = 0
         for rank in loh3_m_2rank.engine.ranks:
             comm = _RecordingComm()
             monkeypatch.setattr(rank, "comm", comm)
-            schedule = rank.subdomain.send_schedule
-            for micro_step in range(len(schedule)):
+            n_rows = rank.subdomain.n_owned + 1
+            for micro_step, plan in enumerate(rank.subdomain.send_plans):
                 rank.send_due(micro_step)
-                for batch in schedule[micro_step]:
-                    if batch.kind != "b1_minus_b2":
+                for dst, run in plan.packs:
+                    rows, classes = plan.rows[run], plan.classes[run]
+                    second_half = rows // n_rows == 3  # the B1 - B2 store block
+                    if not second_half.any():
                         continue
-                    elements = batch.local_elements
+                    elements = rows[second_half] % n_rows
                     data = rank.buffers.b1[elements] - rank.buffers.b2[elements]
-                    mats = rank.disc.neighbor_flux_matrices[batch.fbar_indices]
+                    np.testing.assert_array_equal(rank.buffers.store[rows[second_half]], data)
+                    mats = rank.disc.neighbor_flux_matrices[classes[second_half]]
                     expected = np.einsum("nvb...,nbf->nvf...", data, mats)
-                    for n, tag in enumerate(batch.tags):
-                        np.testing.assert_array_equal(comm.sent[int(tag)], expected[n])
-                        n_sent += 1
+                    sent = comm.sent[dst, micro_step][second_half]
+                    np.testing.assert_allclose(sent, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+                    n_sent += int(second_half.sum())
         assert n_sent > 0
+
+
+def _plan_spec(name: str):
+    if name == "loh3":  # the benchmark's 3-cluster LOH.3-M spec
+        return get_scenario(
+            "loh3", characteristic_length=1000.0, n_clusters=3, lam=1.0, order=3, n_cycles=1
+        )
+    return get_scenario("la_habra", n_cycles=1)  # 5 clusters, both LARGER parities
+
+
+@pytest.fixture(
+    scope="module", params=[("loh3", 2), ("loh3", 4), ("la_habra", 2), ("la_habra", 4)],
+    ids=lambda case: f"{case[0]}-{case[1]}rank",
+)
+def plan_case(request):
+    name, n_ranks = request.param
+    return _plan_spec(name).with_overrides(n_ranks=n_ranks, kernels="fast")
+
+
+@pytest.fixture(scope="module")
+def plan_engine(plan_case):
+    return make_runner(plan_case).engine
+
+
+class TestHaloPlans:
+    """One message per (src, dst, micro step), both sides planned statically."""
+
+    def test_sender_and_receiver_agree_on_every_pack(self, plan_engine):
+        subdomains = plan_engine.subdomains
+        sent = {
+            (sub.rank, dst, step): plan.tags[run]
+            for sub in subdomains
+            for step, plan in enumerate(sub.send_plans)
+            for dst, run in plan.packs
+        }
+        received = {
+            (pack.src, sub.rank, step): pack.tags
+            for sub in subdomains
+            for step, packs in enumerate(sub.recv_packs)
+            for pack in packs
+        }
+        assert sent.keys() == received.keys()
+        for key, tags in sent.items():
+            assert len(tags) > 0 and np.all(np.diff(tags) > 0), key
+            np.testing.assert_array_equal(received[key], tags, err_msg=str(key))
+        assert len(sent) == plan_engine.modelled_exchange_per_cycle()["n_messages"]
+
+    def test_faces_travel_at_the_faster_side_frequency(self, plan_engine):
+        """Every directed halo face is sent, and lands in its halo-store row,
+        exactly every ``2**min(c_own, c_neighbor)`` micro steps."""
+        halo, cluster_ids = plan_engine.halo, plan_engine.clustering.cluster_ids
+        n_steps = len(plan_engine.subdomains[0].send_plans)
+        assert n_steps == 2 ** (plan_engine.clustering.n_clusters - 1)
+        period = 2 ** np.minimum(cluster_ids[halo.elements], cluster_ids[halo.neighbor_elements])
+        expected = {int(tag): list(range(0, n_steps, int(p))) for tag, p in zip(halo.tags, period)}
+        sent = defaultdict(list)
+        for sub in plan_engine.subdomains:
+            for step, plan in enumerate(sub.send_plans):
+                for tag in plan.tags:
+                    sent[int(tag)].append(step)
+            written = defaultdict(list)
+            for step, packs in enumerate(sub.recv_packs):
+                for pack in packs:
+                    for row, tag in zip(pack.rows, pack.tags):
+                        written[int(row)].append((step, int(tag)))
+            assert sorted(written) == list(range(sub.n_halo_faces))
+            for row, hits in written.items():
+                (tag,) = {tag for _, tag in hits}
+                assert [step for step, _ in hits] == expected[tag], (sub.rank, row)
+        assert sent == expected
+
+    def test_sends_read_every_buffer_kind(self, plan_engine):
+        """``B1``, ``B2``, ``B3`` and ``B1 - B2`` (both LARGER parities)."""
+        blocks = set()
+        for sub in plan_engine.subdomains:
+            for plan in sub.send_plans:
+                blocks.update((plan.rows // (sub.n_owned + 1)).tolist())
+        assert blocks == {0, 1, 2, 3}
+
+    def test_every_store_row_is_received_before_it_is_read(self, plan_case):
+        """A halo store that starts as NaN changes nothing: every row a
+        correction reads was written by a pack of the same cycle."""
+        runs = []
+        for poison in (False, True):
+            runner = make_runner(plan_case)
+            if poison:
+                for rank in runner.engine.ranks:
+                    rank.halo_store[...] = np.nan
+            runner.step_cycle()
+            runs.append(runner.solver.dofs)
+        assert np.isfinite(runs[1]).all()
+        np.testing.assert_array_equal(runs[1], runs[0])
 
 
 class TestCompactness:

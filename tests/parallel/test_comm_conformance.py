@@ -6,7 +6,9 @@ both implementations (the in-process simulated oracle and the
 multiprocessing-queue transport) must satisfy the same observable
 semantics: FIFO order per ``(src, tag)`` channel, statically-counted
 receives, excess-message detection through ``all_delivered``, and send-side
-byte accounting that matches the payloads exactly.  This suite runs the
+byte accounting that matches the payloads exactly.  The steppers send one
+halo pack per (destination, micro step) tagged with the micro step, so the
+packed layouts and the micro-step diagnostics are part of the contract.  This suite runs the
 contract against both, wired up in-process (the engine tests cover the
 cross-process path).
 """
@@ -88,8 +90,8 @@ class TestConformance:
         assert recv(0, 1, tag=7)[0] == 2.0
 
     def test_static_count_recv_consumes_exactly_what_was_sent(self, fabric):
-        # the steppers consume a statically known message count per
-        # correction; the channel must deliver exactly that many
+        # the steppers drain a statically planned number of packs per
+        # micro step; the channel must deliver exactly that many
         n_messages = 5
         for i in range(n_messages):
             fabric.comms[0].send(np.full(3, float(i)), src=0, dst=1, tag=0)
@@ -253,3 +255,37 @@ class TestConformance:
         fabric.flush(0)
         fabric.comms[1].recv(0, 1, tag=0)
         assert stats.n_messages == 1 and stats.n_bytes == payload.nbytes
+
+
+class TestHaloPacks:
+    @pytest.mark.parametrize(
+        "shape, dtype", [((7, 9, 6), np.float64), ((7, 9, 6, 4), np.float32)],
+        ids=["scalar-f64", "fused-f32"],
+    )
+    def test_packed_payload_roundtrip(self, fabric, shape, dtype):
+        """``(n, 9, F[, f])`` packs of consecutive micro steps arrive intact:
+        row order, run precision, and the bytes accounted at send time."""
+        rng = np.random.default_rng(0)
+        packs = [rng.standard_normal(shape).astype(dtype) for _ in range(3)]
+        for step, pack in enumerate(packs):
+            fabric.comms[0].send(pack, src=0, dst=1, tag=step)
+        stats = fabric.comms[0].stats
+        assert stats.per_pair[pair_key(0, 1)] == {
+            "messages": 3, "bytes": sum(pack.nbytes for pack in packs),
+        }
+        fabric.flush(0)
+        for step in (2, 0, 1):  # a receiver drains by micro step, in any order
+            received = fabric.comms[1].recv(0, 1, tag=step)
+            assert received.dtype == np.dtype(dtype) and received.shape == shape
+            np.testing.assert_array_equal(received, packs[step])
+        assert fabric.comms[1].all_delivered()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_recv_failure_names_the_micro_step(self, kind):
+        fabric = _Fabric(kind, timeout=0.2)
+        # rank 1 stages a pack of micro step 3 for rank 0 and never flushes
+        fabric.comms[1].send(np.zeros((2, 9, 3)), src=1, dst=0, tag=3)
+        with pytest.raises(RuntimeError, match="micro step 5") as failure:
+            fabric.comms[1].recv(0, 1, tag=5)
+        if kind == "process":
+            assert "1 staged pack(s) of micro step(s) [3] for rank(s) [0]" in str(failure.value)

@@ -299,7 +299,7 @@ class TestProcessCommunicator:
             sender.send(np.full((2, 3), float(tag)), src=0, dst=1, tag=tag)
         sender.send(np.zeros((2, 3)), src=0, dst=2, tag=0)
         sender.flush()
-        # one stacked queue item per destination, messages still per face
+        # one stacked queue item per destination, one message per send
         src, tags, stacked = comms[1]._inbound.get(timeout=5.0)
         assert src == 0 and stacked.shape == (4, 2, 3)
         np.testing.assert_array_equal(tags, np.arange(4))
@@ -307,7 +307,7 @@ class TestProcessCommunicator:
 
     def test_recv_times_out_loudly_without_a_sender(self):
         _, receiver = _wire_process_comms(timeout=0.2)
-        with pytest.raises(RuntimeError, match="no halo payload"):
+        with pytest.raises(RuntimeError, match="no halo pack from rank 0 for micro step 0"):
             receiver.recv(src=0, dst=1, tag=0)
 
     def test_timeout_error_reports_unflushed_staged_sends(self):
@@ -316,7 +316,9 @@ class TestProcessCommunicator:
         sender, _ = _wire_process_comms(timeout=0.2)
         sender.send(np.zeros(3), src=0, dst=1, tag=0)
         sender.send(np.zeros(3), src=0, dst=1, tag=1)
-        with pytest.raises(RuntimeError, match=r"2 staged payload\(s\).*never\s+flushed"):
+        with pytest.raises(
+            RuntimeError, match=r"2 staged pack\(s\) of micro step\(s\) \[0, 1\].*never\s+flushed"
+        ):
             sender.recv(src=1, dst=0, tag=0)
 
     def test_mixed_shape_payloads_flush_in_fifo_order(self):
@@ -387,10 +389,35 @@ class TestHaloExchange:
         comm = SimulatedCommunicator(2)
         face_data = {(f.element, f.face): np.full(135, float(f.element)) for f in halo}
         received = exchange_face_data(comm, halo, face_data)
-        assert len(received) > 0
-        assert comm.stats.n_messages == len(halo)
-        for (neighbor_element, _), payload in received.items():
+        assert len(received) == len(halo)
+        assert comm.stats.n_messages == 2  # one pack per directed rank pair
+        for (neighbor_element, element), payload in received.items():
             assert payload.shape == (135,)
+            assert np.all(payload == element)
+
+    def test_message_model_counts_one_pack_per_pair_and_step(self):
+        """Faces travel every ``2**min(c_own, c_neighbor)`` micro steps; a
+        rank pair sends one pack per step at its fastest face's frequency."""
+        halo = HaloIndex(
+            elements=np.array([0, 1, 2, 3, 4]),
+            faces=np.zeros(5, dtype=np.int64),
+            neighbor_elements=np.array([2, 3, 0, 1, 5]),
+            owner_ranks=np.array([0, 0, 1, 1, 1]),
+            neighbor_ranks=np.array([1, 1, 0, 0, 2]),
+            tags=np.array([0, 4, 8, 12, 16]),
+        )
+        cluster_ids = np.array([0, 2, 1, 2, 2, 1])
+        model = exchange_volumes_per_cycle(halo, cluster_ids, 3, order=2, bytes_per_value=8)
+        # per face: 4, 1, 4, 1, 2 payloads per cycle (cluster minima 0, 2, 0, 2, 1)
+        assert model["n_payloads"] == 12
+        # packs: 0->1 and 1->0 every step (4 each), 1->2 every other step (2)
+        assert model["n_messages"] == 10
+        assert model["n_halo_faces"] == 5
+        values = 9 * 3  # 9 x F at order 2
+        assert model["per_pair"] == {
+            "0->1": 5.0 * values * 8, "1->0": 5.0 * values * 8, "1->2": 2.0 * values * 8,
+        }
+        assert model["total_bytes"] == 12.0 * values * 8
 
 
 class TestScalingModel:
