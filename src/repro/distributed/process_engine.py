@@ -43,6 +43,7 @@ from ..core.clustering import Clustering
 from ..core.lts_scheduler import schedule_cycle
 from ..kernels.backend import make_backend
 from ..kernels.discretization import Discretization
+from ..kernels.threads import share_cpus
 from ..observability import TelemetryConfig, merge_snapshots, peak_rss_mb
 from ..parallel.communicator import MessageStats
 from ..parallel.exchange import HaloIndex
@@ -120,6 +121,7 @@ def _rank_worker(
     if os.getppid() != parent_pid:
         return  # orphaned during spawn: do not even build the solver
     threading.Thread(target=_exit_when_orphaned, args=(parent_pid,), daemon=True).start()
+    share_cpus(subdomain.n_ranks)  # the ranks split the host's cores
     try:
         comm = ProcessCommunicator(
             rank, subdomain.n_ranks, inbound, outbound, timeout=comm_timeout

@@ -23,7 +23,9 @@ operators, verified once per discretization with a dense fallback; its
 correction is one pass per element block -- one GEMM per ``F_bar`` face
 class straight from the neighbour rows, one flux solve of the local and
 neighbouring flux solvers side by side, one back-projection.  Both halves
-walk a batch in the same L2-sized blocks on a reused :class:`KernelWorkspace`.
+walk a batch in the same L2-sized blocks on a reused :class:`KernelWorkspace`,
+and share each batch's blocks among the threads of the process's
+:mod:`~repro.kernels.threads` pool.
 "Close enough" is not left to ad-hoc ``allclose`` calls:
 :mod:`repro.verification` pins the contract with convergence-order checks
 against analytic solutions and committed golden-trace regressions under an
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import math
 import os
+from functools import partial
 
 import numpy as np
 
@@ -46,6 +49,7 @@ from .surface import (
     surface_kernel_local,
     surface_kernel_neighbor,
 )
+from .threads import block_pool
 from .volume import volume_kernel
 
 __all__ = [
@@ -90,7 +94,8 @@ class KernelWorkspace:
     boundary/interior alternation share the pages the largest request
     faulted in (a name is therefore live for one array at a time).
     :meth:`cached` memoizes batch-static data (stacked operators, gather
-    plans) under an explicit token.
+    plans) under an explicit token; :meth:`on` pairs that data with another
+    workspace's scratch (a pool thread's).
     """
 
     __slots__ = ("_pools", "_views", "_cache")
@@ -129,6 +134,12 @@ class KernelWorkspace:
             value = builder()
             self._cache[key] = value
         return value
+
+    def on(self, scratch: KernelWorkspace) -> KernelWorkspace:
+        """A workspace with this one's cached data and ``scratch``'s pools."""
+        lane = KernelWorkspace.__new__(KernelWorkspace)
+        lane._pools, lane._views, lane._cache = scratch._pools, scratch._views, self._cache
+        return lane
 
 
 class ReferenceBackend:
@@ -191,8 +202,11 @@ class ReferenceBackend:
         integral, half)`` (``block`` a slice of element ids) while they are
         in cache -- the LTS buffer fill -- and are returned as ``None``.
         """
+        return self._predict(self.telemetry, disc, dofs, dt, elements, ws, needs_half, out, fill)
+
+    def _predict(self, telemetry, disc, dofs, dt, elements, ws, needs_half, out, fill):
+        """:meth:`local_update` with its stage regions on ``telemetry``."""
         out_delta, out_traces = (None, None) if out is None else out
-        telemetry = self.telemetry
         with telemetry.region("kernel.ck"):
             derivatives = self.compute_time_derivatives(disc, dofs, elements, ws=ws)
         with telemetry.region("kernel.integrate"):
@@ -376,9 +390,11 @@ class FastBackend(ReferenceBackend):
     stiffness matrices populate or read), the Taylor integral is a GEMV per
     element, the correction is :meth:`correct`'s fused pass, any fused axis
     rides as GEMM columns so scalar and fused batches run the same lines,
-    and both halves walk a batch in L2-sized element blocks.  Every
-    prediction contraction stays per element, so an element's prediction
-    does not depend on the batch (or block) around it.
+    and both halves walk a batch in L2-sized element blocks, one static
+    contiguous chunk of blocks per thread of the process's pool
+    (:meth:`_dispatch`).  Every contraction stays per element (or per
+    block), so an element's update depends neither on the batch or block
+    around it nor on the thread count.
 
     Results are NOT bit-identical to the reference at any precision (and
     the O(1e-15) assembly roundoff in the stiffness matrices' structural
@@ -387,6 +403,12 @@ class FastBackend(ReferenceBackend):
     """
 
     name = "fast"
+
+    def __init__(self):
+        #: transient block scratch: one workspace per pool thread, shared by
+        #: every batch this backend runs (a batch's cached data, pending rows
+        #: and outputs stay in its own workspace)
+        self._thread_scratch: list[KernelWorkspace] = []
 
     def make_workspace(self) -> KernelWorkspace:
         return KernelWorkspace()
@@ -409,6 +431,36 @@ class FastBackend(ReferenceBackend):
         if ws is None:
             return np.zeros(shape, dtype=dtype)
         return ws.scratch(name, shape, dtype)
+
+    def _dispatch(self, items: list, ws, work) -> None:
+        """``work(chunk, ws, telemetry)`` over one static contiguous chunk of
+        ``items`` per thread of :func:`~repro.kernels.threads.block_pool`
+        (chunk 0 on this thread; a single item runs inline).
+
+        A chunk runs on its thread's scratch workspace with ``ws``'s cached
+        data, and records its regions on a branch of this backend's
+        telemetry lane (seeded with the open region path), absorbed once
+        every chunk is done.  Callers build everything a chunk only reads
+        first, so past their first batches the worker threads allocate
+        nothing.
+        """
+        pool = block_pool() if len(items) > 1 else None
+        n_chunks = min(len(items), pool.n_threads) if pool is not None else 1
+        while len(self._thread_scratch) < n_chunks:
+            self._thread_scratch.append(KernelWorkspace())
+        lanes = [None if ws is None else ws.on(s) for s in self._thread_scratch[:n_chunks]]
+        telemetry = self.telemetry
+        if n_chunks == 1:
+            work(items, lanes[0], telemetry)
+            return
+        branches = [telemetry] + [telemetry.branch() for _ in range(n_chunks - 1)]
+        bounds = [len(items) * i // n_chunks for i in range(n_chunks + 1)]
+        pool.run([
+            partial(work, items[a:b], lane, branch)
+            for a, b, lane, branch in zip(bounds, bounds[1:], lanes, branches)
+        ])
+        for branch in branches[1:]:
+            telemetry.absorb(branch)
 
     @staticmethod
     def _bmm(matrices, operand, out):
@@ -597,6 +649,8 @@ class FastBackend(ReferenceBackend):
 
         ``elements`` is normalised once (:func:`_contiguous_run`), so every
         stage sees slices: DOF and operator rows are views, never gathers.
+        The blocks are shared among the pool's threads (:meth:`_dispatch`),
+        so ``fill`` may run on several threads at once, on disjoint blocks.
         """
         batch = _contiguous_run(elements, len(dofs))
         n, blocks = len(batch), self._block_plan(disc, dofs, batch)
@@ -610,15 +664,24 @@ class FastBackend(ReferenceBackend):
             elastic_shape = (n, N_ELASTIC) + dofs.shape[2:]
             integral = self._scratch(ws, "lu_integral", elastic_shape, dtype)
             half = self._scratch(ws, "lu_half", elastic_shape, dtype) if needs_half else None
-        for rows, block in blocks:
-            _, block_integral, block_half, _ = super().local_update(
-                disc, dofs, dt, block, ws=ws, needs_half=needs_half,
-                out=(out[0][rows], out[1][rows]), fill=fill,
-            )
-            if fill is None:
-                integral[rows] = block_integral
-                if needs_half:
-                    half[rows] = block_half
+        # what every block only reads, built here rather than on a pool thread
+        self._disc_data(disc).relaxation(math.prod(dofs.shape[2:]))
+        if ws is not None:
+            for _, block in blocks:
+                self._stacked_ops(disc, block, ws)
+
+        def chunk(blocks, ws, telemetry):
+            for rows, block in blocks:
+                _, block_integral, block_half, _ = self._predict(
+                    telemetry, disc, dofs, dt, block, ws, needs_half,
+                    (out[0][rows], out[1][rows]), fill,
+                )
+                if fill is None:
+                    integral[rows] = block_integral
+                    if needs_half:
+                        half[rows] = block_half
+
+        self._dispatch(blocks, ws, chunk)
         return out[0], integral, half, out[1]
 
     # ------------------------------------------------------------------
@@ -702,8 +765,8 @@ class FastBackend(ReferenceBackend):
                           out=out[a:b].reshape(-1, disc.n_face_basis))
 
     def correct(self, disc, dofs, elements, delta, traces, source, plan, ws=None, halo=None):
-        """The fused correction, one block of ``plan`` at a time, on
-        block-sized scratch: one GEMM per face class from the source rows
+        """The fused correction, one block of ``plan`` at a time on each
+        pool thread's chunk of the plan, on block-sized scratch: one GEMM per face class from the source rows
         (halo payloads overlaid), one flux solve of ``[flux_local |
         flux_neigh]`` against ``[own traces | neighbour coefficients]``, one
         back-projection and omega scaling, accumulated into ``delta`` and
@@ -711,9 +774,10 @@ class FastBackend(ReferenceBackend):
         data = self._disc_data(disc)
         n_basis, n_face_basis, fused = disc.n_basis, disc.n_face_basis, dofs.shape[3:]
         n_rows, face = data.flux.shape[2], (N_ELASTIC, n_face_basis) + fused
-        scratch = lambda name, shape: self._scratch(ws, name, shape + fused, dofs.dtype)
-        with self.telemetry.region("kernel.surface_neighbor"):
-            for rows, block, source_rows, segments, operand_rows in plan:
+
+        def chunk(entries, ws, telemetry):
+            scratch = lambda name, shape: self._scratch(ws, name, shape + fused, dofs.dtype)
+            for rows, block, source_rows, segments, operand_rows in entries:
                 E, n_int = rows.stop - rows.start, len(source_rows)
                 proj = scratch("corr_proj", (n_int + 4 * E,) + face[:2])
                 self._project_classes(disc, source, source_rows, segments, proj, ws, "corr_gather")
@@ -738,6 +802,9 @@ class FastBackend(ReferenceBackend):
                 increment = delta[rows]
                 increment += surface
                 dofs[block] += increment
+
+        with self.telemetry.region("kernel.surface_neighbor"):
+            self._dispatch(plan, ws, chunk)
 
     def _flux_project(self, data, flux, face_coeffs, out, ws, name):
         """``out[e, v] = sum_i (flux[e, i] @ face_coeffs[e, i])[v] @ fhat[i]``.

@@ -96,7 +96,9 @@ class Telemetry:
 
     All recording methods are guarded on ``enabled`` so call sites never
     branch themselves; the module-level :data:`NULL_TELEMETRY` is the
-    canonical disabled instance used as a default everywhere.
+    canonical disabled instance used as a default everywhere.  A lane's
+    region stack belongs to one thread: another thread records on a
+    :meth:`branch`.
     """
 
     def __init__(self, enabled: bool = True, trace: bool = False,
@@ -120,6 +122,32 @@ class Telemetry:
         if not self.enabled:
             return _NULL_REGION
         return _Region(self, name)
+
+    def branch(self) -> Telemetry:
+        """A lane for another thread's regions inside the open one: same
+        switches, rank and epoch, its region stack seeded with this lane's
+        open path, so its paths read as if this thread had entered them.
+        :meth:`absorb` adds it back; a disabled lane is its own branch."""
+        if not self.enabled:
+            return self
+        lane = Telemetry(trace=self.trace_enabled, rank=self.rank, lane=self.lane,
+                         epoch=self.epoch)
+        lane._stack = self._stack[-1:]
+        return lane
+
+    def absorb(self, branch: Telemetry) -> None:
+        """Add a finished :meth:`branch`'s regions and trace events (its
+        seconds overlap this lane's: they ran on another thread)."""
+        if branch is self:
+            return
+        for path, (count, total) in branch._regions.items():
+            entry = self._regions.get(path)
+            if entry is None:
+                self._regions[path] = [count, total]
+            else:
+                entry[0] += count
+                entry[1] += total
+        self._events += branch._events
 
     # -- guarded metric shorthands --------------------------------------
     def inc(self, name: str, value: float = 1) -> None:

@@ -45,6 +45,7 @@ import traceback
 from dataclasses import dataclass
 from pathlib import Path
 
+from ..kernels.threads import share_cpus
 from ..observability.events import spec_content_hash
 from ..preprocessing.cache import (
     PreprocessingCache,
@@ -119,13 +120,16 @@ def _run_member(spec: ScenarioSpec, member_dir: Path, cache: PreprocessingCache)
     }
 
 
-def _worker_main(task_queue, result_queue, cache_dir: str, parent_pid: int) -> None:
+def _worker_main(
+    task_queue, result_queue, cache_dir: str, parent_pid: int, n_workers: int
+) -> None:
     """Worker loop: pull units until the ``None`` sentinel (or orphaning).
 
     A task payload is either a plain spec dict (one member) or a
     ``{"__fused__": {...}}`` envelope carrying a collapsed group's fused
     spec plus its slot -> (member id, directory) mapping.
     """
+    share_cpus(n_workers)  # the workers split the host's cores
     cache = PreprocessingCache(cache_dir)
     while True:
         try:
@@ -525,7 +529,7 @@ def _run_pool(units, cache_dir: Path, n_workers: int, tracker) -> None:
     def spawn():
         worker = ctx.Process(
             target=_worker_main,
-            args=(task_queue, result_queue, str(cache_dir), parent_pid),
+            args=(task_queue, result_queue, str(cache_dir), parent_pid, n_workers),
         )
         worker.start()
         return worker

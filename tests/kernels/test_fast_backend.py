@@ -12,6 +12,7 @@ element is part of) does not change a single bit.  The fused correction
 ``neighbor_face_coefficients`` -> both surface kernels, on every block cut.
 """
 
+import os
 import tracemalloc
 
 import numpy as np
@@ -25,6 +26,7 @@ from repro.core.gts_solver import GlobalTimeSteppingSolver
 from repro.core.lts_solver import ClusteredLtsSolver
 from repro.equations.material import MaterialTable, ViscoelasticMaterial
 from repro.kernels import backend as backend_module
+from repro.kernels import threads
 from repro.kernels.ader import compute_time_derivatives
 from repro.kernels.backend import FastBackend, ReferenceBackend, make_backend
 from repro.kernels.discretization import Discretization, N_ELASTIC
@@ -475,22 +477,29 @@ class TestCacheBlocking:
         fast = FastBackend()
         ws = fast.make_workspace()
         n = 2 * self.BLOCK + 3
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # one thread
         fast.local_update(
             disc, dofs, float(disc.time_steps.min()), np.arange(n), ws=ws, needs_half=True
         )
         per_element = disc.n_vars * disc.n_basis
+        # the batch's outputs stay in its workspace, block scratch goes to
+        # the thread's
         sizes = {name: pool.size for (name, _), pool in ws._pools.items()}
+        assert sizes == {name: n * size for name, size in (
+            ("lu_delta", per_element), ("lu_traces", 4 * N_ELASTIC * disc.n_face_basis),
+            ("lu_integral", N_ELASTIC * disc.n_basis), ("lu_half", N_ELASTIC * disc.n_basis),
+        )}
+        (scratch,) = fast._thread_scratch
+        sizes = {name: pool.size for (name, _), pool in scratch._pools.items()}
         assert sizes["ck_stack"] == disc.order * self.BLOCK * per_element
         assert sizes["local_ti"] == self.BLOCK * per_element
-        assert sizes["lu_delta"] == n * per_element
         # the volume kernel and the trace projection write the batch rows
         assert "vol_out" not in sizes and "traces" not in sizes
-        cluster_sized = {"lu_delta", "lu_integral", "lu_half", "lu_traces"}
-        bound = self.BLOCK * disc.order * per_element
-        assert all(size <= bound for name, size in sizes.items() if name not in cluster_sized)
+        assert all(size <= self.BLOCK * disc.order * per_element for size in sizes.values())
         # one buffer per name: the 3-element remainder allocated nothing
-        assert len(sizes) == len(ws._pools)
-        assert {shape[0] for (name, shape, _) in ws._views if name == "local_ti"} == {self.BLOCK, 3}
+        assert len(sizes) == len(scratch._pools)
+        views = {shape[0] for (name, shape, _) in scratch._views if name == "local_ti"}
+        assert views == {self.BLOCK, 3}
 
     def test_scratch_hands_out_leading_views(self):
         ws = FastBackend().make_workspace()
@@ -530,11 +539,20 @@ class TestCacheBlocking:
         assert peak < 100_000 < disc.n_elements * N_ELASTIC * (disc.n_basis - 1) * dofs.itemsize
 
 
-def test_first_cycle_memory_stays_block_sized():
+#: scratch pools a block (or a chunk of blocks) only holds while it runs
+TRANSIENT = ("ck_", "op_", "corr_", "traces_")
+
+
+@pytest.mark.parametrize("n_threads", [1, 2])
+def test_first_cycle_memory_stays_block_sized(monkeypatch, n_threads):
     """The first macro cycle of the 3456-element LOH.3 LTS run faults in
     ~85 MiB (stacked and merged operators, the prediction's cluster-sized
-    outputs) where the unblocked workspaces took ~300 MiB; every correction
-    scratch pool is block-sized."""
+    outputs) where the unblocked workspaces took ~300 MiB.  Every transient
+    scratch pool exists once per thread, shared by all clusters, and is
+    block-sized; after the first cycles no pool grows and no cache entry is
+    added."""
+    cpus = set(range(n_threads * threads.blas_threads()))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
     spec = get_scenario("loh3", characteristic_length=1000.0, n_clusters=3, lam=1.0)
     runner = make_runner(spec.with_overrides(kernels="fast"))
     solver = runner.solver
@@ -547,18 +565,33 @@ def test_first_cycle_memory_stays_block_sized():
         tracemalloc.stop()
     assert peak < 180 * 2**20, f"first cycle traced {peak / 2**20:.0f} MiB"
     disc, dofs = solver.disc, solver.dofs
-    # the widest per-element correction scratch: 8 face rows of 9 x B
-    per_element = 8 * N_ELASTIC * max(disc.n_basis, disc.n_face_basis)
+    transient = lambda ws: {  # ("op_star", layout...) names carry their layout
+        name: pool.size for (name, _), pool in ws._pools.items()
+        if (name[0] if isinstance(name, tuple) else name).startswith(TRANSIENT)
+    }
     for cluster in solver.clusters:
-        blocks = FastBackend._block_plan(disc, dofs, cluster.elements)
-        if len(blocks) < 2:
-            continue
-        block = blocks[0][0].stop
-        pools = {name: pool.size for (name, _), pool in cluster.workspace._pools.items()
-                 if str(name).startswith("corr_")}
-        assert len(pools) >= 5, pools
+        assert not transient(cluster.workspace), cluster.cluster_id
+    scratch = solver.backend._thread_scratch
+    assert len(scratch) == n_threads
+    # the widest per-element scratch: the derivative stack of a block
+    block = max(FastBackend._block_plan(disc, dofs, c.elements)[0][0].stop
+                for c in solver.clusters if len(c.elements))
+    per_element = disc.order * disc.n_vars * disc.n_basis
+    for ws in scratch:
+        pools = transient(ws)
+        prefixes = {prefix for prefix in TRANSIENT for name in pools if str(name).find(prefix) >= 0}
+        assert prefixes == set(TRANSIENT), pools
         assert all(size <= block * per_element for size in pools.values()), (block, pools)
-        assert block * per_element < len(cluster.elements) * N_ELASTIC * disc.n_basis
+    assert block * per_element < disc.n_elements * N_ELASTIC * disc.n_basis
+
+    def footprint():
+        workspaces = [c.workspace for c in solver.clusters] + scratch
+        return [({k: p.size for k, p in ws._pools.items()}, set(ws._cache)) for ws in workspaces]
+
+    runner.step_cycle()
+    settled = footprint()
+    runner.step_cycle()
+    assert footprint() == settled
 
 
 class TestSolverToleranceParity:

@@ -1,0 +1,266 @@
+"""Thread-parallel element blocks: the derived budget, the per-process pool,
+and bit-identity of threaded ``fast`` runs.
+
+The thread count is never configured: these tests drive it the way a host
+does, through the CPU affinity the budget reads (``os.sched_getaffinity``,
+monkeypatched to ``n`` CPUs per BLAS thread), so threaded and one-thread
+runs go through the same derivation.  Every element block still runs the
+same arithmetic on whichever thread owns its chunk, so a threaded run must
+equal the one-thread run bit for bit.
+"""
+
+import json
+import multiprocessing
+import os
+
+import numpy as np
+import pytest
+
+from repro.kernels import backend as backend_module
+from repro.kernels import threads
+from repro.kernels.threads import BlockPool, share_cpus, thread_budget
+from repro.observability import validate_chrome_trace
+from repro.scenarios import get_scenario, make_runner
+from repro.scenarios.cli import main as cli_main
+from repro.sweep import SweepAxis, SweepSpec, run_sweep
+from repro.verification.golden import golden_spec
+
+#: a few order-3 elements per block, so smoke meshes cut into many blocks
+SMALL_BLOCKS = 1 << 16
+
+
+def use_threads(monkeypatch, n: int) -> None:
+    """Give this process an affinity of ``n`` CPUs per BLAS thread: its
+    budget is then ``n`` kernel threads."""
+    cpus = set(range(n * threads.blas_threads()))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    assert thread_budget() == n
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    monkeypatch.setattr(backend_module, "_BLOCK_STACK_BYTES", SMALL_BLOCKS)
+
+
+@pytest.fixture
+def budget_log(monkeypatch, tmp_path):
+    """Record, per process, the budget its pool was built at (forked
+    workers inherit the recorder and write their own file)."""
+    real = threads.thread_budget
+
+    def recording():
+        n = real()
+        (tmp_path / f"budget-{os.getpid()}").write_text(str(n))
+        return n
+
+    monkeypatch.setattr(threads, "thread_budget", recording)
+    monkeypatch.setattr(threads, "_blas", 1)  # forked children inherit it
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    def read():
+        return {
+            int(path.name.split("-")[1]): int(path.read_text())
+            for path in tmp_path.glob("budget-*")
+        }
+
+    return read
+
+
+class TestBudget:
+    @pytest.mark.parametrize(
+        "cpus, share, blas, expected",
+        [(2, 1, 1, 2), (2, 2, 1, 1), (2, 1, 2, 1), (1, 2, 1, 1), (8, 2, 2, 2), (3, 1, 1, 3)],
+    )
+    def test_cpus_over_processes_over_blas_threads(self, monkeypatch, cpus, share, blas, expected):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(threads, "_share", 1)
+        monkeypatch.setattr(threads, "_blas", blas)
+        share_cpus(share)
+        assert thread_budget() == expected
+
+    def test_single_rank_takes_every_cpu(self, budget_log, small_blocks):
+        runner = make_runner(get_scenario("loh3").smoke().with_overrides(kernels="fast"))
+        runner.step_cycle()
+        assert budget_log() == {os.getpid(): 2}
+
+    def test_process_ranks_take_one_thread_each(self, budget_log, small_blocks):
+        spec = get_scenario("loh3").smoke().with_overrides(
+            kernels="fast", n_ranks=2, backend="process"
+        )
+        runner = make_runner(spec)
+        try:
+            runner.step_cycle()
+        finally:
+            runner.engine.close()
+        budgets = budget_log()
+        assert os.getpid() not in budgets  # the parent steps no kernels
+        assert sorted(budgets.values()) == [1, 1]
+
+    @pytest.mark.parametrize("workers, expected", [(0, [2]), (2, [1, 1])], ids=["inline", "pool"])
+    def test_sweep_workers_split_the_cpus(self, budget_log, small_blocks, tmp_path, workers, expected):
+        base = get_scenario("loh3").smoke().with_overrides(kernels="fast", n_cycles=1)
+        sweep = SweepSpec(
+            base=base,
+            axes=[SweepAxis(path="source.location",
+                            values=[[0.0, 0.0, -1000.0], [500.0, 0.0, -1000.0]])],
+            name="threads",
+        )
+        tally = run_sweep(sweep, tmp_path / "sweep", workers=workers, events=False)
+        assert tally["done"] == 2
+        budgets = budget_log()
+        assert sorted(budgets.values()) == expected
+        assert (os.getpid() in budgets) == (workers == 0)
+
+
+class TestPool:
+    def test_caller_runs_the_first_task(self):
+        import threading
+
+        pool = BlockPool(3)
+        seen = [None] * 3
+        pool.run([lambda i=i: seen.__setitem__(i, threading.get_ident()) for i in range(3)])
+        assert seen[0] == threading.get_ident()
+        assert len(set(seen)) == 3
+        pool.close()
+
+    def test_errors_reach_the_caller_after_every_task(self):
+        pool = BlockPool(2)
+        done = []
+
+        def fail():
+            raise ZeroDivisionError("chunk 1")
+
+        with pytest.raises(ZeroDivisionError, match="chunk 1"):
+            pool.run([lambda: done.append(0), fail])
+        pool.run([lambda: done.append(1), lambda: done.append(2)])  # still usable
+        assert sorted(done) == [0, 1, 2]
+        pool.close()
+
+    def test_a_forked_child_builds_its_own_pool(self, monkeypatch, small_blocks):
+        """The parent steps threaded cycles; a fork-context child of it
+        steps the same solver on a pool of its own and exits."""
+        use_threads(monkeypatch, 2)
+        runner = make_runner(get_scenario("loh3").smoke().with_overrides(kernels="fast"))
+        runner.step_cycle()
+        parent_pool = threads._pool
+        assert parent_pool is not None and parent_pool.n_threads == 2
+
+        def child():
+            assert threads._pool is None  # nothing crossed the fork
+            runner.step_cycle()
+            assert threads._pool is not None and threads._pool is not parent_pool
+            assert threads._pool.n_threads == 2
+
+        process = multiprocessing.get_context("fork").Process(target=child)
+        process.start()
+        process.join(60)
+        assert process.exitcode == 0
+        runner.step_cycle()  # the parent's pool still serves the parent
+        assert threads._pool is parent_pool
+
+
+def _lts(name, **factory):
+    return get_scenario(name, **factory).smoke().with_overrides(kernels="fast")
+
+
+#: case -> (spec, bytes of a ``local_update`` block's derivative stack)
+LATTICE = {
+    "loh3": (lambda: _lts("loh3"), SMALL_BLOCKS),
+    "la_habra": (lambda: _lts("la_habra"), SMALL_BLOCKS),
+    "gts": (lambda: _lts("loh3").with_overrides(solver="gts"), SMALL_BLOCKS),
+    "fused2": (
+        lambda: golden_spec("loh3_fused2").with_overrides(kernels="fast", n_cycles=2),
+        SMALL_BLOCKS,
+    ),
+    # a small box whose halo rows fill a whole 2-element cluster, cut into
+    # one-element blocks: the halo payloads land in more than one chunk
+    "serial-2rank": (
+        lambda: _lts("loh3", extent_m=4000.0, characteristic_length=1500.0).with_overrides(
+            n_ranks=2, backend="serial"
+        ),
+        1,
+    ),
+}
+
+
+def _run(spec):
+    runner = make_runner(spec)
+    runner.run()
+    seismograms = {r.name: r.seismogram() for r in runner.receivers.receivers}
+    return runner, np.array(runner.solver.dofs), seismograms
+
+
+def _halo_chunks(rank, n_threads):
+    """The most correction chunks of one cluster of a rank solver that hold
+    halo faces."""
+    most = 0
+    for cluster in rank.clusters:
+        plan = cluster.neighbor_plans[0]
+        halo_rows = rank._halo_faces[cluster.cluster_id] // 4
+        bounds = [len(plan) * i // n_threads for i in range(n_threads + 1)]
+        most = max(most, sum(
+            bool(np.any((halo_rows >= plan[a][0].start) & (halo_rows < plan[b - 1][0].stop)))
+            for a, b in zip(bounds, bounds[1:]) if b > a
+        ))
+    return most
+
+
+@pytest.mark.parametrize("case", sorted(LATTICE))
+def test_threaded_fast_is_bitwise_the_one_thread_run(monkeypatch, case):
+    spec, block_bytes = LATTICE[case]
+    monkeypatch.setattr(backend_module, "_BLOCK_STACK_BYTES", block_bytes)
+    runs = {}
+    for n in (1, 2, 3):
+        use_threads(monkeypatch, n)
+        runs[n] = runner, _, _ = _run(spec())
+        if case == "serial-2rank" and n > 1:
+            assert max(_halo_chunks(rank, n) for rank in runner.engine.ranks) > 1
+    _, dofs, seismograms = runs[1]
+    for n in (2, 3):
+        _, threaded, threaded_seismograms = runs[n]
+        assert np.array_equal(threaded, dofs), (case, n)
+        for name, (times, values) in seismograms.items():
+            t, v = threaded_seismograms[name]
+            assert np.array_equal(t, times) and np.array_equal(v, values), (case, n, name)
+
+
+def test_threaded_telemetry_counts_every_region_once(monkeypatch, small_blocks, tmp_path):
+    """Worker threads record on branches of the lane, absorbed after each
+    batch: the trace validates and the region counts are the one-thread
+    run's, under the same paths."""
+    regions = {}
+    for n in (1, 2):
+        use_threads(monkeypatch, n)
+        out, trace = tmp_path / f"out{n}", tmp_path / f"trace{n}.json"
+        assert cli_main([
+            "run", "loh3", "--smoke", "--kernels", "fast", "--metrics", "--trace", str(trace),
+            "--quiet", "--output-dir", str(out),
+        ]) == 0
+        validate_chrome_trace(json.loads(trace.read_text()), expect_lanes=1)
+        summary = json.loads((out / "run_summary.json").read_text())
+        regions[n] = {path: entry["count"] for path, entry in summary["telemetry"]["regions"].items()}
+    assert regions[2] == regions[1]
+    assert any(path.endswith("/kernel.ck") for path in regions[2])
+
+
+def test_more_threads_than_cores_under_fast_switching(monkeypatch, small_blocks):
+    """Stress: 4 kernel threads with a 10 us switch interval, telemetry on.
+    A lost update to shared state -- a block run twice or skipped, a
+    scratch buffer shared by two threads, a region count merged wrongly --
+    breaks bitwise equality or the counts."""
+    import sys
+
+    spec = _lts("la_habra").with_overrides(telemetry=True)
+    runs = {}
+    for n in (1, 4):
+        use_threads(monkeypatch, n)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            runner, dofs, _ = _run(spec)
+        finally:
+            sys.setswitchinterval(interval)
+        regions = runner.summary()["telemetry"]["regions"]
+        runs[n] = dofs, {path: entry["count"] for path, entry in regions.items()}
+    assert np.array_equal(runs[4][0], runs[1][0])
+    assert runs[4][1] == runs[1][1]
