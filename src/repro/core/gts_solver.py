@@ -8,24 +8,24 @@ LTS solver is verified against.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..kernels.backend import make_backend
 from ..kernels.discretization import Discretization
 from ..kernels.update import gts_step
 from ..observability import NULL_TELEMETRY
-from ..source.moment_tensor import DiscretePointSource, MomentTensorSource, PointForceSource
 from ..source.receivers import ReceiverSet
+from .stepper import SingleRankStepper
 
 __all__ = ["GlobalTimeSteppingSolver"]
 
 
-class GlobalTimeSteppingSolver:
+class GlobalTimeSteppingSolver(SingleRankStepper):
     """ADER-DG solver advancing every element at the global minimum time step.
 
     ``kernels`` selects the kernel-execution backend (``"ref"``/``"fast"`` or
     a backend instance); the fast backend reuses one solver-wide scratch
-    workspace across steps.
+    workspace across steps.  A macro cycle is ``steps_per_cycle`` steps: the
+    scenario runner passes ``2^(N_c - 1)``, so one GTS cycle spans the
+    largest cluster step of the LTS clustering it is compared with.
     """
 
     def __init__(
@@ -37,11 +37,13 @@ class GlobalTimeSteppingSolver:
         n_fused: int = 0,
         kernels=None,
         telemetry=None,
+        steps_per_cycle: int = 1,
     ):
         self.disc = disc
         self.dt = float(dt) if dt is not None else float(disc.time_steps.min())
         if self.dt <= 0:
             raise ValueError("time step must be positive")
+        self.steps_per_cycle = int(steps_per_cycle)
         self.n_fused = n_fused
         self.receivers = receivers
         self.sources = [self._bind_source(s) for s in (sources or [])]
@@ -53,20 +55,12 @@ class GlobalTimeSteppingSolver:
         self.time = 0.0
         self.n_element_updates = 0
 
-    def _bind_source(self, source) -> DiscretePointSource:
-        if isinstance(source, DiscretePointSource):
-            return source
-        if isinstance(source, (MomentTensorSource, PointForceSource, list, tuple)):
-            # a list/tuple is a fused per-slot source ensemble sharing one
-            # location; DiscretePointSource stacks it along the fused axis
-            return DiscretePointSource(self.disc, source)
-        raise TypeError(f"unsupported source type: {type(source)!r}")
+    @property
+    def macro_dt(self) -> float:
+        """Duration of one macro cycle (``steps_per_cycle`` steps)."""
+        return self.dt * self.steps_per_cycle
 
     # ------------------------------------------------------------------
-    def set_initial_condition(self, func) -> None:
-        """L2-project an initial condition ``func(points) -> values``."""
-        self.dofs = self.disc.project_initial_condition(func, n_fused=self.n_fused)
-
     def step(self) -> None:
         """Advance all elements by one global time step."""
         with self.telemetry.region("update"):
@@ -80,11 +74,7 @@ class GlobalTimeSteppingSolver:
         if self.receivers is not None:
             self.receivers.record_all(self.time, self.dofs)
 
-    def run(self, t_end: float) -> np.ndarray:
-        """Advance the simulation to (at least) ``t_end``; returns the DOFs."""
-        if t_end < self.time:
-            raise ValueError("t_end lies in the past")
-        n_steps = int(np.ceil((t_end - self.time) / self.dt - 1e-12))
-        for _ in range(n_steps):
+    def step_cycle(self) -> None:
+        """Advance all elements by one macro cycle."""
+        for _ in range(self.steps_per_cycle):
             self.step()
-        return self.dofs

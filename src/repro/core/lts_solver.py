@@ -26,11 +26,11 @@ from ..kernels.backend import make_backend
 from ..kernels.discretization import N_ELASTIC, Discretization
 from ..mesh.reorder import cluster_ranges
 from ..observability import NULL_TELEMETRY
-from ..source.moment_tensor import DiscretePointSource, MomentTensorSource, PointForceSource
 from ..source.receivers import ReceiverSet
 from .buffers import BOUNDARY, LARGER, SAME, SMALLER, LtsBuffers
 from .clustering import Clustering
 from .lts_scheduler import schedule_cycle
+from .stepper import SingleRankStepper
 
 __all__ = ["ClusteredLtsSolver"]
 
@@ -73,7 +73,7 @@ class _ClusterData:
         self.step_index = 0
 
 
-class ClusteredLtsSolver:
+class ClusteredLtsSolver(SingleRankStepper):
     """Clustered rate-2 local time stepping ADER-DG solver.
 
     The discretization must be assembled in cluster order (Sec. VI,
@@ -126,23 +126,11 @@ class ClusteredLtsSolver:
         self.time = 0.0
         self.n_element_updates = 0
 
-    def _bind_source(self, source) -> DiscretePointSource:
-        if isinstance(source, DiscretePointSource):
-            return source
-        if isinstance(source, (MomentTensorSource, PointForceSource, list, tuple)):
-            # a list/tuple is a fused per-slot source ensemble sharing one
-            # location; DiscretePointSource stacks it along the fused axis
-            return DiscretePointSource(self.disc, source)
-        raise TypeError(f"unsupported source type: {type(source)!r}")
-
     # ------------------------------------------------------------------
     @property
     def macro_dt(self) -> float:
         """Duration of one macro cycle (one step of the largest cluster)."""
         return float(self.clustering.cluster_time_steps[-1])
-
-    def set_initial_condition(self, func) -> None:
-        self.dofs = self.disc.project_initial_condition(func, n_fused=self.n_fused)
 
     # ------------------------------------------------------------------
     def _predict(self, cluster: _ClusterData) -> None:
@@ -257,23 +245,23 @@ class ClusteredLtsSolver:
                 self._correct(cluster, start)
         self.time += self.macro_dt
 
-    def run(self, t_end: float) -> np.ndarray:
-        """Advance to at least ``t_end`` (full macro cycles); returns the DOFs."""
-        if t_end < self.time:
-            raise ValueError("t_end lies in the past")
-        n_cycles = int(np.ceil((t_end - self.time) / self.macro_dt - 1e-12))
-        for _ in range(n_cycles):
-            self.step_cycle()
-        return self.dofs
-
     # ------------------------------------------------------------------
-    def theoretical_speedup(self) -> float:
-        """Theoretical speedup of the clustering over GTS at the mesh's dt_min."""
-        return self.clustering.speedup()
+    def state_arrays(self) -> dict:
+        """DOFs plus the per-cluster step counters and the three buffers."""
+        return {
+            "dofs": self.dofs,
+            "step_index": np.array(
+                [cluster.step_index for cluster in self.clusters], dtype=np.int64
+            ),
+            "b1": self.buffers.b1,
+            "b2": self.buffers.b2,
+            "b3": self.buffers.b3,
+        }
 
-    def updates_per_cycle(self) -> int:
-        """Element updates per macro cycle of this configuration."""
-        counts = self.clustering.counts
-        n_clusters = self.clustering.n_clusters
-        steps = 2 ** (n_clusters - 1 - np.arange(n_clusters))
-        return int(np.sum(counts * steps))
+    def restore_state(self, arrays, time: float, n_element_updates: int) -> None:
+        super().restore_state(arrays, time, n_element_updates)
+        for cluster, step_index in zip(self.clusters, arrays["step_index"]):
+            cluster.step_index = int(step_index)
+        self.buffers.b1 = arrays["b1"]
+        self.buffers.b2 = arrays["b2"]
+        self.buffers.b3 = arrays["b3"]

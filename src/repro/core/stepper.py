@@ -1,0 +1,86 @@
+"""The stepper protocol and its single-rank half.
+
+Every stepper the scenario runner drives -- the GTS and clustered-LTS
+solvers here, the two multi-rank engines of :mod:`repro.distributed` --
+exposes the same members:
+
+* ``time``, ``n_element_updates``, ``dofs`` and ``macro_dt``;
+* ``step_cycle()``, ``set_initial_condition(func)`` and ``close()``;
+* ``state_arrays()`` and ``restore_state(arrays, time, n_element_updates)``:
+  the dynamic state as the checkpoint's global arrays (``dofs``, plus
+  ``step_index``/``b1``/``b2``/``b3`` for LTS) and back;
+* ``telemetry_snapshots()``, ``trace_lanes()`` and ``concurrent_lanes``;
+* ``comm_summary()``: the measured-vs-modelled halo traffic, ``None`` on a
+  single rank.
+
+:class:`SingleRankStepper` holds what the two single-rank solvers share.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from ..source.moment_tensor import DiscretePointSource, MomentTensorSource, PointForceSource
+
+__all__ = ["SingleRankStepper"]
+
+
+class SingleRankStepper:
+    """The protocol members common to the GTS and clustered-LTS solvers.
+
+    Subclasses set ``disc``, ``n_fused``, ``telemetry``, ``dofs``, ``time``
+    and ``n_element_updates`` and define ``macro_dt`` and ``step_cycle``.
+    """
+
+    #: one lane records the wall clock: phase totals need no normalisation
+    concurrent_lanes = 1
+
+    def _bind_source(self, source) -> DiscretePointSource:
+        if isinstance(source, DiscretePointSource):
+            return source
+        if isinstance(source, (MomentTensorSource, PointForceSource, list, tuple)):
+            # a list/tuple is a fused per-slot source ensemble sharing one
+            # location; DiscretePointSource stacks it along the fused axis
+            return DiscretePointSource(self.disc, source)
+        raise TypeError(f"unsupported source type: {type(source)!r}")
+
+    def set_initial_condition(self, func) -> None:
+        """L2-project an initial condition ``func(points) -> values``."""
+        self.dofs = self.disc.project_initial_condition(func, n_fused=self.n_fused)
+
+    def run(self, t_end: float) -> np.ndarray:
+        """Advance to at least ``t_end`` (full macro cycles); returns the DOFs."""
+        if t_end < self.time:
+            raise ValueError("t_end lies in the past")
+        n_cycles = int(np.ceil((t_end - self.time) / self.macro_dt - 1e-12))
+        for _ in range(n_cycles):
+            self.step_cycle()
+        return self.dofs
+
+    # -- checkpoint interchange -----------------------------------------
+    def state_arrays(self) -> dict:
+        """The dynamic state as named global arrays (the checkpoint's)."""
+        return {"dofs": self.dofs}
+
+    def restore_state(self, arrays, time: float, n_element_updates: int) -> None:
+        """Adopt a :meth:`state_arrays` state (extra entries are ignored)."""
+        self.dofs = arrays["dofs"]
+        self.time = float(time)
+        self.n_element_updates = int(n_element_updates)
+
+    # -- accounting -----------------------------------------------------
+    def telemetry_snapshots(self) -> list[dict]:
+        """Cumulative per-lane snapshots: the solver's one lane."""
+        return [self.telemetry.snapshot()]
+
+    def trace_lanes(self) -> list[tuple]:
+        """``(lane_name, tid, events)`` triples for the Chrome-trace export
+        (draining is destructive: export once per run)."""
+        return [(self.telemetry.lane, self.telemetry.rank, self.telemetry.drain_events())]
+
+    def comm_summary(self) -> None:
+        """A single rank exchanges no halo."""
+        return None
+
+    def close(self) -> None:
+        """Nothing to release: the solver holds no worker processes."""

@@ -5,18 +5,21 @@ into an actual execution path (Sec. V-C of the paper): per-rank subdomains
 with global-to-local element maps, rank-local clustered-LTS steppers, and
 face-local compressed ``B1``/``B2``/``B3`` halo payloads exchanged through
 the byte-counting communicator -- bit-identical to the single-rank solver.
+The engines implement the stepper protocol of :mod:`repro.core.stepper`;
+:func:`build_engine` is what the scenario runner calls for ``n_ranks > 1``.
 """
 
-from .engine import DistributedLtsEngine
+from .engine import DistributedLtsEngine, MultiRankEngine
 from .process_engine import ProcessLtsEngine
-from .runner import DistributedRunner
+from .runner import build_engine
 from .stepper import RankSolver
 from .subdomain import RankSubdomain, SubdomainDisc
 
 __all__ = [
+    "MultiRankEngine",
     "DistributedLtsEngine",
     "ProcessLtsEngine",
-    "DistributedRunner",
+    "build_engine",
     "RankSolver",
     "RankSubdomain",
     "SubdomainDisc",

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.lts_scheduler import schedule_cycle
 from ..core.lts_solver import ClusteredLtsSolver, _ClusterData
 from ..kernels.discretization import N_ELASTIC
 from .subdomain import RankSubdomain
@@ -113,9 +114,19 @@ class RankSolver(ClusteredLtsSolver):
 
     # ------------------------------------------------------------------
     # the shared micro-step walk (used by the serial engine, which
-    # interleaves ranks per phase, and by the process workers, which run a
-    # whole cycle per rank -- one implementation keeps them in lockstep)
+    # interleaves ranks per phase, and by step_cycle, which a process
+    # worker runs per rank -- one implementation keeps them in lockstep)
     # ------------------------------------------------------------------
+    def step_cycle(self) -> None:
+        """One macro cycle of this rank alone, exchanging its halo through
+        the communicator (a process worker's cycle)."""
+        dt0 = float(self.clustering.cluster_time_steps[0])
+        for entry in schedule_cycle(self.clustering.n_clusters):
+            self.begin_micro_step(entry)
+            self.advance_interior(entry)
+            self.finish_micro_step(entry, dt0)
+        self.time += self.macro_dt
+
     def begin_micro_step(self, entry: dict) -> None:
         """Boundary predictions of the due clusters plus the due sends."""
         with self.telemetry.region("predict.boundary"):

@@ -30,7 +30,6 @@ from .runner import (
     build_setup,
     make_runner,
     measure_update_cost,
-    runner_class_for,
 )
 from .spec import (
     ClusteringSpec,
@@ -72,7 +71,6 @@ __all__ = [
     "ScenarioSetup",
     "ScenarioRunner",
     "make_runner",
-    "runner_class_for",
     "measure_update_cost",
     "write_seismograms",
     "write_fused_slot_seismograms",

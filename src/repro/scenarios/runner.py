@@ -4,16 +4,22 @@
 into the executable objects (mesh, material table, discretization, source,
 initial condition).  :class:`ScenarioRunner` then drives the run the way the
 paper's pipeline does (Fig. 8): optional weighted partitioning + reordering
-through :class:`~repro.preprocessing.pipeline.PreprocessingPipeline`, solver
-construction (GTS or clustered LTS), and a macro-cycle loop with wall-clock
-and element-update accounting.
+through :class:`~repro.preprocessing.pipeline.PreprocessingPipeline`, stepper
+construction, and a macro-cycle loop with wall-clock and element-update
+accounting.  The stepper is a GTS or clustered-LTS solver on one rank, or a
+multi-rank engine (:func:`repro.distributed.build_engine`) when the spec asks
+for ``solver.n_ranks > 1``; all of them implement the stepper protocol of
+:mod:`repro.core.stepper`, so the runner never asks which one it drives.
 
 Checkpoint/restart serialises the complete dynamic state of a run -- DOFs,
 simulation time, per-cluster ``step_index``, the three LTS time buffers and
 the receiver recordings -- at macro-cycle boundaries (where no prediction is
 pending), so a resumed run is bit-identical to an uninterrupted one.  The
 per-element arrays are stored in solver element order (cluster order for
-LTS); the rebuilt setup derives the same order from the stored spec.
+LTS); the rebuilt setup derives the same order from the stored spec.  A
+multi-rank engine gathers its per-rank state into the same global arrays,
+so single-rank and distributed checkpoints are interchangeable: ``resume``
+follows the checkpointed spec's ``n_ranks``.
 """
 
 from __future__ import annotations
@@ -55,7 +61,6 @@ __all__ = [
     "staged_setup",
     "preprocess_setup",
     "make_runner",
-    "runner_class_for",
     "measure_update_cost",
     "CHECKPOINT_FORMAT_VERSION",
     "CorruptCheckpointError",
@@ -428,8 +433,8 @@ class ScenarioRunner:
             enabled=spec.output.telemetry, trace=spec.output.trace
         )
         #: the runner's own telemetry lane: the single-rank solver shares it
-        #: directly; distributed runs keep it as the "driver" lane (engine
-        #: construction, checkpoint I/O) beside the per-rank lanes
+        #: directly; a multi-rank engine keeps it as the "driver" lane
+        #: (engine construction, checkpoint I/O) beside the per-rank lanes
         self.telemetry = self.telemetry_config.build(rank=0)
         if os.environ.get("REPRO_TRACEMALLOC"):
             import tracemalloc
@@ -470,9 +475,16 @@ class ScenarioRunner:
         self.checkpoint_s = 0.0
 
     def _build_solver(self, disc: Discretization, sources: list):
-        """Construct the execution engine (overridden by the distributed runner)."""
+        """Construct the stepper: a multi-rank engine (also bound as
+        ``self.engine``) when the spec asks for ranks, else GTS or LTS."""
         spec = self.spec
+        if spec.solver.n_ranks > 1:
+            from ..distributed.runner import build_engine
+
+            self.engine = build_engine(self, disc, sources)
+            return self.engine
         if spec.solver.kind == "gts":
+            # one macro cycle = 2^(N_c - 1) GTS steps at the cluster-0 step
             return GlobalTimeSteppingSolver(
                 disc,
                 dt=float(self.clustering.cluster_time_steps[0]),
@@ -481,6 +493,7 @@ class ScenarioRunner:
                 n_fused=spec.solver.n_fused,
                 kernels=spec.solver.kernels,
                 telemetry=self.telemetry,
+                steps_per_cycle=2 ** (self.clustering.n_clusters - 1),
             )
         return ClusteredLtsSolver(
             disc,
@@ -516,7 +529,7 @@ class ScenarioRunner:
     @property
     def macro_dt(self) -> float:
         """Duration of one macro cycle (one step of the largest cluster)."""
-        return float(self.clustering.cluster_time_steps[-1])
+        return self.solver.macro_dt
 
     @property
     def total_cycles(self) -> int:
@@ -527,12 +540,7 @@ class ScenarioRunner:
 
     def step_cycle(self) -> None:
         """Advance the simulation by one macro cycle."""
-        if isinstance(self.solver, GlobalTimeSteppingSolver):
-            # one macro cycle = 2^(N_c - 1) GTS steps at the cluster-0 step
-            for _ in range(2 ** (self.clustering.n_clusters - 1)):
-                self.solver.step()
-        else:  # clustered LTS and the distributed engine step whole cycles
-            self.solver.step_cycle()
+        self.solver.step_cycle()
         self.cycles_done += 1
 
     def run(
@@ -547,6 +555,9 @@ class ScenarioRunner:
         ``checkpoint_every`` cycles (default: the spec's cadence; 0 disables
         the cadence) and after the final cycle -- unless the cadence already
         wrote it, so the same state is never serialised twice back-to-back.
+        The stepper is closed at the end: a process engine releases its
+        workers but keeps serving summaries, outputs and checkpoints from
+        its cached state, and stepping again respawns them.
         """
         if checkpoint_every is None:
             checkpoint_every = self.spec.run.checkpoint_every
@@ -605,6 +616,7 @@ class ScenarioRunner:
                 heartbeat.close()
             if ledger is not None:
                 ledger.close()
+            self.solver.close()
         return self.summary()
 
     # -- run ledger ------------------------------------------------------
@@ -613,7 +625,7 @@ class ScenarioRunner:
         if not self.telemetry_config.enabled:
             return {}
         waits = {}
-        for snap in self._telemetry_snapshots():
+        for snap in self.solver.telemetry_snapshots():
             total = sum(
                 entry["total_s"]
                 for name, entry in snap.get("regions", {}).items()
@@ -626,8 +638,8 @@ class ScenarioRunner:
     def _cycle_record(self, cycle_wall_s: float) -> dict:
         """One ledger/heartbeat record of the cycle that just finished.
 
-        The distributed runner extends this with communication traffic and
-        worker memory; the recv-wait column is per cycle (deltas of the
+        A multi-rank run adds the engine's traffic and worker-memory
+        columns; the recv-wait column is per cycle (deltas of the
         cumulative region totals), like every other rate here.
         """
         updates = int(self.solver.n_element_updates)
@@ -652,6 +664,10 @@ class ScenarioRunner:
                 for lane, total in waits.items()
             }
             self._ledger_prev_recv_wait = waits
+        if hasattr(self, "engine"):
+            record.update(self.engine.ledger_columns())
+            workers = record.get("worker_peak_rss_mb", ())
+            record["peak_rss_mb"] = max([record["peak_rss_mb"], *workers])
         return record
 
     def summary(self) -> dict:
@@ -704,36 +720,34 @@ class ScenarioRunner:
         accuracy = self.accuracy()
         if accuracy is not None:
             out["accuracy"] = accuracy
+        comm = self.solver.comm_summary()
+        if comm is not None:
+            out["n_ranks"] = self.engine.n_ranks
+            out["backend"] = spec.solver.backend
+            out["comm"] = comm
+            workers = self.engine.rank_peak_rss_mb
+            if any(workers):
+                # the parent's RUSAGE_CHILDREN misses still-live workers, so
+                # the summary carries the workers' self-reported peaks
+                out["memory"]["worker_peak_rss_mb"] = list(workers)
         return out
 
     # -- telemetry ------------------------------------------------------
-    def _telemetry_snapshots(self) -> list[dict]:
-        """Per-lane cumulative snapshots (the distributed runner overrides
-        this with the engine's per-rank lanes plus its driver lane)."""
-        return [self.telemetry.snapshot()]
-
-    def _trace_lanes(self) -> list[tuple]:
-        """``(lane_name, tid, events)`` triples for the Chrome-trace export."""
-        return [(self.telemetry.lane, self.telemetry.rank, self.telemetry.drain_events())]
-
-    def _concurrent_lanes(self) -> int:
-        """How many lanes record wall time *concurrently*.
-
-        Phase totals are normalised by this so their sum is comparable to
-        ``wall_s``: process-backend ranks overlap in time (each lane spans
-        the whole wall clock), while a single solver -- or the serial
-        engine's interleaved ranks -- accounts every second exactly once.
-        """
-        return 1
-
     def telemetry_block(self) -> dict:
         """The ``telemetry`` block of the run summary: phase breakdown,
-        merged regions/counters and derived rates."""
+        merged regions/counters and derived rates.
+
+        Phase totals are divided by the stepper's ``concurrent_lanes`` so
+        their sum is comparable to ``wall_s``: process-backend ranks overlap
+        in time (each lane spans the whole wall clock), while a single
+        solver -- or the serial engine's interleaved ranks -- accounts every
+        second exactly once.
+        """
         from ..kernels.flops import count_flops_per_element_update
 
-        snapshots = self._telemetry_snapshots()
+        snapshots = self.solver.telemetry_snapshots()
         merged = merge_snapshots(snapshots)
-        concurrency = max(1, self._concurrent_lanes())
+        concurrency = max(1, self.solver.concurrent_lanes)
         phases = {
             name: entry["total_s"] / concurrency
             for name, entry in merged["regions"].items()
@@ -745,6 +759,10 @@ class ScenarioRunner:
             for name, entry in merged["regions"].items()
             if name.endswith("/recv_wait")
         )
+        comm = self.solver.comm_summary()
+        if comm is not None:  # the measured halo traffic of a multi-rank run
+            merged["counters"]["comm/messages"] = int(comm["n_messages"])
+            merged["counters"]["comm/bytes"] = int(comm["n_bytes"])
         updates = int(self.solver.n_element_updates)
         per_stage = count_flops_per_element_update(self.setup.disc)
         flops = per_stage.total
@@ -789,7 +807,7 @@ class ScenarioRunner:
 
         Draining is destructive: the trace is written once, after the run.
         """
-        return write_chrome_trace(path, self._trace_lanes())
+        return write_chrome_trace(path, self.solver.trace_lanes())
 
     def accuracy(self) -> dict | None:
         """Error norms against the scenario's analytic solution, if any.
@@ -797,7 +815,7 @@ class ScenarioRunner:
         Scenarios with a closed-form reference (the elastic plane wave)
         report per-field L2/Linf errors of the current state; everything
         else returns ``None`` and the summary carries no accuracy block.
-        Works unchanged for distributed runs: the engine's ``dofs`` property
+        Works unchanged for multi-rank runs: the engine's ``dofs`` property
         gathers the per-rank state.
         """
         from ..verification.analytic import analytic_solution_for
@@ -831,14 +849,15 @@ class ScenarioRunner:
             "lam": self.clustering.lam,
             "dt_min": self.clustering.dt_min,
         }
-        arrays = {
-            "dofs": solver.dofs,
+        # the stepper's dynamic state: dofs (plus step_index/b1/b2/b3 for
+        # LTS), in global solver element order on any number of ranks
+        arrays = solver.state_arrays()
+        arrays.update(
             # generation id of every row: the rebuilt setup must match it
-            "element_order": self.setup.mesh.original_ids,
-            "cluster_ids": self.clustering.cluster_ids,
-            "cluster_time_steps": self.clustering.cluster_time_steps,
-        }
-        arrays.update(self._solver_state_arrays())
+            element_order=self.setup.mesh.original_ids,
+            cluster_ids=self.clustering.cluster_ids,
+            cluster_time_steps=self.clustering.cluster_time_steps,
+        )
         if self.receivers is not None:
             for i, receiver in enumerate(self.receivers.receivers):
                 times, samples = receiver.seismogram()
@@ -859,25 +878,6 @@ class ScenarioRunner:
             self.telemetry.inc("checkpoint/bytes", os.path.getsize(path))
         self.checkpoint_s += _time.perf_counter() - start
 
-    def _solver_state_arrays(self) -> dict:
-        """The solver-kind-specific dynamic arrays of the checkpoint.
-
-        Overridden by the distributed runner, which gathers the per-rank
-        state into the same global-array layout -- single-rank and
-        distributed checkpoints stay interchangeable.
-        """
-        solver = self.solver
-        if not isinstance(solver, ClusteredLtsSolver):
-            return {}
-        return {
-            "step_index": np.array(
-                [cluster.step_index for cluster in solver.clusters], dtype=np.int64
-            ),
-            "b1": solver.buffers.b1,
-            "b2": solver.buffers.b2,
-            "b3": solver.buffers.b3,
-        }
-
     @classmethod
     def resume(
         cls,
@@ -892,12 +892,12 @@ class ScenarioRunner:
         """Rebuild a runner from a checkpoint; continuation is bit-identical
         to the uninterrupted run.
 
-        The runner class follows the checkpointed spec: a spec with
-        ``solver.n_ranks > 1`` resumes as a distributed run (and vice versa),
-        regardless of which class this is called on.  ``backend`` overrides
-        the checkpointed execution backend (``"serial"``/``"process"``),
-        which is bit-identical either way.  The kernel backend
-        and precision are part of the checkpointed state and cannot change.
+        The stepper follows the checkpointed spec: a spec with
+        ``solver.n_ranks > 1`` resumes on a multi-rank engine (and vice
+        versa).  ``backend`` overrides the checkpointed execution backend
+        (``"serial"``/``"process"``), which is bit-identical either way.
+        The kernel backend and precision are part of the checkpointed state
+        and cannot change.
         """
         data, meta = _read_checkpoint(path)
         if meta["format_version"] != CHECKPOINT_FORMAT_VERSION:
@@ -917,7 +917,6 @@ class ScenarioRunner:
                 events=events,
                 progress=progress,
             )
-        runner_cls = runner_class_for(spec)
         restored = Clustering(
             cluster_ids=data["cluster_ids"],
             cluster_time_steps=data["cluster_time_steps"],
@@ -929,9 +928,9 @@ class ScenarioRunner:
         # specs restore the exact checkpointed clustering so runners built
         # with a non-spec clustering also resume bit-identically
         if spec.preprocessing.active:
-            runner = runner_cls(spec)
+            runner = cls(spec)
         else:
-            runner = runner_cls(spec, clustering=restored)
+            runner = cls(spec, clustering=restored)
         runner._load_state(data, meta)
         return runner
 
@@ -958,9 +957,6 @@ class ScenarioRunner:
                 "checkpoint element order does not match the rebuilt scenario; "
                 "was the run built on the setup of another spec?"
             )
-        self._restore_solver_state(data, meta)
-        self.cycles_done = int(meta["cycles_done"])
-        self.wall_s = float(meta.get("wall_s", 0.0))
         if self.receivers is not None:
             names = [r.name for r in self.receivers.receivers]
             if names != meta["receiver_names"]:
@@ -970,24 +966,12 @@ class ScenarioRunner:
                 samples = data[f"rec{i}_samples"]
                 receiver.times = [float(t) for t in times]
                 receiver.samples = [np.asarray(row) for row in samples]
-        self._after_restore()
-
-    def _restore_solver_state(self, data, meta: dict) -> None:
-        """Restore the solver-kind-specific dynamic state (see
-        :meth:`_solver_state_arrays`)."""
-        solver = self.solver
-        solver.dofs = data["dofs"]
-        solver.time = float(meta["time"])
-        solver.n_element_updates = int(meta["n_element_updates"])
-        if isinstance(solver, ClusteredLtsSolver):
-            for cluster, step_index in zip(solver.clusters, data["step_index"]):
-                cluster.step_index = int(step_index)
-            solver.buffers.b1 = data["b1"]
-            solver.buffers.b2 = data["b2"]
-            solver.buffers.b3 = data["b3"]
-
-    def _after_restore(self) -> None:
-        """Hook for subclasses that derive state from the restored arrays."""
+        # after the recordings: an engine rebinds its rank receivers to them
+        solver.restore_state(
+            data, time=float(meta["time"]), n_element_updates=int(meta["n_element_updates"])
+        )
+        self.cycles_done = int(meta["cycles_done"])
+        self.wall_s = float(meta.get("wall_s", 0.0))
 
 
 def _read_checkpoint(path) -> tuple[dict, dict]:
@@ -1006,18 +990,9 @@ def _read_checkpoint(path) -> tuple[dict, dict]:
     return arrays, meta
 
 
-def runner_class_for(spec: ScenarioSpec) -> type:
-    """The runner class a spec asks for (distributed when ``n_ranks > 1``)."""
-    if spec.solver.n_ranks > 1:
-        from ..distributed.runner import DistributedRunner
-
-        return DistributedRunner
-    return ScenarioRunner
-
-
-def make_runner(spec: ScenarioSpec, **kwargs) -> "ScenarioRunner":
-    """Build the right runner for a spec (single-rank or distributed)."""
-    return runner_class_for(spec)(spec, **kwargs)
+#: an alias of :class:`ScenarioRunner`, the runner of every spec on any
+#: number of ranks
+make_runner = ScenarioRunner
 
 
 def measure_update_cost(setup: ScenarioSetup, n_cycles: int = 10) -> float:

@@ -83,7 +83,7 @@ class ReceiverSet:
     """A collection of receivers bound to a discretization."""
 
     def __init__(self, disc: Discretization, locations: dict[str, np.ndarray]):
-        self.receivers: list[Receiver] = []
+        receivers = []
         mesh = disc.mesh
         for name, location in locations.items():
             location = np.asarray(location, dtype=np.float64)
@@ -91,9 +91,20 @@ class ReceiverSet:
             xi = map_physical_to_reference(mesh.vertices, mesh.elements, element, location)[0]
             xi = np.clip(xi, 0.0, 1.0)
             basis_values = disc.ref.basis.evaluate(xi[None, :])[0]
-            self.receivers.append(
+            receivers.append(
                 Receiver(name=name, location=location, element=element, basis_values=basis_values)
             )
+        self._index(receivers)
+
+    @classmethod
+    def from_receivers(cls, receivers: list[Receiver]) -> ReceiverSet:
+        """A set over already located receivers (e.g. one rank's local shims)."""
+        receiver_set = cls.__new__(cls)
+        receiver_set._index(receivers)
+        return receiver_set
+
+    def _index(self, receivers: list[Receiver]) -> None:
+        self.receivers = list(receivers)
         self._by_element: dict[int, list[Receiver]] = {}
         for receiver in self.receivers:
             self._by_element.setdefault(receiver.element, []).append(receiver)

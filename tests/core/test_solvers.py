@@ -13,6 +13,7 @@ import pytest
 
 from repro.core.clustering import derive_clustering, optimize_lambda
 from repro.core.gts_solver import GlobalTimeSteppingSolver
+from repro.core.lts_scheduler import updates_per_cycle
 from repro.core.lts_solver import ClusteredLtsSolver
 from repro.source.moment_tensor import MomentTensorSource
 from repro.source.receivers import ReceiverSet
@@ -55,7 +56,7 @@ class TestSingleClusterEquivalence:
         lts.set_initial_condition(_gaussian_ic())
         lts.step_cycle()
         assert lts.n_element_updates == disc.n_elements
-        assert lts.updates_per_cycle() == disc.n_elements
+        assert updates_per_cycle(clustering.counts) == disc.n_elements
 
 
 class TestMultiClusterAccuracy:

@@ -17,13 +17,12 @@ import json
 import numpy as np
 import pytest
 
-from repro.distributed import DistributedLtsEngine, DistributedRunner
+from repro.distributed import DistributedLtsEngine
 from repro.scenarios import (
     ScenarioRunner,
     ScenarioSpec,
     get_scenario,
     make_runner,
-    runner_class_for,
 )
 from repro.scenarios.cli import main as cli_main
 
@@ -111,7 +110,7 @@ class TestBitIdentity:
         self, tiny_loh3, single_run, n_ranks
     ):
         runner = make_runner(tiny_loh3.with_overrides(n_ranks=n_ranks))
-        assert isinstance(runner, DistributedRunner)
+        assert runner.solver is runner.engine
         assert runner.engine.n_ranks == n_ranks
         summary = runner.run()
 
@@ -220,7 +219,7 @@ class TestCheckpointRestart:
         del interrupted
 
         resumed = ScenarioRunner.resume(path)
-        assert isinstance(resumed, DistributedRunner)
+        assert resumed.engine.n_ranks == 2
         assert resumed.cycles_done == 2
         resumed.run()
 
@@ -248,7 +247,7 @@ class TestCheckpointRestart:
         np.savez_compressed(path, **data)
 
         resumed = ScenarioRunner.resume(path)
-        assert type(resumed) is ScenarioRunner
+        assert not hasattr(resumed, "engine")
         np.testing.assert_array_equal(resumed.solver.dofs, dist.solver.dofs)
         resumed.run()
 
@@ -263,9 +262,17 @@ class TestSpecAndDispatch:
         assert ScenarioSpec.from_json(spec.to_json()) == spec
         assert spec.solver.n_ranks == 4
 
-    def test_runner_class_dispatch(self, tiny_loh3):
-        assert runner_class_for(tiny_loh3) is ScenarioRunner
-        assert runner_class_for(tiny_loh3.with_overrides(n_ranks=2)) is DistributedRunner
+    def test_engine_exactly_on_multi_rank_runners(self, tiny_loh3):
+        assert not hasattr(ScenarioRunner(tiny_loh3), "engine")
+        runner = ScenarioRunner(tiny_loh3.with_overrides(n_ranks=2))
+        assert runner.solver is runner.engine
+        assert runner.engine.n_ranks == 2
+
+    def test_scenario_runner_honours_n_ranks(self, tiny_loh3):
+        """The plain constructor, not only ``make_runner``, runs on ranks."""
+        summary = ScenarioRunner(tiny_loh3.with_overrides(n_ranks=2, n_cycles=1)).run()
+        assert summary["n_ranks"] == 2
+        assert summary["comm"]["n_messages"] > 0
 
     def test_gts_with_ranks_rejected(self, tiny_loh3):
         with pytest.raises(ValueError, match="clustered"):

@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.distributed import DistributedRunner, ProcessLtsEngine
+from repro.distributed import ProcessLtsEngine
 from repro.scenarios import FusedSourceSpec, ScenarioRunner, get_scenario, make_runner
 
 pytestmark = pytest.mark.distributed
@@ -85,7 +85,7 @@ class TestProcessBackendSlotIdentity:
     def process_run(self, fused_loh3):
         spec = fused_loh3.with_overrides(kernels="ref", n_ranks=2, backend="process")
         runner = make_runner(spec)
-        assert isinstance(runner, DistributedRunner)
+        assert runner.solver is runner.engine
         assert isinstance(runner.engine, ProcessLtsEngine)
         summary = runner.run()
         return runner, summary

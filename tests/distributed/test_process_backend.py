@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.distributed import DistributedRunner, ProcessLtsEngine
+from repro.distributed import ProcessLtsEngine
 from repro.distributed.process_engine import _ORPHAN_POLL_S, _rank_worker
 from repro.observability import TelemetryConfig
 from repro.scenarios import ScenarioRunner, ScenarioSpec, get_scenario, make_runner
@@ -108,7 +108,7 @@ class TestBitIdentity:
         serial = make_runner(spec)
         serial_summary = serial.run()
         process = make_runner(spec.with_overrides(backend="process"))
-        assert isinstance(process, DistributedRunner)
+        assert process.solver is process.engine
         assert isinstance(process.engine, ProcessLtsEngine)
         process_summary = process.run()
 
@@ -219,7 +219,7 @@ class TestEngineLifecycle:
         # subdomain=None: touching it (building a communicator or solver)
         # would raise and report an error on the pipe
         _rank_worker(
-            0, None, [], [], 0, "ref", np.array([1.0]), None, {}, child_end,
+            0, None, [], [], 0, "ref", None, {}, child_end,
             1.0, TelemetryConfig(), 0.0, dead_parent,
         )
         assert not parent_end.poll(0)

@@ -79,16 +79,15 @@ class TestLocalOrder:
     def test_restore_then_gather_round_trips(self, loh3_m_2rank):
         engine = loh3_m_2rank.engine
         rng = np.random.default_rng(0)
-        dofs = rng.standard_normal(engine.dofs.shape)
-        buffers = {name: rng.standard_normal(b.shape) for name, b in engine.gather_buffers().items()}
-        engine.restore(
-            dofs, buffers["b1"], buffers["b2"], buffers["b3"],
-            step_index=engine.step_indices(), time=engine.time,
-            n_element_updates=engine.n_element_updates,
-        )
-        np.testing.assert_array_equal(engine.dofs, dofs)
-        for name, values in engine.gather_buffers().items():
-            np.testing.assert_array_equal(values, buffers[name])
+        state = engine.state_arrays()
+        arrays = {
+            name: rng.standard_normal(values.shape) if name != "step_index" else values
+            for name, values in state.items()
+        }
+        engine.restore_state(arrays, engine.time, engine.n_element_updates)
+        np.testing.assert_array_equal(engine.dofs, arrays["dofs"])
+        for name, values in engine.state_arrays().items():
+            np.testing.assert_array_equal(values, arrays[name])
 
 
 class _CountingDofs(np.ndarray):

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.kernels.backend import KERNEL_KINDS
-from repro.observability import validate_chrome_trace
+from repro.observability import merge_snapshots, validate_chrome_trace
 from repro.scenarios import ScenarioRunner, get_scenario, make_runner
 from repro.scenarios.cli import main as cli_main
 
@@ -211,7 +211,7 @@ class TestCrossRankMerge:
             tiny_loh3.with_overrides(n_ranks=2, backend="process", telemetry=True)
         )
         dist.run()  # releases the workers at the end
-        merged = dist.engine.merged_telemetry()
+        merged = merge_snapshots(dist.engine.telemetry_snapshots())
         updates = sum(
             value for name, value in merged["counters"].items()
             if name.startswith("updates/")
