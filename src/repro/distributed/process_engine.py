@@ -23,16 +23,14 @@ Orchestration notes:
 * :meth:`close` gathers the per-rank states into a parent-side cache and
   shuts the workers down; stepping a closed engine transparently respawns
   them from the cache, so runners can aggressively release the processes, and
-* workers are daemons and every blocking receive carries a timeout, so a
-  crashed peer surfaces as an error instead of a hang.
+* workers start and stop through :mod:`repro.parallel.supervisor`: they are
+  daemons, exit on their own once the parent is gone, and every blocking
+  receive carries a timeout, so a crashed peer surfaces as an error instead
+  of a hang.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import threading
-import time
 import traceback
 
 import numpy as np
@@ -40,10 +38,10 @@ import numpy as np
 from ..core.clustering import Clustering
 from ..kernels.backend import make_backend
 from ..kernels.discretization import Discretization
-from ..kernels.threads import share_cpus
 from ..observability import TelemetryConfig, merge_snapshots, peak_rss_mb
 from ..parallel.communicator import MessageStats
 from ..parallel.process_comm import ProcessCommunicator
+from ..parallel.supervisor import start_worker, stop_workers, worker_context
 from ..source.receivers import Receiver, ReceiverSet
 from .engine import MultiRankEngine, rank_state
 from .stepper import RankSolver
@@ -55,28 +53,6 @@ __all__ = ["ProcessLtsEngine"]
 #: on a big mesh can legitimately compute for a while; ``solver.comm_timeout``
 #: overrides it)
 DEFAULT_COMM_TIMEOUT_S = 120.0
-
-#: how often a worker's watchdog checks whether the worker has been orphaned
-#: (parent SIGKILLed and the worker reparented)
-_ORPHAN_POLL_S = 1.0
-
-
-def _exit_when_orphaned(parent_pid: int) -> None:
-    """Watchdog thread of a rank worker: end the process once the parent is gone.
-
-    A SIGKILLed parent can neither send ``exit`` nor close the command pipe
-    (under fork every worker inherits the parent ends of its *peers'* pipes,
-    so there is no EOF), and the worker may sit anywhere when it happens:
-    in the command wait, mid-cycle, or in a halo receive whose sender has
-    already left.  Checks inside the stepping loop cannot cover the last
-    case and race with the peers' checks (the rank that notices first exits
-    and strands the others in a receive until the halo timeout), so every
-    worker watches for the reparenting on its own thread.  ``os._exit``:
-    nothing is left to report to.
-    """
-    while os.getppid() == parent_pid:
-        time.sleep(_ORPHAN_POLL_S)
-    os._exit(1)
 
 
 def _rank_worker(
@@ -92,18 +68,8 @@ def _rank_worker(
     comm_timeout: float,
     telemetry_config: TelemetryConfig,
     telemetry_epoch: float,
-    parent_pid: int,
 ) -> None:
-    """One rank's event loop: build the local solver, serve parent commands.
-
-    ``parent_pid`` comes from the parent: read here, ``os.getppid()`` would
-    already name the adoptive parent if the real one was SIGKILLed while
-    this worker was starting, and the orphan watchdog could never fire.
-    """
-    if os.getppid() != parent_pid:
-        return  # orphaned during spawn: do not even build the solver
-    threading.Thread(target=_exit_when_orphaned, args=(parent_pid,), daemon=True).start()
-    share_cpus(subdomain.n_ranks)  # the ranks split the host's cores
+    """One rank's event loop: build the local solver, serve parent commands."""
     try:
         comm = ProcessCommunicator(
             rank, subdomain.n_ranks, inbound, outbound, timeout=comm_timeout
@@ -243,10 +209,8 @@ class ProcessLtsEngine(MultiRankEngine):
         self._ctrls: list = []
         self._alive = False
         self._failed = False
-        # fork shares the already-built subdomains with the workers for free;
-        # everything shipped is picklable, so spawn-only platforms also work
-        methods = multiprocessing.get_all_start_methods()
-        self._ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
+        # fork shares the already-built subdomains with the workers for free
+        self._ctx = worker_context()
         self._spawn()
 
     # ------------------------------------------------------------------
@@ -259,9 +223,10 @@ class ProcessLtsEngine(MultiRankEngine):
         for r in range(self.n_ranks):
             parent_end, child_end = ctx.Pipe()
             outbound = {d: inbound[d] for d in range(self.n_ranks) if d != r}
-            process = ctx.Process(
-                target=_rank_worker,
-                args=(
+            process = start_worker(
+                ctx,
+                _rank_worker,
+                (
                     r,
                     self.subdomains[r],
                     self._rank_sources[r],
@@ -277,11 +242,10 @@ class ProcessLtsEngine(MultiRankEngine):
                     # driver's epoch puts every worker generation's lanes on
                     # the driver's timeline
                     self.telemetry.epoch,
-                    os.getpid(),
                 ),
+                self.n_ranks,  # the ranks split the host's cores
                 daemon=True,
             )
-            process.start()
             self._procs.append(process)
             self._ctrls.append(parent_end)
         self._alive = True
@@ -352,12 +316,8 @@ class ProcessLtsEngine(MultiRankEngine):
                 raise RuntimeError(f"rank {index} worker is gone") from error
         return self._collect()
 
-    def _terminate(self) -> None:
-        for process in self._procs:
-            if process.is_alive():
-                process.terminate()
-        for process in self._procs:
-            process.join(timeout=5)
+    def _terminate(self, grace_s: float = 0.0) -> None:
+        stop_workers(self._procs, grace_s)
         self._alive = False
 
     def close(self) -> None:
@@ -374,9 +334,7 @@ class ProcessLtsEngine(MultiRankEngine):
         for ctrl in self._ctrls:
             ctrl.send(("exit", None))
         self._collect()
-        for process in self._procs:
-            process.join(timeout=5)
-        self._terminate()
+        self._terminate(grace_s=5.0)
 
     def __del__(self):  # pragma: no cover - interpreter-shutdown safety net
         try:

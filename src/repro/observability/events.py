@@ -4,13 +4,12 @@ A *run ledger* is the crash-durable, incrementally written record of one
 run's progress: a provenance header (spec content hash, git SHA, repro
 version, host metadata), one flushed record per macro cycle (simulated
 time, wall clock, updates/s, per-rank recv-wait, communication bytes, peak
-RSS) and a final record when the run completes.  Every record is one JSON
-line flushed to disk as soon as the cycle ends, so a run killed at any
-point leaves a readable partial ledger -- the property the ensemble/sweep
-service's resumable manifests build on.  :func:`read_ledger` tolerates a
-truncated last line (the one a SIGKILL can interrupt mid-write) and
-:func:`validate_run_ledger` is the schema lint shared by the test suite
-and the CI smoke, mirroring ``validate_chrome_trace``.
+RSS) and a final record when the run completes.  The ledger and the sweep
+manifest are two schemas over one crash-durable store, :class:`DurableJsonl`
+(one flushed line per record) read back by :func:`read_jsonl`, so a run
+killed at any point leaves a readable partial ledger.
+:func:`validate_run_ledger` is the ledger's schema lint, mirroring
+``validate_chrome_trace``.
 
 The :class:`Heartbeat` renders the same per-cycle records as a live
 progress line on stderr (cycle counter, updates/s, ETA from the remaining
@@ -32,6 +31,7 @@ from pathlib import Path
 
 __all__ = [
     "LEDGER_FORMAT_VERSION",
+    "DurableJsonl",
     "RunLedger",
     "Heartbeat",
     "git_revision",
@@ -39,6 +39,7 @@ __all__ = [
     "provenance_block",
     "host_block",
     "peak_rss_mb",
+    "read_jsonl",
     "read_ledger",
     "validate_run_ledger",
 ]
@@ -174,28 +175,75 @@ def host_block() -> dict:
 
 
 # ---------------------------------------------------------------------------
-# the ledger writer
+# the durable JSONL store and the ledger schema
 # ---------------------------------------------------------------------------
 
 
-class RunLedger:
-    """Append-only JSONL writer of one run's progress records.
+class DurableJsonl:
+    """Crash-durable JSONL writer: one line per record, flushed at once.
 
-    Opened in append mode: a resumed run continues the same file with a new
-    header record (one *segment* per runner invocation), exactly like the
-    checkpoint machinery keeps one state file per run.  Every record is
-    flushed as soon as it is written -- crash durability is the point.
+    ``append=True`` continues an existing file; a torn last line (a writer
+    killed mid-record) is cut back to the last newline first, so the new
+    records never fuse with it.  ``append=False`` starts the file afresh.
+    Keys are written sorted.  :func:`read_jsonl` reads the file back.
     """
 
-    def __init__(self, path):
+    def __init__(self, path, append: bool = True):
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._handle = open(self.path, "a")
+        if append and self.path.exists():
+            with open(self.path, "r+b") as handle:  # cut a torn last line
+                handle.truncate(handle.read().rfind(b"\n") + 1)
+        self._handle = open(self.path, "a" if append else "w")
 
-    # -- records --------------------------------------------------------
     def write(self, record: dict) -> None:
-        self._handle.write(json.dumps(record) + "\n")
+        self._handle.write(json.dumps(record, sort_keys=True) + "\n")
         self._handle.flush()
+
+    def close(self) -> None:
+        if not self._handle.closed:
+            self._handle.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> bool:
+        self.close()
+        return False
+
+
+def read_jsonl(path) -> list[dict]:
+    """Every record of a :class:`DurableJsonl` file.
+
+    Records are flushed whole, so the only line a kill can corrupt is the
+    last one (interrupted mid-write), which is dropped; a malformed line
+    anywhere *else* is real corruption and raises ``ValueError``.
+    """
+    records: list[dict] = []
+    lines = Path(path).read_text().splitlines()
+    for index, line in enumerate(lines):
+        if not line.strip():
+            continue
+        try:
+            records.append(json.loads(line))
+        except json.JSONDecodeError as error:
+            if index == len(lines) - 1:
+                break  # the torn tail of a killed writer
+            raise ValueError(f"{path}: corrupt line {index + 1}: {error}") from error
+    return records
+
+
+#: a run ledger is a :class:`DurableJsonl` file
+read_ledger = read_jsonl
+
+
+class RunLedger(DurableJsonl):
+    """One run's progress records.
+
+    Opened for append: a resumed run continues the same file with a new
+    header record (one *segment* per runner invocation), exactly like the
+    checkpoint machinery keeps one state file per run.
+    """
 
     def header(self, spec, *, total_cycles: int, macro_dt: float,
                resumed_at_cycle: int = 0) -> None:
@@ -227,45 +275,10 @@ class RunLedger:
     def final(self, record: dict) -> None:
         self.write({"kind": "final", **record})
 
-    # -- lifecycle ------------------------------------------------------
-    def close(self) -> None:
-        if not self._handle.closed:
-            self._handle.close()
-
-    def __enter__(self) -> "RunLedger":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self.close()
-        return False
-
 
 # ---------------------------------------------------------------------------
-# reading and validation
+# validation
 # ---------------------------------------------------------------------------
-
-
-def read_ledger(path) -> list[dict]:
-    """Parse a JSONL ledger, tolerating a truncated final line.
-
-    Records are flushed whole, so the only line a kill can corrupt is the
-    last one (interrupted mid-write); a malformed line anywhere *else*
-    means real corruption and raises ``ValueError``.
-    """
-    records: list[dict] = []
-    lines = Path(path).read_text().splitlines()
-    for index, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError as error:
-            if index == len(lines) - 1:
-                break  # the torn tail of a killed run
-            raise ValueError(
-                f"{path}: corrupt ledger line {index + 1}: {error}"
-            ) from error
-    return records
 
 
 def _require_finite(record: dict, keys, context: str) -> None:
@@ -278,7 +291,7 @@ def _require_finite(record: dict, keys, context: str) -> None:
 
 
 def validate_run_ledger(records: list[dict], expect_complete: bool = False) -> dict:
-    """Structural sanity check of a parsed ledger (tests + CI share it).
+    """Structural sanity check of a parsed ledger.
 
     Verifies the segment structure (each segment opens with a provenance
     header), the per-cycle record schema (finite numbers, monotone cycle

@@ -1,13 +1,15 @@
 """The crash-durable JSONL sweep manifest.
 
-One line per event, flushed immediately (the same durability contract as
-the :class:`~repro.observability.events.RunLedger`): a ``header`` record
-identifying the sweep, one ``prewarm`` record per preprocessing signature
-built in the parent, ``member`` records tracking each member through
-``started`` -> ``done`` / ``requeued`` / ``failed``, and a ``final``
-tally.  A sweep killed mid-flight leaves a readable prefix; resuming reads
-it back, skips every member whose latest status is ``done`` and re-queues
-the rest.
+The manifest is a schema over the same store as the run ledger,
+:class:`~repro.observability.events.DurableJsonl`: one flushed line per
+record, a torn last line dropped on read and cut away before an append,
+and a corrupt line anywhere else raising ``ValueError``.  Its records: a
+``header`` identifying the sweep, one ``prewarm`` record per preprocessing
+signature built in the parent, ``member`` records tracking each member
+through ``started`` -> ``done`` / ``requeued`` / ``failed``, and a
+``final`` tally.  A sweep killed mid-flight leaves a readable prefix;
+resuming reads it back, skips every member whose latest status is ``done``
+and re-queues the rest in a new segment (a second ``header``).
 
 ``done`` rows carry the member's summary path, wall time and the per-stage
 preprocessing-cache hit/miss delta its run observed -- the counters that
@@ -22,9 +24,10 @@ shared run's cache delta is carried once, on the slot-0 row.
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
+
+from ..observability.events import DurableJsonl, read_jsonl
 
 __all__ = [
     "MANIFEST_FORMAT_VERSION",
@@ -41,22 +44,17 @@ MANIFEST_FORMAT_VERSION = 1
 MEMBER_STATUSES = ("started", "done", "failed", "requeued")
 
 
-class SweepManifest:
-    """Append-only JSONL manifest writer (one flushed line per record)."""
+#: a sweep manifest is a :class:`DurableJsonl` file
+read_manifest = read_jsonl
 
-    def __init__(self, path, append: bool = False):
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._handle = open(self.path, "a" if append else "w")
 
-    def _write(self, record: dict) -> None:
-        self._handle.write(json.dumps(record, sort_keys=True) + "\n")
-        self._handle.flush()
+class SweepManifest(DurableJsonl):
+    """The manifest schema (``append=False`` starts a new sweep's file)."""
 
     def header(self, *, sweep_name: str, sweep_sha256: str, n_members: int,
                cache_dir: str, workers: int, resumed: bool = False,
                fuse: bool = False) -> None:
-        self._write(
+        self.write(
             {
                 "record": "header",
                 "format_version": MANIFEST_FORMAT_VERSION,
@@ -74,7 +72,7 @@ class SweepManifest:
     def prewarm(self, *, signature: str, member: str, wall_s: float,
                 cache: dict) -> None:
         """Record a parent-side cache prewarm (one per unique signature)."""
-        self._write(
+        self.write(
             {
                 "record": "prewarm",
                 "signature": signature,
@@ -87,35 +85,10 @@ class SweepManifest:
     def member(self, member_id: str, status: str, **fields) -> None:
         if status not in MEMBER_STATUSES:
             raise ValueError(f"status must be one of {MEMBER_STATUSES}, got {status!r}")
-        self._write({"record": "member", "member": member_id, "status": status, **fields})
+        self.write({"record": "member", "member": member_id, "status": status, **fields})
 
     def final(self, tally: dict) -> None:
-        self._write({"record": "final", **tally})
-
-    def close(self) -> None:
-        if not self._handle.closed:
-            self._handle.close()
-
-    def __enter__(self) -> "SweepManifest":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-def read_manifest(path) -> list[dict]:
-    """Parse a manifest, tolerating a torn final line (killed mid-write)."""
-    records = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError:
-                break  # torn tail: everything before it is intact
-    return records
+        self.write({"record": "final", **tally})
 
 
 def manifest_state(records: list[dict]) -> dict:

@@ -14,7 +14,9 @@ is shared by everyone:
 2. **Shard** -- workers pull members off a task queue, run them through
    :func:`~repro.scenarios.runner.make_runner` with the shared cache
    (each member possibly itself multi-rank via the process backend), and
-   write the member's artefacts under ``members/<id>/``.
+   write the member's artefacts under ``members/<id>/``.  Workers start and
+   stop through :mod:`repro.parallel.supervisor`, so a worker whose parent
+   is gone exits within a second instead of running the rest of the queue.
 3. **Survive** -- every state transition is a flushed manifest line.  A
    member whose worker crashes (or raises) is re-queued once, then marked
    failed.  A sweep killed outright resumes from its manifest: members
@@ -36,7 +38,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
 import os
 import queue as queue_module
 import signal
@@ -45,8 +46,8 @@ import traceback
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..kernels.threads import share_cpus
 from ..observability.events import spec_content_hash
+from ..parallel.supervisor import start_worker, stop_workers, worker_context
 from ..preprocessing.cache import (
     PreprocessingCache,
     diff_stats,
@@ -120,28 +121,15 @@ def _run_member(spec: ScenarioSpec, member_dir: Path, cache: PreprocessingCache)
     }
 
 
-def _worker_main(
-    task_queue, result_queue, cache_dir: str, parent_pid: int, n_workers: int
-) -> None:
-    """Worker loop: pull units until the ``None`` sentinel (or orphaning).
+def _worker_main(task_queue, result_queue, cache_dir: str) -> None:
+    """Worker loop: pull units until the ``None`` sentinel.
 
     A task payload is either a plain spec dict (one member) or a
     ``{"__fused__": {...}}`` envelope carrying a collapsed group's fused
     spec plus its slot -> (member id, directory) mapping.
     """
-    share_cpus(n_workers)  # the workers split the host's cores
     cache = PreprocessingCache(cache_dir)
-    while True:
-        try:
-            task = task_queue.get(timeout=0.5)
-        except queue_module.Empty:
-            # a SIGKILLed parent can never send sentinels; orphaned workers
-            # notice the re-parenting and exit instead of lingering forever
-            if os.getppid() != parent_pid:
-                return
-            continue
-        if task is None:
-            return
+    for task in iter(task_queue.get, None):
         unit_id, payload, unit_dir, attempt = task
         result_queue.put(("claimed", unit_id, os.getpid(), attempt))
         _maybe_kill(unit_id)
@@ -520,19 +508,15 @@ def _run_inline(units, cache, tracker) -> None:
 
 
 def _run_pool(units, cache_dir: Path, n_workers: int, tracker) -> None:
-    methods = multiprocessing.get_all_start_methods()
-    ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
+    ctx = worker_context()
     task_queue = ctx.Queue()
     result_queue = ctx.Queue()
-    parent_pid = os.getpid()
 
     def spawn():
-        worker = ctx.Process(
-            target=_worker_main,
-            args=(task_queue, result_queue, str(cache_dir), parent_pid, n_workers),
+        # not daemons: a multi-rank member starts rank workers of its own
+        return start_worker(
+            ctx, _worker_main, (task_queue, result_queue, str(cache_dir)), n_workers
         )
-        worker.start()
-        return worker
 
     by_id = {unit.unit_id: unit for unit in units}
     tasks = {
@@ -589,11 +573,6 @@ def _run_pool(units, cache_dir: Path, n_workers: int, tracker) -> None:
     finally:
         for _ in pool:
             task_queue.put(None)
-        deadline = time.monotonic() + 10.0
-        for worker in pool:
-            worker.join(timeout=max(0.1, deadline - time.monotonic()))
-            if worker.is_alive():
-                worker.terminate()
-                worker.join(timeout=2.0)
+        stop_workers(pool, grace_s=10.0)
         task_queue.close()
         result_queue.close()

@@ -19,7 +19,6 @@ The central claims:
 """
 
 import json
-import multiprocessing
 import os
 import signal
 import subprocess
@@ -31,9 +30,8 @@ import numpy as np
 import pytest
 
 from repro.distributed import ProcessLtsEngine
-from repro.distributed.process_engine import _ORPHAN_POLL_S, _rank_worker
-from repro.observability import TelemetryConfig
 from repro.scenarios import ScenarioRunner, ScenarioSpec, get_scenario, make_runner
+from repro.parallel.supervisor import ORPHAN_POLL_S
 from repro.scenarios.cli import main as cli_main
 
 from .conftest import assert_cross_rank_equal
@@ -209,21 +207,6 @@ class TestEngineLifecycle:
         with pytest.raises(RuntimeError, match="lost its workers"):
             runner.step_cycle()
 
-
-    def test_worker_orphaned_during_spawn_exits_before_building_a_solver(self):
-        """A parent SIGKILLed while its workers start is only noticed if the
-        worker compares against the pid the *parent* handed it: by the time
-        the worker runs, ``os.getppid()`` already names the adoptive parent."""
-        parent_end, child_end = multiprocessing.Pipe()
-        dead_parent = os.getppid() + 1  # anything but this process's parent
-        # subdomain=None: touching it (building a communicator or solver)
-        # would raise and report an error on the pipe
-        _rank_worker(
-            0, None, [], [], 0, "ref", None, {}, child_end,
-            1.0, TelemetryConfig(), 0.0, dead_parent,
-        )
-        assert not parent_end.poll(0)
-
     def test_workers_self_exit_after_parent_sigkill(self, tmp_path):
         # fork-inherited peer pipe fds mean a SIGKILLed parent produces no
         # EOF on ctrl.recv(); the workers' orphan watchdog must notice the
@@ -269,7 +252,7 @@ class TestEngineLifecycle:
         proc.wait(timeout=60)
 
         # far below the 120 s halo-receive timeout a stranded rank would sit out
-        orphan_deadline = time.monotonic() + 15 * _ORPHAN_POLL_S
+        orphan_deadline = time.monotonic() + 15 * ORPHAN_POLL_S
 
         def pids_alive(pids) -> list[int]:
             live = []

@@ -128,6 +128,21 @@ class TestLedgerRoundTrip:
         info = validate_run_ledger(records)
         assert info["cycles"] == 2 and not info["complete"]
 
+    def test_resumed_segment_after_torn_tail_is_visible(self, spec, tmp_path):
+        path = tmp_path / "run.jsonl"
+        with RunLedger(path) as ledger:
+            _write_segment(ledger, spec, cycles=3)
+        text = path.read_text()
+        path.write_text(text[: len(text) - 17])  # cycle 3, torn mid-write
+        with RunLedger(path) as ledger:  # the resumed runner re-opens append
+            _write_segment(ledger, spec, cycles=2, resumed_at=2, final=True)
+        records = read_ledger(path)
+        info = validate_run_ledger(records, expect_complete=True)
+        assert info["segments"] == 2
+        assert info["cycles"] == 4
+        assert info["last_cycle"]["cycle"] == 4
+        assert [r["kind"] for r in records].count("header") == 2
+
     def test_mid_file_corruption_raises(self, spec, tmp_path):
         path = tmp_path / "run.jsonl"
         with RunLedger(path) as ledger:
@@ -135,7 +150,7 @@ class TestLedgerRoundTrip:
         lines = path.read_text().splitlines()
         lines[1] = lines[1][:10]  # not the tail: real corruption
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="corrupt ledger line 2"):
+        with pytest.raises(ValueError, match="corrupt line 2"):
             read_ledger(path)
 
 

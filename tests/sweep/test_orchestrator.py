@@ -4,13 +4,16 @@ The headline guarantees are tested for real: a 4-member shared-mesh sweep
 pays preprocessing exactly once (the manifest's hit/miss counters prove
 it), member results are bit-identical to a standalone ``repro run`` of the
 same expanded spec, a worker SIGKILLed mid-member is retried and the sweep
-still completes, and a sweep whose *parent* is SIGKILLed mid-flight leaves
-a partial manifest that resumes without re-running finished members.
+still completes, a sweep whose *parent* is SIGKILLed mid-flight leaves
+a partial manifest that resumes without re-running finished members, and
+the workers of a SIGKILLed pool parent stop instead of running the rest of
+the queue.
 """
 
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import time
@@ -19,7 +22,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.observability import build_report, expand_report_paths, render_report
+from repro.observability import (
+    build_report,
+    expand_report_paths,
+    read_ledger,
+    render_report,
+    validate_run_ledger,
+)
+from repro.parallel.supervisor import ORPHAN_POLL_S
 from repro.scenarios import get_scenario
 from repro.scenarios.cli import main as cli_main
 from repro.scenarios.outputs import write_outputs
@@ -42,13 +52,17 @@ LOCATIONS = [
     [500.0, 0.0, -1000.0],
     [0.0, 500.0, -1000.0],
     [250.0, 250.0, -500.0],
+    [1000.0, 1000.0, -1000.0],
+    [2000.0, 2000.0, -2000.0],
+    [3000.0, 1000.0, -1500.0],
+    [1000.0, 3000.0, -500.0],
 ]
 
 
 def tiny_sweep(n=4, **overrides):
     base = get_scenario(
         "loh3", extent_m=4000.0, characteristic_length=2000.0, n_mechanisms=1
-    ).with_overrides(order=2, n_clusters=2, lam=0.8, n_cycles=2, **overrides)
+    ).with_overrides(**{"order": 2, "n_clusters": 2, "lam": 0.8, "n_cycles": 2, **overrides})
     return SweepSpec(
         base=base,
         axes=[SweepAxis(path="source.location", values=LOCATIONS[:n])],
@@ -279,3 +293,92 @@ class TestPoolAndCrashes:
         for member_id, payload in done_summaries.items():
             path = out_dir / "members" / member_id / "run_summary.json"
             assert path.read_bytes() == payload  # finished members untouched
+
+    def test_orphaned_workers_stop_after_parent_sigkill(self, tmp_path):
+        """SIGKILL only the parent of a 2-worker sweep once 2 members are
+        done: the workers must exit on their own instead of running the rest
+        of the queue (which a resume would then race), and a resume
+        completes every member."""
+        out_dir = tmp_path / "out"
+        spec_path = tmp_path / "sweep.json"
+        # members of ~2 s, twice the orphan poll: a worker cannot
+        # finish another member between the kill and its own exit
+        spec_path.write_text(tiny_sweep(n=8, n_cycles=200).to_json())
+        argv = [sys.executable, "-m", "repro", "sweep", "--spec", str(spec_path),
+                "--out", str(out_dir), "--workers", "2", "--quiet"]
+        env = dict(os.environ, PYTHONPATH=REPO_SRC)
+        manifest = out_dir / "manifest.jsonl"
+
+        def n_done() -> int:
+            if not manifest.exists():
+                return 0
+            state = manifest_state(read_manifest(manifest))
+            return sum(r["status"] == "done" for r in state.values())
+
+        proc = subprocess.Popen(
+            argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
+        )
+        try:
+            deadline = time.monotonic() + 120.0
+            while n_done() < 2:
+                assert proc.poll() is None, f"sweep exited early rc {proc.returncode}"
+                assert time.monotonic() < deadline, "no 2 members done in time"
+                time.sleep(0.05)
+            # the pids while the parent lives: orphans reparent away from it
+            worker_pids = _children(proc.pid)
+            proc.send_signal(signal.SIGKILL)  # the parent only, not its group
+            proc.wait(timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert len(worker_pids) == 2, worker_pids
+
+        deadline = time.monotonic() + 15 * ORPHAN_POLL_S
+        while _alive(worker_pids) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        leftover = _alive(worker_pids)
+        for pid in leftover:
+            os.kill(pid, signal.SIGKILL)
+        assert leftover == [], "orphaned sweep workers never exited"
+        # each worker may finish the member it held, nothing more
+        summaries = list((out_dir / "members").glob("*/run_summary.json"))
+        assert len(summaries) <= n_done() + 2, (len(summaries), n_done())
+
+        resumed = subprocess.run(
+            argv + ["--resume"], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert resumed.returncode == 0, resumed.stderr
+        final = validate_manifest(manifest)
+        assert final["complete"] and final["members"] == {"done": 8}, final
+        # a member cut short by the kill appends its re-run as a new segment
+        for ledger in (out_dir / "members").glob("*/run.jsonl"):
+            validate_run_ledger(read_ledger(ledger), expect_complete=True)
+
+
+def _children(pid: int) -> list[int]:
+    """Pids of the live child processes of ``pid``."""
+    found = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            stat = Path(f"/proc/{entry}/stat").read_text()
+        except OSError:
+            continue
+        if int(stat.rsplit(")", 1)[1].split()[1]) == pid:
+            found.append(int(entry))
+    return found
+
+
+def _alive(pids) -> list[int]:
+    """The pids still running (a zombie awaiting its reaper is gone)."""
+    live = []
+    for pid in pids:
+        try:
+            state = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+        except OSError:
+            continue
+        if state != "Z":
+            live.append(pid)
+    return live
