@@ -3,14 +3,15 @@
 
 Demonstrates the full preprocessing pipeline on the synthetic La-Habra-like
 basin model -- velocity-aware meshing, constant-Q material sampling, LTS
-clustering with lambda optimisation, weighted partitioning, reordering and
-per-partition output -- and then models the strong scaling on Frontera-like
-nodes (the Fig. 10 analogue) from the partitioning and communication volumes.
+clustering with lambda optimisation, weighted partitioning and reordering,
+all driven by one scenario spec -- and then models the strong scaling on
+Frontera-like nodes (the Fig. 10 analogue) from the partitioning and
+communication volumes.
 
 Run:  python examples/la_habra_pipeline.py
 """
 
-import tempfile
+from dataclasses import replace
 
 import numpy as np
 
@@ -18,7 +19,6 @@ from repro.core.clustering import derive_clustering
 from repro.kernels.flops import count_flops_per_element_update
 from repro.parallel.machine_model import strong_scaling_study
 from repro.parallel.partition import element_weights, partition_dual_graph
-from repro.preprocessing import PreprocessingPipeline, LaHabraBasinModel, write_partitions
 from repro.scenarios import build_setup, get_scenario
 from repro.workloads.la_habra import (
     PAPER_LAMBDA,
@@ -31,27 +31,27 @@ def main() -> None:
     print("=== La Habra: preprocessing pipeline + modelled strong scaling ===\n")
 
     # -- 1. end-to-end preprocessing on the synthetic basin model -----------
-    model = LaHabraBasinModel(extent=(0.0, 16000.0, 0.0, 16000.0), min_vs=500.0)
-    pipeline = PreprocessingPipeline(
-        velocity_model=model,
-        extent=(0.0, 16000.0, 0.0, 16000.0, -10000.0, 0.0),
-        max_frequency=0.3,
-        elements_per_wavelength=1.5,
-        order=4,
-        n_clusters=4,
-        n_partitions=8,
-        optimize_lambda_increment=0.01,
-    )
-    preprocessed = pipeline.run()
-    summary = preprocessed.summary()
+    spec = get_scenario(
+        "la_habra", extent_m=16000.0, depth_m=10000.0, max_frequency=0.3, order=4,
+        with_topography=False, n_clusters=4,
+    ).with_overrides(n_partitions=8)
+    spec = replace(spec, mesh=replace(spec.mesh, elements_per_wavelength=1.5,
+                                      horizontal_factor=1.0))
+    preprocessed = build_setup(spec)  # solver element order, operators assembled
+    clustering = preprocessed.clustering
+    summary = {
+        "n_elements": preprocessed.mesh.n_elements,
+        "n_clusters": clustering.n_clusters,
+        "lambda": clustering.lam,
+        "theoretical_speedup": clustering.speedup(),
+        "n_partitions": preprocessed.partitions.max() + 1,
+    }
     print("preprocessing summary:")
     for key, value in summary.items():
         print(f"  {key:<22s} {value:.4g}")
-    print(f"  cluster counts         {preprocessed.clustering.counts.tolist()}")
-
-    with tempfile.TemporaryDirectory() as tmp:
-        paths = write_partitions(preprocessed, tmp)
-        print(f"  wrote {len(paths)} per-partition archives (mesh + annotations)\n")
+    print(f"  cluster counts         {clustering.counts.tolist()}")
+    sizes = np.bincount(preprocessed.partitions).tolist()
+    print(f"  elements per partition {sizes}\n")
 
     # -- 2. clustering of the paper-calibrated 238M-element distribution ----
     dts = la_habra_time_step_distribution(n_elements=200_000)

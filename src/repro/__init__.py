@@ -10,7 +10,7 @@ The package mirrors the structure of the EDGE solver the paper describes:
 * :mod:`repro.core`            -- the paper's contribution: clustered local time stepping
 * :mod:`repro.source`          -- seismic sources, receivers, misfits
 * :mod:`repro.parallel`        -- partitioning, communication accounting, scaling model
-* :mod:`repro.preprocessing`   -- velocity models and the end-to-end preprocessing pipeline
+* :mod:`repro.preprocessing`   -- velocity models, the Fig. 8 preprocessing stages and their cache
 * :mod:`repro.workloads`       -- the La Habra Fig. 5 time-step calibration
 * :mod:`repro.scenarios`       -- declarative scenario specs, registry, runner and CLI
 """

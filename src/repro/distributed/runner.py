@@ -55,12 +55,12 @@ def build_engine(runner, disc, sources: list):
 def _partitions(runner, disc, n_ranks: int) -> np.ndarray:
     """One partition per rank, balanced by LTS update-frequency weights.
 
-    A preprocessing pass that already produced a matching partition count
-    is reused (its reordering made the partitions contiguous); otherwise
-    the weighted partitioner runs on the final mesh.
+    The setup's preprocessing partitions are reused when their count
+    matches (its reordering made them contiguous); otherwise the weighted
+    partitioner runs on the final mesh.
     """
-    if runner.preprocessed is not None:
-        partitions = np.asarray(runner.preprocessed.partitions, dtype=np.int64)
+    if runner.setup.partitions is not None:
+        partitions = np.asarray(runner.setup.partitions, dtype=np.int64)
         if int(partitions.max()) + 1 == n_ranks:
             return partitions
     clustering = runner.clustering

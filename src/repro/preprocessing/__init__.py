@@ -1,7 +1,6 @@
-"""Preprocessing pipeline: velocity models, velocity-aware meshing, clustering, partitioning, IO."""
+"""Preprocessing pipeline: velocity models, the spec-driven Fig. 8 stages and their cache."""
 
-from .partition_io import list_partitions, read_partition, write_partitions
-from .pipeline import PreprocessedModel, PreprocessingPipeline
+from .pipeline import PreprocessingPipeline
 from .velocity_model import LaHabraBasinModel, Layer, LayeredVelocityModel, loh3_model
 
 __all__ = [
@@ -9,9 +8,5 @@ __all__ = [
     "LayeredVelocityModel",
     "loh3_model",
     "LaHabraBasinModel",
-    "PreprocessedModel",
     "PreprocessingPipeline",
-    "write_partitions",
-    "read_partition",
-    "list_partitions",
 ]

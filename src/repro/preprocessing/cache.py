@@ -2,10 +2,11 @@
 
 The paper's fused-simulation and clustered-LTS arguments are amortization
 arguments: many related runs should share setup cost.  This module makes
-that sharing concrete for the preprocessing pipeline: each stage -- mesh,
-materials, LTS clustering, weighted partition / reordering -- is keyed by a
-SHA-256 over *only the spec fields that determine its result* and persisted
-as an ``.npz`` under a cache directory.  A 1000-member source ensemble on a
+that sharing concrete for the preprocessing pipeline of
+:func:`~repro.scenarios.runner.build_setup`: each stage -- mesh, materials,
+LTS clustering, weighted partition / reordering -- is keyed by a SHA-256
+over *only the spec fields that determine its result* and persisted as an
+``.npz`` under a cache directory.  A 1000-member source ensemble on a
 shared mesh therefore pays mesh, lambda-search and partition cost once: the
 source location is not part of any stage key, so every member after the
 first loads bit-identical arrays from disk.  The assembled kernel operators
@@ -108,8 +109,9 @@ def stage_key_fields(spec, stage: str) -> dict:
       clustering policy (the per-element CFL steps feed the lambda search);
       derived in original element order, so reordered and plain runs share
       the entry.
-    * ``partition``: the clustering fields plus the preprocessing block
-      (partition count / reordering).
+    * ``partition``: the clustering fields plus the partition count --
+      not ``preprocessing.reorder``: every spec that reaches this stage
+      stores the same partitions and permutation whatever that switch says.
     """
     if stage not in STAGES:
         raise ValueError(f"stage must be one of {STAGES}, got {stage!r}")
@@ -129,7 +131,7 @@ def stage_key_fields(spec, stage: str) -> dict:
     fields["clustering"] = d["clustering"]
     if stage == "clustering":
         return fields
-    fields["preprocessing"] = d["preprocessing"]  # stage == "partition"
+    fields["n_partitions"] = d["preprocessing"]["n_partitions"]  # stage == "partition"
     return fields
 
 
@@ -264,8 +266,7 @@ class PreprocessingCache:
         """The cached partition/reordering stage, or ``None`` on a miss.
 
         Returns ``{"partitions", "permutation"}`` in *original* element
-        order; the caller derives the reordered model by applying the
-        permutation (cheap).
+        order; the caller applies the permutation (cheap) before assembly.
         """
         stored = self._load("partition", stage_key(spec, "partition"))
         self._count("partition", hit=stored is not None)

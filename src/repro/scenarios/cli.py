@@ -139,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="state/operator precision of the run (default f64)")
     run.add_argument("--partitions", type=int, help="partition count (enables reordering)")
     run.add_argument("--reorder", action="store_true",
-                     help="reorder elements by (partition, cluster, role)")
+                     help="reorder elements by (cluster, partition, role)")
     run.add_argument("--smoke", action="store_true",
                      help="coarsened two-cycle variant (CI smoke test)")
     run.add_argument("--checkpoint", metavar="PATH", help="checkpoint file to write")

@@ -1,25 +1,27 @@
-"""Scenario orchestration: spec -> mesh -> solver -> cycle loop.
+"""Scenario orchestration: spec -> setup -> solver -> cycle loop.
 
 :func:`build_setup` materialises a :class:`~repro.scenarios.spec.ScenarioSpec`
 into the executable objects (mesh, material table, discretization, source,
-initial condition).  :class:`ScenarioRunner` then drives the run the way the
-paper's pipeline does (Fig. 8): optional weighted partitioning + reordering
-through :class:`~repro.preprocessing.pipeline.PreprocessingPipeline`, stepper
-construction, and a macro-cycle loop with wall-clock and element-update
-accounting.  The stepper is a GTS or clustered-LTS solver on one rank, or a
-multi-rank engine (:func:`repro.distributed.build_engine`) when the spec asks
-for ``solver.n_ranks > 1``; all of them implement the stepper protocol of
+initial condition) through the paper's preprocessing pipeline (Fig. 8):
+meshing, material sampling, CFL steps and the LTS clustering
+(:func:`staged_setup`), then the optional weighted partitioning and
+reordering (:func:`preprocess_setup`), and one operator assembly in the
+final, solver element order.  :class:`ScenarioRunner` builds the stepper and
+drives a macro-cycle loop with wall-clock and element-update accounting.
+The stepper is a GTS or clustered-LTS solver on one rank, or a multi-rank
+engine (:func:`repro.distributed.build_engine`) when the spec asks for
+``solver.n_ranks > 1``; all of them implement the stepper protocol of
 :mod:`repro.core.stepper`, so the runner never asks which one it drives.
 
 Checkpoint/restart serialises the complete dynamic state of a run -- DOFs,
 simulation time, per-cluster ``step_index``, the three LTS time buffers and
 the receiver recordings -- at macro-cycle boundaries (where no prediction is
 pending), so a resumed run is bit-identical to an uninterrupted one.  The
-per-element arrays are stored in solver element order (cluster order for
-LTS); the rebuilt setup derives the same order from the stored spec.  A
-multi-rank engine gathers its per-rank state into the same global arrays,
-so single-rank and distributed checkpoints are interchangeable: ``resume``
-follows the checkpointed spec's ``n_ranks``.
+per-element arrays are stored in solver element order; the rebuilt setup
+derives the same order from the stored spec.  A multi-rank engine gathers
+its per-rank state into the same global arrays, so single-rank and
+distributed checkpoints are interchangeable: ``resume`` follows the
+checkpointed spec's ``n_ranks``.
 """
 
 from __future__ import annotations
@@ -32,7 +34,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..core.clustering import Clustering, derive_clustering, optimize_lambda
+from ..core.clustering import Clustering, derive_clustering
+# unused here: the setup tracer (benchmarks/e2e/layers.py) wraps it by name
+from ..core.clustering import optimize_lambda  # noqa: F401
 from ..core.gts_solver import GlobalTimeSteppingSolver
 from ..core.lts_solver import ClusteredLtsSolver
 from ..equations.material import MaterialTable
@@ -43,6 +47,7 @@ from ..mesh.refinement import elements_per_wavelength_rule
 from ..mesh.reorder import reorder_elements
 from ..mesh.tet_mesh import TetMesh
 from ..observability import (
+    NULL_TELEMETRY,
     Heartbeat,
     RunLedger,
     TelemetryConfig,
@@ -50,6 +55,7 @@ from ..observability import (
     provenance_block,
     write_chrome_trace,
 )
+from ..preprocessing.pipeline import PreprocessingPipeline
 from ..preprocessing.velocity_model import LaHabraBasinModel, Layer, LayeredVelocityModel, loh3_model
 from ..source.receivers import ReceiverSet
 from .spec import ScenarioSpec
@@ -221,9 +227,9 @@ def _initial_condition(spec: ScenarioSpec, materials: MaterialTable):
 class ScenarioSetup:
     """Executable objects materialised from a :class:`ScenarioSpec`.
 
-    ``mesh``, ``materials``, ``time_steps``, ``clustering`` and ``disc`` share
-    one element order: generation order for GTS, cluster order for LTS (see
-    :func:`build_setup`), the pipeline's order after preprocessing.
+    ``mesh``, ``materials``, ``time_steps``, ``clustering``, ``partitions``
+    and ``disc`` share one element order: the solver's for a
+    :func:`build_setup`, generation order for a :func:`staged_setup`.
     """
 
     spec: ScenarioSpec
@@ -237,6 +243,8 @@ class ScenarioSetup:
     source: object | None
     receiver_locations: dict
     initial_condition: object | None
+    #: every element's weighted partition (``preprocessing.active`` only)
+    partitions: np.ndarray | None = None
 
 
 def _build_discretization(
@@ -246,8 +254,7 @@ def _build_discretization(
     *,
     cache=None,
 ):
-    """Discretization per the spec's material/solver options (shared between
-    the plain build and the reordered preprocessing path).  The operators
+    """Discretization per the spec's material/solver options.  The operators
     are assembled every time, cache or not: that is faster than loading them.
     """
     n_mechanisms = (
@@ -272,33 +279,38 @@ def _build_discretization(
     )
 
 
-def staged_setup(spec: ScenarioSpec, *, cache=None) -> ScenarioSetup:
-    """The preprocessing stages of a spec -- velocity model, mesh,
+def staged_setup(spec: ScenarioSpec, *, cache=None, telemetry=None) -> ScenarioSetup:
+    """Steps 1-3 of the preprocessing pipeline -- velocity model, mesh,
     materials, CFL steps and the clustering -- in generation order, with no
     operators assembled (``disc`` is ``None``).
 
     With ``cache`` set, the mesh, material table and clustering are loaded
     from the content-addressed preprocessing cache when present (and stored
     after building otherwise); the returned setup is bit-identical either way.
+    Every stage that runs is timed as a ``preprocess.*`` region of
+    ``telemetry``.
     """
+    telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
     model = build_velocity_model(spec)
     rule, horizontal = _edge_rules(spec, model)
 
     def _build_mesh() -> TetMesh:
-        return layered_box_mesh(
-            extent=spec.domain.extent,
-            edge_length_of_depth=rule,
-            horizontal_edge_length=horizontal,
-            jitter=spec.mesh.jitter,
-            seed=spec.mesh.seed,
-            topography=_topography(spec),
-            free_surface_top=spec.domain.free_surface,
-        )
+        with telemetry.region("preprocess.mesh"):
+            return layered_box_mesh(
+                extent=spec.domain.extent,
+                edge_length_of_depth=rule,
+                horizontal_edge_length=horizontal,
+                jitter=spec.mesh.jitter,
+                seed=spec.mesh.seed,
+                topography=_topography(spec),
+                free_surface_top=spec.domain.free_surface,
+            )
 
     mesh = cache.mesh(spec, _build_mesh) if cache is not None else _build_mesh()
 
     def _build_materials() -> MaterialTable:
-        materials = MaterialTable.from_velocity_model(model, mesh.centroids)
+        with telemetry.region("preprocess.materials"):
+            materials = MaterialTable.from_velocity_model(model, mesh.centroids)
         if not spec.material.anelastic:
             materials = MaterialTable(
                 rho=materials.rho, vp=materials.vp, vs=materials.vs
@@ -308,17 +320,14 @@ def staged_setup(spec: ScenarioSpec, *, cache=None) -> ScenarioSetup:
     materials = (
         cache.materials(spec, _build_materials) if cache is not None else _build_materials()
     )
-    time_steps = cfl_time_steps(
-        mesh.insphere_radii, materials.max_wave_speed, spec.order, spec.solver.cfl
-    )
-    policy = spec.clustering
+    with telemetry.region("preprocess.time_steps"):
+        time_steps = cfl_time_steps(
+            mesh.insphere_radii, materials.max_wave_speed, spec.order, spec.solver.cfl
+        )
+    pipeline = PreprocessingPipeline(spec, telemetry)
 
     def _derive_clustering() -> Clustering:
-        if policy.lam is None:
-            return optimize_lambda(
-                time_steps, policy.n_clusters, mesh.neighbors, policy.increment
-            )
-        return derive_clustering(time_steps, policy.n_clusters, policy.lam, mesh.neighbors)
+        return pipeline.derive_clustering(mesh, time_steps)
 
     clustering = (
         cache.clustering(spec, _derive_clustering)
@@ -339,71 +348,57 @@ def staged_setup(spec: ScenarioSpec, *, cache=None) -> ScenarioSetup:
     )
 
 
-def build_setup(spec: ScenarioSpec, *, cache=None) -> ScenarioSetup:
-    """Materialise a spec: the :func:`staged_setup` plus the assembled
-    discretization.
+def build_setup(spec: ScenarioSpec, *, cache=None, telemetry=None) -> ScenarioSetup:
+    """Materialise a spec: the :func:`staged_setup`, permuted once into
+    solver element order, with the operators assembled in that order.
 
-    An LTS setup is built in cluster order: the clustering is derived from
-    the CFL steps first, mesh, materials and steps are permuted into
-    (cluster, id) order (:func:`~repro.mesh.reorder.reorder_elements`) and
-    only then are the operators assembled, so every cluster is one
-    contiguous slice of every per-element array.  GTS steps all elements as
-    one batch and keeps generation order.  A spec with
-    ``preprocessing.active`` gets ``disc=None`` here and its discretization
-    from the runner, in the pipeline's element order.
+    With ``preprocessing.active`` the order is the pipeline's (cluster,
+    partition, communication role, id) one (:func:`preprocess_setup`) and
+    the setup carries the partitions; any other LTS setup is sorted into
+    (cluster, id) order (:func:`~repro.mesh.reorder.reorder_elements`).
+    Either way every cluster is one contiguous slice of every per-element
+    array.  Plain GTS steps all elements as one batch and keeps generation
+    order.
     """
-    setup = staged_setup(spec, cache=cache)
-    if spec.preprocessing.active:
-        return setup
+    setup = staged_setup(spec, cache=cache, telemetry=telemetry)
     ids = setup.clustering.cluster_ids
-    if spec.solver.kind == "lts" and np.any(np.diff(ids) < 0):
+    partitions = order = None
+    if spec.preprocessing.active:
+        partitions, order = preprocess_setup(spec, setup, cache=cache, telemetry=telemetry)
+    elif spec.solver.kind == "lts" and np.any(np.diff(ids) < 0):
         order = reorder_elements(ids)
+    if order is not None:
         setup = replace(
             setup,
             mesh=setup.mesh.permuted(order),
             materials=setup.materials.subset(order),
             time_steps=setup.time_steps[order],
             clustering=setup.clustering.permuted(order),
+            partitions=None if partitions is None else partitions[order],
         )
     setup.disc = _build_discretization(spec, setup.mesh, setup.materials, cache=cache)
     return setup
 
 
 def preprocess_setup(spec: ScenarioSpec, setup: ScenarioSetup, *, cache=None,
-                     telemetry=None):
-    """Route a setup's mesh + materials through the weighted-partitioning /
-    reordering stages (Fig. 8, steps 4-5) with the setup's clustering;
-    returns the :class:`~repro.preprocessing.pipeline.PreprocessedModel`.
+                     telemetry=None) -> tuple[np.ndarray, np.ndarray]:
+    """Steps 4-5 of the preprocessing pipeline on a :func:`staged_setup`:
+    ``(partitions, permutation)``, the weighted partition of every element
+    and the generation -> solver order permutation, both in generation order.
 
-    With ``cache`` set, the partition/reordering stage (the partitions and
-    the permutation; the cheap :meth:`assemble` replay applies it) is loaded
-    from the preprocessing cache when present.
+    With ``cache`` set, both are loaded from the preprocessing cache when
+    present (and stored after deriving otherwise).
     """
-    from ..preprocessing.pipeline import PreprocessingPipeline
-
-    # only the partition, permutation and assembly stages run here: the
-    # setup already holds the mesh, materials, time steps and clustering
-    pipeline = PreprocessingPipeline(
-        velocity_model=setup.velocity_model,
-        extent=spec.domain.extent,
-        max_frequency=spec.mesh.max_frequency,
-        order=spec.order,
-        n_mechanisms=spec.material.n_mechanisms,
-        n_partitions=spec.preprocessing.n_partitions,
-        telemetry=telemetry,
-    )
-    mesh, clustering = setup.mesh, setup.clustering
     stored = cache.partition(spec) if cache is not None else None
-    if stored is None:
-        partitions = pipeline.derive_partition(mesh, clustering).partitions
-        permutation = pipeline.derive_permutation(mesh, clustering, partitions)
-        if cache is not None:
-            cache.store_partition(spec, partitions=partitions, permutation=permutation)
-    else:
-        partitions, permutation = stored["partitions"], stored["permutation"]
-    return pipeline.assemble(
-        mesh, setup.materials, setup.time_steps, clustering, partitions, permutation
-    )
+    if stored is not None:
+        return stored["partitions"], stored["permutation"]
+    pipeline = PreprocessingPipeline(spec, telemetry)
+    mesh, clustering = setup.mesh, setup.clustering
+    partitions = pipeline.derive_partition(mesh, clustering).partitions
+    permutation = pipeline.derive_permutation(mesh, clustering, partitions)
+    if cache is not None:
+        cache.store_partition(spec, partitions=partitions, permutation=permutation)
+    return partitions, permutation
 
 
 # ---------------------------------------------------------------------------
@@ -441,16 +436,11 @@ class ScenarioRunner:
 
             if not tracemalloc.is_tracing():
                 tracemalloc.start()
-        self.setup = setup if setup is not None else build_setup(spec, cache=cache)
-        self.preprocessed = None
-        if spec.preprocessing.active:
-            if clustering is not None:
-                raise ValueError(
-                    "an explicit clustering cannot be combined with "
-                    "preprocessing reordering: the permutation would invalidate "
-                    "its element indices (let the pipeline derive the clustering)"
-                )
-            self._apply_preprocessing()
+        self.setup = (
+            setup
+            if setup is not None
+            else build_setup(spec, cache=cache, telemetry=self.telemetry)
+        )
         #: an explicit clustering must be in the setup's element order (an
         #: LTS solver rejects one whose clusters are not contiguous in it)
         self.clustering = clustering if clustering is not None else self.setup.clustering
@@ -503,26 +493,6 @@ class ScenarioRunner:
             n_fused=spec.solver.n_fused,
             kernels=spec.solver.kernels,
             telemetry=self.telemetry,
-        )
-
-    # -- preprocessing --------------------------------------------------
-    def _apply_preprocessing(self) -> None:
-        """Route mesh + materials through the weighted-partitioning /
-        reordering stages of the preprocessing pipeline (Fig. 8, steps 4-5)
-        and assemble the discretization in solver element order."""
-        spec = self.spec
-        model = preprocess_setup(
-            spec, self.setup, cache=self.cache, telemetry=self.telemetry
-        )
-        disc = _build_discretization(spec, model.mesh, model.materials, cache=self.cache)
-        self.preprocessed = model
-        self.setup = replace(
-            self.setup,
-            mesh=model.mesh,
-            materials=model.materials,
-            disc=disc,
-            time_steps=disc.time_steps,
-            clustering=model.clustering,
         )
 
     # -- cycle loop -----------------------------------------------------
@@ -699,8 +669,8 @@ class ScenarioRunner:
             # label the fused ensemble: slot f of every (..., F) output below
             # belongs to this per-slot source
             out["fused_sources"] = spec.source.slot_labels()
-        if self.preprocessed is not None:
-            out["n_partitions"] = int(self.preprocessed.partitions.max() + 1)
+        if self.setup.partitions is not None:
+            out["n_partitions"] = int(self.setup.partitions.max() + 1)
         # self-describing summaries: the sweep-manifest key set (git SHA,
         # repro version, spec content hash), same block as the ledger header
         out["provenance"] = provenance_block(spec)
@@ -923,14 +893,9 @@ class ScenarioRunner:
             lam=float(meta["clustering"]["lam"]),
             dt_min=float(meta["clustering"]["dt_min"]),
         )
-        # preprocessing-active specs must re-derive the clustering through
-        # the pipeline (the constructor rejects an explicit one); plain
-        # specs restore the exact checkpointed clustering so runners built
-        # with a non-spec clustering also resume bit-identically
-        if spec.preprocessing.active:
-            runner = cls(spec)
-        else:
-            runner = cls(spec, clustering=restored)
+        # the exact checkpointed clustering, so runners built with a
+        # non-spec clustering also resume bit-identically
+        runner = cls(spec, clustering=restored)
         runner._load_state(data, meta)
         return runner
 

@@ -23,7 +23,7 @@ from repro.preprocessing.cache import (
 )
 from repro.observability import spec_content_hash
 from repro.scenarios import get_scenario
-from repro.scenarios.runner import ScenarioRunner, build_setup, make_runner
+from repro.scenarios.runner import ScenarioRunner, build_setup, make_runner, staged_setup
 from repro.scenarios.spec import ScenarioSpec
 
 
@@ -119,6 +119,18 @@ class TestStageKeys:
             (stage, stage_key(reordered, stage)) for stage in STAGES
         ]
 
+    def test_partition_stage_ignores_the_reorder_switch(self):
+        """With more than one partition both ``reorder`` values store the
+        same partitions and permutation, so they share one artifact; the
+        partition count still splits it."""
+        keyed = tiny_loh3().with_overrides(n_partitions=2)
+        assert all_stage_keys(keyed.with_overrides(reorder=True)) == all_stage_keys(
+            keyed.with_overrides(reorder=False)
+        )
+        assert stage_key(keyed.with_overrides(n_partitions=3), "partition") != stage_key(
+            keyed, "partition"
+        )
+
     def test_unknown_stage_raises(self):
         with pytest.raises(ValueError, match="stage"):
             stage_key(tiny_loh3(), "operators")
@@ -189,7 +201,18 @@ class TestCacheBitIdentity:
         assert np.array_equal(
             plain.clustering.cluster_ids, warm.clustering.cluster_ids
         )
-        assert np.array_equal(plain.preprocessed.partitions, warm.preprocessed.partitions)
+        assert np.array_equal(plain.setup.partitions, warm.setup.partitions)
+
+    def test_cli_and_spec_file_partitioned_runs_share_the_partition(self, tmp_path):
+        """``--partitions 2`` sets ``reorder``; a spec file with only
+        ``n_partitions: 2`` is the same problem and hits its artifact."""
+        spec = tiny_loh3().with_overrides(n_partitions=2)
+        make_runner(spec.with_overrides(reorder=True), cache=PreprocessingCache(tmp_path))
+        second = PreprocessingCache(tmp_path)
+        from_file = make_runner(spec, cache=second)
+        assert all(second.stats[stage] == HIT for stage in STAGES)
+        assert len(list((tmp_path / "partition").iterdir())) == 1
+        assert from_file.setup.partitions.max() == 1
 
     def test_cache_written_at_an_older_format_version_is_a_miss(self, tmp_path, monkeypatch):
         """Format 4 directories (whose partition stage holds a
@@ -260,15 +283,17 @@ class TestCacheBitIdentity:
         assert sorted(delta) == sorted(stage for stage, _ in needed_stage_keys(spec))
         assert PreprocessingCache(tmp_path).is_warm(spec)
 
-    def test_reordered_setup_defers_its_discretization(self, tmp_path):
-        """``build_setup`` of a reordering spec assembles nothing: the runner
-        builds the one operator set in solver element order."""
+    def test_reordered_setup_is_assembled_in_solver_order(self, tmp_path):
+        """``build_setup`` of a reordering spec applies the cached stage's
+        permutation once and assembles the operators in that order."""
         spec = tiny_loh3().with_overrides(n_partitions=2, reorder=True)
         runner = make_runner(spec, cache=PreprocessingCache(tmp_path))
         setup = build_setup(spec)
-        assert setup.disc is None
         permutation = runner.cache.partition(spec)["permutation"]
-        assert np.array_equal(setup.time_steps[permutation], runner.setup.disc.time_steps)
+        assert np.array_equal(setup.mesh.original_ids, permutation)
+        staged = staged_setup(spec)
+        assert np.array_equal(staged.time_steps[permutation], setup.disc.time_steps)
+        assert np.array_equal(setup.disc.time_steps, runner.setup.disc.time_steps)
 
     def test_is_warm_and_the_sweep_signature_follow_the_needed_stages(self, tmp_path):
         from repro.sweep.orchestrator import preprocessing_signature

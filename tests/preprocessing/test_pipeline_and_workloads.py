@@ -1,14 +1,14 @@
-"""Unit/integration tests for velocity models, the preprocessing pipeline,
-partition IO and the paper's workloads (Figs. 4 and 5)."""
+"""Unit/integration tests for velocity models, the spec-driven preprocessing
+pipeline and the paper's workloads (Figs. 4 and 5)."""
 
 import numpy as np
 import pytest
 
 from repro.core.clustering import derive_clustering, optimize_lambda
-from repro.preprocessing.partition_io import list_partitions, read_partition, write_partitions
 from repro.preprocessing.pipeline import PreprocessingPipeline
 from repro.preprocessing.velocity_model import LaHabraBasinModel, Layer, LayeredVelocityModel, loh3_model
 from repro.scenarios import build_setup, get_scenario
+from repro.scenarios.runner import staged_setup
 from repro.workloads.la_habra import (
     PAPER_CLUSTER_COUNTS,
     PAPER_LAMBDA,
@@ -56,52 +56,50 @@ class TestVelocityModels:
 
 class TestPreprocessingPipeline:
     @pytest.fixture(scope="class")
-    def model(self):
-        pipeline = PreprocessingPipeline(
-            velocity_model=loh3_model(),
-            extent=(0.0, 6000.0, 0.0, 6000.0, -6000.0, 0.0),
-            max_frequency=1.5,
-            elements_per_wavelength=2.0,
-            order=4,
-            n_clusters=3,
-            n_partitions=4,
-            optimize_lambda_increment=0.05,
-        )
-        return pipeline.run()
+    def spec(self):
+        return get_scenario(
+            "loh3", extent_m=6000.0, characteristic_length=2000.0, order=3, n_clusters=3
+        ).with_overrides(n_partitions=4, lam=None)
 
-    def test_pipeline_produces_consistent_model(self, model):
-        assert model.n_elements > 50
-        assert model.materials.n_elements == model.n_elements
-        assert model.time_steps.shape == (model.n_elements,)
-        assert model.clustering.counts.sum() == model.n_elements
-        assert model.partitions.shape == (model.n_elements,)
-        summary = model.summary()
-        assert summary["theoretical_speedup"] >= 1.0
-        assert summary["n_partitions"] == 4
+    @pytest.fixture(scope="class")
+    def setup(self, spec):
+        return build_setup(spec)
 
-    def test_reordering_sorts_by_cluster_then_partition(self, model):
-        partitions = model.partitions
-        clusters = model.clustering.cluster_ids
+    def test_pipeline_produces_consistent_setup(self, setup):
+        n = setup.mesh.n_elements
+        assert n > 50
+        assert setup.materials.n_elements == n
+        assert setup.time_steps.shape == (n,)
+        assert setup.clustering.counts.sum() == n
+        assert setup.partitions.shape == (n,)
+        assert setup.partitions.max() + 1 == 4
+        assert setup.clustering.speedup() >= 1.0
+        assert setup.disc.n_elements == n
+
+    def test_reordering_sorts_by_cluster_then_partition(self, setup):
+        partitions = setup.partitions
+        clusters = setup.clustering.cluster_ids
         assert np.all(np.diff(clusters) >= 0)
         for c in np.unique(clusters):
             mask = clusters == c
             assert np.all(np.diff(partitions[mask]) >= 0)
 
-    def test_partition_io_roundtrip(self, model, tmp_path):
-        paths = write_partitions(model, tmp_path)
-        assert len(paths) == 4
-        assert list_partitions(tmp_path) == paths
-        total = 0
-        for path in paths:
-            data = read_partition(path)
-            total += len(data["element_ids"])
-            assert data["rho"].shape == data["time_steps"].shape
-            assert int(data["order"]) == model.order
-        assert total == model.n_elements
-
-    def test_read_missing_partition_raises(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            read_partition(tmp_path / "nope.npz")
+    @pytest.mark.parametrize("lam", [None, 0.8])
+    def test_clustering_follows_the_spec_policy(self, spec, lam):
+        """No explicit lambda runs the grid search at the spec's increment;
+        an explicit one is used as is."""
+        spec = spec.with_overrides(lam=lam)
+        staged = staged_setup(spec)
+        mesh, steps, policy = staged.mesh, staged.time_steps, spec.clustering
+        expected = (
+            optimize_lambda(steps, policy.n_clusters, mesh.neighbors, policy.increment)
+            if lam is None
+            else derive_clustering(steps, policy.n_clusters, lam, mesh.neighbors)
+        )
+        clustering = PreprocessingPipeline(spec).derive_clustering(mesh, steps)
+        assert clustering.lam == expected.lam
+        assert np.array_equal(clustering.cluster_ids, expected.cluster_ids)
+        assert np.array_equal(staged.clustering.cluster_ids, expected.cluster_ids)
 
 
 class TestLoh3Workload:

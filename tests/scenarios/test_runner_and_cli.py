@@ -75,44 +75,87 @@ class TestRunnerEquivalence:
         assert exit_info.value.code == 2
         assert "'gts', 'lts'" in capsys.readouterr().err
 
-    def test_preprocessing_reorder_keeps_physics(self, tiny_loh3):
-        plain = ScenarioRunner(tiny_loh3)
-        reordered = ScenarioRunner(tiny_loh3.with_overrides(n_partitions=2, reorder=True))
-        assert reordered.preprocessed is not None
+    @pytest.mark.parametrize("solver", ["lts", "gts"])
+    def test_preprocessing_reorder_keeps_physics(self, tiny_loh3, solver):
+        """A partitioned run is a permutation of the plain one: the same
+        updates, and (``ref``) DOFs and seismograms within the 1e-12 tier --
+        not bitwise, einsums on differently ordered batches round apart."""
+        spec = tiny_loh3.with_overrides(solver=solver, kernels="ref", precision="f64")
+        plain = ScenarioRunner(spec)
+        reordered = ScenarioRunner(spec.with_overrides(n_partitions=2, reorder=True))
         assert reordered.summary()["n_partitions"] == 2
+        assert "n_partitions" not in plain.summary()
         plain.run()
         reordered.run()
-        # same element updates; the reordered run is a permutation of the same mesh
         assert plain.solver.n_element_updates == reordered.solver.n_element_updates
-        assert reordered.setup.mesh.n_elements == plain.setup.mesh.n_elements
         # elements are sorted by (cluster, partition)
         clusters = reordered.clustering.cluster_ids
-        parts = reordered.preprocessed.partitions
+        parts = reordered.setup.partitions
         assert np.all(np.diff(clusters) >= 0)
         for cluster in np.unique(clusters):
             assert np.all(np.diff(parts[clusters == cluster]) >= 0)
 
-    def test_explicit_clustering_with_reorder_rejected(self, tiny_loh3):
-        from repro.scenarios import build_setup
+        def generation_order(runner):
+            dofs = np.empty_like(runner.solver.dofs)
+            dofs[runner.setup.mesh.original_ids] = runner.solver.dofs
+            return dofs
 
-        setup = build_setup(tiny_loh3)
-        with pytest.raises(ValueError, match="explicit clustering"):
-            ScenarioRunner(
-                tiny_loh3.with_overrides(n_partitions=2, reorder=True),
-                setup=setup,
-                clustering=setup.clustering,
-            )
+        _assert_ref_tier(generation_order(reordered), generation_order(plain))
+        for receiver in plain.receivers.receivers:
+            t_plain, v_plain = receiver.seismogram()
+            t_part, v_part = reordered.receivers[receiver.name].seismogram()
+            np.testing.assert_array_equal(t_part, t_plain)
+            _assert_ref_tier(v_part, v_plain)
+
+    def test_build_setup_of_partitioned_spec_is_assembled(self, tiny_loh3):
+        """``build_setup`` returns the runner's own setup for a partitioned
+        spec, and the per-update cost probe runs on it."""
+        from repro.scenarios import build_setup, measure_update_cost
+
+        spec = tiny_loh3.with_overrides(n_partitions=2, reorder=True)
+        setup = build_setup(spec)
+        runner = ScenarioRunner(spec)
+        assert setup.disc is not None
+        np.testing.assert_array_equal(
+            setup.mesh.original_ids, runner.setup.mesh.original_ids
+        )
+        np.testing.assert_array_equal(setup.partitions, runner.setup.partitions)
+        np.testing.assert_array_equal(setup.disc.time_steps, runner.setup.disc.time_steps)
+        for name, array in runner.setup.disc.operator_arrays().items():
+            np.testing.assert_array_equal(setup.disc.operator_arrays()[name], array)
+        assert measure_update_cost(setup, n_cycles=1) > 0.0
+
+
+def _assert_ref_tier(actual, desired):
+    """Equal within the ``ref`` tier: 1e-12 of the peak."""
+    peak = np.abs(desired).max()
+    assert peak > 0.0
+    assert np.abs(np.asarray(actual) - np.asarray(desired)).max() <= 1e-12 * peak
 
 
 class TestCheckpointRestart:
     def test_resume_is_bit_identical(self, tiny_loh3, tmp_path):
-        path = tmp_path / "run.ckpt.npz"
-
-        full = ScenarioRunner(tiny_loh3)
-        full.run()
+        resumed, full = self._interrupt_and_resume(tiny_loh3, tmp_path)
         assert isinstance(full.solver, ClusteredLtsSolver)
 
-        interrupted = ScenarioRunner(tiny_loh3)
+    def test_resume_partitioned_is_bit_identical(self, tiny_loh3, tmp_path):
+        """A partitioned run resumes with the checkpointed clustering over
+        the rebuilt partition-ordered setup."""
+        resumed, full = self._interrupt_and_resume(
+            tiny_loh3.with_overrides(n_partitions=2), tmp_path
+        )
+        np.testing.assert_array_equal(resumed.setup.partitions, full.setup.partitions)
+
+    @staticmethod
+    def _interrupt_and_resume(spec, tmp_path):
+        """Checkpoint at cycle 2, resume, and assert the rest of the run is
+        bitwise the uninterrupted one (DOFs and seismograms)."""
+        path = tmp_path / "run.ckpt.npz"
+
+        full = ScenarioRunner(spec)
+        full.run()
+
+        interrupted = ScenarioRunner(spec)
         while interrupted.cycles_done < 2:
             interrupted.step_cycle()
         interrupted.save_checkpoint(path)
@@ -130,6 +173,7 @@ class TestCheckpointRestart:
             t_res, v_res = resumed.receivers[name].seismogram()
             np.testing.assert_array_equal(t_res, t_full)
             np.testing.assert_array_equal(v_res, v_full)
+        return resumed, full
 
     def test_resume_gts(self, tiny_plane_wave, tmp_path):
         path = tmp_path / "gts.ckpt.npz"

@@ -125,35 +125,21 @@ class TestSummaryTelemetryBlock:
         )
 
     def test_preprocessing_stages_timed(self, tiny_loh3):
-        # the runner routes its spec-built mesh and clustering through steps
-        # 4-5 of the pipeline; meshing/material sampling are timed by the
-        # full pipeline (covered below)
+        # a plain run derives no partition: only steps 1-3 of Fig. 8 run
+        runner = ScenarioRunner(tiny_loh3.with_overrides(telemetry=True))
+        regions = runner.telemetry.regions()
+        for stage in ("mesh", "materials", "time_steps", "clustering"):
+            assert f"preprocess.{stage}" in regions
+        assert not {"preprocess.partition", "preprocess.reorder"} & set(regions)
+
+    def test_partitioned_run_times_every_preprocessing_stage(self, tiny_loh3):
         runner = ScenarioRunner(
             tiny_loh3.with_overrides(telemetry=True, n_partitions=2, reorder=True)
         )
-        regions = runner.telemetry.regions()
-        for stage in ("partition", "reorder"):
-            assert f"preprocess.{stage}" in regions
-
-    def test_full_pipeline_times_meshing_and_materials(self):
-        from repro.observability import Telemetry
-        from repro.preprocessing.pipeline import PreprocessingPipeline
-        from repro.preprocessing.velocity_model import loh3_model
-
-        telemetry = Telemetry()
-        PreprocessingPipeline(
-            velocity_model=loh3_model(),
-            extent=(0.0, 4000.0, 0.0, 4000.0, -4000.0, 0.0),
-            max_frequency=0.75,
-            order=2,
-            n_clusters=2,
-            lam=1.0,
-            telemetry=telemetry,
-        ).run()
-        regions = telemetry.regions()
+        (lane,) = runner.solver.telemetry_snapshots()
         for stage in ("mesh", "materials", "time_steps", "clustering",
                       "partition", "reorder"):
-            assert f"preprocess.{stage}" in regions
+            assert f"preprocess.{stage}" in lane["regions"]
 
     def test_memory_block_always_present(self, tiny_loh3):
         summary = ScenarioRunner(tiny_loh3).summary()
