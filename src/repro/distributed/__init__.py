@@ -1,10 +1,11 @@
 """Distributed execution: multi-rank clustered LTS with real halo exchange.
 
-The subsystem turns the simulated-MPI substrate of :mod:`repro.parallel`
-into an actual execution path (Sec. V-C of the paper): per-rank subdomains
-with global-to-local element maps, rank-local clustered-LTS steppers, and
-face-local compressed ``B1``/``B2``/``B3`` halo payloads exchanged through
-the byte-counting communicator -- bit-identical to the single-rank solver.
+The subsystem turns the substrate of :mod:`repro.parallel` into an actual
+execution path (Sec. V-C of the paper): per-rank subdomains with
+global-to-local element maps and static halo send/receive plans, rank-local
+clustered-LTS steppers, and face-local compressed ``B1``/``B2``/``B3`` halo
+packs exchanged through the one queue communicator -- bit-identical to the
+single-rank solver.
 The engines implement the stepper protocol of :mod:`repro.core.stepper`;
 :func:`build_engine` is what the scenario runner calls for ``n_ranks > 1``.
 """

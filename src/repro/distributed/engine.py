@@ -13,17 +13,19 @@ distributed checkpoints stay interchangeable.
 :class:`MultiRankEngine` holds everything the two engines share: the
 partition, subdomains, rank-local sources and receivers, the halo, the
 global gather, the restore's update-count split and the traffic accounting.
-The subclasses differ only in where the rank solvers live:
+Both exchange halo packs through the one queue communicator,
+:class:`~repro.parallel.communicator.ProcessCommunicator`, one endpoint per
+rank; the subclasses differ only in where the rank solvers live:
 :class:`DistributedLtsEngine` keeps them in a Python list and interleaves
-them through the :class:`~repro.parallel.communicator.SimulatedCommunicator`
-(every message counted, the serial oracle of the MPI path);
+them over in-process queues (the serial oracle of the MPI path);
 :class:`~repro.distributed.process_engine.ProcessLtsEngine` runs each in a
-worker process behind commands.
+worker process behind commands, over ``multiprocessing`` queues.
 """
 
 from __future__ import annotations
 
 import copy
+import queue
 from dataclasses import replace
 
 import numpy as np
@@ -32,7 +34,7 @@ from ..core.clustering import Clustering
 from ..core.lts_scheduler import schedule_cycle, updates_per_cycle
 from ..kernels.discretization import Discretization
 from ..observability import TelemetryConfig
-from ..parallel.communicator import SimulatedCommunicator
+from ..parallel.communicator import MessageStats, ProcessCommunicator
 from ..parallel.exchange import HaloIndex, exchange_volumes_per_cycle
 from ..source.moment_tensor import DiscretePointSource
 from ..source.receivers import Receiver, ReceiverSet
@@ -58,14 +60,12 @@ class MultiRankEngine:
 
     ``telemetry`` is the driver lane: it records the macro-cycle spans and
     sits beside the per-rank lanes, whose switches and trace epoch it sets.
-    Subclasses provide ``time``, ``n_element_updates``, ``stats`` and the
-    per-rank primitives ``_rank_dofs``, ``_set_rank_dofs``, ``_rank_states``,
-    ``_restore_ranks``, ``_step_ranks``, ``_rank_snapshots`` and
-    ``_rank_trace_lanes``.
+    Subclasses provide ``time``, ``n_element_updates`` and the per-rank
+    primitives ``_rank_dofs``, ``_set_rank_dofs``, ``_rank_states``,
+    ``_restore_ranks``, ``_step_ranks``, ``_endpoint_stats``,
+    ``_rank_snapshots`` and ``_rank_trace_lanes``.
     """
 
-    #: the ``comm.transport`` label of the run summary
-    transport = "simulated"
     #: lanes recording wall time at once (phase totals are divided by it)
     concurrent_lanes = 1
 
@@ -220,6 +220,14 @@ class MultiRankEngine:
     # ------------------------------------------------------------------
     # accounting
     # ------------------------------------------------------------------
+    @property
+    def stats(self) -> MessageStats:
+        """Measured communication statistics, merged over the rank endpoints."""
+        total = MessageStats()
+        for stats in self._endpoint_stats():
+            total.merge(stats)
+        return total
+
     def telemetry_snapshots(self) -> list[dict]:
         """Cumulative snapshots: one lane per rank, then the driver lane."""
         return self._rank_snapshots() + [self.telemetry.snapshot()]
@@ -247,7 +255,6 @@ class MultiRankEngine:
             self.clustering.cluster_ids,
             self.clustering.n_clusters,
             order=self.disc.order,
-            face_local=True,
             bytes_per_value=np.dtype(self.disc.dtype).itemsize * max(1, self.n_fused),
         )
 
@@ -260,7 +267,7 @@ class MultiRankEngine:
         n_halo_faces = int(self.halo.n_faces)
         n_boundary = sum(sub.n_boundary_elements for sub in self.subdomains)
         return {
-            "transport": self.transport,
+            "transport": "queue",
             "cycles_measured": cycles,
             "n_halo_faces": n_halo_faces,
             # every cut face is a halo face of both its sides
@@ -309,7 +316,19 @@ class DistributedLtsEngine(MultiRankEngine):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.comm = SimulatedCommunicator(self.n_ranks)
+        inbound = [queue.SimpleQueue() for _ in range(self.n_ranks)]
+        #: one endpoint per rank; the ranks step in lockstep, every pack is
+        #: flushed before its receive, so a receive never waits (timeout 0)
+        self.comms = [
+            ProcessCommunicator(
+                r,
+                self.n_ranks,
+                inbound[r],
+                {d: inbound[d] for d in range(self.n_ranks) if d != r},
+                timeout=0.0,
+            )
+            for r in range(self.n_ranks)
+        ]
         #: one telemetry lane per rank on the driver lane's trace epoch, so
         #: the exported Chrome-trace lanes line up on one timeline
         self._rank_telemetry = [
@@ -319,14 +338,14 @@ class DistributedLtsEngine(MultiRankEngine):
         self.ranks = [
             RankSolver(
                 sub,
-                self.comm,
+                comm,
                 sources=sources,
                 n_fused=self.n_fused,
                 kernels=self.kernels,
                 telemetry=lane,
             )
-            for sub, sources, lane in zip(
-                self.subdomains, self._rank_sources, self._rank_telemetry
+            for sub, comm, sources, lane in zip(
+                self.subdomains, self.comms, self._rank_sources, self._rank_telemetry
             )
         ]
         self._bind_receivers()
@@ -345,11 +364,6 @@ class DistributedLtsEngine(MultiRankEngine):
     @property
     def n_element_updates(self) -> int:
         return int(sum(rank.n_element_updates for rank in self.ranks))
-
-    @property
-    def stats(self):
-        """Measured communication statistics (messages/bytes, per pair)."""
-        return self.comm.stats
 
     # -- per-rank primitives --------------------------------------------
     def _rank_dofs(self) -> list[np.ndarray]:
@@ -373,8 +387,8 @@ class DistributedLtsEngine(MultiRankEngine):
         Per micro step every rank first predicts only its *boundary* rows,
         posts the due sends, and predicts the *interior* rows afterwards --
         the same boundary-first structure the process backend uses to hide
-        message latency behind interior work (here the communicator is
-        instant, so the ordering only proves the structure is sound).
+        message latency behind interior work (here the queues are
+        in-process, so the ordering only proves the structure is sound).
         """
         dt0 = float(self.clustering.cluster_time_steps[0])
         for entry in schedule_cycle(self.clustering.n_clusters):
@@ -386,8 +400,11 @@ class DistributedLtsEngine(MultiRankEngine):
                 rank.finish_micro_step(entry, dt0)
         for rank in self.ranks:
             rank.time += self.macro_dt
-        if not self.comm.all_delivered():
+        if not all(comm.all_delivered() for comm in self.comms):
             raise RuntimeError("halo exchange left undelivered messages after a macro cycle")
+
+    def _endpoint_stats(self) -> list[MessageStats]:
+        return [comm.stats for comm in self.comms]
 
     def _rank_snapshots(self) -> list[dict]:
         return [lane.snapshot() for lane in self._rank_telemetry]

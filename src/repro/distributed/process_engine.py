@@ -4,7 +4,9 @@
 whose rank solvers live in ``multiprocessing`` workers, one per rank, behind
 commands: the ranks advance through the rate-2 schedule concurrently, and
 the halo payloads cross real process boundaries through
-:class:`~repro.parallel.process_comm.ProcessCommunicator`.
+:class:`~repro.parallel.communicator.ProcessCommunicator` endpoints wired
+over ``multiprocessing`` queues (the serial engine wires the same class over
+in-process queues).
 
 Within each micro step a worker predicts its boundary rows, posts the due
 sends (non-blocking -- a feeder thread ships them), computes its interior
@@ -39,8 +41,7 @@ from ..core.clustering import Clustering
 from ..kernels.backend import make_backend
 from ..kernels.discretization import Discretization
 from ..observability import TelemetryConfig, merge_snapshots, peak_rss_mb
-from ..parallel.communicator import MessageStats
-from ..parallel.process_comm import ProcessCommunicator
+from ..parallel.communicator import MessageStats, ProcessCommunicator
 from ..parallel.supervisor import start_worker, stop_workers, worker_context
 from ..source.receivers import Receiver, ReceiverSet
 from .engine import MultiRankEngine, rank_state
@@ -162,8 +163,6 @@ def _new_records(receivers: ReceiverSet | None, reported: dict[str, int]) -> lis
 
 class ProcessLtsEngine(MultiRankEngine):
     """Multi-rank clustered LTS: the rank solvers live in worker processes."""
-
-    transport = "queue"
 
     def __init__(
         self,
@@ -407,14 +406,9 @@ class ProcessLtsEngine(MultiRankEngine):
     # ------------------------------------------------------------------
     # accounting
     # ------------------------------------------------------------------
-    @property
-    def stats(self) -> MessageStats:
-        """Measured communication statistics, aggregated over the workers."""
-        total = MessageStats()
-        total.merge(self._stats_base)
-        for stats in self._rank_stats:
-            total.merge(stats)
-        return total
+    def _endpoint_stats(self) -> list[MessageStats | dict]:
+        """The workers' endpoint counters plus those of earlier spawns."""
+        return [self._stats_base, *self._rank_stats]
 
     @property
     def rank_peak_rss_mb(self) -> list[float]:

@@ -4,10 +4,13 @@
 when a spec asks for ``solver.n_ranks > 1``: the mesh is split with the
 weighted dual-graph partitioner (update-frequency element weights, Sec. V-C)
 unless preprocessing already produced that many partitions, and the spec's
-``solver.backend`` picks the engine -- ``"serial"`` steps the ranks
-in-process (:class:`~repro.distributed.engine.DistributedLtsEngine`),
-``"process"`` runs one worker process per rank with overlapped halo
-exchange (:class:`~repro.distributed.process_engine.ProcessLtsEngine`).
+``solver.backend`` picks the engine -- ``"serial"`` steps the ranks in
+one process over in-process queues
+(:class:`~repro.distributed.engine.DistributedLtsEngine`), ``"process"``
+runs one worker process per rank with overlapped halo exchange over
+``multiprocessing`` queues
+(:class:`~repro.distributed.process_engine.ProcessLtsEngine`).  Both wire
+the same :class:`~repro.parallel.communicator.ProcessCommunicator`.
 DOFs, seismograms and element-update counts are bit-identical to the
 single-rank solver under either backend.
 """

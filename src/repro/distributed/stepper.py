@@ -134,9 +134,7 @@ class RankSolver(ClusteredLtsSolver):
                 self.predict_boundary(self.clusters[l])
         with self.telemetry.region("send"):
             self.send_due(entry["micro_step"])
-            flush = getattr(self.comm, "flush", None)
-            if flush is not None:
-                flush()
+            self.comm.flush()
 
     def advance_interior(self, entry: dict) -> None:
         """Interior predictions (overlap: the sends are already in flight)."""

@@ -133,17 +133,20 @@ def provenance_block(spec) -> dict:
     }
 
 
-def peak_rss_mb() -> float:
-    """Peak resident-set size of *this* process in MiB.
+def peak_rss_mb(children: bool = False) -> float:
+    """Peak resident-set size of *this* process in MiB (with ``children``:
+    of its largest terminated child process).
 
+    ``ru_maxrss`` is KiB on Linux but bytes on macOS; normalised here.
     Cheap enough for once-per-cycle ledger records; process-backend workers
     call it themselves, since ``RUSAGE_CHILDREN`` only counts terminated
     children and the workers are still alive mid-run.
     """
     import resource
 
+    who = resource.RUSAGE_CHILDREN if children else resource.RUSAGE_SELF
     scale = 1.0 if sys.platform == "darwin" else 1024.0
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * scale / 1024.0**2
+    return resource.getrusage(who).ru_maxrss * scale / 1024.0**2
 
 
 def _platform_stamp() -> str:

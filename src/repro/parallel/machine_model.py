@@ -8,7 +8,8 @@ ingredients that actually determine it:
   proportional to the heaviest partition's weighted element load), and
 * the communication time of the partition-boundary exchange (bytes per cycle
   over the face-local messages divided by the injection bandwidth, plus a
-  per-message latency), which EDGE overlaps with the interior computation.
+  latency per message -- one pack per rank pair and micro step), which EDGE
+  overlaps with the interior computation.
 
 The node parameters default to Frontera's Cascade Lake nodes (Sec. VII-A):
 2x28 cores at 2.7 GHz with AVX-512 -> 4.84 FP32-TFLOPS peak, HDR100 downlinks
@@ -85,7 +86,7 @@ def strong_scaling_study(
     the send elements first.  Parallel efficiency is reported relative to the
     smallest node count, exactly like Fig. 10.
     """
-    from .exchange import build_halo, exchange_volumes_per_cycle
+    from .exchange import HaloIndex, exchange_volumes_per_cycle
     from .partition import partition_dual_graph
 
     element_weights = np.asarray(element_weights, dtype=np.float64)
@@ -99,14 +100,15 @@ def strong_scaling_study(
         # weighted load is in units of smallest-cluster element updates per cycle
         compute_time = loads.max() * flops_per_element_update / node.sustained_flops
 
-        halo = build_halo(neighbors, partition.partitions)
+        halo = HaloIndex.from_partitions(neighbors, partition.partitions)
         volumes = exchange_volumes_per_cycle(
-            halo, cluster_ids, n_clusters, order, face_local=True, bytes_per_value=bytes_per_value
+            halo, cluster_ids, n_clusters, order, bytes_per_value=bytes_per_value
         )
-        # communication of the busiest pair, plus latency per message
+        # communication of the busiest pair, plus one latency per message:
+        # a message is one pack per (src, dst, micro step), not one per face
         comm_time = (
             volumes["max_pair_bytes"] / node.network_bandwidth
-            + node.network_latency * max(1.0, volumes["n_halo_faces"] / max(n_nodes, 1))
+            + node.network_latency * max(1.0, volumes["n_messages"] / max(n_nodes, 1))
         )
         exposed = max(0.0, comm_time - overlap_fraction * compute_time)
         total = compute_time + exposed

@@ -52,6 +52,7 @@ from ..observability import (
     RunLedger,
     TelemetryConfig,
     merge_snapshots,
+    peak_rss_mb,
     provenance_block,
     write_chrome_trace,
 )
@@ -98,24 +99,17 @@ PHASE_REGIONS = (
 def peak_memory() -> dict:
     """Peak resident-set size (and tracemalloc peak, when tracing) in MiB.
 
-    ``ru_maxrss`` is KiB on Linux but bytes on macOS; normalised here so the
-    summary block is platform-independent.  ``tracemalloc`` only reports when
-    the caller started it (e.g. via ``REPRO_TRACEMALLOC=1``) -- tracing
-    slows allocation-heavy code down far too much to be on by default.
+    The RSS figures come from :func:`~repro.observability.peak_rss_mb`.
+    ``tracemalloc`` only reports when the caller started it (e.g. via
+    ``REPRO_TRACEMALLOC=1``) -- tracing slows allocation-heavy code down far
+    too much to be on by default.
     """
-    import resource
-    import sys
     import tracemalloc
 
-    scale = 1.0 if sys.platform == "darwin" else 1024.0
-    block = {
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        * scale
-        / (1024.0**2)
-    }
-    children = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+    block = {"peak_rss_mb": peak_rss_mb()}
+    children = peak_rss_mb(children=True)
     if children > 0:  # worker processes of the process backend
-        block["peak_rss_children_mb"] = children * scale / (1024.0**2)
+        block["peak_rss_children_mb"] = children
     if tracemalloc.is_tracing():
         block["tracemalloc_peak_mb"] = tracemalloc.get_traced_memory()[1] / (1024.0**2)
     return block
@@ -625,7 +619,7 @@ class ScenarioRunner:
             "updates_per_s": (
                 cycle_updates / cycle_wall_s if cycle_wall_s > 0 else 0.0
             ),
-            "peak_rss_mb": peak_memory()["peak_rss_mb"],
+            "peak_rss_mb": peak_rss_mb(),
         }
         waits = self._recv_wait_by_lane()
         if waits:

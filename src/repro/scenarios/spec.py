@@ -469,10 +469,10 @@ class SolverSpec:
     distributed multi-rank engine (weighted partitioning plus
     face-local compressed halo exchange, Sec. V-C); the result is
     bit-identical to the single-rank run.  ``backend`` selects how the ranks
-    execute: ``"serial"`` steps them in-process through the simulated
-    communicator, ``"process"`` runs one worker process per rank with real
-    overlapped halo exchange (pickled payload batches through
-    multiprocessing queues) -- results are bit-identical either way.
+    execute: ``"serial"`` steps them in-process over in-process queues,
+    ``"process"`` runs one worker process per rank with real overlapped halo
+    exchange (pickled payload batches through multiprocessing queues) --
+    one communicator class either way, and bit-identical results.
     ``comm_timeout`` bounds a blocked halo receive of the process backend in
     seconds (``None``: the engine's 120 s default).
     ``kernels`` selects the kernel-execution backend: ``"ref"`` (the plain

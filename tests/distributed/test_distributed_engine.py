@@ -172,7 +172,9 @@ class TestCommunicationAccounting:
     def test_all_messages_delivered_every_cycle(self, tiny_loh3):
         runner = make_runner(tiny_loh3.with_overrides(n_ranks=2, n_cycles=1))
         runner.step_cycle()
-        assert runner.engine.comm.all_delivered()
+        assert all(comm.all_delivered() for comm in runner.engine.comms)
+        # the serial engine's endpoints are the one queue communicator
+        assert runner.engine.comm_summary()["transport"] == "queue"
 
 
 class TestSubdomains:

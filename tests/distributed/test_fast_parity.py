@@ -80,5 +80,5 @@ class TestFastDistributed:
         serial.run()
         process = make_runner(spec.with_overrides(backend="process"))
         process.run()
-        # the engines differ only in transport
+        # the engines differ only in where the rank solvers run
         assert np.array_equal(process.solver.dofs, serial.solver.dofs)

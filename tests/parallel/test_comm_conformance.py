@@ -1,66 +1,62 @@
-"""One behavioural contract, two communicators.
+"""One behavioural contract, two wirings of the one communicator.
 
 The distributed steppers only ever see the communicator interface --
-``send``/``flush``/``recv``/``pending``/``stats``/``all_delivered`` -- so
-both implementations (the in-process simulated oracle and the
-multiprocessing-queue transport) must satisfy the same observable
+``send``/``flush``/``recv``/``stats``/``all_delivered`` -- and both engines
+use the same :class:`ProcessCommunicator`: the serial engine over in-process
+``queue.SimpleQueue`` inbounds with ``timeout=0``, the process engine over
+``multiprocessing`` queues.  Both wirings must satisfy the same observable
 semantics: FIFO order per ``(src, tag)`` channel, statically-counted
 receives, excess-message detection through ``all_delivered``, and send-side
 byte accounting that matches the payloads exactly.  The steppers send one
 halo pack per (destination, micro step) tagged with the micro step, so the
-packed layouts and the micro-step diagnostics are part of the contract.  This suite runs the
-contract against both, wired up in-process (the engine tests cover the
-cross-process path).
+packed layouts and the micro-step diagnostics are part of the contract.
+This suite runs the contract against both wirings in one process (the
+engine tests cover the cross-process path).
 """
 
 import multiprocessing
+import queue
 import time
 
 import numpy as np
 import pytest
 
-from repro.parallel.communicator import SimulatedCommunicator, pair_key
-from repro.parallel.process_comm import ProcessCommunicator
+from repro.parallel.communicator import ProcessCommunicator, pair_key
 
 N_RANKS = 2
-KINDS = ("simulated", "process")
+KINDS = ("inprocess", "process")
 
 
 class _Fabric:
-    """All ranks' endpoints of one communicator kind."""
+    """All ranks' endpoints of one wiring."""
 
     def __init__(self, kind: str, timeout: float = 10.0):
-        self.kind = kind
-        if kind == "simulated":
-            shared = SimulatedCommunicator(N_RANKS)
-            self.comms = [shared] * N_RANKS
-            return
-        ctx = multiprocessing.get_context()
-        inbound = [ctx.Queue() for _ in range(N_RANKS)]
-        outbound = [
-            {dst: inbound[dst] for dst in range(N_RANKS) if dst != rank}
-            for rank in range(N_RANKS)
-        ]
+        if kind == "inprocess":
+            inbound = [queue.SimpleQueue() for _ in range(N_RANKS)]
+            timeout = 0.0  # the serial engine's wiring: a receive never waits
+        else:
+            ctx = multiprocessing.get_context()
+            inbound = [ctx.Queue() for _ in range(N_RANKS)]
         self.comms = [
-            ProcessCommunicator(rank, N_RANKS, inbound[rank], outbound[rank], timeout=timeout)
+            ProcessCommunicator(
+                rank,
+                N_RANKS,
+                inbound[rank],
+                {dst: inbound[dst] for dst in range(N_RANKS) if dst != rank},
+                timeout=timeout,
+            )
             for rank in range(N_RANKS)
         ]
 
-    def flush(self, rank: int) -> None:
-        flush = getattr(self.comms[rank], "flush", None)
-        if flush is not None:
-            flush()
-
-    def wait_pending(self, src: int, dst: int, tag: int, count: int) -> int:
-        """Poll until ``pending`` reports at least ``count`` arrivals (the
-        queue transport ships through a feeder thread)."""
+    def wait_arrival(self, rank: int) -> bool:
+        """Poll until ``rank`` sees an unconsumed arrival (the queue wiring
+        ships through a feeder thread); ``False`` if none shows up."""
         deadline = time.monotonic() + 10.0
-        while time.monotonic() < deadline:
-            n = self.comms[dst].pending(src, dst, tag)
-            if n >= count:
-                return n
+        while self.comms[rank].all_delivered():
+            if time.monotonic() > deadline:
+                return False
             time.sleep(0.005)
-        return self.comms[dst].pending(src, dst, tag)
+        return True
 
 
 @pytest.fixture(params=KINDS)
@@ -72,13 +68,13 @@ class TestConformance:
     def test_roundtrip_preserves_payload_and_dtype(self, fabric):
         payload = np.arange(12, dtype=np.float64).reshape(3, 4) * np.pi
         fabric.comms[0].send(payload, src=0, dst=1, tag=5)
-        fabric.flush(0)
+        fabric.comms[0].flush()
         received = fabric.comms[1].recv(src=0, dst=1, tag=5)
         np.testing.assert_array_equal(received, payload)
         assert received.dtype == payload.dtype and received.shape == payload.shape
 
     def test_fifo_per_channel_across_interleaved_tags(self, fabric):
-        send, flush = fabric.comms[0].send, lambda: fabric.flush(0)
+        send, flush = fabric.comms[0].send, fabric.comms[0].flush
         send(np.full(2, 1.0), src=0, dst=1, tag=7)
         send(np.full(2, 9.0), src=0, dst=1, tag=8)
         flush()
@@ -95,15 +91,15 @@ class TestConformance:
         n_messages = 5
         for i in range(n_messages):
             fabric.comms[0].send(np.full(3, float(i)), src=0, dst=1, tag=0)
-        fabric.flush(0)
+        fabric.comms[0].flush()
         values = [fabric.comms[1].recv(0, 1, tag=0)[0] for _ in range(n_messages)]
         assert values == [float(i) for i in range(n_messages)]
         assert fabric.comms[1].all_delivered()
 
     def test_all_delivered_flags_excess_messages(self, fabric):
         fabric.comms[0].send(np.ones(4), src=0, dst=1, tag=0)
-        fabric.flush(0)
-        assert fabric.wait_pending(0, 1, 0, 1) == 1
+        fabric.comms[0].flush()
+        assert fabric.wait_arrival(1)
         assert not fabric.comms[1].all_delivered()
         fabric.comms[1].recv(0, 1, tag=0)
         assert fabric.comms[1].all_delivered()
@@ -111,8 +107,8 @@ class TestConformance:
     def test_bidirectional_exchange(self, fabric):
         fabric.comms[0].send(np.full(2, 10.0), src=0, dst=1, tag=1)
         fabric.comms[1].send(np.full(2, 20.0), src=1, dst=0, tag=1)
-        fabric.flush(0)
-        fabric.flush(1)
+        fabric.comms[0].flush()
+        fabric.comms[1].flush()
         assert fabric.comms[1].recv(0, 1, tag=1)[0] == 10.0
         assert fabric.comms[0].recv(1, 0, tag=1)[0] == 20.0
 
@@ -126,20 +122,15 @@ class TestConformance:
             fabric.comms[0].send(p, src=0, dst=1, tag=0)
         for p in payloads_10:
             fabric.comms[1].send(p, src=1, dst=0, tag=0)
-        fabric.flush(0)
-        fabric.flush(1)
+        fabric.comms[0].flush()
+        fabric.comms[1].flush()
         for _ in payloads_01:
             fabric.comms[1].recv(0, 1, tag=0)
         for _ in payloads_10:
             fabric.comms[0].recv(1, 0, tag=0)
-        if fabric.kind == "simulated":
-            stats = fabric.comms[0].stats
-            per_pair = stats.per_pair
-        else:
-            per_pair = {}
-            for comm in fabric.comms:
-                for pair, entry in comm.stats.per_pair.items():
-                    per_pair[pair] = entry
+        per_pair = {}
+        for comm in fabric.comms:
+            per_pair.update(comm.stats.per_pair)
         expected_01 = sum(p.nbytes for p in payloads_01)
         expected_10 = sum(p.nbytes for p in payloads_10)
         assert per_pair[pair_key(0, 1)] == {
@@ -158,7 +149,7 @@ class TestConformance:
         send(np.full((9, 2), 1.0), src=0, dst=1, tag=0)
         send(np.full((9, 4), 2.0), src=0, dst=1, tag=1)
         send(np.full((9, 2), 3.0), src=0, dst=1, tag=0)
-        fabric.flush(0)
+        fabric.comms[0].flush()
         recv = fabric.comms[1].recv
         first = recv(0, 1, tag=0)
         wide = recv(0, 1, tag=1)
@@ -181,7 +172,7 @@ class TestConformance:
         # f32 precision runs ship f32 halos; the transport must not upcast
         payload = (np.arange(18).reshape(9, 2) + 0.5).astype(dtype)
         fabric.comms[0].send(payload, src=0, dst=1, tag=2)
-        fabric.flush(0)
+        fabric.comms[0].flush()
         received = fabric.comms[1].recv(0, 1, tag=2)
         assert received.dtype == np.dtype(dtype)
         np.testing.assert_array_equal(received, payload)
@@ -191,7 +182,7 @@ class TestConformance:
         payload = base[:, ::2].T
         assert not payload.flags.c_contiguous
         fabric.comms[0].send(payload, src=0, dst=1, tag=0)
-        fabric.flush(0)
+        fabric.comms[0].flush()
         received = fabric.comms[1].recv(0, 1, tag=0)
         np.testing.assert_array_equal(received, payload)
         assert received.shape == (4, 6)
@@ -200,17 +191,17 @@ class TestConformance:
         # the steppers overwrite their staging buffers on the next micro step
         buffer = np.full((9, 2), 1.0)
         fabric.comms[0].send(buffer, src=0, dst=1, tag=0)
-        fabric.flush(0)
+        fabric.comms[0].flush()
         buffer[:] = -1.0
         fabric.comms[0].send(buffer, src=0, dst=1, tag=0)
-        fabric.flush(0)
+        fabric.comms[0].flush()
         assert np.all(fabric.comms[1].recv(0, 1, tag=0) == 1.0)
         assert np.all(fabric.comms[1].recv(0, 1, tag=0) == -1.0)
 
     def test_received_arrays_are_independent_copies(self, fabric):
         for value in (1.0, 2.0):
             fabric.comms[0].send(np.full((9, 2), value), src=0, dst=1, tag=0)
-        fabric.flush(0)
+        fabric.comms[0].flush()
         first = fabric.comms[1].recv(0, 1, tag=0)
         second = fabric.comms[1].recv(0, 1, tag=0)
         assert first.flags.owndata and second.flags.owndata
@@ -221,27 +212,29 @@ class TestConformance:
         n_rounds = 200
         for i in range(n_rounds):
             fabric.comms[0].send(np.full(3, float(i)), src=0, dst=1, tag=i % 3)
-            fabric.flush(0)
+            fabric.comms[0].flush()
         recv = fabric.comms[1].recv
         for tag in range(3):
             values = [recv(0, 1, tag=tag)[0] for _ in range(tag, n_rounds, 3)]
             assert values == [float(i) for i in range(tag, n_rounds, 3)]
         assert fabric.comms[1].all_delivered()
 
-    def test_pending_counts_only_the_requested_channel(self, fabric):
+    def test_recv_consumes_only_the_requested_channel(self, fabric):
         send = fabric.comms[0].send
-        send(np.ones(2), src=0, dst=1, tag=0)
-        send(np.ones(2), src=0, dst=1, tag=0)
-        send(np.ones(2), src=0, dst=1, tag=1)
-        fabric.flush(0)
-        assert fabric.wait_pending(0, 1, 0, 2) == 2
-        assert fabric.wait_pending(0, 1, 1, 1) == 1
-        assert fabric.comms[1].pending(0, 1, tag=2) == 0
+        send(np.full(2, 1.0), src=0, dst=1, tag=0)
+        send(np.full(2, 2.0), src=0, dst=1, tag=0)
+        send(np.full(2, 3.0), src=0, dst=1, tag=1)
+        fabric.comms[0].flush()
+        recv = fabric.comms[1].recv
+        assert recv(0, 1, tag=1)[0] == 3.0
+        assert not fabric.comms[1].all_delivered()  # tag 0 still holds two
+        assert [recv(0, 1, tag=0)[0] for _ in range(2)] == [1.0, 2.0]
+        assert fabric.comms[1].all_delivered()
 
     def test_empty_payload_is_one_message_of_zero_bytes(self, fabric):
         payload = np.zeros((0, 9))
         fabric.comms[0].send(payload, src=0, dst=1, tag=0)
-        fabric.flush(0)
+        fabric.comms[0].flush()
         received = fabric.comms[1].recv(0, 1, tag=0)
         assert received.shape == (0, 9)
         assert fabric.comms[0].stats.per_pair[pair_key(0, 1)] == {"messages": 1, "bytes": 0}
@@ -252,7 +245,7 @@ class TestConformance:
         fabric.comms[0].send(payload, src=0, dst=1, tag=0)
         stats = fabric.comms[0].stats
         assert stats.n_messages == 1 and stats.n_bytes == payload.nbytes
-        fabric.flush(0)
+        fabric.comms[0].flush()
         fabric.comms[1].recv(0, 1, tag=0)
         assert stats.n_messages == 1 and stats.n_bytes == payload.nbytes
 
@@ -273,7 +266,7 @@ class TestHaloPacks:
         assert stats.per_pair[pair_key(0, 1)] == {
             "messages": 3, "bytes": sum(pack.nbytes for pack in packs),
         }
-        fabric.flush(0)
+        fabric.comms[0].flush()
         for step in (2, 0, 1):  # a receiver drains by micro step, in any order
             received = fabric.comms[1].recv(0, 1, tag=step)
             assert received.dtype == np.dtype(dtype) and received.shape == shape
@@ -285,7 +278,9 @@ class TestHaloPacks:
         fabric = _Fabric(kind, timeout=0.2)
         # rank 1 stages a pack of micro step 3 for rank 0 and never flushes
         fabric.comms[1].send(np.zeros((2, 9, 3)), src=1, dst=0, tag=3)
+        start = time.monotonic()
         with pytest.raises(RuntimeError, match="micro step 5") as failure:
             fabric.comms[1].recv(0, 1, tag=5)
-        if kind == "process":
-            assert "1 staged pack(s) of micro step(s) [3] for rank(s) [0]" in str(failure.value)
+        assert "1 staged pack(s) of micro step(s) [3] for rank(s) [0]" in str(failure.value)
+        if kind == "inprocess":
+            assert time.monotonic() - start < 0.1  # fails at once, no wait

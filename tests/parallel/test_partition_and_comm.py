@@ -2,6 +2,7 @@
 
 import json
 import multiprocessing
+import queue
 
 import numpy as np
 import pytest
@@ -9,15 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.clustering import derive_clustering
+from repro.core.legacy_lts import communication_volumes
 from repro.mesh.generation import box_mesh
-from repro.parallel.communicator import MessageStats, SimulatedCommunicator
-from repro.parallel.process_comm import ProcessCommunicator
-from repro.parallel.exchange import (
-    HaloIndex,
-    build_halo,
-    exchange_face_data,
-    exchange_volumes_per_cycle,
-)
+from repro.parallel.communicator import MessageStats, ProcessCommunicator
+from repro.parallel.exchange import HaloIndex, exchange_volumes_per_cycle
 from repro.parallel.machine_model import FRONTERA_NODE, strong_scaling_study
 from repro.parallel.partition import (
     element_weights,
@@ -190,38 +186,6 @@ class TestPartitionQuality:
         assert result.load_imbalance() <= 1.01
 
 
-class TestCommunicator:
-    def test_send_recv_and_accounting(self):
-        comm = SimulatedCommunicator(3)
-        payload = np.arange(10, dtype=np.float32)
-        comm.send(payload, src=0, dst=2, tag=7)
-        assert comm.pending(0, 2, 7) == 1
-        received = comm.recv(src=0, dst=2, tag=7)
-        np.testing.assert_array_equal(received, payload)
-        assert comm.stats.n_messages == 1
-        assert comm.stats.n_bytes == payload.nbytes
-        assert comm.all_delivered()
-
-    def test_missing_message_raises(self):
-        comm = SimulatedCommunicator(2)
-        with pytest.raises(RuntimeError):
-            comm.recv(src=0, dst=1)
-
-    def test_rank_validation(self):
-        comm = SimulatedCommunicator(2)
-        with pytest.raises(ValueError):
-            comm.send(np.zeros(1), src=0, dst=5)
-        with pytest.raises(ValueError):
-            SimulatedCommunicator(0)
-
-    def test_recv_order_is_fifo_per_channel(self):
-        comm = SimulatedCommunicator(2)
-        for value in (1.0, 2.0, 3.0):
-            comm.send(np.full(2, value), src=0, dst=1, tag=4)
-        assert comm.pending(0, 1, 4) == 3
-        assert [comm.recv(0, 1, 4)[0] for _ in range(3)] == [1.0, 2.0, 3.0]
-
-
 class TestMessageStats:
     def test_totals_stay_json_native_with_numpy_sizes(self):
         """Totals must be coerced like the per-pair counters: numpy int
@@ -247,6 +211,62 @@ class TestMessageStats:
         assert a.n_bytes == 34
         assert a.per_pair["0->1"] == {"messages": 3, "bytes": 20}
         assert a.per_pair["1->0"] == {"messages": 2, "bytes": 14}
+
+
+def _wire_serial_comms(n_ranks: int):
+    """The serial engine's wiring: in-process ``SimpleQueue`` inbounds and
+    ``timeout=0``, so a missing message fails at once."""
+    inbound = [queue.SimpleQueue() for _ in range(n_ranks)]
+    return [
+        ProcessCommunicator(
+            rank,
+            n_ranks,
+            inbound[rank],
+            {dst: inbound[dst] for dst in range(n_ranks) if dst != rank},
+            timeout=0,
+        )
+        for rank in range(n_ranks)
+    ]
+
+
+class TestCommunicator:
+    """The endpoint contract on the serial engine's in-process wiring."""
+
+    def test_send_recv_and_accounting(self):
+        comms = _wire_serial_comms(3)
+        payload = np.arange(10, dtype=np.float32)
+        comms[0].send(payload, src=0, dst=2, tag=7)
+        comms[0].flush()
+        assert not comms[2].all_delivered()  # arrived, not yet consumed
+        received = comms[2].recv(src=0, dst=2, tag=7)
+        np.testing.assert_array_equal(received, payload)
+        assert received.dtype == payload.dtype
+        assert comms[0].stats.n_messages == 1
+        assert comms[0].stats.n_bytes == payload.nbytes
+        assert all(comm.all_delivered() for comm in comms)
+
+    def test_missing_message_raises(self):
+        _, receiver = _wire_serial_comms(2)
+        with pytest.raises(RuntimeError, match="no halo pack from rank 0 for micro step 0"):
+            receiver.recv(src=0, dst=1)
+
+    def test_rank_validation(self):
+        sender, _ = _wire_serial_comms(2)
+        with pytest.raises(ValueError):
+            sender.send(np.zeros(1), src=0, dst=5)
+        with pytest.raises(ValueError):
+            ProcessCommunicator(0, 0, queue.SimpleQueue(), {}, timeout=0)
+
+    def test_recv_order_is_fifo_per_channel(self):
+        sender, receiver = _wire_serial_comms(2)
+        for value in (1.0, 2.0, 3.0):
+            sender.send(np.full(2, value), src=0, dst=1, tag=4)
+        sender.flush()
+        assert not receiver.all_delivered()
+        assert [receiver.recv(0, 1, 4)[0] for _ in range(3)] == [1.0, 2.0, 3.0]
+        assert receiver.all_delivered()
+        with pytest.raises(RuntimeError):
+            receiver.recv(0, 1, 4)  # exactly three arrived
 
 
 def _wire_process_comms(n_ranks: int = 2, timeout: float = 10.0):
@@ -357,43 +377,35 @@ class TestProcessCommunicator:
             receiver.recv(src=0, dst=0)
         with pytest.raises(ValueError, match="out of range"):
             sender.send(np.zeros(1), src=0, dst=5)
+        with pytest.raises(ValueError, match="out of range"):
+            ProcessCommunicator(0, 0, queue.SimpleQueue(), {})
 
 
 class TestHaloExchange:
     def test_halo_faces_are_symmetric(self, mesh):
         partitions = partition_dual_graph(mesh.neighbors, np.ones(mesh.n_elements), 2).partitions
-        halo = build_halo(mesh.neighbors, partitions)
-        assert len(halo) > 0
+        halo = HaloIndex.from_partitions(mesh.neighbors, partitions)
+        assert halo.n_faces > 0
         # each cut face appears once from each side
-        pairs = {(f.element, f.neighbor_element) for f in halo}
-        for f in halo:
-            assert (f.neighbor_element, f.element) in pairs
+        pairs = set(zip(halo.elements.tolist(), halo.neighbor_elements.tolist()))
+        for element, neighbor in pairs:
+            assert (neighbor, element) in pairs
+        np.testing.assert_array_equal(halo.owner_ranks, partitions[halo.elements])
+        np.testing.assert_array_equal(halo.neighbor_ranks, partitions[halo.neighbor_elements])
 
-    def test_face_local_compression_reduces_volume(self, mesh, clustering):
+    def test_model_ships_the_face_local_representation(self, mesh, clustering):
+        """The model charges ``9 x F`` values per face payload; the full
+        ``9 x B`` buffer it replaces is the legacy comparison's."""
         partitions = partition_dual_graph(mesh.neighbors, np.ones(mesh.n_elements), 2).partitions
-        halo = build_halo(mesh.neighbors, partitions)
-        full = exchange_volumes_per_cycle(
-            halo, clustering.cluster_ids, 3, order=5, face_local=False
-        )
-        compressed = exchange_volumes_per_cycle(
-            halo, clustering.cluster_ids, 3, order=5, face_local=True
-        )
-        assert compressed["total_bytes"] < full["total_bytes"]
+        halo = HaloIndex.from_partitions(mesh.neighbors, partitions)
+        model = exchange_volumes_per_cycle(halo, clustering.cluster_ids, 3, order=5)
+        volumes = communication_volumes(order=5)
+        assert model["values_per_face"] == volumes.face_local_mpi == 135
+        full_buffers = model["n_payloads"] * volumes.buffer_scheme * 4
         np.testing.assert_allclose(
-            full["total_bytes"] / compressed["total_bytes"], 35.0 / 15.0
+            full_buffers / model["total_bytes"], volumes.reduction_face_local()
         )
-
-    def test_exchange_face_data_roundtrip(self, mesh):
-        partitions = partition_dual_graph(mesh.neighbors, np.ones(mesh.n_elements), 2).partitions
-        halo = build_halo(mesh.neighbors, partitions)
-        comm = SimulatedCommunicator(2)
-        face_data = {(f.element, f.face): np.full(135, float(f.element)) for f in halo}
-        received = exchange_face_data(comm, halo, face_data)
-        assert len(received) == len(halo)
-        assert comm.stats.n_messages == 2  # one pack per directed rank pair
-        for (neighbor_element, element), payload in received.items():
-            assert payload.shape == (135,)
-            assert np.all(payload == element)
+        np.testing.assert_allclose(volumes.reduction_face_local(), 35.0 / 15.0)
 
     def test_message_model_counts_one_pack_per_pair_and_step(self):
         """Faces travel every ``2**min(c_own, c_neighbor)`` micro steps; a
@@ -439,6 +451,29 @@ class TestScalingModel:
             assert point.total_time > 0
         # strong scaling: total time decreases with node count
         assert points[-1].total_time < points[0].total_time
+
+    def test_latency_is_charged_per_message_not_per_halo_face(self, mesh, clustering):
+        """A message is one pack per (src, dst, micro step): the model pays
+        one network latency per pack, however many faces the pack holds."""
+        weights = element_weights(clustering.cluster_ids, clustering.n_clusters)
+        kwargs = dict(flops_per_element_update=5e5, order=4)
+        _, point = strong_scaling_study(
+            weights, mesh.neighbors, clustering.cluster_ids, clustering.n_clusters,
+            node_counts=[1, 2], **kwargs,
+        )
+        partitions = partition_dual_graph(mesh.neighbors, weights, 2).partitions
+        volumes = exchange_volumes_per_cycle(
+            HaloIndex.from_partitions(mesh.neighbors, partitions),
+            clustering.cluster_ids,
+            clustering.n_clusters,
+            order=4,
+        )
+        assert volumes["n_halo_faces"] > volumes["n_messages"]
+        expected = volumes["max_pair_bytes"] / FRONTERA_NODE.network_bandwidth + (
+            FRONTERA_NODE.network_latency * max(1.0, volumes["n_messages"] / 2)
+        )
+        assert point.n_nodes == 2
+        assert point.communication_time == pytest.approx(expected, rel=1e-12)
 
     def test_frontera_node_parameters(self):
         assert FRONTERA_NODE.peak_flops == pytest.approx(4.84e12)
