@@ -750,19 +750,18 @@ class FastBackend(ReferenceBackend):
 
     def _project_classes(self, disc, source, rows, segments, out, ws, name):
         """``out[a:b] = source[rows[a:b]] @ F_bar[u]`` for every class run
-        ``(u, a, b)``: a gather into ``name`` scratch, then one ``(n_u 9, B)
-        @ (B, F)`` GEMM per class (the fused axis as GEMM columns)."""
+        ``(u, a, b)``: a gather into ``name`` scratch, then one ``(9, B) @
+        (B, F)`` GEMM per face (the fused axis as GEMM columns).  Never one
+        ``(n_u 9, B)`` GEMM per class: BLAS picks its kernel by the row
+        count, so a face's bits would depend on how many faces share its
+        block."""
         fbar = disc.neighbor_flux_matrices
         gathered = self._scratch(ws, name, (len(rows),) + source.shape[1:], source.dtype)
         # ``take`` in clip mode: the rows are valid by construction, and
         # "raise" mode buffers the output
         np.take(source, rows, axis=0, out=gathered, mode="clip")
         for u, a, b in segments:
-            if gathered.ndim > 3:
-                self._basis_apply(gathered[a:b], fbar[u], out=out[a:b])
-            else:
-                np.matmul(gathered[a:b].reshape(-1, disc.n_basis), fbar[u],
-                          out=out[a:b].reshape(-1, disc.n_face_basis))
+            self._basis_apply(gathered[a:b], fbar[u], out=out[a:b])
 
     def correct(self, disc, dofs, elements, delta, traces, source, plan, ws=None, halo=None):
         """The fused correction, one block of ``plan`` at a time on each

@@ -1,10 +1,13 @@
 """Fast-kernel parity across the distributed engines.
 
-The fast backend is bitwise independent of how its batches are cut into
-blocks, so the distributed boundary/interior split does not change a single
-bit: distributed fast runs equal the single-rank fast run exactly.  Fast
-against ``ref`` stays tolerance-equal (1e-11), the contract the
-verification harness pins.
+Every contraction of the fast backend is per element or per face, so an
+element's bits depend neither on the block nor on the batch around it, and
+the distributed boundary/interior split does not change a single bit:
+distributed fast runs equal the single-rank fast run exactly.  (The
+``F_bar`` projection once ran one GEMM per face class over a whole block;
+BLAS picks its kernel by the row count, so at order 4 a rank split moved
+bits.  The order-4 runs below hold that shut.)  Fast against ``ref`` stays
+tolerance-equal (1e-11), the contract the verification harness pins.
 """
 
 import numpy as np
@@ -61,6 +64,24 @@ class TestFastDistributed:
         # the halo payload volume does not depend on the kernel backend
         model = summary["comm"]["model"]
         assert summary["comm"]["measured_bytes_per_cycle"] == model["total_bytes"]
+
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_order4_2rank_fast_matches_single_rank_bitwise(self, tiny_loh3, precision, backend):
+        """Order 4 over 12 cycles: the per-class ``F_bar`` GEMM differed
+        from the third cycle on (f64)."""
+        spec = tiny_loh3.with_overrides(order=4, n_cycles=12, kernels="fast", precision=precision)
+        single = ScenarioRunner(spec)
+        single.run()
+        dist = make_runner(spec.with_overrides(n_ranks=2, backend=backend))
+        dist.run()
+        assert dist.solver.dofs.dtype == single.solver.dofs.dtype
+        np.testing.assert_array_equal(dist.solver.dofs, single.solver.dofs)
+        for receiver in single.receivers.receivers:
+            ts, vs = receiver.seismogram()
+            td, vd = dist.receivers[receiver.name].seismogram()
+            np.testing.assert_array_equal(td, ts)
+            np.testing.assert_array_equal(vd, vs)
 
     def test_fast_vs_ref_distributed_within_tolerance(self, tiny_loh3):
         """2-rank fast vs 2-rank ref: the kernels, not the halo exchange,

@@ -539,6 +539,28 @@ class TestCacheBlocking:
         assert peak < 100_000 < disc.n_elements * N_ELASTIC * (disc.n_basis - 1) * dofs.itemsize
 
 
+def test_la_habra_order4_does_not_depend_on_the_block_size(monkeypatch):
+    """Five clusters, free surface, order 4: three block sizes (the
+    default, a quarter of it, a few elements) step bitwise alike.  The
+    per-class ``F_bar`` GEMM over a block's faces did not, from the first
+    cycle on."""
+    spec = get_scenario("la_habra").smoke().with_overrides(kernels="fast", order=4)
+    runs = []
+    for block_bytes in (3 << 19, 3 << 17, 1 << 16):
+        monkeypatch.setattr(backend_module, "_BLOCK_STACK_BYTES", block_bytes)
+        runner = make_runner(spec)
+        runner.run()
+        assert runner.solver.disc.order == 4 and runner.clustering.n_clusters == 5
+        runs.append((runner.solver.dofs.copy(), {
+            r.name: r.seismogram()[1] for r in runner.receivers.receivers
+        }))
+    (dofs, seismograms), *others = runs
+    for other_dofs, other_seismograms in others:
+        assert np.array_equal(other_dofs, dofs)
+        for name, values in seismograms.items():
+            assert np.array_equal(other_seismograms[name], values), name
+
+
 #: scratch pools a block (or a chunk of blocks) only holds while it runs
 TRANSIENT = ("ck_", "op_", "corr_", "traces_")
 
