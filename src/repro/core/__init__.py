@@ -17,7 +17,7 @@ from .lts_scheduler import (
     schedule_cycle,
     updates_per_cycle,
 )
-from .lts_solver import ClusteredLtsSolver
+from .lts_solver import ClusteredLtsSolver, HalfAppliedStepError
 from .speedup import (
     ideal_speedup,
     load_fractions,
@@ -38,6 +38,7 @@ __all__ = [
     "normalization_loss",
     "update_cost_per_unit_time",
     "LtsBuffers",
+    "HalfAppliedStepError",
     "micro_steps_per_cycle",
     "clusters_predicting_at",
     "clusters_correcting_after",

@@ -33,7 +33,7 @@ import numpy as np
 
 from ..kernels.discretization import Discretization, N_ELASTIC
 
-__all__ = ["LtsBuffers", "store_rows"]
+__all__ = ["BufferFill", "LtsBuffers", "store_rows"]
 
 #: relation codes of a face neighbour's cluster w.r.t. the element's cluster
 SAME, SMALLER, LARGER, BOUNDARY = 0, -1, 1, -2
@@ -165,17 +165,27 @@ class LtsBuffers:
             The elements' local step counter ``n_k`` (before the step), which
             controls the even/odd accumulation of ``B3``.
         """
+        for call, args in self.fill_calls(elements, elastic_integral, elastic_half, step_index):
+            call(*args)
+
+    def fill_calls(self, elements: slice, elastic_integral, elastic_half, step_index: int) -> list:
+        """:meth:`fill` as ``(ufunc, operands)`` calls on views of the store,
+        to run in order: what a kernel backend compiles into a block's
+        program."""
+        store, calls = self._store, []
         if elastic_half is not None:
-            self._store[_B2, elements] = elastic_half
+            calls.append((np.copyto, (store[_B2, elements], elastic_half)))
             # the second-half integral a smaller-step neighbour's odd
             # sub-step reads; ``full - half`` here equals the read-time
             # ``b1 - b2`` bitwise (same stored operands, same subtraction)
-            np.subtract(elastic_integral, elastic_half, out=self._store[_B1M2, elements])
-        self._store[_B1, elements] = elastic_integral
+            calls.append((np.subtract, (elastic_integral, elastic_half, store[_B1M2, elements])))
+        calls.append((np.copyto, (store[_B1, elements], elastic_integral)))
+        b3 = store[_B3, elements]
         if step_index % 2 == 0:
-            self._store[_B3, elements] = elastic_integral
+            calls.append((np.copyto, (b3, elastic_integral)))
         else:
-            self._store[_B3, elements] += elastic_integral
+            calls.append((np.add, (b3, elastic_integral, b3)))
+        return calls
 
     def face_rows(
         self,
@@ -220,3 +230,21 @@ class LtsBuffers:
             (they are replaced by ghost data downstream).
         """
         return self._flat[self.face_rows(neighbors, relations, step_index)]
+
+
+class BufferFill:
+    """The ``fill`` a prediction of one step parity hands its backend:
+    called per element block (``fill(block, integral, half)``) it runs
+    :meth:`LtsBuffers.fill`, and :meth:`calls` gives the same writes for a
+    block program."""
+
+    __slots__ = ("buffers", "step_index")
+
+    def __init__(self, buffers: LtsBuffers, step_index: int):
+        self.buffers, self.step_index = buffers, step_index
+
+    def __call__(self, elements: slice, elastic_integral, elastic_half) -> None:
+        self.buffers.fill(elements, elastic_integral, elastic_half, self.step_index)
+
+    def calls(self, elements: slice, elastic_integral, elastic_half) -> list:
+        return self.buffers.fill_calls(elements, elastic_integral, elastic_half, self.step_index)

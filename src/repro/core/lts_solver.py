@@ -14,6 +14,12 @@ schedule of :mod:`repro.core.lts_scheduler`:
   the rows are static per cluster and parity), the local and neighbouring
   surface kernels run and the DOFs advance.
 
+Every cluster due at a micro step predicts in one kernel dispatch, and every
+cluster whose interval ends after it corrects in one more: the clusters
+write disjoint rows, so the backend shares all their element blocks among
+its threads at once (the smallest clusters, which step most often, no
+longer pay a dispatch each).
+
 With a single cluster the scheme degenerates to GTS and reproduces the GTS
 solver bit-for-bit, which the test suite asserts.
 """
@@ -27,12 +33,17 @@ from ..kernels.discretization import N_ELASTIC, Discretization
 from ..mesh.reorder import cluster_ranges
 from ..observability import NULL_TELEMETRY
 from ..source.receivers import ReceiverSet
-from .buffers import BOUNDARY, LARGER, SAME, SMALLER, LtsBuffers
+from .buffers import BOUNDARY, LARGER, SAME, SMALLER, BufferFill, LtsBuffers
 from .clustering import Clustering
 from .lts_scheduler import schedule_cycle
 from .stepper import SingleRankStepper
 
-__all__ = ["ClusteredLtsSolver"]
+__all__ = ["ClusteredLtsSolver", "HalfAppliedStepError"]
+
+
+class HalfAppliedStepError(RuntimeError):
+    """A kernel dispatch raised mid-cycle: some clusters advanced and some
+    did not, so the solver refuses to step on until a state is restored."""
 
 
 class _ClusterData:
@@ -66,10 +77,12 @@ class _ClusterData:
         #: the backend's correction gather plans into the buffer store, per
         #: step parity (attached by the solver)
         self.neighbor_plans: tuple = ()
-        # prediction storage: the volume increment and the projected own
-        # traces the correction's surface kernels read
-        self.pending_local_delta: np.ndarray | None = None
-        self.pending_traces: np.ndarray | None = None
+        #: prediction storage: the volume increment and the projected own
+        #: traces the correction's surface kernels read (bound on first use)
+        self.pending: tuple | None = None
+        #: per step parity, the backend's items of each stepping phase
+        #: (built on first use)
+        self.items: list[dict | None] = [None, None]
         self.step_index = 0
 
 
@@ -125,6 +138,8 @@ class ClusteredLtsSolver(SingleRankStepper):
             )
         self.time = 0.0
         self.n_element_updates = 0
+        #: why the last dispatch left a half-applied state (``None``: clean)
+        self._failed: str | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -133,116 +148,154 @@ class ClusteredLtsSolver(SingleRankStepper):
         return float(self.clustering.cluster_time_steps[-1])
 
     # ------------------------------------------------------------------
-    def _predict(self, cluster: _ClusterData) -> None:
-        """Time kernel, buffer fill and volume update of one cluster."""
-        if cluster.workspace is not None:
-            self._bind_pending(cluster)
-        else:  # the reference kernels' fresh results are adopted, not copied
-            cluster.pending_local_delta = cluster.pending_traces = None
-        if len(cluster.elements):
-            with self.telemetry.region("predict"):
-                self._predict_elements(cluster, slice(0, len(cluster.elements)))
+    # the items of a cluster's prediction and correction
+    # ------------------------------------------------------------------
+    def _items(self, cluster: _ClusterData) -> dict:
+        """The cluster's kernel items of each phase at its current step
+        parity: ``{"predict": [...], "correct": [...]}``."""
+        parity = cluster.step_index % 2
+        items = cluster.items[parity]
+        if items is None:
+            if cluster.pending is None:
+                cluster.pending = self._bind_pending(cluster)
+            items = cluster.items[parity] = self._cluster_items(cluster, parity)
+        return items
 
-    def _bind_pending(self, cluster: _ClusterData) -> bool:
-        """Bind the cluster's prediction storage (``False``: empty cluster).
+    def _cluster_items(self, cluster: _ClusterData, parity: int) -> dict:
+        return {
+            "predict": self._prediction(cluster, parity, slice(0, len(cluster.elements))),
+            "correct": self._correction(cluster, parity),
+        }
+
+    def _bind_pending(self, cluster: _ClusterData) -> tuple:
+        """The cluster's ``(delta, traces)`` prediction storage.
 
         The volume increment and the own traces outlive the prediction
         until the correction reads them, so they live in the cluster's
         workspace under names of their own: a micro step allocates nothing.
         """
         n = len(cluster.elements)
-        if n == 0:
-            cluster.pending_local_delta = cluster.pending_traces = None
-            return False
-        shape = (n,) + self.dofs.shape[1:]
-        traces = (n, 4, N_ELASTIC, self.disc.n_face_basis) + self.dofs.shape[3:]
-        cluster.pending_local_delta = self._pending(cluster, "pending_delta", shape)
-        cluster.pending_traces = self._pending(cluster, "pending_traces", traces)
-        return True
-
-    def _pending(self, cluster: _ClusterData, name: str, shape: tuple) -> np.ndarray:
+        shapes = {
+            "pending_delta": (n,) + self.dofs.shape[1:],
+            "pending_traces": (n, 4, N_ELASTIC, self.disc.n_face_basis) + self.dofs.shape[3:],
+        }
         if cluster.workspace is None:  # the reference kernels keep no scratch
-            return np.empty(shape, dtype=self.dofs.dtype)
-        return cluster.workspace.scratch(name, shape, self.dofs.dtype)
+            return tuple(np.empty(shape, dtype=self.dofs.dtype) for shape in shapes.values())
+        return tuple(
+            cluster.workspace.scratch(name, shape, self.dofs.dtype)
+            for name, shape in shapes.items()
+        )
 
-    def _predict_elements(self, cluster: _ClusterData, rows: slice) -> None:
-        """The element-local prediction of a row range of the cluster batch:
-        CK time kernel, buffer fill, volume update.
+    def _prediction(self, cluster: _ClusterData, parity: int, rows: slice) -> list:
+        """The items of the element-local prediction of a row range of the
+        cluster batch: CK time kernel, buffer fill, volume update.
 
-        Shared between the full-cluster ``_predict`` and the distributed
-        rank stepper's boundary/interior split -- every contraction is
-        element-local, so any partition of the batch produces bit-identical
-        per-element results.  The increment and the traces are written into
-        the cluster's bound pending rows (unbound: the whole cluster's
-        results are adopted), and the buffers are filled per element block
-        while its integrals are in cache.
+        Every contraction is element-local, so any partition of the batch
+        (the distributed rank stepper's boundary/interior split) produces
+        bit-identical per-element results.  The increment and the traces
+        land in the cluster's pending rows, and the buffers are filled per
+        element block while its integrals are in cache.
         """
         if rows.start == rows.stop:
-            return
-        first, step_index = cluster.elements.start, cluster.step_index
-
-        def fill(block: slice, integral: np.ndarray, half: np.ndarray) -> None:
-            self.buffers.fill(block, integral, half, step_index)
-
-        out = None
-        if cluster.pending_local_delta is not None:
-            out = (cluster.pending_local_delta[rows], cluster.pending_traces[rows])
-        delta, _, _, traces = self.backend.local_update(
+            return []
+        first = cluster.elements.start
+        delta, traces = cluster.pending
+        return self.backend.prediction(
             self.disc, self.dofs, cluster.dt, range(first + rows.start, first + rows.stop),
-            ws=cluster.workspace, needs_half=True, out=out, fill=fill,
+            (delta[rows], traces[rows]), ws=cluster.workspace, needs_half=True,
+            fill=BufferFill(self.buffers, parity),
         )
-        if out is None:
-            cluster.pending_local_delta, cluster.pending_traces = delta, traces
+
+    def _correction(self, cluster: _ClusterData, parity: int) -> list:
+        """The items of both surface halves and the DOF advance of the
+        cluster: the backend gathers the neighbours straight from the
+        buffer store."""
+        if len(cluster.elements) == 0:
+            return []
+        delta, traces = cluster.pending
+        return self.backend.correction(
+            self.disc, self.dofs, cluster.elements, delta, traces, self.buffers.store,
+            cluster.neighbor_plans[parity], ws=cluster.workspace, halo=self._halo(cluster),
+        )
 
     def _halo(self, cluster: _ClusterData):
         """Received neighbour coefficients of a correction (a hook: the
-        distributed rank stepper returns ``(faces, payloads)``)."""
+        distributed rank stepper returns ``(faces, payloads)``, read when
+        the correction runs)."""
         return None
 
-    def _correct(self, cluster: _ClusterData, cluster_start_time: float) -> None:
-        """Both surface halves and the DOF advance of one cluster: the
-        backend gathers the neighbours straight from the buffer store."""
-        if len(cluster.elements) == 0:
-            cluster.step_index += 1
+    # ------------------------------------------------------------------
+    # the micro-step phases
+    # ------------------------------------------------------------------
+    def _dispatch(self, phase: str, clusters: list[int]) -> None:
+        """One kernel dispatch of the ``phase`` items of ``clusters``.
+
+        A dispatch that raises leaves some clusters advanced and some not:
+        every later step is refused (:meth:`_check_state`) until
+        :meth:`restore_state` brings a whole state back.
+        """
+        items = [item for l in clusters for item in self._items(self.clusters[l])[phase]]
+        if not items:
             return
+        try:
+            self.backend.run(items, self.dofs)
+        except BaseException as error:
+            self._failed = f"the {phase} dispatch of clusters {clusters} raised {error!r}"
+            raise
+
+    def _check_state(self) -> None:
+        if self._failed is not None:
+            raise HalfAppliedStepError(
+                f"refusing to step from a half-applied state at t = {self.time}: {self._failed}; "
+                "restore a checkpoint first"
+            )
+
+    def predict_step(self, entry: dict) -> None:
+        """Predict every cluster starting an interval at this micro step."""
+        with self.telemetry.region("predict"):
+            self._dispatch("predict", entry["predict"])
+
+    def correct_step(self, entry: dict, dt0: float) -> None:
+        """Correct every cluster whose interval ends after this micro step,
+        then inject its sources, record its receivers and advance its step
+        counter."""
         with self.telemetry.region("correct"):
-            halo = self._halo(cluster)
-            self.backend.correct(
-                self.disc, self.dofs, cluster.elements, cluster.pending_local_delta,
-                cluster.pending_traces, self.buffers.store,
-                cluster.neighbor_plans[cluster.step_index % 2],
-                ws=cluster.workspace, halo=halo,
-            )
-        cluster.pending_local_delta = None
-        cluster.pending_traces = None
+            self._receive()
+            self._dispatch("correct", entry["correct"])
+        for l in entry["correct"]:
+            cluster = self.clusters[l]
+            start = self.time + (entry["micro_step"] + 1) * dt0 - cluster.dt
+            self._advance(cluster, start)
 
-        t_new = cluster_start_time + cluster.dt
-        for element, sources in self._sources_by_element.items():
-            if element in cluster.elements:
-                for source in sources:
-                    source.inject(self.dofs, cluster_start_time, t_new)
-        if self.receivers is not None:
-            self.receivers.record_elements(cluster.elements, t_new, self.dofs)
+    def _receive(self) -> None:
+        """Bring in what the step's corrections read besides the buffers (a
+        hook: the distributed rank stepper drains its halo packs)."""
 
-        self.n_element_updates += len(cluster.elements)
-        if self.telemetry.enabled:
-            self.telemetry.inc(
-                f"updates/cluster{cluster.cluster_id}", len(cluster.elements)
-            )
+    def _advance(self, cluster: _ClusterData, cluster_start_time: float) -> None:
+        """What follows a cluster's correction: sources over its interval,
+        receivers at its end, the update count and the step counter."""
+        if len(cluster.elements):
+            t_new = cluster_start_time + cluster.dt
+            for element, sources in self._sources_by_element.items():
+                if element in cluster.elements:
+                    for source in sources:
+                        source.inject(self.dofs, cluster_start_time, t_new)
+            if self.receivers is not None:
+                self.receivers.record_elements(cluster.elements, t_new, self.dofs)
+            self.n_element_updates += len(cluster.elements)
+            if self.telemetry.enabled:
+                self.telemetry.inc(
+                    f"updates/cluster{cluster.cluster_id}", len(cluster.elements)
+                )
         cluster.step_index += 1
 
-    # ------------------------------------------------------------------
     def step_cycle(self) -> None:
         """Advance the whole mesh by one macro cycle (largest cluster step)."""
-        n_clusters = self.clustering.n_clusters
+        self._check_state()
         dt0 = float(self.clustering.cluster_time_steps[0])
-        for entry in schedule_cycle(n_clusters):
-            for l in entry["predict"]:
-                self._predict(self.clusters[l])
-            for l in entry["correct"]:
-                cluster = self.clusters[l]
-                start = self.time + (entry["micro_step"] + 1) * dt0 - cluster.dt
-                self._correct(cluster, start)
+        for entry in schedule_cycle(self.clustering.n_clusters):
+            self.predict_step(entry)
+            self.correct_step(entry, dt0)
         self.time += self.macro_dt
 
     # ------------------------------------------------------------------
@@ -260,6 +313,7 @@ class ClusteredLtsSolver(SingleRankStepper):
 
     def restore_state(self, arrays, time: float, n_element_updates: int) -> None:
         super().restore_state(arrays, time, n_element_updates)
+        self._failed = None
         for cluster, step_index in zip(self.clusters, arrays["step_index"]):
             cluster.step_index = int(step_index)
         self.buffers.b1 = arrays["b1"]

@@ -7,29 +7,31 @@ are added on top of the shared driver logic:
 
 * the prediction of a cluster is split along the subdomain's
   boundary/interior partition (two adjacent slices of the cluster's run of
-  local ids): :meth:`predict_boundary` runs the time
-  kernel, buffer fill and local update for the halo-adjacent rows only, so
-  the due sends can be posted immediately, and :meth:`predict_interior`
-  computes the remaining rows afterwards -- with a process-backed
-  communicator the interior work overlaps the message transfer,
+  local ids): :meth:`begin_micro_step` runs the time kernel, buffer fill
+  and local update of the halo-adjacent rows of every due cluster in one
+  kernel dispatch, so the due sends can be posted immediately, and
+  :meth:`advance_interior` computes the remaining rows in one more -- with
+  a process-backed communicator the interior work overlaps the message
+  transfer,
 * :meth:`send_due` ships one pack per destination rank and micro step: the
   face-local compressed payloads (``9 x F`` values per face -- the buffer
   data already multiplied with the *receiver's* neighbouring flux matrix
   ``F_bar``) of every face due to that rank, projected by the backend in
   one pass over the step's send plan, and
-* the :meth:`_halo` hook drains, at the first correction of a micro step,
-  every incoming pack due up to that step (in step order, a later payload
-  overwriting an earlier one: a faster sender refreshes its accumulated
-  ``B3`` twice per receiver step) into the rank's halo store, and hands the
-  correcting cluster's run of it to the backend's correction as ``(flat
-  face ids, payloads)``.  The receive plans are static, so the receive is
-  deterministic and blocks correctly on asynchronous channels.
+* :meth:`finish_micro_step` drains every incoming pack due up to that step
+  (in step order, a later payload overwriting an earlier one: a faster
+  sender refreshes its accumulated ``B3`` twice per receiver step) into the
+  rank's halo store before the step's corrections run in one dispatch; the
+  :meth:`_halo` hook hands each correcting cluster's run of the store to
+  the backend as ``(flat face ids, payloads)``.  The receive plans are
+  static, so the receive is deterministic and blocks correctly on
+  asynchronous channels.
 
-Because every kernel contraction is element-local, splitting a cluster batch
-into two sub-batches produces bit-identical per-element results, and because
-the sender performs exactly the ``F_bar`` multiplication the receiver would
-have performed on the same buffer values, the distributed update is
-bit-identical to the single-rank solver.
+Because every kernel contraction is per element or per face, splitting a
+cluster batch into two sub-batches produces bit-identical per-element
+results, and because the sender performs exactly the ``F_bar``
+multiplication the receiver would have performed on the same buffer values,
+the distributed update is bit-identical to the single-rank solver.
 """
 
 from __future__ import annotations
@@ -97,20 +99,16 @@ class RankSolver(ClusteredLtsSolver):
     # ------------------------------------------------------------------
     # split prediction (overlap structure)
     # ------------------------------------------------------------------
-    def predict_boundary(self, cluster: _ClusterData) -> None:
-        """Predict the halo-adjacent rows of a cluster and stage the batch.
-
-        Binds the full-batch pending arrays and fills the boundary rows, so
-        the buffers every due send reads from are fresh before
-        :meth:`send_due` runs.
-        """
-        if self._bind_pending(cluster):
-            self._predict_elements(cluster, self.subdomain.boundary_rows[cluster.cluster_id])
-
-    def predict_interior(self, cluster: _ClusterData) -> None:
-        """Predict the purely local rows (overlaps in-flight halo messages)."""
-        if len(cluster.elements):
-            self._predict_elements(cluster, self.subdomain.interior_rows[cluster.cluster_id])
+    def _cluster_items(self, cluster: _ClusterData, parity: int) -> dict:
+        """The halo-adjacent rows' prediction, the purely local rows' and
+        the correction of a cluster (the boundary rows lead the batch, so
+        the buffers every due send reads are filled first)."""
+        l = cluster.cluster_id
+        return {
+            "boundary": self._prediction(cluster, parity, self.subdomain.boundary_rows[l]),
+            "interior": self._prediction(cluster, parity, self.subdomain.interior_rows[l]),
+            "correct": self._correction(cluster, parity),
+        }
 
     # ------------------------------------------------------------------
     # the shared micro-step walk (used by the serial engine, which
@@ -129,9 +127,9 @@ class RankSolver(ClusteredLtsSolver):
 
     def begin_micro_step(self, entry: dict) -> None:
         """Boundary predictions of the due clusters plus the due sends."""
+        self._check_state()
         with self.telemetry.region("predict.boundary"):
-            for l in entry["predict"]:
-                self.predict_boundary(self.clusters[l])
+            self._dispatch("boundary", entry["predict"])
         with self.telemetry.region("send"):
             self.send_due(entry["micro_step"])
             self.comm.flush()
@@ -139,18 +137,14 @@ class RankSolver(ClusteredLtsSolver):
     def advance_interior(self, entry: dict) -> None:
         """Interior predictions (overlap: the sends are already in flight)."""
         with self.telemetry.region("predict.interior"):
-            for l in entry["predict"]:
-                self.predict_interior(self.clusters[l])
+            self._dispatch("interior", entry["predict"])
 
     def finish_micro_step(self, entry: dict, dt0: float) -> None:
         """Corrections of the clusters whose interval ends after this step."""
         self._micro_step = entry["micro_step"]
         if self._micro_step == 0:
             self._next_drain = 0
-        for l in entry["correct"]:
-            cluster = self.clusters[l]
-            start = self.time + (entry["micro_step"] + 1) * dt0 - cluster.dt
-            self._correct(cluster, start)
+        self.correct_step(entry, dt0)
 
     # ------------------------------------------------------------------
     def send_due(self, micro_step: int) -> None:
@@ -174,12 +168,14 @@ class RankSolver(ClusteredLtsSolver):
                 self.halo_store[pack.rows] = self.comm.recv(pack.src, self.rank, step)
             self._next_drain = step + 1
 
+    def _receive(self) -> None:
+        """Drain the packs due up to the step before its corrections run."""
+        with self.telemetry.region("recv_wait"):
+            self._drain()
+
     def _halo(self, cluster: _ClusterData):
-        """Receive the due halo packs; the cluster's ``(faces, payloads)``
-        for the backend's correction, or ``None`` without halo faces."""
-        if self._next_drain <= self._micro_step:  # the step's first correction
-            with self.telemetry.region("recv_wait"):
-                self._drain()
+        """The cluster's ``(faces, payloads)`` run of the halo store for the
+        backend's correction, or ``None`` without halo faces."""
         plan = self.subdomain.recv_plans[cluster.cluster_id]
         if len(plan.rows) == 0:
             return None

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 import os
+import weakref
 from functools import partial
 
 import numpy as np
@@ -94,11 +95,14 @@ class KernelWorkspace:
     boundary/interior alternation share the pages the largest request
     faulted in (a name is therefore live for one array at a time).
     :meth:`cached` memoizes batch-static data (stacked operators, gather
-    plans) under an explicit token; :meth:`on` pairs that data with another
-    workspace's scratch (a pool thread's).
+    plans) under an explicit token, :meth:`latest` the one current value of
+    a name; :meth:`on` pairs that data with another workspace's scratch (a
+    pool thread's).  ``programs`` holds the block programs compiled on
+    these pools: a (re)allocation drops them all, so none pins an outgrown
+    buffer, and :attr:`generation` counts the (re)allocations.
     """
 
-    __slots__ = ("_pools", "_views", "_cache")
+    __slots__ = ("_pools", "_views", "_cache", "_grown", "programs")
 
     def __init__(self):
         #: (name, dtype) -> flat buffer, grown to the largest request
@@ -106,6 +110,15 @@ class KernelWorkspace:
         #: (name, shape, dtype) -> leading view of the pool buffer
         self._views: dict = {}
         self._cache: dict = {}
+        #: one-element counter of pool allocations, shared with every lane
+        #: :meth:`on` pairs with these pools
+        self._grown = [0]
+        #: block -> its program on these pools (see :class:`_Block`)
+        self.programs = weakref.WeakKeyDictionary()
+
+    @property
+    def generation(self) -> int:
+        return self._grown[0]
 
     def scratch(self, name, shape: tuple, dtype) -> np.ndarray:
         """A scratch array of the requested shape/dtype with undefined
@@ -120,6 +133,8 @@ class KernelWorkspace:
             pool = self._pools.get((name, dtype))
             if pool is None or pool.size < size:
                 pool = self._pools[name, dtype] = np.zeros(size, dtype=dtype)
+                self._grown[0] += 1
+                self.programs.clear()
                 # views of the outgrown buffer would pin it: drop them
                 for stale in [k for k in self._views if k[0] == name and k[2] == dtype]:
                     del self._views[stale]
@@ -135,10 +150,21 @@ class KernelWorkspace:
             self._cache[key] = value
         return value
 
+    def latest(self, name, key: tuple, builder):
+        """``builder()``, rebuilt whenever ``key`` differs from the last
+        call's under ``name`` (one entry per name).  ``key`` may hold
+        ``id()`` s of objects the built value keeps alive: while it does,
+        no other object can carry the same id."""
+        entry = self._cache.get(("latest", name))
+        if entry is None or entry[0] != key:
+            entry = self._cache["latest", name] = (key, builder())
+        return entry[1]
+
     def on(self, scratch: KernelWorkspace) -> KernelWorkspace:
         """A workspace with this one's cached data and ``scratch``'s pools."""
         lane = KernelWorkspace.__new__(KernelWorkspace)
-        lane._pools, lane._views, lane._cache = scratch._pools, scratch._views, self._cache
+        lane._pools, lane._views, lane._grown = scratch._pools, scratch._views, scratch._grown
+        lane.programs, lane._cache = scratch.programs, self._cache
         return lane
 
 
@@ -165,10 +191,10 @@ class ReferenceBackend:
 
     # -- space kernels (``out``: the array the result is written into) ---
     def project_local_traces(self, disc, time_integrated_elastic, elements, ws=None, out=None):
-        return _into(out, project_local_traces(disc, time_integrated_elastic, elements))
+        return project_local_traces(disc, time_integrated_elastic, elements, out=out)
 
     def volume_kernel(self, disc, time_integrated, elements, ws=None, out=None):
-        return _into(out, volume_kernel(disc, time_integrated, elements))
+        return volume_kernel(disc, time_integrated, elements, out=out)
 
     def surface_kernel_local(self, disc, time_integrated, elements, local_traces, ws=None):
         return surface_kernel_local(disc, time_integrated, elements, local_traces=local_traces)
@@ -272,6 +298,29 @@ class ReferenceBackend:
             delta += self.surface_kernel_neighbor(disc, coeffs, rows, ws=ws)
         dofs[rows] += delta
 
+    # -- dispatch: the items a solver merges across its clusters --------
+    def prediction(self, disc, dofs, dt, elements, out, ws=None, needs_half=False, fill=None):
+        """:meth:`local_update` of a non-empty batch as items for :meth:`run`,
+        writing ``out = (delta, traces)`` and filling through ``fill``.
+        ``dofs`` gives the layout; the items read the array :meth:`run`
+        hands them."""
+        return [lambda slot, telemetry, dofs: self.local_update(
+            disc, dofs, dt, elements, ws=ws, needs_half=needs_half, out=out, fill=fill
+        )]
+
+    def correction(self, disc, dofs, elements, delta, traces, source, plan, ws=None, halo=None):
+        """:meth:`correct` of a non-empty batch as items for :meth:`run`
+        (``halo`` payloads are read when the items run)."""
+        return [lambda slot, telemetry, dofs: self.correct(
+            disc, dofs, elements, delta, traces, source, plan, ws=ws, halo=halo
+        )]
+
+    def run(self, items: list, dofs) -> None:
+        """Run the items of any number of :meth:`prediction` or
+        :meth:`correction` calls, in order, on ``dofs``."""
+        for item in items:
+            item(0, self.telemetry, dofs)
+
 
 class _DiscData:
     """Per-discretization derived data of the fast backend.
@@ -349,21 +398,15 @@ def _contiguous_run(elements, n_elements: int) -> range:
     if isinstance(elements, slice):
         elements = range(n_elements)[elements]
     elif not isinstance(elements, range):
-        ids = np.asarray(elements)
-        start = int(ids.flat[0]) if ids.size else 0
-        if np.array_equal(ids, range(start, start + ids.size)):
-            elements = range(start, start + ids.size)
+        ids = np.asarray(elements).ravel()
+        n = len(ids)
+        start = int(ids[0]) if n else 0
+        # the last id, then (from three ids on) every step
+        if n == 0 or (int(ids[-1]) == start + n - 1 and (n < 3 or bool(np.all(np.diff(ids) == 1)))):
+            elements = range(start, start + n)
     if not (isinstance(elements, range) and elements.step == 1):
         raise ValueError("an element batch must be one contiguous run of element ids")
     return elements
-
-
-def _into(out, result):
-    """``result``, copied into ``out`` when the caller names one."""
-    if out is None:
-        return result
-    out[...] = result
-    return out
 
 
 def _class_segments(sorted_classes: np.ndarray) -> list[tuple[int, int, int]]:
@@ -380,21 +423,111 @@ def _class_segments(sorted_classes: np.ndarray) -> list[tuple[int, int, int]]:
 _BLOCK_STACK_BYTES = 3 << 19
 
 
+#: the public prediction stage methods a block program inlines; an instance
+#: that substitutes one (a tracer timing it, a test spy) runs its blocks
+#: through them instead
+_PREDICTION_STAGES = frozenset(
+    ("compute_time_derivatives", "time_integrate", "project_local_traces", "volume_kernel")
+)
+#: what a solver's merged dispatch reaches per batch once one is substituted
+_SUBSTITUTABLE = _PREDICTION_STAGES | {"local_update", "correct"}
+
+
+def _view(array: np.ndarray, shape: tuple) -> np.ndarray:
+    """``array`` reshaped without a copy: a program keeps the result, and a
+    copy would go stale (raises ``ValueError`` if the layout needs one)."""
+    return array.reshape(shape, copy=False)
+
+
+def _run(calls: list) -> None:
+    for call, args in calls:
+        call(*args)
+
+
+class _Program:
+    """One element block's kernels as straight-line NumPy calls on one
+    thread's scratch: every view, stacked operator, Taylor weight and
+    output row resolved once.
+
+    ``stages`` are ``(telemetry region or None, calls)``; the DOFs are the
+    one operand bound per run -- a prediction copies its block's rows into
+    ``operand`` (the derivative stack's first entry) before the calls, a
+    correction adds ``operand`` (the increment) to them after.
+    """
+
+    __slots__ = ("block", "operand", "reads", "stages", "calls")
+
+    def __init__(self, block: slice, operand, reads: bool, stages: list):
+        self.block, self.operand, self.reads, self.stages = block, operand, reads, stages
+        self.calls = [call for _, calls in stages for call in calls]
+
+    def run(self, dofs, telemetry) -> None:
+        rows = dofs[self.block]
+        if self.reads:
+            np.copyto(self.operand, rows)
+        if telemetry.enabled:
+            for name, calls in self.stages:
+                if name is None:
+                    _run(calls)
+                else:
+                    with telemetry.region(name):
+                        _run(calls)
+        else:
+            for call, args in self.calls:
+                call(*args)
+        if not self.reads:
+            np.add(rows, self.operand, out=rows)
+
+
+class _Block:
+    """One element block of a dispatch (an item of :meth:`FastBackend.run`):
+    its :class:`_Program` on each pool thread's scratch, compiled on the
+    thread's first claim and again once that thread's pools have grown.
+    ``staged`` runs the block through the public stage methods instead,
+    and ``batch`` is ``(method, disc, args, kwargs)``: the ``local_update``
+    or ``correct`` call of the block's whole batch, less its DOFs."""
+
+    __slots__ = ("backend", "compile", "staged", "batch", "__weakref__")
+
+    def __init__(self, backend, compile, staged=None, batch=None):
+        self.backend, self.compile, self.staged, self.batch = backend, compile, staged, batch
+
+    def __call__(self, slot: int, telemetry, dofs) -> None:
+        backend = self.backend
+        scratch = backend._thread_scratch[slot]
+        if self.staged is not None and backend._staged:
+            self.staged(scratch, telemetry, dofs)
+            return
+        program = scratch.programs.get(self)
+        if program is None:
+            grown = scratch.generation
+            program = self.compile(scratch)
+            if scratch.generation != grown:  # its own requests grew a pool
+                program = self.compile(scratch)
+            scratch.programs[self] = program
+        program.run(dofs, telemetry)
+
+
 class FastBackend(ReferenceBackend):
     """Tolerance-equal execution: stacked operators on cache-sized blocks.
 
     Keeps the reference's composite ``local_update`` pipeline (run once per
     element block) but drops its operation order: the time and volume
-    kernels are one :meth:`_space_operator` (five batched GEMMs and
-    two slab passes on the half of the columns the degree-lowering
-    stiffness matrices populate or read), the Taylor integral is a GEMV per
-    element, the correction is :meth:`correct`'s fused pass, any fused axis
-    rides as GEMM columns so scalar and fused batches run the same lines,
-    and both halves walk a batch in L2-sized element blocks, one static
-    contiguous chunk of blocks per thread of the process's pool
-    (:meth:`_dispatch`).  Every contraction stays per element (or per
-    block), so an element's update depends neither on the batch or block
-    around it nor on the thread count.
+    kernels are one stacked space operator (five batched GEMMs and two
+    slab passes on the half of the columns the degree-lowering stiffness
+    matrices populate or read), the Taylor integral is a GEMV per element,
+    the correction is :meth:`correct`'s fused pass, and any fused axis rides
+    as GEMM columns so scalar and fused batches run the same lines.
+
+    Both halves walk a batch in L2-sized element blocks.  A block is
+    compiled once per pool thread into a :class:`_Program` (the stage
+    methods' NumPy calls with every operand resolved), and :meth:`run`
+    hands the blocks of any number of batches -- every cluster due at an
+    LTS micro step -- to the pool in one dispatch, each claimed by the next
+    free thread.  Every contraction is per element or per face (never a
+    GEMM whose row count grows with the block: BLAS picks its kernel by
+    it), so an element's update depends neither on the batch or block
+    around it, nor on the thread that ran it, nor on the thread count.
 
     Results are NOT bit-identical to the reference at any precision (and
     the O(1e-15) assembly roundoff in the stiffness matrices' structural
@@ -408,7 +541,10 @@ class FastBackend(ReferenceBackend):
         #: transient block scratch: one workspace per pool thread, shared by
         #: every batch this backend runs (a batch's cached data, pending rows
         #: and outputs stay in its own workspace)
-        self._thread_scratch: list[KernelWorkspace] = []
+        self._thread_scratch: list[KernelWorkspace] = [KernelWorkspace()]
+        #: the current dispatch runs its predictions through the stage
+        #: methods (an instance substitutes one of them)
+        self._staged = False
 
     def make_workspace(self) -> KernelWorkspace:
         return KernelWorkspace()
@@ -432,49 +568,65 @@ class FastBackend(ReferenceBackend):
             return np.zeros(shape, dtype=dtype)
         return ws.scratch(name, shape, dtype)
 
-    def _dispatch(self, items: list, ws, work) -> None:
-        """``work(chunk, ws, telemetry)`` over one static contiguous chunk of
-        ``items`` per thread of :func:`~repro.kernels.threads.block_pool`
-        (chunk 0 on this thread; a single item runs inline).
+    def run(self, items: list, dofs) -> None:
+        """One pool dispatch of the items of any number of
+        :meth:`prediction` / :meth:`correction` calls on ``dofs``
+        (:meth:`_dispatch`).
 
-        A chunk runs on its thread's scratch workspace with ``ws``'s cached
-        data, and records its regions on a branch of this backend's
-        telemetry lane (seeded with the open region path), absorbed once
-        every chunk is done.  Callers build everything a chunk only reads
-        first, so past their first batches the worker threads allocate
-        nothing.
+        An instance that substitutes ``local_update``, ``correct`` or a
+        prediction stage method (a tracer timing it by name) sees every
+        batch through ``local_update`` / ``correct``, one batch after the
+        other, and every prediction block through the stage methods: the
+        same arithmetic, unmerged.
         """
-        pool = block_pool() if len(items) > 1 else None
-        n_chunks = min(len(items), pool.n_threads) if pool is not None else 1
-        while len(self._thread_scratch) < n_chunks:
-            self._thread_scratch.append(KernelWorkspace())
-        lanes = [None if ws is None else ws.on(s) for s in self._thread_scratch[:n_chunks]]
-        telemetry = self.telemetry
-        if n_chunks == 1:
-            work(items, lanes[0], telemetry)
+        if _SUBSTITUTABLE.isdisjoint(vars(self)):
+            self._dispatch(items, dofs)
             return
-        branches = [telemetry] + [telemetry.branch() for _ in range(n_chunks - 1)]
-        bounds = [len(items) * i // n_chunks for i in range(n_chunks + 1)]
-        pool.run([
-            partial(work, items[a:b], lane, branch)
-            for a, b, lane, branch in zip(bounds, bounds[1:], lanes, branches)
-        ])
-        for branch in branches[1:]:
-            telemetry.absorb(branch)
+        for name, disc, args, kwargs in {id(item.batch): item.batch for item in items}.values():
+            getattr(self, name)(disc, dofs, *args, **kwargs)
+
+    def _dispatch(self, items: list, dofs) -> None:
+        """Each thread of :func:`~repro.kernels.threads.block_pool` (this
+        one included) claims the next unclaimed item until none is left; a
+        single item runs inline.  An item runs on its thread's scratch and
+        records its regions on a branch of this backend's telemetry lane
+        (seeded with the open region path), absorbed once every thread is
+        done.  The first error stops the claiming and is re-raised after
+        every thread has returned.
+        """
+        if not items:
+            return
+        pool = block_pool() if len(items) > 1 else None
+        n_threads = min(len(items), pool.n_threads) if pool is not None else 1
+        while len(self._thread_scratch) < n_threads:
+            self._thread_scratch.append(KernelWorkspace())
+        self._staged = not _PREDICTION_STAGES.isdisjoint(vars(self))
+        telemetry = self.telemetry
+        if n_threads == 1:
+            for item in items:
+                item(0, telemetry, dofs)
+            return
+        branches = [telemetry] + [telemetry.branch() for _ in range(n_threads - 1)]
+        try:
+            pool.run(items, lambda item, slot: item(slot, branches[slot], dofs))
+        finally:
+            for branch in branches[1:]:
+                telemetry.absorb(branch)
 
     @staticmethod
-    def _bmm(matrices, operand, out):
+    def _bmm_call(matrices, operand, out):
         """Batched ``matrices @ operand`` with trailing fused axes folded
         into the GEMM columns: ``(..., i, j) @ (..., j, B[, f])``.  The fold
         merges the two innermost axes, contiguous at every call site, so
         ``out`` stays a view and ``np.matmul`` writes in place."""
         batch = matrices.ndim - 1
         if operand.ndim > matrices.ndim:
-            operand = operand.reshape(operand.shape[:batch] + (-1,))
-            out = out.reshape(out.shape[:batch] + (-1,))
-        np.matmul(matrices, operand, out=out)
+            operand = _view(operand, operand.shape[:batch] + (-1,))
+            out = _view(out, out.shape[:batch] + (-1,))
+        return np.matmul, (matrices, operand, out)
 
-    def _basis_apply(self, x, matrix, out=None):
+    @staticmethod
+    def _basis_call(x, matrix, out):
         """Right-multiply by an operator with the fused axis as GEMM columns.
 
         Scalar batches run ``x @ matrix`` (a ``(V, B) @ (B, D)`` GEMM per
@@ -482,8 +634,8 @@ class FastBackend(ReferenceBackend):
         ``(D, B) @ (E, V, B, F) -> (E, V, D, F)``.
         """
         if x.ndim == 3:
-            return np.matmul(x, matrix, out=out)
-        return np.matmul(matrix.T, x, out=out)
+            return np.matmul, (x, matrix, out)
+        return np.matmul, (matrix.T, x, out)
 
     # ------------------------------------------------------------------
     # time + volume kernels: one stacked space operator
@@ -539,10 +691,10 @@ class FastBackend(ReferenceBackend):
             return data, build()
         return data, ws.cached("stacked_ops", (elements.start, elements.stop), build)
 
-    def _space_operator(self, disc, kcat, x, y, elements, ws):
-        """``y = L(x)``: the spatial operator behind both element kernels.
-
-        With ``tmp_c = x_e @ K_c`` for the three blocks of ``kcat``::
+    def _space_operator_calls(self, disc, kcat, x, y, elements, ws) -> list:
+        """``y = L(x)``, the spatial operator behind both element kernels,
+        as calls.  With ``tmp_c = x_e @ K_c`` for the three blocks of
+        ``kcat``::
 
             y_e = sum_c star_e[c] @ tmp_c + sum_l coupling_l @ x_l
             y_l = omega_l * (sum_c star_a[c] @ tmp_c - x_l)
@@ -564,24 +716,35 @@ class FastBackend(ReferenceBackend):
         dtype = x.dtype
 
         tmp = self._scratch(ws, "op_tmp", (E, N_ELASTIC, 3 * n_out) + x.shape[3:], dtype)
-        self._basis_apply(x[:, :N_ELASTIC, :n_in], kcat, out=tmp)
-        tmp = tmp.reshape(E, N_ELASTIC, 3, ncols)
+        calls = [self._basis_call(x[:, :N_ELASTIC, :n_in], kcat, tmp)]
+        tmp = _view(tmp, (E, N_ELASTIC, 3, ncols))
         # the star products land in the leading columns of a slab laid out
         # like ``y`` whose tail columns are never written, i.e. stay zero
         # from allocation (the scratch name pins the layout)
         star = self._scratch(ws, ("op_star", n_vars, width, ncols), (E, n_vars, width), dtype)
         for matrix, variables, rows in ops["stages"]:
-            self._bmm(matrix, tmp[:, variables].reshape(E, -1, ncols), star[:, rows, :ncols])
+            calls.append(self._bmm_call(
+                matrix, _view(tmp[:, variables], (E, -1, ncols)), star[:, rows, :ncols]
+            ))
 
-        x = x.reshape(E, n_vars, width)
-        y = y.reshape(E, n_vars, width)
+        x = _view(x, (E, n_vars, width))
+        y = _view(y, (E, n_vars, width))
         # reactive part: -omega_l * x_l on the memory rows (zero on the
         # elastic ones), then the coupling GEMM over the rows it feeds
-        np.multiply(x, data.relaxation(width), out=y)
+        calls.append((np.multiply, (x, data.relaxation(width), y)))
         if n_vars > N_ELASTIC:
             ccat = ops["ccat"]
-            self._bmm(ccat, x[:, N_ELASTIC:], y[:, : ccat.shape[1]])
-        y += star
+            calls.append(self._bmm_call(ccat, x[:, N_ELASTIC:], y[:, : ccat.shape[1]]))
+        calls.append((np.add, (y, star, y)))
+        return calls
+
+    def _derivative_calls(self, disc, stack, elements, ws) -> list:
+        """The CK recursion ``stack[d] = L(stack[d - 1])`` as calls."""
+        kcat = self._disc_data(disc).kcat_time
+        return [
+            call for d in range(1, disc.order)
+            for call in self._space_operator_calls(disc, kcat, stack[d - 1], stack[d], elements, ws)
+        ]
 
     def compute_time_derivatives(self, disc, dofs, elements, ws=None):
         """CK derivatives as one contiguous ``(O, E, N_q, B[, f])`` stack
@@ -589,38 +752,51 @@ class FastBackend(ReferenceBackend):
         batch = dofs[elements]
         stack = self._scratch(ws, "ck_stack", (disc.order,) + batch.shape, dofs.dtype)
         stack[0] = batch
-        kcat = self._disc_data(disc).kcat_time
-        for d in range(1, disc.order):
-            self._space_operator(disc, kcat, stack[d - 1], stack[d], elements, ws)
+        _run(self._derivative_calls(disc, stack, elements, ws))
         return stack
 
     @staticmethod
     def _elastic_rows(derivatives):
         return derivatives[:, :, :N_ELASTIC]
 
-    def time_integrate(self, derivatives, t_start, t_end, ws=None, key="ti"):
-        """Taylor integration over ``[t_start, t_end]``: one ``weights @
-        derivatives`` product per element, so row-sliced stacks need no copy."""
+    def _integral_calls(self, stack, t_start, t_end, ws, key):
+        """``(calls, result)`` of a Taylor integration over ``[t_start,
+        t_end]``: one ``weights @ derivatives`` product per element, so
+        row-sliced stacks need no copy."""
         if t_end < t_start:
             raise ValueError("t_end must be >= t_start")
-        stack = derivatives if isinstance(derivatives, np.ndarray) else np.stack(derivatives)
         order, E = stack.shape[:2]
         weights = np.array(
             [(t_end ** (d + 1) - t_start ** (d + 1)) / math.factorial(d + 1) for d in range(order)],
             dtype=stack.dtype,
         )
         result = self._scratch(ws, key, stack.shape[1:], stack.dtype)
-        np.matmul(weights, stack.swapaxes(0, 1).reshape(E, order, -1), out=result.reshape(E, -1))
+        operand = _view(stack.swapaxes(0, 1), (E, order, -1))
+        return [(np.matmul, (weights, operand, _view(result, (E, -1))))], result
+
+    def time_integrate(self, derivatives, t_start, t_end, ws=None, key="ti"):
+        """Taylor integration over ``[t_start, t_end]`` (one GEMV per element)."""
+        stack = derivatives if isinstance(derivatives, np.ndarray) else np.stack(derivatives)
+        calls, result = self._integral_calls(stack, t_start, t_end, ws, key)
+        _run(calls)
         return result
 
-    def volume_kernel(self, disc, time_integrated, elements, ws=None, out=None):
+    def _volume_calls(self, disc, time_integrated, elements, ws, out):
+        """``(calls, out)`` of the volume kernel into ``out`` (scratch when
+        ``None``; a non-contiguous ``out`` receives a copy)."""
         kcat = self._disc_data(disc).kcat_vol
         if out is not None and out.flags.c_contiguous:  # the operator reshapes ``out``
-            self._space_operator(disc, kcat, time_integrated, out, elements, ws)
-            return out
+            return self._space_operator_calls(disc, kcat, time_integrated, out, elements, ws), out
         y = self._scratch(ws, "vol_out", time_integrated.shape, time_integrated.dtype)
-        self._space_operator(disc, kcat, time_integrated, y, elements, ws)
-        return _into(out, y)
+        calls = self._space_operator_calls(disc, kcat, time_integrated, y, elements, ws)
+        if out is None:
+            return calls, y
+        return calls + [(np.copyto, (out, y))], out
+
+    def volume_kernel(self, disc, time_integrated, elements, ws=None, out=None):
+        calls, out = self._volume_calls(disc, time_integrated, elements, ws, out)
+        _run(calls)
+        return out
 
     # ------------------------------------------------------------------
     # cache-blocked local update
@@ -640,21 +816,21 @@ class FastBackend(ReferenceBackend):
     def local_update(
         self, disc, dofs, dt, elements, ws=None, needs_half=False, out=None, fill=None
     ):
-        """The shared pipeline, one L2-sized element block at a time: each
-        block runs the public stage methods on block-sized scratch (no
-        cluster-sized derivative stack or 27-variable integral exists) and
-        only the arrays callers read land in batch-sized storage -- the
-        caller's ``out`` rows, and the integrals only without ``fill`` (with
-        it, each block's integrals fill the buffers straight from cache).
+        """The shared pipeline, one L2-sized element block at a time
+        (:meth:`prediction`, then :meth:`run`): no cluster-sized derivative
+        stack or 27-variable integral exists, and only the arrays callers
+        read land in batch-sized storage -- the caller's ``out`` rows, and
+        the integrals only without ``fill`` (with it, each block's
+        integrals fill the buffers straight from cache).
 
-        ``elements`` is normalised once (:func:`_contiguous_run`), so every
-        stage sees slices: DOF and operator rows are views, never gathers.
-        The blocks are shared among the pool's threads (:meth:`_dispatch`),
-        so ``fill`` may run on several threads at once, on disjoint blocks.
+        With ``ws`` the blocks are kept for the next call with the same
+        outputs, so a repeated call (a GTS step, a one-element batch) pays
+        its compilation once.  The blocks are shared among the pool's
+        threads, so ``fill`` may run on several threads at once, on
+        disjoint blocks.
         """
         batch = _contiguous_run(elements, len(dofs))
-        n, blocks = len(batch), self._block_plan(disc, dofs, batch)
-        dtype = dofs.dtype
+        n, dtype = len(batch), dofs.dtype
         if out is None:
             delta = self._scratch(ws, "lu_delta", (n,) + dofs.shape[1:], dtype)
             traces_shape = (n, 4, N_ELASTIC, disc.n_face_basis) + dofs.shape[3:]
@@ -664,31 +840,96 @@ class FastBackend(ReferenceBackend):
             elastic_shape = (n, N_ELASTIC) + dofs.shape[2:]
             integral = self._scratch(ws, "lu_integral", elastic_shape, dtype)
             half = self._scratch(ws, "lu_half", elastic_shape, dtype) if needs_half else None
+
+        def build():
+            return self.prediction(
+                disc, dofs, dt, batch, out, ws, needs_half, fill, integrals=(integral, half)
+            )
+
+        key = (batch.start, batch.stop, dofs.shape[1:], dtype, dt, needs_half) + tuple(
+            map(id, (disc, fill, integral, half) + tuple(out))
+        )
+        items = build() if ws is None else ws.latest("prediction", key, build)
+        self._dispatch(items, dofs)
+        return out[0], integral, half, out[1]
+
+    def prediction(
+        self, disc, dofs, dt, elements, out, ws=None, needs_half=False, fill=None,
+        integrals=(None, None),
+    ):
+        """One :class:`_Block` item per element block of a batch's
+        :meth:`local_update`: ``out = (delta, traces)`` are the batch's
+        rows, ``integrals`` the batch-sized integral (and half) arrays a
+        fill-less call keeps.  ``dofs`` gives the layout (the items read
+        the array :meth:`run` hands them)."""
+        batch = _contiguous_run(elements, len(dofs))
         # what every block only reads, built here rather than on a pool thread
         self._disc_data(disc).relaxation(math.prod(dofs.shape[2:]))
-        if ws is not None:
-            for _, block in blocks:
+        whole = ("local_update", disc, (dt, batch), dict(
+            ws=ws, needs_half=needs_half, out=out, fill=fill
+        ))
+        items = []
+        for rows, block in self._block_plan(disc, dofs, batch):
+            out_rows = (out[0][rows], out[1][rows])
+            keep = tuple(None if a is None else a[rows] for a in integrals)
+            if ws is not None:
                 self._stacked_ops(disc, block, ws)
+            args = (disc, dt, block, ws, needs_half, out_rows, keep, fill)
+            items.append(_Block(
+                self,
+                partial(self._compile_prediction, dofs.shape, dofs.dtype, *args),
+                partial(self._staged_prediction, *args), whole,
+            ))
+        return items
 
-        def chunk(blocks, ws, telemetry):
-            for rows, block in blocks:
-                _, block_integral, block_half, _ = self._predict(
-                    telemetry, disc, dofs, dt, block, ws, needs_half,
-                    (out[0][rows], out[1][rows]), fill,
-                )
-                if fill is None:
-                    integral[rows] = block_integral
-                    if needs_half:
-                        half[rows] = block_half
+    def _compile_prediction(
+        self, shape, dtype, disc, dt, block, ws, needs_half, out, keep, fill, scratch
+    ) -> _Program:
+        """A block's :meth:`_predict` pipeline as a program on ``scratch``."""
+        ws = None if ws is None else ws.on(scratch)
+        stack = self._scratch(ws, "ck_stack", (disc.order, block.stop - block.start) + shape[1:],
+                              dtype)
+        derivatives = self._derivative_calls(disc, stack, block, ws)
+        integrate, integral = self._integral_calls(stack, 0.0, dt, ws, "local_ti")
+        elastic, half = integral[:, :N_ELASTIC], None
+        if needs_half:
+            calls, half = self._integral_calls(
+                self._elastic_rows(stack), 0.0, 0.5 * dt, ws, "local_half"
+            )
+            integrate += calls
+        traces = self._trace_calls(disc, elastic, ws, out[1])[0]
+        volume = self._volume_calls(disc, integral, block, ws, out[0])[0]
+        if fill is not None:
+            calls = getattr(fill, "calls", None)  # a plain callable runs as one call
+            fills = calls(block, elastic, half) if calls else [(fill, (block, elastic, half))]
+        else:
+            fills = [(np.copyto, (keep[0], elastic))]
+            if needs_half:
+                fills.append((np.copyto, (keep[1], half)))
+        return _Program(block, stack[0], True, [
+            ("kernel.ck", derivatives), ("kernel.integrate", integrate),
+            ("kernel.trace", traces), ("kernel.volume", volume), (None, fills),
+        ])
 
-        self._dispatch(blocks, ws, chunk)
-        return out[0], integral, half, out[1]
+    def _staged_prediction(
+        self, disc, dt, block, ws, needs_half, out, keep, fill, scratch, telemetry, dofs
+    ) -> None:
+        """A block through the public stage methods (:meth:`_predict`)."""
+        ws = None if ws is None else ws.on(scratch)
+        _, integral, half, _ = self._predict(
+            telemetry, disc, dofs, dt, block, ws, needs_half, out, fill
+        )
+        if fill is None:
+            keep[0][...] = integral
+            if needs_half:
+                keep[1][...] = half
 
     # ------------------------------------------------------------------
     # surface half: own traces (prediction) and the fused correction
     # ------------------------------------------------------------------
-    def project_local_traces(self, disc, time_integrated_elastic, elements, ws=None, out=None):
-        """Trace projection as one grouped ``(B, 4 F)`` contraction."""
+    def _trace_calls(self, disc, time_integrated_elastic, ws, out):
+        """``(calls, out)`` of the trace projection: one grouped ``(B, 4 F)``
+        contraction, then one regrouping copy into ``out``."""
         data = self._disc_data(disc)
         te = time_integrated_elastic
         E = te.shape[0]
@@ -696,13 +937,20 @@ class FastBackend(ReferenceBackend):
         fused = te.shape[3:]
         grouped = self._scratch(ws, "traces_grouped", (E, N_ELASTIC, 4 * n_face_basis) + fused,
                                 te.dtype)
-        self._basis_apply(te, data.ftilde_flat, out=grouped)
         if out is None:
             out = self._scratch(ws, "traces", (E, 4, N_ELASTIC, n_face_basis) + fused, te.dtype)
         # regroup (E, 9, (i, F)) -> (E, 4, 9, F): one contiguous copy so the
         # correction (and the halo payload path) sees the public layout
-        split = grouped.reshape((E, N_ELASTIC, 4, n_face_basis) + fused)
-        np.copyto(out, np.moveaxis(split, 2, 1))
+        split = _view(grouped, (E, N_ELASTIC, 4, n_face_basis) + fused)
+        return [
+            self._basis_call(te, data.ftilde_flat, grouped),
+            (np.copyto, (out, np.moveaxis(split, 2, 1))),
+        ], out
+
+    def project_local_traces(self, disc, time_integrated_elastic, elements, ws=None, out=None):
+        """Trace projection as one grouped ``(B, 4 F)`` contraction."""
+        calls, out = self._trace_calls(disc, time_integrated_elastic, ws, out)
+        _run(calls)
         return out
 
     def neighbor_plan(self, disc, dofs, elements, rows):
@@ -739,16 +987,16 @@ class FastBackend(ReferenceBackend):
         )
 
     def project_faces(self, disc, source, plan, ws=None):
-        """One GEMM per face class, then one reordering copy."""
+        """One GEMM per face, grouped by class, then one reordering copy."""
         rows, segments, inverse = plan
         shape = (len(rows), N_ELASTIC, disc.n_face_basis) + source.shape[3:]
         grouped = self._scratch(ws, "face_grouped", shape, source.dtype)
-        self._project_classes(disc, source, rows, segments, grouped, ws, "face_gather")
+        _run(self._class_calls(disc, source, rows, segments, grouped, ws, "face_gather"))
         out = self._scratch(ws, "face_payloads", shape, source.dtype)
         np.take(grouped, inverse, axis=0, out=out, mode="clip")
         return out
 
-    def _project_classes(self, disc, source, rows, segments, out, ws, name):
+    def _class_calls(self, disc, source, rows, segments, out, ws, name) -> list:
         """``out[a:b] = source[rows[a:b]] @ F_bar[u]`` for every class run
         ``(u, a, b)``: a gather into ``name`` scratch, then one ``(9, B) @
         (B, F)`` GEMM per face (the fused axis as GEMM columns).  Never one
@@ -759,64 +1007,88 @@ class FastBackend(ReferenceBackend):
         gathered = self._scratch(ws, name, (len(rows),) + source.shape[1:], source.dtype)
         # ``take`` in clip mode: the rows are valid by construction, and
         # "raise" mode buffers the output
-        np.take(source, rows, axis=0, out=gathered, mode="clip")
-        for u, a, b in segments:
-            self._basis_apply(gathered[a:b], fbar[u], out=out[a:b])
+        calls = [(source.take, (rows, 0, gathered, "clip"))]
+        return calls + [self._basis_call(gathered[a:b], fbar[u], out[a:b]) for u, a, b in segments]
 
     def correct(self, disc, dofs, elements, delta, traces, source, plan, ws=None, halo=None):
-        """The fused correction, one block of ``plan`` at a time on each
-        pool thread's chunk of the plan, on block-sized scratch: one GEMM per face class from the source rows
-        (halo payloads overlaid), one flux solve of ``[flux_local |
-        flux_neigh]`` against ``[own traces | neighbour coefficients]``, one
-        back-projection and omega scaling, accumulated into ``delta`` and
-        ``dofs``."""
+        """The fused correction (:meth:`correction`, then :meth:`run`); with
+        ``ws`` the blocks are kept for the next call on the same arrays."""
+        def build():
+            return self.correction(disc, dofs, elements, delta, traces, source, plan, ws, halo)
+
+        key = (dofs.shape[1:], dofs.dtype) + tuple(
+            map(id, (disc, delta, traces, source, plan) + (halo or ()))
+        )
+        self._dispatch(build() if ws is None else ws.latest("correction", key, build), dofs)
+
+    def correction(self, disc, dofs, elements, delta, traces, source, plan, ws=None, halo=None):
+        """One :class:`_Block` item per block of ``plan``: the fused
+        correction on block-sized scratch -- one GEMM per face from the
+        source rows, grouped by ``F_bar`` class (halo payloads overlaid),
+        one flux solve of ``[flux_local | flux_neigh]`` against ``[own
+        traces | neighbour coefficients]``, one back-projection and omega
+        scaling, accumulated into ``delta`` and the DOFs.  ``halo`` is read
+        when the items run."""
         data = self._disc_data(disc)
-        n_basis, n_face_basis, fused = disc.n_basis, disc.n_face_basis, dofs.shape[3:]
+        whole = ("correct", disc, (elements, delta, traces, source, plan), dict(ws=ws, halo=halo))
+        return [
+            _Block(self, partial(
+                self._compile_correction, disc, data, dofs.dtype, dofs.shape[3:], entry,
+                delta, traces, source, ws, halo,
+            ), batch=whole)
+            for entry in plan
+        ]
+
+    def _compile_correction(
+        self, disc, data, dtype, fused, entry, delta, traces, source, ws, halo, scratch
+    ) -> _Program:
+        ws = None if ws is None else ws.on(scratch)
+        rows, block, source_rows, segments, operand_rows = entry
+        n_basis, n_face_basis = disc.n_basis, disc.n_face_basis
         n_rows, face = data.flux.shape[2], (N_ELASTIC, n_face_basis) + fused
+        E, n_int = rows.stop - rows.start, len(source_rows)
 
-        def chunk(entries, ws, telemetry):
-            scratch = lambda name, shape: self._scratch(ws, name, shape + fused, dofs.dtype)
-            for rows, block, source_rows, segments, operand_rows in entries:
-                E, n_int = rows.stop - rows.start, len(source_rows)
-                proj = scratch("corr_proj", (n_int + 4 * E,) + face[:2])
-                self._project_classes(disc, source, source_rows, segments, proj, ws, "corr_gather")
-                proj[n_int:] = traces[rows].reshape((4 * E,) + face)
-                operand = scratch("corr_operand", (E, 4, 2 * N_ELASTIC, n_face_basis))
-                np.take(proj, operand_rows, axis=0, out=operand.reshape((8 * E,) + face),
-                        mode="clip")
-                if halo is not None:  # the block's run of the ascending face ids
-                    faces, payloads = halo
-                    lo, hi = np.searchsorted(faces, (4 * rows.start, 4 * rows.stop))
-                    target = operand.reshape((4 * E, 2 * N_ELASTIC) + face[1:])
-                    target[faces[lo:hi] - 4 * rows.start, N_ELASTIC:] = payloads[lo:hi]
-                surface = scratch("corr_surface", (E, disc.n_vars, n_basis))
-                self._flux_project(
-                    data, data.flux[block], operand, surface[:, :n_rows], ws, "corr_solved"
-                )
-                # mechanism l's rows: omega_l times the shared anelastic rows,
-                # which sit in mechanism 0's (scaled last, in place)
-                common = surface[:, N_ELASTIC:n_rows]
-                for l in range(disc.n_mechanisms - 1, -1, -1):
-                    np.multiply(common, disc.omegas[l], out=surface[:, N_ELASTIC + 6 * l :][:, :6])
-                increment = delta[rows]
-                increment += surface
-                dofs[block] += increment
+        def scratch_of(name, shape):
+            return self._scratch(ws, name, shape + fused, dtype)
 
-        with self.telemetry.region("kernel.surface_neighbor"):
-            self._dispatch(plan, ws, chunk)
+        proj = scratch_of("corr_proj", (n_int + 4 * E,) + face[:2])
+        calls = self._class_calls(disc, source, source_rows, segments, proj, ws, "corr_gather")
+        calls.append((np.copyto, (proj[n_int:], _view(traces[rows], (4 * E,) + face))))
+        operand = scratch_of("corr_operand", (E, 4, 2 * N_ELASTIC, n_face_basis))
+        calls.append((proj.take, (operand_rows, 0, _view(operand, (8 * E,) + face), "clip")))
+        if halo is not None:  # the block's run of the ascending face ids
+            faces, payloads = halo
+            lo, hi = np.searchsorted(faces, (4 * rows.start, 4 * rows.stop))
+            if hi > lo:
+                target = _view(operand, (4 * E, 2 * N_ELASTIC) + face[1:])[:, N_ELASTIC:]
+                calls.append((target.__setitem__, (faces[lo:hi] - 4 * rows.start, payloads[lo:hi])))
+        surface = scratch_of("corr_surface", (E, disc.n_vars, n_basis))
+        calls += self._flux_calls(
+            data, data.flux[block], operand, surface[:, :n_rows], ws, "corr_solved"
+        )
+        # mechanism l's rows: omega_l times the shared anelastic rows,
+        # which sit in mechanism 0's (scaled last, in place)
+        common = surface[:, N_ELASTIC:n_rows]
+        for l in range(disc.n_mechanisms - 1, -1, -1):
+            calls.append((np.multiply, (common, disc.omegas[l], surface[:, N_ELASTIC + 6 * l :][:, :6])))
+        increment = delta[rows]
+        calls.append((np.add, (increment, surface, increment)))
+        return _Program(block, increment, False, [("kernel.surface_neighbor", calls)])
 
-    def _flux_project(self, data, flux, face_coeffs, out, ws, name):
-        """``out[e, v] = sum_i (flux[e, i] @ face_coeffs[e, i])[v] @ fhat[i]``.
-
-        The four flux solves are one ``(E, 4)``-batched GEMM written through
-        a transposed view into ``(E, V, 4, F[, f])``-ordered scratch, so the
-        contraction axes ``(face, face_basis)`` are adjacent and the four
-        back-projections are one ``(4 F, B)`` operator application.
-        """
+    def _flux_calls(self, data, flux, face_coeffs, out, ws, name) -> list:
+        """``out[e, v] = sum_i (flux[e, i] @ face_coeffs[e, i])[v] @
+        fhat[i]`` as calls: the four flux solves are one ``(E, 4)``-batched
+        GEMM written
+        through a transposed view into ``(E, V, 4, F[, f])``-ordered
+        scratch, so the contraction axes ``(face, face_basis)`` are adjacent
+        and the four back-projections are one ``(4 F, B)`` operator
+        application."""
         E, _, n_rows = flux.shape[:3]
         tail = face_coeffs.shape[3:]  # (F[, f])
         solved = self._scratch(ws, name, (E, n_rows, 4) + tail, face_coeffs.dtype)
-        self._bmm(flux, face_coeffs, solved.swapaxes(1, 2))
-        self._basis_apply(
-            solved.reshape((E, n_rows, 4 * tail[0]) + tail[1:]), data.fhat_flat, out=out
-        )
+        return [
+            self._bmm_call(flux, face_coeffs, solved.swapaxes(1, 2)),
+            self._basis_call(
+                _view(solved, (E, n_rows, 4 * tail[0]) + tail[1:]), data.fhat_flat, out
+            ),
+        ]

@@ -34,15 +34,16 @@ def project_local_traces(
     disc: Discretization,
     time_integrated_elastic: np.ndarray,
     elements: np.ndarray | slice = slice(None),
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Project the elements' own elastic traces onto the face basis.
 
     Returns ``(E, 4, 9, F[, n_fused])`` -- the quantity ``T_e F~_i`` of
-    eqs. (10)/(12).
+    eqs. (10)/(12) -- written into ``out`` when given.
     """
     del elements  # the projection uses reference-element data only
     ftilde = disc.ftilde  # (4, B, F), cast to the run precision
-    return np.einsum("evb...,ibf->eivf...", time_integrated_elastic, ftilde)
+    return np.einsum("evb...,ibf->eivf...", time_integrated_elastic, ftilde, out=out)
 
 
 def surface_kernel_local(

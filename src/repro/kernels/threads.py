@@ -1,9 +1,10 @@
 """Threads inside a process: the pool the fast kernels' element blocks share.
 
 The paper's solver runs threads inside each rank.  Here
-:class:`~repro.kernels.backend.FastBackend` hands each thread of one
-per-process :class:`BlockPool` a static contiguous chunk of a batch's element
-blocks; every NumPy/BLAS call of a block releases the GIL, so the chunks run
+:class:`~repro.kernels.backend.FastBackend` hands the element blocks of one
+dispatch (every cluster due at an LTS micro step) to one per-process
+:class:`BlockPool`, whose threads claim them one at a time from a shared
+counter; every NumPy/BLAS call of a block releases the GIL, so the blocks run
 on separate cores.
 
 The thread count is derived, never configured (:func:`thread_budget`): the
@@ -20,9 +21,11 @@ share of one, and builds its own pool at its first threaded batch.
 
 from __future__ import annotations
 
+import itertools
 import os
 import queue
 import threading
+from functools import partial
 
 __all__ = ["BlockPool", "block_pool", "blas_threads", "share_cpus", "thread_budget"]
 
@@ -106,9 +109,10 @@ if hasattr(os, "register_at_fork"):  # POSIX
 class BlockPool:
     """The calling thread plus ``n_threads - 1`` daemon workers.
 
-    :meth:`run` hands ``tasks[i]`` to thread ``i`` -- the caller runs
-    ``tasks[0]`` itself -- and returns once every task is done, re-raising
-    the first error.  One batch runs at a time.
+    :meth:`run` calls ``work(item, slot)`` once per item: each thread (the
+    caller is slot 0) claims the next unclaimed item from a shared counter,
+    so a thread that drew short items takes more of them.  One batch runs at
+    a time.
     """
 
     def __init__(self, n_threads: int):
@@ -130,21 +134,33 @@ class BlockPool:
             else:
                 self._done.put(None)
 
-    def run(self, tasks: list) -> None:
-        if len(tasks) > self.n_threads:
-            raise ValueError(f"{len(tasks)} tasks for {self.n_threads} threads")
+    def run(self, items: list, work) -> None:
+        """``work(item, slot)`` for every item on ``min(len(items),
+        n_threads)`` threads.  The first error stops every thread from
+        claiming further items (each finishes the one it runs, none runs
+        twice) and is re-raised once every thread has returned; the pool
+        then serves the next batch as usual."""
+        claim = itertools.count().__next__  # atomic under the GIL
+        errors: list = []
+
+        def claim_items(slot: int) -> None:
+            while not errors:
+                i = claim()
+                if i >= len(items):
+                    return
+                try:
+                    work(items[i], slot)
+                except BaseException as error:
+                    errors.append(error)
+
+        helpers = self._inboxes[: min(len(items), self.n_threads) - 1]
         with self._lock:
-            for inbox, task in zip(self._inboxes, tasks[1:]):
-                inbox.put(task)
-            errors = []
-            try:
-                tasks[0]()
-            except BaseException as error:
-                errors.append(error)
-            errors += [self._done.get() for _ in tasks[1:]]
-        first = next((error for error in errors if error is not None), None)
-        if first is not None:
-            raise first
+            for slot, inbox in enumerate(helpers, start=1):
+                inbox.put(partial(claim_items, slot))
+            claim_items(0)
+            errors += [error for error in (self._done.get() for _ in helpers) if error is not None]
+        if errors:
+            raise errors[0]
 
     def close(self) -> None:
         """Let the workers exit (the pool is unusable afterwards)."""

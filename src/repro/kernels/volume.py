@@ -20,6 +20,7 @@ def volume_kernel(
     disc: Discretization,
     time_integrated: np.ndarray,
     elements: np.ndarray | slice = slice(None),
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Element-local volume contribution for a batch of elements.
 
@@ -30,6 +31,9 @@ def volume_kernel(
     elements:
         The element ids the batch corresponds to (used to select the
         element-local operators).
+
+    out:
+        Optional array the update is accumulated into (zeroed first).
 
     Returns
     -------
@@ -43,7 +47,10 @@ def volume_kernel(
     k_vol = disc.k_vol
 
     te = time_integrated[:, :N_ELASTIC]
-    out = np.zeros_like(time_integrated)
+    if out is None:
+        out = np.zeros_like(time_integrated)
+    else:
+        out[...] = 0
 
     anelastic_common = None
     for c in range(3):

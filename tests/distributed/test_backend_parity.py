@@ -115,9 +115,9 @@ class TestF32Distributed:
         )
 
     def test_f32_fast_distributed_matches_single_rank_bitwise(self, tiny_loh3):
-        """The fast backend is bitwise independent of how its batches are
-        cut, so the distributed boundary/interior split leaves f32 runs
-        bit-identical too."""
+        """Every fast contraction is per element or per face, so the
+        distributed boundary/interior split leaves f32 runs bit-identical
+        too."""
         spec = tiny_loh3.with_overrides(precision="f32", kernels="fast")
         single = ScenarioRunner(spec)
         single.run()

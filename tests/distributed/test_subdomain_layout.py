@@ -110,14 +110,15 @@ class TestSlicePrediction:
         assert cluster_dofs_bytes > 1 << 20
         rank.dofs = rank.dofs.view(_CountingDofs)
         _CountingDofs.fancy_reads = 0
-        rank.predict_boundary(cluster)  # warm: the cycle already ran these
-        rank.predict_interior(cluster)
+        phases = [("boundary", [cluster.cluster_id]), ("interior", [cluster.cluster_id])]
+        for phase in phases:  # warm: the cycle already ran these
+            rank._dispatch(*phase)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            rank.predict_boundary(cluster)
-            rank.predict_interior(cluster)
+            for phase in phases:
+                rank._dispatch(*phase)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

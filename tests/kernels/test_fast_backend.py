@@ -5,7 +5,7 @@ reassociation.  Results must track the reference within a few ULPs per
 kernel call (the per-kernel checks below) and within the verification
 tolerance ladder over whole runs (tests/verification/).  Bit-identity with
 the reference is explicitly NOT promised.  What *is* bitwise is the backend
-against itself: every prediction contraction is per element, so how
+against itself: every contraction is per element or per face, so how
 ``local_update`` cuts a batch into cache-sized blocks (or which batch an
 element is part of) does not change a single bit.  The fused correction
 (``correct``) is held to the reference composition ``neighbor_data`` ->
@@ -336,7 +336,7 @@ class TestStackedOperators:
         matrices = rng.standard_normal((6, 9, 9))
         operand = rng.standard_normal((6, 9, 20, 4))
         out = np.empty((6, 9, 20, 4))
-        FastBackend._bmm(matrices, operand, out)
+        backend_module._run([FastBackend._bmm_call(matrices, operand, out)])
         expected = np.einsum("eij,ejbf->eibf", matrices, operand)
         _assert_close(out, expected, name="bmm fold")
 
@@ -367,9 +367,9 @@ class TestStackedOperators:
         x = _random_dofs(disc, n_fused, seed=13)
         elements = slice(0, disc.n_elements)
         y = np.empty_like(x)
-        fast._space_operator(disc, data.kcat_vol, x, y, elements, None)
+        backend_module._run(fast._space_operator_calls(disc, data.kcat_vol, x, y, elements, None))
         _assert_close(y, volume_kernel(disc, x, elements), name="volume")
-        fast._space_operator(disc, data.kcat_time, x, y, elements, None)
+        backend_module._run(fast._space_operator_calls(disc, data.kcat_time, x, y, elements, None))
         _assert_close(y, compute_time_derivatives(disc, x, elements)[1], name="derivative")
 
     @pytest.mark.parametrize("n_fused", [0, 3])
@@ -383,7 +383,7 @@ class TestStackedOperators:
         coeffs = rng.standard_normal((E, 4, N_ELASTIC, F) + fused)
         # a row slice of a wider array, like the kernels' elastic rows
         out = np.empty((E, disc.n_vars, disc.n_basis) + fused)[:, :N_ELASTIC]
-        fast._flux_project(data, flux, coeffs, out, fast.make_workspace(), "t")
+        backend_module._run(fast._flux_calls(data, flux, coeffs, out, fast.make_workspace(), "t"))
         expected = np.einsum("eivw,eiwg...,igb->evb...", flux, coeffs, disc.fhat)
         _assert_close(out, expected, name="flux solve + back-projection")
 

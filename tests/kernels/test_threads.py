@@ -16,8 +16,11 @@ import os
 import numpy as np
 import pytest
 
+from repro.core.lts_scheduler import schedule_cycle
+from repro.core.lts_solver import HalfAppliedStepError
 from repro.kernels import backend as backend_module
 from repro.kernels import threads
+from repro.kernels.backend import FastBackend
 from repro.kernels.threads import BlockPool, share_cpus, thread_budget
 from repro.observability import validate_chrome_trace
 from repro.scenarios import get_scenario, make_runner
@@ -113,27 +116,61 @@ class TestBudget:
 
 
 class TestPool:
-    def test_caller_runs_the_first_task(self):
+    def test_every_item_runs_once_on_any_thread(self):
         import threading
 
         pool = BlockPool(3)
-        seen = [None] * 3
-        pool.run([lambda i=i: seen.__setitem__(i, threading.get_ident()) for i in range(3)])
-        assert seen[0] == threading.get_ident()
-        assert len(set(seen)) == 3
+        seen = {}
+        pool.run(list(range(60)), lambda item, slot: seen.setdefault(
+            item, (slot, threading.get_ident())
+        ))
+        assert sorted(seen) == list(range(60))
+        assert {slot for slot, _ in seen.values()} <= {0, 1, 2}
+        # slot 0 is the caller's
+        assert all(ident == threading.get_ident() for slot, ident in seen.values() if slot == 0)
         pool.close()
 
-    def test_errors_reach_the_caller_after_every_task(self):
+    def test_a_slow_item_leaves_the_rest_to_the_other_threads(self):
+        """Dynamic claiming: while the caller sits on one slow item, the
+        worker claims every other one (a static half split would not)."""
+        import time
+
         pool = BlockPool(2)
-        done = []
+        slots = {}
 
-        def fail():
-            raise ZeroDivisionError("chunk 1")
+        def work(item, slot):
+            slots[item] = slot
+            if item == 0:
+                time.sleep(0.3)
 
-        with pytest.raises(ZeroDivisionError, match="chunk 1"):
-            pool.run([lambda: done.append(0), fail])
-        pool.run([lambda: done.append(1), lambda: done.append(2)])  # still usable
-        assert sorted(done) == [0, 1, 2]
+        pool.run(list(range(20)), work)
+        assert all(slots[i] != slots[0] for i in range(1, 20)), slots
+        pool.close()
+
+    def test_a_raising_item_stops_the_claiming_and_reaches_the_caller(self):
+        """Item 1 raises while another thread sits on slow item 0: no item
+        starts after the error is seen, none runs twice, ``run`` returns
+        only once item 0 is done, and the pool serves the next batch."""
+        import time
+
+        pool = BlockPool(3)
+        started, finished = [], []
+
+        def work(item, slot):
+            started.append(item)
+            if item == 0:
+                time.sleep(0.2)
+            elif item == 1:
+                raise ZeroDivisionError("item 1")
+            finished.append(item)
+
+        error = _bounded(lambda: pool.run(list(range(200)), work))
+        assert isinstance(error, ZeroDivisionError) and str(error) == "item 1"
+        assert len(started) == len(set(started)) < 200
+        assert set(started) - set(finished) == {1}  # item 0 finished first
+        seen = []
+        assert _bounded(lambda: pool.run(list(range(50)), lambda item, slot: seen.append(item))) is None
+        assert sorted(seen) == list(range(50))
         pool.close()
 
     def test_a_forked_child_builds_its_own_pool(self, monkeypatch, small_blocks):
@@ -159,6 +196,28 @@ class TestPool:
         assert threads._pool is parent_pool
 
 
+def _bounded(call, timeout=30.0):
+    """Run ``call()`` on a thread that must finish within ``timeout``
+    seconds; its exception (or ``None``)."""
+    import threading
+
+    outcome = []
+
+    def target():
+        try:
+            call()
+        except BaseException as error:
+            outcome.append(error)
+        else:
+            outcome.append(None)
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), f"still running after {timeout} s"
+    return outcome[0]
+
+
 def _lts(name, **factory):
     return get_scenario(name, **factory).smoke().with_overrides(kernels="fast")
 
@@ -167,6 +226,9 @@ def _lts(name, **factory):
 LATTICE = {
     "loh3": (lambda: _lts("loh3"), SMALL_BLOCKS),
     "la_habra": (lambda: _lts("la_habra"), SMALL_BLOCKS),
+    # five clusters at order 4: every merged micro-step dispatch mixes the
+    # blocks of several clusters, on a non-trivial state
+    "la_habra4": (lambda: _lts("la_habra").with_overrides(order=4, n_cycles=4), SMALL_BLOCKS),
     "gts": (lambda: _lts("loh3").with_overrides(solver="gts"), SMALL_BLOCKS),
     "fused2": (
         lambda: golden_spec("loh3_fused2").with_overrides(kernels="fast", n_cycles=2),
@@ -190,17 +252,15 @@ def _run(spec):
     return runner, np.array(runner.solver.dofs), seismograms
 
 
-def _halo_chunks(rank, n_threads):
-    """The most correction chunks of one cluster of a rank solver that hold
+def _halo_blocks(rank):
+    """The most correction blocks of one cluster of a rank solver that hold
     halo faces."""
     most = 0
     for cluster in rank.clusters:
-        plan = cluster.neighbor_plans[0]
         halo_rows = rank._halo_faces[cluster.cluster_id] // 4
-        bounds = [len(plan) * i // n_threads for i in range(n_threads + 1)]
         most = max(most, sum(
-            bool(np.any((halo_rows >= plan[a][0].start) & (halo_rows < plan[b - 1][0].stop)))
-            for a, b in zip(bounds, bounds[1:]) if b > a
+            bool(np.any((halo_rows >= rows.start) & (halo_rows < rows.stop)))
+            for rows, *_ in cluster.neighbor_plans[0]
         ))
     return most
 
@@ -213,8 +273,8 @@ def test_threaded_fast_is_bitwise_the_one_thread_run(monkeypatch, case):
     for n in (1, 2, 3):
         use_threads(monkeypatch, n)
         runs[n] = runner, _, _ = _run(spec())
-        if case == "serial-2rank" and n > 1:
-            assert max(_halo_chunks(rank, n) for rank in runner.engine.ranks) > 1
+        if case == "serial-2rank":
+            assert max(_halo_blocks(rank) for rank in runner.engine.ranks) > 1
     _, dofs, seismograms = runs[1]
     for n in (2, 3):
         _, threaded, threaded_seismograms = runs[n]
@@ -227,7 +287,8 @@ def test_threaded_fast_is_bitwise_the_one_thread_run(monkeypatch, case):
 def test_threaded_telemetry_counts_every_region_once(monkeypatch, small_blocks, tmp_path):
     """Worker threads record on branches of the lane, absorbed after each
     batch: the trace validates and the region counts are the one-thread
-    run's, under the same paths."""
+    run's, under the same paths.  ``predict`` and ``correct`` count one
+    merged dispatch per micro step, their kernel regions one per block."""
     regions = {}
     for n in (1, 2):
         use_threads(monkeypatch, n)
@@ -241,6 +302,17 @@ def test_threaded_telemetry_counts_every_region_once(monkeypatch, small_blocks, 
         regions[n] = {path: entry["count"] for path, entry in summary["telemetry"]["regions"].items()}
     assert regions[2] == regions[1]
     assert any(path.endswith("/kernel.ck") for path in regions[2])
+    spec = get_scenario("loh3").smoke().with_overrides(kernels="fast")
+    solver = make_runner(spec).solver
+    n_cycles, schedule = spec.run.n_cycles, schedule_cycle(solver.clustering.n_clusters)
+    blocks = [
+        len(FastBackend._block_plan(solver.disc, solver.dofs, c.elements)) for c in solver.clusters
+    ]
+    for phase, leaf in (("predict", "kernel.ck"), ("correct", "kernel.surface_neighbor")):
+        assert regions[2][phase] == n_cycles * len(schedule)
+        assert regions[2][f"{phase}/{leaf}"] == n_cycles * sum(
+            blocks[l] for entry in schedule for l in entry[phase]
+        )
 
 
 def test_more_threads_than_cores_under_fast_switching(monkeypatch, small_blocks):
@@ -264,3 +336,51 @@ def test_more_threads_than_cores_under_fast_switching(monkeypatch, small_blocks)
         runs[n] = dofs, {path: entry["count"] for path, entry in regions.items()}
     assert np.array_equal(runs[4][0], runs[1][0])
     assert runs[4][1] == runs[1][1]
+
+
+class TestFailedDispatch:
+    """A block that raises inside a merged micro-step dispatch: the error
+    reaches the caller in bounded time, and the solver, left with some
+    clusters advanced and some not, refuses to step on until a state is
+    restored."""
+
+    @staticmethod
+    def _boom(slot, telemetry, dofs):
+        raise ZeroDivisionError("injected block failure")
+
+    @pytest.mark.parametrize("case", ["lts", "serial-2rank"])
+    def test_the_next_cycle_is_refused_by_name(self, monkeypatch, small_blocks, case):
+        use_threads(monkeypatch, 2)
+        spec = _lts("la_habra")
+        if case == "serial-2rank":
+            spec = spec.with_overrides(n_ranks=2, backend="serial")
+        runner = make_runner(spec)
+        runner.step_cycle()
+        solver = runner.solver if case == "lts" else runner.engine.ranks[0]
+        for items in solver.clusters[0].items:  # both step parities
+            items["correct"].insert(0, self._boom)
+        error = _bounded(runner.step_cycle)
+        assert isinstance(error, ZeroDivisionError), error
+        error = _bounded(runner.step_cycle)
+        assert isinstance(error, HalfAppliedStepError), error
+        assert "correct dispatch" in str(error)
+
+    def test_a_restored_state_steps_cleanly(self, monkeypatch, small_blocks):
+        use_threads(monkeypatch, 2)
+        spec = _lts("la_habra")
+        clean = make_runner(spec)
+        clean.step_cycle()
+        clean.step_cycle()
+        runner = make_runner(spec)
+        runner.step_cycle()
+        solver = runner.solver
+        saved = {name: np.array(array) for name, array in solver.state_arrays().items()}
+        time, updates = solver.time, solver.n_element_updates
+        for items in solver.clusters[0].items:
+            items["correct"].insert(0, self._boom)
+        assert isinstance(_bounded(runner.step_cycle), ZeroDivisionError)
+        for items in solver.clusters[0].items:
+            items["correct"].remove(self._boom)
+        solver.restore_state(saved, time, updates)
+        assert _bounded(runner.step_cycle) is None
+        assert np.array_equal(solver.dofs, clean.solver.dofs)

@@ -66,9 +66,9 @@ def test_halo_payloads_match_neighbor_buffer_reads(solver_setup):
     assert halo.n_faces > 0
 
     seen = {"b1": 0, "b3": 0, "b2": 0, "b1_minus_b2": 0}
+    dt0 = float(runner.clustering.cluster_time_steps[0])
     for entry in schedule_cycle(2):
-        for l in entry["predict"]:
-            solver._predict(solver.clusters[l])
+        solver.predict_step(entry)
         for l in entry["correct"]:
             cluster = solver.clusters[l]
             # the direct neighbour-buffer reads of the single-rank solver
@@ -97,7 +97,7 @@ def test_halo_payloads_match_neighbor_buffer_reads(solver_setup):
                 np.testing.assert_array_equal(payload, neighbor_te[row, recv_face])
                 assert np.abs(payload).max() > 0.0
                 seen[kind] += 1
-            solver._correct(cluster, 0.0)
+        solver.correct_step(entry, dt0)
     # every payload kind of Fig. 6 must have been exercised
     assert all(count > 0 for count in seen.values()), seen
 
