@@ -224,9 +224,11 @@ class ReferenceBackend:
 
         ``out = (delta, traces)`` are caller arrays of the batch's rows the
         increment and the traces are written into (and returned).  With
-        ``fill``, each element block's integrals go to ``fill(block,
-        integral, half)`` (``block`` a slice of element ids) while they are
-        in cache -- the LTS buffer fill -- and are returned as ``None``.
+        ``fill`` (a :class:`~repro.core.buffers.BufferFill`), each element
+        block's integrals go to ``fill(block, integral, half)`` (``block`` a
+        slice of element ids) while they are in cache -- the LTS buffer fill
+        -- and are returned as ``None``; a block program compiles
+        ``fill.calls(block, integral, half)`` instead.
         """
         return self._predict(self.telemetry, disc, dofs, dt, elements, ws, needs_half, out, fill)
 
@@ -398,11 +400,13 @@ def _contiguous_run(elements, n_elements: int) -> range:
     if isinstance(elements, slice):
         elements = range(n_elements)[elements]
     elif not isinstance(elements, range):
-        ids = np.asarray(elements).ravel()
-        n = len(ids)
-        start = int(ids[0]) if n else 0
+        ids = np.asarray(elements)
+        n = ids.size
+        start = int(ids.flat[0]) if n else 0
         # the last id, then (from three ids on) every step
-        if n == 0 or (int(ids[-1]) == start + n - 1 and (n < 3 or bool(np.all(np.diff(ids) == 1)))):
+        if ids.ndim == 1 and (n < 2 or (
+            int(ids[-1]) == start + n - 1 and (n < 3 or bool(np.all(np.diff(ids) == 1)))
+        )):
             elements = range(start, start + n)
     if not (isinstance(elements, range) and elements.step == 1):
         raise ValueError("an element batch must be one contiguous run of element ids")
@@ -900,8 +904,7 @@ class FastBackend(ReferenceBackend):
         traces = self._trace_calls(disc, elastic, ws, out[1])[0]
         volume = self._volume_calls(disc, integral, block, ws, out[0])[0]
         if fill is not None:
-            calls = getattr(fill, "calls", None)  # a plain callable runs as one call
-            fills = calls(block, elastic, half) if calls else [(fill, (block, elastic, half))]
+            fills = fill.calls(block, elastic, half)
         else:
             fills = [(np.copyto, (keep[0], elastic))]
             if needs_half:
