@@ -5,21 +5,22 @@ execution path (Sec. V-C of the paper): per-rank subdomains with
 global-to-local element maps and static halo send/receive plans, rank-local
 clustered-LTS steppers, and face-local compressed ``B1``/``B2``/``B3`` halo
 packs exchanged through the one queue communicator -- bit-identical to the
-single-rank solver.
-The engines implement the stepper protocol of :mod:`repro.core.stepper`;
+single-rank solver.  One engine, :class:`ProcessLtsEngine`, drives one
+:class:`RankWorker` per rank through one command protocol, on threads
+(``solver.backend = "serial"``) or on worker processes (``"process"``); it
+implements the stepper protocol of :mod:`repro.core.stepper`, and
 :func:`build_engine` is what the scenario runner calls for ``n_ranks > 1``.
 """
 
-from .engine import DistributedLtsEngine, MultiRankEngine
+from .engine import RankWorker
 from .process_engine import ProcessLtsEngine
 from .runner import build_engine
 from .stepper import RankSolver
 from .subdomain import RankSubdomain, SubdomainDisc
 
 __all__ = [
-    "MultiRankEngine",
-    "DistributedLtsEngine",
     "ProcessLtsEngine",
+    "RankWorker",
     "build_engine",
     "RankSolver",
     "RankSubdomain",

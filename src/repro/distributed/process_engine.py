@@ -1,51 +1,40 @@
-"""Process-per-rank clustered-LTS execution with overlapped halo exchange.
+"""The multi-rank clustered-LTS engine (Sec. V-C).
 
-:class:`ProcessLtsEngine` is the :class:`~repro.distributed.engine.MultiRankEngine`
-whose rank solvers live in ``multiprocessing`` workers, one per rank, behind
-commands: the ranks advance through the rate-2 schedule concurrently, and
-the halo payloads cross real process boundaries through
-:class:`~repro.parallel.communicator.ProcessCommunicator` endpoints wired
-over ``multiprocessing`` queues (the serial engine wires the same class over
-in-process queues).
+:class:`ProcessLtsEngine` drives one :class:`~repro.distributed.engine.RankWorker`
+per partition through the rate-2 schedule.  Per micro step a rank predicts
+its boundary rows, posts the due halo packs, predicts its interior rows
+while they travel and then corrects, blocking only on packs not yet in --
+the paper's communication hiding.  The ranks advance concurrently on worker
+threads (``backend="serial"``) or worker processes (``"process"``),
+bit-identical to the single-rank solver on both.
 
-Within each micro step a worker predicts its boundary rows, posts the due
-sends (non-blocking -- a feeder thread ships them), computes its interior
-rows while the messages are in flight, and only then corrects, blocking on
-whatever payloads have not arrived yet.  This is the paper's communication
-hiding (Sec. V-C) made real: wall-clock now improves with ranks, while the
-results stay bit-identical to the single-rank and serial-backend runs.
-
-Orchestration notes:
-
-* the parent holds the global discretization, the partition map and the
-  global receiver set; per-cycle each worker reports its time, update count,
-  cumulative traffic counters and the receiver samples recorded since its
-  last report, which the parent mirrors so summaries and checkpoints never
-  need a live worker round-trip beyond a state gather,
-* :meth:`close` gathers the per-rank states into a parent-side cache and
-  shuts the workers down; stepping a closed engine transparently respawns
-  them from the cache, so runners can aggressively release the processes, and
-* workers start and stop through :mod:`repro.parallel.supervisor`: they are
-  daemons, exit on their own once the parent is gone, and every blocking
-  receive carries a timeout, so a crashed peer surfaces as an error instead
-  of a hang.
+The engine implements the stepper protocol of :mod:`repro.core.stepper` in
+the single-rank checkpoint layout.  It mirrors what each ``cycles`` reply
+carries (time, update count, traffic, telemetry, new receiver samples), so
+summaries never need a worker round-trip.  :meth:`close` caches the
+per-rank states and stops the workers; the next command respawns them from
+the cache.  A worker error or death stops every worker and fails the
+engine: commands raise until :meth:`restore_state` supplies a state for
+fresh workers on fresh channels.
 """
 
 from __future__ import annotations
 
-import traceback
+import copy
+from dataclasses import replace
 
 import numpy as np
 
 from ..core.clustering import Clustering
+from ..core.lts_scheduler import updates_per_cycle
 from ..kernels.backend import make_backend
 from ..kernels.discretization import Discretization
-from ..observability import TelemetryConfig, merge_snapshots, peak_rss_mb
-from ..parallel.communicator import MessageStats, ProcessCommunicator
-from ..parallel.supervisor import start_worker, stop_workers, worker_context
-from ..source.receivers import Receiver, ReceiverSet
-from .engine import MultiRankEngine, rank_state
-from .stepper import RankSolver
+from ..observability import TelemetryConfig, merge_snapshots
+from ..parallel.communicator import MessageStats
+from ..parallel.exchange import HaloIndex, exchange_volumes_per_cycle
+from ..source.moment_tensor import DiscretePointSource
+from ..source.receivers import ReceiverSet
+from .engine import ProcessHost, RankSetup, ThreadHost
 from .subdomain import RankSubdomain
 
 __all__ = ["ProcessLtsEngine"]
@@ -55,114 +44,16 @@ __all__ = ["ProcessLtsEngine"]
 #: overrides it)
 DEFAULT_COMM_TIMEOUT_S = 120.0
 
-
-def _rank_worker(
-    rank: int,
-    subdomain: RankSubdomain,
-    sources: list,
-    shims: list[Receiver],
-    n_fused: int,
-    kernels: str,
-    inbound,
-    outbound: dict,
-    ctrl,
-    comm_timeout: float,
-    telemetry_config: TelemetryConfig,
-    telemetry_epoch: float,
-) -> None:
-    """One rank's event loop: build the local solver, serve parent commands."""
-    try:
-        comm = ProcessCommunicator(
-            rank, subdomain.n_ranks, inbound, outbound, timeout=comm_timeout
-        )
-        receivers = ReceiverSet.from_receivers(shims) if shims else None
-        # the lane uses the parent's trace epoch: perf_counter is the
-        # system-wide monotonic clock, so all rank lanes share one timeline
-        lane = telemetry_config.build(rank=rank, epoch=telemetry_epoch)
-        solver = RankSolver(
-            subdomain,
-            comm,
-            sources=sources,
-            receivers=receivers,
-            n_fused=n_fused,
-            kernels=kernels,
-            telemetry=lane,
-        )
-        #: per-receiver number of samples already shipped to the parent --
-        #: replies carry only the increment, so the per-cycle IPC volume
-        #: stays constant over the run instead of growing with its length
-        reported: dict[str, int] = {}
-        while True:
-            command, payload = ctrl.recv()  # the watchdog ends an orphaned wait
-            if command == "cycles":
-                for _ in range(payload):
-                    solver.step_cycle()
-                # checked once per command, after the last batched cycle: a
-                # mid-batch check would race with a faster peer's run-ahead
-                # sends for the next cycle
-                if not comm.all_delivered():
-                    raise RuntimeError(
-                        f"rank {rank}: undelivered halo payloads after a macro cycle"
-                    )
-                reply = {
-                    "time": solver.time,
-                    "n_element_updates": int(solver.n_element_updates),
-                    "stats": comm.stats.as_dict(),
-                    "records": _new_records(receivers, reported),
-                    # RUSAGE_CHILDREN only counts *terminated* children, so a
-                    # live worker must report its own peak RSS for the run
-                    # ledger's per-cycle memory column
-                    "peak_rss_mb": peak_rss_mb(),
-                }
-                if lane.enabled:
-                    # cumulative metric snapshot plus the trace-event
-                    # *increment* (drained), mirroring the records protocol:
-                    # per-cycle IPC stays proportional to new work
-                    reply["telemetry"] = lane.snapshot()
-                    reply["trace_events"] = lane.drain_events()
-                ctrl.send(("ok", reply))
-            elif command == "dofs":
-                ctrl.send(("ok", solver.dofs))
-            elif command == "set_dofs":
-                solver.dofs = np.asarray(payload).copy()
-                ctrl.send(("ok", None))
-            elif command == "state":
-                ctrl.send(("ok", rank_state(solver)))
-            elif command == "restore":
-                solver.restore_state(payload, payload["time"], payload["n_element_updates"])
-                ctrl.send(("ok", None))
-            elif command == "exit":
-                ctrl.send(("ok", None))
-                return
-            else:
-                raise RuntimeError(f"rank {rank}: unknown command {command!r}")
-    except Exception:
-        try:
-            ctrl.send(("error", traceback.format_exc()))
-        except Exception:
-            pass
+#: where each ``solver.backend`` runs the rank workers
+HOSTS = {"serial": ThreadHost, "process": ProcessHost}
 
 
-def _new_records(receivers: ReceiverSet | None, reported: dict[str, int]) -> list:
-    """Per-receiver recordings made since the last report (and mark them)."""
-    if receivers is None:
-        return []
-    increments = []
-    for receiver in receivers.receivers:
-        start = reported.get(receiver.name, 0)
-        increments.append(
-            (
-                receiver.name,
-                list(receiver.times[start:]),
-                [np.asarray(s) for s in receiver.samples[start:]],
-            )
-        )
-        reported[receiver.name] = len(receiver.times)
-    return increments
+class ProcessLtsEngine:
+    """The stepper protocol over a partitioned mesh (see the module doc).
 
-
-class ProcessLtsEngine(MultiRankEngine):
-    """Multi-rank clustered LTS: the rank solvers live in worker processes."""
+    ``telemetry`` is the driver lane: it records the macro-cycle spans and
+    sits beside the per-rank lanes, whose switches and trace epoch it sets.
+    """
 
     def __init__(
         self,
@@ -175,258 +66,373 @@ class ProcessLtsEngine(MultiRankEngine):
         kernels=None,
         telemetry=None,
         comm_timeout: float | None = None,
+        backend: str = "serial",
     ):
-        super().__init__(
-            disc, clustering, partitions, sources=sources, receivers=receivers,
-            n_fused=n_fused, kernels=kernels, telemetry=telemetry,
-        )
+        partitions = np.asarray(partitions, dtype=np.int64)
+        if len(partitions) != disc.n_elements:
+            raise ValueError("partitions do not match the discretization")
+        self.disc = disc
+        self.clustering = clustering
+        self.partitions = partitions
+        self.n_ranks = int(partitions.max()) + 1
         if self.n_ranks < 2:
-            raise ValueError("the process backend needs at least two ranks")
-        # workers rebuild their backend from the kind name (backends hold
-        # per-process caches, so the instance itself is never shipped)
+            raise ValueError("a multi-rank engine needs at least two ranks")
+        self.n_fused = n_fused
+        self.backend = backend
+        # every rank builds its own backend from the kind name (a backend
+        # holds per-rank scratch and caches, so the instance is never shared)
         self.kernels = make_backend(kernels).name
         self.comm_timeout = float(
             DEFAULT_COMM_TIMEOUT_S if comm_timeout is None else comm_timeout
         )
-        self._rank_shims = [self._local_receivers(sub, own_lists=True) for sub in self.subdomains]
+        self.receiver_set = receivers
+        self.telemetry = (
+            telemetry if telemetry is not None else TelemetryConfig().build(lane="driver")
+        )
+        self.telemetry_config = TelemetryConfig(
+            enabled=self.telemetry.enabled, trace=self.telemetry.trace_enabled
+        )
+        self.subdomains = [
+            RankSubdomain(disc, clustering, partitions, r) for r in range(self.n_ranks)
+        ]
+        sources = [
+            s if isinstance(s, DiscretePointSource) else DiscretePointSource(disc, s)
+            for s in (sources or [])
+        ]
+        self._setups = [self._rank_setup(sub, sources) for sub in self.subdomains]
+        self.halo = HaloIndex.from_partitions(disc.mesh.neighbors, partitions)
+        #: macro cycles stepped by THIS engine instance -- the denominator
+        #: for per-cycle traffic (a restored engine's counters start at zero)
+        self.cycles_stepped = 0
+        self._ledger_bytes = 0
 
-        self._time = 0.0
-        self._n_element_updates = 0
+        self.time = 0.0
+        self.n_element_updates = 0
+        #: the ranks advance in parallel: each lane spans the wall clock
+        self.concurrent_lanes = self.n_ranks
+        #: the current workers' cumulative traffic and telemetry mirrors, and
+        #: the merged history of earlier worker generations
         self._rank_stats = [MessageStats().as_dict() for _ in range(self.n_ranks)]
         self._stats_base = MessageStats()
-        #: per-rank worker peak RSS (MiB), max over worker generations
-        self._rank_peak_rss = [0.0] * self.n_ranks
-        #: per-rank mirrors of the workers' cumulative telemetry snapshots
-        #: (current spawn) and the merged history of earlier spawns --
-        #: exactly the _rank_stats/_stats_base split used for traffic
         self._rank_telemetry: list[dict] = [{} for _ in range(self.n_ranks)]
         self._telemetry_base: list[dict] = [{} for _ in range(self.n_ranks)]
         self._rank_trace_events: list[list] = [[] for _ in range(self.n_ranks)]
-        #: the per-rank states :meth:`close` gathered (``None`` while live)
+        #: per-rank worker-process peak RSS (MiB), max over worker generations
+        self._rank_peak_rss = [0.0] * self.n_ranks
+        #: the per-rank states the next workers start from (``None``: none)
         self._cache: list[dict] | None = None
-        self._procs: list = []
-        self._ctrls: list = []
-        self._alive = False
         self._failed = False
-        # fork shares the already-built subdomains with the workers for free
-        self._ctx = worker_context()
-        self._spawn()
+        self._host = HOSTS[backend](self._setups)
+
+    def _rank_setup(self, sub: RankSubdomain, sources: list) -> RankSetup:
+        """The recipe of rank ``sub.rank``'s worker: its sources and
+        receivers, re-addressed to its local element ids."""
+        owned = [copy.copy(s) for s in sources if self.partitions[s.element] == sub.rank]
+        for source in owned:
+            source.element = int(sub.local_of_global[source.element])
+        receivers = [
+            replace(receiver, element=int(sub.local_of_global[receiver.element]))
+            for receiver in (self.receiver_set.receivers if self.receiver_set is not None else [])
+            if self.partitions[receiver.element] == sub.rank
+        ]
+        return RankSetup(
+            sub, owned, receivers, self.n_fused, self.kernels, self.comm_timeout,
+            self.telemetry_config, self.telemetry.epoch,
+        )
 
     # ------------------------------------------------------------------
     # worker lifecycle
     # ------------------------------------------------------------------
-    def _spawn(self) -> None:
-        ctx = self._ctx
-        inbound = [ctx.Queue() for _ in range(self.n_ranks)]
-        self._procs, self._ctrls = [], []
-        for r in range(self.n_ranks):
-            parent_end, child_end = ctx.Pipe()
-            outbound = {d: inbound[d] for d in range(self.n_ranks) if d != r}
-            process = start_worker(
-                ctx,
-                _rank_worker,
-                (
-                    r,
-                    self.subdomains[r],
-                    self._rank_sources[r],
-                    self._rank_shims[r],
-                    self.n_fused,
-                    self.kernels,
-                    inbound[r],
-                    outbound,
-                    child_end,
-                    self.comm_timeout,
-                    self.telemetry_config,
-                    # perf_counter is the system-wide monotonic clock: the
-                    # driver's epoch puts every worker generation's lanes on
-                    # the driver's timeline
-                    self.telemetry.epoch,
-                ),
-                self.n_ranks,  # the ranks split the host's cores
-                daemon=True,
-            )
-            self._procs.append(process)
-            self._ctrls.append(parent_end)
-        self._alive = True
-
     def _ensure_alive(self) -> None:
-        if self._alive:
+        if self._host is not None:
             return
         if self._failed:
-            # a worker died mid-run: the dynamic state is gone, and quietly
-            # respawning zero-state workers would resurrect the run as a
-            # blank simulation
+            # the dynamic state died with the workers, and quietly starting
+            # blank ones would resurrect the run as a zero-state simulation
             raise RuntimeError(
-                "the process engine lost its workers mid-run; the dynamic "
-                "state is unrecoverable -- rebuild the runner (or resume "
-                "from the last checkpoint)"
+                "the multi-rank engine lost its workers mid-run; the dynamic "
+                "state is unrecoverable -- restore a state (or resume from "
+                "the last checkpoint)"
             )
-        # traffic accounted before the shutdown must survive the respawn
+        # traffic and telemetry accounted before the shutdown survive it
         for stats in self._rank_stats:
             self._stats_base.merge(stats)
         self._rank_stats = [MessageStats().as_dict() for _ in range(self.n_ranks)]
-        # ... and so must the telemetry accrued by the previous workers
-        for r in range(self.n_ranks):
-            if self._rank_telemetry[r]:
-                self._telemetry_base[r] = merge_snapshots(
-                    [self._telemetry_base[r], self._rank_telemetry[r]]
-                )
+        self._telemetry_base = [
+            merge_snapshots([base, current])
+            for base, current in zip(self._telemetry_base, self._rank_telemetry)
+        ]
         self._rank_telemetry = [{} for _ in range(self.n_ranks)]
-        self._spawn()
+        self._host = HOSTS[self.backend](self._setups)
         if self._cache is not None:
             # fresh workers record into empty receiver shims and report only
-            # new samples, so the parent's recordings need no push-back
+            # new samples, so the global recordings need no push-back
             self._command_all("restore", self._cache)
             self._cache = None
 
+    def _fail(self, message: str):
+        """Stop every worker, mark the engine failed and name the cause."""
+        self._failed = True
+        self._stop(grace_s=0.0)
+        return RuntimeError(message)
+
+    def _stop(self, grace_s: float) -> None:
+        host, self._host = self._host, None
+        host.stop(grace_s)
+
     def _collect(self) -> list:
         """One reply from every worker; surfaces worker errors eagerly."""
-        replies: list = [None] * len(self._ctrls)
-        remaining = set(range(len(self._ctrls)))
+        host = self._host
+        replies: list = [None] * self.n_ranks
+        remaining = set(range(self.n_ranks))
         while remaining:
-            for index in list(remaining):
-                ctrl = self._ctrls[index]
-                if not ctrl.poll(0.02):
-                    if not self._procs[index].is_alive():
-                        self._failed = True
-                        self._terminate()
-                        raise RuntimeError(
-                            f"rank {index} worker died without a reply"
-                        )
+            for index in sorted(remaining):
+                # liveness first: a worker that replied and then ended has
+                # its reply readable by the time the poll looks
+                alive = host.handles[index].is_alive()
+                if not host.ctrls[index].poll(0.02):
+                    if not alive:
+                        raise self._fail(f"rank {index} worker died without a reply")
                     continue
-                status, payload = ctrl.recv()
+                try:
+                    status, payload = host.ctrls[index].recv()
+                except (EOFError, OSError):  # a killed worker's pipe end
+                    raise self._fail(f"rank {index} worker died without a reply") from None
                 if status == "error":
-                    self._failed = True
-                    self._terminate()
-                    raise RuntimeError(f"rank {index} worker failed:\n{payload}")
+                    raise self._fail(f"rank {index} worker failed:\n{payload}")
                 replies[index] = payload
                 remaining.discard(index)
         return replies
 
     def _command_all(self, command: str, payloads=None) -> list:
         self._ensure_alive()
-        for index, ctrl in enumerate(self._ctrls):
-            payload = payloads[index] if payloads is not None else None
+        for index, ctrl in enumerate(self._host.ctrls):
             try:
-                ctrl.send((command, payload))
+                ctrl.send((command, None if payloads is None else payloads[index]))
             except (BrokenPipeError, OSError) as error:
-                self._failed = True
-                self._terminate()
-                raise RuntimeError(f"rank {index} worker is gone") from error
+                raise self._fail(f"rank {index} worker is gone") from error
         return self._collect()
 
-    def _terminate(self, grace_s: float = 0.0) -> None:
-        stop_workers(self._procs, grace_s)
-        self._alive = False
-
     def close(self) -> None:
-        """Gather the per-rank states into the parent and stop the workers.
+        """Gather the per-rank states into the cache and stop the workers.
 
         The engine stays fully usable: reads are served from the cache and
-        stepping transparently respawns the workers from it.
+        stepping respawns the workers from it.
         """
-        if not self._alive:
+        if self._host is None:
             return
-        # stats and receiver recordings only change inside "cycles" commands,
-        # so the per-cycle mirrors are already current here
+        # stats and receiver recordings only change inside "cycles"
+        # commands, so the mirrors are already current here
         self._cache = self._command_all("state")
-        for ctrl in self._ctrls:
-            ctrl.send(("exit", None))
-        self._collect()
-        self._terminate(grace_s=5.0)
+        self._command_all("exit")
+        self._stop(grace_s=5.0)
 
     def __del__(self):  # pragma: no cover - interpreter-shutdown safety net
         try:
-            if getattr(self, "_alive", False):
-                self._terminate()
+            if getattr(self, "_host", None) is not None:
+                self._stop(grace_s=0.0)
         except Exception:
             pass
 
     # ------------------------------------------------------------------
-    # the stepper protocol's per-rank primitives
+    # the stepper protocol
     # ------------------------------------------------------------------
     @property
-    def concurrent_lanes(self) -> int:
-        """The ranks advance in parallel: each lane spans the wall clock."""
-        return self.n_ranks
+    def macro_dt(self) -> float:
+        return float(self.clustering.cluster_time_steps[-1])
 
     @property
-    def time(self) -> float:
-        return self._time
+    def workers(self) -> list:
+        """The live in-process rank workers (thread host only)."""
+        return getattr(self._host, "workers", [])
+
+    def _states(self) -> list[dict]:
+        return self._cache if self._cache is not None else self._command_all("state")
 
     @property
-    def n_element_updates(self) -> int:
-        return self._n_element_updates
-
-    def _rank_dofs(self) -> list[np.ndarray]:
+    def dofs(self) -> np.ndarray:
+        """The global DOF array, gathered from the ranks."""
         if self._cache is not None:
-            return [state["dofs"] for state in self._cache]
-        return self._command_all("dofs")
+            return self._gather([state["dofs"] for state in self._cache])
+        return self._gather(self._command_all("dofs"))
 
-    def _set_rank_dofs(self, per_rank: list[np.ndarray]) -> None:
-        self._command_all("set_dofs", per_rank)
+    def _gather(self, per_rank: list[np.ndarray]) -> np.ndarray:
+        template = per_rank[0]
+        out = np.empty((self.disc.n_elements,) + template.shape[1:], dtype=template.dtype)
+        for array, sub in zip(per_rank, self.subdomains):
+            out[sub.owned] = array
+        return out
 
-    def _rank_states(self) -> list[dict]:
-        if self._cache is not None:
-            return self._cache
-        return self._command_all("state")
+    def set_initial_condition(self, func) -> None:
+        """Project the initial condition globally and scatter it to the ranks."""
+        global_dofs = self.disc.project_initial_condition(func, n_fused=self.n_fused)
+        self._command_all("set_dofs", [global_dofs[sub.owned] for sub in self.subdomains])
 
-    def _restore_ranks(self, states: list[dict]) -> None:
-        self._command_all("restore", states)
-        self._time = float(states[0]["time"])
-        self._n_element_updates = int(sum(s["n_element_updates"] for s in states))
-
-    def _step_ranks(self) -> None:
-        """All ranks advance one macro cycle, concurrently."""
-        replies = self._command_all("cycles", [1] * self.n_ranks)
-        self._time = float(replies[0]["time"])
-        self._n_element_updates = sum(r["n_element_updates"] for r in replies)
+    def step_cycle(self) -> None:
+        """Advance all ranks by one macro cycle, concurrently (one ``cycle``
+        span on the driver lane marks the cycle boundaries)."""
+        with self.telemetry.region("cycle"):
+            replies = self._command_all("cycles", [1] * self.n_ranks)
+        self.cycles_stepped += 1
+        self.time = float(replies[0]["time"])
+        self.n_element_updates = sum(r["n_element_updates"] for r in replies)
         self._rank_stats = [r["stats"] for r in replies]
-        self._rank_peak_rss = [
-            max(prev, float(reply.get("peak_rss_mb", 0.0)))
-            for prev, reply in zip(self._rank_peak_rss, replies)
-        ]
-        self._merge_records([r["records"] for r in replies])
+        if self.backend == "process":  # a rank thread's RSS is the driver's
+            self._rank_peak_rss = [
+                max(prev, float(reply["peak_rss_mb"]))
+                for prev, reply in zip(self._rank_peak_rss, replies)
+            ]
+        if self.receiver_set is not None:
+            for reply in replies:
+                for name, times, samples in reply["records"]:
+                    receiver = self.receiver_set[name]
+                    receiver.times.extend(float(t) for t in times)
+                    receiver.samples.extend(np.asarray(s) for s in samples)
         if self.telemetry_config.enabled:
-            self._rank_telemetry = [r.get("telemetry", {}) for r in replies]
+            self._rank_telemetry = [r["telemetry"] for r in replies]
             for events, reply in zip(self._rank_trace_events, replies):
-                events.extend(reply.get("trace_events", []))
+                events.extend(reply["trace_events"])
 
-    def _merge_records(self, per_rank_records: list) -> None:
-        """Append the workers' newly reported samples to the global receivers
-        (replies carry increments, see ``_new_records``)."""
-        if self.receiver_set is None:
-            return
-        for records in per_rank_records:
-            for name, times, samples in records:
-                receiver = self.receiver_set[name]
-                receiver.times.extend(float(t) for t in times)
-                receiver.samples.extend(np.asarray(s) for s in samples)
+    def state_arrays(self) -> dict:
+        """The per-rank state gathered into the single-rank global arrays
+        (the per-cluster step counters are identical on every rank)."""
+        states = self._states()
+        arrays = {
+            name: self._gather([state[name] for state in states])
+            for name in ("dofs", "b1", "b2", "b3")
+        }
+        arrays["step_index"] = np.asarray(states[0]["step_index"], dtype=np.int64)
+        return arrays
+
+    def restore_state(self, arrays, time: float, n_element_updates: int) -> None:
+        """Scatter a globally stored state onto the ranks.
+
+        The global element-update count is re-distributed deterministically
+        (per-rank updates per cycle are fixed by the clustering), so a
+        restored engine continues with exactly the accounting of an
+        uninterrupted run.  A closed or failed engine keeps the state for
+        the fresh workers its next command starts.
+        """
+        per_cycle = [updates_per_cycle(sub.clustering.counts) for sub in self.subdomains]
+        total_per_cycle = sum(per_cycle)
+        if total_per_cycle and n_element_updates % total_per_cycle != 0:
+            raise ValueError("element-update count is not at a macro-cycle boundary")
+        cycles = n_element_updates // total_per_cycle if total_per_cycle else 0
+        step_index = np.asarray(arrays["step_index"], dtype=np.int64)
+        states = [
+            {
+                **{name: arrays[name][sub.owned] for name in ("dofs", "b1", "b2", "b3")},
+                "step_index": step_index,
+                "time": float(time),
+                "n_element_updates": int(cycles * updates),
+            }
+            for sub, updates in zip(self.subdomains, per_cycle)
+        ]
+        if self._host is None:
+            self._failed = False
+            self._cache = states
+        else:
+            self._command_all("restore", states)
+        self.time = float(time)
+        self.n_element_updates = int(n_element_updates)
 
     # ------------------------------------------------------------------
     # accounting
     # ------------------------------------------------------------------
-    def _endpoint_stats(self) -> list[MessageStats | dict]:
-        """The workers' endpoint counters plus those of earlier spawns."""
-        return [self._stats_base, *self._rank_stats]
-
     @property
-    def rank_peak_rss_mb(self) -> list[float]:
-        """Per-rank worker peak RSS in MiB (zeros before the first cycle)."""
-        return list(self._rank_peak_rss)
+    def stats(self) -> MessageStats:
+        """Measured communication statistics, merged over the rank endpoints
+        of every worker generation."""
+        total = MessageStats()
+        for stats in [self._stats_base, *self._rank_stats]:
+            total.merge(stats)
+        return total
 
-    def _rank_snapshots(self) -> list[dict]:
-        """Cumulative per-rank telemetry, current workers plus prior spawns."""
+    def telemetry_snapshots(self) -> list[dict]:
+        """Cumulative snapshots: one lane per rank, then the driver lane."""
         snapshots = []
         for r in range(self.n_ranks):
             merged = merge_snapshots([self._telemetry_base[r], self._rank_telemetry[r]])
             merged["rank"] = r
             merged["lane"] = f"rank {r}"
             snapshots.append(merged)
-        return snapshots
+        return snapshots + [self.telemetry.snapshot()]
 
-    def _rank_trace_lanes(self) -> list[tuple]:
-        return [
-            (f"rank {r}", r, list(events))
-            for r, events in enumerate(self._rank_trace_events)
-        ]
+    def trace_lanes(self) -> list[tuple]:
+        """``(lane_name, tid, events)`` triples for the Chrome-trace export
+        (draining is destructive: export once per run)."""
+        lanes = [(f"rank {r}", r, list(events)) for r, events in enumerate(self._rank_trace_events)]
+        driver = self.telemetry
+        return lanes + [(driver.lane, self.n_ranks, driver.drain_events())]
+
+    @property
+    def rank_peak_rss_mb(self) -> list[float]:
+        """Per-rank worker-process peak RSS in MiB (zeros before the first
+        cycle and on the thread host)."""
+        return list(self._rank_peak_rss)
+
+    def modelled_exchange_per_cycle(self) -> dict:
+        """The Fig-10 machine model's view of the same halo, for validation.
+
+        Payloads travel in the run precision times the fused width, so the
+        model is evaluated at that value size; the measured traffic must
+        match it exactly.
+        """
+        return exchange_volumes_per_cycle(
+            self.halo,
+            self.clustering.cluster_ids,
+            self.clustering.n_clusters,
+            order=self.disc.order,
+            bytes_per_value=np.dtype(self.disc.dtype).itemsize * max(1, self.n_fused),
+        )
+
+    def comm_summary(self) -> dict:
+        """The ``comm`` block of the run summary: measured traffic next to
+        the machine model's prediction for the same halo."""
+        stats = self.stats
+        model = self.modelled_exchange_per_cycle()
+        cycles = self.cycles_stepped
+        n_halo_faces = int(self.halo.n_faces)
+        n_boundary = sum(sub.n_boundary_elements for sub in self.subdomains)
+        return {
+            "transport": "queue",
+            "cycles_measured": cycles,
+            "n_halo_faces": n_halo_faces,
+            # every cut face is a halo face of both its sides
+            "cut_faces": n_halo_faces // 2,
+            # how much of the mesh sits on partition boundaries -- the work
+            # that cannot be hidden behind the overlap
+            "n_boundary_elements": n_boundary,
+            "boundary_element_fraction": n_boundary / len(self.partitions),
+            "halo_bytes_per_element_update": model["total_bytes"]
+            / updates_per_cycle(self.clustering.counts),
+            "n_messages": stats.n_messages,
+            "n_bytes": stats.n_bytes,
+            "per_pair": {k: dict(v) for k, v in stats.per_pair.items()},
+            "measured_bytes_per_cycle": stats.n_bytes / cycles if cycles else 0.0,
+            "measured_messages_per_cycle": stats.n_messages / cycles if cycles else 0.0,
+            "model": model,
+        }
+
+    def ledger_columns(self) -> dict:
+        """The run ledger's per-cycle traffic and worker-memory columns.
+
+        ``sent_bytes_per_rank`` folds the ``"src->dst"`` pair stats per
+        sender: an imbalanced halo shows up there before it shows up as
+        exposed receive-wait time.
+        """
+        stats = self.stats
+        n_bytes = int(stats.n_bytes)
+        sent = [0] * self.n_ranks
+        for pair, entry in stats.per_pair.items():
+            sent[int(pair.split("->", 1)[0])] += int(entry["bytes"])
+        columns = {
+            "comm_messages": int(stats.n_messages),
+            "comm_bytes": n_bytes,
+            "cycle_comm_bytes": n_bytes - self._ledger_bytes,
+            "sent_bytes_per_rank": sent,
+        }
+        self._ledger_bytes = n_bytes
+        if any(self._rank_peak_rss):
+            columns["worker_peak_rss_mb"] = self.rank_peak_rss_mb
+        return columns

@@ -4,14 +4,13 @@
 when a spec asks for ``solver.n_ranks > 1``: the mesh is split with the
 weighted dual-graph partitioner (update-frequency element weights, Sec. V-C)
 unless preprocessing already produced that many partitions, and the spec's
-``solver.backend`` picks the engine -- ``"serial"`` steps the ranks in
-one process over in-process queues
-(:class:`~repro.distributed.engine.DistributedLtsEngine`), ``"process"``
-runs one worker process per rank with overlapped halo exchange over
-``multiprocessing`` queues
-(:class:`~repro.distributed.process_engine.ProcessLtsEngine`).  Both wire
-the same :class:`~repro.parallel.communicator.ProcessCommunicator`.
-DOFs, seismograms and element-update counts are bit-identical to the
+``solver.backend`` picks where the one engine,
+:class:`~repro.distributed.process_engine.ProcessLtsEngine`, runs its rank
+workers: ``"serial"`` on threads of this process, ``"process"`` in one
+worker process per rank.  Both exchange halo packs through the same
+:class:`~repro.parallel.communicator.ProcessCommunicator`, and
+``solver.comm_timeout`` bounds a blocked receive on both.  DOFs,
+seismograms and element-update counts are bit-identical to the
 single-rank solver under either backend.
 """
 
@@ -20,7 +19,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..parallel.partition import element_weights, partition_dual_graph
-from .engine import DistributedLtsEngine
 from .process_engine import ProcessLtsEngine
 
 __all__ = ["build_engine"]
@@ -35,14 +33,7 @@ def build_engine(runner, disc, sources: list):
     """
     solver = runner.spec.solver
     runner.telemetry.lane = "driver"
-    kwargs = {}
-    if solver.backend == "process":
-        engine_cls = ProcessLtsEngine
-        # only the process engine's receives can block
-        kwargs["comm_timeout"] = solver.comm_timeout
-    else:
-        engine_cls = DistributedLtsEngine
-    return engine_cls(
+    return ProcessLtsEngine(
         disc,
         runner.clustering,
         _partitions(runner, disc, solver.n_ranks),
@@ -51,7 +42,8 @@ def build_engine(runner, disc, sources: list):
         n_fused=solver.n_fused,
         kernels=solver.kernels,
         telemetry=runner.telemetry,
-        **kwargs,
+        comm_timeout=solver.comm_timeout,
+        backend=solver.backend,
     )
 
 

@@ -5,23 +5,21 @@ running on one rank's :class:`~repro.distributed.subdomain.RankSubdomain`:
 local DOFs, local LTS buffers, local element-ids everywhere.  Three things
 are added on top of the shared driver logic:
 
-* the prediction of a cluster is split along the subdomain's
-  boundary/interior partition (two adjacent slices of the cluster's run of
-  local ids): :meth:`begin_micro_step` runs the time kernel, buffer fill
-  and local update of the halo-adjacent rows of every due cluster in one
-  kernel dispatch, so the due sends can be posted immediately, and
-  :meth:`advance_interior` computes the remaining rows in one more -- with
-  a process-backed communicator the interior work overlaps the message
-  transfer,
+* :meth:`step_cycle` -- the one stepping walk of a rank -- splits the
+  prediction of a cluster along the subdomain's boundary/interior
+  partition (two adjacent slices of the cluster's run of local ids): per
+  micro step the halo-adjacent rows of every due cluster are predicted in
+  one kernel dispatch, the due sends are posted, and the remaining rows
+  follow in one more, overlapping the message transfer,
 * :meth:`send_due` ships one pack per destination rank and micro step: the
   face-local compressed payloads (``9 x F`` values per face -- the buffer
   data already multiplied with the *receiver's* neighbouring flux matrix
   ``F_bar``) of every face due to that rank, projected by the backend in
   one pass over the step's send plan, and
-* :meth:`finish_micro_step` drains every incoming pack due up to that step
-  (in step order, a later payload overwriting an earlier one: a faster
-  sender refreshes its accumulated ``B3`` twice per receiver step) into the
-  rank's halo store before the step's corrections run in one dispatch; the
+* the corrections of a micro step first drain every incoming pack due up
+  to that step (in step order, a later payload overwriting an earlier one:
+  a faster sender refreshes its accumulated ``B3`` twice per receiver
+  step) into the rank's halo store and then run in one dispatch; the
   :meth:`_halo` hook hands each correcting cluster's run of the store to
   the backend as ``(flat face ids, payloads)``.  The receive plans are
   static, so the receive is deterministic and blocks correctly on
@@ -111,40 +109,26 @@ class RankSolver(ClusteredLtsSolver):
         }
 
     # ------------------------------------------------------------------
-    # the shared micro-step walk (used by the serial engine, which
-    # interleaves ranks per phase, and by step_cycle, which a process
-    # worker runs per rank -- one implementation keeps them in lockstep)
-    # ------------------------------------------------------------------
     def step_cycle(self) -> None:
-        """One macro cycle of this rank alone, exchanging its halo through
-        the communicator (a process worker's cycle)."""
+        """One macro cycle of this rank, exchanging its halo through the
+        communicator: per micro step the boundary predictions, the due
+        sends, the interior predictions (the sends are in flight meanwhile)
+        and the corrections."""
+        self._check_state()
         dt0 = float(self.clustering.cluster_time_steps[0])
         for entry in schedule_cycle(self.clustering.n_clusters):
-            self.begin_micro_step(entry)
-            self.advance_interior(entry)
-            self.finish_micro_step(entry, dt0)
+            with self.telemetry.region("predict.boundary"):
+                self._dispatch("boundary", entry["predict"])
+            with self.telemetry.region("send"):
+                self.send_due(entry["micro_step"])
+                self.comm.flush()
+            with self.telemetry.region("predict.interior"):
+                self._dispatch("interior", entry["predict"])
+            self._micro_step = entry["micro_step"]
+            if self._micro_step == 0:
+                self._next_drain = 0
+            self.correct_step(entry, dt0)
         self.time += self.macro_dt
-
-    def begin_micro_step(self, entry: dict) -> None:
-        """Boundary predictions of the due clusters plus the due sends."""
-        self._check_state()
-        with self.telemetry.region("predict.boundary"):
-            self._dispatch("boundary", entry["predict"])
-        with self.telemetry.region("send"):
-            self.send_due(entry["micro_step"])
-            self.comm.flush()
-
-    def advance_interior(self, entry: dict) -> None:
-        """Interior predictions (overlap: the sends are already in flight)."""
-        with self.telemetry.region("predict.interior"):
-            self._dispatch("interior", entry["predict"])
-
-    def finish_micro_step(self, entry: dict, dt0: float) -> None:
-        """Corrections of the clusters whose interval ends after this step."""
-        self._micro_step = entry["micro_step"]
-        if self._micro_step == 0:
-            self._next_drain = 0
-        self.correct_step(entry, dt0)
 
     # ------------------------------------------------------------------
     def send_due(self, micro_step: int) -> None:

@@ -12,8 +12,10 @@ CPUs this process may run on (``os.sched_getaffinity``), divided by the
 processes the run forks onto them -- a rank worker or a sweep worker declares
 that share with :func:`share_cpus` when it starts -- and by the threads each
 BLAS call already runs on, so kernel threads never oversubscribe the cores.
-A 2-rank run on 2 CPUs therefore steps one thread per rank, and a
-single-process run with ``OPENBLAS_NUM_THREADS=2`` on 2 CPUs one thread.
+A 2-rank process-backend run on 2 CPUs therefore steps one thread per
+rank, and a single-process run with ``OPENBLAS_NUM_THREADS=2`` on 2 CPUs
+one thread.  Thread-hosted ranks (the ``serial`` backend) declare no share:
+they take turns in this process's one pool, one dispatch at a time.
 
 The pool never crosses a ``fork``: a forked child starts with no pool and a
 share of one, and builds its own pool at its first threaded batch.
@@ -35,6 +37,8 @@ _share = 1
 _blas: int | None = None
 #: this process's pool (``None`` until the first threaded batch)
 _pool: BlockPool | None = None
+#: guards building the pool: thread-hosted ranks reach it concurrently
+_pool_lock = threading.Lock()
 
 
 def share_cpus(n_processes: int) -> None:
@@ -88,18 +92,19 @@ def block_pool() -> BlockPool:
     """This process's pool, (re)built at the current :func:`thread_budget`."""
     global _pool
     n_threads = thread_budget()
-    if _pool is None or _pool.n_threads != n_threads:
-        if _pool is not None:
-            _pool.close()
-        _pool = BlockPool(n_threads)
-    return _pool
+    with _pool_lock:
+        if _pool is None or _pool.n_threads != n_threads:
+            if _pool is not None:
+                _pool.close()
+            _pool = BlockPool(n_threads)
+        return _pool
 
 
 def _forget_after_fork() -> None:
     # the parent's worker threads do not exist in the child, and the child
     # declares its own share (its BLAS keeps the parent's thread count)
-    global _pool, _share
-    _pool, _share = None, 1
+    global _pool, _pool_lock, _share
+    _pool, _pool_lock, _share = None, threading.Lock(), 1
 
 
 if hasattr(os, "register_at_fork"):  # POSIX

@@ -1,8 +1,8 @@
 """Distributed-memory substrate: partitioning, communication accounting, scaling model.
 
 One communicator, :class:`ProcessCommunicator`, carries every halo pack: the
-process engine wires its endpoints over ``multiprocessing`` queues, the
-serial engine over in-process queues.  :class:`HaloIndex` is the one halo
+multi-rank engine wires its endpoints over ``multiprocessing`` queues for
+worker processes, over in-process queues for worker threads.  :class:`HaloIndex` is the one halo
 description the machine model accounts.
 """
 

@@ -4,16 +4,19 @@ No MPI implementation is available in this environment, so the distributed-
 memory exchange of Sec. V-C runs through one queue communicator:
 :class:`ProcessCommunicator`, one endpoint per rank.  Each endpoint owns one
 inbound queue and holds references to every peer's inbound queue for
-sending.  Two wirings share the class:
+sending.  The multi-rank engine wires one endpoint per rank worker, on
+either of its two hosts:
 
-* the process engine hands each worker a :class:`multiprocessing.Queue`
-  (one pipe, one feeder thread -- ``put`` never blocks, so posting a halo
-  send returns immediately and the transfer proceeds in the background
-  while the sender computes interior work), and
-* the serial engine steps every rank in one process over in-process
-  :class:`queue.SimpleQueue` inbounds with ``timeout=0``: it interleaves
-  the ranks so that every pack is posted before it is received, and a
-  missing pack fails at once, naming the micro step.
+* worker processes get a :class:`multiprocessing.Queue` each (one pipe,
+  one feeder thread -- ``put`` never blocks, so posting a halo send returns
+  immediately and the transfer proceeds in the background while the sender
+  computes interior work), and
+* worker threads get an in-process :class:`queue.SimpleQueue` each.
+
+On both a receive blocks at most ``timeout`` seconds per message, so a
+missing or unflushed pack fails in bounded time, naming the micro step and
+both ranks.  A ``None`` item closes an inbound: the thread host puts one to
+end a receive that would otherwise wait out the timeout after a peer failed.
 
 The distributed steppers send one message per (destination rank, micro
 step): the pack of every face-local payload due to that rank, tagged with
@@ -30,7 +33,7 @@ requested channel has a message, which is why the steppers drain the
 asynchronous channel cannot be observed race-free).
 
 Every transfer is accounted on the send side with the exact payload byte
-count, so both engines report the same measured traffic -- and it must
+count, so both hosts report the same measured traffic -- and it must
 match the machine model exactly.
 """
 
@@ -200,6 +203,8 @@ class ProcessCommunicator:
         # unpickled batch alive until the *last* message of the batch is
         # consumed, which on wide batches holds a multiple of the live halo
         # working set in memory
+        if item is None:
+            raise RuntimeError(f"rank {self.rank}: the halo exchange was closed")
         src, tags, stacked = item
         for index, tag in enumerate(tags):
             self._mailboxes[(int(src), int(tag))].append(stacked[index].copy())

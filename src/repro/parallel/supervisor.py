@@ -1,6 +1,6 @@
 """Worker processes: how one starts, watches its parent, and stops.
 
-Rank workers (:mod:`repro.distributed.process_engine`) and sweep workers
+Rank worker processes (:mod:`repro.distributed.engine`) and sweep workers
 (:mod:`repro.sweep.orchestrator`) both start with :func:`start_worker` and
 stop with :func:`stop_workers`.  The one orphan policy: a SIGKILLed parent
 can neither send a stop command nor close a pipe (under fork every worker

@@ -124,12 +124,12 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--ranks", type=int,
                      help="number of ranks of the distributed engine (default 1)")
     run.add_argument("--backend", choices=("serial", "process"),
-                     help="distributed execution backend: 'serial' steps the ranks "
-                          "in-process, 'process' runs one worker process per rank "
-                          "with overlapped halo exchange (default serial)")
+                     help="distributed execution backend: 'serial' runs one "
+                          "thread per rank in-process, 'process' one worker process "
+                          "per rank, both with overlapped halo exchange (default serial)")
     run.add_argument("--comm-timeout", type=float, metavar="S",
-                     help="process backend: abort a blocked halo receive "
-                          "after S seconds (default 120)")
+                     help="abort a blocked halo receive after S seconds "
+                          "(default 120)")
     run.add_argument("--kernels", choices=SOLVER_KERNELS,
                      help="kernel-execution backend: 'ref' runs the plain reference "
                           "kernels, 'fast' runs stacked-operator GEMMs on "

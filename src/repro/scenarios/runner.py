@@ -702,10 +702,9 @@ class ScenarioRunner:
         merged regions/counters and derived rates.
 
         Phase totals are divided by the stepper's ``concurrent_lanes`` so
-        their sum is comparable to ``wall_s``: process-backend ranks overlap
-        in time (each lane spans the whole wall clock), while a single
-        solver -- or the serial engine's interleaved ranks -- accounts every
-        second exactly once.
+        their sum is comparable to ``wall_s``: the ranks of a multi-rank
+        engine overlap in time (each lane spans the whole wall clock), while
+        a single solver accounts every second exactly once.
         """
         from ..kernels.flops import count_flops_per_element_update
 

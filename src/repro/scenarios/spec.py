@@ -468,13 +468,14 @@ class SolverSpec:
     local time stepping).  ``n_ranks > 1`` executes the run through the
     distributed multi-rank engine (weighted partitioning plus
     face-local compressed halo exchange, Sec. V-C); the result is
-    bit-identical to the single-rank run.  ``backend`` selects how the ranks
-    execute: ``"serial"`` steps them in-process over in-process queues,
-    ``"process"`` runs one worker process per rank with real overlapped halo
-    exchange (pickled payload batches through multiprocessing queues) --
+    bit-identical to the single-rank run.  ``backend`` selects where the
+    engine's rank workers run, concurrently and with overlapped halo
+    exchange: ``"serial"`` on one thread per rank in this process over
+    in-process queues, ``"process"`` in one worker process per rank (pickled
+    payload batches through multiprocessing queues) -- one command loop and
     one communicator class either way, and bit-identical results.
-    ``comm_timeout`` bounds a blocked halo receive of the process backend in
-    seconds (``None``: the engine's 120 s default).
+    ``comm_timeout`` bounds a blocked halo receive on either backend, per
+    message, in seconds (``None``: the engine's 120 s default).
     ``kernels`` selects the kernel-execution backend: ``"ref"`` (the plain
     reference kernels, the oracle) or ``"fast"`` (stacked-operator GEMMs on
     cache-sized element blocks with reusable scratch workspaces,

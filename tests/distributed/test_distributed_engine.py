@@ -17,7 +17,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.distributed import DistributedLtsEngine
+from repro.distributed import ProcessLtsEngine
+from repro.source.moment_tensor import DiscretePointSource
 from repro.scenarios import (
     ScenarioRunner,
     ScenarioSpec,
@@ -172,8 +173,8 @@ class TestCommunicationAccounting:
     def test_all_messages_delivered_every_cycle(self, tiny_loh3):
         runner = make_runner(tiny_loh3.with_overrides(n_ranks=2, n_cycles=1))
         runner.step_cycle()
-        assert all(comm.all_delivered() for comm in runner.engine.comms)
-        # the serial engine's endpoints are the one queue communicator
+        assert all(worker.comm.all_delivered() for worker in runner.engine.workers)
+        # the thread-hosted ranks' endpoints are the one queue communicator
         assert runner.engine.comm_summary()["transport"] == "queue"
 
 
@@ -191,6 +192,19 @@ class TestSubdomains:
             np.testing.assert_array_equal(
                 sub.view.star_elastic, runner.setup.disc.star_elastic[sub.owned]
             )
+
+    def test_each_source_lands_once_on_its_owning_rank(self):
+        """Every point source is injected by exactly one rank, at the local
+        id of its global element."""
+        runner = make_runner(get_scenario("la_habra").smoke().with_overrides(n_ranks=2))
+        engine = runner.engine
+        placed = [
+            (worker.solver.rank, int(sub.owned[source.element]))
+            for worker, sub in zip(engine.workers, engine.subdomains)
+            for source in worker.solver.sources
+        ]
+        element = DiscretePointSource(runner.setup.disc, runner.setup.source).element
+        assert placed == [(int(engine.partitions[element]), int(element))]
 
     def test_send_packs_cover_the_model_message_count(self, tiny_loh3):
         """One message per (src, dst, micro step); the packs carry every
@@ -281,7 +295,7 @@ class TestSpecAndDispatch:
     def test_engine_rejects_mismatched_partitions(self, tiny_loh3):
         runner = ScenarioRunner(tiny_loh3)
         with pytest.raises(ValueError, match="partitions"):
-            DistributedLtsEngine(
+            ProcessLtsEngine(
                 runner.setup.disc,
                 runner.clustering,
                 np.zeros(3, dtype=np.int64),

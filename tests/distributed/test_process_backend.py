@@ -19,11 +19,14 @@ The central claims:
 """
 
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
 import sys
+import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -170,40 +173,117 @@ class TestCheckpointAcrossBackends:
         np.testing.assert_array_equal(resumed.solver.dofs, serial_run.solver.dofs)
 
 
+def _boom(slot, telemetry, dofs):
+    raise ZeroDivisionError("injected block failure")
+
+
+def _live_workers() -> set:
+    """The rank-worker threads and child processes alive in this process."""
+    threads = {t for t in threading.enumerate() if t.name.startswith("repro-rank-")}
+    return threads | set(multiprocessing.active_children())
+
+
 class TestEngineLifecycle:
-    def test_close_serves_cached_state_and_respawns(self, tiny_loh3):
-        runner = make_runner(tiny_loh3.with_overrides(n_ranks=2, backend="process"))
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_close_serves_cached_state_and_respawns(self, tiny_loh3, backend):
+        runner = make_runner(tiny_loh3.with_overrides(n_ranks=2, backend=backend))
         engine = runner.engine
         runner.step_cycle()
         stats_before = engine.stats.as_dict()
         dofs_before = engine.dofs.copy()
         engine.close()
-        assert not engine._alive
+        assert engine._host is None
         # reads come from the cache
         np.testing.assert_array_equal(engine.dofs, dofs_before)
         assert engine.stats.as_dict() == stats_before
         # stepping respawns the workers and continues bit-identically
         runner.step_cycle()
-        assert engine._alive
-        reference = make_runner(tiny_loh3.with_overrides(n_ranks=2))
+        assert engine._host is not None
+        reference = make_runner(tiny_loh3)
         reference.step_cycle()
         reference.step_cycle()
         np.testing.assert_array_equal(engine.dofs, reference.solver.dofs)
         # pre-close traffic survives the respawn
-        assert engine.stats.n_messages == reference.engine.stats.n_messages
+        assert engine.stats.n_messages == 2 * stats_before["n_messages"]
         engine.close()
 
     def test_worker_death_fails_loudly_instead_of_respawning_blank(self, tiny_loh3):
         runner = make_runner(tiny_loh3.with_overrides(n_ranks=2, backend="process"))
         engine = runner.engine
         runner.step_cycle()
-        engine._procs[0].terminate()
-        engine._procs[0].join()
+        engine._host.handles[0].terminate()
+        engine._host.handles[0].join()
         with pytest.raises(RuntimeError, match="worker"):
             runner.step_cycle()
         # the dynamic state died with the worker: no silent zero-state respawn
         with pytest.raises(RuntimeError, match="lost its workers"):
             runner.step_cycle()
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_a_failed_cycle_restores_to_the_uninterrupted_run(self, tiny_loh3, backend):
+        """A rank that raises mid-cycle (thread host) or is SIGKILLed
+        (process host) fails the engine by name; a restored state steps on
+        on fresh workers and channels, bitwise the uninterrupted run."""
+        spec = tiny_loh3.with_overrides(n_ranks=2, backend=backend)
+        clean = make_runner(spec)
+        clean.step_cycle()
+        clean.step_cycle()
+        before = _live_workers()
+        runner = make_runner(spec)
+        engine = runner.engine
+        runner.step_cycle()
+        saved = engine.state_arrays()
+        time_, updates = engine.time, engine.n_element_updates
+        if backend == "serial":
+            for items in engine.workers[0].solver.clusters[0].items:  # both parities
+                items["correct"].insert(0, _boom)
+        else:
+            os.kill(engine._host.handles[0].pid, signal.SIGKILL)
+        with pytest.raises(RuntimeError, match="rank 0 worker") as failure:
+            engine.step_cycle()
+        if backend == "serial":
+            assert "injected block failure" in str(failure.value)
+        assert _live_workers() - before == set()
+        with pytest.raises(RuntimeError, match="lost its workers"):
+            engine.step_cycle()
+        engine.restore_state(saved, time_, updates)
+        runner.step_cycle()
+        np.testing.assert_array_equal(engine.dofs, clean.solver.dofs)
+        assert engine.n_element_updates == clean.solver.n_element_updates
+        for name in ("receiver_9", "epicentre"):
+            t_clean, v_clean = clean.receivers[name].seismogram()
+            t_run, v_run = runner.receivers[name].seismogram()
+            np.testing.assert_array_equal(t_run, t_clean)
+            np.testing.assert_array_equal(v_run, v_clean)
+        engine.close()
+        clean.engine.close()
+        assert _live_workers() - before == set()
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_a_missing_pack_fails_in_bounded_time(self, tiny_loh3, backend):
+        """One pack dropped from rank 0's sends: its receiver gives up after
+        ``comm_timeout``, naming both ranks and the micro step, and no rank
+        thread or worker process outlives the failure."""
+        before = _live_workers()
+        runner = make_runner(
+            tiny_loh3.with_overrides(n_ranks=2, backend=backend, comm_timeout=0.5)
+        )
+        engine = runner.engine
+        plans = engine.subdomains[0].send_plans
+        # the last pack of the cycle: no later send of its receiver waits on
+        # it, so exactly one rank stalls
+        step = max(s for s, plan in enumerate(plans) if plan.packs)
+        (dst, _), *rest = plans[step].packs
+        plans[step] = replace(plans[step], packs=tuple(rest))
+        engine.close()  # the next cycle respawns the workers on the cut plan
+        start = time.monotonic()
+        with pytest.raises(RuntimeError) as failure:
+            engine.step_cycle()
+        assert time.monotonic() - start < 30.0
+        assert f"rank {dst}: no halo pack from rank 0 for micro step {step}" in str(
+            failure.value
+        )
+        assert _live_workers() - before == set()
 
     def test_workers_self_exit_after_parent_sigkill(self, tmp_path):
         # fork-inherited peer pipe fds mean a SIGKILLed parent produces no

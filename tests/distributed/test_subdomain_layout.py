@@ -24,6 +24,11 @@ from repro.scenarios import get_scenario, make_runner
 pytestmark = pytest.mark.distributed
 
 
+def _rank_solvers(runner) -> list:
+    """The rank solvers of a live serial (thread-hosted) multi-rank runner."""
+    return [worker.solver for worker in runner.engine.workers]
+
+
 @pytest.fixture(scope="module")
 def loh3_m_2rank():
     """The benchmark's 2-rank LOH.3-M mesh at order 3 on the serial engine."""
@@ -31,7 +36,7 @@ def loh3_m_2rank():
         "loh3", characteristic_length=1000.0, n_clusters=3, lam=1.0, order=3, n_cycles=1
     )
     runner = make_runner(spec.with_overrides(n_ranks=2, kernels="fast"))
-    runner.run()
+    runner.step_cycle()  # not run(): that would close the engine, stopping the rank workers
     return runner
 
 
@@ -70,7 +75,7 @@ class TestLocalOrder:
                     assert np.all(np.diff(sub.owned[ids[rows]]) > 0)
 
     def test_rank_clusters_carry_slice_batches(self, loh3_m_2rank):
-        for rank in loh3_m_2rank.engine.ranks:
+        for rank in _rank_solvers(loh3_m_2rank):
             for cluster in rank.clusters:
                 if len(cluster.elements):
                     assert isinstance(cluster.batch, slice)
@@ -104,7 +109,7 @@ class _CountingDofs(np.ndarray):
 
 class TestSlicePrediction:
     def test_warm_prediction_neither_gathers_nor_allocates(self, loh3_m_2rank):
-        rank = loh3_m_2rank.engine.ranks[0]
+        rank = _rank_solvers(loh3_m_2rank)[0]
         cluster = max(rank.clusters, key=lambda c: len(c.elements))
         cluster_dofs_bytes = rank.dofs[cluster.batch].nbytes
         assert cluster_dofs_bytes > 1 << 20
@@ -140,7 +145,7 @@ class TestHaloSends:
         buffers' stored row: the read-time difference it replaced, projected
         with the receiver's ``F_bar``."""
         n_sent = 0
-        for rank in loh3_m_2rank.engine.ranks:
+        for rank in _rank_solvers(loh3_m_2rank):
             comm = _RecordingComm()
             monkeypatch.setattr(rank, "comm", comm)
             n_rows = rank.subdomain.n_owned + 1
@@ -246,7 +251,7 @@ class TestHaloPlans:
         for poison in (False, True):
             runner = make_runner(plan_case)
             if poison:
-                for rank in runner.engine.ranks:
+                for rank in _rank_solvers(runner):
                     rank.halo_store[...] = np.nan
             runner.step_cycle()
             runs.append(runner.solver.dofs)

@@ -269,12 +269,12 @@ def _halo_blocks(rank):
 def test_threaded_fast_is_bitwise_the_one_thread_run(monkeypatch, case):
     spec, block_bytes = LATTICE[case]
     monkeypatch.setattr(backend_module, "_BLOCK_STACK_BYTES", block_bytes)
+    if case == "serial-2rank":  # the thread host's live rank workers
+        assert max(_halo_blocks(w.solver) for w in make_runner(spec()).engine.workers) > 1
     runs = {}
     for n in (1, 2, 3):
         use_threads(monkeypatch, n)
-        runs[n] = runner, _, _ = _run(spec())
-        if case == "serial-2rank":
-            assert max(_halo_blocks(rank) for rank in runner.engine.ranks) > 1
+        runs[n] = _run(spec())
     _, dofs, seismograms = runs[1]
     for n in (2, 3):
         _, threaded, threaded_seismograms = runs[n]
@@ -315,14 +315,18 @@ def test_threaded_telemetry_counts_every_region_once(monkeypatch, small_blocks, 
         )
 
 
-def test_more_threads_than_cores_under_fast_switching(monkeypatch, small_blocks):
-    """Stress: 4 kernel threads with a 10 us switch interval, telemetry on.
+@pytest.mark.parametrize("case", ["lts", "serial-2rank"])
+def test_more_threads_than_cores_under_fast_switching(monkeypatch, small_blocks, case):
+    """Stress: 4 kernel threads with a 10 us switch interval, telemetry on
+    (``serial-2rank``: two rank threads taking turns in the one pool).
     A lost update to shared state -- a block run twice or skipped, a
     scratch buffer shared by two threads, a region count merged wrongly --
     breaks bitwise equality or the counts."""
     import sys
 
     spec = _lts("la_habra").with_overrides(telemetry=True)
+    if case == "serial-2rank":
+        spec = spec.with_overrides(n_ranks=2, backend="serial")
     runs = {}
     for n in (1, 4):
         use_threads(monkeypatch, n)
@@ -342,7 +346,8 @@ class TestFailedDispatch:
     """A block that raises inside a merged micro-step dispatch: the error
     reaches the caller in bounded time, and the solver, left with some
     clusters advanced and some not, refuses to step on until a state is
-    restored."""
+    restored (a multi-rank engine, whose failing rank stopped every worker,
+    refuses by name too)."""
 
     @staticmethod
     def _boom(slot, telemetry, dofs):
@@ -356,14 +361,22 @@ class TestFailedDispatch:
             spec = spec.with_overrides(n_ranks=2, backend="serial")
         runner = make_runner(spec)
         runner.step_cycle()
-        solver = runner.solver if case == "lts" else runner.engine.ranks[0]
+        solver = runner.solver if case == "lts" else runner.engine.workers[0].solver
         for items in solver.clusters[0].items:  # both step parities
             items["correct"].insert(0, self._boom)
         error = _bounded(runner.step_cycle)
-        assert isinstance(error, ZeroDivisionError), error
-        error = _bounded(runner.step_cycle)
-        assert isinstance(error, HalfAppliedStepError), error
-        assert "correct dispatch" in str(error)
+        if case == "lts":
+            assert isinstance(error, ZeroDivisionError), error
+            error = _bounded(runner.step_cycle)
+            assert isinstance(error, HalfAppliedStepError), error
+            assert "correct dispatch" in str(error)
+        else:
+            # the rank's traceback reaches the engine
+            assert isinstance(error, RuntimeError), error
+            assert "ZeroDivisionError: injected block failure" in str(error)
+            error = _bounded(runner.step_cycle)
+            assert isinstance(error, RuntimeError), error
+            assert "lost its workers" in str(error)
 
     def test_a_restored_state_steps_cleanly(self, monkeypatch, small_blocks):
         use_threads(monkeypatch, 2)

@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.buffers import LARGER, SAME, SMALLER, store_rows
 from repro.core.lts_scheduler import schedule_cycle
-from repro.distributed import DistributedLtsEngine
+from repro.distributed import ProcessLtsEngine
 from repro.parallel.exchange import HaloIndex
 from repro.scenarios import ScenarioRunner, get_scenario
 
@@ -110,7 +110,7 @@ def test_send_plans_ship_every_payload_kind_and_stay_bitwise(spec):
     single = ScenarioRunner(spec)
     disc = single.setup.disc
     partitions = np.arange(disc.n_elements, dtype=np.int64) % 2
-    engine = DistributedLtsEngine(
+    engine = ProcessLtsEngine(
         disc,
         single.clustering,
         partitions,

@@ -228,6 +228,31 @@ class TestChromeTrace:
         }
         assert names >= {"predict.boundary", "send", "predict.interior", "correct"}
 
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_cli_traced_run_explains_its_phases(self, tmp_path, backend):
+        """A traced 2-rank CLI run: one lane per rank plus the driver, the
+        overlap phases cover wall time, the update counters account for
+        every element update, and the summary carries the peak RSS."""
+        trace_path, out_dir = tmp_path / "run.trace.json", tmp_path / "out"
+        assert cli_main([
+            "run", "loh3", "--smoke", "--ranks", "2", "--backend", backend,
+            "--metrics", "--trace", str(trace_path), "--output-dir", str(out_dir),
+            "--quiet",
+        ]) == 0
+        by_lane = validate_chrome_trace(json.loads(trace_path.read_text()), expect_lanes=3)
+        assert {"rank 0", "rank 1", "driver"} <= set(by_lane), by_lane
+        summary = json.loads((out_dir / "run_summary.json").read_text())
+        telemetry = summary["telemetry"]
+        assert {"predict.boundary", "send", "predict.interior", "correct"} <= set(
+            telemetry["phases"]
+        ), telemetry["phases"]
+        assert telemetry["phase_sum_s"] > 0.0 and telemetry["coverage"] > 0.0
+        assert sum(
+            value for name, value in telemetry["counters"].items()
+            if name.startswith("updates/")
+        ) == summary["element_updates"]
+        assert summary["memory"]["peak_rss_mb"] > 0.0
+
     def test_trace_implies_telemetry(self, tiny_loh3):
         spec = tiny_loh3.with_overrides(trace=True)
         assert spec.output.telemetry and spec.output.trace
