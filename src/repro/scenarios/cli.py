@@ -42,7 +42,15 @@ import sys
 from .outputs import write_outputs
 from .registry import describe_scenario, get_scenario, scenario_names
 from .runner import ScenarioRunner, make_runner
-from .spec import SOLVER_KERNELS, SOLVER_KINDS, SOLVER_PRECISIONS, ScenarioSpec
+from .spec import (
+    OVERRIDE_PATHS,
+    RESUMABLE_OVERRIDES,
+    SOLVER_BACKENDS,
+    SOLVER_KERNELS,
+    SOLVER_KINDS,
+    SOLVER_PRECISIONS,
+    ScenarioSpec,
+)
 
 __all__ = ["main", "build_parser"]
 
@@ -95,6 +103,76 @@ def _parse_overrides(pairs: list[str]) -> dict:
     return overrides
 
 
+#: the flags that set a spec knob: (flag, override name from
+#: :data:`~repro.scenarios.spec.OVERRIDE_PATHS`, kind, help).  The kind is
+#: the argparse type, a tuple of choices, ``bool`` (a switch) or ``str`` (a
+#: PATH).  An absent flag parses to ``None`` and keeps the spec's value;
+#: ``--trace PATH`` sets ``trace`` to ``True`` and names the trace file
+_RUN_FLAGS = (
+    ("--clusters", "n_clusters", int, "number of LTS clusters"),
+    ("--lambda", "lam", float, "fixed lambda in (0.5, 1]; omit for the grid-search optimum"),
+    ("--order", "order", int, "order of convergence"),
+    ("--fused", "n_fused", int, "number of fused simulations"),
+    ("--solver", "solver", SOLVER_KINDS, "solver kind"),
+    ("--cycles", "n_cycles", int, "number of macro cycles to run"),
+    ("--t-end", "t_end", float, "target simulated time [s]"),
+    ("--seed", "seed", int, "mesh jitter seed"),
+    ("--ranks", "n_ranks", int, "number of ranks of the distributed engine (default 1)"),
+    ("--backend", "backend", SOLVER_BACKENDS,
+     "where the rank workers run: 'serial' on one thread per rank in-process, "
+     "'process' in one worker process per rank; bit-identical (default serial)"),
+    ("--comm-timeout", "comm_timeout", float,
+     "abort a blocked halo receive after this many seconds (default 120)"),
+    ("--kernels", "kernels", SOLVER_KERNELS,
+     "kernel-execution backend: 'ref' runs the plain reference kernels, 'fast' "
+     "blocked stacked-operator GEMMs (tolerance-equal; see 'repro verify')"),
+    ("--precision", "precision", SOLVER_PRECISIONS,
+     "state/operator precision of the run (default f64)"),
+    ("--partitions", "n_partitions", int,
+     "weighted partition count (> 1 orders elements by cluster, partition, role)"),
+    ("--reorder", "reorder", bool, "reorder elements by (cluster, partition, role)"),
+    ("--checkpoint-every", "checkpoint_every", int,
+     "checkpoint cadence in macro cycles (0 disables; default: the spec's)"),
+    ("--metrics", "telemetry", bool,
+     "phase timers and the metrics registry: the run summary gains a "
+     "'telemetry' block (phase breakdown, counters, updates/s, GFLOP/s)"),
+    ("--trace", "trace", str,
+     "write a Chrome-trace JSON timeline (one lane per rank) to PATH; implies --metrics"),
+    ("--events", "events", str,
+     "append a JSONL run ledger to PATH: a provenance header plus one flushed "
+     "record per macro cycle (a resumed run appends a new segment); implies --metrics"),
+    ("--progress", "progress", bool, "live progress heartbeat on stderr (cycles, updates/s, ETA)"),
+)
+
+#: the flags ``verify`` shares with ``run``, with the defaults it verifies
+_VERIFY_DEFAULTS = {"kernels": "ref", "precision": "f64", "n_ranks": 1, "backend": "serial"}
+
+
+def _add_flags(parser, names, defaults=None) -> None:
+    """Add the :data:`_RUN_FLAGS` rows whose override name is in ``names``."""
+    for flag, name, kind, text in _RUN_FLAGS:
+        if name not in names:
+            continue
+        if kind is bool:
+            options = {"action": "store_true"}
+        elif isinstance(kind, tuple):
+            options = {"choices": kind}
+        else:
+            options = {"type": kind, "metavar": {int: "N", float: "X", str: "PATH"}[kind]}
+        default = (defaults or {}).get(name)
+        parser.add_argument(flag, dest=name, default=default, help=text, **options)
+
+
+def _flag_overrides(args) -> dict:
+    """The ``with_overrides`` keywords of the flags given on the command line."""
+    overrides = {}
+    for _, name, _, _ in _RUN_FLAGS:
+        value = getattr(args, name, None)
+        if value is not None:
+            overrides[name] = True if name == "trace" else value
+    return overrides
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -112,56 +190,11 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--spec", help="path to a ScenarioSpec JSON file (instead of a name)")
     run.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                      help="factory override (repeatable), e.g. --set contrast=3.0")
-    run.add_argument("--clusters", type=int, help="number of LTS clusters")
-    run.add_argument("--lambda", dest="lam", type=float,
-                     help="fixed lambda in (0.5, 1]; omit for the grid-search optimum")
-    run.add_argument("--order", type=int, help="order of convergence")
-    run.add_argument("--fused", type=int, help="number of fused simulations")
-    run.add_argument("--solver", choices=SOLVER_KINDS, help="solver kind")
-    run.add_argument("--cycles", type=int, help="number of macro cycles to run")
-    run.add_argument("--t-end", type=float, help="target simulated time [s]")
-    run.add_argument("--seed", type=int, help="mesh jitter seed")
-    run.add_argument("--ranks", type=int,
-                     help="number of ranks of the distributed engine (default 1)")
-    run.add_argument("--backend", choices=("serial", "process"),
-                     help="distributed execution backend: 'serial' runs one "
-                          "thread per rank in-process, 'process' one worker process "
-                          "per rank, both with overlapped halo exchange (default serial)")
-    run.add_argument("--comm-timeout", type=float, metavar="S",
-                     help="abort a blocked halo receive after S seconds "
-                          "(default 120)")
-    run.add_argument("--kernels", choices=SOLVER_KERNELS,
-                     help="kernel-execution backend: 'ref' runs the plain reference "
-                          "kernels, 'fast' runs stacked-operator GEMMs on "
-                          "cache-sized element blocks with reusable scratch "
-                          "workspaces (tolerance-equal; see 'repro verify')")
-    run.add_argument("--precision", choices=SOLVER_PRECISIONS,
-                     help="state/operator precision of the run (default f64)")
-    run.add_argument("--partitions", type=int, help="partition count (enables reordering)")
-    run.add_argument("--reorder", action="store_true",
-                     help="reorder elements by (cluster, partition, role)")
+    _add_flags(run, OVERRIDE_PATHS)
     run.add_argument("--smoke", action="store_true",
-                     help="coarsened two-cycle variant (CI smoke test)")
+                     help="coarsened two-cycle variant (CI smoke test); "
+                          "explicit flags apply on top of it")
     run.add_argument("--checkpoint", metavar="PATH", help="checkpoint file to write")
-    run.add_argument("--checkpoint-every", type=int, metavar="N",
-                     help="checkpoint cadence in macro cycles")
-    run.add_argument("--metrics", action="store_true",
-                     help="enable phase timers and the metrics registry: the "
-                          "run summary gains a 'telemetry' block (phase "
-                          "breakdown, counters, updates/s and GFLOP/s)")
-    run.add_argument("--trace", metavar="PATH",
-                     help="write a Chrome-trace JSON timeline (one lane per "
-                          "rank) to PATH; open in Perfetto or chrome://tracing; "
-                          "implies --metrics")
-    run.add_argument("--events", metavar="PATH",
-                     help="append a JSONL run ledger to PATH: a provenance "
-                          "header plus one flushed record per macro cycle "
-                          "(sim time, wall, updates/s, per-rank recv-wait, "
-                          "comm bytes, peak RSS) -- a killed run leaves a "
-                          "readable partial ledger; implies --metrics")
-    run.add_argument("--progress", action="store_true",
-                     help="live progress heartbeat on stderr "
-                          "(cycle counter, updates/s, ETA)")
     run.add_argument("--output-dir", metavar="DIR",
                      help="write seismogram CSVs and run_summary.json here")
     run.add_argument("--quiet", action="store_true", help="suppress the summary printout")
@@ -174,14 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="scenario to verify: a golden scenario (loh3, la_habra) "
                              "or 'plane_wave' for the convergence ladder; "
                              "default: the full suite")
-    verify.add_argument("--kernels", choices=SOLVER_KERNELS, default="ref",
-                        help="kernel-execution backend to verify (default ref)")
-    verify.add_argument("--precision", choices=SOLVER_PRECISIONS, default="f64",
-                        help="precision to verify (default f64)")
-    verify.add_argument("--ranks", type=int, default=1,
-                        help="verify a distributed run with this many ranks")
-    verify.add_argument("--backend", choices=("serial", "process"), default="serial",
-                        help="distributed execution backend for --ranks > 1")
+    _add_flags(verify, _VERIFY_DEFAULTS, _VERIFY_DEFAULTS)
     verify.add_argument("--update-golden", action="store_true",
                         help="regenerate the committed golden fixtures from the "
                              "reference backend at f64 (commit the result; only "
@@ -246,24 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     resume = sub.add_parser("resume", help="resume a checkpointed run")
     resume.add_argument("checkpoint", help="checkpoint file written by 'run --checkpoint'")
-    resume.add_argument("--backend", choices=("serial", "process"),
-                        help="override the checkpointed execution backend "
-                             "(backends are bit-identical)")
-    resume.add_argument("--checkpoint-every", type=int, metavar="N",
-                        help="new checkpoint cadence in macro cycles "
-                             "(0 disables; default: the checkpointed spec's cadence)")
-    resume.add_argument("--metrics", action="store_true",
-                        help="enable telemetry for the resumed segment "
-                             "(see 'run --metrics')")
-    resume.add_argument("--trace", metavar="PATH",
-                        help="write a Chrome-trace timeline of the resumed "
-                             "segment to PATH; implies --metrics")
-    resume.add_argument("--events", metavar="PATH",
-                        help="append the resumed segment's ledger records to "
-                             "PATH (a new segment header marks the resume); "
-                             "implies --metrics")
-    resume.add_argument("--progress", action="store_true",
-                        help="live progress heartbeat on stderr")
+    _add_flags(resume, RESUMABLE_OVERRIDES)
     resume.add_argument("--output-dir", metavar="DIR")
     resume.add_argument("--quiet", action="store_true")
 
@@ -320,33 +329,9 @@ def _resolve_spec(args) -> ScenarioSpec:
         spec = get_scenario(args.name, **_parse_overrides(args.set))
     else:
         raise SystemExit("run needs a scenario name or --spec FILE")
-    spec = spec.with_overrides(
-        order=args.order,
-        n_clusters=args.clusters,
-        lam=args.lam if args.lam is not None else "keep",
-        solver=args.solver,
-        n_fused=args.fused,
-        n_ranks=args.ranks,
-        backend=args.backend,
-        comm_timeout=args.comm_timeout if args.comm_timeout is not None else "keep",
-        kernels=args.kernels,
-        precision=args.precision,
-        n_cycles=args.cycles,
-        t_end=args.t_end,
-        # explicit None test: --checkpoint-every 0 means "disable cadence
-        # checkpointing", which a falsy check would silently coerce to "keep"
-        checkpoint_every=args.checkpoint_every if args.checkpoint_every is not None else "keep",
-        n_partitions=args.partitions,
-        reorder=True if (args.reorder or args.partitions) else None,
-        seed=args.seed,
-        telemetry=True if (args.metrics or args.trace or args.events) else None,
-        trace=True if args.trace else None,
-        events=args.events,
-        progress=True if args.progress else None,
-    )
     if args.smoke:
         spec = spec.smoke()
-    return spec
+    return spec.with_overrides(**_flag_overrides(args))
 
 
 def _finish(
@@ -412,10 +397,7 @@ def _cmd_run(args) -> int:
             f"{clustering.speedup():.2f}x), solver {spec.solver.kind}{ranks}{extras}",
             file=sys.stderr,
         )
-    summary = runner.run(
-        checkpoint_path=args.checkpoint,
-        checkpoint_every=args.checkpoint_every,
-    )
+    summary = runner.run(checkpoint_path=args.checkpoint)
     return _finish(runner, summary, args.output_dir, args.quiet, trace_path=args.trace)
 
 
@@ -432,12 +414,7 @@ def _cmd_verify(args) -> int:
         except (KeyError, ValueError, TypeError, OSError) as error:
             return _input_error(error)
         return 0
-    options = dict(
-        kernels=args.kernels,
-        precision=args.precision,
-        n_ranks=args.ranks,
-        backend=args.backend,
-    )
+    options = {name: getattr(args, name) for name in _VERIFY_DEFAULTS}
     try:
         if args.name:
             report = verify_scenario(args.name, **options)
@@ -530,12 +507,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_resume(args) -> int:
     try:
         runner = ScenarioRunner.resume(
-            args.checkpoint,
-            backend=args.backend,
-            telemetry=True if (args.metrics or args.trace or args.events) else None,
-            trace=True if args.trace else None,
-            events=args.events,
-            progress=True if args.progress else None,
+            args.checkpoint, **_flag_overrides(args)
         )
     except (KeyError, ValueError, TypeError, OSError) as error:
         return _input_error(error)
@@ -545,10 +517,7 @@ def _cmd_resume(args) -> int:
             f"{runner.total_cycles} (t = {runner.solver.time:.4f} s)",
             file=sys.stderr,
         )
-    summary = runner.run(
-        checkpoint_path=args.checkpoint,
-        checkpoint_every=args.checkpoint_every,
-    )
+    summary = runner.run(checkpoint_path=args.checkpoint)
     return _finish(runner, summary, args.output_dir, args.quiet, trace_path=args.trace)
 
 

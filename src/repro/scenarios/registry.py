@@ -2,9 +2,13 @@
 
 Scenario factories are plain functions returning a :class:`ScenarioSpec`;
 the :func:`register` decorator makes them addressable by name from the CLI
-(``python -m repro run <name>``), from checkpoints and from user code.  Every
-factory accepts keyword overrides so a registered scenario doubles as a
-parameterised family (e.g. ``get_scenario("bimaterial_slab", contrast=3.0)``).
+(``python -m repro run <name>``), from checkpoints and from user code.  A
+factory takes only its family parameters, so a registered scenario doubles
+as a parameterised family (e.g. ``get_scenario("bimaterial_slab",
+contrast=3.0)``); :func:`get_scenario` applies every other keyword -- the
+names of :data:`~repro.scenarios.spec.OVERRIDE_PATHS` (``order``, ``seed``,
+``n_clusters``, ``lam``, ``solver``, ``n_cycles``, ...) -- through
+``ScenarioSpec.with_overrides`` after the factory runs.
 
 The LOH.3 and La Habra built-ins are the paper's workloads (Sec. VII-B/C)
 in declarative form.  Four further canned scenarios grow the workload
@@ -17,12 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .spec import (
+    OVERRIDE_PATHS,
     ClusteringSpec,
     DomainSpec,
     InitialConditionSpec,
     MaterialSpec,
     MeshSpec,
-    PreprocessingSpec,
     RefinementSpec,
     RunSpec,
     ScenarioSpec,
@@ -75,13 +79,16 @@ def scenario_names() -> list[str]:
 
 
 def get_scenario(name: str, **overrides) -> ScenarioSpec:
-    """Build the named scenario's spec, passing ``overrides`` to its factory."""
+    """Build the named scenario's spec: the family parameters among
+    ``overrides`` go to its factory, the :data:`OVERRIDE_PATHS` names to
+    ``with_overrides`` on the result."""
     try:
         entry = _REGISTRY[name]
     except KeyError:
         known = ", ".join(scenario_names())
         raise KeyError(f"unknown scenario {name!r} (known: {known})") from None
-    return entry.factory(**overrides)
+    shared = {key: overrides.pop(key) for key in list(overrides) if key in OVERRIDE_PATHS}
+    return entry.factory(**overrides).with_overrides(**shared)
 
 
 def describe_scenario(name: str) -> str:
@@ -103,18 +110,10 @@ def describe_scenario(name: str) -> str:
 def loh3_scenario(
     extent_m: float = 8000.0,
     characteristic_length: float = 2000.0,
-    order: int = 4,
     n_mechanisms: int = 3,
     jitter: float = 0.2,
-    flux: str = "rusanov",
     anelastic: bool = True,
     source_frequency: float = 1.0,
-    seed: int = 0,
-    n_clusters: int = 3,
-    lam: float | None = None,
-    n_fused: int = 0,
-    solver: str = "lts",
-    n_cycles: int = 4,
 ) -> ScenarioSpec:
     """Scaled LOH.3 layer-over-halfspace benchmark (Sec. VII-B).
 
@@ -135,7 +134,6 @@ def loh3_scenario(
             characteristic_length=characteristic_length,
             refinements=(RefinementSpec(z_above=-1000.0, divide_by=1.732),),
             jitter=jitter,
-            seed=seed,
         ),
         velocity_model=VelocityModelSpec(kind="loh3"),
         material=MaterialSpec(
@@ -143,7 +141,7 @@ def loh3_scenario(
             n_mechanisms=n_mechanisms,
             frequency_band=(0.1 * source_frequency, 10.0 * source_frequency),
         ),
-        order=order,
+        order=4,
         source=SourceSpec(
             kind="moment_tensor",
             location=(0.5 * extent_m, 0.5 * extent_m, -source_depth),
@@ -156,9 +154,9 @@ def loh3_scenario(
             ("receiver_9", (0.5 * extent_m + offset, 0.5 * extent_m + 0.66 * offset, -1.0)),
             ("epicentre", (0.5 * extent_m, 0.5 * extent_m, -1.0)),
         ),
-        clustering=ClusteringSpec(n_clusters=n_clusters, lam=lam),
-        solver=SolverSpec(kind=solver, n_fused=n_fused, flux=flux),
-        run=RunSpec(n_cycles=n_cycles),
+        clustering=ClusteringSpec(n_clusters=3),
+        solver=SolverSpec(),
+        run=RunSpec(n_cycles=4),
     )
 
 
@@ -167,16 +165,9 @@ def la_habra_scenario(
     extent_m: float = 12000.0,
     depth_m: float = 8000.0,
     max_frequency: float = 0.5,
-    order: int = 4,
     n_mechanisms: int = 3,
     with_topography: bool = True,
     min_vs: float = 500.0,
-    seed: int = 0,
-    n_clusters: int = 5,
-    lam: float | None = None,
-    n_fused: int = 0,
-    solver: str = "lts",
-    n_cycles: int = 2,
 ) -> ScenarioSpec:
     """Scaled 2014 Mw 5.1 La Habra basin setting (Sec. VII-C).
 
@@ -199,7 +190,6 @@ def la_habra_scenario(
             elements_per_wavelength=2.0,
             horizontal_factor=2.0,
             jitter=0.15,
-            seed=seed,
         ),
         velocity_model=VelocityModelSpec(
             kind="la_habra_basin",
@@ -210,7 +200,7 @@ def la_habra_scenario(
             n_mechanisms=n_mechanisms,
             frequency_band=(max_frequency / 20.0, 2.0 * max_frequency),
         ),
-        order=order,
+        order=4,
         source=SourceSpec(
             kind="moment_tensor",
             location=(0.5 * extent_m, 0.5 * extent_m, -0.6 * depth_m),
@@ -225,9 +215,9 @@ def la_habra_scenario(
             ("CI_Q0035", (0.35 * extent_m, 0.70 * extent_m, -1.0)),
             ("CI_Q0057", (0.75 * extent_m, 0.30 * extent_m, -1.0)),
         ),
-        clustering=ClusteringSpec(n_clusters=n_clusters, lam=lam),
-        solver=SolverSpec(kind=solver, n_fused=n_fused),
-        run=RunSpec(n_cycles=n_cycles),
+        clustering=ClusteringSpec(n_clusters=5),
+        solver=SolverSpec(),
+        run=RunSpec(n_cycles=2),
     )
 
 
@@ -235,17 +225,10 @@ def la_habra_scenario(
 def homogeneous_halfspace_scenario(
     extent_m: float = 4000.0,
     characteristic_length: float = 1000.0,
-    order: int = 3,
     rho: float = 2700.0,
     vp: float = 6000.0,
     vs: float = 3464.0,
     source_frequency: float = 2.0,
-    seed: int = 0,
-    n_clusters: int = 2,
-    lam: float | None = None,
-    n_fused: int = 0,
-    solver: str = "lts",
-    n_cycles: int = 4,
 ) -> ScenarioSpec:
     """Homogeneous elastic halfspace with an explosive point source.
 
@@ -262,13 +245,12 @@ def homogeneous_halfspace_scenario(
             mode="characteristic",
             characteristic_length=characteristic_length,
             jitter=0.2,
-            seed=seed,
         ),
         velocity_model=VelocityModelSpec(
             kind="homogeneous", params={"rho": rho, "vp": vp, "vs": vs}
         ),
         material=MaterialSpec(anelastic=False, n_mechanisms=0),
-        order=order,
+        order=3,
         source=SourceSpec(
             kind="moment_tensor",
             location=(0.5 * extent_m, 0.5 * extent_m, -0.5 * extent_m),
@@ -281,9 +263,9 @@ def homogeneous_halfspace_scenario(
             ("epicentre", (0.5 * extent_m, 0.5 * extent_m, -1.0)),
             ("offset", (0.75 * extent_m, 0.6 * extent_m, -1.0)),
         ),
-        clustering=ClusteringSpec(n_clusters=n_clusters, lam=lam),
-        solver=SolverSpec(kind=solver, n_fused=n_fused),
-        run=RunSpec(n_cycles=n_cycles),
+        clustering=ClusteringSpec(n_clusters=2),
+        solver=SolverSpec(),
+        run=RunSpec(n_cycles=4),
     )
 
 
@@ -293,14 +275,7 @@ def bimaterial_slab_scenario(
     characteristic_length: float = 1500.0,
     slab_thickness_m: float = 1500.0,
     contrast: float = 2.0,
-    order: int = 3,
     source_frequency: float = 1.5,
-    seed: int = 0,
-    n_clusters: int = 3,
-    lam: float | None = None,
-    n_fused: int = 0,
-    solver: str = "lts",
-    n_cycles: int = 3,
 ) -> ScenarioSpec:
     """Bimaterial slab: a slow surface slab over a fast halfspace.
 
@@ -322,7 +297,6 @@ def bimaterial_slab_scenario(
             characteristic_length=characteristic_length,
             refinements=(RefinementSpec(z_above=-slab_thickness_m, divide_by=contrast),),
             jitter=0.15,
-            seed=seed,
         ),
         velocity_model=VelocityModelSpec(
             kind="layered",
@@ -346,7 +320,7 @@ def bimaterial_slab_scenario(
             },
         ),
         material=MaterialSpec(anelastic=False, n_mechanisms=0),
-        order=order,
+        order=3,
         source=SourceSpec(
             kind="moment_tensor",
             location=(0.5 * extent_m, 0.5 * extent_m, -0.5 * extent_m),
@@ -356,9 +330,9 @@ def bimaterial_slab_scenario(
             ),
         ),
         receivers=(("surface", (0.6 * extent_m, 0.6 * extent_m, -1.0)),),
-        clustering=ClusteringSpec(n_clusters=n_clusters, lam=lam),
-        solver=SolverSpec(kind=solver, n_fused=n_fused),
-        run=RunSpec(n_cycles=n_cycles),
+        clustering=ClusteringSpec(n_clusters=3),
+        solver=SolverSpec(),
+        run=RunSpec(n_cycles=3),
     )
 
 
@@ -368,13 +342,6 @@ def graded_basin_scenario(
     depth_m: float = 6000.0,
     max_frequency: float = 0.4,
     min_vs: float = 600.0,
-    order: int = 3,
-    seed: int = 0,
-    n_clusters: int = 4,
-    lam: float | None = None,
-    n_fused: int = 0,
-    solver: str = "lts",
-    n_cycles: int = 2,
 ) -> ScenarioSpec:
     """Graded-velocity sedimentary basin without topography.
 
@@ -392,7 +359,6 @@ def graded_basin_scenario(
             elements_per_wavelength=1.5,
             horizontal_factor=2.0,
             jitter=0.15,
-            seed=seed,
         ),
         velocity_model=VelocityModelSpec(
             kind="la_habra_basin",
@@ -403,7 +369,7 @@ def graded_basin_scenario(
             n_mechanisms=2,
             frequency_band=(max_frequency / 20.0, 2.0 * max_frequency),
         ),
-        order=order,
+        order=3,
         source=SourceSpec(
             kind="moment_tensor",
             location=(0.5 * extent_m, 0.5 * extent_m, -0.5 * depth_m),
@@ -417,9 +383,9 @@ def graded_basin_scenario(
             ("basin_centre", (0.5 * extent_m, 0.5 * extent_m, -1.0)),
             ("basin_edge", (0.15 * extent_m, 0.15 * extent_m, -1.0)),
         ),
-        clustering=ClusteringSpec(n_clusters=n_clusters, lam=lam),
-        solver=SolverSpec(kind=solver, n_fused=n_fused),
-        run=RunSpec(n_cycles=n_cycles),
+        clustering=ClusteringSpec(n_clusters=4),
+        solver=SolverSpec(),
+        run=RunSpec(n_cycles=2),
     )
 
 
@@ -427,13 +393,8 @@ def graded_basin_scenario(
 def plane_wave_scenario(
     extent_m: float = 2000.0,
     characteristic_length: float = 500.0,
-    order: int = 3,
     wavelength: float = 1000.0,
     amplitude: float = 1e-3,
-    seed: int = 0,
-    n_fused: int = 0,
-    solver: str = "lts",
-    n_cycles: int = 4,
 ) -> ScenarioSpec:
     """Plane-wave convergence case: an exact elastic P wave along x.
 
@@ -456,18 +417,17 @@ def plane_wave_scenario(
             mode="characteristic",
             characteristic_length=characteristic_length,
             jitter=0.1,
-            seed=seed,
         ),
         velocity_model=VelocityModelSpec(
             kind="homogeneous", params={"rho": 2700.0, "vp": 6000.0, "vs": 3464.0}
         ),
         material=MaterialSpec(anelastic=False, n_mechanisms=0),
-        order=order,
+        order=3,
         initial_condition=InitialConditionSpec(
             kind="plane_wave", params={"amplitude": amplitude, "wavelength": wavelength}
         ),
         receivers=(("centre", (0.5 * extent_m, 0.5 * extent_m, -0.5 * extent_m)),),
         clustering=ClusteringSpec(n_clusters=1, lam=1.0),
-        solver=SolverSpec(kind=solver, n_fused=n_fused),
-        run=RunSpec(n_cycles=n_cycles),
+        solver=SolverSpec(),
+        run=RunSpec(n_cycles=4),
     )

@@ -59,7 +59,7 @@ from ..observability import (
 from ..preprocessing.pipeline import PreprocessingPipeline
 from ..preprocessing.velocity_model import LaHabraBasinModel, Layer, LayeredVelocityModel, loh3_model
 from ..source.receivers import ReceiverSet
-from .spec import ScenarioSpec
+from .spec import RESUMABLE_OVERRIDES, ScenarioSpec
 
 __all__ = [
     "ScenarioSetup",
@@ -507,24 +507,18 @@ class ScenarioRunner:
         self.solver.step_cycle()
         self.cycles_done += 1
 
-    def run(
-        self,
-        *,
-        checkpoint_path=None,
-        checkpoint_every: int | None = None,
-    ) -> dict:
+    def run(self, *, checkpoint_path=None) -> dict:
         """Run the remaining macro cycles; returns the run summary.
 
         With ``checkpoint_path`` set, a checkpoint is written every
-        ``checkpoint_every`` cycles (default: the spec's cadence; 0 disables
-        the cadence) and after the final cycle -- unless the cadence already
-        wrote it, so the same state is never serialised twice back-to-back.
+        ``spec.run.checkpoint_every`` cycles (``None``: no cadence) and after
+        the final cycle -- unless the cadence already wrote it, so the same
+        state is never serialised twice back-to-back.
         The stepper is closed at the end: a process engine releases its
         workers but keeps serving summaries, outputs and checkpoints from
         its cached state, and stepping again respawns them.
         """
-        if checkpoint_every is None:
-            checkpoint_every = self.spec.run.checkpoint_every
+        checkpoint_every = self.spec.run.checkpoint_every
         output = self.spec.output
         ledger = heartbeat = None
         if output.events:
@@ -842,44 +836,31 @@ class ScenarioRunner:
         self.checkpoint_s += _time.perf_counter() - start
 
     @classmethod
-    def resume(
-        cls,
-        path,
-        *,
-        backend: str | None = None,
-        telemetry: bool | None = None,
-        trace: bool | None = None,
-        events: str | None = None,
-        progress: bool | None = None,
-    ) -> "ScenarioRunner":
+    def resume(cls, path, **overrides) -> "ScenarioRunner":
         """Rebuild a runner from a checkpoint; continuation is bit-identical
         to the uninterrupted run.
 
         The stepper follows the checkpointed spec: a spec with
         ``solver.n_ranks > 1`` resumes on a multi-rank engine (and vice
-        versa).  ``backend`` overrides the checkpointed execution backend
-        (``"serial"``/``"process"``), which is bit-identical either way.
-        The kernel backend and precision are part of the checkpointed state
-        and cannot change.
+        versa).  ``overrides`` are ``with_overrides`` names, limited to
+        :data:`~repro.scenarios.spec.RESUMABLE_OVERRIDES`: the execution
+        backend (bit-identical either way), the checkpoint cadence (recorded
+        in the new checkpoints) and observability (a resumed ``events``
+        ledger appends a new segment header).  The kernel backend and
+        precision are part of the checkpointed state and cannot change.
         """
+        rejected = sorted(set(overrides) - set(RESUMABLE_OVERRIDES))
+        if rejected:
+            raise TypeError(
+                f"resume cannot override {', '.join(rejected)} "
+                f"(resumable: {', '.join(RESUMABLE_OVERRIDES)})"
+            )
         data, meta = _read_checkpoint(path)
         if meta["format_version"] != CHECKPOINT_FORMAT_VERSION:
             raise ValueError(
                 f"unsupported checkpoint format {meta['format_version']}"
             )
-        spec = ScenarioSpec.from_dict(meta["spec"])
-        if backend is not None:
-            spec = spec.with_overrides(backend=backend)
-        if any(v is not None for v in (telemetry, trace, events, progress)):
-            # observability is orthogonal to the numerical state, so the
-            # resumed segment can be instrumented (or not) freely; a
-            # resumed --events ledger appends a new segment header
-            spec = spec.with_overrides(
-                telemetry=telemetry,
-                trace=trace,
-                events=events,
-                progress=progress,
-            )
+        spec = ScenarioSpec.from_dict(meta["spec"]).with_overrides(**overrides)
         restored = Clustering(
             cluster_ids=data["cluster_ids"],
             cluster_time_steps=data["cluster_time_steps"],

@@ -19,6 +19,9 @@ a validated, serialisable value object:
 
 Specs round-trip losslessly through ``to_dict``/``from_dict`` and JSON,
 which is what the registry, the CLI and the checkpoint files rely on.
+:data:`OVERRIDE_PATHS` names every overridable knob once, as a short name
+and its dotted path; ``with_overrides``, the CLI flags, ``resume``, the
+registry and the sweep axes all set knobs through :func:`set_path`.
 """
 
 from __future__ import annotations
@@ -43,6 +46,11 @@ __all__ = [
     "RunSpec",
     "OutputSpec",
     "ScenarioSpec",
+    "OVERRIDE_PATHS",
+    "NULLABLE_OVERRIDES",
+    "RESUMABLE_OVERRIDES",
+    "set_path",
+    "json_native",
     "SOLVER_KINDS",
     "SOLVER_BACKENDS",
     "SOLVER_KERNELS",
@@ -66,6 +74,47 @@ INITIAL_CONDITION_KINDS = ("gaussian_pulse", "plane_wave")
 MESH_MODES = ("characteristic", "wavelength")
 TOPOGRAPHY_KINDS = ("none", "sinusoidal")
 
+#: every override short name and the dotted spec path it sets: the one place
+#: a knob is named for ``with_overrides``, the CLI flags, ``resume`` and the
+#: registry (``get_scenario`` applies these names after the factory runs)
+OVERRIDE_PATHS = {
+    "order": "order",
+    "seed": "mesh.seed",
+    "n_clusters": "clustering.n_clusters",
+    "lam": "clustering.lam",
+    "solver": "solver.kind",
+    "n_fused": "solver.n_fused",
+    "flux": "solver.flux",
+    "n_ranks": "solver.n_ranks",
+    "backend": "solver.backend",
+    "comm_timeout": "solver.comm_timeout",
+    "kernels": "solver.kernels",
+    "precision": "solver.precision",
+    "n_partitions": "preprocessing.n_partitions",
+    "reorder": "preprocessing.reorder",
+    "n_cycles": "run.n_cycles",
+    "t_end": "run.t_end",
+    "checkpoint_every": "run.checkpoint_every",
+    "telemetry": "output.telemetry",
+    "trace": "output.trace",
+    "events": "output.events",
+    "progress": "output.progress",
+}
+
+#: the overrides whose ``None`` is a value, not "keep": the lambda grid
+#: search, the engine's default receive timeout, no checkpoint cadence
+NULLABLE_OVERRIDES = ("lam", "comm_timeout", "checkpoint_every")
+
+#: the overrides a resumed run accepts: the execution host, the checkpoint
+#: cadence and observability, none of which is part of the numerical state
+RESUMABLE_OVERRIDES = ("backend", "checkpoint_every", "telemetry", "trace", "events", "progress")
+
+#: a run lasts either n_cycles or until t_end: setting one clears the other
+_CLEARS = {"n_cycles": "run.t_end", "t_end": "run.n_cycles"}
+
+#: paths may introduce new keys only under free-form parameter dicts
+_FREE_FORM_LEAVES = ("params",)
+
 
 def _floats(values) -> tuple[float, ...]:
     return tuple(float(v) for v in values)
@@ -78,13 +127,35 @@ def _json_default(value):
     raise TypeError(f"{type(value).__name__} is not JSON serialisable")
 
 
-def _normalized_params(params: dict) -> dict:
-    """Normalise a free-form parameter dict to JSON-native values.
+def json_native(value):
+    """``value`` in JSON-native form (tuples become lists, numpy scalars and
+    arrays become python), so a free-form parameter dict or a sweep axis
+    value compares equal to itself after a JSON round-trip."""
+    return json.loads(json.dumps(value, default=_json_default))
 
-    Guarantees that a spec compares equal to itself after a JSON round-trip
-    (tuples become lists, numpy scalars become floats/ints).
+
+def set_path(data: dict, path: str, value) -> None:
+    """Set ``path`` (dotted) in the nested spec dict ``data``, in place.
+
+    Every segment must name an existing field of a set block; only the
+    free-form ``params`` dicts take new keys.
     """
-    return json.loads(json.dumps(params, default=_json_default))
+    parts = path.split(".")
+    node = data
+    for part in parts[:-1]:
+        if not isinstance(node, dict) or part not in node:
+            raise ValueError(f"spec path {path!r}: no such spec field {part!r}")
+        node = node[part]
+    if not isinstance(node, dict):
+        raise ValueError(
+            f"spec path {path!r}: {parts[-2]!r} is not an overridable block "
+            "(is it unset in the base spec?)"
+        )
+    leaf = parts[-1]
+    parent = parts[-2] if len(parts) > 1 else None
+    if leaf not in node and parent not in _FREE_FORM_LEAVES:
+        raise ValueError(f"spec path {path!r}: no such spec field {leaf!r}")
+    node[leaf] = value
 
 
 @dataclass(frozen=True)
@@ -184,7 +255,7 @@ class VelocityModelSpec:
     def __post_init__(self) -> None:
         if self.kind not in VELOCITY_MODEL_KINDS:
             raise ValueError(f"velocity model kind must be one of {VELOCITY_MODEL_KINDS}")
-        object.__setattr__(self, "params", _normalized_params(self.params))
+        object.__setattr__(self, "params", json_native(self.params))
         if self.kind == "homogeneous":
             for key in ("rho", "vp", "vs"):
                 if key not in self.params:
@@ -222,7 +293,7 @@ class TimeFunctionSpec:
     def __post_init__(self) -> None:
         if self.kind not in TIME_FUNCTION_KINDS:
             raise ValueError(f"time function kind must be one of {TIME_FUNCTION_KINDS}")
-        object.__setattr__(self, "params", _normalized_params(self.params))
+        object.__setattr__(self, "params", json_native(self.params))
 
     def build(self):
         from ..source.time_functions import GaussianDerivative, RickerWavelet, SmoothedStep
@@ -419,7 +490,7 @@ class InitialConditionSpec:
     def __post_init__(self) -> None:
         if self.kind not in INITIAL_CONDITION_KINDS:
             raise ValueError(f"initial condition kind must be one of {INITIAL_CONDITION_KINDS}")
-        object.__setattr__(self, "params", _normalized_params(self.params))
+        object.__setattr__(self, "params", json_native(self.params))
 
 
 @dataclass(frozen=True)
@@ -518,7 +589,10 @@ class SolverSpec:
         if self.backend not in SOLVER_BACKENDS:
             raise ValueError(f"solver backend must be one of {SOLVER_BACKENDS}")
         if self.backend == "process" and self.n_ranks < 2:
-            raise ValueError("the process backend requires n_ranks >= 2 (pass --ranks)")
+            raise ValueError(
+                "the process backend requires solver.n_ranks >= 2 "
+                "(a one-rank run has no rank workers to host)"
+            )
         if self.comm_timeout is not None:
             object.__setattr__(self, "comm_timeout", float(self.comm_timeout))
             if self.comm_timeout <= 0:
@@ -691,93 +765,38 @@ class ScenarioSpec:
         return cls.from_dict(json.loads(text))
 
     # -- derived specs -------------------------------------------------
-    def with_overrides(
-        self,
-        *,
-        order: int | None = None,
-        n_clusters: int | None = None,
-        lam: float | None | str = "keep",
-        solver: str | None = None,
-        n_fused: int | None = None,
-        flux: str | None = None,
-        n_ranks: int | None = None,
-        backend: str | None = None,
-        comm_timeout: float | None | str = "keep",
-        kernels: str | None = None,
-        precision: str | None = None,
-        n_cycles: int | None = None,
-        t_end: float | None = None,
-        checkpoint_every: int | None | str = "keep",
-        n_partitions: int | None = None,
-        reorder: bool | None = None,
-        seed: int | None = None,
-        telemetry: bool | None = None,
-        trace: bool | None = None,
-        events: str | None = None,
-        progress: bool | None = None,
-    ) -> "ScenarioSpec":
-        """A copy of this spec with common knobs changed (CLI flags)."""
-        spec = self
-        if order is not None:
-            spec = replace(spec, order=order)
-        clustering_updates = {}
-        if n_clusters is not None:
-            clustering_updates["n_clusters"] = n_clusters
-        if lam != "keep":
-            clustering_updates["lam"] = lam
-        if clustering_updates:
-            spec = replace(spec, clustering=replace(spec.clustering, **clustering_updates))
-        solver_updates = {}
-        if solver is not None:
-            solver_updates["kind"] = solver
-        if n_fused is not None:
-            solver_updates["n_fused"] = n_fused
-        if flux is not None:
-            solver_updates["flux"] = flux
-        if n_ranks is not None:
-            solver_updates["n_ranks"] = n_ranks
-        if backend is not None:
-            solver_updates["backend"] = backend
-        if comm_timeout != "keep":
-            solver_updates["comm_timeout"] = comm_timeout
-        if kernels is not None:
-            solver_updates["kernels"] = kernels
-        if precision is not None:
-            solver_updates["precision"] = precision
-        if solver_updates:
-            spec = replace(spec, solver=replace(spec.solver, **solver_updates))
-        run_updates = {}
-        if n_cycles is not None:
-            run_updates["n_cycles"] = n_cycles
-            run_updates["t_end"] = None
-        if t_end is not None:
-            run_updates["t_end"] = t_end
-            run_updates["n_cycles"] = None
-        if checkpoint_every != "keep":
-            run_updates["checkpoint_every"] = checkpoint_every
-        if run_updates:
-            spec = replace(spec, run=replace(spec.run, **run_updates))
-        pre_updates = {}
-        if n_partitions is not None:
-            pre_updates["n_partitions"] = n_partitions
-        if reorder is not None:
-            pre_updates["reorder"] = reorder
-        if pre_updates:
-            spec = replace(spec, preprocessing=replace(spec.preprocessing, **pre_updates))
-        if seed is not None:
-            spec = replace(spec, mesh=replace(spec.mesh, seed=seed))
-        output_updates = {}
-        if telemetry is not None:
-            output_updates["telemetry"] = telemetry
-        if trace is not None:
-            output_updates["trace"] = trace
-        if events is not None:
-            output_updates["events"] = events
-        if progress is not None:
-            output_updates["progress"] = progress
-        if output_updates:
-            spec = replace(spec, output=replace(spec.output, **output_updates))
-        return spec
+    def with_overrides(self, **overrides) -> "ScenarioSpec":
+        """A copy of this spec with the knobs named in :data:`OVERRIDE_PATHS`
+        changed, revalidated through the spec constructors.
+
+        ``None`` keeps a knob, except for the names in
+        :data:`NULLABLE_OVERRIDES`, whose ``None`` is a value.  ``n_cycles``
+        and ``t_end`` each clear the other, so passing both is an error.
+        """
+        unknown = sorted(set(overrides) - set(OVERRIDE_PATHS))
+        if unknown:
+            raise ValueError(
+                f"unknown override(s) {', '.join(unknown)} "
+                f"(known: {', '.join(OVERRIDE_PATHS)})"
+            )
+        given = {
+            name: value
+            for name, value in overrides.items()
+            if value is not None or name in NULLABLE_OVERRIDES
+        }
+        if "n_cycles" in given and "t_end" in given:
+            raise ValueError(
+                "n_cycles and t_end both given: a run lasts either n_cycles "
+                "macro cycles or until t_end, pass one"
+            )
+        if not given:
+            return self
+        data = self.to_dict()
+        for name, value in given.items():
+            set_path(data, OVERRIDE_PATHS[name], value)
+            if name in _CLEARS:
+                set_path(data, _CLEARS[name], None)
+        return type(self).from_dict(data)
 
     def smoke(self) -> "ScenarioSpec":
         """A coarsened, two-cycle variant for smoke tests and CI."""

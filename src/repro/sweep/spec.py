@@ -21,48 +21,13 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ..scenarios.spec import ScenarioSpec
+from ..scenarios.spec import ScenarioSpec, json_native, set_path
 
 __all__ = ["SweepAxis", "SweepMember", "SweepSpec", "SWEEP_FORMAT_VERSION"]
 
 SWEEP_FORMAT_VERSION = 1
-
-#: paths may introduce new keys only under free-form parameter dicts
-_FREE_FORM_LEAVES = ("params",)
-
-
-def _jsonable(value):
-    """Normalise an axis value to JSON-native form (tuples -> lists, numpy
-    scalars/arrays -> python), so a sweep spec compares equal to itself
-    after a JSON round-trip."""
-    def default(v):
-        if hasattr(v, "tolist"):
-            return v.tolist()
-        raise TypeError(f"{type(v).__name__} is not JSON serialisable")
-
-    return json.loads(json.dumps(value, default=default))
-
-
-def _apply_path(data: dict, path: str, value) -> None:
-    """Set ``path`` (dotted) in the nested dict ``data``, in place."""
-    parts = path.split(".")
-    node = data
-    for part in parts[:-1]:
-        if not isinstance(node, dict) or part not in node:
-            raise ValueError(f"axis path {path!r}: no such spec field {part!r}")
-        node = node[part]
-    if not isinstance(node, dict):
-        raise ValueError(
-            f"axis path {path!r}: {parts[-2]!r} is not an overridable block "
-            "(is it unset in the base spec?)"
-        )
-    leaf = parts[-1]
-    parent = parts[-2] if len(parts) > 1 else None
-    if leaf not in node and parent not in _FREE_FORM_LEAVES:
-        raise ValueError(f"axis path {path!r}: no such spec field {leaf!r}")
-    node[leaf] = value
 
 
 @dataclass(frozen=True)
@@ -75,7 +40,7 @@ class SweepAxis:
     def __post_init__(self) -> None:
         if not self.path or not all(self.path.split(".")):
             raise ValueError(f"axis path must be a dotted spec path, got {self.path!r}")
-        values = tuple(_jsonable(v) for v in self.values)
+        values = tuple(json_native(v) for v in self.values)
         if not values:
             raise ValueError(f"axis {self.path!r} needs at least one value")
         object.__setattr__(self, "values", values)
@@ -141,7 +106,7 @@ class SweepSpec:
             data = json.loads(json.dumps(base_dict))  # deep copy
             overrides = {}
             for axis, value in zip(self.axes, combo):
-                _apply_path(data, axis.path, value)
+                set_path(data, axis.path, value)
                 overrides[axis.path] = value
             try:
                 spec = ScenarioSpec.from_dict(data)

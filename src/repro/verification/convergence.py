@@ -91,7 +91,7 @@ def plane_wave_convergence(
     the clustered driver, which GTS-steps identically here because the
     plane-wave scenario is single-cluster.
     """
-    from ..scenarios.registry import plane_wave_scenario
+    from ..scenarios.registry import get_scenario
     from ..scenarios.runner import make_runner
     from .analytic import analytic_solution_for
     from .norms import state_error_norms
@@ -101,15 +101,14 @@ def plane_wave_convergence(
     margin = 1.05 * max(lengths)
     errors, counts = [], []
     for h in lengths:
-        spec = plane_wave_scenario(
+        spec = get_scenario(
+            "plane_wave",
             extent_m=extent_m,
             characteristic_length=float(h),
-            order=order,
             wavelength=wavelength,
+            order=order,
             seed=seed,
             solver=solver,
-        )
-        spec = spec.with_overrides(
             t_end=t_end,
             kernels=kernels,
             precision=precision,

@@ -75,7 +75,7 @@ class TestLedgerEndToEnd:
         spec = get_scenario(
             "loh3", extent_m=4000.0, characteristic_length=2000.0, order=2,
             n_mechanisms=1, lam=1.0, n_clusters=2, n_cycles=4,
-        ).with_overrides(events=str(events))
+        ).with_overrides(events=str(events), checkpoint_every=2)
 
         runner = ScenarioRunner(spec)
         original = runner.save_checkpoint
@@ -86,7 +86,7 @@ class TestLedgerEndToEnd:
 
         monkeypatch.setattr(runner, "save_checkpoint", save_then_die)
         with pytest.raises(KeyboardInterrupt):
-            runner.run(checkpoint_path=ckpt, checkpoint_every=2)
+            runner.run(checkpoint_path=ckpt)
 
         partial = validate_run_ledger(read_ledger(events))
         assert partial == {

@@ -9,6 +9,10 @@ The central correctness claims of the subsystem:
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -226,17 +230,17 @@ class TestCheckpointRestart:
         """When the last cycle coincides with the cadence the same state used
         to be serialised twice back-to-back."""
         path = tmp_path / "dedup.ckpt.npz"
-        runner = ScenarioRunner(tiny_plane_wave)  # 3 cycles
+        runner = ScenarioRunner(tiny_plane_wave.with_overrides(checkpoint_every=1))  # 3 cycles
         calls = self._counting_runner(runner, path, monkeypatch)
-        runner.run(checkpoint_path=path, checkpoint_every=1)
+        runner.run(checkpoint_path=path)
         assert calls == [1, 2, 3]  # one write per cycle, no duplicate final
 
     def test_checkpoint_every_zero_disables_cadence(self, tiny_plane_wave, tmp_path, monkeypatch):
         path = tmp_path / "nocadence.ckpt.npz"
         spec = tiny_plane_wave.with_overrides(checkpoint_every=1)
-        runner = ScenarioRunner(spec)
+        runner = ScenarioRunner(spec.with_overrides(checkpoint_every=0))
         calls = self._counting_runner(runner, path, monkeypatch)
-        runner.run(checkpoint_path=path, checkpoint_every=0)
+        runner.run(checkpoint_path=path)
         assert calls == [runner.total_cycles]  # only the final write
 
     def test_resume_with_a_new_cadence(self, tiny_loh3, tmp_path, monkeypatch):
@@ -247,11 +251,13 @@ class TestCheckpointRestart:
         runner.step_cycle()
         runner.save_checkpoint(path)
 
-        resumed = ScenarioRunner.resume(path)
+        resumed = ScenarioRunner.resume(path, checkpoint_every=2)
         calls = self._counting_runner(resumed, path, monkeypatch)
-        resumed.run(checkpoint_path=path, checkpoint_every=2)
+        resumed.run(checkpoint_path=path)
         # cadence writes at cycles 2 and 4; the final write is the cadence's
         assert calls == [2, 4]
+        # and the new cadence is what the resumed run's checkpoints record
+        assert ScenarioRunner.resume(path).spec.run.checkpoint_every == 2
 
     def test_checkpoint_path_without_npz_suffix(self, tiny_plane_wave, tmp_path):
         path = tmp_path / "my.ckpt"  # savez would silently write my.ckpt.npz
@@ -525,6 +531,47 @@ class TestCli:
         )
         assert disabled.run.checkpoint_every is None
 
+    def test_smoke_applies_before_explicit_flags(self):
+        """``--smoke`` coarsens the spec first; explicit flags win over it
+        (they used to be silently replaced by the smoke run's cycles,
+        order and cadence)."""
+        from repro.scenarios.cli import _resolve_spec, build_parser
+
+        args = build_parser().parse_args([
+            "run", "plane_wave", "--smoke", "--cycles", "3", "--order", "4",
+            "--checkpoint-every", "1",
+        ])
+        spec = _resolve_spec(args)
+        assert spec.run.n_cycles == 3 and spec.run.t_end is None
+        assert spec.run.checkpoint_every == 1
+        assert spec.order == 4
+        smoke = get_scenario("plane_wave").smoke()
+        assert spec.mesh == smoke.mesh and spec.clustering == smoke.clustering
+
+    def test_cycles_and_t_end_together_is_an_input_error(self, capsys):
+        """``--cycles`` and ``--t-end`` are two run durations; passing both
+        used to drop ``--cycles`` silently."""
+        assert cli_main(["run", "plane_wave", "--cycles", "3", "--t-end", "0.5"]) == 2
+        err = capsys.readouterr().err
+        assert "n_cycles" in err and "t_end" in err
+
+    def test_partitions_orders_elements_with_or_without_reorder(self):
+        """``--partitions 2`` no longer sets ``reorder``: the partition
+        already activates the (cluster, partition, role) order."""
+        from repro.scenarios.cli import _resolve_spec, build_parser
+        from repro.scenarios.runner import build_setup
+
+        argv = ["run", "loh3", "--set", "extent_m=4000.0", "--set", "characteristic_length=2000.0",
+                "--order", "2", "--partitions", "2"]
+        parser = build_parser()
+        plain = _resolve_spec(parser.parse_args(argv))
+        reordered = _resolve_spec(parser.parse_args([*argv, "--reorder"]))
+        assert not plain.preprocessing.reorder and reordered.preprocessing.reorder
+        a, b = build_setup(plain), build_setup(reordered)
+        np.testing.assert_array_equal(a.mesh.original_ids, b.mesh.original_ids)
+        np.testing.assert_array_equal(a.partitions, b.partitions)
+        assert a.partitions.max() == 1
+
     def test_resume_accepts_a_new_cadence(self, tmp_path):
         ckpt = tmp_path / "cadence.ckpt.npz"
         assert cli_main(
@@ -543,3 +590,44 @@ class TestCli:
         assert cli_main(
             ["resume", str(ckpt), "--checkpoint-every", "0", "--quiet"]
         ) == 0
+
+
+class TestCliProcess:
+    """The CLI as a user runs it: ``python -m repro`` in a fresh process,
+    on both kernel backends and in single precision."""
+
+    @staticmethod
+    def _repro(*argv, cwd):
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        return subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            capture_output=True, text=True, timeout=300, env=env, cwd=cwd,
+        )
+
+    def test_list(self, tmp_path):
+        done = self._repro("list", cwd=tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert "loh3" in done.stdout and "plane_wave" in done.stdout
+
+    @pytest.mark.parametrize("kernels, precision", [
+        ("ref", "f64"), ("fast", "f64"), ("fast", "f32"),
+    ])
+    def test_loh3_smoke_run(self, tmp_path, kernels, precision):
+        done = self._repro(
+            "run", "loh3", "--smoke", "--kernels", kernels, "--precision", precision,
+            cwd=tmp_path,
+        )
+        assert done.returncode == 0, done.stderr
+        summary = json.loads(done.stdout)
+        assert (summary["kernels"], summary["precision"]) == (kernels, precision)
+        assert summary["cycles"] == 2
+
+    def test_plane_wave_smoke_run_quiet(self, tmp_path):
+        done = self._repro(
+            "run", "plane_wave", "--smoke", "--quiet", "--output-dir", "out", cwd=tmp_path
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == ""
+        summary = json.loads((tmp_path / "out" / "run_summary.json").read_text())
+        assert summary["precision"] == "f64" and summary["kernels"] in ("ref", "fast")

@@ -1,6 +1,7 @@
 """Spec validation, serialisation round-trips and the scenario registry."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -18,6 +19,7 @@ from repro.scenarios import (
     get_scenario,
     scenario_names,
 )
+from repro.scenarios.spec import NULLABLE_OVERRIDES, OVERRIDE_PATHS, set_path
 
 
 class TestRegistry:
@@ -175,3 +177,105 @@ class TestDerivedSpecs:
     def test_smoke_wavelength_mode(self):
         smoke = get_scenario("la_habra").smoke()
         assert smoke.mesh.max_frequency < get_scenario("la_habra").mesh.max_frequency
+
+
+#: per override name: the keywords that exercise it and the same change
+#: spelt out by hand with ``dataclasses.replace`` (``backend="process"``
+#: needs a second rank, so that case sets both)
+EXPLICIT_OVERRIDES = {
+    "order": ({"order": 2}, lambda s: replace(s, order=2)),
+    "seed": ({"seed": 5}, lambda s: replace(s, mesh=replace(s.mesh, seed=5))),
+    "n_clusters": (
+        {"n_clusters": 2}, lambda s: replace(s, clustering=replace(s.clustering, n_clusters=2))
+    ),
+    "lam": ({"lam": 0.8}, lambda s: replace(s, clustering=replace(s.clustering, lam=0.8))),
+    "solver": ({"solver": "gts"}, lambda s: replace(s, solver=replace(s.solver, kind="gts"))),
+    "n_fused": ({"n_fused": 2}, lambda s: replace(s, solver=replace(s.solver, n_fused=2))),
+    "flux": (
+        {"flux": "godunov"}, lambda s: replace(s, solver=replace(s.solver, flux="godunov"))
+    ),
+    "n_ranks": ({"n_ranks": 2}, lambda s: replace(s, solver=replace(s.solver, n_ranks=2))),
+    "backend": (
+        {"n_ranks": 2, "backend": "process"},
+        lambda s: replace(s, solver=replace(s.solver, n_ranks=2, backend="process")),
+    ),
+    "comm_timeout": (
+        {"comm_timeout": 30.0},
+        lambda s: replace(s, solver=replace(s.solver, comm_timeout=30.0)),
+    ),
+    "kernels": ({"kernels": "fast"}, lambda s: replace(s, solver=replace(s.solver, kernels="fast"))),
+    "precision": (
+        {"precision": "f32"}, lambda s: replace(s, solver=replace(s.solver, precision="f32"))
+    ),
+    "n_partitions": (
+        {"n_partitions": 2},
+        lambda s: replace(s, preprocessing=replace(s.preprocessing, n_partitions=2)),
+    ),
+    "reorder": (
+        {"reorder": True}, lambda s: replace(s, preprocessing=replace(s.preprocessing, reorder=True))
+    ),
+    "n_cycles": (
+        {"n_cycles": 7}, lambda s: replace(s, run=replace(s.run, n_cycles=7, t_end=None))
+    ),
+    "t_end": ({"t_end": 0.5}, lambda s: replace(s, run=replace(s.run, n_cycles=None, t_end=0.5))),
+    "checkpoint_every": (
+        {"checkpoint_every": 2}, lambda s: replace(s, run=replace(s.run, checkpoint_every=2))
+    ),
+    "telemetry": (
+        {"telemetry": True}, lambda s: replace(s, output=replace(s.output, telemetry=True))
+    ),
+    "trace": ({"trace": True}, lambda s: replace(s, output=replace(s.output, trace=True))),
+    "events": (
+        {"events": "run.jsonl"}, lambda s: replace(s, output=replace(s.output, events="run.jsonl"))
+    ),
+    "progress": ({"progress": True}, lambda s: replace(s, output=replace(s.output, progress=True))),
+}
+
+#: the shared knobs every factory used to re-accept
+SHARED = dict(order=2, seed=3, n_clusters=2, lam=0.9, solver="gts", n_fused=1, n_cycles=3)
+
+
+class TestOverrideTable:
+    """The override table is the one place a spec knob is named: every
+    caller (``with_overrides``, the CLI, ``resume``, ``get_scenario``)
+    resolves its short names through it."""
+
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_every_path_exists_in_every_scenario(self, name):
+        data = get_scenario(name).to_dict()
+        for path in OVERRIDE_PATHS.values():
+            set_path(json.loads(json.dumps(data)), path, None)  # raises if absent
+
+    def test_explicit_table_covers_every_name(self):
+        assert set(EXPLICIT_OVERRIDES) == set(OVERRIDE_PATHS)
+
+    @pytest.mark.parametrize("name", sorted(OVERRIDE_PATHS))
+    def test_short_name_matches_explicit_replace(self, name):
+        base = get_scenario("loh3")
+        overrides, expected = EXPLICIT_OVERRIDES[name]
+        assert base.with_overrides(**overrides).to_dict() == expected(base).to_dict()
+
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_get_scenario_applies_shared_names_after_the_factory(self, name):
+        assert get_scenario(name, **SHARED) == get_scenario(name).with_overrides(**SHARED)
+
+    def test_unknown_name_raises_naming_it(self):
+        with pytest.raises(ValueError, match="no_such_knob"):
+            get_scenario("loh3").with_overrides(no_such_knob=1)
+
+    def test_none_keeps_except_for_nullable_names(self):
+        base = get_scenario("loh3").with_overrides(lam=0.8, comm_timeout=5.0, checkpoint_every=2)
+        kept = base.with_overrides(**{name: None for name in OVERRIDE_PATHS
+                                      if name not in NULLABLE_OVERRIDES})
+        assert kept == base
+        cleared = base.with_overrides(**{name: None for name in NULLABLE_OVERRIDES})
+        assert cleared.clustering.lam is None
+        assert cleared.solver.comm_timeout is None
+        assert cleared.run.checkpoint_every is None
+
+    def test_cycles_and_t_end_are_exclusive(self):
+        spec = get_scenario("plane_wave")
+        with pytest.raises(ValueError, match="n_cycles.*t_end"):
+            spec.with_overrides(n_cycles=3, t_end=0.5)
+        # each alone clears the other
+        assert spec.with_overrides(t_end=0.5).with_overrides(n_cycles=3).run.t_end is None

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.scenarios.registry import loh3_scenario, plane_wave_scenario
+from repro.scenarios.registry import get_scenario
 from repro.scenarios.runner import ScenarioRunner, build_setup
 from repro.verification import (
     FIELD_NAMES,
@@ -16,7 +16,7 @@ from repro.verification import (
 @pytest.fixture(scope="module")
 def plane_setup():
     return build_setup(
-        plane_wave_scenario(extent_m=2000.0, characteristic_length=500.0, order=3)
+        get_scenario("plane_wave", extent_m=2000.0, characteristic_length=500.0, order=3)
     )
 
 
@@ -54,7 +54,7 @@ class TestAnalyticSolution:
 
     def test_none_for_scenarios_without_closed_form(self):
         setup = build_setup(
-            loh3_scenario(extent_m=6000.0, characteristic_length=3000.0, order=2)
+            get_scenario("loh3", extent_m=6000.0, characteristic_length=3000.0, order=2)
         )
         assert analytic_solution_for(setup) is None
 
@@ -119,8 +119,8 @@ class TestEstimateOrder:
 
 class TestRunnerAccuracyBlock:
     def test_summary_reports_accuracy_for_plane_wave(self):
-        spec = plane_wave_scenario(
-            extent_m=1500.0, characteristic_length=750.0, order=2, n_cycles=2
+        spec = get_scenario(
+            "plane_wave", extent_m=1500.0, characteristic_length=750.0, order=2, n_cycles=2
         )
         summary = ScenarioRunner(spec).run()
         accuracy = summary["accuracy"]
@@ -129,7 +129,7 @@ class TestRunnerAccuracyBlock:
         assert set(accuracy["fields"]) == set(FIELD_NAMES)
 
     def test_no_accuracy_block_without_analytic_solution(self):
-        spec = loh3_scenario(
-            extent_m=6000.0, characteristic_length=3000.0, order=2, n_cycles=1
+        spec = get_scenario(
+            "loh3", extent_m=6000.0, characteristic_length=3000.0, order=2, n_cycles=1
         )
         assert "accuracy" not in ScenarioRunner(spec).run()
