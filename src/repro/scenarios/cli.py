@@ -242,8 +242,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sweep output tree: manifest.jsonl, cache/, "
                             "members/<id>/")
     sweep.add_argument("--workers", type=int, default=2, metavar="N",
-                       help="worker processes (default 2; 0 runs every "
-                            "member inline in this process)")
+                       help="worker processes, each handed one member or "
+                            "fused group at a time; a crashed worker's unit "
+                            "is always re-queued (default 2; 0 runs every "
+                            "unit in this process)")
     sweep.add_argument("--cache-dir", metavar="DIR",
                        help="shared preprocessing cache directory "
                             "(default: <out>/cache; point several sweeps at "

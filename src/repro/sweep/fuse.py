@@ -7,7 +7,9 @@ and collapses each such group into one fused ensemble run (one mesh read,
 one operator application, one halo message per neighbour, all amortised
 over the group width F).  The collapsed run's trailing fused axis carries
 one member per slot; afterwards the demux step slices slot ``f`` back out
-into member ``f``'s own artefact directory.
+into member ``f``'s own artefact directory.  :func:`run_unit` is the one
+runner of every schedulable unit: a collapsed group, or a single member
+(no demux -- it runs in its own directory).
 
 The collapse is only sound because of the slot-wise bit-identity contract
 (see :mod:`repro.source.moment_tensor`): on the ``ref`` backend at
@@ -36,7 +38,7 @@ __all__ = [
     "fusable_signature",
     "collapse_members",
     "plan_fused_groups",
-    "run_fused_group",
+    "run_unit",
 ]
 
 #: the source fields a fused slot can carry per-member; everything else in
@@ -155,16 +157,17 @@ def plan_fused_groups(members, *, min_width: int = 2):
     return tuple(groups), tuple(singles)
 
 
-def run_fused_group(spec: ScenarioSpec, group_dir, member_dirs, cache) -> dict:
-    """Run one collapsed group end-to-end and demux per-member artefacts.
+def run_unit(spec: ScenarioSpec, unit_dir, member_dirs, cache) -> dict:
+    """Run one schedulable unit end-to-end: a single member or a fused group.
 
-    The fused run's own artefacts (summary, fused multi-column seismograms,
-    optional ledger/trace) land under ``group_dir``; every ``(member_id,
-    directory)`` pair in ``member_dirs`` (slot order) then gets the demuxed
-    scalar seismogram CSVs -- written through the byte-identical scalar
-    formatting path -- plus a per-member run summary annotated with its
-    slot.  Returns the manifest fields: the shared run figures plus a
-    ``members`` map of per-member rows.
+    The run's own artefacts (summary, seismograms, optional ledger/trace)
+    land under ``unit_dir``.  ``member_dirs`` lists the unit's member
+    directories in slot order; a single member's is ``unit_dir`` itself,
+    while every other directory gets slot ``f``'s demuxed scalar seismogram
+    CSVs -- written through the byte-identical scalar formatting path --
+    plus a run summary annotated with its slot.  Returns the manifest
+    fields: the shared ``wall_s`` / ``total_wall_s`` / ``n_elements`` /
+    ``cache`` of the one run and each member's ``summary_paths`` entry.
     """
     from ..preprocessing.cache import diff_stats
     from ..scenarios.outputs import (
@@ -174,51 +177,35 @@ def run_fused_group(spec: ScenarioSpec, group_dir, member_dirs, cache) -> dict:
     )
     from ..scenarios.runner import make_runner
 
-    group_dir = Path(group_dir)
-    member_dirs = [(member_id, Path(directory)) for member_id, directory in member_dirs]
-    if spec.solver.n_fused != len(member_dirs):
-        raise ValueError(
-            f"fused spec has {spec.solver.n_fused} slots but the group maps "
-            f"{len(member_dirs)} members"
-        )
+    unit_dir = Path(unit_dir)
+    member_dirs = [Path(directory) for directory in member_dirs]
     before = cache.snapshot()
     start = time.perf_counter()
     runner = make_runner(spec, cache=cache)
     summary = runner.run()
-    write_outputs(runner, group_dir, summary=summary)
+    write_outputs(runner, unit_dir, summary=summary)
     if spec.output.trace:
-        runner.write_trace(group_dir / "trace.json")
-    cache_delta = diff_stats(before, cache.snapshot())
-    wall_s = float(summary["wall_s"])
-    total_wall_s = time.perf_counter() - start
-    slot_labels = summary.get("fused_sources") or [None] * len(member_dirs)
-
-    rows = {}
-    for slot, (member_id, member_dir) in enumerate(member_dirs):
-        member_summary = dict(summary)
-        member_summary.pop("fused_sources", None)
-        member_summary["fused_demux"] = {
-            "member": member_id,
-            "group": group_dir.name,
+        runner.write_trace(unit_dir / "trace.json")
+    row = {
+        "wall_s": float(summary["wall_s"]),
+        "total_wall_s": time.perf_counter() - start,
+        "n_elements": summary["n_elements"],
+        "cache": diff_stats(before, cache.snapshot()),
+        "summary_paths": [str(d / "run_summary.json") for d in member_dirs],
+    }
+    if member_dirs == [unit_dir]:
+        return row  # a single member: nothing to demux
+    slot_labels = summary.pop("fused_sources")
+    for slot, member_dir in enumerate(member_dirs):
+        demux = {
+            "member": member_dir.name,
+            "group": unit_dir.name,
             "slot": slot,
             "width": len(member_dirs),
             "source": slot_labels[slot],
-            "group_summary": str(group_dir / "run_summary.json"),
+            "group_summary": str(unit_dir / "run_summary.json"),
         }
-        write_run_summary(member_dir / "run_summary.json", member_summary)
+        write_run_summary(member_dir / "run_summary.json", {**summary, "fused_demux": demux})
         if runner.receivers is not None:
             write_fused_slot_seismograms(runner.receivers, member_dir, slot)
-        rows[member_id] = {
-            "summary_path": str(member_dir / "run_summary.json"),
-            "wall_s": wall_s,
-            "total_wall_s": total_wall_s,
-            "n_elements": summary["n_elements"],
-        }
-    return {
-        "group": group_dir.name,
-        "wall_s": wall_s,
-        "total_wall_s": total_wall_s,
-        "n_elements": summary["n_elements"],
-        "cache": cache_delta,
-        "members": rows,
-    }
+    return row

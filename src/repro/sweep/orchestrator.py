@@ -1,8 +1,8 @@
-"""The sweep orchestrator: queue, worker pool, manifest, resume.
+"""The sweep orchestrator: scheduling loop, worker pool, manifest, resume.
 
-:func:`run_sweep` expands a :class:`~repro.sweep.spec.SweepSpec` into a run
-queue and shards it over a pool of persistent worker processes.  The parent
-owns the manifest (workers report over a result queue; only the parent
+:func:`run_sweep` expands a :class:`~repro.sweep.spec.SweepSpec` into
+schedulable units and runs them through one scheduling loop over a pool of
+persistent worker processes.  The parent owns the manifest (only the parent
 writes, so rows are totally ordered) and the preprocessing cache directory
 is shared by everyone:
 
@@ -11,20 +11,24 @@ is shared by everyone:
    shared-mesh ensemble pays mesh/clustering/partition cost exactly once no
    matter how many workers run.  The prewarm's cache misses and each
    member's pure-hit counters land in the manifest as proof.
-2. **Shard** -- workers pull members off a task queue, run them through
-   :func:`~repro.scenarios.runner.make_runner` with the shared cache
-   (each member possibly itself multi-rank via the process backend), and
-   write the member's artefacts under ``members/<id>/``.  Workers start and
-   stop through :mod:`repro.parallel.supervisor`, so a worker whose parent
-   is gone exits within a second instead of running the rest of the queue.
-3. **Survive** -- every state transition is a flushed manifest line.  A
-   member whose worker crashes (or raises) is re-queued once, then marked
-   failed.  A sweep killed outright resumes from its manifest: members
-   whose latest status is ``done`` are skipped, everything else --
-   including in-flight ``started`` members -- is re-queued.
+2. **Shard** -- the parent hands each idle worker one unit at a time over
+   that worker's own pipe; the worker runs it through
+   :func:`~repro.sweep.fuse.run_unit` with the shared cache (each member
+   possibly itself multi-rank via the process backend), writes its
+   artefacts under ``members/<id>/`` (and ``fused/<group>/``) and replies
+   on the same pipe.  Workers start and stop through
+   :mod:`repro.parallel.supervisor`, so a worker whose parent is gone exits
+   within a second instead of running on.
+3. **Survive** -- every state transition is a flushed manifest line.  The
+   parent waits on the pipes and the worker processes together, so it
+   always knows which unit a dead worker held: a unit whose worker crashes
+   (or raises) is re-queued ``retries`` times, then marked failed.  A sweep
+   killed outright resumes from its manifest: members whose latest status
+   is ``done`` are skipped, everything else -- including in-flight
+   ``started`` members -- is re-queued.
 
-``workers=0`` runs every member inline in the parent (deterministic,
-single-process -- the mode the fast tests use).
+``workers=0`` runs the same loop with the parent as the only worker
+(deterministic, single-process -- the mode the fast tests use).
 
 ``fuse=True`` adds a collapse pass between expansion and sharding: members
 that differ only in fusable source axes (time function, moment tensor,
@@ -39,11 +43,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import queue as queue_module
 import signal
 import time
 import traceback
+from collections import deque
 from dataclasses import dataclass
+from multiprocessing import connection
 from pathlib import Path
 
 from ..observability.events import spec_content_hash
@@ -55,18 +60,16 @@ from ..preprocessing.cache import (
     result_content_hash,
     warm_preprocessing,
 )
-from ..scenarios.outputs import write_outputs
-from ..scenarios.runner import make_runner
 from ..scenarios.spec import ScenarioSpec
-from .fuse import plan_fused_groups, run_fused_group
+from .fuse import plan_fused_groups, run_unit
 from .manifest import SweepManifest, is_sweep_manifest, manifest_state, read_manifest
 from .spec import SweepSpec
 
 __all__ = ["run_sweep", "preprocessing_signature", "sweep_sha256"]
 
-#: test hook: ``REPRO_SWEEP_KILL=<member_id>[:<flag_path>]`` SIGKILLs the
-#: worker right after it claims that member -- once only when a flag path
-#: is given (the retry then succeeds), every time otherwise
+#: test hook: ``REPRO_SWEEP_KILL=<unit_id>[:<flag_path>]`` SIGKILLs the
+#: worker the moment it takes that unit -- once only when a flag path is
+#: given (the retry then succeeds), every time otherwise
 KILL_ENV = "REPRO_SWEEP_KILL"
 
 
@@ -86,73 +89,34 @@ def preprocessing_signature(spec: ScenarioSpec) -> str:
     return hashlib.sha256("".join(keys).encode()).hexdigest()[:16]
 
 
-def _maybe_kill(member_id: str) -> None:
+def _maybe_kill(unit_id: str) -> None:
     target = os.environ.get(KILL_ENV)
     if not target:
         return
     target, _, flag = target.partition(":")
-    if target != member_id:
+    if target != unit_id:
         return
     if flag:
         if os.path.exists(flag):
             return  # already fired once
         open(flag, "w").close()
-    # give the queue feeder thread a beat to flush the "claimed" message,
-    # so the parent can attribute the corpse to its member deterministically
-    time.sleep(0.25)
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-def _run_member(spec: ScenarioSpec, member_dir: Path, cache: PreprocessingCache) -> dict:
-    """Run one member end-to-end; returns its manifest ``done`` fields."""
-    before = cache.snapshot()
-    start = time.perf_counter()
-    runner = make_runner(spec, cache=cache)
-    summary = runner.run()
-    write_outputs(runner, member_dir, summary=summary)
-    if spec.output.trace:
-        runner.write_trace(member_dir / "trace.json")
-    return {
-        "summary_path": str(member_dir / "run_summary.json"),
-        "wall_s": float(summary["wall_s"]),
-        "total_wall_s": time.perf_counter() - start,
-        "n_elements": summary["n_elements"],
-        "cache": diff_stats(before, cache.snapshot()),
-    }
+def _attempt(unit: "_Unit", cache: PreprocessingCache) -> tuple:
+    """One attempt at a unit: ``("done", row)`` or ``("failed", traceback)``."""
+    _maybe_kill(unit.unit_id)
+    try:
+        return "done", run_unit(unit.spec, unit.dir, unit.member_dirs, cache)
+    except Exception:
+        return "failed", traceback.format_exc(limit=20)
 
 
-def _worker_main(task_queue, result_queue, cache_dir: str) -> None:
-    """Worker loop: pull units until the ``None`` sentinel.
-
-    A task payload is either a plain spec dict (one member) or a
-    ``{"__fused__": {...}}`` envelope carrying a collapsed group's fused
-    spec plus its slot -> (member id, directory) mapping.
-    """
+def _serve(conn, cache_dir: str) -> None:
+    """A pool worker: attempt each unit the parent sends, until ``None``."""
     cache = PreprocessingCache(cache_dir)
-    for task in iter(task_queue.get, None):
-        unit_id, payload, unit_dir, attempt = task
-        result_queue.put(("claimed", unit_id, os.getpid(), attempt))
-        _maybe_kill(unit_id)
-        try:
-            if "__fused__" in payload:
-                fused = payload["__fused__"]
-                row = run_fused_group(
-                    ScenarioSpec.from_dict(fused["spec"]),
-                    Path(unit_dir),
-                    fused["members"],
-                    cache,
-                )
-            else:
-                row = _run_member(
-                    ScenarioSpec.from_dict(payload), Path(unit_dir), cache
-                )
-        except Exception:
-            result_queue.put(
-                ("failed", unit_id, os.getpid(), attempt,
-                 traceback.format_exc(limit=20))
-            )
-        else:
-            result_queue.put(("done", unit_id, os.getpid(), attempt, row))
+    for unit in iter(conn.recv, None):
+        conn.send(_attempt(unit, cache))
 
 
 @dataclass(frozen=True)
@@ -160,8 +124,8 @@ class _Unit:
     """One schedulable work item: a single member or a collapsed group.
 
     ``members`` and ``member_dirs`` are parallel, in slot order; singles
-    have width 1 and ``fused=False``.  ``spec`` is the spec that actually
-    runs (events-instrumented; the fused spec for groups) while per-member
+    have width 1.  ``spec`` is the spec that actually runs
+    (events-instrumented; the fused spec for groups) while per-member
     manifest identity comes from each member's own spec.
     """
 
@@ -170,11 +134,20 @@ class _Unit:
     dir: Path
     members: tuple
     member_dirs: tuple
-    fused: bool = False
+
+    @property
+    def fused(self) -> bool:
+        """A fused group runs in its own directory and demuxes into its
+        members' (a single member runs in its own)."""
+        return self.member_dirs != (self.dir,)
 
     @property
     def width(self) -> int:
         return len(self.members)
+
+    @property
+    def label(self) -> str:
+        return f"fused group {self.unit_id}" if self.fused else f"member {self.unit_id}"
 
 
 class _MemberTracker:
@@ -194,81 +167,55 @@ class _MemberTracker:
         self.done = 0
         self.failed = 0
 
-    def _identity(self, unit: _Unit, slot: int) -> dict:
+    def _row(self, unit: _Unit, slot: int, status: str, attempt: int, **fields) -> None:
         member = unit.members[slot]
         # singles are identified by the spec they actually run (with the
         # ledger override); fused members by their own standalone spec --
         # the identity their demuxed results are bit-identical to
         spec = member.spec if unit.fused else unit.spec
-        fields = {
-            "index": member.index,
-            "overrides": member.overrides,
-            "spec_sha256": spec_content_hash(spec),
-            "result_sha256": result_content_hash(spec),
-        }
         if unit.fused:
-            fields["fused_group"] = unit.unit_id
-            fields["fused_slot"] = slot
-            fields["fused_width"] = unit.width
-        return fields
+            fields.update(fused_group=unit.unit_id, fused_slot=slot, fused_width=unit.width)
+        self.manifest.member(
+            member.member_id, status, attempt=attempt, index=member.index,
+            overrides=member.overrides, spec_sha256=spec_content_hash(spec),
+            result_sha256=result_content_hash(spec), **fields,
+        )
 
     def started(self, unit: _Unit, attempt: int) -> None:
-        for slot, member in enumerate(unit.members):
-            self.manifest.member(
-                member.member_id, "started", attempt=attempt,
-                **self._identity(unit, slot),
-            )
+        for slot in range(unit.width):
+            self._row(unit, slot, "started", attempt)
 
     def finished(self, unit: _Unit, attempt: int, row: dict) -> None:
-        member_rows = row.get("members") if unit.fused else None
         shared = {k: row[k] for k in ("wall_s", "total_wall_s", "n_elements")}
-        for slot, member in enumerate(unit.members):
-            fields = dict(member_rows[member.member_id]) if unit.fused else dict(row)
-            # manifest rows stay valid when the output tree is moved/archived
-            fields["summary_path"] = os.path.relpath(
-                fields["summary_path"], self.out_dir
+        for slot, path in enumerate(row["summary_paths"]):
+            # the cache delta belongs to the one run; carried once, on
+            # slot 0, so per-member tallies never double-count it
+            cache = {"cache": row["cache"]} if slot == 0 else {}
+            self._row(
+                unit, slot, "done", attempt,
+                # manifest rows stay valid when the output tree is moved/archived
+                summary_path=os.path.relpath(path, self.out_dir), **shared, **cache,
             )
-            if unit.fused:
-                fields.update(shared)
-                # the cache delta belongs to the shared run; carried once,
-                # on slot 0, so per-member tallies never double-count it
-                if slot == 0:
-                    fields["cache"] = row.get("cache")
-            self.manifest.member(
-                member.member_id, "done", attempt=attempt,
-                **self._identity(unit, slot), **fields,
-            )
-            self.done += 1
-        if unit.fused:
-            self.log(
-                f"fused group {unit.unit_id} done ({unit.width} members, "
-                f"wall {row['wall_s']:.2f}s, cache {row.get('cache') or 'cold'})"
-            )
-        else:
-            self.log(
-                f"member {unit.unit_id} done "
-                f"(wall {row['wall_s']:.2f}s, cache {row.get('cache') or 'cold'})"
-            )
+        self.done += unit.width
+        self.log(
+            f"{unit.label} done (wall {row['wall_s']:.2f}s, "
+            f"cache {row['cache'] or 'cold'})"
+        )
 
     def errored(self, unit: _Unit, attempt: int, error: str) -> bool:
         """Handle a failed attempt; returns True when the unit should requeue."""
-        label = f"fused group {unit.unit_id}" if unit.fused else f"member {unit.unit_id}"
-        if attempt <= self.retries:
-            for slot, member in enumerate(unit.members):
-                self.manifest.member(
-                    member.member_id, "requeued", attempt=attempt,
-                    error=error.strip(), **self._identity(unit, slot),
-                )
-            self.log(f"{label} attempt {attempt} failed; requeued")
-            return True
-        for slot, member in enumerate(unit.members):
-            self.manifest.member(
-                member.member_id, "failed", attempt=attempt,
-                error=error.strip(), **self._identity(unit, slot),
+        requeue = attempt <= self.retries
+        for slot in range(unit.width):
+            self._row(
+                unit, slot, "requeued" if requeue else "failed", attempt,
+                error=error.strip(),
             )
-            self.failed += 1
-        self.log(f"{label} failed after {attempt} attempts")
-        return False
+        if requeue:
+            self.log(f"{unit.label} attempt {attempt} failed; requeued")
+        else:
+            self.failed += unit.width
+            self.log(f"{unit.label} failed after {attempt} attempts")
+        return requeue
 
 
 def run_sweep(
@@ -293,7 +240,8 @@ def run_sweep(
     ``done`` and re-queues the rest; the manifest must belong to the same
     sweep definition (content-hash checked).  ``events`` gives every member
     a JSONL run ledger (``members/<id>/run.jsonl``).  ``workers=0`` runs
-    inline in the parent.
+    inline in the parent.  A negative ``workers`` or ``retries`` raises
+    ``ValueError``.
 
     ``fuse=True`` collapses members differing only in fusable source axes
     into single fused ensemble runs (see :mod:`repro.sweep.fuse`): the
@@ -302,6 +250,9 @@ def run_sweep(
     seismograms and a slot-annotated summary; fused members share one run
     ledger (the group's), not per-member ledgers.
     """
+    for name, count in (("workers", workers), ("retries", retries)):
+        if count < 0:
+            raise ValueError(f"{name} must be >= 0, got {count}")
     log = log or (lambda message: None)
     out_dir = Path(out_dir)
     members_root = out_dir / "members"
@@ -311,7 +262,7 @@ def run_sweep(
     members = sweep.expand()
     started_at = time.perf_counter()
 
-    previously_done: dict[str, dict] = {}
+    previously_done: set[str] = set()
     append = False
     if resume and manifest_path.exists():
         records = read_manifest(manifest_path)
@@ -325,8 +276,7 @@ def run_sweep(
                 f"requested {sweep_sha[:12]}); refusing to mix results"
             )
         previously_done = {
-            member_id: record
-            for member_id, record in manifest_state(records).items()
+            member_id for member_id, record in manifest_state(records).items()
             if record.get("status") == "done"
         }
         append = True
@@ -334,47 +284,24 @@ def run_sweep(
     pending = [m for m in members if m.member_id not in previously_done]
 
     # -- plan units: singles, or (with fuse) collapsed groups + singles --
-    units: list[_Unit] = []
-    fused_groups = ()
-    if fuse:
-        fused_groups, singles = plan_fused_groups(pending)
-        for group in fused_groups:
-            group_dir = out_dir / "fused" / group.group_id
-            run_spec = (
-                group.spec.with_overrides(events=str(group_dir / "run.jsonl"))
-                if events
-                else group.spec
-            )
-            units.append(
-                _Unit(
-                    unit_id=group.group_id,
-                    spec=run_spec,
-                    dir=group_dir,
-                    members=group.members,
-                    member_dirs=tuple(
-                        members_root / m.member_id for m in group.members
-                    ),
-                    fused=True,
-                )
-            )
-    else:
-        singles = tuple(pending)
-    for member in singles:
-        member_dir = members_root / member.member_id
-        run_spec = (
-            member.spec.with_overrides(events=str(member_dir / "run.jsonl"))
-            if events
-            else member.spec
+    fused_groups, singles = plan_fused_groups(pending) if fuse else ((), pending)
+    planned = [
+        (group.group_id, group.spec, out_dir / "fused" / group.group_id, group.members)
+        for group in fused_groups
+    ] + [
+        (member.member_id, member.spec, members_root / member.member_id, (member,))
+        for member in singles
+    ]
+    units = [
+        _Unit(
+            unit_id=unit_id,
+            spec=spec.with_overrides(events=str(unit_dir / "run.jsonl")) if events else spec,
+            dir=unit_dir,
+            members=unit_members,
+            member_dirs=tuple(members_root / m.member_id for m in unit_members),
         )
-        units.append(
-            _Unit(
-                unit_id=member.member_id,
-                spec=run_spec,
-                dir=member_dir,
-                members=(member,),
-                member_dirs=(member_dir,),
-            )
-        )
+        for unit_id, spec, unit_dir, unit_members in planned
+    ]
     units.sort(key=lambda unit: unit.members[0].index)
 
     tally = {
@@ -442,137 +369,142 @@ def run_sweep(
             )
 
         tracker = _MemberTracker(manifest, out_dir, retries, log)
-        if not units:
-            log("nothing to run: every member is already done")
-        elif workers <= 0:
-            _run_inline(units, cache, tracker)
-        else:
-            _run_pool(units, cache_dir, min(workers, len(units)), tracker)
-        tally["done"] = tracker.done
-        tally["failed"] = tracker.failed
-        tally["wall_s"] = time.perf_counter() - started_at
-        final_keys = [
-            "sweep", "n_members", "skipped", "done", "failed", "prewarmed", "wall_s",
-        ]
-        if fuse:
-            final_keys += ["fused_groups", "fused_members"]
-        manifest.final({k: tally[k] for k in final_keys})
+        _schedule(
+            units, tracker,
+            _Pool(cache_dir, min(workers, len(units))) if workers else _Inline(cache),
+        )
+        tally.update(
+            done=tracker.done, failed=tracker.failed,
+            wall_s=time.perf_counter() - started_at,
+        )
+        paths = ("sweep_sha256", "manifest", "cache_dir")  # the header's business
+        manifest.final({k: v for k, v in tally.items() if k not in paths})
     return tally
 
 
-def _run_unit(unit: _Unit, cache) -> dict:
-    """Run one unit in-process: a single member, or a fused group + demux."""
-    if not unit.fused:
-        return _run_member(unit.spec, unit.dir, cache)
-    return run_fused_group(
-        unit.spec,
-        unit.dir,
-        [
-            (member.member_id, directory)
-            for member, directory in zip(unit.members, unit.member_dirs)
-        ],
-        cache,
-    )
-
-
-def _unit_payload(unit: _Unit) -> dict:
-    """The picklable task payload ``_worker_main`` dispatches on."""
-    if not unit.fused:
-        return unit.spec.to_dict()
-    return {
-        "__fused__": {
-            "spec": unit.spec.to_dict(),
-            "members": [
-                [member.member_id, str(directory)]
-                for member, directory in zip(unit.members, unit.member_dirs)
-            ],
-        }
-    }
-
-
-def _run_inline(units, cache, tracker) -> None:
-    for unit in units:
-        attempt = 1
-        while True:
-            tracker.started(unit, attempt)
-            _maybe_kill(unit.unit_id)
-            try:
-                row = _run_unit(unit, cache)
-            except Exception:
-                if tracker.errored(unit, attempt, traceback.format_exc(limit=20)):
-                    attempt += 1
-                    continue
-                break
-            tracker.finished(unit, attempt, row)
-            break
-
-
-def _run_pool(units, cache_dir: Path, n_workers: int, tracker) -> None:
-    ctx = worker_context()
-    task_queue = ctx.Queue()
-    result_queue = ctx.Queue()
-
-    def spawn():
-        # not daemons: a multi-rank member starts rank workers of its own
-        return start_worker(
-            ctx, _worker_main, (task_queue, result_queue, str(cache_dir)), n_workers
-        )
-
-    by_id = {unit.unit_id: unit for unit in units}
-    tasks = {
-        unit.unit_id: (unit.unit_id, _unit_payload(unit), str(unit.dir), 1)
-        for unit in units
-    }
-    outstanding = set(tasks)
-    for task in tasks.values():
-        task_queue.put(task)
-    pool = [spawn() for _ in range(n_workers)]
-    claimed: dict[int, tuple[str, int]] = {}  # worker pid -> (unit, attempt)
-
-    def requeue(unit_id: str, attempt: int) -> None:
-        base = tasks[unit_id]
-        task_queue.put((base[0], base[1], base[2], attempt + 1))
-
+def _schedule(units, tracker, workers) -> None:
+    """The one scheduling loop: hand each idle worker the next unit, then
+    settle every reply or death; a failed attempt goes back to the front."""
+    todo = deque((unit, 1) for unit in units)
+    held: dict[int, tuple] = {}  # worker slot -> (unit, attempt)
     try:
-        while outstanding:
-            try:
-                message = result_queue.get(timeout=0.25)
-            except queue_module.Empty:
-                # liveness sweep: a crashed worker orphans its claimed
-                # unit -- retry it and keep the pool at full strength
-                for i, worker in enumerate(pool):
-                    if worker.is_alive():
-                        continue
-                    pid = worker.pid
-                    if pid in claimed:
-                        unit_id, attempt = claimed.pop(pid)
-                        if unit_id in outstanding:
-                            error = f"worker crashed (exit code {worker.exitcode})"
-                            if tracker.errored(by_id[unit_id], attempt, error):
-                                requeue(unit_id, attempt)
-                            else:
-                                outstanding.discard(unit_id)
-                    pool[i] = spawn()
-                continue
-            kind, unit_id, pid, attempt = message[:4]
-            if kind == "claimed":
-                claimed[pid] = (unit_id, attempt)
-                tracker.started(by_id[unit_id], attempt)
-            elif kind == "done":
-                claimed.pop(pid, None)
-                if unit_id in outstanding:
-                    tracker.finished(by_id[unit_id], attempt, message[4])
-                    outstanding.discard(unit_id)
-            elif kind == "failed":
-                claimed.pop(pid, None)
-                if unit_id in outstanding:
-                    if tracker.errored(by_id[unit_id], attempt, message[4]):
-                        requeue(unit_id, attempt)
-                    else:
-                        outstanding.discard(unit_id)
+        while todo or held:
+            for slot in range(workers.size):
+                if slot not in held and todo:
+                    unit, attempt = held[slot] = todo.popleft()
+                    tracker.started(unit, attempt)
+                    workers.give(slot, unit)
+            for slot, (outcome, detail) in workers.wait(held):
+                unit, attempt = held.pop(slot)
+                if outcome == "done":
+                    tracker.finished(unit, attempt, detail)
+                elif outcome == "unread":
+                    todo.appendleft((unit, attempt))
+                elif tracker.errored(unit, attempt, detail):
+                    todo.appendleft((unit, attempt + 1))
     finally:
-        for _ in pool:
-            task_queue.put(None)
-        stop_workers(pool, grace_s=10.0)
-        task_queue.close()
-        result_queue.close()
+        # workers still holding a unit are abandoned (the sweep is failing)
+        workers.close(grace_s=0.0 if held else 10.0)
+
+
+class _Inline:
+    """The parent as the only worker (``workers=0``): a unit runs when given."""
+
+    size = 1
+
+    def __init__(self, cache: PreprocessingCache):
+        self.cache = cache
+        self.outcome = None
+
+    def give(self, slot: int, unit: _Unit) -> None:
+        self.outcome = _attempt(unit, self.cache)
+
+    def wait(self, held) -> list:
+        return [(0, self.outcome)]
+
+    def close(self, grace_s: float) -> None:
+        pass
+
+
+class _Pool:
+    """Worker processes, each handed one unit at a time over its own pipe.
+
+    The parent waits on the held workers' pipes and process sentinels
+    together, so a worker that dies is always matched to the unit it held.
+    The worker's end of a pipe lives in that worker alone, so its death
+    closes the pipe, and Linux then tells the two cases apart: the parent's
+    end reads EOF if the worker had taken the unit (a crashed attempt,
+    charged) and ``ECONNRESET`` if the unit was still unread in the pipe
+    (the worker died after its last reply; the unit goes back uncharged).
+    A dead worker's slot restarts at once.
+    """
+
+    def __init__(self, cache_dir: Path, size: int):
+        self.ctx = worker_context()
+        self.cache_dir = str(cache_dir)
+        self.size = size
+        self.conns = [None] * size
+        self.procs = [None] * size
+        for slot in range(size):
+            self._spawn(slot)
+
+    def _spawn(self, slot: int) -> None:
+        parent_end, child_end = self.ctx.Pipe()
+        # not daemons: a multi-rank member starts rank workers of its own
+        self.procs[slot] = start_worker(
+            self.ctx, _serve, (child_end, self.cache_dir), self.size
+        )
+        child_end.close()
+        self.conns[slot] = parent_end
+
+    def _restart(self, slot: int) -> int:
+        """Reap the dead worker in ``slot``, start another; its exit code."""
+        dead = self.procs[slot]
+        dead.join()
+        self.conns[slot].close()
+        self._spawn(slot)
+        return dead.exitcode
+
+    def give(self, slot: int, unit: _Unit) -> None:
+        try:
+            self.conns[slot].send(unit)
+        except OSError:  # the worker died after its last reply
+            self._restart(slot)
+            self.conns[slot].send(unit)
+
+    def wait(self, held) -> list:
+        watched = {self.conns[slot]: slot for slot in held}
+        watched.update({self.procs[slot].sentinel: slot for slot in held})
+        settled = {}
+        for ready in connection.wait(list(watched)):
+            slot = watched[ready]
+            if slot not in settled:
+                settled[slot] = self._outcome(slot)
+        return list(settled.items())
+
+    def _outcome(self, slot: int) -> tuple:
+        conn = self.conns[slot]
+        if not conn.poll():
+            # woken by the sentinel, which can close before the worker's
+            # pipe end does: reap it, so the pipe shows how it died
+            self.procs[slot].join()
+        try:
+            if conn.poll():
+                return conn.recv()
+        except ConnectionResetError:
+            self._restart(slot)
+            return "unread", None
+        except EOFError:
+            pass
+        # taken, then died -- or a rank worker it forked still holds its end
+        return "failed", f"worker crashed (exit code {self._restart(slot)})"
+
+    def close(self, grace_s: float) -> None:
+        for conn in self.conns:
+            try:
+                conn.send(None)
+            except OSError:
+                pass  # that worker is already gone
+        stop_workers(self.procs, grace_s=grace_s)
+        for conn in self.conns:
+            conn.close()

@@ -90,6 +90,12 @@ class TestVerifyCli:
     def test_verify_golden_scenario_passes(self, capsys):
         assert main(["verify", "loh3", "--kernels", "fast", "--quiet"]) == 0
 
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_verify_2rank_golden_scenario_passes(self, backend, capsys):
+        argv = ["verify", "loh3", "--kernels", "fast", "--ranks", "2",
+                "--backend", backend, "--quiet"]
+        assert main(argv) == 0
+
     def test_verify_unknown_scenario_is_input_error(self, capsys):
         assert main(["verify", "does_not_exist", "--quiet"]) == 2
 

@@ -7,15 +7,19 @@ same expanded spec, a worker SIGKILLed mid-member is retried and the sweep
 still completes, a sweep whose *parent* is SIGKILLed mid-flight leaves
 a partial manifest that resumes without re-running finished members, and
 the workers of a SIGKILLed pool parent stop instead of running the rest of
-the queue.
+the queue.  A worker killed the moment it takes a unit, or right after its
+reply, never strands a unit, and a full disk mid-sweep ends the sweep with
+its error and no worker left behind.
 """
 
+import errno
 import json
 import os
 import shutil
 import signal
 import subprocess
 import sys
+import textwrap
 import time
 from pathlib import Path
 
@@ -221,7 +225,144 @@ class TestReportIntegration:
         assert "== comparison" in capsys.readouterr().out
 
 
+def _patched_sweep(tmp_path, sweep, patch: str, **kwargs) -> dict:
+    """``run_sweep(sweep, tmp_path / "out", **kwargs)`` in a subprocess that
+    first runs ``patch`` (with ``orchestrator`` imported; pool workers are
+    forked, so they inherit it).  Returns the last JSON line the subprocess
+    prints -- the tally, unless the patch reports otherwise -- within 120 s,
+    so a stranded unit fails the test instead of hanging it."""
+    spec_path = tmp_path / "sweep.json"
+    spec_path.write_text(sweep.to_json())
+    script = "\n".join([
+        "import errno, json, os, signal, sys, time",
+        "from repro.sweep import SweepSpec, orchestrator, run_sweep",
+        textwrap.dedent(patch),
+        f"sweep = SweepSpec.from_json(open({str(spec_path)!r}).read())",
+        f"print(json.dumps(run_sweep(sweep, {str(tmp_path / 'out')!r}, **{kwargs!r})))",
+    ])
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=REPO_SRC),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.stdout, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _member_rows(out_dir: Path) -> dict:
+    """Member id -> its manifest rows, in order."""
+    rows = {}
+    for record in read_manifest(out_dir / "manifest.jsonl"):
+        if record.get("record") == "member":
+            rows.setdefault(record["member"], []).append(record)
+    return rows
+
+
+class TestArguments:
+    @pytest.mark.parametrize("name", ["workers", "retries"])
+    def test_negative_count_rejected(self, tmp_path, name, capsys):
+        with pytest.raises(ValueError, match=f"{name} must be >= 0"):
+            run_sweep(tiny_sweep(), tmp_path / "api", **{name: -1})
+        spec_path = tmp_path / "sweep.json"
+        spec_path.write_text(tiny_sweep().to_json())
+        out_dir = tmp_path / "cli"
+        argv = ["sweep", "--spec", str(spec_path), "--out", str(out_dir),
+                f"--{name}", "-1", "--quiet"]
+        assert cli_main(argv) == 2
+        assert f"{name} must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "api").exists() and not out_dir.exists()
+
+
 class TestPoolAndCrashes:
+    def test_worker_killed_on_taking_its_unit_is_requeued(self, tmp_path):
+        """A worker SIGKILLed the instant it takes member 0001 (before it
+        can tell the parent anything) must not strand 0001: the parent knows
+        which unit that worker held, charges it one attempt and re-queues."""
+        flag = tmp_path / "killed.flag"
+        tally = _patched_sweep(tmp_path, tiny_sweep(), f"""
+            def kill_once(unit_id):
+                if unit_id == "0001" and not os.path.exists({str(flag)!r}):
+                    open({str(flag)!r}, "w").close()
+                    os.kill(os.getpid(), signal.SIGKILL)
+            orchestrator._maybe_kill = kill_once
+        """, workers=2)
+        assert flag.exists()  # the kill really fired
+        assert tally["done"] == 4 and tally["failed"] == 0
+        rows = _member_rows(tmp_path / "out")
+        assert [(r["status"], r["attempt"]) for r in rows["0001"]] == [
+            ("started", 1), ("requeued", 1), ("started", 2), ("done", 2),
+        ]
+        assert "worker crashed (exit code -9)" in rows["0001"][1]["error"]
+        assert validate_manifest(tmp_path / "out" / "manifest.jsonl")["complete"]
+
+    @pytest.mark.parametrize("linger_s", [0.0, 0.5])
+    def test_worker_killed_after_its_reply_costs_no_attempt(self, tmp_path, linger_s):
+        """A worker SIGKILLed right after replying for member 0001 leaves
+        0001 done at attempt 1, never re-run; the unit it was handed next
+        (already waiting unread in its pipe when it lingers 0.5 s) goes back
+        uncharged: every member is done at attempt 1, nothing requeued."""
+        tally = _patched_sweep(tmp_path, tiny_sweep(n=6), f"""
+            from repro.preprocessing.cache import PreprocessingCache
+            def serve(conn, cache_dir):
+                cache = PreprocessingCache(cache_dir)
+                for unit in iter(conn.recv, None):
+                    conn.send(orchestrator._attempt(unit, cache))
+                    if unit.unit_id == "0001":
+                        time.sleep({linger_s})
+                        os.kill(os.getpid(), signal.SIGKILL)
+            orchestrator._serve = serve
+        """, workers=2)
+        assert tally["done"] == 6 and tally["failed"] == 0
+        rows = _member_rows(tmp_path / "out")
+        assert [r["status"] for r in rows["0001"]] == ["started", "done"]
+        for member_id, member_rows in rows.items():
+            assert {r["status"] for r in member_rows} == {"started", "done"}, member_id
+            assert all(r["attempt"] == 1 for r in member_rows), member_id
+        if linger_s:  # the dead worker's unread unit was handed out again
+            assert sorted(len(r) for r in rows.values()) == [2] * 5 + [3]
+        assert validate_manifest(tmp_path / "out" / "manifest.jsonl")["complete"]
+
+    def test_disk_full_on_a_manifest_append_fails_fast_then_resumes(self, tmp_path):
+        """ENOSPC after half of member 0001's ``done`` line: ``run_sweep``
+        raises it at once, stops both workers (one still mid-member) before
+        returning, and a ``--resume`` completes every member."""
+        sweep = tiny_sweep(n_cycles=40)
+        result = _patched_sweep(tmp_path, sweep, """
+            from repro.sweep.manifest import SweepManifest
+            write, workers = SweepManifest.write, []
+            def write_until_full(self, record):
+                if record.get("member") == "0001" and record.get("status") == "done":
+                    line = json.dumps(record, sort_keys=True)
+                    with open(self.path, "a") as handle:
+                        handle.write(line[: len(line) // 2])
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                write(self, record)
+            SweepManifest.write = write_until_full
+            start_worker = orchestrator.start_worker
+            def recorded(*args, **kwargs):
+                workers.append(start_worker(*args, **kwargs))
+                return workers[-1]
+            orchestrator.start_worker = recorded
+            started = time.monotonic()
+            def report(type_, error, tb):
+                print(json.dumps({
+                    "errno": error.errno, "wall_s": time.monotonic() - started,
+                    "n_workers": len(workers),
+                    "alive": [w.pid for w in workers if w.is_alive()],
+                }))
+            sys.excepthook = report
+        """, workers=2)
+        assert result["errno"] == errno.ENOSPC
+        assert result["wall_s"] < 30.0
+        assert result["n_workers"] == 2 and result["alive"] == []
+        manifest = tmp_path / "out" / "manifest.jsonl"
+        assert not manifest.read_text().endswith("\n")  # the torn row
+
+        spec_path = tmp_path / "sweep.json"
+        assert cli_main(["sweep", "--spec", str(spec_path), "--out",
+                         str(tmp_path / "out"), "--resume", "--quiet"]) == 0
+        final = validate_manifest(manifest)
+        assert final["complete"] and final["members"] == {"done": 4}, final
+
     def test_pool_sweep_with_worker_crash_retry(self, tmp_path, monkeypatch):
         """A worker SIGKILLed right after claiming member 0001 (once, via
         the flag file) must be detected, the member re-queued, and the
