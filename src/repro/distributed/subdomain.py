@@ -49,7 +49,7 @@ import numpy as np
 from ..core.buffers import LARGER, SAME, SMALLER, store_rows
 from ..core.clustering import Clustering
 from ..core.lts_scheduler import micro_steps_per_cycle
-from ..kernels.discretization import Discretization
+from ..kernels.discretization import Discretization, flux_solver_views
 from ..mesh.reorder import reorder_elements
 
 __all__ = ["SubdomainDisc", "RankSubdomain", "SendPlan", "RecvPack", "RecvPlan"]
@@ -74,10 +74,12 @@ class SubdomainDisc:
     """Element-local view of a global :class:`Discretization` for one rank.
 
     Per-element operator arrays are gathered into local (owned) element order
-    once; shared reference-element data and the deduplicated neighbouring
-    flux matrices stay references to the global objects.  The ADER-DG kernels
-    run unmodified on local element ids and -- since every kernel contraction
-    is element-local -- produce bit-identical per-element results.
+    once -- the flux solvers as one gather of the global array, the per-kind
+    names views of it; shared reference-element data and the deduplicated
+    neighbouring flux matrices stay references to the global objects.  The
+    ADER-DG kernels run unmodified on local element ids and -- since every
+    kernel contraction is element-local -- produce bit-identical per-element
+    results.
     """
 
     def __init__(self, disc: Discretization, owned: np.ndarray, local_neighbors: np.ndarray):
@@ -99,10 +101,8 @@ class SubdomainDisc:
         self.star_elastic = disc.star_elastic[owned]
         self.star_anelastic = disc.star_anelastic[owned]
         self.coupling = disc.coupling[owned]
-        self.flux_local_elastic = disc.flux_local_elastic[owned]
-        self.flux_local_anelastic = disc.flux_local_anelastic[owned]
-        self.flux_neigh_elastic = disc.flux_neigh_elastic[owned]
-        self.flux_neigh_anelastic = disc.flux_neigh_anelastic[owned]
+        self.flux_solvers = disc.flux_solvers[owned]
+        vars(self).update(flux_solver_views(self.flux_solvers))
         # shared: the global unique F_bar set; rows are gathered per rank but
         # keep indexing into the global matrix pool
         self.neighbor_flux_matrices = disc.neighbor_flux_matrices

@@ -14,7 +14,9 @@ __all__ = [
     "N_ELASTIC_VARS",
     "STRESS_INDICES",
     "VELOCITY_INDICES",
+    "JACOBIAN_NONZEROS",
     "elastic_jacobians",
+    "jacobian_values",
     "elastic_star_matrices",
     "wave_speeds",
 ]
@@ -24,12 +26,26 @@ STRESS_INDICES = (0, 1, 2, 3, 4, 5)
 VELOCITY_INDICES = (6, 7, 8)
 
 
-def elastic_jacobians(lam, mu, rho) -> np.ndarray:
-    """The three elastic Jacobians ``(A_e, B_e, C_e)``, shape ``(..., 3, 9, 9)``.
+#: the 24 nonzeros of the three elastic Jacobians as ``(direction, row,
+#: column, name)``: ``A_d[row, column] = jacobian_values(...)[name]``.  No
+#: entry is nonzero in two directions, so a normal combination has exactly
+#: one term per nonzero
+JACOBIAN_NONZEROS = (
+    # x-direction
+    (0, 0, 6, "lam2mu"), (0, 1, 6, "lam"), (0, 2, 6, "lam"), (0, 3, 7, "mu"),
+    (0, 5, 8, "mu"), (0, 6, 0, "inv_rho"), (0, 7, 3, "inv_rho"), (0, 8, 5, "inv_rho"),
+    # y-direction
+    (1, 0, 7, "lam"), (1, 1, 7, "lam2mu"), (1, 2, 7, "lam"), (1, 3, 6, "mu"),
+    (1, 4, 8, "mu"), (1, 6, 3, "inv_rho"), (1, 7, 1, "inv_rho"), (1, 8, 4, "inv_rho"),
+    # z-direction
+    (2, 0, 8, "lam"), (2, 1, 8, "lam"), (2, 2, 8, "lam2mu"), (2, 4, 7, "mu"),
+    (2, 5, 6, "mu"), (2, 6, 5, "inv_rho"), (2, 7, 4, "inv_rho"), (2, 8, 2, "inv_rho"),
+)
 
-    ``lam``, ``mu`` and ``rho`` broadcast against each other; their common
-    shape becomes the leading batch dimensions (scalars give ``(3, 9, 9)``).
-    """
+
+def jacobian_values(lam, mu, rho) -> dict:
+    """The Jacobian entries by :data:`JACOBIAN_NONZEROS` name (each the
+    negated material coefficient), broadcast against each other."""
     lam, mu, rho = np.broadcast_arrays(
         np.asarray(lam, dtype=np.float64),
         np.asarray(mu, dtype=np.float64),
@@ -37,39 +53,24 @@ def elastic_jacobians(lam, mu, rho) -> np.ndarray:
     )
     if np.any(rho <= 0):
         raise ValueError("density must be positive")
-    jac = np.zeros(lam.shape + (3, 9, 9))
-    lam2mu = lam + 2.0 * mu
-    inv_rho = 1.0 / rho
+    return {
+        "lam2mu": -(lam + 2.0 * mu),
+        "lam": -lam,
+        "mu": -mu,
+        "inv_rho": -(1.0 / rho),
+    }
 
-    # x-direction
-    jac[..., 0, 0, 6] = -lam2mu
-    jac[..., 0, 1, 6] = -lam
-    jac[..., 0, 2, 6] = -lam
-    jac[..., 0, 3, 7] = -mu
-    jac[..., 0, 5, 8] = -mu
-    jac[..., 0, 6, 0] = -inv_rho
-    jac[..., 0, 7, 3] = -inv_rho
-    jac[..., 0, 8, 5] = -inv_rho
 
-    # y-direction
-    jac[..., 1, 0, 7] = -lam
-    jac[..., 1, 1, 7] = -lam2mu
-    jac[..., 1, 2, 7] = -lam
-    jac[..., 1, 3, 6] = -mu
-    jac[..., 1, 4, 8] = -mu
-    jac[..., 1, 6, 3] = -inv_rho
-    jac[..., 1, 7, 1] = -inv_rho
-    jac[..., 1, 8, 4] = -inv_rho
+def elastic_jacobians(lam, mu, rho) -> np.ndarray:
+    """The three elastic Jacobians ``(A_e, B_e, C_e)``, shape ``(..., 3, 9, 9)``.
 
-    # z-direction
-    jac[..., 2, 0, 8] = -lam
-    jac[..., 2, 1, 8] = -lam
-    jac[..., 2, 2, 8] = -lam2mu
-    jac[..., 2, 4, 7] = -mu
-    jac[..., 2, 5, 6] = -mu
-    jac[..., 2, 6, 5] = -inv_rho
-    jac[..., 2, 7, 4] = -inv_rho
-    jac[..., 2, 8, 2] = -inv_rho
+    ``lam``, ``mu`` and ``rho`` broadcast against each other; their common
+    shape becomes the leading batch dimensions (scalars give ``(3, 9, 9)``).
+    """
+    values = jacobian_values(lam, mu, rho)
+    jac = np.zeros(values["lam"].shape + (3, 9, 9))
+    for d, row, column, name in JACOBIAN_NONZEROS:
+        jac[..., d, row, column] = values[name]
     return jac
 
 

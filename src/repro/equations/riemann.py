@@ -34,7 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from .anelastic import anelastic_jacobians
-from .elastic import elastic_jacobians
+from .elastic import JACOBIAN_NONZEROS, elastic_jacobians, jacobian_values
 
 __all__ = [
     "FLUX_KINDS",
@@ -122,11 +122,18 @@ def elastic_normal_jacobian(lam, mu, rho, normal: np.ndarray) -> np.ndarray:
     """``A n_x + B n_y + C n_z``, shape ``(..., 9, 9)``.
 
     The materials ``(...)`` and the unit normals ``(..., 3)`` broadcast over
-    their leading batch dimensions.
+    their leading batch dimensions.  Every nonzero of the Jacobians belongs
+    to one direction, so the combination is a fill of 24 products -- the
+    sum over directions adds only zeros to them (``+ 0.0`` gives a zero
+    product the sign that sum gives it).
     """
-    jac = elastic_jacobians(lam, mu, rho)
+    values = jacobian_values(lam, mu, rho)
     normal = np.asarray(normal, dtype=np.float64)
-    return np.einsum("...d,...dij->...ij", normal, jac)
+    an = np.zeros(np.broadcast_shapes(values["lam"].shape, normal.shape[:-1]) + (9, 9))
+    for d, row, column, name in JACOBIAN_NONZEROS:
+        np.multiply(normal[..., d], values[name], out=an[..., row, column])
+    an += 0.0
+    return an
 
 
 def anelastic_normal_jacobian(normal: np.ndarray) -> np.ndarray:

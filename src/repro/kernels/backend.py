@@ -43,7 +43,7 @@ import numpy as np
 
 from ..observability import NULL_TELEMETRY
 from .ader import compute_time_derivatives, time_integrate
-from .discretization import N_ELASTIC
+from .discretization import N_ELASTIC, N_FLUX_ROWS
 from .surface import (
     neighbor_face_coefficients,
     project_local_traces,
@@ -333,6 +333,8 @@ class _DiscData:
     equations; a variant that breaks an assumption falls back to the dense
     contraction).  ``ftilde_flat`` groups the four face projections into one
     ``(B, 4 F)`` operator so the trace projection is a single contraction.
+    ``flux`` is a view of the discretization's own flux solvers, never a
+    copy: the discretization assembles them in the correction's layout.
     """
 
     __slots__ = ("star_e_blocks", "star_a_velocity", "coupling_stress",
@@ -348,14 +350,9 @@ class _DiscData:
         self.coupling_stress = bool(
             disc.coupling.shape[1] == 0 or np.all(disc.coupling[:, :, 6:, :] == 0.0)
         )
-        # (E, 4, Q, 18) flux solvers [local | neigh] side by side: elastic
-        # rows plus (Q = 15) the anelastic rows all mechanisms share.  Once
-        # per discretization: a per-block copy cost a tenth of a cycle
-        n = 1 + (disc.n_mechanisms > 0)
-        self.flux = np.concatenate([
-            np.concatenate([disc.flux_local_elastic, disc.flux_local_anelastic][:n], axis=2),
-            np.concatenate([disc.flux_neigh_elastic, disc.flux_neigh_anelastic][:n], axis=2),
-        ], axis=3)
+        # (K, 4, Q, 18) flux solvers [local | neigh] side by side: the
+        # elastic rows plus (Q = 15) the anelastic rows all mechanisms share
+        self.flux = disc.flux_solvers[:, :, :N_FLUX_ROWS if disc.n_mechanisms else N_ELASTIC]
         ftilde = np.ascontiguousarray(disc.ftilde.transpose(1, 0, 2))
         self.ftilde_flat = ftilde.reshape(ftilde.shape[0], -1)
         # side-by-side stiffness operators, cut to the

@@ -9,7 +9,9 @@ EDGE's per-partition annotation data written by the preprocessing pipeline:
 * the relaxation spectrum and per-element/mechanism coupling matrices ``E_l``,
 * element-local flux solver matrices ``A~+-_{k,i}`` with the geometry factor
   ``2 |S_i| / |J_k|`` folded in (boundary faces additionally fold in their
-  ghost-state operator),
+  ghost-state operator), stored once as :attr:`Discretization.flux_solvers`
+  in the layout the fast correction multiplies -- the ref kernels read the
+  same values through views,
 * the neighbouring flux matrices ``F_bar``, one per class of how two
   tetrahedra share a face -- the small unique set the paper exploits
   (Sec. III, ref. [31]), and
@@ -46,9 +48,13 @@ from ..equations.riemann import (
 from ..mesh.geometry import cfl_time_steps
 from ..mesh.tet_mesh import BOUNDARY_FREE_SURFACE, TetMesh
 
-__all__ = ["Discretization", "N_ELASTIC", "PRECISIONS"]
+__all__ = ["Discretization", "N_ELASTIC", "N_FLUX_ROWS", "PRECISIONS", "flux_solver_views"]
 
 N_ELASTIC = 9
+
+#: rows of a face's flux solvers: the elastic rows, then the six anelastic
+#: rows every mechanism shares (scaled by ``omega_l`` in the kernels)
+N_FLUX_ROWS = N_ELASTIC + 6
 
 #: supported state/operator precisions: float64 (the verification default)
 #: and float32 (EDGE's production single-precision mode)
@@ -59,6 +65,18 @@ _PRECISION_DTYPES = {"f64": np.float64, "f32": np.float32}
 #: elements per batched flux-solver pass: bounds the assembly temporaries
 #: (about 25 kB per element) well below the run-phase memory high-water mark
 _ASSEMBLY_CHUNK = 512
+
+
+def flux_solver_views(flux_solvers: np.ndarray) -> dict:
+    """The four flux-solver kinds as views of one ``(K, 4, 15, 18)`` array:
+    rows elastic then anelastic, columns ``[local | neighbour]``."""
+    e = N_ELASTIC
+    return {
+        "flux_local_elastic": flux_solvers[..., :e, :e],
+        "flux_neigh_elastic": flux_solvers[..., :e, e:],
+        "flux_local_anelastic": flux_solvers[..., e:, :e],
+        "flux_neigh_anelastic": flux_solvers[..., e:, e:],
+    }
 
 
 class Discretization:
@@ -189,13 +207,11 @@ class Discretization:
             "star_anelastic",
             "coupling",
             "omegas",
-            "flux_local_elastic",
-            "flux_neigh_elastic",
-            "flux_local_anelastic",
-            "flux_neigh_anelastic",
+            "flux_solvers",
             "neighbor_flux_matrices",
         ):
             setattr(self, name, getattr(self, name).astype(dtype, copy=False))
+        vars(self).update(flux_solver_views(self.flux_solvers))
         self.k_time = self.ref.k_time.astype(dtype, copy=False)
         self.k_vol = self.ref.k_vol.astype(dtype, copy=False)
         self.ftilde = self.ref.ftilde.astype(dtype, copy=False)
@@ -205,8 +221,15 @@ class Discretization:
     # flux solvers
     # ------------------------------------------------------------------
     def _assemble_flux_solvers(self) -> None:
-        """Fill the ``(K, 4, ...)`` flux solver arrays, a chunk of elements
-        (all four faces) per call into the Riemann builders."""
+        """Fill :attr:`flux_solvers` in place, a chunk of elements (all four
+        faces) per call into the Riemann builders.
+
+        One ``(K, 4, 15, 18)`` array holds every face's four solvers: the
+        elastic rows above the anelastic ones, the local solver's columns
+        left of the neighbour's -- the operand the fast correction
+        multiplies against ``[own trace | neighbour coefficients]``.  The
+        per-kind names are views of it (:func:`flux_solver_views`).
+        """
         mesh, geometry = self.mesh, self.mesh.geometry
         n_elements = mesh.n_elements
         lam, mu, rho = self.materials.lam, self.materials.mu, self.materials.rho
@@ -222,10 +245,8 @@ class Discretization:
         # weak-form sign and geometry scaling: -2 |S_i| / |J_k|
         scale = (-2.0 * geometry.face_areas / geometry.determinants[:, None])[..., None, None]
 
-        self.flux_local_elastic = np.empty((n_elements, 4, 9, 9))
-        self.flux_neigh_elastic = np.empty((n_elements, 4, 9, 9))
-        self.flux_local_anelastic = np.empty((n_elements, 4, 6, 9))
-        self.flux_neigh_anelastic = np.empty((n_elements, 4, 6, 9))
+        self.flux_solvers = np.empty((n_elements, 4, N_FLUX_ROWS, 2 * N_ELASTIC))
+        views = flux_solver_views(self.flux_solvers).values()
         for start in range(0, n_elements, _ASSEMBLY_CHUNK):
             chunk = slice(start, start + _ASSEMBLY_CHUNK)
             normals = geometry.face_normals[chunk]
@@ -241,10 +262,8 @@ class Discretization:
                 ghost = free_surface_ghost_operator(normals[ghosted])
                 g_neigh[ghosted] = g_neigh[ghosted] @ ghost
                 ga_neigh[ghosted] = ga_neigh[ghosted] @ ghost
-            np.multiply(scale[chunk], g_local, out=self.flux_local_elastic[chunk])
-            np.multiply(scale[chunk], g_neigh, out=self.flux_neigh_elastic[chunk])
-            np.multiply(scale[chunk], ga_local, out=self.flux_local_anelastic[chunk])
-            np.multiply(scale[chunk], ga_neigh, out=self.flux_neigh_anelastic[chunk])
+            for view, matrices in zip(views, (g_local, g_neigh, ga_local, ga_neigh)):
+                np.multiply(scale[chunk], matrices, out=view[chunk])
 
     # ------------------------------------------------------------------
     # neighbouring flux matrices

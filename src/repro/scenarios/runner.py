@@ -570,11 +570,13 @@ class ScenarioRunner:
                     }
                 )
         finally:
-            if heartbeat is not None:
-                heartbeat.close()
-            if ledger is not None:
-                ledger.close()
-            self.solver.close()
+            try:
+                if heartbeat is not None:
+                    heartbeat.close()
+                if ledger is not None:
+                    ledger.close()  # its last flush may fail (a full disk)
+            finally:
+                self.solver.close()
         return self.summary()
 
     # -- run ledger ------------------------------------------------------
@@ -827,6 +829,7 @@ class ScenarioRunner:
         # fields by ~5 % and costs more than every other byte of the write
         tmp_path = f"{path}.tmp"
         with self.telemetry.region("checkpoint.write"):
+            os.makedirs(os.path.dirname(os.fspath(path)) or ".", exist_ok=True)
             with open(tmp_path, "wb") as handle:
                 np.savez(handle, meta=json.dumps(meta), **arrays)
             os.replace(tmp_path, path)

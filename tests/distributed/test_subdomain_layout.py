@@ -40,6 +40,24 @@ def loh3_m_2rank():
     return runner
 
 
+class TestOneFluxSolverCopy:
+    def test_rank_flux_solvers_are_one_gather_the_views_and_kernels_read(self, loh3_m_2rank):
+        """Each rank holds one ``[owned]`` gather of the flux solvers: its
+        four per-kind names and the fast correction's operand are views of
+        it, not copies."""
+        disc = loh3_m_2rank.setup.disc
+        for sub, solver in zip(loh3_m_2rank.engine.subdomains, _rank_solvers(loh3_m_2rank)):
+            local = sub.view
+            assert solver.disc is local
+            np.testing.assert_array_equal(local.flux_solvers, disc.flux_solvers[sub.owned])
+            for name in ("flux_local_elastic", "flux_neigh_elastic",
+                         "flux_local_anelastic", "flux_neigh_anelastic"):
+                assert getattr(local, name).base is local.flux_solvers, name
+            operand = solver.backend._disc_data(local).flux
+            assert np.shares_memory(operand, local.flux_solvers)
+            assert operand.shape[2] == disc.flux_solvers.shape[2]  # anelastic: all 15 rows
+
+
 class TestLocalOrder:
     def test_owned_is_a_permutation_of_the_partition(self, loh3_m_2rank):
         engine = loh3_m_2rank.engine

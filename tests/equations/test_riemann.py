@@ -75,6 +75,24 @@ class TestRotations:
             direct = elastic_normal_jacobian(LAM, MU, RHO, n)
             np.testing.assert_allclose(rotated, direct, rtol=1e-9, atol=1e-3)
 
+    def test_normal_jacobian_is_the_direction_sum_bit_for_bit(self):
+        """The closed-form fill equals ``sum_d n_d A_d`` as a summation gives
+        it, down to the sign of every zero -- axis-aligned normals and
+        signed-zero components included."""
+        normals = np.concatenate([
+            _random_unit_vectors(40, seed=5),
+            [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0],
+             [-0.0, -0.0, -1.0], [0.6, -0.8, -0.0]],
+        ])
+        lam, mu, rho = _random_materials(len(normals), 6)
+        expected = np.einsum("...d,...dij->...ij", normals, elastic_jacobians(lam, mu, rho))
+        actual = elastic_normal_jacobian(lam, mu, rho, normals)
+        assert actual.tobytes() == expected.tobytes()
+        # materials broadcast against a batch of normals
+        actual = elastic_normal_jacobian(LAM, MU, RHO, normals)
+        expected = np.einsum("...d,dij->...ij", normals, elastic_jacobians(LAM, MU, RHO))
+        assert actual.tobytes() == expected.tobytes()
+
 
 class TestUpwindSplit:
     def test_split_sums_to_jacobian(self):

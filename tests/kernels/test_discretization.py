@@ -1,12 +1,15 @@
 """Unit tests for the per-mesh discretization setup."""
 
+import copy as copy_module
+
 import numpy as np
 import pytest
 
 from repro.basis.functions import TetBasis
 from repro.equations import riemann
 from repro.equations.material import ElasticMaterial, MaterialTable
-from repro.kernels import discretization
+from repro.kernels import discretization, surface
+from repro.kernels.backend import FastBackend
 from repro.kernels.discretization import Discretization
 from repro.mesh.generation import box_mesh
 from repro.mesh.tet_mesh import BOUNDARY_ABSORBING, BOUNDARY_ANALYTIC, BOUNDARY_FREE_SURFACE
@@ -168,8 +171,17 @@ class TestBatchedFluxSolvers:
             tagged_mesh, _layered_materials(tagged_mesh), order=2, flux=flux,
             n_mechanisms=n_mechanisms, precision=precision,
         )
-        for name, expected in _per_face_flux_solvers(disc).items():
+        per_face = _per_face_flux_solvers(disc)
+        for name, expected in per_face.items():
             assert np.array_equal(getattr(disc, name), expected.astype(disc.dtype)), name
+        # the one assembled array: elastic rows over anelastic, [local | neigh]
+        expected = np.block([
+            [per_face["flux_local_elastic"], per_face["flux_neigh_elastic"]],
+            [per_face["flux_local_anelastic"], per_face["flux_neigh_anelastic"]],
+        ])
+        assert disc.flux_solvers.shape == (disc.n_elements, 4, 15, 18)
+        assert disc.flux_solvers.dtype == disc.dtype
+        assert np.array_equal(disc.flux_solvers, expected.astype(disc.dtype))
 
     def test_init_calls_builders_per_chunk_not_per_element(self, monkeypatch):
         """A deterministic stand-in for a wall-clock guard: assembly enters
@@ -208,6 +220,59 @@ class TestBatchedFluxSolvers:
         assert calls["rusanov_flux_matrices"] == calls["godunov_flux_matrices"] == n_chunks
         face_rows = [rows // disc.ref.face_quadrature.n_points for rows in basis_rows]
         assert len(face_rows) == 2 and max(face_rows) <= 96, face_rows
+
+
+FLUX_VIEWS = {
+    "flux_local_elastic": (slice(None, 9), slice(None, 9)),
+    "flux_neigh_elastic": (slice(None, 9), slice(9, None)),
+    "flux_local_anelastic": (slice(9, None), slice(None, 9)),
+    "flux_neigh_anelastic": (slice(9, None), slice(9, None)),
+}
+
+
+class TestOneFluxSolverArray:
+    """The flux solvers exist once per discretization: the per-kind names
+    and the fast correction's operand are views of ``flux_solvers``."""
+
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    @pytest.mark.parametrize("n_mechanisms", [0, 3])
+    def test_views_and_fast_operand_share_the_array(self, n_mechanisms, precision):
+        mesh = small_mesh(n=2, jitter=0.1)
+        disc = Discretization(
+            mesh, _layered_materials(mesh), order=2, n_mechanisms=n_mechanisms,
+            precision=precision,
+        )
+        for name, (rows, columns) in FLUX_VIEWS.items():
+            view = getattr(disc, name)
+            assert view.base is disc.flux_solvers, name
+            assert view.dtype == disc.dtype, name
+            assert np.array_equal(view, disc.flux_solvers[:, :, rows, columns]), name
+        operand = FastBackend()._disc_data(disc).flux
+        assert np.shares_memory(operand, disc.flux_solvers)
+        assert operand.shape == (disc.n_elements, 4, 15 if n_mechanisms else 9, 18)
+        assert np.array_equal(operand, disc.flux_solvers[:, :, : operand.shape[2]])
+
+    @pytest.mark.parametrize("batch", ["slice", "ids"])
+    @pytest.mark.parametrize("n_fused", [0, 2])
+    def test_ref_surface_kernels_read_views_bitwise(self, viscoelastic_disc, batch, n_fused):
+        """The ref surface kernels give the same bits on the views as on
+        contiguous copies of them, for slice and index-array batches."""
+        disc = viscoelastic_disc
+        copy = copy_module.copy(disc)
+        for name in FLUX_VIEWS:
+            assert not getattr(disc, name).flags.c_contiguous, name
+            setattr(copy, name, np.ascontiguousarray(getattr(disc, name)))
+        elements = slice(2, 40) if batch == "slice" else np.array([1, 5, 6, 7, 30, 31, 45])
+        n = len(np.arange(disc.n_elements)[elements])
+        rng = np.random.default_rng(4)
+        fused = (n_fused,) if n_fused else ()
+        integrated = rng.standard_normal((n, disc.n_vars, disc.n_basis) + fused)
+        coeffs = rng.standard_normal((n, 4, 9, disc.n_face_basis) + fused)
+        for kernel, args in (
+            (surface.surface_kernel_local, (integrated, elements)),
+            (surface.surface_kernel_neighbor, (coeffs, elements)),
+        ):
+            assert np.array_equal(kernel(disc, *args), kernel(copy, *args)), kernel.__name__
 
 
 def _all_faces_fbar(disc):

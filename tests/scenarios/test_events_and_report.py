@@ -7,11 +7,13 @@ plus a GTS reference, asserting the overlap / imbalance / LTS-speedup
 blocks the paper's evaluation reads off.
 """
 
+import errno
 import json
 import os
 import signal
 import subprocess
 import sys
+import textwrap
 import time
 from pathlib import Path
 
@@ -144,6 +146,89 @@ class TestLedgerEndToEnd:
         # the distributed records carry the comm accounting
         assert records[1]["comm_bytes"] > 0
         assert len(records[1]["sent_bytes_per_rank"]) == 2
+
+    def test_disk_full_on_a_ledger_append_fails_fast_then_resumes(self, tmp_path):
+        """ENOSPC after half of cycle 3's ledger line of a 2-rank process run
+        that checkpoints every cycle; the ledger's closing flush hits the
+        full disk too.  The run exits non-zero within seconds naming the
+        error, its rank workers are stopped before it exits, and ``repro
+        resume`` from the cycle-2 checkpoint completes the ledger and the
+        seismograms bitwise the uninterrupted run."""
+        events, ckpt = tmp_path / "run.jsonl", tmp_path / "ckpt" / "run.ckpt.npz"
+        run = ["run", "loh3", *TINY_LOH3, "--cycles", "4", "--ranks", "2",
+               "--backend", "process", "--quiet"]
+        script = textwrap.dedent(f"""
+            import errno, json, os, sys, time
+            from repro.distributed import engine
+            from repro.observability.events import DurableJsonl
+            from repro.scenarios.cli import main
+            write, close, workers, full = DurableJsonl.write, DurableJsonl.close, [], []
+            def enospc():
+                return OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            def write_until_full(self, record):
+                if full or record.get("cycle") == 3:
+                    if not full:
+                        line = json.dumps(record, sort_keys=True)
+                        self._handle.write(line[: len(line) // 2])
+                        self._handle.flush()
+                        full.append(record)
+                    raise enospc()
+                write(self, record)
+            def close_on_full_disk(self):
+                close(self)
+                if full:
+                    raise enospc()
+            DurableJsonl.write, DurableJsonl.close = write_until_full, close_on_full_disk
+            start_worker = engine.start_worker
+            def recorded(*args, **kwargs):
+                workers.append(start_worker(*args, **kwargs))
+                return workers[-1]
+            engine.start_worker = recorded
+            started = time.monotonic()
+            def report(type_, error, tb):
+                print(json.dumps({{
+                    "error": repr(error), "errno": getattr(error, "errno", None),
+                    "wall_s": time.monotonic() - started, "pids": [w.pid for w in workers],
+                    "alive": [w.pid for w in workers if w.is_alive()],
+                }}))
+            sys.excepthook = report
+            sys.exit(main({run + ["--events", str(events), "--checkpoint", str(ckpt),
+                                  "--checkpoint-every", "1"]!r}))
+        """)
+        env = dict(os.environ, PYTHONPATH=REPO_SRC)
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode != 0 and proc.stdout, proc.stderr
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result["errno"] == errno.ENOSPC, result
+        assert "No space left on device" in result["error"]
+        assert result["wall_s"] < 60.0
+        assert len(result["pids"]) == 2 and result["alive"] == [], result
+        for pid in result["pids"]:
+            assert not _running(pid), pid
+        assert not events.read_text().endswith("\n")  # the torn cycle-3 line
+        partial = validate_run_ledger(read_ledger(events))
+        assert partial["cycles"] == 2 and not partial["complete"]
+
+        resumed, straight = tmp_path / "resumed", tmp_path / "straight"
+        assert cli_main(["resume", str(ckpt), "--events", str(events),
+                         "--output-dir", str(resumed), "--quiet"]) == 0
+        info = validate_run_ledger(read_ledger(events), expect_complete=True)
+        assert info["segments"] == 2 and info["last_cycle"]["cycle"] == 4
+        assert cli_main([*run, "--output-dir", str(straight)]) == 0
+        csvs = sorted(p.name for p in straight.glob("seismogram_*.csv"))
+        assert csvs and csvs == sorted(p.name for p in resumed.glob("seismogram_*.csv"))
+        for name in csvs:
+            assert (resumed / name).read_bytes() == (straight / name).read_bytes(), name
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` names a live (not zombie) process."""
+    try:
+        status = Path(f"/proc/{pid}/status").read_text()
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return "\nState:\tZ" not in status
 
 
 class TestProgressHeartbeat:

@@ -31,6 +31,9 @@ def loaded_after(statements: str) -> list[str]:
 
 
 def test_import_repro_stays_light():
+    """``import repro`` in a fresh interpreter leaves ``scipy`` out of
+    ``sys.modules`` (this is the whole scipy-free startup contract; it is
+    checked here in tier-1 rather than in a CI step of its own)."""
     assert loaded_after("import repro") == []
 
 

@@ -631,3 +631,26 @@ class TestCliProcess:
         assert done.stdout == ""
         summary = json.loads((tmp_path / "out" / "run_summary.json").read_text())
         assert summary["precision"] == "f64" and summary["kernels"] in ("ref", "fast")
+
+    def test_checkpoint_into_a_directory_that_does_not_exist_yet(self, tmp_path):
+        """``--checkpoint D/run.ckpt.npz`` with ``D`` absent: the run creates
+        ``D`` at its first cadence checkpoint (not only after ``--events``
+        made it), writes its outputs there, and resumes from it."""
+        run_dir = tmp_path / "D"
+        done = self._repro(
+            "run", "loh3", "--smoke", "--kernels", "fast", "--output-dir", "D",
+            "--checkpoint", "D/run.ckpt.npz", "--checkpoint-every", "1", "--quiet",
+            cwd=tmp_path,
+        )
+        assert done.returncode == 0, done.stderr
+        assert (run_dir / "run.ckpt.npz").is_file()
+        assert not list(run_dir.glob("*.tmp"))
+        csvs = sorted(p.name for p in run_dir.glob("seismogram_*.csv"))
+        assert csvs and (run_dir / "run_summary.json").is_file()
+
+        resumed = self._repro(
+            "resume", "D/run.ckpt.npz", "--output-dir", "D/resumed", "--quiet", cwd=tmp_path
+        )
+        assert resumed.returncode == 0, resumed.stderr
+        for name in csvs:
+            assert (run_dir / "resumed" / name).read_bytes() == (run_dir / name).read_bytes()
