@@ -4,7 +4,9 @@ For every element ``k`` three additional ``9 x B`` data structures hold the
 elastic time-integrated information face-neighbouring elements need:
 
 * ``B1_k`` -- integral over the element's full current time step, used by
-  neighbours with the *same* time step;
+  neighbours with the *same* time step and by the element's own correction,
+  which projects its own face traces from it (nothing overwrites ``B1_k``
+  between the element's prediction and its correction);
 * ``B2_k`` -- integral over the first half of the step, used by neighbours
   with a *smaller* (half) time step;
 * ``B3_k`` -- the pairwise accumulated integral (eq. 17's even/odd rule),

@@ -23,9 +23,10 @@ class GlobalTimeSteppingSolver(SingleRankStepper):
 
     ``kernels`` selects the kernel-execution backend (``"ref"``/``"fast"`` or
     a backend instance); the fast backend reuses one solver-wide scratch
-    workspace across steps.  A macro cycle is ``steps_per_cycle`` steps: the
-    scenario runner passes ``2^(N_c - 1)``, so one GTS cycle spans the
-    largest cluster step of the LTS clustering it is compared with.
+    workspace across steps.  A step advances :attr:`dofs` in place.  A
+    macro cycle is ``steps_per_cycle`` steps: the scenario runner passes
+    ``2^(N_c - 1)``, so one GTS cycle spans the largest cluster step of the
+    LTS clustering it is compared with.
     """
 
     def __init__(
@@ -60,12 +61,17 @@ class GlobalTimeSteppingSolver(SingleRankStepper):
         """Duration of one macro cycle (``steps_per_cycle`` steps)."""
         return self.dt * self.steps_per_cycle
 
+    @property
+    def workspaces(self) -> list:
+        return [self.workspace]
+
     # ------------------------------------------------------------------
     def step(self) -> None:
         """Advance all elements by one global time step."""
         with self.telemetry.region("update"):
-            self.dofs = gts_step(
-                self.disc, self.dofs, self.dt, backend=self.backend, ws=self.workspace
+            gts_step(
+                self.disc, self.dofs, self.dt, backend=self.backend, ws=self.workspace,
+                out=self.dofs,
             )
         for source in self.sources:
             source.inject(self.dofs, self.time, self.time + self.dt)

@@ -4,15 +4,18 @@ The driver advances the mesh cluster by cluster following the rate-2
 schedule of :mod:`repro.core.lts_scheduler`:
 
 * when a cluster starts one of its intervals it *predicts* (time +
-  integrate + traces + volume): the Cauchy-Kowalevski time kernel is
-  evaluated, the three buffers ``B1/B2/B3`` are filled (eq. 17), and the
-  volume increment and the projected own traces are stored;
-* when the interval ends the cluster *corrects* (gather + both surface
-  halves): the face-neighbours' data is gathered from the buffers (same
-  step: ``B1``, smaller step: ``B3``, larger step: ``B2`` or ``B1 - B2``
-  depending on the sub-step parity -- exactly the walkthrough of Fig. 6;
-  the rows are static per cluster and parity), the local and neighbouring
-  surface kernels run and the DOFs advance.
+  integrate + volume): the Cauchy-Kowalevski time kernel is evaluated, the
+  three buffers ``B1/B2/B3`` are filled (eq. 17), and the volume increment
+  goes toward the DOFs (the backend keeps it until the correction);
+* when the interval ends the cluster *corrects* (own traces + gather +
+  both surface halves): the own traces are projected from the cluster's
+  ``B1`` rows, which nothing overwrites before this correction, the
+  face-neighbours' data is gathered from the buffers (same step: ``B1``,
+  smaller step: ``B3``, larger step: ``B2`` or ``B1 - B2`` depending on
+  the sub-step parity -- exactly the walkthrough of Fig. 6; the rows are
+  static per cluster and parity), the local and neighbouring surface
+  kernels run and the DOFs advance.  Between the two phases a cluster
+  holds nothing but its DOFs and its buffer rows.
 
 Every cluster due at a micro step predicts in one kernel dispatch, and every
 cluster whose interval ends after it corrects in one more: the clusters
@@ -29,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..kernels.backend import make_backend
-from ..kernels.discretization import N_ELASTIC, Discretization
+from ..kernels.discretization import Discretization
 from ..mesh.reorder import cluster_ranges
 from ..observability import NULL_TELEMETRY
 from ..source.receivers import ReceiverSet
@@ -77,9 +80,6 @@ class _ClusterData:
         #: the backend's correction gather plans into the buffer store, per
         #: step parity (attached by the solver)
         self.neighbor_plans: tuple = ()
-        #: prediction storage: the volume increment and the projected own
-        #: traces the correction's surface kernels read (bound on first use)
-        self.pending: tuple | None = None
         #: per step parity, the backend's items of each stepping phase
         #: (built on first use)
         self.items: list[dict | None] = [None, None]
@@ -147,6 +147,10 @@ class ClusteredLtsSolver(SingleRankStepper):
         """Duration of one macro cycle (one step of the largest cluster)."""
         return float(self.clustering.cluster_time_steps[-1])
 
+    @property
+    def workspaces(self) -> list:
+        return [cluster.workspace for cluster in self.clusters]
+
     # ------------------------------------------------------------------
     # the items of a cluster's prediction and correction
     # ------------------------------------------------------------------
@@ -156,8 +160,6 @@ class ClusteredLtsSolver(SingleRankStepper):
         parity = cluster.step_index % 2
         items = cluster.items[parity]
         if items is None:
-            if cluster.pending is None:
-                cluster.pending = self._bind_pending(cluster)
             items = cluster.items[parity] = self._cluster_items(cluster, parity)
         return items
 
@@ -167,54 +169,32 @@ class ClusteredLtsSolver(SingleRankStepper):
             "correct": self._correction(cluster, parity),
         }
 
-    def _bind_pending(self, cluster: _ClusterData) -> tuple:
-        """The cluster's ``(delta, traces)`` prediction storage.
-
-        The volume increment and the own traces outlive the prediction
-        until the correction reads them, so they live in the cluster's
-        workspace under names of their own: a micro step allocates nothing.
-        """
-        n = len(cluster.elements)
-        shapes = {
-            "pending_delta": (n,) + self.dofs.shape[1:],
-            "pending_traces": (n, 4, N_ELASTIC, self.disc.n_face_basis) + self.dofs.shape[3:],
-        }
-        if cluster.workspace is None:  # the reference kernels keep no scratch
-            return tuple(np.empty(shape, dtype=self.dofs.dtype) for shape in shapes.values())
-        return tuple(
-            cluster.workspace.scratch(name, shape, self.dofs.dtype)
-            for name, shape in shapes.items()
-        )
-
     def _prediction(self, cluster: _ClusterData, parity: int, rows: slice) -> list:
         """The items of the element-local prediction of a row range of the
         cluster batch: CK time kernel, buffer fill, volume update.
 
         Every contraction is element-local, so any partition of the batch
         (the distributed rank stepper's boundary/interior split) produces
-        bit-identical per-element results.  The increment and the traces
-        land in the cluster's pending rows, and the buffers are filled per
+        bit-identical per-element results.  The buffers are filled per
         element block while its integrals are in cache.
         """
         if rows.start == rows.stop:
             return []
         first = cluster.elements.start
-        delta, traces = cluster.pending
         return self.backend.prediction(
             self.disc, self.dofs, cluster.dt, range(first + rows.start, first + rows.stop),
-            (delta[rows], traces[rows]), ws=cluster.workspace, needs_half=True,
-            fill=BufferFill(self.buffers, parity),
+            BufferFill(self.buffers, parity), ws=cluster.workspace, needs_half=True,
         )
 
     def _correction(self, cluster: _ClusterData, parity: int) -> list:
         """The items of both surface halves and the DOF advance of the
-        cluster: the backend gathers the neighbours straight from the
+        cluster: the backend projects the own traces from the cluster's
+        ``B1`` rows and gathers the neighbours, both straight from the
         buffer store."""
         if len(cluster.elements) == 0:
             return []
-        delta, traces = cluster.pending
         return self.backend.correction(
-            self.disc, self.dofs, cluster.elements, delta, traces, self.buffers.store,
+            self.disc, self.dofs, cluster.elements, self.buffers.store,
             cluster.neighbor_plans[parity], ws=cluster.workspace, halo=self._halo(cluster),
         )
 

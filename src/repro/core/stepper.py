@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..observability import resident_nbytes
 from ..source.moment_tensor import DiscretePointSource, MomentTensorSource, PointForceSource
 
 __all__ = ["SingleRankStepper"]
@@ -28,8 +29,9 @@ __all__ = ["SingleRankStepper"]
 class SingleRankStepper:
     """The protocol members common to the GTS and clustered-LTS solvers.
 
-    Subclasses set ``disc``, ``n_fused``, ``telemetry``, ``dofs``, ``time``
-    and ``n_element_updates`` and define ``macro_dt`` and ``step_cycle``.
+    Subclasses set ``disc``, ``n_fused``, ``telemetry``, ``backend``,
+    ``dofs``, ``time`` and ``n_element_updates`` and define ``macro_dt``,
+    ``workspaces`` and ``step_cycle``.
     """
 
     #: one lane records the wall clock: phase totals need no normalisation
@@ -63,12 +65,36 @@ class SingleRankStepper:
         return {"dofs": self.dofs}
 
     def restore_state(self, arrays, time: float, n_element_updates: int) -> None:
-        """Adopt a :meth:`state_arrays` state (extra entries are ignored)."""
-        self.dofs = arrays["dofs"]
+        """Copy a :meth:`state_arrays` state in (extra entries are ignored):
+        the solver steps its own DOF array, never the caller's."""
+        dofs = np.asarray(arrays["dofs"])
+        if dofs.shape != self.dofs.shape or dofs.dtype != self.dofs.dtype:
+            raise ValueError(
+                f"restored dofs are {dofs.dtype}{list(dofs.shape)}, the solver's are "
+                f"{self.dofs.dtype}{list(self.dofs.shape)}"
+            )
+        np.copyto(self.dofs, dofs)
         self.time = float(time)
         self.n_element_updates = int(n_element_updates)
 
     # -- accounting -----------------------------------------------------
+    def memory_owners(self) -> dict:
+        """MiB held per owner, from the owners' own arrays (each base array
+        once, :func:`~repro.observability.resident_nbytes`): the state
+        ``dofs``, the ``lts_buffers`` (none under GTS), the discretization's
+        ``operators``, the backend's ``kernel_scratch`` (per-thread block
+        scratch; the reference backend's increments) and the batch
+        ``workspaces`` (cached operators, gather plans, kept integrals)."""
+        buffers = getattr(self, "buffers", None)
+        held = {
+            "dofs": self.dofs,
+            "lts_buffers": () if buffers is None else buffers.store,
+            "operators": vars(self.disc),
+            "kernel_scratch": self.backend.scratch_arrays(),
+            "workspaces": [ws.held() for ws in self.workspaces if ws is not None],
+        }
+        return {name: resident_nbytes(value) / 2**20 for name, value in held.items()}
+
     def telemetry_snapshots(self) -> list[dict]:
         """Cumulative per-lane snapshots: the solver's one lane."""
         return [self.telemetry.snapshot()]

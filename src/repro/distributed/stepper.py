@@ -50,8 +50,10 @@ class RankSolver(ClusteredLtsSolver):
     Relies on the subdomain's local element order: a cluster is one run of
     local ids (``cluster.batch`` is a slice) whose leading rows are the
     boundary rows, so both halves of a split prediction address DOFs,
-    buffers and operators through slices, and what a prediction hands to
-    its correction lives in the cluster's kernel workspace.
+    buffers and operators through slices.  A prediction hands its
+    correction nothing but the DOFs and the rank's buffer store: the
+    correction projects the own traces from the cluster's ``B1`` rows,
+    whichever half filled them.
     """
 
     def __init__(

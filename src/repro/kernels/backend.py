@@ -13,8 +13,10 @@ clustered LTS, distributed rank steppers) runs through one of:
   *tolerance-equal* to the reference.
 
 Both split an element update alike: ``local_update`` is the prediction (time
-+ integrate + traces + volume), ``correct`` the correction (gather + both
-surface halves + the DOF advance).  ``FastBackend`` drops the reference
++ integrate + volume), ``correct`` the correction (own traces + gather + both
+surface halves + the DOF advance), with no batch state between the two: the
+own traces come from the batch's ``B1`` rows of the store the correction
+gathers from.  ``FastBackend`` drops the reference
 operation order: its element kernels are a handful of batched GEMMs over
 *stacked* operators (stiffness matrices side by side, star matrices with the
 (variable, direction) pair merged into one contraction axis, coupling blocks
@@ -143,12 +145,9 @@ class KernelWorkspace:
 
     def cached(self, name: str, token, builder):
         """Memoize ``builder()`` under ``(name, token)``."""
-        key = (name, token)
-        value = self._cache.get(key)
-        if value is None:
-            value = builder()
-            self._cache[key] = value
-        return value
+        if (name, token) not in self._cache:
+            self._cache[name, token] = builder()
+        return self._cache[name, token]
 
     def latest(self, name, key: tuple, builder):
         """``builder()``, rebuilt whenever ``key`` differs from the last
@@ -159,6 +158,10 @@ class KernelWorkspace:
         if entry is None or entry[0] != key:
             entry = self._cache["latest", name] = (key, builder())
         return entry[1]
+
+    def held(self) -> tuple:
+        """What this workspace holds: its pools and its cached data."""
+        return self._pools, self._cache
 
     def on(self, scratch: KernelWorkspace) -> KernelWorkspace:
         """A workspace with this one's cached data and ``scratch``'s pools."""
@@ -177,6 +180,10 @@ class ReferenceBackend:
     #: own instance, so kernel-kind timings land in the right rank's lane
     #: (the class default is the shared no-op: direct use stays unmeasured)
     telemetry = NULL_TELEMETRY
+
+    def __init__(self):
+        #: (DOF shape, dtype) -> the predictions' volume increments
+        self._increments: dict = {}
 
     def make_workspace(self) -> KernelWorkspace | None:
         """Reference kernels allocate per call; no workspace is kept."""
@@ -205,36 +212,27 @@ class ReferenceBackend:
     def surface_kernel_neighbor(self, disc, coeffs, elements, ws=None):
         return surface_kernel_neighbor(disc, coeffs, elements)
 
-    # -- prediction (time + integrate + traces + volume) ----------------
+    # -- prediction (time + integrate + volume) -------------------------
     @staticmethod
     def _elastic_rows(derivatives):
         return [d[:, :N_ELASTIC] for d in derivatives]
 
-    def local_update(
-        self, disc, dofs, dt, elements, ws=None, needs_half=False, out=None, fill=None
-    ):
-        """``(delta, elastic_integral, elastic_half_integral, local_traces)``.
+    def local_update(self, disc, dofs, dt, elements, ws=None, needs_half=False, fill=None):
+        """``(elastic_integral, elastic_half_integral)``: the one prediction
+        pipeline every solver runs.  The volume increment goes toward the
+        DOF rows (:meth:`_apply_volume`; they are defined again once
+        :meth:`correct` has run), and the elastic rows of the full-step
+        integral (``B1``) and, with ``needs_half``, of the ``[0, dt/2]`` one
+        (``B2``; ``None`` otherwise) are returned.  With ``fill`` (a
+        :class:`~repro.core.buffers.BufferFill`) each element block's
+        integrals go to ``fill(block, integral, half)`` while in cache --
+        the LTS buffer fill; a block program compiles ``fill.calls(...)``
+        -- and ``None`` is returned."""
+        return self._predict(self.telemetry, disc, dofs, dt, elements, ws, needs_half, fill)
 
-        The one prediction pipeline every solver runs (on every backend):
-        the volume increment, the elastic ``[:, :9]`` rows of the full-step
-        time integral (``B1``, the neighbours' data), with ``needs_half``
-        those of the ``[0, dt/2]`` integral (``B2``; ``None`` otherwise) and
-        the projected own traces.  The derivative stack and the 27-variable
-        integral stay internal.
-
-        ``out = (delta, traces)`` are caller arrays of the batch's rows the
-        increment and the traces are written into (and returned).  With
-        ``fill`` (a :class:`~repro.core.buffers.BufferFill`), each element
-        block's integrals go to ``fill(block, integral, half)`` (``block`` a
-        slice of element ids) while they are in cache -- the LTS buffer fill
-        -- and are returned as ``None``; a block program compiles
-        ``fill.calls(block, integral, half)`` instead.
-        """
-        return self._predict(self.telemetry, disc, dofs, dt, elements, ws, needs_half, out, fill)
-
-    def _predict(self, telemetry, disc, dofs, dt, elements, ws, needs_half, out, fill):
+    def _predict(self, telemetry, disc, dofs, dt, elements, ws, needs_half, fill):
         """:meth:`local_update` with its stage regions on ``telemetry``."""
-        out_delta, out_traces = (None, None) if out is None else out
+        batch = _contiguous_run(elements, len(dofs))
         with telemetry.region("kernel.ck"):
             derivatives = self.compute_time_derivatives(disc, dofs, elements, ws=ws)
         with telemetry.region("kernel.integrate"):
@@ -245,17 +243,31 @@ class ReferenceBackend:
                 half = self.time_integrate(
                     self._elastic_rows(derivatives), 0.0, 0.5 * dt, ws=ws, key="local_half"
                 )
-        with telemetry.region("kernel.trace"):
-            local_traces = self.project_local_traces(disc, elastic, elements, ws=ws, out=out_traces)
+        rows = slice(batch.start, batch.stop)
         with telemetry.region("kernel.volume"):
-            delta = self.volume_kernel(disc, time_integrated, elements, ws=ws, out=out_delta)
+            self._apply_volume(disc, dofs, time_integrated, elements, rows, ws)
         if fill is not None:
-            batch = _contiguous_run(elements, len(dofs))
-            fill(slice(batch.start, batch.stop), elastic, half)
+            fill(rows, elastic, half)
             elastic = half = None
-        return delta, elastic, half, local_traces
+        return elastic, half
 
-    # -- correction (both surface halves + DOF advance) -----------------
+    def _apply_volume(self, disc, dofs, time_integrated, elements, rows: slice, ws) -> None:
+        """The volume increment, kept in this backend's own rows until
+        :meth:`correct` adds it to the DOFs (the reference order)."""
+        self.volume_kernel(disc, time_integrated, elements, out=self._increment(dofs)[rows])
+
+    def _increment(self, dofs) -> np.ndarray:
+        """The increment rows of the ``dofs`` layout (allocated once)."""
+        key = (dofs.shape, dofs.dtype)
+        if key not in self._increments:
+            self._increments[key] = np.empty_like(dofs)
+        return self._increments[key]
+
+    def scratch_arrays(self) -> list:
+        """The arrays the memory ledger counts as ``kernel_scratch``."""
+        return list(self._increments.values())
+
+    # -- correction (own traces + both surface halves + DOF advance) ----
     def neighbor_plan(self, disc, dofs, elements, rows):
         """The static gather plan of a batch's corrections (built once per
         batch and source layout): ``rows[e, i]`` is the ``source`` row of
@@ -277,18 +289,19 @@ class ReferenceBackend:
         mats = disc.neighbor_flux_matrices[classes]
         return np.einsum("nvb...,nbf->nvf...", source[rows], mats)
 
-    def correct(self, disc, dofs, elements, delta, traces, source, plan, ws=None, halo=None):
-        """Both surface halves of a batch, then ``dofs[elements] += delta``.
-
-        ``delta`` (the prediction's volume increment, consumed) gains the
-        local, then the neighbouring surface kernel.  ``traces`` are the
-        batch's own traces, ``source`` the flat ``(R, 9, B[, f])`` neighbour
-        data ``plan`` indexes (the LTS buffer store, the GTS time integral);
+    def correct(self, disc, dofs, elements, source, plan, ws=None, halo=None):
+        """Complete a predicted batch: the kept increment gains the local,
+        then the neighbouring surface kernel, then ``dofs[elements] +=
+        increment``.  ``source`` is the flat ``(R, 9, B[, f])`` integral
+        store ``plan`` indexes (the LTS buffer store, the GTS step
+        integral); its rows ``elements`` (``B1``) give the own traces.
         ``halo`` is ``None`` or ``(faces, payloads)``: ascending face ids
-        ``4 e + i`` whose neighbour coefficients are received payloads.
-        """
+        ``4 e + i`` whose neighbour coefficients are received payloads."""
         batch = _contiguous_run(elements, len(dofs))
         rows = slice(batch.start, batch.stop)
+        with self.telemetry.region("kernel.trace"):
+            traces = self.project_local_traces(disc, source[rows], rows, ws=ws)
+        delta = self._increment(dofs)[rows]
         with self.telemetry.region("kernel.surface_local"):
             # given traces, the kernel only reads its time integral's shape
             delta += self.surface_kernel_local(disc, delta, batch, traces, ws=ws)
@@ -301,20 +314,19 @@ class ReferenceBackend:
         dofs[rows] += delta
 
     # -- dispatch: the items a solver merges across its clusters --------
-    def prediction(self, disc, dofs, dt, elements, out, ws=None, needs_half=False, fill=None):
+    def prediction(self, disc, dofs, dt, elements, fill, ws=None, needs_half=False):
         """:meth:`local_update` of a non-empty batch as items for :meth:`run`,
-        writing ``out = (delta, traces)`` and filling through ``fill``.
-        ``dofs`` gives the layout; the items read the array :meth:`run`
-        hands them."""
+        filling through ``fill``.  ``dofs`` gives the layout; the items read
+        the array :meth:`run` hands them."""
         return [lambda slot, telemetry, dofs: self.local_update(
-            disc, dofs, dt, elements, ws=ws, needs_half=needs_half, out=out, fill=fill
+            disc, dofs, dt, elements, ws=ws, needs_half=needs_half, fill=fill
         )]
 
-    def correction(self, disc, dofs, elements, delta, traces, source, plan, ws=None, halo=None):
+    def correction(self, disc, dofs, elements, source, plan, ws=None, halo=None):
         """:meth:`correct` of a non-empty batch as items for :meth:`run`
         (``halo`` payloads are read when the items run)."""
         return [lambda slot, telemetry, dofs: self.correct(
-            disc, dofs, elements, delta, traces, source, plan, ws=ws, halo=halo
+            disc, dofs, elements, source, plan, ws=ws, halo=halo
         )]
 
     def run(self, items: list, dofs) -> None:
@@ -424,14 +436,14 @@ def _class_segments(sorted_classes: np.ndarray) -> list[tuple[int, int, int]]:
 _BLOCK_STACK_BYTES = 3 << 19
 
 
-#: the public prediction stage methods a block program inlines; an instance
-#: that substitutes one (a tracer timing it, a test spy) runs its blocks
-#: through them instead
-_PREDICTION_STAGES = frozenset(
+#: the public stage methods a block program inlines; an instance that
+#: substitutes one (a tracer timing it, a test spy) runs its prediction
+#: blocks and its corrections' own traces through them instead
+_STAGES = frozenset(
     ("compute_time_derivatives", "time_integrate", "project_local_traces", "volume_kernel")
 )
 #: what a solver's merged dispatch reaches per batch once one is substituted
-_SUBSTITUTABLE = _PREDICTION_STAGES | {"local_update", "correct"}
+_SUBSTITUTABLE = _STAGES | {"local_update", "correct"}
 
 
 def _view(array: np.ndarray, shape: tuple) -> np.ndarray:
@@ -452,20 +464,21 @@ class _Program:
 
     ``stages`` are ``(telemetry region or None, calls)``; the DOFs are the
     one operand bound per run -- a prediction copies its block's rows into
-    ``operand`` (the derivative stack's first entry) before the calls, a
-    correction adds ``operand`` (the increment) to them after.
+    ``load`` (the derivative stack's first entry) before the calls, and
+    every program adds ``store`` (a prediction's volume increment, a
+    correction's surface terms) to them after.
     """
 
-    __slots__ = ("block", "operand", "reads", "stages", "calls")
+    __slots__ = ("block", "load", "store", "stages", "calls")
 
-    def __init__(self, block: slice, operand, reads: bool, stages: list):
-        self.block, self.operand, self.reads, self.stages = block, operand, reads, stages
+    def __init__(self, block: slice, load, store, stages: list):
+        self.block, self.load, self.store, self.stages = block, load, store, stages
         self.calls = [call for _, calls in stages for call in calls]
 
     def run(self, dofs, telemetry) -> None:
         rows = dofs[self.block]
-        if self.reads:
-            np.copyto(self.operand, rows)
+        if self.load is not None:
+            np.copyto(self.load, rows)
         if telemetry.enabled:
             for name, calls in self.stages:
                 if name is None:
@@ -476,8 +489,23 @@ class _Program:
         else:
             for call, args in self.calls:
                 call(*args)
-        if not self.reads:
-            np.add(rows, self.operand, out=rows)
+        np.add(rows, self.store, out=rows)
+
+
+class _Keep:
+    """The ``fill`` of a fill-less :meth:`FastBackend.local_update`: block
+    integrals copied into the batch-sized arrays its caller reads."""
+
+    def __init__(self, start: int, integral, half):
+        self.start, self.integral, self.half = start, integral, half
+
+    def calls(self, elements: slice, elastic_integral, elastic_half) -> list:
+        rows = slice(elements.start - self.start, elements.stop - self.start)
+        pairs = ((self.integral, elastic_integral), (self.half, elastic_half))
+        return [(np.copyto, (kept[rows], value)) for kept, value in pairs if value is not None]
+
+    def __call__(self, *args) -> None:
+        _run(self.calls(*args))
 
 
 class _Block:
@@ -518,7 +546,10 @@ class FastBackend(ReferenceBackend):
     slab passes on the half of the columns the degree-lowering stiffness
     matrices populate or read), the Taylor integral is a GEMV per element,
     the correction is :meth:`correct`'s fused pass, and any fused axis rides
-    as GEMM columns so scalar and fused batches run the same lines.
+    as GEMM columns so scalar and fused batches run the same lines.  A
+    prediction adds its volume increment to the DOF rows and the correction
+    its surface terms: ``(dofs + volume) + surface``, where the reference
+    adds ``dofs + ((volume + local) + neighbouring)``.
 
     Both halves walk a batch in L2-sized element blocks.  A block is
     compiled once per pool thread into a :class:`_Program` (the stage
@@ -539,16 +570,20 @@ class FastBackend(ReferenceBackend):
     name = "fast"
 
     def __init__(self):
+        super().__init__()
         #: transient block scratch: one workspace per pool thread, shared by
-        #: every batch this backend runs (a batch's cached data, pending rows
-        #: and outputs stay in its own workspace)
+        #: every batch this backend runs (a batch's cached data and kept
+        #: integrals stay in its own workspace)
         self._thread_scratch: list[KernelWorkspace] = [KernelWorkspace()]
-        #: the current dispatch runs its predictions through the stage
-        #: methods (an instance substitutes one of them)
+        #: the current dispatch runs its predictions and own traces through
+        #: the stage methods (an instance substitutes one of them)
         self._staged = False
 
     def make_workspace(self) -> KernelWorkspace:
         return KernelWorkspace()
+
+    def scratch_arrays(self) -> list:
+        return [pool for ws in self._thread_scratch for pool in ws._pools.values()]
 
     # ------------------------------------------------------------------
     # helpers
@@ -601,7 +636,7 @@ class FastBackend(ReferenceBackend):
         n_threads = min(len(items), pool.n_threads) if pool is not None else 1
         while len(self._thread_scratch) < n_threads:
             self._thread_scratch.append(KernelWorkspace())
-        self._staged = not _PREDICTION_STAGES.isdisjoint(vars(self))
+        self._staged = not _STAGES.isdisjoint(vars(self))
         telemetry = self.telemetry
         if n_threads == 1:
             for item in items:
@@ -783,21 +818,22 @@ class FastBackend(ReferenceBackend):
         return result
 
     def _volume_calls(self, disc, time_integrated, elements, ws, out):
-        """``(calls, out)`` of the volume kernel into ``out`` (scratch when
-        ``None``; a non-contiguous ``out`` receives a copy)."""
-        kcat = self._disc_data(disc).kcat_vol
-        if out is not None and out.flags.c_contiguous:  # the operator reshapes ``out``
-            return self._space_operator_calls(disc, kcat, time_integrated, out, elements, ws), out
-        y = self._scratch(ws, "vol_out", time_integrated.shape, time_integrated.dtype)
-        calls = self._space_operator_calls(disc, kcat, time_integrated, y, elements, ws)
+        """``(calls, out)`` of the volume kernel into ``out`` (C-contiguous:
+        the operator reshapes it; scratch when ``None``)."""
         if out is None:
-            return calls, y
-        return calls + [(np.copyto, (out, y))], out
+            out = self._scratch(ws, "vol_out", time_integrated.shape, time_integrated.dtype)
+        kcat = self._disc_data(disc).kcat_vol
+        return self._space_operator_calls(disc, kcat, time_integrated, out, elements, ws), out
 
     def volume_kernel(self, disc, time_integrated, elements, ws=None, out=None):
         calls, out = self._volume_calls(disc, time_integrated, elements, ws, out)
         _run(calls)
         return out
+
+    def _apply_volume(self, disc, dofs, time_integrated, elements, rows: slice, ws) -> None:
+        """The volume increment, added to the DOF rows right away."""
+        increment = self.volume_kernel(disc, time_integrated, elements, ws=ws)
+        dofs[rows] += increment
 
     # ------------------------------------------------------------------
     # cache-blocked local update
@@ -814,68 +850,43 @@ class FastBackend(ReferenceBackend):
             for i in range(0, n, size)
         ]
 
-    def local_update(
-        self, disc, dofs, dt, elements, ws=None, needs_half=False, out=None, fill=None
-    ):
+    def local_update(self, disc, dofs, dt, elements, ws=None, needs_half=False, fill=None):
         """The shared pipeline, one L2-sized element block at a time
-        (:meth:`prediction`, then :meth:`run`): no cluster-sized derivative
-        stack or 27-variable integral exists, and only the arrays callers
-        read land in batch-sized storage -- the caller's ``out`` rows, and
-        the integrals only without ``fill`` (with it, each block's
-        integrals fill the buffers straight from cache).
-
+        (:meth:`prediction`, then :meth:`run`): each block adds its volume
+        increment to its DOF rows from block scratch, and only the
+        integrals a fill-less caller reads land in batch-sized storage.
         With ``ws`` the blocks are kept for the next call with the same
-        outputs, so a repeated call (a GTS step, a one-element batch) pays
-        its compilation once.  The blocks are shared among the pool's
-        threads, so ``fill`` may run on several threads at once, on
-        disjoint blocks.
-        """
+        outputs (a GTS step, a one-element batch compile once).  ``fill``
+        may run on several pool threads at once, on disjoint blocks."""
         batch = _contiguous_run(elements, len(dofs))
-        n, dtype = len(batch), dofs.dtype
-        if out is None:
-            delta = self._scratch(ws, "lu_delta", (n,) + dofs.shape[1:], dtype)
-            traces_shape = (n, 4, N_ELASTIC, disc.n_face_basis) + dofs.shape[3:]
-            out = (delta, self._scratch(ws, "lu_traces", traces_shape, dtype))
         integral = half = None
         if fill is None:  # the caller reads the integrals: keep them batch-sized
-            elastic_shape = (n, N_ELASTIC) + dofs.shape[2:]
-            integral = self._scratch(ws, "lu_integral", elastic_shape, dtype)
-            half = self._scratch(ws, "lu_half", elastic_shape, dtype) if needs_half else None
+            shape = (len(batch), N_ELASTIC) + dofs.shape[2:]
+            integral = self._scratch(ws, "lu_integral", shape, dofs.dtype)
+            half = self._scratch(ws, "lu_half", shape, dofs.dtype) if needs_half else None
 
         def build():
-            return self.prediction(
-                disc, dofs, dt, batch, out, ws, needs_half, fill, integrals=(integral, half)
-            )
+            keep = _Keep(batch.start, integral, half) if fill is None else fill
+            return self.prediction(disc, dofs, dt, batch, keep, ws, needs_half)
 
-        key = (batch.start, batch.stop, dofs.shape[1:], dtype, dt, needs_half) + tuple(
-            map(id, (disc, fill, integral, half) + tuple(out))
-        )
-        items = build() if ws is None else ws.latest("prediction", key, build)
-        self._dispatch(items, dofs)
-        return out[0], integral, half, out[1]
+        key = (batch.start, batch.stop, dofs.shape[1:], dofs.dtype, dt, needs_half,
+               *map(id, (disc, fill, integral, half)))
+        self._dispatch(build() if ws is None else ws.latest("prediction", key, build), dofs)
+        return integral, half
 
-    def prediction(
-        self, disc, dofs, dt, elements, out, ws=None, needs_half=False, fill=None,
-        integrals=(None, None),
-    ):
+    def prediction(self, disc, dofs, dt, elements, fill, ws=None, needs_half=False):
         """One :class:`_Block` item per element block of a batch's
-        :meth:`local_update`: ``out = (delta, traces)`` are the batch's
-        rows, ``integrals`` the batch-sized integral (and half) arrays a
-        fill-less call keeps.  ``dofs`` gives the layout (the items read
-        the array :meth:`run` hands them)."""
+        :meth:`local_update`, filling through ``fill``.  ``dofs`` gives the
+        layout (the items read the array :meth:`run` hands them)."""
         batch = _contiguous_run(elements, len(dofs))
         # what every block only reads, built here rather than on a pool thread
         self._disc_data(disc).relaxation(math.prod(dofs.shape[2:]))
-        whole = ("local_update", disc, (dt, batch), dict(
-            ws=ws, needs_half=needs_half, out=out, fill=fill
-        ))
+        whole = ("local_update", disc, (dt, batch), dict(ws=ws, needs_half=needs_half, fill=fill))
         items = []
-        for rows, block in self._block_plan(disc, dofs, batch):
-            out_rows = (out[0][rows], out[1][rows])
-            keep = tuple(None if a is None else a[rows] for a in integrals)
+        for _, block in self._block_plan(disc, dofs, batch):
             if ws is not None:
                 self._stacked_ops(disc, block, ws)
-            args = (disc, dt, block, ws, needs_half, out_rows, keep, fill)
+            args = (disc, dt, block, ws, needs_half, fill)
             items.append(_Block(
                 self,
                 partial(self._compile_prediction, dofs.shape, dofs.dtype, *args),
@@ -883,67 +894,46 @@ class FastBackend(ReferenceBackend):
             ))
         return items
 
-    def _compile_prediction(
-        self, shape, dtype, disc, dt, block, ws, needs_half, out, keep, fill, scratch
-    ) -> _Program:
+    def _compile_prediction(self, shape, dtype, disc, dt, block, ws, needs_half, fill, scratch):
         """A block's :meth:`_predict` pipeline as a program on ``scratch``."""
         ws = None if ws is None else ws.on(scratch)
         stack = self._scratch(ws, "ck_stack", (disc.order, block.stop - block.start) + shape[1:],
                               dtype)
         derivatives = self._derivative_calls(disc, stack, block, ws)
         integrate, integral = self._integral_calls(stack, 0.0, dt, ws, "local_ti")
-        elastic, half = integral[:, :N_ELASTIC], None
+        half = None
         if needs_half:
             calls, half = self._integral_calls(
                 self._elastic_rows(stack), 0.0, 0.5 * dt, ws, "local_half"
             )
             integrate += calls
-        traces = self._trace_calls(disc, elastic, ws, out[1])[0]
-        volume = self._volume_calls(disc, integral, block, ws, out[0])[0]
-        if fill is not None:
-            fills = fill.calls(block, elastic, half)
-        else:
-            fills = [(np.copyto, (keep[0], elastic))]
-            if needs_half:
-                fills.append((np.copyto, (keep[1], half)))
-        return _Program(block, stack[0], True, [
+        volume, increment = self._volume_calls(disc, integral, block, ws, None)
+        return _Program(block, stack[0], increment, [
             ("kernel.ck", derivatives), ("kernel.integrate", integrate),
-            ("kernel.trace", traces), ("kernel.volume", volume), (None, fills),
+            ("kernel.volume", volume), (None, fill.calls(block, integral[:, :N_ELASTIC], half)),
         ])
 
-    def _staged_prediction(
-        self, disc, dt, block, ws, needs_half, out, keep, fill, scratch, telemetry, dofs
-    ) -> None:
+    def _staged_prediction(self, disc, dt, block, ws, needs_half, fill, scratch, telemetry, dofs):
         """A block through the public stage methods (:meth:`_predict`)."""
         ws = None if ws is None else ws.on(scratch)
-        _, integral, half, _ = self._predict(
-            telemetry, disc, dofs, dt, block, ws, needs_half, out, fill
-        )
-        if fill is None:
-            keep[0][...] = integral
-            if needs_half:
-                keep[1][...] = half
+        self._predict(telemetry, disc, dofs, dt, block, ws, needs_half, fill)
 
     # ------------------------------------------------------------------
-    # surface half: own traces (prediction) and the fused correction
+    # surface half: the fused correction, own traces first
     # ------------------------------------------------------------------
     def _trace_calls(self, disc, time_integrated_elastic, ws, out):
         """``(calls, out)`` of the trace projection: one grouped ``(B, 4 F)``
         contraction, then one regrouping copy into ``out``."""
-        data = self._disc_data(disc)
-        te = time_integrated_elastic
-        E = te.shape[0]
-        n_face_basis = disc.n_face_basis
-        fused = te.shape[3:]
-        grouped = self._scratch(ws, "traces_grouped", (E, N_ELASTIC, 4 * n_face_basis) + fused,
-                                te.dtype)
+        te, F = time_integrated_elastic, disc.n_face_basis
+        E, fused = te.shape[0], te.shape[3:]
+        grouped = self._scratch(ws, "traces_grouped", (E, N_ELASTIC, 4 * F) + fused, te.dtype)
         if out is None:
-            out = self._scratch(ws, "traces", (E, 4, N_ELASTIC, n_face_basis) + fused, te.dtype)
-        # regroup (E, 9, (i, F)) -> (E, 4, 9, F): one contiguous copy so the
-        # correction (and the halo payload path) sees the public layout
-        split = _view(grouped, (E, N_ELASTIC, 4, n_face_basis) + fused)
+            out = self._scratch(ws, "traces", (E, 4, N_ELASTIC, F) + fused, te.dtype)
+        # regroup (E, 9, (i, F)) -> (E, 4, 9, F): one contiguous copy into
+        # the public layout (the correction's per-face operand rows)
+        split = _view(grouped, (E, N_ELASTIC, 4, F) + fused)
         return [
-            self._basis_call(te, data.ftilde_flat, grouped),
+            self._basis_call(te, self._disc_data(disc).ftilde_flat, grouped),
             (np.copyto, (out, np.moveaxis(split, 2, 1))),
         ], out
 
@@ -952,6 +942,14 @@ class FastBackend(ReferenceBackend):
         calls, out = self._trace_calls(disc, time_integrated_elastic, ws, out)
         _run(calls)
         return out
+
+    def _own_traces(self, calls, disc, te, block, ws, out) -> None:
+        """A correction block's own traces: its compiled ``calls``, or the
+        public stage method while an instance substitutes one."""
+        if self._staged:
+            self.project_local_traces(disc, te, block, ws=ws, out=out)
+        else:
+            _run(calls)
 
     def neighbor_plan(self, disc, dofs, elements, rows):
         """``[(rows, block, source_rows, segments, operand_rows), ...]`` per
@@ -1010,37 +1008,35 @@ class FastBackend(ReferenceBackend):
         calls = [(source.take, (rows, 0, gathered, "clip"))]
         return calls + [self._basis_call(gathered[a:b], fbar[u], out[a:b]) for u, a, b in segments]
 
-    def correct(self, disc, dofs, elements, delta, traces, source, plan, ws=None, halo=None):
+    def correct(self, disc, dofs, elements, source, plan, ws=None, halo=None):
         """The fused correction (:meth:`correction`, then :meth:`run`); with
         ``ws`` the blocks are kept for the next call on the same arrays."""
         def build():
-            return self.correction(disc, dofs, elements, delta, traces, source, plan, ws, halo)
+            return self.correction(disc, dofs, elements, source, plan, ws, halo)
 
-        key = (dofs.shape[1:], dofs.dtype) + tuple(
-            map(id, (disc, delta, traces, source, plan) + (halo or ()))
-        )
+        key = (dofs.shape[1:], dofs.dtype) + tuple(map(id, (disc, source, plan) + (halo or ())))
         self._dispatch(build() if ws is None else ws.latest("correction", key, build), dofs)
 
-    def correction(self, disc, dofs, elements, delta, traces, source, plan, ws=None, halo=None):
+    def correction(self, disc, dofs, elements, source, plan, ws=None, halo=None):
         """One :class:`_Block` item per block of ``plan``: the fused
-        correction on block-sized scratch -- one GEMM per face from the
-        source rows, grouped by ``F_bar`` class (halo payloads overlaid),
-        one flux solve of ``[flux_local | flux_neigh]`` against ``[own
+        correction on block-sized scratch -- the own traces from the block's
+        ``source`` rows, one GEMM per face from the neighbours' rows grouped
+        by ``F_bar`` class (halo payloads overlaid, read when the items
+        run), one flux solve of ``[flux_local | flux_neigh]`` against ``[own
         traces | neighbour coefficients]``, one back-projection and omega
-        scaling, accumulated into ``delta`` and the DOFs.  ``halo`` is read
-        when the items run."""
+        scaling, added to the DOFs."""
         data = self._disc_data(disc)
-        whole = ("correct", disc, (elements, delta, traces, source, plan), dict(ws=ws, halo=halo))
+        whole = ("correct", disc, (elements, source, plan), dict(ws=ws, halo=halo))
         return [
             _Block(self, partial(
                 self._compile_correction, disc, data, dofs.dtype, dofs.shape[3:], entry,
-                delta, traces, source, ws, halo,
+                source, ws, halo,
             ), batch=whole)
             for entry in plan
         ]
 
     def _compile_correction(
-        self, disc, data, dtype, fused, entry, delta, traces, source, ws, halo, scratch
+        self, disc, data, dtype, fused, entry, source, ws, halo, scratch
     ) -> _Program:
         ws = None if ws is None else ws.on(scratch)
         rows, block, source_rows, segments, operand_rows = entry
@@ -1052,8 +1048,12 @@ class FastBackend(ReferenceBackend):
             return self._scratch(ws, name, shape + fused, dtype)
 
         proj = scratch_of("corr_proj", (n_int + 4 * E,) + face[:2])
+        # the own traces, projected from the block's own source rows (B1)
+        own = _view(proj[n_int:], (E, 4) + face)
+        te = source[block]
+        traces = [(self._own_traces, (self._trace_calls(disc, te, ws, own)[0],
+                                      disc, te, block, ws, own))]
         calls = self._class_calls(disc, source, source_rows, segments, proj, ws, "corr_gather")
-        calls.append((np.copyto, (proj[n_int:], _view(traces[rows], (4 * E,) + face))))
         operand = scratch_of("corr_operand", (E, 4, 2 * N_ELASTIC, n_face_basis))
         calls.append((proj.take, (operand_rows, 0, _view(operand, (8 * E,) + face), "clip")))
         if halo is not None:  # the block's run of the ascending face ids
@@ -1071,9 +1071,9 @@ class FastBackend(ReferenceBackend):
         common = surface[:, N_ELASTIC:n_rows]
         for l in range(disc.n_mechanisms - 1, -1, -1):
             calls.append((np.multiply, (common, disc.omegas[l], surface[:, N_ELASTIC + 6 * l :][:, :6])))
-        increment = delta[rows]
-        calls.append((np.add, (increment, surface, increment)))
-        return _Program(block, increment, False, [("kernel.surface_neighbor", calls)])
+        return _Program(block, None, surface, [
+            ("kernel.trace", traces), ("kernel.surface_neighbor", calls),
+        ])
 
     def _flux_calls(self, data, flux, face_coeffs, out, ws, name) -> list:
         """``out[e, v] = sum_i (flux[e, i] @ face_coeffs[e, i])[v] @

@@ -7,7 +7,11 @@ face-neighbours' time-integrated data).  The split is what allows EDGE to
 hide communication behind computation and is preserved here because the
 split is also the backbone of the LTS scheme: the local surface kernel runs
 with the neighbouring one, so both share one flux solve and one
-back-projection on the fast backend.
+back-projection on the fast backend, and both read the traces the
+correction projects from the element's own time integral.  A backend's
+prediction leaves the volume increment on its way into the DOFs and its
+correction completes the update in place, so :func:`gts_step` steps a copy
+(or the array it is handed).
 """
 
 from __future__ import annotations
@@ -31,21 +35,22 @@ def local_update(
     elements: np.ndarray | slice = slice(None),
     backend=None,
     ws=None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Local part of an element update over ``[t, t + dt]``.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Local part of an element update over ``[t, t + dt]``, composed from
+    the backend's stage methods (``dofs`` is only read).
 
-    Returns ``(delta, elastic_time_integral, local_traces)``: the volume
-    increment, the elastic ``(E, 9, B)`` rows of the time-integrated DOFs
-    (what face neighbours read) and their projected face traces (what both
-    surface kernels read).  ``backend`` selects the kernel-execution
-    strategy (reference kernels by default); with a workspace-backed
-    backend the returned arrays are scratch views valid until the backend's
-    next call on the same workspace.
+    Returns ``(delta, elastic_time_integral)``: the volume increment and
+    the elastic ``(E, 9, B)`` rows of the time-integrated DOFs (what face
+    neighbours and the element's own traces read).  ``backend`` selects
+    the kernel-execution strategy (reference kernels by default); with a
+    workspace-backed backend the returned arrays are scratch views valid
+    until the backend's next call on the same workspace.
     """
-    delta, elastic_integral, _, local_traces = (backend or _REFERENCE).local_update(
-        disc, dofs, dt, elements, ws=ws
-    )
-    return delta, elastic_integral, local_traces
+    backend = backend or _REFERENCE
+    derivatives = backend.compute_time_derivatives(disc, dofs, elements, ws=ws)
+    time_integrated = backend.time_integrate(derivatives, 0.0, dt, ws=ws)
+    delta = backend.volume_kernel(disc, time_integrated, elements, ws=ws)
+    return delta, time_integrated[:, :N_ELASTIC]
 
 
 def neighbor_update(
@@ -55,23 +60,20 @@ def neighbor_update(
     elements: np.ndarray,
     backend=None,
     ws=None,
-    own_traces: np.ndarray | None = None,
 ) -> np.ndarray:
     """Surface part of an element update: the local plus the neighbouring
     surface kernel, composed from the backend's stage methods.
 
     ``neighbor_time_integrated_elastic`` has shape ``(E, 4, 9, B[, n_fused])``
     and contains, per face, the neighbour's elastic time-integrated DOFs over
-    the element's time interval.  ``own_traces`` optionally reuses the local
-    step's projected traces (recomputing them from the elastic rows of
-    ``own_time_integrated`` yields identical values).  ``local_update``'s
-    delta plus this increment is one element update.
+    the element's time interval; the own traces are projected from the
+    elastic rows of ``own_time_integrated``.  ``local_update``'s delta plus
+    this increment is one element update.
     """
     backend = backend or _REFERENCE
-    if own_traces is None:
-        own_traces = backend.project_local_traces(
-            disc, own_time_integrated[:, :N_ELASTIC], elements, ws=ws
-        )
+    own_traces = backend.project_local_traces(
+        disc, own_time_integrated[:, :N_ELASTIC], elements, ws=ws
+    )
     surface = backend.surface_kernel_local(
         disc, own_time_integrated, elements, own_traces, ws=ws
     )
@@ -82,23 +84,28 @@ def neighbor_update(
 
 
 def gts_step(
-    disc: Discretization, dofs: np.ndarray, dt: float, backend=None, ws=None
+    disc: Discretization, dofs: np.ndarray, dt: float, backend=None, ws=None, out=None
 ) -> np.ndarray:
     """One global time step over all elements (the classic ADER-DG update).
 
     This is the reference implementation used by the GTS solver and by the
-    LTS correctness tests; it returns the new DOF array.  The correction
-    gathers the neighbours straight from the step's time integral; a
-    workspace-backed backend keeps the gather plan in ``ws``.
+    LTS correctness tests.  It steps ``out`` -- a copy of ``dofs`` by
+    default, ``out=dofs`` steps in place -- and returns it.  The correction
+    gathers the neighbours and the own traces straight from the step's
+    time integral; a workspace-backed backend keeps the gather plan in
+    ``ws``.
     """
     backend = backend or _REFERENCE
+    if out is None:
+        out = dofs.copy()
+    elif out is not dofs:
+        np.copyto(out, dofs)
     elements = range(disc.n_elements)
-    delta, te, _, local_traces = backend.local_update(disc, dofs, dt, elements, ws=ws)
+    te, _ = backend.local_update(disc, out, dt, elements, ws=ws)
     neighbors = disc.mesh.neighbors
     build = lambda: backend.neighbor_plan(
-        disc, dofs, elements, np.where(neighbors >= 0, neighbors, 0)
+        disc, out, elements, np.where(neighbors >= 0, neighbors, 0)
     )
-    plan = build() if ws is None else ws.cached("gts_plan", dofs.shape, build)
-    stepped = dofs.copy()
-    backend.correct(disc, stepped, elements, delta, local_traces, te, plan, ws=ws)
-    return stepped
+    plan = build() if ws is None else ws.cached("gts_plan", out.shape, build)
+    backend.correct(disc, out, elements, te, plan, ws=ws)
+    return out

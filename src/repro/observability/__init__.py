@@ -17,6 +17,7 @@ from .events import (
     peak_rss_mb,
     provenance_block,
     read_ledger,
+    resident_nbytes,
     spec_content_hash,
     validate_run_ledger,
 )
@@ -53,6 +54,7 @@ __all__ = [
     "peak_rss_mb",
     "provenance_block",
     "read_ledger",
+    "resident_nbytes",
     "spec_content_hash",
     "validate_run_ledger",
     "analyze_run",

@@ -50,6 +50,7 @@ __all__ = [
     "speedup_block",
     "kernel_stage_block",
     "ledger_block",
+    "memory_block",
     "comparison_block",
     "analyze_run",
     "build_report",
@@ -351,6 +352,20 @@ def kernel_stage_block(summary: dict) -> dict | None:
     return stages or None
 
 
+def memory_block(summary: dict) -> dict | None:
+    """The single-rank run's resident MiB by owner, their total and the
+    peak RSS they sit in."""
+    memory = summary.get("memory") or {}
+    owned = memory.get("owned_mb")
+    if not owned:
+        return None
+    return {
+        "owned_mb": owned,
+        "total_mb": float(sum(owned.values())),
+        "peak_rss_mb": memory.get("peak_rss_mb"),
+    }
+
+
 def ledger_block(records: list[dict]) -> dict | None:
     """Progress analytics of the per-cycle ledger records."""
     if not records:
@@ -436,6 +451,7 @@ def analyze_run(run: dict, gts_summary: dict | None = None) -> dict:
         "imbalance": imbalance_block(summary) if summary else None,
         "lts_speedup": speedup_block(summary, gts_summary) if summary else None,
         "kernel_stages": kernel_stage_block(summary) if summary else None,
+        "memory": memory_block(summary) if summary else None,
         "ledger": ledger_block(run.get("ledger") or []),
         "startup": summary.get("startup") if summary else None,
     }
@@ -569,6 +585,15 @@ def _render_run(entry: dict) -> list[str]:
                 f"  {stage:<17} {row['seconds']:8.3g} s  "
                 f"{row['gflop']:8.3g} GFLOP  {row['gflop_per_s']:8.3g} GFLOP/s"
             )
+
+    memory = blocks.get("memory")
+    if memory:
+        lines.append(
+            f"Memory owners: {memory['total_mb']:.1f} MiB of peak RSS "
+            f"{_fmt(memory.get('peak_rss_mb'), '{:.0f}')} MiB"
+        )
+        for owner, mib in memory["owned_mb"].items():
+            lines.append(f"  {owner:<17} {mib:8.1f} MiB")
 
     ledger = blocks.get("ledger")
     if ledger:

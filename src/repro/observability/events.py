@@ -29,6 +29,8 @@ import time
 from functools import lru_cache
 from pathlib import Path
 
+import numpy as np
+
 __all__ = [
     "LEDGER_FORMAT_VERSION",
     "DurableJsonl",
@@ -39,6 +41,7 @@ __all__ = [
     "provenance_block",
     "host_block",
     "peak_rss_mb",
+    "resident_nbytes",
     "read_jsonl",
     "read_ledger",
     "validate_run_ledger",
@@ -147,6 +150,25 @@ def peak_rss_mb(children: bool = False) -> float:
     who = resource.RUSAGE_CHILDREN if children else resource.RUSAGE_SELF
     scale = 1.0 if sys.platform == "darwin" else 1024.0
     return resource.getrusage(who).ru_maxrss * scale / 1024.0**2
+
+
+def resident_nbytes(held) -> int:
+    """Bytes of the distinct arrays in ``held`` (an array, or dicts, lists
+    and tuples nesting them): a view counts through its base array, and
+    every base array once -- an owner's own ``nbytes``, no allocation
+    tracing."""
+    bases, stack = {}, [held]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, np.ndarray):
+            while isinstance(value.base, np.ndarray):
+                value = value.base
+            bases[id(value)] = value.nbytes
+        elif isinstance(value, dict):
+            stack.extend(value.values())
+        elif isinstance(value, (list, tuple)):
+            stack.extend(value)
+    return sum(bases.values())
 
 
 def _platform_stamp() -> str:

@@ -675,6 +675,8 @@ class ScenarioRunner:
             "checkpoint_s": self.checkpoint_s,
         }
         out["memory"] = peak_memory()
+        if not hasattr(self, "engine"):  # one solver: its resident bytes by owner
+            out["memory"]["owned_mb"] = self.solver.memory_owners()
         if self.telemetry_config.enabled:
             out["telemetry"] = self.telemetry_block()
         accuracy = self.accuracy()

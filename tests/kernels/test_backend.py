@@ -7,7 +7,9 @@ The contract of the backend layer:
 * every ``ReferenceBackend`` stage method is its kernel function, bit for
   bit, and the ``local_update`` pipeline returns only the elastic rows of
   the time integrals, its ``[0, dt/2]`` integral being exactly the one the
-  LTS buffers used to compute themselves;
+  LTS buffers used to compute themselves; its ``correct`` projects the own
+  traces from the integral store and completes the update in the reference
+  order;
 * on both kinds, every stage a solver runs is looked up on the backend
   instance, so a wrapper installed there by name sees every call -- the
   correction composes the three surface stages on ``ref`` and is one fused
@@ -100,14 +102,14 @@ class TestReferencePipeline:
         dt = float(disc.time_steps.min())
         derivatives = compute_time_derivatives(disc, dofs, elements)
         expected = time_integrate([d[:, :N_ELASTIC] for d in derivatives], 0.0, 0.5 * dt)
-        _, integral, half, _ = backend.local_update(
+        integral, half = backend.local_update(
             disc, dofs, dt, elements, ws=backend.make_workspace(), needs_half=True
         )
         assert np.array_equal(half, expected)
         full = time_integrate(derivatives, 0.0, dt)[:, :N_ELASTIC]
         assert np.array_equal(integral, full)
         assert integral.shape[1] == N_ELASTIC  # only the elastic rows leave
-        assert backend.local_update(disc, dofs, dt, elements)[2] is None
+        assert backend.local_update(disc, dofs, dt, elements)[1] is None
 
     @pytest.mark.parametrize("n_fused", [0, 2])
     def test_stage_methods_are_the_reference_kernels(self, disc, n_fused):
@@ -138,14 +140,15 @@ class TestReferencePipeline:
             backend.surface_kernel_neighbor(disc, coeffs, elements),
             surface_kernel_neighbor(disc, coeffs, elements),
         )
-        delta, integral, _, local_traces = backend.local_update(disc, dofs, dt, elements)
-        assert np.array_equal(delta, volume)
+        before = dofs.copy()
+        integral, _ = backend.local_update(disc, dofs, dt, elements)
+        assert np.array_equal(dofs, before)  # the increment waits in the backend
         assert np.array_equal(integral, elastic)
-        assert np.array_equal(local_traces, traces)
-        # the correction: (volume + local) + neighbouring, then the advance
+        # the correction: own traces from the store's batch rows, then
+        # (volume + local) + neighbouring, then the advance
         expected = dofs + (volume + local + surface_kernel_neighbor(disc, coeffs, elements))
         plan = backend.neighbor_plan(disc, dofs, elements, np.maximum(disc.mesh.neighbors, 0))
-        backend.correct(disc, dofs, range(disc.n_elements), delta, traces, elastic, plan)
+        backend.correct(disc, dofs, range(disc.n_elements), integral, plan)
         assert np.array_equal(dofs, expected)
 
 

@@ -7,9 +7,11 @@ tolerance ladder over whole runs (tests/verification/).  Bit-identity with
 the reference is explicitly NOT promised.  What *is* bitwise is the backend
 against itself: every contraction is per element or per face, so how
 ``local_update`` cuts a batch into cache-sized blocks (or which batch an
-element is part of) does not change a single bit.  The fused correction
-(``correct``) is held to the reference composition ``neighbor_data`` ->
-``neighbor_face_coefficients`` -> both surface kernels, on every block cut.
+element is part of) does not change a single bit.  A fast prediction adds
+its volume increment to the DOF rows; the fused correction (``correct``)
+projects the own traces from the source's batch rows and is held to the
+reference composition ``neighbor_data`` -> ``neighbor_face_coefficients``
+-> both surface kernels, on every block cut.
 """
 
 import os
@@ -30,6 +32,7 @@ from repro.kernels import threads
 from repro.kernels.ader import compute_time_derivatives
 from repro.kernels.backend import FastBackend, ReferenceBackend, make_backend
 from repro.kernels.discretization import Discretization, N_ELASTIC
+from repro.kernels.update import local_update
 from repro.kernels.volume import volume_kernel
 from repro.mesh import BOUNDARY_ABSORBING, BOUNDARY_FREE_SURFACE
 from repro.mesh.generation import box_mesh
@@ -68,11 +71,12 @@ def _set_block_elements(monkeypatch, disc, dofs, n_elements):
     monkeypatch.setattr(backend_module, "_BLOCK_STACK_BYTES", n_elements * per_element)
 
 
-def _reference_correction(disc, batch, delta, traces, neighbor_te, halo=None):
-    """The increment of a correction as the reference composes it:
-    coefficients (halo payloads overlaid), then ``(delta + S_local) +
-    S_neigh``."""
+def _reference_correction(disc, batch, delta, own_te, neighbor_te, halo=None):
+    """The increment of a correction as the reference composes it: own
+    traces of ``own_te``, coefficients (halo payloads overlaid), then
+    ``(delta + S_local) + S_neigh``."""
     ref, rows = ReferenceBackend(), slice(batch.start, batch.stop)
+    traces = ref.project_local_traces(disc, own_te, rows)
     coeffs = ref.neighbor_face_coefficients(disc, neighbor_te, traces, rows)
     if halo is not None:
         faces, payloads = halo
@@ -81,22 +85,38 @@ def _reference_correction(disc, batch, delta, traces, neighbor_te, halo=None):
     return increment + ref.surface_kernel_neighbor(disc, coeffs, rows)
 
 
-def _fused_correction(disc, batch, delta, traces, source, rows, halo=None, fast=None):
-    """The increment ``FastBackend.correct`` adds (onto zero DOFs)."""
+def _fused_correction(disc, batch, delta, source, rows, halo=None, fast=None):
+    """``delta`` (the batch's predicted DOF rows) after ``FastBackend.correct``
+    (own traces from ``source[batch]``)."""
     fast = fast or FastBackend()
     dofs = np.zeros((disc.n_elements,) + delta.shape[1:], dtype=delta.dtype)
+    dofs[batch.start : batch.stop] = delta
     plan = fast.neighbor_plan(disc, dofs, batch, rows)
-    fast.correct(disc, dofs, batch, delta.copy(), traces, source, plan,
-                 ws=fast.make_workspace(), halo=halo)
+    fast.correct(disc, dofs, batch, source, plan, ws=fast.make_workspace(), halo=halo)
     return dofs[batch.start : batch.stop]
 
 
+#: what ``_local_update_copy`` returns, in order
+PREDICTION = ("delta", "integral", "half")
+
+
 def _local_update_copy(backend, disc, dofs, elements, needs_half=True):
+    """``[delta, integral, half]`` of a prediction on a copy of ``dofs``:
+    the volume increment is what a fast prediction added to the batch's
+    DOF rows, and what the reference backend keeps for its correction."""
     dt = float(disc.time_steps.min())
-    result = backend.local_update(
-        disc, dofs, dt, elements, ws=backend.make_workspace(), needs_half=needs_half
+    stepped = dofs.copy()
+    integral, half = backend.local_update(
+        disc, stepped, dt, elements, ws=backend.make_workspace(), needs_half=needs_half
     )
-    return [None if array is None else array.copy() for array in result]
+    run = backend_module._contiguous_run(elements, len(dofs))
+    rows = slice(run.start, run.stop)
+    if isinstance(backend, FastBackend):
+        delta = stepped[rows] - dofs[rows]
+    else:
+        assert np.array_equal(stepped, dofs)
+        delta = backend._increment(stepped)[rows]
+    return [array if array is None else array.copy() for array in (delta, integral, half)]
 
 
 class TestResolution:
@@ -131,9 +151,9 @@ class TestKernelToleranceParity:
         elements = slice(0, disc.n_elements)
         expected = _local_update_copy(ReferenceBackend(), disc, dofs, elements)
         actual = _local_update_copy(FastBackend(), disc, dofs, elements)
-        for name, a, e in zip(("delta", "integral", "half", "traces"), actual, expected):
+        for name, a, e in zip(PREDICTION, actual, expected):
             _assert_close(a, e, name=name)
-        assert FastBackend().local_update(disc, dofs, 1e-3, elements)[2] is None
+        assert FastBackend().local_update(disc, dofs.copy(), 1e-3, elements)[1] is None
 
     def test_stage_methods_keep_the_reference_shapes(self, disc):
         """The stages stay callable the way the harness substitutes them."""
@@ -163,15 +183,12 @@ class TestKernelToleranceParity:
     def test_surface_kernel_local(self, disc):
         """Both surface halves of a GTS step (neighbours read from the
         step's own integral): the fused pass against the reference."""
-        ref = ReferenceBackend()
         dofs = _random_dofs(disc, seed=4)
         batch = range(disc.n_elements)
-        delta, te, _, traces = ref.local_update(disc, dofs, float(disc.time_steps.min()), batch)
+        delta, te = local_update(disc, dofs, float(disc.time_steps.min()), batch)
         rows = np.maximum(disc.mesh.neighbors, 0)
-        expected = _reference_correction(disc, batch, delta, traces, te[rows])
-        _assert_close(
-            _fused_correction(disc, batch, delta, traces, te, rows), expected, name="surface"
-        )
+        expected = _reference_correction(disc, batch, delta, te, te[rows])
+        _assert_close(_fused_correction(disc, batch, delta, te, rows), expected, name="surface")
 
     def test_neighbor_path(self, disc):
         """Traces, then the fused correction gathering any rows of a flat
@@ -179,17 +196,17 @@ class TestKernelToleranceParity:
         ref, fast = ReferenceBackend(), FastBackend()
         dofs = _random_dofs(disc, seed=3)
         batch = range(disc.n_elements)
-        delta, te, _, _ = ref.local_update(disc, dofs, float(disc.time_steps.min()), batch)
+        delta, te = local_update(disc, dofs, float(disc.time_steps.min()), batch)
         traces_r = ref.project_local_traces(disc, te, batch)
         traces_f = fast.project_local_traces(disc, te, batch, ws=fast.make_workspace())
         _assert_close(traces_f, traces_r, name="traces")
         rng = np.random.default_rng(3)
         source = rng.standard_normal((3 * disc.n_elements, N_ELASTIC, disc.n_basis))
         rows = rng.integers(0, len(source), size=(disc.n_elements, 4))
-        expected = _reference_correction(disc, batch, delta, traces_r, source[rows])
+        own = source[: disc.n_elements]  # the batch's own rows
+        expected = _reference_correction(disc, batch, delta, own, source[rows])
         _assert_close(
-            _fused_correction(disc, batch, delta, traces_r, source, rows), expected,
-            name="neighbor path",
+            _fused_correction(disc, batch, delta, source, rows), expected, name="neighbor path"
         )
 
 
@@ -221,20 +238,17 @@ class TestFusedCorrection:
         fused = (n_fused,) if n_fused else ()
         shape = (disc.n_elements, disc.n_vars, disc.n_basis) + fused
         delta = rng.standard_normal(shape).astype(disc.dtype)
-        traces = rng.standard_normal(
-            (disc.n_elements, 4, N_ELASTIC, disc.n_face_basis) + fused
-        ).astype(disc.dtype)
-        return buffers, neighbors, relations, delta, traces
+        return buffers, neighbors, relations, delta
 
     def _check(self, disc, n_fused, batch, parity, halo=None, seed=0):
-        buffers, neighbors, relations, delta, traces = self._inputs(disc, n_fused, seed)
+        buffers, neighbors, relations, delta = self._inputs(disc, n_fused, seed)
         rows = slice(batch.start, batch.stop)
         args = (neighbors[rows], relations[rows], parity)
         expected = _reference_correction(
-            disc, batch, delta[rows], traces[rows], buffers.neighbor_data(*args), halo
+            disc, batch, delta[rows], buffers.b1[rows], buffers.neighbor_data(*args), halo
         )
         actual = _fused_correction(
-            disc, batch, delta[rows], traces[rows], buffers.store, buffers.face_rows(*args), halo
+            disc, batch, delta[rows], buffers.store, buffers.face_rows(*args), halo
         )
         assert actual.dtype == disc.dtype
         _assert_close(actual, expected, rtol=1e-12 if disc.precision == "f64" else 1e-5)
@@ -242,7 +256,7 @@ class TestFusedCorrection:
 
     def test_the_run_covers_every_face_kind(self, disc):
         """The 3-block run sees all four relations and both boundary kinds."""
-        _, _, relations, _, _ = self._inputs(disc, 0)
+        _, _, relations, _ = self._inputs(disc, 0)
         rows = slice(self.START, self.START + 3 * self.BLOCK)
         assert {SAME, SMALLER, LARGER, BOUNDARY} <= set(np.unique(relations[rows]))
         tags = disc.mesh.boundary_tags[rows][disc.mesh.neighbors[rows] < 0]
@@ -294,7 +308,7 @@ class TestOtherTiers:
         elements = slice(0, disc64.n_elements)
         expected = _local_update_copy(ReferenceBackend(), disc64, dofs, elements)
         actual = _local_update_copy(FastBackend(), disc32, dofs.astype(np.float32), elements)
-        for name, a, e in zip(("delta", "integral", "half", "traces"), actual, expected):
+        for name, a, e in zip(PREDICTION, actual, expected):
             assert a.dtype == np.float32
             _assert_close(a, e, rtol=1e-5, name=name)
 
@@ -313,7 +327,7 @@ class TestOtherTiers:
         elements = slice(0, dense.n_elements)
         expected = _local_update_copy(ReferenceBackend(), dense, dofs, elements)
         actual = _local_update_copy(fast, dense, dofs, elements)
-        for name, a, e in zip(("delta", "integral", "half", "traces"), actual, expected):
+        for name, a, e in zip(PREDICTION, actual, expected):
             _assert_close(a, e, name=f"{name} ({perturbed} dense)")
 
 
@@ -395,14 +409,14 @@ class TestStackedOperators:
         dofs = _random_dofs(disc, n_fused=4, seed=15)
         elements = slice(0, disc.n_elements)
         dt = float(disc.time_steps.min())
-        delta_fused, ti_fused, _, _ = fast.local_update(disc, dofs, dt, elements, ws=ws)
+        stepped = dofs.copy()
+        ti_fused, _ = fast.local_update(disc, stepped, dt, elements, ws=ws)
         # the scalar calls below reuse (and overwrite) the same named scratch
-        delta_fused, ti_fused = delta_fused.copy(), ti_fused.copy()
+        ti_fused = ti_fused.copy()
         for f in range(4):
-            delta_f, ti_f, _, _ = fast.local_update(
-                disc, np.ascontiguousarray(dofs[..., f]), dt, elements, ws=ws
-            )
-            _assert_close(delta_fused[..., f], delta_f, rtol=1e-11, name=f"slot {f}")
+            slot = np.ascontiguousarray(dofs[..., f])
+            ti_f, _ = fast.local_update(disc, slot, dt, elements, ws=ws)
+            _assert_close(stepped[..., f], slot, rtol=1e-11, name=f"slot {f}")
             _assert_close(ti_fused[..., f], ti_f, rtol=1e-11, name=f"ti slot {f}")
 
 
@@ -431,7 +445,7 @@ class TestCacheBlocking:
         assert len(blocks) == -(-n_elements // self.BLOCK)
         assert blocks[0][1].start == run.start and blocks[-1][1].stop == run.stop
         blocked = _local_update_copy(fast, disc, dofs, elements)
-        for name, b, u in zip(("delta", "integral", "half", "traces"), blocked, unblocked):
+        for name, b, u in zip(PREDICTION, blocked, unblocked):
             assert np.array_equal(b, u), name
 
     @settings(max_examples=20, deadline=None)
@@ -447,7 +461,7 @@ class TestCacheBlocking:
             _set_block_elements(patch, disc, dofs, self.BLOCK)
             full = _local_update_copy(FastBackend(), disc, dofs, range(disc.n_elements))
             part = _local_update_copy(FastBackend(), disc, dofs, range(start, stop))
-        for name, p, f in zip(("delta", "integral", "half", "traces"), part, full):
+        for name, p, f in zip(PREDICTION, part, full):
             assert np.array_equal(p, f[start:stop]), name
 
     @pytest.mark.parametrize(
@@ -482,19 +496,18 @@ class TestCacheBlocking:
             disc, dofs, float(disc.time_steps.min()), np.arange(n), ws=ws, needs_half=True
         )
         per_element = disc.n_vars * disc.n_basis
-        # the batch's outputs stay in its workspace, block scratch goes to
-        # the thread's
+        # the kept integrals stay in the batch's workspace, block scratch
+        # goes to the thread's
         sizes = {name: pool.size for (name, _), pool in ws._pools.items()}
-        assert sizes == {name: n * size for name, size in (
-            ("lu_delta", per_element), ("lu_traces", 4 * N_ELASTIC * disc.n_face_basis),
-            ("lu_integral", N_ELASTIC * disc.n_basis), ("lu_half", N_ELASTIC * disc.n_basis),
-        )}
+        assert sizes == {name: n * N_ELASTIC * disc.n_basis for name in ("lu_integral", "lu_half")}
         (scratch,) = fast._thread_scratch
         sizes = {name: pool.size for (name, _), pool in scratch._pools.items()}
         assert sizes["ck_stack"] == disc.order * self.BLOCK * per_element
         assert sizes["local_ti"] == self.BLOCK * per_element
-        # the volume kernel and the trace projection write the batch rows
-        assert "vol_out" not in sizes and "traces" not in sizes
+        # the volume increment is block scratch the program adds to the
+        # DOFs, and a prediction projects no traces
+        assert sizes["vol_out"] == self.BLOCK * per_element
+        assert not any("traces" in str(name) for name in sizes)
         assert all(size <= self.BLOCK * disc.order * per_element for size in sizes.values())
         # one buffer per name: the 3-element remainder allocated nothing
         assert len(sizes) == len(scratch._pools)
@@ -677,3 +690,91 @@ class TestSolverToleranceParity:
         assert np.array_equal(runs[0].dofs, runs[1].dofs)
         for name in ("b1", "b2", "b3"):
             assert np.array_equal(getattr(runs[0].buffers, name), getattr(runs[1].buffers, name))
+
+
+class TestNoBatchState:
+    """Between its prediction and its correction a batch keeps nothing but
+    its DOF rows and its rows of the integral store the correction gathers
+    from (the LTS ``B1``, the GTS step integral)."""
+
+    BLOCK = 5
+
+    @pytest.fixture(scope="class")
+    def graded(self):
+        mesh = small_mesh(n=3, jitter=0.25, seed=1)  # two populated clusters
+        material = ViscoelasticMaterial(rho=2600.0, vp=4000.0, vs=2000.0, qp=120.0, qs=40.0)
+        table = MaterialTable.homogeneous(material, mesh.n_elements)
+        disc = Discretization(mesh, table, order=3, n_mechanisms=3)
+        clustering = derive_clustering(disc.time_steps, 2, 1.0, disc.mesh.neighbors)
+        return cluster_ordered(disc, clustering, order=3, n_mechanisms=3)
+
+    def test_no_workspace_pool_is_cluster_or_mesh_sized(self, monkeypatch, graded):
+        """After a fast LTS cycle and a fast GTS step: the cluster
+        workspaces hold no pool at all, the thread scratch only block-sized
+        ones, and the GTS workspace's one mesh-sized pool is its step
+        integral -- no increment or trace pool is left on any of them."""
+        disc, clustering = graded
+        dofs = disc.allocate_dofs()
+        _set_block_elements(monkeypatch, disc, dofs, self.BLOCK)
+        ic = lambda points: np.ones((len(points), 9)) * np.sin(points[:, :1] / 300.0)
+        lts = ClusteredLtsSolver(disc, clustering, kernels="fast")
+        gts = GlobalTimeSteppingSolver(disc, kernels="fast")
+        for solver in (lts, gts):
+            solver.set_initial_condition(ic)
+            solver.step_cycle()
+        extents = {len(c.elements) for c in lts.clusters} | {disc.n_elements}
+        assert min(extents) > self.BLOCK  # a block view cannot pass for a batch
+        leading = lambda ws: {name for name, shape, _ in ws._views if shape[0] in extents}
+        for cluster in lts.clusters:
+            assert not cluster.workspace._pools, cluster.cluster_id
+        assert leading(gts.workspace) == {"lu_integral"}
+        assert set(name for name, _ in gts.workspace._pools) == {"lu_integral"}
+        per_element = disc.order * disc.n_vars * disc.n_basis
+        for ws in lts.backend._thread_scratch + gts.backend._thread_scratch:
+            assert all(pool.size <= self.BLOCK * per_element for pool in ws._pools.values())
+
+    @pytest.mark.parametrize("n_fused", [0, 4])
+    @pytest.mark.parametrize("kind", ["ref", "fast"])
+    def test_correction_traces_are_the_prediction_integrals(self, graded, kind, n_fused):
+        """The own traces a correction projects from its ``source`` rows
+        equal, bit for bit, ``project_local_traces`` of the elastic
+        integral the prediction handed its fill (a row slice of the full
+        integral on both kinds)."""
+        disc, _ = graded
+        backend = make_backend(kind)
+        ws = backend.make_workspace()
+        project = backend.project_local_traces
+        fused = (n_fused,) if n_fused else ()
+        store = np.zeros((disc.n_elements, N_ELASTIC, disc.n_basis) + fused)
+        expected = np.zeros((disc.n_elements, 4, N_ELASTIC, disc.n_face_basis) + fused)
+
+        class Capture:
+            """A fill keeping the integral's traces and copying it to ``store``."""
+
+            def __call__(self, block, integral, half):
+                assert not integral.flags.c_contiguous  # the [:, :9] rows
+                expected[block] = project(disc, integral, block)
+                store[block] = integral
+
+            def calls(self, block, integral, half):
+                return [(self, (block, integral, half))]
+
+        dofs = _random_dofs(disc, n_fused, seed=31)
+        batch = range(disc.n_elements)
+        backend.local_update(disc, dofs, float(disc.time_steps.min()), batch, ws=ws,
+                             fill=Capture())
+        derived = []
+
+        def spy(disc, te, elements, ws=None, out=None):
+            traces = project(disc, te, elements, ws=ws, out=out)
+            derived.append((elements, traces.copy()))
+            return traces
+
+        backend.project_local_traces = spy  # the correction reaches it by name
+        plan = backend.neighbor_plan(disc, dofs, batch, np.maximum(disc.mesh.neighbors, 0))
+        backend.correct(disc, dofs, batch, store, plan, ws=ws)
+        assert derived
+        actual = np.full_like(expected, np.nan)
+        for elements, traces in derived:
+            actual[elements] = traces
+        assert np.array_equal(actual, expected)

@@ -378,6 +378,46 @@ class TestFailedDispatch:
             assert isinstance(error, RuntimeError), error
             assert "lost its workers" in str(error)
 
+    @pytest.mark.parametrize("case", ["lts", "serial-2rank"])
+    def test_a_failed_prediction_is_refused_then_restored(self, monkeypatch, small_blocks, case):
+        """A prediction block that raises after earlier blocks of the same
+        dispatch added their volume increments to their DOF rows: the next
+        cycle is refused by name, and ``restore_state`` resumes bitwise."""
+        use_threads(monkeypatch, 2)
+        spec = _lts("la_habra")
+        if case == "serial-2rank":
+            spec = spec.with_overrides(n_ranks=2, backend="serial")
+        clean, runner = make_runner(spec), make_runner(spec)
+        for _ in range(2):
+            clean.step_cycle()
+        runner.step_cycle()
+        saved = {name: np.array(array) for name, array in runner.solver.state_arrays().items()}
+        time, updates = runner.solver.time, runner.solver.n_element_updates
+        # the rank solver predicts its boundary rows first
+        solver, phase = (runner.solver, "predict") if case == "lts" else (
+            runner.engine.workers[0].solver, "boundary"
+        )
+        for items in solver.clusters[0].items:  # both step parities
+            assert items[phase], "the failing block must follow blocks that write DOF rows"
+            items[phase].append(self._boom)
+        error = _bounded(runner.step_cycle)
+        if case == "lts":
+            assert isinstance(error, ZeroDivisionError), error
+            error = _bounded(runner.step_cycle)
+            assert isinstance(error, HalfAppliedStepError), error
+            assert "predict dispatch" in str(error)
+            for items in solver.clusters[0].items:
+                items[phase].remove(self._boom)
+        else:
+            assert isinstance(error, RuntimeError), error
+            assert "ZeroDivisionError: injected block failure" in str(error)
+            assert "lost its workers" in str(_bounded(runner.step_cycle))
+        runner.solver.restore_state(saved, time, updates)
+        assert _bounded(runner.step_cycle) is None
+        np.testing.assert_array_equal(runner.solver.dofs, clean.solver.dofs)
+        runner.solver.close()
+        clean.solver.close()
+
     def test_a_restored_state_steps_cleanly(self, monkeypatch, small_blocks):
         use_threads(monkeypatch, 2)
         spec = _lts("la_habra")

@@ -296,3 +296,78 @@ class TestReportCli:
     def test_report_on_missing_run_is_an_input_error(self, tmp_path, capsys):
         assert cli_main(["report", str(tmp_path / "nope")]) == 2
         capsys.readouterr()
+
+
+@pytest.fixture(scope="module")
+def fast_lts_run(tmp_path_factory):
+    """One single-rank fast LTS run with telemetry, via the CLI."""
+    out = tmp_path_factory.mktemp("fast_lts") / "out"
+    assert cli_main(
+        ["run", "loh3", *TINY_LOH3, "--cycles", "2", "--kernels", "fast", "--metrics",
+         "--output-dir", str(out), "--quiet"]
+    ) == 0
+    return out
+
+
+#: the owners of a single-rank run's memory ledger
+OWNERS = {"dofs", "lts_buffers", "operators", "kernel_scratch", "workspaces"}
+
+
+class TestMemoryAndStageReport:
+    def test_memory_owners_in_the_summary_and_the_report(self, fast_lts_run, traced_runs, capsys):
+        """``memory.owned_mb`` lists every owner of a single-rank run (no
+        per-batch prediction storage among them), fits in the peak RSS, and
+        ``repro report`` prints it; a multi-rank summary has none yet."""
+        summary = json.loads((fast_lts_run / "run_summary.json").read_text())
+        memory = summary["memory"]
+        owned = memory["owned_mb"]
+        assert set(owned) == OWNERS
+        assert not any("pending" in owner for owner in owned)
+        assert all(mib > 0.0 for mib in owned.values())
+        assert sum(owned.values()) <= memory["peak_rss_mb"]
+        assert cli_main(["report", str(fast_lts_run)]) == 0
+        out = capsys.readouterr().out
+        assert "Memory owners: " in out
+        for owner in OWNERS:
+            assert f"  {owner} " in out
+        lts_dir, _ = traced_runs
+        assert "owned_mb" not in json.loads((lts_dir / "run_summary.json").read_text())["memory"]
+
+    def test_owner_figures_are_the_owners_nbytes(self):
+        spec = get_scenario(
+            "loh3", extent_m=4000.0, characteristic_length=2000.0, order=2, n_mechanisms=1,
+            n_clusters=2, n_cycles=1,
+        )
+        for kind in ("gts", "lts"):
+            runner = ScenarioRunner(spec.with_overrides(solver=kind, kernels="fast"))
+            runner.step_cycle()
+            solver = runner.solver
+            owned = solver.memory_owners()
+            assert set(owned) == OWNERS
+            assert owned["dofs"] == solver.dofs.nbytes / 2**20
+            buffers = getattr(solver, "buffers", None)
+            expected = 0 if buffers is None else buffers.store.base.nbytes
+            assert owned["lts_buffers"] == expected / 2**20
+            scratch = solver.backend._thread_scratch
+            assert owned["kernel_scratch"] == sum(
+                pool.nbytes for ws in scratch for pool in ws._pools.values()
+            ) / 2**20
+
+    def test_correction_traces_count_toward_the_surface_stage(self, fast_lts_run, capsys):
+        """The own traces are projected in the correction: ``repro report``
+        still counts ``correct/kernel.trace`` toward the surface stage."""
+        from repro.observability.analysis import KERNEL_STAGES
+
+        assert "kernel.trace" in KERNEL_STAGES["surface"][1]
+        summary = json.loads((fast_lts_run / "run_summary.json").read_text())
+        regions = summary["telemetry"]["regions"]
+        assert regions["correct/kernel.trace"]["total_s"] > 0.0
+        assert not any(name.endswith("kernel.trace") and "correct" not in name for name in regions)
+        assert cli_main(["report", str(fast_lts_run), "--json"]) == 0
+        stages = json.loads(capsys.readouterr().out)["runs"][0]["blocks"]["kernel_stages"]
+        surface = sum(
+            entry["total_s"] for name, entry in regions.items()
+            if name.rsplit("/", 1)[-1] in KERNEL_STAGES["surface"][1]
+        )
+        assert stages["surface"]["seconds"] == pytest.approx(surface)
+        assert stages["surface"]["seconds"] > regions["correct/kernel.surface_neighbor"]["total_s"]

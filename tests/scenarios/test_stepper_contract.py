@@ -101,3 +101,36 @@ def test_comm_summary_exactly_on_ranks(spec):
             assert comm["measured_bytes_per_cycle"] == comm["model"]["total_bytes"]
     finally:
         stepper.close()
+
+
+@pytest.mark.parametrize("kernels", ["ref", "fast"])
+@pytest.mark.parametrize("kind", ["gts", "lts"])
+def test_a_restored_snapshot_stays_the_callers(tiny_loh3, kind, kernels):
+    """``restore_state`` copies the DOFs into the solver's own array:
+    stepping on never writes the snapshot, so restoring it twice steps the
+    same cycle twice."""
+    solver = ScenarioRunner(tiny_loh3.with_overrides(**STEPPERS[kind], kernels=kernels)).solver
+    solver.step_cycle()
+    snapshot = {name: np.array(values) for name, values in solver.state_arrays().items()}
+    pristine = {name: values.copy() for name, values in snapshot.items()}
+    time, updates = solver.time, solver.n_element_updates
+    cycles = []
+    for _ in range(2):
+        solver.restore_state(snapshot, time, updates)
+        assert not np.shares_memory(solver.dofs, snapshot["dofs"])
+        solver.step_cycle()
+        cycles.append(solver.dofs.copy())
+    assert np.abs(cycles[0]).max() > 0.0  # the source has started
+    np.testing.assert_array_equal(cycles[1], cycles[0])
+    for name, values in pristine.items():
+        np.testing.assert_array_equal(snapshot[name], values, err_msg=name)
+
+
+@pytest.mark.parametrize("kind", ["gts", "lts"])
+def test_restore_refuses_dofs_of_another_layout(tiny_loh3, kind):
+    solver = ScenarioRunner(tiny_loh3.with_overrides(**STEPPERS[kind])).solver
+    state = dict(solver.state_arrays())
+    for dofs in (solver.dofs[:-1], solver.dofs.astype(np.float32)):
+        state["dofs"] = dofs
+        with pytest.raises(ValueError, match=r"restored dofs are .*, the solver's are "):
+            solver.restore_state(state, 0.0, 0)
