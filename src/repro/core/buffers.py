@@ -40,7 +40,9 @@ __all__ = ["BufferFill", "LtsBuffers", "store_rows"]
 #: relation codes of a face neighbour's cluster w.r.t. the element's cluster
 SAME, SMALLER, LARGER, BOUNDARY = 0, -1, 1, -2
 
-#: store rows: B1, B2, B3 and the precomputed second-half integral B1 - B2
+#: store rows: B1, B2, B3 and the precomputed second-half integral B1 - B2;
+#: B1 leads, so the flat store's rows of a batch are its own full-step
+#: integral -- what a backend's correction projects the own traces from
 _B1, _B2, _B3, _B1M2 = 0, 1, 2, 3
 
 
@@ -123,7 +125,8 @@ class LtsBuffers:
     @property
     def store(self) -> np.ndarray:
         """The flat ``(4 (n_elements + 1), 9, B[, f])`` row store that
-        :meth:`face_rows` indexes (read-only)."""
+        :meth:`face_rows` indexes (read-only); its rows ``[0, n_elements)``
+        are ``B1``, which a backend's ``correct`` reads the own traces from."""
         view = self._flat.view()
         view.flags.writeable = False
         return view

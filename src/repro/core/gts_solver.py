@@ -23,7 +23,9 @@ class GlobalTimeSteppingSolver(SingleRankStepper):
 
     ``kernels`` selects the kernel-execution backend (``"ref"``/``"fast"`` or
     a backend instance); the fast backend reuses one solver-wide scratch
-    workspace across steps.  A step advances :attr:`dofs` in place.  A
+    workspace across steps.  A step advances :attr:`dofs` in place, so a
+    step that raises leaves them half-applied and every later step is
+    refused until :meth:`restore_state`.  A
     macro cycle is ``steps_per_cycle`` steps: the scenario runner passes
     ``2^(N_c - 1)``, so one GTS cycle spans the largest cluster step of the
     LTS clustering it is compared with.
@@ -68,11 +70,13 @@ class GlobalTimeSteppingSolver(SingleRankStepper):
     # ------------------------------------------------------------------
     def step(self) -> None:
         """Advance all elements by one global time step."""
+        self._check_state()
         with self.telemetry.region("update"):
-            gts_step(
-                self.disc, self.dofs, self.dt, backend=self.backend, ws=self.workspace,
-                out=self.dofs,
-            )
+            try:
+                gts_step(self.disc, self.dofs, self.dt, backend=self.backend, ws=self.workspace)
+            except BaseException as error:
+                self._failed = f"the step raised {error!r}"
+                raise
         for source in self.sources:
             source.inject(self.dofs, self.time, self.time + self.dt)
         self.time += self.dt

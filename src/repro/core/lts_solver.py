@@ -39,14 +39,9 @@ from ..source.receivers import ReceiverSet
 from .buffers import BOUNDARY, LARGER, SAME, SMALLER, BufferFill, LtsBuffers
 from .clustering import Clustering
 from .lts_scheduler import schedule_cycle
-from .stepper import SingleRankStepper
+from .stepper import HalfAppliedStepError, SingleRankStepper
 
 __all__ = ["ClusteredLtsSolver", "HalfAppliedStepError"]
-
-
-class HalfAppliedStepError(RuntimeError):
-    """A kernel dispatch raised mid-cycle: some clusters advanced and some
-    did not, so the solver refuses to step on until a state is restored."""
 
 
 class _ClusterData:
@@ -138,8 +133,6 @@ class ClusteredLtsSolver(SingleRankStepper):
             )
         self.time = 0.0
         self.n_element_updates = 0
-        #: why the last dispatch left a half-applied state (``None``: clean)
-        self._failed: str | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -223,13 +216,6 @@ class ClusteredLtsSolver(SingleRankStepper):
             self._failed = f"the {phase} dispatch of clusters {clusters} raised {error!r}"
             raise
 
-    def _check_state(self) -> None:
-        if self._failed is not None:
-            raise HalfAppliedStepError(
-                f"refusing to step from a half-applied state at t = {self.time}: {self._failed}; "
-                "restore a checkpoint first"
-            )
-
     def predict_step(self, entry: dict) -> None:
         """Predict every cluster starting an interval at this micro step."""
         with self.telemetry.region("predict"):
@@ -293,7 +279,6 @@ class ClusteredLtsSolver(SingleRankStepper):
 
     def restore_state(self, arrays, time: float, n_element_updates: int) -> None:
         super().restore_state(arrays, time, n_element_updates)
-        self._failed = None
         for cluster, step_index in zip(self.clusters, arrays["step_index"]):
             cluster.step_index = int(step_index)
         self.buffers.b1 = arrays["b1"]

@@ -23,7 +23,12 @@ import numpy as np
 from ..observability import resident_nbytes
 from ..source.moment_tensor import DiscretePointSource, MomentTensorSource, PointForceSource
 
-__all__ = ["SingleRankStepper"]
+__all__ = ["HalfAppliedStepError", "SingleRankStepper"]
+
+
+class HalfAppliedStepError(RuntimeError):
+    """A kernel dispatch raised mid-step: some DOF rows advanced and some
+    did not, so the solver refuses to step on until a state is restored."""
 
 
 class SingleRankStepper:
@@ -31,11 +36,22 @@ class SingleRankStepper:
 
     Subclasses set ``disc``, ``n_fused``, ``telemetry``, ``backend``,
     ``dofs``, ``time`` and ``n_element_updates`` and define ``macro_dt``,
-    ``workspaces`` and ``step_cycle``.
+    ``workspaces`` and ``step_cycle``; a step that raises part-way sets
+    ``_failed``, and every step starts with :meth:`_check_state`.
     """
 
     #: one lane records the wall clock: phase totals need no normalisation
     concurrent_lanes = 1
+    #: why the last step left a half-applied state (``None``: clean)
+    _failed: str | None = None
+
+    def _check_state(self) -> None:
+        """Refuse to step from a half-applied state (see ``_failed``)."""
+        if self._failed is not None:
+            raise HalfAppliedStepError(
+                f"refusing to step from a half-applied state at t = {self.time}: {self._failed}; "
+                "restore a checkpoint first"
+            )
 
     def _bind_source(self, source) -> DiscretePointSource:
         if isinstance(source, DiscretePointSource):
@@ -74,6 +90,7 @@ class SingleRankStepper:
                 f"{self.dofs.dtype}{list(self.dofs.shape)}"
             )
         np.copyto(self.dofs, dofs)
+        self._failed = None
         self.time = float(time)
         self.n_element_updates = int(n_element_updates)
 

@@ -145,9 +145,12 @@ class KernelWorkspace:
 
     def cached(self, name: str, token, builder):
         """Memoize ``builder()`` under ``(name, token)``."""
-        if (name, token) not in self._cache:
-            self._cache[name, token] = builder()
-        return self._cache[name, token]
+        key = (name, token)
+        value = self._cache.get(key)
+        if value is None:
+            value = builder()
+            self._cache[key] = value
+        return value
 
     def latest(self, name, key: tuple, builder):
         """``builder()``, rebuilt whenever ``key`` differs from the last
@@ -233,17 +236,16 @@ class ReferenceBackend:
     def _predict(self, telemetry, disc, dofs, dt, elements, ws, needs_half, fill):
         """:meth:`local_update` with its stage regions on ``telemetry``."""
         batch = _contiguous_run(elements, len(dofs))
+        rows = slice(batch.start, batch.stop)
         with telemetry.region("kernel.ck"):
             derivatives = self.compute_time_derivatives(disc, dofs, elements, ws=ws)
         with telemetry.region("kernel.integrate"):
             time_integrated = self.time_integrate(derivatives, 0.0, dt, ws=ws, key="local_ti")
-            elastic = time_integrated[:, :N_ELASTIC]
-            half = None
+            elastic, half = time_integrated[:, :N_ELASTIC], None
             if needs_half:
                 half = self.time_integrate(
                     self._elastic_rows(derivatives), 0.0, 0.5 * dt, ws=ws, key="local_half"
                 )
-        rows = slice(batch.start, batch.stop)
         with telemetry.region("kernel.volume"):
             self._apply_volume(disc, dofs, time_integrated, elements, rows, ws)
         if fill is not None:
@@ -294,7 +296,8 @@ class ReferenceBackend:
         then the neighbouring surface kernel, then ``dofs[elements] +=
         increment``.  ``source`` is the flat ``(R, 9, B[, f])`` integral
         store ``plan`` indexes (the LTS buffer store, the GTS step
-        integral); its rows ``elements`` (``B1``) give the own traces.
+        integral), whose rows ``elements`` must hold the batch's own
+        integral: the own traces (``LtsBuffers.store`` leads with ``B1``).
         ``halo`` is ``None`` or ``(faces, payloads)``: ascending face ids
         ``4 e + i`` whose neighbour coefficients are received payloads."""
         batch = _contiguous_run(elements, len(dofs))
@@ -887,11 +890,8 @@ class FastBackend(ReferenceBackend):
             if ws is not None:
                 self._stacked_ops(disc, block, ws)
             args = (disc, dt, block, ws, needs_half, fill)
-            items.append(_Block(
-                self,
-                partial(self._compile_prediction, dofs.shape, dofs.dtype, *args),
-                partial(self._staged_prediction, *args), whole,
-            ))
+            compiler = partial(self._compile_prediction, dofs.shape, dofs.dtype, *args)
+            items.append(_Block(self, compiler, partial(self._staged_prediction, *args), whole))
         return items
 
     def _compile_prediction(self, shape, dtype, disc, dt, block, ws, needs_half, fill, scratch):

@@ -10,8 +10,8 @@ with the neighbouring one, so both share one flux solve and one
 back-projection on the fast backend, and both read the traces the
 correction projects from the element's own time integral.  A backend's
 prediction leaves the volume increment on its way into the DOFs and its
-correction completes the update in place, so :func:`gts_step` steps a copy
-(or the array it is handed).
+correction completes the update in place, so :func:`gts_step` steps the
+array it is handed.
 """
 
 from __future__ import annotations
@@ -84,28 +84,23 @@ def neighbor_update(
 
 
 def gts_step(
-    disc: Discretization, dofs: np.ndarray, dt: float, backend=None, ws=None, out=None
+    disc: Discretization, dofs: np.ndarray, dt: float, backend=None, ws=None
 ) -> np.ndarray:
     """One global time step over all elements (the classic ADER-DG update).
 
     This is the reference implementation used by the GTS solver and by the
-    LTS correctness tests.  It steps ``out`` -- a copy of ``dofs`` by
-    default, ``out=dofs`` steps in place -- and returns it.  The correction
-    gathers the neighbours and the own traces straight from the step's
-    time integral; a workspace-backed backend keeps the gather plan in
-    ``ws``.
+    LTS correctness tests.  It steps ``dofs`` in place and returns it.  The
+    correction gathers the neighbours and the own traces straight from the
+    step's time integral; a workspace-backed backend keeps the gather plan
+    in ``ws``.
     """
     backend = backend or _REFERENCE
-    if out is None:
-        out = dofs.copy()
-    elif out is not dofs:
-        np.copyto(out, dofs)
     elements = range(disc.n_elements)
-    te, _ = backend.local_update(disc, out, dt, elements, ws=ws)
+    te, _ = backend.local_update(disc, dofs, dt, elements, ws=ws)
     neighbors = disc.mesh.neighbors
     build = lambda: backend.neighbor_plan(
-        disc, out, elements, np.where(neighbors >= 0, neighbors, 0)
+        disc, dofs, elements, np.where(neighbors >= 0, neighbors, 0)
     )
-    plan = build() if ws is None else ws.cached("gts_plan", out.shape, build)
-    backend.correct(disc, out, elements, te, plan, ws=ws)
-    return out
+    plan = build() if ws is None else ws.cached("gts_plan", dofs.shape, build)
+    backend.correct(disc, dofs, elements, te, plan, ws=ws)
+    return dofs

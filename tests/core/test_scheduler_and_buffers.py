@@ -146,6 +146,18 @@ class TestBufferAlgebra:
                 buffers.store[rows], buffers.neighbor_data(neighbors, relations, step_index)
             )
 
+    def test_store_leads_with_b1(self, elastic_disc):
+        """A batch's own rows of the flat store are its ``B1`` rows: the
+        integral a backend's correction projects the own traces from."""
+        buffers = LtsBuffers(elastic_disc)
+        rng = np.random.default_rng(5)
+        buffers.b1 = rng.normal(size=buffers.b1.shape)
+        buffers.b2 = rng.normal(size=buffers.b2.shape)
+        buffers.b3 = rng.normal(size=buffers.b3.shape)
+        n = elastic_disc.n_elements
+        np.testing.assert_array_equal(buffers.store[:n], buffers.b1)
+        assert np.shares_memory(buffers.store[:n], buffers.b1)
+
     def test_bulk_assignment_refreshes_second_half(self, elastic_disc):
         """The restore path (``buffers.b1 = ...``) must re-establish the
         B1 - B2 invariant the odd-step LARGER gather reads."""

@@ -378,13 +378,15 @@ class TestFailedDispatch:
             assert isinstance(error, RuntimeError), error
             assert "lost its workers" in str(error)
 
-    @pytest.mark.parametrize("case", ["lts", "serial-2rank"])
+    @pytest.mark.parametrize("case", ["lts", "gts", "serial-2rank"])
     def test_a_failed_prediction_is_refused_then_restored(self, monkeypatch, small_blocks, case):
         """A prediction block that raises after earlier blocks of the same
         dispatch added their volume increments to their DOF rows: the next
         cycle is refused by name, and ``restore_state`` resumes bitwise."""
         use_threads(monkeypatch, 2)
         spec = _lts("la_habra")
+        if case == "gts":
+            spec = spec.with_overrides(solver="gts")
         if case == "serial-2rank":
             spec = spec.with_overrides(n_ranks=2, backend="serial")
         clean, runner = make_runner(spec), make_runner(spec)
@@ -393,6 +395,26 @@ class TestFailedDispatch:
         runner.step_cycle()
         saved = {name: np.array(array) for name, array in runner.solver.state_arrays().items()}
         time, updates = runner.solver.time, runner.solver.n_element_updates
+        if case == "gts":
+            backend, dispatch = runner.solver.backend, runner.solver.backend._dispatch
+
+            def failing(items, dofs):
+                predicts = items[0].batch[0] == "local_update"
+                assert not predicts or len(items) > 1, "the failing block must follow others"
+                dispatch(items + [self._boom] if predicts else items, dofs)
+
+            backend._dispatch = failing
+            error = _bounded(runner.step_cycle)
+            assert isinstance(error, ZeroDivisionError), error
+            assert not np.array_equal(runner.solver.dofs, saved["dofs"])
+            error = _bounded(runner.step_cycle)
+            assert isinstance(error, HalfAppliedStepError), error
+            assert "the step raised ZeroDivisionError" in str(error)
+            del backend._dispatch
+            runner.solver.restore_state(saved, time, updates)
+            assert _bounded(runner.step_cycle) is None
+            np.testing.assert_array_equal(runner.solver.dofs, clean.solver.dofs)
+            return
         # the rank solver predicts its boundary rows first
         solver, phase = (runner.solver, "predict") if case == "lts" else (
             runner.engine.workers[0].solver, "boundary"
