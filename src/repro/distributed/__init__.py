@@ -6,10 +6,10 @@ global-to-local element maps and static halo send/receive plans, rank-local
 clustered-LTS steppers, and face-local compressed ``B1``/``B2``/``B3`` halo
 packs exchanged through the one queue communicator -- bit-identical to the
 single-rank solver.  One engine, :class:`ProcessLtsEngine`, drives one
-:class:`RankWorker` per rank through one command protocol, on threads
-(``solver.backend = "serial"``) or on worker processes (``"process"``); it
-implements the stepper protocol of :mod:`repro.core.stepper`, and
-:func:`build_engine` is what the scenario runner calls for ``n_ranks > 1``.
+:class:`RankWorker` per rank, each in a forked worker process, through one
+command protocol; it implements the stepper protocol of
+:mod:`repro.core.stepper`, and :func:`build_engine` is what the scenario
+runner calls for ``n_ranks > 1``.
 """
 
 from .engine import RankWorker

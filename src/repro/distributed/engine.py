@@ -11,20 +11,15 @@ events since the last reply, the lane snapshot and peak RSS), ``dofs`` /
 ``set_dofs`` and ``state`` / ``restore``.  A failing command replies
 ``("error", traceback)`` and ends the loop.
 
-The same loop runs on either host of ``solver.backend``: ``"process"``
-forks one supervised worker process per rank over ``multiprocessing``
-pipes and queues; ``"serial"`` runs one thread per rank over
-:class:`queue.SimpleQueue` channels.  Thread-hosted ranks share the
-process's kernel :class:`~repro.kernels.threads.BlockPool`, which runs one
-dispatch at a time; no rank waits on a halo receive inside a dispatch, so
-they cannot deadlock on it.  A blocked halo receive waits at most the
-per-message ``comm_timeout`` on both hosts.
+:class:`ProcessHost` forks one supervised worker process per rank, as the
+paper runs one process per rank with threads inside it: the loop talks to
+the engine over a ``multiprocessing`` pipe, and the halo packs travel over
+``multiprocessing`` queues.  A blocked halo receive waits at most the
+per-message ``comm_timeout``.
 """
 
 from __future__ import annotations
 
-import queue
-import threading
 import traceback
 from dataclasses import dataclass, replace
 
@@ -37,7 +32,7 @@ from ..source.receivers import Receiver, ReceiverSet
 from .stepper import RankSolver
 from .subdomain import RankSubdomain
 
-__all__ = ["RankSetup", "RankWorker", "ProcessHost", "ThreadHost"]
+__all__ = ["RankSetup", "RankWorker", "ProcessHost"]
 
 
 @dataclass
@@ -154,10 +149,6 @@ class RankWorker:
         return increments
 
 
-def _peers(inbound: list, rank: int) -> dict:
-    return {d: q for d, q in enumerate(inbound) if d != rank}
-
-
 def _serve_process(setup: RankSetup, inbound, outbound: dict, ctrl) -> None:
     """A worker process: build the rank, then serve it."""
     try:
@@ -169,80 +160,32 @@ def _serve_process(setup: RankSetup, inbound, outbound: dict, ctrl) -> None:
 
 
 class ProcessHost:
-    """One forked worker process per rank (``solver.backend = "process"``).
+    """One forked worker process per rank.
 
     The workers are supervised daemons: they split the host's cores, exit
     on their own once the parent is gone, and ``stop`` terminates whatever
-    has not exited within the grace period.
+    has not exited within the grace period.  A rank that fails to start
+    stops the ranks started before it, and the error propagates.
     """
 
     def __init__(self, setups: list[RankSetup]):
         ctx = worker_context()  # fork shares the built subdomains for free
         inbound = [ctx.Queue() for _ in setups]
         self.ctrls, self.handles = [], []
-        for r, setup in enumerate(setups):
-            parent_end, child_end = ctx.Pipe()
-            self.handles.append(
-                start_worker(
-                    ctx, _serve_process, (setup, inbound[r], _peers(inbound, r), child_end),
-                    len(setups), daemon=True,
+        try:
+            for r, setup in enumerate(setups):
+                parent_end, child_end = ctx.Pipe()
+                peers = {d: q for d, q in enumerate(inbound) if d != r}
+                self.handles.append(
+                    start_worker(
+                        ctx, _serve_process, (setup, inbound[r], peers, child_end),
+                        len(setups), daemon=True,
+                    )
                 )
-            )
-            self.ctrls.append(parent_end)
+                self.ctrls.append(parent_end)
+        except BaseException:
+            self.stop(grace_s=0.0)
+            raise
 
     def stop(self, grace_s: float) -> None:
         stop_workers(self.handles, grace_s)
-
-
-class _QueueEnd:
-    """One end of an in-process duplex channel: the ``send`` / ``poll`` /
-    ``recv`` of a :class:`multiprocessing.connection.Connection`, passing
-    objects by reference."""
-
-    def __init__(self, inbox: queue.SimpleQueue, outbox: queue.SimpleQueue):
-        self._inbox, self.send, self._held = inbox, outbox.put, []
-
-    def poll(self, timeout: float = 0.0) -> bool:
-        try:
-            self._held = self._held or [self._inbox.get(timeout=timeout)]
-        except queue.Empty:
-            return False
-        return True
-
-    def recv(self):
-        return self._held.pop() if self._held else self._inbox.get()
-
-
-class ThreadHost:
-    """One thread per rank in this process (``solver.backend = "serial"``).
-
-    :attr:`workers` are the live :class:`RankWorker` objects; read them
-    only while the engine waits for no reply.  A thread cannot be killed,
-    so ``stop`` wakes every wait instead -- ``None`` in a halo inbound ends
-    a blocked receive with an error, ``exit`` ends a command wait -- and
-    joins the threads (a grace period has nothing to cut short).
-    """
-
-    def __init__(self, setups: list[RankSetup]):
-        self._inbound = [queue.SimpleQueue() for _ in setups]
-        self.workers = [
-            RankWorker(setup, self._inbound[r], _peers(self._inbound, r))
-            for r, setup in enumerate(setups)
-        ]
-        self.ctrls, self.handles = [], []
-        for worker in self.workers:
-            commands, replies = queue.SimpleQueue(), queue.SimpleQueue()
-            thread = threading.Thread(
-                target=worker.serve, args=(_QueueEnd(commands, replies),),
-                name=f"repro-rank-{worker.solver.rank}", daemon=True,
-            )
-            thread.start()
-            self.ctrls.append(_QueueEnd(replies, commands))
-            self.handles.append(thread)
-
-    def stop(self, grace_s: float) -> None:
-        for inbound, ctrl in zip(self._inbound, self.ctrls):
-            inbound.put(None)
-            ctrl.send(("exit", None))
-        for thread in self.handles:
-            thread.join()

@@ -4,9 +4,9 @@
 per partition through the rate-2 schedule.  Per micro step a rank predicts
 its boundary rows, posts the due halo packs, predicts its interior rows
 while they travel and then corrects, blocking only on packs not yet in --
-the paper's communication hiding.  The ranks advance concurrently on worker
-threads (``backend="serial"``) or worker processes (``"process"``),
-bit-identical to the single-rank solver on both.
+the paper's communication hiding.  The ranks advance concurrently, one
+forked worker process each (:class:`~repro.distributed.engine.ProcessHost`),
+bit-identical to the single-rank solver.
 
 The engine implements the stepper protocol of :mod:`repro.core.stepper` in
 the single-rank checkpoint layout.  It mirrors what each ``cycles`` reply
@@ -34,7 +34,7 @@ from ..parallel.communicator import MessageStats
 from ..parallel.exchange import HaloIndex, exchange_volumes_per_cycle
 from ..source.moment_tensor import DiscretePointSource
 from ..source.receivers import ReceiverSet
-from .engine import ProcessHost, RankSetup, ThreadHost
+from .engine import ProcessHost, RankSetup
 from .subdomain import RankSubdomain
 
 __all__ = ["ProcessLtsEngine"]
@@ -43,9 +43,6 @@ __all__ = ["ProcessLtsEngine"]
 #: on a big mesh can legitimately compute for a while; ``solver.comm_timeout``
 #: overrides it)
 DEFAULT_COMM_TIMEOUT_S = 120.0
-
-#: where each ``solver.backend`` runs the rank workers
-HOSTS = {"serial": ThreadHost, "process": ProcessHost}
 
 
 class ProcessLtsEngine:
@@ -66,7 +63,6 @@ class ProcessLtsEngine:
         kernels=None,
         telemetry=None,
         comm_timeout: float | None = None,
-        backend: str = "serial",
     ):
         partitions = np.asarray(partitions, dtype=np.int64)
         if len(partitions) != disc.n_elements:
@@ -78,7 +74,6 @@ class ProcessLtsEngine:
         if self.n_ranks < 2:
             raise ValueError("a multi-rank engine needs at least two ranks")
         self.n_fused = n_fused
-        self.backend = backend
         # every rank builds its own backend from the kind name (a backend
         # holds per-rank scratch and caches, so the instance is never shared)
         self.kernels = make_backend(kernels).name
@@ -122,7 +117,7 @@ class ProcessLtsEngine:
         #: the per-rank states the next workers start from (``None``: none)
         self._cache: list[dict] | None = None
         self._failed = False
-        self._host = HOSTS[backend](self._setups)
+        self._host = ProcessHost(self._setups)
 
     def _rank_setup(self, sub: RankSubdomain, sources: list) -> RankSetup:
         """The recipe of rank ``sub.rank``'s worker: its sources and
@@ -163,7 +158,7 @@ class ProcessLtsEngine:
             for base, current in zip(self._telemetry_base, self._rank_telemetry)
         ]
         self._rank_telemetry = [{} for _ in range(self.n_ranks)]
-        self._host = HOSTS[self.backend](self._setups)
+        self._host = ProcessHost(self._setups)
         if self._cache is not None:
             # fresh workers record into empty receiver shims and report only
             # new samples, so the global recordings need no push-back
@@ -241,11 +236,6 @@ class ProcessLtsEngine:
     def macro_dt(self) -> float:
         return float(self.clustering.cluster_time_steps[-1])
 
-    @property
-    def workers(self) -> list:
-        """The live in-process rank workers (thread host only)."""
-        return getattr(self._host, "workers", [])
-
     def _states(self) -> list[dict]:
         return self._cache if self._cache is not None else self._command_all("state")
 
@@ -277,11 +267,10 @@ class ProcessLtsEngine:
         self.time = float(replies[0]["time"])
         self.n_element_updates = sum(r["n_element_updates"] for r in replies)
         self._rank_stats = [r["stats"] for r in replies]
-        if self.backend == "process":  # a rank thread's RSS is the driver's
-            self._rank_peak_rss = [
-                max(prev, float(reply["peak_rss_mb"]))
-                for prev, reply in zip(self._rank_peak_rss, replies)
-            ]
+        self._rank_peak_rss = [
+            max(prev, float(reply["peak_rss_mb"]))
+            for prev, reply in zip(self._rank_peak_rss, replies)
+        ]
         if self.receiver_set is not None:
             for reply in replies:
                 for name, times, samples in reply["records"]:
@@ -368,7 +357,7 @@ class ProcessLtsEngine:
     @property
     def rank_peak_rss_mb(self) -> list[float]:
         """Per-rank worker-process peak RSS in MiB (zeros before the first
-        cycle and on the thread host)."""
+        cycle)."""
         return list(self._rank_peak_rss)
 
     def modelled_exchange_per_cycle(self) -> dict:

@@ -3,15 +3,13 @@
 :class:`~repro.scenarios.runner.ScenarioRunner` calls :func:`build_engine`
 when a spec asks for ``solver.n_ranks > 1``: the mesh is split with the
 weighted dual-graph partitioner (update-frequency element weights, Sec. V-C)
-unless preprocessing already produced that many partitions, and the spec's
-``solver.backend`` picks where the one engine,
-:class:`~repro.distributed.process_engine.ProcessLtsEngine`, runs its rank
-workers: ``"serial"`` on threads of this process, ``"process"`` in one
-worker process per rank.  Both exchange halo packs through the same
+unless preprocessing already produced that many partitions, and the one
+engine, :class:`~repro.distributed.process_engine.ProcessLtsEngine`, forks
+one rank worker per partition.  The workers exchange halo packs through
 :class:`~repro.parallel.communicator.ProcessCommunicator`, and
-``solver.comm_timeout`` bounds a blocked receive on both.  DOFs,
-seismograms and element-update counts are bit-identical to the
-single-rank solver under either backend.
+``solver.comm_timeout`` bounds a blocked receive.  DOFs, seismograms and
+element-update counts are bit-identical to the single-rank solver.
+(``solver.backend`` selects nothing: every multi-rank run forks.)
 """
 
 from __future__ import annotations
@@ -43,7 +41,6 @@ def build_engine(runner, disc, sources: list):
         kernels=solver.kernels,
         telemetry=runner.telemetry,
         comm_timeout=solver.comm_timeout,
-        backend=solver.backend,
     )
 
 

@@ -132,16 +132,22 @@ class KernelWorkspace:
         view = self._views.get(key)
         if view is None:
             size = math.prod(shape)
-            pool = self._pools.get((name, dtype))
-            if pool is None or pool.size < size:
-                pool = self._pools[name, dtype] = np.zeros(size, dtype=dtype)
-                self._grown[0] += 1
-                self.programs.clear()
-                # views of the outgrown buffer would pin it: drop them
-                for stale in [k for k in self._views if k[0] == name and k[2] == dtype]:
-                    del self._views[stale]
-            view = self._views[key] = pool[:size].reshape(shape)
+            view = self._views[key] = self.reserve(name, size, dtype)[:size].reshape(shape)
         return view
+
+    def reserve(self, name, size: int, dtype: np.dtype) -> np.ndarray:
+        """The pool buffer of ``name``, (re)allocated zero-filled if it
+        cannot hold ``size`` items -- which drops its views and every
+        compiled program."""
+        pool = self._pools.get((name, dtype))
+        if pool is None or pool.size < size:
+            pool = self._pools[name, dtype] = np.zeros(size, dtype=dtype)
+            self._grown[0] += 1
+            self.programs.clear()
+            # views of the outgrown buffer would pin it: drop them
+            for stale in [k for k in self._views if k[0] == name and k[2] == dtype]:
+                del self._views[stale]
+        return pool
 
     def cached(self, name: str, token, builder):
         """Memoize ``builder()`` under ``(name, token)``."""
@@ -578,6 +584,8 @@ class FastBackend(ReferenceBackend):
         #: every batch this backend runs (a batch's cached data and kept
         #: integrals stay in its own workspace)
         self._thread_scratch: list[KernelWorkspace] = [KernelWorkspace()]
+        #: the threads' scratch generations when :meth:`_even_out` last ran
+        self._evened: tuple = ()
         #: the current dispatch runs its predictions and own traces through
         #: the stage methods (an instance substitutes one of them)
         self._staged = False
@@ -631,7 +639,8 @@ class FastBackend(ReferenceBackend):
         records its regions on a branch of this backend's telemetry lane
         (seeded with the open region path), absorbed once every thread is
         done.  The first error stops the claiming and is re-raised after
-        every thread has returned.
+        every thread has returned; a dispatch that completes leaves every
+        thread's scratch as large as the largest (:meth:`_even_out`).
         """
         if not items:
             return
@@ -644,13 +653,32 @@ class FastBackend(ReferenceBackend):
         if n_threads == 1:
             for item in items:
                 item(0, telemetry, dofs)
+        else:
+            branches = [telemetry] + [telemetry.branch() for _ in range(n_threads - 1)]
+            try:
+                pool.run(items, lambda item, slot: item(slot, branches[slot], dofs))
+            finally:
+                for branch in branches[1:]:
+                    telemetry.absorb(branch)
+        self._even_out()
+
+    def _even_out(self) -> None:
+        """Grow every pool thread's scratch to the largest pool any thread
+        holds under each name.  Which thread claims which block is a race:
+        without this, a thread could first draw a run's largest block
+        cycles later, and grow its pools (and recompile its programs)
+        then."""
+        generations = tuple(ws.generation for ws in self._thread_scratch)
+        if len(generations) < 2 or generations == self._evened:
             return
-        branches = [telemetry] + [telemetry.branch() for _ in range(n_threads - 1)]
-        try:
-            pool.run(items, lambda item, slot: item(slot, branches[slot], dofs))
-        finally:
-            for branch in branches[1:]:
-                telemetry.absorb(branch)
+        sizes: dict = {}
+        for ws in self._thread_scratch:
+            for key, pool in ws._pools.items():
+                sizes[key] = max(sizes.get(key, 0), pool.size)
+        for ws in self._thread_scratch:
+            for (name, dtype), size in sizes.items():
+                ws.reserve(name, size, dtype)
+        self._evened = tuple(ws.generation for ws in self._thread_scratch)
 
     @staticmethod
     def _bmm_call(matrices, operand, out):

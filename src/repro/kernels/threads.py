@@ -12,10 +12,8 @@ CPUs this process may run on (``os.sched_getaffinity``), divided by the
 processes the run forks onto them -- a rank worker or a sweep worker declares
 that share with :func:`share_cpus` when it starts -- and by the threads each
 BLAS call already runs on, so kernel threads never oversubscribe the cores.
-A 2-rank process-backend run on 2 CPUs therefore steps one thread per
-rank, and a single-process run with ``OPENBLAS_NUM_THREADS=2`` on 2 CPUs
-one thread.  Thread-hosted ranks (the ``serial`` backend) declare no share:
-they take turns in this process's one pool, one dispatch at a time.
+A 2-rank run on 2 CPUs therefore steps one thread per rank, and a
+single-process run with ``OPENBLAS_NUM_THREADS=2`` on 2 CPUs one thread.
 
 The pool never crosses a ``fork``: a forked child starts with no pool and a
 share of one, and builds its own pool at its first threaded batch.
@@ -37,7 +35,7 @@ _share = 1
 _blas: int | None = None
 #: this process's pool (``None`` until the first threaded batch)
 _pool: BlockPool | None = None
-#: guards building the pool: thread-hosted ranks reach it concurrently
+#: guards building the pool against two threads reaching it at once
 _pool_lock = threading.Lock()
 
 

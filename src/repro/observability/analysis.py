@@ -324,8 +324,8 @@ def _comparable(a: dict, b: dict) -> bool:
 def kernel_stage_block(summary: dict) -> dict | None:
     """Per-kernel-stage GFLOP/s from the FLOP model and region timings.
 
-    Seconds are summed across all lanes (and nesting paths), so on the
-    process backend the rate is per lane-second -- a per-core figure.
+    Seconds are summed across all lanes (and nesting paths), so on a
+    multi-rank run the rate is per lane-second -- a per-core figure.
     Needs the ``flops_per_stage`` stamp PR 7 added to the derived block.
     """
     telemetry = summary.get("telemetry") or {}
@@ -420,7 +420,6 @@ def comparison_block(runs: list[dict]) -> dict | None:
             "kernels": summary.get("kernels"),
             "precision": summary.get("precision"),
             "n_ranks": summary.get("n_ranks", 1),
-            "backend": summary.get("backend", "serial"),
             "wall_s": summary.get("wall_s"),
             "element_updates_per_s": summary.get("element_updates_per_s"),
             "wall_per_sim_s": rate,
@@ -463,7 +462,6 @@ def analyze_run(run: dict, gts_summary: dict | None = None) -> dict:
             kernels=summary.get("kernels"),
             precision=summary.get("precision"),
             n_ranks=summary.get("n_ranks", 1),
-            backend=summary.get("backend", "serial"),
             wall_s=summary.get("wall_s"),
             provenance=summary.get("provenance"),
         )
@@ -506,9 +504,7 @@ def _fmt(value, pattern="{:.3g}") -> str:
 def _render_run(entry: dict) -> list[str]:
     parts = [entry["label"]]
     if entry.get("scenario"):
-        ranks = f", {entry['n_ranks']} ranks {entry['backend']}" if entry.get(
-            "n_ranks", 1
-        ) > 1 else ""
+        ranks = f", {entry['n_ranks']} ranks" if entry.get("n_ranks", 1) > 1 else ""
         parts.append(
             f"({entry['scenario']}, {entry.get('solver')}, "
             f"kernels {entry.get('kernels')}/{entry.get('precision')}{ranks})"

@@ -13,8 +13,8 @@ killed at any point leaves a readable partial ledger.
 
 The :class:`Heartbeat` renders the same per-cycle records as a live
 progress line on stderr (cycle counter, updates/s, ETA from the remaining
-simulated time), for the serial and process backends alike: both emit from
-the parent's macro-cycle loop.
+simulated time), for single- and multi-rank runs alike: both emit from the
+parent's macro-cycle loop.
 """
 
 from __future__ import annotations
@@ -285,7 +285,6 @@ class RunLedger(DurableJsonl):
                     "kernels": spec.solver.kernels,
                     "precision": spec.solver.precision,
                     "n_ranks": spec.solver.n_ranks,
-                    "backend": spec.solver.backend,
                     "order": spec.order,
                     "total_cycles": int(total_cycles),
                     "macro_dt": float(macro_dt),

@@ -3,7 +3,7 @@
 The registry is deliberately tiny and JSON-native: every metric snapshots to
 plain dicts of ints/floats, snapshots of different ranks merge by summation
 (counters, histogram moments) or max (gauges), and the merged result embeds
-directly into the run-summary ``telemetry`` block.  The process backend ships
+directly into the run-summary ``telemetry`` block.  The multi-rank engine ships
 worker snapshots to the parent each cycle exactly like the communication
 :class:`~repro.parallel.communicator.MessageStats` mirror.
 """

@@ -179,7 +179,7 @@ class Telemetry:
     def drain_events(self) -> list[tuple]:
         """Hand over trace events accumulated since the last drain.
 
-        The process backend drains each cycle so the per-cycle IPC payload
+        A rank worker drains each cycle so the per-cycle IPC payload
         stays proportional to new work, not run length.
         """
         events, self._events = self._events, []

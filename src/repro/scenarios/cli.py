@@ -8,12 +8,11 @@
     python -m repro run bimaterial_slab --set contrast=3.0 --output-dir out/
     python -m repro run la_habra --smoke
     python -m repro run loh3 --smoke --ranks 2
-    python -m repro run loh3 --smoke --ranks 2 --backend process
-    python -m repro run loh3 --smoke --ranks 2 --backend process --comm-timeout 30
+    python -m repro run loh3 --smoke --ranks 2 --comm-timeout 30
     python -m repro run loh3 --checkpoint run.ckpt.npz --checkpoint-every 1
     python -m repro run loh3 --metrics --events out/run.jsonl --progress
     python -m repro resume run.ckpt.npz
-    python -m repro resume run.ckpt.npz --backend process --checkpoint-every 2
+    python -m repro resume run.ckpt.npz --checkpoint-every 2
     python -m repro sweep loh3 --smoke --out sweeps/loh3 \
         --axis 'source.location=[[0,0,-1000],[500,0,-1000],[0,500,-1000],[250,250,-500]]'
     python -m repro sweep loh3 --smoke --out sweeps/lam --axis clustering.lam=0.7,0.8,0.9
@@ -26,7 +25,7 @@
     python -m repro report sweeps/loh3/manifest.jsonl
     python -m repro report sweeps/loh3/members/
     python -m repro verify --kernels fast
-    python -m repro verify loh3 --kernels fast --ranks 2 --backend process
+    python -m repro verify loh3 --kernels fast --ranks 2
     python -m repro verify plane_wave --kernels fast
     python -m repro verify --update-golden
 
@@ -45,7 +44,6 @@ from .runner import ScenarioRunner, make_runner
 from .spec import (
     OVERRIDE_PATHS,
     RESUMABLE_OVERRIDES,
-    SOLVER_BACKENDS,
     SOLVER_KERNELS,
     SOLVER_KINDS,
     SOLVER_PRECISIONS,
@@ -117,10 +115,8 @@ _RUN_FLAGS = (
     ("--cycles", "n_cycles", int, "number of macro cycles to run"),
     ("--t-end", "t_end", float, "target simulated time [s]"),
     ("--seed", "seed", int, "mesh jitter seed"),
-    ("--ranks", "n_ranks", int, "number of ranks of the distributed engine (default 1)"),
-    ("--backend", "backend", SOLVER_BACKENDS,
-     "where the rank workers run: 'serial' on one thread per rank in-process, "
-     "'process' in one worker process per rank; bit-identical (default serial)"),
+    ("--ranks", "n_ranks", int,
+     "number of ranks of the distributed engine, one forked worker each (default 1)"),
     ("--comm-timeout", "comm_timeout", float,
      "abort a blocked halo receive after this many seconds (default 120)"),
     ("--kernels", "kernels", SOLVER_KERNELS,
@@ -145,7 +141,7 @@ _RUN_FLAGS = (
 )
 
 #: the flags ``verify`` shares with ``run``, with the defaults it verifies
-_VERIFY_DEFAULTS = {"kernels": "ref", "precision": "f64", "n_ranks": 1, "backend": "serial"}
+_VERIFY_DEFAULTS = {"kernels": "ref", "precision": "f64", "n_ranks": 1}
 
 
 def _add_flags(parser, names, defaults=None) -> None:

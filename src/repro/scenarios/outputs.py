@@ -119,7 +119,7 @@ def write_outputs(runner, directory, summary: dict | None = None) -> dict:
 
     ``summary`` reuses an already-computed run summary (``run()`` returns
     one); recomputing it is not just wasted work -- the accuracy block
-    integrates error norms over the full state, and on the process backend
+    integrates error norms over the full state, and on a multi-rank run
     every summary gathers the distributed DOFs.
     """
     directory = Path(directory)

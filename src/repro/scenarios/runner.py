@@ -108,7 +108,7 @@ def peak_memory() -> dict:
 
     block = {"peak_rss_mb": peak_rss_mb()}
     children = peak_rss_mb(children=True)
-    if children > 0:  # worker processes of the process backend
+    if children > 0:  # rank or sweep worker processes that have exited
         block["peak_rss_children_mb"] = children
     if tracemalloc.is_tracing():
         block["tracemalloc_peak_mb"] = tracemalloc.get_traced_memory()[1] / (1024.0**2)
@@ -685,7 +685,6 @@ class ScenarioRunner:
         comm = self.solver.comm_summary()
         if comm is not None:
             out["n_ranks"] = self.engine.n_ranks
-            out["backend"] = spec.solver.backend
             out["comm"] = comm
             workers = self.engine.rank_peak_rss_mb
             if any(workers):
@@ -848,11 +847,11 @@ class ScenarioRunner:
         The stepper follows the checkpointed spec: a spec with
         ``solver.n_ranks > 1`` resumes on a multi-rank engine (and vice
         versa).  ``overrides`` are ``with_overrides`` names, limited to
-        :data:`~repro.scenarios.spec.RESUMABLE_OVERRIDES`: the execution
-        backend (bit-identical either way), the checkpoint cadence (recorded
-        in the new checkpoints) and observability (a resumed ``events``
-        ledger appends a new segment header).  The kernel backend and
-        precision are part of the checkpointed state and cannot change.
+        :data:`~repro.scenarios.spec.RESUMABLE_OVERRIDES`: the checkpoint
+        cadence (recorded in the new checkpoints) and observability (a
+        resumed ``events`` ledger appends a new segment header).  The kernel
+        backend and precision are part of the checkpointed state and cannot
+        change.
         """
         rejected = sorted(set(overrides) - set(RESUMABLE_OVERRIDES))
         if rejected:

@@ -105,9 +105,9 @@ OVERRIDE_PATHS = {
 #: search, the engine's default receive timeout, no checkpoint cadence
 NULLABLE_OVERRIDES = ("lam", "comm_timeout", "checkpoint_every")
 
-#: the overrides a resumed run accepts: the execution host, the checkpoint
-#: cadence and observability, none of which is part of the numerical state
-RESUMABLE_OVERRIDES = ("backend", "checkpoint_every", "telemetry", "trace", "events", "progress")
+#: the overrides a resumed run accepts: the checkpoint cadence and
+#: observability, neither of which is part of the numerical state
+RESUMABLE_OVERRIDES = ("checkpoint_every", "telemetry", "trace", "events", "progress")
 
 #: a run lasts either n_cycles or until t_end: setting one clears the other
 _CLEARS = {"n_cycles": "run.t_end", "t_end": "run.n_cycles"}
@@ -513,7 +513,7 @@ class ClusteringSpec:
 def _without_legacy_comm(solver: dict) -> dict:
     """The solver block minus the ``comm`` key of older serialisations.
 
-    Goldens, ledgers and checkpoints written while the process backend had a
+    Goldens, ledgers and checkpoints written while the multi-rank engine had a
     choice of halo transports carry ``"comm": "queue"``, which is the one
     transport left, so it is dropped; any other value names the removed
     shared-memory ring transport and must not silently run as ``queue``.
@@ -525,7 +525,7 @@ def _without_legacy_comm(solver: dict) -> dict:
     if comm != "queue":
         raise ValueError(
             f"solver comm {comm!r} is no longer supported: the shared-memory "
-            "ring transport was removed and the process backend's one halo "
+            "ring transport was removed and the multi-rank engine's one halo "
             "transport is multiprocessing queues; delete the 'comm' key"
         )
     return solver
@@ -539,14 +539,12 @@ class SolverSpec:
     local time stepping).  ``n_ranks > 1`` executes the run through the
     distributed multi-rank engine (weighted partitioning plus
     face-local compressed halo exchange, Sec. V-C); the result is
-    bit-identical to the single-rank run.  ``backend`` selects where the
-    engine's rank workers run, concurrently and with overlapped halo
-    exchange: ``"serial"`` on one thread per rank in this process over
-    in-process queues, ``"process"`` in one worker process per rank (pickled
-    payload batches through multiprocessing queues) -- one command loop and
-    one communicator class either way, and bit-identical results.
-    ``comm_timeout`` bounds a blocked halo receive on either backend, per
-    message, in seconds (``None``: the engine's 120 s default).
+    bit-identical to the single-rank run; the engine forks one worker
+    process per rank, which step concurrently with overlapped halo exchange.
+    ``backend`` (``"serial"`` or ``"process"``) selects nothing: it stays a
+    validated field because goldens, checkpoints, ledgers and the benchmark
+    harness's specs carry it.  ``comm_timeout`` bounds a blocked halo
+    receive, per message, in seconds (``None``: the engine's 120 s default).
     ``kernels`` selects the kernel-execution backend: ``"ref"`` (the plain
     reference kernels, the oracle) or ``"fast"`` (stacked-operator GEMMs on
     cache-sized element blocks with reusable scratch workspaces,

@@ -14,7 +14,7 @@ is shared by everyone:
 2. **Shard** -- the parent hands each idle worker one unit at a time over
    that worker's own pipe; the worker runs it through
    :func:`~repro.sweep.fuse.run_unit` with the shared cache (each member
-   possibly itself multi-rank via the process backend), writes its
+   possibly itself multi-rank on forked rank workers), writes its
    artefacts under ``members/<id>/`` (and ``fused/<group>/``) and replies
    on the same pipe.  Workers start and stop through
    :mod:`repro.parallel.supervisor`, so a worker whose parent is gone exits

@@ -27,7 +27,6 @@ class ConvergenceStudy:
     precision: str
     solver: str
     n_ranks: int
-    backend: str
     t_end: float
     lengths: list
     n_elements: list
@@ -66,7 +65,6 @@ def plane_wave_convergence(
     precision: str = "f64",
     solver: str = "gts",
     n_ranks: int = 1,
-    backend: str = "serial",
     extent_m: float = 2000.0,
     wavelength: float = 2000.0,
     seed: int = 0,
@@ -87,9 +85,9 @@ def plane_wave_convergence(
     the run (not just the fit).
 
     ``n_ranks > 1`` runs every ladder level through the distributed engine
-    (``backend`` selects serial or process workers); the solver switches to
-    the clustered driver, which GTS-steps identically here because the
-    plane-wave scenario is single-cluster.
+    (one forked worker per rank); the solver switches to the clustered
+    driver, which GTS-steps identically here because the plane-wave
+    scenario is single-cluster.
     """
     from ..scenarios.registry import get_scenario
     from ..scenarios.runner import make_runner
@@ -113,7 +111,6 @@ def plane_wave_convergence(
             kernels=kernels,
             precision=precision,
             n_ranks=n_ranks if n_ranks > 1 else None,
-            backend=backend if backend != "serial" else None,
         )
         runner = make_runner(spec)
         summary = runner.run()
@@ -132,7 +129,6 @@ def plane_wave_convergence(
         precision=precision,
         solver=solver,
         n_ranks=n_ranks,
-        backend=backend,
         t_end=t_end,
         lengths=[float(h) for h in lengths],
         n_elements=counts,

@@ -240,7 +240,6 @@ def compare_to_golden(
     kernels: str = "ref",
     precision: str = "f64",
     n_ranks: int = 1,
-    backend: str = "serial",
     n_fused: int = 0,
     directory=None,
 ) -> dict:
@@ -264,7 +263,6 @@ def compare_to_golden(
         kernels=kernels,
         precision=precision,
         n_ranks=n_ranks if n_ranks > 1 else None,
-        backend=backend if backend != "serial" else None,
         n_fused=n_fused if n_fused else None,
     )
     runner = make_runner(spec)
@@ -303,7 +301,6 @@ def compare_to_golden(
         "kernels": kernels,
         "precision": precision,
         "n_ranks": n_ranks,
-        "backend": backend,
         "n_elements": int(golden["n_elements"]),
         "tolerance": tolerance,
         "max_peak_rel_err": worst,

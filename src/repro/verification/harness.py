@@ -30,7 +30,6 @@ def verify_scenario(
     kernels: str = "ref",
     precision: str = "f64",
     n_ranks: int = 1,
-    backend: str = "serial",
 ) -> dict:
     """One verification check; returns a JSON-ready report with ``passed``."""
     if name in GOLDEN_SCENARIOS:
@@ -39,14 +38,12 @@ def verify_scenario(
             kernels=kernels,
             precision=precision,
             n_ranks=n_ranks,
-            backend=backend,
         )
     if name == "plane_wave":
         study = plane_wave_convergence(
             kernels=kernels,
             precision=precision,
             n_ranks=n_ranks,
-            backend=backend,
             **SUITE_CONVERGENCE,
         )
         report = study.to_dict()
@@ -62,20 +59,16 @@ def verify_suite(
     kernels: str = "ref",
     precision: str = "f64",
     n_ranks: int = 1,
-    backend: str = "serial",
 ) -> dict:
     """Golden regressions plus the convergence ladder, one report."""
     checks = [
-        verify_scenario(
-            name, kernels=kernels, precision=precision, n_ranks=n_ranks, backend=backend
-        )
+        verify_scenario(name, kernels=kernels, precision=precision, n_ranks=n_ranks)
         for name in (*sorted(GOLDEN_SCENARIOS), "plane_wave")
     ]
     return {
         "kernels": kernels,
         "precision": precision,
         "n_ranks": n_ranks,
-        "backend": backend,
         "checks": checks,
         "passed": all(check["passed"] for check in checks),
     }

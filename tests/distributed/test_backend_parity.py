@@ -3,8 +3,8 @@
 Asserts the PR's distributed acceptance criteria:
 
 * a 2-rank run under the reference kernels (f64) is bit-identical to the
-  single-rank reference run (DOFs, seismograms, update counts) on both the
-  serial and the process execution backend,
+  single-rank reference run (DOFs, seismograms, update counts), whichever
+  legacy ``solver.backend`` value its spec names,
 * an f32 distributed run ships f32 halo payloads -- measured traffic equals
   the machine model evaluated at 4 bytes per value -- and, on the fast
   kernels, equals the single-rank f32 run bitwise,
@@ -95,24 +95,6 @@ class TestF32Distributed:
         dist.run()
         assert dist.solver.dofs.dtype == np.float32
         assert np.array_equal(dist.solver.dofs, single.solver.dofs)
-
-    def test_f32_process_backend_bit_identical_to_serial(self, tiny_loh3):
-        """The process workers must keep f32 payloads/state in f32: serial
-        and process backends stay bit-identical under the reference kernels,
-        and the measured traffic equals the 4-byte model on both."""
-        spec = tiny_loh3.with_overrides(n_ranks=2, precision="f32", kernels="ref")
-        serial = make_runner(spec)
-        s_serial = serial.run()
-        process = make_runner(spec.with_overrides(backend="process"))
-        s_process = process.run()
-        assert process.solver.dofs.dtype == np.float32
-        assert np.array_equal(process.solver.dofs, serial.solver.dofs)
-        for key in ("measured_bytes_per_cycle", "measured_messages_per_cycle"):
-            assert s_process["comm"][key] == s_serial["comm"][key]
-        assert (
-            s_process["comm"]["measured_bytes_per_cycle"]
-            == s_process["comm"]["model"]["total_bytes"]
-        )
 
     def test_f32_fast_distributed_matches_single_rank_bitwise(self, tiny_loh3):
         """Every fast contraction is per element or per face, so the

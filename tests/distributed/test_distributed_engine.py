@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.distributed import ProcessLtsEngine
+from repro.parallel.communicator import ProcessCommunicator
 from repro.source.moment_tensor import DiscretePointSource
 from repro.scenarios import (
     ScenarioRunner,
@@ -170,12 +171,18 @@ class TestCommunicationAccounting:
         text = json.dumps(summary)  # would raise on tuple keys / numpy types
         assert "per_pair" in text
 
-    def test_all_messages_delivered_every_cycle(self, tiny_loh3):
+    def test_all_messages_delivered_every_cycle(self, tiny_loh3, monkeypatch):
+        """Each rank checks after every ``cycles`` command that it consumed
+        every pack that reached it; a rank left holding one fails the cycle
+        by name (the check is patched in before the respawn, so the forked
+        ranks inherit it)."""
         runner = make_runner(tiny_loh3.with_overrides(n_ranks=2, n_cycles=1))
         runner.step_cycle()
-        assert all(worker.comm.all_delivered() for worker in runner.engine.workers)
-        # the thread-hosted ranks' endpoints are the one queue communicator
         assert runner.engine.comm_summary()["transport"] == "queue"
+        runner.engine.close()
+        monkeypatch.setattr(ProcessCommunicator, "all_delivered", lambda self: False)
+        with pytest.raises(RuntimeError, match="undelivered halo payloads after a macro cycle"):
+            runner.step_cycle()
 
 
 class TestSubdomains:
@@ -198,10 +205,10 @@ class TestSubdomains:
         id of its global element."""
         runner = make_runner(get_scenario("la_habra").smoke().with_overrides(n_ranks=2))
         engine = runner.engine
-        placed = [
-            (worker.solver.rank, int(sub.owned[source.element]))
-            for worker, sub in zip(engine.workers, engine.subdomains)
-            for source in worker.solver.sources
+        placed = [  # the recipes the forked rank workers build their solvers from
+            (setup.subdomain.rank, int(setup.subdomain.owned[source.element]))
+            for setup in engine._setups
+            for source in setup.sources
         ]
         element = DiscretePointSource(runner.setup.disc, runner.setup.source).element
         assert placed == [(int(engine.partitions[element]), int(element))]

@@ -1,4 +1,4 @@
-"""Fast-kernel parity across the distributed engines.
+"""Fast-kernel parity of the distributed engine.
 
 Every contraction of the fast backend is per element or per face, so an
 element's bits depend neither on the block nor on the batch around it, and
@@ -45,13 +45,8 @@ def _rel_err(a, b):
 
 
 class TestFastDistributed:
-    @pytest.mark.parametrize("backend", ["serial", "process"])
-    def test_2rank_fast_matches_single_rank_bitwise(
-        self, tiny_loh3, single_rank_fast, backend
-    ):
-        dist = make_runner(
-            tiny_loh3.with_overrides(n_ranks=2, kernels="fast", backend=backend)
-        )
+    def test_2rank_fast_matches_single_rank_bitwise(self, tiny_loh3, single_rank_fast):
+        dist = make_runner(tiny_loh3.with_overrides(n_ranks=2, kernels="fast"))
         summary = dist.run()
         assert summary["kernels"] == "fast"
         assert dist.solver.n_element_updates == single_rank_fast.solver.n_element_updates
@@ -66,14 +61,13 @@ class TestFastDistributed:
         assert summary["comm"]["measured_bytes_per_cycle"] == model["total_bytes"]
 
     @pytest.mark.parametrize("precision", ["f64", "f32"])
-    @pytest.mark.parametrize("backend", ["serial", "process"])
-    def test_order4_2rank_fast_matches_single_rank_bitwise(self, tiny_loh3, precision, backend):
+    def test_order4_2rank_fast_matches_single_rank_bitwise(self, tiny_loh3, precision):
         """Order 4 over 12 cycles: the per-class ``F_bar`` GEMM differed
         from the third cycle on (f64)."""
         spec = tiny_loh3.with_overrides(order=4, n_cycles=12, kernels="fast", precision=precision)
         single = ScenarioRunner(spec)
         single.run()
-        dist = make_runner(spec.with_overrides(n_ranks=2, backend=backend))
+        dist = make_runner(spec.with_overrides(n_ranks=2))
         dist.run()
         assert dist.solver.dofs.dtype == single.solver.dofs.dtype
         np.testing.assert_array_equal(dist.solver.dofs, single.solver.dofs)
@@ -94,12 +88,15 @@ class TestFastDistributed:
 
     @pytest.mark.slow
     def test_process_workers_rebuild_fast_backend_by_name(self, tiny_loh3):
-        """Serial and process engines must run the same (fast) kernels:
-        their results agree far below the fast-vs-ref deviation."""
-        spec = tiny_loh3.with_overrides(n_ranks=2, kernels="fast")
-        serial = make_runner(spec)
-        serial.run()
-        process = make_runner(spec.with_overrides(backend="process"))
-        process.run()
-        # the engines differ only in where the rank solvers run
-        assert np.array_equal(process.solver.dofs, serial.solver.dofs)
+        """The forked ranks build the kernels the spec names: only the ref
+        correction times its local surface half as a region of its own (the
+        fast correction is one fused pass)."""
+        regions = {}
+        for kernels in ("ref", "fast"):
+            runner = make_runner(
+                tiny_loh3.with_overrides(n_ranks=2, kernels=kernels, n_cycles=1, telemetry=True)
+            )
+            regions[kernels] = runner.run()["telemetry"]["regions"]
+        assert "correct/kernel.surface_local" in regions["ref"]
+        assert "correct/kernel.surface_local" not in regions["fast"]
+        assert "correct/kernel.surface_neighbor" in regions["fast"]

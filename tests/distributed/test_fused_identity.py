@@ -2,8 +2,8 @@
 
 The fused axis is only trustworthy if it is *transparent*: slot ``f`` of an
 F-wide fused run must reproduce the standalone scalar run of source ``f``
-bit for bit (ref kernels, f64), through the full LTS machinery --
-serial and on the 2-rank process backend, whose halo payloads carry the
+bit for bit (ref kernels, f64), through the full LTS machinery -- on
+one rank and on 2 forked rank workers, whose halo payloads carry the
 fused axis.  The halo traffic of a fused run must also match the F-scaled
 exchange model exactly: fused ensembles amortize *messages*, never bytes.
 """
@@ -83,7 +83,7 @@ class TestSerialSlotIdentity:
 class TestProcessBackendSlotIdentity:
     @pytest.fixture(scope="class")
     def process_run(self, fused_loh3):
-        spec = fused_loh3.with_overrides(kernels="ref", n_ranks=2, backend="process")
+        spec = fused_loh3.with_overrides(kernels="ref", n_ranks=2)
         runner = make_runner(spec)
         assert runner.solver is runner.engine
         assert isinstance(runner.engine, ProcessLtsEngine)
@@ -118,7 +118,7 @@ class TestProcessBackendSlotIdentity:
         # the model itself must scale exactly with F over the scalar run:
         # fused halos carry F times the bytes in the same number of messages
         scalar_spec = _scalar_slot_spec(fused_loh3.with_overrides(kernels="ref"), 0)
-        scalar = make_runner(scalar_spec.with_overrides(n_ranks=2, backend="process"))
+        scalar = make_runner(scalar_spec.with_overrides(n_ranks=2))
         scalar_summary = scalar.run()
         scalar_model = scalar_summary["comm"]["model"]
         assert model["total_bytes"] == WIDTH * scalar_model["total_bytes"]

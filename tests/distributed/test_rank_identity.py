@@ -1,4 +1,4 @@
-"""Single- vs multi-rank and serial- vs process-engine bit-identity.
+"""Single- vs multi-rank bit-identity.
 
 Both kernel kinds step a multi-rank run bitwise like the single-rank run:
 ``ref`` because the halo ships exactly the ``F_bar`` products the receiver
@@ -38,16 +38,13 @@ def _single(scenario, kernels, order):
     return runner
 
 
-@pytest.mark.parametrize("backend", ["serial", "process"])
 @pytest.mark.parametrize("n_ranks", [2, 4])
 @pytest.mark.parametrize("order", [3, 4])
 @pytest.mark.parametrize("kernels", ["ref", "fast"])
 @pytest.mark.parametrize("scenario", ["loh3", "la_habra"])
-def test_multi_rank_run_is_bitwise_the_single_rank_run(scenario, kernels, order, n_ranks, backend):
+def test_multi_rank_run_is_bitwise_the_single_rank_run(scenario, kernels, order, n_ranks):
     single = _single(scenario, kernels, order)
-    dist = make_runner(_spec(scenario, kernels, order).with_overrides(
-        n_ranks=n_ranks, backend=backend
-    ))
+    dist = make_runner(_spec(scenario, kernels, order).with_overrides(n_ranks=n_ranks))
     summary = dist.run()
     assert np.array_equal(dist.solver.dofs, single.solver.dofs)
     assert dist.solver.n_element_updates == single.solver.n_element_updates

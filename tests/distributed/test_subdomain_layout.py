@@ -15,23 +15,25 @@
 
 import tracemalloc
 from collections import defaultdict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from repro.distributed import RankSolver, RankSubdomain
+from repro.distributed.runner import _partitions
+from repro.parallel.exchange import HaloIndex, exchange_volumes_per_cycle
 from repro.scenarios import get_scenario, make_runner
+from repro.scenarios.runner import build_setup
+
+from ..rank_setup import rank_solvers
 
 pytestmark = pytest.mark.distributed
 
 
-def _rank_solvers(runner) -> list:
-    """The rank solvers of a live serial (thread-hosted) multi-rank runner."""
-    return [worker.solver for worker in runner.engine.workers]
-
-
 @pytest.fixture(scope="module")
 def loh3_m_2rank():
-    """The benchmark's 2-rank LOH.3-M mesh at order 3 on the serial engine."""
+    """The benchmark's 2-rank LOH.3-M mesh at order 3, stepped one cycle."""
     spec = get_scenario(
         "loh3", characteristic_length=1000.0, n_clusters=3, lam=1.0, order=3, n_cycles=1
     )
@@ -46,7 +48,8 @@ class TestOneFluxSolverCopy:
         four per-kind names and the fast correction's operand are views of
         it, not copies."""
         disc = loh3_m_2rank.setup.disc
-        for sub, solver in zip(loh3_m_2rank.engine.subdomains, _rank_solvers(loh3_m_2rank)):
+        engine = loh3_m_2rank.engine
+        for sub, solver in zip(engine.subdomains, rank_solvers(engine)):
             local = sub.view
             assert solver.disc is local
             np.testing.assert_array_equal(local.flux_solvers, disc.flux_solvers[sub.owned])
@@ -93,7 +96,7 @@ class TestLocalOrder:
                     assert np.all(np.diff(sub.owned[ids[rows]]) > 0)
 
     def test_rank_clusters_carry_slice_batches(self, loh3_m_2rank):
-        for rank in _rank_solvers(loh3_m_2rank):
+        for rank in rank_solvers(loh3_m_2rank.engine):
             for cluster in rank.clusters:
                 if len(cluster.elements):
                     assert isinstance(cluster.batch, slice)
@@ -127,14 +130,16 @@ class _CountingDofs(np.ndarray):
 
 class TestSlicePrediction:
     def test_warm_prediction_neither_gathers_nor_allocates(self, loh3_m_2rank):
-        rank = _rank_solvers(loh3_m_2rank)[0]
+        rank = rank_solvers(loh3_m_2rank.engine, restore=True)[0]
         cluster = max(rank.clusters, key=lambda c: len(c.elements))
         cluster_dofs_bytes = rank.dofs[cluster.batch].nbytes
         assert cluster_dofs_bytes > 1 << 20
+        phases = [("boundary", [cluster.cluster_id]), ("interior", [cluster.cluster_id])]
+        for phase in phases:  # build the items, as a stepped cycle has
+            rank._dispatch(*phase)
         rank.dofs = rank.dofs.view(_CountingDofs)
         _CountingDofs.fancy_reads = 0
-        phases = [("boundary", [cluster.cluster_id]), ("interior", [cluster.cluster_id])]
-        for phase in phases:  # warm: the cycle already ran these
+        for phase in phases:  # warm
             rank._dispatch(*phase)
         tracemalloc.start()
         try:
@@ -163,7 +168,7 @@ class TestHaloSends:
         buffers' stored row: the read-time difference it replaced, projected
         with the receiver's ``F_bar``."""
         n_sent = 0
-        for rank in _rank_solvers(loh3_m_2rank):
+        for rank in rank_solvers(loh3_m_2rank.engine, restore=True):
             comm = _RecordingComm()
             monkeypatch.setattr(rank, "comm", comm)
             n_rows = rank.subdomain.n_owned + 1
@@ -204,7 +209,28 @@ def plan_case(request):
 
 @pytest.fixture(scope="module")
 def plan_engine(plan_case):
-    return make_runner(plan_case).engine
+    """The static halo plans of the case, as the engine partitions them: its
+    subdomains, halo and clustering, and the model's message count (no rank
+    worker is started)."""
+    setup = build_setup(plan_case)
+    disc, clustering = setup.disc, setup.clustering
+    partitions = _partitions(
+        SimpleNamespace(setup=setup, clustering=clustering), disc, plan_case.solver.n_ranks
+    )
+    halo = HaloIndex.from_partitions(disc.mesh.neighbors, partitions)
+    model = exchange_volumes_per_cycle(
+        halo, clustering.cluster_ids, clustering.n_clusters, order=disc.order,
+        bytes_per_value=np.dtype(disc.dtype).itemsize,
+    )
+    return SimpleNamespace(
+        subdomains=[
+            RankSubdomain(disc, clustering, partitions, r)
+            for r in range(plan_case.solver.n_ranks)
+        ],
+        halo=halo,
+        clustering=clustering,
+        n_messages=model["n_messages"],
+    )
 
 
 class TestHaloPlans:
@@ -228,7 +254,7 @@ class TestHaloPlans:
         for key, tags in sent.items():
             assert len(tags) > 0 and np.all(np.diff(tags) > 0), key
             np.testing.assert_array_equal(received[key], tags, err_msg=str(key))
-        assert len(sent) == plan_engine.modelled_exchange_per_cycle()["n_messages"]
+        assert len(sent) == plan_engine.n_messages
 
     def test_faces_travel_at_the_faster_side_frequency(self, plan_engine):
         """Every directed halo face is sent, and lands in its halo-store row,
@@ -262,17 +288,25 @@ class TestHaloPlans:
                 blocks.update((plan.rows // (sub.n_owned + 1)).tolist())
         assert blocks == {0, 1, 2, 3}
 
-    def test_every_store_row_is_received_before_it_is_read(self, plan_case):
+    def test_every_store_row_is_received_before_it_is_read(self, plan_case, monkeypatch):
         """A halo store that starts as NaN changes nothing: every row a
-        correction reads was written by a pack of the same cycle."""
+        correction reads was written by a pack of the same cycle.  The
+        poison is patched into the class before the spawn, so the forked
+        ranks inherit it."""
+        build = RankSolver.__init__
+
+        def poisoned(self, *args, **kwargs):
+            build(self, *args, **kwargs)
+            self.halo_store[...] = np.nan
+
         runs = []
         for poison in (False, True):
-            runner = make_runner(plan_case)
             if poison:
-                for rank in _rank_solvers(runner):
-                    rank.halo_store[...] = np.nan
+                monkeypatch.setattr(RankSolver, "__init__", poisoned)
+            runner = make_runner(plan_case)
             runner.step_cycle()
             runs.append(runner.solver.dofs)
+            runner.solver.close()
         assert np.isfinite(runs[1]).all()
         np.testing.assert_array_equal(runs[1], runs[0])
 

@@ -631,6 +631,37 @@ def test_first_cycle_memory_stays_block_sized(monkeypatch, n_threads):
     assert footprint() == settled
 
 
+def test_a_thread_that_drew_no_block_holds_the_largest_scratch(monkeypatch):
+    """Which pool thread claims which block is a race.  Here the caller
+    claims every item of the first dispatch: the idle thread's scratch must
+    still end up as large as the caller's, so its first block in a later
+    dispatch grows no pool."""
+
+    class CallerClaimsAll:
+        n_threads = 2
+
+        def run(self, items, work):
+            for item in items:
+                work(item, 0)
+
+    monkeypatch.setattr(backend_module, "block_pool", CallerClaimsAll)
+    backend = FastBackend()
+    requests = [("ck_stack", (8, 3), np.float64), ("ck_stack", (2, 3), np.float64),
+                ("corr_proj", (5,), np.float32)]
+    items = [lambda slot, telemetry, dofs, request=request:
+             backend._thread_scratch[slot].scratch(*request) for request in requests]
+    backend.run(items, None)
+    caller, idle = backend._thread_scratch
+    sizes = {("ck_stack", np.dtype(np.float64)): 24, ("corr_proj", np.dtype(np.float32)): 5}
+    for ws in (caller, idle):
+        assert {key: pool.size for key, pool in ws._pools.items()} == sizes
+    generations = (caller.generation, idle.generation)
+    backend.run(items[::-1], None)
+    for request in requests:
+        idle.scratch(*request)
+    assert (caller.generation, idle.generation) == generations
+
+
 class TestSolverToleranceParity:
     """Whole solver runs stay within tolerance of the reference kernels."""
 

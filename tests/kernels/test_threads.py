@@ -3,10 +3,11 @@ and bit-identity of threaded ``fast`` runs.
 
 The thread count is never configured: these tests drive it the way a host
 does, through the CPU affinity the budget reads (``os.sched_getaffinity``,
-monkeypatched to ``n`` CPUs per BLAS thread), so threaded and one-thread
-runs go through the same derivation.  Every element block still runs the
-same arithmetic on whichever thread owns its chunk, so a threaded run must
-equal the one-thread run bit for bit.
+monkeypatched to ``n`` CPUs per BLAS thread and rank; forked rank workers
+inherit the patch), so threaded and one-thread runs go through the same
+derivation.  Every element block still runs the same arithmetic on
+whichever thread owns its chunk, so a threaded run must equal the
+one-thread run bit for bit.
 """
 
 import json
@@ -18,6 +19,7 @@ import pytest
 
 from repro.core.lts_scheduler import schedule_cycle
 from repro.core.lts_solver import HalfAppliedStepError
+from repro.distributed import RankSolver
 from repro.kernels import backend as backend_module
 from repro.kernels import threads
 from repro.kernels.backend import FastBackend
@@ -28,16 +30,22 @@ from repro.scenarios.cli import main as cli_main
 from repro.sweep import SweepAxis, SweepSpec, run_sweep
 from repro.verification.golden import golden_spec
 
+from ..rank_setup import rank_solvers
+
 #: a few order-3 elements per block, so smoke meshes cut into many blocks
 SMALL_BLOCKS = 1 << 16
 
 
-def use_threads(monkeypatch, n: int) -> None:
-    """Give this process an affinity of ``n`` CPUs per BLAS thread: its
-    budget is then ``n`` kernel threads."""
-    cpus = set(range(n * threads.blas_threads()))
+def use_threads(monkeypatch, n: int, ranks: int = 1) -> None:
+    """Give this process an affinity of ``n`` CPUs per BLAS thread and
+    rank: each of ``ranks`` forked rank workers, sharing the CPUs
+    (``share_cpus(ranks)``), then has a budget of ``n`` kernel threads."""
+    cpus = set(range(n * ranks * threads.blas_threads()))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
-    assert thread_budget() == n
+    assert thread_budget() == n * ranks
+    with monkeypatch.context() as patch:
+        patch.setattr(threads, "_share", ranks)
+        assert thread_budget() == n
 
 
 @pytest.fixture
@@ -87,9 +95,7 @@ class TestBudget:
         assert budget_log() == {os.getpid(): 2}
 
     def test_process_ranks_take_one_thread_each(self, budget_log, small_blocks):
-        spec = get_scenario("loh3").smoke().with_overrides(
-            kernels="fast", n_ranks=2, backend="process"
-        )
+        spec = get_scenario("loh3").smoke().with_overrides(kernels="fast", n_ranks=2)
         runner = make_runner(spec)
         try:
             runner.step_cycle()
@@ -98,6 +104,24 @@ class TestBudget:
         budgets = budget_log()
         assert os.getpid() not in budgets  # the parent steps no kernels
         assert sorted(budgets.values()) == [1, 1]
+
+    @pytest.mark.parametrize(
+        "cpus, n_ranks, per_rank", [(4, 2, 2), (4, 4, 1), (2, 4, 1)]
+    )
+    def test_forked_ranks_split_the_cpus(self, budget_log, small_blocks, monkeypatch,
+                                         cpus, n_ranks, per_rank):
+        """Each forked rank declares its share: its pool gets the CPUs over
+        the rank count (at least one thread)."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        spec = get_scenario("loh3").smoke().with_overrides(kernels="fast", n_ranks=n_ranks)
+        runner = make_runner(spec)
+        try:
+            runner.step_cycle()
+        finally:
+            runner.engine.close()
+        budgets = budget_log()
+        assert os.getpid() not in budgets
+        assert sorted(budgets.values()) == [per_rank] * n_ranks
 
     @pytest.mark.parametrize("workers, expected", [(0, [2]), (2, [1, 1])], ids=["inline", "pool"])
     def test_sweep_workers_split_the_cpus(self, budget_log, small_blocks, tmp_path, workers, expected):
@@ -236,9 +260,9 @@ LATTICE = {
     ),
     # a small box whose halo rows fill a whole 2-element cluster, cut into
     # one-element blocks: the halo payloads land in more than one chunk
-    "serial-2rank": (
+    "2rank": (
         lambda: _lts("loh3", extent_m=4000.0, characteristic_length=1500.0).with_overrides(
-            n_ranks=2, backend="serial"
+            n_ranks=2
         ),
         1,
     ),
@@ -269,11 +293,13 @@ def _halo_blocks(rank):
 def test_threaded_fast_is_bitwise_the_one_thread_run(monkeypatch, case):
     spec, block_bytes = LATTICE[case]
     monkeypatch.setattr(backend_module, "_BLOCK_STACK_BYTES", block_bytes)
-    if case == "serial-2rank":  # the thread host's live rank workers
-        assert max(_halo_blocks(w.solver) for w in make_runner(spec()).engine.workers) > 1
+    if case == "2rank":  # the same rank solvers as the forked ones, in-process
+        runner = make_runner(spec())
+        assert max(_halo_blocks(rank) for rank in rank_solvers(runner.engine)) > 1
+        runner.solver.close()
     runs = {}
     for n in (1, 2, 3):
-        use_threads(monkeypatch, n)
+        use_threads(monkeypatch, n, spec().solver.n_ranks)
         runs[n] = _run(spec())
     _, dofs, seismograms = runs[1]
     for n in (2, 3):
@@ -315,21 +341,20 @@ def test_threaded_telemetry_counts_every_region_once(monkeypatch, small_blocks, 
         )
 
 
-@pytest.mark.parametrize("case", ["lts", "serial-2rank"])
+@pytest.mark.parametrize("case", ["lts", "2rank"])
 def test_more_threads_than_cores_under_fast_switching(monkeypatch, small_blocks, case):
-    """Stress: 4 kernel threads with a 10 us switch interval, telemetry on
-    (``serial-2rank``: two rank threads taking turns in the one pool).
-    A lost update to shared state -- a block run twice or skipped, a
-    scratch buffer shared by two threads, a region count merged wrongly --
-    breaks bitwise equality or the counts."""
+    """Stress: 4 kernel threads (per rank) with a 10 us switch interval,
+    telemetry on.  A lost update to shared state -- a block run twice or
+    skipped, a scratch buffer shared by two threads, a region count merged
+    wrongly -- breaks bitwise equality or the counts."""
     import sys
 
     spec = _lts("la_habra").with_overrides(telemetry=True)
-    if case == "serial-2rank":
-        spec = spec.with_overrides(n_ranks=2, backend="serial")
+    if case == "2rank":
+        spec = spec.with_overrides(n_ranks=2)
     runs = {}
     for n in (1, 4):
-        use_threads(monkeypatch, n)
+        use_threads(monkeypatch, n, spec.solver.n_ranks)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -353,17 +378,37 @@ class TestFailedDispatch:
     def _boom(slot, telemetry, dofs):
         raise ZeroDivisionError("injected block failure")
 
-    @pytest.mark.parametrize("case", ["lts", "serial-2rank"])
+    @classmethod
+    def _fail_rank_0(cls, monkeypatch, phase: str, last: bool) -> None:
+        """Put the failing block first (or last) into the ``phase`` items of
+        rank 0's cluster 0, both step parities.  The items are built by the
+        rank on first use, so the patch goes into the class: the ranks
+        forked next inherit it."""
+        build = RankSolver._cluster_items
+
+        def failing(self, cluster, parity):
+            items = build(self, cluster, parity)
+            if self.rank == 0 and cluster.cluster_id == 0:
+                assert items[phase], "the failing block must follow blocks that write DOF rows"
+                items[phase].insert(len(items[phase]) if last else 0, cls._boom)
+            return items
+
+        monkeypatch.setattr(RankSolver, "_cluster_items", failing)
+
+    @pytest.mark.parametrize("case", ["lts", "2rank"])
     def test_the_next_cycle_is_refused_by_name(self, monkeypatch, small_blocks, case):
-        use_threads(monkeypatch, 2)
         spec = _lts("la_habra")
-        if case == "serial-2rank":
-            spec = spec.with_overrides(n_ranks=2, backend="serial")
+        if case == "2rank":
+            spec = spec.with_overrides(n_ranks=2)
+        use_threads(monkeypatch, 2, spec.solver.n_ranks)
         runner = make_runner(spec)
         runner.step_cycle()
-        solver = runner.solver if case == "lts" else runner.engine.workers[0].solver
-        for items in solver.clusters[0].items:  # both step parities
-            items["correct"].insert(0, self._boom)
+        if case == "lts":
+            for items in runner.solver.clusters[0].items:  # both step parities
+                items["correct"].insert(0, self._boom)
+        else:
+            runner.engine.close()  # the next cycle respawns the ranks
+            self._fail_rank_0(monkeypatch, "correct", last=False)
         error = _bounded(runner.step_cycle)
         if case == "lts":
             assert isinstance(error, ZeroDivisionError), error
@@ -378,17 +423,17 @@ class TestFailedDispatch:
             assert isinstance(error, RuntimeError), error
             assert "lost its workers" in str(error)
 
-    @pytest.mark.parametrize("case", ["lts", "gts", "serial-2rank"])
+    @pytest.mark.parametrize("case", ["lts", "gts", "2rank"])
     def test_a_failed_prediction_is_refused_then_restored(self, monkeypatch, small_blocks, case):
         """A prediction block that raises after earlier blocks of the same
         dispatch added their volume increments to their DOF rows: the next
         cycle is refused by name, and ``restore_state`` resumes bitwise."""
-        use_threads(monkeypatch, 2)
         spec = _lts("la_habra")
         if case == "gts":
             spec = spec.with_overrides(solver="gts")
-        if case == "serial-2rank":
-            spec = spec.with_overrides(n_ranks=2, backend="serial")
+        if case == "2rank":
+            spec = spec.with_overrides(n_ranks=2)
+        use_threads(monkeypatch, 2, spec.solver.n_ranks)
         clean, runner = make_runner(spec), make_runner(spec)
         for _ in range(2):
             clean.step_cycle()
@@ -415,22 +460,24 @@ class TestFailedDispatch:
             assert _bounded(runner.step_cycle) is None
             np.testing.assert_array_equal(runner.solver.dofs, clean.solver.dofs)
             return
-        # the rank solver predicts its boundary rows first
-        solver, phase = (runner.solver, "predict") if case == "lts" else (
-            runner.engine.workers[0].solver, "boundary"
-        )
-        for items in solver.clusters[0].items:  # both step parities
-            assert items[phase], "the failing block must follow blocks that write DOF rows"
-            items[phase].append(self._boom)
-        error = _bounded(runner.step_cycle)
         if case == "lts":
+            solver = runner.solver
+            for items in solver.clusters[0].items:  # both step parities
+                assert items["predict"], "the failing block must follow blocks that write DOF rows"
+                items["predict"].append(self._boom)
+            error = _bounded(runner.step_cycle)
             assert isinstance(error, ZeroDivisionError), error
             error = _bounded(runner.step_cycle)
             assert isinstance(error, HalfAppliedStepError), error
             assert "predict dispatch" in str(error)
             for items in solver.clusters[0].items:
-                items[phase].remove(self._boom)
+                items["predict"].remove(self._boom)
         else:
+            runner.engine.close()
+            with monkeypatch.context() as patch:
+                # the rank solver predicts its boundary rows first
+                self._fail_rank_0(patch, "boundary", last=True)
+                error = _bounded(runner.step_cycle)
             assert isinstance(error, RuntimeError), error
             assert "ZeroDivisionError: injected block failure" in str(error)
             assert "lost its workers" in str(_bounded(runner.step_cycle))

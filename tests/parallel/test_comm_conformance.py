@@ -1,10 +1,11 @@
 """One behavioural contract, two wirings of the one communicator.
 
 The distributed steppers only ever see the communicator interface --
-``send``/``flush``/``recv``/``stats``/``all_delivered`` -- and both engines
-use the same :class:`ProcessCommunicator`: the serial engine over in-process
-``queue.SimpleQueue`` inbounds with ``timeout=0``, the process engine over
-``multiprocessing`` queues.  Both wirings must satisfy the same observable
+``send``/``flush``/``recv``/``stats``/``all_delivered`` -- of
+:class:`ProcessCommunicator`, which takes any queue: the engine wires its
+rank workers over ``multiprocessing`` queues, and tests wire in-process
+rank solvers over ``queue.SimpleQueue`` inbounds.  Both wirings must
+satisfy the same observable
 semantics: FIFO order per ``(src, tag)`` channel, statically-counted
 receives, excess-message detection through ``all_delivered``, and send-side
 byte accounting that matches the payloads exactly.  The steppers send one
@@ -33,7 +34,7 @@ class _Fabric:
     def __init__(self, kind: str, timeout: float = 10.0):
         if kind == "inprocess":
             inbound = [queue.SimpleQueue() for _ in range(N_RANKS)]
-            timeout = 0.0  # the serial engine's wiring: a receive never waits
+            timeout = 0.0  # in-process: a receive never waits
         else:
             ctx = multiprocessing.get_context()
             inbound = [ctx.Queue() for _ in range(N_RANKS)]

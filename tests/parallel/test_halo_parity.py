@@ -6,8 +6,8 @@ neighbours' buffers (Fig. 6): ``B1`` across same-cluster faces, the
 accumulated ``B3`` when the sender is in the smaller (faster) cluster, and
 ``B2`` / ``B1 - B2`` -- by receiver sub-step parity -- when the sender is in
 the larger cluster.  The rank subdomains' send plans are the one place these
-reads are encoded, and a serial multi-rank run over the same cut must stay
-bitwise the single-rank run.
+reads are encoded, and a multi-rank run over the same cut must stay bitwise
+the single-rank run.
 """
 
 import numpy as np
@@ -105,8 +105,8 @@ def test_halo_payloads_match_neighbor_buffer_reads(solver_setup):
 def test_send_plans_ship_every_payload_kind_and_stay_bitwise(spec):
     """The real exchange path on the same interleaved cut: the ranks' send
     plans read each of ``B1``, ``B2``, ``B3`` and ``B1 - B2`` from the
-    buffer store, and a 2-rank serial run over that cut is bitwise the
-    single-rank run."""
+    buffer store, and a 2-rank run over that cut is bitwise the single-rank
+    run."""
     single = ScenarioRunner(spec)
     disc = single.setup.disc
     partitions = np.arange(disc.n_elements, dtype=np.int64) % 2

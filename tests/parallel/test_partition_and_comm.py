@@ -213,9 +213,9 @@ class TestMessageStats:
         assert a.per_pair["1->0"] == {"messages": 2, "bytes": 14}
 
 
-def _wire_serial_comms(n_ranks: int):
-    """The serial engine's wiring: in-process ``SimpleQueue`` inbounds and
-    ``timeout=0``, so a missing message fails at once."""
+def _wire_comms(n_ranks: int):
+    """An in-process wiring: ``SimpleQueue`` inbounds and ``timeout=0``, so
+    a missing message fails at once."""
     inbound = [queue.SimpleQueue() for _ in range(n_ranks)]
     return [
         ProcessCommunicator(
@@ -230,10 +230,10 @@ def _wire_serial_comms(n_ranks: int):
 
 
 class TestCommunicator:
-    """The endpoint contract on the serial engine's in-process wiring."""
+    """The endpoint contract on an in-process wiring."""
 
     def test_send_recv_and_accounting(self):
-        comms = _wire_serial_comms(3)
+        comms = _wire_comms(3)
         payload = np.arange(10, dtype=np.float32)
         comms[0].send(payload, src=0, dst=2, tag=7)
         comms[0].flush()
@@ -246,19 +246,19 @@ class TestCommunicator:
         assert all(comm.all_delivered() for comm in comms)
 
     def test_missing_message_raises(self):
-        _, receiver = _wire_serial_comms(2)
+        _, receiver = _wire_comms(2)
         with pytest.raises(RuntimeError, match="no halo pack from rank 0 for micro step 0"):
             receiver.recv(src=0, dst=1)
 
     def test_rank_validation(self):
-        sender, _ = _wire_serial_comms(2)
+        sender, _ = _wire_comms(2)
         with pytest.raises(ValueError):
             sender.send(np.zeros(1), src=0, dst=5)
         with pytest.raises(ValueError):
             ProcessCommunicator(0, 0, queue.SimpleQueue(), {}, timeout=0)
 
     def test_recv_order_is_fifo_per_channel(self):
-        sender, receiver = _wire_serial_comms(2)
+        sender, receiver = _wire_comms(2)
         for value in (1.0, 2.0, 3.0):
             sender.send(np.full(2, value), src=0, dst=1, tag=4)
         sender.flush()

@@ -1,6 +1,6 @@
 """End-to-end tests of the run ledger, heartbeat and ``repro report``.
 
-The crash-durability claim is tested for real: a 2-rank process-backend run
+The crash-durability claim is tested for real: a 2-rank run
 is SIGKILLed mid-flight and its partial ledger must still parse and
 validate.  The report CLI is driven over an instrumented distributed run
 plus a GTS reference, asserting the overlap / imbalance / LTS-speedup
@@ -35,13 +35,13 @@ TINY_LOH3 = (
 
 @pytest.fixture(scope="module")
 def traced_runs(tmp_path_factory):
-    """One instrumented 2-rank process run + a GTS reference, via the CLI."""
+    """One instrumented 2-rank run + a GTS reference, via the CLI."""
     base = tmp_path_factory.mktemp("report_runs")
     lts_dir, gts_dir = base / "lts_out", base / "gts_out"
     events = lts_dir / "events.jsonl"
     assert cli_main(
         ["run", "loh3", *TINY_LOH3, "--cycles", "3", "--ranks", "2",
-         "--backend", "process", "--events", str(events),
+         "--events", str(events),
          "--output-dir", str(lts_dir), "--quiet"]
     ) == 0
     assert cli_main(
@@ -113,7 +113,7 @@ class TestLedgerEndToEnd:
         env = dict(os.environ, PYTHONPATH=REPO_SRC)
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "run", "loh3", *TINY_LOH3,
-             "--cycles", "200", "--ranks", "2", "--backend", "process",
+             "--cycles", "200", "--ranks", "2",
              "--events", str(events), "--quiet"],
             env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         )
@@ -142,7 +142,7 @@ class TestLedgerEndToEnd:
         assert info["cycles"] >= 2
         assert not info["complete"]
         header = records[0]
-        assert header["run"]["backend"] == "process" and header["run"]["n_ranks"] == 2
+        assert header["run"]["n_ranks"] == 2 and "backend" not in header["run"]
         # the distributed records carry the comm accounting
         assert records[1]["comm_bytes"] > 0
         assert len(records[1]["sent_bytes_per_rank"]) == 2
@@ -155,8 +155,7 @@ class TestLedgerEndToEnd:
         resume`` from the cycle-2 checkpoint completes the ledger and the
         seismograms bitwise the uninterrupted run."""
         events, ckpt = tmp_path / "run.jsonl", tmp_path / "ckpt" / "run.ckpt.npz"
-        run = ["run", "loh3", *TINY_LOH3, "--cycles", "4", "--ranks", "2",
-               "--backend", "process", "--quiet"]
+        run = ["run", "loh3", *TINY_LOH3, "--cycles", "4", "--ranks", "2", "--quiet"]
         script = textwrap.dedent(f"""
             import errno, json, os, sys, time
             from repro.distributed import engine
@@ -286,6 +285,33 @@ class TestReportCli:
         gts_entry = payload["runs"][1]
         assert gts_entry["blocks"]["lts_speedup"] is None
         assert payload["comparison"]["rows"][1]["speedup_vs_first"] is not None
+        # the rank host is not a choice, so no entry or row names one
+        assert lts_entry["n_ranks"] == 2 and "backend" not in lts_entry
+        assert all("backend" not in row for row in payload["comparison"]["rows"])
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_report_reads_a_run_that_names_its_backend(self, traced_runs, tmp_path, capsys, backend):
+        """Summaries and ledgers written while the rank host was a choice
+        carry a ``backend`` key: they still report, without naming it."""
+        lts_dir, _ = traced_runs
+        run_dir = tmp_path / "legacy"
+        run_dir.mkdir()
+        records = read_ledger(lts_dir / "events.jsonl")
+        records[0]["run"]["backend"] = backend
+        (run_dir / "events.jsonl").write_text(
+            "".join(json.dumps(record) + "\n" for record in records)
+        )
+        summary = json.loads((lts_dir / "run_summary.json").read_text())
+        summary.update(backend=backend, events=str(run_dir / "events.jsonl"))
+        (run_dir / "run_summary.json").write_text(json.dumps(summary))
+
+        assert cli_main(["report", str(run_dir), "--json"]) == 0
+        (entry,) = json.loads(capsys.readouterr().out)["runs"]
+        assert entry["n_ranks"] == 2 and "backend" not in entry
+        assert entry["blocks"]["ledger"]["complete"] is True
+        assert cli_main(["report", str(run_dir)]) == 0
+        headers = [line for line in capsys.readouterr().out.splitlines() if "2 ranks" in line]
+        assert headers and all(line.endswith(", 2 ranks) ==") for line in headers), headers
 
     def test_report_on_bare_ledger(self, traced_runs, capsys):
         lts_dir, _ = traced_runs

@@ -90,10 +90,8 @@ class TestVerifyCli:
     def test_verify_golden_scenario_passes(self, capsys):
         assert main(["verify", "loh3", "--kernels", "fast", "--quiet"]) == 0
 
-    @pytest.mark.parametrize("backend", ["serial", "process"])
-    def test_verify_2rank_golden_scenario_passes(self, backend, capsys):
-        argv = ["verify", "loh3", "--kernels", "fast", "--ranks", "2",
-                "--backend", backend, "--quiet"]
+    def test_verify_2rank_golden_scenario_passes(self, capsys):
+        argv = ["verify", "loh3", "--kernels", "fast", "--ranks", "2", "--quiet"]
         assert main(argv) == 0
 
     def test_verify_unknown_scenario_is_input_error(self, capsys):

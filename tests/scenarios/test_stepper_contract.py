@@ -1,7 +1,7 @@
 """The stepper protocol every runner stepper implements (``repro.core.stepper``).
 
-One contract, four steppers: the GTS and clustered-LTS solvers and the
-serial and process multi-rank engines.  Each must advance ``time`` by
+One contract, three steppers: the GTS and clustered-LTS solvers and the
+multi-rank engine (on 2 and 4 ranks).  Each must advance ``time`` by
 ``macro_dt`` and its update count by the clustering's model per cycle,
 continue bitwise from its own ``state_arrays`` on a fresh instance, close
 idempotently, and report halo traffic exactly when it runs on ranks.
@@ -16,8 +16,8 @@ from repro.scenarios import ScenarioRunner, get_scenario
 STEPPERS = {
     "gts": {"solver": "gts"},
     "lts": {},
-    "serial-2": {"n_ranks": 2},
-    "process-2": {"n_ranks": 2, "backend": "process"},
+    "2rank": {"n_ranks": 2},
+    "4rank": {"n_ranks": 4},
 }
 
 
@@ -37,7 +37,7 @@ def tiny_loh3():
 
 @pytest.fixture(
     params=[
-        pytest.param(name, marks=[pytest.mark.distributed] if "2" in name else [])
+        pytest.param(name, marks=[pytest.mark.distributed] if "rank" in name else [])
         for name in STEPPERS
     ]
 )
@@ -104,22 +104,27 @@ def test_comm_summary_exactly_on_ranks(spec):
 
 
 @pytest.mark.parametrize("kernels", ["ref", "fast"])
-@pytest.mark.parametrize("kind", ["gts", "lts"])
+@pytest.mark.parametrize(
+    "kind", ["gts", "lts", pytest.param("2rank", marks=pytest.mark.distributed)]
+)
 def test_a_restored_snapshot_stays_the_callers(tiny_loh3, kind, kernels):
-    """``restore_state`` copies the DOFs into the solver's own array:
-    stepping on never writes the snapshot, so restoring it twice steps the
-    same cycle twice."""
+    """``restore_state`` copies the DOFs into the solver's own array (the
+    engine scatters them to its ranks): stepping on never writes the
+    snapshot, so restoring it twice steps the same cycle twice."""
     solver = ScenarioRunner(tiny_loh3.with_overrides(**STEPPERS[kind], kernels=kernels)).solver
-    solver.step_cycle()
-    snapshot = {name: np.array(values) for name, values in solver.state_arrays().items()}
-    pristine = {name: values.copy() for name, values in snapshot.items()}
-    time, updates = solver.time, solver.n_element_updates
-    cycles = []
-    for _ in range(2):
-        solver.restore_state(snapshot, time, updates)
-        assert not np.shares_memory(solver.dofs, snapshot["dofs"])
+    try:
         solver.step_cycle()
-        cycles.append(solver.dofs.copy())
+        snapshot = {name: np.array(values) for name, values in solver.state_arrays().items()}
+        pristine = {name: values.copy() for name, values in snapshot.items()}
+        time, updates = solver.time, solver.n_element_updates
+        cycles = []
+        for _ in range(2):
+            solver.restore_state(snapshot, time, updates)
+            assert not np.shares_memory(solver.dofs, snapshot["dofs"])
+            solver.step_cycle()
+            cycles.append(solver.dofs.copy())
+    finally:
+        solver.close()
     assert np.abs(cycles[0]).max() > 0.0  # the source has started
     np.testing.assert_array_equal(cycles[1], cycles[0])
     for name, values in pristine.items():

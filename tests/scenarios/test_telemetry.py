@@ -5,9 +5,9 @@ The claims under test:
 * the run summary gains a ``telemetry`` block whose phase breakdown covers
   the wall clock and whose counters reproduce the exact element-update
   accounting of the solver,
-* per-rank metrics merged across the serial and the process execution
-  backends equal the single-rank totals (instrumentation never changes, nor
-  mis-attributes, the work),
+* per-rank metrics merged across the forked rank workers equal the
+  single-rank totals (instrumentation never changes, nor mis-attributes, the
+  work),
 * ``--trace`` produces a valid Chrome-trace timeline with one lane per rank
   plus the driver lane, and
 * telemetry stays off (and out of the summary) by default.
@@ -162,14 +162,10 @@ class TestCheckpointCounters:
 
 @pytest.mark.distributed
 class TestCrossRankMerge:
-    @pytest.mark.parametrize("backend", ["serial", "process"])
-    def test_merged_totals_equal_single_rank(
-        self, tiny_loh3, single_rank_telemetry, backend
-    ):
+    @pytest.mark.parametrize("n_ranks", [2, 4])
+    def test_merged_totals_equal_single_rank(self, tiny_loh3, single_rank_telemetry, n_ranks):
         _, single = single_rank_telemetry
-        dist = make_runner(
-            tiny_loh3.with_overrides(n_ranks=2, backend=backend, telemetry=True)
-        )
+        dist = make_runner(tiny_loh3.with_overrides(n_ranks=n_ranks, telemetry=True))
         summary = dist.run()
         block = summary["telemetry"]
         single_updates = {
@@ -192,12 +188,10 @@ class TestCrossRankMerge:
         }
         assert block["recv_wait_s"] >= 0.0
         lanes = {lane["lane"] for lane in block["lanes"]}
-        assert lanes >= {"rank 0", "rank 1", "driver"}
+        assert lanes >= {f"rank {rank}" for rank in range(n_ranks)} | {"driver"}
 
     def test_process_backend_merge_survives_worker_release(self, tiny_loh3):
-        dist = make_runner(
-            tiny_loh3.with_overrides(n_ranks=2, backend="process", telemetry=True)
-        )
+        dist = make_runner(tiny_loh3.with_overrides(n_ranks=2, telemetry=True))
         dist.run()  # releases the workers at the end
         merged = merge_snapshots(dist.engine.telemetry_snapshots())
         updates = sum(
@@ -209,18 +203,14 @@ class TestCrossRankMerge:
 
 @pytest.mark.distributed
 class TestChromeTrace:
-    @pytest.mark.parametrize("backend", ["serial", "process"])
-    def test_trace_has_one_lane_per_rank_plus_driver(
-        self, tiny_loh3, tmp_path, backend
-    ):
-        dist = make_runner(
-            tiny_loh3.with_overrides(n_ranks=2, backend=backend, trace=True)
-        )
+    @pytest.mark.parametrize("n_ranks", [2, 4])
+    def test_trace_has_one_lane_per_rank_plus_driver(self, tiny_loh3, tmp_path, n_ranks):
+        dist = make_runner(tiny_loh3.with_overrides(n_ranks=n_ranks, trace=True))
         dist.run()
         path = dist.write_trace(tmp_path / "run.trace.json")
         payload = json.loads(path.read_text())
-        by_lane = validate_chrome_trace(payload, expect_lanes=3)
-        assert set(by_lane) == {"rank 0", "rank 1", "driver"}
+        by_lane = validate_chrome_trace(payload, expect_lanes=n_ranks + 1)
+        assert set(by_lane) == {f"rank {rank}" for rank in range(n_ranks)} | {"driver"}
         assert all(count > 0 for count in by_lane.values())
         # the per-rank lanes carry the micro-step schedule
         names = {
@@ -230,14 +220,13 @@ class TestChromeTrace:
         }
         assert names >= {"predict.boundary", "send", "predict.interior", "correct"}
 
-    @pytest.mark.parametrize("backend", ["serial", "process"])
-    def test_cli_traced_run_explains_its_phases(self, tmp_path, backend):
+    def test_cli_traced_run_explains_its_phases(self, tmp_path):
         """A traced 2-rank CLI run: one lane per rank plus the driver, the
         overlap phases cover wall time, the update counters account for
         every element update, and the summary carries the peak RSS."""
         trace_path, out_dir = tmp_path / "run.trace.json", tmp_path / "out"
         assert cli_main([
-            "run", "loh3", "--smoke", "--ranks", "2", "--backend", backend,
+            "run", "loh3", "--smoke", "--ranks", "2",
             "--metrics", "--trace", str(trace_path), "--output-dir", str(out_dir),
             "--quiet",
         ]) == 0

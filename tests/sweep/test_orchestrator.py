@@ -386,6 +386,28 @@ class TestPoolAndCrashes:
         assert all(state[m]["status"] == "done"
                    for m in ("0000", "0001", "0002", "0003"))
 
+    def test_multi_rank_members_fork_their_ranks_under_pool_workers(self, tmp_path):
+        """Members on 2 and 4 ranks, each run by a pool worker that forks
+        the member's rank workers: both complete, and their seismograms are
+        bitwise the single-rank run's (ref kernels)."""
+        base = get_scenario("loh3").smoke().with_overrides(kernels="ref")
+        sweep = SweepSpec(
+            base=base, axes=[SweepAxis(path="solver.n_ranks", values=[2, 4])], name="ranks"
+        )
+        out_dir = tmp_path / "out"
+        tally = run_sweep(sweep, out_dir, workers=2, events=False)
+        assert tally["done"] == 2 and tally["failed"] == 0
+        single = make_runner(base)
+        write_outputs(single, tmp_path / "single", summary=single.run())
+        csvs = sorted(p.name for p in (tmp_path / "single").glob("*.csv"))
+        assert csvs
+        for member in sweep.expand():
+            member_dir = out_dir / "members" / member.member_id
+            summary = json.loads((member_dir / "run_summary.json").read_text())
+            assert summary["n_ranks"] == member.spec.solver.n_ranks
+            for name in csvs:
+                assert (member_dir / name).read_bytes() == (tmp_path / "single" / name).read_bytes()
+
     def test_parent_sigkill_then_resume(self, tmp_path):
         """Kill the whole sweep process -- no atexit, no finally -- while
         member 0002 is in flight; the partial manifest must validate, and a

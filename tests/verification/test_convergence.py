@@ -4,6 +4,14 @@ import pytest
 
 from repro.verification import plane_wave_convergence
 
+#: the short order-2 ladder the quick tests run
+LADDER = dict(order=2, lengths=(500.0, 250.0))
+
+
+@pytest.fixture(scope="module")
+def single_rank_lts_ladder():
+    return plane_wave_convergence(solver="lts", **LADDER)
+
 
 class TestPlaneWaveConvergence:
     def test_order2_ladder_gts(self):
@@ -30,6 +38,21 @@ class TestPlaneWaveConvergence:
         assert studies["fast"].estimated_order == pytest.approx(
             studies["ref"].estimated_order, abs=0.05
         )
+
+    @pytest.mark.distributed
+    @pytest.mark.parametrize("n_ranks", [2, 4])
+    def test_ladder_on_forked_ranks_is_the_single_rank_lts_ladder(
+        self, single_rank_lts_ladder, n_ranks
+    ):
+        """``n_ranks > 1`` steps every level on forked ranks through the
+        clustered driver: the same errors, bit for bit, as the single-rank
+        clustered ladder."""
+        single = single_rank_lts_ladder
+        ranked = plane_wave_convergence(n_ranks=n_ranks, **LADDER)
+        assert ranked.errors == single.errors and ranked.n_elements == single.n_elements
+        assert ranked.passes() and ranked.solver == "lts"
+        report = ranked.to_dict()
+        assert report["n_ranks"] == n_ranks and "backend" not in report
 
     def test_report_shape(self):
         study = plane_wave_convergence(order=2, lengths=(500.0, 250.0), kernels="fast")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import repro.verification.harness as harness_module
-from repro.verification import verify_scenario, verify_suite
+from repro.verification import plane_wave_convergence, verify_scenario, verify_suite
 from repro.verification.golden import compare_to_golden, load_golden
 
 
@@ -26,6 +26,23 @@ class TestVerifyScenario:
     def test_unknown_scenario(self):
         with pytest.raises(KeyError, match="plane_wave"):
             verify_scenario("bimaterial_slab")
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda **kw: verify_scenario("loh3", **kw),
+        lambda **kw: verify_suite(**kw),
+        lambda **kw: compare_to_golden("loh3", **kw),
+        lambda **kw: plane_wave_convergence(**kw),
+    ],
+    ids=["verify_scenario", "verify_suite", "compare_to_golden", "plane_wave_convergence"],
+)
+def test_entry_points_take_no_rank_host(entry):
+    """Every multi-rank check forks its ranks: no entry point takes a
+    ``backend``, and passing one fails before anything runs."""
+    with pytest.raises(TypeError, match="unexpected keyword argument 'backend'"):
+        entry(n_ranks=2, backend="process")
 
 
 class TestVerifySuite:
