@@ -8,8 +8,11 @@ of ``repro`` cannot live in one interpreter, the check is two invocations::
     PYTHONPATH=<parent checkout>/src python benchmarks/operator_parity.py --dump parent.npz
     PYTHONPATH=src python benchmarks/operator_parity.py --compare parent.npz
 
-``--compare`` requires ``np.array_equal`` for every array.  The one stated
-exception: where the reference stored several neighbouring flux matrices for
+``--compare`` requires ``np.array_equal`` for every array.  A dump of a
+checkout that stored the dense ``star_elastic`` / ``star_anelastic`` /
+``coupling`` stacks is compared in the compact layout
+(``Discretization.star_stress`` and the rest), once its dropped blocks
+proved exact zeros.  The one stated exception: where the reference stored several neighbouring flux matrices for
 one face class (its rounded-value dedup split round-off twins), the gathered
 per-face matrices must agree within 1e-13 and fewer matrices must be stored.
 
@@ -39,6 +42,8 @@ from repro.source import locate_point  # noqa: E402
 from repro.verification.golden import GOLDEN_SCENARIOS, golden_spec  # noqa: E402
 
 NEIGHBOR_KEYS = ("neighbor_flux_matrices", "neighbor_flux_index")
+#: the dense operator stacks older checkouts stored
+DENSE_KEYS = ("star_elastic", "star_anelastic", "coupling")
 
 
 def _specs() -> dict:
@@ -82,7 +87,33 @@ def collect() -> dict:
     return out
 
 
+def _compact(reference: dict) -> dict:
+    """``reference`` with any dense star and coupling stacks repacked as
+    the compact operators (the elastic case's all-zero anelastic stack has
+    no rows there); a nonzero in a dropped block stays a ``<key>:
+    dropped block`` entry, which no checkout has."""
+    out = dict(reference)
+    for prefix in {k.rpartition("/")[0] for k in reference if k.endswith("/star_elastic")}:
+        star_e, star_a, coupling = (out.pop(f"{prefix}/{name}") for name in DENSE_KEYS)
+        n, m = coupling.shape[:2]
+        if m == 0:
+            star_a = star_a[:, :, :0]
+        for name, dropped in (("star_elastic", star_e[:, :, :6, :6]),
+                              ("star_elastic", star_e[:, :, 6:, 6:]),
+                              ("star_anelastic", star_a[..., :6]), ("coupling", coupling[:, :, 6:])):
+            if dropped.any():
+                out[f"{prefix}/{name}: dropped block"] = dropped
+        for name, block in (("star_stress", star_e[:, :, :6, 6:]),
+                            ("star_velocity", star_e[:, :, 6:, :6]),
+                            ("star_anelastic", star_a[..., 6:])):
+            block = block.transpose(0, 2, 3, 1)  # (K, i, j, direction)
+            out[f"{prefix}/{name}"] = block.reshape(n, block.shape[1], 3 * block.shape[2])
+        out[f"{prefix}/coupling"] = coupling[:, :, :6].transpose(0, 2, 1, 3).reshape(n, 6, 6 * m)
+    return out
+
+
 def compare(ours: dict, reference: dict) -> list[str]:
+    reference = _compact(reference)
     problems = [f"missing in one side: {k}" for k in sorted(set(ours) ^ set(reference))]
     relaxed = set()
     for key in sorted(set(ours) & set(reference)):

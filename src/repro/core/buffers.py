@@ -17,16 +17,19 @@ derivatives are ever communicated, which is what makes the scheme efficient
 for the anelastic wave equations where the derivatives carry no exploitable
 zero blocks.
 
-Storage layout: the buffers live in one ``(4, n_elements + 1, 9, B[, f])``
-block -- ``B1``, ``B2``, ``B3`` plus the precomputed second-half integral
-``B1 - B2`` -- with a trailing all-zero ghost row per buffer.  Relation code
-and neighbour id combine into one flat row index per face (boundary faces hit
-the ghost row), so a correction reads its neighbours straight from the flat
-store: the rows are static per cluster and step parity (:meth:`face_rows`),
-and a kernel backend gathers them per element block.  The second-half
-buffer is filled from the same ``full``/``half`` integrals a reader would
-subtract, so the gathered values are bit-identical to the three-buffer
-formulation.
+Storage layout: the buffers live in one flat ``(R, 9, B[, f])`` row store,
+``[B1 | B2 | B3 | B1 - B2 | ghost]``, holding only rows someone reads
+(:class:`BufferLayout`): ``B1`` a row per element, ``B2`` and the
+precomputed second-half integral ``B1 - B2`` rows only for the clusters
+whose next-smaller cluster is non-empty (their only readers), ``B3`` rows
+only for the clusters whose next-larger cluster is non-empty.  The trailing
+all-zero ghost row is what boundary faces gather.  Relation code and
+neighbour id combine into one flat row index per face, so a correction
+reads its neighbours straight from the flat store: the rows are static per
+cluster and step parity (:meth:`LtsBuffers.face_rows`), and a kernel
+backend gathers them per element block.  The second-half buffer is filled
+from the same ``full``/``half`` integrals a reader would subtract, so the
+gathered values are bit-identical to the three-buffer formulation.
 """
 
 from __future__ import annotations
@@ -35,113 +38,222 @@ import numpy as np
 
 from ..kernels.discretization import Discretization, N_ELASTIC
 
-__all__ = ["BufferFill", "LtsBuffers", "store_rows"]
+__all__ = ["B1", "B2", "B3", "B1_MINUS_B2", "GHOST", "BufferFill", "BufferLayout", "LtsBuffers"]
 
 #: relation codes of a face neighbour's cluster w.r.t. the element's cluster
 SAME, SMALLER, LARGER, BOUNDARY = 0, -1, 1, -2
 
-#: store rows: B1, B2, B3 and the precomputed second-half integral B1 - B2;
-#: B1 leads, so the flat store's rows of a batch are its own full-step
-#: integral -- what a backend's correction projects the own traces from
-_B1, _B2, _B3, _B1M2 = 0, 1, 2, 3
+#: the store's blocks: B1, B2, B3, the precomputed second-half integral
+#: B1 - B2, then the one ghost row.  B1 leads with a row per element, so
+#: the store's rows of a batch are its own full-step integral -- what a
+#: backend's correction projects the own traces from
+B1, B2, B3, B1_MINUS_B2, GHOST = 0, 1, 2, 3, 4
 
 
-def store_rows(n_elements: int, neighbors, relations, step_index) -> np.ndarray:
-    """Rows of the flat buffer store of an ``n_elements`` mesh that hold
-    each face neighbour's elastic time-integrated DOFs over the reading
-    element's time interval (see :meth:`LtsBuffers.face_rows`).
+class BufferLayout:
+    """Where the buffer rows of the elements of a cluster-ordered mesh sit
+    in the flat store.
 
-    ``step_index`` is the reading element's local step counter, a scalar or
-    an array broadcasting against ``relations``.
+    ``stored[b, l]`` says whether block ``b`` (``B1`` .. ``B1_MINUS_B2``)
+    holds rows for cluster ``l``; each block holds its clusters' elements in
+    element order, from ``offsets[b]`` on, and ``offsets[GHOST]`` is the
+    ghost row.  ``cluster_ids`` must be ascending (every cluster one run of
+    element ids).
     """
-    # relation -> store row: SAME reads B1, SMALLER reads B3 (the two
-    # accumulated sub-steps), LARGER reads B2 on an even local step and
-    # the precomputed B1 - B2 on an odd one; boundary faces read the
-    # all-zero ghost row (any store row works, B1 is used)
-    larger_row = np.where(np.asarray(step_index) % 2 == 0, _B2, _B1M2)
-    sel = np.where(relations == SMALLER, _B3, _B1)
-    sel = np.where(relations == LARGER, larger_row, sel)
-    ids = np.where(relations == BOUNDARY, n_elements, neighbors)
-    return sel * (n_elements + 1) + ids
+
+    def __init__(self, cluster_ids, stored):
+        cluster_ids = np.asarray(cluster_ids, dtype=np.int64)
+        stored = np.array(stored, dtype=bool)
+        if len(cluster_ids) and (
+            np.any(np.diff(cluster_ids) < 0) or cluster_ids[-1] >= stored.shape[1]
+        ):
+            raise ValueError("buffer layout needs ascending cluster ids below the cluster count")
+        if not stored[B1].all():
+            raise ValueError("B1 holds a row per element: a correction reads its own traces there")
+        self.cluster_ids, self.stored = cluster_ids, stored
+        sizes = stored * np.bincount(cluster_ids, minlength=stored.shape[1])  # (4, n_clusters)
+        first = np.cumsum(sizes[B1]) - sizes[B1]  # each cluster's first element id
+        self.offsets = np.concatenate([[0], np.cumsum(sizes.sum(axis=1))])
+        #: row of element ``k`` of cluster ``l`` in block ``b``: ``base[b, l] + k``
+        self._base = self.offsets[:4, None] + np.cumsum(sizes, axis=1) - sizes - first
+
+    @classmethod
+    def for_clusters(cls, cluster_ids, counts) -> "BufferLayout":
+        """The per-cluster rule: ``B2`` and ``B1 - B2`` rows where the
+        next-smaller cluster has elements, ``B3`` rows where the next-larger
+        one has.  ``counts`` are the per-cluster element counts of the whole
+        mesh (a rank's subdomain passes the global ones, so it keeps every
+        row a remote reader needs)."""
+        present = np.asarray(counts) > 0
+        stored = np.ones((4, len(present)), dtype=bool)
+        stored[[B2, B1_MINUS_B2], 0] = False
+        stored[[B2, B1_MINUS_B2], 1:] = present[:-1]
+        stored[B3, -1] = False
+        stored[B3, :-1] = present[1:]
+        return cls(cluster_ids, stored)
+
+    @classmethod
+    def dense(cls, n_elements: int) -> "BufferLayout":
+        """Every buffer row of every element (one cluster read all ways)."""
+        return cls(np.zeros(n_elements, dtype=np.int64), np.ones((4, 1), dtype=bool))
+
+    @property
+    def n_elements(self) -> int:
+        return len(self.cluster_ids)
+
+    @property
+    def n_rows(self) -> int:
+        """Rows of the store, the ghost row included."""
+        return int(self.offsets[GHOST]) + 1
+
+    def rows(self, neighbors, relations, step_index) -> np.ndarray:
+        """Store rows holding each face neighbour's elastic time-integrated
+        DOFs over the reading element's time interval (see
+        :meth:`LtsBuffers.face_rows`); ``step_index`` is the reading
+        element's local step counter, a scalar or an array broadcasting
+        against ``relations``.  Raises ``ValueError`` if a face would read
+        a row this layout does not store."""
+        # relation -> block: SAME reads B1, SMALLER reads B3 (the two
+        # accumulated sub-steps), LARGER reads B2 on an even local step and
+        # the precomputed B1 - B2 on an odd one; boundary faces read the
+        # ghost row
+        relations = np.asarray(relations)
+        larger = np.where(np.asarray(step_index) % 2 == 0, B2, B1_MINUS_B2)
+        block = np.where(relations == SMALLER, B3, B1)
+        block = np.where(relations == LARGER, larger, block)
+        boundary = relations == BOUNDARY
+        ids = np.where(boundary, 0, neighbors)
+        clusters = self.cluster_ids[ids]
+        if not np.all(self.stored[block, clusters] | boundary):
+            raise ValueError("a face reads buffer rows its neighbour's cluster does not store")
+        return np.where(boundary, self.offsets[GHOST], self._base[block, clusters] + ids)
+
+    def block_rows(self, block: int, elements: slice) -> slice | None:
+        """The store rows of block ``block`` for a run of elements of one
+        cluster, or ``None`` if that cluster's rows are not stored."""
+        run = range(self.n_elements)[elements]
+        if not run:
+            return slice(0, 0)
+        cluster = self.cluster_ids[run.start]
+        if self.cluster_ids[run.stop - 1] != cluster:
+            raise ValueError("a buffer row run must lie in one cluster")
+        if not self.stored[block, cluster]:
+            return None
+        base = int(self._base[block, cluster])
+        return slice(base + run.start, base + run.stop)
+
+    def runs(self, block: int) -> list[tuple[slice, slice]]:
+        """``[(elements, store rows), ...]``: the element runs block
+        ``block`` stores, one per non-empty stored cluster."""
+        bounds = np.searchsorted(self.cluster_ids, np.arange(self.stored.shape[1] + 1))
+        return [
+            (slice(int(a), int(b)), self.block_rows(block, slice(int(a), int(b))))
+            for l, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]))
+            if b > a and self.stored[block, l]
+        ]
 
 
 class LtsBuffers:
-    """Buffer storage and the buffer update/read rules of the LTS scheme."""
+    """Buffer storage and the buffer update/read rules of the LTS scheme.
 
-    def __init__(self, disc: Discretization, n_fused: int = 0, dtype=None):
+    ``layout`` decides which rows are stored (the default: every row of
+    every buffer); :attr:`b2`, :attr:`b3` and :attr:`b1_minus_b2` read as
+    zero on rows it leaves out, and assigning them drops those rows.
+    """
+
+    def __init__(self, disc: Discretization, n_fused: int = 0, dtype=None, layout=None):
         if dtype is None:
             dtype = getattr(disc, "dtype", np.float64)
+        if layout is None:
+            layout = BufferLayout.dense(disc.n_elements)
+        if layout.n_elements != disc.n_elements:
+            raise ValueError("buffer layout does not match the discretization")
         shape: tuple[int, ...] = (N_ELASTIC, disc.n_basis)
         if n_fused > 0:
             shape = shape + (n_fused,)
+        self.layout = layout
         self._n_elements = disc.n_elements
-        #: row n_elements of every buffer is an all-zero ghost row that
-        #: boundary faces gather from; fill() never writes it
-        self._store = np.zeros((4, disc.n_elements + 1) + shape, dtype=dtype)
-        self._flat = self._store.reshape((4 * (disc.n_elements + 1),) + shape)
+        #: the last row is the all-zero ghost row boundary faces gather
+        #: from; fill() never writes it
+        self._flat = np.zeros((layout.n_rows,) + shape, dtype=dtype)
 
     # ------------------------------------------------------------------
     # the public three-buffer view (checkpoint/exchange paths assign these);
-    # the views are read-only because an in-place write through them would
-    # silently stale the precomputed ``B1 - B2`` row -- mutate via ``fill``
-    # or whole-buffer assignment (``buffers.b1 = ...``)
+    # the arrays are read-only because an in-place write through them would
+    # either silently stale the precomputed ``B1 - B2`` row or never reach
+    # the store -- mutate via ``fill`` or whole-buffer assignment
+    # (``buffers.b1 = ...``)
     # ------------------------------------------------------------------
-    def _view(self, row: int) -> np.ndarray:
-        view = self._store[row, : self._n_elements]
+    def _read(self, block: int) -> np.ndarray:
+        """Block ``block`` as ``(n_elements, 9, B[, f])``: a view for
+        ``B1``, else a copy that is zero on the rows the layout leaves out."""
+        if block == B1:
+            view = self._flat[: self._n_elements]
+        else:
+            view = np.zeros((self._n_elements,) + self._flat.shape[1:], dtype=self._flat.dtype)
+            for elements, rows in self.layout.runs(block):
+                view[elements] = self._flat[rows]
         view.flags.writeable = False
         return view
 
+    def _write(self, block: int, value) -> None:
+        value = np.broadcast_to(value, (self._n_elements,) + self._flat.shape[1:])
+        for elements, rows in self.layout.runs(block):
+            self._flat[rows] = value[elements]
+
     @property
     def b1(self) -> np.ndarray:
-        return self._view(_B1)
+        return self._read(B1)
 
     @b1.setter
     def b1(self, value) -> None:
-        self._store[_B1, : self._n_elements] = value
+        self._write(B1, value)
         self._refresh_second_half()
 
     @property
     def b2(self) -> np.ndarray:
-        return self._view(_B2)
+        return self._read(B2)
 
     @b2.setter
     def b2(self, value) -> None:
-        self._store[_B2, : self._n_elements] = value
+        self._write(B2, value)
         self._refresh_second_half()
 
     @property
     def b3(self) -> np.ndarray:
-        return self._view(_B3)
+        return self._read(B3)
 
     @b3.setter
     def b3(self, value) -> None:
-        self._store[_B3, : self._n_elements] = value
+        self._write(B3, value)
 
     @property
     def b1_minus_b2(self) -> np.ndarray:
-        """The stored second-half integral, bitwise ``b1 - b2``."""
-        return self._view(_B1M2)
+        """The stored second-half integral, bitwise ``b1 - b2`` where stored."""
+        return self._read(B1_MINUS_B2)
 
     @property
     def store(self) -> np.ndarray:
-        """The flat ``(4 (n_elements + 1), 9, B[, f])`` row store that
-        :meth:`face_rows` indexes (read-only); its rows ``[0, n_elements)``
-        are ``B1``, which a backend's ``correct`` reads the own traces from."""
+        """The flat ``(R, 9, B[, f])`` row store that :meth:`face_rows`
+        indexes (read-only); its rows ``[0, n_elements)`` are ``B1``, which
+        a backend's ``correct`` reads the own traces from."""
         view = self._flat.view()
         view.flags.writeable = False
         return view
 
     def _refresh_second_half(self) -> None:
-        """Re-establish ``store[B1M2] == b1 - b2`` after a bulk assignment.
+        """Re-establish ``B1 - B2 == b1 - b2`` on the stored rows after a
+        bulk assignment.
 
         ``b1 - b2`` on restored arrays is elementwise over the exact stored
         values, so the invariant reproduces what a read-time subtraction
         would have computed, bit for bit.
         """
-        n = self._n_elements
-        np.subtract(
-            self._store[_B1, :n], self._store[_B2, :n], out=self._store[_B1M2, :n]
-        )
+        flat = self._flat
+        for (elements, half), (_, second) in zip(
+            self.layout.runs(B2), self.layout.runs(B1_MINUS_B2)
+        ):
+            np.subtract(flat[elements], flat[half], out=flat[second])
 
     # ------------------------------------------------------------------
     def fill(
@@ -165,10 +277,11 @@ class LtsBuffers:
         elastic_half:
             The same over the first half of the step (with ``needs_half``),
             or ``None`` to leave ``B2`` untouched (only a smaller-step
-            neighbour reads it).
+            neighbour reads it, and it is not stored where there is none).
         step_index:
             The elements' local step counter ``n_k`` (before the step), which
-            controls the even/odd accumulation of ``B3``.
+            controls the even/odd accumulation of ``B3`` (skipped where no
+            larger-step neighbour reads it).
         """
         for call, args in self.fill_calls(elements, elastic_integral, elastic_half, step_index):
             call(*args)
@@ -177,19 +290,23 @@ class LtsBuffers:
         """:meth:`fill` as ``(ufunc, operands)`` calls on views of the store,
         to run in order: what a kernel backend compiles into a block's
         program."""
-        store, calls = self._store, []
-        if elastic_half is not None:
-            calls.append((np.copyto, (store[_B2, elements], elastic_half)))
+        flat, layout, calls = self._flat, self.layout, []
+        half = layout.block_rows(B2, elements)
+        if elastic_half is not None and half is not None:
+            calls.append((np.copyto, (flat[half], elastic_half)))
             # the second-half integral a smaller-step neighbour's odd
             # sub-step reads; ``full - half`` here equals the read-time
             # ``b1 - b2`` bitwise (same stored operands, same subtraction)
-            calls.append((np.subtract, (elastic_integral, elastic_half, store[_B1M2, elements])))
-        calls.append((np.copyto, (store[_B1, elements], elastic_integral)))
-        b3 = store[_B3, elements]
-        if step_index % 2 == 0:
-            calls.append((np.copyto, (b3, elastic_integral)))
-        else:
-            calls.append((np.add, (b3, elastic_integral, b3)))
+            second = flat[layout.block_rows(B1_MINUS_B2, elements)]
+            calls.append((np.subtract, (elastic_integral, elastic_half, second)))
+        calls.append((np.copyto, (flat[layout.block_rows(B1, elements)], elastic_integral)))
+        accumulated = layout.block_rows(B3, elements)
+        if accumulated is not None:
+            b3 = flat[accumulated]
+            if step_index % 2 == 0:
+                calls.append((np.copyto, (b3, elastic_integral)))
+            else:
+                calls.append((np.add, (b3, elastic_integral, b3)))
         return calls
 
     def face_rows(
@@ -216,7 +333,7 @@ class LtsBuffers:
             the element's interval is the first (even) or second (odd) half
             of the neighbour's step.
         """
-        return store_rows(self._n_elements, neighbors, relations, step_index)
+        return self.layout.rows(neighbors, relations, step_index)
 
     def neighbor_data(
         self,

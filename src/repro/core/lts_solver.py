@@ -36,10 +36,10 @@ from ..kernels.discretization import Discretization
 from ..mesh.reorder import cluster_ranges
 from ..observability import NULL_TELEMETRY
 from ..source.receivers import ReceiverSet
-from .buffers import BOUNDARY, LARGER, SAME, SMALLER, BufferFill, LtsBuffers
+from .buffers import B2, BOUNDARY, LARGER, SAME, SMALLER, BufferFill, BufferLayout, LtsBuffers
 from .clustering import Clustering
 from .lts_scheduler import schedule_cycle
-from .stepper import HalfAppliedStepError, SingleRankStepper
+from .stepper import HalfAppliedStepError, SingleRankStepper, check_restored
 
 __all__ = ["ClusteredLtsSolver", "HalfAppliedStepError"]
 
@@ -117,7 +117,7 @@ class ClusteredLtsSolver(SingleRankStepper):
         self.backend = make_backend(kernels)
         self.backend.telemetry = self.telemetry
         self.dofs = disc.allocate_dofs(n_fused=n_fused)
-        self.buffers = LtsBuffers(disc, n_fused=n_fused)
+        self.buffers = LtsBuffers(disc, n_fused=n_fused, layout=self._buffer_layout())
         self.clusters = [
             _ClusterData(disc, clustering, l, range(start, stop))
             for l, (start, stop) in enumerate(ranges)
@@ -144,6 +144,10 @@ class ClusteredLtsSolver(SingleRankStepper):
     def workspaces(self) -> list:
         return [cluster.workspace for cluster in self.clusters]
 
+    def _buffer_layout(self) -> BufferLayout:
+        """The buffer rows with a reader, by the clustering of the whole mesh."""
+        return BufferLayout.for_clusters(self.clustering.cluster_ids, self.clustering.counts)
+
     # ------------------------------------------------------------------
     # the items of a cluster's prediction and correction
     # ------------------------------------------------------------------
@@ -169,14 +173,16 @@ class ClusteredLtsSolver(SingleRankStepper):
         Every contraction is element-local, so any partition of the batch
         (the distributed rank stepper's boundary/interior split) produces
         bit-identical per-element results.  The buffers are filled per
-        element block while its integrals are in cache.
+        element block while its integrals are in cache; the half-step
+        integral is computed only where ``B2`` has a reader.
         """
         if rows.start == rows.stop:
             return []
         first = cluster.elements.start
+        needs_half = bool(self.buffers.layout.stored[B2, cluster.cluster_id])
         return self.backend.prediction(
             self.disc, self.dofs, cluster.dt, range(first + rows.start, first + rows.stop),
-            BufferFill(self.buffers, parity), ws=cluster.workspace, needs_half=True,
+            BufferFill(self.buffers, parity), ws=cluster.workspace, needs_half=needs_half,
         )
 
     def _correction(self, cluster: _ClusterData, parity: int) -> list:
@@ -266,7 +272,8 @@ class ClusteredLtsSolver(SingleRankStepper):
 
     # ------------------------------------------------------------------
     def state_arrays(self) -> dict:
-        """DOFs plus the per-cluster step counters and the three buffers."""
+        """DOFs plus the per-cluster step counters and the three buffers,
+        each ``(n_elements, 9, B[, f])`` (zero where a row is not stored)."""
         return {
             "dofs": self.dofs,
             "step_index": np.array(
@@ -278,9 +285,12 @@ class ClusteredLtsSolver(SingleRankStepper):
         }
 
     def restore_state(self, arrays, time: float, n_element_updates: int) -> None:
+        """Copy a :meth:`state_arrays` state in; rows of ``b2`` / ``b3``
+        without a reader are dropped (the buffers do not store them)."""
+        shape = (self.disc.n_elements,) + self.buffers.store.shape[1:]
+        buffers = {name: check_restored(name, arrays[name], shape) for name in ("b1", "b2", "b3")}
         super().restore_state(arrays, time, n_element_updates)
         for cluster, step_index in zip(self.clusters, arrays["step_index"]):
             cluster.step_index = int(step_index)
-        self.buffers.b1 = arrays["b1"]
-        self.buffers.b2 = arrays["b2"]
-        self.buffers.b3 = arrays["b3"]
+        for name, value in buffers.items():
+            setattr(self.buffers, name, value)

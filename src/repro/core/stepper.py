@@ -23,12 +23,26 @@ import numpy as np
 from ..observability import resident_nbytes
 from ..source.moment_tensor import DiscretePointSource, MomentTensorSource, PointForceSource
 
-__all__ = ["HalfAppliedStepError", "SingleRankStepper"]
+__all__ = ["HalfAppliedStepError", "SingleRankStepper", "check_restored"]
 
 
 class HalfAppliedStepError(RuntimeError):
     """A kernel dispatch raised mid-step: some DOF rows advanced and some
     did not, so the solver refuses to step on until a state is restored."""
+
+
+def check_restored(name: str, array, shape: tuple, dtype=None) -> np.ndarray:
+    """``array`` of a restored state as an array, if it has the stepper's
+    ``shape`` (and ``dtype``, unless ``None``); otherwise a ``ValueError``
+    naming it, raised before any of the state is applied."""
+    array = np.asarray(array)
+    if array.shape != tuple(shape) or (dtype is not None and array.dtype != dtype):
+        expected = np.dtype(array.dtype if dtype is None else dtype)
+        raise ValueError(
+            f"restored {name} are {array.dtype}{list(array.shape)}, the solver's are "
+            f"{expected}{list(shape)}"
+        )
+    return array
 
 
 class SingleRankStepper:
@@ -83,12 +97,7 @@ class SingleRankStepper:
     def restore_state(self, arrays, time: float, n_element_updates: int) -> None:
         """Copy a :meth:`state_arrays` state in (extra entries are ignored):
         the solver steps its own DOF array, never the caller's."""
-        dofs = np.asarray(arrays["dofs"])
-        if dofs.shape != self.dofs.shape or dofs.dtype != self.dofs.dtype:
-            raise ValueError(
-                f"restored dofs are {dofs.dtype}{list(dofs.shape)}, the solver's are "
-                f"{self.dofs.dtype}{list(self.dofs.shape)}"
-            )
+        dofs = check_restored("dofs", arrays["dofs"], self.dofs.shape, self.dofs.dtype)
         np.copyto(self.dofs, dofs)
         self._failed = None
         self.time = float(time)

@@ -27,8 +27,9 @@ import numpy as np
 
 from ..core.clustering import Clustering
 from ..core.lts_scheduler import updates_per_cycle
+from ..core.stepper import check_restored
 from ..kernels.backend import make_backend
-from ..kernels.discretization import Discretization
+from ..kernels.discretization import N_ELASTIC, Discretization
 from ..observability import TelemetryConfig, merge_snapshots
 from ..parallel.communicator import MessageStats
 from ..parallel.exchange import HaloIndex, exchange_volumes_per_cycle
@@ -302,6 +303,14 @@ class ProcessLtsEngine:
         uninterrupted run.  A closed or failed engine keeps the state for
         the fresh workers its next command starts.
         """
+        disc = self.disc
+        fused = (self.n_fused,) if self.n_fused else ()
+        shape = (disc.n_elements, disc.n_vars, disc.n_basis) + fused
+        # validated here, before any rank sees the state: a mis-shaped array
+        # fails by name, as on one rank
+        check_restored("dofs", arrays["dofs"], shape, disc.dtype)
+        for name in ("b1", "b2", "b3"):
+            check_restored(name, arrays[name], (shape[0], N_ELASTIC) + shape[2:])
         per_cycle = [updates_per_cycle(sub.clustering.counts) for sub in self.subdomains]
         total_per_cycle = sum(per_cycle)
         if total_per_cycle and n_element_updates % total_per_cycle != 0:

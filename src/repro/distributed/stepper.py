@@ -96,6 +96,11 @@ class RankSolver(ClusteredLtsSolver):
         self._micro_step = 0
         self._next_drain = 0
 
+    def _buffer_layout(self):
+        """The subdomain's buffer rows: the per-cluster rule of the whole
+        mesh, so every row a remote reader needs is stored."""
+        return self.subdomain.buffer_layout
+
     # ------------------------------------------------------------------
     # split prediction (overlap structure)
     # ------------------------------------------------------------------

@@ -24,7 +24,8 @@ order, so both sides agree on the layout without exchanging metadata.
 
 * the *send plans* list, per micro step of a macro cycle, each due owned
   face's row in the flat LTS buffer store (``B1``, ``B3``, ``B2`` or
-  ``B1 - B2`` following the sub-step parity rules of Fig. 6), the
+  ``B1 - B2`` following the sub-step parity rules of Fig. 6, at the rank
+  store's :class:`~repro.core.buffers.BufferLayout` offsets), the
   receiver's ``F_bar`` class and one run of faces per destination rank,
 * the *halo store* is one rank-level array of received payloads, one row
   per halo face, cluster-major; the *receive plans* list, per cluster, its
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.buffers import LARGER, SAME, SMALLER, store_rows
+from ..core.buffers import LARGER, SAME, SMALLER, BufferLayout
 from ..core.clustering import Clustering
 from ..core.lts_scheduler import micro_steps_per_cycle
 from ..kernels.discretization import Discretization, flux_solver_views
@@ -74,9 +75,10 @@ class SubdomainDisc:
     """Element-local view of a global :class:`Discretization` for one rank.
 
     Per-element operator arrays are gathered into local (owned) element order
-    once -- the flux solvers as one gather of the global array, the per-kind
-    names views of it; shared reference-element data and the deduplicated
-    neighbouring flux matrices stay references to the global objects.  The
+    once -- the compact star and coupling operators, and the flux solvers as
+    one gather of the global array, the per-kind names views of it; shared
+    reference-element data and the deduplicated neighbouring flux matrices
+    stay references to the global objects.  The
     ADER-DG kernels run unmodified on local element ids and -- since every
     kernel contraction is element-local -- produce bit-identical per-element
     results.
@@ -98,9 +100,8 @@ class SubdomainDisc:
         self.n_face_basis = disc.n_face_basis
         self.n_vars = disc.n_vars
         self.time_steps = disc.time_steps[owned]
-        self.star_elastic = disc.star_elastic[owned]
-        self.star_anelastic = disc.star_anelastic[owned]
-        self.coupling = disc.coupling[owned]
+        for name in ("star_stress", "star_velocity", "star_anelastic", "coupling"):
+            setattr(self, name, getattr(disc, name)[owned])
         self.flux_solvers = disc.flux_solvers[owned]
         vars(self).update(flux_solver_views(self.flux_solvers))
         # shared: the global unique F_bar set; rows are gathered per rank but
@@ -207,6 +208,12 @@ class RankSubdomain:
             dt_min=clustering.dt_min,
         )
 
+        #: the rank's LTS buffer rows: the per-cluster rule decided on the
+        #: global counts, so every row a remote reader needs is stored
+        self.buffer_layout = BufferLayout.for_clusters(
+            self.clustering.cluster_ids, clustering.counts
+        )
+
         ghost = (own_neighbors >= 0) & ~same_rank
         self.n_halo_faces = int(ghost.sum())
         self._build_halo_plans(disc, clustering, partitions, own_neighbors, ghost)
@@ -254,7 +261,7 @@ class RankSubdomain:
         # a larger owner, its own sub-step parity
         relations = np.select([c_own < c_remote, c_own > c_remote], [SMALLER, LARGER], SAME)
         parity = steps // 2**c_remote % 2
-        buffer_rows = store_rows(self.n_owned, rows, relations, parity)
+        buffer_rows = self.buffer_layout.rows(rows, relations, parity)
 
         send_order = np.lexsort((send_tags, peers))
         recv_order = np.lexsort((recv_tags, peers))

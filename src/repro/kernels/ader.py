@@ -11,7 +11,9 @@ elements of one time cluster) and transparently support EDGE's fused
 (ensemble) mode through a trailing ensemble axis handled by einsum ellipses.
 The intermediate products ``(d^d/dt^d Q_e) K_c`` are computed once and reused
 for the elastic and all anelastic derivative computations, mirroring the
-data-reuse the paper describes after eq. (7).
+data-reuse the paper describes after eq. (7).  The star and coupling
+operators are contracted block by block, without their structural zeros
+(see :func:`~repro.kernels.discretization.compact_element_operators`).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import math
 
 import numpy as np
 
-from .discretization import Discretization, N_ELASTIC
+from .discretization import N_ELASTIC, N_STRESS, Discretization
 
 __all__ = [
     "compute_time_derivatives",
@@ -28,6 +30,21 @@ __all__ = [
     "time_integrated_dofs",
     "taylor_evaluate",
 ]
+
+
+def _element_blocks(disc: Discretization, elements) -> tuple:
+    """A batch's compact element operators as per-direction blocks (the
+    direction last): stress rows x velocities ``(E, 6, 3, 3)``, velocity
+    rows x stresses ``(E, 3, 6, 3)``, anelastic rows x velocities ``(E, 6,
+    3, 3)`` and the coupling stress rows ``(E, 6, m, 6)``."""
+    star_s = disc.star_stress[elements]
+    n, n_velocity = len(star_s), N_ELASTIC - N_STRESS
+    return (
+        star_s.reshape(n, N_STRESS, n_velocity, 3),
+        disc.star_velocity[elements].reshape(n, n_velocity, N_STRESS, 3),
+        disc.star_anelastic[elements].reshape(n, disc.star_anelastic.shape[1], n_velocity, 3),
+        disc.coupling[elements].reshape(n, N_STRESS, disc.n_mechanisms, 6),
+    )
 
 
 def compute_time_derivatives(
@@ -50,9 +67,7 @@ def compute_time_derivatives(
         ``O`` arrays of shape ``(E, N_q, B[, n_fused])``.
     """
     batch = dofs[elements]
-    star_e = disc.star_elastic[elements]  # (E, 3, 9, 9)
-    star_a = disc.star_anelastic[elements]  # (E, 3, 6, 9)
-    coupling = disc.coupling[elements]  # (E, m, 9, 6)
+    star_s, star_v, star_a, coupling = _element_blocks(disc, elements)
     omegas = disc.omegas
     n_mech = disc.n_mechanisms
     k_time = disc.k_time  # (3, B, B), cast to the run precision
@@ -66,13 +81,20 @@ def compute_time_derivatives(
         anelastic_common = None
         for c in range(3):
             tmp = np.einsum("evb...,bd->evd...", elastic_prev, k_time[c])
-            nxt[:, :N_ELASTIC] -= np.einsum("eij,ejb...->eib...", star_e[:, c], tmp)
-            contrib = np.einsum("eij,ejb...->eib...", star_a[:, c], tmp)
-            anelastic_common = contrib if anelastic_common is None else anelastic_common + contrib
+            # the stresses read the velocities and vice versa
+            nxt[:, :N_STRESS] -= np.einsum("eij,ejb...->eib...", star_s[..., c], tmp[:, N_STRESS:])
+            nxt[:, N_STRESS:N_ELASTIC] -= np.einsum(
+                "eij,ejb...->eib...", star_v[..., c], tmp[:, :N_STRESS]
+            )
+            if n_mech:
+                contrib = np.einsum("eij,ejb...->eib...", star_a[..., c], tmp[:, N_STRESS:])
+                anelastic_common = (
+                    contrib if anelastic_common is None else anelastic_common + contrib
+                )
         for l in range(n_mech):
             mem_prev = current[:, N_ELASTIC + 6 * l : N_ELASTIC + 6 * (l + 1)]
             # reactive source: memory variables feed back into the stresses
-            nxt[:, :N_ELASTIC] += np.einsum("eij,ejb...->eib...", coupling[:, l], mem_prev)
+            nxt[:, :N_STRESS] += np.einsum("eij,ejb...->eib...", coupling[:, :, l], mem_prev)
             # relaxation: the memory variables are driven by the (scaled)
             # anelastic spatial terms and decay with omega_l
             nxt[:, N_ELASTIC + 6 * l : N_ELASTIC + 6 * (l + 1)] = -omegas[l] * (

@@ -18,10 +18,10 @@ surface halves + the DOF advance), with no batch state between the two: the
 own traces come from the batch's ``B1`` rows of the store the correction
 gathers from.  ``FastBackend`` drops the reference
 operation order: its element kernels are a handful of batched GEMMs over
-*stacked* operators (stiffness matrices side by side, star matrices with the
-(variable, direction) pair merged into one contraction axis, coupling blocks
-side by side) that exploit the exact-zero block structure of the element
-operators, verified once per discretization with a dense fallback; its
+*stacked* operators (stiffness matrices side by side, and views of the
+discretization's compact star and coupling operators, which it assembles
+without their zero blocks in this layout: the (variable, direction) pair
+merged into one contraction axis, coupling blocks side by side); its
 correction is one pass per element block -- one GEMM per ``F_bar`` face
 class straight from the neighbour rows, one flux solve of the local and
 neighbouring flux solvers side by side, one back-projection.  Both halves
@@ -45,7 +45,7 @@ import numpy as np
 
 from ..observability import NULL_TELEMETRY
 from .ader import compute_time_derivatives, time_integrate
-from .discretization import N_ELASTIC, N_FLUX_ROWS
+from .discretization import N_ELASTIC, N_FLUX_ROWS, N_STRESS
 from .surface import (
     neighbor_face_coefficients,
     project_local_traces,
@@ -348,29 +348,16 @@ class ReferenceBackend:
 class _DiscData:
     """Per-discretization derived data of the fast backend.
 
-    The boolean flags record the exact-zero structure of the element
-    operators (verified once -- the arrays are assembled analytically, so
-    the zeros are exact by construction for the elastic/anelastic wave
-    equations; a variant that breaks an assumption falls back to the dense
-    contraction).  ``ftilde_flat`` groups the four face projections into one
-    ``(B, 4 F)`` operator so the trace projection is a single contraction.
-    ``flux`` is a view of the discretization's own flux solvers, never a
-    copy: the discretization assembles them in the correction's layout.
+    ``ftilde_flat`` groups the four face projections into one ``(B, 4 F)``
+    operator so the trace projection is a single contraction.  ``flux`` is
+    a view of the discretization's own flux solvers, never a copy: the
+    discretization assembles them in the correction's layout (as it does
+    the compact star and coupling operators the stages read).
     """
 
-    __slots__ = ("star_e_blocks", "star_a_velocity", "coupling_stress",
-                 "flux", "ftilde_flat", "kcat_time", "kcat_vol",
-                 "fhat_flat", "_relaxation")
+    __slots__ = ("flux", "ftilde_flat", "kcat_time", "kcat_vol", "fhat_flat", "_relaxation")
 
     def __init__(self, disc):
-        star_e = disc.star_elastic
-        self.star_e_blocks = bool(
-            np.all(star_e[:, :, :6, :6] == 0.0) and np.all(star_e[:, :, 6:, 6:] == 0.0)
-        )
-        self.star_a_velocity = bool(np.all(disc.star_anelastic[:, :, :, :6] == 0.0))
-        self.coupling_stress = bool(
-            disc.coupling.shape[1] == 0 or np.all(disc.coupling[:, :, 6:, :] == 0.0)
-        )
         # (K, 4, Q, 18) flux solvers [local | neigh] side by side: the
         # elastic rows plus (Q = 15) the anelastic rows all mechanisms share
         self.flux = disc.flux_solvers[:, :, :N_FLUX_ROWS if disc.n_mechanisms else N_ELASTIC]
@@ -708,55 +695,41 @@ class FastBackend(ReferenceBackend):
     # time + volume kernels: one stacked space operator
     # ------------------------------------------------------------------
     def _stacked_ops(self, disc, elements, ws):
-        """Stacked star/coupling operators of a batch (cached per batch run).
+        """``(data, stages, coupling)`` of a batch's space operator.
 
         ``stages`` lists ``(matrix, variables, rows)`` GEMMs: ``matrix``
         contracts the stiffness products ``tmp[e, variable, direction]`` of
         ``variables`` -- (variable, direction) merged into one contraction
-        axis -- into output ``rows``.  With the zero blocks verified those
-        are the stress rows of ``star_elastic`` and the per-mechanism
-        ``omega_l * star_anelastic`` rows, both reading the velocities, and
-        the velocity rows reading the stresses; otherwise it is one dense
-        ``(N_q, 27)`` operator through the same lines.  ``ccat`` holds the
-        mechanisms' coupling blocks side by side.
+        axis -- into output ``rows``: the stress rows reading the
+        velocities, the velocity rows reading the stresses (views of the
+        discretization's ``star_stress`` / ``star_velocity``) and the
+        per-mechanism ``omega_l * star_anelastic`` rows reading the
+        velocities.  ``coupling`` is a view of the discretization's stress
+        rows of the coupling blocks side by side.  Only the omega-scaled
+        anelastic rows are built here (cached per batch run); every other
+        operand is a view, and no dense operator exists to fall back on.
         """
         data = self._disc_data(disc)
-        stress, veloc, elastic = slice(0, 6), slice(6, N_ELASTIC), slice(0, N_ELASTIC)
+        stress, veloc = slice(0, N_STRESS), slice(N_STRESS, N_ELASTIC)
+        if isinstance(elements, range):  # a view, not a gathered copy
+            elements = slice(elements.start, elements.stop)
+        stages = [
+            (disc.star_stress[elements], veloc, stress),
+            (disc.star_velocity[elements], stress, veloc),
+        ]
+        if disc.n_mechanisms:
 
-        def merged(star, rows, columns):
-            block = star[:, :, rows, columns].transpose(0, 2, 3, 1)  # (E, i, j, direction)
-            return np.ascontiguousarray(block).reshape(block.shape[:2] + (-1,))
+            def build():
+                # the anelastic star rows once per mechanism, scaled by omega_l
+                star_a = disc.star_anelastic[elements]
+                scaled = star_a[:, None] * disc.omegas[:, None, None]
+                return scaled.reshape(len(star_a), -1, star_a.shape[2])
 
-        def build():
-            star_e = disc.star_elastic[elements]
-            # the anelastic star rows once per mechanism, scaled by omega_l
-            star_a = (
-                disc.star_anelastic[elements][:, :, None] * disc.omegas[:, None, None]
-            ).reshape(len(star_e), 3, 6 * disc.n_mechanisms, N_ELASTIC)
-            if data.star_e_blocks and data.star_a_velocity:
-                stages = [
-                    (merged(star_e, stress, veloc), veloc, stress),
-                    (merged(star_e, veloc, stress), stress, veloc),
-                ]
-                if disc.n_mechanisms:
-                    memory = slice(N_ELASTIC, disc.n_vars)
-                    stages.append((merged(star_a, slice(None), veloc), veloc, memory))
-            else:  # dense fallback
-                dense = np.concatenate([star_e, star_a], axis=2)
-                stages = [(merged(dense, slice(None), elastic), elastic, slice(None))]
-            ops = {"stages": stages}
-            if disc.n_mechanisms:
-                coupling = disc.coupling[elements]  # (E, m, 9, 6)
-                if data.coupling_stress:
-                    coupling = coupling[:, :, :6]
-                ops["ccat"] = np.ascontiguousarray(coupling.transpose(0, 2, 1, 3)).reshape(
-                    coupling.shape[0], coupling.shape[2], -1
-                )
-            return ops
-
-        if ws is None:  # build-through when no workspace is kept
-            return data, build()
-        return data, ws.cached("stacked_ops", (elements.start, elements.stop), build)
+            scaled = build() if ws is None else ws.cached(
+                "scaled_anelastic", (elements.start, elements.stop), build
+            )
+            stages.append((scaled, veloc, slice(N_ELASTIC, disc.n_vars)))
+        return data, stages, disc.coupling[elements]
 
     def _space_operator_calls(self, disc, kcat, x, y, elements, ws) -> list:
         """``y = L(x)``, the spatial operator behind both element kernels,
@@ -775,7 +748,7 @@ class FastBackend(ReferenceBackend):
         is two passes over whole contiguous slabs: short strided row runs
         measured several times a GEMM's share of the stage.
         """
-        data, ops = self._stacked_ops(disc, elements, ws)
+        data, stages, ccat = self._stacked_ops(disc, elements, ws)
         E, n_vars, n_basis = x.shape[:3]
         n_in, n_out = kcat.shape[0], kcat.shape[1] // 3
         width = math.prod(x.shape[2:])
@@ -789,7 +762,7 @@ class FastBackend(ReferenceBackend):
         # like ``y`` whose tail columns are never written, i.e. stay zero
         # from allocation (the scratch name pins the layout)
         star = self._scratch(ws, ("op_star", n_vars, width, ncols), (E, n_vars, width), dtype)
-        for matrix, variables, rows in ops["stages"]:
+        for matrix, variables, rows in stages:
             calls.append(self._bmm_call(
                 matrix, _view(tmp[:, variables], (E, -1, ncols)), star[:, rows, :ncols]
             ))
@@ -800,7 +773,6 @@ class FastBackend(ReferenceBackend):
         # elastic ones), then the coupling GEMM over the rows it feeds
         calls.append((np.multiply, (x, data.relaxation(width), y)))
         if n_vars > N_ELASTIC:
-            ccat = ops["ccat"]
             calls.append(self._bmm_call(ccat, x[:, N_ELASTIC:], y[:, : ccat.shape[1]]))
         calls.append((np.add, (y, star, y)))
         return calls

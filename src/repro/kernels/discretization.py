@@ -5,8 +5,12 @@ precomputed once per (mesh, material, order) combination -- the equivalent of
 EDGE's per-partition annotation data written by the preprocessing pipeline:
 
 * the reference element operators (mass/stiffness/flux matrices),
-* element-local star matrices of the elastic and anelastic Jacobians,
-* the relaxation spectrum and per-element/mechanism coupling matrices ``E_l``,
+* element-local star matrices of the elastic and anelastic Jacobians and
+  the per-element/mechanism coupling matrices ``E_l``, stored once without
+  their structural zero blocks (:func:`compact_element_operators`) in the
+  layout the fast kernels multiply -- the ref kernels contract the same
+  blocks,
+* the relaxation spectrum,
 * element-local flux solver matrices ``A~+-_{k,i}`` with the geometry factor
   ``2 |S_i| / |J_k|`` folded in (boundary faces additionally fold in their
   ghost-state operator), stored once as :attr:`Discretization.flux_solvers`
@@ -32,11 +36,10 @@ from ..equations.anelastic import (
     RelaxationSpectrum,
     anelastic_jacobians,
     anelastic_lame_parameters,
-    anelastic_star_matrices,
     coupling_matrices,
     fit_constant_q,
 )
-from ..equations.elastic import elastic_star_matrices
+from ..equations.elastic import elastic_jacobians
 from ..equations.material import MaterialTable
 from ..equations.riemann import (
     FLUX_KINDS,
@@ -48,9 +51,21 @@ from ..equations.riemann import (
 from ..mesh.geometry import cfl_time_steps
 from ..mesh.tet_mesh import BOUNDARY_FREE_SURFACE, TetMesh
 
-__all__ = ["Discretization", "N_ELASTIC", "N_FLUX_ROWS", "PRECISIONS", "flux_solver_views"]
+__all__ = [
+    "Discretization",
+    "N_ELASTIC",
+    "N_FLUX_ROWS",
+    "N_STRESS",
+    "PRECISIONS",
+    "compact_element_operators",
+    "flux_solver_views",
+]
 
 N_ELASTIC = 9
+
+#: the stress rows of the elastic state; rows ``N_STRESS:N_ELASTIC`` are the
+#: particle velocities
+N_STRESS = 6
 
 #: rows of a face's flux solvers: the elastic rows, then the six anelastic
 #: rows every mechanism shares (scaled by ``omega_l`` in the kernels)
@@ -65,6 +80,64 @@ _PRECISION_DTYPES = {"f64": np.float64, "f32": np.float32}
 #: elements per batched flux-solver pass: bounds the assembly temporaries
 #: (about 25 kB per element) well below the run-phase memory high-water mark
 _ASSEMBLY_CHUNK = 512
+
+
+def compact_element_operators(
+    inverse_jacobians, elastic_jacobians, anelastic_jacobians, coupling
+) -> dict:
+    """The element star and coupling operators without their structural
+    zeros, in the layout the fast kernels multiply:
+
+    * ``star_stress`` ``(K, 6, 9)``: the elastic star rows of the stresses,
+      which read only the velocities, columns (velocity, direction);
+    * ``star_velocity`` ``(K, 3, 18)``: the velocity rows, which read only
+      the stresses, columns (stress, direction);
+    * ``star_anelastic`` ``(K, 6, 9)``: the anelastic star rows (unscaled by
+      ``omega_l``), which read only the velocities, columns (velocity,
+      direction);
+    * ``coupling`` ``(K, 6, 6 m)``: the stress rows of the coupling
+      matrices ``E_l`` side by side, columns (mechanism, memory variable).
+
+    The star matrices ``Abar_{k,c} = sum_d (dxi_c / dx_d) A_d`` (eq. 6/8)
+    are formed from the blocks of the elastic ``(K, 3, 9, 9)`` and
+    anelastic ``(3, 6, 9)`` Jacobians (``(3, 0, 9)`` without mechanisms)
+    that are not structurally zero: the same sums, in the same order, as
+    the dense stacks of :func:`~repro.equations.elastic.elastic_star_matrices`
+    and :func:`~repro.equations.anelastic.anelastic_star_matrices`, hence the
+    same values.  ``coupling`` is the dense ``(K, m, 9, 6)`` stack.  An
+    operator with a nonzero entry in a block the compact layout drops
+    raises ``ValueError`` naming it.
+    """
+    s = N_STRESS
+    zero_blocks = (
+        ("elastic_jacobians", elastic_jacobians[..., :s, :s]),
+        ("elastic_jacobians", elastic_jacobians[..., s:, s:]),
+        ("anelastic_jacobians", anelastic_jacobians[..., :s]),
+        ("coupling", coupling[:, :, s:]),
+    )
+    for name, block in zero_blocks:
+        if np.any(block != 0.0):
+            raise ValueError(
+                f"{name} has nonzero entries in a structural zero block: the compact "
+                "element operators cannot represent it"
+            )
+    n_elements, n_mechanisms = coupling.shape[:2]
+
+    def star(subscripts, blocks):
+        # the dense stacks' contraction (and inner loop), then one copy
+        # into (K, i, j, direction)
+        product = np.einsum(subscripts, inverse_jacobians, blocks).transpose(0, 2, 3, 1)
+        rows, columns = product.shape[1:3]
+        return np.ascontiguousarray(product).reshape(n_elements, rows, 3 * columns)
+
+    return {
+        "star_stress": star("kcd,kdij->kcij", elastic_jacobians[..., :s, s:]),
+        "star_velocity": star("kcd,kdij->kcij", elastic_jacobians[..., s:, :s]),
+        "star_anelastic": star("kcd,dij->kcij", anelastic_jacobians[..., s:]),
+        "coupling": coupling[:, :, :s].transpose(0, 2, 1, 3).reshape(
+            n_elements, s, s * n_mechanisms
+        ),
+    }
 
 
 def flux_solver_views(flux_solvers: np.ndarray) -> dict:
@@ -112,7 +185,8 @@ class Discretization:
     #: the array attributes that make up the assembled-operator state (the
     #: payload of :meth:`operator_arrays`)
     OPERATOR_ARRAY_KEYS = (
-        "star_elastic",
+        "star_stress",
+        "star_velocity",
         "star_anelastic",
         "coupling",
         "omegas",
@@ -167,24 +241,9 @@ class Discretization:
             fit_constant_q(frequency_band, n_mechanisms) if n_mechanisms > 0 else None
         )
 
-        # -- volume operators ----------------------------------------------
-        lam, mu, rho = materials.lam, materials.mu, materials.rho
-        self.star_elastic = elastic_star_matrices(
-            geometry.inverse_jacobians, lam, mu, rho
-        )
-        if n_mechanisms > 0:
-            self.omegas = self.spectrum.omegas
-            lam_a, mu_a = anelastic_lame_parameters(
-                lam, mu, materials.qp, materials.qs, self.spectrum
-            )
-            self.coupling = coupling_matrices(lam_a, mu_a)  # (K, m, 9, 6)
-            self.star_anelastic = anelastic_star_matrices(geometry.inverse_jacobians)
-        else:
-            self.omegas = np.zeros(0)
-            self.coupling = np.zeros((mesh.n_elements, 0, 9, 6))
-            self.star_anelastic = np.zeros((mesh.n_elements, 3, 6, 9))
-
-        # -- flux solvers and neighbour flux matrices -----------------------
+        # -- element operators, flux solvers, neighbour flux matrices --------
+        self.omegas = self.spectrum.omegas if n_mechanisms > 0 else np.zeros(0)
+        self._assemble_element_operators()
         self._assemble_flux_solvers()
         self._assemble_neighbor_flux_matrices()
         self._cast_operators()
@@ -203,7 +262,8 @@ class Discretization:
         """
         dtype = self.dtype
         for name in (
-            "star_elastic",
+            "star_stress",
+            "star_velocity",
             "star_anelastic",
             "coupling",
             "omegas",
@@ -216,6 +276,29 @@ class Discretization:
         self.k_vol = self.ref.k_vol.astype(dtype, copy=False)
         self.ftilde = self.ref.ftilde.astype(dtype, copy=False)
         self.fhat = self.ref.fhat.astype(dtype, copy=False)
+
+    # ------------------------------------------------------------------
+    # element operators
+    # ------------------------------------------------------------------
+    def _assemble_element_operators(self) -> None:
+        """Assemble the compact star and coupling operators
+        (:func:`compact_element_operators`; without mechanisms
+        ``star_anelastic`` is ``(K, 0, 9)`` and ``coupling`` ``(K, 6, 0)``):
+        no dense star stack is ever formed."""
+        materials, m = self.materials, self.n_mechanisms
+        lam, mu, rho = materials.lam, materials.mu, materials.rho
+        anelastic = anelastic_jacobians()
+        if m:
+            coupling = coupling_matrices(
+                *anelastic_lame_parameters(lam, mu, materials.qp, materials.qs, self.spectrum)
+            )
+        else:
+            anelastic = anelastic[:, :0]
+            coupling = np.zeros((self.mesh.n_elements, 0, N_ELASTIC, N_STRESS))
+        vars(self).update(compact_element_operators(
+            self.mesh.geometry.inverse_jacobians, elastic_jacobians(lam, mu, rho),
+            anelastic, coupling,
+        ))
 
     # ------------------------------------------------------------------
     # flux solvers

@@ -196,9 +196,10 @@ class TestSubdomains:
             back = sub.local_of_global[sub.owned]
             np.testing.assert_array_equal(back, np.arange(sub.n_owned))
             # local operator arrays are gathered in owned order
-            np.testing.assert_array_equal(
-                sub.view.star_elastic, runner.setup.disc.star_elastic[sub.owned]
-            )
+            for name in ("star_stress", "star_velocity", "star_anelastic", "coupling"):
+                np.testing.assert_array_equal(
+                    getattr(sub.view, name), getattr(runner.setup.disc, name)[sub.owned]
+                )
 
     def test_each_source_lands_once_on_its_owning_rank(self):
         """Every point source is injected by exactly one rank, at the local

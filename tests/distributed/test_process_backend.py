@@ -42,6 +42,8 @@ from repro.scenarios.spec import RESUMABLE_OVERRIDES
 from repro.verification import GOLDEN_SCENARIOS, load_golden
 from repro.scenarios.cli import main as cli_main
 
+from ..lts_setup import locate
+
 pytestmark = pytest.mark.distributed
 
 SRC = Path(__file__).resolve().parents[2] / "src"
@@ -93,8 +95,8 @@ class TestOverlapStructure:
         for sub in rank_run.engine.subdomains:
             ghost_elements = set()
             for plan in sub.send_plans:
-                # a buffer-store row is ``buffer * (n_owned + 1) + local id``
-                ghost_elements.update((plan.rows % (sub.n_owned + 1)).tolist())
+                # the local id whose buffer row the send reads
+                ghost_elements.update(locate(sub.buffer_layout, plan.rows)[1].tolist())
             for cluster in range(rank_run.clustering.n_clusters):
                 batch = np.where(sub.clustering.cluster_ids == cluster)[0]
                 boundary = sub.boundary_rows[cluster]

@@ -20,12 +20,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from repro.core.buffers import B1, B1_MINUS_B2, B2, B3, BufferLayout
 from repro.distributed import RankSolver, RankSubdomain
 from repro.distributed.runner import _partitions
 from repro.parallel.exchange import HaloIndex, exchange_volumes_per_cycle
 from repro.scenarios import get_scenario, make_runner
 from repro.scenarios.runner import build_setup
 
+from ..lts_setup import locate
 from ..rank_setup import rank_solvers
 
 pytestmark = pytest.mark.distributed
@@ -112,8 +114,16 @@ class TestLocalOrder:
         }
         engine.restore_state(arrays, engine.time, engine.n_element_updates)
         np.testing.assert_array_equal(engine.dofs, arrays["dofs"])
+        # b2 / b3 rows without a reader are not stored: they read back zero
+        clustering = engine.clustering
+        stored = BufferLayout.for_clusters(
+            np.sort(clustering.cluster_ids), clustering.counts
+        ).stored[:, clustering.cluster_ids]
+        assert not stored[B2].all() and not stored[B3].all()
+        expected = dict(arrays, b2=arrays["b2"] * stored[B2, :, None, None],
+                        b3=arrays["b3"] * stored[B3, :, None, None])
         for name, values in engine.state_arrays().items():
-            np.testing.assert_array_equal(values, arrays[name])
+            np.testing.assert_array_equal(values, expected[name])
 
 
 class _CountingDofs(np.ndarray):
@@ -171,15 +181,16 @@ class TestHaloSends:
         for rank in rank_solvers(loh3_m_2rank.engine, restore=True):
             comm = _RecordingComm()
             monkeypatch.setattr(rank, "comm", comm)
-            n_rows = rank.subdomain.n_owned + 1
+            layout = rank.subdomain.buffer_layout
             for micro_step, plan in enumerate(rank.subdomain.send_plans):
                 rank.send_due(micro_step)
                 for dst, run in plan.packs:
                     rows, classes = plan.rows[run], plan.classes[run]
-                    second_half = rows // n_rows == 3  # the B1 - B2 store block
+                    block, owner = locate(layout, rows)
+                    second_half = block == B1_MINUS_B2
                     if not second_half.any():
                         continue
-                    elements = rows[second_half] % n_rows
+                    elements = owner[second_half]
                     data = rank.buffers.b1[elements] - rank.buffers.b2[elements]
                     np.testing.assert_array_equal(rank.buffers.store[rows[second_half]], data)
                     mats = rank.disc.neighbor_flux_matrices[classes[second_half]]
@@ -285,8 +296,8 @@ class TestHaloPlans:
         blocks = set()
         for sub in plan_engine.subdomains:
             for plan in sub.send_plans:
-                blocks.update((plan.rows // (sub.n_owned + 1)).tolist())
-        assert blocks == {0, 1, 2, 3}
+                blocks.update(locate(sub.buffer_layout, plan.rows)[0].tolist())
+        assert blocks == {B1, B2, B3, B1_MINUS_B2}
 
     def test_every_store_row_is_received_before_it_is_read(self, plan_case, monkeypatch):
         """A halo store that starts as NaN changes nothing: every row a

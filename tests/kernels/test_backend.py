@@ -208,9 +208,9 @@ class TestPrecision:
         table = MaterialTable.homogeneous(material, mesh.n_elements)
         disc = Discretization(mesh, table, order=3, n_mechanisms=3, precision="f32")
         assert disc.dtype == np.float32
-        for name in ("star_elastic", "coupling", "flux_local_elastic",
-                     "neighbor_flux_matrices", "omegas", "k_time", "k_vol",
-                     "ftilde", "fhat"):
+        for name in ("star_stress", "star_velocity", "star_anelastic", "coupling",
+                     "flux_local_elastic", "neighbor_flux_matrices", "omegas", "k_time",
+                     "k_vol", "ftilde", "fhat"):
             assert getattr(disc, name).dtype == np.float32, name
         assert disc.allocate_dofs().dtype == np.float32
         assert disc.time_steps.dtype == np.float64  # time arithmetic stays f64

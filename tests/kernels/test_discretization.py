@@ -7,10 +7,17 @@ import pytest
 
 from repro.basis.functions import TetBasis
 from repro.equations import riemann
+from repro.equations.anelastic import (
+    anelastic_jacobians,
+    anelastic_lame_parameters,
+    anelastic_star_matrices,
+    coupling_matrices,
+)
+from repro.equations.elastic import elastic_jacobians, elastic_star_matrices
 from repro.equations.material import ElasticMaterial, MaterialTable
 from repro.kernels import discretization, surface
 from repro.kernels.backend import FastBackend
-from repro.kernels.discretization import Discretization
+from repro.kernels.discretization import Discretization, compact_element_operators
 from repro.mesh.generation import box_mesh
 from repro.mesh.tet_mesh import BOUNDARY_ABSORBING, BOUNDARY_ANALYTIC, BOUNDARY_FREE_SURFACE
 from repro.scenarios import build_setup, get_scenario
@@ -18,14 +25,79 @@ from repro.scenarios import build_setup, get_scenario
 from .conftest import small_mesh
 
 
+#: one entry of each operator's structural zero blocks
+ZERO_ENTRY = {
+    "elastic_jacobians": (0, 1, 8, 7), "anelastic_jacobians": (2, 5, 0), "coupling": (0, 0, 8, 0),
+}
+
+
+class TestCompactOperators:
+    """The star and coupling operators are stored once, without the zero
+    blocks of their dense forms."""
+
+    @pytest.fixture(scope="class")
+    def operators(self, viscoelastic_disc):
+        """What assembly packs: the inverse Jacobians, both Jacobians and
+        the dense coupling stack."""
+        disc = viscoelastic_disc
+        lam, mu, rho = disc.materials.lam, disc.materials.mu, disc.materials.rho
+        lam_a, mu_a = anelastic_lame_parameters(
+            lam, mu, disc.materials.qp, disc.materials.qs, disc.spectrum
+        )
+        return {
+            "inverse_jacobians": disc.mesh.geometry.inverse_jacobians,
+            "elastic_jacobians": elastic_jacobians(lam, mu, rho),
+            "anelastic_jacobians": anelastic_jacobians(),
+            "coupling": coupling_matrices(lam_a, mu_a),
+        }
+
+    def test_compact_blocks_are_the_dense_nonzero_blocks(self, viscoelastic_disc):
+        """Bitwise the nonzero blocks of the dense star stacks, per
+        direction, and the stress rows of the coupling matrices."""
+        disc = viscoelastic_disc
+        lam, mu, rho = disc.materials.lam, disc.materials.mu, disc.materials.rho
+        inv_jac = disc.mesh.geometry.inverse_jacobians
+        star_e = elastic_star_matrices(inv_jac, lam, mu, rho)
+        star_a = anelastic_star_matrices(inv_jac)
+        assert not star_e[:, :, :6, :6].any() and not star_e[:, :, 6:, 6:].any()
+        assert not star_a[..., :6].any()
+        for c in range(3):
+            for j in range(3):
+                assert np.array_equal(disc.star_stress[:, :, 3 * j + c], star_e[:, c, :6, 6 + j])
+                assert np.array_equal(disc.star_anelastic[:, :, 3 * j + c], star_a[:, c, :, 6 + j])
+            for j in range(6):
+                assert np.array_equal(disc.star_velocity[:, :, 3 * j + c], star_e[:, c, 6:, j])
+        lam_a, mu_a = anelastic_lame_parameters(
+            lam, mu, disc.materials.qp, disc.materials.qs, disc.spectrum
+        )
+        coupling = coupling_matrices(lam_a, mu_a)
+        for l in range(disc.n_mechanisms):
+            assert np.array_equal(disc.coupling[:, :, 6 * l : 6 * (l + 1)], coupling[:, l, :6])
+
+    @pytest.mark.parametrize("perturbed", ["elastic_jacobians", "anelastic_jacobians", "coupling"])
+    def test_packing_refuses_an_operator_that_breaks_a_zero_block(self, operators, perturbed):
+        """An operator set with a nonzero entry where the compact layout
+        drops a block is refused by name, not silently truncated."""
+        broken = dict(operators)
+        operator = broken[perturbed].copy()
+        # velocity x velocity, memory x stress, velocity x memory: all zero
+        # in the wave equations
+        operator[ZERO_ENTRY[perturbed]] = 1e-3
+        broken[perturbed] = operator
+        with pytest.raises(ValueError, match=f"^{perturbed} has nonzero entries"):
+            compact_element_operators(**broken)
+        compact_element_operators(**operators)  # the intact set packs
+
+
 class TestShapesAndValidation:
     def test_basic_shapes(self, viscoelastic_disc):
         disc = viscoelastic_disc
         K = disc.n_elements
         assert disc.n_vars == 27  # 9 elastic + 3 mechanisms x 6
-        assert disc.star_elastic.shape == (K, 3, 9, 9)
-        assert disc.star_anelastic.shape == (K, 3, 6, 9)
-        assert disc.coupling.shape == (K, 3, 9, 6)
+        assert disc.star_stress.shape == (K, 6, 9)
+        assert disc.star_velocity.shape == (K, 3, 18)
+        assert disc.star_anelastic.shape == (K, 6, 9)
+        assert disc.coupling.shape == (K, 6, 18)
         assert disc.flux_local_elastic.shape == (K, 4, 9, 9)
         assert disc.flux_neigh_anelastic.shape == (K, 4, 6, 9)
         assert disc.time_steps.shape == (K,)

@@ -312,24 +312,6 @@ class TestOtherTiers:
             assert a.dtype == np.float32
             _assert_close(a, e, rtol=1e-5, name=name)
 
-    @pytest.mark.parametrize("perturbed", ["star_elastic", "star_anelastic", "coupling"])
-    def test_dense_fallback_when_structure_absent(self, perturbed):
-        """A (hypothetical) operator set violating a zero-block assumption
-        runs the dense stacked operator through the same lines."""
-        dense = _disc(order=3, n=1)
-        rng = np.random.default_rng(7)
-        operator = getattr(dense, perturbed)
-        setattr(dense, perturbed, operator + 1e-3 * rng.standard_normal(operator.shape))
-        fast = FastBackend()
-        data = fast._disc_data(dense)
-        assert not (data.star_e_blocks and data.star_a_velocity and data.coupling_stress)
-        dofs = _random_dofs(dense, seed=5)
-        elements = slice(0, dense.n_elements)
-        expected = _local_update_copy(ReferenceBackend(), dense, dofs, elements)
-        actual = _local_update_copy(fast, dense, dofs, elements)
-        for name, a, e in zip(PREDICTION, actual, expected):
-            _assert_close(a, e, name=f"{name} ({perturbed} dense)")
-
 
 class TestStackedOperators:
     """The stacked-operator machinery behind the fast time/volume kernels."""
@@ -340,10 +322,27 @@ class TestStackedOperators:
 
     @pytest.mark.parametrize("n_mechanisms", [0, 3])
     def test_structure_verified_per_discretization(self, n_mechanisms):
-        data = FastBackend()._disc_data(_disc(order=3, n_mechanisms=n_mechanisms, n=1))
-        assert data.star_e_blocks  # elastic star matrices are block-off-diagonal
+        """Assembly verified the zero blocks once: the stages multiply
+        views of the compact operators, and only the omega-scaled anelastic
+        rows are built (and cached) per batch."""
+        disc = _disc(order=3, n_mechanisms=n_mechanisms, n=1)
+        block = slice(2, 5)
+        ws = FastBackend().make_workspace()
+        _, stages, coupling = FastBackend()._stacked_ops(disc, block, ws)
+        for operand, name in zip((stages[0][0], stages[1][0], coupling),
+                                 ("star_stress", "star_velocity", "coupling")):
+            assert operand.size == 0 or np.shares_memory(operand, getattr(disc, name)), name
+            assert np.array_equal(operand, getattr(disc, name)[block]), name
+        assert len(stages) == 2 + bool(n_mechanisms)
         if n_mechanisms:
-            assert data.star_a_velocity and data.coupling_stress
+            scaled = stages[2][0]
+            assert scaled.shape == (3, 6 * n_mechanisms, 9)
+            for l in range(n_mechanisms):
+                np.testing.assert_array_equal(
+                    scaled[:, 6 * l : 6 * (l + 1)], disc.star_anelastic[block] * disc.omegas[l]
+                )
+        pools, cache = ws.held()
+        assert not pools and len(cache) == bool(n_mechanisms)
 
     def test_bmm_folds_fused_axis(self):
         rng = np.random.default_rng(11)

@@ -5,6 +5,7 @@ import pytest
 from repro.equations.material import MaterialTable, ViscoelasticMaterial
 from repro.kernels.discretization import Discretization
 from repro.kernels.flops import count_flops_per_element_update, sparsity_report
+from repro.scenarios import build_setup, get_scenario
 
 from .conftest import small_mesh
 
@@ -45,3 +46,12 @@ class TestFlopCounts:
         disc = Discretization(mesh, table, order=4, n_mechanisms=3, frequency_band=(0.1, 10.0))
         assert 1e5 < count_flops_per_element_update(disc, sparse=False).total < 2e6
         assert 0.2 < sparsity_report(disc)["zero_operation_fraction"] < 0.9
+
+    def test_counts_of_the_order4_anelastic_loh3_are_pinned(self):
+        """The counts read the compact star and coupling operators and stay
+        the exact figures of the dense stacks the discretization used to
+        store (the benchmark compares ``kernels.flop_per_update`` exactly)."""
+        disc = build_setup(get_scenario("loh3", characteristic_length=2000.0)).disc
+        assert (disc.order, disc.n_mechanisms) == (4, 3)
+        assert count_flops_per_element_update(disc, sparse=False).total == 290_100
+        assert count_flops_per_element_update(disc, sparse=True).total == 141_040

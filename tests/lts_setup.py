@@ -1,4 +1,5 @@
-"""Building a directly constructed discretization in cluster order.
+"""Building a directly constructed discretization in cluster order, and
+decoding LTS buffer-store rows.
 
 A clustered LTS solver runs on a mesh whose time clusters are contiguous
 runs of element ids (:func:`repro.mesh.reorder.reorder_elements`); scenario
@@ -6,6 +7,9 @@ setups are built that way, tests that assemble a discretization by hand
 use this helper.
 """
 
+import numpy as np
+
+from repro.core.buffers import GHOST
 from repro.kernels.discretization import Discretization
 from repro.mesh.reorder import reorder_elements
 
@@ -16,3 +20,18 @@ def cluster_ordered(disc, clustering, **assembly):
     order = reorder_elements(clustering.cluster_ids)
     rebuilt = Discretization(disc.mesh.permuted(order), disc.materials.subset(order), **assembly)
     return rebuilt, clustering.permuted(order)
+
+
+def locate(layout, rows) -> tuple[np.ndarray, np.ndarray]:
+    """``(block, element)`` of each row of a
+    :class:`~repro.core.buffers.BufferLayout` store (the ghost row:
+    ``GHOST`` and ``-1``)."""
+    rows = np.asarray(rows)
+    block = np.searchsorted(layout.offsets, rows, side="right") - 1
+    element = np.full(rows.shape, -1, dtype=np.int64)
+    for b in range(GHOST):
+        runs = [np.arange(elements.start, elements.stop) for elements, _ in layout.runs(b)]
+        stored = np.concatenate(runs) if runs else np.zeros(0, dtype=np.int64)
+        mine = block == b
+        element[mine] = stored[rows[mine] - layout.offsets[b]]
+    return block, element

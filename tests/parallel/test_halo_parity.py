@@ -13,20 +13,16 @@ the single-rank run.
 import numpy as np
 import pytest
 
-from repro.core.buffers import LARGER, SAME, SMALLER, store_rows
+from repro.core.buffers import B1, B1_MINUS_B2, B2, B3, LARGER, SAME, SMALLER
 from repro.core.lts_scheduler import schedule_cycle
 from repro.distributed import ProcessLtsEngine
 from repro.parallel.exchange import HaloIndex
 from repro.scenarios import ScenarioRunner, get_scenario
 
-#: the buffer-store block each payload kind is read from (``store_rows`` of
-#: a one-element store: a block is two rows long)
-STORE_BLOCKS = {
-    int(store_rows(1, 0, relation, parity)) // 2: kind
-    for kind, relation, parity in (
-        ("b1", SAME, 0), ("b3", SMALLER, 0), ("b2", LARGER, 0), ("b1_minus_b2", LARGER, 1),
-    )
-}
+from ..lts_setup import locate
+
+#: the buffer-store block each payload kind is read from
+STORE_BLOCKS = {B1: "b1", B3: "b3", B2: "b2", B1_MINUS_B2: "b1_minus_b2"}
 
 
 @pytest.fixture(scope="module")
@@ -121,7 +117,9 @@ def test_send_plans_ship_every_payload_kind_and_stay_bitwise(spec):
     shipped = {kind: 0 for kind in STORE_BLOCKS.values()}
     for sub in engine.subdomains:
         for plan in sub.send_plans:
-            blocks, counts = np.unique(plan.rows // (sub.n_owned + 1), return_counts=True)
+            blocks, counts = np.unique(
+                locate(sub.buffer_layout, plan.rows)[0], return_counts=True
+            )
             for block, count in zip(blocks, counts):
                 shipped[STORE_BLOCKS[int(block)]] += int(count)
     assert all(count > 0 for count in shipped.values()), shipped

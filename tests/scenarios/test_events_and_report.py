@@ -379,6 +379,36 @@ class TestMemoryAndStageReport:
                 pool.nbytes for ws in scratch for pool in ws._pools.values()
             ) / 2**20
 
+    def test_operators_and_buffers_are_the_compact_arrays(self, tmp_path):
+        """On ``loh3 --smoke``: ``operators`` is the compact star and
+        coupling operators plus the other assembled arrays (no dense stack
+        anywhere), and ``lts_buffers`` the store of the rows someone reads."""
+        runner = ScenarioRunner(get_scenario("loh3").smoke().with_overrides(kernels="fast"))
+        summary = runner.run()
+        owned = summary["memory"]["owned_mb"]
+        disc, buffers = runner.setup.disc, runner.solver.buffers
+        K, m = disc.n_elements, disc.n_mechanisms
+        compact = {
+            "star_stress": (K, 6, 9), "star_velocity": (K, 3, 18),
+            "star_anelastic": (K, 6, 9), "coupling": (K, 6, 6 * m),
+        }
+        for name, shape in compact.items():
+            assert getattr(disc, name).shape == shape, name
+        arrays = [getattr(disc, name) for name in (
+            *compact, "omegas", "flux_solvers", "neighbor_flux_matrices", "neighbor_flux_index",
+            "time_steps", "k_time", "k_vol", "ftilde", "fhat",
+        )]
+        assert owned["operators"] == sum(array.nbytes for array in arrays) / 2**20
+        layout, counts = buffers.layout, runner.clustering.counts
+        # B1 per element, B2 and B1 - B2 where the next-smaller cluster is
+        # populated, B3 where the next-larger one is, one ghost row
+        half = sum(counts[l] for l in range(1, len(counts)) if counts[l - 1])
+        accumulated = sum(counts[l] for l in range(len(counts) - 1) if counts[l + 1])
+        assert 0 < half + accumulated < 3 * K
+        assert layout.n_rows == K + 2 * half + accumulated + 1
+        row = buffers.store[0].nbytes
+        assert owned["lts_buffers"] == layout.n_rows * row / 2**20
+
     def test_correction_traces_count_toward_the_surface_stage(self, fast_lts_run, capsys):
         """The own traces are projected in the correction: ``repro report``
         still counts ``correct/kernel.trace`` toward the surface stage."""
