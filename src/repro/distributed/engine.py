@@ -4,18 +4,19 @@ A :class:`RankWorker` owns one rank's
 :class:`~repro.distributed.stepper.RankSolver`, its
 :class:`~repro.parallel.communicator.ProcessCommunicator` endpoint and its
 telemetry lane, and serves the commands of
-:class:`~repro.distributed.process_engine.ProcessLtsEngine` until ``exit``:
+:class:`~repro.distributed.process_engine.ProcessLtsEngine` until ``None``:
 ``cycles`` (step ``n`` macro cycles; the reply is how a rank reports --
 time, update count, cumulative traffic, the receiver samples and trace
 events since the last reply, the lane snapshot and peak RSS), ``dofs`` /
 ``set_dofs`` and ``state`` / ``restore``.  A failing command replies
 ``("error", traceback)`` and ends the loop.
 
-:class:`ProcessHost` forks one supervised worker process per rank, as the
-paper runs one process per rank with threads inside it: the loop talks to
-the engine over a ``multiprocessing`` pipe, and the halo packs travel over
-``multiprocessing`` queues.  A blocked halo receive waits at most the
-per-message ``comm_timeout``.
+:func:`start_ranks` forks one rank worker per rank, as the paper runs one
+process per rank with threads inside it: a
+:class:`~repro.parallel.supervisor.WorkerPool` of daemons whose pipes carry
+the commands, with the halo packs travelling over ``multiprocessing``
+queues.  A blocked halo receive waits at most the per-message
+``comm_timeout``.
 """
 
 from __future__ import annotations
@@ -27,12 +28,12 @@ import numpy as np
 
 from ..observability import TelemetryConfig, peak_rss_mb
 from ..parallel.communicator import ProcessCommunicator
-from ..parallel.supervisor import start_worker, stop_workers, worker_context
+from ..parallel.supervisor import WorkerPool
 from ..source.receivers import Receiver, ReceiverSet
 from .stepper import RankSolver
 from .subdomain import RankSubdomain
 
-__all__ = ["RankSetup", "RankWorker", "ProcessHost"]
+__all__ = ["RankSetup", "RankWorker", "start_ranks"]
 
 
 @dataclass
@@ -77,13 +78,9 @@ class RankWorker:
         self._reported: dict[str, int] = {}
 
     def serve(self, ctrl) -> None:
-        """Answer commands until ``exit`` or the first error."""
+        """Answer commands until ``None`` or the first error."""
         try:
-            while True:
-                command, payload = ctrl.recv()
-                if command == "exit":
-                    ctrl.send(("ok", None))
-                    return
+            for command, payload in iter(ctrl.recv, None):
                 ctrl.send(("ok", self._handle(command, payload)))
         except Exception:
             try:
@@ -149,7 +146,7 @@ class RankWorker:
         return increments
 
 
-def _serve_process(setup: RankSetup, inbound, outbound: dict, ctrl) -> None:
+def _serve_rank(ctrl, setup: RankSetup, inbound, outbound: dict) -> None:
     """A worker process: build the rank, then serve it."""
     try:
         worker = RankWorker(setup, inbound, outbound)
@@ -159,33 +156,15 @@ def _serve_process(setup: RankSetup, inbound, outbound: dict, ctrl) -> None:
     worker.serve(ctrl)
 
 
-class ProcessHost:
-    """One forked worker process per rank.
+def start_ranks(setups: list[RankSetup]) -> WorkerPool:
+    """One forked rank worker per setup, on fresh halo queues.
 
-    The workers are supervised daemons: they split the host's cores, exit
-    on their own once the parent is gone, and ``stop`` terminates whatever
-    has not exited within the grace period.  A rank that fails to start
-    stops the ranks started before it, and the error propagates.
+    The workers are daemons (a rank starts no workers of its own), so they
+    also die with a parent that exits without stopping them.
     """
-
-    def __init__(self, setups: list[RankSetup]):
-        ctx = worker_context()  # fork shares the built subdomains for free
-        inbound = [ctx.Queue() for _ in setups]
-        self.ctrls, self.handles = [], []
-        try:
-            for r, setup in enumerate(setups):
-                parent_end, child_end = ctx.Pipe()
-                peers = {d: q for d, q in enumerate(inbound) if d != r}
-                self.handles.append(
-                    start_worker(
-                        ctx, _serve_process, (setup, inbound[r], peers, child_end),
-                        len(setups), daemon=True,
-                    )
-                )
-                self.ctrls.append(parent_end)
-        except BaseException:
-            self.stop(grace_s=0.0)
-            raise
-
-    def stop(self, grace_s: float) -> None:
-        stop_workers(self.handles, grace_s)
+    inbound = [WorkerPool.ctx.Queue() for _ in setups]
+    args = [
+        (setup, inbound[r], {d: q for d, q in enumerate(inbound) if d != r})
+        for r, setup in enumerate(setups)
+    ]
+    return WorkerPool(_serve_rank, args, daemon=True)

@@ -5,7 +5,7 @@ per partition through the rate-2 schedule.  Per micro step a rank predicts
 its boundary rows, posts the due halo packs, predicts its interior rows
 while they travel and then corrects, blocking only on packs not yet in --
 the paper's communication hiding.  The ranks advance concurrently, one
-forked worker process each (:class:`~repro.distributed.engine.ProcessHost`),
+forked worker process each (:func:`~repro.distributed.engine.start_ranks`),
 bit-identical to the single-rank solver.
 
 The engine implements the stepper protocol of :mod:`repro.core.stepper` in
@@ -13,9 +13,11 @@ the single-rank checkpoint layout.  It mirrors what each ``cycles`` reply
 carries (time, update count, traffic, telemetry, new receiver samples), so
 summaries never need a worker round-trip.  :meth:`close` caches the
 per-rank states and stops the workers; the next command respawns them from
-the cache.  A worker error or death stops every worker and fails the
-engine: commands raise until :meth:`restore_state` supplies a state for
-fresh workers on fresh channels.
+the cache.  The engine waits on every rank's pipe and process together
+(:meth:`~repro.parallel.supervisor.WorkerPool.wait`), so a rank that errors
+or dies is seen at once: it stops every worker and fails the engine, and
+commands raise until :meth:`restore_state` supplies a state for fresh
+workers on fresh channels.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from ..parallel.communicator import MessageStats
 from ..parallel.exchange import HaloIndex, exchange_volumes_per_cycle
 from ..source.moment_tensor import DiscretePointSource
 from ..source.receivers import ReceiverSet
-from .engine import ProcessHost, RankSetup
+from .engine import RankSetup, start_ranks
 from .subdomain import RankSubdomain
 
 __all__ = ["ProcessLtsEngine"]
@@ -118,7 +120,7 @@ class ProcessLtsEngine:
         #: the per-rank states the next workers start from (``None``: none)
         self._cache: list[dict] | None = None
         self._failed = False
-        self._host = ProcessHost(self._setups)
+        self._pool = start_ranks(self._setups)
 
     def _rank_setup(self, sub: RankSubdomain, sources: list) -> RankSetup:
         """The recipe of rank ``sub.rank``'s worker: its sources and
@@ -140,7 +142,7 @@ class ProcessLtsEngine:
     # worker lifecycle
     # ------------------------------------------------------------------
     def _ensure_alive(self) -> None:
-        if self._host is not None:
+        if self._pool is not None:
             return
         if self._failed:
             # the dynamic state died with the workers, and quietly starting
@@ -159,7 +161,7 @@ class ProcessLtsEngine:
             for base, current in zip(self._telemetry_base, self._rank_telemetry)
         ]
         self._rank_telemetry = [{} for _ in range(self.n_ranks)]
-        self._host = ProcessHost(self._setups)
+        self._pool = start_ranks(self._setups)
         if self._cache is not None:
             # fresh workers record into empty receiver shims and report only
             # new samples, so the global recordings need no push-back
@@ -173,40 +175,31 @@ class ProcessLtsEngine:
         return RuntimeError(message)
 
     def _stop(self, grace_s: float) -> None:
-        host, self._host = self._host, None
-        host.stop(grace_s)
+        pool, self._pool = self._pool, None
+        pool.stop(grace_s)
 
     def _collect(self) -> list:
-        """One reply from every worker; surfaces worker errors eagerly."""
-        host = self._host
+        """One reply from every worker; any error or death fails the engine."""
         replies: list = [None] * self.n_ranks
-        remaining = set(range(self.n_ranks))
-        while remaining:
-            for index in sorted(remaining):
-                # liveness first: a worker that replied and then ended has
-                # its reply readable by the time the poll looks
-                alive = host.handles[index].is_alive()
-                if not host.ctrls[index].poll(0.02):
-                    if not alive:
-                        raise self._fail(f"rank {index} worker died without a reply")
-                    continue
-                try:
-                    status, payload = host.ctrls[index].recv()
-                except (EOFError, OSError):  # a killed worker's pipe end
-                    raise self._fail(f"rank {index} worker died without a reply") from None
+        pending = set(range(self.n_ranks))
+        while pending:
+            for rank, outcome, message in self._pool.wait(pending):
+                if outcome != "reply":
+                    raise self._fail(f"rank {rank} worker died without a reply")
+                status, payload = message
                 if status == "error":
-                    raise self._fail(f"rank {index} worker failed:\n{payload}")
-                replies[index] = payload
-                remaining.discard(index)
+                    raise self._fail(f"rank {rank} worker failed:\n{payload}")
+                replies[rank] = payload
+                pending.discard(rank)
         return replies
 
     def _command_all(self, command: str, payloads=None) -> list:
         self._ensure_alive()
-        for index, ctrl in enumerate(self._host.ctrls):
+        for rank in range(self.n_ranks):
             try:
-                ctrl.send((command, None if payloads is None else payloads[index]))
-            except (BrokenPipeError, OSError) as error:
-                raise self._fail(f"rank {index} worker is gone") from error
+                self._pool.send(rank, (command, None if payloads is None else payloads[rank]))
+            except OSError as error:
+                raise self._fail(f"rank {rank} worker is gone") from error
         return self._collect()
 
     def close(self) -> None:
@@ -215,17 +208,16 @@ class ProcessLtsEngine:
         The engine stays fully usable: reads are served from the cache and
         stepping respawns the workers from it.
         """
-        if self._host is None:
+        if self._pool is None:
             return
         # stats and receiver recordings only change inside "cycles"
         # commands, so the mirrors are already current here
         self._cache = self._command_all("state")
-        self._command_all("exit")
         self._stop(grace_s=5.0)
 
     def __del__(self):  # pragma: no cover - interpreter-shutdown safety net
         try:
-            if getattr(self, "_host", None) is not None:
+            if getattr(self, "_pool", None) is not None:
                 self._stop(grace_s=0.0)
         except Exception:
             pass
@@ -326,7 +318,7 @@ class ProcessLtsEngine:
             }
             for sub, updates in zip(self.subdomains, per_cycle)
         ]
-        if self._host is None:
+        if self._pool is None:
             self._failed = False
             self._cache = states
         else:

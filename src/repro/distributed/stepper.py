@@ -5,7 +5,8 @@ running on one rank's :class:`~repro.distributed.subdomain.RankSubdomain`:
 local DOFs, local LTS buffers, local element-ids everywhere.  Three things
 are added on top of the shared driver logic:
 
-* :meth:`step_cycle` -- the one stepping walk of a rank -- splits the
+* :meth:`predict_step` -- inside the one stepping walk of
+  :meth:`~repro.core.lts_solver.ClusteredLtsSolver.step_cycle` -- splits the
   prediction of a cluster along the subdomain's boundary/interior
   partition (two adjacent slices of the cluster's run of local ids): per
   micro step the halo-adjacent rows of every due cluster are predicted in
@@ -36,7 +37,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.lts_scheduler import schedule_cycle
 from ..core.lts_solver import ClusteredLtsSolver, _ClusterData
 from ..kernels.discretization import N_ELASTIC
 from .subdomain import RankSubdomain
@@ -115,27 +115,20 @@ class RankSolver(ClusteredLtsSolver):
             "correct": self._correction(cluster, parity),
         }
 
-    # ------------------------------------------------------------------
-    def step_cycle(self) -> None:
-        """One macro cycle of this rank, exchanging its halo through the
-        communicator: per micro step the boundary predictions, the due
-        sends, the interior predictions (the sends are in flight meanwhile)
-        and the corrections."""
-        self._check_state()
-        dt0 = float(self.clustering.cluster_time_steps[0])
-        for entry in schedule_cycle(self.clustering.n_clusters):
-            with self.telemetry.region("predict.boundary"):
-                self._dispatch("boundary", entry["predict"])
-            with self.telemetry.region("send"):
-                self.send_due(entry["micro_step"])
-                self.comm.flush()
-            with self.telemetry.region("predict.interior"):
-                self._dispatch("interior", entry["predict"])
-            self._micro_step = entry["micro_step"]
-            if self._micro_step == 0:
-                self._next_drain = 0
-            self.correct_step(entry, dt0)
-        self.time += self.macro_dt
+    def predict_step(self, entry: dict) -> None:
+        """Predict the boundary rows of every due cluster, post the due
+        sends and predict the interior rows while the sends are in flight;
+        the corrections of :meth:`correct_step` then drain up to this step."""
+        with self.telemetry.region("predict.boundary"):
+            self._dispatch("boundary", entry["predict"])
+        with self.telemetry.region("send"):
+            self.send_due(entry["micro_step"])
+            self.comm.flush()
+        with self.telemetry.region("predict.interior"):
+            self._dispatch("interior", entry["predict"])
+        self._micro_step = entry["micro_step"]
+        if self._micro_step == 0:
+            self._next_drain = 0
 
     # ------------------------------------------------------------------
     def send_due(self, micro_step: int) -> None:

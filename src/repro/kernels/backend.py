@@ -60,27 +60,29 @@ __all__ = [
     "KernelWorkspace",
     "ReferenceBackend",
     "FastBackend",
+    "default_kernels",
     "make_backend",
 ]
 
 KERNEL_KINDS = ("ref", "fast")
 
-#: environment override for the default backend of directly constructed
-#: solvers (scenario specs name their backend explicitly and win) -- this is
-#: what lets CI soak the whole tier-1 suite under the fast kernels
-_ENV_VAR = "REPRO_KERNELS"
+
+def default_kernels() -> str:
+    """The kernel kind an unnamed backend resolves to: the ``REPRO_KERNELS``
+    environment variable, else ``"ref"``.  Directly constructed solvers and
+    specs built without ``solver.kernels`` both read it (an explicit name
+    wins) -- this is what lets CI soak the whole tier-1 suite under the
+    fast kernels."""
+    return os.environ.get("REPRO_KERNELS") or "ref"
 
 
 def make_backend(kind=None):
-    """Resolve a backend name (or pass an instance through).
-
-    ``None`` falls back to the ``REPRO_KERNELS`` environment variable and
-    then to ``"ref"``.
-    """
+    """Resolve a backend name (or pass an instance through); ``None`` is
+    :func:`default_kernels`."""
     if isinstance(kind, ReferenceBackend):  # FastBackend subclasses it
         return kind
     if kind is None:
-        kind = os.environ.get(_ENV_VAR) or "ref"
+        kind = default_kernels()
     backends = {"ref": ReferenceBackend, "fast": FastBackend}
     if kind not in backends:
         raise ValueError(f"kernel backend must be one of {KERNEL_KINDS}, got {kind!r}")

@@ -1,9 +1,11 @@
 """Distributed-memory substrate: partitioning, communication accounting, scaling model.
 
 One communicator, :class:`ProcessCommunicator`, carries every halo pack: the
-multi-rank engine wires its endpoints over ``multiprocessing`` queues for
-worker processes, over in-process queues for worker threads.  :class:`HaloIndex` is the one halo
-description the machine model accounts.
+multi-rank engine wires its endpoints over ``multiprocessing`` queues
+between its rank worker processes (tests wire in-process queues).
+:class:`HaloIndex` is the one halo description the machine model accounts.
+The worker processes themselves -- rank and sweep workers -- are a
+:class:`~repro.parallel.supervisor.WorkerPool`.
 """
 
 from .communicator import MessageStats, ProcessCommunicator, pair_key

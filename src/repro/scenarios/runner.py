@@ -97,21 +97,11 @@ PHASE_REGIONS = (
 
 
 def peak_memory() -> dict:
-    """Peak resident-set size (and tracemalloc peak, when tracing) in MiB.
-
-    The RSS figures come from :func:`~repro.observability.peak_rss_mb`.
-    ``tracemalloc`` only reports when the caller started it (e.g. via
-    ``REPRO_TRACEMALLOC=1``) -- tracing slows allocation-heavy code down far
-    too much to be on by default.
-    """
-    import tracemalloc
-
+    """Peak resident-set size in MiB (:func:`~repro.observability.peak_rss_mb`)."""
     block = {"peak_rss_mb": peak_rss_mb()}
     children = peak_rss_mb(children=True)
     if children > 0:  # rank or sweep worker processes that have exited
         block["peak_rss_children_mb"] = children
-    if tracemalloc.is_tracing():
-        block["tracemalloc_peak_mb"] = tracemalloc.get_traced_memory()[1] / (1024.0**2)
     return block
 
 
@@ -425,11 +415,6 @@ class ScenarioRunner:
         #: directly; a multi-rank engine keeps it as the "driver" lane
         #: (engine construction, checkpoint I/O) beside the per-rank lanes
         self.telemetry = self.telemetry_config.build(rank=0)
-        if os.environ.get("REPRO_TRACEMALLOC"):
-            import tracemalloc
-
-            if not tracemalloc.is_tracing():
-                tracemalloc.start()
         self.setup = (
             setup
             if setup is not None

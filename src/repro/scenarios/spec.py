@@ -27,8 +27,9 @@ registry and the sweep axes all set knobs through :func:`set_path`.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import asdict, dataclass, field, replace
+
+from ..kernels.backend import KERNEL_KINDS, default_kernels
 
 __all__ = [
     "DomainSpec",
@@ -65,7 +66,7 @@ __all__ = [
 
 SOLVER_KINDS = ("gts", "lts")
 SOLVER_BACKENDS = ("serial", "process")
-SOLVER_KERNELS = ("ref", "fast")
+SOLVER_KERNELS = KERNEL_KINDS
 SOLVER_PRECISIONS = ("f64", "f32")
 VELOCITY_MODEL_KINDS = ("loh3", "la_habra_basin", "homogeneous", "layered")
 TIME_FUNCTION_KINDS = ("ricker", "gaussian_derivative", "smoothed_step")
@@ -549,8 +550,9 @@ class SolverSpec:
     reference kernels, the oracle) or ``"fast"`` (stacked-operator GEMMs on
     cache-sized element blocks with reusable scratch workspaces,
     *tolerance-equal* under the :mod:`repro.verification` contract).  The
-    default follows the ``REPRO_KERNELS`` environment variable (falling back
-    to ``"ref"``) and is resolved at construction time, so one CI leg can
+    default is :func:`~repro.kernels.backend.default_kernels` (the
+    ``REPRO_KERNELS`` environment variable, falling back to ``"ref"``),
+    resolved at construction time, so one CI leg can
     soak every spec-driven test under a non-default kernel backend while
     serialised specs stay explicit.
     ``precision`` runs the solver state and operators in ``"f64"`` or
@@ -569,9 +571,7 @@ class SolverSpec:
 
     def __post_init__(self) -> None:
         if self.kernels is None:
-            object.__setattr__(
-                self, "kernels", os.environ.get("REPRO_KERNELS") or "ref"
-            )
+            object.__setattr__(self, "kernels", default_kernels())
         if self.kind not in SOLVER_KINDS:
             raise ValueError(f"solver kind must be one of {SOLVER_KINDS}")
         if self.n_fused < 0:

@@ -16,13 +16,17 @@ is shared by everyone:
    :func:`~repro.sweep.fuse.run_unit` with the shared cache (each member
    possibly itself multi-rank on forked rank workers), writes its
    artefacts under ``members/<id>/`` (and ``fused/<group>/``) and replies
-   on the same pipe.  Workers start and stop through
-   :mod:`repro.parallel.supervisor`, so a worker whose parent is gone exits
-   within a second instead of running on.
+   on the same pipe.  The workers are a
+   :class:`~repro.parallel.supervisor.WorkerPool` (not daemons: a
+   multi-rank member forks rank workers of its own), so a worker whose
+   parent is gone exits within a second instead of running on, and a
+   worker that fails to start stops the ones started before it.
 3. **Survive** -- every state transition is a flushed manifest line.  The
-   parent waits on the pipes and the worker processes together, so it
-   always knows which unit a dead worker held: a unit whose worker crashes
-   (or raises) is re-queued ``retries`` times, then marked failed.  A sweep
+   pool waits on the pipes and the worker processes together, so the
+   parent always knows which unit a dead worker held: the slot restarts at
+   once, a unit the worker never read goes back uncharged, and a unit whose
+   worker crashes (or raises) is re-queued ``retries`` times, then marked
+   failed.  A sweep
    killed outright resumes from its manifest: members whose latest status
    is ``done`` are skipped, everything else -- including in-flight
    ``started`` members -- is re-queued.
@@ -48,14 +52,12 @@ import time
 import traceback
 from collections import deque
 from dataclasses import dataclass
-from multiprocessing import connection
 from pathlib import Path
 
 from ..observability.events import spec_content_hash
-from ..parallel.supervisor import start_worker, stop_workers, worker_context
+from ..parallel.supervisor import WorkerPool
 from ..preprocessing.cache import (
     PreprocessingCache,
-    diff_stats,
     needed_stage_keys,
     result_content_hash,
     warm_preprocessing,
@@ -371,7 +373,8 @@ def run_sweep(
         tracker = _MemberTracker(manifest, out_dir, retries, log)
         _schedule(
             units, tracker,
-            _Pool(cache_dir, min(workers, len(units))) if workers else _Inline(cache),
+            WorkerPool(_serve, [(str(cache_dir),)] * min(workers, len(units)))
+            if workers else _Inline(cache),
         )
         tally.update(
             done=tracker.done, failed=tracker.failed,
@@ -384,7 +387,12 @@ def run_sweep(
 
 def _schedule(units, tracker, workers) -> None:
     """The one scheduling loop: hand each idle worker the next unit, then
-    settle every reply or death; a failed attempt goes back to the front."""
+    settle every reply or death; a failed attempt goes back to the front.
+
+    A dead worker's slot restarts at once.  The unit it held goes back
+    uncharged if it was still unread, and is charged a crashed attempt if
+    the worker had taken it.
+    """
     todo = deque((unit, 1) for unit in units)
     held: dict[int, tuple] = {}  # worker slot -> (unit, attempt)
     try:
@@ -393,22 +401,31 @@ def _schedule(units, tracker, workers) -> None:
                 if slot not in held and todo:
                     unit, attempt = held[slot] = todo.popleft()
                     tracker.started(unit, attempt)
-                    workers.give(slot, unit)
-            for slot, (outcome, detail) in workers.wait(held):
+                    try:
+                        workers.send(slot, unit)
+                    except OSError:  # the worker died after its last reply
+                        workers.restart(slot)
+                        workers.send(slot, unit)
+            for slot, outcome, detail in workers.wait(held):
                 unit, attempt = held.pop(slot)
-                if outcome == "done":
-                    tracker.finished(unit, attempt, detail)
-                elif outcome == "unread":
-                    todo.appendleft((unit, attempt))
-                elif tracker.errored(unit, attempt, detail):
+                if outcome != "reply":
+                    workers.restart(slot)
+                    if outcome == "unread":
+                        todo.appendleft((unit, attempt))
+                        continue
+                    detail = ("failed", f"worker crashed (exit code {detail})")
+                status, result = detail
+                if status == "done":
+                    tracker.finished(unit, attempt, result)
+                elif tracker.errored(unit, attempt, result):
                     todo.appendleft((unit, attempt + 1))
     finally:
         # workers still holding a unit are abandoned (the sweep is failing)
-        workers.close(grace_s=0.0 if held else 10.0)
+        workers.stop(grace_s=0.0 if held else 10.0)
 
 
 class _Inline:
-    """The parent as the only worker (``workers=0``): a unit runs when given."""
+    """The parent as the only worker (``workers=0``): a unit runs when sent."""
 
     size = 1
 
@@ -416,95 +433,11 @@ class _Inline:
         self.cache = cache
         self.outcome = None
 
-    def give(self, slot: int, unit: _Unit) -> None:
+    def send(self, slot: int, unit: _Unit) -> None:
         self.outcome = _attempt(unit, self.cache)
 
     def wait(self, held) -> list:
-        return [(0, self.outcome)]
+        return [(0, "reply", self.outcome)]
 
-    def close(self, grace_s: float) -> None:
+    def stop(self, grace_s: float) -> None:
         pass
-
-
-class _Pool:
-    """Worker processes, each handed one unit at a time over its own pipe.
-
-    The parent waits on the held workers' pipes and process sentinels
-    together, so a worker that dies is always matched to the unit it held.
-    The worker's end of a pipe lives in that worker alone, so its death
-    closes the pipe, and Linux then tells the two cases apart: the parent's
-    end reads EOF if the worker had taken the unit (a crashed attempt,
-    charged) and ``ECONNRESET`` if the unit was still unread in the pipe
-    (the worker died after its last reply; the unit goes back uncharged).
-    A dead worker's slot restarts at once.
-    """
-
-    def __init__(self, cache_dir: Path, size: int):
-        self.ctx = worker_context()
-        self.cache_dir = str(cache_dir)
-        self.size = size
-        self.conns = [None] * size
-        self.procs = [None] * size
-        for slot in range(size):
-            self._spawn(slot)
-
-    def _spawn(self, slot: int) -> None:
-        parent_end, child_end = self.ctx.Pipe()
-        # not daemons: a multi-rank member starts rank workers of its own
-        self.procs[slot] = start_worker(
-            self.ctx, _serve, (child_end, self.cache_dir), self.size
-        )
-        child_end.close()
-        self.conns[slot] = parent_end
-
-    def _restart(self, slot: int) -> int:
-        """Reap the dead worker in ``slot``, start another; its exit code."""
-        dead = self.procs[slot]
-        dead.join()
-        self.conns[slot].close()
-        self._spawn(slot)
-        return dead.exitcode
-
-    def give(self, slot: int, unit: _Unit) -> None:
-        try:
-            self.conns[slot].send(unit)
-        except OSError:  # the worker died after its last reply
-            self._restart(slot)
-            self.conns[slot].send(unit)
-
-    def wait(self, held) -> list:
-        watched = {self.conns[slot]: slot for slot in held}
-        watched.update({self.procs[slot].sentinel: slot for slot in held})
-        settled = {}
-        for ready in connection.wait(list(watched)):
-            slot = watched[ready]
-            if slot not in settled:
-                settled[slot] = self._outcome(slot)
-        return list(settled.items())
-
-    def _outcome(self, slot: int) -> tuple:
-        conn = self.conns[slot]
-        if not conn.poll():
-            # woken by the sentinel, which can close before the worker's
-            # pipe end does: reap it, so the pipe shows how it died
-            self.procs[slot].join()
-        try:
-            if conn.poll():
-                return conn.recv()
-        except ConnectionResetError:
-            self._restart(slot)
-            return "unread", None
-        except EOFError:
-            pass
-        # taken, then died -- or a rank worker it forked still holds its end
-        return "failed", f"worker crashed (exit code {self._restart(slot)})"
-
-    def close(self, grace_s: float) -> None:
-        for conn in self.conns:
-            try:
-                conn.send(None)
-            except OSError:
-                pass  # that worker is already gone
-        stop_workers(self.procs, grace_s=grace_s)
-        for conn in self.conns:
-            conn.close()

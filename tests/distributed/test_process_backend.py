@@ -35,8 +35,8 @@ import numpy as np
 import pytest
 
 from repro.distributed import ProcessLtsEngine
-from repro.distributed import engine as engine_module
 from repro.scenarios import ScenarioRunner, ScenarioSpec, get_scenario, make_runner
+from repro.parallel import supervisor
 from repro.parallel.supervisor import ORPHAN_POLL_S
 from repro.scenarios.spec import RESUMABLE_OVERRIDES
 from repro.verification import GOLDEN_SCENARIOS, load_golden
@@ -79,7 +79,7 @@ def rank_run(tiny_loh3):
 
 
 def _worker_pids(engine) -> list[int]:
-    return [handle.pid for handle in engine._host.handles]
+    return [handle.pid for handle in engine._pool.procs]
 
 
 def _steps_on_forked_ranks(spec) -> None:
@@ -225,13 +225,13 @@ class TestEngineLifecycle:
         stats_before = engine.stats.as_dict()
         dofs_before = engine.dofs.copy()
         engine.close()
-        assert engine._host is None
+        assert engine._pool is None
         # reads come from the cache
         np.testing.assert_array_equal(engine.dofs, dofs_before)
         assert engine.stats.as_dict() == stats_before
         # stepping respawns the workers and continues bit-identically
         runner.step_cycle()
-        assert engine._host is not None
+        assert engine._pool is not None
         reference = make_runner(tiny_loh3)
         reference.step_cycle()
         reference.step_cycle()
@@ -246,7 +246,7 @@ class TestEngineLifecycle:
         the rank already started is stopped, not left without a handle."""
         before = _live_workers()
         spec = tiny_loh3.with_overrides(n_ranks=2)
-        real, calls = engine_module.start_worker, []
+        real, calls = supervisor.start_worker, []
 
         def failing(*args, **kwargs):
             calls.append(None)
@@ -255,14 +255,14 @@ class TestEngineLifecycle:
             return real(*args, **kwargs)
 
         if spawn == "first":
-            monkeypatch.setattr(engine_module, "start_worker", failing)
+            monkeypatch.setattr(supervisor, "start_worker", failing)
             with pytest.raises(OSError, match="injected fork failure"):
                 make_runner(spec)
         else:
             runner = make_runner(spec)
             runner.step_cycle()
             runner.engine.close()
-            monkeypatch.setattr(engine_module, "start_worker", failing)
+            monkeypatch.setattr(supervisor, "start_worker", failing)
             with pytest.raises(OSError, match="injected fork failure"):
                 runner.step_cycle()
         gc.collect()
@@ -276,7 +276,7 @@ class TestEngineLifecycle:
         """On 4 ranks the ``fail_at``-th fork fails: each of the ranks
         forked before it is stopped, whichever rank failed."""
         before = _live_workers()
-        real, started = engine_module.start_worker, []
+        real, started = supervisor.start_worker, []
 
         def failing(*args, **kwargs):
             if len(started) + 1 == fail_at:
@@ -284,7 +284,7 @@ class TestEngineLifecycle:
             started.append(real(*args, **kwargs))
             return started[-1]
 
-        monkeypatch.setattr(engine_module, "start_worker", failing)
+        monkeypatch.setattr(supervisor, "start_worker", failing)
         with pytest.raises(OSError, match="injected fork failure"):
             make_runner(tiny_loh3.with_overrides(n_ranks=4))
         gc.collect()
@@ -296,8 +296,8 @@ class TestEngineLifecycle:
         runner = make_runner(tiny_loh3.with_overrides(n_ranks=2))
         engine = runner.engine
         runner.step_cycle()
-        engine._host.handles[0].terminate()
-        engine._host.handles[0].join()
+        engine._pool.procs[0].terminate()
+        engine._pool.procs[0].join()
         with pytest.raises(RuntimeError, match="worker"):
             runner.step_cycle()
         # the dynamic state died with the worker: no silent zero-state respawn
@@ -317,7 +317,7 @@ class TestEngineLifecycle:
         runner.step_cycle()
         saved = engine.state_arrays()
         time_, updates = engine.time, engine.n_element_updates
-        os.kill(engine._host.handles[0].pid, signal.SIGKILL)
+        os.kill(engine._pool.procs[0].pid, signal.SIGKILL)
         with pytest.raises(RuntimeError, match="rank 0 worker"):
             engine.step_cycle()
         assert _live_workers() - before == set()

@@ -158,7 +158,7 @@ class TestLedgerEndToEnd:
         run = ["run", "loh3", *TINY_LOH3, "--cycles", "4", "--ranks", "2", "--quiet"]
         script = textwrap.dedent(f"""
             import errno, json, os, sys, time
-            from repro.distributed import engine
+            from repro.parallel import supervisor
             from repro.observability.events import DurableJsonl
             from repro.scenarios.cli import main
             write, close, workers, full = DurableJsonl.write, DurableJsonl.close, [], []
@@ -178,11 +178,11 @@ class TestLedgerEndToEnd:
                 if full:
                     raise enospc()
             DurableJsonl.write, DurableJsonl.close = write_until_full, close_on_full_disk
-            start_worker = engine.start_worker
+            start_worker = supervisor.start_worker
             def recorded(*args, **kwargs):
                 workers.append(start_worker(*args, **kwargs))
                 return workers[-1]
-            engine.start_worker = recorded
+            supervisor.start_worker = recorded
             started = time.monotonic()
             def report(type_, error, tb):
                 print(json.dumps({{

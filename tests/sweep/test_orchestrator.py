@@ -225,12 +225,12 @@ class TestReportIntegration:
         assert "== comparison" in capsys.readouterr().out
 
 
-def _patched_sweep(tmp_path, sweep, patch: str, **kwargs) -> dict:
+def _patched_sweep(tmp_path, sweep, patch: str, timeout_s: float = 120.0, **kwargs) -> dict:
     """``run_sweep(sweep, tmp_path / "out", **kwargs)`` in a subprocess that
     first runs ``patch`` (with ``orchestrator`` imported; pool workers are
     forked, so they inherit it).  Returns the last JSON line the subprocess
-    prints -- the tally, unless the patch reports otherwise -- within 120 s,
-    so a stranded unit fails the test instead of hanging it."""
+    prints -- the tally, unless the patch reports otherwise -- within
+    ``timeout_s``, so a stranded unit fails the test instead of hanging it."""
     spec_path = tmp_path / "sweep.json"
     spec_path.write_text(sweep.to_json())
     script = "\n".join([
@@ -242,7 +242,7 @@ def _patched_sweep(tmp_path, sweep, patch: str, **kwargs) -> dict:
     ])
     proc = subprocess.run(
         [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=REPO_SRC),
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=timeout_s,
     )
     assert proc.stdout, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
@@ -337,11 +337,12 @@ class TestPoolAndCrashes:
                     raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
                 write(self, record)
             SweepManifest.write = write_until_full
-            start_worker = orchestrator.start_worker
+            from repro.parallel import supervisor
+            start_worker = supervisor.start_worker
             def recorded(*args, **kwargs):
                 workers.append(start_worker(*args, **kwargs))
                 return workers[-1]
-            orchestrator.start_worker = recorded
+            supervisor.start_worker = recorded
             started = time.monotonic()
             def report(type_, error, tb):
                 print(json.dumps({
@@ -362,6 +363,32 @@ class TestPoolAndCrashes:
                          str(tmp_path / "out"), "--resume", "--quiet"]) == 0
         final = validate_manifest(manifest)
         assert final["complete"] and final["members"] == {"done": 4}, final
+
+    def test_a_failed_worker_start_stops_the_workers_started_before_it(self, tmp_path):
+        """The second worker's fork fails (EAGAIN): ``run_sweep`` raises it,
+        the worker forked before it is stopped, and the process exits within
+        60 s instead of hanging at exit on a live non-daemon worker."""
+        result = _patched_sweep(tmp_path, tiny_sweep(), """
+            import multiprocessing
+            fork, forked = os.fork, []
+            def failing_fork():
+                if len(forked) == 1:
+                    raise OSError(errno.EAGAIN, "injected fork failure")
+                forked.append(fork())
+                return forked[-1]
+            os.fork = failing_fork
+            def report(type_, error, tb):
+                print(json.dumps({
+                    "errno": getattr(error, "errno", None), "error": repr(error),
+                    "forked": forked,
+                    "alive": [p.pid for p in multiprocessing.active_children()],
+                }))
+            sys.excepthook = report
+        """, timeout_s=60.0, workers=2)
+        assert result["errno"] == errno.EAGAIN, result
+        assert "injected fork failure" in result["error"]
+        assert len(result["forked"]) == 1 and result["alive"] == [], result
+        assert _alive(result["forked"]) == []
 
     def test_pool_sweep_with_worker_crash_retry(self, tmp_path, monkeypatch):
         """A worker SIGKILLed right after claiming member 0001 (once, via
