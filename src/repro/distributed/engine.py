@@ -5,11 +5,11 @@ A :class:`RankWorker` owns one rank's
 :class:`~repro.parallel.communicator.ProcessCommunicator` endpoint and its
 telemetry lane, and serves the commands of
 :class:`~repro.distributed.process_engine.ProcessLtsEngine` until ``None``:
-``cycles`` (step ``n`` macro cycles; the reply is how a rank reports --
-time, update count, cumulative traffic, the receiver samples and trace
-events since the last reply, the lane snapshot and peak RSS), ``dofs`` /
-``set_dofs`` and ``state`` / ``restore``.  A failing command replies
-``("error", traceback)`` and ends the loop.
+``cycle`` (step one macro cycle; the reply is how a rank reports: time,
+update count and peak RSS, and what changed since the last reply -- the
+halo traffic, the receiver samples and the lane's regions, counters and
+trace events), ``dofs`` / ``set_dofs`` and ``state`` / ``restore``.  A
+failing command replies ``("error", traceback)`` and ends the loop.
 
 :func:`start_ranks` forks one rank worker per rank, as the paper runs one
 process per rank with threads inside it: a
@@ -26,8 +26,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..observability import TelemetryConfig, peak_rss_mb
-from ..parallel.communicator import ProcessCommunicator
+from ..observability import Telemetry, peak_rss_mb
+from ..parallel.communicator import MessageStats, ProcessCommunicator
 from ..parallel.supervisor import WorkerPool
 from ..source.receivers import Receiver, ReceiverSet
 from .stepper import RankSolver
@@ -48,10 +48,10 @@ class RankSetup:
     n_fused: int
     kernels: str
     comm_timeout: float
-    telemetry: TelemetryConfig
-    #: the driver lane's trace epoch: perf_counter is the system-wide
-    #: monotonic clock, so every rank lane lands on the driver's timeline
-    epoch: float
+    #: the rank's fresh lane, with the driver lane's switches and trace
+    #: epoch (perf_counter is the system-wide monotonic clock, so every rank
+    #: lane lands on the driver's timeline); each spawn forks it empty
+    telemetry: Telemetry
 
 
 class RankWorker:
@@ -62,7 +62,7 @@ class RankWorker:
         self.comm = ProcessCommunicator(
             sub.rank, sub.n_ranks, inbound, outbound, timeout=setup.comm_timeout
         )
-        self.lane = setup.telemetry.build(rank=sub.rank, epoch=setup.epoch)
+        self.lane = setup.telemetry
         shims = [replace(r, times=[], samples=[]) for r in setup.receivers]
         self.receivers = ReceiverSet.from_receivers(shims) if shims else None
         self.solver = RankSolver(
@@ -90,8 +90,8 @@ class RankWorker:
 
     def _handle(self, command: str, payload):
         solver = self.solver
-        if command == "cycles":
-            return self._cycles(payload)
+        if command == "cycle":
+            return self._cycle()
         if command == "dofs":
             return solver.dofs
         if command == "set_dofs":
@@ -108,28 +108,25 @@ class RankWorker:
             raise RuntimeError(f"rank {solver.rank}: unknown command {command!r}")
         return None
 
-    def _cycles(self, n: int) -> dict:
-        for _ in range(n):
-            self.solver.step_cycle()
-        # checked once per command, after the last batched cycle: a
-        # mid-batch check would race with a faster peer's run-ahead sends
+    def _cycle(self) -> dict:
+        self.solver.step_cycle()
+        # race-free after every cycle: no peer starts the next one (and
+        # sends into it) before every rank has replied to this command
         if not self.comm.all_delivered():
             raise RuntimeError(
                 f"rank {self.solver.rank}: undelivered halo payloads after a macro cycle"
             )
-        reply = {
+        stats, self.comm.stats = self.comm.stats, MessageStats()
+        return {
             "time": self.solver.time,
             "n_element_updates": int(self.solver.n_element_updates),
-            "stats": self.comm.stats.as_dict(),
+            "stats": stats,
             "records": self._new_records(),
+            "telemetry": self.lane.drain(),
             # RUSAGE_CHILDREN only counts *terminated* children, so a live
             # worker process reports its own peak RSS
             "peak_rss_mb": peak_rss_mb(),
         }
-        if self.lane.enabled:
-            reply["telemetry"] = self.lane.snapshot()
-            reply["trace_events"] = self.lane.drain_events()
-        return reply
 
     def _new_records(self) -> list:
         """Per-receiver ``(name, times, samples)`` recorded since the last

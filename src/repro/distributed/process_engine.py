@@ -9,11 +9,15 @@ forked worker process each (:func:`~repro.distributed.engine.start_ranks`),
 bit-identical to the single-rank solver.
 
 The engine implements the stepper protocol of :mod:`repro.core.stepper` in
-the single-rank checkpoint layout.  It mirrors what each ``cycles`` reply
-carries (time, update count, traffic, telemetry, new receiver samples), so
-summaries never need a worker round-trip.  :meth:`close` caches the
-per-rank states and stops the workers; the next command respawns them from
-the cache.  The engine waits on every rank's pipe and process together
+the single-rank checkpoint layout.  A ``cycle`` reply carries the rank's
+time and update count and what changed since its last reply (halo traffic,
+receiver samples, the lane's regions, counters and trace events); the engine
+adds the changes into one :class:`~repro.parallel.communicator.MessageStats`
+total, the global receivers and one mirror lane per rank, so summaries
+never need a worker round-trip.  :meth:`close` caches the per-rank states
+and stops the workers; the next command respawns them from the cache, and
+the fresh workers' replies add to the same totals.  The engine waits on
+every rank's pipe and process together
 (:meth:`~repro.parallel.supervisor.WorkerPool.wait`), so a rank that errors
 or dies is seen at once: it stops every worker and fails the engine, and
 commands raise until :meth:`restore_state` supplies a state for fresh
@@ -32,7 +36,7 @@ from ..core.lts_scheduler import updates_per_cycle
 from ..core.stepper import check_restored
 from ..kernels.backend import make_backend
 from ..kernels.discretization import N_ELASTIC, Discretization
-from ..observability import TelemetryConfig, merge_snapshots
+from ..observability import Telemetry
 from ..parallel.communicator import MessageStats
 from ..parallel.exchange import HaloIndex, exchange_volumes_per_cycle
 from ..source.moment_tensor import DiscretePointSource
@@ -85,10 +89,7 @@ class ProcessLtsEngine:
         )
         self.receiver_set = receivers
         self.telemetry = (
-            telemetry if telemetry is not None else TelemetryConfig().build(lane="driver")
-        )
-        self.telemetry_config = TelemetryConfig(
-            enabled=self.telemetry.enabled, trace=self.telemetry.trace_enabled
+            telemetry if telemetry is not None else Telemetry(enabled=False, lane="driver")
         )
         self.subdomains = [
             RankSubdomain(disc, clustering, partitions, r) for r in range(self.n_ranks)
@@ -108,13 +109,10 @@ class ProcessLtsEngine:
         self.n_element_updates = 0
         #: the ranks advance in parallel: each lane spans the wall clock
         self.concurrent_lanes = self.n_ranks
-        #: the current workers' cumulative traffic and telemetry mirrors, and
-        #: the merged history of earlier worker generations
-        self._rank_stats = [MessageStats().as_dict() for _ in range(self.n_ranks)]
-        self._stats_base = MessageStats()
-        self._rank_telemetry: list[dict] = [{} for _ in range(self.n_ranks)]
-        self._telemetry_base: list[dict] = [{} for _ in range(self.n_ranks)]
-        self._rank_trace_events: list[list] = [[] for _ in range(self.n_ranks)]
+        #: measured halo traffic, summed over the ranks' replies
+        self.stats = MessageStats()
+        #: one mirror lane per rank: the sum of its replies' increments
+        self._lanes = [self._rank_lane(r) for r in range(self.n_ranks)]
         #: per-rank worker-process peak RSS (MiB), max over worker generations
         self._rank_peak_rss = [0.0] * self.n_ranks
         #: the per-rank states the next workers start from (``None``: none)
@@ -135,8 +133,14 @@ class ProcessLtsEngine:
         ]
         return RankSetup(
             sub, owned, receivers, self.n_fused, self.kernels, self.comm_timeout,
-            self.telemetry_config, self.telemetry.epoch,
+            self._rank_lane(sub.rank),
         )
+
+    def _rank_lane(self, rank: int) -> Telemetry:
+        """A rank lane with the driver lane's switches and trace epoch."""
+        driver = self.telemetry
+        return Telemetry(enabled=driver.enabled, trace=driver.trace_enabled,
+                         rank=rank, epoch=driver.epoch)
 
     # ------------------------------------------------------------------
     # worker lifecycle
@@ -152,15 +156,6 @@ class ProcessLtsEngine:
                 "state is unrecoverable -- restore a state (or resume from "
                 "the last checkpoint)"
             )
-        # traffic and telemetry accounted before the shutdown survive it
-        for stats in self._rank_stats:
-            self._stats_base.merge(stats)
-        self._rank_stats = [MessageStats().as_dict() for _ in range(self.n_ranks)]
-        self._telemetry_base = [
-            merge_snapshots([base, current])
-            for base, current in zip(self._telemetry_base, self._rank_telemetry)
-        ]
-        self._rank_telemetry = [{} for _ in range(self.n_ranks)]
         self._pool = start_ranks(self._setups)
         if self._cache is not None:
             # fresh workers record into empty receiver shims and report only
@@ -210,8 +205,8 @@ class ProcessLtsEngine:
         """
         if self._pool is None:
             return
-        # stats and receiver recordings only change inside "cycles"
-        # commands, so the mirrors are already current here
+        # traffic, telemetry and receiver recordings only change inside
+        # "cycle" commands, so the totals are already current here
         self._cache = self._command_all("state")
         self._stop(grace_s=5.0)
 
@@ -255,25 +250,20 @@ class ProcessLtsEngine:
         """Advance all ranks by one macro cycle, concurrently (one ``cycle``
         span on the driver lane marks the cycle boundaries)."""
         with self.telemetry.region("cycle"):
-            replies = self._command_all("cycles", [1] * self.n_ranks)
+            replies = self._command_all("cycle")
         self.cycles_stepped += 1
         self.time = float(replies[0]["time"])
         self.n_element_updates = sum(r["n_element_updates"] for r in replies)
-        self._rank_stats = [r["stats"] for r in replies]
-        self._rank_peak_rss = [
-            max(prev, float(reply["peak_rss_mb"]))
-            for prev, reply in zip(self._rank_peak_rss, replies)
-        ]
-        if self.receiver_set is not None:
-            for reply in replies:
-                for name, times, samples in reply["records"]:
-                    receiver = self.receiver_set[name]
-                    receiver.times.extend(float(t) for t in times)
-                    receiver.samples.extend(np.asarray(s) for s in samples)
-        if self.telemetry_config.enabled:
-            self._rank_telemetry = [r["telemetry"] for r in replies]
-            for events, reply in zip(self._rank_trace_events, replies):
-                events.extend(reply["trace_events"])
+        for rank, reply in enumerate(replies):
+            self.stats.merge(reply["stats"])
+            self._lanes[rank].absorb(reply["telemetry"])
+            self._rank_peak_rss[rank] = max(
+                self._rank_peak_rss[rank], float(reply["peak_rss_mb"])
+            )
+            for name, times, samples in reply["records"]:
+                receiver = self.receiver_set[name]
+                receiver.times.extend(float(t) for t in times)
+                receiver.samples.extend(np.asarray(s) for s in samples)
 
     def state_arrays(self) -> dict:
         """The per-rank state gathered into the single-rank global arrays
@@ -329,31 +319,15 @@ class ProcessLtsEngine:
     # ------------------------------------------------------------------
     # accounting
     # ------------------------------------------------------------------
-    @property
-    def stats(self) -> MessageStats:
-        """Measured communication statistics, merged over the rank endpoints
-        of every worker generation."""
-        total = MessageStats()
-        for stats in [self._stats_base, *self._rank_stats]:
-            total.merge(stats)
-        return total
-
     def telemetry_snapshots(self) -> list[dict]:
         """Cumulative snapshots: one lane per rank, then the driver lane."""
-        snapshots = []
-        for r in range(self.n_ranks):
-            merged = merge_snapshots([self._telemetry_base[r], self._rank_telemetry[r]])
-            merged["rank"] = r
-            merged["lane"] = f"rank {r}"
-            snapshots.append(merged)
-        return snapshots + [self.telemetry.snapshot()]
+        return [lane.snapshot() for lane in [*self._lanes, self.telemetry]]
 
     def trace_lanes(self) -> list[tuple]:
         """``(lane_name, tid, events)`` triples for the Chrome-trace export
         (draining is destructive: export once per run)."""
-        lanes = [(f"rank {r}", r, list(events)) for r, events in enumerate(self._rank_trace_events)]
-        driver = self.telemetry
-        return lanes + [(driver.lane, self.n_ranks, driver.drain_events())]
+        lanes = [*self._lanes, self.telemetry]
+        return [(lane.lane, tid, lane.drain_events()) for tid, lane in enumerate(lanes)]
 
     @property
     def rank_peak_rss_mb(self) -> list[float]:

@@ -648,7 +648,7 @@ class FastBackend(ReferenceBackend):
                 pool.run(items, lambda item, slot: item(slot, branches[slot], dofs))
             finally:
                 for branch in branches[1:]:
-                    telemetry.absorb(branch)
+                    telemetry.absorb(branch.drain())
         self._even_out()
 
     def _even_out(self) -> None:

@@ -1,4 +1,4 @@
-"""Observability: hierarchical phase timers, metrics and Chrome traces.
+"""Observability: hierarchical phase timers, counters and Chrome traces.
 
 The measurement substrate for the paper's performance decomposition --
 per-phase/per-cluster/per-rank timings of the clustered-LTS micro-step
@@ -21,8 +21,7 @@ from .events import (
     spec_content_hash,
     validate_run_ledger,
 )
-from .metrics import Histogram, MetricsRegistry, merge_metrics
-from .timers import NULL_TELEMETRY, Telemetry, TelemetryConfig, merge_snapshots
+from .timers import NULL_TELEMETRY, PHASE_REGIONS, Telemetry, merge_snapshots
 from .trace import build_chrome_trace, validate_chrome_trace, write_chrome_trace
 
 
@@ -37,12 +36,9 @@ def __getattr__(name: str):
 
 
 __all__ = [
-    "Histogram",
-    "MetricsRegistry",
-    "merge_metrics",
     "NULL_TELEMETRY",
+    "PHASE_REGIONS",
     "Telemetry",
-    "TelemetryConfig",
     "merge_snapshots",
     "build_chrome_trace",
     "validate_chrome_trace",

@@ -39,6 +39,7 @@ import json
 from pathlib import Path
 
 from .events import read_ledger, validate_run_ledger
+from .timers import PHASE_REGIONS
 
 __all__ = [
     "expand_report_paths",
@@ -56,10 +57,6 @@ __all__ = [
     "build_report",
     "render_report",
 ]
-
-#: region paths that make up a lane's stepped busy time
-BUSY_REGIONS = ("predict", "predict.boundary", "send", "predict.interior",
-                "correct", "update")
 
 #: kernel stage -> (FLOP-model fields, region leaf names that implement it);
 #: the two surface halves are one stage: the fast backend runs them as one
@@ -248,7 +245,7 @@ def imbalance_block(summary: dict) -> dict | None:
     ranks = []
     for lane in _rank_lanes(summary):
         regions = lane.get("regions", {})
-        busy = sum(_region_s(regions, name) for name in BUSY_REGIONS)
+        busy = sum(_region_s(regions, name) for name in PHASE_REGIONS)
         updates = sum(
             value
             for name, value in lane.get("counters", {}).items()

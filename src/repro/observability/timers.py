@@ -1,43 +1,35 @@
 """Hierarchical region timers with a true no-op path when disabled.
 
 A :class:`Telemetry` object is one *lane*: one rank's (or the driver's)
-stream of timed regions plus its metrics registry.  Regions nest -- entering
+timed regions, exact counters and trace events.  Regions nest -- entering
 ``correct`` and then ``recv_wait`` aggregates under the slash-joined path
 ``correct/recv_wait`` -- and every region uses ``time.perf_counter()``, which
 on Linux is CLOCK_MONOTONIC and therefore shares an epoch across forked
 worker processes (what makes per-rank Chrome-trace lanes line up).
 
 The disabled path costs one attribute check per ``region()`` call and
-returns a shared no-op context manager: instrumented-but-disabled code must
-stay within the benchmarked overhead budget (see
-``benchmarks/bench_observability.py``).
+returns a shared no-op context manager: the timed runs of the end-to-end
+benchmark (``benchmarks/e2e/run.py``) carry this path, and its traced pass
+reports what switching telemetry on costs
+(``observability.telemetry_overhead_frac``).
+
+Lanes add up by one rule (:meth:`Telemetry.absorb`): region counts and
+seconds and counters sum, trace events append.  A thread branch hands its
+regions back, a rank worker its increments since the last reply, and
+:func:`merge_snapshots` totals lanes, all through it.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
-from .metrics import MetricsRegistry, merge_metrics
+__all__ = ["Telemetry", "NULL_TELEMETRY", "PHASE_REGIONS", "merge_snapshots"]
 
-__all__ = ["Telemetry", "TelemetryConfig", "NULL_TELEMETRY", "merge_snapshots"]
-
-
-@dataclass(frozen=True)
-class TelemetryConfig:
-    """Picklable on/off switches shipped to engines and worker processes."""
-
-    enabled: bool = False
-    trace: bool = False
-
-    def build(self, rank: int = 0, lane: str | None = None, epoch: float | None = None):
-        return Telemetry(
-            enabled=self.enabled,
-            trace=self.trace,
-            rank=rank,
-            lane=lane,
-            epoch=epoch,
-        )
+#: the top-level regions of a stepped macro cycle: a lane's busy time and
+#: the phase breakdown of the run summary (preprocessing and checkpoint
+#: regions run outside the cycle loop and are reported separately)
+PHASE_REGIONS = ("predict", "predict.boundary", "send", "predict.interior",
+                 "correct", "update")
 
 
 class _NullRegion:
@@ -92,7 +84,7 @@ class _Region:
 
 
 class Telemetry:
-    """One lane of region timings + metrics.
+    """One lane of region timings, counters and trace events.
 
     All recording methods are guarded on ``enabled`` so call sites never
     branch themselves; the module-level :data:`NULL_TELEMETRY` is the
@@ -111,7 +103,7 @@ class Telemetry:
         # shared trace epoch: perf_counter is system-wide monotonic on Linux,
         # so a parent-chosen epoch keeps forked workers on the same timeline
         self.epoch = time.perf_counter() if epoch is None else epoch
-        self.metrics = MetricsRegistry()
+        self.counters: dict[str, float] = {}
         self._stack: list[str] = []
         self._regions: dict[str, list] = {}
         self._events: list[tuple] = []
@@ -127,7 +119,8 @@ class Telemetry:
         """A lane for another thread's regions inside the open one: same
         switches, rank and epoch, its region stack seeded with this lane's
         open path, so its paths read as if this thread had entered them.
-        :meth:`absorb` adds it back; a disabled lane is its own branch."""
+        Absorbing its :meth:`drain` adds it back; a disabled lane is its
+        own branch."""
         if not self.enabled:
             return self
         lane = Telemetry(trace=self.trace_enabled, rank=self.rank, lane=self.lane,
@@ -135,32 +128,28 @@ class Telemetry:
         lane._stack = self._stack[-1:]
         return lane
 
-    def absorb(self, branch: Telemetry) -> None:
-        """Add a finished :meth:`branch`'s regions and trace events (its
-        seconds overlap this lane's: they ran on another thread)."""
-        if branch is self:
+    def absorb(self, increment: dict) -> None:
+        """Add an increment (a :meth:`drain`, e.g. of a finished
+        :meth:`branch` whose seconds overlap this lane's, or a
+        :meth:`snapshot`): region counts and seconds and counters sum,
+        trace events append.  A disabled lane records nothing."""
+        if not self.enabled:
             return
-        for path, (count, total) in branch._regions.items():
-            entry = self._regions.get(path)
-            if entry is None:
-                self._regions[path] = [count, total]
+        for path, entry in increment.get("regions", {}).items():
+            mine = self._regions.get(path)
+            if mine is None:
+                self._regions[path] = [entry["count"], entry["total_s"]]
             else:
-                entry[0] += count
-                entry[1] += total
-        self._events += branch._events
+                mine[0] += entry["count"]
+                mine[1] += entry["total_s"]
+        for name, value in increment.get("counters", {}).items():
+            self.counters[name] = self.counters.get(name, 0) + value
+        self._events += increment.get("events", ())
 
-    # -- guarded metric shorthands --------------------------------------
     def inc(self, name: str, value: float = 1) -> None:
+        """Add ``value`` to counter ``name`` (plain ints stay exact)."""
         if self.enabled:
-            self.metrics.inc(name, value)
-
-    def gauge(self, name: str, value: float) -> None:
-        if self.enabled:
-            self.metrics.gauge(name, value)
-
-    def observe(self, name: str, value: float) -> None:
-        if self.enabled:
-            self.metrics.observe(name, value)
+            self.counters[name] = self.counters.get(name, 0) + value
 
     # -- snapshots ------------------------------------------------------
     def regions(self) -> dict:
@@ -171,17 +160,26 @@ class Telemetry:
         }
 
     def snapshot(self) -> dict:
-        """Cumulative JSON-native state of this lane (regions + metrics)."""
-        snap = {"rank": self.rank, "lane": self.lane, "regions": self.regions()}
-        snap.update(self.metrics.as_dict())
-        return snap
+        """Cumulative JSON-native state of this lane (regions + counters)."""
+        return {
+            "rank": self.rank,
+            "lane": self.lane,
+            "regions": self.regions(),
+            "counters": dict(self.counters),
+        }
+
+    def drain(self) -> dict:
+        """Hand over the regions, counters and trace events recorded since
+        the last drain, and start over empty: what a rank worker replies
+        each cycle (so the payload stays proportional to new work, not run
+        length) and a thread branch hands back to :meth:`absorb`."""
+        increment = {"regions": self.regions(), "counters": self.counters,
+                     "events": self._events}
+        self._regions, self.counters, self._events = {}, {}, []
+        return increment
 
     def drain_events(self) -> list[tuple]:
-        """Hand over trace events accumulated since the last drain.
-
-        A rank worker drains each cycle so the per-cycle IPC payload
-        stays proportional to new work, not run length.
-        """
+        """Hand over the trace events accumulated since the last drain."""
         events, self._events = self._events, []
         return events
 
@@ -190,17 +188,8 @@ NULL_TELEMETRY = Telemetry(enabled=False)
 
 
 def merge_snapshots(snapshots: list[dict]) -> dict:
-    """Merge per-lane snapshots: region counts/totals and counters sum."""
-    snapshots = [s for s in snapshots if s]
-    regions: dict[str, dict] = {}
+    """Cross-lane totals of per-lane snapshots (:meth:`Telemetry.absorb`)."""
+    total = Telemetry()
     for snap in snapshots:
-        for path, entry in snap.get("regions", {}).items():
-            mine = regions.get(path)
-            if mine is None:
-                regions[path] = dict(entry)
-            else:
-                mine["count"] += entry["count"]
-                mine["total_s"] += entry["total_s"]
-    merged = {"regions": regions}
-    merged.update(merge_metrics(snapshots))
-    return merged
+        total.absorb(snap)
+    return {"regions": total.regions(), "counters": total.counters}

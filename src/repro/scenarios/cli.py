@@ -130,7 +130,7 @@ _RUN_FLAGS = (
     ("--checkpoint-every", "checkpoint_every", int,
      "checkpoint cadence in macro cycles (0 disables; default: the spec's)"),
     ("--metrics", "telemetry", bool,
-     "phase timers and the metrics registry: the run summary gains a "
+     "phase timers and counters: the run summary gains a "
      "'telemetry' block (phase breakdown, counters, updates/s, GFLOP/s)"),
     ("--trace", "trace", str,
      "write a Chrome-trace JSON timeline (one lane per rank) to PATH; implies --metrics"),

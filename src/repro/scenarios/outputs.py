@@ -50,14 +50,16 @@ def seismogram_header(n_columns: int) -> str:
     return "time," + ",".join(f"v{axis}_{f}" for axis in "xyz" for f in range(n_fused))
 
 
-def write_seismograms(receivers, directory) -> list[Path]:
-    """Write one ``seismogram_<name>.csv`` per receiver; returns the paths."""
+def _write_seismogram_csvs(receivers, directory, select) -> list[Path]:
+    """The one seismogram CSV writer: per receiver, ``seismogram_<name>.csv``
+    with a ``time`` column and the per-sample rows of ``select(name,
+    values)`` (its ``(n, 3[, F])`` recording, or a part of it) flattened."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     paths = []
     for receiver in receivers.receivers:
         times, values = receiver.seismogram()
-        values = np.asarray(values, dtype=np.float64)
+        values = select(receiver.name, np.asarray(values, dtype=np.float64))
         # reshape(0, -1) is ambiguous for empty recordings; emit an empty CSV.
         # Receiver.seismogram() returns (0, 3) for empty recordings regardless
         # of the fused width, so an unrecorded station gets the scalar header;
@@ -74,36 +76,32 @@ def write_seismograms(receivers, directory) -> list[Path]:
     return paths
 
 
+def write_seismograms(receivers, directory) -> list[Path]:
+    """Write one ``seismogram_<name>.csv`` per receiver; returns the paths."""
+    return _write_seismogram_csvs(receivers, directory, lambda name, values: values)
+
+
 def write_fused_slot_seismograms(receivers, directory, slot: int) -> list[Path]:
     """Demux one fused slot into scalar ``seismogram_<name>.csv`` files.
 
     Slices slot ``slot`` out of each receiver's ``(n, 3, F)`` recording and
-    routes the resulting ``(n, 3)`` table through exactly the scalar
-    formatting path, so a demuxed ref/f64 CSV is byte-identical to the CSV a
-    standalone run of that slot's source would write.  Unrecorded stations
-    keep the scalar-header empty-CSV form, like the scalar writer.
+    hands the ``(n, 3)`` table to the writer :func:`write_seismograms` uses,
+    so a demuxed ref/f64 CSV is byte-identical to the CSV a standalone run
+    of that slot's source would write.  Unrecorded stations keep the
+    scalar-header empty-CSV form, like the scalar writer.
     """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for receiver in receivers.receivers:
-        times, values = receiver.seismogram()
-        values = np.asarray(values, dtype=np.float64)
-        if len(times):
-            if values.ndim != 3:
-                raise ValueError(
-                    f"receiver {receiver.name!r} recorded a non-fused table "
-                    f"of shape {values.shape}; nothing to demux"
-                )
-            flat = values[:, :, slot].reshape(len(times), -1)
-        else:
-            flat = values.reshape(0, 3)
-        header = seismogram_header(flat.shape[1])
-        path = directory / f"seismogram_{receiver.name}.csv"
-        table = np.column_stack([np.asarray(times, dtype=np.float64), flat])
-        np.savetxt(path, table, delimiter=",", header=header, comments="")
-        paths.append(path)
-    return paths
+
+    def one_slot(name: str, values: np.ndarray) -> np.ndarray:
+        if values.ndim == 3:
+            return values[:, :, slot]
+        if len(values):
+            raise ValueError(
+                f"receiver {name!r} recorded a non-fused table "
+                f"of shape {values.shape}; nothing to demux"
+            )
+        return values
+
+    return _write_seismogram_csvs(receivers, directory, one_slot)
 
 
 def write_run_summary(path, summary: dict) -> Path:

@@ -48,9 +48,10 @@ from ..mesh.reorder import reorder_elements
 from ..mesh.tet_mesh import TetMesh
 from ..observability import (
     NULL_TELEMETRY,
+    PHASE_REGIONS,
     Heartbeat,
     RunLedger,
-    TelemetryConfig,
+    Telemetry,
     merge_snapshots,
     peak_rss_mb,
     provenance_block,
@@ -81,19 +82,6 @@ CHECKPOINT_FORMAT_VERSION = 2
 
 class CorruptCheckpointError(ValueError):
     """The checkpoint file is truncated, bit-rotted or not a checkpoint."""
-
-
-#: top-level region names that make up the stepping phase breakdown of the
-#: ``telemetry`` summary block (preprocessing/checkpoint regions run outside
-#: the timed cycle loop and are reported separately)
-PHASE_REGIONS = (
-    "predict",
-    "predict.boundary",
-    "predict.interior",
-    "send",
-    "correct",
-    "update",
-)
 
 
 def peak_memory() -> dict:
@@ -408,13 +396,12 @@ class ScenarioRunner:
         #: mesh, materials, clustering and partition/reordering stages are
         #: loaded from it when present, with bit-identical results either way
         self.cache = cache
-        self.telemetry_config = TelemetryConfig(
-            enabled=spec.output.telemetry, trace=spec.output.trace
-        )
         #: the runner's own telemetry lane: the single-rank solver shares it
         #: directly; a multi-rank engine keeps it as the "driver" lane
         #: (engine construction, checkpoint I/O) beside the per-rank lanes
-        self.telemetry = self.telemetry_config.build(rank=0)
+        self.telemetry = Telemetry(
+            enabled=spec.output.telemetry, trace=spec.output.trace, rank=0
+        )
         self.setup = (
             setup
             if setup is not None
@@ -567,7 +554,7 @@ class ScenarioRunner:
     # -- run ledger ------------------------------------------------------
     def _recv_wait_by_lane(self) -> dict:
         """Cumulative exposed receive-wait seconds per telemetry lane."""
-        if not self.telemetry_config.enabled:
+        if not self.telemetry.enabled:
             return {}
         waits = {}
         for snap in self.solver.telemetry_snapshots():
@@ -662,7 +649,7 @@ class ScenarioRunner:
         out["memory"] = peak_memory()
         if not hasattr(self, "engine"):  # one solver: its resident bytes by owner
             out["memory"]["owned_mb"] = self.solver.memory_owners()
-        if self.telemetry_config.enabled:
+        if self.telemetry.enabled:
             out["telemetry"] = self.telemetry_block()
         accuracy = self.accuracy()
         if accuracy is not None:
@@ -719,7 +706,6 @@ class ScenarioRunner:
             "recv_wait_s": float(recv_wait),
             "regions": merged["regions"],
             "counters": merged["counters"],
-            "histograms": merged["histograms"],
             "lanes": [
                 {
                     "lane": snap.get("lane"),

@@ -648,7 +648,7 @@ class RunSpec:
 class OutputSpec:
     """Observability knobs of a run.
 
-    ``telemetry`` turns on the phase timers and the metrics registry (the
+    ``telemetry`` turns on the phase timers and counters (the
     run summary gains a ``telemetry`` block); ``trace`` additionally records
     per-region events for the Chrome-trace export and implies ``telemetry``.
     ``events`` names a JSONL run-ledger path (one flushed record per macro

@@ -1,11 +1,10 @@
 """Unit tests for the hierarchical region timers."""
 
-import pickle
 import time
 
 import pytest
 
-from repro.observability import NULL_TELEMETRY, Telemetry, TelemetryConfig, merge_snapshots
+from repro.observability import NULL_TELEMETRY, Telemetry, merge_snapshots
 from repro.observability.timers import _NULL_REGION
 
 
@@ -63,18 +62,18 @@ class TestRegionTimers:
     def test_null_telemetry_is_disabled(self):
         assert NULL_TELEMETRY.enabled is False
         NULL_TELEMETRY.inc("updates", 5)
-        assert NULL_TELEMETRY.metrics.counters == {}
+        assert NULL_TELEMETRY.counters == {}
 
-    def test_guarded_metric_shorthands(self):
+    def test_guarded_counters(self):
         telemetry = Telemetry()
         telemetry.inc("updates", 4)
         telemetry.inc("updates")
-        telemetry.gauge("clusters", 3)
-        telemetry.observe("latency", 0.5)
+        telemetry.inc("bytes", 1024)
         snap = telemetry.snapshot()
-        assert snap["counters"]["updates"] == 5
-        assert snap["gauges"]["clusters"] == 3.0
-        assert snap["histograms"]["latency"]["count"] == 1
+        assert snap["counters"] == {"updates": 5, "bytes": 1024}
+        # integer counters stay exact integers through the snapshot
+        assert isinstance(snap["counters"]["updates"], int)
+        assert set(snap) == {"rank", "lane", "regions", "counters"}
 
 
 class TestTraceEvents:
@@ -97,9 +96,8 @@ class TestTraceEvents:
 
     def test_shared_epoch_aligns_lanes(self):
         epoch = time.perf_counter()
-        config = TelemetryConfig(enabled=True, trace=True)
-        lane0 = config.build(rank=0, epoch=epoch)
-        lane1 = config.build(rank=1, epoch=epoch)
+        lane0 = Telemetry(trace=True, rank=0, epoch=epoch)
+        lane1 = Telemetry(trace=True, rank=1, epoch=epoch)
         with lane0.region("a"):
             pass
         with lane1.region("b"):
@@ -109,15 +107,14 @@ class TestTraceEvents:
         assert start1 >= start0 >= 0.0
 
 
-class TestConfigAndMerge:
-    def test_config_is_picklable_and_builds_lanes(self):
-        config = pickle.loads(pickle.dumps(TelemetryConfig(enabled=True, trace=True)))
-        lane = config.build(rank=2)
+class TestLanesAndMerge:
+    def test_lane_switches_and_name(self):
+        lane = Telemetry(enabled=True, trace=True, rank=2)
         assert lane.enabled and lane.trace_enabled
         assert lane.rank == 2 and lane.lane == "rank 2"
 
-    def test_disabled_config_builds_disabled_lane(self):
-        lane = TelemetryConfig().build(rank=0)
+    def test_disabled_lane_never_traces(self):
+        lane = Telemetry(enabled=False, trace=True)
         assert not lane.enabled and not lane.trace_enabled
 
     def test_merge_snapshots_sums_regions_and_counters(self):
@@ -155,13 +152,75 @@ class TestConfigAndMerge:
         assert merged["counters"] == {"updates/cluster0": 4, "updates/cluster1": 6}
 
     def test_merge_of_cumulative_mirror_with_empty_base_is_identity(self):
-        # the process backend merges _telemetry_base (initially {}) with each
-        # worker mirror every respawn; an empty base must be a no-op
+        # a lane with nothing recorded (a rank that has not stepped yet)
+        # adds nothing to the totals
         lane = Telemetry()
         with lane.region("predict"):
             pass
-        lane.observe("cycle_s", 0.25)
+        lane.inc("updates", 3)
         snap = lane.snapshot()
         merged = merge_snapshots([{}, snap])
         assert merged["regions"] == snap["regions"]
-        assert merged["histograms"]["cycle_s"]["count"] == 1
+        assert merged["counters"] == {"updates": 3}
+
+    def test_counters_sum_across_ranks(self):
+        lanes = []
+        for updates in (10, 20, 30):
+            lane = Telemetry()
+            lane.inc("updates", updates)
+            lanes.append(lane.snapshot())
+        merged = merge_snapshots(lanes)
+        assert merged["counters"]["updates"] == 60
+        assert isinstance(merged["counters"]["updates"], int)
+
+    def test_disjoint_counter_names_union(self):
+        a, b = Telemetry(), Telemetry()
+        a.inc("only_a", 1)
+        b.inc("only_b", 2)
+        merged = merge_snapshots([a.snapshot(), b.snapshot()])
+        assert merged["counters"] == {"only_a": 1, "only_b": 2}
+
+    def test_merge_of_nothing_is_empty(self):
+        assert merge_snapshots([]) == {"regions": {}, "counters": {}}
+
+
+class TestIncrements:
+    """What a rank worker replies each cycle: the lane's increments since
+    the last reply, added into a mirror lane by the engine."""
+
+    def test_drain_hands_over_and_starts_empty(self):
+        lane = Telemetry(trace=True)
+        with lane.region("predict"):
+            pass
+        lane.inc("updates", 4)
+        increment = lane.drain()
+        assert increment["regions"]["predict"]["count"] == 1
+        assert increment["counters"] == {"updates": 4}
+        assert [path for path, _, _ in increment["events"]] == ["predict"]
+        assert lane.drain() == {"regions": {}, "counters": {}, "events": []}
+
+    def test_absorbed_drains_equal_the_cumulative_lane(self):
+        # drained per cycle, with a fresh worker lane midway (a respawn),
+        # the mirror totals equal one lane that recorded everything
+        whole = Telemetry(trace=True)
+        mirror = Telemetry(trace=True)
+        worker = Telemetry(trace=True)
+        for cycle in range(4):
+            if cycle == 2:
+                worker = Telemetry(trace=True)
+            for lane in (whole, worker):
+                with lane.region("correct"):
+                    with lane.region("recv_wait"):
+                        pass
+                lane.inc("updates/cluster0", 5)
+            mirror.absorb(worker.drain())
+        assert mirror.counters == whole.counters == {"updates/cluster0": 20}
+        counts = {path: entry["count"] for path, entry in mirror.regions().items()}
+        assert counts == {path: entry["count"] for path, entry in whole.regions().items()}
+        assert len(mirror.drain_events()) == len(whole.drain_events()) == 8
+
+    def test_disabled_lane_absorbs_nothing(self):
+        lane = Telemetry()
+        lane.inc("updates", 2)
+        NULL_TELEMETRY.absorb(lane.drain())
+        assert NULL_TELEMETRY.counters == {} and NULL_TELEMETRY.regions() == {}

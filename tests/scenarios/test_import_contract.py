@@ -6,11 +6,16 @@ distributed engine.  Each check runs in a fresh
 interpreter: this test process has long since imported all of them.
 """
 
+import importlib
 import json
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+import repro
 from repro.scenarios import get_scenario
 
 SRC = Path(__file__).resolve().parents[2] / "src"
@@ -65,3 +70,17 @@ def test_lazy_names_still_resolve():
 
     assert observability.build_report is analysis.build_report
     assert "analyze_run" in observability.__all__
+
+
+@pytest.mark.parametrize(
+    "package",
+    ["repro"] + sorted(
+        f"repro.{info.name}" for info in pkgutil.iter_modules(repro.__path__) if info.ispkg
+    ),
+)
+def test_every_exported_name_resolves(package):
+    """Each name a package's ``__all__`` exports resolves (lazy names
+    included), so a deleted module or class leaves no stale export."""
+    module = importlib.import_module(package)
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert missing == [], f"{package}.__all__ names what it cannot resolve: {missing}"

@@ -154,7 +154,7 @@ class TestCheckpointCounters:
         runner = ScenarioRunner(tiny_loh3.with_overrides(telemetry=True))
         runner.step_cycle()
         runner.save_checkpoint(path)
-        counters = runner.telemetry.metrics.counters
+        counters = runner.telemetry.counters
         assert counters["checkpoint/writes"] == 1
         assert counters["checkpoint/bytes"] == os.path.getsize(path)
         assert "checkpoint.write" in runner.telemetry.regions()
@@ -199,6 +199,45 @@ class TestCrossRankMerge:
             if name.startswith("updates/")
         )
         assert updates == dist.solver.n_element_updates
+
+    def test_accounting_survives_a_worker_respawn(self, tiny_loh3):
+        """Rank replies carry increments: a run whose workers are stopped
+        and respawned between its two cycles accounts exactly what an
+        uninterrupted two-cycle run does."""
+        spec = tiny_loh3.with_overrides(n_ranks=2, trace=True)
+        runs = {}
+        for respawn in (False, True):
+            runner = make_runner(spec)
+            runner.step_cycle()
+            if respawn:
+                runner.engine.close()
+                assert runner.engine._pool is None
+            runner.step_cycle()
+            lanes = [name for name, _, _ in runner.solver.trace_lanes()]
+            runs[respawn] = runner.engine.stats, runner.summary(), lanes
+            runner.engine.close()
+        (stats, straight, lanes), (stats_re, respawned, lanes_re) = runs[False], runs[True]
+        assert stats_re == stats and stats.n_messages > 0
+        counters, counters_re = (
+            {
+                name: value
+                for name, value in summary["telemetry"]["counters"].items()
+                if name.startswith(("updates/cluster", "comm/"))
+            }
+            for summary in (straight, respawned)
+        )
+        assert counters_re == counters
+        assert {"comm/messages", "comm/bytes"} <= set(counters)
+        assert sum(v for k, v in counters.items() if k.startswith("updates/")) == (
+            straight["element_updates"]
+        )
+        region_counts, region_counts_re = (
+            {path: entry["count"] for path, entry in summary["telemetry"]["regions"].items()}
+            for summary in (straight, respawned)
+        )
+        assert region_counts_re == region_counts
+        assert lanes_re == lanes == ["rank 0", "rank 1", "driver"]
+        assert "histograms" not in respawned["telemetry"]
 
 
 @pytest.mark.distributed
