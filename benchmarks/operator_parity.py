@@ -12,7 +12,8 @@ of ``repro`` cannot live in one interpreter, the check is two invocations::
 checkout that stored the dense ``star_elastic`` / ``star_anelastic`` /
 ``coupling`` stacks is compared in the compact layout
 (``Discretization.star_stress`` and the rest), once its dropped blocks
-proved exact zeros.  The one stated exception: where the reference stored several neighbouring flux matrices for
+proved exact zeros, and a dump that listed the four ``flux_*`` views is
+compared as the one ``flux_solvers`` array they are views of.  The one stated exception: where the reference stored several neighbouring flux matrices for
 one face class (its rounded-value dedup split round-off twins), the gathered
 per-face matrices must agree within 1e-13 and fewer matrices must be stored.
 
@@ -44,6 +45,9 @@ from repro.verification.golden import GOLDEN_SCENARIOS, golden_spec  # noqa: E40
 NEIGHBOR_KEYS = ("neighbor_flux_matrices", "neighbor_flux_index")
 #: the dense operator stacks older checkouts stored
 DENSE_KEYS = ("star_elastic", "star_anelastic", "coupling")
+#: the flux-solver views older checkouts listed, as blocks of ``flux_solvers``
+FLUX_VIEW_KEYS = (("flux_local_elastic", "flux_neigh_elastic"),
+                  ("flux_local_anelastic", "flux_neigh_anelastic"))
 
 
 def _specs() -> dict:
@@ -90,8 +94,9 @@ def collect() -> dict:
 def _compact(reference: dict) -> dict:
     """``reference`` with any dense star and coupling stacks repacked as
     the compact operators (the elastic case's all-zero anelastic stack has
-    no rows there); a nonzero in a dropped block stays a ``<key>:
-    dropped block`` entry, which no checkout has."""
+    no rows there) and any four flux views joined into ``flux_solvers``; a
+    nonzero in a dropped block stays a ``<key>: dropped block`` entry,
+    which no checkout has."""
     out = dict(reference)
     for prefix in {k.rpartition("/")[0] for k in reference if k.endswith("/star_elastic")}:
         star_e, star_a, coupling = (out.pop(f"{prefix}/{name}") for name in DENSE_KEYS)
@@ -109,6 +114,10 @@ def _compact(reference: dict) -> dict:
             block = block.transpose(0, 2, 3, 1)  # (K, i, j, direction)
             out[f"{prefix}/{name}"] = block.reshape(n, block.shape[1], 3 * block.shape[2])
         out[f"{prefix}/coupling"] = coupling[:, :, :6].transpose(0, 2, 1, 3).reshape(n, 6, 6 * m)
+    for prefix in {k.rpartition("/")[0] for k in reference if k.endswith("/flux_local_elastic")}:
+        out[f"{prefix}/flux_solvers"] = np.block(
+            [[out.pop(f"{prefix}/{name}") for name in row] for row in FLUX_VIEW_KEYS]
+        )
     return out
 
 

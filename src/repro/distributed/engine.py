@@ -22,7 +22,7 @@ queues.  A blocked halo receive waits at most the per-message
 from __future__ import annotations
 
 import traceback
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,8 +39,9 @@ __all__ = ["RankSetup", "RankWorker", "start_ranks"]
 @dataclass
 class RankSetup:
     """What a rank worker is built from (its channels come per spawn).
-    ``sources`` and ``receivers`` address local element ids; a worker
-    records into receiver copies with lists of its own."""
+    ``sources`` and ``receivers`` address local element ids; the receivers
+    start with empty recordings, and each forked worker records into its
+    own copy of them."""
 
     subdomain: RankSubdomain
     sources: list
@@ -63,8 +64,9 @@ class RankWorker:
             sub.rank, sub.n_ranks, inbound, outbound, timeout=setup.comm_timeout
         )
         self.lane = setup.telemetry
-        shims = [replace(r, times=[], samples=[]) for r in setup.receivers]
-        self.receivers = ReceiverSet.from_receivers(shims) if shims else None
+        self.receivers = (
+            ReceiverSet.from_receivers(setup.receivers) if setup.receivers else None
+        )
         self.solver = RankSolver(
             sub,
             self.comm,

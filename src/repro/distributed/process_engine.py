@@ -122,12 +122,14 @@ class ProcessLtsEngine:
 
     def _rank_setup(self, sub: RankSubdomain, sources: list) -> RankSetup:
         """The recipe of rank ``sub.rank``'s worker: its sources and
-        receivers, re-addressed to its local element ids."""
+        receivers, re-addressed to its local element ids (the receivers
+        with empty recordings, which each forked worker appends to alone)."""
         owned = [copy.copy(s) for s in sources if self.partitions[s.element] == sub.rank]
         for source in owned:
             source.element = int(sub.local_of_global[source.element])
         receivers = [
-            replace(receiver, element=int(sub.local_of_global[receiver.element]))
+            replace(receiver, element=int(sub.local_of_global[receiver.element]),
+                    times=[], samples=[])
             for receiver in (self.receiver_set.receivers if self.receiver_set is not None else [])
             if self.partitions[receiver.element] == sub.rank
         ]

@@ -5,7 +5,11 @@ weighted dual-graph partitioning.  Each rank owns the elements of its
 partition: DOFs, LTS buffers and every element-local operator live in
 *local* element order (the global-to-local map is part of the subdomain),
 and the only remote data a rank ever touches are the face-local compressed
-halo payloads received through the communicator.
+halo payloads received through the communicator.  A subdomain holds maps
+and plans only; the rank's operators are the global
+:class:`~repro.kernels.discretization.Discretization` restricted to its
+rows (:meth:`~repro.kernels.discretization.Discretization.restricted`),
+which the rank's solver gathers in the worker that steps it.
 
 The local order is the paper's (time cluster, communication role) order
 (Sec. VI): a rank's elements are sorted by cluster, within a cluster the
@@ -50,75 +54,10 @@ import numpy as np
 from ..core.buffers import LARGER, SAME, SMALLER, BufferLayout
 from ..core.clustering import Clustering
 from ..core.lts_scheduler import micro_steps_per_cycle
-from ..kernels.discretization import Discretization, flux_solver_views
+from ..kernels.discretization import Discretization
 from ..mesh.reorder import reorder_elements
 
-__all__ = ["SubdomainDisc", "RankSubdomain", "SendPlan", "RecvPack", "RecvPlan"]
-
-
-class _LocalMesh:
-    """The tiny mesh facade a rank-local solver needs: local face neighbours.
-
-    Cross-rank (ghost) and true boundary faces are both ``-1``; the halo
-    receive plans carry the ghost-face information separately.
-    """
-
-    def __init__(self, neighbors: np.ndarray):
-        self.neighbors = neighbors
-
-    @property
-    def n_elements(self) -> int:
-        return self.neighbors.shape[0]
-
-
-class SubdomainDisc:
-    """Element-local view of a global :class:`Discretization` for one rank.
-
-    Per-element operator arrays are gathered into local (owned) element order
-    once -- the compact star and coupling operators, and the flux solvers as
-    one gather of the global array, the per-kind names views of it; shared
-    reference-element data and the deduplicated neighbouring flux matrices
-    stay references to the global objects.  The
-    ADER-DG kernels run unmodified on local element ids and -- since every
-    kernel contraction is element-local -- produce bit-identical per-element
-    results.
-    """
-
-    def __init__(self, disc: Discretization, owned: np.ndarray, local_neighbors: np.ndarray):
-        self.order = disc.order
-        self.n_mechanisms = disc.n_mechanisms
-        self.omegas = disc.omegas
-        self.ref = disc.ref
-        self.precision = disc.precision
-        self.dtype = disc.dtype
-        # precision-cast operator views shared with the global discretization
-        self.k_time = disc.k_time
-        self.k_vol = disc.k_vol
-        self.ftilde = disc.ftilde
-        self.fhat = disc.fhat
-        self.n_basis = disc.n_basis
-        self.n_face_basis = disc.n_face_basis
-        self.n_vars = disc.n_vars
-        self.time_steps = disc.time_steps[owned]
-        for name in ("star_stress", "star_velocity", "star_anelastic", "coupling"):
-            setattr(self, name, getattr(disc, name)[owned])
-        self.flux_solvers = disc.flux_solvers[owned]
-        vars(self).update(flux_solver_views(self.flux_solvers))
-        # shared: the global unique F_bar set; rows are gathered per rank but
-        # keep indexing into the global matrix pool
-        self.neighbor_flux_matrices = disc.neighbor_flux_matrices
-        self.neighbor_flux_index = disc.neighbor_flux_index[owned]
-        self.mesh = _LocalMesh(local_neighbors)
-
-    @property
-    def n_elements(self) -> int:
-        return self.mesh.n_elements
-
-    def allocate_dofs(self, n_fused: int = 0, dtype=None) -> np.ndarray:
-        shape: tuple[int, ...] = (self.n_elements, self.n_vars, self.n_basis)
-        if n_fused > 0:
-            shape = shape + (n_fused,)
-        return np.zeros(shape, dtype=self.dtype if dtype is None else dtype)
+__all__ = ["RankSubdomain", "SendPlan", "RecvPack", "RecvPlan"]
 
 
 @dataclass(frozen=True)
@@ -161,14 +100,18 @@ class RecvPlan:
 
 
 class RankSubdomain:
-    """Everything one rank needs: local operators, maps and halo plans.
+    """Everything one rank needs: its maps and halo plans, and what its
+    operators are gathered from.
 
     ``owned[local_id] = global_id`` lists the partition's elements in
     (cluster, boundary-before-interior, global id) order and
     ``local_of_global`` is its inverse (``-1`` for foreign elements); every
     plan below is expressed in these local ids.  ``boundary_rows[c]`` /
     ``interior_rows[c]`` are the two row ranges (slices) of cluster ``c``'s
-    batch.
+    batch.  ``disc`` is the global discretization and ``local_neighbors``
+    the owned elements' face neighbours in local ids (``-1`` across the
+    partition boundary): the rank's solver steps
+    ``disc.restricted(owned, local_neighbors)``, gathered where it runs.
     """
 
     def __init__(
@@ -196,10 +139,10 @@ class RankSubdomain:
         self.local_of_global = np.full(n_global, -1, dtype=np.int64)
         self.local_of_global[self.owned] = np.arange(len(self.owned))
 
-        local_neighbors = np.where(
+        self.disc = disc
+        self.local_neighbors = np.where(
             same_rank, self.local_of_global[np.maximum(own_neighbors, 0)], -1
         )
-        self.view = SubdomainDisc(disc, self.owned, local_neighbors)
 
         self.clustering = Clustering(
             cluster_ids=clustering.cluster_ids[self.owned],

@@ -29,6 +29,8 @@ per class instead of every interior face.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from ..basis.reference_element import ReferenceElement, reference_element
@@ -53,10 +55,12 @@ from ..mesh.tet_mesh import BOUNDARY_FREE_SURFACE, TetMesh
 
 __all__ = [
     "Discretization",
+    "ELEMENT_OPERATORS",
     "N_ELASTIC",
     "N_FLUX_ROWS",
     "N_STRESS",
     "PRECISIONS",
+    "SHARED_OPERATORS",
     "compact_element_operators",
     "flux_solver_views",
 ]
@@ -80,6 +84,21 @@ _PRECISION_DTYPES = {"f64": np.float64, "f32": np.float32}
 #: elements per batched flux-solver pass: bounds the assembly temporaries
 #: (about 25 kB per element) well below the run-phase memory high-water mark
 _ASSEMBLY_CHUNK = 512
+
+#: the per-element operators (leading axis the element), cast to the run
+#: precision; :meth:`Discretization.restricted` gathers its rows of each
+ELEMENT_OPERATORS = ("star_stress", "star_velocity", "star_anelastic", "coupling", "flux_solvers")
+
+#: the operators all elements share, cast to the run precision; a restricted
+#: discretization keeps them by reference
+SHARED_OPERATORS = ("omegas", "neighbor_flux_matrices")
+
+#: what else a restricted discretization keeps by reference: the run
+#: parameters and the precision-cast reference-element operators
+_SHARED_ATTRIBUTES = (
+    "order", "n_mechanisms", "flux", "cfl", "precision", "dtype", "spectrum", "ref",
+    "n_basis", "n_face_basis", "n_vars", "k_time", "k_vol", "ftilde", "fhat",
+)
 
 
 def compact_element_operators(
@@ -180,23 +199,11 @@ class Discretization:
         DOF/buffer allocations, so a single-precision run stays single
         precision end to end.  Setup (geometry, quadrature, operator
         assembly, clustering) always computes in float64 and casts once.
-    """
 
-    #: the array attributes that make up the assembled-operator state (the
-    #: payload of :meth:`operator_arrays`)
-    OPERATOR_ARRAY_KEYS = (
-        "star_stress",
-        "star_velocity",
-        "star_anelastic",
-        "coupling",
-        "omegas",
-        "flux_local_elastic",
-        "flux_neigh_elastic",
-        "flux_local_anelastic",
-        "flux_neigh_anelastic",
-        "neighbor_flux_matrices",
-        "neighbor_flux_index",
-    )
+    A rank of a distributed run steps :meth:`restricted`: the same class on
+    its own element rows, whose per-element operators are gathered from
+    this one and whose shared operators are this one's.
+    """
 
     def __init__(
         self,
@@ -251,7 +258,34 @@ class Discretization:
     def operator_arrays(self) -> dict:
         """The assembled operator arrays by name, in the run precision (what
         assembly-parity checks compare between two builds)."""
-        return {key: getattr(self, key) for key in self.OPERATOR_ARRAY_KEYS}
+        names = ELEMENT_OPERATORS + SHARED_OPERATORS + ("neighbor_flux_index",)
+        return {name: getattr(self, name) for name in names}
+
+    def restricted(self, rows: np.ndarray, local_neighbors: np.ndarray) -> "Discretization":
+        """This discretization on the elements ``rows`` (an index array)
+        alone, in that order -- one rank's subdomain (Sec. V-C).
+
+        ``local_neighbors`` ``(len(rows), 4)`` numbers each face's
+        neighbour by its position in ``rows``, ``-1`` on a boundary face
+        or where the neighbour is not among ``rows``.  The per-element
+        arrays (:data:`ELEMENT_OPERATORS`, ``neighbor_flux_index``, which
+        keeps indexing the shared ``F_bar`` set, and ``time_steps``) are
+        gathered once and the flux-solver views rebuilt on the gather; the
+        :data:`SHARED_OPERATORS` and reference operators stay shared.  The
+        mesh is a facade of the local neighbours and the element count:
+        nothing else of the whole mesh comes along -- no ``materials``, no
+        geometry and no cached kernel data (a backend derives its own).
+        Every kernel contraction is per element or per face, so the
+        restricted kernels produce bitwise the rows' results.
+        """
+        local = object.__new__(Discretization)
+        for name in _SHARED_ATTRIBUTES + SHARED_OPERATORS:
+            setattr(local, name, getattr(self, name))
+        for name in ELEMENT_OPERATORS + ("neighbor_flux_index", "time_steps"):
+            setattr(local, name, getattr(self, name)[rows])
+        vars(local).update(flux_solver_views(local.flux_solvers))
+        local.mesh = SimpleNamespace(neighbors=local_neighbors, n_elements=len(rows))
+        return local
 
     def _cast_operators(self) -> None:
         """Cast every kernel operand to the run precision (no-op at f64).
@@ -261,15 +295,7 @@ class Discretization:
         the cast never mutates the (cached, shared) :class:`ReferenceElement`.
         """
         dtype = self.dtype
-        for name in (
-            "star_stress",
-            "star_velocity",
-            "star_anelastic",
-            "coupling",
-            "omegas",
-            "flux_solvers",
-            "neighbor_flux_matrices",
-        ):
+        for name in ELEMENT_OPERATORS + SHARED_OPERATORS:
             setattr(self, name, getattr(self, name).astype(dtype, copy=False))
         vars(self).update(flux_solver_views(self.flux_solvers))
         self.k_time = self.ref.k_time.astype(dtype, copy=False)

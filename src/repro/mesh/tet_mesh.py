@@ -148,13 +148,6 @@ class TetMesh:
         """Boolean ``(K, 4)`` mask of boundary faces."""
         return self.neighbors < 0
 
-    def dual_graph_edges(self) -> np.ndarray:
-        """Unique interior face adjacencies as an ``(n_edges, 2)`` array of element ids."""
-        k = np.repeat(np.arange(self.n_elements), 4)
-        n = self.neighbors.ravel()
-        mask = (n >= 0) & (k < n)
-        return np.column_stack([k[mask], n[mask]])
-
     # ------------------------------------------------------------------
     # geometry
     # ------------------------------------------------------------------
@@ -175,10 +168,6 @@ class TetMesh:
     @property
     def centroids(self) -> np.ndarray:
         return self.geometry.centroids
-
-    def element_vertices(self, k: int) -> np.ndarray:
-        """Return the ``(4, 3)`` vertex coordinates of element ``k``."""
-        return self.vertices[self.elements[k]]
 
     # ------------------------------------------------------------------
     # derived meshes

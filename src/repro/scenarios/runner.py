@@ -423,6 +423,8 @@ class ScenarioRunner:
             self.solver.set_initial_condition(self.setup.initial_condition)
         self.cycles_done = 0
         self.wall_s = 0.0
+        #: the wall seconds of the last stepped cycle
+        self.cycle_wall_s = 0.0
         #: the ``startup`` block of the summary: constructor wall, the first
         #: stepped cycle (it pays the lazy workspace warm-up) and the
         #: checkpoint writes -- what a short run spends outside steady cycles
@@ -475,8 +477,14 @@ class ScenarioRunner:
         return int(np.ceil(run.t_end / self.macro_dt - 1e-12))
 
     def step_cycle(self) -> None:
-        """Advance the simulation by one macro cycle."""
+        """Advance the simulation by one macro cycle, adding its wall time
+        to ``wall_s`` (the first cycle's is also ``first_cycle_s``)."""
+        start = _time.perf_counter()
         self.solver.step_cycle()
+        self.cycle_wall_s = _time.perf_counter() - start
+        self.wall_s += self.cycle_wall_s
+        if self.first_cycle_s is None:
+            self.first_cycle_s = self.cycle_wall_s
         self.cycles_done += 1
 
     def run(self, *, checkpoint_path=None) -> dict:
@@ -508,17 +516,12 @@ class ScenarioRunner:
         last_saved_at = None
         try:
             while self.cycles_done < self.total_cycles:
-                # checkpoint and ledger I/O stay outside the timed region so
+                # checkpoint and ledger I/O stay outside the timed cycle so
                 # wall_s and element_updates_per_s are comparable to
                 # uninstrumented runs
-                start = _time.perf_counter()
                 self.step_cycle()
-                cycle_wall_s = _time.perf_counter() - start
-                self.wall_s += cycle_wall_s
-                if self.first_cycle_s is None:
-                    self.first_cycle_s = cycle_wall_s
                 if ledger is not None or heartbeat is not None:
-                    record = self._cycle_record(cycle_wall_s)
+                    record = self._cycle_record(self.cycle_wall_s)
                     if ledger is not None:
                         ledger.cycle(record)
                     if heartbeat is not None:

@@ -47,7 +47,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import signal
 import time
 import traceback
 from collections import deque
@@ -69,11 +68,6 @@ from .spec import SweepSpec
 
 __all__ = ["run_sweep", "preprocessing_signature", "sweep_sha256"]
 
-#: test hook: ``REPRO_SWEEP_KILL=<unit_id>[:<flag_path>]`` SIGKILLs the
-#: worker the moment it takes that unit -- once only when a flag path is
-#: given (the retry then succeeds), every time otherwise
-KILL_ENV = "REPRO_SWEEP_KILL"
-
 
 def sweep_sha256(sweep: SweepSpec) -> str:
     """Content hash of the sweep definition (manifest <-> sweep pairing)."""
@@ -91,23 +85,8 @@ def preprocessing_signature(spec: ScenarioSpec) -> str:
     return hashlib.sha256("".join(keys).encode()).hexdigest()[:16]
 
 
-def _maybe_kill(unit_id: str) -> None:
-    target = os.environ.get(KILL_ENV)
-    if not target:
-        return
-    target, _, flag = target.partition(":")
-    if target != unit_id:
-        return
-    if flag:
-        if os.path.exists(flag):
-            return  # already fired once
-        open(flag, "w").close()
-    os.kill(os.getpid(), signal.SIGKILL)
-
-
 def _attempt(unit: "_Unit", cache: PreprocessingCache) -> tuple:
     """One attempt at a unit: ``("done", row)`` or ``("failed", traceback)``."""
-    _maybe_kill(unit.unit_id)
     try:
         return "done", run_unit(unit.spec, unit.dir, unit.member_dirs, cache)
     except Exception:

@@ -18,6 +18,8 @@ import numpy as np
 import pytest
 
 from repro.distributed import ProcessLtsEngine
+from repro.kernels.backend import make_backend
+from repro.kernels.discretization import ELEMENT_OPERATORS, SHARED_OPERATORS
 from repro.parallel.communicator import ProcessCommunicator
 from repro.source.moment_tensor import DiscretePointSource
 from repro.scenarios import (
@@ -185,6 +187,12 @@ class TestCommunicationAccounting:
             runner.step_cycle()
 
 
+#: every per-element array of a discretization a rank gathers its rows of
+PER_ELEMENT = ELEMENT_OPERATORS + ("neighbor_flux_index", "time_steps")
+FLUX_VIEWS = ("flux_local_elastic", "flux_neigh_elastic",
+              "flux_local_anelastic", "flux_neigh_anelastic")
+
+
 class TestSubdomains:
     def test_global_to_local_maps_partition_the_mesh(self, tiny_loh3):
         runner = make_runner(tiny_loh3.with_overrides(n_ranks=2))
@@ -196,10 +204,50 @@ class TestSubdomains:
             back = sub.local_of_global[sub.owned]
             np.testing.assert_array_equal(back, np.arange(sub.n_owned))
             # local operator arrays are gathered in owned order
-            for name in ("star_stress", "star_velocity", "star_anelastic", "coupling"):
+            local = sub.disc.restricted(sub.owned, sub.local_neighbors)
+            for name in PER_ELEMENT + FLUX_VIEWS:
                 np.testing.assert_array_equal(
-                    getattr(sub.view, name), getattr(runner.setup.disc, name)[sub.owned]
+                    getattr(local, name), getattr(runner.setup.disc, name)[sub.owned],
+                    err_msg=name,
                 )
+            for name in FLUX_VIEWS:
+                assert getattr(local, name).base is local.flux_solvers, name
+
+    def test_restricted_arrays_share_no_memory_with_the_global_ones(self, tiny_loh3):
+        """A rank's per-element arrays are its own gathers; only the shared
+        operators are the global objects, and nothing else of the whole mesh
+        (materials, geometry) comes along."""
+        runner = make_runner(tiny_loh3.with_overrides(n_ranks=2))
+        disc = runner.setup.disc
+        global_rows = [getattr(disc, name) for name in PER_ELEMENT] + [disc.mesh.neighbors]
+        for sub in runner.engine.subdomains:
+            local = sub.disc.restricted(sub.owned, sub.local_neighbors)
+            for name in PER_ELEMENT + FLUX_VIEWS:
+                array = getattr(local, name)
+                assert len(array) == sub.n_owned, name
+                assert not any(np.shares_memory(array, g) for g in global_rows), name
+            for name in SHARED_OPERATORS + ("k_time", "k_vol", "ftilde", "fhat"):
+                assert getattr(local, name) is getattr(disc, name), name
+            assert local.n_elements == sub.n_owned
+            assert not hasattr(local, "materials")
+            assert not hasattr(local.mesh, "geometry")
+        runner.engine.close()
+
+    def test_fast_backend_builds_its_own_data_on_a_restricted_disc(self, tiny_loh3):
+        """The fast backend's per-discretization cache of the global
+        discretization is not inherited: the restricted one derives its own,
+        on its own flux-solver rows."""
+        disc = make_runner(tiny_loh3).setup.disc
+        backend = make_backend("fast")
+        global_data = backend._disc_data(disc)
+        assert disc._fast_kernel_data is global_data  # cached on the global one
+        rows = np.arange(1, disc.n_elements, 2)
+        local = disc.restricted(rows, np.full((len(rows), 4), -1))
+        local_data = backend._disc_data(local)
+        assert local_data is not global_data
+        assert local_data.flux.shape[0] == len(rows)
+        assert np.shares_memory(local_data.flux, local.flux_solvers)
+        np.testing.assert_array_equal(local_data.flux, global_data.flux[rows])
 
     def test_each_source_lands_once_on_its_owning_rank(self):
         """Every point source is injected by exactly one rank, at the local

@@ -52,7 +52,7 @@ class TestOneFluxSolverCopy:
         disc = loh3_m_2rank.setup.disc
         engine = loh3_m_2rank.engine
         for sub, solver in zip(engine.subdomains, rank_solvers(engine)):
-            local = sub.view
+            local = solver.disc
             assert solver.disc is local
             np.testing.assert_array_equal(local.flux_solvers, disc.flux_solvers[sub.owned])
             for name in ("flux_local_elastic", "flux_neigh_elastic",

@@ -72,6 +72,19 @@ class TestSummaryTelemetryBlock:
             # clock (kept off CI where a loaded machine skews the ratio)
             assert block["coverage"] > 0.6
 
+    def test_cycles_stepped_one_by_one_count_their_wall(self, tiny_loh3):
+        """A runner stepped through ``step_cycle`` (not ``run``) times its
+        cycles too, so its rates and telemetry coverage are not zero."""
+        runner = ScenarioRunner(tiny_loh3.with_overrides(telemetry=True))
+        runner.step_cycle()
+        first = runner.wall_s
+        runner.step_cycle()
+        assert runner.first_cycle_s == first > 0.0
+        assert runner.wall_s == pytest.approx(first + runner.cycle_wall_s)
+        summary = runner.summary()
+        assert summary["wall_s"] > 0.0 and summary["element_updates_per_s"] > 0.0
+        assert summary["telemetry"]["coverage"] > 0.0
+
     def test_update_counters_match_solver_accounting(self, single_rank_telemetry):
         runner, summary = single_rank_telemetry
         counters = summary["telemetry"]["counters"]

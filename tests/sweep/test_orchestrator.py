@@ -47,7 +47,8 @@ from repro.sweep import (
     run_sweep,
     validate_manifest,
 )
-from repro.sweep.orchestrator import KILL_ENV, preprocessing_signature
+from repro.sweep import orchestrator
+from repro.sweep.orchestrator import preprocessing_signature
 
 REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -279,11 +280,13 @@ class TestPoolAndCrashes:
         which unit that worker held, charges it one attempt and re-queues."""
         flag = tmp_path / "killed.flag"
         tally = _patched_sweep(tmp_path, tiny_sweep(), f"""
-            def kill_once(unit_id):
-                if unit_id == "0001" and not os.path.exists({str(flag)!r}):
+            attempt = orchestrator._attempt
+            def kill_once(unit, cache):
+                if unit.unit_id == "0001" and not os.path.exists({str(flag)!r}):
                     open({str(flag)!r}, "w").close()
                     os.kill(os.getpid(), signal.SIGKILL)
-            orchestrator._maybe_kill = kill_once
+                return attempt(unit, cache)
+            orchestrator._attempt = kill_once
         """, workers=2)
         assert flag.exists()  # the kill really fired
         assert tally["done"] == 4 and tally["failed"] == 0
@@ -395,7 +398,16 @@ class TestPoolAndCrashes:
         the flag file) must be detected, the member re-queued, and the
         sweep must still complete with pure-hit cache counters."""
         flag = tmp_path / "killed.flag"
-        monkeypatch.setenv(KILL_ENV, f"0001:{flag}")
+        attempt = orchestrator._attempt
+
+        def kill_once(unit, cache):
+            if unit.unit_id == "0001" and not flag.exists():
+                flag.touch()
+                os.kill(os.getpid(), signal.SIGKILL)
+            return attempt(unit, cache)
+
+        # patched before run_sweep forks its pool: the workers inherit it
+        monkeypatch.setattr(orchestrator, "_attempt", kill_once)
         sweep = tiny_sweep()
         tally = run_sweep(sweep, tmp_path / "out", workers=2)
         assert flag.exists()  # the kill really fired
@@ -442,12 +454,25 @@ class TestPoolAndCrashes:
         out_dir = tmp_path / "out"
         spec_path = tmp_path / "sweep.json"
         spec_path.write_text(tiny_sweep().to_json())
-        argv = [sys.executable, "-m", "repro", "sweep", "--spec", str(spec_path),
-                "--out", str(out_dir), "--workers", "0", "--quiet"]
+        args = ["sweep", "--spec", str(spec_path), "--out", str(out_dir),
+                "--workers", "0", "--quiet"]
+        argv = [sys.executable, "-m", "repro", *args]
         env = dict(os.environ, PYTHONPATH=REPO_SRC)
+        kill_on_0002 = textwrap.dedent(f"""
+            import os, signal, sys
+            from repro.scenarios.cli import main
+            from repro.sweep import orchestrator
+            attempt = orchestrator._attempt
+            def kill(unit, cache):
+                if unit.unit_id == "0002":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return attempt(unit, cache)
+            orchestrator._attempt = kill
+            sys.exit(main({args!r}))
+        """)
 
         proc = subprocess.run(
-            argv, env={**env, KILL_ENV: "0002"},
+            [sys.executable, "-c", kill_on_0002], env=env,
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=300,
         )
         assert proc.returncode != 0  # died by SIGKILL mid-sweep
