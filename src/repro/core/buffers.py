@@ -158,7 +158,9 @@ class LtsBuffers:
 
     ``layout`` decides which rows are stored (the default: every row of
     every buffer); :attr:`b2`, :attr:`b3` and :attr:`b1_minus_b2` read as
-    zero on rows it leaves out, and assigning them drops those rows.
+    zero on rows it leaves out.  The buffers are no state of a run: every
+    cluster's prediction refills its rows before any reader, so a macro
+    cycle reads only what the same cycle wrote.
     """
 
     def __init__(self, disc: Discretization, n_fused: int = 0, dtype=None, layout=None):
@@ -178,11 +180,8 @@ class LtsBuffers:
         self._flat = np.zeros((layout.n_rows,) + shape, dtype=dtype)
 
     # ------------------------------------------------------------------
-    # the public three-buffer view (checkpoint/exchange paths assign these);
-    # the arrays are read-only because an in-place write through them would
-    # either silently stale the precomputed ``B1 - B2`` row or never reach
-    # the store -- mutate via ``fill`` or whole-buffer assignment
-    # (``buffers.b1 = ...``)
+    # the read-only three-buffer view: only ``fill`` writes the store, so
+    # the precomputed ``B1 - B2`` rows never go stale
     # ------------------------------------------------------------------
     def _read(self, block: int) -> np.ndarray:
         """Block ``block`` as ``(n_elements, 9, B[, f])``: a view for
@@ -196,36 +195,17 @@ class LtsBuffers:
         view.flags.writeable = False
         return view
 
-    def _write(self, block: int, value) -> None:
-        value = np.broadcast_to(value, (self._n_elements,) + self._flat.shape[1:])
-        for elements, rows in self.layout.runs(block):
-            self._flat[rows] = value[elements]
-
     @property
     def b1(self) -> np.ndarray:
         return self._read(B1)
-
-    @b1.setter
-    def b1(self, value) -> None:
-        self._write(B1, value)
-        self._refresh_second_half()
 
     @property
     def b2(self) -> np.ndarray:
         return self._read(B2)
 
-    @b2.setter
-    def b2(self, value) -> None:
-        self._write(B2, value)
-        self._refresh_second_half()
-
     @property
     def b3(self) -> np.ndarray:
         return self._read(B3)
-
-    @b3.setter
-    def b3(self, value) -> None:
-        self._write(B3, value)
 
     @property
     def b1_minus_b2(self) -> np.ndarray:
@@ -240,20 +220,6 @@ class LtsBuffers:
         view = self._flat.view()
         view.flags.writeable = False
         return view
-
-    def _refresh_second_half(self) -> None:
-        """Re-establish ``B1 - B2 == b1 - b2`` on the stored rows after a
-        bulk assignment.
-
-        ``b1 - b2`` on restored arrays is elementwise over the exact stored
-        values, so the invariant reproduces what a read-time subtraction
-        would have computed, bit for bit.
-        """
-        flat = self._flat
-        for (elements, half), (_, second) in zip(
-            self.layout.runs(B2), self.layout.runs(B1_MINUS_B2)
-        ):
-            np.subtract(flat[elements], flat[half], out=flat[second])
 
     # ------------------------------------------------------------------
     def fill(
@@ -360,13 +326,13 @@ class BufferFill:
     :meth:`LtsBuffers.fill`, and :meth:`calls` gives the same writes for a
     block program."""
 
-    __slots__ = ("buffers", "step_index")
+    __slots__ = ("buffers", "parity")
 
-    def __init__(self, buffers: LtsBuffers, step_index: int):
-        self.buffers, self.step_index = buffers, step_index
+    def __init__(self, buffers: LtsBuffers, parity: int):
+        self.buffers, self.parity = buffers, parity
 
     def __call__(self, elements: slice, elastic_integral, elastic_half) -> None:
-        self.buffers.fill(elements, elastic_integral, elastic_half, self.step_index)
+        self.buffers.fill(elements, elastic_integral, elastic_half, self.parity)
 
     def calls(self, elements: slice, elastic_integral, elastic_half) -> list:
-        return self.buffers.fill_calls(elements, elastic_integral, elastic_half, self.step_index)
+        return self.buffers.fill_calls(elements, elastic_integral, elastic_half, self.parity)

@@ -39,7 +39,7 @@ from ..source.receivers import ReceiverSet
 from .buffers import B2, BOUNDARY, LARGER, SAME, SMALLER, BufferFill, BufferLayout, LtsBuffers
 from .clustering import Clustering
 from .lts_scheduler import schedule_cycle
-from .stepper import HalfAppliedStepError, SingleRankStepper, check_restored
+from .stepper import HalfAppliedStepError, SingleRankStepper
 
 __all__ = ["ClusteredLtsSolver", "HalfAppliedStepError"]
 
@@ -78,7 +78,6 @@ class _ClusterData:
         #: per step parity, the backend's items of each stepping phase
         #: (built on first use)
         self.items: list[dict | None] = [None, None]
-        self.step_index = 0
 
 
 class ClusteredLtsSolver(SingleRankStepper):
@@ -151,10 +150,13 @@ class ClusteredLtsSolver(SingleRankStepper):
     # ------------------------------------------------------------------
     # the items of a cluster's prediction and correction
     # ------------------------------------------------------------------
-    def _items(self, cluster: _ClusterData) -> dict:
-        """The cluster's kernel items of each phase at its current step
-        parity: ``{"predict": [...], "correct": [...]}``."""
-        parity = cluster.step_index % 2
+    def _items(self, cluster: _ClusterData, micro_step: int) -> dict:
+        """The cluster's kernel items of each phase for its step at
+        ``micro_step``: ``{"predict": [...], "correct": [...]}``.  The step
+        parity is ``(micro_step >> l) & 1``: every cycle starts all clusters
+        anew, and all but the largest (whose parity nothing reads: no ``B3``
+        rows, no larger neighbour) step an even number of times per cycle."""
+        parity = (micro_step >> cluster.cluster_id) & 1
         items = cluster.items[parity]
         if items is None:
             items = cluster.items[parity] = self._cluster_items(cluster, parity)
@@ -206,14 +208,17 @@ class ClusteredLtsSolver(SingleRankStepper):
     # ------------------------------------------------------------------
     # the micro-step phases
     # ------------------------------------------------------------------
-    def _dispatch(self, phase: str, clusters: list[int]) -> None:
-        """One kernel dispatch of the ``phase`` items of ``clusters``.
+    def _dispatch(self, phase: str, micro_step: int, clusters: list[int]) -> None:
+        """One kernel dispatch of the ``phase`` items of ``clusters`` at
+        ``micro_step``.
 
         A dispatch that raises leaves some clusters advanced and some not:
         every later step is refused (:meth:`_check_state`) until
         :meth:`restore_state` brings a whole state back.
         """
-        items = [item for l in clusters for item in self._items(self.clusters[l])[phase]]
+        items = [
+            item for l in clusters for item in self._items(self.clusters[l], micro_step)[phase]
+        ]
         if not items:
             return
         try:
@@ -225,15 +230,14 @@ class ClusteredLtsSolver(SingleRankStepper):
     def predict_step(self, entry: dict) -> None:
         """Predict every cluster starting an interval at this micro step."""
         with self.telemetry.region("predict"):
-            self._dispatch("predict", entry["predict"])
+            self._dispatch("predict", entry["micro_step"], entry["predict"])
 
     def correct_step(self, entry: dict, dt0: float) -> None:
         """Correct every cluster whose interval ends after this micro step,
-        then inject its sources, record its receivers and advance its step
-        counter."""
+        then inject its sources and record its receivers."""
         with self.telemetry.region("correct"):
             self._receive()
-            self._dispatch("correct", entry["correct"])
+            self._dispatch("correct", entry["micro_step"], entry["correct"])
         for l in entry["correct"]:
             cluster = self.clusters[l]
             start = self.time + (entry["micro_step"] + 1) * dt0 - cluster.dt
@@ -245,7 +249,7 @@ class ClusteredLtsSolver(SingleRankStepper):
 
     def _advance(self, cluster: _ClusterData, cluster_start_time: float) -> None:
         """What follows a cluster's correction: sources over its interval,
-        receivers at its end, the update count and the step counter."""
+        receivers at its end and the update count."""
         if len(cluster.elements):
             t_new = cluster_start_time + cluster.dt
             for element, sources in self._sources_by_element.items():
@@ -259,7 +263,6 @@ class ClusteredLtsSolver(SingleRankStepper):
                 self.telemetry.inc(
                     f"updates/cluster{cluster.cluster_id}", len(cluster.elements)
                 )
-        cluster.step_index += 1
 
     def step_cycle(self) -> None:
         """Advance the whole mesh by one macro cycle (largest cluster step)."""
@@ -269,28 +272,3 @@ class ClusteredLtsSolver(SingleRankStepper):
             self.predict_step(entry)
             self.correct_step(entry, dt0)
         self.time += self.macro_dt
-
-    # ------------------------------------------------------------------
-    def state_arrays(self) -> dict:
-        """DOFs plus the per-cluster step counters and the three buffers,
-        each ``(n_elements, 9, B[, f])`` (zero where a row is not stored)."""
-        return {
-            "dofs": self.dofs,
-            "step_index": np.array(
-                [cluster.step_index for cluster in self.clusters], dtype=np.int64
-            ),
-            "b1": self.buffers.b1,
-            "b2": self.buffers.b2,
-            "b3": self.buffers.b3,
-        }
-
-    def restore_state(self, arrays, time: float, n_element_updates: int) -> None:
-        """Copy a :meth:`state_arrays` state in; rows of ``b2`` / ``b3``
-        without a reader are dropped (the buffers do not store them)."""
-        shape = (self.disc.n_elements,) + self.buffers.store.shape[1:]
-        buffers = {name: check_restored(name, arrays[name], shape) for name in ("b1", "b2", "b3")}
-        super().restore_state(arrays, time, n_element_updates)
-        for cluster, step_index in zip(self.clusters, arrays["step_index"]):
-            cluster.step_index = int(step_index)
-        for name, value in buffers.items():
-            setattr(self.buffers, name, value)

@@ -1,14 +1,16 @@
 """The stepper protocol and its single-rank half.
 
 Every stepper the scenario runner drives -- the GTS and clustered-LTS
-solvers here, the two multi-rank engines of :mod:`repro.distributed` --
+solvers here, the multi-rank engine of :mod:`repro.distributed` --
 exposes the same members:
 
 * ``time``, ``n_element_updates``, ``dofs`` and ``macro_dt``;
 * ``step_cycle()``, ``set_initial_condition(func)`` and ``close()``;
-* ``state_arrays()`` and ``restore_state(arrays, time, n_element_updates)``:
-  the dynamic state as the checkpoint's global arrays (``dofs``, plus
-  ``step_index``/``b1``/``b2``/``b3`` for LTS) and back;
+* ``restore_state(arrays, time, n_element_updates)``: the DOFs, the time
+  and the update count are the whole dynamic state at a macro-cycle
+  boundary, so a checkpoint stores ``dofs`` and restores ``arrays["dofs"]``
+  (the LTS buffers and sub-step parities restart with every cycle: each
+  cluster's prediction refills its buffer rows before any reader);
 * ``telemetry_snapshots()``, ``trace_lanes()`` and ``concurrent_lanes``;
 * ``comm_summary()``: the measured-vs-modelled halo traffic, ``None`` on a
   single rank.
@@ -23,7 +25,7 @@ import numpy as np
 from ..observability import resident_nbytes
 from ..source.moment_tensor import DiscretePointSource, MomentTensorSource, PointForceSource
 
-__all__ = ["HalfAppliedStepError", "SingleRankStepper", "check_restored"]
+__all__ = ["HalfAppliedStepError", "SingleRankStepper", "restored_dofs"]
 
 
 class HalfAppliedStepError(RuntimeError):
@@ -31,18 +33,17 @@ class HalfAppliedStepError(RuntimeError):
     did not, so the solver refuses to step on until a state is restored."""
 
 
-def check_restored(name: str, array, shape: tuple, dtype=None) -> np.ndarray:
-    """``array`` of a restored state as an array, if it has the stepper's
-    ``shape`` (and ``dtype``, unless ``None``); otherwise a ``ValueError``
-    naming it, raised before any of the state is applied."""
-    array = np.asarray(array)
-    if array.shape != tuple(shape) or (dtype is not None and array.dtype != dtype):
-        expected = np.dtype(array.dtype if dtype is None else dtype)
+def restored_dofs(arrays, shape: tuple, dtype) -> np.ndarray:
+    """``arrays["dofs"]`` of a restored state, if it has the stepper's
+    ``shape`` and ``dtype``; otherwise a ``ValueError``, raised before any
+    of the state is applied."""
+    dofs = np.asarray(arrays["dofs"])
+    if dofs.shape != tuple(shape) or dofs.dtype != dtype:
         raise ValueError(
-            f"restored {name} are {array.dtype}{list(array.shape)}, the solver's are "
-            f"{expected}{list(shape)}"
+            f"restored dofs are {dofs.dtype}{list(dofs.shape)}, the solver's are "
+            f"{np.dtype(dtype)}{list(shape)}"
         )
-    return array
+    return dofs
 
 
 class SingleRankStepper:
@@ -90,15 +91,10 @@ class SingleRankStepper:
         return self.dofs
 
     # -- checkpoint interchange -----------------------------------------
-    def state_arrays(self) -> dict:
-        """The dynamic state as named global arrays (the checkpoint's)."""
-        return {"dofs": self.dofs}
-
     def restore_state(self, arrays, time: float, n_element_updates: int) -> None:
-        """Copy a :meth:`state_arrays` state in (extra entries are ignored):
-        the solver steps its own DOF array, never the caller's."""
-        dofs = check_restored("dofs", arrays["dofs"], self.dofs.shape, self.dofs.dtype)
-        np.copyto(self.dofs, dofs)
+        """Copy ``arrays["dofs"]`` in (other entries are ignored): the
+        solver steps its own DOF array, never the caller's."""
+        np.copyto(self.dofs, restored_dofs(arrays, self.dofs.shape, self.dofs.dtype))
         self._failed = None
         self.time = float(time)
         self.n_element_updates = int(n_element_updates)

@@ -8,8 +8,10 @@ telemetry lane, and serves the commands of
 ``cycle`` (step one macro cycle; the reply is how a rank reports: time,
 update count and peak RSS, and what changed since the last reply -- the
 halo traffic, the receiver samples and the lane's regions, counters and
-trace events), ``dofs`` / ``set_dofs`` and ``state`` / ``restore``.  A
-failing command replies ``("error", traceback)`` and ends the loop.
+trace events), ``dofs`` (the rank's DOFs: with the time and the update
+count, its whole state at a macro-cycle boundary) and ``restore`` (a
+rank's DOFs, time and update count in).  A failing command replies
+``("error", traceback)`` and ends the loop.
 
 :func:`start_ranks` forks one rank worker per rank, as the paper runs one
 process per rank with threads inside it: a
@@ -23,8 +25,6 @@ from __future__ import annotations
 
 import traceback
 from dataclasses import dataclass
-
-import numpy as np
 
 from ..observability import Telemetry, peak_rss_mb
 from ..parallel.communicator import MessageStats, ProcessCommunicator
@@ -96,19 +96,10 @@ class RankWorker:
             return self._cycle()
         if command == "dofs":
             return solver.dofs
-        if command == "set_dofs":
-            solver.dofs = np.array(payload)
-        elif command == "state":
-            return dict(
-                solver.state_arrays(),
-                time=solver.time,
-                n_element_updates=int(solver.n_element_updates),
-            )
-        elif command == "restore":
+        if command == "restore":
             solver.restore_state(payload, payload["time"], payload["n_element_updates"])
-        else:
-            raise RuntimeError(f"rank {solver.rank}: unknown command {command!r}")
-        return None
+            return None
+        raise RuntimeError(f"rank {solver.rank}: unknown command {command!r}")
 
     def _cycle(self) -> dict:
         self.solver.step_cycle()

@@ -9,14 +9,17 @@ forked worker process each (:func:`~repro.distributed.engine.start_ranks`),
 bit-identical to the single-rank solver.
 
 The engine implements the stepper protocol of :mod:`repro.core.stepper` in
-the single-rank checkpoint layout.  A ``cycle`` reply carries the rank's
-time and update count and what changed since its last reply (halo traffic,
-receiver samples, the lane's regions, counters and trace events); the engine
-adds the changes into one :class:`~repro.parallel.communicator.MessageStats`
-total, the global receivers and one mirror lane per rank, so summaries
-never need a worker round-trip.  :meth:`close` caches the per-rank states
-and stops the workers; the next command respawns them from the cache, and
-the fresh workers' replies add to the same totals.  The engine waits on
+the single-rank checkpoint layout: a rank's state at a macro-cycle boundary
+is its DOFs, time and update count, and the one way a rank gets a state is
+the ``restore`` command (:meth:`_scatter`).  A ``cycle`` reply carries the
+rank's time and update count and what changed since its last reply (halo
+traffic, receiver samples, the lane's regions, counters and trace events);
+the engine adds the changes into one
+:class:`~repro.parallel.communicator.MessageStats` total, the global
+receivers and one mirror lane per rank, so summaries never need a worker
+round-trip.  :meth:`close` caches the per-rank DOFs and stops the workers;
+the next command respawns them and restores the cache, and the fresh
+workers' replies add to the same totals.  The engine waits on
 every rank's pipe and process together
 (:meth:`~repro.parallel.supervisor.WorkerPool.wait`), so a rank that errors
 or dies is seen at once: it stops every worker and fails the engine, and
@@ -33,9 +36,9 @@ import numpy as np
 
 from ..core.clustering import Clustering
 from ..core.lts_scheduler import updates_per_cycle
-from ..core.stepper import check_restored
+from ..core.stepper import restored_dofs
 from ..kernels.backend import make_backend
-from ..kernels.discretization import N_ELASTIC, Discretization
+from ..kernels.discretization import Discretization
 from ..observability import Telemetry
 from ..parallel.communicator import MessageStats
 from ..parallel.exchange import HaloIndex, exchange_volumes_per_cycle
@@ -115,8 +118,8 @@ class ProcessLtsEngine:
         self._lanes = [self._rank_lane(r) for r in range(self.n_ranks)]
         #: per-rank worker-process peak RSS (MiB), max over worker generations
         self._rank_peak_rss = [0.0] * self.n_ranks
-        #: the per-rank states the next workers start from (``None``: none)
-        self._cache: list[dict] | None = None
+        #: the per-rank DOFs the next workers start from (``None``: none)
+        self._cache: list[np.ndarray] | None = None
         self._failed = False
         self._pool = start_ranks(self._setups)
 
@@ -159,11 +162,11 @@ class ProcessLtsEngine:
                 "the last checkpoint)"
             )
         self._pool = start_ranks(self._setups)
-        if self._cache is not None:
+        cache, self._cache = self._cache, None
+        if cache is not None:
             # fresh workers record into empty receiver shims and report only
             # new samples, so the global recordings need no push-back
-            self._command_all("restore", self._cache)
-            self._cache = None
+            self._scatter(cache)
 
     def _fail(self, message: str):
         """Stop every worker, mark the engine failed and name the cause."""
@@ -200,7 +203,7 @@ class ProcessLtsEngine:
         return self._collect()
 
     def close(self) -> None:
-        """Gather the per-rank states into the cache and stop the workers.
+        """Gather the per-rank DOFs into the cache and stop the workers.
 
         The engine stays fully usable: reads are served from the cache and
         stepping respawns the workers from it.
@@ -209,7 +212,7 @@ class ProcessLtsEngine:
             return
         # traffic, telemetry and receiver recordings only change inside
         # "cycle" commands, so the totals are already current here
-        self._cache = self._command_all("state")
+        self._cache = self._command_all("dofs")
         self._stop(grace_s=5.0)
 
     def __del__(self):  # pragma: no cover - interpreter-shutdown safety net
@@ -226,14 +229,11 @@ class ProcessLtsEngine:
     def macro_dt(self) -> float:
         return float(self.clustering.cluster_time_steps[-1])
 
-    def _states(self) -> list[dict]:
-        return self._cache if self._cache is not None else self._command_all("state")
-
     @property
     def dofs(self) -> np.ndarray:
         """The global DOF array, gathered from the ranks."""
         if self._cache is not None:
-            return self._gather([state["dofs"] for state in self._cache])
+            return self._gather(self._cache)
         return self._gather(self._command_all("dofs"))
 
     def _gather(self, per_rank: list[np.ndarray]) -> np.ndarray:
@@ -243,10 +243,26 @@ class ProcessLtsEngine:
             out[sub.owned] = array
         return out
 
+    def _scatter(self, per_rank_dofs: list[np.ndarray]) -> None:
+        """``restore`` every rank to its DOFs at the engine's time and update
+        count.
+
+        The global element-update count is re-distributed deterministically
+        (per-rank updates per cycle are fixed by the clustering), so a
+        restored engine continues with exactly the accounting of an
+        uninterrupted run.
+        """
+        per_cycle = [updates_per_cycle(sub.clustering.counts) for sub in self.subdomains]
+        cycles = self.n_element_updates // max(sum(per_cycle), 1)
+        self._command_all("restore", [
+            {"dofs": dofs, "time": self.time, "n_element_updates": cycles * updates}
+            for dofs, updates in zip(per_rank_dofs, per_cycle)
+        ])
+
     def set_initial_condition(self, func) -> None:
         """Project the initial condition globally and scatter it to the ranks."""
         global_dofs = self.disc.project_initial_condition(func, n_fused=self.n_fused)
-        self._command_all("set_dofs", [global_dofs[sub.owned] for sub in self.subdomains])
+        self._scatter([global_dofs[sub.owned] for sub in self.subdomains])
 
     def step_cycle(self) -> None:
         """Advance all ranks by one macro cycle, concurrently (one ``cycle``
@@ -267,56 +283,27 @@ class ProcessLtsEngine:
                 receiver.times.extend(float(t) for t in times)
                 receiver.samples.extend(np.asarray(s) for s in samples)
 
-    def state_arrays(self) -> dict:
-        """The per-rank state gathered into the single-rank global arrays
-        (the per-cluster step counters are identical on every rank)."""
-        states = self._states()
-        arrays = {
-            name: self._gather([state[name] for state in states])
-            for name in ("dofs", "b1", "b2", "b3")
-        }
-        arrays["step_index"] = np.asarray(states[0]["step_index"], dtype=np.int64)
-        return arrays
-
     def restore_state(self, arrays, time: float, n_element_updates: int) -> None:
-        """Scatter a globally stored state onto the ranks.
-
-        The global element-update count is re-distributed deterministically
-        (per-rank updates per cycle are fixed by the clustering), so a
-        restored engine continues with exactly the accounting of an
-        uninterrupted run.  A closed or failed engine keeps the state for
-        the fresh workers its next command starts.
-        """
+        """Scatter a global ``arrays["dofs"]`` onto the ranks (other entries
+        are ignored).  A closed or failed engine keeps the DOFs for the
+        fresh workers its next command starts."""
         disc = self.disc
         fused = (self.n_fused,) if self.n_fused else ()
         shape = (disc.n_elements, disc.n_vars, disc.n_basis) + fused
         # validated here, before any rank sees the state: a mis-shaped array
         # fails by name, as on one rank
-        check_restored("dofs", arrays["dofs"], shape, disc.dtype)
-        for name in ("b1", "b2", "b3"):
-            check_restored(name, arrays[name], (shape[0], N_ELASTIC) + shape[2:])
-        per_cycle = [updates_per_cycle(sub.clustering.counts) for sub in self.subdomains]
-        total_per_cycle = sum(per_cycle)
-        if total_per_cycle and n_element_updates % total_per_cycle != 0:
+        dofs = restored_dofs(arrays, shape, disc.dtype)
+        per_cycle = updates_per_cycle(self.clustering.counts)
+        if per_cycle and n_element_updates % per_cycle != 0:
             raise ValueError("element-update count is not at a macro-cycle boundary")
-        cycles = n_element_updates // total_per_cycle if total_per_cycle else 0
-        step_index = np.asarray(arrays["step_index"], dtype=np.int64)
-        states = [
-            {
-                **{name: arrays[name][sub.owned] for name in ("dofs", "b1", "b2", "b3")},
-                "step_index": step_index,
-                "time": float(time),
-                "n_element_updates": int(cycles * updates),
-            }
-            for sub, updates in zip(self.subdomains, per_cycle)
-        ]
-        if self._pool is None:
-            self._failed = False
-            self._cache = states
-        else:
-            self._command_all("restore", states)
         self.time = float(time)
         self.n_element_updates = int(n_element_updates)
+        per_rank = [dofs[sub.owned] for sub in self.subdomains]
+        if self._pool is None:
+            self._failed = False
+            self._cache = per_rank
+        else:
+            self._scatter(per_rank)
 
     # ------------------------------------------------------------------
     # accounting

@@ -122,12 +122,12 @@ class RankSolver(ClusteredLtsSolver):
         sends and predict the interior rows while the sends are in flight;
         the corrections of :meth:`correct_step` then drain up to this step."""
         with self.telemetry.region("predict.boundary"):
-            self._dispatch("boundary", entry["predict"])
+            self._dispatch("boundary", entry["micro_step"], entry["predict"])
         with self.telemetry.region("send"):
             self.send_due(entry["micro_step"])
             self.comm.flush()
         with self.telemetry.region("predict.interior"):
-            self._dispatch("interior", entry["predict"])
+            self._dispatch("interior", entry["micro_step"], entry["predict"])
         self._micro_step = entry["micro_step"]
         if self._micro_step == 0:
             self._next_drain = 0

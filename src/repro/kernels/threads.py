@@ -132,10 +132,13 @@ class BlockPool:
         while (task := inbox.get()) is not None:
             try:
                 task()
+                outcome = None
             except BaseException as error:  # handed to the caller of run()
-                self._done.put(error)
-            else:
-                self._done.put(None)
+                outcome = error
+            # drop the batch before run() can return: an idle worker must not
+            # keep a dropped solver's arrays alive until the next dispatch
+            del task
+            self._done.put(outcome)
 
     def run(self, items: list, work) -> None:
         """``work(item, slot)`` for every item on ``min(len(items),

@@ -14,14 +14,15 @@ engine (:func:`repro.distributed.build_engine`) when the spec asks for
 :mod:`repro.core.stepper`, so the runner never asks which one it drives.
 
 Checkpoint/restart serialises the complete dynamic state of a run -- DOFs,
-simulation time, per-cluster ``step_index``, the three LTS time buffers and
-the receiver recordings -- at macro-cycle boundaries (where no prediction is
-pending), so a resumed run is bit-identical to an uninterrupted one.  The
-per-element arrays are stored in solver element order; the rebuilt setup
-derives the same order from the stored spec.  A multi-rank engine gathers
-its per-rank state into the same global arrays, so single-rank and
-distributed checkpoints are interchangeable: ``resume`` follows the
-checkpointed spec's ``n_ranks``.
+simulation time, update count and the receiver recordings -- at macro-cycle
+boundaries, so a resumed run is bit-identical to an uninterrupted one.  The
+LTS buffers and sub-step parities are no state there: every cluster starts
+a new interval with each cycle, and its prediction refills its buffer rows
+before any neighbour reads them.  The DOFs are stored in solver element
+order; the rebuilt setup derives the same order from the stored spec.  A
+multi-rank engine gathers its per-rank DOFs into the same global array, so
+single-rank and distributed checkpoints are interchangeable: ``resume``
+follows the checkpointed spec's ``n_ranks``.
 """
 
 from __future__ import annotations
@@ -76,8 +77,10 @@ __all__ = [
 
 #: 2: DOFs, buffers and ``cluster_ids`` are stored in solver element order
 #: (cluster order for LTS), no longer in generation order, with the
-#: ``element_order`` (generation id per row) they were written in
-CHECKPOINT_FORMAT_VERSION = 2
+#: ``element_order`` (generation id per row) they were written in;
+#: 3: no ``step_index``, ``b1``, ``b2`` or ``b3`` (a format-2 file resumes,
+#: and those four arrays are ignored)
+CHECKPOINT_FORMAT_VERSION = 3
 
 
 class CorruptCheckpointError(ValueError):
@@ -783,10 +786,10 @@ class ScenarioRunner:
             "lam": self.clustering.lam,
             "dt_min": self.clustering.dt_min,
         }
-        # the stepper's dynamic state: dofs (plus step_index/b1/b2/b3 for
-        # LTS), in global solver element order on any number of ranks
-        arrays = solver.state_arrays()
-        arrays.update(
+        # the stepper's dynamic state, in global solver element order on
+        # any number of ranks
+        arrays = dict(
+            dofs=solver.dofs,
             # generation id of every row: the rebuilt setup must match it
             element_order=self.setup.mesh.original_ids,
             cluster_ids=self.clustering.cluster_ids,
@@ -834,7 +837,7 @@ class ScenarioRunner:
                 f"(resumable: {', '.join(RESUMABLE_OVERRIDES)})"
             )
         data, meta = _read_checkpoint(path)
-        if meta["format_version"] != CHECKPOINT_FORMAT_VERSION:
+        if meta["format_version"] not in (2, CHECKPOINT_FORMAT_VERSION):
             raise ValueError(
                 f"unsupported checkpoint format {meta['format_version']}"
             )

@@ -14,6 +14,8 @@ from repro.core.lts_scheduler import (
 from repro.core.legacy_lts import communication_volumes
 from repro.kernels.ader import compute_time_derivatives, time_integrate
 
+from ..lts_setup import seed_buffers
+
 
 class TestScheduler:
     def test_micro_steps(self):
@@ -38,6 +40,24 @@ class TestScheduler:
                 predicts = sum(l in e["predict"] for e in schedule)
                 corrects = sum(l in e["correct"] for e in schedule)
                 assert predicts == corrects == 2 ** (n_clusters - 1 - l)
+
+    def test_a_step_parity_follows_from_the_micro_step(self):
+        """Counting every cluster's steps from the first cycle on, the
+        parity of the step a cluster predicts and corrects at ``micro_step``
+        is ``(micro_step >> l) & 1`` in every cycle: every cluster but the
+        largest (whose parity nothing reads) steps an even number of times
+        per cycle."""
+        for n_clusters in (1, 2, 3, 5):
+            steps = [0] * n_clusters
+            for _ in range(3):
+                for entry in schedule_cycle(n_clusters):
+                    micro_step = entry["micro_step"]
+                    for l in entry["predict"] + entry["correct"]:
+                        if l < n_clusters - 1:
+                            assert steps[l] % 2 == (micro_step >> l) & 1, (n_clusters, l)
+                    for l in entry["correct"]:
+                        steps[l] += 1
+            assert steps == [3 * 2 ** (n_clusters - 1 - l) for l in range(n_clusters)]
 
     def test_updates_per_cycle(self):
         counts = np.array([100, 50, 10])
@@ -87,10 +107,7 @@ class TestBufferAlgebra:
         """The neighbour gather must pick B1 / B3 / B2 / B1-B2 by relation and parity."""
         disc = elastic_disc
         buffers = LtsBuffers(disc)
-        rng = np.random.default_rng(1)
-        buffers.b1 = rng.normal(size=buffers.b1.shape)
-        buffers.b2 = rng.normal(size=buffers.b2.shape)
-        buffers.b3 = rng.normal(size=buffers.b3.shape)
+        seed_buffers(buffers, np.random.default_rng(1))
 
         neighbors = np.array([[1, 2, 3, -1]])
         relations = np.array([[SAME, SMALLER, LARGER, -2]])
@@ -106,8 +123,7 @@ class TestBufferAlgebra:
 
     def test_views_are_read_only(self, elastic_disc):
         """In-place writes through the b1/b2/b3 views would silently stale
-        the precomputed second-half row; mutation goes through fill() or
-        whole-buffer assignment (the checkpoint/exchange path)."""
+        the precomputed second-half row; only fill() writes the store."""
         buffers = LtsBuffers(elastic_disc)
         for name in ("b1", "b2", "b3", "b1_minus_b2", "store"):
             with pytest.raises(ValueError):
@@ -115,8 +131,7 @@ class TestBufferAlgebra:
 
     def test_second_half_row_is_the_read_time_difference(self, elastic_disc):
         """What a halo send of a faster receiver's second sub-step reads:
-        the stored row, bitwise ``b1 - b2`` after a fill and after a bulk
-        assignment."""
+        the stored row, bitwise ``b1 - b2`` after every fill."""
         disc = elastic_disc
         buffers = LtsBuffers(disc)
         rng = np.random.default_rng(3)
@@ -127,16 +142,13 @@ class TestBufferAlgebra:
         np.testing.assert_array_equal(
             buffers.b1_minus_b2[elements], buffers.b1[elements] - buffers.b2[elements]
         )
-        buffers.b2 = rng.normal(size=buffers.b2.shape)
+        seed_buffers(buffers, rng)
         np.testing.assert_array_equal(buffers.b1_minus_b2, buffers.b1 - buffers.b2)
 
     def test_face_rows_index_the_flat_store(self, elastic_disc):
         """``store[face_rows(...)]`` is the neighbour gather, per parity."""
         buffers = LtsBuffers(elastic_disc)
-        rng = np.random.default_rng(4)
-        buffers.b1 = rng.normal(size=buffers.b1.shape)
-        buffers.b2 = rng.normal(size=buffers.b2.shape)
-        buffers.b3 = rng.normal(size=buffers.b3.shape)
+        seed_buffers(buffers, np.random.default_rng(4))
         neighbors = np.array([[1, 2, 3, -1], [0, 0, 5, 6]])
         relations = np.array([[SAME, SMALLER, LARGER, -2], [LARGER, SAME, SMALLER, LARGER]])
         for step_index in (0, 1, 2, 3):
@@ -150,28 +162,10 @@ class TestBufferAlgebra:
         """A batch's own rows of the flat store are its ``B1`` rows: the
         integral a backend's correction projects the own traces from."""
         buffers = LtsBuffers(elastic_disc)
-        rng = np.random.default_rng(5)
-        buffers.b1 = rng.normal(size=buffers.b1.shape)
-        buffers.b2 = rng.normal(size=buffers.b2.shape)
-        buffers.b3 = rng.normal(size=buffers.b3.shape)
+        seed_buffers(buffers, np.random.default_rng(5))
         n = elastic_disc.n_elements
         np.testing.assert_array_equal(buffers.store[:n], buffers.b1)
         assert np.shares_memory(buffers.store[:n], buffers.b1)
-
-    def test_bulk_assignment_refreshes_second_half(self, elastic_disc):
-        """The restore path (``buffers.b1 = ...``) must re-establish the
-        B1 - B2 invariant the odd-step LARGER gather reads."""
-        buffers = LtsBuffers(elastic_disc)
-        rng = np.random.default_rng(2)
-        b1 = rng.normal(size=buffers.b1.shape)
-        b2 = rng.normal(size=buffers.b2.shape)
-        buffers.b1 = b1
-        buffers.b2 = b2
-        neighbors = np.array([[1, -1, -1, -1]])
-        relations = np.array([[LARGER, -2, -2, -2]])
-        odd = buffers.neighbor_data(neighbors, relations, step_index=1)
-        np.testing.assert_array_equal(odd[0, 0], b1[1] - b2[1])
-        np.testing.assert_array_equal(odd[0, 1], 0.0)  # boundary ghost row
 
 
 class TestCommunicationVolumes:

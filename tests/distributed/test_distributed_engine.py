@@ -326,6 +326,35 @@ class TestCheckpointRestart:
         np.testing.assert_array_equal(resumed.solver.dofs, single_full.solver.dofs)
 
 
+    def test_a_single_rank_checkpoint_resumes_on_ranks(self, tiny_loh3, tmp_path):
+        """The other direction: a single-rank checkpoint edited up to two
+        ranks holds the same arrays as a 2-rank one and resumes bitwise;
+        the engine scatters its DOFs, and the ranks' buffers start empty."""
+        path, dist_path = tmp_path / "single.ckpt.npz", tmp_path / "dist.ckpt.npz"
+        single = ScenarioRunner(tiny_loh3)
+        single.step_cycle()
+        single.save_checkpoint(path)
+        dist = make_runner(tiny_loh3.with_overrides(n_ranks=2))
+        dist.step_cycle()
+        dist.save_checkpoint(dist_path)
+        dist.solver.close()
+
+        data = dict(np.load(path))
+        assert set(data) == set(np.load(dist_path).files)
+        meta = json.loads(str(data["meta"]))
+        meta["spec"]["solver"]["n_ranks"] = 2
+        data["meta"] = json.dumps(meta)
+        np.savez(path, **data)
+
+        resumed = ScenarioRunner.resume(path)
+        assert resumed.engine.n_ranks == 2
+        resumed.run()
+        single.run()
+        np.testing.assert_array_equal(resumed.solver.dofs, single.solver.dofs)
+        assert resumed.solver.n_element_updates == single.solver.n_element_updates
+        resumed.solver.close()
+
+
 class TestSpecAndDispatch:
     def test_n_ranks_round_trips_through_json(self, tiny_loh3):
         spec = tiny_loh3.with_overrides(n_ranks=4)

@@ -11,10 +11,10 @@ The central claims:
 * the rank host is no longer a choice: specs and checkpoints naming either
   legacy ``solver.backend`` value load unchanged and run on forked ranks,
   and ``--backend`` / ``resume(backend=...)`` are refused by name,
-* the engine survives its worker lifecycle: state reads after ``close()``
-  are served from the cache, stepping again respawns the workers, a rank
-  that fails to start leaves no started rank behind, and workers of a
-  SIGKILLed parent exit on their own, and
+* the engine survives its worker lifecycle: DOF reads after ``close()``
+  are served from the cache, stepping again respawns the workers and
+  restores their DOFs, a rank that fails to start leaves no started rank
+  behind, and workers of a SIGKILLed parent exit on their own, and
 * specs written while ``solver.comm`` still existed stay readable: a
   ``"queue"`` value is dropped, any other value fails loudly.
 """
@@ -24,6 +24,7 @@ import gc
 import json
 import multiprocessing
 import os
+import queue
 import signal
 import subprocess
 import sys
@@ -35,6 +36,7 @@ import numpy as np
 import pytest
 
 from repro.distributed import ProcessLtsEngine
+from repro.distributed.engine import RankWorker
 from repro.scenarios import ScenarioRunner, ScenarioSpec, get_scenario, make_runner
 from repro.parallel import supervisor
 from repro.parallel.supervisor import ORPHAN_POLL_S
@@ -218,6 +220,45 @@ def _live_workers() -> set:
 
 
 class TestEngineLifecycle:
+    def test_a_worker_answers_cycle_dofs_and_restore_only(self, tiny_loh3):
+        """A rank's state is its DOFs, time and update count: ``restore``
+        hands them in, ``dofs`` reads them back, and no other state command
+        exists."""
+        engine = make_runner(tiny_loh3.with_overrides(n_ranks=2)).engine
+        engine.close()
+        worker = RankWorker(engine._setups[0], queue.SimpleQueue(), {1: queue.SimpleQueue()})
+        dofs = np.random.default_rng(2).standard_normal(worker.solver.dofs.shape)
+        worker._handle("restore", {"dofs": dofs, "time": 1.5, "n_element_updates": 7})
+        np.testing.assert_array_equal(worker._handle("dofs", None), dofs)
+        assert (worker.solver.time, worker.solver.n_element_updates) == (1.5, 7)
+        for command in ("state", "set_dofs"):
+            with pytest.raises(RuntimeError, match=f"unknown command '{command}'"):
+                worker._handle(command, dofs)
+
+    def test_an_initial_condition_reaches_open_and_closed_engines(self, tiny_loh3):
+        """``set_initial_condition`` scatters through the one ``restore``
+        path, before the first cycle and on a closed engine alike: the
+        next cycle is bitwise the single-rank run's from the same field."""
+        spec = tiny_loh3.with_overrides(n_ranks=2)
+
+        def ic(points):
+            r2 = np.sum((points - points.mean(axis=0)) ** 2, axis=1, keepdims=True)
+            return np.exp(-r2 / (2 * 800.0**2)) * np.ones((1, 9))
+
+        reference = make_runner(tiny_loh3).solver
+        reference.set_initial_condition(ic)
+        reference.step_cycle()
+        for close_first in (False, True):
+            engine = make_runner(spec).engine
+            if close_first:
+                engine.close()
+            engine.set_initial_condition(ic)
+            engine.step_cycle()
+            np.testing.assert_array_equal(engine.dofs, reference.dofs)
+            engine.close()
+            assert isinstance(engine._cache, list)
+            assert all(isinstance(dofs, np.ndarray) for dofs in engine._cache)
+
     def test_close_serves_cached_state_and_respawns(self, tiny_loh3):
         runner = make_runner(tiny_loh3.with_overrides(n_ranks=2))
         engine = runner.engine
@@ -315,7 +356,7 @@ class TestEngineLifecycle:
         runner = make_runner(spec)
         engine = runner.engine
         runner.step_cycle()
-        saved = engine.state_arrays()
+        saved = {"dofs": engine.dofs}
         time_, updates = engine.time, engine.n_element_updates
         os.kill(engine._pool.procs[0].pid, signal.SIGKILL)
         with pytest.raises(RuntimeError, match="rank 0 worker"):

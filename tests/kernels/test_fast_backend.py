@@ -38,7 +38,7 @@ from repro.mesh import BOUNDARY_ABSORBING, BOUNDARY_FREE_SURFACE
 from repro.mesh.generation import box_mesh
 from repro.scenarios import get_scenario, make_runner
 
-from ..lts_setup import cluster_ordered
+from ..lts_setup import cluster_ordered, seed_buffers
 from .conftest import small_mesh
 
 
@@ -229,8 +229,7 @@ class TestFusedCorrection:
     def _inputs(self, disc, n_fused, seed=0):
         rng = np.random.default_rng(seed)
         buffers = LtsBuffers(disc, n_fused=n_fused)
-        for name in ("b1", "b2", "b3"):
-            setattr(buffers, name, rng.standard_normal(getattr(buffers, name).shape))
+        seed_buffers(buffers, rng)
         neighbors = disc.mesh.neighbors
         relations = np.where(
             neighbors < 0, BOUNDARY, rng.choice([SAME, SMALLER, LARGER], size=neighbors.shape)

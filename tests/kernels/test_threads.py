@@ -197,6 +197,33 @@ class TestPool:
         assert sorted(seen) == list(range(50))
         pool.close()
 
+    @pytest.mark.parametrize("raises", [False, True], ids=["clean", "raising"])
+    def test_an_idle_worker_keeps_nothing_of_the_last_batch(self, raises):
+        """Once ``run`` returns (or raises, and the caller drops the error),
+        no worker holds the batch's items: a dropped solver's arrays are
+        freed then, not at the next dispatch."""
+        import gc
+        import weakref
+
+        class Held:
+            pass
+
+        def work(item, slot):
+            if raises:
+                raise ZeroDivisionError("item")
+
+        pool = BlockPool(2)
+        held = Held()
+        ref = weakref.ref(held)
+        try:
+            pool.run([held] * 8, work)
+        except ZeroDivisionError:
+            assert raises
+        del held
+        gc.collect()
+        assert ref() is None
+        pool.close()
+
     def test_a_forked_child_builds_its_own_pool(self, monkeypatch, small_blocks):
         """The parent steps threaded cycles; a fork-context child of it
         steps the same solver on a pool of its own and exits."""
@@ -438,7 +465,7 @@ class TestFailedDispatch:
         for _ in range(2):
             clean.step_cycle()
         runner.step_cycle()
-        saved = {name: np.array(array) for name, array in runner.solver.state_arrays().items()}
+        saved = {"dofs": np.array(runner.solver.dofs)}
         time, updates = runner.solver.time, runner.solver.n_element_updates
         if case == "gts":
             backend, dispatch = runner.solver.backend, runner.solver.backend._dispatch
@@ -496,7 +523,7 @@ class TestFailedDispatch:
         runner = make_runner(spec)
         runner.step_cycle()
         solver = runner.solver
-        saved = {name: np.array(array) for name, array in solver.state_arrays().items()}
+        saved = {"dofs": np.array(solver.dofs)}
         time, updates = solver.time, solver.n_element_updates
         for items in solver.clusters[0].items:
             items["correct"].insert(0, self._boom)

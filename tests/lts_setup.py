@@ -1,5 +1,5 @@
 """Building a directly constructed discretization in cluster order, and
-decoding LTS buffer-store rows.
+seeding and decoding LTS buffer-store rows.
 
 A clustered LTS solver runs on a mesh whose time clusters are contiguous
 runs of element ids (:func:`repro.mesh.reorder.reorder_elements`); scenario
@@ -9,7 +9,7 @@ use this helper.
 
 import numpy as np
 
-from repro.core.buffers import GHOST
+from repro.core.buffers import B1, GHOST
 from repro.kernels.discretization import Discretization
 from repro.mesh.reorder import reorder_elements
 
@@ -35,3 +35,14 @@ def locate(layout, rows) -> tuple[np.ndarray, np.ndarray]:
         mine = block == b
         element[mine] = stored[rows[mine] - layout.offsets[b]]
     return block, element
+
+
+def seed_buffers(buffers, rng) -> None:
+    """Random values in every stored buffer row, written as two predictions
+    write them: an even step, then an odd one (so ``B3`` holds the sum of
+    the two full-step integrals)."""
+    shape, dtype = buffers.b1.shape, buffers.store.dtype
+    for step_index in (0, 1):
+        full, half = (rng.standard_normal(shape).astype(dtype) for _ in range(2))
+        for elements, _ in buffers.layout.runs(B1):
+            buffers.fill(elements, full[elements], half[elements], step_index)

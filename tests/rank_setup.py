@@ -4,21 +4,21 @@ a rank.
 Every multi-rank run forks its rank workers, so a test cannot reach a live
 rank.  :func:`rank_solvers` builds the same :class:`RankSolver` objects in
 this process from the engine's subdomains; checks that need a stepped state
-restore the engine's gathered state into them.
+restore the engine's gathered DOFs into them, and checks that read the
+buffers step them a cycle (:func:`step_ranks`) first.
 """
 
 import queue
+import threading
 
 from repro.distributed import RankSolver
 from repro.parallel.communicator import ProcessCommunicator
-
-_RANK_ARRAYS = ("dofs", "b1", "b2", "b3")
 
 
 def rank_solvers(engine, *, restore: bool = False) -> list:
     """One in-process :class:`RankSolver` per subdomain of ``engine``, wired
     to each other over in-process queues; ``restore`` copies the engine's
-    current state (gathered from its workers) into them."""
+    current DOFs (gathered from its workers) into them."""
     inbound = [queue.SimpleQueue() for _ in engine.subdomains]
     solvers = [
         RankSolver(
@@ -26,6 +26,7 @@ def rank_solvers(engine, *, restore: bool = False) -> list:
             ProcessCommunicator(
                 sub.rank, engine.n_ranks, inbound[sub.rank],
                 {d: q for d, q in enumerate(inbound) if d != sub.rank},
+                timeout=30.0,
             ),
             n_fused=engine.n_fused,
             kernels=engine.kernels,
@@ -34,10 +35,28 @@ def rank_solvers(engine, *, restore: bool = False) -> list:
     ]
     assert len(solvers) == engine.n_ranks > 1
     if restore:
-        state = engine.state_arrays()
+        dofs = engine.dofs
         for sub, solver in zip(engine.subdomains, solvers):
-            local = {name: state[name][sub.owned] for name in _RANK_ARRAYS}
-            solver.restore_state(
-                dict(local, step_index=state["step_index"]), engine.time, 0
-            )
+            solver.restore_state({"dofs": dofs[sub.owned]}, engine.time, 0)
     return solvers
+
+
+def step_ranks(solvers) -> None:
+    """Step every rank of :func:`rank_solvers` one macro cycle, each on its
+    own thread: a rank blocks on its peers' packs, as a forked worker does."""
+    errors = []
+
+    def step(solver):
+        try:
+            solver.step_cycle()
+        except BaseException as error:
+            errors.append(error)
+
+    threads = [threading.Thread(target=step, args=(solver,)) for solver in solvers]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(120)
+        assert not thread.is_alive(), "a rank did not finish its cycle"
+    if errors:
+        raise errors[0]

@@ -322,9 +322,10 @@ class TestCheckpointRestart:
 
     @pytest.mark.parametrize("kernels", ["ref", "fast"])
     def test_checkpoint_holds_solver_order_and_resumes_bitwise(self, tmp_path, kernels):
-        """Format 2: DOFs, buffers and cluster ids in the setup's cluster
-        order, which the resumed run rebuilds from the stored spec (La Habra:
-        its generation order is not cluster order)."""
+        """Format 3: DOFs and cluster ids in the setup's cluster order,
+        which the resumed run rebuilds from the stored spec (La Habra: its
+        generation order is not cluster order), and no LTS buffers or step
+        counters."""
         spec = get_scenario("la_habra").smoke().with_overrides(
             n_clusters=3, n_cycles=3, kernels=kernels
         )
@@ -338,12 +339,48 @@ class TestCheckpointRestart:
             interrupted.step_cycle()
         interrupted.save_checkpoint(path)
         with np.load(path) as data:
-            assert json.loads(str(data["meta"]))["format_version"] == 2
+            assert json.loads(str(data["meta"]))["format_version"] == 3
             assert np.all(np.diff(data["cluster_ids"]) >= 0)
             np.testing.assert_array_equal(data["dofs"], interrupted.solver.dofs)
-            np.testing.assert_array_equal(data["b3"], interrupted.solver.buffers.b3)
+            assert not {"step_index", "b1", "b2", "b3"} & set(data.files)
 
         resumed = ScenarioRunner.resume(path)
+        resumed.run()
+        np.testing.assert_array_equal(resumed.solver.dofs, full.solver.dofs)
+        for receiver in full.receivers.receivers:
+            np.testing.assert_array_equal(
+                resumed.receivers[receiver.name].seismogram()[1], receiver.seismogram()[1]
+            )
+
+    @pytest.mark.parametrize(
+        "n_ranks", [1, pytest.param(2, marks=pytest.mark.distributed)]
+    )
+    def test_format_2_checkpoint_resumes_bitwise(self, tiny_loh3, tmp_path, n_ranks):
+        """Format 2 also stored ``step_index`` and the three LTS buffers: a
+        resume ignores them, whatever they hold, and continues bitwise."""
+        spec = tiny_loh3.with_overrides(n_ranks=n_ranks)
+        path = tmp_path / "run.ckpt.npz"
+        full = ScenarioRunner(spec)
+        full.run()
+        interrupted = ScenarioRunner(spec)
+        while interrupted.cycles_done < 2:
+            interrupted.step_cycle()
+        interrupted.save_checkpoint(path)
+        interrupted.solver.close()
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files}
+        meta = json.loads(str(arrays.pop("meta")))
+        meta["format_version"] = 2
+        rng = np.random.default_rng(5)
+        buffer_shape = arrays["dofs"].shape[:1] + (9,) + arrays["dofs"].shape[2:]
+        for name in ("b1", "b2", "b3"):
+            arrays[name] = rng.standard_normal(buffer_shape)
+        arrays["step_index"] = rng.integers(0, 9, len(arrays["cluster_time_steps"]))
+        with open(path, "wb") as handle:
+            np.savez(handle, meta=json.dumps(meta), **arrays)
+
+        resumed = ScenarioRunner.resume(path)
+        assert resumed.spec.solver.n_ranks == n_ranks
         resumed.run()
         np.testing.assert_array_equal(resumed.solver.dofs, full.solver.dofs)
         for receiver in full.receivers.receivers:
@@ -492,7 +529,11 @@ class TestCli:
         spec_file.write_text(spec.to_json())
         assert cli_main(["run", "--spec", str(spec_file), "--quiet"]) == 0
 
-    def test_run_checkpoint_and_resume(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "ranks", [[], pytest.param(["--ranks", "2"], marks=pytest.mark.distributed)],
+        ids=["1rank", "2rank"],
+    )
+    def test_run_checkpoint_and_resume(self, tmp_path, capsys, ranks):
         ckpt = tmp_path / "cli.ckpt.npz"
         args = [
             "run",
@@ -501,6 +542,7 @@ class TestCli:
             "--set", "characteristic_length=750.0",
             "--order", "2",
             "--cycles", "2",
+            *ranks,
             "--checkpoint", str(ckpt),
             "--quiet",
         ]
