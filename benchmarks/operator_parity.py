@@ -17,6 +17,11 @@ compared as the one ``flux_solvers`` array they are views of.  The one stated ex
 one face class (its rounded-value dedup split round-off twins), the gathered
 per-face matrices must agree within 1e-13 and fewer matrices must be stored.
 
+``--compare`` also checks, for every operator set of every case, that a
+rank's assembly (``Discretization.restricted`` on each side of a
+2-partition, built before the whole set exists) equals the whole set's
+rows, and reports any mismatch as a problem.
+
 Cases: the benchmark workloads' meshes (``loh3-m-lts``, ``basin-s-lts``, the
 small LOH.3 of the sweep/CLI workloads, ``loh3-l-setup`` in original and
 reordered element order), the golden-fixture configurations and every
@@ -37,6 +42,8 @@ sys.path.insert(0, str(Path(__file__).parent / "e2e"))
 import workloads  # noqa: E402  (benchmarks/e2e: the workload generators)
 
 from repro.kernels import Discretization  # noqa: E402
+from repro.kernels.discretization import ELEMENT_OPERATORS  # noqa: E402
+from repro.parallel.partition import partition_dual_graph  # noqa: E402
 from repro.scenarios import ScenarioSpec, get_scenario, make_runner, scenario_names  # noqa: E402
 from repro.scenarios.runner import build_setup  # noqa: E402
 from repro.source import locate_point  # noqa: E402
@@ -61,8 +68,24 @@ def _specs() -> dict:
     return specs
 
 
-def collect() -> dict:
-    """``{"<case>/<array>": array}`` for every case of this checkout."""
+def restricted_problems(prefix: str, disc) -> list[str]:
+    """Each side of a 2-partition of ``disc``'s mesh restricted, then
+    compared with the whole set's rows (which the comparison assembles)."""
+    parts = partition_dual_graph(disc.mesh.neighbors, np.ones(disc.n_elements), 2).partitions
+    sides = [np.flatnonzero(parts == side) for side in (0, 1)]
+    ranks = [disc.restricted(rows, np.full((len(rows), 4), -1)) for rows in sides]
+    return [
+        f"{prefix}/{name}: partition {side}'s restricted rows differ"
+        for side, (rows, rank) in enumerate(zip(sides, ranks))
+        for name in ELEMENT_OPERATORS
+        if not np.array_equal(getattr(rank, name), getattr(disc, name)[rows])
+    ]
+
+
+def collect(problems: list | None = None) -> dict:
+    """``{"<case>/<array>": array}`` for every case of this checkout; with
+    ``problems`` given, every operator set's :func:`restricted_problems`
+    are appended to it."""
     out = {}
     for case, spec in _specs().items():
         reordered = spec.preprocessing.active
@@ -78,6 +101,8 @@ def collect() -> dict:
         if reordered:
             variants["reordered"] = make_runner(spec).setup.disc
         for variant, d in variants.items():
+            if problems is not None:
+                problems += restricted_problems(f"{case}/{variant}", d)
             for key, array in d.operator_arrays().items():
                 out[f"{case}/{variant}/{key}"] = array
         points = dict(setup.receiver_locations)
@@ -155,12 +180,13 @@ def main() -> int:
     group.add_argument("--dump", metavar="NPZ", help="write this checkout's arrays")
     group.add_argument("--compare", metavar="NPZ", help="compare this checkout against a dump")
     args = parser.parse_args()
-    arrays = collect()
     if args.dump:
-        np.savez(args.dump, **arrays)
+        np.savez(args.dump, **collect())
         return 0
+    problems: list[str] = []
+    arrays = collect(problems)
     with np.load(args.compare) as data:
-        problems = compare(arrays, {k: data[k] for k in data.files})
+        problems += compare(arrays, {k: data[k] for k in data.files})
     for problem in problems:
         print(problem)
     print(f"{len(arrays)} arrays compared, {len(problems)} problems")

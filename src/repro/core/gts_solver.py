@@ -42,6 +42,9 @@ class GlobalTimeSteppingSolver(SingleRankStepper):
         telemetry=None,
         steps_per_cycle: int = 1,
     ):
+        # the element operators are assembled with the solver, not in its
+        # first step
+        disc.assemble_element_operators()
         self.disc = disc
         self.dt = float(dt) if dt is not None else float(disc.time_steps.min())
         if self.dt <= 0:

@@ -103,6 +103,9 @@ class ClusteredLtsSolver(SingleRankStepper):
         ranges = cluster_ranges(clustering.cluster_ids, clustering.n_clusters)
         if np.any(clustering.cluster_time_steps[clustering.cluster_ids] > disc.time_steps + 1e-12):
             raise ValueError("clustered time steps exceed the CFL limit of some elements")
+        # the element operators are assembled with the solver, not in its
+        # first step
+        disc.assemble_element_operators()
         self.disc = disc
         self.clustering = clustering
         self.n_fused = n_fused

@@ -11,7 +11,10 @@ halo traffic, the receiver samples and the lane's regions, counters and
 trace events), ``dofs`` (the rank's DOFs: with the time and the update
 count, its whole state at a macro-cycle boundary) and ``restore`` (a
 rank's DOFs, time and update count in).  A failing command replies
-``("error", traceback)`` and ends the loop.
+``("error", traceback)`` and ends the loop.  Before its first command a
+worker builds its rank -- the solver assembles the rank's own operator rows
+(:meth:`~repro.kernels.discretization.Discretization.restricted`) -- and
+replies once: ``("ok", None)`` when it is ready, or the build's error.
 
 :func:`start_ranks` forks one rank worker per rank, as the paper runs one
 process per rank with threads inside it: a
@@ -137,12 +140,14 @@ class RankWorker:
 
 
 def _serve_rank(ctrl, setup: RankSetup, inbound, outbound: dict) -> None:
-    """A worker process: build the rank, then serve it."""
+    """A worker process: build the rank, report it ready (or its build
+    error), then serve it."""
     try:
         worker = RankWorker(setup, inbound, outbound)
     except Exception:
         ctrl.send(("error", traceback.format_exc()))
         return
+    ctrl.send(("ok", None))
     worker.serve(ctrl)
 
 

@@ -19,7 +19,10 @@ the engine adds the changes into one
 receivers and one mirror lane per rank, so summaries never need a worker
 round-trip.  :meth:`close` caches the per-rank DOFs and stops the workers;
 the next command respawns them and restores the cache, and the fresh
-workers' replies add to the same totals.  The engine waits on
+workers' replies add to the same totals.  A start -- the first one and
+every respawn -- returns once every rank has reported its solver built
+(each worker assembles its own operator rows), so a rank whose build
+raises fails the start, naming the rank.  The engine waits on
 every rank's pipe and process together
 (:meth:`~repro.parallel.supervisor.WorkerPool.wait`), so a rank that errors
 or dies is seen at once: it stops every worker and fails the engine, and
@@ -121,7 +124,7 @@ class ProcessLtsEngine:
         #: the per-rank DOFs the next workers start from (``None``: none)
         self._cache: list[np.ndarray] | None = None
         self._failed = False
-        self._pool = start_ranks(self._setups)
+        self._start()
 
     def _rank_setup(self, sub: RankSubdomain, sources: list) -> RankSetup:
         """The recipe of rank ``sub.rank``'s worker: its sources and
@@ -150,6 +153,12 @@ class ProcessLtsEngine:
     # ------------------------------------------------------------------
     # worker lifecycle
     # ------------------------------------------------------------------
+    def _start(self) -> None:
+        """Fork the rank workers and wait until every rank is built: a rank
+        whose build raises fails the engine here, naming the rank."""
+        self._pool = start_ranks(self._setups)
+        self._collect()
+
     def _ensure_alive(self) -> None:
         if self._pool is not None:
             return
@@ -161,7 +170,7 @@ class ProcessLtsEngine:
                 "state is unrecoverable -- restore a state (or resume from "
                 "the last checkpoint)"
             )
-        self._pool = start_ranks(self._setups)
+        self._start()
         cache, self._cache = self._cache, None
         if cache is not None:
             # fresh workers record into empty receiver shims and report only

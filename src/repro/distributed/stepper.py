@@ -2,9 +2,9 @@
 
 A :class:`RankSolver` is a :class:`~repro.core.lts_solver.ClusteredLtsSolver`
 running on one rank's :class:`~repro.distributed.subdomain.RankSubdomain`:
-the global discretization restricted to the rank's rows (gathered when the
-solver is built, in the worker that steps it), local DOFs, local LTS
-buffers, local element-ids everywhere.  Three things
+the global discretization restricted to the rank's rows (assembled for
+those rows alone when the solver is built, in the worker that steps it),
+local DOFs, local LTS buffers, local element-ids everywhere.  Three things
 are added on top of the shared driver logic:
 
 * :meth:`predict_step` -- inside the one stepping walk of

@@ -9,7 +9,8 @@ halo payloads received through the communicator.  A subdomain holds maps
 and plans only; the rank's operators are the global
 :class:`~repro.kernels.discretization.Discretization` restricted to its
 rows (:meth:`~repro.kernels.discretization.Discretization.restricted`),
-which the rank's solver gathers in the worker that steps it.
+which the rank's solver assembles for those rows alone in the worker that
+steps it.
 
 The local order is the paper's (time cluster, communication role) order
 (Sec. VI): a rank's elements are sorted by cluster, within a cluster the
@@ -101,7 +102,7 @@ class RecvPlan:
 
 class RankSubdomain:
     """Everything one rank needs: its maps and halo plans, and what its
-    operators are gathered from.
+    operators are assembled from.
 
     ``owned[local_id] = global_id`` lists the partition's elements in
     (cluster, boundary-before-interior, global id) order and
@@ -111,7 +112,7 @@ class RankSubdomain:
     batch.  ``disc`` is the global discretization and ``local_neighbors``
     the owned elements' face neighbours in local ids (``-1`` across the
     partition boundary): the rank's solver steps
-    ``disc.restricted(owned, local_neighbors)``, gathered where it runs.
+    ``disc.restricted(owned, local_neighbors)``, assembled where it runs.
     """
 
     def __init__(

@@ -21,10 +21,16 @@ EDGE's per-partition annotation data written by the preprocessing pipeline:
   (Sec. III, ref. [31]), and
 * per-element CFL time steps.
 
-Assembly is batched over elements (quail's ``ElemOperators`` idiom): the
-flux solvers are filled a chunk of ``(K, 4)`` faces per call into the
-Riemann builders, and ``F_bar`` is evaluated for one representative face
-per class instead of every interior face.
+The per-element operators (the star, coupling and flux-solver arrays) are
+assembled by one routine, :meth:`Discretization.element_operators`, for
+any array of element ids: a whole-mesh discretization fills its set
+through it the first time anything reads one of them, and a rank's
+:meth:`Discretization.restricted` assembles its own rows through it, so the
+parent of a multi-rank run never holds the whole set unless something
+reads it.  Assembly is batched over elements (quail's ``ElemOperators``
+idiom): the flux solvers are filled a chunk of ids (all four faces) per
+call into the Riemann builders, and ``F_bar`` is evaluated for one
+representative face per class instead of every interior face.
 """
 
 from __future__ import annotations
@@ -56,6 +62,7 @@ from ..mesh.tet_mesh import BOUNDARY_FREE_SURFACE, TetMesh
 __all__ = [
     "Discretization",
     "ELEMENT_OPERATORS",
+    "FLUX_VIEWS",
     "N_ELASTIC",
     "N_FLUX_ROWS",
     "N_STRESS",
@@ -85,9 +92,16 @@ _PRECISION_DTYPES = {"f64": np.float64, "f32": np.float32}
 #: (about 25 kB per element) well below the run-phase memory high-water mark
 _ASSEMBLY_CHUNK = 512
 
-#: the per-element operators (leading axis the element), cast to the run
-#: precision; :meth:`Discretization.restricted` gathers its rows of each
+#: the per-element operators (leading axis the element), in the run
+#: precision: :meth:`Discretization.element_operators` assembles them for
+#: any ids, a whole-mesh discretization on first read and
+#: :meth:`Discretization.restricted` for its rows
 ELEMENT_OPERATORS = ("star_stress", "star_velocity", "star_anelastic", "coupling", "flux_solvers")
+
+#: the four flux-solver kinds, views of ``flux_solvers``
+#: (:func:`flux_solver_views`)
+FLUX_VIEWS = ("flux_local_elastic", "flux_neigh_elastic",
+              "flux_local_anelastic", "flux_neigh_anelastic")
 
 #: the operators all elements share, cast to the run precision; a restricted
 #: discretization keeps them by reference
@@ -200,9 +214,13 @@ class Discretization:
         precision end to end.  Setup (geometry, quadrature, operator
         assembly, clustering) always computes in float64 and casts once.
 
-    A rank of a distributed run steps :meth:`restricted`: the same class on
-    its own element rows, whose per-element operators are gathered from
-    this one and whose shared operators are this one's.
+    The per-element operators (:data:`ELEMENT_OPERATORS` and the
+    :data:`FLUX_VIEWS`) are assembled the first time anything in the
+    process reads one of them (:meth:`assemble_element_operators`); a
+    single-rank solver does while it is built.  A rank of a distributed
+    run steps :meth:`restricted`: the same class on its own element rows,
+    which assembles the operators of those rows alone and shares this
+    one's other operators.
     """
 
     def __init__(
@@ -248,12 +266,26 @@ class Discretization:
             fit_constant_q(frequency_band, n_mechanisms) if n_mechanisms > 0 else None
         )
 
-        # -- element operators, flux solvers, neighbour flux matrices --------
+        # -- shared operators (the element operators come on first read) ----
         self.omegas = self.spectrum.omegas if n_mechanisms > 0 else np.zeros(0)
-        self._assemble_element_operators()
-        self._assemble_flux_solvers()
         self._assemble_neighbor_flux_matrices()
         self._cast_operators()
+
+    def __getattr__(self, name: str):
+        # reached only when normal lookup fails: an element operator of a
+        # whole-mesh discretization that nothing in this process has read yet
+        if name in ELEMENT_OPERATORS + FLUX_VIEWS and "materials" in vars(self):
+            self.assemble_element_operators()
+            return vars(self)[name]
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+
+    def assemble_element_operators(self) -> None:
+        """Assemble every element's operators now, unless this
+        discretization holds them already (a restricted one always does).
+        The first read of one of them calls it."""
+        if "flux_solvers" not in vars(self):
+            for name, array in self.element_operators(np.arange(self.n_elements)).items():
+                vars(self).setdefault(name, array)  # an assigned name stays
 
     def operator_arrays(self) -> dict:
         """The assembled operator arrays by name, in the run precision (what
@@ -267,37 +299,39 @@ class Discretization:
 
         ``local_neighbors`` ``(len(rows), 4)`` numbers each face's
         neighbour by its position in ``rows``, ``-1`` on a boundary face
-        or where the neighbour is not among ``rows``.  The per-element
-        arrays (:data:`ELEMENT_OPERATORS`, ``neighbor_flux_index``, which
-        keeps indexing the shared ``F_bar`` set, and ``time_steps``) are
-        gathered once and the flux-solver views rebuilt on the gather; the
+        or where the neighbour is not among ``rows``.  The
+        :data:`ELEMENT_OPERATORS` and flux views are assembled for ``rows``
+        alone (:meth:`element_operators`: no whole-mesh operator array is
+        read or built), ``neighbor_flux_index`` (which keeps indexing the
+        shared ``F_bar`` set) and ``time_steps`` are gathered, and the
         :data:`SHARED_OPERATORS` and reference operators stay shared.  The
         mesh is a facade of the local neighbours and the element count:
         nothing else of the whole mesh comes along -- no ``materials``, no
         geometry and no cached kernel data (a backend derives its own).
-        Every kernel contraction is per element or per face, so the
-        restricted kernels produce bitwise the rows' results.
+        Every assembly builder and kernel contraction is per element or per
+        face, so the restricted operators and kernels are bitwise the
+        rows' ones.
         """
         local = object.__new__(Discretization)
         for name in _SHARED_ATTRIBUTES + SHARED_OPERATORS:
             setattr(local, name, getattr(self, name))
-        for name in ELEMENT_OPERATORS + ("neighbor_flux_index", "time_steps"):
+        for name in ("neighbor_flux_index", "time_steps"):
             setattr(local, name, getattr(self, name)[rows])
-        vars(local).update(flux_solver_views(local.flux_solvers))
+        vars(local).update(self.element_operators(rows))
         local.mesh = SimpleNamespace(neighbors=local_neighbors, n_elements=len(rows))
         return local
 
     def _cast_operators(self) -> None:
-        """Cast every kernel operand to the run precision (no-op at f64).
+        """Cast the shared kernel operands to the run precision (no-op at
+        f64).
 
         The reference-element operators the kernels contract with are
         re-exposed as ``k_time``/``k_vol``/``ftilde``/``fhat`` attributes so
         the cast never mutates the (cached, shared) :class:`ReferenceElement`.
         """
         dtype = self.dtype
-        for name in ELEMENT_OPERATORS + SHARED_OPERATORS:
+        for name in SHARED_OPERATORS:
             setattr(self, name, getattr(self, name).astype(dtype, copy=False))
-        vars(self).update(flux_solver_views(self.flux_solvers))
         self.k_time = self.ref.k_time.astype(dtype, copy=False)
         self.k_vol = self.ref.k_vol.astype(dtype, copy=False)
         self.ftilde = self.ref.ftilde.astype(dtype, copy=False)
@@ -306,73 +340,96 @@ class Discretization:
     # ------------------------------------------------------------------
     # element operators
     # ------------------------------------------------------------------
-    def _assemble_element_operators(self) -> None:
-        """Assemble the compact star and coupling operators
-        (:func:`compact_element_operators`; without mechanisms
+    def element_operators(self, ids: np.ndarray) -> dict:
+        """The per-element operators of the elements ``ids`` (an index
+        array), in that order and in the run precision: every name of
+        :data:`ELEMENT_OPERATORS`, and the :data:`FLUX_VIEWS` of the
+        returned ``flux_solvers``.
+
+        The one routine that assembles them, from the mesh geometry, the
+        materials of the elements and of their face neighbours and the
+        relaxation spectrum, in float64, cast once; the flux solvers a
+        chunk of ``_ASSEMBLY_CHUNK`` ids at a time.  Every builder works
+        per element or per face, so an element's operators are bitwise the
+        same whichever ids it is assembled with.
+        """
+        ids = np.asarray(ids, dtype=np.int64)
+        materials = self.materials
+        parameters = (materials.lam, materials.mu, materials.rho)
+        out = {
+            name: array.astype(self.dtype, copy=False)
+            for name, array in self._star_and_coupling(ids, *parameters).items()
+        }
+        flux_solvers = np.empty((len(ids), 4, N_FLUX_ROWS, 2 * N_ELASTIC), self.dtype)
+        for start in range(0, len(ids), _ASSEMBLY_CHUNK):
+            rows = slice(start, start + _ASSEMBLY_CHUNK)
+            target = flux_solvers[rows]
+            block = target if target.dtype == np.float64 else np.empty(target.shape)
+            self._fill_flux_solvers(ids[rows], *parameters, block)
+            if block is not target:
+                target[...] = block
+        out["flux_solvers"] = flux_solvers
+        out.update(flux_solver_views(flux_solvers))
+        return out
+
+    def _star_and_coupling(self, ids, lam, mu, rho) -> dict:
+        """The compact star and coupling operators of the elements
+        ``ids`` (:func:`compact_element_operators`; without mechanisms
         ``star_anelastic`` is ``(K, 0, 9)`` and ``coupling`` ``(K, 6, 0)``):
         no dense star stack is ever formed."""
-        materials, m = self.materials, self.n_mechanisms
-        lam, mu, rho = materials.lam, materials.mu, materials.rho
+        lam, mu, rho = lam[ids], mu[ids], rho[ids]
         anelastic = anelastic_jacobians()
-        if m:
-            coupling = coupling_matrices(
-                *anelastic_lame_parameters(lam, mu, materials.qp, materials.qs, self.spectrum)
-            )
+        if self.n_mechanisms:
+            materials = self.materials
+            coupling = coupling_matrices(*anelastic_lame_parameters(
+                lam, mu, materials.qp[ids], materials.qs[ids], self.spectrum
+            ))
         else:
             anelastic = anelastic[:, :0]
-            coupling = np.zeros((self.mesh.n_elements, 0, N_ELASTIC, N_STRESS))
-        vars(self).update(compact_element_operators(
-            self.mesh.geometry.inverse_jacobians, elastic_jacobians(lam, mu, rho),
+            coupling = np.zeros((len(ids), 0, N_ELASTIC, N_STRESS))
+        return compact_element_operators(
+            self.mesh.geometry.inverse_jacobians[ids], elastic_jacobians(lam, mu, rho),
             anelastic, coupling,
-        ))
+        )
 
-    # ------------------------------------------------------------------
-    # flux solvers
-    # ------------------------------------------------------------------
-    def _assemble_flux_solvers(self) -> None:
-        """Fill :attr:`flux_solvers` in place, a chunk of elements (all four
-        faces) per call into the Riemann builders.
+    def _fill_flux_solvers(self, chunk, lam, mu, rho, out: np.ndarray) -> None:
+        """Fill ``out`` ``(len(chunk), 4, 15, 18)`` with the flux solvers of
+        the elements ``chunk``, all four faces in one call into the Riemann
+        builders.
 
-        One ``(K, 4, 15, 18)`` array holds every face's four solvers: the
-        elastic rows above the anelastic ones, the local solver's columns
-        left of the neighbour's -- the operand the fast correction
-        multiplies against ``[own trace | neighbour coefficients]``.  The
-        per-kind names are views of it (:func:`flux_solver_views`).
+        One array holds every face's four solvers: the elastic rows above
+        the anelastic ones, the local solver's columns left of the
+        neighbour's -- the operand the fast correction multiplies against
+        ``[own trace | neighbour coefficients]``.  The per-kind names are
+        views of it (:func:`flux_solver_views`).
         """
         mesh, geometry = self.mesh, self.mesh.geometry
-        n_elements = mesh.n_elements
-        lam, mu, rho = self.materials.lam, self.materials.mu, self.materials.rho
         flux_builder = rusanov_flux_matrices if self.flux == "rusanov" else godunov_flux_matrices
-
-        boundary = mesh.neighbors < 0
+        neighbors = mesh.neighbors[chunk]
+        boundary = neighbors < 0
         # a boundary face sees the element's own material on the ghost side
-        other = np.where(boundary, np.arange(n_elements)[:, None], mesh.neighbors)
+        other = np.where(boundary, chunk[:, None], neighbors)
         # absorbing and analytic faces keep the unmodified flux solver: their
         # ghost state equals the interior trace, or is injected by the solver
         # at run time
-        free_surface = boundary & (mesh.boundary_tags == BOUNDARY_FREE_SURFACE)
+        free_surface = boundary & (mesh.boundary_tags[chunk] == BOUNDARY_FREE_SURFACE)
         # weak-form sign and geometry scaling: -2 |S_i| / |J_k|
-        scale = (-2.0 * geometry.face_areas / geometry.determinants[:, None])[..., None, None]
-
-        self.flux_solvers = np.empty((n_elements, 4, N_FLUX_ROWS, 2 * N_ELASTIC))
-        views = flux_solver_views(self.flux_solvers).values()
-        for start in range(0, n_elements, _ASSEMBLY_CHUNK):
-            chunk = slice(start, start + _ASSEMBLY_CHUNK)
-            normals = geometry.face_normals[chunk]
-            neigh = other[chunk]
-            g_local, g_neigh = flux_builder(
-                lam[chunk, None], mu[chunk, None], rho[chunk, None],
-                lam[neigh], mu[neigh], rho[neigh], normals,
-            )
-            ga_local = 0.5 * anelastic_normal_jacobian(normals)
-            ga_neigh = ga_local.copy()
-            ghosted = free_surface[chunk]
-            if ghosted.any():
-                ghost = free_surface_ghost_operator(normals[ghosted])
-                g_neigh[ghosted] = g_neigh[ghosted] @ ghost
-                ga_neigh[ghosted] = ga_neigh[ghosted] @ ghost
-            for view, matrices in zip(views, (g_local, g_neigh, ga_local, ga_neigh)):
-                np.multiply(scale[chunk], matrices, out=view[chunk])
+        areas, determinants = geometry.face_areas[chunk], geometry.determinants[chunk]
+        scale = (-2.0 * areas / determinants[:, None])[..., None, None]
+        normals = geometry.face_normals[chunk]
+        g_local, g_neigh = flux_builder(
+            lam[chunk, None], mu[chunk, None], rho[chunk, None],
+            lam[other], mu[other], rho[other], normals,
+        )
+        ga_local = 0.5 * anelastic_normal_jacobian(normals)
+        ga_neigh = ga_local.copy()
+        if free_surface.any():
+            ghost = free_surface_ghost_operator(normals[free_surface])
+            g_neigh[free_surface] = g_neigh[free_surface] @ ghost
+            ga_neigh[free_surface] = ga_neigh[free_surface] @ ghost
+        views = flux_solver_views(out).values()
+        for view, matrices in zip(views, (g_local, g_neigh, ga_local, ga_neigh)):
+            np.multiply(scale, matrices, out=view)
 
     # ------------------------------------------------------------------
     # neighbouring flux matrices

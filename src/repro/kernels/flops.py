@@ -80,14 +80,17 @@ def count_flops_per_element_update(disc: Discretization, sparse: bool = False) -
     fhat_nnz = [_nnz(ref.fhat[i], 1e-12) for i in range(4)]
     # the compact operators hold every nonzero of the dense star and
     # coupling matrices: per direction for the stars, mechanism 0's block
-    # of the coupling stress rows
+    # of the coupling stress rows.  Element 0's are assembled alone, so a
+    # discretization whose whole set nothing has read stays without it.
+    first = disc.element_operators(np.arange(min(disc.n_elements, 1)))
     star_e_nnz = (
-        (_nnz(disc.star_stress[0]) + _nnz(disc.star_velocity[0])) // 3 if disc.n_elements else 0
+        (_nnz(first["star_stress"][0]) + _nnz(first["star_velocity"][0])) // 3
+        if disc.n_elements else 0
     )
-    star_a_nnz = _nnz(disc.star_anelastic[0]) // 3 if disc.n_elements else 0
-    coupling_nnz = _nnz(disc.coupling[0][:, :6]) if m else 0
-    flux_e_nnz = _nnz(disc.flux_local_elastic[0, 0]) if disc.n_elements else 0
-    flux_a_nnz = _nnz(disc.flux_local_anelastic[0, 0]) if disc.n_elements else 0
+    star_a_nnz = _nnz(first["star_anelastic"][0]) // 3 if disc.n_elements else 0
+    coupling_nnz = _nnz(first["coupling"][0][:, :6]) if m else 0
+    flux_e_nnz = _nnz(first["flux_local_elastic"][0, 0]) if disc.n_elements else 0
+    flux_a_nnz = _nnz(first["flux_local_anelastic"][0, 0]) if disc.n_elements else 0
     if disc.n_unique_neighbor_matrices:
         fbar_nnz = int(np.mean([_nnz(mat, 1e-12) for mat in disc.neighbor_flux_matrices]))
     else:

@@ -286,6 +286,7 @@ class TestBatchedFluxSolvers:
 
         for flux in ("rusanov", "godunov"):
             disc = Discretization(mesh, _layered_materials(mesh), order=3, flux=flux)
+            disc.assemble_element_operators()  # the element operators come on first read
         n_chunks = -(-mesh.n_elements // discretization._ASSEMBLY_CHUNK)
         assert n_chunks <= 8
         assert all(count <= 6 * n_chunks for count in calls.values()), calls
@@ -450,3 +451,86 @@ class TestDofHelpers:
         dofs = elastic_disc.project_initial_condition(lambda p: np.ones((len(p), 9)), n_fused=3)
         assert dofs.shape[-1] == 3
         np.testing.assert_allclose(dofs[..., 0], dofs[..., 2])
+
+
+def _bitwise_equal(a, b) -> bool:
+    """Same shape, dtype and bytes: unlike ``array_equal``, the sign of a
+    zero counts."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.fixture(scope="module")
+def smoke_meshes():
+    """Mesh and materials of every registered scenario's smoke spec."""
+    from repro.scenarios import scenario_names
+    from repro.scenarios.runner import staged_setup
+
+    return {
+        name: (setup.mesh, setup.materials)
+        for name in scenario_names()
+        for setup in [staged_setup(get_scenario(name).smoke())]
+    }
+
+
+class TestElementOperatorsOfAnyRows:
+    """One routine assembles the element operators of any element ids: a
+    restricted discretization's rows are bitwise the whole set's, and
+    building it leaves the whole set unassembled."""
+
+    def test_the_meshes_carry_free_surface_and_absorbing_faces(self, smoke_meshes):
+        tags = set()
+        for mesh, _ in smoke_meshes.values():
+            tags |= set(mesh.boundary_tags[mesh.neighbors < 0].tolist())
+        assert {BOUNDARY_FREE_SURFACE, BOUNDARY_ABSORBING} <= tags
+
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    @pytest.mark.parametrize("n_mechanisms", [0, 3])
+    @pytest.mark.parametrize("flux", ["rusanov", "godunov"])
+    def test_restricted_rows_are_the_whole_sets_rows(
+        self, smoke_meshes, flux, n_mechanisms, precision, monkeypatch
+    ):
+        from repro.parallel.partition import partition_dual_graph
+
+        # several chunks, ragged, cut differently for the whole set and a subset
+        monkeypatch.setattr(discretization, "_ASSEMBLY_CHUNK", 50)
+        rng = np.random.default_rng(7)
+        for scenario, (mesh, materials) in smoke_meshes.items():
+            disc = Discretization(
+                mesh, materials, order=2, n_mechanisms=n_mechanisms, flux=flux,
+                precision=precision,
+            )
+            n = disc.n_elements
+            parts = partition_dual_graph(mesh.neighbors, np.ones(n), 2).partitions
+            row_sets = [np.flatnonzero(parts == 0), np.flatnonzero(parts == 1),
+                        rng.permutation(n)[: n // 3]]
+            restricted = [disc.restricted(rows, np.full((len(rows), 4), -1)) for rows in row_sets]
+            assert "flux_solvers" not in vars(disc), scenario  # no whole set was built
+            for rows, local in zip(row_sets, restricted):
+                for name in discretization.ELEMENT_OPERATORS + discretization.FLUX_VIEWS:
+                    assert name in vars(local), (scenario, name)
+                    assert _bitwise_equal(getattr(local, name), getattr(disc, name)[rows]), (
+                        scenario, name,
+                    )
+                for name in discretization.FLUX_VIEWS:
+                    assert getattr(local, name).base is local.flux_solvers, (scenario, name)
+
+    def test_the_first_read_assembles_the_whole_set_once(self, monkeypatch):
+        mesh = small_mesh(n=2, jitter=0.1)
+        disc = Discretization(mesh, _layered_materials(mesh), order=2, n_mechanisms=3)
+        calls = []
+        assemble = Discretization.element_operators
+        monkeypatch.setattr(
+            Discretization, "element_operators",
+            lambda self, ids: calls.append(np.array(ids)) or assemble(self, ids),
+        )
+        assert not set(discretization.ELEMENT_OPERATORS) & set(vars(disc))
+        star = disc.star_stress
+        assert len(calls) == 1 and np.array_equal(calls[0], np.arange(disc.n_elements))
+        assert star is vars(disc)["star_stress"]
+        for name in discretization.ELEMENT_OPERATORS + discretization.FLUX_VIEWS:
+            assert name in vars(disc), name
+        disc.flux_local_elastic, disc.assemble_element_operators()
+        assert len(calls) == 1
+        with pytest.raises(AttributeError, match="no attribute 'star_elastic'"):
+            disc.star_elastic

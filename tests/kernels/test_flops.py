@@ -55,3 +55,18 @@ class TestFlopCounts:
         assert (disc.order, disc.n_mechanisms) == (4, 3)
         assert count_flops_per_element_update(disc, sparse=False).total == 290_100
         assert count_flops_per_element_update(disc, sparse=True).total == 141_040
+
+    def test_counting_assembles_element_zero_alone(self, monkeypatch):
+        """The run summary counts on a multi-rank parent too: the count
+        assembles element 0's operators, never the whole-mesh set."""
+        disc = build_setup(get_scenario("loh3", characteristic_length=2000.0)).disc
+        assembled = []
+        assemble = Discretization.element_operators
+        monkeypatch.setattr(
+            Discretization, "element_operators",
+            lambda self, ids: assembled.append(list(ids)) or assemble(self, ids),
+        )
+        counts = [count_flops_per_element_update(disc, sparse=s).total for s in (False, True)]
+        assert assembled == [[0], [0]]
+        assert "flux_solvers" not in vars(disc)
+        assert counts == [290_100, 141_040]
