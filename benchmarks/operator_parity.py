@@ -8,12 +8,16 @@ of ``repro`` cannot live in one interpreter, the check is two invocations::
     PYTHONPATH=<parent checkout>/src python benchmarks/operator_parity.py --dump parent.npz
     PYTHONPATH=src python benchmarks/operator_parity.py --compare parent.npz
 
-``--compare`` requires ``np.array_equal`` for every array.  A dump of a
-checkout that stored the dense ``star_elastic`` / ``star_anelastic`` /
-``coupling`` stacks is compared in the compact layout
-(``Discretization.star_stress`` and the rest), once its dropped blocks
-proved exact zeros, and a dump that listed the four ``flux_*`` views is
-compared as the one ``flux_solvers`` array they are views of.  The one stated exception: where the reference stored several neighbouring flux matrices for
+``--dump`` writes a compressed ``.npz``.  ``--compare`` requires
+``np.array_equal`` for every array.  A dump of a checkout that stored the
+dense ``star_elastic`` / ``star_anelastic`` / ``coupling`` stacks is
+compared in the compact layout (``Discretization.star_stress`` and the
+rest), once its dropped blocks proved exact zeros; a dump that listed the
+four ``flux_*`` views is joined into the ``(K, 4, 15, 18)`` flux-solver
+array they were views of, and such an array is compared as the elastic
+``flux_solvers`` (rows 0-8) and the ``flux_anelastic`` velocity columns
+(rows 9-14 at columns 6-8 and 15-17), once every other anelastic column
+proved an exact zero.  The one stated exception: where the reference stored several neighbouring flux matrices for
 one face class (its rounded-value dedup split round-off twins), the gathered
 per-face matrices must agree within 1e-13 and fewer matrices must be stored.
 
@@ -52,9 +56,13 @@ from repro.verification.golden import GOLDEN_SCENARIOS, golden_spec  # noqa: E40
 NEIGHBOR_KEYS = ("neighbor_flux_matrices", "neighbor_flux_index")
 #: the dense operator stacks older checkouts stored
 DENSE_KEYS = ("star_elastic", "star_anelastic", "coupling")
-#: the flux-solver views older checkouts listed, as blocks of ``flux_solvers``
+#: the flux-solver views older checkouts listed, as blocks of their
+#: ``(K, 4, 15, 18)`` ``flux_solvers``
 FLUX_VIEW_KEYS = (("flux_local_elastic", "flux_neigh_elastic"),
                   ("flux_local_anelastic", "flux_neigh_anelastic"))
+#: the ``[local | neighbour]`` velocity columns of that array's anelastic
+#: rows: what ``flux_anelastic`` keeps
+VELOCITY_COLUMNS = [6, 7, 8, 15, 16, 17]
 
 
 def _specs() -> dict:
@@ -119,7 +127,8 @@ def collect(problems: list | None = None) -> dict:
 def _compact(reference: dict) -> dict:
     """``reference`` with any dense star and coupling stacks repacked as
     the compact operators (the elastic case's all-zero anelastic stack has
-    no rows there) and any four flux views joined into ``flux_solvers``; a
+    no rows there), any four flux views joined into the 15-row flux
+    solvers and those split into ``flux_solvers`` and ``flux_anelastic``; a
     nonzero in a dropped block stays a ``<key>: dropped block`` entry,
     which no checkout has."""
     out = dict(reference)
@@ -143,6 +152,14 @@ def _compact(reference: dict) -> dict:
         out[f"{prefix}/flux_solvers"] = np.block(
             [[out.pop(f"{prefix}/{name}") for name in row] for row in FLUX_VIEW_KEYS]
         )
+    for key in [k for k in out if k.endswith("/flux_solvers") and out[k].shape[2] == 15]:
+        prefix, dense = key.rpartition("/")[0], out.pop(key)
+        anelastic = dense[:, :, 9:]
+        dropped = np.delete(anelastic, VELOCITY_COLUMNS, axis=3)
+        if dropped.any():
+            out[f"{prefix}/flux_anelastic: dropped block"] = dropped
+        out[f"{prefix}/flux_solvers"] = dense[:, :, :9]
+        out[f"{prefix}/flux_anelastic"] = anelastic[..., VELOCITY_COLUMNS]
     return out
 
 
@@ -181,7 +198,7 @@ def main() -> int:
     group.add_argument("--compare", metavar="NPZ", help="compare this checkout against a dump")
     args = parser.parse_args()
     if args.dump:
-        np.savez(args.dump, **collect())
+        np.savez_compressed(args.dump, **collect())
         return 0
     problems: list[str] = []
     arrays = collect(problems)

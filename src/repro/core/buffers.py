@@ -20,16 +20,18 @@ zero blocks.
 Storage layout: the buffers live in one flat ``(R, 9, B[, f])`` row store,
 ``[B1 | B2 | B3 | B1 - B2 | ghost]``, holding only rows someone reads
 (:class:`BufferLayout`): ``B1`` a row per element, ``B2`` and the
-precomputed second-half integral ``B1 - B2`` rows only for the clusters
-whose next-smaller cluster is non-empty (their only readers), ``B3`` rows
-only for the clusters whose next-larger cluster is non-empty.  The trailing
-all-zero ghost row is what boundary faces gather.  Relation code and
-neighbour id combine into one flat row index per face, so a correction
-reads its neighbours straight from the flat store: the rows are static per
-cluster and step parity (:meth:`LtsBuffers.face_rows`), and a kernel
-backend gathers them per element block.  The second-half buffer is filled
-from the same ``full``/``half`` integrals a reader would subtract, so the
-gathered values are bit-identical to the three-buffer formulation.
+precomputed second-half integral ``B1 - B2`` rows only for the elements
+with a face neighbour in the next-smaller cluster (their only readers),
+``B3`` rows only for the elements with one in the next-larger cluster.
+Each block holds its elements' rows in element order, so the stored rows
+of any run of elements are one run of store rows.  The trailing all-zero
+ghost row is what boundary faces gather.  Relation code and neighbour id
+combine into one flat row index per face, so a correction reads its
+neighbours straight from the flat store: the rows are static per cluster
+and step parity (:meth:`LtsBuffers.face_rows`), and a kernel backend
+gathers them per element block.  The second-half buffer is filled from the
+same ``full``/``half`` integrals a reader would subtract, so the gathered
+values are bit-identical to the three-buffer formulation.
 """
 
 from __future__ import annotations
@@ -51,55 +53,50 @@ B1, B2, B3, B1_MINUS_B2, GHOST = 0, 1, 2, 3, 4
 
 
 class BufferLayout:
-    """Where the buffer rows of the elements of a cluster-ordered mesh sit
-    in the flat store.
+    """Where each element's buffer rows sit in the flat store.
 
-    ``stored[b, l]`` says whether block ``b`` (``B1`` .. ``B1_MINUS_B2``)
-    holds rows for cluster ``l``; each block holds its clusters' elements in
-    element order, from ``offsets[b]`` on, and ``offsets[GHOST]`` is the
-    ghost row.  ``cluster_ids`` must be ascending (every cluster one run of
-    element ids).
+    ``stored[b, k]`` says whether block ``b`` (``B1`` .. ``B1_MINUS_B2``)
+    holds a row for element ``k`` (``B1`` holds one for every element).
+    Each block holds its elements' rows in element order, from
+    ``offsets[b]`` on, and ``offsets[GHOST]`` is the ghost row, so the
+    stored rows of a run of elements are one run of store rows
+    (:meth:`run_rows`).
     """
 
-    def __init__(self, cluster_ids, stored):
-        cluster_ids = np.asarray(cluster_ids, dtype=np.int64)
+    def __init__(self, stored):
         stored = np.array(stored, dtype=bool)
-        if len(cluster_ids) and (
-            np.any(np.diff(cluster_ids) < 0) or cluster_ids[-1] >= stored.shape[1]
-        ):
-            raise ValueError("buffer layout needs ascending cluster ids below the cluster count")
         if not stored[B1].all():
             raise ValueError("B1 holds a row per element: a correction reads its own traces there")
-        self.cluster_ids, self.stored = cluster_ids, stored
-        sizes = stored * np.bincount(cluster_ids, minlength=stored.shape[1])  # (4, n_clusters)
-        first = np.cumsum(sizes[B1]) - sizes[B1]  # each cluster's first element id
-        self.offsets = np.concatenate([[0], np.cumsum(sizes.sum(axis=1))])
-        #: row of element ``k`` of cluster ``l`` in block ``b``: ``base[b, l] + k``
-        self._base = self.offsets[:4, None] + np.cumsum(sizes, axis=1) - sizes - first
+        self.stored = stored
+        #: ``before[b, k]``: the rows block ``b`` stores for elements ``< k``
+        self._before = np.zeros((4, stored.shape[1] + 1), dtype=np.int64)
+        np.cumsum(stored, axis=1, out=self._before[:, 1:])
+        self.offsets = np.concatenate([[0], np.cumsum(self._before[:, -1])])
+        #: row of element ``k`` in block ``b``, ``-1`` where it has none
+        self._row = np.where(stored, self.offsets[:4, None] + self._before[:, :-1], -1)
 
     @classmethod
-    def for_clusters(cls, cluster_ids, counts) -> "BufferLayout":
-        """The per-cluster rule: ``B2`` and ``B1 - B2`` rows where the
-        next-smaller cluster has elements, ``B3`` rows where the next-larger
-        one has.  ``counts`` are the per-cluster element counts of the whole
-        mesh (a rank's subdomain passes the global ones, so it keeps every
-        row a remote reader needs)."""
-        present = np.asarray(counts) > 0
-        stored = np.ones((4, len(present)), dtype=bool)
-        stored[[B2, B1_MINUS_B2], 0] = False
-        stored[[B2, B1_MINUS_B2], 1:] = present[:-1]
-        stored[B3, -1] = False
-        stored[B3, :-1] = present[1:]
-        return cls(cluster_ids, stored)
+    def for_neighbors(cls, cluster_ids, neighbor_clusters) -> "BufferLayout":
+        """The per-element rule: ``B2`` and ``B1 - B2`` rows where a face
+        neighbour is in a smaller cluster, ``B3`` rows where one is in a
+        larger cluster.  ``neighbor_clusters`` ``(K, 4)`` holds each face
+        neighbour's cluster, ``-1`` on a boundary face; a rank's subdomain
+        passes its remote neighbours' clusters too, so it keeps every row a
+        remote reader needs."""
+        own = np.asarray(cluster_ids)[:, None]
+        neighbor_clusters = np.asarray(neighbor_clusters)
+        half = ((neighbor_clusters >= 0) & (neighbor_clusters < own)).any(axis=1)
+        accumulated = (neighbor_clusters > own).any(axis=1)
+        return cls([np.ones_like(half), half, accumulated, half])
 
     @classmethod
     def dense(cls, n_elements: int) -> "BufferLayout":
         """Every buffer row of every element (one cluster read all ways)."""
-        return cls(np.zeros(n_elements, dtype=np.int64), np.ones((4, 1), dtype=bool))
+        return cls(np.ones((4, n_elements), dtype=bool))
 
     @property
     def n_elements(self) -> int:
-        return len(self.cluster_ids)
+        return self.stored.shape[1]
 
     @property
     def n_rows(self) -> int:
@@ -122,35 +119,26 @@ class BufferLayout:
         block = np.where(relations == SMALLER, B3, B1)
         block = np.where(relations == LARGER, larger, block)
         boundary = relations == BOUNDARY
-        ids = np.where(boundary, 0, neighbors)
-        clusters = self.cluster_ids[ids]
-        if not np.all(self.stored[block, clusters] | boundary):
-            raise ValueError("a face reads buffer rows its neighbour's cluster does not store")
-        return np.where(boundary, self.offsets[GHOST], self._base[block, clusters] + ids)
+        rows = self._row[block, np.where(boundary, 0, neighbors)]
+        if np.any((rows < 0) & ~boundary):
+            raise ValueError("a face reads a buffer row its neighbour does not store")
+        return np.where(boundary, self.offsets[GHOST], rows)
 
-    def block_rows(self, block: int, elements: slice) -> slice | None:
-        """The store rows of block ``block`` for a run of elements of one
-        cluster, or ``None`` if that cluster's rows are not stored."""
+    def elements(self, block: int) -> np.ndarray:
+        """The elements block ``block`` stores rows for, in row order."""
+        return np.flatnonzero(self.stored[block])
+
+    def run_rows(self, block: int, elements: slice) -> tuple[slice, np.ndarray | None]:
+        """``(rows, index)`` of a run of elements in block ``block``: the
+        run of store rows holding the stored ones, and their positions in
+        the run (``None`` when every element of the run is stored)."""
         run = range(self.n_elements)[elements]
-        if not run:
-            return slice(0, 0)
-        cluster = self.cluster_ids[run.start]
-        if self.cluster_ids[run.stop - 1] != cluster:
-            raise ValueError("a buffer row run must lie in one cluster")
-        if not self.stored[block, cluster]:
-            return None
-        base = int(self._base[block, cluster])
-        return slice(base + run.start, base + run.stop)
-
-    def runs(self, block: int) -> list[tuple[slice, slice]]:
-        """``[(elements, store rows), ...]``: the element runs block
-        ``block`` stores, one per non-empty stored cluster."""
-        bounds = np.searchsorted(self.cluster_ids, np.arange(self.stored.shape[1] + 1))
-        return [
-            (slice(int(a), int(b)), self.block_rows(block, slice(int(a), int(b))))
-            for l, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]))
-            if b > a and self.stored[block, l]
-        ]
+        before = self._before[block]
+        base = int(self.offsets[block])
+        rows = slice(base + int(before[run.start]), base + int(before[run.stop]))
+        if rows.stop - rows.start == len(run):
+            return rows, None
+        return rows, np.flatnonzero(self.stored[block, run.start : run.stop])
 
 
 class LtsBuffers:
@@ -190,8 +178,8 @@ class LtsBuffers:
             view = self._flat[: self._n_elements]
         else:
             view = np.zeros((self._n_elements,) + self._flat.shape[1:], dtype=self._flat.dtype)
-            for elements, rows in self.layout.runs(block):
-                view[elements] = self._flat[rows]
+            offsets = self.layout.offsets
+            view[self.layout.elements(block)] = self._flat[offsets[block] : offsets[block + 1]]
         view.flags.writeable = False
         return view
 
@@ -235,7 +223,7 @@ class LtsBuffers:
         ----------
         elements:
             The run of element ids that predicted (a cluster, or a row range
-            of one): the buffer rows are written through slice views.
+            of one): each buffer's rows of it are one run of store rows.
         elastic_integral:
             The elastic ``(E, 9, B[, f])`` rows of the prediction's
             time-integrated DOFs over the elements' full step -- what a
@@ -255,24 +243,37 @@ class LtsBuffers:
     def fill_calls(self, elements: slice, elastic_integral, elastic_half, step_index: int) -> list:
         """:meth:`fill` as ``(ufunc, operands)`` calls on views of the store,
         to run in order: what a kernel backend compiles into a block's
-        program."""
-        flat, layout, calls = self._flat, self.layout, []
-        half = layout.block_rows(B2, elements)
-        if elastic_half is not None and half is not None:
-            calls.append((np.copyto, (flat[half], elastic_half)))
+        program.  A block whose elements all store a buffer's rows writes
+        them through a slice; otherwise its stored subset is gathered with
+        a static index (``B3`` and ``B1 - B2`` from the just written,
+        contiguous ``B1`` rows)."""
+        flat, layout = self._flat, self.layout
+        own, _ = layout.run_rows(B1, elements)
+        calls = [(np.copyto, (flat[own], elastic_integral))]
+        full = flat[own]
+        half, index = layout.run_rows(B2, elements)
+        if elastic_half is not None and half.stop > half.start:
             # the second-half integral a smaller-step neighbour's odd
             # sub-step reads; ``full - half`` here equals the read-time
             # ``b1 - b2`` bitwise (same stored operands, same subtraction)
-            second = flat[layout.block_rows(B1_MINUS_B2, elements)]
-            calls.append((np.subtract, (elastic_integral, elastic_half, second)))
-        calls.append((np.copyto, (flat[layout.block_rows(B1, elements)], elastic_integral)))
-        accumulated = layout.block_rows(B3, elements)
-        if accumulated is not None:
-            b3 = flat[accumulated]
-            if step_index % 2 == 0:
-                calls.append((np.copyto, (b3, elastic_integral)))
+            second = flat[layout.run_rows(B1_MINUS_B2, elements)[0]]
+            if index is None:
+                calls.append((np.copyto, (flat[half], elastic_half)))
+                calls.append((np.subtract, (full, elastic_half, second)))
             else:
-                calls.append((np.add, (b3, elastic_integral, b3)))
+                calls.append((elastic_half.take, (index, 0, flat[half], "clip")))
+                calls.append((full.take, (index, 0, second, "clip")))
+                calls.append((np.subtract, (second, flat[half], second)))
+        accumulated, index = layout.run_rows(B3, elements)
+        if accumulated.stop > accumulated.start:
+            b3, even = flat[accumulated], step_index % 2 == 0
+            if index is None:
+                calls.append((np.copyto, (b3, full)) if even else (np.add, (b3, full, b3)))
+            elif even:
+                calls.append((full.take, (index, 0, b3, "clip")))
+            else:
+                gathered = np.empty_like(b3)
+                calls += [(full.take, (index, 0, gathered, "clip")), (np.add, (b3, gathered, b3))]
         return calls
 
     def face_rows(

@@ -147,8 +147,9 @@ class ClusteredLtsSolver(SingleRankStepper):
         return [cluster.workspace for cluster in self.clusters]
 
     def _buffer_layout(self) -> BufferLayout:
-        """The buffer rows with a reader, by the clustering of the whole mesh."""
-        return BufferLayout.for_clusters(self.clustering.cluster_ids, self.clustering.counts)
+        """The buffer rows with a reader, by each element's face neighbours."""
+        ids, neighbors = self.clustering.cluster_ids, self.disc.mesh.neighbors
+        return BufferLayout.for_neighbors(ids, np.where(neighbors >= 0, ids[neighbors], -1))
 
     # ------------------------------------------------------------------
     # the items of a cluster's prediction and correction
@@ -179,15 +180,16 @@ class ClusteredLtsSolver(SingleRankStepper):
         (the distributed rank stepper's boundary/interior split) produces
         bit-identical per-element results.  The buffers are filled per
         element block while its integrals are in cache; the half-step
-        integral is computed only where ``B2`` has a reader.
+        integral is computed only for a row range with ``B2`` rows.
         """
         if rows.start == rows.stop:
             return []
         first = cluster.elements.start
-        needs_half = bool(self.buffers.layout.stored[B2, cluster.cluster_id])
+        elements = range(first + rows.start, first + rows.stop)
+        half, _ = self.buffers.layout.run_rows(B2, slice(elements.start, elements.stop))
         return self.backend.prediction(
-            self.disc, self.dofs, cluster.dt, range(first + rows.start, first + rows.stop),
-            BufferFill(self.buffers, parity), ws=cluster.workspace, needs_half=needs_half,
+            self.disc, self.dofs, cluster.dt, elements, BufferFill(self.buffers, parity),
+            ws=cluster.workspace, needs_half=half.stop > half.start,
         )
 
     def _correction(self, cluster: _ClusterData, parity: int) -> list:

@@ -120,8 +120,10 @@ class RankWorker:
             "records": self._new_records(),
             "telemetry": self.lane.drain(),
             # RUSAGE_CHILDREN only counts *terminated* children, so a live
-            # worker process reports its own peak RSS
+            # worker process reports its own peak RSS, and its solver's
+            # resident MiB by owner
             "peak_rss_mb": peak_rss_mb(),
+            "memory_owners": self.solver.memory_owners(),
         }
 
     def _new_records(self) -> list:

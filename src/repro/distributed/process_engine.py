@@ -121,6 +121,8 @@ class ProcessLtsEngine:
         self._lanes = [self._rank_lane(r) for r in range(self.n_ranks)]
         #: per-rank worker-process peak RSS (MiB), max over worker generations
         self._rank_peak_rss = [0.0] * self.n_ranks
+        #: per-rank solver memory owners (MiB) of the latest reply
+        self._rank_owners: list[dict] = [{}] * self.n_ranks
         #: the per-rank DOFs the next workers start from (``None``: none)
         self._cache: list[np.ndarray] | None = None
         self._failed = False
@@ -287,6 +289,7 @@ class ProcessLtsEngine:
             self._rank_peak_rss[rank] = max(
                 self._rank_peak_rss[rank], float(reply["peak_rss_mb"])
             )
+            self._rank_owners[rank] = reply["memory_owners"]
             for name, times, samples in reply["records"]:
                 receiver = self.receiver_set[name]
                 receiver.times.extend(float(t) for t in times)
@@ -332,6 +335,12 @@ class ProcessLtsEngine:
         """Per-rank worker-process peak RSS in MiB (zeros before the first
         cycle)."""
         return list(self._rank_peak_rss)
+
+    @property
+    def rank_memory_owners(self) -> list[dict]:
+        """Per rank, its solver's resident MiB by owner as of its last
+        cycle (``RankSolver.memory_owners``; empty before the first)."""
+        return list(self._rank_owners)
 
     def modelled_exchange_per_cycle(self) -> dict:
         """The Fig-10 machine model's view of the same halo, for validation.

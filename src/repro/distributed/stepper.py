@@ -99,8 +99,8 @@ class RankSolver(ClusteredLtsSolver):
         self._next_drain = 0
 
     def _buffer_layout(self):
-        """The subdomain's buffer rows: the per-cluster rule of the whole
-        mesh, so every row a remote reader needs is stored."""
+        """The subdomain's buffer rows: the per-element rule on the global
+        neighbours, so every row a remote reader needs is stored."""
         return self.subdomain.buffer_layout
 
     # ------------------------------------------------------------------

@@ -30,7 +30,7 @@ order, so both sides agree on the layout without exchanging metadata.
 * the *send plans* list, per micro step of a macro cycle, each due owned
   face's row in the flat LTS buffer store (``B1``, ``B3``, ``B2`` or
   ``B1 - B2`` following the sub-step parity rules of Fig. 6, at the rank
-  store's :class:`~repro.core.buffers.BufferLayout` offsets), the
+  store's per-element :class:`~repro.core.buffers.BufferLayout` rows), the
   receiver's ``F_bar`` class and one run of faces per destination rank,
 * the *halo store* is one rank-level array of received payloads, one row
   per halo face, cluster-major; the *receive plans* list, per cluster, its
@@ -152,10 +152,11 @@ class RankSubdomain:
             dt_min=clustering.dt_min,
         )
 
-        #: the rank's LTS buffer rows: the per-cluster rule decided on the
-        #: global counts, so every row a remote reader needs is stored
-        self.buffer_layout = BufferLayout.for_clusters(
-            self.clustering.cluster_ids, clustering.counts
+        #: the rank's LTS buffer rows: the per-element rule decided on the
+        #: global neighbours, so every row a remote reader needs is stored
+        self.buffer_layout = BufferLayout.for_neighbors(
+            self.clustering.cluster_ids,
+            np.where(own_neighbors >= 0, clustering.cluster_ids[own_neighbors], -1),
         )
 
         ghost = (own_neighbors >= 0) & ~same_rank

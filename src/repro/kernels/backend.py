@@ -45,7 +45,7 @@ import numpy as np
 
 from ..observability import NULL_TELEMETRY
 from .ader import compute_time_derivatives, time_integrate
-from .discretization import N_ELASTIC, N_FLUX_ROWS, N_STRESS
+from .discretization import N_ELASTIC, N_STRESS
 from .surface import (
     neighbor_face_coefficients,
     project_local_traces,
@@ -351,18 +351,23 @@ class _DiscData:
     """Per-discretization derived data of the fast backend.
 
     ``ftilde_flat`` groups the four face projections into one ``(B, 4 F)``
-    operator so the trace projection is a single contraction.  ``flux`` is
-    a view of the discretization's own flux solvers, never a copy: the
-    discretization assembles them in the correction's layout (as it does
-    the compact star and coupling operators the stages read).
+    operator so the trace projection is a single contraction.  ``flux`` and
+    ``flux_anelastic`` are the discretization's own flux solvers, never
+    copies: it assembles them in the correction's layout (as it does the
+    compact star and coupling operators the stages read).
     """
 
-    __slots__ = ("flux", "ftilde_flat", "kcat_time", "kcat_vol", "fhat_flat", "_relaxation")
+    __slots__ = (
+        "flux", "flux_anelastic", "ftilde_flat", "kcat_time", "kcat_vol", "fhat_flat",
+        "_relaxation",
+    )
 
     def __init__(self, disc):
-        # (K, 4, Q, 18) flux solvers [local | neigh] side by side: the
-        # elastic rows plus (Q = 15) the anelastic rows all mechanisms share
-        self.flux = disc.flux_solvers[:, :, :N_FLUX_ROWS if disc.n_mechanisms else N_ELASTIC]
+        # (K, 4, 9, 18) elastic flux solvers [local | neigh] side by side,
+        # and with mechanisms the (K, 4, 6, 6) anelastic rows all mechanisms
+        # share, on the [local | neigh] velocity columns
+        self.flux = disc.flux_solvers
+        self.flux_anelastic = disc.flux_anelastic if disc.n_mechanisms else None
         ftilde = np.ascontiguousarray(disc.ftilde.transpose(1, 0, 2))
         self.ftilde_flat = ftilde.reshape(ftilde.shape[0], -1)
         # side-by-side stiffness operators, cut to the
@@ -1043,7 +1048,8 @@ class FastBackend(ReferenceBackend):
         ws = None if ws is None else ws.on(scratch)
         rows, block, source_rows, segments, operand_rows = entry
         n_basis, n_face_basis = disc.n_basis, disc.n_face_basis
-        n_rows, face = data.flux.shape[2], (N_ELASTIC, n_face_basis) + fused
+        n_rows = N_ELASTIC + (6 if disc.n_mechanisms else 0)
+        face = (N_ELASTIC, n_face_basis) + fused
         E, n_int = rows.stop - rows.start, len(source_rows)
 
         def scratch_of(name, shape):
@@ -1065,9 +1071,7 @@ class FastBackend(ReferenceBackend):
                 target = _view(operand, (4 * E, 2 * N_ELASTIC) + face[1:])[:, N_ELASTIC:]
                 calls.append((target.__setitem__, (faces[lo:hi] - 4 * rows.start, payloads[lo:hi])))
         surface = scratch_of("corr_surface", (E, disc.n_vars, n_basis))
-        calls += self._flux_calls(
-            data, data.flux[block], operand, surface[:, :n_rows], ws, "corr_solved"
-        )
+        calls += self._flux_calls(data, block, operand, surface[:, :n_rows], ws, "corr_solved")
         # mechanism l's rows: omega_l times the shared anelastic rows,
         # which sit in mechanism 0's (scaled last, in place)
         common = surface[:, N_ELASTIC:n_rows]
@@ -1077,20 +1081,35 @@ class FastBackend(ReferenceBackend):
             ("kernel.trace", traces), ("kernel.surface_neighbor", calls),
         ])
 
-    def _flux_calls(self, data, flux, face_coeffs, out, ws, name) -> list:
+    def _flux_calls(self, data, block, face_coeffs, out, ws, name) -> list:
         """``out[e, v] = sum_i (flux[e, i] @ face_coeffs[e, i])[v] @
-        fhat[i]`` as calls: the four flux solves are one ``(E, 4)``-batched
-        GEMM written
+        fhat[i]`` as calls, ``face_coeffs`` the ``(E, 4, 18, F[, f])``
+        ``[own trace | neighbour coefficients]`` of the block's faces: the
+        four elastic flux solves are one ``(E, 4)``-batched GEMM written
         through a transposed view into ``(E, V, 4, F[, f])``-ordered
         scratch, so the contraction axes ``(face, face_basis)`` are adjacent
         and the four back-projections are one ``(4 F, B)`` operator
-        application."""
-        E, _, n_rows = flux.shape[:3]
-        tail = face_coeffs.shape[3:]  # (F[, f])
+        application.  The anelastic rows (``out`` with 15 rows) read only
+        the velocities: one 3-row-chunk ``take`` gathers each face's own
+        and neighbour velocity rows, and a second per-face GEMM solves them
+        into the same scratch."""
+        flux = data.flux[block]
+        E, tail = flux.shape[0], face_coeffs.shape[3:]  # (F[, f])
+        n_rows = out.shape[1]
         solved = self._scratch(ws, name, (E, n_rows, 4) + tail, face_coeffs.dtype)
-        return [
-            self._bmm_call(flux, face_coeffs, solved.swapaxes(1, 2)),
-            self._basis_call(
-                _view(solved, (E, n_rows, 4 * tail[0]) + tail[1:]), data.fhat_flat, out
-            ),
-        ]
+        faces = solved.swapaxes(1, 2)
+        calls = [self._bmm_call(flux, face_coeffs, faces[:, :, :N_ELASTIC])]
+        if n_rows > N_ELASTIC:
+            velocities = self._scratch(ws, f"{name}_velocities", (E, 4, 6) + tail, solved.dtype)
+            # the trace rows in chunks of three: each face's chunks 2 (own
+            # velocities) and 5 (neighbour velocities)
+            chunks = (6 * np.arange(4 * E)[:, None] + (2, 5)).ravel()
+            calls.append((_view(face_coeffs, (24 * E, -1)).take, (
+                chunks, 0, _view(velocities, (8 * E, -1)), "clip",
+            )))
+            calls.append(
+                self._bmm_call(data.flux_anelastic[block], velocities, faces[:, :, N_ELASTIC:])
+            )
+        return calls + [self._basis_call(
+            _view(solved, (E, n_rows, 4 * tail[0]) + tail[1:]), data.fhat_flat, out
+        )]

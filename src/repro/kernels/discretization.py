@@ -13,9 +13,11 @@ EDGE's per-partition annotation data written by the preprocessing pipeline:
 * the relaxation spectrum,
 * element-local flux solver matrices ``A~+-_{k,i}`` with the geometry factor
   ``2 |S_i| / |J_k|`` folded in (boundary faces additionally fold in their
-  ghost-state operator), stored once as :attr:`Discretization.flux_solvers`
-  in the layout the fast correction multiplies -- the ref kernels read the
-  same values through views,
+  ghost-state operator), stored once without their zero columns in the
+  layout the fast correction multiplies: the elastic rows as
+  :attr:`Discretization.flux_solvers`, the anelastic rows, which read only
+  the particle velocities, as :attr:`Discretization.flux_anelastic` -- the
+  ref kernels read the same values through views,
 * the neighbouring flux matrices ``F_bar``, one per class of how two
   tetrahedra share a face -- the small unique set the paper exploits
   (Sec. III, ref. [31]), and
@@ -64,10 +66,10 @@ __all__ = [
     "ELEMENT_OPERATORS",
     "FLUX_VIEWS",
     "N_ELASTIC",
-    "N_FLUX_ROWS",
     "N_STRESS",
     "PRECISIONS",
     "SHARED_OPERATORS",
+    "VELOCITIES",
     "compact_element_operators",
     "flux_solver_views",
 ]
@@ -77,10 +79,6 @@ N_ELASTIC = 9
 #: the stress rows of the elastic state; rows ``N_STRESS:N_ELASTIC`` are the
 #: particle velocities
 N_STRESS = 6
-
-#: rows of a face's flux solvers: the elastic rows, then the six anelastic
-#: rows every mechanism shares (scaled by ``omega_l`` in the kernels)
-N_FLUX_ROWS = N_ELASTIC + 6
 
 #: supported state/operator precisions: float64 (the verification default)
 #: and float32 (EDGE's production single-precision mode)
@@ -95,13 +93,22 @@ _ASSEMBLY_CHUNK = 512
 #: the per-element operators (leading axis the element), in the run
 #: precision: :meth:`Discretization.element_operators` assembles them for
 #: any ids, a whole-mesh discretization on first read and
-#: :meth:`Discretization.restricted` for its rows
-ELEMENT_OPERATORS = ("star_stress", "star_velocity", "star_anelastic", "coupling", "flux_solvers")
+#: :meth:`Discretization.restricted` for its rows.  The flux solvers are
+#: two of them: ``flux_solvers`` ``(K, 4, 9, 18)``, the elastic rows, and
+#: ``flux_anelastic`` ``(K, 4, 6, 6)``, the anelastic rows all mechanisms
+#: share on their velocity columns; both ``[local | neighbour]``
+ELEMENT_OPERATORS = (
+    "star_stress", "star_velocity", "star_anelastic", "coupling", "flux_solvers", "flux_anelastic",
+)
 
-#: the four flux-solver kinds, views of ``flux_solvers``
+#: the four flux-solver kinds, views of ``flux_solvers`` (elastic, all nine
+#: trace columns) and ``flux_anelastic`` (the three velocity columns)
 #: (:func:`flux_solver_views`)
 FLUX_VIEWS = ("flux_local_elastic", "flux_neigh_elastic",
               "flux_local_anelastic", "flux_neigh_anelastic")
+
+#: the trace rows the anelastic flux solvers read: the particle velocities
+VELOCITIES = slice(N_STRESS, N_ELASTIC)
 
 #: the operators all elements share, cast to the run precision; a restricted
 #: discretization keeps them by reference
@@ -173,15 +180,17 @@ def compact_element_operators(
     }
 
 
-def flux_solver_views(flux_solvers: np.ndarray) -> dict:
-    """The four flux-solver kinds as views of one ``(K, 4, 15, 18)`` array:
-    rows elastic then anelastic, columns ``[local | neighbour]``."""
-    e = N_ELASTIC
+def flux_solver_views(flux_solvers: np.ndarray, flux_anelastic: np.ndarray) -> dict:
+    """The four flux-solver kinds as views of the ``(K, 4, 9, 18)`` elastic
+    and the ``(K, 4, 6, 6)`` anelastic solvers, columns ``[local |
+    neighbour]``: the elastic kinds read all nine trace rows, the
+    anelastic ones the three velocity rows (:data:`VELOCITIES`)."""
+    e, v = N_ELASTIC, VELOCITIES.stop - VELOCITIES.start
     return {
-        "flux_local_elastic": flux_solvers[..., :e, :e],
-        "flux_neigh_elastic": flux_solvers[..., :e, e:],
-        "flux_local_anelastic": flux_solvers[..., e:, :e],
-        "flux_neigh_anelastic": flux_solvers[..., e:, e:],
+        "flux_local_elastic": flux_solvers[..., :e],
+        "flux_neigh_elastic": flux_solvers[..., e:],
+        "flux_local_anelastic": flux_anelastic[..., :v],
+        "flux_neigh_anelastic": flux_anelastic[..., v:],
     }
 
 
@@ -344,7 +353,7 @@ class Discretization:
         """The per-element operators of the elements ``ids`` (an index
         array), in that order and in the run precision: every name of
         :data:`ELEMENT_OPERATORS`, and the :data:`FLUX_VIEWS` of the
-        returned ``flux_solvers``.
+        returned ``flux_solvers`` and ``flux_anelastic``.
 
         The one routine that assembles them, from the mesh geometry, the
         materials of the elements and of their face neighbours and the
@@ -360,16 +369,21 @@ class Discretization:
             name: array.astype(self.dtype, copy=False)
             for name, array in self._star_and_coupling(ids, *parameters).items()
         }
-        flux_solvers = np.empty((len(ids), 4, N_FLUX_ROWS, 2 * N_ELASTIC), self.dtype)
+        n_velocities = VELOCITIES.stop - VELOCITIES.start
+        flux = {
+            "flux_solvers": np.empty((len(ids), 4, N_ELASTIC, 2 * N_ELASTIC), self.dtype),
+            "flux_anelastic": np.empty((len(ids), 4, 6, 2 * n_velocities), self.dtype),
+        }
         for start in range(0, len(ids), _ASSEMBLY_CHUNK):
             rows = slice(start, start + _ASSEMBLY_CHUNK)
-            target = flux_solvers[rows]
-            block = target if target.dtype == np.float64 else np.empty(target.shape)
-            self._fill_flux_solvers(ids[rows], *parameters, block)
-            if block is not target:
-                target[...] = block
-        out["flux_solvers"] = flux_solvers
-        out.update(flux_solver_views(flux_solvers))
+            targets = [array[rows] for array in flux.values()]
+            blocks = [t if t.dtype == np.float64 else np.empty(t.shape) for t in targets]
+            self._fill_flux_solvers(ids[rows], *parameters, *blocks)
+            for target, block in zip(targets, blocks):
+                if block is not target:
+                    target[...] = block
+        out.update(flux)
+        out.update(flux_solver_views(*flux.values()))
         return out
 
     def _star_and_coupling(self, ids, lam, mu, rho) -> dict:
@@ -392,16 +406,19 @@ class Discretization:
             anelastic, coupling,
         )
 
-    def _fill_flux_solvers(self, chunk, lam, mu, rho, out: np.ndarray) -> None:
-        """Fill ``out`` ``(len(chunk), 4, 15, 18)`` with the flux solvers of
-        the elements ``chunk``, all four faces in one call into the Riemann
-        builders.
+    def _fill_flux_solvers(self, chunk, lam, mu, rho, elastic, anelastic) -> None:
+        """Fill ``elastic`` ``(len(chunk), 4, 9, 18)`` and ``anelastic``
+        ``(len(chunk), 4, 6, 6)`` with the flux solvers of the elements
+        ``chunk``, all four faces in one call into the Riemann builders.
 
-        One array holds every face's four solvers: the elastic rows above
-        the anelastic ones, the local solver's columns left of the
-        neighbour's -- the operand the fast correction multiplies against
-        ``[own trace | neighbour coefficients]``.  The per-kind names are
-        views of it (:func:`flux_solver_views`).
+        Each array holds the local solver's columns left of the
+        neighbour's -- the operands the fast correction multiplies against
+        ``[own trace | neighbour coefficients]`` and against their velocity
+        rows.  The anelastic solvers (``A~`` of the memory variables) read
+        only the particle velocities, also through a free-surface ghost
+        state, which keeps the velocities: a nonzero stress column raises
+        ``ValueError``.  The per-kind names are views of the two
+        (:func:`flux_solver_views`).
         """
         mesh, geometry = self.mesh, self.mesh.geometry
         flux_builder = rusanov_flux_matrices if self.flux == "rusanov" else godunov_flux_matrices
@@ -427,8 +444,15 @@ class Discretization:
             ghost = free_surface_ghost_operator(normals[free_surface])
             g_neigh[free_surface] = g_neigh[free_surface] @ ghost
             ga_neigh[free_surface] = ga_neigh[free_surface] @ ghost
-        views = flux_solver_views(out).values()
-        for view, matrices in zip(views, (g_local, g_neigh, ga_local, ga_neigh)):
+        if np.any(ga_local[..., :N_STRESS] != 0.0) or np.any(ga_neigh[..., :N_STRESS] != 0.0):
+            raise ValueError(
+                "the anelastic flux solvers have nonzero stress columns: flux_anelastic "
+                "cannot represent them"
+            )
+        views = flux_solver_views(elastic, anelastic).values()
+        for view, matrices in zip(views, (
+            g_local, g_neigh, ga_local[..., VELOCITIES], ga_neigh[..., VELOCITIES],
+        )):
             np.multiply(scale, matrices, out=view)
 
     # ------------------------------------------------------------------

@@ -13,14 +13,16 @@ The kernel is split exactly as the paper splits it:
 The two-step structure (project the trace onto the ``F``-dimensional face
 basis with ``F~_i`` / ``F_bar``, apply the flux solver, test with ``F^_i``)
 is implemented literally; the projected local traces are computed once per
-face and reused between the elastic and anelastic contributions.
+face and reused between the elastic and anelastic contributions.  The
+anelastic flux solvers are stored on the velocity columns alone, so their
+contraction reads the traces' velocity rows.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .discretization import Discretization, N_ELASTIC
+from .discretization import VELOCITIES, Discretization, N_ELASTIC
 
 __all__ = [
     "surface_kernel_local",
@@ -66,7 +68,7 @@ def surface_kernel_local(
         local_traces = project_local_traces(disc, time_integrated[:, :N_ELASTIC], elements)
     fhat = disc.fhat  # (4, F, B)
     flux_e = disc.flux_local_elastic[elements]  # (E, 4, 9, 9)
-    flux_a = disc.flux_local_anelastic[elements]  # (E, 4, 6, 9)
+    flux_a = disc.flux_local_anelastic[elements]  # (E, 4, 6, 3)
     omegas = disc.omegas
 
     out = np.zeros_like(time_integrated)
@@ -75,7 +77,9 @@ def surface_kernel_local(
         solved = np.einsum("evw,ewf...->evf...", flux_e[:, i], local_traces[:, i])
         out[:, :N_ELASTIC] += np.einsum("evf...,fb->evb...", solved, fhat[i])
         if disc.n_mechanisms:
-            solved_a = np.einsum("evw,ewf...->evf...", flux_a[:, i], local_traces[:, i])
+            solved_a = np.einsum(
+                "evw,ewf...->evf...", flux_a[:, i], local_traces[:, i, VELOCITIES]
+            )
             contrib_a = np.einsum("evf...,fb->evb...", solved_a, fhat[i])
             for l in range(disc.n_mechanisms):
                 out[:, N_ELASTIC + 6 * l : N_ELASTIC + 6 * (l + 1)] += omegas[l] * contrib_a
@@ -150,7 +154,9 @@ def surface_kernel_neighbor(
         solved = np.einsum("evw,ewf...->evf...", flux_e[:, i], neighbor_face_coeffs[:, i])
         out[:, :N_ELASTIC] += np.einsum("evf...,fb->evb...", solved, fhat[i])
         if disc.n_mechanisms:
-            solved_a = np.einsum("evw,ewf...->evf...", flux_a[:, i], neighbor_face_coeffs[:, i])
+            solved_a = np.einsum(
+                "evw,ewf...->evf...", flux_a[:, i], neighbor_face_coeffs[:, i, VELOCITIES]
+            )
             contrib_a = np.einsum("evf...,fb->evb...", solved_a, fhat[i])
             for l in range(disc.n_mechanisms):
                 out[:, N_ELASTIC + 6 * l : N_ELASTIC + 6 * (l + 1)] += omegas[l] * contrib_a

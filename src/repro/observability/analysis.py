@@ -350,16 +350,24 @@ def kernel_stage_block(summary: dict) -> dict | None:
 
 
 def memory_block(summary: dict) -> dict | None:
-    """The single-rank run's resident MiB by owner, their total and the
-    peak RSS they sit in."""
+    """The run's resident MiB by owner -- a single-rank run's, or each
+    rank's of a multi-rank run (``rank_owned_mb``, beside the worker peak
+    RSS) -- their total and the (parent's) peak RSS."""
     memory = summary.get("memory") or {}
-    owned = memory.get("owned_mb")
-    if not owned:
+    owned, ranks = memory.get("owned_mb"), memory.get("rank_owned_mb")
+    if owned:
+        return {
+            "owned_mb": owned,
+            "total_mb": float(sum(owned.values())),
+            "peak_rss_mb": memory.get("peak_rss_mb"),
+        }
+    if not ranks:
         return None
     return {
-        "owned_mb": owned,
-        "total_mb": float(sum(owned.values())),
+        "rank_owned_mb": ranks,
+        "total_mb": float(sum(sum(rank.values()) for rank in ranks)),
         "peak_rss_mb": memory.get("peak_rss_mb"),
+        "worker_peak_rss_mb": memory.get("worker_peak_rss_mb"),
     }
 
 
@@ -580,13 +588,27 @@ def _render_run(entry: dict) -> list[str]:
             )
 
     memory = blocks.get("memory")
-    if memory:
+    if memory and "owned_mb" in memory:
         lines.append(
             f"Memory owners: {memory['total_mb']:.1f} MiB of peak RSS "
             f"{_fmt(memory.get('peak_rss_mb'), '{:.0f}')} MiB"
         )
         for owner, mib in memory["owned_mb"].items():
             lines.append(f"  {owner:<17} {mib:8.1f} MiB")
+    elif memory:
+        ranks = memory["rank_owned_mb"]
+        lines.append(
+            f"Memory owners per rank: {memory['total_mb']:.1f} MiB summed; "
+            f"parent peak RSS {_fmt(memory.get('peak_rss_mb'), '{:.0f}')} MiB"
+        )
+        lines.append(f"  {'owner':<17}" + "".join(f"{f'rank {r}':>10}" for r in range(len(ranks))))
+        for owner in ranks[0]:
+            lines.append(
+                f"  {owner:<17}" + "".join(f"{rank.get(owner, 0.0):10.1f}" for rank in ranks)
+            )
+        workers = memory.get("worker_peak_rss_mb")
+        if workers:
+            lines.append(f"  {'worker peak RSS':<17}" + "".join(f"{mib:10.0f}" for mib in workers))
 
     ledger = blocks.get("ledger")
     if ledger:

@@ -669,6 +669,9 @@ class ScenarioRunner:
                 # the parent's RUSAGE_CHILDREN misses still-live workers, so
                 # the summary carries the workers' self-reported peaks
                 out["memory"]["worker_peak_rss_mb"] = list(workers)
+            owners = self.engine.rank_memory_owners
+            if all(owners):  # each rank solver's resident MiB by owner
+                out["memory"]["rank_owned_mb"] = owners
         return out
 
     # -- telemetry ------------------------------------------------------
@@ -753,8 +756,14 @@ class ScenarioRunner:
         report per-field L2/Linf errors of the current state; everything
         else returns ``None`` and the summary carries no accuracy block.
         Works unchanged for multi-rank runs: the engine's ``dofs`` property
-        gathers the per-rank state.
+        gathers the per-rank state.  Only a source-free ``plane_wave``
+        initial condition can have one, so every other run returns before
+        the verification package is imported.
         """
+        spec = self.setup.spec
+        ic = spec.initial_condition
+        if ic is None or ic.kind != "plane_wave" or spec.source is not None:
+            return None
         from ..verification.analytic import analytic_solution_for
         from ..verification.norms import state_error_norms
 

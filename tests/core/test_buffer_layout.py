@@ -1,17 +1,19 @@
 """Property tests of the LTS buffer layout (``repro.core.buffers.BufferLayout``).
 
 The store holds ``B1`` for every element, ``B2`` and ``B1 - B2`` only for
-the clusters whose next-smaller cluster has elements (their only readers)
-and ``B3`` only for the clusters whose next-larger cluster has elements --
-decided on the whole mesh's clustering, so a rank keeps every row a remote
+the elements with a face neighbour in a smaller cluster (their only
+readers) and ``B3`` only for the elements with one in a larger cluster --
+decided on the whole mesh's neighbours, so a rank keeps every row a remote
 reader needs.  Over random normalised clusterings (empty clusters
-included), both step parities and 1 or 2 ranks: every row a correction
-gathers and every row a halo send projects lies in the block its relation
-reads and is the neighbour's (or the sender's) own row, boundary faces read
-the ghost row, and the store holds exactly the rows the rule allocates.
+included), both step parities and 1 or 2 ranks, and on two scenarios split
+over 1, 2 and 4 ranks: every row a correction gathers and every row a halo
+send projects lies in the block its relation reads and is the neighbour's
+(or the sender's) own row, boundary faces read the ghost row, and the
+store holds exactly the rows something reads.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,6 +35,9 @@ from repro.equations.material import ElasticMaterial, MaterialTable
 from repro.kernels.discretization import Discretization
 from repro.mesh.generation import box_mesh
 from repro.mesh.reorder import reorder_elements
+from repro.parallel.partition import element_weights, partition_dual_graph
+from repro.scenarios import get_scenario
+from repro.scenarios.runner import build_setup
 
 from ..lts_setup import locate
 
@@ -81,20 +86,21 @@ def _check_corrections(solver):
             assert (rows[~interior] == layout.n_rows - 1).all()
 
 
-def _check_allocation(solver, global_counts):
-    """The store holds exactly the rows the per-cluster rule allocates."""
-    counts = np.asarray(global_counts)
-    n = len(counts)
-    local = np.bincount(solver.clustering.cluster_ids, minlength=n)
-    half = np.array([l > 0 and counts[l - 1] > 0 for l in range(n)])
-    accumulated = np.array([l < n - 1 and counts[l + 1] > 0 for l in range(n)])
+def _check_allocation(solver, sub=None):
+    """The store holds exactly the rows someone reads: every row a
+    correction gathers or (on a rank) a halo send projects is stored, and
+    every stored ``B2`` / ``B3`` / ``B1 - B2`` row is one of them."""
     layout = solver.buffers.layout
-    np.testing.assert_array_equal(layout.stored[B2], half)
-    np.testing.assert_array_equal(layout.stored[B1_MINUS_B2], half)
-    np.testing.assert_array_equal(layout.stored[B3], accumulated)
+    read = [plan for cluster in solver.clusters for plan in cluster.neighbor_plans]
+    if sub is not None:
+        read += [plan.rows for plan in sub.send_plans]
+    read = np.unique(np.concatenate([rows.ravel() for rows in read]))
     assert layout.stored[B1].all()
-    n_rows = local.sum() + 2 * local[half].sum() + local[accumulated].sum() + 1
-    assert solver.buffers.store.shape[0] == n_rows
+    for b in (B2, B3, B1_MINUS_B2):
+        lo, hi = layout.offsets[b], layout.offsets[b + 1]
+        np.testing.assert_array_equal(read[(read >= lo) & (read < hi)], np.arange(lo, hi))
+    np.testing.assert_array_equal(layout.stored[B2], layout.stored[B1_MINUS_B2])
+    assert solver.buffers.store.shape[0] == layout.n_rows
 
 
 def _check_sends(disc, clustering, sub):
@@ -138,7 +144,7 @@ def test_every_gathered_and_sent_row_lies_in_the_block_its_relation_reads(
     if n_ranks == 1:
         solver = ClusteredLtsSolver(disc, clustering, kernels="ref")
         _check_corrections(solver)
-        _check_allocation(solver, clustering.counts)
+        _check_allocation(solver)
         return
     rng = np.random.default_rng(seed + 1)
     partitions = rng.integers(0, 2, disc.n_elements)
@@ -147,13 +153,14 @@ def test_every_gathered_and_sent_row_lies_in_the_block_its_relation_reads(
         sub = RankSubdomain(disc, clustering, partitions, rank)
         solver = RankSolver(sub, communicator=None, kernels="ref")
         _check_corrections(solver)
-        _check_allocation(solver, clustering.counts)
+        _check_allocation(solver, sub)
         _check_sends(disc, clustering, sub)
 
 
 def test_a_rank_keeps_the_rows_a_remote_reader_needs():
     """Cluster 1 of rank 0 has no local cluster-0 neighbour, but rank 1
-    holds cluster 0: rank 0 still stores (and sends) its ``B2`` rows."""
+    holds cluster 0: rank 0 still stores (and sends) the ``B2`` rows of
+    its elements with a cluster-0 face neighbour, and only theirs."""
     disc, clustering = _clustered([0, 1], 2, seed=5)
     ids = clustering.cluster_ids
     # every cluster-0 element on rank 1
@@ -161,8 +168,39 @@ def test_a_rank_keeps_the_rows_a_remote_reader_needs():
     sub = RankSubdomain(disc, clustering, partitions, rank=0)
     local_counts = np.bincount(sub.clustering.cluster_ids, minlength=2)
     assert local_counts[0] == 0 and local_counts[1] > 0
-    assert sub.buffer_layout.stored[B2, 1]
+    neighbors = disc.mesh.neighbors[sub.owned]
+    remote_reader = ((neighbors >= 0) & (ids[neighbors] == 0)).any(axis=1)
+    assert remote_reader.any() and not remote_reader.all()
+    np.testing.assert_array_equal(sub.buffer_layout.stored[B2], remote_reader)
     sent = np.concatenate([
         locate(sub.buffer_layout, plan.rows)[0] for plan in sub.send_plans
     ])
     assert {B2, B1_MINUS_B2} <= set(sent.tolist())
+
+
+def _scenario(name):
+    spec = get_scenario(name).smoke()
+    return build_setup(spec.with_overrides(n_clusters=3) if name == "la_habra" else spec)
+
+
+@pytest.mark.parametrize("name", ["loh3", "la_habra"])
+def test_scenario_stores_exactly_the_rows_read_on_1_2_and_4_ranks(name):
+    """``loh3 --smoke`` and ``la_habra --smoke --clusters 3`` (three
+    populated clusters): on one rank and on every rank of a 2- and a
+    4-rank split, every row a correction or a halo send reads is stored
+    and every stored ``B2`` / ``B3`` / ``B1 - B2`` row has a reader; each
+    element stores the same rows however the mesh is split."""
+    setup = _scenario(name)
+    disc, clustering = setup.disc, setup.clustering
+    assert (clustering.counts > 0).sum() == {"loh3": 2, "la_habra": 3}[name]
+    solver = ClusteredLtsSolver(disc, clustering, kernels="ref")
+    _check_allocation(solver)
+    stored = solver.buffers.layout.stored
+    assert 0 < stored[B2].sum() < disc.n_elements and 0 < stored[B3].sum() < disc.n_elements
+    weights = element_weights(clustering.cluster_ids, clustering.n_clusters)
+    for n_ranks in (2, 4):
+        partitions = partition_dual_graph(disc.mesh.neighbors, weights, n_ranks).partitions
+        for rank in range(n_ranks):
+            sub = RankSubdomain(disc, clustering, partitions, rank)
+            _check_allocation(RankSolver(sub, communicator=None, kernels="ref"), sub)
+            np.testing.assert_array_equal(sub.buffer_layout.stored, stored[:, sub.owned])

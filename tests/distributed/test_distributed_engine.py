@@ -211,7 +211,8 @@ class TestSubdomains:
                     err_msg=name,
                 )
             for name in FLUX_VIEWS:
-                assert getattr(local, name).base is local.flux_solvers, name
+                array = "flux_solvers" if name.endswith("_elastic") else "flux_anelastic"
+                assert getattr(local, name).base is getattr(local, array), name
 
     def test_restricted_arrays_share_no_memory_with_the_global_ones(self, tiny_loh3):
         """A rank's per-element arrays are its own gathers; only the shared
@@ -246,8 +247,10 @@ class TestSubdomains:
         local_data = backend._disc_data(local)
         assert local_data is not global_data
         assert local_data.flux.shape[0] == len(rows)
-        assert np.shares_memory(local_data.flux, local.flux_solvers)
+        assert local_data.flux is local.flux_solvers
+        assert local_data.flux_anelastic is local.flux_anelastic
         np.testing.assert_array_equal(local_data.flux, global_data.flux[rows])
+        np.testing.assert_array_equal(local_data.flux_anelastic, global_data.flux_anelastic[rows])
 
     def test_each_source_lands_once_on_its_owning_rank(self):
         """Every point source is injected by exactly one rank, at the local

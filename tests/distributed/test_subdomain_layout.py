@@ -46,21 +46,26 @@ def loh3_m_2rank():
 
 class TestOneFluxSolverCopy:
     def test_rank_flux_solvers_are_one_gather_the_views_and_kernels_read(self, loh3_m_2rank):
-        """Each rank holds one ``[owned]`` gather of the flux solvers: its
-        four per-kind names and the fast correction's operand are views of
-        it, not copies."""
+        """Each rank holds one ``[owned]`` gather of the elastic and one of
+        the anelastic flux solvers: its four per-kind names and the fast
+        correction's operands are views of them, not copies."""
         disc = loh3_m_2rank.setup.disc
         engine = loh3_m_2rank.engine
         for sub, solver in zip(engine.subdomains, rank_solvers(engine)):
             local = solver.disc
             assert solver.disc is local
-            np.testing.assert_array_equal(local.flux_solvers, disc.flux_solvers[sub.owned])
-            for name in ("flux_local_elastic", "flux_neigh_elastic",
-                         "flux_local_anelastic", "flux_neigh_anelastic"):
-                assert getattr(local, name).base is local.flux_solvers, name
-            operand = solver.backend._disc_data(local).flux
-            assert np.shares_memory(operand, local.flux_solvers)
-            assert operand.shape[2] == disc.flux_solvers.shape[2]  # anelastic: all 15 rows
+            for array in ("flux_solvers", "flux_anelastic"):
+                np.testing.assert_array_equal(
+                    getattr(local, array), getattr(disc, array)[sub.owned]
+                )
+            for name, array in (("flux_local_elastic", "flux_solvers"),
+                                ("flux_neigh_elastic", "flux_solvers"),
+                                ("flux_local_anelastic", "flux_anelastic"),
+                                ("flux_neigh_anelastic", "flux_anelastic")):
+                assert getattr(local, name).base is getattr(local, array), name
+            data = solver.backend._disc_data(local)
+            assert data.flux is local.flux_solvers
+            assert data.flux_anelastic is local.flux_anelastic  # the model is anelastic
 
 
 class TestLocalOrder:

@@ -98,8 +98,10 @@ class TestShapesAndValidation:
         assert disc.star_velocity.shape == (K, 3, 18)
         assert disc.star_anelastic.shape == (K, 6, 9)
         assert disc.coupling.shape == (K, 6, 18)
+        assert disc.flux_solvers.shape == (K, 4, 9, 18)
+        assert disc.flux_anelastic.shape == (K, 4, 6, 6)
         assert disc.flux_local_elastic.shape == (K, 4, 9, 9)
-        assert disc.flux_neigh_anelastic.shape == (K, 4, 6, 9)
+        assert disc.flux_neigh_anelastic.shape == (K, 4, 6, 3)
         assert disc.time_steps.shape == (K,)
         assert np.all(disc.time_steps > 0)
 
@@ -244,16 +246,38 @@ class TestBatchedFluxSolvers:
             n_mechanisms=n_mechanisms, precision=precision,
         )
         per_face = _per_face_flux_solvers(disc)
-        for name, expected in per_face.items():
-            assert np.array_equal(getattr(disc, name), expected.astype(disc.dtype)), name
-        # the one assembled array: elastic rows over anelastic, [local | neigh]
-        expected = np.block([
+        # the dense 15-row block: elastic rows over anelastic, [local | neigh]
+        dense = np.block([
             [per_face["flux_local_elastic"], per_face["flux_neigh_elastic"]],
             [per_face["flux_local_anelastic"], per_face["flux_neigh_anelastic"]],
-        ])
-        assert disc.flux_solvers.shape == (disc.n_elements, 4, 15, 18)
-        assert disc.flux_solvers.dtype == disc.dtype
-        assert np.array_equal(disc.flux_solvers, expected.astype(disc.dtype))
+        ]).astype(disc.dtype)
+        # the anelastic rows read only the [local | neigh] velocity columns:
+        # every column the split drops is an exact zero, on every face kind
+        velocities = [6, 7, 8, 15, 16, 17]
+        dropped = np.setdiff1d(np.arange(18), velocities)
+        assert not dense[:, :, 9:][..., dropped].any()
+        for name, array, expected in (
+            ("flux_solvers", disc.flux_solvers, dense[:, :, :9]),
+            ("flux_anelastic", disc.flux_anelastic, dense[:, :, 9:][..., velocities]),
+        ):
+            assert array.shape == expected.shape and array.dtype == disc.dtype, name
+            assert _bitwise_equal(array, expected), name
+
+    def test_assembly_refuses_an_anelastic_solver_that_reads_a_stress(self, monkeypatch):
+        """``flux_anelastic`` keeps only the velocity columns: a normal
+        Jacobian with a nonzero stress column is refused, not truncated."""
+        normal_jacobian = discretization.anelastic_normal_jacobian
+
+        def perturbed(normals):
+            jacobian = normal_jacobian(normals)
+            jacobian[..., 2, 0] = 1e-300
+            return jacobian
+
+        monkeypatch.setattr(discretization, "anelastic_normal_jacobian", perturbed)
+        mesh = small_mesh(n=2, jitter=0.1)
+        disc = Discretization(mesh, _layered_materials(mesh), order=2, n_mechanisms=3)
+        with pytest.raises(ValueError, match="nonzero stress columns"):
+            disc.assemble_element_operators()
 
     def test_init_calls_builders_per_chunk_not_per_element(self, monkeypatch):
         """A deterministic stand-in for a wall-clock guard: assembly enters
@@ -296,10 +320,10 @@ class TestBatchedFluxSolvers:
 
 
 FLUX_VIEWS = {
-    "flux_local_elastic": (slice(None, 9), slice(None, 9)),
-    "flux_neigh_elastic": (slice(None, 9), slice(9, None)),
-    "flux_local_anelastic": (slice(9, None), slice(None, 9)),
-    "flux_neigh_anelastic": (slice(9, None), slice(9, None)),
+    "flux_local_elastic": ("flux_solvers", slice(None, 9)),
+    "flux_neigh_elastic": ("flux_solvers", slice(9, None)),
+    "flux_local_anelastic": ("flux_anelastic", slice(None, 3)),
+    "flux_neigh_anelastic": ("flux_anelastic", slice(3, None)),
 }
 
 
@@ -315,15 +339,14 @@ class TestOneFluxSolverArray:
             mesh, _layered_materials(mesh), order=2, n_mechanisms=n_mechanisms,
             precision=precision,
         )
-        for name, (rows, columns) in FLUX_VIEWS.items():
+        for name, (array, columns) in FLUX_VIEWS.items():
             view = getattr(disc, name)
-            assert view.base is disc.flux_solvers, name
+            assert view.base is getattr(disc, array), name
             assert view.dtype == disc.dtype, name
-            assert np.array_equal(view, disc.flux_solvers[:, :, rows, columns]), name
-        operand = FastBackend()._disc_data(disc).flux
-        assert np.shares_memory(operand, disc.flux_solvers)
-        assert operand.shape == (disc.n_elements, 4, 15 if n_mechanisms else 9, 18)
-        assert np.array_equal(operand, disc.flux_solvers[:, :, : operand.shape[2]])
+            assert np.array_equal(view, getattr(disc, array)[..., columns]), name
+        data = FastBackend()._disc_data(disc)
+        assert data.flux is disc.flux_solvers
+        assert data.flux_anelastic is (disc.flux_anelastic if n_mechanisms else None)
 
     @pytest.mark.parametrize("batch", ["slice", "ids"])
     @pytest.mark.parametrize("n_fused", [0, 2])
@@ -346,6 +369,51 @@ class TestOneFluxSolverArray:
             (surface.surface_kernel_neighbor, (coeffs, elements)),
         ):
             assert np.array_equal(kernel(disc, *args), kernel(copy, *args)), kernel.__name__
+
+
+    @pytest.mark.parametrize("n_fused", [0, 2])
+    def test_ref_surface_kernels_on_the_compact_block_are_the_dense_einsum(
+        self, viscoelastic_disc, n_fused
+    ):
+        """Both ref surface kernels, which contract the anelastic solvers'
+        velocity columns with the traces' velocity rows, give the bits
+        (signed zeros included) of the nine-column contraction with the
+        dropped zero columns put back."""
+        disc = viscoelastic_disc
+        elements = slice(3, 50)
+        n = len(range(disc.n_elements)[elements])
+        rng = np.random.default_rng(11)
+        fused = (n_fused,) if n_fused else ()
+        coeffs = rng.standard_normal((n, 4, 9, disc.n_face_basis) + fused)
+        # exact zeros of both signs, whole faces and scattered entries
+        coeffs[0] = -0.0
+        coeffs[1, 2] = 0.0
+        coeffs[rng.random(coeffs.shape) < 0.05] = -0.0
+        for kernel, side, args in (
+            (surface.surface_kernel_local, "local",
+             (np.zeros((n, disc.n_vars, disc.n_basis) + fused), elements, coeffs)),
+            (surface.surface_kernel_neighbor, "neigh", (coeffs, elements)),
+        ):
+            dense = np.zeros((n, 4, 6, 9))
+            dense[..., 6:] = getattr(disc, f"flux_{side}_anelastic")[elements]
+            expected = _dense_surface_kernel(
+                disc, coeffs, getattr(disc, f"flux_{side}_elastic")[elements], dense
+            )
+            assert kernel(disc, *args).tobytes() == expected.tobytes(), kernel.__name__
+
+
+def _dense_surface_kernel(disc, coeffs, flux_e, flux_a):
+    """Both surface kernels as they contracted the ``(6, 9)`` anelastic
+    flux solvers with all nine trace rows."""
+    out = np.zeros((len(coeffs), disc.n_vars, disc.n_basis) + coeffs.shape[4:])
+    for i in range(4):
+        solved = np.einsum("evw,ewf...->evf...", flux_e[:, i], coeffs[:, i])
+        out[:, :9] += np.einsum("evf...,fb->evb...", solved, disc.fhat[i])
+        solved_a = np.einsum("evw,ewf...->evf...", flux_a[:, i], coeffs[:, i])
+        contrib_a = np.einsum("evf...,fb->evb...", solved_a, disc.fhat[i])
+        for l in range(disc.n_mechanisms):
+            out[:, 9 + 6 * l : 15 + 6 * l] += disc.omegas[l] * contrib_a
+    return out
 
 
 def _all_faces_fbar(disc):
@@ -512,8 +580,8 @@ class TestElementOperatorsOfAnyRows:
                     assert _bitwise_equal(getattr(local, name), getattr(disc, name)[rows]), (
                         scenario, name,
                     )
-                for name in discretization.FLUX_VIEWS:
-                    assert getattr(local, name).base is local.flux_solvers, (scenario, name)
+                for name, (array, _) in FLUX_VIEWS.items():
+                    assert getattr(local, name).base is getattr(local, array), (scenario, name)
 
     def test_the_first_read_assembles_the_whole_set_once(self, monkeypatch):
         mesh = small_mesh(n=2, jitter=0.1)

@@ -386,18 +386,24 @@ class TestStackedOperators:
 
     @pytest.mark.parametrize("n_fused", [0, 3])
     def test_flux_project_matches_reference_einsum(self, disc, n_fused):
+        """The elastic rows contract all 18 ``[own | neighbour]`` rows, the
+        anelastic rows their six velocity rows."""
         fast = FastBackend()
         data = fast._disc_data(disc)
         rng = np.random.default_rng(14)
         E, F = disc.n_elements, disc.n_face_basis
         fused = (n_fused,) if n_fused else ()
-        flux = rng.standard_normal((E, 4, N_ELASTIC, N_ELASTIC))
-        coeffs = rng.standard_normal((E, 4, N_ELASTIC, F) + fused)
-        # a row slice of a wider array, like the kernels' elastic rows
-        out = np.empty((E, disc.n_vars, disc.n_basis) + fused)[:, :N_ELASTIC]
-        backend_module._run(fast._flux_calls(data, flux, coeffs, out, fast.make_workspace(), "t"))
-        expected = np.einsum("eivw,eiwg...,igb->evb...", flux, coeffs, disc.fhat)
-        _assert_close(out, expected, name="flux solve + back-projection")
+        coeffs = rng.standard_normal((E, 4, 2 * N_ELASTIC, F) + fused)
+        # a row slice of a wider array, like the kernels' flux rows
+        out = np.empty((E, disc.n_vars, disc.n_basis) + fused)[:, : N_ELASTIC + 6]
+        calls = fast._flux_calls(data, slice(0, E), coeffs, out, fast.make_workspace(), "t")
+        backend_module._run(calls)
+        contract = "eivw,eiwg...,igb->evb..."
+        expected = np.einsum(contract, disc.flux_solvers, coeffs, disc.fhat)
+        _assert_close(out[:, :N_ELASTIC], expected, name="elastic flux solve + back-projection")
+        velocities = coeffs[:, :, [6, 7, 8, 15, 16, 17]]
+        expected = np.einsum(contract, disc.flux_anelastic, velocities, disc.fhat)
+        _assert_close(out[:, N_ELASTIC:], expected, name="anelastic flux solve + back-projection")
 
     def test_fused_and_scalar_slices_agree(self, disc):
         """Fused kernels vs the same backend run slot by slot: the fused

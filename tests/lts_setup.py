@@ -9,7 +9,7 @@ use this helper.
 
 import numpy as np
 
-from repro.core.buffers import B1, GHOST
+from repro.core.buffers import GHOST
 from repro.kernels.discretization import Discretization
 from repro.mesh.reorder import reorder_elements
 
@@ -30,10 +30,8 @@ def locate(layout, rows) -> tuple[np.ndarray, np.ndarray]:
     block = np.searchsorted(layout.offsets, rows, side="right") - 1
     element = np.full(rows.shape, -1, dtype=np.int64)
     for b in range(GHOST):
-        runs = [np.arange(elements.start, elements.stop) for elements, _ in layout.runs(b)]
-        stored = np.concatenate(runs) if runs else np.zeros(0, dtype=np.int64)
         mine = block == b
-        element[mine] = stored[rows[mine] - layout.offsets[b]]
+        element[mine] = layout.elements(b)[rows[mine] - layout.offsets[b]]
     return block, element
 
 
@@ -44,5 +42,4 @@ def seed_buffers(buffers, rng) -> None:
     shape, dtype = buffers.b1.shape, buffers.store.dtype
     for step_index in (0, 1):
         full, half = (rng.standard_normal(shape).astype(dtype) for _ in range(2))
-        for elements, _ in buffers.layout.runs(B1):
-            buffers.fill(elements, full[elements], half[elements], step_index)
+        buffers.fill(slice(None), full, half, step_index)

@@ -17,6 +17,7 @@ import textwrap
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.observability import read_ledger, validate_run_ledger
@@ -343,7 +344,8 @@ class TestMemoryAndStageReport:
     def test_memory_owners_in_the_summary_and_the_report(self, fast_lts_run, traced_runs, capsys):
         """``memory.owned_mb`` lists every owner of a single-rank run (no
         per-batch prediction storage among them), fits in the peak RSS, and
-        ``repro report`` prints it; a multi-rank summary has none yet."""
+        ``repro report`` prints it; a multi-rank summary lists per-rank
+        owners instead (``rank_owned_mb``)."""
         summary = json.loads((fast_lts_run / "run_summary.json").read_text())
         memory = summary["memory"]
         owned = memory["owned_mb"]
@@ -392,22 +394,54 @@ class TestMemoryAndStageReport:
             "star_stress": (K, 6, 9), "star_velocity": (K, 3, 18),
             "star_anelastic": (K, 6, 9), "coupling": (K, 6, 6 * m),
         }
+        # the elastic flux solvers and the anelastic rows' velocity columns
+        compact.update(flux_solvers=(K, 4, 9, 18), flux_anelastic=(K, 4, 6, 6))
         for name, shape in compact.items():
             assert getattr(disc, name).shape == shape, name
         arrays = [getattr(disc, name) for name in (
-            *compact, "omegas", "flux_solvers", "neighbor_flux_matrices", "neighbor_flux_index",
+            *compact, "omegas", "neighbor_flux_matrices", "neighbor_flux_index",
             "time_steps", "k_time", "k_vol", "ftilde", "fhat",
         )]
         assert owned["operators"] == sum(array.nbytes for array in arrays) / 2**20
-        layout, counts = buffers.layout, runner.clustering.counts
-        # B1 per element, B2 and B1 - B2 where the next-smaller cluster is
-        # populated, B3 where the next-larger one is, one ghost row
-        half = sum(counts[l] for l in range(1, len(counts)) if counts[l - 1])
-        accumulated = sum(counts[l] for l in range(len(counts) - 1) if counts[l + 1])
+        layout, ids = buffers.layout, runner.clustering.cluster_ids
+        # B1 per element, B2 and B1 - B2 where a face neighbour is in a
+        # smaller cluster, B3 where one is in a larger cluster, one ghost row
+        neighbors = np.where(disc.mesh.neighbors >= 0, ids[disc.mesh.neighbors], -1)
+        half = ((neighbors >= 0) & (neighbors < ids[:, None])).any(axis=1).sum()
+        accumulated = (neighbors > ids[:, None]).any(axis=1).sum()
         assert 0 < half + accumulated < 3 * K
         assert layout.n_rows == K + 2 * half + accumulated + 1
         row = buffers.store[0].nbytes
         assert owned["lts_buffers"] == layout.n_rows * row / 2**20
+
+    def test_rank_owners_add_up_to_the_single_rank_ledger(self, tmp_path, capsys):
+        """A 2-rank ``loh3 --smoke`` summary lists each rank solver's owners
+        beside the parent's peak RSS, and ``repro report`` prints them: the
+        ranks' DOFs sum to the 1-rank figure, their operators to it within
+        1 MiB, and their buffer-store rows to the 1-rank store's plus the
+        second rank's ghost row."""
+        memory = {}
+        for ranks in (1, 2):
+            out = tmp_path / f"r{ranks}"
+            argv = ["run", "loh3", "--smoke", "--ranks", str(ranks), "--output-dir", str(out)]
+            assert cli_main([*argv, "--quiet"]) == 0
+            memory[ranks] = json.loads((out / "run_summary.json").read_text())["memory"]
+        one, ranks = memory[1]["owned_mb"], memory[2]["rank_owned_mb"]
+        assert "owned_mb" not in memory[2] and memory[2]["peak_rss_mb"] > 0
+        assert len(ranks) == 2 and all(set(rank) == OWNERS for rank in ranks)
+        assert sum(rank["dofs"] for rank in ranks) == one["dofs"]
+        assert abs(sum(rank["operators"] for rank in ranks) - one["operators"]) < 1.0
+        spec = get_scenario("loh3").smoke()
+        n_basis = spec.order * (spec.order + 1) * (spec.order + 2) // 6
+        row = 9 * n_basis * 8 / 2**20  # one f64 buffer row
+        rows = [mib / row for mib in (one["lts_buffers"], *(r["lts_buffers"] for r in ranks))]
+        assert all(n == round(n) for n in rows)
+        assert rows[1] + rows[2] == rows[0] + 1
+        assert cli_main(["report", str(tmp_path / "r2")]) == 0
+        report = capsys.readouterr().out
+        assert "Memory owners per rank: " in report and "rank 1" in report
+        for owner in OWNERS:
+            assert f"  {owner} " in report
 
     def test_correction_traces_count_toward_the_surface_stage(self, fast_lts_run, capsys):
         """The own traces are projected in the correction: ``repro report``

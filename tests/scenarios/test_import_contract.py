@@ -22,12 +22,12 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 FORBIDDEN = ("scipy", "repro.sweep", "repro.distributed")
 
 
-def loaded_after(statements: str) -> list[str]:
-    """The forbidden modules in ``sys.modules`` after running ``statements``
-    in a fresh interpreter."""
+def loaded_after(statements: str, modules=FORBIDDEN) -> list[str]:
+    """The ``modules`` in ``sys.modules`` after running ``statements`` in a
+    fresh interpreter."""
     code = (
         f"import sys; sys.path.insert(0, {str(SRC)!r})\n{statements}\n"
-        f"import json; print(json.dumps([m for m in {FORBIDDEN!r} if m in sys.modules]))"
+        f"import json; print(json.dumps([m for m in {tuple(modules)!r} if m in sys.modules]))"
     )
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120
@@ -62,6 +62,17 @@ def test_single_rank_run_stays_light(tmp_path):
     statements = f"from repro.scenarios.cli import main\nassert main({argv!r}) == 0"
     assert loaded_after(statements) == []
     assert (tmp_path / "out" / "run_summary.json").exists()
+
+
+def test_a_run_summary_without_an_analytic_solution_skips_the_verification_package():
+    """Only a source-free ``plane_wave`` run has a closed-form solution: a
+    ``loh3 --smoke`` summary does not import ``repro.verification``."""
+    statements = (
+        "from repro.scenarios import ScenarioRunner, get_scenario\n"
+        "assert ScenarioRunner(get_scenario('loh3').smoke()).run().get('accuracy') is None"
+    )
+    modules = ("repro.verification", "repro.verification.golden")
+    assert loaded_after(statements, modules) == []
 
 
 def test_lazy_names_still_resolve():
