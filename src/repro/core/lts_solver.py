@@ -70,7 +70,8 @@ class _ClusterData:
             )
         self.relations = relations
         #: per-cluster kernel scratch workspace (attached by the solver;
-        #: ``None`` for the reference backend, which allocates per call)
+        #: ``None`` for the reference backend, whose block calls allocate
+        #: their own block-sized temporaries)
         self.workspace = None
         #: the backend's correction gather plans into the buffer store, per
         #: step parity (attached by the solver)

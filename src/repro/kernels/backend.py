@@ -8,7 +8,7 @@ makes the execution strategy a pluggable object so that every solver (GTS,
 clustered LTS, distributed rank steppers) runs through one of:
 
 * :class:`ReferenceBackend` -- delegates to the reference kernel functions
-  and preserves their bit-exact behaviour (and their per-call temporaries),
+  and preserves their bit-exact behaviour, one element block per call,
 * :class:`FastBackend` -- stacked operators on cache-sized element blocks,
   *tolerance-equal* to the reference.
 
@@ -24,10 +24,11 @@ without their zero blocks in this layout: the (variable, direction) pair
 merged into one contraction axis, coupling blocks side by side); its
 correction is one pass per element block -- one GEMM per ``F_bar`` face
 class straight from the neighbour rows, one flux solve of the local and
-neighbouring flux solvers side by side, one back-projection.  Both halves
-walk a batch in the same L2-sized blocks on a reused :class:`KernelWorkspace`,
-and share each batch's blocks among the threads of the process's
-:mod:`~repro.kernels.threads` pool.
+neighbouring flux solvers side by side, one back-projection.  Both kinds
+walk a batch in the same L2-sized element blocks (:func:`_block_plan`), so
+no temporary grows with the batch; ``FastBackend`` runs them on a reused
+:class:`KernelWorkspace` and shares each batch's blocks among the threads
+of the process's :mod:`~repro.kernels.threads` pool.
 "Close enough" is not left to ad-hoc ``allclose`` calls:
 :mod:`repro.verification` pins the contract with convergence-order checks
 against analytic solutions and committed golden-trace regressions under an
@@ -183,7 +184,10 @@ class KernelWorkspace:
 
 
 class ReferenceBackend:
-    """Executes the reference kernel functions exactly as written."""
+    """Executes the reference kernel functions exactly as written, one
+    :func:`_block_plan` element block per call: every contraction is per
+    element, so the blocks change no bit, and a call's temporaries are
+    block-sized whatever the batch."""
 
     name = "ref"
 
@@ -192,13 +196,24 @@ class ReferenceBackend:
     #: (the class default is the shared no-op: direct use stays unmeasured)
     telemetry = NULL_TELEMETRY
 
+    #: every :class:`_Block` runs staged, on one thread without scratch
+    _staged = True
+    _thread_scratch = (None,)
+
     def __init__(self):
         #: (DOF shape, dtype) -> the predictions' volume increments
         self._increments: dict = {}
 
     def make_workspace(self) -> KernelWorkspace | None:
-        """Reference kernels allocate per call; no workspace is kept."""
+        """Reference kernels allocate block-sized temporaries per call; no
+        workspace is kept."""
         return None
+
+    @staticmethod
+    def _scratch(ws, name, shape, dtype):
+        if ws is None:
+            return np.zeros(shape, dtype=dtype)
+        return ws.scratch(name, shape, dtype)
 
     # -- time kernel ----------------------------------------------------
     def compute_time_derivatives(self, disc, dofs, elements, ws=None):
@@ -230,16 +245,35 @@ class ReferenceBackend:
 
     def local_update(self, disc, dofs, dt, elements, ws=None, needs_half=False, fill=None):
         """``(elastic_integral, elastic_half_integral)``: the one prediction
-        pipeline every solver runs.  The volume increment goes toward the
-        DOF rows (:meth:`_apply_volume`; they are defined again once
-        :meth:`correct` has run), and the elastic rows of the full-step
-        integral (``B1``) and, with ``needs_half``, of the ``[0, dt/2]`` one
-        (``B2``; ``None`` otherwise) are returned.  With ``fill`` (a
-        :class:`~repro.core.buffers.BufferFill`) each element block's
+        pipeline every solver runs, one element block at a time
+        (:meth:`prediction`, then :meth:`_dispatch`).  The volume increment
+        goes toward the DOF rows (:meth:`_apply_volume`; they are defined
+        again once :meth:`correct` has run), and the elastic rows of the
+        full-step integral (``B1``) and, with ``needs_half``, of the ``[0,
+        dt/2]`` one (``B2``; ``None`` otherwise) are returned: the only
+        batch-sized storage, copied from the blocks (:class:`_Keep`).  With
+        ``fill`` (a :class:`~repro.core.buffers.BufferFill`) each block's
         integrals go to ``fill(block, integral, half)`` while in cache --
         the LTS buffer fill; a block program compiles ``fill.calls(...)``
-        -- and ``None`` is returned."""
-        return self._predict(self.telemetry, disc, dofs, dt, elements, ws, needs_half, fill)
+        -- and ``None`` is returned.  With ``ws`` the blocks are kept for
+        the next call with the same outputs (a GTS step, a one-element
+        batch compile once).  ``fill`` may run on several pool threads at
+        once, on disjoint blocks."""
+        batch = _contiguous_run(elements, len(dofs))
+        integral = half = None
+        if fill is None:  # the caller reads the integrals: keep them batch-sized
+            shape = (len(batch), N_ELASTIC) + dofs.shape[2:]
+            integral = self._scratch(ws, "lu_integral", shape, dofs.dtype)
+            half = self._scratch(ws, "lu_half", shape, dofs.dtype) if needs_half else None
+
+        def build():
+            keep = _Keep(batch.start, integral, half) if fill is None else fill
+            return self.prediction(disc, dofs, dt, batch, keep, ws, needs_half)
+
+        key = (batch.start, batch.stop, dofs.shape[1:], dofs.dtype, dt, needs_half,
+               *map(id, (disc, fill, integral, half)))
+        self._dispatch(build() if ws is None else ws.latest("prediction", key, build), dofs)
+        return integral, half
 
     def _predict(self, telemetry, disc, dofs, dt, elements, ws, needs_half, fill):
         """:meth:`local_update` with its stage regions on ``telemetry``."""
@@ -300,49 +334,87 @@ class ReferenceBackend:
         return np.einsum("nvb...,nbf->nvf...", source[rows], mats)
 
     def correct(self, disc, dofs, elements, source, plan, ws=None, halo=None):
-        """Complete a predicted batch: the kept increment gains the local,
-        then the neighbouring surface kernel, then ``dofs[elements] +=
-        increment``.  ``source`` is the flat ``(R, 9, B[, f])`` integral
-        store ``plan`` indexes (the LTS buffer store, the GTS step
-        integral), whose rows ``elements`` must hold the batch's own
-        integral: the own traces (``LtsBuffers.store`` leads with ``B1``).
-        ``halo`` is ``None`` or ``(faces, payloads)``: ascending face ids
-        ``4 e + i`` whose neighbour coefficients are received payloads."""
-        batch = _contiguous_run(elements, len(dofs))
-        rows = slice(batch.start, batch.stop)
-        with self.telemetry.region("kernel.trace"):
-            traces = self.project_local_traces(disc, source[rows], rows, ws=ws)
-        delta = self._increment(dofs)[rows]
-        with self.telemetry.region("kernel.surface_local"):
+        """Complete a predicted batch, one element block at a time
+        (:meth:`correction`, then :meth:`_dispatch`).  ``source`` is the
+        flat ``(R, 9, B[, f])`` integral store ``plan`` indexes (the LTS
+        buffer store, the GTS step integral), whose rows ``elements`` must
+        hold the batch's own integral: the own traces (``LtsBuffers.store``
+        leads with ``B1``).  ``halo`` is ``None`` or ``(faces, payloads)``:
+        ascending face ids ``4 e + i`` whose neighbour coefficients are
+        received payloads.  With ``ws`` the blocks are kept for the next
+        call on the same arrays."""
+        def build():
+            return self.correction(disc, dofs, elements, source, plan, ws, halo)
+
+        key = (dofs.shape[1:], dofs.dtype) + tuple(map(id, (disc, source, plan) + (halo or ())))
+        self._dispatch(build() if ws is None else ws.latest("correction", key, build), dofs)
+
+    def _staged_correction(self, disc, rows, block, source, plan, halo, scratch, telemetry, dofs):
+        """A block's correction in the reference order: the kept increment
+        gains the local, then the neighbouring surface kernel, then
+        ``dofs[block] += increment``."""
+        with telemetry.region("kernel.trace"):
+            traces = self.project_local_traces(disc, source[block], block)
+        delta = self._increment(dofs)[block]
+        with telemetry.region("kernel.surface_local"):
             # given traces, the kernel only reads its time integral's shape
-            delta += self.surface_kernel_local(disc, delta, batch, traces, ws=ws)
-        with self.telemetry.region("kernel.surface_neighbor"):
-            coeffs = self.neighbor_face_coefficients(disc, source[plan], traces, rows, ws=ws)
+            delta += self.surface_kernel_local(disc, delta, block, traces)
+        with telemetry.region("kernel.surface_neighbor"):
+            coeffs = self.neighbor_face_coefficients(disc, source[plan[rows]], traces, block)
             if halo is not None:
-                faces, payloads = halo
+                faces, payloads = _halo_run(halo, rows)
                 coeffs[faces // 4, faces % 4] = payloads
-            delta += self.surface_kernel_neighbor(disc, coeffs, rows, ws=ws)
-        dofs[rows] += delta
+            delta += self.surface_kernel_neighbor(disc, coeffs, block)
+        dofs[block] += delta
 
     # -- dispatch: the items a solver merges across its clusters --------
     def prediction(self, disc, dofs, dt, elements, fill, ws=None, needs_half=False):
-        """:meth:`local_update` of a non-empty batch as items for :meth:`run`,
-        filling through ``fill``.  ``dofs`` gives the layout; the items read
-        the array :meth:`run` hands them."""
-        return [lambda slot, telemetry, dofs: self.local_update(
-            disc, dofs, dt, elements, ws=ws, needs_half=needs_half, fill=fill
-        )]
+        """One :class:`_Block` item per element block of a batch's
+        :meth:`local_update`, filling through ``fill``.  ``dofs`` gives the
+        layout (the items read the array :meth:`run` hands them)."""
+        batch = _contiguous_run(elements, len(dofs))
+        whole = ("local_update", disc, (dt, batch), dict(ws=ws, needs_half=needs_half, fill=fill))
+        return [
+            _Block(self, None, partial(self._staged_prediction, disc, dt, block, ws, needs_half, fill),
+                   batch=whole)
+            for _, block in _block_plan(disc, dofs, batch)
+        ]
+
+    def _staged_prediction(self, disc, dt, block, ws, needs_half, fill, scratch, telemetry, dofs):
+        """A block through the public stage methods (:meth:`_predict`)."""
+        ws = None if ws is None else ws.on(scratch)
+        self._predict(telemetry, disc, dofs, dt, block, ws, needs_half, fill)
 
     def correction(self, disc, dofs, elements, source, plan, ws=None, halo=None):
-        """:meth:`correct` of a non-empty batch as items for :meth:`run`
-        (``halo`` payloads are read when the items run)."""
-        return [lambda slot, telemetry, dofs: self.correct(
-            disc, dofs, elements, source, plan, ws=ws, halo=halo
-        )]
+        """One :class:`_Block` item per element block of a batch's
+        :meth:`correct` (a block's run of the ``halo`` payloads is read when
+        the item runs)."""
+        batch = _contiguous_run(elements, len(dofs))
+        whole = ("correct", disc, (elements, source, plan), dict(ws=ws, halo=halo))
+        return [
+            _Block(self, None, partial(self._staged_correction, disc, rows, block, source, plan, halo),
+                   batch=whole)
+            for rows, block in _block_plan(disc, dofs, batch)
+        ]
 
     def run(self, items: list, dofs) -> None:
-        """Run the items of any number of :meth:`prediction` or
-        :meth:`correction` calls, in order, on ``dofs``."""
+        """One dispatch of the items of any number of :meth:`prediction` /
+        :meth:`correction` calls on ``dofs`` (:meth:`_dispatch`).
+
+        An instance that substitutes ``local_update``, ``correct`` or a
+        prediction stage method (a tracer timing it by name) sees every
+        batch through ``local_update`` / ``correct``, one batch after the
+        other, and every prediction block through the stage methods: the
+        same arithmetic, unmerged.
+        """
+        if _SUBSTITUTABLE.isdisjoint(vars(self)):
+            self._dispatch(items, dofs)
+            return
+        for name, disc, args, kwargs in {id(item.batch): item.batch for item in items}.values():
+            getattr(self, name)(disc, dofs, *args, **kwargs)
+
+    def _dispatch(self, items: list, dofs) -> None:
+        """Run the items in order on ``dofs``."""
         for item in items:
             item(0, self.telemetry, dofs)
 
@@ -425,6 +497,15 @@ def _contiguous_run(elements, n_elements: int) -> range:
     return elements
 
 
+def _halo_run(halo, rows: slice) -> tuple:
+    """A block's run of a correction's ``(faces, payloads)``: the ascending
+    batch face ids ``4 e + i`` of its ``rows``, rebased to the block, and
+    a view of their payloads (so payloads received later are read)."""
+    faces, payloads = halo
+    lo, hi = np.searchsorted(faces, (4 * rows.start, 4 * rows.stop))
+    return faces[lo:hi] - 4 * rows.start, payloads[lo:hi]
+
+
 def _class_segments(sorted_classes: np.ndarray) -> list[tuple[int, int, int]]:
     """The ``(class, start, stop)`` runs of an ascending class array."""
     u, first, count = np.unique(sorted_classes, return_index=True, return_counts=True)
@@ -437,6 +518,18 @@ def _class_segments(sorted_classes: np.ndarray) -> list[tuple[int, int, int]]:
 #: macro cycle is flat from 0.5 to 2 MiB (30-120 elements) and a third
 #: slower unblocked
 _BLOCK_STACK_BYTES = 3 << 19
+
+
+def _block_plan(disc, dofs, batch: range) -> list[tuple[slice, slice]]:
+    """``[(rows, block_elements), ...]``: the run cut into slices whose
+    derivative stack fits ``_BLOCK_STACK_BYTES``."""
+    per_element = disc.order * math.prod(dofs.shape[1:]) * dofs.itemsize
+    size = max(1, _BLOCK_STACK_BYTES // per_element)
+    first, n = batch.start, len(batch)
+    return [
+        (slice(i, min(i + size, n)), slice(first + i, first + min(i + size, n)))
+        for i in range(0, n, size)
+    ]
 
 
 #: the public stage methods a block program inlines; an instance that
@@ -496,8 +589,8 @@ class _Program:
 
 
 class _Keep:
-    """The ``fill`` of a fill-less :meth:`FastBackend.local_update`: block
-    integrals copied into the batch-sized arrays its caller reads."""
+    """The ``fill`` of a fill-less :meth:`ReferenceBackend.local_update`:
+    block integrals copied into the batch-sized arrays its caller reads."""
 
     def __init__(self, start: int, integral, half):
         self.start, self.integral, self.half = start, integral, half
@@ -512,12 +605,13 @@ class _Keep:
 
 
 class _Block:
-    """One element block of a dispatch (an item of :meth:`FastBackend.run`):
+    """One element block of a dispatch (an item of :meth:`~ReferenceBackend.run`):
     its :class:`_Program` on each pool thread's scratch, compiled on the
     thread's first claim and again once that thread's pools have grown.
-    ``staged`` runs the block through the public stage methods instead,
-    and ``batch`` is ``(method, disc, args, kwargs)``: the ``local_update``
-    or ``correct`` call of the block's whole batch, less its DOFs."""
+    ``staged`` runs the block through the public stage methods instead (a
+    ``ReferenceBackend`` block always does, and compiles nothing), and
+    ``batch`` is ``(method, disc, args, kwargs)``: the ``local_update`` or
+    ``correct`` call of the block's whole batch, less its DOFs."""
 
     __slots__ = ("backend", "compile", "staged", "batch", "__weakref__")
 
@@ -602,29 +696,6 @@ class FastBackend(ReferenceBackend):
             except AttributeError:  # pragma: no cover - exotic disc objects
                 pass
         return cached
-
-    @staticmethod
-    def _scratch(ws, name, shape, dtype):
-        if ws is None:
-            return np.zeros(shape, dtype=dtype)
-        return ws.scratch(name, shape, dtype)
-
-    def run(self, items: list, dofs) -> None:
-        """One pool dispatch of the items of any number of
-        :meth:`prediction` / :meth:`correction` calls on ``dofs``
-        (:meth:`_dispatch`).
-
-        An instance that substitutes ``local_update``, ``correct`` or a
-        prediction stage method (a tracer timing it by name) sees every
-        batch through ``local_update`` / ``correct``, one batch after the
-        other, and every prediction block through the stage methods: the
-        same arithmetic, unmerged.
-        """
-        if _SUBSTITUTABLE.isdisjoint(vars(self)):
-            self._dispatch(items, dofs)
-            return
-        for name, disc, args, kwargs in {id(item.batch): item.batch for item in items}.values():
-            getattr(self, name)(disc, dofs, *args, **kwargs)
 
     def _dispatch(self, items: list, dofs) -> None:
         """Each thread of :func:`~repro.kernels.threads.block_pool` (this
@@ -846,44 +917,8 @@ class FastBackend(ReferenceBackend):
         dofs[rows] += increment
 
     # ------------------------------------------------------------------
-    # cache-blocked local update
+    # cache-blocked prediction
     # ------------------------------------------------------------------
-    @staticmethod
-    def _block_plan(disc, dofs, batch: range) -> list[tuple[slice, slice]]:
-        """``[(rows, block_elements), ...]``: the run cut into slices whose
-        derivative stack fits ``_BLOCK_STACK_BYTES``."""
-        per_element = disc.order * math.prod(dofs.shape[1:]) * dofs.itemsize
-        size = max(1, _BLOCK_STACK_BYTES // per_element)
-        first, n = batch.start, len(batch)
-        return [
-            (slice(i, min(i + size, n)), slice(first + i, first + min(i + size, n)))
-            for i in range(0, n, size)
-        ]
-
-    def local_update(self, disc, dofs, dt, elements, ws=None, needs_half=False, fill=None):
-        """The shared pipeline, one L2-sized element block at a time
-        (:meth:`prediction`, then :meth:`run`): each block adds its volume
-        increment to its DOF rows from block scratch, and only the
-        integrals a fill-less caller reads land in batch-sized storage.
-        With ``ws`` the blocks are kept for the next call with the same
-        outputs (a GTS step, a one-element batch compile once).  ``fill``
-        may run on several pool threads at once, on disjoint blocks."""
-        batch = _contiguous_run(elements, len(dofs))
-        integral = half = None
-        if fill is None:  # the caller reads the integrals: keep them batch-sized
-            shape = (len(batch), N_ELASTIC) + dofs.shape[2:]
-            integral = self._scratch(ws, "lu_integral", shape, dofs.dtype)
-            half = self._scratch(ws, "lu_half", shape, dofs.dtype) if needs_half else None
-
-        def build():
-            keep = _Keep(batch.start, integral, half) if fill is None else fill
-            return self.prediction(disc, dofs, dt, batch, keep, ws, needs_half)
-
-        key = (batch.start, batch.stop, dofs.shape[1:], dofs.dtype, dt, needs_half,
-               *map(id, (disc, fill, integral, half)))
-        self._dispatch(build() if ws is None else ws.latest("prediction", key, build), dofs)
-        return integral, half
-
     def prediction(self, disc, dofs, dt, elements, fill, ws=None, needs_half=False):
         """One :class:`_Block` item per element block of a batch's
         :meth:`local_update`, filling through ``fill``.  ``dofs`` gives the
@@ -893,7 +928,7 @@ class FastBackend(ReferenceBackend):
         self._disc_data(disc).relaxation(math.prod(dofs.shape[2:]))
         whole = ("local_update", disc, (dt, batch), dict(ws=ws, needs_half=needs_half, fill=fill))
         items = []
-        for _, block in self._block_plan(disc, dofs, batch):
+        for _, block in _block_plan(disc, dofs, batch):
             if ws is not None:
                 self._stacked_ops(disc, block, ws)
             args = (disc, dt, block, ws, needs_half, fill)
@@ -919,11 +954,6 @@ class FastBackend(ReferenceBackend):
             ("kernel.ck", derivatives), ("kernel.integrate", integrate),
             ("kernel.volume", volume), (None, fill.calls(block, integral[:, :N_ELASTIC], half)),
         ])
-
-    def _staged_prediction(self, disc, dt, block, ws, needs_half, fill, scratch, telemetry, dofs):
-        """A block through the public stage methods (:meth:`_predict`)."""
-        ws = None if ws is None else ws.on(scratch)
-        self._predict(telemetry, disc, dofs, dt, block, ws, needs_half, fill)
 
     # ------------------------------------------------------------------
     # surface half: the fused correction, own traces first
@@ -969,7 +999,7 @@ class FastBackend(ReferenceBackend):
         batch = _contiguous_run(elements, len(dofs))
         classes = disc.neighbor_flux_index[batch.start : batch.stop]
         plan = []
-        for block_rows, block in self._block_plan(disc, dofs, batch):
+        for block_rows, block in _block_plan(disc, dofs, batch):
             face_class = classes[block_rows].ravel()
             interior = np.flatnonzero(face_class >= 0)
             interior = interior[np.argsort(face_class[interior], kind="stable")]
@@ -1015,15 +1045,6 @@ class FastBackend(ReferenceBackend):
         calls = [(source.take, (rows, 0, gathered, "clip"))]
         return calls + [self._basis_call(gathered[a:b], fbar[u], out[a:b]) for u, a, b in segments]
 
-    def correct(self, disc, dofs, elements, source, plan, ws=None, halo=None):
-        """The fused correction (:meth:`correction`, then :meth:`run`); with
-        ``ws`` the blocks are kept for the next call on the same arrays."""
-        def build():
-            return self.correction(disc, dofs, elements, source, plan, ws, halo)
-
-        key = (dofs.shape[1:], dofs.dtype) + tuple(map(id, (disc, source, plan) + (halo or ())))
-        self._dispatch(build() if ws is None else ws.latest("correction", key, build), dofs)
-
     def correction(self, disc, dofs, elements, source, plan, ws=None, halo=None):
         """One :class:`_Block` item per block of ``plan``: the fused
         correction on block-sized scratch -- the own traces from the block's
@@ -1064,12 +1085,11 @@ class FastBackend(ReferenceBackend):
         calls = self._class_calls(disc, source, source_rows, segments, proj, ws, "corr_gather")
         operand = scratch_of("corr_operand", (E, 4, 2 * N_ELASTIC, n_face_basis))
         calls.append((proj.take, (operand_rows, 0, _view(operand, (8 * E,) + face), "clip")))
-        if halo is not None:  # the block's run of the ascending face ids
-            faces, payloads = halo
-            lo, hi = np.searchsorted(faces, (4 * rows.start, 4 * rows.stop))
-            if hi > lo:
+        if halo is not None:
+            faces, payloads = _halo_run(halo, rows)
+            if len(faces):
                 target = _view(operand, (4 * E, 2 * N_ELASTIC) + face[1:])[:, N_ELASTIC:]
-                calls.append((target.__setitem__, (faces[lo:hi] - 4 * rows.start, payloads[lo:hi])))
+                calls.append((target.__setitem__, (faces, payloads)))
         surface = scratch_of("corr_surface", (E, disc.n_vars, n_basis))
         calls += self._flux_calls(data, block, operand, surface[:, :n_rows], ws, "corr_solved")
         # mechanism l's rows: omega_l times the shared anelastic rows,

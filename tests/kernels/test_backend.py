@@ -16,8 +16,14 @@ The contract of the backend layer:
   pass on ``fast``, whose inherited stage methods a step no longer reaches;
 * an f32 discretization runs in single precision end to end (DOFs, buffers,
   seismograms) and matches the f64 result within a documented tolerance
-  under both kernel kinds.
+  under both kernel kinds;
+* ``ref`` walks every batch in element blocks: no block size changes a bit
+  of its DOFs or seismograms, and a step's transient memory is bounded by
+  the block, not the batch.
 """
+
+import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +32,7 @@ from repro.core.clustering import derive_clustering
 from repro.core.gts_solver import GlobalTimeSteppingSolver
 from repro.core.lts_solver import ClusteredLtsSolver
 from repro.equations.material import MaterialTable, ViscoelasticMaterial
+from repro.kernels import backend as backend_module
 from repro.kernels.backend import KERNEL_KINDS, FastBackend, ReferenceBackend, make_backend
 from repro.kernels.ader import compute_time_derivatives, time_integrate
 from repro.kernels.discretization import Discretization, N_ELASTIC
@@ -36,6 +43,7 @@ from repro.kernels.surface import (
     surface_kernel_neighbor,
 )
 from repro.kernels.volume import volume_kernel
+from repro.scenarios import get_scenario, make_runner
 
 from ..lts_setup import cluster_ordered
 from .conftest import small_mesh
@@ -262,3 +270,97 @@ class TestPrecision:
         err = np.abs(results["f32"].astype(np.float64) - results["f64"]).max()
         # a handful of LTS cycles at order 3 accumulates O(100) f32 roundings
         assert err <= 1e-4 * scale
+
+
+#: the ref runs blocking must leave bitwise alone: (smoke scenario, overrides)
+BLOCKING_CASES = {
+    "gts": ("loh3", dict(solver="gts")),
+    "lts": ("la_habra", {}),
+    "2rank": ("la_habra", dict(n_ranks=2)),
+    "fused2": ("loh3", dict(n_fused=2)),
+}
+
+
+def _ref_run(case, precision):
+    """``(runner, [dofs, seismograms...], batch lengths)`` after one ref
+    macro cycle of a :data:`BLOCKING_CASES` case (rank workers stopped)."""
+    name, overrides = BLOCKING_CASES[case]
+    spec = get_scenario(name).smoke().with_overrides(
+        kernels="ref", precision=precision, n_cycles=1, **overrides
+    )
+    runner = make_runner(spec)
+    try:
+        runner.step_cycle()
+        state = [np.array(runner.solver.dofs)]
+        state += [np.array(r.seismogram()[1]) for r in runner.receivers.receivers]
+    finally:
+        if hasattr(runner, "engine"):
+            runner.engine.close()
+    if hasattr(runner, "engine"):
+        ids = [sub.clustering.cluster_ids for sub in runner.engine.subdomains]
+    elif hasattr(runner.solver, "clusters"):
+        ids = [runner.clustering.cluster_ids]
+    else:
+        ids = [np.zeros(runner.setup.mesh.n_elements, dtype=int)]
+    return runner, state, [n for cluster_ids in ids for n in np.bincount(cluster_ids) if n]
+
+
+@functools.lru_cache(maxsize=None)
+def _default_blocks(case, precision):
+    """The default-block run's state and its derivative-stack bytes per
+    element (what ``_BLOCK_STACK_BYTES`` divides)."""
+    runner, state, _ = _ref_run(case, precision)
+    dofs = state[0]
+    return state, runner.setup.disc.order * dofs[0].size * dofs.itemsize
+
+
+class TestRefBlocking:
+    """``ReferenceBackend`` runs every batch as ``_block_plan`` element
+    blocks; every ref contraction is per element, so one-element blocks and
+    blocks that leave a partial last one are bitwise the default blocks --
+    the halo payloads of a 2-rank correction included, whose face ids each
+    block rebases to its own rows."""
+
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    @pytest.mark.parametrize("case", list(BLOCKING_CASES))
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_no_block_size_changes_a_ref_bit(self, monkeypatch, block, case, precision):
+        expected, per_element = _default_blocks(case, precision)
+        monkeypatch.setattr(backend_module, "_BLOCK_STACK_BYTES", block * per_element)
+        runner, state, batches = _ref_run(case, precision)
+        assert any(n % block for n in batches) or block == 1  # a partial last block
+        if case == "lts":
+            assert len(batches) >= 3  # populated clusters
+        if case == "2rank":  # some cluster's halo faces lie in several blocks
+            assert any(
+                len(np.unique(plan.rows // block)) > 1
+                for sub in runner.engine.subdomains for plan in sub.recv_plans
+            )
+        assert len(state) == len(expected) > 1
+        for got, want in zip(state, expected):
+            assert got.dtype == want.dtype == np.dtype(precision.replace("f", "float"))
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_ref_step_transient_memory_is_block_sized():
+    """One ref GTS step on LOH.3 at K = 480 and K = 1296 elements peaks at
+    the same traced bytes once the kept batch-sized step integral is taken
+    off: the derivative stack, gathers, traces and surface temporaries are
+    one element block's, whatever the batch."""
+    transient = {}
+    for length in (2000.0, 1400.0):
+        spec = get_scenario("loh3", characteristic_length=length)
+        solver = make_runner(spec.with_overrides(solver="gts", kernels="ref")).solver
+        solver.step()  # the kept volume increment rows are allocated once
+        tracemalloc.start()
+        try:
+            solver.step()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        disc, dofs = solver.disc, solver.dofs
+        kept = disc.n_elements * N_ELASTIC * dofs[0, 0].size * dofs.itemsize
+        transient[disc.n_elements] = peak - kept
+    assert sorted(transient) == [480, 1296]
+    small, large = transient[480], transient[1296]
+    assert abs(large - small) <= 0.1 * max(small, large), transient

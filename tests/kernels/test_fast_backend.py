@@ -447,7 +447,7 @@ class TestCacheBlocking:
         unblocked = _local_update_copy(FastBackend(), disc, dofs, elements)
         _set_block_elements(monkeypatch, disc, dofs, self.BLOCK)
         fast = FastBackend()
-        blocks = fast._block_plan(disc, dofs, run)
+        blocks = backend_module._block_plan(disc, dofs, run)
         assert len(blocks) == -(-n_elements // self.BLOCK)
         assert blocks[0][1].start == run.start and blocks[-1][1].stop == run.stop
         blocked = _local_update_copy(fast, disc, dofs, elements)
@@ -615,7 +615,7 @@ def test_first_cycle_memory_stays_block_sized(monkeypatch, n_threads):
     scratch = solver.backend._thread_scratch
     assert len(scratch) == n_threads
     # the widest per-element scratch: the derivative stack of a block
-    block = max(FastBackend._block_plan(disc, dofs, c.elements)[0][0].stop
+    block = max(backend_module._block_plan(disc, dofs, c.elements)[0][0].stop
                 for c in solver.clusters if len(c.elements))
     per_element = disc.order * disc.n_vars * disc.n_basis
     for ws in scratch:

@@ -359,7 +359,7 @@ def test_threaded_telemetry_counts_every_region_once(monkeypatch, small_blocks, 
     solver = make_runner(spec).solver
     n_cycles, schedule = spec.run.n_cycles, schedule_cycle(solver.clustering.n_clusters)
     blocks = [
-        len(FastBackend._block_plan(solver.disc, solver.dofs, c.elements)) for c in solver.clusters
+        len(backend_module._block_plan(solver.disc, solver.dofs, c.elements)) for c in solver.clusters
     ]
     for phase, leaf in (("predict", "kernel.ck"), ("correct", "kernel.surface_neighbor")):
         assert regions[2][phase] == n_cycles * len(schedule)

@@ -311,7 +311,10 @@ class TestReportCli:
         assert entry["n_ranks"] == 2 and "backend" not in entry
         assert entry["blocks"]["ledger"]["complete"] is True
         assert cli_main(["report", str(run_dir)]) == 0
-        headers = [line for line in capsys.readouterr().out.splitlines() if "2 ranks" in line]
+        headers = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("== run ") and line.endswith(" ==")
+        ]
         assert headers and all(line.endswith(", 2 ranks) ==") for line in headers), headers
 
     def test_report_on_bare_ledger(self, traced_runs, capsys):
