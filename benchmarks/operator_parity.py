@@ -8,8 +8,11 @@ of ``repro`` cannot live in one interpreter, the check is two invocations::
     PYTHONPATH=<parent checkout>/src python benchmarks/operator_parity.py --dump parent.npz
     PYTHONPATH=src python benchmarks/operator_parity.py --compare parent.npz
 
-``--dump`` writes a compressed ``.npz``.  ``--compare`` requires
-``np.array_equal`` for every array.  A dump of a checkout that stored the
+``--dump`` writes a compressed ``.npz``.  ``--compare`` requires every
+array to be the same bytes (shape, dtype and values, the sign of a zero
+included -- ``np.array_equal`` takes ``-0.0 == 0.0``), and reports arrays
+whose values are equal but whose zeros differ in sign as their own kind of
+problem.  A dump of a checkout that stored the
 dense ``star_elastic`` / ``star_anelastic`` / ``coupling`` stacks is
 compared in the compact layout (``Discretization.star_stress`` and the
 rest), once its dropped blocks proved exact zeros; a dump that listed the
@@ -30,7 +33,7 @@ Cases: the benchmark workloads' meshes (``loh3-m-lts``, ``basin-s-lts``, the
 small LOH.3 of the sweep/CLI workloads, ``loh3-l-setup`` in original and
 reordered element order), the golden-fixture configurations and every
 registered scenario at its defaults; each with the spec's own flux and
-mechanism count plus the other flux and m = 0 / m = 3.
+mechanism count plus the other flux and m = 0 / m = 3, at f64 and at f32.
 """
 
 from __future__ import annotations
@@ -83,11 +86,29 @@ def restricted_problems(prefix: str, disc) -> list[str]:
     sides = [np.flatnonzero(parts == side) for side in (0, 1)]
     ranks = [disc.restricted(rows, np.full((len(rows), 4), -1)) for rows in sides]
     return [
-        f"{prefix}/{name}: partition {side}'s restricted rows differ"
+        f"{prefix}/{name}: partition {side}'s restricted rows: {problem}"
         for side, (rows, rank) in enumerate(zip(sides, ranks))
         for name in ELEMENT_OPERATORS
-        if not np.array_equal(getattr(rank, name), getattr(disc, name)[rows])
+        for problem in [difference(getattr(rank, name), getattr(disc, name)[rows])]
+        if problem is not None
     ]
+
+
+#: what :func:`difference` reports for equal values whose zeros differ in sign
+SIGN_OF_ZERO = "zeros differ in sign"
+
+
+def difference(a, b) -> str | None:
+    """``None`` when ``a`` and ``b`` are the same bytes (shape, dtype and
+    data), else what differs: ``"N zeros differ in sign"`` when only the
+    signs of zeros do, ``"differs"`` otherwise."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    if a.shape == b.shape and a.dtype == b.dtype:
+        if a.tobytes() == b.tobytes():
+            return None
+        if np.array_equal(a, b):
+            return f"{np.count_nonzero(np.signbit(a) != np.signbit(b))} {SIGN_OF_ZERO}"
+    return "differs"
 
 
 def collect(problems: list | None = None) -> dict:
@@ -102,9 +123,16 @@ def collect(problems: list | None = None) -> dict:
         variants = {"spec": disc}
         for flux in ("rusanov", "godunov"):
             for m in (0, 3):
-                if (flux, m) != (disc.flux, disc.n_mechanisms):
-                    variants[f"{flux}-m{m}"] = Discretization(
-                        setup.mesh, setup.materials, order=disc.order, n_mechanisms=m, flux=flux
+                for precision in ("f64", "f32"):
+                    if (flux, m) == (disc.flux, disc.n_mechanisms) and precision in (
+                        "f64", disc.precision
+                    ):
+                        continue  # the spec's own set
+                    # f64 sets keep the names older dumps gave them
+                    suffix = "" if precision == "f64" else f"-{precision}"
+                    variants[f"{flux}-m{m}{suffix}"] = Discretization(
+                        setup.mesh, setup.materials, order=disc.order, n_mechanisms=m,
+                        flux=flux, precision=precision,
                     )
         if reordered:
             variants["reordered"] = make_runner(spec).setup.disc
@@ -168,12 +196,12 @@ def compare(ours: dict, reference: dict) -> list[str]:
     problems = [f"missing in one side: {k}" for k in sorted(set(ours) ^ set(reference))]
     relaxed = set()
     for key in sorted(set(ours) & set(reference)):
-        a, b = ours[key], reference[key]
-        if np.array_equal(a, b):
+        problem = difference(ours[key], reference[key])
+        if problem is None:
             continue
         prefix, _, name = key.rpartition("/")
-        if name not in NEIGHBOR_KEYS:
-            problems.append(f"{key}: differs")
+        if name not in NEIGHBOR_KEYS or problem != "differs":
+            problems.append(f"{key}: {problem}")
         elif prefix not in relaxed:
             relaxed.add(prefix)
             mats, index = (ours[f"{prefix}/{k}"] for k in NEIGHBOR_KEYS)
@@ -206,7 +234,9 @@ def main() -> int:
         problems += compare(arrays, {k: data[k] for k in data.files})
     for problem in problems:
         print(problem)
-    print(f"{len(arrays)} arrays compared, {len(problems)} problems")
+    signs = sum(problem.endswith(SIGN_OF_ZERO) for problem in problems)
+    print(f"{len(arrays)} arrays compared byte for byte, {len(problems)} problems "
+          f"({signs} of them only in the sign of zeros)")
     return 1 if problems else 0
 
 

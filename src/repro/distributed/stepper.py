@@ -3,7 +3,8 @@
 A :class:`RankSolver` is a :class:`~repro.core.lts_solver.ClusteredLtsSolver`
 running on one rank's :class:`~repro.distributed.subdomain.RankSubdomain`:
 the global discretization restricted to the rank's rows (assembled for
-those rows alone when the solver is built, in the worker that steps it),
+those rows alone when the solver is built, in the worker that steps it,
+timed as the rank lane's ``preprocess.operators`` region),
 local DOFs, local LTS buffers, local element-ids everywhere.  Three things
 are added on top of the shared driver logic:
 
@@ -41,6 +42,7 @@ import numpy as np
 
 from ..core.lts_solver import ClusteredLtsSolver, _ClusterData
 from ..kernels.discretization import N_ELASTIC
+from ..observability import NULL_TELEMETRY
 from .subdomain import RankSubdomain
 
 __all__ = ["RankSolver"]
@@ -71,8 +73,12 @@ class RankSolver(ClusteredLtsSolver):
         self.subdomain = subdomain
         self.comm = communicator
         self.rank = subdomain.rank
+        with (telemetry if telemetry is not None else NULL_TELEMETRY).region(
+            "preprocess.operators"
+        ):
+            disc = subdomain.disc.restricted(subdomain.owned, subdomain.local_neighbors)
         super().__init__(
-            subdomain.disc.restricted(subdomain.owned, subdomain.local_neighbors),
+            disc,
             subdomain.clustering,
             sources=sources,
             receivers=receivers,

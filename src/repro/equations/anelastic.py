@@ -37,7 +37,10 @@ __all__ = [
     "quality_factor_of_spectrum",
     "anelastic_lame_parameters",
     "coupling_matrices",
+    "coupling_values",
+    "COUPLING_NONZEROS",
     "anelastic_jacobians",
+    "ANELASTIC_NONZEROS",
     "anelastic_star_matrices",
     "n_anelastic_vars",
 ]
@@ -175,6 +178,25 @@ def anelastic_lame_parameters(
     return lam_a, mu_a
 
 
+#: the nonzeros of a coupling matrix ``E_l`` as ``(row, column, name)``:
+#: ``E_l[row, column] = coupling_values(...)[name]``.  Only stress rows are
+#: nonzero: the memory variables feed the stresses alone
+COUPLING_NONZEROS = (
+    # normal stresses
+    (0, 0, "lam2mu"), (0, 1, "lam"), (0, 2, "lam"),
+    (1, 0, "lam"), (1, 1, "lam2mu"), (1, 2, "lam"),
+    (2, 0, "lam"), (2, 1, "lam"), (2, 2, "lam2mu"),
+    # shear stresses (tensor strain -> factor 2 mu)
+    (3, 3, "mu2"), (4, 4, "mu2"), (5, 5, "mu2"),
+)
+
+
+def coupling_values(lam_a, mu_a) -> dict:
+    """The coupling-matrix entries by :data:`COUPLING_NONZEROS` name, each
+    the negated anelastic modulus, in the shape of ``lam_a`` / ``mu_a``."""
+    return {"lam2mu": -(lam_a + 2.0 * mu_a), "lam": -lam_a, "mu2": -2.0 * mu_a}
+
+
 def coupling_matrices(lam_a: np.ndarray, mu_a: np.ndarray) -> np.ndarray:
     """Coupling matrices ``E_l`` feeding memory variables into the stresses.
 
@@ -189,41 +211,39 @@ def coupling_matrices(lam_a: np.ndarray, mu_a: np.ndarray) -> np.ndarray:
         raise ValueError("lam_a and mu_a must both have shape (n_elements, n_mechanisms)")
     n_elem, n_mech = lam_a.shape
     e = np.zeros((n_elem, n_mech, 9, 6))
-    lam2mu = lam_a + 2.0 * mu_a
-    # normal stresses
-    for row in range(3):
-        for col in range(3):
-            e[:, :, row, col] = -(lam2mu if row == col else lam_a)
-    # shear stresses (tensor strain -> factor 2 mu)
-    for idx in (3, 4, 5):
-        e[:, :, idx, idx] = -2.0 * mu_a
+    values = coupling_values(lam_a, mu_a)
+    for row, column, name in COUPLING_NONZEROS:
+        e[:, :, row, column] = values[name]
     return e
 
 
 # ----------------------------------------------------------------------
 # anelastic Jacobian blocks (material independent, omega_l factored out)
 # ----------------------------------------------------------------------
+#: the nine nonzeros of the anelastic Jacobian blocks as ``(direction, row,
+#: column, value)``: each extracts one negative tensor strain rate from a
+#: particle-velocity column (6-8), mirroring the sign convention of the
+#: elastic Jacobians
+ANELASTIC_NONZEROS = (
+    # x-direction: d/dx of (u, v, w) -> eps_xx, eps_xy, eps_xz
+    (0, 0, 6, -1.0), (0, 3, 7, -0.5), (0, 5, 8, -0.5),
+    # y-direction
+    (1, 1, 7, -1.0), (1, 3, 6, -0.5), (1, 4, 8, -0.5),
+    # z-direction
+    (2, 2, 8, -1.0), (2, 4, 7, -0.5), (2, 5, 6, -0.5),
+)
+
+
 def anelastic_jacobians() -> np.ndarray:
-    """The mechanism-independent anelastic Jacobian blocks, shape ``(3, 6, 9)``.
+    """The mechanism-independent anelastic Jacobian blocks, shape ``(3, 6, 9)``
+    (:data:`ANELASTIC_NONZEROS`).
 
     The full-system Jacobian block of mechanism ``l`` is ``omega_l`` times the
-    returned matrices (the factorisation of eq. 7).  The blocks extract the
-    negative tensor strain rate from the particle-velocity columns, mirroring
-    the sign convention of the elastic Jacobians.
+    returned matrices (the factorisation of eq. 7).
     """
     jac = np.zeros((3, 6, 9))
-    # x-direction: d/dx of (u, v, w) -> eps_xx, eps_xy, eps_xz
-    jac[0, 0, 6] = -1.0
-    jac[0, 3, 7] = -0.5
-    jac[0, 5, 8] = -0.5
-    # y-direction
-    jac[1, 1, 7] = -1.0
-    jac[1, 3, 6] = -0.5
-    jac[1, 4, 8] = -0.5
-    # z-direction
-    jac[2, 2, 8] = -1.0
-    jac[2, 4, 7] = -0.5
-    jac[2, 5, 6] = -0.5
+    for d, row, column, value in ANELASTIC_NONZEROS:
+        jac[d, row, column] = value
     return jac
 
 

@@ -10,8 +10,11 @@ Every builder takes leading batch dimensions: materials ``(...)`` and unit
 normals ``(..., 3)`` broadcast against each other and the matrices come back
 as ``(..., 9, 9)`` (``(..., 6, 9)`` for the anelastic rows).  A single face
 is the batch of one, and each face of a batch gets bit-for-bit the matrix
-the single-face call gives -- the assembly therefore passes whole
-``(K, 4)`` blocks of faces, never one face at a time.
+the single-face call gives -- the assembly therefore passes whole blocks
+of faces (a chunk's Godunov faces, its free-surface faces), never one face
+at a time.  It fills the Rusanov and anelastic solvers of the other faces
+in place, from the nonzero tables these builders fill their dense
+matrices from, bitwise their values.
 
 Two flux choices are implemented:
 

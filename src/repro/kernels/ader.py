@@ -13,7 +13,7 @@ The intermediate products ``(d^d/dt^d Q_e) K_c`` are computed once and reused
 for the elastic and all anelastic derivative computations, mirroring the
 data-reuse the paper describes after eq. (7).  The star and coupling
 operators are contracted block by block, without their structural zeros
-(see :func:`~repro.kernels.discretization.compact_element_operators`).
+(see :meth:`~repro.kernels.discretization.Discretization.element_operators`).
 """
 
 from __future__ import annotations

@@ -7,9 +7,8 @@ EDGE's per-partition annotation data written by the preprocessing pipeline:
 * the reference element operators (mass/stiffness/flux matrices),
 * element-local star matrices of the elastic and anelastic Jacobians and
   the per-element/mechanism coupling matrices ``E_l``, stored once without
-  their structural zero blocks (:func:`compact_element_operators`) in the
-  layout the fast kernels multiply -- the ref kernels contract the same
-  blocks,
+  their structural zero blocks in the layout the fast kernels multiply --
+  the ref kernels contract the same blocks,
 * the relaxation spectrum,
 * element-local flux solver matrices ``A~+-_{k,i}`` with the geometry factor
   ``2 |S_i| / |J_k|`` folded in (boundary faces additionally fold in their
@@ -30,9 +29,22 @@ through it the first time anything reads one of them, and a rank's
 :meth:`Discretization.restricted` assembles its own rows through it, so the
 parent of a multi-rank run never holds the whole set unless something
 reads it.  Assembly is batched over elements (quail's ``ElemOperators``
-idiom): the flux solvers are filled a chunk of ids (all four faces) per
-call into the Riemann builders, and ``F_bar`` is evaluated for one
-representative face per class instead of every interior face.
+idiom), a chunk of ids (all four faces) at a time, and writes the final
+arrays in place from their nonzeros: every kept star, coupling and
+Rusanov flux entry is one product of a normal or inverse-Jacobian
+component with a material value.  A chunk's products -- one column per
+entry of the nonzero tables
+(:data:`~repro.equations.elastic.JACOBIAN_NONZEROS`,
+:data:`~repro.equations.anelastic.ANELASTIC_NONZEROS`,
+:data:`~repro.equations.anelastic.COUPLING_NONZEROS`), the tables the
+public builders fill their dense matrices from, with the builders' exact
+arithmetic -- go into a small value table, and each operator takes every
+entry of its blocks from there (the structural zeros from one zero slot)
+in one sequential pass over its final rows, so the values are bitwise the
+builders', signed zeros included.  Godunov solvers and free-surface ghost
+products come from the batched Riemann builders, called on those faces
+only, and ``F_bar`` is evaluated for one representative face per class
+instead of every interior face.
 """
 
 from __future__ import annotations
@@ -43,13 +55,14 @@ import numpy as np
 
 from ..basis.reference_element import ReferenceElement, reference_element
 from ..equations.anelastic import (
+    ANELASTIC_NONZEROS,
+    COUPLING_NONZEROS,
     RelaxationSpectrum,
-    anelastic_jacobians,
     anelastic_lame_parameters,
-    coupling_matrices,
+    coupling_values,
     fit_constant_q,
 )
-from ..equations.elastic import elastic_jacobians
+from ..equations.elastic import JACOBIAN_NONZEROS, jacobian_values
 from ..equations.material import MaterialTable
 from ..equations.riemann import (
     FLUX_KINDS,
@@ -70,7 +83,6 @@ __all__ = [
     "PRECISIONS",
     "SHARED_OPERATORS",
     "VELOCITIES",
-    "compact_element_operators",
     "flux_solver_views",
 ]
 
@@ -86,8 +98,9 @@ PRECISIONS = ("f64", "f32")
 
 _PRECISION_DTYPES = {"f64": np.float64, "f32": np.float32}
 
-#: elements per batched flux-solver pass: bounds the assembly temporaries
-#: (about 25 kB per element) well below the run-phase memory high-water mark
+#: elements per assembly pass: bounds the assembly temporaries (a few kB
+#: per element, about 25 kB where the Godunov builders run) well below the
+#: run-phase memory high-water mark
 _ASSEMBLY_CHUNK = 512
 
 #: the per-element operators (leading axis the element), in the run
@@ -122,62 +135,102 @@ _SHARED_ATTRIBUTES = (
 )
 
 
-def compact_element_operators(
-    inverse_jacobians, elastic_jacobians, anelastic_jacobians, coupling
-) -> dict:
-    """The element star and coupling operators without their structural
-    zeros, in the layout the fast kernels multiply:
+def _nonzero_columns() -> dict:
+    """The nonzero tables the element operators are filled from, by the
+    dense operator they describe: each as its index columns (arrays) and
+    the list of its value names (values for the anelastic blocks).
 
-    * ``star_stress`` ``(K, 6, 9)``: the elastic star rows of the stresses,
-      which read only the velocities, columns (velocity, direction);
-    * ``star_velocity`` ``(K, 3, 18)``: the velocity rows, which read only
-      the stresses, columns (stress, direction);
-    * ``star_anelastic`` ``(K, 6, 9)``: the anelastic star rows (unscaled by
-      ``omega_l``), which read only the velocities, columns (velocity,
-      direction);
-    * ``coupling`` ``(K, 6, 6 m)``: the stress rows of the coupling
-      matrices ``E_l`` side by side, columns (mechanism, memory variable).
-
-    The star matrices ``Abar_{k,c} = sum_d (dxi_c / dx_d) A_d`` (eq. 6/8)
-    are formed from the blocks of the elastic ``(K, 3, 9, 9)`` and
-    anelastic ``(3, 6, 9)`` Jacobians (``(3, 0, 9)`` without mechanisms)
-    that are not structurally zero: the same sums, in the same order, as
-    the dense stacks of :func:`~repro.equations.elastic.elastic_star_matrices`
-    and :func:`~repro.equations.anelastic.anelastic_star_matrices`, hence the
-    same values.  ``coupling`` is the dense ``(K, m, 9, 6)`` stack.  An
-    operator with a nonzero entry in a block the compact layout drops
-    raises ``ValueError`` naming it.
+    The compact layout keeps the elastic stress rows on the velocity
+    columns and the velocity rows on the stress columns, the anelastic
+    rows on the velocity columns and the stress rows of ``E_l``: a table
+    entry elsewhere raises ``ValueError`` naming the operator.
     """
-    s = N_STRESS
-    zero_blocks = (
-        ("elastic_jacobians", elastic_jacobians[..., :s, :s]),
-        ("elastic_jacobians", elastic_jacobians[..., s:, s:]),
-        ("anelastic_jacobians", anelastic_jacobians[..., :s]),
-        ("coupling", coupling[:, :, s:]),
-    )
-    for name, block in zero_blocks:
-        if np.any(block != 0.0):
+    tables = {
+        "elastic_jacobians": (JACOBIAN_NONZEROS,
+                              lambda d, row, column, _: (row < N_STRESS) != (column < N_STRESS)),
+        "anelastic_jacobians": (ANELASTIC_NONZEROS, lambda d, row, column, _: column >= N_STRESS),
+        "coupling": (COUPLING_NONZEROS, lambda row, column, _: row < N_STRESS),
+    }
+    out = {}
+    for name, (table, kept) in tables.items():
+        if not all(kept(*entry) for entry in table):
             raise ValueError(
                 f"{name} has nonzero entries in a structural zero block: the compact "
                 "element operators cannot represent it"
             )
-    n_elements, n_mechanisms = coupling.shape[:2]
+        *indices, values = zip(*table)
+        out[name] = (*(np.array(index) for index in indices), list(values))
+    return out
 
-    def star(subscripts, blocks):
-        # the dense stacks' contraction (and inner loop), then one copy
-        # into (K, i, j, direction)
-        product = np.einsum(subscripts, inverse_jacobians, blocks).transpose(0, 2, 3, 1)
-        rows, columns = product.shape[1:3]
-        return np.ascontiguousarray(product).reshape(n_elements, rows, 3 * columns)
 
-    return {
-        "star_stress": star("kcd,kdij->kcij", elastic_jacobians[..., :s, s:]),
-        "star_velocity": star("kcd,kdij->kcij", elastic_jacobians[..., s:, :s]),
-        "star_anelastic": star("kcd,dij->kcij", anelastic_jacobians[..., s:]),
-        "coupling": coupling[:, :, :s].transpose(0, 2, 1, 3).reshape(
-            n_elements, s, s * n_mechanisms
-        ),
+def _slot_maps(columns: dict, n_mechanisms: int) -> dict:
+    """For each element operator, the slot of every entry of its
+    per-element (per-face for the flux solvers) block, C order, in the
+    value table its fill computes -- the table's entries in order, then
+    one zero slot, which every entry off the tables reads:
+
+    * ``star_stress`` / ``star_velocity``: the elastic star products
+      ``[entry, c]`` of the ``JACOBIAN_NONZEROS`` entries and directions,
+      at ``[row, 3 j + c]`` (``j`` the column within the kept block);
+    * ``star_anelastic``: the same of ``ANELASTIC_NONZEROS``;
+    * ``coupling``: ``[l, entry]`` of ``COUPLING_NONZEROS``, at
+      ``[row, 6 l + column]``;
+    * ``flux_solvers``: the local then the neighbour Rusanov products of
+      ``JACOBIAN_NONZEROS``, then the local and the neighbour diagonal;
+    * ``flux_anelastic``: the ``ANELASTIC_NONZEROS`` products, on both
+      sides.
+    """
+    directions = np.arange(3)
+    d, row, column, _ = columns["elastic_jacobians"]
+    n = len(d)
+    entry = np.arange(n)
+    stress = row < N_STRESS
+    star_stress = np.full((N_STRESS, 3, 3), 3 * n)
+    star_stress[row[stress], column[stress] - N_STRESS] = 3 * entry[stress, None] + directions
+    star_velocity = np.full((3, N_STRESS, 3), 3 * n)
+    star_velocity[row[~stress] - N_STRESS, column[~stress]] = 3 * entry[~stress, None] + directions
+    flux = np.full((N_ELASTIC, 2 * N_ELASTIC), 2 * n + 2)
+    flux[row, column], flux[row, N_ELASTIC + column] = entry, n + entry
+    diagonal = np.arange(N_ELASTIC)
+    flux[diagonal, diagonal], flux[diagonal, N_ELASTIC + diagonal] = 2 * n, 2 * n + 1
+
+    d, row, column, _ = columns["anelastic_jacobians"]
+    entry = np.arange(len(d))
+    star_anelastic = np.full((N_STRESS, 3, 3), 3 * len(d))
+    star_anelastic[row, column - N_STRESS] = 3 * entry[:, None] + directions
+    flux_anelastic = np.full((N_STRESS, 2, 3), len(d))
+    flux_anelastic[row, :, column - N_STRESS] = entry[:, None]
+
+    row, column, _ = columns["coupling"]
+    coupling = np.full((N_STRESS, n_mechanisms, N_STRESS), len(row) * n_mechanisms)
+    coupling[row, :, column] = np.arange(len(row))[:, None] + len(row) * np.arange(n_mechanisms)
+    maps = {
+        "star_stress": star_stress, "star_velocity": star_velocity,
+        "star_anelastic": star_anelastic, "coupling": coupling,
+        "flux_solvers": flux, "flux_anelastic": flux_anelastic,
     }
+    return {name: slots.ravel() for name, slots in maps.items()}
+
+
+def _by_entry(values: dict, names: list) -> np.ndarray:
+    """The named values, one per table entry, stacked on a last axis."""
+    return np.stack([values[name] for name in names], axis=-1)
+
+
+def _value_table(shape: tuple, n_values: int, zero=0.0) -> np.ndarray:
+    """An empty float64 value table of ``n_values`` slots per leading index
+    (:func:`_slot_maps`), its zero slot after them set to ``zero``."""
+    table = np.empty(shape + (n_values + 1,))
+    table[..., n_values] = zero
+    return table
+
+
+def _place(table: np.ndarray, slots: np.ndarray, out: np.ndarray) -> None:
+    """Write every entry of the blocks of ``out`` (leading axes those of
+    ``table``) from its slot in ``table``: cast once, in one sequential
+    pass over ``out``."""
+    np.take(table.astype(out.dtype, copy=False), slots, axis=-1, mode="clip",
+            out=out.reshape(table.shape[:-1] + (-1,), copy=False))
 
 
 def flux_solver_views(flux_solvers: np.ndarray, flux_anelastic: np.ndarray) -> dict:
@@ -357,103 +410,162 @@ class Discretization:
 
         The one routine that assembles them, from the mesh geometry, the
         materials of the elements and of their face neighbours and the
-        relaxation spectrum, in float64, cast once; the flux solvers a
-        chunk of ``_ASSEMBLY_CHUNK`` ids at a time.  Every builder works
-        per element or per face, so an element's operators are bitwise the
-        same whichever ids it is assembled with.
+        relaxation spectrum: computed in float64 a chunk of
+        ``_ASSEMBLY_CHUNK`` ids at a time and written, cast once, straight
+        into the returned arrays.  Every value is per element or per face,
+        so an element's operators are bitwise the same whichever ids it is
+        assembled with.  Without mechanisms ``star_anelastic`` is
+        ``(K, 0, 9)`` and ``coupling`` ``(K, 6, 0)``.
         """
         ids = np.asarray(ids, dtype=np.int64)
-        materials = self.materials
-        parameters = (materials.lam, materials.mu, materials.rho)
-        out = {
-            name: array.astype(self.dtype, copy=False)
-            for name, array in self._star_and_coupling(ids, *parameters).items()
-        }
+        n, m, dtype = len(ids), self.n_mechanisms, self.dtype
         n_velocities = VELOCITIES.stop - VELOCITIES.start
-        flux = {
-            "flux_solvers": np.empty((len(ids), 4, N_ELASTIC, 2 * N_ELASTIC), self.dtype),
-            "flux_anelastic": np.empty((len(ids), 4, 6, 2 * n_velocities), self.dtype),
+        out = {
+            "star_stress": np.empty((n, N_STRESS, 3 * n_velocities), dtype),
+            "star_velocity": np.empty((n, n_velocities, 3 * N_STRESS), dtype),
+            "star_anelastic": np.empty((n, N_STRESS if m else 0, 3 * n_velocities), dtype),
+            "coupling": np.empty((n, N_STRESS, N_STRESS * m), dtype),
+            "flux_solvers": np.empty((n, 4, N_ELASTIC, 2 * N_ELASTIC), dtype),
+            "flux_anelastic": np.empty((n, 4, N_STRESS, 2 * n_velocities), dtype),
         }
-        for start in range(0, len(ids), _ASSEMBLY_CHUNK):
+        columns = _nonzero_columns()
+        slots = _slot_maps(columns, m)
+        for start in range(0, n, _ASSEMBLY_CHUNK):
             rows = slice(start, start + _ASSEMBLY_CHUNK)
-            targets = [array[rows] for array in flux.values()]
-            blocks = [t if t.dtype == np.float64 else np.empty(t.shape) for t in targets]
-            self._fill_flux_solvers(ids[rows], *parameters, *blocks)
-            for target, block in zip(targets, blocks):
-                if block is not target:
-                    target[...] = block
-        out.update(flux)
-        out.update(flux_solver_views(*flux.values()))
+            chunk = {name: array[rows] for name, array in out.items()}
+            self._fill_star_and_coupling(ids[rows], columns, slots, chunk)
+            self._fill_flux_solvers(ids[rows], columns, slots, chunk)
+        out.update(flux_solver_views(out["flux_solvers"], out["flux_anelastic"]))
         return out
 
-    def _star_and_coupling(self, ids, lam, mu, rho) -> dict:
-        """The compact star and coupling operators of the elements
-        ``ids`` (:func:`compact_element_operators`; without mechanisms
-        ``star_anelastic`` is ``(K, 0, 9)`` and ``coupling`` ``(K, 6, 0)``):
-        no dense star stack is ever formed."""
-        lam, mu, rho = lam[ids], mu[ids], rho[ids]
-        anelastic = anelastic_jacobians()
-        if self.n_mechanisms:
-            materials = self.materials
-            coupling = coupling_matrices(*anelastic_lame_parameters(
-                lam, mu, materials.qp[ids], materials.qs[ids], self.spectrum
-            ))
-        else:
-            anelastic = anelastic[:, :0]
-            coupling = np.zeros((len(ids), 0, N_ELASTIC, N_STRESS))
-        return compact_element_operators(
-            self.mesh.geometry.inverse_jacobians[ids], elastic_jacobians(lam, mu, rho),
-            anelastic, coupling,
-        )
+    def _fill_star_and_coupling(self, chunk, columns: dict, slots: dict, out: dict) -> None:
+        """Write the star and coupling operators of the elements ``chunk``
+        into their ``out`` rows:
 
-    def _fill_flux_solvers(self, chunk, lam, mu, rho, elastic, anelastic) -> None:
-        """Fill ``elastic`` ``(len(chunk), 4, 9, 18)`` and ``anelastic``
-        ``(len(chunk), 4, 6, 6)`` with the flux solvers of the elements
-        ``chunk``, all four faces in one call into the Riemann builders.
+        * ``star_stress`` / ``star_velocity`` and ``star_anelastic``
+          (mechanisms only): ``Abar_{k,c} = sum_d (dxi_c / dx_d) A_d``
+          (eq. 6/8), one product per nonzero of ``A_d`` and direction
+          ``c``;
+        * ``coupling``: the nonzeros of ``E_l``;
+
+        ``+0.0`` elsewhere (:func:`_slot_maps`).  ``+ 0.0`` gives a product
+        that is zero (a zero inverse-Jacobian entry) the sign the sum over
+        ``d`` of the dense stacks gives it
+        (:func:`~repro.equations.elastic.elastic_star_matrices`,
+        :func:`~repro.equations.anelastic.anelastic_star_matrices`), which
+        starts from ``+0.0``.
+        """
+        materials, n, m = self.materials, len(chunk), self.n_mechanisms
+        lam, mu = materials.lam[chunk], materials.mu[chunk]
+        # [k, d, c] = dxi_c / dx_d of element k
+        inverse = self.mesh.geometry.inverse_jacobians[chunk].transpose(0, 2, 1)
+
+        def star_table(d, values):  # [k, entry, c] products, then the zero slot
+            table = _value_table((n,), 3 * len(d))
+            np.add(np.take(inverse, d, axis=1) * values[..., None], 0.0,
+                   out=table[:, :-1].reshape((n, len(d), 3), copy=False))
+            return table
+
+        d, _, _, names = columns["elastic_jacobians"]
+        table = star_table(d, _by_entry(jacobian_values(lam, mu, materials.rho[chunk]), names))
+        for name in ("star_stress", "star_velocity"):
+            _place(table, slots[name], out[name])
+        if not m:
+            return
+        d, _, _, jacobian = columns["anelastic_jacobians"]
+        _place(star_table(d, np.array(jacobian)), slots["star_anelastic"], out["star_anelastic"])
+        _, _, names = columns["coupling"]
+        values = coupling_values(*anelastic_lame_parameters(
+            lam, mu, materials.qp[chunk], materials.qs[chunk], self.spectrum
+        ))
+        table = _value_table((n,), len(names) * m)
+        table[:, :-1].reshape((n, m, len(names)), copy=False)[...] = _by_entry(values, names)
+        _place(table, slots["coupling"], out["coupling"])
+
+    def _fill_flux_solvers(self, chunk, columns: dict, slots: dict, out: dict) -> None:
+        """Write the flux solvers of the elements ``chunk``, all four faces
+        at once, into their ``out`` rows: ``flux_solvers`` ``(len(chunk),
+        4, 9, 18)`` and ``flux_anelastic`` ``(len(chunk), 4, 6, 6)``,
+        ``-2 |S_i| / |J_k|`` (weak-form sign and geometry scaling) times
+        the Riemann solvers ``G``.
 
         Each array holds the local solver's columns left of the
         neighbour's -- the operands the fast correction multiplies against
         ``[own trace | neighbour coefficients]`` and against their velocity
-        rows.  The anelastic solvers (``A~`` of the memory variables) read
-        only the particle velocities, also through a free-surface ghost
-        state, which keeps the velocities: a nonzero stress column raises
-        ``ValueError``.  The per-kind names are views of the two
+        rows.  The anelastic solvers (``A~`` of the memory variables,
+        ``0.5 A_n`` of the anelastic blocks on both sides) and the Rusanov
+        ones (``0.5 (A_n(k) + s I)`` and ``0.5 (A_n(kn) - s I)``) are
+        written from their table entries, ``scale * 0.0`` elsewhere
+        (:func:`_slot_maps`); the Godunov solvers come from
+        :func:`~repro.equations.riemann.godunov_flux_matrices`.  A
+        free-surface face's neighbour solvers act on its ghost state: the
+        builders' solvers for those faces alone, times
+        :func:`~repro.equations.riemann.free_surface_ghost_operator`.  The
+        ghost state keeps the velocities, so the anelastic solvers still
+        read only them: a nonzero stress column raises ``ValueError``.
+        The per-kind names are views of the two
         (:func:`flux_solver_views`).
         """
-        mesh, geometry = self.mesh, self.mesh.geometry
-        flux_builder = rusanov_flux_matrices if self.flux == "rusanov" else godunov_flux_matrices
+        mesh, geometry, materials = self.mesh, self.mesh.geometry, self.materials
+        lam, mu, rho = materials.lam, materials.mu, materials.rho
+        elastic, anelastic = out["flux_solvers"], out["flux_anelastic"]
         neighbors = mesh.neighbors[chunk]
         boundary = neighbors < 0
         # a boundary face sees the element's own material on the ghost side
         other = np.where(boundary, chunk[:, None], neighbors)
+        sides = ((lam[chunk, None], mu[chunk, None], rho[chunk, None]),
+                 (lam[other], mu[other], rho[other]))
         # absorbing and analytic faces keep the unmodified flux solver: their
         # ghost state equals the interior trace, or is injected by the solver
         # at run time
         free_surface = boundary & (mesh.boundary_tags[chunk] == BOUNDARY_FREE_SURFACE)
-        # weak-form sign and geometry scaling: -2 |S_i| / |J_k|
-        areas, determinants = geometry.face_areas[chunk], geometry.determinants[chunk]
-        scale = (-2.0 * areas / determinants[:, None])[..., None, None]
+        scale = -2.0 * geometry.face_areas[chunk] / geometry.determinants[chunk][:, None]
         normals = geometry.face_normals[chunk]
-        g_local, g_neigh = flux_builder(
-            lam[chunk, None], mu[chunk, None], rho[chunk, None],
-            lam[other], mu[other], rho[other], normals,
-        )
-        ga_local = 0.5 * anelastic_normal_jacobian(normals)
-        ga_neigh = ga_local.copy()
+        zero = scale * 0.0
+
+        # 0.5 A_n = 0.5 sum_d n_d A_d: one product per nonzero, whose + 0.0
+        # is that of the sums over d (riemann's normal Jacobians)
+        d, _, _, jacobian = columns["anelastic_jacobians"]
+        a_n = np.take(normals, d, axis=-1) * np.array(jacobian) + 0.0
+        table = _value_table(scale.shape, len(d), zero)
+        np.multiply(scale[..., None], 0.5 * a_n, out=table[..., :-1])
+        _place(table, slots["flux_anelastic"], anelastic)
+        if self.flux == "godunov":
+            g_local, g_neigh = godunov_flux_matrices(*sides[0], *sides[1], normals)
+            elastic[..., :N_ELASTIC] = scale[..., None, None] * g_local
+            elastic[..., N_ELASTIC:] = scale[..., None, None] * g_neigh
+        else:
+            # G = 0.5 (A_n + s I) locally, 0.5 (A_n - s I) for the
+            # neighbour; s the larger P-wave speed across the face
+            d, _, _, names = columns["elastic_jacobians"]
+            n = len(d)
+            normal = np.take(normals, d, axis=-1)
+            s = np.maximum(*(np.sqrt((lam_ + 2.0 * mu_) / rho_) for lam_, mu_, rho_ in sides))
+            table = _value_table(scale.shape, 2 * n + 2, zero)
+            for i, side in enumerate(sides):
+                a_n = normal * _by_entry(jacobian_values(*side), names) + 0.0
+                np.multiply(scale[..., None], 0.5 * a_n, out=table[..., i * n:(i + 1) * n])
+            table[..., 2 * n] = scale * (0.5 * (0.0 + s))
+            table[..., 2 * n + 1] = scale * (0.5 * (0.0 - s))
+            _place(table, slots["flux_solvers"], elastic)
+
         if free_surface.any():
-            ghost = free_surface_ghost_operator(normals[free_surface])
-            g_neigh[free_surface] = g_neigh[free_surface] @ ghost
-            ga_neigh[free_surface] = ga_neigh[free_surface] @ ghost
-        if np.any(ga_local[..., :N_STRESS] != 0.0) or np.any(ga_neigh[..., :N_STRESS] != 0.0):
-            raise ValueError(
-                "the anelastic flux solvers have nonzero stress columns: flux_anelastic "
-                "cannot represent them"
-            )
-        views = flux_solver_views(elastic, anelastic).values()
-        for view, matrices in zip(views, (
-            g_local, g_neigh, ga_local[..., VELOCITIES], ga_neigh[..., VELOCITIES],
-        )):
-            np.multiply(scale, matrices, out=view)
+            owner = np.broadcast_to(chunk[:, None], free_surface.shape)[free_surface]
+            face_normals = normals[free_surface]
+            ghost = free_surface_ghost_operator(face_normals)
+            builder = rusanov_flux_matrices if self.flux == "rusanov" else godunov_flux_matrices
+            materials_of_owner = (lam[owner], mu[owner], rho[owner])
+            _, g_neigh = builder(*materials_of_owner, *materials_of_owner, face_normals)
+            ga_neigh = 0.5 * anelastic_normal_jacobian(face_normals) @ ghost
+            if np.any(ga_neigh[..., :N_STRESS] != 0.0):
+                raise ValueError(
+                    "the anelastic flux solvers have nonzero stress columns: flux_anelastic "
+                    "cannot represent them"
+                )
+            face_scale = scale[free_surface][:, None, None]
+            n_velocities = VELOCITIES.stop - VELOCITIES.start
+            elastic[free_surface, :, N_ELASTIC:] = face_scale * (g_neigh @ ghost)
+            anelastic[free_surface, :, n_velocities:] = face_scale * ga_neigh[..., VELOCITIES]
 
     # ------------------------------------------------------------------
     # neighbouring flux matrices

@@ -26,7 +26,10 @@ The numbers the paper actually argues about are *derived* from those:
   scenario (e.g. ref vs fast), normalised per simulated second.
 * **startup split**: the summary's ``startup`` block (package import, runner
   construction, first cycle, checkpoint writes) on one line, so a short
-  invocation's wall is attributable beside its stepping wall.
+  invocation's wall is attributable beside its stepping wall, and -- with
+  telemetry -- the seconds of each ``preprocess.*`` setup stage under it
+  (mesh to operator assembly, summed over lanes: a rank assembles its own
+  operators on its lane).
 
 Everything consumes the JSON artefacts a finished (or killed) run leaves
 behind -- ``run_summary.json``, the ``--events`` JSONL ledger, optionally a
@@ -52,6 +55,7 @@ __all__ = [
     "kernel_stage_block",
     "ledger_block",
     "memory_block",
+    "setup_stage_block",
     "comparison_block",
     "analyze_run",
     "build_report",
@@ -349,6 +353,18 @@ def kernel_stage_block(summary: dict) -> dict | None:
     return stages or None
 
 
+def setup_stage_block(summary: dict) -> dict | None:
+    """Seconds per setup stage -- the ``preprocess.*`` regions of the
+    telemetry block, summed over lanes -- or None without them."""
+    regions = (summary.get("telemetry") or {}).get("regions") or {}
+    stages = {
+        name.removeprefix("preprocess."): float(entry["total_s"])
+        for name, entry in regions.items()
+        if name.startswith("preprocess.")
+    }
+    return stages or None
+
+
 def memory_block(summary: dict) -> dict | None:
     """The run's resident MiB by owner -- a single-rank run's, or each
     rank's of a multi-rank run (``rank_owned_mb``, beside the worker peak
@@ -458,6 +474,7 @@ def analyze_run(run: dict, gts_summary: dict | None = None) -> dict:
         "memory": memory_block(summary) if summary else None,
         "ledger": ledger_block(run.get("ledger") or []),
         "startup": summary.get("startup") if summary else None,
+        "setup_stages": setup_stage_block(summary) if summary else None,
     }
     info = {"label": run["label"], "path": run["path"]}
     if summary is not None:
@@ -526,6 +543,11 @@ def _render_run(entry: dict) -> list[str]:
             f"checkpoints {_fmt(startup.get('checkpoint_s'))} s"
             f"  (stepping wall {_fmt(entry.get('wall_s'))} s)"
         )
+    setup_stages = blocks.get("setup_stages")
+    if setup_stages:
+        lines.append("  setup stages: " + ", ".join(
+            f"{stage} {seconds:.3g} s" for stage, seconds in setup_stages.items()
+        ))
 
     speedup = blocks.get("lts_speedup")
     if speedup:

@@ -437,13 +437,19 @@ class ScenarioRunner:
 
     def _build_solver(self, disc: Discretization, sources: list):
         """Construct the stepper: a multi-rank engine (also bound as
-        ``self.engine``) when the spec asks for ranks, else GTS or LTS."""
+        ``self.engine``) when the spec asks for ranks, else GTS or LTS on
+        the element operators it assembles first (each rank assembles its
+        own rows, so the parent of a multi-rank run assembles none)."""
         spec = self.spec
         if spec.solver.n_ranks > 1:
             from ..distributed.runner import build_engine
 
             self.engine = build_engine(self, disc, sources)
             return self.engine
+        # the largest setup stage, timed on its own (the solver's own call
+        # then finds the operators assembled)
+        with self.telemetry.region("preprocess.operators"):
+            disc.assemble_element_operators()
         if spec.solver.kind == "gts":
             # one macro cycle = 2^(N_c - 1) GTS steps at the cluster-0 step
             return GlobalTimeSteppingSolver(

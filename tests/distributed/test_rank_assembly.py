@@ -7,6 +7,8 @@
   returns with every rank's operators assembled, and a rank whose build
   raises fails the start by name, leaving no worker alive.
 * A single-rank solver is built with the whole set, as before.
+* The assembly is timed as a ``preprocess.operators`` region: on the
+  runner's lane on one rank, on each rank's lane otherwise.
 """
 
 import gc
@@ -75,6 +77,20 @@ def test_the_parent_assembles_nothing_and_each_rank_its_own_rows(tiny_loh3, tmp_
     for call in calls:
         np.testing.assert_array_equal(call["ids"], engine.subdomains[pids.index(call["pid"])].owned)
     assert not set(ELEMENT_OPERATORS + FLUX_VIEWS) & set(vars(runner.setup.disc))
+
+
+def test_each_rank_times_its_assembly_on_its_own_lane(tiny_loh3):
+    """``preprocess.operators`` is a rank lane's region, once per rank; the
+    driver lane, whose process assembles nothing, has none."""
+    runner = make_runner(tiny_loh3.with_overrides(n_ranks=2, telemetry=True))
+    runner.step_cycle()
+    lanes = {snap["lane"]: snap["regions"] for snap in runner.solver.telemetry_snapshots()}
+    runner.engine.close()
+    assert set(lanes) == {"rank 0", "rank 1", "driver"}
+    for rank in ("rank 0", "rank 1"):
+        assert lanes[rank]["preprocess.operators"]["count"] == 1
+        assert lanes[rank]["preprocess.operators"]["total_s"] > 0.0
+    assert "preprocess.operators" not in lanes["driver"]
 
 
 @pytest.mark.parametrize("spawn", ["first", "respawn"])

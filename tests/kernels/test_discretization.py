@@ -8,16 +8,15 @@ import pytest
 from repro.basis.functions import TetBasis
 from repro.equations import riemann
 from repro.equations.anelastic import (
-    anelastic_jacobians,
     anelastic_lame_parameters,
     anelastic_star_matrices,
     coupling_matrices,
 )
-from repro.equations.elastic import elastic_jacobians, elastic_star_matrices
+from repro.equations.elastic import elastic_star_matrices
 from repro.equations.material import ElasticMaterial, MaterialTable
 from repro.kernels import discretization, surface
 from repro.kernels.backend import FastBackend
-from repro.kernels.discretization import Discretization, compact_element_operators
+from repro.kernels.discretization import Discretization
 from repro.mesh.generation import box_mesh
 from repro.mesh.tet_mesh import BOUNDARY_ABSORBING, BOUNDARY_ANALYTIC, BOUNDARY_FREE_SURFACE
 from repro.scenarios import build_setup, get_scenario
@@ -25,31 +24,19 @@ from repro.scenarios import build_setup, get_scenario
 from .conftest import small_mesh
 
 
-#: one entry of each operator's structural zero blocks
+#: a nonzero-table entry in each operator's structural zero blocks:
+#: velocity x velocity, memory x stress, velocity x memory -- all zero in
+#: the wave equations
 ZERO_ENTRY = {
-    "elastic_jacobians": (0, 1, 8, 7), "anelastic_jacobians": (2, 5, 0), "coupling": (0, 0, 8, 0),
+    "elastic_jacobians": ("JACOBIAN_NONZEROS", (1, 8, 7, "lam")),
+    "anelastic_jacobians": ("ANELASTIC_NONZEROS", (2, 5, 0, 1e-3)),
+    "coupling": ("COUPLING_NONZEROS", (8, 0, "lam")),
 }
 
 
 class TestCompactOperators:
     """The star and coupling operators are stored once, without the zero
     blocks of their dense forms."""
-
-    @pytest.fixture(scope="class")
-    def operators(self, viscoelastic_disc):
-        """What assembly packs: the inverse Jacobians, both Jacobians and
-        the dense coupling stack."""
-        disc = viscoelastic_disc
-        lam, mu, rho = disc.materials.lam, disc.materials.mu, disc.materials.rho
-        lam_a, mu_a = anelastic_lame_parameters(
-            lam, mu, disc.materials.qp, disc.materials.qs, disc.spectrum
-        )
-        return {
-            "inverse_jacobians": disc.mesh.geometry.inverse_jacobians,
-            "elastic_jacobians": elastic_jacobians(lam, mu, rho),
-            "anelastic_jacobians": anelastic_jacobians(),
-            "coupling": coupling_matrices(lam_a, mu_a),
-        }
 
     def test_compact_blocks_are_the_dense_nonzero_blocks(self, viscoelastic_disc):
         """Bitwise the nonzero blocks of the dense star stacks, per
@@ -75,18 +62,17 @@ class TestCompactOperators:
             assert np.array_equal(disc.coupling[:, :, 6 * l : 6 * (l + 1)], coupling[:, l, :6])
 
     @pytest.mark.parametrize("perturbed", ["elastic_jacobians", "anelastic_jacobians", "coupling"])
-    def test_packing_refuses_an_operator_that_breaks_a_zero_block(self, operators, perturbed):
-        """An operator set with a nonzero entry where the compact layout
-        drops a block is refused by name, not silently truncated."""
-        broken = dict(operators)
-        operator = broken[perturbed].copy()
-        # velocity x velocity, memory x stress, velocity x memory: all zero
-        # in the wave equations
-        operator[ZERO_ENTRY[perturbed]] = 1e-3
-        broken[perturbed] = operator
+    def test_packing_refuses_an_operator_that_breaks_a_zero_block(
+        self, viscoelastic_disc, perturbed, monkeypatch
+    ):
+        """A nonzero table with an entry where the compact layout drops a
+        block is refused by name, not silently truncated."""
+        ids = np.arange(5)
+        viscoelastic_disc.element_operators(ids)  # the intact tables pack
+        table, entry = ZERO_ENTRY[perturbed]
+        monkeypatch.setattr(discretization, table, getattr(discretization, table) + (entry,))
         with pytest.raises(ValueError, match=f"^{perturbed} has nonzero entries"):
-            compact_element_operators(**broken)
-        compact_element_operators(**operators)  # the intact set packs
+            viscoelastic_disc.element_operators(ids)
 
 
 class TestShapesAndValidation:
@@ -264,8 +250,9 @@ class TestBatchedFluxSolvers:
             assert _bitwise_equal(array, expected), name
 
     def test_assembly_refuses_an_anelastic_solver_that_reads_a_stress(self, monkeypatch):
-        """``flux_anelastic`` keeps only the velocity columns: a normal
-        Jacobian with a nonzero stress column is refused, not truncated."""
+        """``flux_anelastic`` keeps only the velocity columns: a
+        free-surface ghost product whose normal Jacobian has a nonzero
+        stress column is refused, not truncated."""
         normal_jacobian = discretization.anelastic_normal_jacobian
 
         def perturbed(normals):
@@ -274,15 +261,17 @@ class TestBatchedFluxSolvers:
             return jacobian
 
         monkeypatch.setattr(discretization, "anelastic_normal_jacobian", perturbed)
-        mesh = small_mesh(n=2, jitter=0.1)
+        coords = np.linspace(0.0, 2000.0, 3)
+        mesh = box_mesh(coords, coords, coords, jitter=0.1)  # free-surface top
         disc = Discretization(mesh, _layered_materials(mesh), order=2, n_mechanisms=3)
         with pytest.raises(ValueError, match="nonzero stress columns"):
             disc.assemble_element_operators()
 
     def test_init_calls_builders_per_chunk_not_per_element(self, monkeypatch):
         """A deterministic stand-in for a wall-clock guard: assembly enters
-        the Riemann builders O(1) times and evaluates the tet basis for one
-        face per neighbour class."""
+        the Riemann builders O(1) times per chunk (the Godunov builder for
+        the chunk, either builder for its free-surface faces) and evaluates
+        the tet basis for one face per neighbour class."""
         coords = np.linspace(0.0, 8000.0, 9)
         mesh = box_mesh(coords, coords, coords, jitter=0.1)
         assert mesh.n_elements >= 3000
@@ -314,9 +303,96 @@ class TestBatchedFluxSolvers:
         n_chunks = -(-mesh.n_elements // discretization._ASSEMBLY_CHUNK)
         assert n_chunks <= 8
         assert all(count <= 6 * n_chunks for count in calls.values()), calls
-        assert calls["rusanov_flux_matrices"] == calls["godunov_flux_matrices"] == n_chunks
+        assert 1 <= calls["rusanov_flux_matrices"] <= n_chunks
+        assert n_chunks < calls["godunov_flux_matrices"] <= 2 * n_chunks
         face_rows = [rows // disc.ref.face_quadrature.n_points for rows in basis_rows]
         assert len(face_rows) == 2 and max(face_rows) <= 96, face_rows
+
+
+def _composed_element_operators(disc) -> dict:
+    """The element operators as the public builders compose them: the
+    dense Riemann solvers of every face in one call, ghost-state products on
+    the free-surface faces, times ``-2 |S| / |J|``; the dense star stacks
+    and coupling matrices; packed into the compact layout and cast once."""
+    mesh, mat, geometry = disc.mesh, disc.materials, disc.mesh.geometry
+    lam, mu, rho = mat.lam, mat.mu, mat.rho
+    n, m = disc.n_elements, disc.n_mechanisms
+    boundary = mesh.neighbors < 0
+    other = np.where(boundary, np.arange(n)[:, None], mesh.neighbors)
+    free_surface = boundary & (mesh.boundary_tags == BOUNDARY_FREE_SURFACE)
+    normals = geometry.face_normals
+    builder = getattr(riemann, f"{disc.flux}_flux_matrices")
+    g_local, g_neigh = builder(
+        lam[:, None], mu[:, None], rho[:, None], lam[other], mu[other], rho[other], normals
+    )
+    ga_local = 0.5 * riemann.anelastic_normal_jacobian(normals)
+    ga_neigh = ga_local.copy()
+    ghost = riemann.free_surface_ghost_operator(normals[free_surface])
+    g_neigh[free_surface] = g_neigh[free_surface] @ ghost
+    ga_neigh[free_surface] = ga_neigh[free_surface] @ ghost
+    scale = (-2.0 * geometry.face_areas / geometry.determinants[:, None])[..., None, None]
+    anelastic = np.concatenate([scale * ga_local, scale * ga_neigh], axis=-1)
+
+    def compact(star):  # (K, c, i, j) -> (K, i, 3 j + c)
+        return star.transpose(0, 2, 3, 1).reshape(n, star.shape[2], 3 * star.shape[3])
+
+    star_e = elastic_star_matrices(geometry.inverse_jacobians, lam, mu, rho)
+    star_a = anelastic_star_matrices(geometry.inverse_jacobians)[:, :, : 6 if m else 0]
+    coupling = (
+        coupling_matrices(*anelastic_lame_parameters(lam, mu, mat.qp, mat.qs, disc.spectrum))
+        if m else np.zeros((n, 0, 9, 6))
+    )
+    operators = {
+        "star_stress": compact(star_e[:, :, :6, 6:]),
+        "star_velocity": compact(star_e[:, :, 6:, :6]),
+        "star_anelastic": compact(star_a[..., 6:]),
+        "coupling": coupling[:, :, :6].transpose(0, 2, 1, 3).reshape(n, 6, 6 * m),
+        "flux_solvers": np.concatenate([scale * g_local, scale * g_neigh], axis=-1),
+        "flux_anelastic": anelastic[..., [6, 7, 8, 15, 16, 17]],
+    }
+    return {name: array.astype(disc.dtype) for name, array in operators.items()}
+
+
+class TestFillIsTheBuildersComposition:
+    """The in-place fill at the nonzero tables writes bitwise, signed
+    zeros included, what the public Riemann, star and coupling builders
+    compose -- on an unjittered box, whose normals and inverse Jacobians
+    hold exact zeros of both signs, and on a jittered one."""
+
+    @pytest.fixture(scope="class", params=["unjittered", "jittered"])
+    def mesh(self, request):
+        """A box with a free-surface top and absorbing sides."""
+        coords = np.linspace(0.0, 2000.0, 4)
+        jitter = 0.0 if request.param == "unjittered" else 0.15
+        mesh = box_mesh(coords, coords, coords, jitter=jitter, seed=3)
+        assert (mesh.boundary_tags == BOUNDARY_FREE_SURFACE).any()
+        if request.param == "unjittered":
+            for exact in (mesh.geometry.face_normals, mesh.geometry.inverse_jacobians):
+                zeros = exact[exact == 0.0]
+                assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+        return mesh
+
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    @pytest.mark.parametrize("n_mechanisms", [0, 3])
+    @pytest.mark.parametrize("flux", ["rusanov", "godunov"])
+    def test_element_operators_are_the_builders_bytes(
+        self, mesh, flux, n_mechanisms, precision, monkeypatch
+    ):
+        from repro.parallel.partition import partition_dual_graph
+
+        # several chunks, the last one ragged
+        monkeypatch.setattr(discretization, "_ASSEMBLY_CHUNK", 50)
+        disc = Discretization(
+            mesh, _layered_materials(mesh), order=2, flux=flux, n_mechanisms=n_mechanisms,
+            precision=precision,
+        )
+        parts = partition_dual_graph(mesh.neighbors, np.ones(disc.n_elements), 2).partitions
+        rows = np.flatnonzero(parts == 1)
+        rank = disc.restricted(rows, np.full((len(rows), 4), -1))
+        expected = _composed_element_operators(disc)
+        for name in discretization.ELEMENT_OPERATORS:
+            assert _bitwise_equal(getattr(disc, name), expected[name]), name
+            assert _bitwise_equal(getattr(rank, name), expected[name][rows]), name
 
 
 FLUX_VIEWS = {

@@ -521,6 +521,26 @@ class TestCli:
         for word in ("import", "setup", "first cycle", "checkpoints"):
             assert word in line
 
+    def test_report_attributes_the_setup_stages(self, tmp_path, capsys):
+        """With telemetry the report lists every setup stage's seconds,
+        operator assembly included, under the startup line."""
+        out_dir = tmp_path / "out"
+        args = [
+            "run", "plane_wave", "--set", "extent_m=1500.0",
+            "--set", "characteristic_length=750.0", "--order", "2", "--cycles", "1",
+            "--output-dir", str(out_dir), "--metrics", "--quiet",
+        ]
+        assert cli_main(args) == 0
+        regions = json.loads((out_dir / "run_summary.json").read_text())["telemetry"]["regions"]
+        capsys.readouterr()
+        assert cli_main(["report", str(out_dir)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        stages = lines[next(i for i, l in enumerate(lines) if l.startswith("Startup:")) + 1]
+        assert stages.startswith("  setup stages: ")
+        for stage in ("mesh", "materials", "time_steps", "clustering", "operators"):
+            assert f"preprocess.{stage}" in regions
+            assert f"{stage} " in stages
+
     def test_run_spec_file_round_trip(self, tmp_path):
         spec = get_scenario(
             "plane_wave", extent_m=1500.0, characteristic_length=750.0, order=2, n_cycles=1

@@ -143,8 +143,9 @@ class TestSummaryTelemetryBlock:
         # a plain run derives no partition: only steps 1-3 of Fig. 8 run
         runner = ScenarioRunner(tiny_loh3.with_overrides(telemetry=True))
         regions = runner.telemetry.regions()
-        for stage in ("mesh", "materials", "time_steps", "clustering"):
+        for stage in ("mesh", "materials", "time_steps", "clustering", "operators"):
             assert f"preprocess.{stage}" in regions
+        assert regions["preprocess.operators"]["count"] == 1
         assert not {"preprocess.partition", "preprocess.reorder"} & set(regions)
 
     def test_partitioned_run_times_every_preprocessing_stage(self, tiny_loh3):
@@ -153,7 +154,7 @@ class TestSummaryTelemetryBlock:
         )
         (lane,) = runner.solver.telemetry_snapshots()
         for stage in ("mesh", "materials", "time_steps", "clustering",
-                      "partition", "reorder"):
+                      "partition", "reorder", "operators"):
             assert f"preprocess.{stage}" in lane["regions"]
 
     def test_memory_block_always_present(self, tiny_loh3):
@@ -216,7 +217,8 @@ class TestCrossRankMerge:
     def test_accounting_survives_a_worker_respawn(self, tiny_loh3):
         """Rank replies carry increments: a run whose workers are stopped
         and respawned between its two cycles accounts exactly what an
-        uninterrupted two-cycle run does."""
+        uninterrupted two-cycle run does, plus the respawned ranks' second
+        assembly of their operators."""
         spec = tiny_loh3.with_overrides(n_ranks=2, trace=True)
         runs = {}
         for respawn in (False, True):
@@ -248,6 +250,9 @@ class TestCrossRankMerge:
             {path: entry["count"] for path, entry in summary["telemetry"]["regions"].items()}
             for summary in (straight, respawned)
         )
+        # each rank assembles its operators once per spawn, on its own lane
+        assert region_counts["preprocess.operators"] == 2
+        region_counts_re["preprocess.operators"] -= 2
         assert region_counts_re == region_counts
         assert lanes_re == lanes == ["rank 0", "rank 1", "driver"]
         assert "histograms" not in respawned["telemetry"]
