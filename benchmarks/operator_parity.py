@@ -8,7 +8,8 @@ of ``repro`` cannot live in one interpreter, the check is two invocations::
     PYTHONPATH=<parent checkout>/src python benchmarks/operator_parity.py --dump parent.npz
     PYTHONPATH=src python benchmarks/operator_parity.py --compare parent.npz
 
-``--dump`` writes a compressed ``.npz``.  ``--compare`` requires every
+``--dump`` writes a compressed ``.npz``.  ``--compare`` holds one case of
+each side in memory at a time, and requires every
 array to be the same bytes (shape, dtype and values, the sign of a zero
 included -- ``np.array_equal`` takes ``-0.0 == 0.0``), and reports arrays
 whose values are equal but whose zeros differ in sign as their own kind of
@@ -111,12 +112,12 @@ def difference(a, b) -> str | None:
     return "differs"
 
 
-def collect(problems: list | None = None) -> dict:
-    """``{"<case>/<array>": array}`` for every case of this checkout; with
-    ``problems`` given, every operator set's :func:`restricted_problems`
-    are appended to it."""
-    out = {}
+def case_arrays(problems: list | None = None):
+    """Yield ``(case, {"<case>/<array>": array})`` for every case of this
+    checkout, one case at a time; with ``problems`` given, every operator
+    set's :func:`restricted_problems` are appended to it."""
     for case, spec in _specs().items():
+        out = {}
         reordered = spec.preprocessing.active
         setup = build_setup(spec.with_overrides(n_partitions=1, reorder=False))
         disc = setup.disc
@@ -149,7 +150,7 @@ def collect(problems: list | None = None) -> dict:
         )
         print(f"{case}: {setup.mesh.n_elements} elements, {len(variants)} operator sets, "
               f"{len(points)} points", file=sys.stderr)
-    return out
+        yield case, out
 
 
 def _compact(reference: dict) -> dict:
@@ -226,16 +227,25 @@ def main() -> int:
     group.add_argument("--compare", metavar="NPZ", help="compare this checkout against a dump")
     args = parser.parse_args()
     if args.dump:
-        np.savez_compressed(args.dump, **collect())
+        np.savez_compressed(
+            args.dump, **{k: v for _, arrays in case_arrays() for k, v in arrays.items()}
+        )
         return 0
+    # one case of each side in memory at a time
     problems: list[str] = []
-    arrays = collect(problems)
+    n_arrays = 0
     with np.load(args.compare) as data:
-        problems += compare(arrays, {k: data[k] for k in data.files})
+        unread = set(data.files)
+        for case, arrays in case_arrays(problems):
+            keys = {k for k in unread if k.startswith(f"{case}/")}
+            unread -= keys
+            problems += compare(arrays, {k: data[k] for k in keys})
+            n_arrays += len(arrays)
+        problems += [f"missing in one side: {k}" for k in sorted(unread)]
     for problem in problems:
         print(problem)
     signs = sum(problem.endswith(SIGN_OF_ZERO) for problem in problems)
-    print(f"{len(arrays)} arrays compared byte for byte, {len(problems)} problems "
+    print(f"{n_arrays} arrays compared byte for byte, {len(problems)} problems "
           f"({signs} of them only in the sign of zeros)")
     return 1 if problems else 0
 

@@ -15,7 +15,8 @@ or that one side lacks, and exits 1 if there is any.
 
 Cases: the solver workloads' specs of ``benchmarks/e2e`` at seed 0 (the
 CLI workload's spec too) on one rank, ``loh3-m-lts`` and ``basin-s-lts``
-also on 2 and 4 ranks, ``loh3-m-lts`` in f32 on 1 and 2 ranks, and the
+also on 2 and 4 ranks, ``loh3-m-lts`` in f32 on 1 and 2 ranks,
+``loh3-m-gts`` in f32, and the
 fused width-2 golden spec ``loh3_fused2``.  Element order is each
 checkout's solver order, so DOFs compare directly only between trees that
 order elements alike (seismograms always do).
@@ -59,6 +60,7 @@ def cases() -> dict[str, ScenarioSpec]:
             out[f"{name}/{n_ranks}rank"] = out[name].with_overrides(n_ranks=n_ranks)
     out["loh3-m-lts/f32"] = out["loh3-m-lts"].with_overrides(precision="f32")
     out["loh3-m-lts/f32/2rank"] = out["loh3-m-lts/f32"].with_overrides(n_ranks=2)
+    out["loh3-m-gts/f32"] = out["loh3-m-gts"].with_overrides(precision="f32")
     out["golden-loh3_fused2"] = golden_spec("loh3_fused2")
     return out
 

@@ -23,8 +23,9 @@ write disjoint rows, so the backend shares all their element blocks among
 its threads at once (the smallest clusters, which step most often, no
 longer pay a dispatch each).
 
-With a single cluster the scheme degenerates to GTS and reproduces the GTS
-solver bit-for-bit, which the test suite asserts.
+With every element in cluster 0 the scheme is GTS
+(:mod:`repro.core.gts_solver`), which the test suite holds bitwise to the
+independent one-step update :func:`~repro.kernels.update.gts_step`.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from ..observability import NULL_TELEMETRY
 from ..source.receivers import ReceiverSet
 from .buffers import B2, BOUNDARY, LARGER, SAME, SMALLER, BufferFill, BufferLayout, LtsBuffers
 from .clustering import Clustering
-from .lts_scheduler import schedule_cycle
+from .lts_scheduler import micro_steps_per_cycle, schedule_cycle
 from .stepper import HalfAppliedStepError, SingleRankStepper
 
 __all__ = ["ClusteredLtsSolver", "HalfAppliedStepError"]
@@ -240,28 +241,34 @@ class ClusteredLtsSolver(SingleRankStepper):
 
     def correct_step(self, entry: dict, dt0: float) -> None:
         """Correct every cluster whose interval ends after this micro step,
-        then inject its sources and record its receivers."""
+        then inject its sources and record its receivers.  The one clock
+        starts a cycle at :attr:`time` and adds ``dt0`` per micro step (for
+        GTS: ``t += dt``); an interval runs from the clock at its first
+        micro step to the clock after its last."""
+        step = entry["micro_step"]
+        if step == 0:
+            self._clock = [self.time]
+        self._clock.append(self._clock[-1] + dt0)
         with self.telemetry.region("correct"):
             self._receive()
-            self._dispatch("correct", entry["micro_step"], entry["correct"])
+            self._dispatch("correct", step, entry["correct"])
         for l in entry["correct"]:
-            cluster = self.clusters[l]
-            start = self.time + (entry["micro_step"] + 1) * dt0 - cluster.dt
-            self._advance(cluster, start)
+            self._advance(self.clusters[l], self._clock[step + 1 - 2**l], self._clock[step + 1])
+        if step + 1 == micro_steps_per_cycle(self.clustering.n_clusters):
+            self.time = self._clock[-1]
 
     def _receive(self) -> None:
         """Bring in what the step's corrections read besides the buffers (a
         hook: the distributed rank stepper drains its halo packs)."""
 
-    def _advance(self, cluster: _ClusterData, cluster_start_time: float) -> None:
-        """What follows a cluster's correction: sources over its interval,
-        receivers at its end and the update count."""
+    def _advance(self, cluster: _ClusterData, t_start: float, t_new: float) -> None:
+        """What follows a cluster's correction: sources over its interval
+        ``[t_start, t_new]``, receivers at its end and the update count."""
         if len(cluster.elements):
-            t_new = cluster_start_time + cluster.dt
             for element, sources in self._sources_by_element.items():
                 if element in cluster.elements:
                     for source in sources:
-                        source.inject(self.dofs, cluster_start_time, t_new)
+                        source.inject(self.dofs, t_start, t_new)
             if self.receivers is not None:
                 self.receivers.record_elements(cluster.elements, t_new, self.dofs)
             self.n_element_updates += len(cluster.elements)
@@ -277,4 +284,3 @@ class ClusteredLtsSolver(SingleRankStepper):
         for entry in schedule_cycle(self.clustering.n_clusters):
             self.predict_step(entry)
             self.correct_step(entry, dt0)
-        self.time += self.macro_dt

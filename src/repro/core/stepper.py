@@ -1,8 +1,8 @@
 """The stepper protocol and its single-rank half.
 
-Every stepper the scenario runner drives -- the GTS and clustered-LTS
-solvers here, the multi-rank engine of :mod:`repro.distributed` --
-exposes the same members:
+Every stepper the scenario runner drives -- the clustered-LTS solver here
+(GTS is its one-cluster case), the multi-rank engine of
+:mod:`repro.distributed` -- exposes the same members:
 
 * ``time``, ``n_element_updates``, ``dofs`` and ``macro_dt``;
 * ``step_cycle()``, ``set_initial_condition(func)`` and ``close()``;
@@ -15,7 +15,7 @@ exposes the same members:
 * ``comm_summary()``: the measured-vs-modelled halo traffic, ``None`` on a
   single rank.
 
-:class:`SingleRankStepper` holds what the two single-rank solvers share.
+:class:`SingleRankStepper` holds the in-process solvers' half.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ def restored_dofs(arrays, shape: tuple, dtype) -> np.ndarray:
 
 
 class SingleRankStepper:
-    """The protocol members common to the GTS and clustered-LTS solvers.
+    """The protocol members of the clustered-LTS solver and its subclasses.
 
     Subclasses set ``disc``, ``n_fused``, ``telemetry``, ``backend``,
     ``dofs``, ``time`` and ``n_element_updates`` and define ``macro_dt``,
@@ -103,14 +103,13 @@ class SingleRankStepper:
     def memory_owners(self) -> dict:
         """MiB held per owner, from the owners' own arrays (each base array
         once, :func:`~repro.observability.resident_nbytes`): the state
-        ``dofs``, the ``lts_buffers`` (none under GTS), the discretization's
+        ``dofs``, the ``lts_buffers``, the discretization's
         ``operators``, the backend's ``kernel_scratch`` (per-thread block
         scratch; the reference backend's increments) and the batch
         ``workspaces`` (cached operators, gather plans, kept integrals)."""
-        buffers = getattr(self, "buffers", None)
         held = {
             "dofs": self.dofs,
-            "lts_buffers": () if buffers is None else buffers.store,
+            "lts_buffers": self.buffers.store,
             "operators": vars(self.disc),
             "kernel_scratch": self.backend.scratch_arrays(),
             "workspaces": [ws.held() for ws in self.workspaces if ws is not None],

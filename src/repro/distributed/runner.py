@@ -22,8 +22,9 @@ from .process_engine import ProcessLtsEngine
 __all__ = ["build_engine"]
 
 
-def build_engine(runner, disc, sources: list):
-    """The multi-rank engine of ``runner``'s spec over its setup.
+def build_engine(runner, disc, sources: list, clustering):
+    """The multi-rank engine of ``runner``'s spec over its setup, stepping
+    ``clustering`` (the runner's own, or its GTS counterpart).
 
     The runner's own telemetry lane becomes the engine's "driver" lane
     (engine construction, checkpoint I/O, the cycle spans) next to the
@@ -33,8 +34,8 @@ def build_engine(runner, disc, sources: list):
     runner.telemetry.lane = "driver"
     return ProcessLtsEngine(
         disc,
-        runner.clustering,
-        _partitions(runner, disc, solver.n_ranks),
+        clustering,
+        _partitions(runner, disc, clustering, solver.n_ranks),
         sources=sources,
         receivers=runner.receivers,
         n_fused=solver.n_fused,
@@ -44,8 +45,9 @@ def build_engine(runner, disc, sources: list):
     )
 
 
-def _partitions(runner, disc, n_ranks: int) -> np.ndarray:
-    """One partition per rank, balanced by LTS update-frequency weights.
+def _partitions(runner, disc, clustering, n_ranks: int) -> np.ndarray:
+    """One partition per rank, balanced by ``clustering``'s update-frequency
+    weights.
 
     The setup's preprocessing partitions are reused when their count
     matches (its reordering made them contiguous); otherwise the weighted
@@ -55,6 +57,5 @@ def _partitions(runner, disc, n_ranks: int) -> np.ndarray:
         partitions = np.asarray(runner.setup.partitions, dtype=np.int64)
         if int(partitions.max()) + 1 == n_ranks:
             return partitions
-    clustering = runner.clustering
     weights = element_weights(clustering.cluster_ids, clustering.n_clusters)
     return partition_dual_graph(disc.mesh.neighbors, weights, n_ranks).partitions

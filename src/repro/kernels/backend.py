@@ -92,7 +92,7 @@ def make_backend(kind=None):
 
 class KernelWorkspace:
     """Preallocated scratch (and cached static data) of one batch producer
-    (one per LTS cluster, one per GTS solver).
+    (one per solver cluster).
 
     Scratch is pooled per *name*: every shape requested under a name is a
     leading view of that name's one buffer, so the last partial element
@@ -256,9 +256,9 @@ class ReferenceBackend:
         integrals go to ``fill(block, integral, half)`` while in cache --
         the LTS buffer fill; a block program compiles ``fill.calls(...)``
         -- and ``None`` is returned.  With ``ws`` the blocks are kept for
-        the next call with the same outputs (a GTS step, a one-element
-        batch compile once).  ``fill`` may run on several pool threads at
-        once, on disjoint blocks."""
+        the next call with the same outputs (a fill-less ``gts_step``, a
+        one-element batch compile once).  ``fill`` may run on several pool
+        threads at once, on disjoint blocks."""
         batch = _contiguous_run(elements, len(dofs))
         integral = half = None
         if fill is None:  # the caller reads the integrals: keep them batch-sized
@@ -337,9 +337,9 @@ class ReferenceBackend:
         """Complete a predicted batch, one element block at a time
         (:meth:`correction`, then :meth:`_dispatch`).  ``source`` is the
         flat ``(R, 9, B[, f])`` integral store ``plan`` indexes (the LTS
-        buffer store, the GTS step integral), whose rows ``elements`` must
-        hold the batch's own integral: the own traces (``LtsBuffers.store``
-        leads with ``B1``).  ``halo`` is ``None`` or ``(faces, payloads)``:
+        buffer store, ``gts_step``'s step integral), whose rows
+        ``elements`` must hold the batch's own integral: the own traces
+        (``LtsBuffers.store`` leads with ``B1``).  ``halo`` is ``None`` or ``(faces, payloads)``:
         ascending face ids ``4 e + i`` whose neighbour coefficients are
         received payloads.  With ``ws`` the blocks are kept for the next
         call on the same arrays."""

@@ -1,4 +1,4 @@
-"""Element update scheme (eq. 14) and the reference one-step GTS update.
+"""Element update scheme (eq. 14) and the independent one-step GTS update.
 
 The update of an element is split into a *local* step (time kernel and
 volume kernel -- requires only the element's own data) and a *correction*
@@ -11,7 +11,8 @@ back-projection on the fast backend, and both read the traces the
 correction projects from the element's own time integral.  A backend's
 prediction leaves the volume increment on its way into the DOFs and its
 correction completes the update in place, so :func:`gts_step` steps the
-array it is handed.
+array it is handed.  No solver calls these functions (GTS too fills the
+LTS buffers): they are the tests' second implementation of the update.
 """
 
 from __future__ import annotations
@@ -88,8 +89,8 @@ def gts_step(
 ) -> np.ndarray:
     """One global time step over all elements (the classic ADER-DG update).
 
-    This is the reference implementation used by the GTS solver and by the
-    LTS correctness tests.  It steps ``dofs`` in place and returns it.  The
+    The test reference the GTS solver is held to bitwise: no buffer store,
+    no schedule.  It steps ``dofs`` in place and returns it.  The
     correction gathers the neighbours and the own traces straight from the
     step's time integral; a workspace-backed backend keeps the gather plan
     in ``ws``.

@@ -401,11 +401,11 @@ def plane_wave_scenario(
     A homogeneous cube is initialised with a sinusoidal plane P wave (exact
     velocity/stress relation), no source.  Sweeping *order* and
     *characteristic_length* via overrides turns this into the classic
-    convergence study (the Fig. 2 analogue), and a single-cluster run is the
-    canonical LTS == GTS bit-identity check.  All boundaries are absorbing
-    (no free surface): the travelling wave carries non-zero normal stress,
-    so a traction-free top would reflect it and break the comparison
-    against the free-space analytic solution.
+    convergence study (the Fig. 2 analogue); ``n_clusters=2, lam=0.6``
+    populates two LTS clusters on the jittered mesh.  All boundaries are
+    absorbing (no free surface): the travelling wave carries non-zero
+    normal stress, so a traction-free top would reflect it and break the
+    comparison against the free-space analytic solution.
     """
     return ScenarioSpec(
         name="plane_wave",

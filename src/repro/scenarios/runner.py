@@ -38,7 +38,7 @@ import numpy as np
 from ..core.clustering import Clustering, derive_clustering
 # unused here: the setup tracer (benchmarks/e2e/layers.py) wraps it by name
 from ..core.clustering import optimize_lambda  # noqa: F401
-from ..core.gts_solver import GlobalTimeSteppingSolver
+from ..core.gts_solver import GlobalTimeSteppingSolver, gts_clustering
 from ..core.lts_solver import ClusteredLtsSolver
 from ..equations.material import MaterialTable
 from ..kernels.discretization import Discretization
@@ -439,28 +439,34 @@ class ScenarioRunner:
         """Construct the stepper: a multi-rank engine (also bound as
         ``self.engine``) when the spec asks for ranks, else GTS or LTS on
         the element operators it assembles first (each rank assembles its
-        own rows, so the parent of a multi-rank run assembles none)."""
+        own rows, so the parent of a multi-rank run assembles none).  GTS
+        steps every element in cluster 0 of the clustering's ladder: one
+        macro cycle is 2^(N_c - 1) steps at the cluster-0 step."""
         spec = self.spec
+        dt0 = float(self.clustering.cluster_time_steps[0])
+        steps = 2 ** (self.clustering.n_clusters - 1)
         if spec.solver.n_ranks > 1:
             from ..distributed.runner import build_engine
 
-            self.engine = build_engine(self, disc, sources)
+            stepped = self.clustering
+            if spec.solver.kind == "gts":
+                stepped = gts_clustering(disc.n_elements, dt0, steps)
+            self.engine = build_engine(self, disc, sources, stepped)
             return self.engine
         # the largest setup stage, timed on its own (the solver's own call
         # then finds the operators assembled)
         with self.telemetry.region("preprocess.operators"):
             disc.assemble_element_operators()
         if spec.solver.kind == "gts":
-            # one macro cycle = 2^(N_c - 1) GTS steps at the cluster-0 step
             return GlobalTimeSteppingSolver(
                 disc,
-                dt=float(self.clustering.cluster_time_steps[0]),
+                dt=dt0,
                 sources=sources,
                 receivers=self.receivers,
                 n_fused=spec.solver.n_fused,
                 kernels=spec.solver.kernels,
                 telemetry=self.telemetry,
-                steps_per_cycle=2 ** (self.clustering.n_clusters - 1),
+                steps_per_cycle=steps,
             )
         return ClusteredLtsSolver(
             disc,

@@ -536,8 +536,9 @@ def _without_legacy_comm(solver: dict) -> dict:
 class SolverSpec:
     """Solver kind and kernel options.
 
-    ``kind`` is ``"gts"`` (global time stepping) or ``"lts"`` (clustered
-    local time stepping).  ``n_ranks > 1`` executes the run through the
+    ``kind`` is ``"gts"`` (global time stepping: the clustered solver with
+    every element in cluster 0) or ``"lts"`` (clustered local time
+    stepping).  ``n_ranks > 1``, for either kind, executes the run through the
     distributed multi-rank engine (weighted partitioning plus
     face-local compressed halo exchange, Sec. V-C); the result is
     bit-identical to the single-rank run; the engine forks one worker
@@ -582,8 +583,6 @@ class SolverSpec:
             raise ValueError("cfl must lie in (0, 1]")
         if self.n_ranks < 1:
             raise ValueError("need at least one rank")
-        if self.n_ranks > 1 and self.kind == "gts":
-            raise ValueError("distributed execution requires the clustered solver (lts)")
         if self.backend not in SOLVER_BACKENDS:
             raise ValueError(f"solver backend must be one of {SOLVER_BACKENDS}")
         if self.backend == "process" and self.n_ranks < 2:

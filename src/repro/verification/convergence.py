@@ -30,6 +30,7 @@ class ConvergenceStudy:
     t_end: float
     lengths: list
     n_elements: list
+    cluster_counts: list  #: elements per LTS cluster, per ladder level
     errors: list  #: aggregate relative L2 error per ladder level
     estimated_order: float
     expected_order: int
@@ -65,6 +66,8 @@ def plane_wave_convergence(
     precision: str = "f64",
     solver: str = "gts",
     n_ranks: int = 1,
+    n_clusters: int = 1,
+    lam: float | None = 1.0,
     extent_m: float = 2000.0,
     wavelength: float = 2000.0,
     seed: int = 0,
@@ -85,19 +88,17 @@ def plane_wave_convergence(
     the run (not just the fit).
 
     ``n_ranks > 1`` runs every ladder level through the distributed engine
-    (one forked worker per rank); the solver switches to the clustered
-    driver, which GTS-steps identically here because the plane-wave
-    scenario is single-cluster.
+    (one forked worker per rank).  ``n_clusters`` and ``lam`` set the
+    clustering: with ``solver="lts"`` and two clusters the jittered mesh
+    populates both, so the ladder checks the LTS scheme.
     """
     from ..scenarios.registry import get_scenario
     from ..scenarios.runner import make_runner
     from .analytic import analytic_solution_for
     from .norms import state_error_norms
 
-    if n_ranks > 1:
-        solver = "lts"  # the distributed engine requires the clustered driver
     margin = 1.05 * max(lengths)
-    errors, counts = [], []
+    errors, counts, cluster_counts = [], [], []
     for h in lengths:
         spec = get_scenario(
             "plane_wave",
@@ -107,6 +108,8 @@ def plane_wave_convergence(
             order=order,
             seed=seed,
             solver=solver,
+            n_clusters=n_clusters,
+            lam=lam,
             t_end=t_end,
             kernels=kernels,
             precision=precision,
@@ -123,6 +126,7 @@ def plane_wave_convergence(
         )
         errors.append(float(norms["rel_l2"]))
         counts.append(int(summary["n_elements"]))
+        cluster_counts.append(runner.clustering.counts.tolist())
     return ConvergenceStudy(
         order=order,
         kernels=kernels,
@@ -132,6 +136,7 @@ def plane_wave_convergence(
         t_end=t_end,
         lengths=[float(h) for h in lengths],
         n_elements=counts,
+        cluster_counts=cluster_counts,
         errors=errors,
         estimated_order=estimate_order(lengths, errors),
         expected_order=order,

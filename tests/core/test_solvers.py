@@ -2,7 +2,8 @@
 
 The central correctness claims:
 
-* with a single cluster the LTS solver reproduces the GTS solver bit-for-bit,
+* the GTS solver (the LTS solver with every element in cluster 0)
+  reproduces the independent one-step update bit-for-bit,
 * with several clusters the LTS solution agrees with the GTS solution to
   discretisation accuracy (Fig. 9's message), and
 * sources, receivers and fused runs work identically under both drivers.
@@ -15,6 +16,8 @@ from repro.core.clustering import derive_clustering, optimize_lambda
 from repro.core.gts_solver import GlobalTimeSteppingSolver
 from repro.core.lts_scheduler import updates_per_cycle
 from repro.core.lts_solver import ClusteredLtsSolver
+from repro.kernels.backend import make_backend
+from repro.kernels.update import gts_step
 from repro.source.moment_tensor import MomentTensorSource
 from repro.source.receivers import ReceiverSet
 from repro.source.time_functions import RickerWavelet
@@ -38,20 +41,27 @@ def _gaussian_ic(length=2000.0, width=400.0):
 class TestSingleClusterEquivalence:
     @pytest.mark.parametrize("kind", ["ref", "fast"])
     def test_lts_with_one_cluster_matches_gts_exactly(self, elastic_disc, kind):
-        """One cluster is GTS bit for bit on both kernel kinds: the LTS
-        correction's own traces come from ``B1``, the GTS one's from the
-        step integral -- the same values."""
+        """The GTS solver -- the clustered solver with every element in
+        cluster 0, here under an empty second cluster -- is repeated
+        :func:`gts_step` calls bit for bit on both kernel kinds: the
+        independent one-step update, whose correction reads the own traces
+        and the neighbours from the step integral instead of ``B1``."""
         disc = elastic_disc
-        clustering = derive_clustering(disc.time_steps, 1, 1.0, disc.mesh.neighbors)
-        gts = GlobalTimeSteppingSolver(disc, dt=clustering.cluster_time_steps[0], kernels=kind)
-        lts = ClusteredLtsSolver(disc, clustering, kernels=kind)
+        dt = float(disc.time_steps.min())
+        gts = GlobalTimeSteppingSolver(disc, kernels=kind, steps_per_cycle=2)
+        assert gts.clustering.counts.tolist() == [disc.n_elements, 0]
         gts.set_initial_condition(_gaussian_ic())
-        lts.set_initial_condition(_gaussian_ic())
-        t_end = 5 * clustering.cluster_time_steps[0]
-        gts.run(t_end)
-        lts.run(t_end)
-        np.testing.assert_array_equal(lts.dofs, gts.dofs)
-        assert lts.n_element_updates == gts.n_element_updates
+        dofs = gts.dofs.copy()
+        backend = make_backend(kind)
+        ws, time = backend.make_workspace(), 0.0
+        for _ in range(3):
+            gts.step_cycle()
+        for _ in range(6):
+            gts_step(disc, dofs, dt, backend=backend, ws=ws)
+            time += dt
+        np.testing.assert_array_equal(gts.dofs, dofs)
+        assert gts.time == time and gts.macro_dt == 2 * dt
+        assert gts.n_element_updates == 6 * disc.n_elements
 
     def test_update_counters(self, elastic_disc):
         disc = elastic_disc

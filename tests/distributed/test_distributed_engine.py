@@ -126,6 +126,29 @@ class TestBitIdentity:
             np.testing.assert_array_equal(t_dist, t_single)
             np.testing.assert_array_equal(v_dist, v_single)
 
+    @pytest.mark.parametrize("kernels", ["ref", "fast"])
+    @pytest.mark.parametrize("n_ranks", [2, 4])
+    def test_gts_on_ranks_matches_single_rank_gts(self, tiny_loh3, n_ranks, kernels):
+        """GTS on ranks is the rank stepper over every element in cluster
+        0: DOFs, seismograms, clock and update count bitwise the one-rank
+        GTS run."""
+        spec = tiny_loh3.with_overrides(solver="gts", kernels=kernels)
+        single = ScenarioRunner(spec)
+        single.run()
+        runner = make_runner(spec.with_overrides(n_ranks=n_ranks))
+        summary = runner.run()
+        n_elements = runner.setup.mesh.n_elements
+        assert runner.engine.clustering.counts.tolist() == [n_elements, 0]
+        assert summary["element_updates"] == single.solver.n_element_updates == 3 * 2 * n_elements
+        np.testing.assert_array_equal(runner.solver.dofs, single.solver.dofs)
+        assert runner.solver.time == single.solver.time
+        for name in ("receiver_9", "epicentre"):
+            t_single, v_single = single.receivers[name].seismogram()
+            t_dist, v_dist = runner.receivers[name].seismogram()
+            np.testing.assert_array_equal(t_dist, t_single)
+            np.testing.assert_array_equal(v_dist, v_single)
+            assert np.abs(v_single).max() > 0.0, "the run must move"
+
     def test_three_clusters_four_ranks(self, three_cluster):
         single = ScenarioRunner(three_cluster)
         single.run()
@@ -375,10 +398,6 @@ class TestSpecAndDispatch:
         summary = ScenarioRunner(tiny_loh3.with_overrides(n_ranks=2, n_cycles=1)).run()
         assert summary["n_ranks"] == 2
         assert summary["comm"]["n_messages"] > 0
-
-    def test_gts_with_ranks_rejected(self, tiny_loh3):
-        with pytest.raises(ValueError, match="clustered"):
-            tiny_loh3.with_overrides(solver="gts", n_ranks=2)
 
     def test_engine_rejects_mismatched_partitions(self, tiny_loh3):
         runner = ScenarioRunner(tiny_loh3)

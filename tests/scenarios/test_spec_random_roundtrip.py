@@ -46,8 +46,6 @@ def _sample_solver_kwargs(rng):
 
 
 def _is_valid_solver(kwargs) -> bool:
-    if kwargs["n_ranks"] > 1 and kwargs["kind"] == "gts":
-        return False
     if kwargs["backend"] == "process" and kwargs["n_ranks"] < 2:
         return False
     return True
@@ -74,7 +72,6 @@ class TestRandomSolverSpecs:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            dict(kind="gts", n_ranks=2),
             dict(backend="process", n_ranks=1),
             dict(comm_timeout=-1.0),
             dict(kernels="native"),
