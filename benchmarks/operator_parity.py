@@ -8,8 +8,9 @@ of ``repro`` cannot live in one interpreter, the check is two invocations::
     PYTHONPATH=<parent checkout>/src python benchmarks/operator_parity.py --dump parent.npz
     PYTHONPATH=src python benchmarks/operator_parity.py --compare parent.npz
 
-``--dump`` writes a compressed ``.npz``.  ``--compare`` holds one case of
-each side in memory at a time, and requires every
+Both walk one operator set at a time: ``--dump`` writes a compressed
+``.npz`` entry by entry, and ``--compare`` holds one operator set of each
+side in memory at a time.  ``--compare`` requires every
 array to be the same bytes (shape, dtype and values, the sign of a zero
 included -- ``np.array_equal`` takes ``-0.0 == 0.0``), and reports arrays
 whose values are equal but whose zeros differ in sign as their own kind of
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +54,7 @@ import workloads  # noqa: E402  (benchmarks/e2e: the workload generators)
 from repro.kernels import Discretization  # noqa: E402
 from repro.kernels.discretization import ELEMENT_OPERATORS  # noqa: E402
 from repro.parallel.partition import partition_dual_graph  # noqa: E402
-from repro.scenarios import ScenarioSpec, get_scenario, make_runner, scenario_names  # noqa: E402
+from repro.scenarios import ScenarioSpec, get_scenario, scenario_names  # noqa: E402
 from repro.scenarios.runner import build_setup  # noqa: E402
 from repro.source import locate_point  # noqa: E402
 from repro.verification.golden import GOLDEN_SCENARIOS, golden_spec  # noqa: E402
@@ -112,45 +114,69 @@ def difference(a, b) -> str | None:
     return "differs"
 
 
-def case_arrays(problems: list | None = None):
-    """Yield ``(case, {"<case>/<array>": array})`` for every case of this
-    checkout, one case at a time; with ``problems`` given, every operator
-    set's :func:`restricted_problems` are appended to it."""
+def _operator_sets(spec, setup):
+    """``(name, disc)`` of every operator set of a case, built one at a
+    time: the spec's own (taken from ``setup``, so it is released after its
+    turn), then the spec's flux and mechanism count plus the other flux and
+    m = 0 / m = 3 at f64 and f32, then the reordered set of a spec that
+    reorders."""
+    disc, setup.disc = setup.disc, None
+    own, order, precisions = (disc.flux, disc.n_mechanisms), disc.order, ("f64", disc.precision)
+    yield "spec", disc
+    del disc
+    for flux in ("rusanov", "godunov"):
+        for m in (0, 3):
+            for precision in ("f64", "f32"):
+                if (flux, m) == own and precision in precisions:
+                    continue  # the spec's own set
+                # f64 sets keep the names older dumps gave them
+                suffix = "" if precision == "f64" else f"-{precision}"
+                yield f"{flux}-m{m}{suffix}", Discretization(
+                    setup.mesh, setup.materials, order=order, n_mechanisms=m,
+                    flux=flux, precision=precision,
+                )
+    if spec.preprocessing.active:
+        yield "reordered", build_setup(spec).disc
+
+
+def operator_sets(problems: list | None = None):
+    """Yield ``(group, {"<group>/<array>": array})`` for every operator set
+    of every case of this checkout, one set at a time (``group`` is
+    ``<case>/<set>``), and after a case's sets its ``<case>/located``
+    elements; with ``problems`` given, every operator set's
+    :func:`restricted_problems` are appended to it."""
     for case, spec in _specs().items():
-        out = {}
-        reordered = spec.preprocessing.active
         setup = build_setup(spec.with_overrides(n_partitions=1, reorder=False))
-        disc = setup.disc
-        variants = {"spec": disc}
-        for flux in ("rusanov", "godunov"):
-            for m in (0, 3):
-                for precision in ("f64", "f32"):
-                    if (flux, m) == (disc.flux, disc.n_mechanisms) and precision in (
-                        "f64", disc.precision
-                    ):
-                        continue  # the spec's own set
-                    # f64 sets keep the names older dumps gave them
-                    suffix = "" if precision == "f64" else f"-{precision}"
-                    variants[f"{flux}-m{m}{suffix}"] = Discretization(
-                        setup.mesh, setup.materials, order=disc.order, n_mechanisms=m,
-                        flux=flux, precision=precision,
-                    )
-        if reordered:
-            variants["reordered"] = make_runner(spec).setup.disc
-        for variant, d in variants.items():
+        n_sets = 0
+        for name, disc in _operator_sets(spec, setup):
+            group = f"{case}/{name}"
             if problems is not None:
-                problems += restricted_problems(f"{case}/{variant}", d)
-            for key, array in d.operator_arrays().items():
-                out[f"{case}/{variant}/{key}"] = array
+                problems += restricted_problems(group, disc)
+            arrays = {f"{group}/{key}": array for key, array in disc.operator_arrays().items()}
+            del disc
+            n_sets += 1
+            yield group, arrays
+            del arrays
         points = dict(setup.receiver_locations)
         if spec.source is not None:
             points["source"] = spec.source.location
-        out[f"{case}/located"] = np.array(
+        located = np.array(
             [locate_point(setup.mesh, np.asarray(p, dtype=np.float64)) for p in points.values()]
         )
-        print(f"{case}: {setup.mesh.n_elements} elements, {len(variants)} operator sets, "
+        print(f"{case}: {setup.mesh.n_elements} elements, {n_sets} operator sets, "
               f"{len(points)} points", file=sys.stderr)
-        yield case, out
+        yield f"{case}/located", {f"{case}/located": located}
+
+
+def write_dump(path) -> None:
+    """This checkout's operator sets as a compressed ``.npz`` (what
+    ``np.load`` reads), written entry by entry."""
+    with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_DEFLATED) as archive:
+        for _, arrays in operator_sets():
+            for key, array in arrays.items():
+                with archive.open(f"{key}.npy", "w", force_zip64=True) as entry:
+                    np.lib.format.write_array(entry, np.asanyarray(array), allow_pickle=False)
+            del arrays
 
 
 def _compact(reference: dict) -> dict:
@@ -227,20 +253,19 @@ def main() -> int:
     group.add_argument("--compare", metavar="NPZ", help="compare this checkout against a dump")
     args = parser.parse_args()
     if args.dump:
-        np.savez_compressed(
-            args.dump, **{k: v for _, arrays in case_arrays() for k, v in arrays.items()}
-        )
+        write_dump(args.dump)
         return 0
-    # one case of each side in memory at a time
+    # one operator set of each side in memory at a time
     problems: list[str] = []
     n_arrays = 0
     with np.load(args.compare) as data:
         unread = set(data.files)
-        for case, arrays in case_arrays(problems):
-            keys = {k for k in unread if k.startswith(f"{case}/")}
+        for group, arrays in operator_sets(problems):
+            keys = {k for k in unread if k == group or k.startswith(f"{group}/")}
             unread -= keys
             problems += compare(arrays, {k: data[k] for k in keys})
             n_arrays += len(arrays)
+            del arrays
         problems += [f"missing in one side: {k}" for k in sorted(unread)]
     for problem in problems:
         print(problem)

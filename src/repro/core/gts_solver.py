@@ -5,7 +5,8 @@ baseline for the algorithmic-efficiency comparisons (Tab. I, Fig. 9/10).
 It is a clustered LTS run over a clustering with every element in cluster
 0 (:func:`gts_clustering`), so one solver, one clock and one rank stepper
 serve both kinds; the one-step update of :func:`~repro.kernels.update.gts_step`
-is the independent implementation the tests hold it to.
+is the independent implementation the tests hold it to.  A scenario's setup
+decides once what it steps (:func:`stepped_clustering`).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from ..source.receivers import ReceiverSet
 from .clustering import Clustering
 from .lts_solver import ClusteredLtsSolver
 
-__all__ = ["GlobalTimeSteppingSolver", "gts_clustering"]
+__all__ = ["GlobalTimeSteppingSolver", "gts_clustering", "stepped_clustering"]
 
 
 def gts_clustering(n_elements: int, dt: float, steps_per_cycle: int = 1) -> Clustering:
@@ -37,13 +38,28 @@ def gts_clustering(n_elements: int, dt: float, steps_per_cycle: int = 1) -> Clus
     )
 
 
+def stepped_clustering(clustering: Clustering, kind: str) -> Clustering:
+    """The clustering a ``kind`` run steps: ``clustering`` itself for LTS;
+    for GTS every element in cluster 0 of its ladder, so one macro cycle is
+    ``2^(N_c - 1)`` steps at its cluster-0 step.  Idempotent: a GTS
+    clustering maps to itself."""
+    if kind != "gts":
+        return clustering
+    return gts_clustering(
+        len(clustering.cluster_ids),
+        float(clustering.cluster_time_steps[0]),
+        2 ** (clustering.n_clusters - 1),
+    )
+
+
 class GlobalTimeSteppingSolver(ClusteredLtsSolver):
     """ADER-DG solver advancing every element at one global time step
     ``dt`` (default: the mesh's minimum CFL step).
 
-    A macro cycle is ``steps_per_cycle`` steps: the scenario runner passes
-    ``2^(N_c - 1)``, so one GTS cycle spans the largest cluster step of the
-    LTS clustering it is compared with.
+    A macro cycle is ``steps_per_cycle`` steps; ``2^(N_c - 1)`` makes one
+    GTS cycle span the largest cluster step of the LTS clustering it is
+    compared with, as a scenario's GTS run does
+    (:func:`stepped_clustering`).
     """
 
     def __init__(

@@ -35,12 +35,13 @@ import numpy as np
 from ..kernels.backend import make_backend
 from ..kernels.discretization import Discretization
 from ..mesh.reorder import cluster_ranges
-from ..observability import NULL_TELEMETRY
+from ..observability import NULL_TELEMETRY, resident_nbytes
+from ..source.moment_tensor import DiscretePointSource, MomentTensorSource, PointForceSource
 from ..source.receivers import ReceiverSet
 from .buffers import B2, BOUNDARY, LARGER, SAME, SMALLER, BufferFill, BufferLayout, LtsBuffers
 from .clustering import Clustering
 from .lts_scheduler import micro_steps_per_cycle, schedule_cycle
-from .stepper import HalfAppliedStepError, SingleRankStepper
+from .stepper import HalfAppliedStepError, restored_dofs
 
 __all__ = ["ClusteredLtsSolver", "HalfAppliedStepError"]
 
@@ -82,13 +83,21 @@ class _ClusterData:
         self.items: list[dict | None] = [None, None]
 
 
-class ClusteredLtsSolver(SingleRankStepper):
-    """Clustered rate-2 local time stepping ADER-DG solver.
+class ClusteredLtsSolver:
+    """Clustered rate-2 local time stepping ADER-DG solver: the single-rank
+    stepper of :mod:`repro.core.stepper`'s protocol.
 
     The discretization must be assembled in cluster order (Sec. VI,
     :func:`~repro.mesh.reorder.reorder_elements`); an unsorted clustering
-    raises :class:`~repro.mesh.reorder.ClusterOrderError`.
+    raises :class:`~repro.mesh.reorder.ClusterOrderError`.  A step whose
+    kernel dispatch raises part-way sets ``_failed``, and every later step
+    is refused until :meth:`restore_state`.
     """
+
+    #: one lane records the wall clock: phase totals need no normalisation
+    concurrent_lanes = 1
+    #: why the last step left a half-applied state (``None``: clean)
+    _failed: str | None = None
 
     def __init__(
         self,
@@ -144,9 +153,14 @@ class ClusteredLtsSolver(SingleRankStepper):
         """Duration of one macro cycle (one step of the largest cluster)."""
         return float(self.clustering.cluster_time_steps[-1])
 
-    @property
-    def workspaces(self) -> list:
-        return [cluster.workspace for cluster in self.clusters]
+    def _bind_source(self, source) -> DiscretePointSource:
+        if isinstance(source, DiscretePointSource):
+            return source
+        if isinstance(source, (MomentTensorSource, PointForceSource, list, tuple)):
+            # a list/tuple is a fused per-slot source ensemble sharing one
+            # location; DiscretePointSource stacks it along the fused axis
+            return DiscretePointSource(self.disc, source)
+        raise TypeError(f"unsupported source type: {type(source)!r}")
 
     def _buffer_layout(self) -> BufferLayout:
         """The buffer rows with a reader, by each element's face neighbours."""
@@ -220,8 +234,8 @@ class ClusteredLtsSolver(SingleRankStepper):
         ``micro_step``.
 
         A dispatch that raises leaves some clusters advanced and some not:
-        every later step is refused (:meth:`_check_state`) until
-        :meth:`restore_state` brings a whole state back.
+        every later step is refused until :meth:`restore_state` brings a
+        whole state back.
         """
         items = [
             item for l in clusters for item in self._items(self.clusters[l], micro_step)[phase]
@@ -279,8 +293,73 @@ class ClusteredLtsSolver(SingleRankStepper):
 
     def step_cycle(self) -> None:
         """Advance the whole mesh by one macro cycle (largest cluster step)."""
-        self._check_state()
+        if self._failed is not None:
+            raise HalfAppliedStepError(
+                f"refusing to step from a half-applied state at t = {self.time}: {self._failed}; "
+                "restore a checkpoint first"
+            )
         dt0 = float(self.clustering.cluster_time_steps[0])
         for entry in schedule_cycle(self.clustering.n_clusters):
             self.predict_step(entry)
             self.correct_step(entry, dt0)
+
+    def run(self, t_end: float) -> np.ndarray:
+        """Advance to at least ``t_end`` (full macro cycles); returns the DOFs."""
+        if t_end < self.time:
+            raise ValueError("t_end lies in the past")
+        n_cycles = int(np.ceil((t_end - self.time) / self.macro_dt - 1e-12))
+        for _ in range(n_cycles):
+            self.step_cycle()
+        return self.dofs
+
+    def set_initial_condition(self, func) -> None:
+        """L2-project an initial condition ``func(points) -> values``."""
+        self.dofs = self.disc.project_initial_condition(func, n_fused=self.n_fused)
+
+    def restore_state(self, arrays, time: float, n_element_updates: int) -> None:
+        """Copy ``arrays["dofs"]`` in (other entries are ignored): the
+        solver steps its own DOF array, never the caller's."""
+        np.copyto(self.dofs, restored_dofs(arrays, self.dofs.shape, self.dofs.dtype))
+        self._failed = None
+        self.time = float(time)
+        self.n_element_updates = int(n_element_updates)
+
+    def memory_owners(self) -> dict:
+        """MiB held per owner, from the owners' own arrays (each base array
+        once, :func:`~repro.observability.resident_nbytes`): the state
+        ``dofs``, the ``lts_buffers``, the discretization's
+        ``operators``, the backend's ``kernel_scratch`` (per-thread block
+        scratch; the reference backend's increments) and the batch
+        ``workspaces`` (cached operators, gather plans, kept integrals)."""
+        held = {
+            "dofs": self.dofs,
+            "lts_buffers": self.buffers.store,
+            "operators": vars(self.disc),
+            "kernel_scratch": self.backend.scratch_arrays(),
+            "workspaces": [c.workspace.held() for c in self.clusters if c.workspace is not None],
+        }
+        return {name: resident_nbytes(value) / 2**20 for name, value in held.items()}
+
+    def memory_block(self) -> dict:
+        """The summary's ``memory`` entries: resident MiB by owner."""
+        return {"owned_mb": self.memory_owners()}
+
+    def ledger_columns(self) -> dict:
+        """No per-cycle ledger columns beyond the runner's own."""
+        return {}
+
+    def telemetry_snapshots(self) -> list[dict]:
+        """Cumulative per-lane snapshots: the solver's one lane."""
+        return [self.telemetry.snapshot()]
+
+    def trace_lanes(self) -> list[tuple]:
+        """``(lane_name, tid, events)`` triples for the Chrome-trace export
+        (draining is destructive: export once per run)."""
+        return [(self.telemetry.lane, self.telemetry.rank, self.telemetry.drain_events())]
+
+    def comm_summary(self) -> None:
+        """A single rank exchanges no halo."""
+        return None
+
+    def close(self) -> None:
+        """Nothing to release: the solver holds no worker processes."""

@@ -330,17 +330,16 @@ class ProcessLtsEngine:
         lanes = [*self._lanes, self.telemetry]
         return [(lane.lane, tid, lane.drain_events()) for tid, lane in enumerate(lanes)]
 
-    @property
-    def rank_peak_rss_mb(self) -> list[float]:
-        """Per-rank worker-process peak RSS in MiB (zeros before the first
-        cycle)."""
-        return list(self._rank_peak_rss)
-
-    @property
-    def rank_memory_owners(self) -> list[dict]:
-        """Per rank, its solver's resident MiB by owner as of its last
-        cycle (``RankSolver.memory_owners``; empty before the first)."""
-        return list(self._rank_owners)
+    def memory_block(self) -> dict:
+        """The summary's ``memory`` entries: the workers' self-reported peak
+        RSS (the parent's ``RUSAGE_CHILDREN`` misses still-live workers) and
+        each rank solver's resident MiB by owner, once every rank reported."""
+        block = {}
+        if any(self._rank_peak_rss):
+            block["worker_peak_rss_mb"] = list(self._rank_peak_rss)
+        if all(self._rank_owners):
+            block["rank_owned_mb"] = list(self._rank_owners)
+        return block
 
     def modelled_exchange_per_cycle(self) -> dict:
         """The Fig-10 machine model's view of the same halo, for validation.
@@ -405,5 +404,5 @@ class ProcessLtsEngine:
         }
         self._ledger_bytes = n_bytes
         if any(self._rank_peak_rss):
-            columns["worker_peak_rss_mb"] = self.rank_peak_rss_mb
+            columns["worker_peak_rss_mb"] = list(self._rank_peak_rss)
         return columns

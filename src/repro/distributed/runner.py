@@ -2,8 +2,9 @@
 
 :class:`~repro.scenarios.runner.ScenarioRunner` calls :func:`build_engine`
 when a spec asks for ``solver.n_ranks > 1``: the mesh is split with the
-weighted dual-graph partitioner (update-frequency element weights, Sec. V-C)
-unless preprocessing already produced that many partitions, and the one
+weighted dual-graph partitioner (the update-frequency element weights of
+the runner's clustering, Sec. V-C) unless preprocessing already produced
+that many partitions, and the one
 engine, :class:`~repro.distributed.process_engine.ProcessLtsEngine`, forks
 one rank worker per partition.  The workers exchange halo packs through
 :class:`~repro.parallel.communicator.ProcessCommunicator`, and
@@ -22,9 +23,9 @@ from .process_engine import ProcessLtsEngine
 __all__ = ["build_engine"]
 
 
-def build_engine(runner, disc, sources: list, clustering):
+def build_engine(runner, disc, sources: list):
     """The multi-rank engine of ``runner``'s spec over its setup, stepping
-    ``clustering`` (the runner's own, or its GTS counterpart).
+    the runner's clustering (a GTS run's is every element in cluster 0).
 
     The runner's own telemetry lane becomes the engine's "driver" lane
     (engine construction, checkpoint I/O, the cycle spans) next to the
@@ -34,8 +35,8 @@ def build_engine(runner, disc, sources: list, clustering):
     runner.telemetry.lane = "driver"
     return ProcessLtsEngine(
         disc,
-        clustering,
-        _partitions(runner, disc, clustering, solver.n_ranks),
+        runner.clustering,
+        _partitions(runner, disc, solver.n_ranks),
         sources=sources,
         receivers=runner.receivers,
         n_fused=solver.n_fused,
@@ -45,17 +46,18 @@ def build_engine(runner, disc, sources: list, clustering):
     )
 
 
-def _partitions(runner, disc, clustering, n_ranks: int) -> np.ndarray:
-    """One partition per rank, balanced by ``clustering``'s update-frequency
-    weights.
+def _partitions(runner, disc, n_ranks: int) -> np.ndarray:
+    """One partition per rank, balanced by the update-frequency weights of
+    the runner's clustering (uniform for GTS).
 
-    The setup's preprocessing partitions are reused when their count
-    matches (its reordering made them contiguous); otherwise the weighted
-    partitioner runs on the final mesh.
+    The setup's preprocessing partitions -- weighted alike -- are reused
+    when their count matches (its reordering made them contiguous);
+    otherwise the weighted partitioner runs on the final mesh.
     """
     if runner.setup.partitions is not None:
         partitions = np.asarray(runner.setup.partitions, dtype=np.int64)
         if int(partitions.max()) + 1 == n_ranks:
             return partitions
+    clustering = runner.clustering
     weights = element_weights(clustering.cluster_ids, clustering.n_clusters)
     return partition_dual_graph(disc.mesh.neighbors, weights, n_ranks).partitions

@@ -107,11 +107,13 @@ def stage_key_fields(spec, stage: str) -> dict:
       ``anelastic`` switch (which strips the quality factors).
     * ``clustering``: the materials fields plus order, CFL and the
       clustering policy (the per-element CFL steps feed the lambda search);
-      derived in original element order, so reordered and plain runs share
-      the entry.
-    * ``partition``: the clustering fields plus the partition count --
-      not ``preprocessing.reorder``: every spec that reaches this stage
-      stores the same partitions and permutation whatever that switch says.
+      the policy's LTS clustering in original element order, so reordered
+      and plain runs, GTS and LTS, share the entry.
+    * ``partition``: the clustering fields plus the partition count and
+      the solver kind (a GTS run partitions and orders by its own,
+      one-cluster clustering) -- not ``preprocessing.reorder``: every spec
+      that reaches this stage stores the same partitions and permutation
+      whatever that switch says.
     """
     if stage not in STAGES:
         raise ValueError(f"stage must be one of {STAGES}, got {stage!r}")
@@ -132,6 +134,7 @@ def stage_key_fields(spec, stage: str) -> dict:
     if stage == "clustering":
         return fields
     fields["n_partitions"] = d["preprocessing"]["n_partitions"]  # stage == "partition"
+    fields["solver_kind"] = d["solver"]["kind"]
     return fields
 
 

@@ -3,15 +3,16 @@
 :func:`build_setup` materialises a :class:`~repro.scenarios.spec.ScenarioSpec`
 into the executable objects (mesh, material table, discretization, source,
 initial condition) through the paper's preprocessing pipeline (Fig. 8):
-meshing, material sampling, CFL steps and the LTS clustering
-(:func:`staged_setup`), then the optional weighted partitioning and
-reordering (:func:`preprocess_setup`), and one operator assembly in the
-final, solver element order.  :class:`ScenarioRunner` builds the stepper and
-drives a macro-cycle loop with wall-clock and element-update accounting.
-The stepper is a GTS or clustered-LTS solver on one rank, or a multi-rank
-engine (:func:`repro.distributed.build_engine`) when the spec asks for
-``solver.n_ranks > 1``; all of them implement the stepper protocol of
-:mod:`repro.core.stepper`, so the runner never asks which one it drives.
+meshing, material sampling, CFL steps and the clustering the run steps
+(:func:`staged_setup`; GTS: :func:`~repro.core.gts_solver.stepped_clustering`),
+then the optional weighted partitioning and reordering
+(:func:`preprocess_setup`), and one operator assembly in the final, solver
+element order.  :class:`ScenarioRunner` builds the stepper of that
+clustering -- the clustered solver, or a multi-rank engine
+(:func:`repro.distributed.build_engine`) for ``solver.n_ranks > 1``; both
+implement the stepper protocol of :mod:`repro.core.stepper`, so the runner
+never asks what it steps -- and drives a macro-cycle loop with wall-clock
+and element-update accounting.
 
 Checkpoint/restart serialises the complete dynamic state of a run -- DOFs,
 simulation time, update count and the receiver recordings -- at macro-cycle
@@ -38,7 +39,7 @@ import numpy as np
 from ..core.clustering import Clustering, derive_clustering
 # unused here: the setup tracer (benchmarks/e2e/layers.py) wraps it by name
 from ..core.clustering import optimize_lambda  # noqa: F401
-from ..core.gts_solver import GlobalTimeSteppingSolver, gts_clustering
+from ..core.gts_solver import stepped_clustering
 from ..core.lts_solver import ClusteredLtsSolver
 from ..equations.material import MaterialTable
 from ..kernels.discretization import Discretization
@@ -213,7 +214,8 @@ class ScenarioSetup:
     materials: MaterialTable
     disc: Discretization | None
     time_steps: np.ndarray
-    #: the spec policy's clustering, derived once from ``time_steps``
+    #: the clustering the run steps: the spec policy's, derived once from
+    #: ``time_steps``, or its GTS counterpart for a GTS spec
     clustering: Clustering
     source: object | None
     receiver_locations: dict
@@ -257,7 +259,8 @@ def _build_discretization(
 def staged_setup(spec: ScenarioSpec, *, cache=None, telemetry=None) -> ScenarioSetup:
     """Steps 1-3 of the preprocessing pipeline -- velocity model, mesh,
     materials, CFL steps and the clustering -- in generation order, with no
-    operators assembled (``disc`` is ``None``).
+    operators assembled (``disc`` is ``None``).  The clustering is the one
+    the run steps: for GTS, every element in cluster 0 of the policy's ladder.
 
     With ``cache`` set, the mesh, material table and clustering are loaded
     from the content-addressed preprocessing cache when present (and stored
@@ -304,10 +307,10 @@ def staged_setup(spec: ScenarioSpec, *, cache=None, telemetry=None) -> ScenarioS
     def _derive_clustering() -> Clustering:
         return pipeline.derive_clustering(mesh, time_steps)
 
-    clustering = (
-        cache.clustering(spec, _derive_clustering)
-        if cache is not None
-        else _derive_clustering()
+    # the cache holds the policy's clustering, which both kinds share
+    clustering = stepped_clustering(
+        cache.clustering(spec, _derive_clustering) if cache is not None else _derive_clustering(),
+        spec.solver.kind,
     )
     return ScenarioSetup(
         spec=spec,
@@ -329,10 +332,10 @@ def build_setup(spec: ScenarioSpec, *, cache=None, telemetry=None) -> ScenarioSe
 
     With ``preprocessing.active`` the order is the pipeline's (cluster,
     partition, communication role, id) one (:func:`preprocess_setup`) and
-    the setup carries the partitions; any other LTS setup is sorted into
+    the setup carries the partitions; any other setup is sorted into
     (cluster, id) order (:func:`~repro.mesh.reorder.reorder_elements`).
     Either way every cluster is one contiguous slice of every per-element
-    array.  Plain GTS steps all elements as one batch and keeps generation
+    array.  A GTS clustering is one cluster, so plain GTS keeps generation
     order.
     """
     setup = staged_setup(spec, cache=cache, telemetry=telemetry)
@@ -340,7 +343,7 @@ def build_setup(spec: ScenarioSpec, *, cache=None, telemetry=None) -> ScenarioSe
     partitions = order = None
     if spec.preprocessing.active:
         partitions, order = preprocess_setup(spec, setup, cache=cache, telemetry=telemetry)
-    elif spec.solver.kind == "lts" and np.any(np.diff(ids) < 0):
+    elif np.any(np.diff(ids) < 0):
         order = reorder_elements(ids)
     if order is not None:
         setup = replace(
@@ -358,8 +361,9 @@ def build_setup(spec: ScenarioSpec, *, cache=None, telemetry=None) -> ScenarioSe
 def preprocess_setup(spec: ScenarioSpec, setup: ScenarioSetup, *, cache=None,
                      telemetry=None) -> tuple[np.ndarray, np.ndarray]:
     """Steps 4-5 of the preprocessing pipeline on a :func:`staged_setup`:
-    ``(partitions, permutation)``, the weighted partition of every element
-    and the generation -> solver order permutation, both in generation order.
+    ``(partitions, permutation)``, the partition of every element, weighted
+    by the stepped clustering's update load (Sec. V-C), and the generation
+    -> solver order permutation, both in generation order.
 
     With ``cache`` set, both are loaded from the preprocessing cache when
     present (and stored after deriving otherwise).
@@ -410,9 +414,11 @@ class ScenarioRunner:
             if setup is not None
             else build_setup(spec, cache=cache, telemetry=self.telemetry)
         )
-        #: an explicit clustering must be in the setup's element order (an
-        #: LTS solver rejects one whose clusters are not contiguous in it)
-        self.clustering = clustering if clustering is not None else self.setup.clustering
+        #: the clustering the run steps; an explicit one must be in the
+        #: setup's element order, and becomes the spec kind's like the setup's
+        self.clustering = stepped_clustering(
+            clustering if clustering is not None else self.setup.clustering, spec.solver.kind
+        )
 
         disc = self.setup.disc
         self.receivers = (
@@ -436,38 +442,21 @@ class ScenarioRunner:
         self.checkpoint_s = 0.0
 
     def _build_solver(self, disc: Discretization, sources: list):
-        """Construct the stepper: a multi-rank engine (also bound as
-        ``self.engine``) when the spec asks for ranks, else GTS or LTS on
-        the element operators it assembles first (each rank assembles its
-        own rows, so the parent of a multi-rank run assembles none).  GTS
-        steps every element in cluster 0 of the clustering's ladder: one
-        macro cycle is 2^(N_c - 1) steps at the cluster-0 step."""
+        """Construct the stepper of ``self.clustering``: a multi-rank engine
+        (also bound as ``self.engine``) when the spec asks for ranks, else
+        the clustered solver on the element operators it assembles first
+        (each rank assembles its own rows, so the parent of a multi-rank run
+        assembles none)."""
         spec = self.spec
-        dt0 = float(self.clustering.cluster_time_steps[0])
-        steps = 2 ** (self.clustering.n_clusters - 1)
         if spec.solver.n_ranks > 1:
             from ..distributed.runner import build_engine
 
-            stepped = self.clustering
-            if spec.solver.kind == "gts":
-                stepped = gts_clustering(disc.n_elements, dt0, steps)
-            self.engine = build_engine(self, disc, sources, stepped)
+            self.engine = build_engine(self, disc, sources)
             return self.engine
         # the largest setup stage, timed on its own (the solver's own call
         # then finds the operators assembled)
         with self.telemetry.region("preprocess.operators"):
             disc.assemble_element_operators()
-        if spec.solver.kind == "gts":
-            return GlobalTimeSteppingSolver(
-                disc,
-                dt=dt0,
-                sources=sources,
-                receivers=self.receivers,
-                n_fused=spec.solver.n_fused,
-                kernels=spec.solver.kernels,
-                telemetry=self.telemetry,
-                steps_per_cycle=steps,
-            )
         return ClusteredLtsSolver(
             disc,
             self.clustering,
@@ -588,8 +577,8 @@ class ScenarioRunner:
     def _cycle_record(self, cycle_wall_s: float) -> dict:
         """One ledger/heartbeat record of the cycle that just finished.
 
-        A multi-rank run adds the engine's traffic and worker-memory
-        columns; the recv-wait column is per cycle (deltas of the
+        The stepper adds its own columns (a multi-rank engine's traffic and
+        worker memory); the recv-wait column is per cycle (deltas of the
         cumulative region totals), like every other rate here.
         """
         updates = int(self.solver.n_element_updates)
@@ -614,10 +603,9 @@ class ScenarioRunner:
                 for lane, total in waits.items()
             }
             self._ledger_prev_recv_wait = waits
-        if hasattr(self, "engine"):
-            record.update(self.engine.ledger_columns())
-            workers = record.get("worker_peak_rss_mb", ())
-            record["peak_rss_mb"] = max([record["peak_rss_mb"], *workers])
+        record.update(self.solver.ledger_columns())
+        workers = record.get("worker_peak_rss_mb", ())
+        record["peak_rss_mb"] = max([record["peak_rss_mb"], *workers])
         return record
 
     def summary(self) -> dict:
@@ -664,9 +652,7 @@ class ScenarioRunner:
             "first_cycle_s": self.first_cycle_s,
             "checkpoint_s": self.checkpoint_s,
         }
-        out["memory"] = peak_memory()
-        if not hasattr(self, "engine"):  # one solver: its resident bytes by owner
-            out["memory"]["owned_mb"] = self.solver.memory_owners()
+        out["memory"] = {**peak_memory(), **self.solver.memory_block()}
         if self.telemetry.enabled:
             out["telemetry"] = self.telemetry_block()
         accuracy = self.accuracy()
@@ -674,16 +660,8 @@ class ScenarioRunner:
             out["accuracy"] = accuracy
         comm = self.solver.comm_summary()
         if comm is not None:
-            out["n_ranks"] = self.engine.n_ranks
+            out["n_ranks"] = self.solver.n_ranks
             out["comm"] = comm
-            workers = self.engine.rank_peak_rss_mb
-            if any(workers):
-                # the parent's RUSAGE_CHILDREN misses still-live workers, so
-                # the summary carries the workers' self-reported peaks
-                out["memory"]["worker_peak_rss_mb"] = list(workers)
-            owners = self.engine.rank_memory_owners
-            if all(owners):  # each rank solver's resident MiB by owner
-                out["memory"]["rank_owned_mb"] = owners
         return out
 
     # -- telemetry ------------------------------------------------------
@@ -863,15 +841,9 @@ class ScenarioRunner:
                 f"unsupported checkpoint format {meta['format_version']}"
             )
         spec = ScenarioSpec.from_dict(meta["spec"]).with_overrides(**overrides)
-        restored = Clustering(
-            cluster_ids=data["cluster_ids"],
-            cluster_time_steps=data["cluster_time_steps"],
-            lam=float(meta["clustering"]["lam"]),
-            dt_min=float(meta["clustering"]["dt_min"]),
-        )
         # the exact checkpointed clustering, so runners built with a
         # non-spec clustering also resume bit-identically
-        runner = cls(spec, clustering=restored)
+        runner = cls(spec, clustering=_checkpoint_clustering(data, meta))
         runner._load_state(data, meta)
         return runner
 
@@ -883,11 +855,11 @@ class ScenarioRunner:
                 f"checkpoint DOF shape {dofs.shape} does not match the rebuilt "
                 f"scenario {solver.dofs.shape}; was the spec edited?"
             )
+        # older GTS checkpoints stored the policy's LTS clustering
+        stored = stepped_clustering(_checkpoint_clustering(data, meta), self.spec.solver.kind)
         if not (
-            np.array_equal(self.clustering.cluster_ids, data["cluster_ids"])
-            and np.array_equal(
-                self.clustering.cluster_time_steps, data["cluster_time_steps"]
-            )
+            np.array_equal(self.clustering.cluster_ids, stored.cluster_ids)
+            and np.array_equal(self.clustering.cluster_time_steps, stored.cluster_time_steps)
         ):
             raise ValueError(
                 "checkpoint clustering does not match the rebuilt scenario; "
@@ -913,6 +885,16 @@ class ScenarioRunner:
         )
         self.cycles_done = int(meta["cycles_done"])
         self.wall_s = float(meta.get("wall_s", 0.0))
+
+
+def _checkpoint_clustering(data: dict, meta: dict) -> Clustering:
+    """The clustering a checkpoint stored."""
+    return Clustering(
+        cluster_ids=data["cluster_ids"],
+        cluster_time_steps=data["cluster_time_steps"],
+        lam=float(meta["clustering"]["lam"]),
+        dt_min=float(meta["clustering"]["dt_min"]),
+    )
 
 
 def _read_checkpoint(path) -> tuple[dict, dict]:

@@ -219,7 +219,7 @@ def plan_engine(plan_case):
     setup = build_setup(plan_case)
     disc, clustering = setup.disc, setup.clustering
     partitions = _partitions(
-        SimpleNamespace(setup=setup), disc, clustering, plan_case.solver.n_ranks
+        SimpleNamespace(setup=setup, clustering=clustering), disc, plan_case.solver.n_ranks
     )
     halo = HaloIndex.from_partitions(disc.mesh.neighbors, partitions)
     model = exchange_volumes_per_cycle(

@@ -16,6 +16,7 @@ import pytest
 from repro.preprocessing.cache import (
     PreprocessingCache,
     STAGES,
+    diff_stats,
     needed_stage_keys,
     result_content_hash,
     stage_key,
@@ -130,6 +131,24 @@ class TestStageKeys:
         assert stage_key(keyed.with_overrides(n_partitions=3), "partition") != stage_key(
             keyed, "partition"
         )
+
+    def test_gts_and_lts_share_all_but_the_partition_stage(self, tmp_path):
+        """Both kinds derive the policy's clustering and share that artifact;
+        a GTS run partitions and orders by its own one-cluster clustering,
+        so its partition stage is its own entry."""
+        lts = tiny_loh3().with_overrides(n_partitions=2)
+        gts = lts.with_overrides(solver="gts")
+        a, b = all_stage_keys(lts), all_stage_keys(gts)
+        assert {s: a[s] for s in STAGES[:-1]} == {s: b[s] for s in STAGES[:-1]}
+        assert a["partition"] != b["partition"]
+        cache = PreprocessingCache(tmp_path / "cache")
+        make_runner(lts, cache=cache)
+        before = cache.snapshot()
+        runner = make_runner(gts, cache=cache)
+        delta = diff_stats(before, cache.snapshot())
+        assert {stage: delta[stage] for stage in STAGES[:-1]} == {s: HIT for s in STAGES[:-1]}
+        assert delta["partition"] == MISS
+        assert runner.clustering.counts.tolist() == [runner.setup.mesh.n_elements, 0]
 
     def test_unknown_stage_raises(self):
         with pytest.raises(ValueError, match="stage"):

@@ -255,6 +255,24 @@ class TestReportCli:
         report = json.loads((lts_dir / "report.json").read_text())
         assert report["blocks"]["overlap"]["efficiency"] > 0.0
 
+    def test_gts_summary_describes_what_it_stepped(self, traced_runs, capsys):
+        """The GTS reference reports its own one-cluster clustering, and the
+        report still measures the LTS run against it."""
+        lts_dir, gts_dir = traced_runs
+        lts = json.loads((lts_dir / "run_summary.json").read_text())
+        gts = json.loads((gts_dir / "run_summary.json").read_text())
+        assert lts["cluster_counts"][1] > 0
+        assert gts["cluster_counts"] == [gts["n_elements"], 0]
+        assert gts["lambda"] == 1.0
+        assert abs(gts["theoretical_speedup"] - 1.0) < 1e-12
+        assert gts["macro_dt"] == lts["macro_dt"]
+        assert cli_main(["report", str(lts_dir), str(gts_dir)]) == 0
+        line = next(
+            line for line in capsys.readouterr().out.splitlines()
+            if "measured wall-clock speedup" in line
+        )
+        assert float(line.split()[3].rstrip("x")) > 0.0
+
     def test_report_renders_all_derived_blocks(self, traced_runs, capsys):
         lts_dir, gts_dir = traced_runs
         assert cli_main(["report", str(lts_dir), str(gts_dir)]) == 0

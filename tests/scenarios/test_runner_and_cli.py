@@ -137,6 +137,24 @@ def _assert_ref_tier(actual, desired):
     assert np.abs(np.asarray(actual) - np.asarray(desired)).max() <= 1e-12 * peak
 
 
+class TestGtsStepsItsOwnClustering:
+    """A GTS run steps, partitions and orders by one clustering: every
+    element in cluster 0 of its policy clustering's ladder."""
+
+    def test_gts_partitions_balance_unit_weights(self):
+        from repro.parallel.partition import partition_dual_graph
+        from repro.scenarios import build_setup
+
+        spec = get_scenario("loh3").with_overrides(solver="gts", n_partitions=2)
+        setup = build_setup(spec)
+        unit = partition_dual_graph(
+            setup.mesh.neighbors, np.ones(setup.mesh.n_elements), 2
+        ).partitions
+        assert np.bincount(setup.partitions).tolist() == np.bincount(unit).tolist()
+        # one cluster: the partition/role order, no cluster-major blocks
+        assert np.all(np.diff(setup.partitions) >= 0)
+
+
 class TestCheckpointRestart:
     def test_resume_is_bit_identical(self, tiny_loh3, tmp_path):
         resumed, full = self._interrupt_and_resume(tiny_loh3, tmp_path)
@@ -382,6 +400,44 @@ class TestCheckpointRestart:
         resumed = ScenarioRunner.resume(path)
         assert resumed.spec.solver.n_ranks == n_ranks
         resumed.run()
+        np.testing.assert_array_equal(resumed.solver.dofs, full.solver.dofs)
+        for receiver in full.receivers.receivers:
+            np.testing.assert_array_equal(
+                resumed.receivers[receiver.name].seismogram()[1], receiver.seismogram()[1]
+            )
+
+    def test_gts_checkpoint_of_the_lts_policy_clustering_resumes_bitwise(
+        self, tiny_loh3, tmp_path
+    ):
+        """GTS checkpoints once stored the spec policy's LTS clustering; such
+        a file resumes onto the GTS clustering it stepped, bit for bit."""
+        from repro.scenarios.runner import staged_setup
+
+        policy_spec = tiny_loh3.with_overrides(lam=0.7)
+        spec = policy_spec.with_overrides(solver="gts")
+        full = ScenarioRunner(spec)
+        full.run()
+        path = tmp_path / "gts.ckpt.npz"
+        head = ScenarioRunner(spec)
+        for _ in range(2):
+            head.step_cycle()
+        head.save_checkpoint(path)
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files}
+        meta = json.loads(str(arrays.pop("meta")))
+        policy = staged_setup(policy_spec).clustering
+        assert len(set(policy.cluster_ids.tolist())) == 2
+        arrays.update(
+            cluster_ids=policy.cluster_ids, cluster_time_steps=policy.cluster_time_steps
+        )
+        meta["clustering"] = {"lam": policy.lam, "dt_min": policy.dt_min}
+        with open(path, "wb") as handle:
+            np.savez(handle, meta=json.dumps(meta), **arrays)
+
+        resumed = ScenarioRunner.resume(path)
+        assert resumed.clustering.counts.tolist() == [resumed.setup.mesh.n_elements, 0]
+        resumed.run()
+        assert resumed.solver.n_element_updates == full.solver.n_element_updates
         np.testing.assert_array_equal(resumed.solver.dofs, full.solver.dofs)
         for receiver in full.receivers.receivers:
             np.testing.assert_array_equal(
