@@ -22,9 +22,7 @@ four ``flux_*`` views is joined into the ``(K, 4, 15, 18)`` flux-solver
 array they were views of, and such an array is compared as the elastic
 ``flux_solvers`` (rows 0-8) and the ``flux_anelastic`` velocity columns
 (rows 9-14 at columns 6-8 and 15-17), once every other anelastic column
-proved an exact zero.  The one stated exception: where the reference stored several neighbouring flux matrices for
-one face class (its rounded-value dedup split round-off twins), the gathered
-per-face matrices must agree within 1e-13 and fewer matrices must be stored.
+proved an exact zero.
 
 ``--compare`` also checks, for every operator set of every case, that a
 rank's assembly (``Discretization.restricted`` on each side of a
@@ -59,7 +57,6 @@ from repro.scenarios.runner import build_setup  # noqa: E402
 from repro.source import locate_point  # noqa: E402
 from repro.verification.golden import GOLDEN_SCENARIOS, golden_spec  # noqa: E402
 
-NEIGHBOR_KEYS = ("neighbor_flux_matrices", "neighbor_flux_index")
 #: the dense operator stacks older checkouts stored
 DENSE_KEYS = ("star_elastic", "star_anelastic", "coupling")
 #: the flux-solver views older checkouts listed, as blocks of their
@@ -221,29 +218,12 @@ def _compact(reference: dict) -> dict:
 def compare(ours: dict, reference: dict) -> list[str]:
     reference = _compact(reference)
     problems = [f"missing in one side: {k}" for k in sorted(set(ours) ^ set(reference))]
-    relaxed = set()
-    for key in sorted(set(ours) & set(reference)):
-        problem = difference(ours[key], reference[key])
-        if problem is None:
-            continue
-        prefix, _, name = key.rpartition("/")
-        if name not in NEIGHBOR_KEYS or problem != "differs":
-            problems.append(f"{key}: {problem}")
-        elif prefix not in relaxed:
-            relaxed.add(prefix)
-            mats, index = (ours[f"{prefix}/{k}"] for k in NEIGHBOR_KEYS)
-            ref_mats, ref_index = (reference[f"{prefix}/{k}"] for k in NEIGHBOR_KEYS)
-            interior = index >= 0
-            if not np.array_equal(interior, ref_index >= 0):
-                problems.append(f"{prefix}: interior faces differ")
-                continue
-            err = np.abs(mats[index[interior]] - ref_mats[ref_index[interior]]).max()
-            if err > 1e-13 or len(mats) >= len(ref_mats):
-                problems.append(f"{prefix}: {len(mats)} vs {len(ref_mats)} matrices, err {err:.2e}")
-            else:
-                print(f"{prefix}: {len(ref_mats)} -> {len(mats)} stored matrices, "
-                      f"per-face difference {err:.2e}")
-    return problems
+    return problems + [
+        f"{key}: {problem}"
+        for key in sorted(set(ours) & set(reference))
+        for problem in [difference(ours[key], reference[key])]
+        if problem is not None
+    ]
 
 
 def main() -> int:

@@ -15,11 +15,15 @@ or that one side lacks, and exits 1 if there is any.
 
 Cases: the solver workloads' specs of ``benchmarks/e2e`` at seed 0 (the
 CLI workload's spec too) on one rank, ``loh3-m-lts`` and ``basin-s-lts``
-also on 2 and 4 ranks, ``loh3-m-lts`` in f32 on 1 and 2 ranks,
-``loh3-m-gts`` in f32 and on 2 ranks over 2 preprocessing partitions, and
-the fused width-2 golden spec ``loh3_fused2``.  DOFs are digested in mesh
-generation order (``TetMesh.original_ids``), so two trees that step
-elements in different solver orders still compare bit for bit.
+also on 2 and 4 ranks and on one rank over 2 preprocessing partitions,
+``loh3-m-lts`` in f32 on 1 and 2 ranks, ``loh3-m-gts`` in f32 and on 2
+ranks over 2 preprocessing partitions, and the fused width-2 golden spec
+``loh3_fused2``.  DOFs are digested in mesh generation order
+(``TetMesh.original_ids``), so two trees that step elements in different
+solver orders still compare bit for bit.  Within one tree every variant
+digests equal to its base case (the case without its ``/partitions2`` and
+``/<n>rank`` parts): neither the rank count nor the element order a
+partition brings moves a bit.
 """
 
 from __future__ import annotations
@@ -58,6 +62,7 @@ def cases() -> dict[str, ScenarioSpec]:
     for name in ("loh3-m-lts", "basin-s-lts"):
         for n_ranks in (2, 4):
             out[f"{name}/{n_ranks}rank"] = out[name].with_overrides(n_ranks=n_ranks)
+        out[f"{name}/partitions2"] = out[name].with_overrides(n_partitions=2)
     out["loh3-m-lts/f32"] = out["loh3-m-lts"].with_overrides(precision="f32")
     out["loh3-m-lts/f32/2rank"] = out["loh3-m-lts/f32"].with_overrides(n_ranks=2)
     out["loh3-m-gts/f32"] = out["loh3-m-gts"].with_overrides(precision="f32")

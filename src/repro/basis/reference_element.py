@@ -8,11 +8,15 @@ the paper) that only depends on the reference element:
   procedure, eq. 6/7) and by the volume kernel (eq. 8/9),
 * the four local flux matrices ``F̃_i`` (B x F) projecting an element's trace
   onto the face basis and their test-side counterparts ``F̂_i`` (F x B),
-  pre-multiplied by the inverse mass matrix as in the paper.
-
-The neighbouring flux matrices ``F̄`` depend on how two tetrahedra share a
-face and are therefore assembled per mesh in :mod:`repro.kernels.surface`,
-where they are deduplicated into the small unique set the paper exploits.
+  pre-multiplied by the inverse mass matrix as in the paper,
+* the neighbouring flux matrices ``F̄`` (B x F), one per way a face can meet
+  its neighbour (:data:`NEIGHBOR_ORIENTATIONS`): each projects the
+  neighbour's trace onto the face basis.  For conforming affine meshes the
+  map from a face's parametrisation into its neighbour's reference element
+  only depends on where the face's three vertices sit among the
+  neighbour's four, so the 24 matrices are reference-element data; a
+  :class:`~repro.kernels.discretization.Discretization` keeps the ones its
+  mesh uses (the paper's 12 under EDGE's canonical vertex ordering).
 
 Geometry conventions
 --------------------
@@ -32,13 +36,15 @@ flux solvers, exactly as EDGE folds it into ``Ã±``.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import permutations
 
 import numpy as np
 
 from .functions import TetBasis, TriBasis, basis_size, face_basis_size
 from .quadrature import tetrahedron_quadrature, triangle_quadrature
 
-__all__ = ["ReferenceElement", "REFERENCE_VERTICES", "FACE_VERTEX_IDS", "reference_element"]
+__all__ = ["ReferenceElement", "REFERENCE_VERTICES", "FACE_VERTEX_IDS", "NEIGHBOR_ORIENTATIONS",
+           "ORIENTATION_CODES", "orientation_code", "reference_element"]
 
 #: Vertices of the reference tetrahedron, shape (4, 3).
 REFERENCE_VERTICES = np.array(
@@ -52,6 +58,24 @@ REFERENCE_VERTICES = np.array(
 
 #: Local vertex ids of the four reference faces (outward orientation).
 FACE_VERTEX_IDS = ((0, 2, 1), (0, 1, 3), (0, 3, 2), (1, 2, 3))
+
+#: Every way a face can meet its neighbour: the positions ``(p0, p1, p2)``
+#: of the face's vertices (in ``FACE_VERTEX_IDS`` order) in the neighbour's
+#: vertex tuple -- all 24 ordered triples of distinct reference vertices, in
+#: ascending orientation code (:func:`orientation_code`).  Face ``i`` of the
+#: reference element itself is the triple ``FACE_VERTEX_IDS[i]``.
+NEIGHBOR_ORIENTATIONS = tuple(permutations(range(4), 3))
+
+
+def orientation_code(p0, p1, p2):
+    """The integer ``(p0 * 4 + p1) * 4 + p2`` of an orientation (or of
+    arrays of its three positions)."""
+    return (p0 * 4 + p1) * 4 + p2
+
+
+#: The orientation code of each entry of :data:`NEIGHBOR_ORIENTATIONS`
+#: (what :func:`repro.mesh.connectivity.neighbor_face_classes` returns per face).
+ORIENTATION_CODES = orientation_code(*np.array(NEIGHBOR_ORIENTATIONS).T)
 
 #: Outward unit normals of the reference faces, shape (4, 3).
 REFERENCE_FACE_NORMALS = np.array(
@@ -107,9 +131,12 @@ class ReferenceElement:
     # ------------------------------------------------------------------
     # face operators
     # ------------------------------------------------------------------
-    def face_parametrization(self, face: int, uv: np.ndarray) -> np.ndarray:
-        """Map reference-triangle points ``uv`` onto reference-tet face ``face``."""
-        a, b, c = (REFERENCE_VERTICES[i] for i in FACE_VERTEX_IDS[face])
+    def face_parametrization(self, face: int | tuple, uv: np.ndarray) -> np.ndarray:
+        """Map reference-triangle points ``uv`` onto reference-tet face
+        ``face``: a face id, or a vertex triple of
+        :data:`NEIGHBOR_ORIENTATIONS`."""
+        vertex_ids = FACE_VERTEX_IDS[face] if np.ndim(face) == 0 else face
+        a, b, c = (REFERENCE_VERTICES[i] for i in vertex_ids)
         uv = np.atleast_2d(np.asarray(uv, dtype=np.float64))
         return a[None, :] + uv[:, 0:1] * (b - a)[None, :] + uv[:, 1:2] * (c - a)[None, :]
 
@@ -119,26 +146,21 @@ class ReferenceElement:
         chi = self.face_basis.evaluate(quad.points)  # (nqf, F)
         self.face_basis_at_quad = chi
 
-        face_points = np.empty((4, quad.n_points, 3))
-        psi_at_face = np.empty((4, quad.n_points, self.n_basis))
-        ftilde = np.empty((4, self.n_basis, self.n_face_basis))
-        fhat = np.empty((4, self.n_face_basis, self.n_basis))
-        fsurf = np.empty((4, self.n_basis, self.n_basis))
-        for i in range(4):
-            pts = self.face_parametrization(i, quad.points)
-            face_points[i] = pts
-            psi = self.basis.evaluate(pts)
-            psi_at_face[i] = psi
-            ft = np.einsum("q,qb,qf->bf", w, psi, chi)
-            ftilde[i] = ft
-            fhat[i] = ft.T @ self.inv_mass
-            fsurf[i] = np.einsum("q,qb,qc->bc", w, psi, psi)
-
-        self.face_quad_points = face_points
-        self.basis_at_face_quad = psi_at_face
-        self.ftilde = ftilde
-        self.fhat = fhat
-        self.fsurf = fsurf
+        # F̄ of every orientation; F̃_i is the one of face i's own vertex triple
+        psi = {t: self.basis.evaluate(self.face_parametrization(t, quad.points))
+               for t in NEIGHBOR_ORIENTATIONS}
+        self.neighbor_flux = np.stack(
+            [np.einsum("q,qb,qf->bf", w, psi[t], chi) for t in NEIGHBOR_ORIENTATIONS]
+        )
+        faces = [NEIGHBOR_ORIENTATIONS.index(t) for t in FACE_VERTEX_IDS]
+        self.ftilde = self.neighbor_flux[faces]
+        self.fhat = np.stack([ft.T @ self.inv_mass for ft in self.ftilde])
+        self.fsurf = np.stack(
+            [np.einsum("q,qb,qc->bc", w, psi[t], psi[t]) for t in FACE_VERTEX_IDS]
+        )
+        self.face_quad_points = np.stack(
+            [self.face_parametrization(i, quad.points) for i in range(4)]
+        )
 
     # ------------------------------------------------------------------
     # helpers

@@ -17,9 +17,10 @@ EDGE's per-partition annotation data written by the preprocessing pipeline:
   :attr:`Discretization.flux_solvers`, the anelastic rows, which read only
   the particle velocities, as :attr:`Discretization.flux_anelastic` -- the
   ref kernels read the same values through views,
-* the neighbouring flux matrices ``F_bar``, one per class of how two
-  tetrahedra share a face -- the small unique set the paper exploits
-  (Sec. III, ref. [31]), and
+* the neighbouring flux matrices ``F_bar`` the mesh uses: the reference
+  element's matrices of the face orientations that occur -- the small
+  unique set the paper exploits (Sec. III, ref. [31]) -- and every interior
+  face's index into them, and
 * per-element CFL time steps.
 
 The per-element operators (the star, coupling and flux-solver arrays) are
@@ -43,8 +44,7 @@ entry of its blocks from there (the structural zeros from one zero slot)
 in one sequential pass over its final rows, so the values are bitwise the
 builders', signed zeros included.  Godunov solvers and free-surface ghost
 products come from the batched Riemann builders, called on those faces
-only, and ``F_bar`` is evaluated for one representative face per class
-instead of every interior face.
+only.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ..basis.reference_element import ReferenceElement, reference_element
+from ..basis.reference_element import ORIENTATION_CODES, ReferenceElement, reference_element
 from ..equations.anelastic import (
     ANELASTIC_NONZEROS,
     COUPLING_NONZEROS,
@@ -571,59 +571,22 @@ class Discretization:
     # neighbouring flux matrices
     # ------------------------------------------------------------------
     def _assemble_neighbor_flux_matrices(self) -> None:
-        """Build the matrices projecting a neighbour's modal trace onto the
-        local face basis, one per way two tetrahedra can share a face.
-
-        For conforming affine meshes the composite map (local face
-        parametrisation -> physical space -> neighbour reference element)
-        only depends on the local face and on where its three vertices sit
-        in the neighbour's vertex tuple -- the exact integer class of
-        :attr:`TetMesh.neighbor_face_classes`.  The physical roundtrip is
-        therefore evaluated for the first face of each class only (at most
-        96; the paper's 12 unique ``F_bar_{j,h}`` under EDGE's canonical
-        vertex ordering), value-equal representatives share one stored
-        matrix, and every other face looks its class up.
+        """Take the matrices projecting a neighbour's modal trace onto the
+        local face basis from the reference element's table
+        (:attr:`ReferenceElement.neighbor_flux`), one per face orientation
+        the mesh uses (:attr:`TetMesh.neighbor_face_classes`), numbered by
+        orientation code; every interior face indexes its orientation's.
+        Nothing of the mesh geometry or element order enters: a permuted
+        mesh stores the same matrices and the permuted index.
         """
-        mesh, ref = self.mesh, self.ref
-        quad = ref.face_quadrature
-        # interior faces, local-face-major: the order unique matrices are numbered in
-        face, element = np.nonzero(mesh.neighbors.T >= 0)
-        _, first, class_of_face = np.unique(
-            mesh.neighbor_face_classes[element, face], return_index=True, return_inverse=True
-        )
-        face_r, element_r = face[first], element[first]
-        neigh_r = mesh.neighbors[element_r, face_r]
-
-        v0 = mesh.vertices[mesh.elements[:, 0]]
-        jac = mesh.geometry.jacobians
-        inv_jac = mesh.geometry.inverse_jacobians
-        # physical positions of the local face quadrature points ...
-        phys = v0[element_r, None, :] + np.einsum(
-            "kdr,kqr->kqd", jac[element_r], ref.face_quad_points[face_r]
-        )
-        # ... pulled back into the neighbours' reference elements
-        xi_neigh = np.einsum("krd,kqd->kqr", inv_jac[neigh_r], phys - v0[neigh_r, None, :])
-        psi = ref.basis.evaluate(xi_neigh.reshape(-1, 3)).reshape(
-            len(first), quad.n_points, ref.n_basis
-        )
-        fbar = np.einsum("q,kqb,qf->kbf", quad.weights, psi, ref.face_basis_at_quad)
-
-        # number the classes in encounter order; classes whose matrices agree
-        # to 1e-9 share the first one's full-precision matrix
-        rounded = np.round(fbar, 9) + 0.0  # + 0.0 turns -0.0 into 0.0
-        stored: list[int] = []  # the class whose matrix is kept, per stored matrix
-        lookup: dict[bytes, int] = {}
-        stored_of_class = np.empty(len(first), dtype=np.int64)
-        for c in np.argsort(first):
-            key = rounded[c].tobytes()
-            if key not in lookup:
-                lookup[key] = len(stored)
-                stored.append(c)
-            stored_of_class[c] = lookup[key]
-
-        self.neighbor_flux_matrices = fbar[stored]
-        self.neighbor_flux_index = np.full((mesh.n_elements, 4), -1, dtype=np.int64)
-        self.neighbor_flux_index[element, face] = stored_of_class[class_of_face]
+        orientation = self.mesh.neighbor_face_classes
+        interior = orientation >= 0
+        used, index = np.unique(orientation[interior], return_inverse=True)
+        self.neighbor_flux_matrices = self.ref.neighbor_flux[
+            np.searchsorted(ORIENTATION_CODES, used)
+        ]
+        self.neighbor_flux_index = np.full(orientation.shape, -1, dtype=np.int64)
+        self.neighbor_flux_index[interior] = index
 
     # ------------------------------------------------------------------
     # convenience accessors

@@ -2,8 +2,8 @@
 
 The ADER-DG surface kernel (eqs. 10-13 of the paper) couples each element to
 its four face neighbours; the local time stepping scheme additionally needs
-to know, for every face, which local face of the neighbour is shared so that
-the correct neighbouring flux matrix can be selected.  This module builds
+to know, for every face, how it meets its neighbour's vertices so that the
+correct neighbouring flux matrix can be selected.  This module builds
 that connectivity from raw element->vertex connectivity.
 """
 
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..basis.reference_element import FACE_VERTEX_IDS
+from ..basis.reference_element import FACE_VERTEX_IDS, orientation_code
 
 __all__ = ["build_face_connectivity", "element_face_vertices", "neighbor_face_classes"]
 
@@ -81,14 +81,15 @@ def build_face_connectivity(elements: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def neighbor_face_classes(elements: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
-    """Integer class of how each interior face meets its neighbour, ``(K, 4)``.
+    """Orientation code of how each interior face meets its neighbour, ``(K, 4)``.
 
-    The class packs the local face id and the positions of the face's three
+    The code packs the positions ``(p0, p1, p2)`` of the face's three
     vertices (in ``FACE_VERTEX_IDS`` order) within the neighbour's vertex
     tuple -- which also fixes the neighbour's local face -- into
-    ``((face * 4 + p0) * 4 + p1) * 4 + p2``.  Two faces of one class share
-    the affine map from the local face parametrisation into the neighbour's
-    reference element.  Boundary faces get ``-1``.
+    :func:`~repro.basis.reference_element.orientation_code`.  The
+    orientation alone fixes the affine map from the face parametrisation
+    into the neighbour's reference element, and with it the neighbouring
+    flux matrix.  Boundary faces get ``-1``.
     """
     elements = np.asarray(elements, dtype=np.int64)
     face_vertices = element_face_vertices(elements)  # (K, 4, 3)
@@ -96,7 +97,4 @@ def neighbor_face_classes(elements: np.ndarray, neighbors: np.ndarray) -> np.nda
     position = np.argmax(
         face_vertices[..., :, None] == neighbor_vertices[..., None, :], axis=-1
     )  # (K, 4, 3)
-    classes = np.arange(4)[None, :]
-    for corner in range(3):
-        classes = classes * 4 + position[..., corner]
-    return np.where(neighbors >= 0, classes, -1)
+    return np.where(neighbors >= 0, orientation_code(*np.moveaxis(position, -1, 0)), -1)

@@ -139,7 +139,8 @@ class TetMesh:
 
     @property
     def neighbor_face_classes(self) -> np.ndarray:
-        """``(K, 4)`` class of how each face meets its neighbour (or -1); see
+        """``(K, 4)`` orientation code of how each face meets its neighbour
+        (or -1); see
         :func:`repro.mesh.connectivity.neighbor_face_classes`."""
         return neighbor_face_classes(self.elements, self.neighbors)
 

@@ -111,9 +111,8 @@ def stage_key_fields(spec, stage: str) -> dict:
       and plain runs, GTS and LTS, share the entry.
     * ``partition``: the clustering fields plus the partition count and
       the solver kind (a GTS run partitions and orders by its own,
-      one-cluster clustering) -- not ``preprocessing.reorder``: every spec
-      that reaches this stage stores the same partitions and permutation
-      whatever that switch says.
+      one-cluster clustering) -- not ``preprocessing.reorder``, which
+      selects nothing.
     """
     if stage not in STAGES:
         raise ValueError(f"stage must be one of {STAGES}, got {stage!r}")
@@ -147,7 +146,7 @@ def stage_key(spec, stage: str) -> str:
 
 def needed_stage_keys(spec) -> list[tuple[str, str]]:
     """``(stage, key)`` of every artifact a run of ``spec`` loads or stores
-    (``partition``, the last stage, only when the run reorders)."""
+    (``partition``, the last stage, only with more than one partition)."""
     stages = STAGES if spec.preprocessing.active else STAGES[:-1]
     return [(stage, stage_key(spec, stage)) for stage in stages]
 

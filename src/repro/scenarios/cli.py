@@ -126,7 +126,6 @@ _RUN_FLAGS = (
      "state/operator precision of the run (default f64)"),
     ("--partitions", "n_partitions", int,
      "weighted partition count (> 1 orders elements by cluster, partition, role)"),
-    ("--reorder", "reorder", bool, "reorder elements by (cluster, partition, role)"),
     ("--checkpoint-every", "checkpoint_every", int,
      "checkpoint cadence in macro cycles (0 disables; default: the spec's)"),
     ("--metrics", "telemetry", bool,

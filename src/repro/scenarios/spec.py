@@ -602,7 +602,13 @@ class SolverSpec:
 
 @dataclass(frozen=True)
 class PreprocessingSpec:
-    """Optional pipeline postprocessing: weighted partitioning + reordering."""
+    """Optional pipeline postprocessing: weighted partitioning + reordering.
+
+    ``reorder`` selects nothing: more than one partition is what orders the
+    elements by (cluster, partition, role).  It stays a field, loaded and
+    serialised as before, because goldens, checkpoints and the benchmark
+    harness's specs carry it.
+    """
 
     reorder: bool = False
     n_partitions: int = 1
@@ -613,7 +619,7 @@ class PreprocessingSpec:
 
     @property
     def active(self) -> bool:
-        return self.reorder or self.n_partitions > 1
+        return self.n_partitions > 1
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,12 @@ import numpy as np
 import pytest
 
 from repro.basis.functions import TetBasis
+from repro.basis.reference_element import (
+    FACE_VERTEX_IDS,
+    NEIGHBOR_ORIENTATIONS,
+    ORIENTATION_CODES,
+    reference_element,
+)
 from repro.equations import riemann
 from repro.equations.anelastic import (
     anelastic_lame_parameters,
@@ -271,7 +277,7 @@ class TestBatchedFluxSolvers:
         """A deterministic stand-in for a wall-clock guard: assembly enters
         the Riemann builders O(1) times per chunk (the Godunov builder for
         the chunk, either builder for its free-surface faces) and evaluates
-        the tet basis for one face per neighbour class."""
+        no tet basis: ``F_bar`` comes from the reference element's table."""
         coords = np.linspace(0.0, 8000.0, 9)
         mesh = box_mesh(coords, coords, coords, jitter=0.1)
         assert mesh.n_elements >= 3000
@@ -291,6 +297,7 @@ class TestBatchedFluxSolvers:
             counted(discretization, name)
         for name in ("elastic_normal_jacobian", "elastic_upwind_split", "elastic_rotation_matrix"):
             counted(riemann, name)
+        reference_element(3)  # built (and cached) before the count starts
         basis_rows = []
         evaluate = TetBasis.evaluate
         monkeypatch.setattr(
@@ -305,8 +312,7 @@ class TestBatchedFluxSolvers:
         assert all(count <= 6 * n_chunks for count in calls.values()), calls
         assert 1 <= calls["rusanov_flux_matrices"] <= n_chunks
         assert n_chunks < calls["godunov_flux_matrices"] <= 2 * n_chunks
-        face_rows = [rows // disc.ref.face_quadrature.n_points for rows in basis_rows]
-        assert len(face_rows) == 2 and max(face_rows) <= 96, face_rows
+        assert basis_rows == []
 
 
 def _composed_element_operators(disc) -> dict:
@@ -528,24 +534,55 @@ class TestNeighborClasses:
         stored = disc.neighbor_flux_matrices[disc.neighbor_flux_index[interior]]
         assert np.abs(stored - brute_force).max() <= 1e-13
 
-    def test_one_matrix_per_value_distinct_class(self, case):
-        """Round-off twins inside a class (<= 1.1e-14 apart on the LOH.3 L
-        mesh, where rounded-value dedup stored 8 matrices for 6 classes)
-        must not be stored as separate matrices."""
-        disc, brute_force = case
+    def test_one_matrix_per_orientation(self, case):
+        """Every stored ``F_bar`` is the reference table's entry of its
+        faces' orientation, bitwise, one per orientation the mesh uses,
+        numbered by orientation code (the LOH.3 L mesh is where a per-mesh
+        evaluation found round-off twins 1.1e-14 apart)."""
+        disc, _ = case
         interior = disc.mesh.neighbors >= 0
-        classes = disc.mesh.neighbor_face_classes[interior]
+        codes = disc.mesh.neighbor_face_classes[interior]
         index = disc.neighbor_flux_index[interior]
-        names, first = np.unique(classes, return_index=True)
-        assert len(names) <= 96
-        for name in names:
-            assert len(set(index[classes == name].tolist())) == 1, name
-        representatives = np.round(brute_force[first], 9) + 0.0
-        distinct = {matrix.tobytes() for matrix in representatives}
-        assert disc.n_unique_neighbor_matrices == len(distinct)
-        assert set(index.tolist()) == set(range(len(distinct)))
+        used = np.unique(codes)
+        assert disc.n_unique_neighbor_matrices == len(used)
+        np.testing.assert_array_equal(index, np.searchsorted(used, codes))
+        rows = np.searchsorted(ORIENTATION_CODES, used)
+        np.testing.assert_array_equal(ORIENTATION_CODES[rows], used)
+        assert _bitwise_equal(disc.neighbor_flux_matrices, disc.ref.neighbor_flux[rows])
         if disc.n_elements == 7200:
-            assert len(distinct) == 6
+            assert len(used) == 6
+
+    def test_per_face_matrices_and_operators_are_invariant_under_element_order(self, case):
+        """``mesh.permuted(p)`` assembles the permuted rows of every
+        operator and the same ``F_bar`` per face, bit for bit."""
+        disc, _ = case
+        p = np.random.default_rng(7).permutation(disc.n_elements)
+        kwargs = {"order": disc.order, "n_mechanisms": disc.n_mechanisms, "flux": disc.flux}
+        plain = Discretization(disc.mesh, disc.materials, **kwargs)
+        permuted = Discretization(disc.mesh.permuted(p), disc.materials.subset(p), **kwargs)
+
+        def per_face(d):
+            return d.neighbor_flux_matrices[d.neighbor_flux_index]
+
+        assert _bitwise_equal(per_face(permuted), per_face(plain)[p])
+        ours, theirs = permuted.operator_arrays(), plain.operator_arrays()
+        for name in discretization.SHARED_OPERATORS:
+            assert _bitwise_equal(ours[name], theirs[name]), name
+        for name in discretization.ELEMENT_OPERATORS + ("neighbor_flux_index",):
+            assert _bitwise_equal(ours[name], theirs[name][p]), name
+
+    def test_reference_table_holds_ftilde_and_distinct_orientations(self):
+        """The table's entry of face ``i``'s own vertex triple is
+        ``ftilde[i]``, and no two orientations share a matrix, so counting
+        orientations counts distinct matrices."""
+        ref = reference_element(3)
+        assert ref.neighbor_flux.shape == (24, ref.n_basis, ref.n_face_basis)
+        for i, triple in enumerate(FACE_VERTEX_IDS):
+            table = ref.neighbor_flux[NEIGHBOR_ORIENTATIONS.index(triple)]
+            assert _bitwise_equal(table, ref.ftilde[i]), i
+        flat = ref.neighbor_flux.reshape(24, -1)
+        gaps = np.abs(flat[:, None] - flat[None, :]).max(axis=-1)
+        assert gaps[~np.eye(24, dtype=bool)].min() > 1e-3
 
 
 class TestDofHelpers:

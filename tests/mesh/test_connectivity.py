@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.basis.reference_element import FACE_VERTEX_IDS
+from repro.basis.reference_element import FACE_VERTEX_IDS, ORIENTATION_CODES
 from repro.mesh.connectivity import build_face_connectivity, element_face_vertices
 from repro.mesh.generation import box_mesh, two_tet_mesh
 
@@ -81,21 +81,22 @@ class TestBuildFaceConnectivity:
 
 class TestNeighborFaceClasses:
     def test_class_decodes_to_the_shared_vertices(self):
-        """The packed digits are the local face and the positions of its
-        vertices in the neighbour's tuple; they imply ``neighbor_faces``."""
+        """The packed digits are the positions of the face's vertices in
+        the neighbour's tuple, an orientation code; they imply
+        ``neighbor_faces``."""
         coords = np.linspace(0, 1, 4)
         mesh = box_mesh(coords, coords, coords)
         classes = mesh.neighbor_face_classes
         assert classes.shape == (mesh.n_elements, 4)
         assert np.array_equal(classes < 0, mesh.neighbors < 0)
+        assert np.isin(classes[classes >= 0], ORIENTATION_CODES).all()
         for k, i in np.argwhere(mesh.neighbors >= 0):
-            digits = [(classes[k, i] >> shift) & 3 for shift in (6, 4, 2, 0)]
-            assert digits[0] == i
+            digits = [(classes[k, i] >> shift) & 3 for shift in (4, 2, 0)]
             neighbor = mesh.elements[mesh.neighbors[k, i]]
             face = mesh.elements[k, list(FACE_VERTEX_IDS[i])]
-            np.testing.assert_array_equal(neighbor[digits[1:]], face)
+            np.testing.assert_array_equal(neighbor[digits], face)
             neighbor_face = FACE_VERTEX_IDS[mesh.neighbor_faces[k, i]]
-            assert set(digits[1:]) == set(neighbor_face)
+            assert set(digits) == set(neighbor_face)
 
     def test_invariant_under_vertex_motion_and_element_permutation(self):
         coords = np.linspace(0, 1, 3)

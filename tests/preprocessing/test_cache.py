@@ -223,8 +223,9 @@ class TestCacheBitIdentity:
         assert np.array_equal(plain.setup.partitions, warm.setup.partitions)
 
     def test_cli_and_spec_file_partitioned_runs_share_the_partition(self, tmp_path):
-        """``--partitions 2`` sets ``reorder``; a spec file with only
-        ``n_partitions: 2`` is the same problem and hits its artifact."""
+        """A ``reorder: true`` spec and a spec file with only
+        ``n_partitions: 2`` are the same problem: the second hits the
+        first's artifact."""
         spec = tiny_loh3().with_overrides(n_partitions=2)
         make_runner(spec.with_overrides(reorder=True), cache=PreprocessingCache(tmp_path))
         second = PreprocessingCache(tmp_path)

@@ -82,41 +82,63 @@ class TestRunnerEquivalence:
     @pytest.mark.parametrize("solver", ["lts", "gts"])
     def test_preprocessing_reorder_keeps_physics(self, tiny_loh3, solver):
         """A partitioned run is a permutation of the plain one: the same
-        updates, and (``ref``) DOFs and seismograms within the 1e-12 tier --
-        not bitwise, einsums on differently ordered batches round apart."""
-        spec = tiny_loh3.with_overrides(solver=solver, kernels="ref", precision="f64")
-        plain = ScenarioRunner(spec)
-        reordered = ScenarioRunner(spec.with_overrides(n_partitions=2, reorder=True))
-        assert reordered.summary()["n_partitions"] == 2
-        assert "n_partitions" not in plain.summary()
-        plain.run()
-        reordered.run()
-        assert plain.solver.n_element_updates == reordered.solver.n_element_updates
-        # elements are sorted by (cluster, partition)
-        clusters = reordered.clustering.cluster_ids
-        parts = reordered.setup.partitions
-        assert np.all(np.diff(clusters) >= 0)
-        for cluster in np.unique(clusters):
-            assert np.all(np.diff(parts[clusters == cluster]) >= 0)
+        updates, and (``ref`` and ``fast``) the DOFs in generation order and
+        the seismograms bit for bit -- every operator and kernel
+        contraction is per element or per face, and ``F_bar`` comes from
+        each face's orientation alone."""
+        for kernels in ("ref", "fast"):
+            spec = tiny_loh3.with_overrides(solver=solver, kernels=kernels, precision="f64")
+            plain = ScenarioRunner(spec)
+            reordered = ScenarioRunner(spec.with_overrides(n_partitions=2))
+            assert reordered.summary()["n_partitions"] == 2
+            assert "n_partitions" not in plain.summary()
+            plain.run()
+            reordered.run()
+            assert plain.solver.n_element_updates == reordered.solver.n_element_updates
+            # elements are sorted by (cluster, partition)
+            clusters = reordered.clustering.cluster_ids
+            parts = reordered.setup.partitions
+            assert np.all(np.diff(clusters) >= 0)
+            for cluster in np.unique(clusters):
+                assert np.all(np.diff(parts[clusters == cluster]) >= 0)
 
-        def generation_order(runner):
-            dofs = np.empty_like(runner.solver.dofs)
-            dofs[runner.setup.mesh.original_ids] = runner.solver.dofs
-            return dofs
+            def generation_order(runner):
+                return runner.solver.dofs[np.argsort(runner.setup.mesh.original_ids)]
 
-        _assert_ref_tier(generation_order(reordered), generation_order(plain))
-        for receiver in plain.receivers.receivers:
-            t_plain, v_plain = receiver.seismogram()
-            t_part, v_part = reordered.receivers[receiver.name].seismogram()
-            np.testing.assert_array_equal(t_part, t_plain)
-            _assert_ref_tier(v_part, v_plain)
+            assert not np.array_equal(reordered.setup.mesh.original_ids,
+                                      plain.setup.mesh.original_ids)
+            np.testing.assert_array_equal(generation_order(reordered), generation_order(plain))
+            for receiver in plain.receivers.receivers:
+                t_plain, v_plain = receiver.seismogram()
+                t_part, v_part = reordered.receivers[receiver.name].seismogram()
+                np.testing.assert_array_equal(t_part, t_plain)
+                np.testing.assert_array_equal(v_part, v_plain)
+
+    def test_legacy_reorder_value_selects_nothing(self, tiny_loh3):
+        """``preprocessing.reorder`` stays a spec field: ``reorder: true``
+        loads and round-trips, and with one partition it builds the plain
+        setup, bit for bit, without partitions."""
+        from repro.scenarios import build_setup
+
+        payload = tiny_loh3.to_dict()
+        payload["preprocessing"]["reorder"] = True
+        spec = ScenarioSpec.from_dict(payload)
+        assert spec.preprocessing.reorder and spec.to_dict() == payload
+        assert not spec.preprocessing.active
+        legacy, plain = build_setup(spec), build_setup(tiny_loh3)
+        assert legacy.partitions is None
+        np.testing.assert_array_equal(legacy.mesh.original_ids, plain.mesh.original_ids)
+        np.testing.assert_array_equal(legacy.disc.time_steps, plain.disc.time_steps)
+        for name, array in plain.disc.operator_arrays().items():
+            theirs = np.ascontiguousarray(legacy.disc.operator_arrays()[name])
+            assert np.ascontiguousarray(array).tobytes() == theirs.tobytes(), name
 
     def test_build_setup_of_partitioned_spec_is_assembled(self, tiny_loh3):
         """``build_setup`` returns the runner's own setup for a partitioned
         spec, and the per-update cost probe runs on it."""
         from repro.scenarios import build_setup, measure_update_cost
 
-        spec = tiny_loh3.with_overrides(n_partitions=2, reorder=True)
+        spec = tiny_loh3.with_overrides(n_partitions=2)
         setup = build_setup(spec)
         runner = ScenarioRunner(spec)
         assert setup.disc is not None
@@ -673,9 +695,10 @@ class TestCli:
         err = capsys.readouterr().err
         assert "n_cycles" in err and "t_end" in err
 
-    def test_partitions_orders_elements_with_or_without_reorder(self):
-        """``--partitions 2`` no longer sets ``reorder``: the partition
-        already activates the (cluster, partition, role) order."""
+    def test_partitions_orders_elements_with_or_without_reorder(self, capsys):
+        """``--partitions 2`` alone activates the (cluster, partition, role)
+        order; a spec's ``reorder`` changes nothing, and ``--reorder`` is
+        no flag."""
         from repro.scenarios.cli import _resolve_spec, build_parser
         from repro.scenarios.runner import build_setup
 
@@ -683,12 +706,15 @@ class TestCli:
                 "--order", "2", "--partitions", "2"]
         parser = build_parser()
         plain = _resolve_spec(parser.parse_args(argv))
-        reordered = _resolve_spec(parser.parse_args([*argv, "--reorder"]))
+        reordered = plain.with_overrides(reorder=True)
         assert not plain.preprocessing.reorder and reordered.preprocessing.reorder
         a, b = build_setup(plain), build_setup(reordered)
         np.testing.assert_array_equal(a.mesh.original_ids, b.mesh.original_ids)
         np.testing.assert_array_equal(a.partitions, b.partitions)
         assert a.partitions.max() == 1
+        with pytest.raises(SystemExit):
+            parser.parse_args([*argv, "--reorder"])
+        assert "--reorder" in capsys.readouterr().err
 
     def test_resume_accepts_a_new_cadence(self, tmp_path):
         ckpt = tmp_path / "cadence.ckpt.npz"
