@@ -24,10 +24,16 @@ array they were views of, and such an array is compared as the elastic
 (rows 9-14 at columns 6-8 and 15-17), once every other anelastic column
 proved an exact zero.
 
+The per-element arrays (one row per element) are written and compared in
+generation order (row ``i`` is generated element ``i``, through
+``mesh.original_ids``), as ``state_parity.py`` compares DOFs, so a change
+of element order alone reads as 0 problems; located elements are
+generation ids too.
+
 ``--compare`` also checks, for every operator set of every case, that a
-rank's assembly (``Discretization.restricted`` on each side of a
-2-partition, built before the whole set exists) equals the whole set's
-rows, and reports any mismatch as a problem.
+rank's assembly (``Discretization.restricted`` on each side of the case's
+2-partition setup's partition, built before the whole set exists) equals
+the whole set's rows, and reports any mismatch as a problem.
 
 Cases: the benchmark workloads' meshes (``loh3-m-lts``, ``basin-s-lts``, the
 small LOH.3 of the sweep/CLI workloads, ``loh3-l-setup`` in original and
@@ -51,9 +57,8 @@ import workloads  # noqa: E402  (benchmarks/e2e: the workload generators)
 
 from repro.kernels import Discretization  # noqa: E402
 from repro.kernels.discretization import ELEMENT_OPERATORS  # noqa: E402
-from repro.parallel.partition import partition_dual_graph  # noqa: E402
 from repro.scenarios import ScenarioSpec, get_scenario, scenario_names  # noqa: E402
-from repro.scenarios.runner import build_setup  # noqa: E402
+from repro.scenarios.runner import build_setup, preprocess_setup, staged_setup  # noqa: E402
 from repro.source import locate_point  # noqa: E402
 from repro.verification.golden import GOLDEN_SCENARIOS, golden_spec  # noqa: E402
 
@@ -79,10 +84,32 @@ def _specs() -> dict:
     return specs
 
 
-def restricted_problems(prefix: str, disc) -> list[str]:
-    """Each side of a 2-partition of ``disc``'s mesh restricted, then
-    compared with the whole set's rows (which the comparison assembles)."""
-    parts = partition_dual_graph(disc.mesh.neighbors, np.ones(disc.n_elements), 2).partitions
+#: the per-element operator arrays: one row per element, in the set's order
+PER_ELEMENT = ELEMENT_OPERATORS + ("neighbor_flux_index",)
+
+
+def generation_ordered(disc) -> dict:
+    """``disc.operator_arrays()`` with the per-element arrays in generation
+    order (row ``i`` is generated element ``i``)."""
+    rows = np.argsort(disc.mesh.original_ids)
+    return {
+        name: array[rows] if name in PER_ELEMENT else array
+        for name, array in disc.operator_arrays().items()
+    }
+
+
+def two_partitions(spec) -> np.ndarray:
+    """The partition of every generated element that the setup of ``spec``
+    over two partitions steps."""
+    two = spec.with_overrides(n_partitions=2, n_ranks=1)
+    return preprocess_setup(two, staged_setup(two))[0]
+
+
+def restricted_problems(prefix: str, disc, partitions) -> list[str]:
+    """Each side of a 2-partition (``partitions``, per generated element)
+    of ``disc``'s mesh restricted, then compared with the whole set's rows
+    (which the comparison assembles)."""
+    parts = partitions[disc.mesh.original_ids]
     sides = [np.flatnonzero(parts == side) for side in (0, 1)]
     ranks = [disc.restricted(rows, np.full((len(rows), 4), -1)) for rows in sides]
     return [
@@ -132,7 +159,7 @@ def _operator_sets(spec, setup):
                     setup.mesh, setup.materials, order=order, n_mechanisms=m,
                     flux=flux, precision=precision,
                 )
-    if spec.preprocessing.active:
+    if spec.preprocessing.n_partitions > 1:  # every case runs on one rank
         yield "reordered", build_setup(spec).disc
 
 
@@ -144,12 +171,13 @@ def operator_sets(problems: list | None = None):
     :func:`restricted_problems` are appended to it."""
     for case, spec in _specs().items():
         setup = build_setup(spec.with_overrides(n_partitions=1, reorder=False))
+        partitions = two_partitions(spec) if problems is not None else None
         n_sets = 0
         for name, disc in _operator_sets(spec, setup):
             group = f"{case}/{name}"
             if problems is not None:
-                problems += restricted_problems(group, disc)
-            arrays = {f"{group}/{key}": array for key, array in disc.operator_arrays().items()}
+                problems += restricted_problems(group, disc, partitions)
+            arrays = {f"{group}/{key}": array for key, array in generation_ordered(disc).items()}
             del disc
             n_sets += 1
             yield group, arrays
@@ -157,9 +185,9 @@ def operator_sets(problems: list | None = None):
         points = dict(setup.receiver_locations)
         if spec.source is not None:
             points["source"] = spec.source.location
-        located = np.array(
-            [locate_point(setup.mesh, np.asarray(p, dtype=np.float64)) for p in points.values()]
-        )
+        located = setup.mesh.original_ids[[
+            locate_point(setup.mesh, np.asarray(p, dtype=np.float64)) for p in points.values()
+        ]]
         print(f"{case}: {setup.mesh.n_elements} elements, {n_sets} operator sets, "
               f"{len(points)} points", file=sys.stderr)
         yield f"{case}/located", {f"{case}/located": located}

@@ -18,8 +18,8 @@ halo-adjacent (*boundary*) elements come before the purely local
 (*interior*) ones, ties by global id.  Every cluster is therefore one
 contiguous run of local ids and its boundary and interior rows are two
 contiguous ranges, so the rank stepper addresses DOFs, buffers and operators
-through slices.  It is a property of the local numbering only -- the global
-mesh is not permuted, and gather/restore go through :attr:`RankSubdomain.owned`.
+through slices.  On a setup-built run it is the global order restricted to
+the rank (:mod:`repro.mesh.reorder`); the sort serves any other partition.
 
 All halo bookkeeping is precomputed here once at setup, vectorised over the
 halo faces.  A halo message is one *pack* per (source rank, destination
@@ -57,6 +57,7 @@ from ..core.clustering import Clustering
 from ..core.lts_scheduler import micro_steps_per_cycle
 from ..kernels.discretization import Discretization
 from ..mesh.reorder import reorder_elements
+from ..parallel.partition import cut_faces
 
 __all__ = ["RankSubdomain", "SendPlan", "RecvPack", "RecvPlan"]
 
@@ -128,15 +129,12 @@ class RankSubdomain:
         self.rank = int(rank)
         self.n_ranks = int(partitions.max()) + 1
 
-        members = np.where(partitions == rank)[0]
-        own_neighbors = neighbors[members]  # (E, 4) global ids
-        same_rank = (own_neighbors >= 0) & (
-            partitions[np.maximum(own_neighbors, 0)] == rank
-        )
-        is_interior = ~((own_neighbors >= 0) & ~same_rank).any(axis=1)
-        order = reorder_elements(clustering.cluster_ids[members], communication_role=is_interior)
+        members = np.flatnonzero(partitions == rank)
+        ghost = cut_faces(neighbors, partitions)
+        order = reorder_elements(clustering.cluster_ids[members], None, ghost[members].any(axis=1))
         self.owned = members[order]
-        own_neighbors, same_rank = own_neighbors[order], same_rank[order]
+        own_neighbors, ghost = neighbors[self.owned], ghost[self.owned]  # (E, 4) global ids
+        same_rank = (own_neighbors >= 0) & ~ghost
         self.local_of_global = np.full(n_global, -1, dtype=np.int64)
         self.local_of_global[self.owned] = np.arange(len(self.owned))
 
@@ -159,7 +157,6 @@ class RankSubdomain:
             np.where(own_neighbors >= 0, clustering.cluster_ids[own_neighbors], -1),
         )
 
-        ghost = (own_neighbors >= 0) & ~same_rank
         self.n_halo_faces = int(ghost.sum())
         self._build_halo_plans(disc, clustering, partitions, own_neighbors, ghost)
         self._split_boundary_interior(clustering, ghost)

@@ -9,8 +9,10 @@ contiguous blocks and greatly simplifies the bookkeeping of the LTS scheme.
 Here the time cluster is the *leading* key: a single process steps the whole
 mesh, so every cluster must be one contiguous block of the global order
 (EDGE writes one file per partition, where partition-major and cluster-major
-coincide).  The rank-local subdomains of a distributed run re-sort their own
-elements the same way (:class:`~repro.distributed.subdomain.RankSubdomain`).
+coincide).  One role rule: the *boundary* elements, which send halo data,
+lead their (cluster, partition) block, so a rank's local order
+(:class:`~repro.distributed.subdomain.RankSubdomain`) is the global order
+restricted to its partition.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ class ClusterOrderError(ValueError):
 def reorder_elements(
     clusters: np.ndarray,
     partitions: np.ndarray | None = None,
-    communication_role: np.ndarray | None = None,
+    boundary: np.ndarray | None = None,
 ) -> np.ndarray:
-    """The (cluster, partition, comm-role, id) element permutation,
+    """The (cluster, partition, boundary first, id) element permutation,
     ``permutation[new_id] = old_id``.
 
     Parameters
@@ -38,16 +40,15 @@ def reorder_elements(
         Per-element time-cluster id (0-based, cluster 0 has the smallest step).
     partitions:
         Optional per-element partition (rank) id; one partition by default.
-    communication_role:
-        Optional per-element integer ordering the elements within each
-        (cluster, partition) block -- e.g. the elements that send data to
-        other partitions last (the pipeline) or first (a rank's local order),
-        so the solver can issue their sends early and overlap communication
-        with the other elements' work.
+    boundary:
+        Optional per-element flag of the elements with a face in another
+        partition (:func:`~repro.parallel.partition.cut_faces`): they lead
+        their block, so their sends can overlap the other elements' work.
     """
     clusters = np.asarray(clusters, dtype=np.int64)
+    interior = None if boundary is None else ~np.asarray(boundary, dtype=bool)
     keys = [np.arange(len(clusters))]
-    for key in (communication_role, partitions):
+    for key in (interior, partitions):
         key = np.zeros_like(clusters) if key is None else np.asarray(key, dtype=np.int64)
         if key.shape != clusters.shape:
             raise ValueError("per-element keys must all have the clusters' shape")

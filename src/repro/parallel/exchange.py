@@ -24,6 +24,7 @@ import numpy as np
 
 from ..basis.functions import face_basis_size
 from .communicator import pair_key
+from .partition import cut_faces
 
 __all__ = ["HaloIndex", "exchange_volumes_per_cycle"]
 
@@ -54,12 +55,8 @@ class HaloIndex:
     @classmethod
     def from_partitions(cls, neighbors: np.ndarray, partitions: np.ndarray) -> "HaloIndex":
         """All element faces whose neighbour lives on a different partition."""
-        neighbors = np.asarray(neighbors, dtype=np.int64)
-        partitions = np.asarray(partitions, dtype=np.int64)
-        cut = (neighbors >= 0) & (
-            partitions[np.maximum(neighbors, 0)] != partitions[:, None]
-        )
-        elements, faces = np.nonzero(cut)
+        neighbors, partitions = np.asarray(neighbors), np.asarray(partitions, dtype=np.int64)
+        elements, faces = np.nonzero(cut_faces(neighbors, partitions))
         neighbor_elements = neighbors[elements, faces]
         return cls(
             elements=elements,

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["PartitionResult", "element_weights", "face_weights", "partition_dual_graph"]
+__all__ = ["PartitionResult", "cut_faces", "element_weights", "face_weights", "partition_dual_graph"]
 
 
 @dataclass(frozen=True)
@@ -77,6 +77,12 @@ class PartitionResult:
         # each edge once, from its lower-numbered end (which also skips -1)
         once = flat > owners
         return int(np.count_nonzero(self.partitions[flat[once]] != self.partitions[owners[once]]))
+
+
+def cut_faces(neighbors: np.ndarray, partitions: np.ndarray) -> np.ndarray:
+    """``(K, 4)`` mask of the halo faces: those whose neighbour lies in
+    another partition (an element with one is a *boundary* element)."""
+    return (neighbors >= 0) & (partitions[np.maximum(neighbors, 0)] != partitions[:, None])
 
 
 def element_weights(cluster_ids: np.ndarray, n_clusters: int) -> np.ndarray:
@@ -242,8 +248,7 @@ def _refine(
     loads = np.bincount(partitions, weights=weights, minlength=n_partitions)
     for _ in range(_REFINE_PASSES):
         moved = 0
-        across = (neighbors >= 0) & (partitions[np.maximum(neighbors, 0)] != partitions[:, None])
-        for k in np.flatnonzero(across.any(axis=1)):
+        for k in np.flatnonzero(cut_faces(neighbors, partitions).any(axis=1)):
             own = partitions[k]
             faces = neighbors[k] >= 0
             parts = partitions[neighbors[k][faces]]

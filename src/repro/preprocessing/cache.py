@@ -60,14 +60,14 @@ __all__ = [
     "warm_preprocessing",
 ]
 
-#: bumped whenever a stage's serialised layout (or anything influencing its
-#: artifact bytes) changes; part of every stage key, so stale cache
-#: directories miss instead of poisoning new runs (3: the partition stage's
-#: content changed under an unchanged key -- recursive bisection replaced the
-#: index-range split; 4: the ``operators`` stage is gone; 5: the partition
-#: stage holds only the partitions and the -- now cluster-major, (cluster,
-#: partition, role, id) -- permutation)
-CACHE_FORMAT_VERSION = 5
+#: bumped whenever a stage's serialised layout (or anything influencing its artifact
+#: bytes) changes; part of every stage key, so stale cache directories miss instead of
+#: poisoning new runs (3: the partition stage's content changed under an unchanged key --
+#: recursive bisection replaced the index-range split; 4: the ``operators`` stage is gone;
+#: 5: the partition stage holds only the partitions and the -- now cluster-major, (cluster,
+#: partition, role, id) -- permutation; 6: it partitions the cluster-ordered graph, puts
+#: boundary elements first and serves multi-rank runs)
+CACHE_FORMAT_VERSION = 6
 
 #: the cacheable pipeline stages, in dependency order
 STAGES = ("mesh", "materials", "clustering", "partition")
@@ -109,10 +109,10 @@ def stage_key_fields(spec, stage: str) -> dict:
       clustering policy (the per-element CFL steps feed the lambda search);
       the policy's LTS clustering in original element order, so reordered
       and plain runs, GTS and LTS, share the entry.
-    * ``partition``: the clustering fields plus the partition count and
-      the solver kind (a GTS run partitions and orders by its own,
-      one-cluster clustering) -- not ``preprocessing.reorder``, which
-      selects nothing.
+    * ``partition``: the clustering fields plus the run's partition count
+      (``spec.n_partitions``: 2 ranks share 2 partitions' entry) and the
+      solver kind (a GTS run partitions and orders by its own, one-cluster
+      clustering) -- not ``preprocessing.reorder``, which selects nothing.
     """
     if stage not in STAGES:
         raise ValueError(f"stage must be one of {STAGES}, got {stage!r}")
@@ -132,7 +132,7 @@ def stage_key_fields(spec, stage: str) -> dict:
     fields["clustering"] = d["clustering"]
     if stage == "clustering":
         return fields
-    fields["n_partitions"] = d["preprocessing"]["n_partitions"]  # stage == "partition"
+    fields["n_partitions"] = spec.n_partitions  # stage == "partition"
     fields["solver_kind"] = d["solver"]["kind"]
     return fields
 
@@ -147,7 +147,7 @@ def stage_key(spec, stage: str) -> str:
 def needed_stage_keys(spec) -> list[tuple[str, str]]:
     """``(stage, key)`` of every artifact a run of ``spec`` loads or stores
     (``partition``, the last stage, only with more than one partition)."""
-    stages = STAGES if spec.preprocessing.active else STAGES[:-1]
+    stages = STAGES if spec.n_partitions > 1 else STAGES[:-1]
     return [(stage, stage_key(spec, stage)) for stage in stages]
 
 
@@ -331,6 +331,6 @@ def warm_preprocessing(spec, cache: PreprocessingCache) -> dict:
 
     before = cache.snapshot()
     setup = staged_setup(spec, cache=cache)
-    if spec.preprocessing.active:
+    if spec.n_partitions > 1:
         preprocess_setup(spec, setup, cache=cache)
     return diff_stats(before, cache.snapshot())

@@ -7,14 +7,15 @@ needs, in the paper's order:
 1. velocity-aware meshing (target edge lengths from elements per wavelength),
 2. per-element material sampling and CFL time steps,
 3. derivation of the LTS clusters and the optimal lambda,
-4. element/face weights and weighted partitioning, and
-5. reordering by (time cluster, partition, communication role) -- cluster
+4. element/face weights and weighted partitioning (one part per rank), and
+5. reordering by (time cluster, partition, boundary first, id) -- cluster
    first, so every cluster is one contiguous block of the global order.
 
 :func:`repro.scenarios.runner.build_setup` runs all five, caching each
 stage when given a :class:`~repro.preprocessing.cache.PreprocessingCache`,
-and assembles the operators once, in the final element order.  This class
-holds the spec's policy for steps 3-5; steps 1-2 are plain calls there.
+and assembles the operators once, in the final element order: no run is
+partitioned anywhere else.  This class holds the spec's policy for steps
+3-5; steps 1-2 are plain calls there.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from ..core.clustering import Clustering, derive_clustering, optimize_lambda
 from ..mesh.reorder import reorder_elements
 from ..mesh.tet_mesh import TetMesh
 from ..observability import NULL_TELEMETRY
-from ..parallel.partition import PartitionResult, element_weights, partition_dual_graph
+from ..parallel.partition import cut_faces, element_weights, partition_dual_graph
 
 __all__ = ["PreprocessingPipeline"]
 
@@ -51,26 +52,23 @@ class PreprocessingPipeline:
                 )
             return derive_clustering(time_steps, policy.n_clusters, policy.lam, mesh.neighbors)
 
-    def derive_partition(self, mesh: TetMesh, clustering: Clustering) -> PartitionResult:
-        """Step 4: weighted partitioning (Sec. V-C)."""
+    def derive_partition(self, mesh: TetMesh, clustering: Clustering) -> np.ndarray:
+        """Step 4: weighted partitioning (Sec. V-C) of the dual graph in
+        cluster order (the partitioner breaks ties by element number), per
+        element of ``mesh``."""
         with self.telemetry.region("preprocess.partition"):
-            weights = element_weights(clustering.cluster_ids, clustering.n_clusters)
+            by_cluster = reorder_elements(clustering.cluster_ids)
+            new_ids = np.append(np.argsort(by_cluster), -1)  # boundary (-1) stays -1
+            weights = element_weights(clustering.cluster_ids[by_cluster], clustering.n_clusters)
             return partition_dual_graph(
-                mesh.neighbors, weights, self.spec.preprocessing.n_partitions
-            )
+                new_ids[mesh.neighbors[by_cluster]], weights, self.spec.n_partitions
+            ).partitions[new_ids[:-1]]
 
     def derive_permutation(
         self, mesh: TetMesh, clustering: Clustering, partitions: np.ndarray
     ) -> np.ndarray:
-        """Step 5: the (cluster, partition, communication-role) reordering
+        """Step 5: the (cluster, partition, boundary first, id) reordering
         permutation (Sec. VI), original -> solver element order."""
         with self.telemetry.region("preprocess.reorder"):
-            send_role = np.any(
-                (mesh.neighbors >= 0)
-                & (
-                    partitions[np.maximum(mesh.neighbors, 0)]
-                    != partitions[:, None]
-                ),
-                axis=1,
-            ).astype(np.int64)
-            return reorder_elements(clustering.cluster_ids, partitions, send_role)
+            boundary = cut_faces(mesh.neighbors, partitions).any(axis=1)
+            return reorder_elements(clustering.cluster_ids, partitions, boundary)

@@ -5,11 +5,11 @@ into the executable objects (mesh, material table, discretization, source,
 initial condition) through the paper's preprocessing pipeline (Fig. 8):
 meshing, material sampling, CFL steps and the clustering the run steps
 (:func:`staged_setup`; GTS: :func:`~repro.core.gts_solver.stepped_clustering`),
-then the optional weighted partitioning and reordering
-(:func:`preprocess_setup`), and one operator assembly in the final, solver
-element order.  :class:`ScenarioRunner` builds the stepper of that
-clustering -- the clustered solver, or a multi-rank engine
-(:func:`repro.distributed.build_engine`) for ``solver.n_ranks > 1``; both
+then the weighted partitioning and reordering of a partitioned run, the
+one place any run is partitioned (:func:`preprocess_setup`), and one operator
+assembly in the final, solver element order.  :class:`ScenarioRunner` builds
+the stepper of that clustering -- the clustered solver, or a multi-rank engine
+on the setup's partitions (:func:`repro.distributed.build_engine`); both
 implement the stepper protocol of :mod:`repro.core.stepper`, so the runner
 never asks what it steps -- and drives a macro-cycle loop with wall-clock
 and element-update accounting.
@@ -20,10 +20,10 @@ boundaries, so a resumed run is bit-identical to an uninterrupted one.  The
 LTS buffers and sub-step parities are no state there: every cluster starts
 a new interval with each cycle, and its prediction refills its buffer rows
 before any neighbour reads them.  The DOFs are stored in solver element
-order; the rebuilt setup derives the same order from the stored spec.  A
-multi-rank engine gathers its per-rank DOFs into the same global array, so
-single-rank and distributed checkpoints are interchangeable: ``resume``
-follows the checkpointed spec's ``n_ranks``.
+order with each row's generation id, by which a resume maps them onto any
+order of the same mesh.  A multi-rank engine gathers its per-rank DOFs into
+one global array, so single-rank and distributed checkpoints are
+interchangeable: ``resume`` follows the checkpointed spec's ``n_ranks``.
 """
 
 from __future__ import annotations
@@ -220,7 +220,7 @@ class ScenarioSetup:
     source: object | None
     receiver_locations: dict
     initial_condition: object | None
-    #: every element's weighted partition (``preprocessing.active`` only)
+    #: every element's weighted partition (``spec.n_partitions > 1`` only)
     partitions: np.ndarray | None = None
 
 
@@ -330,18 +330,18 @@ def build_setup(spec: ScenarioSpec, *, cache=None, telemetry=None) -> ScenarioSe
     """Materialise a spec: the :func:`staged_setup`, permuted once into
     solver element order, with the operators assembled in that order.
 
-    With ``preprocessing.active`` the order is the pipeline's (cluster,
-    partition, communication role, id) one (:func:`preprocess_setup`) and
-    the setup carries the partitions; any other setup is sorted into
-    (cluster, id) order (:func:`~repro.mesh.reorder.reorder_elements`).
-    Either way every cluster is one contiguous slice of every per-element
-    array.  A GTS clustering is one cluster, so plain GTS keeps generation
-    order.
+    With ``spec.n_partitions > 1`` (ranks, or partitions on one) the order
+    is the pipeline's (cluster, partition, boundary first, id) one
+    (:func:`preprocess_setup`) and the setup carries the partitions; any
+    other setup is sorted into (cluster, id) order
+    (:func:`~repro.mesh.reorder.reorder_elements`).  Either way every
+    cluster is one contiguous slice of every per-element array.  A GTS
+    clustering is one cluster, so plain GTS keeps generation order.
     """
     setup = staged_setup(spec, cache=cache, telemetry=telemetry)
     ids = setup.clustering.cluster_ids
     partitions = order = None
-    if spec.preprocessing.active:
+    if spec.n_partitions > 1:
         partitions, order = preprocess_setup(spec, setup, cache=cache, telemetry=telemetry)
     elif np.any(np.diff(ids) < 0):
         order = reorder_elements(ids)
@@ -361,9 +361,9 @@ def build_setup(spec: ScenarioSpec, *, cache=None, telemetry=None) -> ScenarioSe
 def preprocess_setup(spec: ScenarioSpec, setup: ScenarioSetup, *, cache=None,
                      telemetry=None) -> tuple[np.ndarray, np.ndarray]:
     """Steps 4-5 of the preprocessing pipeline on a :func:`staged_setup`:
-    ``(partitions, permutation)``, the partition of every element, weighted
-    by the stepped clustering's update load (Sec. V-C), and the generation
-    -> solver order permutation, both in generation order.
+    ``(partitions, permutation)``, every element's partition (one of
+    ``spec.n_partitions``), weighted by the stepped clustering's update load
+    (Sec. V-C), and the generation -> solver order permutation.
 
     With ``cache`` set, both are loaded from the preprocessing cache when
     present (and stored after deriving otherwise).
@@ -373,7 +373,7 @@ def preprocess_setup(spec: ScenarioSpec, setup: ScenarioSetup, *, cache=None,
         return stored["partitions"], stored["permutation"]
     pipeline = PreprocessingPipeline(spec, telemetry)
     mesh, clustering = setup.mesh, setup.clustering
-    partitions = pipeline.derive_partition(mesh, clustering).partitions
+    partitions = pipeline.derive_partition(mesh, clustering)
     permutation = pipeline.derive_permutation(mesh, clustering, partitions)
     if cache is not None:
         cache.store_partition(spec, partitions=partitions, permutation=permutation)
@@ -414,8 +414,10 @@ class ScenarioRunner:
             if setup is not None
             else build_setup(spec, cache=cache, telemetry=self.telemetry)
         )
-        #: the clustering the run steps; an explicit one must be in the
-        #: setup's element order, and becomes the spec kind's like the setup's
+        #: the clustering the run steps; an explicit one (or a function of the
+        #: setup giving one) in the setup's order becomes the spec kind's too
+        if callable(clustering):
+            clustering = clustering(self.setup)
         self.clustering = stepped_clustering(
             clustering if clustering is not None else self.setup.clustering, spec.solver.kind
         )
@@ -841,22 +843,23 @@ class ScenarioRunner:
                 f"unsupported checkpoint format {meta['format_version']}"
             )
         spec = ScenarioSpec.from_dict(meta["spec"]).with_overrides(**overrides)
-        # the exact checkpointed clustering, so runners built with a
-        # non-spec clustering also resume bit-identically
-        runner = cls(spec, clustering=_checkpoint_clustering(data, meta))
+        # the exact checkpointed clustering, in the rebuilt order, so runners
+        # built with a non-spec clustering also resume bit-identically
+        runner = cls(spec, clustering=lambda setup: _checkpoint_clustering(data, meta, setup.mesh))
         runner._load_state(data, meta)
         return runner
 
     def _load_state(self, data, meta: dict) -> None:
         solver = self.solver
-        dofs = data["dofs"]
+        dofs = data["dofs"][_checkpoint_rows(data["element_order"], self.setup.mesh)]
         if dofs.shape != solver.dofs.shape:
             raise ValueError(
                 f"checkpoint DOF shape {dofs.shape} does not match the rebuilt "
                 f"scenario {solver.dofs.shape}; was the spec edited?"
             )
         # older GTS checkpoints stored the policy's LTS clustering
-        stored = stepped_clustering(_checkpoint_clustering(data, meta), self.spec.solver.kind)
+        stored = _checkpoint_clustering(data, meta, self.setup.mesh)
+        stored = stepped_clustering(stored, self.spec.solver.kind)
         if not (
             np.array_equal(self.clustering.cluster_ids, stored.cluster_ids)
             and np.array_equal(self.clustering.cluster_time_steps, stored.cluster_time_steps)
@@ -864,11 +867,6 @@ class ScenarioRunner:
             raise ValueError(
                 "checkpoint clustering does not match the rebuilt scenario; "
                 "was the spec edited?"
-            )
-        if not np.array_equal(self.setup.mesh.original_ids, data["element_order"]):
-            raise ValueError(
-                "checkpoint element order does not match the rebuilt scenario; "
-                "was the run built on the setup of another spec?"
             )
         if self.receivers is not None:
             names = [r.name for r in self.receivers.receivers]
@@ -881,16 +879,26 @@ class ScenarioRunner:
                 receiver.samples = [np.asarray(row) for row in samples]
         # after the recordings: an engine rebinds its rank receivers to them
         solver.restore_state(
-            data, time=float(meta["time"]), n_element_updates=int(meta["n_element_updates"])
+            {"dofs": dofs}, float(meta["time"]), n_element_updates=int(meta["n_element_updates"])
         )
         self.cycles_done = int(meta["cycles_done"])
         self.wall_s = float(meta.get("wall_s", 0.0))
 
 
-def _checkpoint_clustering(data: dict, meta: dict) -> Clustering:
-    """The clustering a checkpoint stored."""
+def _checkpoint_rows(element_order: np.ndarray, mesh: TetMesh) -> np.ndarray:
+    """The checkpoint row (``element_order``: its generation id) of every element of ``mesh``."""
+    if not np.array_equal(np.sort(element_order), np.sort(mesh.original_ids)):
+        raise ValueError(
+            "checkpoint element order does not match the rebuilt scenario; "
+            "was the run built on the setup of another spec?"
+        )
+    return np.argsort(element_order)[mesh.original_ids]
+
+
+def _checkpoint_clustering(data: dict, meta: dict, mesh: TetMesh) -> Clustering:
+    """The clustering a checkpoint stored, in ``mesh``'s element order."""
     return Clustering(
-        cluster_ids=data["cluster_ids"],
+        cluster_ids=data["cluster_ids"][_checkpoint_rows(data["element_order"], mesh)],
         cluster_time_steps=data["cluster_time_steps"],
         lam=float(meta["clustering"]["lam"]),
         dt_min=float(meta["clustering"]["dt_min"]),

@@ -604,10 +604,10 @@ class SolverSpec:
 class PreprocessingSpec:
     """Optional pipeline postprocessing: weighted partitioning + reordering.
 
-    ``reorder`` selects nothing: more than one partition is what orders the
-    elements by (cluster, partition, role).  It stays a field, loaded and
-    serialised as before, because goldens, checkpoints and the benchmark
-    harness's specs carry it.
+    ``reorder`` selects nothing: more than one partition (or rank,
+    :attr:`ScenarioSpec.n_partitions`) orders the elements by (cluster,
+    partition, role).  It stays a field, loaded and serialised as before,
+    because goldens, checkpoints and the benchmark harness's specs carry it.
     """
 
     reorder: bool = False
@@ -616,10 +616,6 @@ class PreprocessingSpec:
     def __post_init__(self) -> None:
         if self.n_partitions < 1:
             raise ValueError("need at least one partition")
-
-    @property
-    def active(self) -> bool:
-        return self.n_partitions > 1
 
 
 @dataclass(frozen=True)
@@ -720,8 +716,19 @@ class ScenarioSpec:
                     f"fused source block has {len(self.source.fused)} slot(s) "
                     f"but solver.n_fused is {self.solver.n_fused}"
                 )
+        n_ranks, n_partitions = self.solver.n_ranks, self.preprocessing.n_partitions
+        if n_partitions not in (1, self.n_partitions):
+            raise ValueError(
+                f"solver.n_ranks is {n_ranks} but preprocessing.n_partitions is {n_partitions}: "
+                "a multi-rank run has one partition per rank, so it must be 1 or n_ranks"
+            )
 
     # -- convenience accessors -----------------------------------------
+    @property
+    def n_partitions(self) -> int:
+        """The run's partition count: ``n_ranks`` on ranks, else ``preprocessing.n_partitions``."""
+        return self.solver.n_ranks if self.solver.n_ranks > 1 else self.preprocessing.n_partitions
+
     @property
     def receiver_locations(self) -> dict:
         import numpy as np

@@ -29,6 +29,9 @@ from repro.scenarios import (
     make_runner,
 )
 from repro.scenarios.cli import main as cli_main
+from repro.scenarios.runner import build_setup
+
+from ..rank_setup import generation_dofs
 
 pytestmark = pytest.mark.distributed
 
@@ -116,7 +119,7 @@ class TestBitIdentity:
         assert runner.engine.n_ranks == n_ranks
         summary = runner.run()
 
-        np.testing.assert_array_equal(runner.solver.dofs, single_run.solver.dofs)
+        np.testing.assert_array_equal(generation_dofs(runner), generation_dofs(single_run))
         assert np.abs(runner.solver.dofs).max() > 0.0, "the run must move"
         assert summary["element_updates"] == single_run.solver.n_element_updates
         assert runner.solver.time == single_run.solver.time
@@ -140,7 +143,7 @@ class TestBitIdentity:
         n_elements = runner.setup.mesh.n_elements
         assert runner.engine.clustering.counts.tolist() == [n_elements, 0]
         assert summary["element_updates"] == single.solver.n_element_updates == 3 * 2 * n_elements
-        np.testing.assert_array_equal(runner.solver.dofs, single.solver.dofs)
+        np.testing.assert_array_equal(generation_dofs(runner), generation_dofs(single))
         assert runner.solver.time == single.solver.time
         for name in ("receiver_9", "epicentre"):
             t_single, v_single = single.receivers[name].seismogram()
@@ -154,7 +157,7 @@ class TestBitIdentity:
         single.run()
         dist = make_runner(three_cluster.with_overrides(n_ranks=4))
         dist.run()
-        np.testing.assert_array_equal(dist.solver.dofs, single.solver.dofs)
+        np.testing.assert_array_equal(generation_dofs(dist), generation_dofs(single))
 
     def test_fused_ensemble(self, tiny_loh3):
         spec = tiny_loh3.with_overrides(n_fused=2, n_cycles=2)
@@ -162,15 +165,22 @@ class TestBitIdentity:
         single.run()
         dist = make_runner(spec.with_overrides(n_ranks=2))
         dist.run()
-        np.testing.assert_array_equal(dist.solver.dofs, single.solver.dofs)
+        np.testing.assert_array_equal(generation_dofs(dist), generation_dofs(single))
 
-    def test_preprocessed_partitions_are_reused(self, tiny_loh3):
-        spec = tiny_loh3.with_overrides(n_partitions=2, reorder=True, n_ranks=2)
+    @pytest.mark.parametrize("solver", ["lts", "gts"])
+    def test_the_engine_steps_the_setup_partition(self, tiny_loh3, solver):
+        """A multi-rank run steps the setup's one partition: naming the rank
+        count as ``n_partitions`` too builds the same setup, and the
+        one-rank run over that partition has the same element order and,
+        bit for bit, the same DOFs."""
+        spec = tiny_loh3.with_overrides(solver=solver, n_ranks=2)
         dist = make_runner(spec)
-        np.testing.assert_array_equal(
-            dist.engine.partitions, dist.setup.partitions
-        )
-        single = ScenarioRunner(spec.with_overrides(n_ranks=1))
+        np.testing.assert_array_equal(dist.engine.partitions, dist.setup.partitions)
+        named = build_setup(spec.with_overrides(n_partitions=2, reorder=True))
+        single = ScenarioRunner(spec.with_overrides(n_ranks=1, n_partitions=2))
+        for setup in (named, single.setup):
+            np.testing.assert_array_equal(setup.partitions, dist.setup.partitions)
+            np.testing.assert_array_equal(setup.mesh.original_ids, dist.setup.mesh.original_ids)
         dist.run()
         single.run()
         np.testing.assert_array_equal(dist.solver.dofs, single.solver.dofs)
@@ -344,7 +354,7 @@ class TestCheckpointRestart:
 
         resumed = ScenarioRunner.resume(path)
         assert not hasattr(resumed, "engine")
-        np.testing.assert_array_equal(resumed.solver.dofs, dist.solver.dofs)
+        np.testing.assert_array_equal(generation_dofs(resumed), generation_dofs(dist))
         resumed.run()
 
         single_full = ScenarioRunner(tiny_loh3)
@@ -376,7 +386,7 @@ class TestCheckpointRestart:
         assert resumed.engine.n_ranks == 2
         resumed.run()
         single.run()
-        np.testing.assert_array_equal(resumed.solver.dofs, single.solver.dofs)
+        np.testing.assert_array_equal(generation_dofs(resumed), generation_dofs(single))
         assert resumed.solver.n_element_updates == single.solver.n_element_updates
         resumed.solver.close()
 

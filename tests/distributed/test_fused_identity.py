@@ -16,6 +16,8 @@ import pytest
 from repro.distributed import ProcessLtsEngine
 from repro.scenarios import FusedSourceSpec, ScenarioRunner, get_scenario, make_runner
 
+from ..rank_setup import generation_dofs
+
 pytestmark = pytest.mark.distributed
 
 WIDTH = 4
@@ -101,7 +103,7 @@ class TestProcessBackendSlotIdentity:
             )
             scalar.run()
             np.testing.assert_array_equal(
-                process.solver.dofs[..., f], scalar.solver.dofs
+                generation_dofs(process)[..., f], generation_dofs(scalar)
             )
             for receiver in scalar.receivers.receivers:
                 t_s, v_s = receiver.seismogram()

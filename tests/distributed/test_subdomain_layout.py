@@ -4,6 +4,8 @@
   boundary-before-interior, global id): every cluster is one contiguous run
   of local ids, its boundary rows lead, and gather/restore still round-trip
   through ``owned``,
+* the setup partitions the cluster-ordered mesh by the stepped weights, and
+  a rank's local order is the setup's order restricted to it,
 * a warm ``RankSolver`` predicts a cluster through slices: no fancy-index
   read of its DOFs and no cluster-sized allocation per micro step,
 * the halo plans ship one pack per (src, dst, micro step) that both sides
@@ -22,10 +24,11 @@ import pytest
 
 from repro.core.buffers import B1, B1_MINUS_B2, B2, B3
 from repro.distributed import RankSolver, RankSubdomain
-from repro.distributed.runner import _partitions
+from repro.mesh.reorder import reorder_elements
 from repro.parallel.exchange import HaloIndex, exchange_volumes_per_cycle
+from repro.parallel.partition import cut_faces, element_weights, partition_dual_graph
 from repro.scenarios import get_scenario, make_runner
-from repro.scenarios.runner import build_setup
+from repro.scenarios.runner import build_setup, staged_setup
 
 from ..lts_setup import locate
 from ..rank_setup import rank_solvers, step_ranks
@@ -114,6 +117,45 @@ class TestLocalOrder:
         dofs = np.random.default_rng(0).standard_normal(engine.dofs.shape)
         engine.restore_state({"dofs": dofs}, engine.time, engine.n_element_updates)
         np.testing.assert_array_equal(engine.dofs, dofs)
+
+
+class TestSetupPartition:
+    """The setup is the one place a run is partitioned: the engine steps
+    ``setup.partitions``, and the setup's element order restricted to a
+    rank is that rank's local order."""
+
+    @pytest.mark.parametrize("n_ranks", [2, 4])
+    @pytest.mark.parametrize("solver", ["lts", "gts"])
+    def test_the_cluster_ordered_mesh_is_partitioned_by_the_stepped_weights(
+        self, solver, n_ranks
+    ):
+        spec = get_scenario(
+            "loh3", extent_m=4000.0, characteristic_length=1000.0, order=2, n_clusters=3,
+            lam=1.0, n_cycles=1,
+        ).with_overrides(solver=solver, n_ranks=n_ranks)
+        staged = staged_setup(spec)  # generation order, the stepped clustering
+        by_cluster = reorder_elements(staged.clustering.cluster_ids)
+        clustering = staged.clustering.permuted(by_cluster)
+        expected = partition_dual_graph(
+            staged.mesh.permuted(by_cluster).neighbors,
+            element_weights(clustering.cluster_ids, clustering.n_clusters),
+            n_ranks,
+        ).partitions
+
+        setup = build_setup(spec)
+        ids = setup.mesh.original_ids
+        generation = np.empty_like(setup.partitions)
+        generation[ids] = setup.partitions
+        np.testing.assert_array_equal(generation[by_cluster], expected)
+        # (cluster, partition, boundary first, id)
+        boundary = cut_faces(setup.mesh.neighbors, setup.partitions).any(axis=1)
+        np.testing.assert_array_equal(
+            np.lexsort((ids, ~boundary, setup.partitions, setup.clustering.cluster_ids)),
+            np.arange(len(ids)),
+        )
+        for rank in range(n_ranks):
+            sub = RankSubdomain(setup.disc, setup.clustering, setup.partitions, rank)
+            np.testing.assert_array_equal(sub.owned, np.flatnonzero(setup.partitions == rank))
 
 
 class _CountingDofs(np.ndarray):
@@ -213,14 +255,11 @@ def plan_case(request):
 
 @pytest.fixture(scope="module")
 def plan_engine(plan_case):
-    """The static halo plans of the case, as the engine partitions them: its
+    """The static halo plans of the case over the setup's partitions: its
     subdomains, halo and clustering, and the model's message count (no rank
     worker is started)."""
     setup = build_setup(plan_case)
-    disc, clustering = setup.disc, setup.clustering
-    partitions = _partitions(
-        SimpleNamespace(setup=setup, clustering=clustering), disc, plan_case.solver.n_ranks
-    )
+    disc, clustering, partitions = setup.disc, setup.clustering, setup.partitions
     halo = HaloIndex.from_partitions(disc.mesh.neighbors, partitions)
     model = exchange_volumes_per_cycle(
         halo, clustering.cluster_ids, clustering.n_clusters, order=disc.order,

@@ -32,15 +32,18 @@ class TestReorderElements:
             reorder_elements(clusters), reorder_elements(clusters, np.zeros(6, dtype=int))
         )
 
-    def test_communication_role_groups_send_elements_last(self):
-        partitions = np.zeros(6, dtype=int)
+    def test_boundary_elements_lead_their_block(self):
+        """The one role rule: within a (cluster, partition) block the
+        elements with a face in another partition come first, ties by id."""
+        partitions = np.array([0, 0, 0, 1, 1, 0])
         clusters = np.zeros(6, dtype=int)
-        comm = np.array([0, 1, 0, 1, 0, 0])
-        reordered_comm = comm[reorder_elements(clusters, partitions, comm)]
-        assert np.all(np.diff(reordered_comm) >= 0)
+        boundary = np.array([False, True, False, True, False, True])
+        np.testing.assert_array_equal(
+            reorder_elements(clusters, partitions, boundary), [1, 5, 0, 2, 3, 4]
+        )
 
     def test_shape_mismatch_raises(self):
-        for key in ("partitions", "communication_role"):
+        for key in ("partitions", "boundary"):
             with pytest.raises(ValueError, match="shape"):
                 reorder_elements(np.zeros(3), **{key: np.zeros(4)})
 

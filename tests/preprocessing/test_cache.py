@@ -235,13 +235,14 @@ class TestCacheBitIdentity:
         assert from_file.setup.partitions.max() == 1
 
     def test_cache_written_at_an_older_format_version_is_a_miss(self, tmp_path, monkeypatch):
-        """Format 4 directories (whose partition stage holds a
-        partition-major permutation) must miss, not replay."""
+        """Format 5 directories (whose partition stage partitioned the
+        generation-order graph and put boundary elements last) must miss,
+        not replay."""
         from repro.preprocessing import cache as cache_module
 
         spec = tiny_loh3().with_overrides(n_partitions=2, reorder=True)
-        assert cache_module.CACHE_FORMAT_VERSION == 5
-        monkeypatch.setattr(cache_module, "CACHE_FORMAT_VERSION", 4)
+        assert cache_module.CACHE_FORMAT_VERSION == 6
+        monkeypatch.setattr(cache_module, "CACHE_FORMAT_VERSION", 5)
         old_keys = all_stage_keys(spec)
         warm_preprocessing(spec, PreprocessingCache(tmp_path))
         assert PreprocessingCache(tmp_path).is_warm(spec)

@@ -6,13 +6,25 @@ rank.  :func:`rank_solvers` builds the same :class:`RankSolver` objects in
 this process from the engine's subdomains; checks that need a stepped state
 restore the engine's gathered DOFs into them, and checks that read the
 buffers step them a cycle (:func:`step_ranks`) first.
+
+A multi-rank run orders its elements by (cluster, partition, boundary
+first), a one-rank run by cluster alone, so their DOFs compare in
+generation order (:func:`generation_dofs`).
 """
 
 import queue
 import threading
 
+import numpy as np
+
 from repro.distributed import RankSolver
 from repro.parallel.communicator import ProcessCommunicator
+
+
+def generation_dofs(runner):
+    """The runner's DOFs in generation order (row ``i`` is generated
+    element ``i``), whatever its element order."""
+    return runner.solver.dofs[np.argsort(runner.setup.mesh.original_ids)]
 
 
 def rank_solvers(engine, *, restore: bool = False) -> list:

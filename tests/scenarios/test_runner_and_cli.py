@@ -12,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,8 @@ from repro.scenarios.cli import main as cli_main
 from repro.scenarios.spec import SOLVER_KINDS, ScenarioSpec
 from repro.core.clustering import derive_clustering
 from repro.core.lts_solver import ClusteredLtsSolver
+
+from ..rank_setup import generation_dofs
 
 
 @pytest.fixture(scope="module")
@@ -102,12 +105,9 @@ class TestRunnerEquivalence:
             for cluster in np.unique(clusters):
                 assert np.all(np.diff(parts[clusters == cluster]) >= 0)
 
-            def generation_order(runner):
-                return runner.solver.dofs[np.argsort(runner.setup.mesh.original_ids)]
-
             assert not np.array_equal(reordered.setup.mesh.original_ids,
                                       plain.setup.mesh.original_ids)
-            np.testing.assert_array_equal(generation_order(reordered), generation_order(plain))
+            np.testing.assert_array_equal(generation_dofs(reordered), generation_dofs(plain))
             for receiver in plain.receivers.receivers:
                 t_plain, v_plain = receiver.seismogram()
                 t_part, v_part = reordered.receivers[receiver.name].seismogram()
@@ -124,7 +124,7 @@ class TestRunnerEquivalence:
         payload["preprocessing"]["reorder"] = True
         spec = ScenarioSpec.from_dict(payload)
         assert spec.preprocessing.reorder and spec.to_dict() == payload
-        assert not spec.preprocessing.active
+        assert spec.n_partitions == 1
         legacy, plain = build_setup(spec), build_setup(tiny_loh3)
         assert legacy.partitions is None
         np.testing.assert_array_equal(legacy.mesh.original_ids, plain.mesh.original_ids)
@@ -189,6 +189,63 @@ class TestCheckpointRestart:
             tiny_loh3.with_overrides(n_partitions=2), tmp_path
         )
         np.testing.assert_array_equal(resumed.setup.partitions, full.setup.partitions)
+
+    def test_a_cluster_ordered_2rank_checkpoint_resumes_bitwise(self, tiny_loh3, tmp_path):
+        """A 2-rank checkpoint whose rows are in (cluster, id) order -- the
+        layout of multi-rank checkpoints written before the setup carried
+        the partition order -- resumes onto the partition-ordered setup,
+        bitwise the uninterrupted run."""
+        from repro.mesh.reorder import reorder_elements
+
+        spec = tiny_loh3.with_overrides(n_ranks=2)
+        path = tmp_path / "cluster-order.ckpt.npz"
+        full = ScenarioRunner(spec)
+        full.run()
+        interrupted = ScenarioRunner(spec)
+        while interrupted.cycles_done < 2:
+            interrupted.step_cycle()
+        interrupted.save_checkpoint(path)
+        interrupted.solver.close()
+
+        data = dict(np.load(path))
+        row_of_id = np.argsort(data["element_order"])
+        rows = row_of_id[reorder_elements(data["cluster_ids"][row_of_id])]
+        for name in ("dofs", "cluster_ids", "element_order"):
+            data[name] = data[name][rows]
+        assert not np.array_equal(data["element_order"], full.setup.mesh.original_ids)
+        np.savez(path, **data)
+
+        resumed = ScenarioRunner.resume(path)
+        assert resumed.cycles_done == 2
+        resumed.run()
+        np.testing.assert_array_equal(resumed.solver.dofs, full.solver.dofs)
+        for name in ("receiver_9", "epicentre"):
+            np.testing.assert_array_equal(
+                resumed.receivers[name].seismogram()[1], full.receivers[name].seismogram()[1]
+            )
+
+    def test_a_checkpoint_of_another_mesh_is_refused(self, tiny_loh3, tmp_path):
+        """Only a checkpoint of the rebuilt mesh resumes: one whose
+        generation ids are another mesh's is refused, on ``resume`` and on
+        a direct state load."""
+        from repro.scenarios.runner import _read_checkpoint
+
+        path = tmp_path / "other-mesh.ckpt.npz"
+        runner = ScenarioRunner(tiny_loh3)
+        runner.step_cycle()
+        runner.save_checkpoint(path)
+        data, meta = _read_checkpoint(path)
+        finer = ScenarioRunner(
+            replace(tiny_loh3, mesh=replace(tiny_loh3.mesh, characteristic_length=1500.0))
+        )
+        assert finer.setup.mesh.n_elements != runner.setup.mesh.n_elements
+        with pytest.raises(ValueError, match="element order does not match"):
+            finer._load_state(data, meta)
+
+        meta["spec"] = finer.spec.to_dict()
+        np.savez(path, meta=json.dumps(meta), **data)
+        with pytest.raises(ValueError, match="element order does not match"):
+            ScenarioRunner.resume(path)
 
     @staticmethod
     def _interrupt_and_resume(spec, tmp_path):
@@ -466,10 +523,11 @@ class TestCheckpointRestart:
                 resumed.receivers[receiver.name].seismogram()[1], receiver.seismogram()[1]
             )
 
-    def test_checkpoint_in_another_element_order_is_refused(self, tmp_path):
+    def test_checkpoint_in_another_element_order_resumes_by_generation_id(self, tmp_path):
         """A GTS run stepped on an LTS (cluster-ordered) setup writes rows in
-        that order; its spec rebuilds generation order, so the resume must
-        refuse instead of loading permuted DOFs under a matching clustering."""
+        that order; its spec rebuilds generation order, and the resume maps
+        every row onto it by generation id: the next cycle is bitwise the
+        uninterrupted run's."""
         from repro.scenarios import build_setup
 
         path = tmp_path / "foreign.ckpt.npz"
@@ -482,8 +540,13 @@ class TestCheckpointRestart:
         )
         runner.step_cycle()
         runner.save_checkpoint(path)
-        with pytest.raises(ValueError, match="element order does not match"):
-            ScenarioRunner.resume(path)
+        resumed = ScenarioRunner.resume(path)
+        assert not np.array_equal(
+            resumed.setup.mesh.original_ids, runner.setup.mesh.original_ids
+        )
+        runner.step_cycle()
+        resumed.step_cycle()
+        np.testing.assert_array_equal(generation_dofs(resumed), generation_dofs(runner))
 
     def test_format_1_checkpoint_is_refused(self, tiny_loh3, tmp_path, capsys):
         """Format 1 stored generation order: it cannot resume into a cluster-

@@ -125,6 +125,25 @@ class TestValidation:
         with pytest.raises(ValueError, match="n_ranks >= 2"):
             SolverSpec(n_ranks=1, backend="process")
 
+    def test_one_partition_count_per_run(self, capsys):
+        """A multi-rank run steps one partition per rank: its partition
+        count is ``n_ranks``, and ``n_partitions`` may only repeat it (or
+        stay 1); any other pairing names both fields, in the spec and on
+        the command line."""
+        from repro.scenarios.cli import main as cli_main
+
+        spec = get_scenario("loh3")
+        assert spec.n_partitions == 1
+        assert spec.with_overrides(n_partitions=3).n_partitions == 3
+        for n_partitions in (1, 2):
+            assert spec.with_overrides(n_ranks=2, n_partitions=n_partitions).n_partitions == 2
+        rule = r"solver.n_ranks is 2 but preprocessing.n_partitions is 3"
+        with pytest.raises(ValueError, match=rule):
+            spec.with_overrides(n_ranks=2, n_partitions=3)
+        assert cli_main(["run", "loh3", "--ranks", "2", "--partitions", "3"]) == 2
+        err = capsys.readouterr().err
+        assert "solver.n_ranks" in err and "preprocessing.n_partitions" in err
+
     def test_numpy_params_are_normalised(self):
         import numpy as np
 

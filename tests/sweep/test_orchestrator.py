@@ -197,6 +197,23 @@ class TestInlineSweep:
         assert (clone / "members" / "0000" / "run.jsonl").read_bytes() == untouched
 
 
+    def test_a_multi_rank_member_is_a_pure_cache_hit(self, tmp_path):
+        """A multi-rank member's partition is a preprocessing stage like
+        the others: the prewarm builds it once, in the parent, and the
+        member run only hits -- no rank partitions anything."""
+        tally = run_sweep(tiny_sweep(n=2, n_ranks=2), tmp_path, workers=0)
+        assert (tally["done"], tally["prewarmed"]) == (2, 1)
+        records = read_manifest(tmp_path / "manifest.jsonl")
+        (prewarm,) = [r for r in records if r["record"] == "prewarm"]
+        assert prewarm["cache"]["partition"] == {"hits": 0, "misses": 1, "corrupt": 0}
+        done = [r for r in records if r["record"] == "member" and r["status"] == "done"]
+        assert len(done) == 2
+        for row in done:
+            assert sorted(row["cache"]) == ["clustering", "materials", "mesh", "partition"]
+            for stage, counters in row["cache"].items():
+                assert counters["misses"] == 0 and counters["hits"] > 0, (row["member"], stage)
+
+
 class TestReportIntegration:
     def test_expand_report_paths(self, inline_sweep):
         _, out_dir, _ = inline_sweep

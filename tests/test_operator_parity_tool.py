@@ -1,12 +1,17 @@
 """``benchmarks/operator_parity.py --compare`` against dumps of older
 layouts: a ``(K, 4, 15, 18)`` flux-solver array (or its four views) is
 compared as the elastic ``flux_solvers`` and the anelastic rows' velocity
-columns, and a nonzero in a column that split drops is a problem."""
+columns, and a nonzero in a column that split drops is a problem.  The
+per-element arrays compare in generation order, so a reorder alone is no
+problem, and the restricted-rank check takes the setup's partition."""
 
 import importlib.util
 from pathlib import Path
 
 import numpy as np
+
+from repro.scenarios import get_scenario
+from repro.scenarios.runner import build_setup
 
 _SCRIPT = Path(__file__).resolve().parents[1] / "benchmarks" / "operator_parity.py"
 _spec = importlib.util.spec_from_file_location("operator_parity", _SCRIPT)
@@ -59,3 +64,21 @@ def test_a_nonzero_dropped_column_or_a_changed_value_is_a_problem():
     assert parity.compare(ours, {"case/spec/flux_solvers": dense}) == [
         "case/spec/flux_anelastic: differs"
     ]
+
+
+def test_a_reordered_set_compares_equal_in_generation_order():
+    spec = get_scenario(
+        "loh3", extent_m=4000.0, characteristic_length=2000.0, order=2, n_clusters=2, lam=1.0
+    )
+    plain, reordered = (build_setup(spec.with_overrides(n_partitions=n)).disc for n in (1, 2))
+    assert not np.array_equal(plain.mesh.original_ids, reordered.mesh.original_ids)
+    ours, theirs = (
+        {f"case/spec/{key}": array for key, array in parity.generation_ordered(disc).items()}
+        for disc in (reordered, plain)
+    )
+    assert parity.compare(ours, theirs) == []
+    in_solver_order = {f"case/spec/{k}": v for k, v in reordered.operator_arrays().items()}
+    assert "case/spec/flux_solvers: differs" in parity.compare(ours, in_solver_order)
+    partitions = parity.two_partitions(spec)
+    assert sorted(np.unique(partitions)) == [0, 1]
+    assert parity.restricted_problems("case/reordered", reordered, partitions) == []
