@@ -19,7 +19,9 @@ are added on top of the shared driver logic:
   face-local compressed payloads (``9 x F`` values per face -- the buffer
   data already multiplied with the *receiver's* neighbouring flux matrix
   ``F_bar``) of every face due to that rank, projected by the backend in
-  one pass over the step's send plan, and
+  one pass over the step's send plan; each ``send`` ships its pack as one
+  message at once (the communicator copies it, so the projection scratch
+  is free for the next micro step), and
 * the corrections of a micro step first drain every incoming pack due up
   to that step (in step order, a later payload overwriting an earlier one:
   a faster sender refreshes its accumulated ``B3`` twice per receiver
@@ -131,7 +133,6 @@ class RankSolver(ClusteredLtsSolver):
             self._dispatch("boundary", entry["micro_step"], entry["predict"])
         with self.telemetry.region("send"):
             self.send_due(entry["micro_step"])
-            self.comm.flush()
         with self.telemetry.region("predict.interior"):
             self._dispatch("interior", entry["micro_step"], entry["predict"])
         self._micro_step = entry["micro_step"]
@@ -140,7 +141,8 @@ class RankSolver(ClusteredLtsSolver):
 
     # ------------------------------------------------------------------
     def send_due(self, micro_step: int) -> None:
-        """Send this micro step's halo packs, one message per destination."""
+        """Send this micro step's halo packs, one message per destination;
+        each pack leaves as soon as it is sent."""
         plan = self.subdomain.send_plans[micro_step]
         if not plan.packs:
             return

@@ -21,7 +21,7 @@ from .events import (
     spec_content_hash,
     validate_run_ledger,
 )
-from .timers import NULL_TELEMETRY, PHASE_REGIONS, Telemetry, merge_snapshots
+from .timers import NULL_TELEMETRY, PHASE_REGIONS, Telemetry, merge_snapshots, recv_wait_s
 from .trace import build_chrome_trace, validate_chrome_trace, write_chrome_trace
 
 
@@ -40,6 +40,7 @@ __all__ = [
     "PHASE_REGIONS",
     "Telemetry",
     "merge_snapshots",
+    "recv_wait_s",
     "build_chrome_trace",
     "validate_chrome_trace",
     "write_chrome_trace",

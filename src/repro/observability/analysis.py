@@ -42,7 +42,7 @@ import json
 from pathlib import Path
 
 from .events import read_ledger, validate_run_ledger
-from .timers import PHASE_REGIONS
+from .timers import PHASE_REGIONS, recv_wait_s
 
 __all__ = [
     "expand_report_paths",
@@ -184,11 +184,7 @@ def overlap_block(summary: dict) -> dict | None:
     for lane in _rank_lanes(summary):
         regions = lane.get("regions", {})
         interior = _region_s(regions, "predict.interior")
-        exposed = sum(
-            float(entry["total_s"])
-            for name, entry in regions.items()
-            if name.endswith("/recv_wait") or name == "recv_wait"
-        )
+        exposed = recv_wait_s(regions)
         if interior == 0.0 and exposed == 0.0:
             continue
         window = interior + exposed

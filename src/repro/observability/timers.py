@@ -23,13 +23,22 @@ from __future__ import annotations
 
 import time
 
-__all__ = ["Telemetry", "NULL_TELEMETRY", "PHASE_REGIONS", "merge_snapshots"]
+__all__ = ["Telemetry", "NULL_TELEMETRY", "PHASE_REGIONS", "merge_snapshots", "recv_wait_s"]
 
 #: the top-level regions of a stepped macro cycle: a lane's busy time and
 #: the phase breakdown of the run summary (preprocessing and checkpoint
 #: regions run outside the cycle loop and are reported separately)
-PHASE_REGIONS = ("predict", "predict.boundary", "send", "predict.interior",
-                 "correct", "update")
+PHASE_REGIONS = ("predict", "predict.boundary", "send", "predict.interior", "correct")
+
+#: the one path of a rank's exposed halo wait: the rank stepper's
+#: ``recv_wait`` region, always entered inside ``correct``
+RECV_WAIT_REGION = "correct/recv_wait"
+
+
+def recv_wait_s(regions: dict) -> float:
+    """Exposed receive-wait seconds of a lane's (or a merged) region table."""
+    entry = regions.get(RECV_WAIT_REGION)
+    return float(entry["total_s"]) if entry else 0.0
 
 
 class _NullRegion:

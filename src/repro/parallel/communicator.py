@@ -9,16 +9,15 @@ process, each with a :class:`multiprocessing.Queue` (one pipe, one feeder
 thread -- ``put`` never blocks, so posting a halo send returns immediately
 and the transfer proceeds in the background while the sender computes
 interior work).  A receive blocks at most ``timeout`` seconds per message,
-so a missing or unflushed pack fails in bounded time, naming the micro step
-and both ranks.
+so a missing pack fails in bounded time, naming the micro step and both
+ranks.
 
 The distributed steppers send one message per (destination rank, micro
 step): the pack of every face-local payload due to that rank, tagged with
-the micro step.  Sends are *staged*: ``send`` appends to a per-destination
-buffer (and accounts the logical message), and :meth:`ProcessCommunicator.flush`
-ships each destination's stage as one queue item -- one pickle and one lock
-round per rank pair per micro step.  The stepper flushes right after posting
-a micro step's sends.  On the receiving side items are unpacked into
+the micro step.  ``send`` ships that pack at once as one queue item
+``(src, tag, payload)`` -- one pickle and one lock round per rank pair per
+micro step -- and accounts it.  It ships a copy, so the sender may reuse
+its buffer right away.  On the receiving side items are filed into
 per-``(src, tag)`` mailboxes; per-channel FIFO order is preserved (each
 producer feeds a queue from a single thread), so a peer running ahead into
 the next cycle never overtakes the current one.  ``recv`` blocks until the
@@ -35,7 +34,6 @@ from __future__ import annotations
 import queue as _queue
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from itertools import groupby
 
 import numpy as np
 
@@ -45,28 +43,6 @@ __all__ = ["MessageStats", "ProcessCommunicator", "pair_key"]
 def pair_key(src: int, dst: int) -> str:
     """The JSON-safe ``"src->dst"`` key identifying a directed rank pair."""
     return f"{src}->{dst}"
-
-
-def _unflushed_note(staged: dict[int, list]) -> str:
-    """Diagnostic suffix for a recv-timeout error: which staged sends never
-    left this rank.
-
-    ``staged`` maps a destination rank to its ``(tag, payload)`` stage; the
-    distributed steppers tag a halo pack with its micro step.  A timeout
-    with a non-empty stage almost always means a ``flush()`` call was
-    skipped somewhere in the schedule -- the peers are starving on packs
-    that were posted but never shipped -- which is a very different bug
-    from a dead peer, so the error message must distinguish the two.
-    """
-    dsts = sorted(dst for dst, items in staged.items() if items)
-    if not dsts:
-        return ""
-    total = sum(len(staged[dst]) for dst in dsts)
-    steps = sorted({int(tag) for dst in dsts for tag, _ in staged[dst]})
-    return (
-        f"; {total} staged pack(s) of micro step(s) {steps} for rank(s) {dsts} "
-        "were never flushed and did NOT travel (staged sends only ship on flush())"
-    )
 
 
 @dataclass
@@ -137,42 +113,24 @@ class ProcessCommunicator:
         self._outbound = outbound
         self.timeout = timeout
         self._mailboxes: dict[tuple[int, int], deque[np.ndarray]] = defaultdict(deque)
-        self._staged: dict[int, list[tuple[int, np.ndarray]]] = defaultdict(list)
         self.stats = MessageStats()
 
     # ------------------------------------------------------------------
     def send(self, payload: np.ndarray, src: int, dst: int, tag: int = 0) -> None:
-        """Stage ``payload`` for rank ``dst`` (shipped on :meth:`flush`);
-        the logical message is accounted immediately."""
+        """Ship a copy of ``payload`` to rank ``dst`` as one message and
+        account it."""
         if src != self.rank:
             raise ValueError(f"rank {self.rank} cannot send as rank {src}")
         if not 0 <= dst < self.n_ranks:
             raise ValueError(f"rank {dst} out of range (n_ranks = {self.n_ranks})")
-        payload = np.ascontiguousarray(payload)
-        self._staged[dst].append((tag, payload))
+        payload = np.array(payload, order="C")
+        self._outbound[dst].put((self.rank, int(tag), payload))
         self.stats.record(src, dst, payload.nbytes)
 
     def flush(self) -> None:
-        """Ship every staged batch, one queue item per destination rank.
-
-        The payloads of a stage usually share one shape (a halo pack per
-        destination and micro step), so they travel stacked in a single
-        array: one pickle per rank pair per micro step.  Mixed-shape stages
-        (e.g. mixed-width fused groups) ship as one item per *contiguous
-        run* of equal shape and dtype -- runs, not a shape-keyed
-        regrouping, so per-channel FIFO order survives the batching.
-        """
-        for dst, staged in self._staged.items():
-            if not staged:
-                continue
-            for _, run in groupby(
-                staged, key=lambda item: (item[1].shape, item[1].dtype.str)
-            ):
-                batch = list(run)
-                tags = np.array([tag for tag, _ in batch], dtype=np.int64)
-                stacked = np.stack([payload for _, payload in batch])
-                self._outbound[dst].put((self.rank, tags, stacked))
-            staged.clear()
+        """A no-op: :meth:`send` ships each message at once.  It stays only
+        because the end-to-end benchmark's round-trip probe
+        (``benchmarks/e2e/layers.py::comm_roundtrip``) calls it."""
 
     def recv(self, src: int, dst: int, tag: int = 0) -> np.ndarray:
         """Receive the oldest message on the ``(src, tag)`` channel; blocks
@@ -187,18 +145,12 @@ class ProcessCommunicator:
                 raise RuntimeError(
                     f"rank {self.rank}: no halo pack from rank {src} for micro step {tag} "
                     f"within {self.timeout:g} s -- peer died or schedule mismatch"
-                    f"{_unflushed_note(self._staged)}"
                 ) from None
         return mailbox.popleft()
 
     def _ingest(self, item) -> None:
-        # copy, don't slice: a `stacked[index]` view keeps the whole
-        # unpickled batch alive until the *last* message of the batch is
-        # consumed, which on wide batches holds a multiple of the live halo
-        # working set in memory
-        src, tags, stacked = item
-        for index, tag in enumerate(tags):
-            self._mailboxes[(int(src), int(tag))].append(stacked[index].copy())
+        src, tag, payload = item
+        self._mailboxes[(src, tag)].append(payload)
 
     def _drain(self) -> None:
         while True:
@@ -208,16 +160,12 @@ class ProcessCommunicator:
                 return
 
     def all_delivered(self) -> bool:
-        """Whether every staged payload went out and every payload that
-        reached this rank has been consumed.
+        """Whether every payload that reached this rank has been consumed.
 
         Drains the inbound queue first so arrived-but-unread excess messages
         are visible: after a macro cycle whose corrections drained every
-        planned pack, a non-empty mailbox (or unflushed stage) means a
-        schedule mismatch.  Messages still in flight on the
-        wire are inherently unobservable.
+        planned pack, a non-empty mailbox means a schedule mismatch.
+        Messages still in flight on the wire are inherently unobservable.
         """
         self._drain()
-        return all(len(staged) == 0 for staged in self._staged.values()) and all(
-            len(mailbox) == 0 for mailbox in self._mailboxes.values()
-        )
+        return all(len(mailbox) == 0 for mailbox in self._mailboxes.values())

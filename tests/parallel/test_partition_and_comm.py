@@ -236,7 +236,6 @@ class TestCommunicator:
         comms = _wire_comms(3)
         payload = np.arange(10, dtype=np.float32)
         comms[0].send(payload, src=0, dst=2, tag=7)
-        comms[0].flush()
         assert not comms[2].all_delivered()  # arrived, not yet consumed
         received = comms[2].recv(src=0, dst=2, tag=7)
         np.testing.assert_array_equal(received, payload)
@@ -261,7 +260,6 @@ class TestCommunicator:
         sender, receiver = _wire_comms(2)
         for value in (1.0, 2.0, 3.0):
             sender.send(np.full(2, value), src=0, dst=1, tag=4)
-        sender.flush()
         assert not receiver.all_delivered()
         assert [receiver.recv(0, 1, 4)[0] for _ in range(3)] == [1.0, 2.0, 3.0]
         assert receiver.all_delivered()
@@ -290,9 +288,7 @@ class TestProcessCommunicator:
         sender, receiver = _wire_process_comms()
         payload = np.arange(10, dtype=np.float64)
         sender.send(payload, src=0, dst=1, tag=3)
-        assert not sender.all_delivered()  # staged, not yet flushed
-        sender.flush()
-        assert sender.all_delivered()
+        assert sender.all_delivered()  # the pack left with its send
         received = receiver.recv(src=0, dst=1, tag=3)
         np.testing.assert_array_equal(received, payload)
         assert sender.stats.n_messages == 1
@@ -304,70 +300,30 @@ class TestProcessCommunicator:
         sender, receiver = _wire_process_comms()
         sender.send(np.full(1, 1.0), src=0, dst=1, tag=7)
         sender.send(np.full(1, 9.0), src=0, dst=1, tag=8)
-        sender.flush()
         sender.send(np.full(1, 2.0), src=0, dst=1, tag=7)
-        sender.flush()
         assert receiver.recv(0, 1, tag=7)[0] == 1.0
         assert receiver.recv(0, 1, tag=8)[0] == 9.0
         assert receiver.recv(0, 1, tag=7)[0] == 2.0
         assert receiver.all_delivered()
 
-    def test_flush_batches_one_item_per_destination(self):
+    def test_each_send_is_one_queue_item(self):
         comms = _wire_process_comms(n_ranks=3)
         sender = comms[0]
         for tag in range(4):
             sender.send(np.full((2, 3), float(tag)), src=0, dst=1, tag=tag)
         sender.send(np.zeros((2, 3)), src=0, dst=2, tag=0)
-        sender.flush()
-        # one stacked queue item per destination, one message per send
-        src, tags, stacked = comms[1]._inbound.get(timeout=5.0)
-        assert src == 0 and stacked.shape == (4, 2, 3)
-        np.testing.assert_array_equal(tags, np.arange(4))
+        # one (src, tag, payload) item per send, in send order
+        for tag in range(4):
+            src, item_tag, payload = comms[1]._inbound.get(timeout=5.0)
+            assert (src, item_tag) == (0, tag)
+            np.testing.assert_array_equal(payload, np.full((2, 3), float(tag)))
+        assert comms[2]._inbound.get(timeout=5.0)[:2] == (0, 0)
         assert sender.stats.n_messages == 5
 
     def test_recv_times_out_loudly_without_a_sender(self):
         _, receiver = _wire_process_comms(timeout=0.2)
         with pytest.raises(RuntimeError, match="no halo pack from rank 0 for micro step 0"):
             receiver.recv(src=0, dst=1, tag=0)
-
-    def test_timeout_error_reports_unflushed_staged_sends(self):
-        # a stage that never flushed is a schedule bug, not a dead peer --
-        # the timeout diagnostics must say so (and how much never travelled)
-        sender, _ = _wire_process_comms(timeout=0.2)
-        sender.send(np.zeros(3), src=0, dst=1, tag=0)
-        sender.send(np.zeros(3), src=0, dst=1, tag=1)
-        with pytest.raises(
-            RuntimeError, match=r"2 staged pack\(s\) of micro step\(s\) \[0, 1\].*never\s+flushed"
-        ):
-            sender.recv(src=1, dst=0, tag=0)
-
-    def test_mixed_shape_payloads_flush_in_fifo_order(self):
-        # one destination, one micro step, three payloads of two different
-        # shapes (mixed-width fused groups): np.stack over the whole stage
-        # used to raise ValueError here
-        sender, receiver = _wire_process_comms()
-        sender.send(np.full((9, 2), 1.0), src=0, dst=1, tag=0)
-        sender.send(np.full((9, 4), 2.0), src=0, dst=1, tag=1)
-        sender.send(np.full((9, 2), 3.0), src=0, dst=1, tag=0)
-        sender.flush()
-        assert receiver.recv(0, 1, tag=0)[0, 0] == 1.0
-        wide = receiver.recv(0, 1, tag=1)
-        assert wide.shape == (9, 4) and wide[0, 0] == 2.0
-        assert receiver.recv(0, 1, tag=0)[0, 0] == 3.0
-        assert receiver.all_delivered()
-
-    def test_ingest_copies_release_the_stacked_batch(self):
-        # a `stacked[index]` view would pin the whole unpickled batch alive
-        # until its last message is consumed; ingest must copy instead
-        sender, receiver = _wire_process_comms()
-        for tag in range(4):
-            sender.send(np.full((2, 3), float(tag)), src=0, dst=1, tag=tag)
-        sender.flush()
-        first = receiver.recv(0, 1, tag=0)
-        assert first.base is None  # an owned copy, not a view of the batch
-        for mailbox in receiver._mailboxes.values():
-            for message in mailbox:
-                assert message.base is None
 
     def test_endpoint_validation(self):
         sender, receiver = _wire_process_comms()

@@ -20,7 +20,13 @@ import numpy as np
 import pytest
 
 from repro.kernels.backend import KERNEL_KINDS
-from repro.observability import merge_snapshots, validate_chrome_trace
+from repro.observability import (
+    PHASE_REGIONS,
+    build_report,
+    merge_snapshots,
+    read_ledger,
+    validate_chrome_trace,
+)
 from repro.scenarios import ScenarioRunner, get_scenario, make_runner
 from repro.scenarios.cli import main as cli_main
 
@@ -203,6 +209,35 @@ class TestCrossRankMerge:
         assert block["recv_wait_s"] >= 0.0
         lanes = {lane["lane"] for lane in block["lanes"]}
         assert lanes >= {f"rank {rank}" for rank in range(n_ranks)} | {"driver"}
+
+    def test_the_receive_wait_reads_the_same_three_ways(self, tmp_path):
+        """The ledger's per-cycle waits summed over cycles and lanes, the
+        summary's ``telemetry.recv_wait_s`` and the report's
+        ``overlap.exposed_wait_s`` are one quantity."""
+        out_dir = tmp_path / "out"
+        assert cli_main([
+            "run", "loh3", "--smoke", "--ranks", "2",
+            "--events", str(out_dir / "run.jsonl"), "--output-dir", str(out_dir),
+            "--quiet",
+        ]) == 0
+        ledger = sum(
+            wait
+            for record in read_ledger(out_dir / "run.jsonl")
+            if record.get("kind") == "cycle"
+            for wait in record.get("recv_wait_s", {}).values()
+        )
+        summary = json.loads((out_dir / "run_summary.json").read_text())
+        (run,) = build_report([out_dir])["runs"]
+        exposed = run["blocks"]["overlap"]["exposed_wait_s"]
+        assert summary["telemetry"]["recv_wait_s"] > 0.0
+        assert ledger == pytest.approx(summary["telemetry"]["recv_wait_s"], rel=1e-9)
+        assert exposed == pytest.approx(summary["telemetry"]["recv_wait_s"], rel=1e-9)
+
+    def test_every_phase_region_is_recorded(self, tiny_loh3, single_rank_telemetry):
+        _, single = single_rank_telemetry
+        dist = make_runner(tiny_loh3.with_overrides(n_ranks=2, telemetry=True))
+        recorded = set(single["telemetry"]["regions"]) | set(dist.run()["telemetry"]["regions"])
+        assert set(PHASE_REGIONS) <= recorded, set(PHASE_REGIONS) - recorded
 
     def test_process_backend_merge_survives_worker_release(self, tiny_loh3):
         dist = make_runner(tiny_loh3.with_overrides(n_ranks=2, telemetry=True))
