@@ -37,6 +37,7 @@ __all__ = [
     "RunLedger",
     "Heartbeat",
     "git_revision",
+    "canonical_sha256",
     "spec_content_hash",
     "provenance_block",
     "host_block",
@@ -114,15 +115,17 @@ def git_revision() -> str | None:
     return None
 
 
-def spec_content_hash(spec) -> str:
-    """SHA-256 of the spec's canonical JSON form.
-
-    Key-sorted and whitespace-free, so the hash identifies the scenario
-    *content* independently of dict ordering or formatting -- the key the
-    future sweep service's preprocessing cache and manifests use.
-    """
-    canonical = json.dumps(spec.to_dict(), sort_keys=True, separators=(",", ":"))
+def canonical_sha256(data) -> str:
+    """SHA-256 of JSON-native ``data``, key-sorted and whitespace-free: the
+    one content digest of specs, results, cache stages and sweeps."""
+    canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def spec_content_hash(spec) -> str:
+    """SHA-256 of the spec's canonical JSON form: the identity ledgers, run
+    summaries and sweep manifests record."""
+    return canonical_sha256(spec.to_dict())
 
 
 def provenance_block(spec) -> dict:

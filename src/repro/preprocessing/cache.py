@@ -1,45 +1,33 @@
-"""Content-addressed preprocessing cache.
+"""Content-addressed, in-process preprocessing store.
 
-The paper's fused-simulation and clustered-LTS arguments are amortization
-arguments: many related runs should share setup cost.  This module makes
-that sharing concrete for the preprocessing pipeline of
-:func:`~repro.scenarios.runner.build_setup`: each stage -- mesh, materials,
+Many related runs should share setup cost.  Each stage of the preprocessing
+pipeline of :func:`~repro.scenarios.runner.build_setup` -- mesh, materials,
 LTS clustering, weighted partition / reordering -- is keyed by a SHA-256
-over *only the spec fields that determine its result* and persisted as an
-``.npz`` under a cache directory.  A 1000-member source ensemble on a
-shared mesh therefore pays mesh, lambda-search and partition cost once: the
-source location is not part of any stage key, so every member after the
-first loads bit-identical arrays from disk.  The assembled kernel operators
-are deliberately *not* a stage: since the batched assembly they are built
-faster than their ~13 kB per element load from disk (README, "The
-preprocessing cache").
+over *only the spec fields that determine its result* (see
+:func:`stage_key_fields`), so a source ensemble on a shared mesh pays mesh,
+lambda-search and partition cost once and every later member unpacks
+bit-identical arrays.  The assembled operators are *not* a stage: they are
+~13 kB per element, the bulk of a run's memory, and assembled faster than
+they ever loaded from disk.
 
-Stage keys deliberately do NOT reuse
-:func:`repro.observability.events.spec_content_hash`, which hashes the
-whole spec including the ``output`` observability block -- two runs that
-differ only in ``--events`` must share every cache entry.  The
-``output``-insensitive whole-spec hash is :func:`result_content_hash`, the
-identity under which sweep manifests compare members against standalone
-runs.
+There is one store per root per process, a module-level dict keyed by the
+root path: every :class:`PreprocessingCache` on one root shares its
+entries, a new root starts cold, and forked sweep workers inherit what their
+parent stored before the fork.  Nothing is written to disk, so nothing
+outlives the process (README, "Sweeps & preprocessing cache", measures what
+that costs), and nothing is evicted: a process keeps every entry it stored
+(under 1 MB for a 7200-element mesh).
 
-Key derivation starts from ``spec.to_dict()`` -- the defaults-filled,
-JSON-native form -- and serialises key-sorted, so field order, tuple/list
-representation and defaulted-vs-explicit values cannot split the cache.
-
-All writes are atomic (tmp file + ``os.replace``), so concurrent sweep
-workers can share one cache directory: the worst race is building the same
-artifact twice, never reading a torn file.  An artifact that does not load
-anyway (truncated by a full disk, bit rot) is renamed aside, counted and
-rebuilt -- one bad file must not crash every run that hits its key.
+Keys hash ``spec.to_dict()`` -- defaults filled, JSON-native -- with
+:func:`~repro.observability.events.canonical_sha256`; unlike
+:func:`~repro.observability.events.spec_content_hash` they never see the
+``output`` block, so ``--events`` never splits the cache.
+:func:`result_content_hash` is the ``output``-insensitive whole-spec hash
+under which sweep manifests compare members against standalone runs.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-import zipfile
-from contextlib import suppress
 from pathlib import Path
 
 import numpy as np
@@ -47,9 +35,9 @@ import numpy as np
 from ..core.clustering import Clustering
 from ..equations.material import MaterialTable
 from ..mesh.tet_mesh import TetMesh
+from ..observability.events import canonical_sha256
 
 __all__ = [
-    "CACHE_FORMAT_VERSION",
     "STAGES",
     "result_content_hash",
     "stage_key_fields",
@@ -60,22 +48,11 @@ __all__ = [
     "warm_preprocessing",
 ]
 
-#: bumped whenever a stage's serialised layout (or anything influencing its artifact
-#: bytes) changes; part of every stage key, so stale cache directories miss instead of
-#: poisoning new runs (3: the partition stage's content changed under an unchanged key --
-#: recursive bisection replaced the index-range split; 4: the ``operators`` stage is gone;
-#: 5: the partition stage holds only the partitions and the -- now cluster-major, (cluster,
-#: partition, role, id) -- permutation; 6: it partitions the cluster-ordered graph, puts
-#: boundary elements first and serves multi-rank runs)
-CACHE_FORMAT_VERSION = 6
-
 #: the cacheable pipeline stages, in dependency order
 STAGES = ("mesh", "materials", "clustering", "partition")
 
-
-def _canonical_hash(payload: dict) -> str:
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+#: root path -> that root's entries, ``(stage, key) -> {name: read-only array}``
+_STORES: dict[Path, dict] = {}
 
 
 def result_content_hash(spec) -> str:
@@ -88,12 +65,7 @@ def result_content_hash(spec) -> str:
     """
     data = spec.to_dict()
     data.pop("output", None)
-    return _canonical_hash(data)
-
-
-# ---------------------------------------------------------------------------
-# per-stage key fields
-# ---------------------------------------------------------------------------
+    return canonical_sha256(data)
 
 
 def stage_key_fields(spec, stage: str) -> dict:
@@ -139,9 +111,7 @@ def stage_key_fields(spec, stage: str) -> dict:
 
 def stage_key(spec, stage: str) -> str:
     """The content-address of one stage: SHA-256 over its key fields."""
-    return _canonical_hash(
-        {"stage": stage, "format": CACHE_FORMAT_VERSION, **stage_key_fields(spec, stage)}
-    )
+    return canonical_sha256({"stage": stage, **stage_key_fields(spec, stage)})
 
 
 def needed_stage_keys(spec) -> list[tuple[str, str]]:
@@ -151,118 +121,98 @@ def needed_stage_keys(spec) -> list[tuple[str, str]]:
     return [(stage, stage_key(spec, stage)) for stage in stages]
 
 
-# ---------------------------------------------------------------------------
-# the cache
-# ---------------------------------------------------------------------------
+#: the object each loaded stage is built as, and the attributes its entry packs
+_PACKED = {
+    "mesh": (TetMesh, ("vertices", "elements", "boundary_tags")),
+    "materials": (MaterialTable, ("rho", "vp", "vs", "qp", "qs")),
+    "clustering": (Clustering, ("cluster_ids", "cluster_time_steps", "lam", "dt_min")),
+}
+
+
+def _copied(value, writeable: bool):
+    """A copy of an array (a scalar as it is), read-only unless ``writeable``."""
+    if not isinstance(value, np.ndarray):
+        return value
+    copy = np.array(value)
+    copy.flags.writeable = writeable
+    return copy
 
 
 class PreprocessingCache:
-    """Content-addressed, on-disk store of preprocessing stage artifacts.
+    """The preprocessing stage artifacts of one root, kept in this process.
 
-    Layout: ``<root>/<stage>/<key>.npz``, one file per artifact.  Loads and
-    stores are counted per stage in :attr:`stats` (``corrupt`` counts the
-    artifacts that failed to load and were quarantined as
-    ``<key>.corrupt.<pid>``; each is also a miss); sweep workers report the
-    per-member delta (:meth:`snapshot` / :func:`diff_stats`) into the sweep
-    manifest, which is how "preprocessing was paid exactly once" becomes a
-    checkable claim rather than a hope.
+    Every cache on one root shares :attr:`entries` (the root's store).  An
+    entry holds read-only copies of the arrays a stage packs, and a hit
+    unpacks fresh copies into a new object, so no run can change what the
+    next one reads.  Loads are counted per stage in :attr:`stats`; sweep
+    workers report the per-member delta (:meth:`snapshot` /
+    :func:`diff_stats`) into the sweep manifest, which is how
+    "preprocessing was paid exactly once" becomes a checkable claim rather
+    than a hope.
     """
 
     def __init__(self, root):
-        self.root = Path(root)
-        self.stats: dict[str, dict[str, int]] = {
-            stage: {"hits": 0, "misses": 0, "corrupt": 0} for stage in STAGES
-        }
+        self.root = Path(root).resolve()
+        self.entries: dict = _STORES.setdefault(self.root, {})
+        self.stats = {stage: {"hits": 0, "misses": 0} for stage in STAGES}
 
-    # -- bookkeeping -----------------------------------------------------
     def snapshot(self) -> dict:
         """A deep copy of the counters (for delta accounting)."""
         return {stage: dict(counts) for stage, counts in self.stats.items()}
 
-    def _count(self, stage: str, hit: bool) -> None:
-        self.stats[stage]["hits" if hit else "misses"] += 1
-
-    def _path(self, stage: str, key: str) -> Path:
-        return self.root / stage / f"{key}.npz"
-
-    def _store(self, stage: str, key: str, arrays: dict) -> None:
-        path = self._path(stage, key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        # atomic publish: concurrent workers may race to build the same
-        # artifact, but a reader can never observe a torn file
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        with open(tmp, "wb") as handle:
-            np.savez(handle, **arrays)
-        os.replace(tmp, path)
+    def is_warm(self, spec) -> bool:
+        """Whether every stage artifact the spec needs is already stored."""
+        return all(entry in self.entries for entry in needed_stage_keys(spec))
 
     def _load(self, stage: str, key: str) -> dict | None:
-        path = self._path(stage, key)
-        try:
-            with np.load(path) as data:
-                return {name: data[name] for name in data.files}
-        except FileNotFoundError:
+        """Fresh copies of a stage's stored arrays (``None`` on a miss), counted."""
+        stored = self.entries.get((stage, key))
+        self.stats[stage]["misses" if stored is None else "hits"] += 1
+        if stored is None:
             return None
-        except (OSError, ValueError, EOFError, zipfile.BadZipFile):
-            # quarantine and report a miss: the caller rebuilds and
-            # re-stores (a concurrent worker may have moved it already)
-            with suppress(FileNotFoundError):
-                os.replace(path, path.with_suffix(f".corrupt.{os.getpid()}"))
-            self.stats[stage]["corrupt"] += 1
-            return None
+        return {name: _copied(value, True) for name, value in stored.items()}
 
-    def is_warm(self, spec) -> bool:
-        """Whether every stage artifact the spec needs already exists on disk."""
-        return all(self._path(stage, key).exists() for stage, key in needed_stage_keys(spec))
+    def _store(self, stage: str, key: str, arrays: dict) -> None:
+        self.entries[stage, key] = {
+            name: _copied(value, False) for name, value in arrays.items()
+        }
 
-    # -- stages ----------------------------------------------------------
-    def _load_or_build(self, stage: str, spec, build, pack, unpack):
-        """``unpack`` the stored arrays of a stage, or ``build()`` the object
-        and persist what ``pack`` makes of it."""
+    def _load_or_build(self, stage: str, spec, build):
+        """Unpack a stage's stored arrays into a new object, or ``build()``
+        the object and store its packed attributes."""
+        kind, fields = _PACKED[stage]
         key = stage_key(spec, stage)
         stored = self._load(stage, key)
-        self._count(stage, hit=stored is not None)
         if stored is not None:
-            return unpack(stored)
+            return kind(**stored)
         built = build()
-        self._store(stage, key, pack(built))
+        self._store(stage, key, {name: getattr(built, name) for name in fields})
         return built
 
+    # -- stages ----------------------------------------------------------
     def mesh(self, spec, build) -> TetMesh:
-        """Load the mesh stage, or ``build()`` and persist it."""
-        fields = ("vertices", "elements", "boundary_tags")
-        return self._load_or_build(
-            "mesh", spec, build,
-            lambda mesh: {name: getattr(mesh, name) for name in fields},
-            lambda stored: TetMesh(**stored),
-        )
+        """Load the mesh stage, or ``build()`` and store it."""
+        return self._load_or_build("mesh", spec, build)
 
     def materials(self, spec, build) -> MaterialTable:
-        """Load the materials stage, or ``build()`` and persist it."""
-        fields = ("rho", "vp", "vs", "qp", "qs")
-        return self._load_or_build(
-            "materials", spec, build,
-            lambda table: {name: getattr(table, name) for name in fields},
-            lambda stored: MaterialTable(**stored),
-        )
+        """Load the materials stage, or ``build()`` and store it."""
+        return self._load_or_build("materials", spec, build)
 
     def discretization(self, mesh, materials, **kwargs):
         """Assemble the :class:`~repro.kernels.discretization.Discretization`
         of a cached run.
 
-        Not a cached stage: the operators are assembled faster than they
-        load (see the module docstring).  The method stays as the named
-        boundary between the cached stages and operator assembly, which
-        setup tracers substitute by name.
+        Not a cached stage (see the module docstring): the method stays as
+        the named boundary between the cached stages and operator assembly,
+        which setup tracers substitute by name.
         """
         from ..kernels.discretization import Discretization
 
         return Discretization(mesh, materials, **kwargs)
 
     def clustering(self, spec, derive) -> Clustering:
-        """Load the clustering stage, or ``derive()`` and persist it."""
-        return self._load_or_build(
-            "clustering", spec, derive, _clustering_arrays, _clustering_from
-        )
+        """Load the clustering stage, or ``derive()`` and store it."""
+        return self._load_or_build("clustering", spec, derive)
 
     def partition(self, spec) -> dict | None:
         """The cached partition/reordering stage, or ``None`` on a miss.
@@ -270,38 +220,14 @@ class PreprocessingCache:
         Returns ``{"partitions", "permutation"}`` in *original* element
         order; the caller applies the permutation (cheap) before assembly.
         """
-        stored = self._load("partition", stage_key(spec, "partition"))
-        self._count("partition", hit=stored is not None)
-        return stored
+        return self._load("partition", stage_key(spec, "partition"))
 
     def store_partition(self, spec, *, partitions, permutation) -> None:
-        """Persist the partition/reordering stage."""
-        self._store(
-            "partition",
-            stage_key(spec, "partition"),
-            {
-                "partitions": np.asarray(partitions, dtype=np.int64),
-                "permutation": np.asarray(permutation, dtype=np.int64),
-            },
-        )
-
-
-def _clustering_arrays(clustering: Clustering) -> dict:
-    return {
-        "cluster_ids": clustering.cluster_ids,
-        "cluster_time_steps": clustering.cluster_time_steps,
-        "lam": np.float64(clustering.lam),
-        "dt_min": np.float64(clustering.dt_min),
-    }
-
-
-def _clustering_from(stored: dict) -> Clustering:
-    return Clustering(
-        cluster_ids=stored["cluster_ids"],
-        cluster_time_steps=stored["cluster_time_steps"],
-        lam=float(stored["lam"]),
-        dt_min=float(stored["dt_min"]),
-    )
+        """Store the partition/reordering stage."""
+        self._store("partition", stage_key(spec, "partition"), {
+            "partitions": np.asarray(partitions, dtype=np.int64),
+            "permutation": np.asarray(permutation, dtype=np.int64),
+        })
 
 
 def diff_stats(before: dict, after: dict) -> dict:
@@ -317,15 +243,14 @@ def diff_stats(before: dict, after: dict) -> dict:
 
 
 def warm_preprocessing(spec, cache: PreprocessingCache) -> dict:
-    """Build (or touch) every stage artifact a spec needs; returns the
+    """Build (or hit) every stage artifact a spec needs; returns the
     per-stage hit/miss delta.
 
     The sweep orchestrator calls this once per unique preprocessing
-    signature *before* starting its workers, so a shared-mesh ensemble pays
-    mesh/clustering/partition cost exactly once -- in the parent -- and every
-    member run is a pure cache hit regardless of worker count.  Only the
-    preprocessing stages run: no operators are assembled and no solver is
-    constructed.
+    signature *before* forking its workers, so a shared-mesh ensemble pays
+    mesh/clustering/partition cost exactly once -- in the parent, whose store
+    the workers inherit -- and every member run is a pure cache hit.  Only
+    the preprocessing stages run: no operators, no solver.
     """
     from ..scenarios.runner import preprocess_setup, staged_setup
 

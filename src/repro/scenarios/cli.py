@@ -234,17 +234,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sweep name recorded in the manifest "
                             "(default: <base>-sweep)")
     sweep.add_argument("--out", required=True, metavar="DIR",
-                       help="sweep output tree: manifest.jsonl, cache/, "
+                       help="sweep output tree: manifest.jsonl, "
                             "members/<id>/")
     sweep.add_argument("--workers", type=int, default=2, metavar="N",
                        help="worker processes, each handed one member or "
                             "fused group at a time; a crashed worker's unit "
                             "is always re-queued (default 2; 0 runs every "
                             "unit in this process)")
-    sweep.add_argument("--cache-dir", metavar="DIR",
-                       help="shared preprocessing cache directory "
-                            "(default: <out>/cache; point several sweeps at "
-                            "one directory to share artifacts across sweeps)")
     sweep.add_argument("--fuse", action="store_true",
                        help="collapse members that differ only in fusable "
                             "source axes (time function, moment tensor, "
@@ -475,7 +471,6 @@ def _cmd_sweep(args) -> int:
             sweep,
             args.out,
             workers=args.workers,
-            cache_dir=args.cache_dir,
             resume=args.resume,
             events=args.events,
             retries=args.retries,

@@ -12,7 +12,8 @@ the stepper of that clustering -- the clustered solver, or a multi-rank engine
 on the setup's partitions (:func:`repro.distributed.build_engine`); both
 implement the stepper protocol of :mod:`repro.core.stepper`, so the runner
 never asks what it steps -- and drives a macro-cycle loop with wall-clock
-and element-update accounting.
+and element-update accounting.  With a preprocessing cache (an in-process
+store) the setup is bit-identical, and its operators are still assembled.
 
 Checkpoint/restart serialises the complete dynamic state of a run -- DOFs,
 simulation time, update count and the receiver recordings -- at macro-cycle

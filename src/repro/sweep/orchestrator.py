@@ -3,17 +3,18 @@
 :func:`run_sweep` expands a :class:`~repro.sweep.spec.SweepSpec` into
 schedulable units and runs them through one scheduling loop over a pool of
 persistent worker processes.  The parent owns the manifest (only the parent
-writes, so rows are totally ordered) and the preprocessing cache directory
-is shared by everyone:
+writes, so rows are totally ordered) and the in-process preprocessing
+store, which the forked workers inherit:
 
 1. **Prewarm** -- the parent builds every missing stage artifact once per
    unique preprocessing signature *before* the pool starts, so a
    shared-mesh ensemble pays mesh/clustering/partition cost exactly once no
    matter how many workers run.  The prewarm's cache misses and each
-   member's pure-hit counters land in the manifest as proof.
+   member's pure-hit counters land in the manifest as proof.  The store
+   lives with the process: a sweep resumed in a new one prewarms again.
 2. **Shard** -- the parent hands each idle worker one unit at a time over
    that worker's own pipe; the worker runs it through
-   :func:`~repro.sweep.fuse.run_unit` with the shared cache (each member
+   :func:`~repro.sweep.fuse.run_unit` with its inherited cache (each member
    possibly itself multi-rank on forked rank workers), writes its
    artefacts under ``members/<id>/`` (and ``fused/<group>/``) and replies
    on the same pipe.  The workers are a
@@ -45,7 +46,6 @@ schedulable unit is then a *group*; manifest rows, resume decisions and
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import time
 import traceback
@@ -53,7 +53,7 @@ from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..observability.events import spec_content_hash
+from ..observability.events import canonical_sha256, spec_content_hash
 from ..parallel.supervisor import WorkerPool
 from ..preprocessing.cache import (
     PreprocessingCache,
@@ -71,8 +71,7 @@ __all__ = ["run_sweep", "preprocessing_signature", "sweep_sha256"]
 
 def sweep_sha256(sweep: SweepSpec) -> str:
     """Content hash of the sweep definition (manifest <-> sweep pairing)."""
-    canonical = json.dumps(sweep.to_dict(), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return canonical_sha256(sweep.to_dict())
 
 
 def preprocessing_signature(spec: ScenarioSpec) -> str:
@@ -213,9 +212,10 @@ def run_sweep(
 ) -> dict:
     """Run (or resume) a sweep; returns the final tally.
 
-    Layout under ``out_dir``: ``manifest.jsonl``, the shared ``cache/``
-    (override with ``cache_dir``) and one ``members/<id>/`` directory per
-    member (run summary, seismograms, run ledger when ``events``).
+    Layout under ``out_dir``: ``manifest.jsonl`` and one ``members/<id>/``
+    directory per member (run summary, seismograms, run ledger when
+    ``events``).  ``cache_dir`` (default ``out_dir / "cache"``) names the
+    in-process preprocessing store; nothing is written there.
 
     ``resume=True`` with an existing manifest skips members already
     ``done`` and re-queues the rest; the manifest must belong to the same
@@ -327,16 +327,12 @@ def run_sweep(
         # shares every stage key with its members, so the signature set is
         # identical to the unfused sweep's
         cache = PreprocessingCache(cache_dir)
-        seen_signatures: set[str] = set()
         for unit in units:
-            sig = preprocessing_signature(unit.spec)
-            if sig in seen_signatures:
-                continue
-            seen_signatures.add(sig)
-            if cache.is_warm(unit.spec):
+            if cache.is_warm(unit.spec):  # an earlier unit or sweep warmed it
                 continue
             warm_start = time.perf_counter()
             stats = warm_preprocessing(unit.spec, cache)
+            sig = preprocessing_signature(unit.spec)
             manifest.prewarm(
                 signature=sig,
                 member=unit.members[0].member_id,

@@ -6,8 +6,8 @@ observability knobs never split the cache, and changing the mesh h or the
 material options misses exactly the stages whose result they determine.
 The bit-identity tests assert that cached runs are indistinguishable from
 uncached ones -- DOFs and all.  The assembled operators are not a stage:
-a cached run assembles them exactly once and stores nothing for them.  A
-damaged artifact is quarantined, counted and rebuilt.
+a cached run assembles them exactly once and stores nothing for them.  The
+store is in-process: one per root, read-only, and never a file.
 """
 
 import numpy as np
@@ -49,8 +49,8 @@ def all_stage_keys(spec):
     return {stage: stage_key(spec, stage) for stage in STAGES}
 
 
-HIT = {"hits": 1, "misses": 0, "corrupt": 0}
-MISS = {"hits": 0, "misses": 1, "corrupt": 0}
+HIT = {"hits": 1, "misses": 0}
+MISS = {"hits": 0, "misses": 1}
 
 
 class TestStageKeys:
@@ -179,7 +179,7 @@ class TestCacheBitIdentity:
             setup_a.clustering.cluster_time_steps, setup_b.clustering.cluster_time_steps
         )
 
-    def test_differing_mesh_h_misses_on_disk(self, tmp_path):
+    def test_differing_mesh_h_misses_in_the_store(self, tmp_path):
         cache = PreprocessingCache(tmp_path)
         warm_preprocessing(tiny_loh3(), cache)
         other = PreprocessingCache(tmp_path)
@@ -231,28 +231,8 @@ class TestCacheBitIdentity:
         second = PreprocessingCache(tmp_path)
         from_file = make_runner(spec, cache=second)
         assert all(second.stats[stage] == HIT for stage in STAGES)
-        assert len(list((tmp_path / "partition").iterdir())) == 1
+        assert [stage for stage, _ in second.entries].count("partition") == 1
         assert from_file.setup.partitions.max() == 1
-
-    def test_cache_written_at_an_older_format_version_is_a_miss(self, tmp_path, monkeypatch):
-        """Format 5 directories (whose partition stage partitioned the
-        generation-order graph and put boundary elements last) must miss,
-        not replay."""
-        from repro.preprocessing import cache as cache_module
-
-        spec = tiny_loh3().with_overrides(n_partitions=2, reorder=True)
-        assert cache_module.CACHE_FORMAT_VERSION == 6
-        monkeypatch.setattr(cache_module, "CACHE_FORMAT_VERSION", 5)
-        old_keys = all_stage_keys(spec)
-        warm_preprocessing(spec, PreprocessingCache(tmp_path))
-        assert PreprocessingCache(tmp_path).is_warm(spec)
-        monkeypatch.undo()
-
-        assert all(all_stage_keys(spec)[stage] != old_keys[stage] for stage in STAGES)
-        cache = PreprocessingCache(tmp_path)
-        assert not cache.is_warm(spec)
-        make_runner(spec, cache=cache)
-        assert all(cache.stats[stage] == MISS for stage in STAGES)
 
     @pytest.mark.parametrize("reorder", [False, True])
     def test_operators_are_assembled_once_and_never_stored(self, tmp_path, monkeypatch, reorder):
@@ -274,10 +254,7 @@ class TestCacheBitIdentity:
         warm = make_runner(spec, cache=warm_cache)
         assert len(built) == 2  # one per runner, cold or warm
         assert built[1] is warm.setup.disc
-        assert not (tmp_path / "operators").exists()
-        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-            stage for stage, _ in needed_stage_keys(spec)
-        )
+        assert sorted(warm_cache.entries) == sorted(needed_stage_keys(spec))
         assert all(c["misses"] == 0 for c in warm_cache.stats.values())
         for name, array in plain.setup.disc.operator_arrays().items():
             assert np.array_equal(array, cold.setup.disc.operator_arrays()[name]), name
@@ -339,58 +316,93 @@ class TestCacheBitIdentity:
         assert cache.is_warm(reordered)
 
 
-def _truncate(path):
-    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+class TestInProcessStore:
+    """One store per root per process: shared by every cache on the root,
+    read-only, unpacked into new objects on a hit, and never a file."""
 
-
-def _garbage(path):
-    path.write_bytes(b"not an npz archive at all\n" * 7)
-
-
-class TestCorruptArtifacts:
-    """One bad file must cost one rebuild, not every run that hits its key."""
-
-    @pytest.mark.parametrize("damage", [_truncate, _garbage])
-    @pytest.mark.parametrize("stage", STAGES)
-    def test_corrupt_artifact_is_quarantined_rebuilt_and_restored(self, tmp_path, stage, damage):
-        spec = tiny_loh3()
-        if stage == "partition":  # only a reordering run reads (or writes) it
-            spec = spec.with_overrides(n_partitions=2, reorder=True)
-        reference = make_runner(spec, cache=PreprocessingCache(tmp_path))
-        artifact = tmp_path / stage / f"{stage_key(spec, stage)}.npz"
-        with np.load(artifact) as data:
-            good = {name: data[name] for name in data.files}
-        damage(artifact)
-
-        cache = PreprocessingCache(tmp_path)
-        rebuilt = make_runner(spec, cache=cache)
-        assert cache.stats[stage] == {"hits": 0, "misses": 1, "corrupt": 1}
-        assert sum(c["corrupt"] for c in cache.stats.values()) == 1
-        quarantined = [p for p in artifact.parent.iterdir() if ".corrupt." in p.name]
-        assert [p.name.rpartition(".")[0] for p in quarantined] == [artifact.stem + ".corrupt"]
-        with np.load(artifact) as data:  # re-stored, bit for bit
-            assert sorted(data.files) == sorted(good)
-            assert all(np.array_equal(data[name], good[name]) for name in good)
-        assert np.array_equal(reference.setup.mesh.elements, rebuilt.setup.mesh.elements)
-        assert np.array_equal(reference.setup.materials.vs, rebuilt.setup.materials.vs)
-        assert np.array_equal(reference.clustering.cluster_ids, rebuilt.clustering.cluster_ids)
-
-        clean = PreprocessingCache(tmp_path)
-        make_runner(spec, cache=clean)
-        assert clean.stats[stage] == HIT
-        assert all(c["misses"] == 0 and c["corrupt"] == 0 for c in clean.stats.values())
-
-    def test_corrupt_counts_travel_in_the_stats_delta(self, tmp_path):
-        from repro.preprocessing.cache import diff_stats
-
-        spec = tiny_loh3()
-        warm_preprocessing(spec, PreprocessingCache(tmp_path))
-        _garbage(tmp_path / "mesh" / f"{stage_key(spec, 'mesh')}.npz")
-        cache = PreprocessingCache(tmp_path)
-        before = cache.snapshot()
+    def test_no_file_appears_under_the_root(self, tmp_path):
+        spec = tiny_loh3().with_overrides(n_partitions=2)
+        root = tmp_path / "store"
+        warm_preprocessing(spec, PreprocessingCache(root))
+        assert not root.exists()
+        cache = PreprocessingCache(root)
         build_setup(spec, cache=cache)
-        assert diff_stats(before, cache.snapshot()) == {
-            "mesh": {"hits": 0, "misses": 1, "corrupt": 1},
-            "materials": HIT,
-            "clustering": HIT,
-        }
+        assert all(c == HIT for c in cache.stats.values())
+        build_setup(tiny_loh3(characteristic_length=1000.0), cache=cache)
+        assert not root.exists()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_stored_arrays_are_read_only_and_a_hit_returns_new_objects(self, tmp_path):
+        spec = tiny_loh3().with_overrides(n_partitions=2)
+        cache = PreprocessingCache(tmp_path)
+        make_runner(spec, cache=cache)
+        assert sorted(cache.entries) == sorted(needed_stage_keys(spec))
+        stored = [a for entry in cache.entries.values() for a in entry.values()]
+        arrays = [a for a in stored if isinstance(a, np.ndarray)]
+        assert len(arrays) == len(stored) - 2  # the clustering's lam and dt_min are floats
+        assert not any(a.flags.writeable for a in arrays)
+
+        def never():
+            raise AssertionError("a hit must not build")
+
+        first, second = cache.mesh(spec, never), cache.mesh(spec, never)
+        assert first is not second
+        packed = cache.entries["mesh", stage_key(spec, "mesh")]
+        for name in ("vertices", "elements", "boundary_tags"):
+            a, b = getattr(first, name), getattr(second, name)
+            assert np.array_equal(a, packed[name]) and a.dtype == packed[name].dtype
+            assert a.flags.writeable
+            assert not np.shares_memory(a, b) and not np.shares_memory(a, packed[name])
+        clustering = cache.clustering(spec, never)
+        assert clustering.cluster_ids.flags.writeable
+        hit = cache.partition(spec)
+        assert hit is not cache.partition(spec)
+        assert all(array.flags.writeable for array in hit.values())
+
+        # what a miss built stays the caller's: the store keeps copies
+        fresh = PreprocessingCache(tmp_path / "fresh")
+        built = fresh.mesh(spec, lambda: first)
+        assert built is first and first.elements.flags.writeable
+        kept = fresh.entries["mesh", stage_key(spec, "mesh")]["elements"]
+        assert not np.shares_memory(kept, first.elements)
+
+    def test_writing_into_a_hit_leaves_the_store_intact(self, tmp_path):
+        """A caller may scribble on what a hit returns: the next hit, on any
+        cache of the root, still reads what the miss stored."""
+        spec = tiny_loh3().with_overrides(n_partitions=2)
+        cache = PreprocessingCache(tmp_path)
+        make_runner(spec, cache=cache)
+        before = {k: {n: np.copy(a) for n, a in e.items()} for k, e in cache.entries.items()}
+
+        def never():
+            raise AssertionError("a hit must not build")
+
+        mesh = cache.mesh(spec, never)
+        mesh.vertices += 1.0
+        mesh.elements[:] = 0
+        materials = cache.materials(spec, never)
+        materials.rho *= 2.0
+        clustering = cache.clustering(spec, never)
+        clustering.cluster_ids[:] = 0
+        for array in cache.partition(spec).values():
+            array[...] = 0
+
+        again = PreprocessingCache(tmp_path)
+        assert again.entries.keys() == before.keys()
+        for key, entry in again.entries.items():
+            for name, array in entry.items():
+                assert np.array_equal(array, before[key][name]), (key, name)
+        assert np.array_equal(
+            again.mesh(spec, never).vertices, before["mesh", stage_key(spec, "mesh")]["vertices"]
+        )
+
+    def test_caches_share_entries_per_root(self, tmp_path):
+        spec = tiny_loh3()
+        first = PreprocessingCache(tmp_path / "a")
+        warm_preprocessing(spec, first)
+        same_root = PreprocessingCache(tmp_path / "x" / ".." / "a")
+        assert same_root.entries is first.entries and same_root.is_warm(spec)
+        assert warm_preprocessing(spec, same_root) == {stage: HIT for stage in STAGES[:-1]}
+        other_root = PreprocessingCache(tmp_path / "b")
+        assert other_root.entries is not first.entries and not other_root.is_warm(spec)
+        assert warm_preprocessing(spec, other_root) == {stage: MISS for stage in STAGES[:-1]}

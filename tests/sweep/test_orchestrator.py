@@ -13,6 +13,7 @@ its error and no worker left behind.
 """
 
 import errno
+import hashlib
 import json
 import os
 import shutil
@@ -31,9 +32,12 @@ from repro.observability import (
     expand_report_paths,
     read_ledger,
     render_report,
+    spec_content_hash,
     validate_run_ledger,
 )
+from repro.observability.events import canonical_sha256
 from repro.parallel.supervisor import ORPHAN_POLL_S
+from repro.preprocessing.cache import result_content_hash
 from repro.scenarios import get_scenario
 from repro.scenarios.cli import main as cli_main
 from repro.scenarios.outputs import write_outputs
@@ -183,7 +187,7 @@ class TestInlineSweep:
         tally = run_sweep(sweep, clone, workers=0, resume=True)
         assert tally["skipped"] == 3
         assert tally["done"] == 1
-        assert tally["prewarmed"] == 0  # the copied cache is already warm
+        assert tally["prewarmed"] == 1  # the copied tree's store starts cold
         state = manifest_state(read_manifest(manifest))
         assert {m: r["status"] for m, r in state.items()} == {
             m: "done" for m in ("0000", "0001", "0002", "0003")
@@ -205,13 +209,46 @@ class TestInlineSweep:
         assert (tally["done"], tally["prewarmed"]) == (2, 1)
         records = read_manifest(tmp_path / "manifest.jsonl")
         (prewarm,) = [r for r in records if r["record"] == "prewarm"]
-        assert prewarm["cache"]["partition"] == {"hits": 0, "misses": 1, "corrupt": 0}
+        assert prewarm["cache"]["partition"] == {"hits": 0, "misses": 1}
         done = [r for r in records if r["record"] == "member" and r["status"] == "done"]
         assert len(done) == 2
         for row in done:
             assert sorted(row["cache"]) == ["clustering", "materials", "mesh", "partition"]
             for stage, counters in row["cache"].items():
                 assert counters["misses"] == 0 and counters["hits"] > 0, (row["member"], stage)
+
+
+class TestContentHashes:
+    def test_hashes_match_the_manifests_already_written(self):
+        """Spec, result and sweep hashes share one canonical-JSON digest;
+        these values were recorded before that refactor, so existing
+        ledgers and manifests still pair (a resume checks ``sweep_sha256``)."""
+        sweep = tiny_sweep(n=2, kernels="ref")  # no REPRO_KERNELS default
+        assert spec_content_hash(sweep.base) == (
+            "b7dcb57bb8c547dc347cc9ed05bf33189791128a3df45b519ac86ab5305b3efd"
+        )
+        assert result_content_hash(sweep.base) == (
+            "7cca4beb5ebbbaf4dfef13f68833c644560df64e7f2a2967f98ab508bed97d85"
+        )
+        assert orchestrator.sweep_sha256(sweep) == (
+            "81f56ecc6cce2179de91080b3327f4bd7b51e557f5fa5b03b373123f18fd273b"
+        )
+
+
+    def test_the_shared_digest_is_canonical(self):
+        """Key order and whitespace never change a digest, and every content
+        hash is the digest of its JSON-native form."""
+        assert canonical_sha256({"b": [1, 2.5], "a": {"y": None, "x": "s"}}) == (
+            canonical_sha256({"a": {"x": "s", "y": None}, "b": [1, 2.5]})
+        )
+        compact = '{"a":{"x":"s","y":null},"b":[1,2.5]}'
+        assert canonical_sha256({"b": [1, 2.5], "a": {"y": None, "x": "s"}}) == (
+            hashlib.sha256(compact.encode()).hexdigest()
+        )
+        sweep = tiny_sweep(n=2, kernels="ref")
+        assert spec_content_hash(sweep.base) == canonical_sha256(sweep.base.to_dict())
+        assert orchestrator.sweep_sha256(sweep) == canonical_sha256(sweep.to_dict())
+        assert canonical_sha256({"a": 1}) != canonical_sha256({"a": 2})
 
 
 class TestReportIntegration:
@@ -288,6 +325,33 @@ class TestArguments:
         assert cli_main(argv) == 2
         assert f"{name} must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "api").exists() and not out_dir.exists()
+
+    def test_the_cache_dir_flag_is_gone(self, tmp_path, capsys):
+        """The preprocessing store lives in the process: there is no
+        directory to point a sweep at."""
+        spec_path = tmp_path / "sweep.json"
+        spec_path.write_text(tiny_sweep().to_json())
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["sweep", "--spec", str(spec_path), "--out", str(tmp_path / "out"),
+                      "--cache-dir", str(tmp_path / "cache"), "--quiet"])
+        assert exit_info.value.code == 2
+        assert "--cache-dir" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists() and not (tmp_path / "cache").exists()
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_a_sweep_writes_no_cache_files(self, tmp_path, workers):
+        """``cache_dir`` names the in-process store: no file or directory
+        appears there, and the forked workers still only hit."""
+        store = tmp_path / "store"
+        tally = run_sweep(tiny_sweep(n=2), tmp_path / "out", workers=workers,
+                          cache_dir=store, events=False)
+        assert (tally["done"], tally["prewarmed"]) == (2, 1)
+        assert not store.exists()
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["manifest.jsonl", "members"]
+        for rows in _member_rows(tmp_path / "out").values():
+            done = rows[-1]
+            assert done["status"] == "done" and done["cache"], done
+            assert all(c["misses"] == 0 and c["hits"] > 0 for c in done["cache"].values())
 
 
 class TestPoolAndCrashes:
@@ -441,6 +505,10 @@ class TestPoolAndCrashes:
         state = manifest_state(records)
         assert all(state[m]["status"] == "done"
                    for m in ("0000", "0001", "0002", "0003"))
+        # the restarted worker is forked with the parent's warm store too
+        for member_id, record in state.items():
+            assert record["cache"], member_id
+            assert all(c["misses"] == 0 and c["hits"] > 0 for c in record["cache"].values())
 
     def test_multi_rank_members_fork_their_ranks_under_pool_workers(self, tmp_path):
         """Members on 2 and 4 ranks, each run by a pool worker that forks
@@ -512,7 +580,7 @@ class TestPoolAndCrashes:
         tally = json.loads(resumed.stdout)
         assert tally["skipped"] == 2
         assert tally["done"] == 2
-        assert tally["prewarmed"] == 0  # cache survived the kill too
+        assert tally["prewarmed"] == 1  # a new process starts with a cold store
 
         final = validate_manifest(manifest)
         assert final["complete"]
