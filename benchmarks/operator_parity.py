@@ -1,8 +1,12 @@
 """Operator-assembly parity between two checkouts of this repository.
 
 The batched setup path must reproduce what the per-face loops assembled:
-every array of ``Discretization.operator_arrays()`` and the element
-``locate_point`` picks for every source and receiver.  Because two versions
+every array of ``Discretization.operator_arrays()``, the reference-element
+operators every set reads (``k_time``, ``k_vol``, ``ftilde``, ``fhat`` in
+the set's precision, and the reference element's own ``neighbor_flux`` and
+``fsurf`` tables as ``ref.*``), the clustering each case steps (``lam``,
+``cluster_time_steps`` and ``cluster_ids``: the lambda search's output) and
+the element ``locate_point`` picks for every source and receiver.  Because two versions
 of ``repro`` cannot live in one interpreter, the check is two invocations::
 
     PYTHONPATH=<parent checkout>/src python benchmarks/operator_parity.py --dump parent.npz
@@ -27,8 +31,8 @@ proved an exact zero.
 The per-element arrays (one row per element) are written and compared in
 generation order (row ``i`` is generated element ``i``, through
 ``mesh.original_ids``), as ``state_parity.py`` compares DOFs, so a change
-of element order alone reads as 0 problems; located elements are
-generation ids too.
+of element order alone reads as 0 problems; cluster ids and located
+elements are in generation order too.
 
 ``--compare`` also checks, for every operator set of every case, that a
 rank's assembly (``Discretization.restricted`` on each side of the case's
@@ -95,6 +99,30 @@ def generation_ordered(disc) -> dict:
     return {
         name: array[rows] if name in PER_ELEMENT else array
         for name, array in disc.operator_arrays().items()
+    }
+
+
+#: the precision-cast reference-element operators of an operator set
+REFERENCE_OPERATORS = ("k_time", "k_vol", "ftilde", "fhat")
+#: the reference element's own tables, compared as ``ref.<name>``
+REFERENCE_TABLES = ("neighbor_flux", "fsurf")
+
+
+def reference_arrays(disc) -> dict:
+    """The reference-element operators ``disc`` reads, by name."""
+    arrays = {name: getattr(disc, name) for name in REFERENCE_OPERATORS}
+    arrays.update({f"ref.{name}": getattr(disc.ref, name) for name in REFERENCE_TABLES})
+    return arrays
+
+
+def clustering_arrays(setup) -> dict:
+    """The clustering ``setup`` steps: its lambda, cluster time steps and
+    per-element cluster ids in generation order."""
+    clustering = setup.clustering
+    return {
+        "lam": np.float64(clustering.lam),
+        "cluster_time_steps": clustering.cluster_time_steps,
+        "cluster_ids": clustering.cluster_ids[np.argsort(setup.mesh.original_ids)],
     }
 
 
@@ -166,9 +194,10 @@ def _operator_sets(spec, setup):
 def operator_sets(problems: list | None = None):
     """Yield ``(group, {"<group>/<array>": array})`` for every operator set
     of every case of this checkout, one set at a time (``group`` is
-    ``<case>/<set>``), and after a case's sets its ``<case>/located``
-    elements; with ``problems`` given, every operator set's
-    :func:`restricted_problems` are appended to it."""
+    ``<case>/<set>``; its arrays and its :func:`reference_arrays`), and
+    after a case's sets its ``<case>/clustering`` (:func:`clustering_arrays`)
+    and its ``<case>/located`` elements; with ``problems`` given, every
+    operator set's :func:`restricted_problems` are appended to it."""
     for case, spec in _specs().items():
         setup = build_setup(spec.with_overrides(n_partitions=1, reorder=False))
         partitions = two_partitions(spec) if problems is not None else None
@@ -177,11 +206,15 @@ def operator_sets(problems: list | None = None):
             group = f"{case}/{name}"
             if problems is not None:
                 problems += restricted_problems(group, disc, partitions)
-            arrays = {f"{group}/{key}": array for key, array in generation_ordered(disc).items()}
+            arrays = {f"{group}/{key}": array
+                      for key, array in (generation_ordered(disc) | reference_arrays(disc)).items()}
             del disc
             n_sets += 1
             yield group, arrays
             del arrays
+        yield f"{case}/clustering", {
+            f"{case}/clustering/{key}": array for key, array in clustering_arrays(setup).items()
+        }
         points = dict(setup.receiver_locations)
         if spec.source is not None:
             points["source"] = spec.source.location

@@ -131,14 +131,15 @@ class ReferenceElement:
     # ------------------------------------------------------------------
     # face operators
     # ------------------------------------------------------------------
-    def face_parametrization(self, face: int | tuple, uv: np.ndarray) -> np.ndarray:
+    def face_parametrization(self, face: int | tuple | np.ndarray, uv: np.ndarray) -> np.ndarray:
         """Map reference-triangle points ``uv`` onto reference-tet face
-        ``face``: a face id, or a vertex triple of
-        :data:`NEIGHBOR_ORIENTATIONS`."""
+        ``face``: a face id, a vertex triple of :data:`NEIGHBOR_ORIENTATIONS`,
+        or an array ``(..., 3)`` of triples (one point set per triple)."""
         vertex_ids = FACE_VERTEX_IDS[face] if np.ndim(face) == 0 else face
-        a, b, c = (REFERENCE_VERTICES[i] for i in vertex_ids)
+        vertices = REFERENCE_VERTICES[np.asarray(vertex_ids)][..., None, :]  # (..., 3, 1, 3)
+        a, b, c = vertices[..., 0, :, :], vertices[..., 1, :, :], vertices[..., 2, :, :]
         uv = np.atleast_2d(np.asarray(uv, dtype=np.float64))
-        return a[None, :] + uv[:, 0:1] * (b - a)[None, :] + uv[:, 1:2] * (c - a)[None, :]
+        return a + uv[:, 0:1] * (b - a) + uv[:, 1:2] * (c - a)
 
     def _assemble_face_operators(self) -> None:
         quad = self.face_quadrature
@@ -146,9 +147,11 @@ class ReferenceElement:
         chi = self.face_basis.evaluate(quad.points)  # (nqf, F)
         self.face_basis_at_quad = chi
 
-        # F̄ of every orientation; F̃_i is the one of face i's own vertex triple
-        psi = {t: self.basis.evaluate(self.face_parametrization(t, quad.points))
-               for t in NEIGHBOR_ORIENTATIONS}
+        # F̄ of every orientation; F̃_i is the one of face i's own vertex triple.
+        # The basis is evaluated once, on the stacked points of all of them.
+        points = self.face_parametrization(NEIGHBOR_ORIENTATIONS, quad.points)
+        values = self.basis.evaluate(points.reshape(-1, 3)).reshape(len(points), len(w), -1)
+        psi = dict(zip(NEIGHBOR_ORIENTATIONS, values))
         self.neighbor_flux = np.stack(
             [np.einsum("q,qb,qf->bf", w, psi[t], chi) for t in NEIGHBOR_ORIENTATIONS]
         )
@@ -158,9 +161,7 @@ class ReferenceElement:
         self.fsurf = np.stack(
             [np.einsum("q,qb,qc->bc", w, psi[t], psi[t]) for t in FACE_VERTEX_IDS]
         )
-        self.face_quad_points = np.stack(
-            [self.face_parametrization(i, quad.points) for i in range(4)]
-        )
+        self.face_quad_points = self.face_parametrization(FACE_VERTEX_IDS, quad.points)
 
     # ------------------------------------------------------------------
     # helpers

@@ -6,6 +6,7 @@ import pytest
 from repro.basis.quadrature import triangle_quadrature
 from repro.basis.reference_element import (
     FACE_VERTEX_IDS,
+    NEIGHBOR_ORIENTATIONS,
     REFERENCE_VERTICES,
     ReferenceElement,
     reference_element,
@@ -94,6 +95,41 @@ class TestFaceOperators:
             pts = ref_elem.face_parametrization(i, quad.points)
             trace_direct = coeffs @ ref_elem.basis.evaluate(pts).T
             np.testing.assert_allclose(trace_from_face, trace_direct, atol=1e-9)
+
+
+def per_orientation_tables(ref) -> dict:
+    """The face tables built one orientation at a time: one basis evaluation
+    and one quadrature sum per vertex triple."""
+
+    def points(vertex_ids, uv):
+        a, b, c = (REFERENCE_VERTICES[i] for i in vertex_ids)
+        return a[None, :] + uv[:, 0:1] * (b - a)[None, :] + uv[:, 1:2] * (c - a)[None, :]
+
+    quad = ref.face_quadrature
+    w, chi = quad.weights, ref.face_basis.evaluate(quad.points)
+    psi = {t: ref.basis.evaluate(points(t, quad.points)) for t in NEIGHBOR_ORIENTATIONS}
+    neighbor_flux = np.stack(
+        [np.einsum("q,qb,qf->bf", w, psi[t], chi) for t in NEIGHBOR_ORIENTATIONS]
+    )
+    ftilde = neighbor_flux[[NEIGHBOR_ORIENTATIONS.index(t) for t in FACE_VERTEX_IDS]]
+    return {
+        "neighbor_flux": neighbor_flux,
+        "ftilde": ftilde,
+        "fhat": np.stack([ft.T @ ref.inv_mass for ft in ftilde]),
+        "fsurf": np.stack([np.einsum("q,qb,qc->bc", w, psi[t], psi[t]) for t in FACE_VERTEX_IDS]),
+        "face_quad_points": np.stack([points(t, quad.points) for t in FACE_VERTEX_IDS]),
+    }
+
+
+@pytest.mark.parametrize("order", range(1, 7))
+def test_face_tables_are_the_per_orientation_construction(order):
+    """Evaluating the basis once on the points of all 24 orientations gives
+    the same bytes as one evaluation per orientation."""
+    ref = ReferenceElement(order)
+    for name, expected in per_orientation_tables(ref).items():
+        ours = getattr(ref, name)
+        assert ours.shape == expected.shape and ours.dtype == expected.dtype, name
+        assert ours.tobytes() == expected.tobytes(), name
 
 
 class TestProjection:

@@ -82,3 +82,29 @@ def test_a_reordered_set_compares_equal_in_generation_order():
     partitions = parity.two_partitions(spec)
     assert sorted(np.unique(partitions)) == [0, 1]
     assert parity.restricted_problems("case/reordered", reordered, partitions) == []
+
+
+def test_the_stepped_clustering_compares_in_generation_order():
+    """The lambda search's output is dumped as ``<case>/clustering``: a
+    reorder alone is no problem, another lambda or a moved element is."""
+    spec = get_scenario("loh3", extent_m=4000.0, characteristic_length=2000.0, order=2)
+    assert spec.clustering.lam is None  # the setup runs the search
+    plain, reordered = (build_setup(spec.with_overrides(n_partitions=n)) for n in (1, 2))
+    assert not np.array_equal(plain.mesh.original_ids, reordered.mesh.original_ids)
+    ours, theirs = (
+        {f"case/clustering/{key}": array for key, array in parity.clustering_arrays(s).items()}
+        for s in (reordered, plain)
+    )
+    assert parity.compare(ours, theirs) == []
+    lam = theirs["case/clustering/lam"]
+    assert parity.compare(ours, theirs | {"case/clustering/lam": np.nextafter(lam, 1.0)}) == [
+        "case/clustering/lam: differs"
+    ]
+    moved = theirs["case/clustering/cluster_ids"].copy()
+    moved[0] += 1
+    assert parity.compare(ours, theirs | {"case/clustering/cluster_ids": moved}) == [
+        "case/clustering/cluster_ids: differs"
+    ]
+    tables = parity.reference_arrays(plain.disc)
+    assert set(tables) == {"k_time", "k_vol", "ftilde", "fhat", "ref.neighbor_flux", "ref.fsurf"}
+    assert parity.compare(tables, parity.reference_arrays(reordered.disc)) == []
